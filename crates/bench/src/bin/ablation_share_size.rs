@@ -27,7 +27,6 @@ fn main() {
     let sim = Backend::Simulated(SimulationConfig {
         epochs: base.epochs,
         execution: ExecutionMode::Native,
-        parallel: true,
         ..Default::default()
     });
 

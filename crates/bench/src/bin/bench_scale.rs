@@ -171,7 +171,7 @@ fn run_join_wave(n: usize, epochs: usize) -> (f64, f64, usize, EngineResult) {
             .run("join-wave", &mut nodes);
         (start.elapsed().as_secs_f64(), result)
     };
-    let (seq_secs, seq) = run(Driver::Lockstep { parallel: false });
+    let (seq_secs, seq) = run(Driver::Lockstep);
     let (pool_secs, pool) = run(Driver::WorkSteal { workers: 0 });
     assert_eq!(
         seq.trace.final_rmse().map(f64::to_bits),
@@ -242,7 +242,7 @@ fn run_shard_arm(
     let start = Instant::now();
     let result = Engine::<MfModel, MemNetwork>::new(
         MemNetwork::new(shards),
-        engine_config(epochs, Driver::Lockstep { parallel: false }),
+        engine_config(epochs, Driver::Lockstep),
     )
     .run("shard", &mut nodes);
     let secs = start.elapsed().as_secs_f64();
@@ -287,11 +287,11 @@ fn main() {
 
     // Warm both drivers (allocator, page cache) before timing anything,
     // so run order does not bias the comparison.
-    let _ = run_driver(64, 1, Driver::Lockstep { parallel: false });
+    let _ = run_driver(64, 1, Driver::Lockstep);
     let _ = run_driver(64, 1, Driver::WorkSteal { workers: 0 });
 
     eprintln!("[bench_scale] {nodes} nodes x {epochs} epochs, sequential driver...");
-    let (seq_secs, seq) = run_driver(nodes, epochs, Driver::Lockstep { parallel: false });
+    let (seq_secs, seq) = run_driver(nodes, epochs, Driver::Lockstep);
     eprintln!("[bench_scale] work-stealing pool ({host_cpus} workers)...");
     let (pool_secs, pool) = run_driver(nodes, epochs, Driver::WorkSteal { workers: 0 });
 

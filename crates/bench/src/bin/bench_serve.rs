@@ -105,7 +105,7 @@ fn train_arm(sharing: SharingMode, epochs: usize) -> (MfModel, Vec<Rating>, u32)
             epochs,
             execution: ExecutionMode::Native,
             time: TimeAxis::Simulated(Default::default()),
-            driver: Driver::Lockstep { parallel: true },
+            driver: Driver::Lockstep,
             processes_per_platform: 1,
             seed: 0xE0,
             faults: None,

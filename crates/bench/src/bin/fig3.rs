@@ -29,7 +29,6 @@ fn main() {
     let sim = Backend::Simulated(SimulationConfig {
         epochs: scale.epochs,
         execution: ExecutionMode::Native,
-        parallel: true,
         ..Default::default()
     });
 

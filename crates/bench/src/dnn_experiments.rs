@@ -102,7 +102,6 @@ pub fn run_dnn_arm(
         &Backend::Simulated(SimulationConfig {
             epochs: scale.epochs,
             execution: ExecutionMode::Native,
-            parallel: true,
             ..Default::default()
         }),
         &name,

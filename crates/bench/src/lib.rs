@@ -2,8 +2,8 @@
 //!
 //! Each `src/bin/figN.rs` / `src/bin/tableN.rs` binary is a thin CLI over
 //! the experiment functions here; `benches/figures.rs` chains the quick
-//! variants so `cargo bench` regenerates everything. DESIGN.md §4 maps
-//! each paper artefact to its bench target.
+//! variants so `cargo bench` regenerates everything. README.md "Paper ↔
+//! code map" maps each paper artefact to its bench target.
 //!
 //! Two scales per experiment:
 //! * **quick** (default) — a reduced node count / epoch budget that runs in

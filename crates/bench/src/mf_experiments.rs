@@ -176,7 +176,6 @@ pub fn run_panel(
     let sim = Backend::Simulated(SimulationConfig {
         epochs: scale.epochs,
         execution,
-        parallel: true,
         ..Default::default()
     });
     let mut rex_nodes = build_fleet(scale, topology, SharingMode::RawData, algorithm);

@@ -3,20 +3,22 @@
 use rex_sim::trace::ExperimentTrace;
 use std::path::PathBuf;
 
-/// Directory where bench binaries drop their CSVs (workspace-relative).
+/// Directory where bench binaries drop their CSVs: `results/` under the
+/// workspace root, wherever inside the workspace the binary was started.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    // Walk up from the executable's cwd to find the workspace root
-    // (identified by DESIGN.md); fall back to cwd.
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("DESIGN.md").exists() {
-            return dir.join("results");
-        }
-        if !dir.pop() {
-            return PathBuf::from("results");
-        }
-    }
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    results_dir_from(&cwd)
+}
+
+/// Walks up from `start` to the workspace root — the directory holding
+/// the workspace `Cargo.lock` (member crates have a `Cargo.toml` but no
+/// lock file) — falling back to `./results` outside any workspace.
+fn results_dir_from(start: &std::path::Path) -> PathBuf {
+    start
+        .ancestors()
+        .find(|dir| dir.join("Cargo.lock").exists())
+        .map_or_else(|| PathBuf::from("results"), |root| root.join("results"))
 }
 
 /// Writes `content` under `results/<name>`, creating the directory.
@@ -80,5 +82,19 @@ mod tests {
     fn results_dir_finds_workspace() {
         let dir = results_dir();
         assert!(dir.ends_with("results"));
+    }
+
+    #[test]
+    fn results_dir_is_the_workspace_root_from_a_subdirectory() {
+        // `cargo test` runs from the crate directory (crates/bench); a
+        // bench bin started there or deeper must still write to the
+        // workspace root's results/, not to a results/ of its own.
+        let crate_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = crate_dir.parent().and_then(|p| p.parent()).unwrap();
+        assert!(root.join("Cargo.lock").exists(), "workspace root moved");
+        for start in [crate_dir.to_path_buf(), crate_dir.join("src").join("bin")] {
+            assert_eq!(results_dir_from(&start), root.join("results"));
+        }
+        assert_eq!(results_dir(), root.join("results"));
     }
 }

@@ -6,8 +6,7 @@
 //! stages are no-ops (nothing arrives, nobody to send to), leaving exactly
 //! the paper's baseline loop — `steps_per_epoch` SGD steps then an RMSE
 //! measurement per epoch, on the simulated (measured-compute) time axis.
-//! [`run_baseline`] wraps that construction; the old [`run_centralized`]
-//! name forwards to it.
+//! [`run_baseline`] wraps that construction.
 
 use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
 use crate::node::Node;
@@ -53,20 +52,6 @@ pub fn run_baseline<M: Model>(
         record.ram_bytes = model.memory_bytes() as f64;
     }
     result.trace
-}
-
-/// Runs the centralized baseline (legacy name).
-#[deprecated(since = "0.7.0", note = "use run_baseline")]
-pub fn run_centralized<M: Model>(
-    name: &str,
-    model: &mut M,
-    train: &[Rating],
-    test: &[Rating],
-    steps_per_epoch: usize,
-    epochs: usize,
-    seed: u64,
-) -> ExperimentTrace {
-    run_baseline(name, model, train, test, steps_per_epoch, epochs, seed)
 }
 
 #[cfg(test)]
@@ -122,25 +107,5 @@ mod tests {
             untrained.to_bytes(),
             "model not written back"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_centralized_still_forwards() {
-        let ds = SyntheticConfig {
-            num_users: 10,
-            num_items: 40,
-            num_ratings: 300,
-            seed: 4,
-            ..SyntheticConfig::default()
-        }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 0);
-        let mut via_shim = MfModel::new(10, 40, MfHyperParams::default(), 3.5, 0);
-        let mut via_new = via_shim.clone();
-        let a = run_centralized("c", &mut via_shim, &split.train, &split.test, 100, 3, 1);
-        let b = run_baseline("c", &mut via_new, &split.train, &split.test, 100, 3, 1);
-        assert_eq!(via_shim.to_bytes(), via_new.to_bytes());
-        assert_eq!(a.records.len(), b.records.len());
     }
 }

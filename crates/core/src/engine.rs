@@ -7,12 +7,12 @@
 //! [`Transport`], so the same code drives:
 //!
 //! * the **discrete-event simulator** — [`MemNetwork`](rex_net::MemNetwork)
-//!   fabric, [`Driver::Lockstep`], [`TimeAxis::Simulated`];
+//!   fabric, [`Driver::WorkSteal`], [`TimeAxis::Simulated`];
 //! * the **real-thread deployment** —
 //!   [`ChannelTransport`](rex_net::ChannelTransport),
 //!   [`Driver::ThreadPerNode`], [`TimeAxis::Wall`];
 //! * the **real-socket deployment** —
-//!   [`TcpTransport`](rex_net::TcpTransport), either driver: frames cross
+//!   [`TcpTransport`](rex_net::TcpTransport), any driver: frames cross
 //!   the kernel's TCP stack, and the `rex-node` binary runs the same node
 //!   loop one process per node;
 //! * the **centralized baseline** — a one-node fabric with no neighbours
@@ -22,6 +22,14 @@
 //! [`crate::runner::Backend`]) is a thin configuration shim over
 //! [`Engine::run`]; a further backend only implements the `rex-net`
 //! transport traits.
+//!
+//! # Two round loops
+//! `Engine::run_rounds` is the **fabric loop**: one owner over the whole
+//! [`Transport`], node epochs executed by [`crate::pool`].
+//! [`Driver::ThreadPerNode`] instead spawns the **per-node loop**
+//! ([`crate::round::run_node_loop`], one thread over one [`Endpoint`])
+//! once per node and folds what it reports. Nothing else runs a round —
+//! see the crate docs.
 //!
 //! # Determinism
 //! Inboxes are handed to nodes in canonical order (ascending sender id,
@@ -39,8 +47,8 @@
 //! live topology rewiring — before any inbox of the epoch is drained.
 //! Non-members sit rounds out exactly like crash-stopped nodes;
 //! `tests/membership.rs` and the `golden_membership` fixture hold the
-//! transitions bit-identical across every lockstep-shaped driver ×
-//! backend combination.
+//! transitions bit-identical across every fabric-loop driver × backend
+//! combination.
 //!
 //! # Resilience
 //! [`EngineConfig::faults`] attaches a seeded [`FaultPlan`]. The engine
@@ -53,11 +61,13 @@
 //! delivered/dropped/late/duplicated counts
 //! ([`EpochRecord::delivery`], filled in when the transport is wrapped
 //! in [`rex_net::fault::FaultyTransport`] with the same plan). Both
-//! drivers replay a plan bit-for-bit; `tests/chaos.rs` holds them to it.
+//! loops replay a plan bit-for-bit; `tests/chaos.rs` holds them to it.
 
 use crate::config::ExecutionMode;
 use crate::membership::{MembershipPlan, MembershipView, ViewTransition};
 use crate::node::{EpochReport, Node};
+use crate::pool::{panic_message, WorkStealPool};
+use crate::round::{self, EpochEvent, RoundContext};
 use crate::setup::TeeDirectory;
 use crate::setup::{establish_tee_with_directory, overlay_of, prune_to_overlay, SetupReport};
 use rex_ml::Model;
@@ -70,7 +80,6 @@ use rex_sim::clock::VirtualClock;
 use rex_sim::stage::StageTimes;
 use rex_sim::trace::{EpochRecord, ExperimentTrace};
 use std::marker::PhantomData;
-use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 /// Which time axis the experiment trace records.
@@ -89,22 +98,20 @@ pub enum TimeAxis {
 /// How node epochs are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// Single-owner rounds over the fabric view: drain every inbox, run
-    /// every node (optionally on a scoped thread pool), apply sends in
-    /// node order. Works with any [`Transport`].
-    Lockstep {
-        /// Run each epoch's nodes on a scoped thread pool (recommended
-        /// above ~50 nodes; per-node results are identical either way).
-        parallel: bool,
-    },
-    /// One OS thread per node over split endpoints, synchronized by a
-    /// barrier per epoch — the paper's deployment shape. Requires a
-    /// transport whose [`Transport::into_endpoints`] returns `Some`.
+    /// The fabric loop with every node epoch run on the driver thread,
+    /// in node order (the pool with one worker, which spawns nothing).
+    /// Works with any [`Transport`].
+    Lockstep,
+    /// One OS thread per node over split endpoints, each running the
+    /// per-node loop ([`crate::round::run_node_loop`]) against the
+    /// fabric's own round barrier — the paper's deployment shape.
+    /// Requires a transport whose [`Transport::into_endpoints`] returns
+    /// `Some`.
     ThreadPerNode,
-    /// Lockstep rounds executed by a **fixed work-stealing worker pool**
+    /// The fabric loop executed by a **fixed work-stealing worker pool**
     /// ([`crate::pool`]): workers stay alive across epochs and steal node
     /// epochs from each other's deques, so skewed per-node costs (growing
-    /// stores, crashed nodes) no longer stall a whole chunk. Scales the
+    /// stores, crashed nodes) do not stall a whole chunk. Scales the
     /// fabric view to 1000+ nodes in-process; results are bit-identical
     /// to [`Driver::Lockstep`] (outputs are keyed by node id and sends
     /// are applied in canonical node order after each phase). Works with
@@ -167,9 +174,9 @@ pub struct EngineConfig {
     /// a [`MembershipView`] at every round boundary and applies its
     /// transitions before any inbox of the epoch is drained, so a
     /// sponsor's bootstrap lands in the joiner's first inbox. Supported
-    /// by [`Driver::Lockstep`] and [`Driver::WorkSteal`] (the deployed
-    /// `rex-node` loop implements the same transitions over its own
-    /// endpoint); [`Driver::ThreadPerNode`] rejects a non-`None` plan.
+    /// by [`Driver::Lockstep`] and [`Driver::WorkSteal`] (the per-node
+    /// loop applies the same transitions over its own endpoint under
+    /// `rex-node`); [`Driver::ThreadPerNode`] rejects a non-`None` plan.
     pub membership: Option<MembershipPlan>,
 }
 
@@ -179,7 +186,7 @@ impl Default for EngineConfig {
             epochs: 100,
             execution: ExecutionMode::Native,
             time: TimeAxis::Simulated(LinkModel::default()),
-            driver: Driver::Lockstep { parallel: true },
+            driver: Driver::WorkSteal { workers: 0 },
             processes_per_platform: 1,
             seed: 0x1234,
             faults: None,
@@ -199,46 +206,10 @@ pub struct EngineResult {
     pub final_stats: Vec<TrafficStats>,
 }
 
-/// What one node's epoch hands back to its driver: encoded outgoing
-/// messages as `(destination, bytes)` pairs, plus the report.
-type EpochOutput = (Vec<(usize, Vec<u8>)>, EpochReport);
-
-/// What one node's thread records per epoch: the wall timestamp, the
-/// report (`None` while crash-stopped), and the endpoint's outgoing
-/// delivery accounting for the epoch.
-type ThreadEpoch = (u64, Option<EpochReport>, DeliveryStats);
-
 /// What one node's thread hands back to the engine: the (trained) node,
-/// its per-epoch records, and its traffic counters.
-type NodeRun<M> = (Node<M>, Vec<ThreadEpoch>, TrafficStats);
-
-/// Uniform mutable access to the fleet for the lockstep-shaped drivers,
-/// so membership transitions are implemented once whether the nodes live
-/// in a plain slice ([`Driver::Lockstep`]) or inside the work-stealing
-/// pool's slots ([`Driver::WorkSteal`]).
-pub(crate) trait Fleet<M: Model> {
-    /// Runs `f` on node `id` and returns its result.
-    fn mutate<R>(&mut self, id: usize, f: impl FnOnce(&mut Node<M>) -> R) -> R;
-}
-
-/// [`Fleet`] over a plain mutable slice.
-struct SliceFleet<'a, M: Model>(&'a mut [Node<M>]);
-
-impl<M: Model> Fleet<M> for SliceFleet<'_, M> {
-    fn mutate<R>(&mut self, id: usize, f: impl FnOnce(&mut Node<M>) -> R) -> R {
-        f(&mut self.0[id])
-    }
-}
-
-/// [`Fleet`] over the work-stealing pool's slots (driver thread only,
-/// between phases — no worker holds a slot then).
-struct PoolFleet<'a, M: Model>(&'a crate::pool::WorkStealPool<M>);
-
-impl<M: Model> Fleet<M> for PoolFleet<'_, M> {
-    fn mutate<R>(&mut self, id: usize, f: impl FnOnce(&mut Node<M>) -> R) -> R {
-        self.0.with_node(id, f)
-    }
-}
+/// every epoch it served with the wall timestamp of its completion, and
+/// its traffic counters.
+type NodeRun<M> = (Node<M>, Vec<(u64, EpochEvent)>, TrafficStats);
 
 /// The transport-generic protocol engine. See the module docs.
 pub struct Engine<M: Model, T: Transport> {
@@ -270,9 +241,9 @@ impl<M: Model, T: Transport> Engine<M, T> {
     /// split into endpoints, [`Driver::ThreadPerNode`] is combined with
     /// [`TimeAxis::Simulated`] (thread-per-node epochs are timestamped
     /// with real elapsed time, so a simulated axis cannot be honoured)
-    /// or with a membership plan (view transitions are driven by the
-    /// lockstep-shaped round loop; the deployed equivalent lives in
-    /// `rex-node`), or a membership plan fails validation.
+    /// or with a membership plan, a membership plan fails validation, or
+    /// a node fails mid-run — its epoch panics or its endpoint loses a
+    /// peer — in which case the failure is re-raised naming the node.
     pub fn run(mut self, name: &str, nodes: &mut Vec<Node<M>>) -> EngineResult {
         assert!(!nodes.is_empty(), "engine needs at least one node");
         assert_eq!(
@@ -343,51 +314,61 @@ impl<M: Model, T: Transport> Engine<M, T> {
             TimeAxis::Wall => setup.wall_ns(),
         };
 
-        match self.cfg.driver {
-            Driver::Lockstep { parallel } => {
-                self.run_lockstep(name, nodes, setup_ns, parallel, view, tee)
-            }
-            Driver::ThreadPerNode => self.run_thread_per_node(name, nodes, setup_ns),
-            Driver::WorkSteal { workers } => {
-                self.run_work_steal(name, nodes, setup_ns, workers, view, tee)
-            }
-            // Bounded staleness reuses the lockstep executor; the
-            // arrival model lives in `run_rounds` (keyed off the
-            // driver), so any lockstep-shaped executor would see the
-            // same deferred inboxes.
-            Driver::BoundedAsync { .. } => {
-                self.run_lockstep(name, nodes, setup_ns, true, view, tee)
-            }
+        // The fabric loop's worker count: `0` is one per available core.
+        let workers = match self.cfg.driver {
+            Driver::ThreadPerNode => return self.run_thread_per_node(name, nodes, setup_ns),
+            Driver::Lockstep => 1,
+            Driver::WorkSteal { workers } => workers,
+            // Bounded staleness is an arrival model in front of the same
+            // rounds, so any worker count sees the same deferred inboxes.
+            Driver::BoundedAsync { .. } => 0,
+        };
+        let workers = match workers {
+            0 => std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
+            w => w,
+        }
+        .min(nodes.len());
+
+        let (fleet, trace) = WorkStealPool::run(std::mem::take(nodes), workers, |pool| {
+            Self::run_rounds(
+                &self.cfg,
+                &mut self.transport,
+                name,
+                setup_ns,
+                pool,
+                view,
+                tee.as_ref(),
+            )
+        });
+        *nodes = fleet;
+        EngineResult {
+            trace,
+            setup_ns,
+            final_stats: self.transport.all_stats(),
         }
     }
 
-    /// The shared round loop of the lockstep-shaped drivers
-    /// ([`Driver::Lockstep`] and [`Driver::WorkSteal`]): per epoch —
-    /// `epoch_begin`, **membership view transition** (rewire the
-    /// overlay, late-attest materializing edges, send sponsor
-    /// bootstraps, flush so they land in this epoch's inboxes), crash +
-    /// membership mask, drain every mailbox (a down or non-member
-    /// node's inbox is drained and discarded), `execute` (run every
-    /// live node, however the driver schedules that), apply sends in
-    /// deterministic node order, `flush`, drain delivery counters,
-    /// advance the clock, record the trace. Keeping this sequencing —
-    /// including the view transitions — in exactly one place is what
-    /// makes the drivers bit-identical *by construction*: a scheduling
-    /// strategy only supplies `execute`, which receives the pre-drained
-    /// inboxes and the epoch's down mask and returns per-node outputs in
-    /// node order (`None` for nodes that sat the epoch out).
-    #[allow(clippy::too_many_arguments)]
-    fn run_rounds<FL: Fleet<M>>(
+    /// The fabric round loop: per epoch — `epoch_begin`, **membership
+    /// view transition** (rewire the overlay, late-attest materializing
+    /// edges, send sponsor bootstraps, flush so they land in this epoch's
+    /// inboxes), crash + membership mask, drain every mailbox (a down or
+    /// non-member node's inbox is drained and discarded), run every live
+    /// node's epoch as one pool phase, apply sends in deterministic node
+    /// order, `flush`, drain delivery counters, advance the clock, record
+    /// the trace. The pool only decides on which thread an epoch runs —
+    /// inputs are staged before the phase and outputs read back by node
+    /// id after it — which is what makes every worker count bit-identical
+    /// *by construction*.
+    fn run_rounds(
         cfg: &EngineConfig,
         transport: &mut T,
         name: &str,
         setup_ns: u64,
-        n: usize,
-        mut view: Option<&mut MembershipView>,
+        pool: &WorkStealPool<M>,
+        mut view: Option<MembershipView>,
         tee: Option<&TeeDirectory>,
-        fleet: &mut FL,
-        mut execute: impl FnMut(&mut FL, Vec<Vec<Envelope>>, &[bool]) -> Vec<Option<EpochOutput>>,
     ) -> ExperimentTrace {
+        let n = pool.len();
         let mut clock: Box<dyn Clock> = match &cfg.time {
             TimeAxis::Simulated(_) => Box::new(VirtualClock::new()),
             TimeAxis::Wall => Box::new(WallClock::start()),
@@ -402,23 +383,16 @@ impl<M: Model, T: Transport> Engine<M, T> {
 
         for epoch in 0..cfg.epochs {
             transport.epoch_begin(epoch);
-            let fault_down = down_mask(cfg.faults.as_ref(), n, epoch);
 
-            if let Some(v) = view.as_deref_mut() {
+            if let Some(v) = view.as_mut() {
                 if let Some(t) = v.advance(epoch) {
                     // Fabric-level view sync first: layers with
                     // in-flight state react to the change (the fault
                     // wrapper purges a leaver's held messages before
                     // any release point could target it).
                     transport.view_sync(epoch, &t.joined, &t.left);
-                    Self::apply_transition(
-                        &t,
-                        fleet,
-                        transport,
-                        tee,
-                        v.plan().bootstrap_points,
-                        &fault_down,
-                    );
+                    let points = v.plan().bootstrap_points;
+                    Self::transition_fleet(&t, pool, transport, cfg.faults.as_ref(), tee, points);
                     // The view barrier: bootstraps are delivered before
                     // any inbox of this epoch is drained.
                     transport.flush();
@@ -428,42 +402,34 @@ impl<M: Model, T: Transport> Engine<M, T> {
             // A node sits the epoch out when crash-stopped *or* outside
             // the current membership view; either way its mailbox is
             // drained and discarded — whatever was in flight to it is
-            // lost, exactly as in the thread-per-node driver.
-            let down: Vec<bool> = (0..n)
-                .map(|id| fault_down[id] || view.as_deref().is_some_and(|v| !v.is_member(id)))
-                .collect();
-            let mut inboxes: Vec<Vec<Envelope>> = (0..n)
-                .map(|id| {
-                    let inbox = transport.recv(id);
-                    if down[id] {
-                        Vec::new()
-                    } else {
-                        inbox
-                    }
-                })
-                .collect();
-
-            if let Driver::BoundedAsync { k } = cfg.driver {
-                for (receiver, inbox) in inboxes.iter_mut().enumerate() {
-                    apply_staleness(cfg.seed, epoch, receiver, k, inbox, &mut deferred[receiver]);
+            // lost, exactly as in the per-node loop.
+            let mut live = Vec::with_capacity(n);
+            for (id, late) in deferred.iter_mut().enumerate() {
+                let mut inbox = transport.recv(id);
+                if cfg.faults.as_ref().is_some_and(|p| p.is_down(id, epoch))
+                    || view.as_ref().is_some_and(|v| !v.is_member(id))
+                {
+                    continue;
                 }
+                if let Driver::BoundedAsync { k } = cfg.driver {
+                    apply_staleness(cfg.seed, epoch, id, k, &mut inbox, late);
+                }
+                pool.load(id, inbox);
+                live.push(id);
             }
 
-            let results = execute(fleet, inboxes, &down);
+            pool.run_phase(&live);
 
             // Apply sends in deterministic node order, then make them
             // visible for the next round.
             let mut reports = Vec::with_capacity(n);
-            for (from, result) in results.into_iter().enumerate() {
-                match result {
-                    Some((outgoing, report)) => {
-                        for (dest, bytes) in outgoing {
-                            transport.send(from, dest, bytes);
-                        }
-                        reports.push(Some(report));
+            for from in 0..n {
+                reports.push(pool.take_output(from).map(|(outgoing, report)| {
+                    for (dest, bytes) in outgoing {
+                        transport.send(from, dest, bytes);
                     }
-                    None => reports.push(None),
-                }
+                    report
+                }));
             }
             transport.flush();
             let delivery = transport.take_delivery();
@@ -474,300 +440,144 @@ impl<M: Model, T: Transport> Engine<M, T> {
         trace
     }
 
-    /// Applies one membership view transition to the fleet and the
-    /// fabric, in the canonical order every execution path follows:
-    /// leavers' edges removed (sessions dropped, Metropolis–Hastings
-    /// degrees renormalize), joiners admission-checked (SGX: evidence
-    /// quote verified by a member through DCAP + the own-measurement
-    /// rule), new edges added with late-attested sessions installed at
-    /// both ends, then sponsor bootstraps sent (skipped for a sponsor
-    /// that is crash-stopped this epoch — its data, like everything else
-    /// it would send, is lost).
-    fn apply_transition<FL: Fleet<M>>(
+    /// Applies one membership view transition to the whole fleet: every
+    /// node gets its own slice through [`round::apply_transition`], with
+    /// `transport.send` carrying the sponsor bootstraps. In SGX mode each
+    /// joiner first produces the evidence its `Join` frame would carry,
+    /// and the member that checks it is its first new neighbour (or, for
+    /// a momentarily isolated joiner, the joiner's own enclave — same
+    /// measurement).
+    fn transition_fleet(
         t: &ViewTransition,
-        fleet: &mut FL,
+        pool: &WorkStealPool<M>,
         transport: &mut T,
+        faults: Option<&FaultPlan>,
         tee: Option<&TeeDirectory>,
         bootstrap_points: usize,
-        fault_down: &[bool],
     ) {
-        for &(a, b) in &t.removed_edges {
-            fleet.mutate(a, |n| n.remove_neighbor(b));
-            fleet.mutate(b, |n| n.remove_neighbor(a));
-        }
-
+        let failed = |e: String| -> ! { panic!("view transition at epoch {}: {e}", t.epoch) };
+        let mut evidence: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); pool.len()];
         if let Some(dir) = tee {
             for &j in &t.joined {
-                // Admission check: the joiner quotes its enclave; its
-                // first live partner (or, for a momentarily isolated
-                // joiner, the joiner's own enclave — same measurement)
-                // verifies the evidence before any session is installed.
-                let quote = fleet
-                    .mutate(j, |n| {
-                        rex_tee::join::joiner_evidence(
-                            dir.seed,
-                            t.epoch,
-                            j,
-                            n.enclave_mut().expect("SGX fleet has enclaves"),
-                            dir.platform_of(j),
-                        )
-                    })
-                    .expect("own platform quotes its enclave");
+                let bytes = pool
+                    .with_node(j, |node| round::encode_evidence(dir, node, t.epoch))
+                    .unwrap_or_else(|e| failed(e));
                 let checker = t
                     .added_edges
                     .iter()
-                    .find_map(|&(a, b)| {
-                        if a == j {
-                            Some(b)
-                        } else if b == j {
-                            Some(a)
-                        } else {
-                            None
-                        }
+                    .find_map(|&(a, b)| match (a == j, b == j) {
+                        (true, _) => Some(b),
+                        (_, true) => Some(a),
+                        _ => None,
                     })
                     .unwrap_or(j);
-                fleet
-                    .mutate(checker, |n| {
-                        rex_tee::join::verify_joiner(
-                            dir.seed,
-                            t.epoch,
-                            j,
-                            &quote,
-                            &dir.dcap,
-                            n.enclave_mut().expect("SGX fleet has enclaves"),
-                        )
-                    })
-                    .expect("honest joiner passes admission");
+                evidence[checker].push((j, bytes));
             }
         }
-
-        for &(a, b) in &t.added_edges {
-            fleet.mutate(a, |n| n.add_neighbor(b));
-            fleet.mutate(b, |n| n.add_neighbor(a));
-            if let Some(dir) = tee {
-                let measurement = fleet.mutate(a, |n| {
-                    n.enclave_mut()
-                        .expect("SGX fleet has enclaves")
-                        .measurement()
-                });
-                let (sa, sb) =
-                    rex_tee::join::late_session_pair(dir.seed, t.epoch, a, b, measurement);
-                fleet.mutate(a, |n| n.install_session(b, sa));
-                fleet.mutate(b, |n| n.install_session(a, sb));
-            }
-        }
-
-        for &(s, j) in &t.bootstraps {
-            if bootstrap_points == 0 || fault_down[s] {
-                continue;
-            }
-            let bytes = fleet.mutate(s, |n| n.bootstrap_for(j, bootstrap_points));
-            transport.send(s, j, bytes);
+        for (id, presented) in evidence.iter().enumerate() {
+            pool.with_node(id, |node| {
+                round::apply_transition(
+                    node,
+                    t,
+                    presented,
+                    bootstrap_points,
+                    faults,
+                    tee,
+                    |to, b| {
+                        transport.send(id, to, b);
+                    },
+                )
+            })
+            .unwrap_or_else(|e| failed(e));
         }
     }
 
-    /// Lockstep rounds over the fabric view.
-    fn run_lockstep(
-        mut self,
-        name: &str,
-        nodes: &mut [Node<M>],
-        setup_ns: u64,
-        parallel: bool,
-        mut view: Option<MembershipView>,
-        tee: Option<TeeDirectory>,
-    ) -> EngineResult {
-        let n = nodes.len();
-        let cfg = self.cfg.clone();
-        let mut fleet = SliceFleet(nodes);
-        let trace = Self::run_rounds(
-            &cfg,
-            &mut self.transport,
-            name,
-            setup_ns,
-            n,
-            view.as_mut(),
-            tee.as_ref(),
-            &mut fleet,
-            |fleet, inboxes, down| run_epoch(fleet.0, inboxes, down, parallel),
-        );
-
-        EngineResult {
-            trace,
-            setup_ns,
-            final_stats: self.transport.all_stats(),
-        }
-    }
-
-    /// Lockstep rounds on the fixed work-stealing pool: the same round
-    /// loop as [`Driver::Lockstep`] (shared via [`Engine::run_rounds`]),
-    /// but node epochs execute on workers that persist across epochs and
-    /// steal from each other. The fleet is owned by the pool for the run
-    /// and handed back afterwards.
-    fn run_work_steal(
-        mut self,
-        name: &str,
-        nodes: &mut Vec<Node<M>>,
-        setup_ns: u64,
-        workers: usize,
-        mut view: Option<MembershipView>,
-        tee: Option<TeeDirectory>,
-    ) -> EngineResult {
-        let n = nodes.len();
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-        } else {
-            workers
-        }
-        .min(n)
-        .max(1);
-
-        let cfg = self.cfg.clone();
-        let pool = crate::pool::WorkStealPool::new(std::mem::take(nodes), workers);
-        let trace = std::thread::scope(|scope| {
-            for w in 0..workers {
-                let pool = &pool;
-                scope.spawn(move || pool.worker_loop(w));
-            }
-            // Releases the workers on every exit path — including an
-            // unwind from a transport failure or a re-raised worker
-            // panic — so the scope join can never deadlock.
-            let _guard = crate::pool::ShutdownGuard(&pool);
-
-            let mut fleet = PoolFleet(&pool);
-            Self::run_rounds(
-                &cfg,
-                &mut self.transport,
-                name,
-                setup_ns,
-                n,
-                view.as_mut(),
-                tee.as_ref(),
-                &mut fleet,
-                |fleet, inboxes, down| {
-                    // Stage the pre-drained inputs, then run one pool
-                    // phase over the live ids.
-                    let pool = fleet.0;
-                    let mut live = Vec::with_capacity(n);
-                    for (id, inbox) in inboxes.into_iter().enumerate() {
-                        pool.load(id, inbox);
-                        if !down[id] {
-                            live.push(id);
-                        }
-                    }
-                    pool.run_phase(&live);
-                    pool.check_panic();
-                    (0..n).map(|id| pool.take_output(id)).collect()
-                },
-            )
-        });
-        *nodes = pool.into_nodes();
-
-        EngineResult {
-            trace,
-            setup_ns,
-            final_stats: self.transport.all_stats(),
-        }
-    }
-
-    /// One OS thread per node over split endpoints.
+    /// One OS thread per node over split endpoints, each running the
+    /// per-node loop; the engine only folds what the loops report.
     fn run_thread_per_node(
         self,
         name: &str,
         nodes: &mut Vec<Node<M>>,
         setup_ns: u64,
     ) -> EngineResult {
-        let n = nodes.len();
         let epochs = self.cfg.epochs;
         let endpoints = self
             .transport
             .into_endpoints()
             .expect("transport cannot split into per-node endpoints; use Driver::Lockstep");
-        assert_eq!(endpoints.len(), n, "endpoint count disagrees with fleet");
+        assert_eq!(
+            endpoints.len(),
+            nodes.len(),
+            "endpoint count disagrees with fleet"
+        );
 
-        let barrier = Arc::new(Barrier::new(n));
+        let faults = self.cfg.faults.as_ref();
         let start = Instant::now();
-        let fleet = std::mem::take(nodes);
-        let plan = Arc::new(self.cfg.faults.clone());
+        let outcomes: Vec<std::thread::Result<Result<NodeRun<M>, String>>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = std::mem::take(nodes)
+                    .into_iter()
+                    .zip(endpoints)
+                    .map(|(mut node, mut endpoint)| {
+                        scope.spawn(move || {
+                            let mut served = Vec::with_capacity(epochs);
+                            let ctx = RoundContext {
+                                faults,
+                                view: None,
+                                tee: None,
+                                audit: None,
+                                serve: None,
+                            };
+                            round::run_node_loop(&mut node, &mut endpoint, 0..epochs, ctx, |ev| {
+                                served.push((start.elapsed().as_nanos() as u64, ev));
+                            })?;
+                            Ok((node, served, endpoint.stats()))
+                        })
+                    })
+                    .collect();
+                // Threads were spawned in node order; join preserves it.
+                handles.into_iter().map(|h| h.join()).collect()
+            });
 
-        let mut handles = Vec::with_capacity(n);
-        for (mut node, mut endpoint) in fleet.into_iter().zip(endpoints) {
-            let barrier = Arc::clone(&barrier);
-            let plan = Arc::clone(&plan);
-            handles.push(std::thread::spawn(move || {
-                let mut reports: Vec<ThreadEpoch> = Vec::with_capacity(epochs);
-                for epoch in 0..epochs {
-                    endpoint.epoch_begin(epoch);
-                    let inbox = endpoint.recv();
-                    let down = plan
-                        .as_ref()
-                        .as_ref()
-                        .is_some_and(|p| p.is_down(node.id(), epoch));
-                    // Everyone drains before anyone sends: without this a
-                    // fast peer's epoch-e message could land in a slow
-                    // node's epoch-e inbox, making delivery epochs racy
-                    // (and runs irreproducible across backends).
-                    barrier.wait();
-                    // A crash-stopped node discards its inbox and sits
-                    // the epoch out — but keeps serving the round
-                    // barriers, which are infrastructure, not protocol.
-                    let report = if down {
-                        drop(inbox);
-                        None
-                    } else {
-                        let (outgoing, report) = node.epoch(inbox);
-                        for (dest, bytes) in outgoing {
-                            endpoint.send(dest, bytes);
-                        }
-                        Some(report)
-                    };
-                    // All sends of this epoch complete — and, for fabrics
-                    // with real propagation delay (TCP), are *delivered*
-                    // (wire-level barrier) — before anyone drains the
-                    // next epoch's inbox.
-                    endpoint.sync();
-                    let delivery = endpoint.take_delivery();
-                    barrier.wait();
-                    reports.push((start.elapsed().as_nanos() as u64, report, delivery));
+        // A node that died took its endpoint with it, which fails every
+        // peer's barrier: the panic, the cause, goes ahead of the errors
+        // it caused.
+        let mut joined: Vec<NodeRun<M>> = Vec::with_capacity(outcomes.len());
+        let mut failures = Vec::new();
+        for (id, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Ok(Ok(run)) => joined.push(run),
+                Ok(Err(e)) => failures.push(e),
+                Err(panic) => {
+                    let msg = panic_message(panic.as_ref());
+                    failures.insert(0, format!("node {id} epoch panicked: {msg}"));
                 }
-                (node, reports, endpoint.stats())
-            }));
+            }
         }
-
-        // Threads were spawned in node order; join preserves it.
-        let joined: Vec<NodeRun<M>> = handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect();
+        if let Some(first) = failures.first() {
+            panic!("{first}");
+        }
         let final_stats: Vec<TrafficStats> = joined.iter().map(|(_, _, s)| *s).collect();
 
+        // Real elapsed time plus the modelled charges, which stack up
+        // epoch by epoch exactly as on the fabric loop's wall axis.
         let mut trace = ExperimentTrace::new(name);
-        let mut cumulative_sgx_ns = 0u64;
+        let mut charges = VirtualClock::new();
         for epoch in 0..epochs {
             let mut end_ns = 0u64;
             let mut delivery = DeliveryStats::default();
             let reports: Vec<Option<EpochReport>> = joined
                 .iter()
-                .map(|(_, per_epoch, _)| {
-                    let (t, report, node_delivery) = per_epoch[epoch];
+                .map(|(_, served, _)| {
+                    let (t, event) = served[epoch];
                     end_ns = end_ns.max(t);
-                    delivery.absorb(&node_delivery);
-                    report
+                    delivery.absorb(&event.delivery);
+                    event.report
                 })
                 .collect();
-            cumulative_sgx_ns += reports
-                .iter()
-                .flatten()
-                .map(|r| r.sgx_overhead_ns)
-                .max()
-                .unwrap_or(0);
-            trace.push(aggregate_epoch(
-                epoch,
-                setup_ns + end_ns + cumulative_sgx_ns,
-                &reports,
-                delivery,
-            ));
+            advance_epoch_clock(&TimeAxis::Wall, &mut charges, &reports);
+            let time_ns = setup_ns + end_ns + charges.now_ns();
+            trace.push(aggregate_epoch(epoch, time_ns, &reports, delivery));
         }
 
         // Hand the (trained) fleet back to the caller.
@@ -862,71 +672,6 @@ fn apply_staleness(
         }
     }
     rex_net::transport::canonicalize(inbox);
-}
-
-/// The per-node crash mask for one epoch (all-false without a plan).
-fn down_mask(plan: Option<&FaultPlan>, n: usize, epoch: usize) -> Vec<bool> {
-    match plan {
-        Some(p) => (0..n).map(|i| p.is_down(i, epoch)).collect(),
-        None => vec![false; n],
-    }
-}
-
-/// Runs every live node's epoch once, sequentially or on a scoped thread
-/// pool; crash-stopped nodes (`down`) yield `None`. Results are in node
-/// order either way, so the two modes are bit-identical.
-fn run_epoch<M: Model>(
-    nodes: &mut [Node<M>],
-    inboxes: Vec<Vec<Envelope>>,
-    down: &[bool],
-    parallel: bool,
-) -> Vec<Option<EpochOutput>> {
-    let n = nodes.len();
-    if !parallel || n < 2 {
-        return nodes
-            .iter_mut()
-            .zip(inboxes)
-            .zip(down)
-            .map(|((node, inbox), &d)| if d { None } else { Some(node.epoch(inbox)) })
-            .collect();
-    }
-
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n);
-    let chunk = n.div_ceil(threads);
-    let mut inbox_chunks: Vec<Vec<Vec<Envelope>>> = Vec::with_capacity(threads);
-    let mut it = inboxes.into_iter();
-    loop {
-        let next: Vec<Vec<Envelope>> = it.by_ref().take(chunk).collect();
-        if next.is_empty() {
-            break;
-        }
-        inbox_chunks.push(next);
-    }
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = nodes
-            .chunks_mut(chunk)
-            .zip(inbox_chunks)
-            .zip(down.chunks(chunk))
-            .map(|((node_chunk, chunk_inboxes), chunk_down)| {
-                scope.spawn(move || {
-                    node_chunk
-                        .iter_mut()
-                        .zip(chunk_inboxes)
-                        .zip(chunk_down)
-                        .map(|((node, inbox), &d)| if d { None } else { Some(node.epoch(inbox)) })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("epoch worker panicked"))
-            .collect()
-    })
 }
 
 /// Folds one epoch's per-node reports into the trace record: fleet means

@@ -22,17 +22,23 @@
 //! travel AEAD-sealed, and the runtime charges transition/paging costs that
 //! surface in the experiment traces.
 //!
-//! # Architecture: one engine, many backends
+//! # Architecture: one engine, two round loops, many backends
 //!
 //! All deployments run through a single transport-generic
-//! [`engine::Engine`]:
+//! [`engine::Engine`], and the round itself is written twice — once per
+//! ownership shape — and nowhere else:
 //!
-//! * [`engine`] — the shared pipeline: TEE setup, the epoch loop
-//!   (lockstep, thread-per-node, or the work-stealing pool), and trace
-//!   aggregation, generic over `rex_net::Transport`;
-//! * [`pool`] — the fixed work-stealing worker pool behind
-//!   [`engine::Driver::WorkSteal`], which scales the fabric view to
-//!   1000+ nodes in-process while staying bit-identical to lockstep;
+//! * [`engine`] — the shared pipeline: TEE setup, the **fabric round
+//!   loop** (one owner over a whole `rex_net::Transport`), and trace
+//!   aggregation;
+//! * [`round`] — the **per-node round loop** (one thread over one
+//!   `rex_net::transport::Endpoint`): what a `rex-node` process runs,
+//!   what [`engine::Driver::ThreadPerNode`] spawns per node, and the one
+//!   place a membership view transition is applied to a node;
+//! * [`pool`] — the fixed work-stealing worker pool, the fabric loop's
+//!   only executor: inline on the driver thread with one worker
+//!   ([`engine::Driver::Lockstep`]), on persistent workers otherwise
+//!   ([`engine::Driver::WorkSteal`]), bit-identical either way;
 //! * [`membership`] — epoch-scoped views of the live fleet: online
 //!   joins with late attestation and sponsored raw-share bootstraps,
 //!   graceful leaves with live topology rewiring, all part of the
@@ -50,14 +56,12 @@
 //!   plus the [`setup::TeeDirectory`] late joins attest against;
 //! * [`runner::run`] — the single entry point over every deployment
 //!   style, selected by [`runner::Backend`]: `Simulated` (`MemNetwork`
-//!   fabric, lockstep rounds, simulated time — the discrete-event
-//!   simulator at any node count), `Threaded` (`ChannelTransport`
-//!   fabric, one OS thread per node, wall-clock time — the paper's
-//!   8-node deployment) or `Centralized` (the engine's degenerate
-//!   no-fabric deployment behind [`centralized::run_baseline`], the
-//!   baseline curve). The pre-unification names `run_simulation`,
-//!   `run_threaded` and `run_centralized` survive as deprecated
-//!   one-line forwards.
+//!   fabric, fabric rounds on the pool, simulated time — the
+//!   discrete-event simulator at any node count), `Threaded`
+//!   (`ChannelTransport` fabric, one OS thread per node running the
+//!   per-node loop, wall-clock time — the paper's 8-node deployment) or
+//!   `Centralized` (the engine's degenerate no-fabric deployment behind
+//!   [`centralized::run_baseline`], the baseline curve).
 //!
 //! # User shards
 //!
@@ -83,11 +87,11 @@ pub mod engine;
 pub mod membership;
 pub mod node;
 pub mod pool;
+pub mod round;
 pub mod runner;
 pub mod serve;
 pub mod setup;
 pub mod store;
-pub mod threaded;
 
 pub use builder::{build_dnn_nodes, build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
 pub use centralized::run_baseline;
@@ -96,8 +100,6 @@ pub use config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, Wi
 pub use engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 pub use membership::{JoinSpec, LeaveSpec, MembershipPlan, MembershipView, ViewTransition};
 pub use node::{Node, NodeBuilder};
-#[allow(deprecated)]
-pub use runner::run_simulation;
 pub use runner::{run, Backend, SimulationConfig, ThreadedConfig};
 pub use serve::{
     naive_top_k, score_one, snapshot_digest, ModelSnapshot, QueryStream, ScoredItem, Scorer,

@@ -2,8 +2,9 @@
 //! runtime interactions of Algorithm 1.
 //!
 //! One [`Node::epoch`] call performs merge→train→share→test exactly once.
-//! Drivers (`runner`, `threaded`) own scheduling: they deliver each node's
-//! inbox, forward its outgoing messages, and assemble the global trace.
+//! The two round loops (`engine`'s fabric loop through `pool`, and
+//! `round`) own scheduling: they deliver each node's inbox, forward its
+//! outgoing messages, and assemble the global trace.
 
 use crate::commitment::{CommitmentChain, EpochCommitment};
 use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
@@ -200,28 +201,6 @@ impl<M: Model> Node<M> {
             cfg: ProtocolConfig::default(),
             shard: None,
         }
-    }
-
-    /// Creates a node with its initial local data.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use Node::builder(id, model).neighbors(..).train(..).test(..).protocol(..).build()"
-    )]
-    #[must_use]
-    pub fn new(
-        id: usize,
-        neighbors: Vec<usize>,
-        model: M,
-        train: Vec<Rating>,
-        test: Vec<Rating>,
-        cfg: ProtocolConfig,
-    ) -> Self {
-        Node::builder(id, model)
-            .neighbors(neighbors)
-            .train(train)
-            .test(test)
-            .protocol(cfg)
-            .build()
     }
 
     /// Node id.
@@ -1095,30 +1074,5 @@ mod tests {
             tee.epc().region_bytes(Region::DataStore) + index_bytes,
             n.store().memory_bytes() as u64
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_node_new_still_builds_the_same_node() {
-        let by_user = shard_data();
-        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
-        let model = MfModel::new(8, 30, MfHyperParams::default(), 3.5, 42);
-        let mut old = Node::new(
-            0,
-            vec![1],
-            model.clone(),
-            by_user[0].clone(),
-            by_user[1].clone(),
-            c,
-        );
-        let mut new = Node::builder(0, model)
-            .neighbors(vec![1])
-            .train(by_user[0].clone())
-            .test(by_user[1].clone())
-            .protocol(c)
-            .build();
-        let (out_old, _) = old.epoch(Vec::new());
-        let (out_new, _) = new.epoch(Vec::new());
-        assert_eq!(out_old, out_new);
     }
 }

@@ -1,13 +1,16 @@
-//! The work-stealing worker pool behind [`Driver::WorkSteal`].
+//! The work-stealing worker pool: the one executor behind the engine's
+//! fabric round loop ([`Driver::Lockstep`], [`Driver::WorkSteal`],
+//! [`Driver::BoundedAsync`]).
 //!
-//! [`Driver::Lockstep`]'s optional parallel mode re-spawns scoped threads
-//! and re-partitions the fleet into fixed chunks every epoch — fine at 8
-//! nodes, wasteful at 1024, and unbalanced whenever node costs are skewed
-//! (stores grow at different rates, crashed nodes cost nothing). This
-//! pool keeps a **fixed set of workers alive for the whole run** and
-//! hands them node epochs through per-worker deques with work stealing,
-//! so a worker that finishes its share early drains its neighbours'
-//! backlogs instead of idling at the barrier.
+//! Re-spawning threads and re-partitioning the fleet into fixed chunks
+//! every epoch is fine at 8 nodes, wasteful at 1024, and unbalanced
+//! whenever node costs are skewed (stores grow at different rates,
+//! crashed nodes cost nothing). This pool keeps a **fixed set of workers
+//! alive for the whole run** and hands them node epochs through
+//! per-worker deques with work stealing, so a worker that finishes its
+//! share early drains its neighbours' backlogs instead of idling at the
+//! barrier. With **one worker** it spawns nothing: the phase runs inline
+//! on the driver thread, in node order — that is [`Driver::Lockstep`].
 //!
 //! # Determinism
 //! Scheduling order is *not* deterministic — which worker runs which node
@@ -21,11 +24,11 @@
 //!   output lands in that node's slot (keyed by node id, not by
 //!   completion order);
 //! * the driver applies outgoing sends **after the phase barrier, in
-//!   canonical node order** — the same order the sequential driver uses.
+//!   canonical node order**, whatever the worker count.
 //!
-//! `tests/cross_backend.rs` and `tests/golden_trace.rs` hold this
-//! scheduler bit-identical to [`Driver::Lockstep`] across backends,
-//! native and SGX, with and without fault plans.
+//! `tests/cross_backend.rs` and `tests/golden_trace.rs` hold every worker
+//! count bit-identical to the inline one across backends, native and
+//! SGX, with and without fault plans.
 //!
 //! Everything here is hand-rolled over `std::sync` primitives (mutexed
 //! deques, two reusable barriers, an atomic stop flag) — the container
@@ -33,6 +36,7 @@
 //!
 //! [`Driver::WorkSteal`]: crate::engine::Driver::WorkSteal
 //! [`Driver::Lockstep`]: crate::engine::Driver::Lockstep
+//! [`Driver::BoundedAsync`]: crate::engine::Driver::BoundedAsync
 
 use crate::node::{EpochReport, Node};
 use rex_ml::Model;
@@ -78,10 +82,19 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl<M: Model> WorkStealPool<M> {
-    /// Takes ownership of the fleet for the run. `workers` must be ≥ 1.
-    pub(crate) fn new(fleet: Vec<Node<M>>, workers: usize) -> Self {
+    /// Runs `body` against a pool that owns `fleet` for its duration —
+    /// `workers` (≥ 1) threads parked between phases, none at all for one
+    /// worker — and hands the fleet back, in node order, with `body`'s
+    /// result. The workers are released on every exit path, including an
+    /// unwind out of `body` (a transport failure, a re-raised epoch
+    /// panic), so the scope join can never deadlock.
+    pub(crate) fn run<R>(
+        fleet: Vec<Node<M>>,
+        workers: usize,
+        body: impl FnOnce(&Self) -> R,
+    ) -> (Vec<Node<M>>, R) {
         assert!(workers >= 1, "pool needs at least one worker");
-        WorkStealPool {
+        let pool = WorkStealPool {
             slots: fleet
                 .into_iter()
                 .map(|node| {
@@ -97,12 +110,42 @@ impl<M: Model> WorkStealPool<M> {
             done: Barrier::new(workers + 1),
             stop: AtomicBool::new(false),
             failed: Mutex::new(None),
-        }
+        };
+        let result = std::thread::scope(|scope| {
+            if !pool.inline() {
+                for w in 0..workers {
+                    let pool = &pool;
+                    scope.spawn(move || pool.worker_loop(w));
+                }
+            }
+            let _guard = ShutdownGuard(&pool);
+            body(&pool)
+        });
+        let fleet = pool
+            .slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .node
+            })
+            .collect();
+        (fleet, result)
     }
 
     /// Number of workers.
-    pub(crate) fn workers(&self) -> usize {
+    fn workers(&self) -> usize {
         self.queues.len()
+    }
+
+    /// One worker means no worker thread: phases run on the caller.
+    fn inline(&self) -> bool {
+        self.workers() == 1
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 
     /// Stages one node's epoch input (driver thread, between phases).
@@ -115,14 +158,25 @@ impl<M: Model> WorkStealPool<M> {
     /// Distributes the epoch's live node indices over the worker deques
     /// in contiguous runs (locality for the common uncontended case) and
     /// runs one phase to completion: every index claimed exactly once,
-    /// every claimed epoch executed before the phase barrier releases.
+    /// every claimed epoch executed before this returns.
+    ///
+    /// # Panics
+    /// Re-raises, on the calling thread and naming the node, a panic a
+    /// node epoch raised during the phase.
     pub(crate) fn run_phase(&self, live: &[usize]) {
         let per_worker = live.len().div_ceil(self.workers()).max(1);
         for (w, chunk) in live.chunks(per_worker).enumerate() {
             lock(&self.queues[w]).extend(chunk.iter().copied());
         }
-        self.start.wait();
-        self.done.wait();
+        if self.inline() {
+            self.drain(0);
+        } else {
+            self.start.wait();
+            self.done.wait();
+        }
+        if let Some(msg) = lock(&self.failed).take() {
+            panic!("{msg}");
+        }
     }
 
     /// Takes node `id`'s output of the last phase (`None` if it sat the
@@ -138,42 +192,21 @@ impl<M: Model> WorkStealPool<M> {
         f(&mut lock(&self.slots[id]).node)
     }
 
-    /// Re-raises a panic a worker caught during the last phase, on the
-    /// driver thread — the pool's equivalent of `Driver::Lockstep`'s
-    /// "epoch worker panicked" join failure. Call after [`Self::run_phase`].
-    pub(crate) fn check_panic(&self) {
-        if let Some(msg) = lock(&self.failed).take() {
-            panic!("{msg}");
-        }
-    }
-
     /// Releases the workers out of their run loop. Idempotent, and safe
     /// to call from a `Drop` guard during an unwind: the workers are
     /// parked at the start barrier between phases, so waiting it once
     /// with the stop flag raised lets every worker exit and the scope
     /// join succeed instead of deadlocking.
-    pub(crate) fn shutdown(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
+    fn shutdown(&self) {
+        if self.stop.swap(true, Ordering::AcqRel) || self.inline() {
             return;
         }
         self.start.wait();
     }
 
-    /// Hands the (trained) fleet back, in node order.
-    pub(crate) fn into_nodes(self) -> Vec<Node<M>> {
-        self.slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .node
-            })
-            .collect()
-    }
-
     /// The worker run loop: park at the start barrier, drain work, park
     /// at the done barrier; exit when the stop flag is raised.
-    pub(crate) fn worker_loop(&self, w: usize) {
+    fn worker_loop(&self, w: usize) {
         loop {
             self.start.wait();
             if self.stop.load(Ordering::Acquire) {
@@ -191,7 +224,8 @@ impl<M: Model> WorkStealPool<M> {
     /// Claims and executes node epochs until no work is left. A panic
     /// inside an epoch is caught (the worker must survive to serve the
     /// phase barriers, or the whole run deadlocks), recorded for
-    /// [`Self::check_panic`], and aborts this phase's remaining queue.
+    /// [`Self::run_phase`] to re-raise, and aborts this phase's
+    /// remaining queue.
     fn drain(&self, w: usize) {
         while let Some(id) = self.claim(w) {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -201,16 +235,9 @@ impl<M: Model> WorkStealPool<M> {
                 slot.output = Some(slot.node.epoch(inbox));
             }));
             if let Err(payload) = outcome {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(ToString::to_string)
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                let mut failed = lock(&self.failed);
-                if failed.is_none() {
-                    *failed = Some(format!("node {id} epoch panicked: {msg}"));
-                }
-                drop(failed);
+                let msg = panic_message(payload.as_ref());
+                lock(&self.failed)
+                    .get_or_insert_with(|| format!("node {id} epoch panicked: {msg}"));
                 // The run is over; stop other workers from burning
                 // through the rest of the phase.
                 for queue in &self.queues {
@@ -237,12 +264,22 @@ impl<M: Model> WorkStealPool<M> {
     }
 }
 
+/// The message of a caught panic, for re-raising it where a driver can
+/// name the node it came from.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(ToString::to_string)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Shuts the pool down when dropped — including during a driver-thread
 /// unwind (a transport failure, a re-raised worker panic), which would
 /// otherwise leave the workers parked at the start barrier and turn the
 /// scope join into a deadlock. [`WorkStealPool::shutdown`] is idempotent,
 /// so the normal exit path needs no special casing.
-pub(crate) struct ShutdownGuard<'a, M: Model>(pub(crate) &'a WorkStealPool<M>);
+struct ShutdownGuard<'a, M: Model>(&'a WorkStealPool<M>);
 
 impl<M: Model> Drop for ShutdownGuard<'_, M> {
     fn drop(&mut self) {
@@ -286,8 +323,8 @@ mod tests {
         )
     }
 
-    /// One phase over every node, any worker count, must produce exactly
-    /// the per-node outputs the sequential loop produces.
+    /// One phase over every node, any worker count (one = inline), must
+    /// produce exactly the per-node outputs a plain loop produces.
     #[test]
     fn phase_outputs_match_sequential_for_any_worker_count() {
         let n = 7;
@@ -298,12 +335,7 @@ mod tests {
             .collect();
 
         for workers in [1, 2, 3, 8] {
-            let pool = WorkStealPool::new(tiny_fleet(n), workers);
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let pool = &pool;
-                    scope.spawn(move || pool.worker_loop(w));
-                }
+            WorkStealPool::run(tiny_fleet(n), workers, |pool| {
                 for id in 0..n {
                     pool.load(id, Vec::new());
                 }
@@ -318,56 +350,46 @@ mod tests {
                         "workers={workers} node={id}"
                     );
                 }
-                pool.shutdown();
             });
         }
     }
 
     /// A panic inside a node epoch must surface on the driver thread as
-    /// a panic — never as a barrier deadlock.
+    /// a panic — never as a barrier deadlock — inline or on workers.
     #[test]
     fn worker_panic_is_reraised_by_the_driver_not_deadlocked() {
         let n = 4;
-        let pool = WorkStealPool::new(tiny_fleet(n), 2);
-        let caught = std::thread::scope(|scope| {
-            for w in 0..2 {
-                let pool = &pool;
-                scope.spawn(move || pool.worker_loop(w));
-            }
-            let _guard = ShutdownGuard(&pool);
-            // Feed node 2 an inbox that makes MfModel::merge panic: a
-            // validly encoded model with incompatible dimensions.
-            use rex_ml::Model;
-            let alien = MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1).to_bytes();
-            let bytes = rex_net::codec::encode_payload(&rex_net::message::Payload::Clear(
-                rex_net::codec::encode_plain(&rex_net::message::Plain::Model {
-                    bytes: alien,
-                    degree: 1,
-                }),
-            ));
-            for id in 0..n {
-                let inbox = if id == 2 {
-                    vec![rex_net::mem::Envelope {
-                        from: 1,
-                        bytes: bytes.clone(),
-                    }]
-                } else {
-                    Vec::new()
-                };
-                pool.load(id, inbox);
-            }
-            let live: Vec<usize> = (0..n).collect();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.run_phase(&live);
-                pool.check_panic();
-            }));
-            outcome.expect_err("incompatible merge must fail the run")
-        });
-        let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("node 2 epoch panicked"),
-            "unexpected panic message: {msg}"
-        );
+        // Feed node 2 an inbox that makes MfModel::merge panic: a
+        // validly encoded model with incompatible dimensions.
+        use rex_ml::Model;
+        let alien = MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1).to_bytes();
+        let bytes = rex_net::codec::encode_payload(&rex_net::message::Payload::Clear(
+            rex_net::codec::encode_plain(&rex_net::message::Plain::Model {
+                bytes: alien,
+                degree: 1,
+            }),
+        ));
+        for workers in [1, 2] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                WorkStealPool::run(tiny_fleet(n), workers, |pool| {
+                    pool.load(
+                        2,
+                        vec![rex_net::mem::Envelope {
+                            from: 1,
+                            bytes: bytes.clone(),
+                        }],
+                    );
+                    let live: Vec<usize> = (0..n).collect();
+                    pool.run_phase(&live);
+                });
+            }))
+            .expect_err("incompatible merge must fail the run");
+            let msg = panic_message(caught.as_ref());
+            assert!(
+                msg.contains("node 2 epoch panicked"),
+                "workers={workers}: unexpected panic message: {msg}"
+            );
+        }
     }
 
     /// Nodes left out of a phase (crash-stopped) produce no output, and
@@ -375,23 +397,13 @@ mod tests {
     #[test]
     fn skipped_nodes_have_no_output_and_fleet_returns_in_order() {
         let n = 5;
-        let pool = WorkStealPool::new(tiny_fleet(n), 2);
-        std::thread::scope(|scope| {
-            for w in 0..2 {
-                let pool = &pool;
-                scope.spawn(move || pool.worker_loop(w));
-            }
-            for id in 0..n {
-                pool.load(id, Vec::new());
-            }
+        let (fleet, ()) = WorkStealPool::run(tiny_fleet(n), 2, |pool| {
             pool.run_phase(&[0, 2, 4]);
             assert!(pool.take_output(0).is_some());
             assert!(pool.take_output(1).is_none());
             assert!(pool.take_output(3).is_none());
             assert!(pool.take_output(4).is_some());
-            pool.shutdown();
         });
-        let fleet = pool.into_nodes();
         assert_eq!(fleet.len(), n);
         for (i, node) in fleet.iter().enumerate() {
             assert_eq!(node.id(), i);

@@ -1,21 +1,19 @@
 //! The unified experiment runner: one [`run`] entry point over every
 //! execution backend.
 //!
-//! Historically each deployment style had its own top-level function
-//! (`run_simulation`, `run_threaded`, `run_centralized`), each a thin shim
-//! mapping a config struct onto [`Engine`]. They are now collapsed into a
-//! single `run(&Backend, name, &mut nodes)`; the old names survive as
-//! `#[deprecated]` one-line forwards. Pick the backend, not the function:
+//! `run(&Backend, name, &mut nodes)` is a thin shim mapping a config
+//! struct onto [`Engine`]. Pick the backend, not the function:
 //!
 //! - [`Backend::Simulated`] — discrete-event simulation on a
-//!   [`MemNetwork`] fabric, lockstep scheduling, simulated time (the
-//!   paper's 610- and 50-node single-machine scenarios, §IV-A).
+//!   [`MemNetwork`] fabric, fabric rounds on the worker pool, simulated
+//!   time (the paper's 610- and 50-node single-machine scenarios, §IV-A).
 //! - [`Backend::Threaded`] — real concurrency, one OS thread per node
-//!   over [`ChannelTransport`] endpoints, wall-clock time (the paper's
-//!   distributed SGX deployment shape, §IV-C).
+//!   running the per-node loop over [`ChannelTransport`] endpoints,
+//!   wall-clock time (the paper's distributed SGX deployment shape,
+//!   §IV-C: 8 nodes on 4 machines, 2 processes each, fully connected).
 //! - [`Backend::Centralized`] — the engine's degenerate deployment: the
 //!   given nodes run with no fabric effects on a one-slot-per-node
-//!   [`MemNetwork`], infinite links, sequential lockstep. Used by
+//!   [`MemNetwork`], infinite links, inline rounds. Used by
 //!   [`crate::run_baseline`] for the paper's dashed reference line.
 
 use crate::config::ExecutionMode;
@@ -35,9 +33,6 @@ pub struct SimulationConfig {
     pub link: LinkModel,
     /// Native or SGX execution.
     pub execution: ExecutionMode,
-    /// Run nodes of an epoch on a scoped thread pool (recommended above
-    /// ~50 nodes; per-node results are identical either way).
-    pub parallel: bool,
     /// Seed for infrastructure randomness (attestation keys).
     pub seed: u64,
 }
@@ -48,7 +43,6 @@ impl Default for SimulationConfig {
             epochs: 100,
             link: LinkModel::default(),
             execution: ExecutionMode::Native,
-            parallel: true,
             seed: 0x1234,
         }
     }
@@ -79,22 +73,19 @@ impl Default for ThreadedConfig {
     }
 }
 
-/// Output of a simulation run (the engine's result shape).
-pub type SimulationResult = EngineResult;
-
 /// Output of a threaded run (the engine's result shape).
 pub type ThreadedResult = EngineResult;
 
 /// Which execution backend [`run`] deploys the fleet on.
 #[derive(Debug, Clone)]
 pub enum Backend {
-    /// Discrete-event simulation: [`MemNetwork`], lockstep,
-    /// [`TimeAxis::Simulated`].
+    /// Discrete-event simulation: [`MemNetwork`], fabric rounds on one
+    /// pool worker per core, [`TimeAxis::Simulated`].
     Simulated(SimulationConfig),
     /// Real concurrency: [`ChannelTransport`], one thread per node,
     /// [`TimeAxis::Wall`].
     Threaded(ThreadedConfig),
-    /// No network effects: sequential lockstep over infinite links on the
+    /// No network effects: inline rounds over infinite links on the
     /// simulated time axis. The nodes' merge/share stages still run, so a
     /// one-node fleet degenerates to the paper's centralized baseline.
     Centralized {
@@ -115,9 +106,7 @@ pub fn run<M: Model>(backend: &Backend, name: &str, nodes: &mut Vec<Node<M>>) ->
                 epochs: sim.epochs,
                 execution: sim.execution,
                 time: TimeAxis::Simulated(sim.link),
-                driver: Driver::Lockstep {
-                    parallel: sim.parallel,
-                },
+                driver: Driver::WorkSteal { workers: 0 },
                 processes_per_platform: 1, // one platform per simulated node
                 seed: sim.seed,
                 faults: None,
@@ -145,7 +134,7 @@ pub fn run<M: Model>(backend: &Backend, name: &str, nodes: &mut Vec<Node<M>>) ->
                 epochs: *epochs,
                 execution: ExecutionMode::Native,
                 time: TimeAxis::Simulated(LinkModel::infinite()),
-                driver: Driver::Lockstep { parallel: false },
+                driver: Driver::Lockstep,
                 processes_per_platform: 1,
                 seed: *seed,
                 faults: None,
@@ -154,16 +143,6 @@ pub fn run<M: Model>(backend: &Backend, name: &str, nodes: &mut Vec<Node<M>>) ->
         )
         .run(name, nodes),
     }
-}
-
-/// Runs a full simulated experiment; `name` becomes the trace label.
-#[deprecated(since = "0.7.0", note = "use run(&Backend::Simulated(sim), ..)")]
-pub fn run_simulation<M: Model>(
-    name: &str,
-    nodes: &mut Vec<Node<M>>,
-    sim: &SimulationConfig,
-) -> SimulationResult {
-    run(&Backend::Simulated(sim.clone()), name, nodes)
 }
 
 #[cfg(test)]
@@ -180,6 +159,23 @@ mod tests {
         sharing: SharingMode,
         algorithm: GossipAlgorithm,
     ) -> Vec<crate::node::Node<rex_ml::MfModel>> {
+        fleet_on(TopologySpec::Ring, sharing, algorithm)
+    }
+
+    /// The paper's §IV-C shape: 8 fully connected nodes, one thread each.
+    fn threaded_fleet(sharing: SharingMode) -> Vec<crate::node::Node<rex_ml::MfModel>> {
+        fleet_on(
+            TopologySpec::FullyConnected,
+            sharing,
+            GossipAlgorithm::DPsgd,
+        )
+    }
+
+    fn fleet_on(
+        topology: TopologySpec,
+        sharing: SharingMode,
+        algorithm: GossipAlgorithm,
+    ) -> Vec<crate::node::Node<rex_ml::MfModel>> {
         let ds = SyntheticConfig {
             num_users: 24,
             num_items: 120,
@@ -190,7 +186,7 @@ mod tests {
         .generate();
         let split = TrainTestSplit::standard(&ds, 2);
         let part = Partition::multi_user(&split, 8);
-        let graph = TopologySpec::Ring.build(8, 3);
+        let graph = topology.build(8, 3);
         build_mf_nodes(
             &part,
             &graph,
@@ -213,7 +209,6 @@ mod tests {
         Backend::Simulated(SimulationConfig {
             epochs,
             execution,
-            parallel: false,
             ..Default::default()
         })
     }
@@ -253,27 +248,6 @@ mod tests {
             ms_bytes > 10.0 * rex_bytes,
             "expected order-of-magnitude gap: MS={ms_bytes} REX={rex_bytes}"
         );
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let mut a = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-        let mut b = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-        let seq = run(&quick_sim(8, ExecutionMode::Native), "seq", &mut a);
-        let par = run(
-            &Backend::Simulated(SimulationConfig {
-                epochs: 8,
-                parallel: true,
-                execution: ExecutionMode::Native,
-                ..Default::default()
-            }),
-            "par",
-            &mut b,
-        );
-        for (x, y) in seq.trace.records.iter().zip(&par.trace.records) {
-            assert!((x.rmse - y.rmse).abs() < 1e-12, "rmse diverged");
-            assert_eq!(x.bytes_per_node, y.bytes_per_node);
-        }
     }
 
     #[test]
@@ -330,20 +304,77 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_simulation_still_forwards() {
-        let mut via_shim = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-        let mut via_run = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-        let sim = SimulationConfig {
-            epochs: 4,
-            parallel: false,
-            ..Default::default()
-        };
-        let a = run_simulation("shim", &mut via_shim, &sim);
-        let b = run(&Backend::Simulated(sim), "run", &mut via_run);
-        for (x, y) in a.trace.records.iter().zip(&b.trace.records) {
-            assert_eq!(x.rmse.to_bits(), y.rmse.to_bits());
-            assert_eq!(x.bytes_per_node, y.bytes_per_node);
+    fn eight_node_native_run() {
+        let mut nodes = threaded_fleet(SharingMode::RawData);
+        let result = run(
+            &Backend::Threaded(ThreadedConfig {
+                epochs: 10,
+                ..Default::default()
+            }),
+            "native",
+            &mut nodes,
+        );
+        assert_eq!(result.trace.records.len(), 10);
+        let first = result.trace.records.first().unwrap().rmse;
+        let last = result.trace.final_rmse().unwrap();
+        assert!(last < first, "{first} -> {last}");
+        // Fully connected 8 nodes: everyone talked to everyone.
+        for s in &result.final_stats {
+            assert!(s.msgs_out >= 7 * 9); // 7 peers x >=9 sharing epochs
         }
+        assert_eq!(result.setup_ns, 0);
+    }
+
+    #[test]
+    fn eight_node_sgx_run_attests_and_charges() {
+        let mut nodes = threaded_fleet(SharingMode::RawData);
+        let result = run(
+            &Backend::Threaded(ThreadedConfig {
+                epochs: 6,
+                execution: ExecutionMode::Sgx(SgxCostModel::default()),
+                ..Default::default()
+            }),
+            "sgx",
+            &mut nodes,
+        );
+        assert!(result.setup_ns > 0);
+        for r in &result.trace.records {
+            assert!(r.sgx_overhead_ns > 0);
+        }
+        // Time axis is monotone.
+        for w in result.trace.records.windows(2) {
+            assert!(w[1].time_ns >= w[0].time_ns);
+        }
+    }
+
+    #[test]
+    fn ms_heavier_than_rex_on_wire() {
+        let mut rex_nodes = threaded_fleet(SharingMode::RawData);
+        let mut ms_nodes = threaded_fleet(SharingMode::Model);
+        let quick = Backend::Threaded(ThreadedConfig {
+            epochs: 5,
+            ..Default::default()
+        });
+        let rex = run(&quick, "rex", &mut rex_nodes);
+        let ms = run(&quick, "ms", &mut ms_nodes);
+        assert!(ms.trace.total_bytes_per_node() > 10.0 * rex.trace.total_bytes_per_node());
+    }
+
+    /// A node whose epoch panics mid-run must fail a thread-per-node run,
+    /// naming the node — not strand its peers on the round barrier. Node
+    /// 2 holds a model of alien dimensions, so merging the first model a
+    /// peer shares with it panics inside its epoch 1.
+    #[test]
+    #[should_panic(expected = "node 2 epoch panicked")]
+    fn dead_node_fails_a_thread_per_node_run_instead_of_hanging_it() {
+        let mut nodes = threaded_fleet(SharingMode::Model);
+        // Isolated, so nobody ever receives the alien model in turn.
+        let alien = rex_ml::MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1);
+        nodes[2] = crate::node::Node::builder(2, alien).build();
+        let quick = Backend::Threaded(ThreadedConfig {
+            epochs: 4,
+            ..Default::default()
+        });
+        run(&quick, "dies", &mut nodes);
     }
 }

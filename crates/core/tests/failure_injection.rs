@@ -21,7 +21,6 @@ fn attest_only(nodes: &mut Vec<Node<MfModel>>) {
         &Backend::Simulated(SimulationConfig {
             epochs: 0,
             execution: ExecutionMode::Sgx(SgxCostModel::default()),
-            parallel: false,
             ..Default::default()
         }),
         "setup",

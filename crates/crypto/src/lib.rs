@@ -10,7 +10,8 @@
 //!   user-data field ([`x25519`], paper §III-A), and
 //! * an **AEAD channel** for all post-attestation traffic
 //!   ([`aead`], ChaCha20-Poly1305; the paper uses Intel SGX SSL / AES-GCM —
-//!   see DESIGN.md §2 for the substitution argument).
+//!   the substitution is the `crates/tee` / `crates/crypto` entries of
+//!   README.md "Architecture": a simulated enclave, so any AEAD will do).
 //!
 //! All primitives are validated against the relevant RFC test vectors
 //! (RFC 6234, RFC 4231, RFC 5869, RFC 8439, RFC 7748) in their module tests.

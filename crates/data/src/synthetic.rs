@@ -4,8 +4,8 @@
 //! factors and a bias; ratings are `μ + b_u + c_i + p_u·q_i + noise` snapped
 //! to the half-star grid. Item choice follows a Zipf popularity law and user
 //! activity a log-normal, matching the qualitative shape of the MovieLens
-//! interaction distribution. See DESIGN.md §2 for why this preserves the
-//! paper's conclusions.
+//! interaction distribution, which is what the paper's conclusions rest
+//! on (README.md "Quickstart" runs the comparison on it).
 
 use crate::dist::{log_normal, normal, Zipf};
 use crate::rating::{snap_to_grid, Dataset, Rating};

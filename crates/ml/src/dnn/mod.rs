@@ -7,8 +7,9 @@
 //! Training uses Adam (η = 1e-4, weight decay 1e-5) on minibatches.
 //!
 //! Everything — forward, backward, Adam — is hand-written on a small
-//! row-major [`tensor::Matrix`]; no autograd framework is involved
-//! (DESIGN.md: PyTorch substitution).
+//! row-major [`tensor::Matrix`]; no autograd framework is involved (the
+//! PyTorch substitution: the `crates/ml` entry of README.md
+//! "Architecture").
 
 pub mod layer;
 pub mod model;

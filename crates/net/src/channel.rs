@@ -10,10 +10,10 @@
 
 use crate::mem::Envelope;
 use crate::stats::TrafficStats;
-use crate::transport::{canonicalize, Endpoint, Transport};
+use crate::transport::{canonicalize, Endpoint, Transport, TransportError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Shared atomic traffic counters for one node.
 #[derive(Debug, Default)]
@@ -49,12 +49,76 @@ impl AtomicStats {
     }
 }
 
+/// The fabric's round barrier: a reusable rendezvous of all `n`
+/// endpoints that, unlike `std::sync::Barrier`, releases its waiters with
+/// an error once an endpoint has been dropped — a node thread that died
+/// mid-round fails the run instead of hanging it.
+#[derive(Debug, Default)]
+struct RoundBarrier {
+    state: Mutex<RoundState>,
+    cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct RoundState {
+    arrived: usize,
+    generation: u64,
+    /// The first endpoint dropped, if any.
+    lost: Option<usize>,
+}
+
+impl RoundBarrier {
+    fn lock(&self) -> std::sync::MutexGuard<'_, RoundState> {
+        // Every update leaves the counters valid, so a waiter that
+        // panicked elsewhere must not poison the survivors' barrier.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait(&self, n: usize) -> Result<(), TransportError> {
+        let lost = |peer| TransportError::PeerLost {
+            peer,
+            detail: "endpoint dropped before the round barrier".to_string(),
+        };
+        let mut state = self.lock();
+        if let Some(peer) = state.lost {
+            return Err(lost(peer));
+        }
+        state.arrived += 1;
+        if state.arrived == n {
+            state.arrived = 0;
+            state.generation += 1;
+            self.cv.notify_all();
+            return Ok(());
+        }
+        let generation = state.generation;
+        loop {
+            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+            // A completed round wins over a later drop: peers that leave
+            // right after the final barrier are not a failure.
+            if state.generation != generation {
+                return Ok(());
+            }
+            if let Some(peer) = state.lost {
+                return Err(lost(peer));
+            }
+        }
+    }
+}
+
 /// One node's endpoint: senders to every peer plus its own receiver.
 pub struct ChannelEndpoint {
     id: usize,
     senders: Vec<Option<Sender<Envelope>>>,
     receiver: Receiver<Envelope>,
     stats: Vec<Arc<AtomicStats>>,
+    barrier: Arc<RoundBarrier>,
+}
+
+impl Drop for ChannelEndpoint {
+    fn drop(&mut self) {
+        self.barrier.lock().lost.get_or_insert(self.id);
+        self.barrier.cv.notify_all();
+    }
 }
 
 impl ChannelEndpoint {
@@ -124,6 +188,12 @@ impl Endpoint for ChannelEndpoint {
         inbox
     }
 
+    fn try_sync(&mut self) -> Result<(), TransportError> {
+        // Channel sends are visible as soon as they return, so the
+        // rendezvous alone makes every pre-barrier send receivable.
+        self.barrier.wait(self.senders.len())
+    }
+
     fn stats(&self) -> TrafficStats {
         ChannelEndpoint::stats(self)
     }
@@ -188,6 +258,7 @@ impl Transport for ChannelTransport {
 #[must_use]
 pub fn channel_network(n: usize) -> Vec<ChannelEndpoint> {
     let stats: Vec<Arc<AtomicStats>> = (0..n).map(|_| Arc::new(AtomicStats::default())).collect();
+    let barrier = Arc::new(RoundBarrier::default());
     let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(n);
     let mut receivers: Vec<Receiver<Envelope>> = Vec::with_capacity(n);
     for _ in 0..n {
@@ -207,6 +278,7 @@ pub fn channel_network(n: usize) -> Vec<ChannelEndpoint> {
                 .collect(),
             receiver,
             stats: stats.clone(),
+            barrier: Arc::clone(&barrier),
         })
         .collect()
 }
@@ -248,6 +320,31 @@ mod tests {
         // Give the unbounded channel a moment (same thread: already there).
         let msgs = c.try_drain();
         assert_eq!(msgs.len(), 2);
+    }
+
+    #[test]
+    fn dropped_endpoint_fails_the_barrier_instead_of_hanging_it() {
+        let handles: Vec<_> = channel_network(3)
+            .into_iter()
+            .map(|mut ep| {
+                std::thread::spawn(move || {
+                    ep.try_sync().unwrap();
+                    if ep.id() == 2 {
+                        // Dies mid-round: never reaches the second barrier.
+                        return None;
+                    }
+                    Some(ep.try_sync())
+                })
+            })
+            .collect();
+        for handle in handles {
+            if let Some(outcome) = handle.join().unwrap() {
+                assert!(
+                    matches!(outcome, Err(TransportError::PeerLost { peer: 2, .. })),
+                    "{outcome:?}"
+                );
+            }
+        }
     }
 
     #[test]

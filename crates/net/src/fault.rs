@@ -458,7 +458,7 @@ impl Injector {
     }
 
     /// Releases held messages at a round boundary (wrapper `flush` /
-    /// `sync`, *before* the inner barrier): all reordered messages of
+    /// `try_sync`, *before* the inner barrier): all reordered messages of
     /// this round, plus delayed messages whose release round arrived.
     fn release(&mut self, forward: &mut impl FnMut(usize, usize, Vec<u8>)) {
         let Some(epoch) = self.epoch else { return };
@@ -646,15 +646,9 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         self.inner.recv()
     }
 
-    fn sync(&mut self) {
-        let inner = &mut self.inner;
-        self.inj.release(&mut |_, t, b| inner.send(t, b));
-        self.inner.sync();
-    }
-
     fn try_sync(&mut self) -> Result<(), crate::transport::TransportError> {
-        // Same release point as `sync` — held messages go out before the
-        // inner barrier, whichever error surface the caller uses.
+        // The release point: held messages go out before the inner
+        // barrier, exactly where the fabric wrapper's `flush` releases.
         let inner = &mut self.inner;
         self.inj.release(&mut |_, t, b| inner.send(t, b));
         self.inner.try_sync()
@@ -682,18 +676,13 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         self.inner.join_evidence(peer)
     }
 
-    fn drain_barrier(&mut self) {
-        // Barrier only — no release. The deployed node loop runs a wire
+    fn try_drain_barrier(&mut self) -> Result<(), crate::transport::TransportError> {
+        // Barrier only — no release. The per-node loop runs a round
         // barrier *before* sending too; releasing held messages there
         // would both reorder them ahead of the epoch's normal sends and
         // race slow peers' current-epoch drain. Held messages go out
-        // exclusively at the post-send `sync`, exactly where the
-        // engine's drivers release them.
-        self.inner.sync();
-    }
-
-    fn try_drain_barrier(&mut self) -> Result<(), crate::transport::TransportError> {
-        // Barrier only, like `drain_barrier` — see above.
+        // exclusively at the post-send `try_sync`, exactly where the
+        // fabric loop releases them.
         self.inner.try_sync()
     }
 
@@ -925,7 +914,10 @@ mod tests {
         for i in 0..64u8 {
             Endpoint::send(&mut a, 1, msg(i));
         }
-        Endpoint::sync(&mut a);
+        std::thread::scope(|scope| {
+            scope.spawn(|| b.try_sync().unwrap());
+            a.try_sync().unwrap();
+        });
         let ep_got: Vec<u8> = Endpoint::recv(&mut b).iter().map(|e| e.bytes[0]).collect();
         assert_eq!(fabric_got, ep_got);
     }

@@ -43,7 +43,7 @@
 //!
 //! # Delivery barrier
 //! TCP has real propagation delay, so "everything sent has arrived" must
-//! be established explicitly: [`Endpoint::sync`] stages a
+//! be established explicitly: [`Endpoint::try_sync`] stages a
 //! [`Frame::Barrier`] token behind every peer's coalesced output, drains
 //! the buffers, and waits for every peer's token of the same generation.
 //! Because tokens follow data frames on the same FIFO connection, a
@@ -1082,19 +1082,7 @@ impl Endpoint for TcpEndpoint {
         }
     }
 
-    fn sync(&mut self) {
-        self.try_sync()
-            .unwrap_or_else(|e| panic!("node {}: barrier failed: {e}", self.id));
-    }
-
     fn try_sync(&mut self) -> Result<(), TransportError> {
-        self.sync_begin();
-        self.sync_wait()
-    }
-
-    fn try_drain_barrier(&mut self) -> Result<(), TransportError> {
-        // TCP's drain barrier is a full wire barrier (the default
-        // `drain_barrier` = `sync`); this is its fallible form.
         self.sync_begin();
         self.sync_wait()
     }
@@ -1479,18 +1467,18 @@ mod tests {
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let handle = std::thread::spawn(move || {
-            Endpoint::sync(&mut b);
+            b.try_sync().unwrap();
             // After the barrier, a's pre-barrier send must be here.
             let inbox = Endpoint::recv(&mut b);
             assert_eq!(inbox.len(), 1);
             assert_eq!(inbox[0].bytes, vec![7; 1000]);
             Endpoint::send(&mut b, 0, vec![9]);
-            Endpoint::sync(&mut b);
+            b.try_sync().unwrap();
             b.stats()
         });
         Endpoint::send(&mut a, 1, vec![7; 1000]);
-        Endpoint::sync(&mut a);
-        Endpoint::sync(&mut a);
+        a.try_sync().unwrap();
+        a.try_sync().unwrap();
         let inbox = Endpoint::recv(&mut a);
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].bytes, vec![9]);
@@ -1516,7 +1504,7 @@ mod tests {
                             Endpoint::send(&mut ep, peer, vec![id as u8]);
                         }
                     }
-                    Endpoint::sync(&mut ep);
+                    ep.try_sync().unwrap();
                     let inbox = Endpoint::recv(&mut ep);
                     let senders: Vec<usize> = inbox.iter().map(|e| e.from).collect();
                     let expected: Vec<usize> = (0..3).filter(|&p| p != id).collect();
@@ -1558,8 +1546,8 @@ mod tests {
         // together afterwards and data flows both ways. Finally node 0
         // "leaves" and the survivors' barrier keeps working.
         // Every thread follows the deployed node-loop shape per epoch:
-        // [transition: view_sync + view barrier] → recv → drain_barrier
-        // → send → sync.
+        // [transition: view_sync + view barrier] → recv → drain barrier
+        // → send → round barrier.
         let addrs = reserve_loopback_addrs(3).unwrap();
         let founders = vec![0usize, 1];
         let founder = |id: usize, addrs: Vec<SocketAddr>| {
@@ -1570,9 +1558,9 @@ mod tests {
                         .unwrap();
                 // Epoch 0: one round between the founders only.
                 assert!(Endpoint::recv(&mut ep).is_empty());
-                ep.drain_barrier();
+                ep.try_drain_barrier().unwrap();
                 Endpoint::send(&mut ep, 1 - id, vec![id as u8]);
-                Endpoint::sync(&mut ep);
+                ep.try_sync().unwrap();
 
                 // Epoch 1: admit the joiner, check its evidence, view
                 // barrier (where a sponsor's bootstrap would travel).
@@ -1581,7 +1569,7 @@ mod tests {
                 assert!(ep.join_evidence(2).is_none(), "evidence drains");
                 ep.try_sync().unwrap();
                 assert_eq!(Endpoint::recv(&mut ep).len(), 1, "epoch-0 round");
-                ep.drain_barrier();
+                ep.try_drain_barrier().unwrap();
                 Endpoint::send(&mut ep, 2, vec![10 + id as u8]);
                 ep.try_sync().unwrap();
 
@@ -1595,7 +1583,7 @@ mod tests {
                 let from_joiner = Endpoint::recv(&mut ep);
                 assert_eq!(from_joiner.len(), 1);
                 assert_eq!(from_joiner[0].from, 2);
-                ep.drain_barrier();
+                ep.try_drain_barrier().unwrap();
                 Endpoint::send(&mut ep, 2, vec![99]);
                 ep.try_sync().unwrap();
                 ep.stats()
@@ -1620,7 +1608,7 @@ mod tests {
                 // Epoch 1, from the view barrier onward.
                 ep.try_sync().unwrap();
                 assert!(Endpoint::recv(&mut ep).is_empty());
-                ep.drain_barrier();
+                ep.try_drain_barrier().unwrap();
                 Endpoint::send(&mut ep, 0, vec![42]);
                 Endpoint::send(&mut ep, 1, vec![42]);
                 ep.try_sync().unwrap();
@@ -1631,7 +1619,7 @@ mod tests {
                 let inbox = Endpoint::recv(&mut ep);
                 let got: Vec<(usize, u8)> = inbox.iter().map(|e| (e.from, e.bytes[0])).collect();
                 assert_eq!(got, vec![(0, 10), (1, 11)]);
-                ep.drain_barrier();
+                ep.try_drain_barrier().unwrap();
                 ep.try_sync().unwrap();
 
                 // Epoch 3 drain: node 1's epoch-2 message.

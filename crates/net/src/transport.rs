@@ -222,46 +222,30 @@ pub trait Endpoint: Send {
     /// round barrier: returns once every previously sent message has
     /// left this endpoint (not necessarily arrived). Barrier-free
     /// drivers call this where lockstep drivers call
-    /// [`Endpoint::sync`]. Endpoints that transmit eagerly keep the
+    /// [`Endpoint::try_sync`]. Endpoints that transmit eagerly keep the
     /// default no-op.
     fn flush_sends(&mut self) -> Result<(), TransportError> {
         Ok(())
     }
 
-    /// Wire-level round barrier: returns once every message sent by any
-    /// endpoint *before its own `sync` of this round* has been delivered
-    /// to its destination mailbox. Endpoints with synchronous delivery
-    /// (channels) keep the default no-op; endpoints whose fabric has real
-    /// propagation delay (TCP) exchange barrier tokens here. The engine
-    /// calls this after applying an epoch's sends so the next `recv` is
-    /// complete and deterministic.
-    fn sync(&mut self) {}
+    /// Round barrier: returns once every endpoint of the fabric has
+    /// entered its own `try_sync` of this round **and** every message any
+    /// of them sent before doing so sits in its destination mailbox, so
+    /// the next `recv` is complete and deterministic. Channels rendezvous
+    /// in memory; TCP exchanges barrier tokens behind the staged frames.
+    /// A dead peer, a protocol violation or a timed-out round surfaces as
+    /// a [`TransportError`] — never as a hang — and the caller decides
+    /// whether that panics (the engine) or exits cleanly (`rex-node`).
+    fn try_sync(&mut self) -> Result<(), TransportError>;
 
-    /// Fallible twin of [`Endpoint::sync`]: surfaces peer loss, protocol
-    /// violations, and barrier timeouts as a
-    /// [`TransportError`] instead of panicking — the deployed `rex-node`
-    /// loop runs on this so a dying peer becomes a clean process exit.
-    /// Endpoints whose `sync` cannot fail keep the default.
-    fn try_sync(&mut self) -> Result<(), TransportError> {
-        self.sync();
-        Ok(())
-    }
-
-    /// Pre-send round barrier: used by driver loops that need a wire
-    /// barrier *between draining and sending* (the deployed `rex-node`
-    /// loop), where `sync` is reserved for the post-send position.
-    /// Defaults to `sync`; layers with send-position-dependent behaviour
-    /// (the fault wrappers, which release held messages only at the
-    /// post-send barrier) override it to a barrier-only operation.
-    fn drain_barrier(&mut self) {
-        self.sync();
-    }
-
-    /// Fallible twin of [`Endpoint::drain_barrier`], mirroring
-    /// [`Endpoint::try_sync`].
+    /// Pre-send round barrier, for the position *between draining and
+    /// sending* in the per-node loop. The same barrier as
+    /// [`Endpoint::try_sync`] on plain endpoints; layers with
+    /// send-position-dependent behaviour (the fault wrappers, which
+    /// release held messages only at the post-send barrier) override it
+    /// to a barrier-only operation.
     fn try_drain_barrier(&mut self) -> Result<(), TransportError> {
-        self.drain_barrier();
-        Ok(())
+        self.try_sync()
     }
 
     /// Membership view-synchronization hook, called by the deployed
@@ -345,6 +329,9 @@ impl Endpoint for NeverEndpoint {
         match *self {}
     }
     fn recv(&mut self) -> Vec<Envelope> {
+        match *self {}
+    }
+    fn try_sync(&mut self) -> Result<(), TransportError> {
         match *self {}
     }
     fn stats(&self) -> TrafficStats {
@@ -431,6 +418,76 @@ mod tests {
         canonicalize(&mut inbox);
         let order: Vec<(usize, u8)> = inbox.iter().map(|e| (e.from, e.bytes[0])).collect();
         assert_eq!(order, vec![(0, 2), (1, 4), (2, 1), (2, 3)]);
+    }
+
+    /// The [`Endpoint`] barrier contract, on three threads. Node 0 is late
+    /// (the sleep makes a barrier that does not wait fail, it is not what
+    /// makes a correct one pass): its message, sent before its own
+    /// barrier, must be in node 1's `recv` after node 1's barrier.
+    /// `holds` says the fabric holds every message until its release
+    /// point: then the drain barrier must deliver nothing and the round
+    /// barrier everything.
+    fn barrier_contract<E: Endpoint + 'static>(endpoints: Vec<E>, holds: bool) {
+        assert_eq!(endpoints.len(), 3);
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .map(|mut ep| {
+                std::thread::spawn(move || {
+                    ep.epoch_begin(0);
+                    if ep.id() == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(40));
+                        ep.send(1, vec![7]);
+                    }
+                    ep.try_drain_barrier().unwrap();
+                    let after_drain = ep.recv();
+                    // Everyone has looked before anyone's round barrier
+                    // releases what it holds.
+                    ep.try_drain_barrier().unwrap();
+                    ep.try_sync().unwrap();
+                    (ep.id(), after_drain, ep.recv())
+                })
+            })
+            .collect();
+        for handle in handles {
+            let (id, after_drain, after_sync) = handle.join().unwrap();
+            let bytes = |inbox: &[Envelope]| -> Vec<(usize, Vec<u8>)> {
+                inbox.iter().map(|e| (e.from, e.bytes.clone())).collect()
+            };
+            let (want_drain, want_sync) = match (id, holds) {
+                (1, false) => (vec![(0, vec![7])], vec![]),
+                (1, true) => (vec![], vec![(0, vec![7])]),
+                _ => (vec![], vec![]),
+            };
+            assert_eq!(bytes(&after_drain), want_drain, "node {id} after drain");
+            assert_eq!(bytes(&after_sync), want_sync, "node {id} after sync");
+        }
+    }
+
+    #[test]
+    fn barrier_contract_holds_on_every_splittable_fabric() {
+        use crate::channel::ChannelTransport;
+        use crate::fault::{FaultPlan, FaultyTransport, LinkFaults};
+        use crate::tcp::TcpTransport;
+        fn faulty<T: Transport>(inner: T, plan: FaultPlan) -> Vec<impl Endpoint + 'static> {
+            FaultyTransport::new(inner, plan).into_endpoints().unwrap()
+        }
+        let tcp = || TcpTransport::loopback(3).unwrap();
+        barrier_contract(ChannelTransport::new(3).into_endpoints().unwrap(), false);
+        barrier_contract(tcp().into_endpoints().unwrap(), false);
+        barrier_contract(
+            faulty(ChannelTransport::new(3), FaultPlan::default()),
+            false,
+        );
+        barrier_contract(faulty(tcp(), FaultPlan::default()), false);
+        // Every message reordered = held until the round barrier.
+        let held = FaultPlan::uniform(
+            1,
+            LinkFaults {
+                reorder: 1.0,
+                ..LinkFaults::default()
+            },
+        );
+        barrier_contract(faulty(ChannelTransport::new(3), held), true);
     }
 
     #[test]

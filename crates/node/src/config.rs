@@ -36,7 +36,7 @@ pub enum NodeDriver {
     /// barrier — a node proceeds once shares from ≥ k distinct
     /// neighbours are consumable, applying stragglers' shares late
     /// under the canonical-order rule. See
-    /// [`crate::run_node_loop_async`] for the determinism contract.
+    /// [`rex_core::round::run_node_loop_async`] for the determinism contract.
     BoundedAsync {
         /// Minimum distinct neighbour shares consumed per epoch.
         k: usize,

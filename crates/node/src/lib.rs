@@ -6,8 +6,8 @@
 //! the fleet deterministically (same seeds → same dataset partition,
 //! topology, and initial models in every process), keeps the node whose
 //! id it was given, bootstraps a [`TcpEndpoint`] against its peers, and
-//! runs the engine's per-node epoch loop with the transport's wire
-//! barrier standing in for the in-process one.
+//! runs the per-node round loop ([`rex_core::round`]) over it — the same
+//! loop the engine's thread-per-node driver runs over channels.
 //!
 //! Determinism carries across process boundaries: a multi-process cluster
 //! produces bit-identical per-node learning trajectories, byte counts and
@@ -28,25 +28,24 @@ pub mod launcher;
 pub use challenge::{challenge_node, ChallengeVerdict};
 pub use config::{AuditConfig, ClusterConfig, NodeDriver, ServeConfig, ShardingConfig};
 
+pub use rex_core::round::{EpochOutcome, WireAudit, ASYNC_EPOCH_TIMEOUT};
+
 use rex_core::builder::{build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
-use rex_core::commitment::{verify_tag, EpochCommitment};
-use rex_core::membership::{MembershipView, ViewTransition};
+use rex_core::commitment::EpochCommitment;
+use rex_core::membership::MembershipView;
+use rex_core::round::{self, EpochEvent, RoundContext};
 use rex_core::serve::{
-    fold_topk, snapshot_digest, ModelSnapshot, QueryStream, Scorer, SnapshotQueue,
-    SERVE_DIGEST_SEED,
+    fold_topk, snapshot_digest, QueryStream, Scorer, SnapshotQueue, SERVE_DIGEST_SEED,
 };
 use rex_core::setup::{establish_tee_with_directory, overlay_of, prune_to_overlay, TeeDirectory};
 use rex_core::Node;
 use rex_data::{Partition, ShardStrategy, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
-use rex_net::codec::{decode_payload, encode_payload};
 use rex_net::fault::{FaultPlan, FaultyEndpoint};
 use rex_net::mem::MemNetwork;
-use rex_net::message::Payload;
 use rex_net::stats::TrafficStats;
 use rex_net::tcp::{TcpEndpoint, TcpTransport, DEFAULT_CONNECT_TIMEOUT};
 use rex_net::transport::{Endpoint, Transport};
-use rex_tee::attestation::AttestationMsg;
 use rex_tee::SgxCostModel;
 use std::sync::Arc;
 use std::time::Duration;
@@ -342,15 +341,19 @@ fn add_stats(a: TrafficStats, b: TrafficStats) -> TrafficStats {
     }
 }
 
-/// Replays TEE provisioning + attestation for the whole fleet in memory.
-/// Every process runs this with the same seed, deriving identical session
-/// keys — the distributed equivalent of the engine's fabric-level setup.
-/// Returns per-node handshake traffic so deployed stats stay comparable,
-/// plus the [`TeeDirectory`] late joins attest against.
+/// In SGX mode, replays TEE provisioning + attestation for the whole
+/// fleet in memory. Every process runs this with the same seed, deriving
+/// identical session keys — the distributed equivalent of the engine's
+/// fabric-level setup. Returns per-node handshake traffic so deployed
+/// stats stay comparable (zeros in native mode), plus the
+/// [`TeeDirectory`] late joins attest against.
 fn replay_setup(
     cfg: &ClusterConfig,
     fleet: &mut [Node<MfModel>],
-) -> (Vec<TrafficStats>, TeeDirectory) {
+) -> (Vec<TrafficStats>, Option<TeeDirectory>) {
+    if !cfg.sgx {
+        return (vec![TrafficStats::default(); fleet.len()], None);
+    }
     let mut mem = MemNetwork::new(fleet.len());
     let (_, dir) = establish_tee_with_directory(
         fleet,
@@ -359,181 +362,17 @@ fn replay_setup(
         cfg.processes_per_platform,
         cfg.infra_seed,
     );
-    (mem.all_stats(), dir)
+    (mem.all_stats(), Some(dir))
 }
 
-/// Encodes a joiner's late-attestation evidence for the wire: the quote
-/// travels as an attestation payload inside the `Join` control frame.
-fn encode_evidence(
-    dir: &TeeDirectory,
-    node: &mut Node<MfModel>,
-    epoch: usize,
-) -> Result<Vec<u8>, String> {
-    let id = node.id();
-    let quote = rex_tee::join::joiner_evidence(
-        dir.seed,
-        epoch,
-        id,
-        node.enclave_mut()
-            .ok_or_else(|| format!("node {id}: SGX join without an enclave"))?,
-        dir.platform_of(id),
-    )?;
-    Ok(encode_payload(&Payload::Attestation(
-        AttestationMsg::Hello { quote },
-    )))
-}
-
-/// A member's admission check on the evidence a `Join` frame carried.
-fn verify_evidence(
-    dir: &TeeDirectory,
-    node: &mut Node<MfModel>,
-    joiner: usize,
-    epoch: usize,
-    evidence: &[u8],
-) -> Result<(), String> {
-    let id = node.id();
-    let payload = decode_payload(evidence)
-        .map_err(|e| format!("node {id}: joiner {joiner} evidence undecodable: {e}"))?;
-    let Payload::Attestation(AttestationMsg::Hello { quote }) = payload else {
-        return Err(format!(
-            "node {id}: joiner {joiner} evidence is not an attestation hello"
-        ));
-    };
-    let own = node
-        .enclave_mut()
-        .ok_or_else(|| format!("node {id}: SGX admission without an enclave"))?;
-    rex_tee::join::verify_joiner(dir.seed, epoch, joiner, &quote, &dir.dcap, own)
-        .map_err(|e| format!("node {id}: joiner {joiner} failed admission: {e}"))
-}
-
-/// Applies the slice of one view transition that touches this node (the
-/// per-process twin of the engine's central transition): admission-check
-/// evidence the endpoint collected, rewire the local neighbour list,
-/// install late-attested sessions on materializing edges, and — when
-/// this node sponsors a joiner and is not crash-stopped this epoch —
-/// send the raw-share state bootstrap.
-fn apply_node_transition<E: Endpoint>(
-    node: &mut Node<MfModel>,
-    endpoint: &mut E,
-    t: &ViewTransition,
-    bootstrap_points: usize,
-    faults: Option<&FaultPlan>,
-    tee: Option<&TeeDirectory>,
-) -> Result<(), String> {
-    let id = node.id();
-    if let Some(dir) = tee {
-        for &j in &t.joined {
-            if j == id {
-                continue;
-            }
-            // Evidence is present exactly when this endpoint admitted
-            // the joiner's connection (the distributed TCP path); on
-            // pre-connected fabrics admission is central and there is
-            // nothing to check here.
-            if let Some(evidence) = endpoint.join_evidence(j) {
-                verify_evidence(dir, node, j, t.epoch, &evidence)?;
-            }
-        }
-    }
-    for &(a, b) in &t.removed_edges {
-        if a == id {
-            node.remove_neighbor(b);
-        } else if b == id {
-            node.remove_neighbor(a);
-        }
-    }
-    for &(a, b) in &t.added_edges {
-        let peer = if a == id {
-            Some(b)
-        } else if b == id {
-            Some(a)
-        } else {
-            None
-        };
-        let Some(peer) = peer else { continue };
-        node.add_neighbor(peer);
-        if let Some(dir) = tee {
-            let measurement = node
-                .enclave_mut()
-                .ok_or_else(|| format!("node {id}: SGX rewire without an enclave"))?
-                .measurement();
-            let (sa, sb) = rex_tee::join::late_session_pair(dir.seed, t.epoch, a, b, measurement);
-            node.install_session(peer, if a == id { sa } else { sb });
-        }
-    }
-    for &(s, j) in &t.bootstraps {
-        if s == id && bootstrap_points > 0 && !faults.is_some_and(|p| p.is_down(s, t.epoch)) {
-            let bytes = node.bootstrap_for(j, bootstrap_points);
-            endpoint.send(j, bytes);
-        }
-    }
-    Ok(())
-}
-
-/// One epoch's outcome in the deployed loop: the local RMSE (as IEEE-754
-/// bits; `None` when the node holds no test ratings or sat the epoch
-/// out) and the signed model-digest commitment (`None` only when the
-/// epoch did not execute — down, non-member, or departed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EpochOutcome {
-    /// Local RMSE bits for the epoch.
-    pub rmse_bits: Option<u64>,
-    /// The epoch's chained commitment.
-    pub commitment: Option<EpochCommitment>,
-}
-
-/// Wire-audit posture of a deployed loop, assembled from the config's
-/// `[audit]` section plus the protocol seed the commitment keys derive
-/// from ([`rex_core::commitment::derive_key`]).
-#[derive(Debug, Clone, Copy)]
-pub struct WireAudit {
-    /// Ship this node's signed commitments to its connected peers.
-    pub broadcast: bool,
-    /// HMAC-verify every commitment received from a peer.
-    pub verify: bool,
-    /// The cluster's shared protocol seed.
-    pub seed: u64,
-}
-
-impl WireAudit {
-    /// The audit posture a config asks for (`None` when it has no
-    /// `[audit]` section).
-    #[must_use]
-    pub fn from_config(cfg: &ClusterConfig) -> Option<WireAudit> {
-        cfg.audit.map(|a| WireAudit {
-            broadcast: a.broadcast,
-            verify: a.verify,
-            seed: cfg.protocol_seed,
-        })
-    }
-}
-
-/// Drains the commitments the endpoint collected and, when the audit
-/// posture asks for it, HMAC-checks each against the sender's derived
-/// key. A bad tag is a protocol violation worth stopping the run for:
-/// either the frame was forged or the peer's key material diverged.
-fn drain_peer_commitments<E: Endpoint>(
-    id: usize,
-    audit: &WireAudit,
-    endpoint: &mut E,
-) -> Result<(), String> {
-    for pc in endpoint.take_commitments() {
-        if !audit.verify {
-            continue;
-        }
-        let commitment = EpochCommitment {
-            digest: pc.digest,
-            tag: pc.tag,
-        };
-        if !verify_tag(audit.seed, pc.from, pc.epoch as usize, &commitment) {
-            return Err(format!(
-                "node {id}: commitment from node {} at epoch {} failed HMAC \
-                 verification — replay it with `rex-node --challenge {}`",
-                pc.from, pc.epoch, pc.from
-            ));
-        }
-    }
-    Ok(())
+/// The audit posture a config asks for (`None` when it has no `[audit]`
+/// section).
+fn wire_audit(cfg: &ClusterConfig) -> Option<WireAudit> {
+    cfg.audit.map(|a| WireAudit {
+        broadcast: a.broadcast,
+        verify: a.verify,
+        seed: cfg.protocol_seed,
+    })
 }
 
 /// How long a serve thread waits for the next model snapshot before
@@ -625,57 +464,17 @@ fn serve_loop(
     Ok(ServeSummary { queries, digest })
 }
 
-/// Publishes `node`'s current model into a serve queue as an immutable,
-/// epoch-pinned snapshot. The clone is what makes mid-epoch tearing
-/// structurally impossible: the serve thread only ever sees frozen
-/// copies, never the trainer's live instance.
-fn publish_snapshot(serve: Option<&SnapshotQueue<MfModel>>, node: &Node<MfModel>, epoch: usize) {
-    if let Some(queue) = serve {
-        let model = Arc::new(node.model().clone());
-        let digest = snapshot_digest(model.as_ref());
-        queue.publish(ModelSnapshot {
-            epoch,
-            model,
-            digest,
-        });
-    }
-}
-
-/// The deployed per-node epoch loop: view transition (when the epoch
-/// opens one), drain, wire barrier, train, send, wire barrier — the
-/// transport-level shape of the engine's round loop, with
-/// [`Endpoint::sync`]-family barriers replacing the in-process ones.
-/// When `faults` schedules this node down for an epoch it discards its
-/// inbox and sits the round out — while still serving the wire
-/// barriers, which are infrastructure, not protocol. A node outside the
-/// current membership view does the same (pre-connected fabrics) until
-/// its join epoch. A node whose **own leave** opens an epoch stops
-/// before any of that epoch's barriers — its peers retire it at the
-/// same schedule point.
-///
-/// Runs epochs `start_epoch..epochs` and returns the per-epoch
-/// [`EpochOutcome`] trace over exactly that range, ending early at a
-/// graceful leave (default entries for down / non-member epochs). When
-/// `audit` asks for it, each executed epoch's signed commitment is
-/// broadcast as a control frame (keyed by the node's *chain index* —
-/// its executed-epoch count, which is what the HMAC tag binds) and
-/// every commitment received from a peer is drained and verified after
-/// the round barrier. Calls `progress` after each epoch with
-/// `(epoch, rmse)`.
-///
-/// When `serve` is given, every **member** epoch publishes an immutable
-/// post-epoch model snapshot into it — including crash-window epochs
-/// (the model is unchanged, but the epoch stream must stay contiguous),
-/// and *not* non-member epochs — so an in-process joiner thread (which
-/// serves barriers from epoch 0) publishes exactly the epochs a
-/// late-dialing joiner process does, keeping serve digests identical
-/// across deployment shapes.
+/// The per-node round loop ([`rex_core::round::run_node_loop`]) under
+/// the positional signature deployed callers hold: runs epochs
+/// `start_epoch..epochs` and returns the per-epoch [`EpochOutcome`] trace
+/// over exactly that range, ending early at a graceful leave (default
+/// entries for down / non-member epochs). Calls `progress` after each
+/// epoch with `(epoch, rmse)`.
 ///
 /// # Errors
-/// When the transport surfaces a peer failure
-/// ([`rex_net::transport::TransportError`]), SGX admission fails, or a
-/// peer's commitment fails HMAC verification — the deployed binary
-/// exits cleanly instead of panicking.
+/// When the transport surfaces a peer failure, SGX admission fails, or a
+/// peer's commitment fails HMAC verification — the deployed binary exits
+/// cleanly instead of panicking.
 #[allow(clippy::too_many_arguments)]
 pub fn run_node_loop<E: Endpoint>(
     node: &mut Node<MfModel>,
@@ -683,240 +482,24 @@ pub fn run_node_loop<E: Endpoint>(
     epochs: usize,
     start_epoch: usize,
     faults: Option<&FaultPlan>,
-    mut view: Option<&mut MembershipView>,
+    view: Option<&mut MembershipView>,
     tee: Option<&TeeDirectory>,
     audit: Option<WireAudit>,
     serve: Option<&SnapshotQueue<MfModel>>,
     mut progress: impl FnMut(usize, Option<f64>),
 ) -> Result<Vec<EpochOutcome>, String> {
-    let id = node.id();
-    // Mirrors the node's internal chain index: node.epoch() is called
-    // exactly once per executed epoch, and only from this loop.
-    let mut executed: u64 = 0;
-    fn barrier_err(
-        id: usize,
-        what: &'static str,
-        epoch: usize,
-    ) -> impl FnOnce(rex_net::transport::TransportError) -> String {
-        move |e| format!("node {id}: {what} at epoch {epoch}: {e}")
-    }
     let mut trace = Vec::with_capacity(epochs.saturating_sub(start_epoch));
-    for epoch in start_epoch..epochs {
-        endpoint.epoch_begin(epoch);
-        if let Some(v) = view.as_deref_mut() {
-            if let Some(t) = v.advance(epoch) {
-                if t.left.contains(&id) {
-                    // Graceful departure: peers retire this node at this
-                    // exact schedule point; no further barriers.
-                    break;
-                }
-                endpoint
-                    .view_sync(epoch, &t.joined, &t.left)
-                    .map_err(barrier_err(id, "view sync", epoch))?;
-                apply_node_transition(node, endpoint, &t, v.plan().bootstrap_points, faults, tee)?;
-                // The view barrier: sponsor bootstraps are delivered
-                // before any member drains the epoch's inbox.
-                endpoint
-                    .try_sync()
-                    .map_err(barrier_err(id, "view barrier", epoch))?;
-            }
-            if !v.is_member(id) {
-                // Outside the view (a pre-connected fabric's future
-                // joiner, or a node excluded as crash-dead): serve the
-                // round's infrastructure barriers, run no protocol.
-                let _ = endpoint.recv();
-                endpoint
-                    .try_drain_barrier()
-                    .map_err(barrier_err(id, "drain barrier", epoch))?;
-                endpoint
-                    .try_sync()
-                    .map_err(barrier_err(id, "round barrier", epoch))?;
-                // Members broadcast while we serve barriers: drain (and
-                // check) their commitments so the buffer stays bounded.
-                if let Some(a) = &audit {
-                    drain_peer_commitments(id, a, endpoint)?;
-                }
-                trace.push(EpochOutcome::default());
-                progress(epoch, None);
-                continue;
-            }
-        }
-        let inbox = endpoint.recv();
-        let down = faults.is_some_and(|p| p.is_down(id, epoch));
-        // Everyone drains before anyone sends (the engine's first
-        // barrier), so a fast peer's epoch-e message cannot land in a
-        // slow node's epoch-e inbox. This is the barrier-only variant:
-        // fault wrappers must not release held (delayed/reordered)
-        // messages here — that happens at the post-send `sync`, keeping
-        // the deployed loop bit-identical with the engine's drivers.
-        endpoint
-            .try_drain_barrier()
-            .map_err(barrier_err(id, "drain barrier", epoch))?;
-        let (rmse, commitment) = if down {
-            drop(inbox);
-            (None, None)
-        } else {
-            let (outgoing, report) = node.epoch(inbox);
-            for (dest, bytes) in outgoing {
-                endpoint.send(dest, bytes);
-            }
-            // The commitment rides the control plane alongside this
-            // epoch's shares; per-link FIFO means it lands before the
-            // peers' round barrier completes.
-            if audit.is_some_and(|a| a.broadcast) {
-                endpoint.send_commitment(executed, report.commitment.digest, report.commitment.tag);
-            }
-            executed += 1;
-            (report.rmse, Some(report.commitment))
-        };
-        // All of this epoch's sends are delivered before anyone drains
-        // the next inbox (the engine's second barrier).
-        endpoint
-            .try_sync()
-            .map_err(barrier_err(id, "round barrier", epoch))?;
-        if let Some(a) = &audit {
-            drain_peer_commitments(id, a, endpoint)?;
-        }
-        trace.push(EpochOutcome {
-            rmse_bits: rmse.map(f64::to_bits),
-            commitment,
-        });
-        publish_snapshot(serve, node, epoch);
-        progress(epoch, rmse);
-    }
-    Ok(trace)
-}
-
-/// How long a bounded-async node waits for the `k` neighbour shares
-/// that gate an epoch before declaring the cluster wedged. Generous for
-/// the same reason the barrier timeout is: slow CI machines, not
-/// protocol latency, set the ceiling.
-pub const ASYNC_EPOCH_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// The bounded-staleness deployed loop (`driver = "bounded-async"`): no
-/// wire barriers at all. A node proceeds into epoch `e ≥ 1` once shares
-/// from at least `min(k, degree)` distinct neighbours are consumable,
-/// merging whatever has arrived in canonical order (ascending sender,
-/// per-sender FIFO) and letting stragglers' shares merge in a later
-/// epoch. Staleness is bounded structurally: at epoch `e` at most `e`
-/// shares per sender have ever been consumed (the *consumption cap*),
-/// so no node runs ahead of a neighbour by more than the in-flight
-/// window, and a `k ≥ degree` setting degenerates to lockstep's
-/// schedule without the barrier syscalls.
-///
-/// Liveness needs every neighbour to send every epoch, which is why the
-/// config layer pins this driver to `algorithm = "dpsgd"` and rejects
-/// `[faults]`/`[membership]` sections: the minimum-epoch node always
-/// finds `min(k, degree)` consumable shares, since each neighbour has
-/// completed every epoch it is waiting on.
-///
-/// **The speed-vs-fidelity contract:** unlike every other path in this
-/// repo, trajectories here are *not* bit-reproducible across runs on
-/// real sockets — arrival timing decides how many consumable shares
-/// (beyond the `k` floor, up to the cap) each epoch merges. The
-/// engine's [`rex_core::engine::Driver::BoundedAsync`] is the
-/// deterministic twin: a seeded arrival model with the same staleness
-/// rule, for studying the trade reproducibly.
-///
-/// # Errors
-/// When an epoch's share floor does not arrive within
-/// [`ASYNC_EPOCH_TIMEOUT`], the transport fails a flush, or a peer's
-/// commitment fails HMAC verification. Commitments are broadcast and
-/// checked exactly as in [`run_node_loop`] — there is no barrier here,
-/// so a peer's commitment may be drained an epoch late, but each frame
-/// verifies statelessly against its own chain index.
-pub fn run_node_loop_async<E: Endpoint>(
-    node: &mut Node<MfModel>,
-    endpoint: &mut E,
-    epochs: usize,
-    k: usize,
-    audit: Option<WireAudit>,
-    serve: Option<&SnapshotQueue<MfModel>>,
-    mut progress: impl FnMut(usize, Option<f64>),
-) -> Result<Vec<EpochOutcome>, String> {
-    let id = node.id();
-    let neighbors: Vec<usize> = node.neighbors().to_vec();
-    let width = neighbors.iter().copied().max().map_or(0, |m| m + 1);
-    // Per-sender arrival queues (wire order = that sender's epoch order,
-    // TCP is FIFO per link) and how many shares of each we consumed.
-    let mut pending: Vec<std::collections::VecDeque<Vec<u8>>> =
-        vec![std::collections::VecDeque::new(); width];
-    let mut taken: Vec<usize> = vec![0; width];
-    let mut trace = Vec::with_capacity(epochs);
-    for epoch in 0..epochs {
-        endpoint.epoch_begin(epoch);
-        let required = if epoch == 0 {
-            0 // Nobody has sent yet; lockstep's epoch-0 inbox is empty too.
-        } else {
-            k.min(neighbors.len())
-        };
-        let deadline = std::time::Instant::now() + ASYNC_EPOCH_TIMEOUT;
-        loop {
-            for env in endpoint.recv() {
-                pending[env.from].push_back(env.bytes);
-            }
-            let consumable = neighbors
-                .iter()
-                .filter(|&&s| taken[s] < epoch && !pending[s].is_empty())
-                .count();
-            if consumable >= required {
-                break;
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(format!(
-                    "node {id}: epoch {epoch} stalled waiting for {required} \
-                     neighbour shares ({consumable} arrived)"
-                ));
-            }
-            for env in endpoint.recv_wait(Duration::from_millis(100)) {
-                pending[env.from].push_back(env.bytes);
-            }
-        }
-        // Merge in canonical order, capped so nothing from a sender's
-        // epoch ≥ `epoch` slips in early (at most `epoch` shares of each
-        // sender are ever consumed before this node trains epoch `epoch`).
-        let mut inbox = Vec::new();
-        for &s in &neighbors {
-            while taken[s] < epoch {
-                let Some(bytes) = pending[s].pop_front() else {
-                    break;
-                };
-                taken[s] += 1;
-                inbox.push(rex_net::mem::Envelope { from: s, bytes });
-            }
-        }
-        let (outgoing, report) = node.epoch(inbox);
-        for (dest, bytes) in outgoing {
-            endpoint.send(dest, bytes);
-        }
-        // Every epoch executes under this driver, so the chain index is
-        // the epoch itself.
-        if audit.is_some_and(|a| a.broadcast) {
-            endpoint.send_commitment(
-                epoch as u64,
-                report.commitment.digest,
-                report.commitment.tag,
-            );
-        }
-        // Push the staged frames onto the wire without waiting for
-        // anyone: flush is the only synchronous part of the round.
-        endpoint
-            .flush_sends()
-            .map_err(|e| format!("node {id}: flush at epoch {epoch}: {e}"))?;
-        if let Some(a) = &audit {
-            drain_peer_commitments(id, a, endpoint)?;
-        }
-        trace.push(EpochOutcome {
-            rmse_bits: report.rmse.map(f64::to_bits),
-            commitment: Some(report.commitment),
-        });
-        // Every epoch executes under this driver, so every epoch serves.
-        // Serve digests inherit this driver's speed-vs-fidelity trade:
-        // arrival timing shapes the models, so they are not
-        // bit-reproducible across runs on real sockets.
-        publish_snapshot(serve, node, epoch);
-        progress(epoch, report.rmse);
-    }
+    let ctx = RoundContext {
+        faults,
+        view,
+        tee,
+        audit,
+        serve,
+    };
+    round::run_node_loop(node, endpoint, start_epoch..epochs, ctx, |event| {
+        trace.push(event.outcome());
+        progress(event.epoch, event.report.and_then(|r| r.rmse));
+    })?;
     Ok(trace)
 }
 
@@ -932,7 +515,7 @@ pub fn run_node_loop_async<E: Endpoint>(
 pub fn run_node(
     cfg: &ClusterConfig,
     id: usize,
-    mut progress: impl FnMut(usize, Option<f64>),
+    progress: impl FnMut(usize, Option<f64>),
 ) -> Result<NodeSummary, String> {
     let n = cfg.num_nodes();
     if id >= n {
@@ -940,44 +523,8 @@ pub fn run_node(
     }
     let addrs = cfg.addrs()?;
     let (mut fleet, mut view) = build_fleet_and_view(cfg);
-    let (setup_stats, dir) = if cfg.sgx {
-        let (stats, dir) = replay_setup(cfg, &mut fleet);
-        (stats, Some(dir))
-    } else {
-        (vec![TrafficStats::default(); n], None)
-    };
-    run_node_connected(
-        cfg,
-        id,
-        &addrs,
-        fleet,
-        view.as_mut(),
-        dir.as_ref(),
-        setup_stats,
-        &mut progress,
-    )
-}
-
-/// The join epoch of `id` under the config's schedule (`None` for
-/// founders — including nodes with no schedule at all).
-fn join_epoch_of(cfg: &ClusterConfig, id: usize) -> Option<usize> {
-    cfg.membership.as_ref().and_then(|p| p.join_epoch(id))
-}
-
-/// Everything [`run_node`] does after the fleet (and, in SGX mode, the
-/// replayed [`TeeDirectory`]) is built.
-#[allow(clippy::too_many_arguments)]
-fn run_node_connected(
-    cfg: &ClusterConfig,
-    id: usize,
-    addrs: &[std::net::SocketAddr],
-    fleet: Vec<Node<MfModel>>,
-    mut view: Option<&mut MembershipView>,
-    tee: Option<&TeeDirectory>,
-    setup_stats: Vec<TrafficStats>,
-    progress: &mut impl FnMut(usize, Option<f64>),
-) -> Result<NodeSummary, String> {
-    let n = cfg.num_nodes();
+    let (setup_stats, dir) = replay_setup(cfg, &mut fleet);
+    let tee = dir.as_ref();
     let mut node = fleet
         .into_iter()
         .nth(id)
@@ -992,7 +539,7 @@ fn run_node_connected(
                 .filter(|&v| join_epoch_of(cfg, v).is_none())
                 .collect();
             let endpoint =
-                TcpEndpoint::connect_among(id, addrs, &founders, DEFAULT_CONNECT_TIMEOUT)
+                TcpEndpoint::connect_among(id, &addrs, &founders, DEFAULT_CONNECT_TIMEOUT)
                     .map_err(|e| format!("node {id}: bootstrap failed: {e}"))?;
             (endpoint, 0)
         }
@@ -1027,12 +574,12 @@ fn run_node_connected(
                 .collect();
             let accept_from: Vec<usize> = joins_now.iter().copied().filter(|&v| v < id).collect();
             let evidence = match tee {
-                Some(dir) => encode_evidence(dir, &mut node, k)?,
+                Some(dir) => round::encode_evidence(dir, &mut node, k)?,
                 None => Vec::new(),
             };
             let endpoint = TcpEndpoint::connect_as_joiner(
                 id,
-                addrs,
+                &addrs,
                 k,
                 &dial,
                 &accept_from,
@@ -1042,7 +589,7 @@ fn run_node_connected(
             .map_err(|e| format!("node {id}: join bootstrap failed: {e}"))?;
             // Catch the local view up to the epochs the running cluster
             // already executed without us.
-            if let Some(v) = view.as_deref_mut() {
+            if let Some(v) = view.as_mut() {
                 for epoch in 0..k {
                     let _ = v.advance(epoch);
                 }
@@ -1051,11 +598,41 @@ fn run_node_connected(
         }
     };
 
-    // Under a fault plan the endpoint is wrapped exactly like the
-    // in-process backends: every process makes the same per-link hash
-    // decisions from the shared plan, so the cluster replays the same
-    // schedule bit-for-bit.
-    let audit = WireAudit::from_config(cfg);
+    let mut summary = drive_node(
+        cfg,
+        node,
+        endpoint,
+        start_epoch,
+        view.as_mut(),
+        tee,
+        progress,
+    )?;
+    summary.stats = add_stats(summary.stats, setup_stats[id]);
+    Ok(summary)
+}
+
+/// The join epoch of `id` under the config's schedule (`None` for
+/// founders — including nodes with no schedule at all).
+fn join_epoch_of(cfg: &ClusterConfig, id: usize) -> Option<usize> {
+    cfg.membership.as_ref().and_then(|p| p.join_epoch(id))
+}
+
+/// Everything a node does once it holds a connected endpoint — shared by
+/// the deployed process and every thread of the in-process cluster: wrap
+/// the endpoint under the config's fault plan, run the serve session
+/// around the round loop the config's driver names, and summarize over
+/// the run's full span (`None` entries before `start_epoch` and after a
+/// graceful leave). The summary's traffic is the endpoint's own; callers
+/// add the replayed handshake's.
+fn drive_node(
+    cfg: &ClusterConfig,
+    mut node: Node<MfModel>,
+    endpoint: TcpEndpoint,
+    start_epoch: usize,
+    view: Option<&mut MembershipView>,
+    tee: Option<&TeeDirectory>,
+    mut progress: impl FnMut(usize, Option<f64>),
+) -> Result<NodeSummary, String> {
     // The serve thread starts before the loop (exclusions freeze from
     // the initial store) and is finished after it either way: a loop
     // error must still close the queue and join rather than leak a
@@ -1064,223 +641,121 @@ fn run_node_connected(
         .serve
         .as_ref()
         .map(|s| ServeSession::start(s, &node, cfg.num_users));
-    let queue = session.as_ref().map(|s| Arc::clone(&s.queue));
-    let serve_queue = queue.as_deref();
-    let loop_result = match cfg.faults.clone() {
+    let ctx = RoundContext {
+        faults: cfg.faults.as_ref(),
+        view,
+        tee,
+        audit: wire_audit(cfg),
+        serve: session.as_ref().map(|s| &*s.queue),
+    };
+    let mut trace = vec![EpochOutcome::default(); start_epoch];
+    let on_epoch = |event: EpochEvent| {
+        trace.push(event.outcome());
+        progress(event.epoch, event.report.and_then(|r| r.rmse));
+    };
+    // Under a fault plan the endpoint is wrapped exactly like the
+    // in-process backends: every process makes the same per-link hash
+    // decisions from the shared plan, so the cluster replays the same
+    // schedule bit-for-bit.
+    let looped = match cfg.faults.clone() {
         Some(plan) => {
-            let mut endpoint = FaultyEndpoint::new(endpoint, plan);
-            run_node_loop(
-                &mut node,
-                &mut endpoint,
-                cfg.epochs,
-                start_epoch,
-                cfg.faults.as_ref(),
-                view.as_deref_mut(),
-                tee,
-                audit,
-                serve_queue,
-                &mut *progress,
-            )
-            .map(|trace| (trace, endpoint.stats()))
+            let endpoint = FaultyEndpoint::new(endpoint, plan);
+            run_loop(cfg, &mut node, endpoint, start_epoch, ctx, on_epoch)
         }
-        None => {
-            let mut endpoint = endpoint;
-            match cfg.driver {
-                NodeDriver::Lockstep => run_node_loop(
-                    &mut node,
-                    &mut endpoint,
-                    cfg.epochs,
-                    start_epoch,
-                    None,
-                    view,
-                    tee,
-                    audit,
-                    serve_queue,
-                    &mut *progress,
-                ),
-                // Config validation pins bounded-async to fault-free,
-                // churn-free D-PSGD, so `start_epoch` is always 0 here.
-                NodeDriver::BoundedAsync { k } => run_node_loop_async(
-                    &mut node,
-                    &mut endpoint,
-                    cfg.epochs,
-                    k,
-                    audit,
-                    serve_queue,
-                    &mut *progress,
-                ),
-            }
-            .map(|trace| (trace, endpoint.stats()))
-        }
+        None => run_loop(cfg, &mut node, endpoint, start_epoch, ctx, on_epoch),
     };
-    let serve = match session {
-        Some(session) => match session.finish() {
-            Ok(summary) => Some(summary),
-            // A loop error is the root cause; the serve error (usually a
-            // pop timeout behind it) only surfaces when the loop was fine.
-            Err(e) if loop_result.is_ok() => return Err(e),
-            Err(_) => None,
-        },
-        None => None,
+    let serve = match session.map(ServeSession::finish).transpose() {
+        Ok(serve) => serve,
+        // A loop error is the root cause; the serve error (usually a pop
+        // timeout behind it) only surfaces when the loop was fine.
+        Err(e) if looped.is_ok() => return Err(e),
+        Err(_) => None,
     };
-    let (loop_trace, stats) = loop_result?;
+    let stats = looped?;
 
-    // Pad the traces to the run's full span: `None` before a join and
-    // after a graceful leave.
-    let mut rmse_trace_bits = vec![None; start_epoch];
-    let mut commitments = vec![None; start_epoch];
-    for outcome in loop_trace {
-        rmse_trace_bits.push(outcome.rmse_bits);
-        commitments.push(outcome.commitment);
-    }
-    rmse_trace_bits.resize(cfg.epochs, None);
-    commitments.resize(cfg.epochs, None);
-
+    trace.resize(cfg.epochs, EpochOutcome::default());
     Ok(NodeSummary {
-        id,
+        id: node.id(),
         epochs: cfg.epochs,
         final_rmse_bits: node.local_rmse().map(f64::to_bits),
-        rmse_trace_bits,
-        stats: add_stats(stats, setup_stats[id]),
+        rmse_trace_bits: trace.iter().map(|o| o.rmse_bits).collect(),
+        stats,
         store_len: node.store().len(),
-        commitments,
+        commitments: trace.iter().map(|o| o.commitment).collect(),
         serve,
     })
 }
 
+/// Runs the round loop the config's driver names over `endpoint` and
+/// returns the endpoint's traffic counters.
+fn run_loop<E: Endpoint>(
+    cfg: &ClusterConfig,
+    node: &mut Node<MfModel>,
+    mut endpoint: E,
+    start_epoch: usize,
+    ctx: RoundContext<'_, MfModel>,
+    on_epoch: impl FnMut(EpochEvent),
+) -> Result<TrafficStats, String> {
+    match cfg.driver {
+        NodeDriver::Lockstep => {
+            round::run_node_loop(node, &mut endpoint, start_epoch..cfg.epochs, ctx, on_epoch)
+        }
+        // Config validation pins bounded-async to fault-free, churn-free
+        // D-PSGD: `start_epoch` is 0 and only audit and serve apply.
+        NodeDriver::BoundedAsync { k } => round::run_node_loop_async(
+            node,
+            &mut endpoint,
+            cfg.epochs,
+            k,
+            ctx.audit,
+            ctx.serve,
+            on_epoch,
+        ),
+    }?;
+    Ok(endpoint.stats())
+}
+
 /// Runs the whole cluster in this process — one thread per node over a
-/// loopback TCP fabric, each thread executing exactly the deployed
-/// [`run_node_loop`]. The reference the multi-process launcher is
-/// compared against. Under a membership schedule the fabric is
-/// pre-connected, so a scheduled joiner's thread serves the
-/// infrastructure barriers until its epoch (protocol-identical to the
-/// multi-process cluster, where the joiner's process dials in late).
+/// loopback TCP fabric, each thread executing exactly what a deployed
+/// process does once connected (`drive_node`). The reference the
+/// multi-process launcher is compared against. Under a membership
+/// schedule the fabric is pre-connected, so a scheduled joiner's thread
+/// serves the infrastructure barriers until its epoch
+/// (protocol-identical to the multi-process cluster, where the joiner's
+/// process dials in late).
 pub fn run_cluster_in_process(cfg: &ClusterConfig) -> Result<Vec<NodeSummary>, String> {
     let n = cfg.num_nodes();
     let (mut fleet, view) = build_fleet_and_view(cfg);
-    let (setup_stats, dir) = if cfg.sgx {
-        let (stats, dir) = replay_setup(cfg, &mut fleet);
-        (stats, Some(dir))
-    } else {
-        (vec![TrafficStats::default(); n], None)
-    };
+    let (setup_stats, dir) = replay_setup(cfg, &mut fleet);
     let fabric = TcpTransport::loopback(n).map_err(|e| format!("loopback fabric: {e}"))?;
     let endpoints = fabric
         .into_endpoints()
         .ok_or_else(|| "tcp fabric did not split into endpoints".to_string())?;
-    let epochs = cfg.epochs;
 
-    let audit = WireAudit::from_config(cfg);
-    let faults = cfg.faults.clone();
-    let driver = cfg.driver;
-    let serve_cfg = cfg.serve;
-    let num_users = cfg.num_users;
     let dir = dir.as_ref();
-    let handles: Vec<_> = std::thread::scope(|scope| {
-        let join_handles: Vec<_> = fleet
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = fleet
             .into_iter()
             .zip(endpoints)
-            .map(|(mut node, endpoint)| {
-                let faults = faults.clone();
+            .map(|(node, endpoint)| {
                 let mut view = view.clone();
                 scope.spawn(move || {
-                    let session = serve_cfg
-                        .as_ref()
-                        .map(|s| ServeSession::start(s, &node, num_users));
-                    let queue = session.as_ref().map(|s| Arc::clone(&s.queue));
-                    let serve_queue = queue.as_deref();
-                    let result = match faults {
-                        Some(plan) => {
-                            let mut endpoint = FaultyEndpoint::new(endpoint, plan.clone());
-                            let trace = run_node_loop(
-                                &mut node,
-                                &mut endpoint,
-                                epochs,
-                                0,
-                                Some(&plan),
-                                view.as_mut(),
-                                dir,
-                                audit,
-                                serve_queue,
-                                |_, _| {},
-                            );
-                            trace.map(|t| (endpoint.stats(), t))
-                        }
-                        None => {
-                            let mut endpoint = endpoint;
-                            let trace = match driver {
-                                NodeDriver::Lockstep => run_node_loop(
-                                    &mut node,
-                                    &mut endpoint,
-                                    epochs,
-                                    0,
-                                    None,
-                                    view.as_mut(),
-                                    dir,
-                                    audit,
-                                    serve_queue,
-                                    |_, _| {},
-                                ),
-                                NodeDriver::BoundedAsync { k } => run_node_loop_async(
-                                    &mut node,
-                                    &mut endpoint,
-                                    epochs,
-                                    k,
-                                    audit,
-                                    serve_queue,
-                                    |_, _| {},
-                                ),
-                            };
-                            trace.map(|t| (endpoint.stats(), t))
-                        }
-                    };
-                    let serve = match session {
-                        Some(session) => match session.finish() {
-                            Ok(summary) => Some(summary),
-                            // Loop errors outrank the serve timeout that
-                            // usually trails them.
-                            Err(e) if result.is_ok() => return Err(e),
-                            Err(_) => None,
-                        },
-                        None => None,
-                    };
-                    result.map(|(stats, trace)| (node, stats, trace, serve))
+                    drive_node(cfg, node, endpoint, 0, view.as_mut(), dir, |_, _| {})
                 })
             })
             .collect();
-        join_handles
+        handles
             .into_iter()
             .enumerate()
             .map(|(id, handle)| {
-                handle
+                let mut summary = handle
                     .join()
-                    .map_err(|_| format!("node {id} thread panicked"))
-                    .and_then(|r| r)
+                    .map_err(|_| format!("node {id} thread panicked"))??;
+                summary.stats = add_stats(summary.stats, setup_stats[id]);
+                Ok(summary)
             })
             .collect()
-    });
-
-    let mut summaries = Vec::with_capacity(n);
-    for (id, outcome) in handles.into_iter().enumerate() {
-        let (node, stats, loop_trace, serve) = outcome?;
-        let mut rmse_trace_bits: Vec<Option<u64>> =
-            loop_trace.iter().map(|o| o.rmse_bits).collect();
-        let mut commitments: Vec<Option<EpochCommitment>> =
-            loop_trace.iter().map(|o| o.commitment).collect();
-        rmse_trace_bits.resize(epochs, None);
-        commitments.resize(epochs, None);
-        summaries.push(NodeSummary {
-            id,
-            epochs,
-            final_rmse_bits: node.local_rmse().map(f64::to_bits),
-            rmse_trace_bits,
-            stats: add_stats(stats, setup_stats[id]),
-            store_len: node.store().len(),
-            commitments,
-            serve,
-        });
-    }
-    Ok(summaries)
+    })
 }
 
 #[cfg(test)]
@@ -1747,7 +1222,7 @@ mod tests {
                 epochs: cfg.epochs,
                 execution: ExecutionMode::Native,
                 time: TimeAxis::Wall,
-                driver: Driver::Lockstep { parallel: false },
+                driver: Driver::Lockstep,
                 processes_per_platform: cfg.processes_per_platform,
                 seed: cfg.infra_seed,
                 faults: Some(plan),

@@ -1,4 +1,5 @@
-//! Simulated Intel SGX platform (DESIGN.md §2: hardware substitution).
+//! Simulated Intel SGX platform (the hardware substitution: the
+//! `crates/tee` entry of README.md "Architecture").
 //!
 //! The paper runs REX inside real SGX enclaves on Xeon E-2288G machines.
 //! This crate reproduces, in software, every SGX property the paper's

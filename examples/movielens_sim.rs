@@ -83,7 +83,6 @@ fn main() {
         &Backend::Simulated(SimulationConfig {
             epochs,
             execution,
-            parallel: true,
             ..Default::default()
         }),
         &format!(

@@ -41,7 +41,6 @@ fn main() {
     let sim = Backend::Simulated(SimulationConfig {
         epochs: 60,
         execution: ExecutionMode::Native,
-        parallel: true,
         ..Default::default()
     });
     let mut results = Vec::new();

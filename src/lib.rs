@@ -1,8 +1,8 @@
 //! Umbrella crate for the REX reproduction.
 //!
 //! Re-exports every subsystem so examples and integration tests can depend
-//! on a single crate. See `README.md` for the architecture overview and
-//! `DESIGN.md` for the paper-to-module map.
+//! on a single crate. See `README.md` for the architecture overview
+//! ("Architecture") and the paper-to-module map ("Paper ↔ code map").
 
 pub use rex_core as core;
 pub use rex_crypto as crypto;

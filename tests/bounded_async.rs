@@ -99,7 +99,7 @@ fn k_at_least_degree_degenerates_to_lockstep() {
     // Every node has ≤ NODES-1 neighbours, so k = NODES means no share
     // is ever deferred and the trajectory must be *bit-identical* to the
     // synchronous driver that the golden traces pin.
-    let (lockstep, lock_nodes) = run(Driver::Lockstep { parallel: false }, 0xE0);
+    let (lockstep, lock_nodes) = run(Driver::Lockstep, 0xE0);
     let (bounded, bounded_nodes) = run(Driver::BoundedAsync { k: NODES }, 0xE0);
     assert_eq!(rmse_bits(&lockstep), rmse_bits(&bounded));
     assert_eq!(lockstep.final_stats, bounded.final_stats);
@@ -115,7 +115,7 @@ fn k_at_least_degree_degenerates_to_lockstep() {
 
 #[test]
 fn small_k_changes_the_trajectory_but_not_the_traffic() {
-    let (lockstep, _) = run(Driver::Lockstep { parallel: false }, 0xE0);
+    let (lockstep, _) = run(Driver::Lockstep, 0xE0);
     let (bounded, _) = run(Driver::BoundedAsync { k: 1 }, 0xE0);
     assert_ne!(
         rmse_bits(&lockstep),

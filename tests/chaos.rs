@@ -97,7 +97,7 @@ fn run_mem(
             epochs,
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: true },
+            Driver::WorkSteal { workers: 2 },
             plan,
         ),
     )
@@ -138,13 +138,7 @@ fn run_tcp(
             TcpTransport::loopback(nodes.len()).expect("loopback fabric"),
             plan.clone(),
         ),
-        cfg(
-            epochs,
-            execution,
-            TimeAxis::Wall,
-            Driver::Lockstep { parallel: false },
-            plan,
-        ),
+        cfg(epochs, execution, TimeAxis::Wall, Driver::Lockstep, plan),
     )
     .run("tcp", nodes)
 }
@@ -593,7 +587,7 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
     let mem = run_churn(
         MemNetwork::new(NODES),
         TimeAxis::Simulated(Default::default()),
-        Driver::Lockstep { parallel: true },
+        Driver::WorkSteal { workers: 4 },
         &faults,
         &membership,
     );
@@ -607,14 +601,14 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
     let tcp = run_churn(
         TcpTransport::loopback(NODES).expect("loopback fabric"),
         TimeAxis::Wall,
-        Driver::Lockstep { parallel: false },
+        Driver::Lockstep,
         &faults,
         &membership,
     );
     let rerun = run_churn(
         MemNetwork::new(NODES),
         TimeAxis::Simulated(Default::default()),
-        Driver::Lockstep { parallel: true },
+        Driver::WorkSteal { workers: 5 },
         &faults,
         &membership,
     );

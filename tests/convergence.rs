@@ -51,7 +51,6 @@ fn sim(epochs: usize) -> Backend {
     Backend::Simulated(SimulationConfig {
         epochs,
         execution: ExecutionMode::Native,
-        parallel: true,
         ..Default::default()
     })
 }

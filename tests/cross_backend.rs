@@ -84,7 +84,7 @@ fn run_both(
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::Lockstep,
         ),
     )
     .run("sim", &mut sim_nodes);
@@ -173,7 +173,7 @@ fn run_mem_vs_tcp(
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::Lockstep,
         ),
     )
     .run("sim", &mut sim_nodes);
@@ -204,7 +204,7 @@ fn reference_run(execution: ExecutionMode) -> (EngineResult, Vec<Node<MfModel>>)
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::Lockstep,
         ),
     )
     .run("reference", &mut nodes);
@@ -221,7 +221,7 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::Lockstep,
         ),
     )
     .run("faulty-mem", &mut mem_nodes);
@@ -258,7 +258,7 @@ fn empty_fault_plan_is_identity_on_every_backend_sgx() {
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::Lockstep,
         ),
     )
     .run("faulty-mem-sgx", &mut mem_nodes);
@@ -374,7 +374,7 @@ fn run_headline(execution: ExecutionMode, driver: Driver) -> (EngineResult, Vec<
 
 #[test]
 fn work_steal_matches_sequential_under_chaos_headline_native() {
-    let seq = run_headline(ExecutionMode::Native, Driver::Lockstep { parallel: false });
+    let seq = run_headline(ExecutionMode::Native, Driver::Lockstep);
     let pool = run_headline(ExecutionMode::Native, Driver::WorkSteal { workers: 4 });
     assert_equivalent(&seq, &pool);
     // Fault accounting is part of the contract: liveness and the
@@ -400,7 +400,7 @@ fn work_steal_matches_sequential_under_chaos_headline_native() {
 #[test]
 fn work_steal_matches_sequential_under_chaos_headline_sgx() {
     let execution = ExecutionMode::Sgx(SgxCostModel::default());
-    let seq = run_headline(execution, Driver::Lockstep { parallel: false });
+    let seq = run_headline(execution, Driver::Lockstep);
     let pool = run_headline(execution, Driver::WorkSteal { workers: 4 });
     assert_equivalent(&seq, &pool);
     for (a, b) in seq.0.trace.records.iter().zip(&pool.0.trace.records) {
@@ -469,7 +469,7 @@ fn width_one_sharded_fleet_matches_legacy_per_user_run_everywhere() {
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::Lockstep,
         ),
     )
     .run("legacy", &mut legacy_nodes);
@@ -477,10 +477,7 @@ fn width_one_sharded_fleet_matches_legacy_per_user_run_everywhere() {
 
     // The users_per_node = 1 sharded fleet must reproduce it bit-for-bit
     // on every fabric and driver.
-    let drivers = [
-        Driver::Lockstep { parallel: false },
-        Driver::WorkSteal { workers: 4 },
-    ];
+    let drivers = [Driver::Lockstep, Driver::WorkSteal { workers: 4 }];
     for driver in drivers {
         let mut nodes = per_user_fleet(true);
         let result = Engine::<MfModel, MemNetwork>::new(
@@ -562,7 +559,7 @@ fn lockstep_channel_matches_mem_fabric() {
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::Lockstep,
         ),
     )
     .run("mem", &mut mem_nodes);
@@ -570,11 +567,7 @@ fn lockstep_channel_matches_mem_fabric() {
     let mut chan_nodes = fleet(SharingMode::Model, GossipAlgorithm::Rmw);
     let chan = Engine::<MfModel, ChannelTransport>::new(
         ChannelTransport::new(chan_nodes.len()),
-        engine_config(
-            ExecutionMode::Native,
-            TimeAxis::Wall,
-            Driver::Lockstep { parallel: false },
-        ),
+        engine_config(ExecutionMode::Native, TimeAxis::Wall, Driver::Lockstep),
     )
     .run("chan", &mut chan_nodes);
 
@@ -595,7 +588,7 @@ fn tcp_loopback_threaded_matches_mem_fabric() {
 #[test]
 fn tcp_loopback_lockstep_matches_mem_fabric() {
     // The same sockets driven in lockstep (fabric view, no node threads).
-    let (sim, tcp) = run_mem_vs_tcp(ExecutionMode::Native, Driver::Lockstep { parallel: false });
+    let (sim, tcp) = run_mem_vs_tcp(ExecutionMode::Native, Driver::Lockstep);
     assert_equivalent(&sim, &tcp);
 }
 

@@ -3,12 +3,13 @@
 
 use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
 use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_repro::core::runner::{run, Backend, SimulationConfig};
+use rex_repro::core::engine::{Driver, Engine, EngineConfig};
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::MfHyperParams;
+use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::net::mem::MemNetwork;
 use rex_repro::topology::TopologySpec;
 
-fn run_once(parallel: bool, seed: u64) -> Vec<(f64, f64)> {
+fn run_once(driver: Driver, seed: u64) -> Vec<(f64, f64)> {
     let ds = SyntheticConfig {
         num_users: 24,
         num_items: 300,
@@ -36,16 +37,16 @@ fn run_once(parallel: bool, seed: u64) -> Vec<(f64, f64)> {
         },
         NodeSeeds::default(),
     );
-    let trace = run(
-        &Backend::Simulated(SimulationConfig {
+    let trace = Engine::<MfModel, MemNetwork>::new(
+        MemNetwork::new(nodes.len()),
+        EngineConfig {
             epochs: 15,
             execution: ExecutionMode::Native,
-            parallel,
-            ..Default::default()
-        }),
-        "det",
-        &mut nodes,
+            driver,
+            ..EngineConfig::default()
+        },
     )
+    .run("det", &mut nodes)
     .trace;
     trace
         .records
@@ -56,23 +57,23 @@ fn run_once(parallel: bool, seed: u64) -> Vec<(f64, f64)> {
 
 #[test]
 fn identical_seeds_identical_trajectories() {
-    let a = run_once(false, 99);
-    let b = run_once(false, 99);
+    let a = run_once(Driver::Lockstep, 99);
+    let b = run_once(Driver::Lockstep, 99);
     assert_eq!(a, b);
 }
 
 #[test]
 fn parallel_execution_preserves_trajectory() {
-    // Rayon scheduling must not affect results: per-node RNGs, deterministic
-    // message ordering.
-    let seq = run_once(false, 7);
-    let par = run_once(true, 7);
+    // Worker scheduling must not affect results: per-node RNGs,
+    // deterministic message ordering.
+    let seq = run_once(Driver::Lockstep, 7);
+    let par = run_once(Driver::WorkSteal { workers: 3 }, 7);
     assert_eq!(seq, par);
 }
 
 #[test]
 fn different_seeds_differ() {
-    let a = run_once(false, 1);
-    let b = run_once(false, 2);
+    let a = run_once(Driver::Lockstep, 1);
+    let b = run_once(Driver::Lockstep, 2);
     assert_ne!(a, b);
 }

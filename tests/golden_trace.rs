@@ -31,9 +31,9 @@
 //! trace — the serving contract under the same regression net as the
 //! learning trajectory.
 //!
-//! Every run — mem fabric under the sequential, chunked-parallel and
-//! work-stealing drivers; channel fabric under thread-per-node,
-//! sequential lockstep and work-stealing; TCP loopback under sequential
+//! Every run — mem fabric under the inline lockstep driver and the
+//! work-stealing pool (four workers, and one per core); channel fabric
+//! under thread-per-node, lockstep and work-stealing; TCP loopback under
 //! lockstep and work-stealing — must reproduce the fixture exactly,
 //! native mode. A mismatch means a scheduler or transport change
 //! altered the learning trajectory or the byte accounting.
@@ -316,30 +316,25 @@ fn golden_traces_hold_on_every_driver_and_backend() {
         let sim_time = || TimeAxis::Simulated(Default::default());
 
         // Reference: mem fabric, sequential lockstep — the generator.
-        let (reference, reference_nodes) = run_combo(
-            &s,
-            MemNetwork::new(n),
-            sim_time(),
-            Driver::Lockstep { parallel: false },
-        );
+        let (reference, reference_nodes) =
+            run_combo(&s, MemNetwork::new(n), sim_time(), Driver::Lockstep);
         let fixture = load_fixture(s.name, &render(&reference));
-        assert_matches_fixture(s.name, "mem/lockstep-seq", &fixture, &reference);
+        assert_matches_fixture(s.name, "mem/lockstep", &fixture, &reference);
         let serve_ref = render_serve(&s, &reference_nodes);
         serve_reference.push_str(&serve_ref);
 
         // The same scenario through every other driver × backend. The
-        // thread-per-node driver rejects membership plans (view
-        // transitions are driven by the lockstep-shaped round loop; its
-        // deployed equivalent is pinned by `tests/tcp_cluster.rs`), so
+        // thread-per-node driver rejects membership plans (the per-node
+        // loop under churn is pinned by `tests/tcp_cluster.rs`), so
         // churn scenarios skip that one combination.
         let mut combos: Vec<(&str, ComboRun)> = vec![
             (
-                "mem/lockstep-parallel",
+                "mem/work-steal-per-core",
                 run_combo(
                     &s,
                     MemNetwork::new(n),
                     sim_time(),
-                    Driver::Lockstep { parallel: true },
+                    Driver::WorkSteal { workers: 0 },
                 ),
             ),
             (
@@ -374,21 +369,21 @@ fn golden_traces_hold_on_every_driver_and_backend() {
                 ),
             ),
             (
-                "channel/lockstep-seq",
+                "channel/lockstep",
                 run_combo(
                     &s,
                     ChannelTransport::new(n),
                     TimeAxis::Wall,
-                    Driver::Lockstep { parallel: false },
+                    Driver::Lockstep,
                 ),
             ),
             (
-                "tcp/lockstep-seq",
+                "tcp/lockstep",
                 run_combo(
                     &s,
                     TcpTransport::loopback(n).expect("loopback fabric"),
                     TimeAxis::Wall,
-                    Driver::Lockstep { parallel: false },
+                    Driver::Lockstep,
                 ),
             ),
             (
@@ -408,7 +403,7 @@ fn golden_traces_hold_on_every_driver_and_backend() {
             assert_eq!(
                 render_serve(&s, nodes),
                 serve_ref,
-                "scenario {}: {combo} serve replay diverged from mem/lockstep-seq",
+                "scenario {}: {combo} serve replay diverged from mem/lockstep",
                 s.name
             );
         }

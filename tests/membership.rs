@@ -141,7 +141,7 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
     let sim = || TimeAxis::Simulated(Default::default());
     let (reference, _) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep { parallel: false },
+        Driver::Lockstep,
         sim(),
         ExecutionMode::Native,
         None,
@@ -149,10 +149,10 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
     let want = signature(&reference);
     let combos: Vec<(&str, EngineResult)> = vec![
         (
-            "mem/lockstep-parallel",
+            "mem/work-steal-5",
             run_churn(
                 MemNetwork::new(N),
-                Driver::Lockstep { parallel: true },
+                Driver::WorkSteal { workers: 5 },
                 sim(),
                 ExecutionMode::Native,
                 None,
@@ -171,10 +171,10 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             .0,
         ),
         (
-            "channel/lockstep-seq",
+            "channel/lockstep",
             run_churn(
                 ChannelTransport::new(N),
-                Driver::Lockstep { parallel: false },
+                Driver::Lockstep,
                 TimeAxis::Wall,
                 ExecutionMode::Native,
                 None,
@@ -193,10 +193,10 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             .0,
         ),
         (
-            "tcp/lockstep-seq",
+            "tcp/lockstep",
             run_churn(
                 TcpTransport::loopback(N).expect("loopback fabric"),
-                Driver::Lockstep { parallel: false },
+                Driver::Lockstep,
                 TimeAxis::Wall,
                 ExecutionMode::Native,
                 None,
@@ -224,7 +224,7 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
 fn joiner_converges_and_leaver_detaches() {
     let (result, nodes) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep { parallel: false },
+        Driver::Lockstep,
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         None,
@@ -285,7 +285,7 @@ fn bootstrap_grows_joiner_store_before_first_epoch() {
     let run = |points: usize| {
         let mut nodes = fleet(SharingMode::RawData);
         let mut cfg = config(
-            Driver::Lockstep { parallel: false },
+            Driver::Lockstep,
             TimeAxis::Simulated(Default::default()),
             ExecutionMode::Native,
             None,
@@ -316,7 +316,7 @@ fn sgx_churn_installs_late_sessions_and_stays_bit_identical() {
     let sgx = ExecutionMode::Sgx(SgxCostModel::default());
     let (mem_result, nodes) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep { parallel: false },
+        Driver::Lockstep,
         TimeAxis::Simulated(Default::default()),
         sgx,
         None,
@@ -349,7 +349,7 @@ fn membership_composes_with_fault_plans() {
     let faults = FaultPlan::uniform(0xFA01, LinkFaults::drop_rate(0.15)).with_crash(3, 1, Some(4));
     let (a, _) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep { parallel: false },
+        Driver::Lockstep,
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         Some(faults.clone()),
@@ -381,7 +381,7 @@ fn dropped_bootstrap_is_deterministic_not_fatal() {
     .with_join(6, 2, Some(0));
     let faults = FaultPlan::default().with_link(0, 6, LinkFaults::drop_rate(1.0));
     let mut cfg = config(
-        Driver::Lockstep { parallel: false },
+        Driver::Lockstep,
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         Some(faults.clone()),

@@ -46,7 +46,6 @@ fn charged_overhead(sharing: SharingMode, cost: SgxCostModel) -> u64 {
         &Backend::Simulated(SimulationConfig {
             epochs: 10,
             execution: ExecutionMode::Sgx(cost),
-            parallel: false,
             ..Default::default()
         }),
         "sgx",
@@ -88,7 +87,6 @@ fn sgx_does_not_change_model_quality() {
             &Backend::Simulated(SimulationConfig {
                 epochs: 12,
                 execution,
-                parallel: false,
                 ..Default::default()
             }),
             "q",

@@ -177,7 +177,7 @@ fn fifth_process_joins_running_cluster_bit_for_bit() {
             epochs: cfg.epochs,
             execution: ExecutionMode::Native,
             time: TimeAxis::Wall,
-            driver: Driver::Lockstep { parallel: false },
+            driver: Driver::Lockstep,
             processes_per_platform: cfg.processes_per_platform,
             seed: cfg.infra_seed,
             faults: None,
