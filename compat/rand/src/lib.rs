@@ -102,6 +102,7 @@ int_sample_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 macro_rules! float_sample_range {
     ($($t:ty, $unit:ident);*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
+            #[inline]
             fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty gen_range");
                 let u = $unit(rng);

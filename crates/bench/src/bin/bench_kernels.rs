@@ -2,7 +2,11 @@
 //! throughput of the `rex_ml::kernel` / ChaCha20 SIMD kernels at the
 //! embedding dimensions the paper sweeps (k = 16/32/128), plus two
 //! end-to-end arms — MF epoch time and serve-path p99 — each measured
-//! under every dispatch level this host can execute. Writes
+//! under every dispatch level this host can execute, and the SHA-256
+//! arms behind the per-epoch model commitment: hash throughput on the
+//! scalar and SHA-extension block functions over a model-sized buffer,
+//! and one commitment of the paper-shaped 424 KiB model the old way
+//! (`to_bytes` + `advance`) against the streamed `advance_with`. Writes
 //! `results/BENCH_kernels.json`.
 //!
 //! The summary keys are machine-speed-independent *ratios* of the
@@ -13,27 +17,31 @@
 //!   AVX2 host);
 //! * `epoch_speedup` — `train_steps_batched` wall time, scalar / best;
 //! * `serve_p99_speedup` — top-k query p99, scalar / best;
-//! * `chacha_speedup` — keystream MiB/s, best / scalar.
+//! * `chacha_speedup` — keystream MiB/s, best / scalar;
+//! * `sha256_speedup` — SHA-256 MiB/s, SHA extensions / scalar (1.00
+//!   on a host without them: both sides are the scalar path).
 //!
-//! `--check-baseline <path>` compares this run's `dot32_speedup`
-//! against a committed baseline JSON and exits non-zero when it
-//! regressed by more than 25%. On a host without AVX2 the gate is
-//! skipped with a notice — the committed baseline was measured on an
-//! AVX2 runner and the ratio is not comparable.
+//! `--check-baseline <path>` compares this run's `dot32_speedup` and
+//! `sha256_speedup` against a committed baseline JSON and exits
+//! non-zero when either regressed by more than 25%. On a host without
+//! AVX2 (or, for the SHA ratio, without the SHA extensions) that gate
+//! is skipped with a notice — the committed baseline was measured on a
+//! runner that has them and the ratio is not comparable.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rex_bench::{output, BenchArgs};
+use rex_core::commitment::CommitmentChain;
 use rex_core::serve::{QueryStream, Scorer};
-use rex_crypto::chacha20;
 use rex_crypto::simd::{self, SimdLevel};
+use rex_crypto::{chacha20, Sha256};
 use rex_data::{SyntheticConfig, TrainTestSplit};
 use rex_ml::kernel::{self, KernelLevel};
 use rex_ml::{MfHyperParams, MfModel, Model};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Fail `--check-baseline` when `dot32_speedup` regresses by more than
+/// Fail `--check-baseline` when a gated ratio regresses by more than
 /// this factor over the committed run.
 const BASELINE_TOLERANCE: f64 = 1.25;
 /// Embedding dimensions for the micro arms (the paper's Fig 3 sweeps
@@ -190,6 +198,66 @@ fn chacha_arms(levels: &[SimdLevel], buf_kib: usize) -> Vec<E2eRow> {
         .collect()
 }
 
+/// SHA-256 arms, on the paper-shaped model (610 users × 9000 items,
+/// k = 10: 424 KiB on the wire, what every node commits to every
+/// epoch). `sha256_stream`: MiB/s over that model's wire bytes on the
+/// scalar block function and, where this host has them, on
+/// the SHA extensions. `commitment_424k`: one chain link over that model
+/// on the process's block function, serialise-then-hash against
+/// streamed. Windows interleave the two sides of each ratio.
+fn sha_arms(best: SimdLevel, reps: usize) -> Vec<E2eRow> {
+    let model = MfModel::new(610, 9_000, MfHyperParams::default(), 3.5, 9);
+    let bytes = model.to_bytes();
+    let mib = bytes.len() as f64 / (1024.0 * 1024.0);
+    let mut paths = vec![("scalar", SimdLevel::Scalar)];
+    if simd::sha_ni_with(best) {
+        paths.push(("sha_ni", best));
+    }
+    let mut stream = vec![f64::INFINITY; paths.len()];
+    let mut chain = CommitmentChain::new(42, 0);
+    let mut commit = [f64::INFINITY; 2];
+    for _ in 0..MICRO_WINDOW_REPS {
+        for (slot, &(_, level)) in paths.iter().enumerate() {
+            let start = Instant::now();
+            for _ in 0..reps {
+                let mut h = Sha256::with_level(level);
+                h.update(black_box(&bytes));
+                black_box(h.finalize());
+            }
+            stream[slot] = stream[slot].min(start.elapsed().as_secs_f64() / reps as f64);
+        }
+        let start = Instant::now();
+        for epoch in 0..reps {
+            black_box(chain.advance(epoch, &black_box(&model).to_bytes()));
+        }
+        commit[0] = commit[0].min(start.elapsed().as_secs_f64() / reps as f64);
+        let start = Instant::now();
+        for epoch in 0..reps {
+            black_box(chain.advance_with(epoch, |link| black_box(&model).write_bytes(link)));
+        }
+        commit[1] = commit[1].min(start.elapsed().as_secs_f64() / reps as f64);
+    }
+    let mut rows: Vec<E2eRow> = paths
+        .iter()
+        .zip(stream)
+        .map(|(&(name, _), secs)| E2eRow {
+            arm: "sha256_stream",
+            level: name,
+            value: mib / secs,
+            unit: "mib_per_s",
+        })
+        .collect();
+    for (name, secs) in ["to_bytes+advance", "advance_with"].into_iter().zip(commit) {
+        rows.push(E2eRow {
+            arm: "commitment_424k",
+            level: name,
+            value: secs * 1e6,
+            unit: "us",
+        });
+    }
+    rows
+}
+
 /// End-to-end arms at k = 32: MF training wall time and serve-path p99,
 /// per kernel dispatch level (flipped in-process via `force_level`).
 fn e2e_arms(levels: &[KernelLevel], steps: usize, queries: usize) -> Vec<E2eRow> {
@@ -258,11 +326,11 @@ fn e2e_arms(levels: &[KernelLevel], steps: usize, queries: usize) -> Vec<E2eRow>
     rows
 }
 
-/// Extracts `"dot32_speedup": <number>` from a baseline JSON without a
-/// JSON parser (fixed schema, written by this binary).
-fn parse_baseline_speedup(text: &str) -> Option<f64> {
-    let key = "\"dot32_speedup\":";
-    let rest = &text[text.find(key)? + key.len()..];
+/// Extracts `"<name>": <number>` from a baseline JSON's summary without
+/// a JSON parser (fixed schema, written by this binary).
+fn parse_baseline_speedup(text: &str, name: &str) -> Option<f64> {
+    let key = format!("\"{name}\":");
+    let rest = &text[text.find(&key)? + key.len()..];
     let end = rest.find(['}', ',', '\n'])?;
     rest[..end].trim().parse().ok()
 }
@@ -272,12 +340,13 @@ fn render_json(
     mode: &str,
     best: &str,
     micro: &[MicroRow],
-    chacha: &[E2eRow],
+    crypto: &[E2eRow],
     e2e: &[E2eRow],
     dot32: f64,
     epoch: f64,
     serve: f64,
     chacha_speedup: f64,
+    sha256_speedup: f64,
 ) -> String {
     // Hand-rolled JSON: fixed schema, no strings that need escaping.
     let mut out = String::from("{\n");
@@ -296,7 +365,7 @@ fn render_json(
         ));
     }
     out.push_str("  ],\n  \"e2e\": [\n");
-    let all: Vec<&E2eRow> = chacha.iter().chain(e2e.iter()).collect();
+    let all: Vec<&E2eRow> = crypto.iter().chain(e2e.iter()).collect();
     for (i, r) in all.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"arm\": \"{}\", \"level\": \"{}\", \"{}\": {:.2}}}{}\n",
@@ -309,7 +378,8 @@ fn render_json(
     }
     out.push_str(&format!(
         "  ],\n  \"summary\": {{\"dot32_speedup\": {dot32:.2}, \"epoch_speedup\": {epoch:.2}, \
-         \"serve_p99_speedup\": {serve:.2}, \"chacha_speedup\": {chacha_speedup:.2}}}\n}}\n"
+         \"serve_p99_speedup\": {serve:.2}, \"chacha_speedup\": {chacha_speedup:.2}, \
+         \"sha256_speedup\": {sha256_speedup:.2}}}\n}}\n"
     ));
     out
 }
@@ -334,7 +404,18 @@ fn main() {
     );
 
     let micro = micro_arms(&levels, iters);
-    let chacha = chacha_arms(&crypto_levels, buf_kib);
+    let mut crypto = chacha_arms(&crypto_levels, buf_kib);
+    let crypto_best = *crypto_levels.last().expect("scalar is always available");
+    let sha_ni = simd::sha_ni_with(crypto_best);
+    eprintln!(
+        "[bench_kernels] sha256: {}",
+        if sha_ni {
+            "sha_ni present"
+        } else {
+            "no SHA extensions, scalar only"
+        }
+    );
+    crypto.extend(sha_arms(crypto_best, if args.full { 200 } else { 40 }));
     let e2e = e2e_arms(&levels, steps, queries);
     kernel::force_level(best);
 
@@ -345,7 +426,7 @@ fn main() {
             r.primitive, r.k, r.level, r.ns_per_op
         );
     }
-    for r in chacha.iter().chain(e2e.iter()) {
+    for r in crypto.iter().chain(e2e.iter()) {
         println!(
             "  {:<16} {:<7} {:>12.2} {}",
             r.arm, r.level, r.value, r.unit
@@ -361,7 +442,7 @@ fn main() {
     };
     let e2e_val = |arm: &str, level: &str| {
         e2e.iter()
-            .chain(chacha.iter())
+            .chain(crypto.iter())
             .find(|r| r.arm == arm && r.level == level)
             .expect("all e2e cells measured")
             .value
@@ -371,10 +452,15 @@ fn main() {
     let serve = e2e_val("serve_p99_top10", "scalar") / e2e_val("serve_p99_top10", best.name());
     let chacha_speedup =
         e2e_val("chacha20_stream", best.name()) / e2e_val("chacha20_stream", "scalar");
+    let sha256_speedup = e2e_val("sha256_stream", if sha_ni { "sha_ni" } else { "scalar" })
+        / e2e_val("sha256_stream", "scalar");
     println!(
         "summary: dot32 {dot32:.2}x, epoch {epoch:.2}x, serve p99 {serve:.2}x, \
-         chacha {chacha_speedup:.2}x (scalar over {})",
-        best.name()
+         chacha {chacha_speedup:.2}x (scalar over {}), sha256 {sha256_speedup:.2}x \
+         (scalar over sha_ni), commitment {:.0} -> {:.0} us",
+        best.name(),
+        e2e_val("commitment_424k", "to_bytes+advance"),
+        e2e_val("commitment_424k", "advance_with"),
     );
 
     // Read the baseline *before* saving: the committed baseline is
@@ -384,9 +470,11 @@ fn main() {
             eprintln!("could not read baseline {path}: {e}");
             std::process::exit(1);
         });
-        parse_baseline_speedup(&text).unwrap_or_else(|| {
-            eprintln!("baseline {path} has no dot32_speedup summary");
-            std::process::exit(1);
+        ["dot32_speedup", "sha256_speedup"].map(|name| {
+            parse_baseline_speedup(&text, name).unwrap_or_else(|| {
+                eprintln!("baseline {path} has no {name} summary");
+                std::process::exit(1);
+            })
         })
     });
 
@@ -394,12 +482,13 @@ fn main() {
         mode,
         best.name(),
         &micro,
-        &chacha,
+        &crypto,
         &e2e,
         dot32,
         epoch,
         serve,
         chacha_speedup,
+        sha256_speedup,
     );
     match output::save("BENCH_kernels.json", &json) {
         Ok(path) => println!("[saved] {}", path.display()),
@@ -409,26 +498,46 @@ fn main() {
         }
     }
 
-    if let Some(baseline) = baseline {
-        if best != KernelLevel::Avx2 {
-            println!(
-                "baseline check SKIPPED: best level here is {} but the committed \
-                 baseline was measured on an AVX2 host; ratios are not comparable",
-                best.name()
-            );
-            return;
+    if let Some([dot32_baseline, sha256_baseline]) = baseline {
+        let gates = [
+            (
+                "dot32_speedup",
+                dot32,
+                dot32_baseline,
+                (best != KernelLevel::Avx2).then(|| format!("best level here is {}", best.name())),
+            ),
+            (
+                "sha256_speedup",
+                sha256_speedup,
+                sha256_baseline,
+                (!sha_ni).then(|| "this host lacks the SHA extensions".to_string()),
+            ),
+        ];
+        let mut regressed = false;
+        for (name, got, baseline, skip) in gates {
+            if let Some(why) = skip {
+                println!(
+                    "baseline check SKIPPED for {name}: {why} but the committed baseline \
+                     was measured on a host with AVX2 and SHA-NI; ratios are not comparable"
+                );
+                continue;
+            }
+            let floor = baseline / BASELINE_TOLERANCE;
+            if got < floor {
+                eprintln!(
+                    "REGRESSION: {name} = {got:.2} below {floor:.2} \
+                     (baseline {baseline:.2} / {BASELINE_TOLERANCE})"
+                );
+                regressed = true;
+            } else {
+                println!(
+                    "baseline check: {name} {got:.2} within {floor:.2} \
+                     (baseline {baseline:.2} / {BASELINE_TOLERANCE})"
+                );
+            }
         }
-        let floor = baseline / BASELINE_TOLERANCE;
-        if dot32 < floor {
-            eprintln!(
-                "REGRESSION: dot32_speedup = {dot32:.2} below {floor:.2} \
-                 (baseline {baseline:.2} / {BASELINE_TOLERANCE})"
-            );
+        if regressed {
             std::process::exit(1);
         }
-        println!(
-            "baseline check: {dot32:.2} within {floor:.2} \
-             (baseline {baseline:.2} / {BASELINE_TOLERANCE})"
-        );
     }
 }

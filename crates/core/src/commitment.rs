@@ -29,7 +29,10 @@
 //! chained digests are too — the challenger can audit any backend's run
 //! by replaying on any other backend.
 
+use rex_crypto::ct::ct_eq;
 use rex_crypto::{HmacSha256, Sha256};
+use rex_ml::bytesio::ByteSink;
+use std::collections::HashMap;
 
 /// Domain-separation label for the per-node MAC key.
 const KEY_LABEL: &[u8] = b"rex-commit-key-v1";
@@ -55,13 +58,9 @@ impl EpochCommitment {
     #[must_use]
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(129);
-        for b in self.digest {
-            s.push_str(&format!("{b:02x}"));
-        }
+        push_hex(&mut s, &self.digest);
         s.push(':');
-        for b in self.tag {
-            s.push_str(&format!("{b:02x}"));
-        }
+        push_hex(&mut s, &self.tag);
         s
     }
 
@@ -75,6 +74,14 @@ impl EpochCommitment {
             digest: hex32(d)?,
             tag: hex32(t)?,
         })
+    }
+}
+
+fn push_hex(s: &mut String, bytes: &[u8]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
 }
 
@@ -103,10 +110,32 @@ fn hex_val(c: u8) -> Result<u8, String> {
 /// The per-node commitment chain. Deterministic in `(seed, id)`: a
 /// challenger reconstructs the same chain by replaying the node's epochs
 /// and advancing a fresh chain with the replayed model bytes.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct CommitmentChain {
-    key: [u8; 32],
+    /// HMAC state already keyed with the node's derived key; every tag
+    /// clones it instead of re-deriving the pads.
+    mac: HmacSha256,
     digest: [u8; 32],
+}
+
+impl std::fmt::Debug for CommitmentChain {
+    /// Shows the public head only, never the keyed MAC state.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommitmentChain")
+            .field("digest", &self.digest)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The hash state of one chain link while the model is written into it:
+/// a [`ByteSink`], so `Model::write_bytes` streams the model's slabs
+/// straight into the link digest.
+pub struct LinkHasher(Sha256);
+
+impl ByteSink for LinkHasher {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0.update(bytes);
+    }
 }
 
 impl CommitmentChain {
@@ -114,24 +143,42 @@ impl CommitmentChain {
     /// the domain-separated genesis digest and derived MAC key.
     #[must_use]
     pub fn new(seed: u64, id: usize) -> CommitmentChain {
-        CommitmentChain {
-            key: derive_key(seed, id),
-            digest: Sha256::digest_parts(&[
+        CommitmentChain::resume(
+            seed,
+            id,
+            Sha256::digest_parts(&[
                 GENESIS_LABEL,
                 &seed.to_le_bytes(),
                 &(id as u64).to_le_bytes(),
             ]),
-        }
+        )
     }
 
     /// Advances the chain over epoch `epoch`'s serialized post-epoch
     /// model and returns the signed commitment.
     pub fn advance(&mut self, epoch: usize, model_bytes: &[u8]) -> EpochCommitment {
-        let epoch_le = (epoch as u64).to_le_bytes();
-        self.digest = Sha256::digest_parts(&[LINK_LABEL, &self.digest, &epoch_le, model_bytes]);
+        self.advance_with(epoch, |link| link.put(model_bytes))
+    }
+
+    /// [`CommitmentChain::advance`] without the serialized model in
+    /// hand: `write_model` streams the post-epoch model's wire bytes into
+    /// the link hash (`|link| model.write_bytes(link)`), so committing
+    /// allocates and copies nothing. Same digests as hashing
+    /// `model.to_bytes()`.
+    pub fn advance_with(
+        &mut self,
+        epoch: usize,
+        write_model: impl FnOnce(&mut LinkHasher),
+    ) -> EpochCommitment {
+        let mut link = LinkHasher(Sha256::new());
+        link.put(LINK_LABEL);
+        link.put(&self.digest);
+        link.put(&(epoch as u64).to_le_bytes());
+        write_model(&mut link);
+        self.digest = link.0.finalize();
         EpochCommitment {
             digest: self.digest,
-            tag: HmacSha256::mac(&self.key, &tag_message(&self.digest, epoch)),
+            tag: tag(&self.mac, &self.digest, epoch),
         }
     }
 
@@ -143,7 +190,7 @@ impl CommitmentChain {
     #[must_use]
     pub fn resume(seed: u64, id: usize, head: [u8; 32]) -> CommitmentChain {
         CommitmentChain {
-            key: derive_key(seed, id),
+            mac: HmacSha256::new(&derive_key(seed, id)),
             digest: head,
         }
     }
@@ -166,18 +213,46 @@ pub fn derive_key(seed: u64, id: usize) -> [u8; 32] {
 /// to node `id` under the protocol `seed` (constant-time compare).
 #[must_use]
 pub fn verify_tag(seed: u64, id: usize, epoch: usize, commitment: &EpochCommitment) -> bool {
-    HmacSha256::verify(
-        &derive_key(seed, id),
-        &tag_message(&commitment.digest, epoch),
-        &commitment.tag,
-    )
+    TagVerifier::new(seed).verify(id, epoch, commitment)
 }
 
-fn tag_message(digest: &[u8; 32], epoch: usize) -> [u8; 40] {
-    let mut msg = [0u8; 40];
-    msg[..32].copy_from_slice(digest);
-    msg[32..].copy_from_slice(&(epoch as u64).to_le_bytes());
-    msg
+/// [`verify_tag`] for a whole run: each peer's key is derived, and its
+/// HMAC state keyed, the first time that peer is seen — not once per
+/// commitment.
+pub struct TagVerifier {
+    seed: u64,
+    keyed: HashMap<usize, HmacSha256>,
+}
+
+impl TagVerifier {
+    /// A verifier for commitments made under the protocol `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> TagVerifier {
+        TagVerifier {
+            seed,
+            keyed: HashMap::new(),
+        }
+    }
+
+    /// Whether `commitment.tag` binds `commitment.digest` at `epoch` to
+    /// node `id` (constant-time compare).
+    #[must_use]
+    pub fn verify(&mut self, id: usize, epoch: usize, commitment: &EpochCommitment) -> bool {
+        let seed = self.seed;
+        let mac = self
+            .keyed
+            .entry(id)
+            .or_insert_with(|| HmacSha256::new(&derive_key(seed, id)));
+        ct_eq(&tag(mac, &commitment.digest, epoch), &commitment.tag)
+    }
+}
+
+/// `HMAC(k_node, digest ‖ epoch_le)` from the node's keyed state.
+fn tag(keyed: &HmacSha256, digest: &[u8; 32], epoch: usize) -> [u8; 32] {
+    let mut mac = keyed.clone();
+    mac.update(digest);
+    mac.update(&(epoch as u64).to_le_bytes());
+    mac.finalize()
 }
 
 /// Folds one epoch's per-node commitments into the single aggregate the
@@ -209,6 +284,48 @@ mod tests {
             assert_eq!(a.advance(e, &model), b.advance(e, &model));
         }
         assert_eq!(a.head(), b.head());
+    }
+
+    #[test]
+    fn streamed_chain_equals_the_chain_over_serialized_models() {
+        use rand::SeedableRng;
+        use rex_data::Rating;
+        use rex_ml::{MfHyperParams, MfModel, Model};
+        let data: Vec<Rating> = (0..60u32)
+            .map(|i| Rating {
+                user: i % 7,
+                item: (i * 5) % 13,
+                value: 1.0 + (i % 9) as f32 * 0.5,
+            })
+            .collect();
+        let mut model = MfModel::new(7, 13, MfHyperParams::default(), 3.0, 5);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut streamed = CommitmentChain::new(42, 3);
+        let mut serialized = CommitmentChain::new(42, 3);
+        for epoch in 0..10 {
+            model.train_steps(&data, 25, &mut rng);
+            let a = streamed.advance_with(epoch, |link| model.write_bytes(link));
+            let b = serialized.advance(epoch, &model.to_bytes());
+            assert_eq!(a, b, "epoch {epoch}");
+            assert!(verify_tag(42, 3, epoch, &a));
+        }
+        assert_eq!(streamed.head(), serialized.head());
+    }
+
+    #[test]
+    fn run_long_verifier_agrees_with_the_one_shot_check() {
+        let mut verifier = TagVerifier::new(42);
+        let mut chains: Vec<CommitmentChain> =
+            (0..3).map(|id| CommitmentChain::new(42, id)).collect();
+        for epoch in 0..4 {
+            for (id, chain) in chains.iter_mut().enumerate() {
+                let c = chain.advance(epoch, &[id as u8, epoch as u8]);
+                assert!(verifier.verify(id, epoch, &c));
+                assert!(!verifier.verify(id + 1, epoch, &c));
+                assert!(!verifier.verify(id, epoch + 1, &c));
+                assert!(!TagVerifier::new(41).verify(id, epoch, &c));
+            }
+        }
     }
 
     #[test]
@@ -268,6 +385,8 @@ mod tests {
         let c = chain.advance(0, b"x");
         let s = c.to_hex();
         assert_eq!(s.len(), 129);
+        let by_format = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(s, format!("{}:{}", by_format(&c.digest), by_format(&c.tag)));
         assert_eq!(EpochCommitment::from_hex(&s).unwrap(), c);
         assert!(EpochCommitment::from_hex("nope").is_err());
         assert!(EpochCommitment::from_hex("ab:cd").is_err());

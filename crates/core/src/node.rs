@@ -638,8 +638,11 @@ impl<M: Model> Node<M> {
         // and sign it. Model bytes are bit-identical across backends, so
         // the commitment is too; the challenger re-derives this exact
         // chain by replay. Outside the staged timing: auditing overhead
-        // is not part of the paper's epoch cost model.
-        let commitment = self.chain.advance(self.epochs_run, &self.model.to_bytes());
+        // is not part of the paper's epoch cost model. The model's slabs
+        // are hashed where they lie: no serialized copy is made.
+        let commitment = self
+            .chain
+            .advance_with(self.epochs_run, |link| self.model.write_bytes(link));
         self.epochs_run += 1;
 
         (

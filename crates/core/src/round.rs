@@ -17,7 +17,7 @@
 //! A new barrier or queue counter belongs here (and a new stage span in
 //! [`Node::epoch`]); no other file runs a node's epoch.
 
-use crate::commitment::{verify_tag, EpochCommitment};
+use crate::commitment::{EpochCommitment, TagVerifier};
 use crate::membership::{MembershipView, ViewTransition};
 use crate::node::{EpochReport, Node};
 use crate::serve::{snapshot_digest, ModelSnapshot, SnapshotQueue};
@@ -237,6 +237,23 @@ fn execute<M: Model, E: Endpoint>(
     report
 }
 
+/// A loop's audit posture with the run's verification keys: each peer's
+/// key is derived the first time that peer's commitment is checked, once
+/// per run.
+struct AuditDrain {
+    posture: WireAudit,
+    keys: TagVerifier,
+}
+
+impl AuditDrain {
+    fn new(audit: Option<WireAudit>) -> Option<AuditDrain> {
+        audit.map(|posture| AuditDrain {
+            posture,
+            keys: TagVerifier::new(posture.seed),
+        })
+    }
+}
+
 /// The back half, once the epoch's sends are on their way (barrier or
 /// flush): drain the peers' commitments — HMAC-checking each against the
 /// sender's derived key when the audit verifies; a bad tag means a forged
@@ -249,7 +266,7 @@ fn conclude<M: Model, E: Endpoint>(
     endpoint: &mut E,
     epoch: usize,
     report: Option<EpochReport>,
-    audit: Option<WireAudit>,
+    audit: Option<&mut AuditDrain>,
     serve: Option<&SnapshotQueue<M>>,
     on_epoch: &mut impl FnMut(EpochEvent),
 ) -> Result<(), String> {
@@ -259,7 +276,7 @@ fn conclude<M: Model, E: Endpoint>(
                 digest: pc.digest,
                 tag: pc.tag,
             };
-            if audit.verify && !verify_tag(audit.seed, pc.from, pc.epoch as usize, &commitment) {
+            if audit.posture.verify && !audit.keys.verify(pc.from, pc.epoch as usize, &commitment) {
                 return Err(format!(
                     "node {}: commitment from node {} at epoch {} failed HMAC \
                      verification — replay it with `rex-node --challenge {}`",
@@ -317,6 +334,7 @@ pub fn run_node_loop<M: Model, E: Endpoint>(
     // Mirrors the node's internal chain index: `Node::epoch` is called
     // exactly once per executed epoch.
     let mut executed: u64 = 0;
+    let mut drain = AuditDrain::new(ctx.audit);
     for epoch in epochs {
         endpoint.epoch_begin(epoch);
         let mut member = true;
@@ -371,7 +389,7 @@ pub fn run_node_loop<M: Model, E: Endpoint>(
             endpoint,
             epoch,
             report,
-            ctx.audit,
+            drain.as_mut(),
             serve,
             &mut on_epoch,
         )?;
@@ -433,6 +451,7 @@ pub fn run_node_loop_async<M: Model, E: Endpoint>(
     // TCP is FIFO per link) and how many shares of each we consumed.
     let mut pending: Vec<VecDeque<Vec<u8>>> = vec![VecDeque::new(); width];
     let mut taken: Vec<usize> = vec![0; width];
+    let mut drain = AuditDrain::new(audit);
     for epoch in 0..epochs {
         endpoint.epoch_begin(epoch);
         let required = if epoch == 0 {
@@ -486,7 +505,7 @@ pub fn run_node_loop_async<M: Model, E: Endpoint>(
             endpoint,
             epoch,
             Some(report),
-            audit,
+            drain.as_mut(),
             serve,
             &mut on_epoch,
         )?;

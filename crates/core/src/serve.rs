@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use rex_ml::bytesio::fnv1a64;
+use rex_ml::bytesio::{ByteSink, Fnv1a64};
 use rex_ml::{MfModel, Model};
 
 /// Items per pruning block in [`Scorer`]. 64 rows × k=10 f32 factors is
@@ -416,7 +416,9 @@ pub struct ModelSnapshot<M> {
 /// The wire-bytes digest used in [`ModelSnapshot::digest`].
 #[must_use]
 pub fn snapshot_digest<M: Model>(model: &M) -> u64 {
-    fnv1a64(&model.to_bytes())
+    let mut hash = Fnv1a64::new();
+    model.write_bytes(&mut hash);
+    hash.finish()
 }
 
 /// An unbounded MPSC queue of [`ModelSnapshot`]s with blocking pop.
@@ -514,21 +516,9 @@ impl<M> SnapshotQueue<M> {
     }
 }
 
-/// FNV-1a continuation: extends a running 64-bit digest with `bytes`.
-/// `fnv1a64_extend(FNV_OFFSET, b) == fnv1a64(b)`.
-fn fnv1a64_extend(state: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// Seed value for a serve-digest fold ([`fold_topk`]): the FNV-1a
 /// offset basis, i.e. the digest of the empty answer stream.
-pub const SERVE_DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+pub const SERVE_DIGEST_SEED: u64 = Fnv1a64::OFFSET;
 
 /// Folds one answered query into a running serve digest: epoch, query,
 /// and every (item, score-bits) pair, all little-endian. Two serve
@@ -537,15 +527,15 @@ pub const SERVE_DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// serve path.
 #[must_use]
 pub fn fold_topk(digest: u64, epoch: usize, query: &TopKQuery, results: &[ScoredItem]) -> u64 {
-    let mut buf = Vec::with_capacity(24 + results.len() * 8);
-    buf.extend_from_slice(&(epoch as u64).to_le_bytes());
-    buf.extend_from_slice(&query.user.to_le_bytes());
-    buf.extend_from_slice(&(query.k as u64).to_le_bytes());
+    let mut hash = Fnv1a64::resume(digest);
+    hash.put(&(epoch as u64).to_le_bytes());
+    hash.put(&query.user.to_le_bytes());
+    hash.put(&(query.k as u64).to_le_bytes());
     for r in results {
-        buf.extend_from_slice(&r.item.to_le_bytes());
-        buf.extend_from_slice(&r.score.to_bits().to_le_bytes());
+        hash.put(&r.item.to_le_bytes());
+        hash.put(&r.score.to_bits().to_le_bytes());
     }
-    fnv1a64_extend(digest, &buf)
+    hash.finish()
 }
 
 #[cfg(test)]
@@ -700,7 +690,7 @@ mod tests {
     #[test]
     fn snapshot_digest_matches_wire_bytes() {
         let m = trained_model(2, 4, 16, 50);
-        assert_eq!(snapshot_digest(&m), fnv1a64(&m.to_bytes()));
+        assert_eq!(snapshot_digest(&m), rex_ml::bytesio::fnv1a64(&m.to_bytes()));
     }
 
     #[test]
@@ -731,6 +721,5 @@ mod tests {
         assert_ne!(da, db);
         assert_eq!(da, fold_topk(SERVE_DIGEST_SEED, 0, &q, &a));
         assert_ne!(da, fold_topk(SERVE_DIGEST_SEED, 1, &q, &a));
-        assert_eq!(fnv1a64_extend(SERVE_DIGEST_SEED, b"rex"), fnv1a64(b"rex"));
     }
 }

@@ -141,7 +141,9 @@ mod wide {
     /// `out[..256]`.
     ///
     /// # Safety
-    /// SSE2 (baseline on x86_64).
+    /// The CPU must support SSE2 (baseline on x86_64). `out` shorter
+    /// than four blocks panics on the slice index, never writes out of
+    /// bounds.
     #[target_feature(enable = "sse2")]
     pub unsafe fn blocks4_sse2(state: &[u32; 16], out: &mut [u8]) {
         debug_assert!(out.len() >= 4 * BLOCK_LEN);
@@ -157,7 +159,9 @@ mod wide {
         let mut lanes = [0u32; 4];
         for (i, (&w, &s)) in v.iter().zip(init.iter()).enumerate() {
             let sum = _mm_add_epi32(w, s);
-            _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), sum);
+            // SAFETY: `lanes` is four u32s = the 16 bytes one unaligned
+            // `storeu` writes.
+            unsafe { _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), sum) };
             for (b, &lane) in lanes.iter().enumerate() {
                 out[b * BLOCK_LEN + i * 4..b * BLOCK_LEN + i * 4 + 4]
                     .copy_from_slice(&lane.to_le_bytes());
@@ -169,7 +173,8 @@ mod wide {
     /// `out[..512]`.
     ///
     /// # Safety
-    /// Caller must have verified AVX2 support.
+    /// The CPU must support AVX2. `out` shorter than eight blocks panics
+    /// on the slice index, never writes out of bounds.
     #[target_feature(enable = "avx2")]
     pub unsafe fn blocks8_avx2(state: &[u32; 16], out: &mut [u8]) {
         debug_assert!(out.len() >= 8 * BLOCK_LEN);
@@ -185,7 +190,9 @@ mod wide {
         let mut lanes = [0u32; 8];
         for (i, (&w, &s)) in v.iter().zip(init.iter()).enumerate() {
             let sum = _mm256_add_epi32(w, s);
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), sum);
+            // SAFETY: `lanes` is eight u32s = the 32 bytes one unaligned
+            // `storeu` writes.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), sum) };
             for (b, &lane) in lanes.iter().enumerate() {
                 out[b * BLOCK_LEN + i * 4..b * BLOCK_LEN + i * 4 + 4]
                     .copy_from_slice(&lane.to_le_bytes());
@@ -236,8 +243,12 @@ pub fn xor_stream_with(
             let batch = width * BLOCK_LEN;
             while data.len() - *off >= batch {
                 let state = init_state(key, *counter, nonce);
-                // SAFETY: availability asserted above; `ks` holds
-                // `width` blocks; AVX2 implies SSE2.
+                // SAFETY: `level.is_available()` was asserted on entry —
+                // for AVX2 that is `is_x86_feature_detected!("avx2")`,
+                // the same resolution `simd::level` (and the SHA-256
+                // dispatch) rests on; the 8-wide arm only runs at
+                // `Avx2`, and AVX2 implies the 4-wide arm's SSE2. `ks`
+                // holds `width` whole blocks.
                 unsafe {
                     match width {
                         8 => wide::blocks8_avx2(&state, &mut ks),

@@ -1,7 +1,15 @@
 //! SHA-256 (FIPS 180-4 / RFC 6234).
 //!
 //! Used for enclave measurements (the simulated `MRENCLAVE`), report MACs via
-//! [`crate::hmac`], and the HKDF key schedule of attested sessions.
+//! [`crate::hmac`], the HKDF key schedule of attested sessions, and the
+//! per-epoch model commitments of `rex-core`.
+//!
+//! Two block functions produce the same digests: the scalar reference
+//! and, on CPUs with the SHA extensions, a `sha256rnds2` / `sha256msg1`
+//! / `sha256msg2` one. Which runs is resolved once per process in
+//! [`crate::simd`]; `REX_KERNEL=scalar` pins the reference.
+
+use crate::simd::{self, SimdLevel};
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -38,6 +46,9 @@ pub struct Sha256 {
     buf: [u8; BLOCK_LEN],
     buf_len: usize,
     total_len: u64,
+    /// Block function, fixed when the hasher is built: the SHA
+    /// extensions when set, the scalar reference otherwise.
+    sha_ni: bool,
 }
 
 impl Default for Sha256 {
@@ -47,14 +58,35 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a hasher with the standard initial state.
+    /// Creates a hasher with the standard initial state, on the block
+    /// function [`simd::sha_ni`] resolved for this process.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_block_fn(simd::sha_ni())
+    }
+
+    /// [`Sha256::new`] as a process pinned at `level` would build it
+    /// (bench/parity hook, the twin of `chacha20::xor_stream_with`).
+    ///
+    /// # Panics
+    /// When this host cannot execute `level`.
+    #[must_use]
+    pub fn with_level(level: SimdLevel) -> Self {
+        assert!(
+            level.is_available(),
+            "simd level {} unavailable",
+            level.name()
+        );
+        Self::with_block_fn(simd::sha_ni_with(level))
+    }
+
+    fn with_block_fn(sha_ni: bool) -> Self {
         Sha256 {
             state: H0,
             buf: [0; BLOCK_LEN],
             buf_len: 0,
             total_len: 0,
+            sha_ni,
         }
     }
 
@@ -79,7 +111,9 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// Absorbs `data`.
+    /// Absorbs `data`. Whole blocks are compressed where they lie in the
+    /// caller's slice; only a ragged head or tail passes through the
+    /// hasher's 64-byte buffer.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
@@ -87,60 +121,70 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            let block = self.buf;
+            self.compress_blocks(&block);
+            self.buf_len = 0;
         }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        let (blocks, tail) = data.split_at(data.len() - data.len() % BLOCK_LEN);
+        self.compress_blocks(blocks);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Emits the digest, consuming the hasher.
     #[must_use]
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0);
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buf_len, 0);
+        // Padding: 0x80, zeros to 56 mod 64, 64-bit big-endian bit
+        // length — one block, or two when the tail leaves no room.
+        let mut pad = [0u8; 2 * BLOCK_LEN];
+        pad[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        pad[self.buf_len] = 0x80;
+        let end = if self.buf_len < BLOCK_LEN - 8 {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
+        pad[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.compress_blocks(&pad[..end]);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
 
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == BLOCK_LEN {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
+    /// Runs the compression function over every 64-byte block of
+    /// `blocks` (a whole number of them), in order.
+    fn compress_blocks(&mut self, blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+        #[cfg(target_arch = "x86_64")]
+        if self.sha_ni {
+            // SAFETY: the private `sha_ni` is set only by the two
+            // constructors, from `simd::sha_ni` / `simd::sha_ni_with`,
+            // which answer true only after `is_x86_feature_detected!`
+            // saw `sha`, `ssse3` and `sse4.1` on this CPU (SSE2 is
+            // baseline on x86_64) — every feature the function is
+            // compiled with. `blocks` is a whole number of 64-byte
+            // blocks (asserted above in debug builds; the callee walks
+            // it with `chunks_exact`, so a ragged tail would be skipped,
+            // never over-read).
+            unsafe { compress_blocks_sha_ni(&mut self.state, blocks) };
+            return;
         }
+        compress_blocks_scalar(&mut self.state, blocks);
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// The scalar reference block function (FIPS 180-4 §6.2.2), over every
+/// 64-byte block of `blocks`.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(BLOCK_LEN) {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -151,7 +195,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -173,14 +217,101 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The SHA-extension block function: the working variables stay in two
+/// registers (`ABEF` / `CDGH`, the layout `sha256rnds2` wants) across
+/// every block of `blocks` and are written back to `state` once.
+///
+/// # Safety
+/// The CPU must support `sha`, `ssse3` and `sse4.1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+
+    /// Four rounds on the message quad `$w` (schedule words 4i..4i+4).
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $i:expr) => {{
+            // SAFETY: `$i < 16`, so the 16 bytes at `K[4 * $i]` are
+            // inside the 64-word table; `loadu` takes any alignment.
+            let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * $i).cast()) };
+            let wk = _mm_add_epi32($w, k);
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }};
+    }
+    /// Schedule words 4i..4i+4 from the four quads before them.
+    macro_rules! schedule {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+            _mm_sha256msg2_epu32(
+                _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                $w3,
+            )
+        };
+    }
+
+    debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+    // Big-endian message words → little-endian lanes.
+    let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+    // SAFETY: `state` is eight u32s, so both unaligned 16-byte loads
+    // are in bounds.
+    let (abcd, efgh) = unsafe {
+        (
+            _mm_loadu_si128(state.as_ptr().cast()),
+            _mm_loadu_si128(state.as_ptr().add(4).cast()),
+        )
+    };
+    let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+    let hgfe = _mm_shuffle_epi32(efgh, 0x1B);
+    let mut abef = _mm_alignr_epi8(cdab, hgfe, 8);
+    let mut cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
+
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        // SAFETY: `chunks_exact` hands out exactly `BLOCK_LEN` = 64
+        // bytes, so the four unaligned 16-byte loads at offsets 0, 16,
+        // 32 and 48 are in bounds.
+        let load = |quad: usize| unsafe {
+            _mm_shuffle_epi8(
+                _mm_loadu_si128(block.as_ptr().add(16 * quad).cast()),
+                be_words,
+            )
+        };
+        let (mut w0, mut w1, mut w2, mut w3) = (load(0), load(1), load(2), load(3));
+        rounds4!(abef, cdgh, w0, 0);
+        rounds4!(abef, cdgh, w1, 1);
+        rounds4!(abef, cdgh, w2, 2);
+        rounds4!(abef, cdgh, w3, 3);
+        for i in [4, 8, 12] {
+            w0 = schedule!(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, i);
+            w1 = schedule!(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, i + 1);
+            w2 = schedule!(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, i + 2);
+            w3 = schedule!(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, i + 3);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    let feba = _mm_shuffle_epi32(abef, 0x1B);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    // SAFETY: as for the loads — two unaligned 16-byte stores into the
+    // eight-word `state`.
+    unsafe {
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
     }
 }
 

@@ -9,6 +9,12 @@
 //! degrading. Unlike the float kernels, every ChaCha20 path is integer
 //! arithmetic, so bit-exactness across levels is structural — the
 //! parity suite pins it anyway.
+//!
+//! SHA-256 rides the same resolution and adds no level of its own: the
+//! SHA-extension block function ([`sha_ni`]) runs whenever the CPU
+//! reports `sha` + `ssse3` + `sse4.1` and the level is not
+//! [`SimdLevel::Scalar`], so `REX_KERNEL=scalar` pins the scalar
+//! reference for both ciphers and hashes.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -86,7 +92,47 @@ pub fn available_levels() -> Vec<SimdLevel> {
         .collect()
 }
 
+/// The resolved dispatch: 0 until first use, then the level's code in
+/// the low bits plus [`SHA_NI_BIT`] — one load answers both [`level`]
+/// and [`sha_ni`].
 static LEVEL: AtomicU8 = AtomicU8::new(0);
+/// Set in [`LEVEL`] when SHA-256 runs on the SHA extensions.
+const SHA_NI_BIT: u8 = 0x80;
+
+/// Whether a process pinned at `level` hashes SHA-256 with the SHA
+/// extensions: the CPU must report `sha`, `ssse3` and `sse4.1`, and the
+/// level must not be the scalar pin.
+#[must_use]
+pub fn sha_ni_with(level: SimdLevel) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        level != SimdLevel::Scalar
+            && is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = level;
+        false
+    }
+}
+
+fn store_level(level: SimdLevel) -> u8 {
+    let sha = if sha_ni_with(level) { SHA_NI_BIT } else { 0 };
+    let resolved = level.encode() | sha;
+    LEVEL.store(resolved, Ordering::Relaxed);
+    resolved
+}
+
+/// The resolved [`LEVEL`] byte, resolving it on first use.
+#[inline]
+fn resolved() -> u8 {
+    match LEVEL.load(Ordering::Relaxed) {
+        0 => init_level(),
+        v => v,
+    }
+}
 
 fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
@@ -101,7 +147,7 @@ fn detect() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-fn init_level() -> SimdLevel {
+fn init_level() -> u8 {
     let level = match std::env::var("REX_KERNEL") {
         Ok(v) => {
             let l = SimdLevel::parse(&v)
@@ -114,8 +160,7 @@ fn init_level() -> SimdLevel {
         }
         Err(_) => detect(),
     };
-    LEVEL.store(level.encode(), Ordering::Relaxed);
-    level
+    store_level(level)
 }
 
 /// The process-wide dispatch level: `REX_KERNEL` if set, else the
@@ -123,10 +168,16 @@ fn init_level() -> SimdLevel {
 #[inline]
 #[must_use]
 pub fn level() -> SimdLevel {
-    match SimdLevel::decode(LEVEL.load(Ordering::Relaxed)) {
-        Some(l) => l,
-        None => init_level(),
-    }
+    SimdLevel::decode(resolved() & !SHA_NI_BIT).expect("resolved level code")
+}
+
+/// Whether this process hashes SHA-256 with the SHA extensions
+/// ([`sha_ni_with`] of the process-wide [`level`]). Resolved with the
+/// level, then cached.
+#[inline]
+#[must_use]
+pub fn sha_ni() -> bool {
+    resolved() & SHA_NI_BIT != 0
 }
 
 /// Pins the dispatch level in-process (bench/test hook).
@@ -135,7 +186,7 @@ pub fn level() -> SimdLevel {
 /// When this host cannot execute `l`.
 pub fn force_level(l: SimdLevel) {
     assert!(l.is_available(), "simd level {} unavailable", l.name());
-    LEVEL.store(l.encode(), Ordering::Relaxed);
+    store_level(l);
 }
 
 #[cfg(test)]
@@ -155,5 +206,16 @@ mod tests {
             assert_eq!(SimdLevel::parse(l.name()), Some(l));
         }
         assert!(level().is_available());
+    }
+
+    #[test]
+    fn sha_ni_follows_the_level_and_the_scalar_pin_disables_it() {
+        assert!(!sha_ni_with(SimdLevel::Scalar));
+        assert_eq!(sha_ni(), sha_ni_with(level()));
+        for l in available_levels() {
+            if l != SimdLevel::Scalar {
+                assert_eq!(sha_ni_with(l), sha_ni_with(SimdLevel::Sse2));
+            }
+        }
     }
 }

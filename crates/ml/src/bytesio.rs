@@ -101,68 +101,172 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Where serialised bytes go: a `Vec<u8>` for the wire, a hash state
+/// for a digest — one serialiser feeds both, so reducing a model to a
+/// digest never materialises it.
+pub trait ByteSink {
+    /// Accepts the next `bytes` of the stream.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A sink that only counts: the serialised size without the bytes.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ByteCount(pub usize);
+
+impl ByteSink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// Appends a u8.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+pub fn put_u8(buf: &mut impl ByteSink, v: u8) {
+    buf.put(&[v]);
 }
 
 /// Appends a little-endian u32.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+pub fn put_u32(buf: &mut impl ByteSink, v: u32) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Appends a little-endian u64.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+pub fn put_u64(buf: &mut impl ByteSink, v: u64) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Appends a little-endian f32.
-pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+pub fn put_f32(buf: &mut impl ByteSink, v: f32) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Appends a little-endian f64.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+pub fn put_f64(buf: &mut impl ByteSink, v: f64) {
+    buf.put(&v.to_le_bytes());
 }
 
-/// Appends a slice of f32 values.
-pub fn put_f32_slice(buf: &mut Vec<u8>, vs: &[f32]) {
-    buf.reserve(vs.len() * 4);
+/// Appends a slice of f32 values, little-endian — on a little-endian
+/// target as one `put` of the slab's own bytes.
+pub fn put_f32_slice(buf: &mut impl ByteSink, vs: &[f32]) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the view covers exactly the `size_of_val(vs)` bytes of
+        // `vs`, which stays borrowed for the view's lifetime; `u8` has
+        // alignment 1 and every bit pattern of an `f32` is four
+        // initialised bytes, which on this target are already its
+        // little-endian encoding.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
+        };
+        buf.put(bytes);
+    }
+    #[cfg(not(target_endian = "little"))]
     for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
+        buf.put(&v.to_le_bytes());
     }
 }
 
 /// Appends a slice of u32 values.
-pub fn put_u32_slice(buf: &mut Vec<u8>, vs: &[u32]) {
-    buf.reserve(vs.len() * 4);
+pub fn put_u32_slice(buf: &mut impl ByteSink, vs: &[u32]) {
     for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
+        buf.put(&v.to_le_bytes());
     }
 }
 
-/// FNV-1a 64-bit hash — the cheap content fingerprint the sparse-delta
-/// model codec uses to guard against mismatched decode references.
+/// FNV-1a 64-bit running hash — the cheap content fingerprint behind
+/// the sparse-delta reference guard and the serve-path digests. A
+/// [`ByteSink`], so a model streams into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The FNV-1a offset basis: the hash of the empty stream.
+    pub const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Starts a hash at the offset basis.
+    #[must_use]
+    pub fn new() -> Self {
+        Fnv1a64(Self::OFFSET)
+    }
+
+    /// Continues a hash from an earlier [`Fnv1a64::finish`] value.
+    #[must_use]
+    pub fn resume(state: u64) -> Self {
+        Fnv1a64(state)
+    }
+
+    /// The hash of everything put so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ByteSink for Fnv1a64 {
+    fn put(&mut self, bytes: &[u8]) {
+        let mut hash = self.0;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = hash;
+    }
+}
+
+/// One-shot [`Fnv1a64`] of `bytes`.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut h = Fnv1a64::new();
+    h.put(bytes);
+    h.finish()
 }
 
 /// Appends a bit-packed bool vector.
-pub fn put_bool_slice(buf: &mut Vec<u8>, vs: &[bool]) {
-    let mut bytes = vec![0u8; vs.len().div_ceil(8)];
-    for (i, &b) in vs.iter().enumerate() {
-        if b {
-            bytes[i / 8] |= 1 << (i % 8);
+pub fn put_bool_slice(buf: &mut impl ByteSink, vs: &[bool]) {
+    // Packed on the stack a kilobit at a time: a whole number of bytes
+    // per group, so the groups concatenate into the one-shot packing.
+    let mut packed = [0u8; 128];
+    for group in vs.chunks(packed.len() * 8) {
+        for (byte, bits) in packed.iter_mut().zip(group.chunks(8)) {
+            *byte = bits
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (i, &on)| acc | (u8::from(on) << i));
+        }
+        buf.put(&packed[..group.len().div_ceil(8)]);
+    }
+}
+
+/// The per-element encoders `put_f32_slice` / `put_bool_slice` replaced,
+/// kept as the oracle the streamed serialisers are compared against.
+#[cfg(test)]
+pub(crate) mod reference {
+    pub fn put_f32_slice(buf: &mut Vec<u8>, vs: &[f32]) {
+        for v in vs {
+            buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-    buf.extend_from_slice(&bytes);
+
+    pub fn put_bool_slice(buf: &mut Vec<u8>, vs: &[bool]) {
+        let mut bytes = vec![0u8; vs.len().div_ceil(8)];
+        for (i, &b) in vs.iter().enumerate() {
+            if b {
+                bytes[i / 8] |= 1 << (i % 8);
+            }
+        }
+        buf.extend_from_slice(&bytes);
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +313,31 @@ mod tests {
     }
 
     #[test]
+    fn slice_encoders_match_the_per_element_reference_on_every_sink() {
+        let floats: Vec<f32> = (0..1031)
+            .map(|i| f32::from_bits(0x9e37_79b9u32.wrapping_mul(i + 1)))
+            .collect();
+        for n in [0usize, 1, 7, 8, 9, 1023, 1024, 1025, 2049] {
+            let bools: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+            let fs = &floats[..n.min(floats.len())];
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            reference::put_f32_slice(&mut want, fs);
+            reference::put_bool_slice(&mut want, &bools);
+            put_f32_slice(&mut got, fs);
+            put_bool_slice(&mut got, &bools);
+            assert_eq!(got, want, "n = {n}");
+
+            let (mut count, mut hash) = (ByteCount::default(), Fnv1a64::new());
+            put_f32_slice(&mut count, fs);
+            put_bool_slice(&mut count, &bools);
+            put_f32_slice(&mut hash, fs);
+            put_bool_slice(&mut hash, &bools);
+            assert_eq!(count.0, want.len(), "n = {n}");
+            assert_eq!(hash.finish(), fnv1a64(&want), "n = {n}");
+        }
+    }
+
+    #[test]
     fn u32_slice_roundtrip() {
         let vs: Vec<u32> = (0..57).map(|i| i * 0x0101_0101).collect();
         let mut buf = Vec::new();
@@ -220,6 +349,9 @@ mod tests {
     #[test]
     fn fnv_discriminates_and_is_stable() {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        let mut resumed = Fnv1a64::resume(fnv1a64(b"re"));
+        resumed.put(b"x");
+        assert_eq!(resumed.finish(), fnv1a64(b"rex"));
         assert_eq!(fnv1a64(b"rex"), fnv1a64(b"rex"));
         assert_ne!(fnv1a64(b"rex"), fnv1a64(b"rfx"));
     }

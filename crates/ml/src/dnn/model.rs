@@ -5,7 +5,7 @@ use super::layer::{
     LinearGrads,
 };
 use super::tensor::Matrix;
-use crate::bytesio::{self, Reader};
+use crate::bytesio::{self, ByteSink, Reader};
 use crate::model::{Model, ModelCodecError};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -455,26 +455,24 @@ impl Model for DnnModel {
             + (self.num_items as usize).div_ceil(8)
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.wire_size());
-        bytesio::put_u32(&mut buf, MAGIC);
-        bytesio::put_u32(&mut buf, self.num_users);
-        bytesio::put_u32(&mut buf, self.num_items);
-        bytesio::put_u32(&mut buf, self.hp.k as u32);
-        bytesio::put_u32(&mut buf, self.hp.hidden.len() as u32);
+    fn write_bytes(&self, sink: &mut impl ByteSink) {
+        bytesio::put_u32(sink, MAGIC);
+        bytesio::put_u32(sink, self.num_users);
+        bytesio::put_u32(sink, self.num_items);
+        bytesio::put_u32(sink, self.hp.k as u32);
+        bytesio::put_u32(sink, self.hp.hidden.len() as u32);
         for &h in &self.hp.hidden {
-            bytesio::put_u32(&mut buf, h as u32);
+            bytesio::put_u32(sink, h as u32);
         }
-        bytesio::put_f32(&mut buf, self.global_mean);
-        bytesio::put_f32_slice(&mut buf, self.user_emb.data());
-        bytesio::put_f32_slice(&mut buf, self.item_emb.data());
+        bytesio::put_f32(sink, self.global_mean);
+        bytesio::put_f32_slice(sink, self.user_emb.data());
+        bytesio::put_f32_slice(sink, self.item_emb.data());
         for layer in &self.layers {
-            bytesio::put_f32_slice(&mut buf, layer.w.data());
-            bytesio::put_f32_slice(&mut buf, &layer.b);
+            bytesio::put_f32_slice(sink, layer.w.data());
+            bytesio::put_f32_slice(sink, &layer.b);
         }
-        bytesio::put_bool_slice(&mut buf, &self.user_seen);
-        bytesio::put_bool_slice(&mut buf, &self.item_seen);
-        buf
+        bytesio::put_bool_slice(sink, &self.user_seen);
+        bytesio::put_bool_slice(sink, &self.item_seen);
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, ModelCodecError> {
@@ -700,6 +698,39 @@ mod tests {
         assert_eq!(back.param_count(), m.param_count());
         for (u, i) in [(0u32, 0u32), (3, 7), (14, 29)] {
             assert!((back.predict(u, i) - m.predict(u, i)).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn streamed_bytes_equal_the_per_element_encoding() {
+        use bytesio::reference;
+        let data = tiny_data();
+        // Empty tables, seen masks that end mid-byte, and a trained model.
+        for (users, items, steps) in [(0u32, 0u32, 0usize), (3, 5, 0), (15, 30, 50)] {
+            let mut m = DnnModel::new(users, items, tiny_hp(), 3.5, 1);
+            m.train_steps(&data, steps, &mut StdRng::seed_from_u64(4));
+            let mut want = Vec::new();
+            let hidden = m.hp.hidden.iter().map(|&h| h as u32);
+            let header = [MAGIC, users, items, m.hp.k as u32, m.hp.hidden.len() as u32];
+            for word in header.into_iter().chain(hidden) {
+                want.extend_from_slice(&word.to_le_bytes());
+            }
+            want.extend_from_slice(&m.global_mean.to_le_bytes());
+            reference::put_f32_slice(&mut want, m.user_emb.data());
+            reference::put_f32_slice(&mut want, m.item_emb.data());
+            for layer in &m.layers {
+                reference::put_f32_slice(&mut want, layer.w.data());
+                reference::put_f32_slice(&mut want, &layer.b);
+            }
+            reference::put_bool_slice(&mut want, &m.user_seen);
+            reference::put_bool_slice(&mut want, &m.item_seen);
+
+            let mut streamed = Vec::new();
+            m.write_bytes(&mut streamed);
+            assert_eq!(streamed, want, "{users}x{items}");
+            assert_eq!(m.to_bytes(), want, "{users}x{items}");
+            assert_eq!(m.wire_size(), want.len(), "{users}x{items}");
+            assert_eq!(m.ref_fingerprint(), bytesio::fnv1a64(&want));
         }
     }
 

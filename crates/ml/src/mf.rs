@@ -5,7 +5,7 @@
 //! optimized by single-sample SGD. The paper's experimental setting is
 //! k = 10, η = 0.005, λ = 0.1 (§IV-A3a).
 
-use crate::bytesio::{self, Reader};
+use crate::bytesio::{self, ByteSink, Fnv1a64, Reader};
 use crate::kernel;
 use crate::model::{Model, ModelCodecError};
 use rand::rngs::StdRng;
@@ -288,6 +288,17 @@ impl MfModel {
             .collect()
     }
 
+    /// The parameter tables and seen masks in wire order — everything
+    /// after the header, and all that [`Model::ref_fingerprint`] covers.
+    fn write_tables(&self, sink: &mut impl ByteSink) {
+        bytesio::put_f32_slice(sink, &self.b);
+        bytesio::put_f32_slice(sink, &self.c);
+        bytesio::put_f32_slice(sink, &self.x);
+        bytesio::put_f32_slice(sink, &self.y);
+        bytesio::put_bool_slice(sink, &self.user_seen);
+        bytesio::put_bool_slice(sink, &self.item_seen);
+    }
+
     fn put_delta_section(
         buf: &mut Vec<u8>,
         rows: &[u32],
@@ -513,20 +524,13 @@ impl Model for MfModel {
             + (self.num_items as usize).div_ceil(8)
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.wire_size());
-        bytesio::put_u32(&mut buf, MAGIC);
-        bytesio::put_u32(&mut buf, self.num_users);
-        bytesio::put_u32(&mut buf, self.num_items);
-        bytesio::put_u32(&mut buf, self.hp.k as u32);
-        bytesio::put_f32(&mut buf, self.global_mean);
-        bytesio::put_f32_slice(&mut buf, &self.b);
-        bytesio::put_f32_slice(&mut buf, &self.c);
-        bytesio::put_f32_slice(&mut buf, &self.x);
-        bytesio::put_f32_slice(&mut buf, &self.y);
-        bytesio::put_bool_slice(&mut buf, &self.user_seen);
-        bytesio::put_bool_slice(&mut buf, &self.item_seen);
-        buf
+    fn write_bytes(&self, sink: &mut impl ByteSink) {
+        bytesio::put_u32(sink, MAGIC);
+        bytesio::put_u32(sink, self.num_users);
+        bytesio::put_u32(sink, self.num_items);
+        bytesio::put_u32(sink, self.hp.k as u32);
+        bytesio::put_f32(sink, self.global_mean);
+        self.write_tables(sink);
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, ModelCodecError> {
@@ -582,14 +586,9 @@ impl Model for MfModel {
     /// the fleet's shared initialization *except* for its locally derived
     /// mean, and the delta carries the mean explicitly.
     fn ref_fingerprint(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.param_count() * 4);
-        bytesio::put_f32_slice(&mut bytes, &self.b);
-        bytesio::put_f32_slice(&mut bytes, &self.c);
-        bytesio::put_f32_slice(&mut bytes, &self.x);
-        bytesio::put_f32_slice(&mut bytes, &self.y);
-        bytesio::put_bool_slice(&mut bytes, &self.user_seen);
-        bytesio::put_bool_slice(&mut bytes, &self.item_seen);
-        bytesio::fnv1a64(&bytes)
+        let mut hash = Fnv1a64::new();
+        self.write_tables(&mut hash);
+        hash.finish()
     }
 
     fn delta_bytes(
@@ -894,6 +893,54 @@ mod tests {
         assert_eq!(back.user_seen, m.user_seen);
         for (u, i) in [(0u32, 0u32), (3, 7), (19, 49)] {
             assert_eq!(back.predict(u, i), m.predict(u, i));
+        }
+    }
+
+    /// The wire layout written out field by field with the per-element
+    /// encoders `to_bytes` used before it became `write_bytes` into a
+    /// `Vec`; `tables_only` is the span `ref_fingerprint` hashed.
+    fn reference_bytes(m: &MfModel, tables_only: bool) -> Vec<u8> {
+        use bytesio::reference;
+        let mut buf = Vec::new();
+        if !tables_only {
+            for word in [MAGIC, m.num_users, m.num_items, m.hp.k as u32] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
+            buf.extend_from_slice(&m.global_mean.to_le_bytes());
+        }
+        for table in [&m.b, &m.c, &m.x, &m.y] {
+            reference::put_f32_slice(&mut buf, table);
+        }
+        reference::put_bool_slice(&mut buf, &m.user_seen);
+        reference::put_bool_slice(&mut buf, &m.item_seen);
+        buf
+    }
+
+    #[test]
+    fn streamed_bytes_equal_the_per_element_encoding() {
+        let data = tiny_data();
+        // Empty tables, seen masks that end mid-byte, and byte-aligned ones.
+        for (users, items) in [(0u32, 0u32), (3, 5), (5, 4), (8, 16)] {
+            let mut m = MfModel::new(users, items, MfHyperParams::default(), 3.25, 11);
+            let in_range: Vec<Rating> = data
+                .iter()
+                .filter(|r| r.user < users && r.item < items)
+                .copied()
+                .collect();
+            if !in_range.is_empty() {
+                m.train_steps(&in_range, 40, &mut StdRng::seed_from_u64(3));
+            }
+            let want = reference_bytes(&m, false);
+            let mut streamed = Vec::new();
+            m.write_bytes(&mut streamed);
+            assert_eq!(streamed, want, "{users}x{items}");
+            assert_eq!(m.to_bytes(), want, "{users}x{items}");
+            assert_eq!(m.wire_size(), want.len(), "{users}x{items}");
+            assert_eq!(
+                m.ref_fingerprint(),
+                bytesio::fnv1a64(&reference_bytes(&m, true)),
+                "{users}x{items}"
+            );
         }
     }
 

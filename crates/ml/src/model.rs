@@ -1,6 +1,7 @@
 //! The [`Model`] trait: the contract between recommenders and the REX
 //! protocol layer (`rex-core`).
 
+use crate::bytesio::{ByteCount, ByteSink, Fnv1a64};
 use rand::rngs::StdRng;
 use rex_data::Rating;
 
@@ -85,11 +86,23 @@ pub trait Model: Clone + Send + Sync + 'static {
 
     /// Serialized size in bytes (what model sharing puts on the wire).
     fn wire_size(&self) -> usize {
-        self.to_bytes().len()
+        let mut count = ByteCount::default();
+        self.write_bytes(&mut count);
+        count.0
     }
 
-    /// Serializes for the wire.
-    fn to_bytes(&self) -> Vec<u8>;
+    /// Streams the wire encoding into `sink` — the one serialiser.
+    /// [`Model::to_bytes`] collects it into a `Vec`; digests
+    /// (commitments, snapshot digests, fingerprints) hash it as it is
+    /// produced, without materialising the model.
+    fn write_bytes(&self, sink: &mut impl ByteSink);
+
+    /// Serializes for the wire: [`Model::write_bytes`] into a `Vec`.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_size());
+        self.write_bytes(&mut buf);
+        buf
+    }
 
     /// Deserializes from wire bytes.
     fn from_bytes(bytes: &[u8]) -> Result<Self, ModelCodecError>
@@ -107,7 +120,9 @@ pub trait Model: Clone + Send + Sync + 'static {
     /// exclude per-node fields (e.g. MF's local global mean) let fleets
     /// whose references differ only in those fields exchange deltas.
     fn ref_fingerprint(&self) -> u64 {
-        crate::bytesio::fnv1a64(&self.to_bytes())
+        let mut hash = Fnv1a64::new();
+        self.write_bytes(&mut hash);
+        hash.finish()
     }
 
     /// Serializes this model as a **sparse delta** against `reference`:

@@ -13,10 +13,17 @@
 //! selects the first operand's NaN, so register allocation picks the
 //! payload). Comparisons therefore canonicalize NaNs to one quiet-NaN
 //! pattern and compare everything else bit-for-bit.
+//!
+//! The SHA-256 arm holds the two block functions (scalar reference, SHA
+//! extensions) to the same digests: published vectors, random lengths
+//! split at random `update` boundaries, and HMAC on top. On a host
+//! without the SHA extensions every level hashes on the scalar path, so
+//! that arm says so and proves only the reference.
 
 use proptest::prelude::*;
 use rex_repro::crypto::chacha20;
 use rex_repro::crypto::simd as crypto_simd;
+use rex_repro::crypto::{HmacSha256, Sha256};
 use rex_repro::ml::kernel;
 
 const CANON_QNAN32: u32 = 0x7fc0_0000;
@@ -186,4 +193,157 @@ proptest! {
             prop_assert_eq!(&got, &reference, "chacha20 {} len {} ctr {}", l.name(), len, counter);
         }
     }
+
+    #[test]
+    fn sha256_is_identical_across_block_functions_and_update_splits(
+        seed in any::<u64>(),
+        len in 0usize..4096,
+        cuts in proptest::collection::vec(0usize..4096, 0..6),
+    ) {
+        let data = sha_message(seed, len);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+        cuts.sort_unstable();
+        let one_shot = Sha256::digest(&data);
+        for l in crypto_simd::available_levels() {
+            let mut h = Sha256::with_level(l);
+            let mut from = 0;
+            for &cut in cuts.iter().chain([&len]) {
+                h.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(
+                h.finalize(), one_shot,
+                "sha256 {} len {} split at {:?}", l.name(), len, &cuts
+            );
+        }
+        let parts: Vec<&[u8]> = cuts
+            .iter()
+            .chain([&len])
+            .scan(0, |from, &cut| {
+                let part = &data[*from..cut];
+                *from = cut;
+                Some(part)
+            })
+            .collect();
+        prop_assert_eq!(Sha256::digest_parts(&parts), one_shot, "digest_parts at {:?}", &cuts);
+    }
+}
+
+/// Deterministic message bytes from splitmix64.
+fn sha_message(seed: u64, len: usize) -> Vec<u8> {
+    let mut s = seed;
+    (0..len)
+        .map(|_| {
+            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (s ^ (s >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z >> 56) as u8
+        })
+        .collect()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Says once per test when the SHA-extension arm cannot run here.
+fn note_sha_ni(test: &str) {
+    let best = *crypto_simd::available_levels()
+        .last()
+        .expect("scalar is always available");
+    if !crypto_simd::sha_ni_with(best) {
+        eprintln!("{test}: SKIPPED SHA-NI arm — this host lacks sha/ssse3/sse4.1; scalar only");
+    }
+}
+
+#[test]
+fn sha256_fips_180_4_vectors_hold_on_every_block_function() {
+    note_sha_ni("sha256_fips_180_4_vectors");
+    let million_a = vec![b'a'; 1_000_000];
+    let vectors: [(&[u8], &str); 5] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+              hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        ),
+        (
+            &million_a,
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+        ),
+    ];
+    for l in crypto_simd::available_levels() {
+        for (msg, want) in vectors {
+            let mut h = Sha256::with_level(l);
+            h.update(msg);
+            assert_eq!(
+                hex(&h.finalize()),
+                want,
+                "{} on {} bytes",
+                l.name(),
+                msg.len()
+            );
+        }
+    }
+}
+
+/// HMAC builds its hashers through `Sha256::new`, so the two paths are
+/// reached by pinning the process level. This is the only test in the
+/// binary that moves it; the others pass their level explicitly.
+#[test]
+fn hmac_rfc_4231_cases_hold_on_every_block_function() {
+    note_sha_ni("hmac_rfc_4231_cases");
+    let long_key = [0xaau8; 131];
+    let cases: [(&[u8], &[u8], &str); 5] = [
+        (
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+        ),
+        (
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+        ),
+        (
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+        ),
+        (
+            &long_key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+        ),
+        (
+            &long_key,
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+        ),
+    ];
+    let pinned = crypto_simd::level();
+    for l in crypto_simd::available_levels() {
+        crypto_simd::force_level(l);
+        for (key, msg, want) in cases {
+            assert_eq!(hex(&HmacSha256::mac(key, msg)), want, "{}", l.name());
+            let mut keyed = HmacSha256::new(key);
+            let (head, tail) = msg.split_at(msg.len() / 2);
+            keyed.update(head);
+            keyed.update(tail);
+            assert_eq!(hex(&keyed.finalize()), want, "{} split", l.name());
+        }
+    }
+    crypto_simd::force_level(pinned);
 }
