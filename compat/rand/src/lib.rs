@@ -75,23 +75,39 @@ pub trait SampleRange<T> {
     fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+/// `v mod span` for an integer range of `span` values, where `span` is
+/// held modulo 2^64: every span of a type up to 64 bits wide fits,
+/// except the full inclusive 64-bit range, which arrives as 0 — and
+/// `v mod 2^64` is `v`.
+#[inline]
+fn reduce(v: u64, span: u64) -> u64 {
+    if span == 0 {
+        v
+    } else {
+        v % span
+    }
+}
+
+// Casting through `u64` sign-extends, so `end - start` and `start + v`
+// are exact modulo 2^64 for signed types too, and the final cast
+// truncates to the type's width: the values 128-bit arithmetic gives.
 macro_rules! int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
+            #[inline]
             fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty gen_range");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
-                (self.start as i128 + v as i128) as $t
+                let span = (self.end as u64).wrapping_sub(self.start as u64);
+                (self.start as u64).wrapping_add(reduce(rng.next_u64(), span)) as $t
             }
         }
         impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
+            #[inline]
             fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "empty gen_range");
-                let span = (end as i128 - start as i128) as u128 + 1;
-                let v = (rng.next_u64() as u128) % span;
-                (start as i128 + v as i128) as $t
+                let span = (end as u64).wrapping_sub(start as u64).wrapping_add(1);
+                (start as u64).wrapping_add(reduce(rng.next_u64(), span)) as $t
             }
         }
     )*};
@@ -215,6 +231,59 @@ mod tests {
             let f: f64 = rng.gen_range(0.25..0.75);
             assert!((0.25..0.75).contains(&f));
         }
+    }
+
+    /// `sample_one` before it reduced in 64 bits: the span and the
+    /// draw widened to 128 bits.
+    macro_rules! wide_draw {
+        ($start:expr, $span:expr, $rng:expr, $t:ty) => {
+            ($start as i128 + (($rng.next_u64() as u128) % $span) as i128) as $t
+        };
+    }
+
+    macro_rules! int_draws_match_wide_formula {
+        ($($t:ty),*) => {$(
+            let (min, max) = (<$t>::MIN, <$t>::MAX);
+            // Edge spans: 1, 2, 2^32 ± 1 (where the type is wide enough),
+            // MAX, the full inclusive range, and negative starts.
+            let mut ranges: Vec<(i128, i128)> = vec![
+                (0, 1),
+                (5, 7),
+                (min as i128, min as i128 + 1),
+                (max as i128 - 2, max as i128),
+                (0, max as i128),
+                (min as i128, max as i128),
+                (min as i128 / 2, max as i128 / 3 + 1),
+            ];
+            if <$t>::BITS > 32 {
+                for span in [(1i128 << 32) - 1, 1 << 32, (1 << 32) + 1] {
+                    ranges.push((3, 3 + span));
+                    ranges.push((min as i128 / 4, min as i128 / 4 + span));
+                }
+            }
+            for (seed, &(start, end)) in ranges.iter().enumerate() {
+                let (s, e) = (start as $t, end as $t);
+                let mut got = StdRng::seed_from_u64(seed as u64);
+                let mut want = got.clone();
+                for _ in 0..1_000 {
+                    let v: $t = got.gen_range(s..e);
+                    let span = (end - start) as u128;
+                    assert_eq!(v, wide_draw!(start, span, want, $t), "{s}..{e}");
+                    assert!((s..e).contains(&v));
+                }
+                for _ in 0..1_000 {
+                    let v: $t = got.gen_range(s..=e);
+                    let span = (end - start) as u128 + 1;
+                    assert_eq!(v, wide_draw!(start, span, want, $t), "{s}..={e}");
+                }
+                assert_eq!(got, want, "draws consumed differently on {s}..{e}");
+            }
+        )*};
+    }
+
+    #[test]
+    fn integer_ranges_draw_what_the_128_bit_formula_drew() {
+        int_draws_match_wide_formula!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! arms behind the per-epoch model commitment: hash throughput on the
 //! scalar and SHA-extension block functions over a model-sized buffer,
 //! and one commitment of the paper-shaped 424 KiB model the old way
-//! (`to_bytes` + `advance`) against the streamed `advance_with`. Writes
-//! `results/BENCH_kernels.json`.
+//! (`to_bytes` + `advance`) against the streamed `advance_with` — and
+//! the sweep arms: 20 k SGD steps and a 20 k-rating RMSE evaluation on
+//! that model, dispatched per element against dispatched once per sweep.
+//! Writes `results/BENCH_kernels.json`.
 //!
 //! The summary keys are machine-speed-independent *ratios* of the
 //! scalar reference over the best SIMD level:
@@ -19,17 +21,19 @@
 //! * `serve_p99_speedup` — top-k query p99, scalar / best;
 //! * `chacha_speedup` — keystream MiB/s, best / scalar;
 //! * `sha256_speedup` — SHA-256 MiB/s, SHA extensions / scalar (1.00
-//!   on a host without them: both sides are the scalar path).
+//!   on a host without them: both sides are the scalar path);
+//! * `sweep_speedup` — an epoch's compute (the train arm plus the RMSE
+//!   arm) at the best level, per-element dispatch / one sweep.
 //!
-//! `--check-baseline <path>` compares this run's `dot32_speedup` and
-//! `sha256_speedup` against a committed baseline JSON and exits
-//! non-zero when either regressed by more than 25%. On a host without
-//! AVX2 (or, for the SHA ratio, without the SHA extensions) that gate
-//! is skipped with a notice — the committed baseline was measured on a
-//! runner that has them and the ratio is not comparable.
+//! `--check-baseline <path>` compares this run's `dot32_speedup`,
+//! `sha256_speedup` and `sweep_speedup` against a committed baseline
+//! JSON and exits non-zero when any regressed by more than 25%. On a
+//! host without AVX2 (or, for the SHA ratio, without the SHA extensions)
+//! that gate is skipped with a notice — the committed baseline was
+//! measured on a runner that has them and the ratio is not comparable.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rex_bench::{output, BenchArgs};
 use rex_core::commitment::CommitmentChain;
 use rex_core::serve::{QueryStream, Scorer};
@@ -71,6 +75,8 @@ struct MicroRow {
 struct E2eRow {
     arm: &'static str,
     level: &'static str,
+    /// `element` / `sweep` on the sweep arms, empty elsewhere.
+    entry: &'static str,
     value: f64,
     unit: &'static str,
 }
@@ -191,6 +197,7 @@ fn chacha_arms(levels: &[SimdLevel], buf_kib: usize) -> Vec<E2eRow> {
             E2eRow {
                 arm: "chacha20_stream",
                 level: l.name(),
+                entry: "",
                 value: buf.len() as f64 / (1024.0 * 1024.0) / best,
                 unit: "mib_per_s",
             }
@@ -243,6 +250,7 @@ fn sha_arms(best: SimdLevel, reps: usize) -> Vec<E2eRow> {
         .map(|(&(name, _), secs)| E2eRow {
             arm: "sha256_stream",
             level: name,
+            entry: "",
             value: mib / secs,
             unit: "mib_per_s",
         })
@@ -251,9 +259,84 @@ fn sha_arms(best: SimdLevel, reps: usize) -> Vec<E2eRow> {
         rows.push(E2eRow {
             arm: "commitment_424k",
             level: name,
+            entry: "",
             value: secs * 1e6,
             unit: "us",
         });
+    }
+    rows
+}
+
+/// Steps per training window and ratings per evaluation window of the
+/// sweep arms: one `serve-live` epoch's worth of each.
+const SWEEP_OPS: usize = 20_000;
+
+/// Sweep arms, on the paper-shaped model (610 × 9000, k = 10) under each
+/// dispatch level: `sweep_train_20k` runs 20 k SGD steps as a loop over
+/// the public one-step `sgd_step` (one dispatch and one factor stamp per
+/// step) against one `train_steps` call (one of each per sweep);
+/// `sweep_rmse_20k` folds 20 k `predict` calls against one
+/// `squared_error` call. Both sides draw the same indices and compute
+/// the same bits. ns per step / per rating, windows interleaved.
+fn sweep_arms(levels: &[KernelLevel], reps: usize) -> Vec<E2eRow> {
+    let ds = SyntheticConfig {
+        num_users: 610,
+        num_items: 9_000,
+        num_ratings: 100_000,
+        seed: 42,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let split = TrainTestSplit::standard(&ds, 7);
+    let (train, test) = (&split.train, &split.test[..SWEEP_OPS]);
+    let mut model = MfModel::new(610, 9_000, MfHyperParams::default(), 3.5, 9);
+    let mut rng = StdRng::seed_from_u64(0x5EE9);
+    model.train_steps(train, train.len(), &mut rng);
+
+    let mut rows = Vec::new();
+    for &l in levels {
+        kernel::force_level(l);
+        // [train element, train sweep, rmse element, rmse sweep]
+        let mut best = [f64::INFINITY; 4];
+        for _ in 0..reps {
+            let mut window = |slot: usize, op: &mut dyn FnMut()| {
+                let start = Instant::now();
+                op();
+                best[slot] = best[slot].min(start.elapsed().as_nanos() as f64 / SWEEP_OPS as f64);
+            };
+            window(0, &mut || {
+                for _ in 0..SWEEP_OPS {
+                    let idx = rng.gen_range(0..train.len());
+                    model.sgd_step(&train[idx]);
+                }
+            });
+            window(1, &mut || model.train_steps(train, SWEEP_OPS, &mut rng));
+            window(2, &mut || {
+                let mut sum = 0.0f64;
+                for r in test {
+                    let err = f64::from(model.predict(r.user, r.item)) - f64::from(r.value);
+                    sum += err * err;
+                }
+                black_box(sum);
+            });
+            window(3, &mut || {
+                black_box(model.squared_error(test));
+            });
+        }
+        for (slot, arm) in ["sweep_train_20k", "sweep_rmse_20k"]
+            .into_iter()
+            .enumerate()
+        {
+            for (side, entry) in ["element", "sweep"].into_iter().enumerate() {
+                rows.push(E2eRow {
+                    arm,
+                    level: l.name(),
+                    entry,
+                    value: best[2 * slot + side],
+                    unit: "ns_per_op",
+                });
+            }
+        }
     }
     rows
 }
@@ -294,6 +377,7 @@ fn e2e_arms(levels: &[KernelLevel], steps: usize, queries: usize) -> Vec<E2eRow>
         rows.push(E2eRow {
             arm: "epoch_train_k32",
             level: l.name(),
+            entry: "",
             value: best * 1e3,
             unit: "ms",
         });
@@ -319,6 +403,7 @@ fn e2e_arms(levels: &[KernelLevel], steps: usize, queries: usize) -> Vec<E2eRow>
         rows.push(E2eRow {
             arm: "serve_p99_top10",
             level: l.name(),
+            entry: "",
             value: p99,
             unit: "ns",
         });
@@ -347,6 +432,7 @@ fn render_json(
     serve: f64,
     chacha_speedup: f64,
     sha256_speedup: f64,
+    sweep_speedup: f64,
 ) -> String {
     // Hand-rolled JSON: fixed schema, no strings that need escaping.
     let mut out = String::from("{\n");
@@ -367,8 +453,13 @@ fn render_json(
     out.push_str("  ],\n  \"e2e\": [\n");
     let all: Vec<&E2eRow> = crypto.iter().chain(e2e.iter()).collect();
     for (i, r) in all.iter().enumerate() {
+        let entry = if r.entry.is_empty() {
+            String::new()
+        } else {
+            format!(" \"entry\": \"{}\",", r.entry)
+        };
         out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"level\": \"{}\", \"{}\": {:.2}}}{}\n",
+            "    {{\"arm\": \"{}\", \"level\": \"{}\",{entry} \"{}\": {:.2}}}{}\n",
             r.arm,
             r.level,
             r.unit,
@@ -379,7 +470,7 @@ fn render_json(
     out.push_str(&format!(
         "  ],\n  \"summary\": {{\"dot32_speedup\": {dot32:.2}, \"epoch_speedup\": {epoch:.2}, \
          \"serve_p99_speedup\": {serve:.2}, \"chacha_speedup\": {chacha_speedup:.2}, \
-         \"sha256_speedup\": {sha256_speedup:.2}}}\n}}\n"
+         \"sha256_speedup\": {sha256_speedup:.2}, \"sweep_speedup\": {sweep_speedup:.2}}}\n}}\n"
     ));
     out
 }
@@ -416,7 +507,8 @@ fn main() {
         }
     );
     crypto.extend(sha_arms(crypto_best, if args.full { 200 } else { 40 }));
-    let e2e = e2e_arms(&levels, steps, queries);
+    let mut e2e = e2e_arms(&levels, steps, queries);
+    e2e.extend(sweep_arms(&levels, if args.full { 15 } else { 5 }));
     kernel::force_level(best);
 
     println!("kernel micro arms ({mode} mode, {iters} iters, best of {WINDOW_REPS}):");
@@ -428,8 +520,8 @@ fn main() {
     }
     for r in crypto.iter().chain(e2e.iter()) {
         println!(
-            "  {:<16} {:<7} {:>12.2} {}",
-            r.arm, r.level, r.value, r.unit
+            "  {:<16} {:<7} {:<8} {:>12.2} {}",
+            r.arm, r.level, r.entry, r.value, r.unit
         );
     }
 
@@ -454,10 +546,18 @@ fn main() {
         e2e_val("chacha20_stream", best.name()) / e2e_val("chacha20_stream", "scalar");
     let sha256_speedup = e2e_val("sha256_stream", if sha_ni { "sha_ni" } else { "scalar" })
         / e2e_val("sha256_stream", "scalar");
+    let epoch_ns = |entry: &str| -> f64 {
+        e2e.iter()
+            .filter(|r| r.arm.starts_with("sweep_") && r.level == best.name() && r.entry == entry)
+            .map(|r| r.value)
+            .sum()
+    };
+    let sweep_speedup = epoch_ns("element") / epoch_ns("sweep");
     println!(
         "summary: dot32 {dot32:.2}x, epoch {epoch:.2}x, serve p99 {serve:.2}x, \
          chacha {chacha_speedup:.2}x (scalar over {}), sha256 {sha256_speedup:.2}x \
-         (scalar over sha_ni), commitment {:.0} -> {:.0} us",
+         (scalar over sha_ni), sweep {sweep_speedup:.2}x (per-element over one sweep), \
+         commitment {:.0} -> {:.0} us",
         best.name(),
         e2e_val("commitment_424k", "to_bytes+advance"),
         e2e_val("commitment_424k", "advance_with"),
@@ -470,7 +570,7 @@ fn main() {
             eprintln!("could not read baseline {path}: {e}");
             std::process::exit(1);
         });
-        ["dot32_speedup", "sha256_speedup"].map(|name| {
+        ["dot32_speedup", "sha256_speedup", "sweep_speedup"].map(|name| {
             parse_baseline_speedup(&text, name).unwrap_or_else(|| {
                 eprintln!("baseline {path} has no {name} summary");
                 std::process::exit(1);
@@ -489,6 +589,7 @@ fn main() {
         serve,
         chacha_speedup,
         sha256_speedup,
+        sweep_speedup,
     );
     match output::save("BENCH_kernels.json", &json) {
         Ok(path) => println!("[saved] {}", path.display()),
@@ -498,14 +599,12 @@ fn main() {
         }
     }
 
-    if let Some([dot32_baseline, sha256_baseline]) = baseline {
+    if let Some([dot32_baseline, sha256_baseline, sweep_baseline]) = baseline {
+        let no_avx2 =
+            (best != KernelLevel::Avx2).then(|| format!("best level here is {}", best.name()));
         let gates = [
-            (
-                "dot32_speedup",
-                dot32,
-                dot32_baseline,
-                (best != KernelLevel::Avx2).then(|| format!("best level here is {}", best.name())),
-            ),
+            ("dot32_speedup", dot32, dot32_baseline, no_avx2.clone()),
+            ("sweep_speedup", sweep_speedup, sweep_baseline, no_avx2),
             (
                 "sha256_speedup",
                 sha256_speedup,

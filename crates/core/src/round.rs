@@ -20,7 +20,7 @@
 use crate::commitment::{EpochCommitment, TagVerifier};
 use crate::membership::{MembershipView, ViewTransition};
 use crate::node::{EpochReport, Node};
-use crate::serve::{snapshot_digest, ModelSnapshot, SnapshotQueue};
+use crate::serve::SnapshotQueue;
 use crate::setup::TeeDirectory;
 use rex_ml::Model;
 use rex_net::codec::{decode_payload, encode_payload};
@@ -289,13 +289,7 @@ fn conclude<M: Model, E: Endpoint>(
         }
     }
     if let Some(queue) = serve {
-        let model = Arc::new(node.model().clone());
-        let digest = snapshot_digest(model.as_ref());
-        queue.publish(ModelSnapshot {
-            epoch,
-            model,
-            digest,
-        });
+        queue.publish_model(epoch, Arc::new(node.model().clone()));
     }
     on_epoch(EpochEvent {
         epoch,

@@ -24,7 +24,8 @@
 //!   workloads replay bit-for-bit like everything else in the repo.
 //! * [`SnapshotQueue`] — the epoch-consistent read path: training
 //!   publishes an immutable [`ModelSnapshot`] (an `Arc` of the model
-//!   plus a wire-bytes digest) after each epoch; serve threads consume
+//!   plus, on a verifying queue, a wire-bytes digest) after each epoch;
+//!   serve threads consume
 //!   *every* epoch in order, so the served sequence is a pure function
 //!   of the training seed — never a race-dependent "latest".
 //!
@@ -42,6 +43,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use rex_ml::bytesio::{ByteSink, Fnv1a64};
+use rex_ml::kernel::{self, Lanes, Sweep};
 use rex_ml::{MfModel, Model};
 
 /// Items per pruning block in [`Scorer`]. 64 rows × k=10 f32 factors is
@@ -83,6 +85,13 @@ pub struct ScoredItem {
 /// fall back to the global mean like `predict` does.
 #[must_use]
 pub fn score_one(model: &MfModel, user: u32, item: u32) -> f32 {
+    score_by(model, user, item, kernel::dot)
+}
+
+/// [`score_one`] with the dot product supplied by the caller: the element
+/// entry passes [`kernel::dot`], the scan sweep its level's.
+#[inline(always)]
+fn score_by(model: &MfModel, user: u32, item: u32, dot: impl FnOnce(&[f32], &[f32]) -> f32) -> f32 {
     let (u, i) = (user as usize, item as usize);
     let mut score = model.global_mean();
     let user_ok = u < model.num_users() as usize && model.has_user(user);
@@ -95,7 +104,7 @@ pub fn score_one(model: &MfModel, user: u32, item: u32) -> f32 {
     }
     if user_ok && item_ok {
         let k = model.hyper_params().k;
-        score += rex_ml::kernel::dot(
+        score += dot(
             model.user_factors(user),
             &model.item_factors()[i * k..(i + 1) * k],
         );
@@ -204,35 +213,14 @@ impl Scorer {
         if self.cached_version == model.factor_version() && !self.stats.is_empty() {
             return;
         }
-        let k = model.hyper_params().k;
-        let n = model.num_items() as usize;
-        let y = model.item_factors();
-        let c = model.item_biases();
-        let seen = model.item_seen_mask();
         self.stats.clear();
-        self.stats.reserve(n.div_ceil(self.block));
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + self.block).min(n);
-            let mut s = BlockStats {
-                max_bias: f64::NEG_INFINITY,
-                max_norm: 0.0,
-                any_seen: false,
-                any_unseen: false,
-            };
-            for i in lo..hi {
-                if seen[i] {
-                    s.any_seen = true;
-                    s.max_bias = s.max_bias.max(f64::from(c[i]));
-                    let norm = rex_ml::kernel::norm_sq(&y[i * k..(i + 1) * k]).sqrt();
-                    s.max_norm = s.max_norm.max(norm);
-                } else {
-                    s.any_unseen = true;
-                }
-            }
-            self.stats.push(s);
-            lo = hi;
-        }
+        self.stats
+            .reserve((model.num_items() as usize).div_ceil(self.block));
+        kernel::sweep(StatsSweep {
+            model,
+            block: self.block,
+            stats: &mut self.stats,
+        });
         self.cached_version = model.factor_version();
     }
 
@@ -255,7 +243,77 @@ impl Scorer {
             return Vec::new();
         }
         self.refresh(model);
+        let mut heap = kernel::sweep(ScanSweep {
+            model,
+            query,
+            exclude,
+            block: self.block,
+            stats: &self.stats,
+        });
+        heap.sort_by(rank_cmp);
+        heap
+    }
+}
 
+/// The norm-cache rebuild as one kernel sweep: a [`BlockStats`] per
+/// `block` items, pushed onto `stats` in block order.
+struct StatsSweep<'a> {
+    model: &'a MfModel,
+    block: usize,
+    stats: &'a mut Vec<BlockStats>,
+}
+
+impl Sweep for StatsSweep<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) {
+        let model = self.model;
+        let k = model.hyper_params().k;
+        let n = model.num_items() as usize;
+        let y = model.item_factors();
+        let c = model.item_biases();
+        let seen = model.item_seen_mask();
+        let mut lo = 0;
+        while lo < n {
+            let hi = (lo + self.block).min(n);
+            let mut s = BlockStats {
+                max_bias: f64::NEG_INFINITY,
+                max_norm: 0.0,
+                any_seen: false,
+                any_unseen: false,
+            };
+            for i in lo..hi {
+                if seen[i] {
+                    s.any_seen = true;
+                    s.max_bias = s.max_bias.max(f64::from(c[i]));
+                    let norm = lanes.norm_sq(&y[i * k..(i + 1) * k]).sqrt();
+                    s.max_norm = s.max_norm.max(norm);
+                } else {
+                    s.any_unseen = true;
+                }
+            }
+            self.stats.push(s);
+            lo = hi;
+        }
+    }
+}
+
+/// The block scan as one kernel sweep: visits the blocks `stats`
+/// describes in order and returns the bounded min-heap of the best
+/// `query.k` admissible items (root = worst kept), unsorted.
+struct ScanSweep<'a> {
+    model: &'a MfModel,
+    query: &'a TopKQuery,
+    exclude: &'a [u32],
+    block: usize,
+    stats: &'a [BlockStats],
+}
+
+impl Sweep for ScanSweep<'_> {
+    type Output = Vec<ScoredItem>;
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) -> Vec<ScoredItem> {
+        let (model, query) = (self.model, self.query);
         let user = query.user;
         let user_ok = (user as usize) < model.num_users() as usize && model.has_user(user);
         // User-side base term shared by every item: mean (+ user bias).
@@ -267,16 +325,15 @@ impl Scorer {
             };
         // ‖x_u‖ caps the dot-product contribution via Cauchy–Schwarz.
         let user_norm = if user_ok {
-            rex_ml::kernel::norm_sq(model.user_factors(user)).sqrt()
+            lanes.norm_sq(model.user_factors(user)).sqrt()
         } else {
             0.0
         };
 
-        // Bounded min-heap: root = worst kept result.
         let mut heap: Vec<ScoredItem> = Vec::with_capacity(query.k);
         let n = model.num_items() as usize;
         let mut lo = 0;
-        for stats in &self.stats {
+        for stats in self.stats {
             let hi = (lo + self.block).min(n);
             if heap.len() == query.k {
                 // Block upper bound: seen items can reach base + max c +
@@ -301,12 +358,12 @@ impl Scorer {
                 }
             }
             for item in lo as u32..hi as u32 {
-                if exclude.binary_search(&item).is_ok() {
+                if self.exclude.binary_search(&item).is_ok() {
                     continue;
                 }
                 let cand = ScoredItem {
                     item,
-                    score: score_one(model, user, item),
+                    score: score_by(model, user, item, |x, y| lanes.dot(x, y)),
                 };
                 if heap.len() < query.k {
                     heap.push(cand);
@@ -319,7 +376,6 @@ impl Scorer {
             }
             lo = hi;
         }
-        heap.sort_by(rank_cmp);
         heap
     }
 }
@@ -406,10 +462,13 @@ pub struct ModelSnapshot<M> {
     /// The frozen model. `Arc`-shared: the trainer clones the model once
     /// at publish time, so no later SGD step can reach this instance.
     pub model: Arc<M>,
-    /// FNV-1a digest of the model's wire bytes at publish time. A serve
-    /// thread with `verify_snapshots` on recomputes this before use: any
-    /// mismatch would prove a torn read (shared mutable row), which the
-    /// `Arc`-of-clone design makes structurally impossible.
+    /// FNV-1a digest of the model's wire bytes at publish time
+    /// ([`snapshot_digest`]), or 0 when nobody will check it: a consumer
+    /// of a [verifying](SnapshotQueue::verifies) queue recomputes this
+    /// before use — any mismatch would prove a torn read (shared mutable
+    /// row), which the `Arc`-of-clone design makes structurally
+    /// impossible — and [`SnapshotQueue::publish_model`] hashes the
+    /// model only for such a queue.
     pub digest: u64,
 }
 
@@ -432,6 +491,8 @@ pub fn snapshot_digest<M: Model>(model: &M) -> u64 {
 pub struct SnapshotQueue<M> {
     inner: Mutex<QueueState<M>>,
     cv: Condvar,
+    /// Whether the consumer re-digests every snapshot it pops.
+    verifies: bool,
 }
 
 #[derive(Debug)]
@@ -447,7 +508,7 @@ impl<M> Default for SnapshotQueue<M> {
 }
 
 impl<M> SnapshotQueue<M> {
-    /// An empty, open queue.
+    /// An empty, open queue whose consumer takes snapshots as published.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -456,7 +517,25 @@ impl<M> SnapshotQueue<M> {
                 closed: false,
             }),
             cv: Condvar::new(),
+            verifies: false,
         }
+    }
+
+    /// An empty, open queue whose consumer re-digests every snapshot:
+    /// [`SnapshotQueue::publish_model`] pays for the digest it will check.
+    #[must_use]
+    pub fn verified() -> Self {
+        Self {
+            verifies: true,
+            ..Self::new()
+        }
+    }
+
+    /// Whether snapshots on this queue carry a digest the consumer must
+    /// recompute and compare. The one posture both ends read.
+    #[must_use]
+    pub fn verifies(&self) -> bool {
+        self.verifies
     }
 
     /// Publishes a snapshot. Publishing to a closed queue is a no-op
@@ -467,6 +546,26 @@ impl<M> SnapshotQueue<M> {
             state.queue.push_back(snap);
             self.cv.notify_one();
         }
+    }
+
+    /// Publishes `model` as the snapshot taken after `epoch`, digesting
+    /// it only when this queue [verifies](SnapshotQueue::verifies)
+    /// (`digest` is 0 otherwise): the digest is a byte-serial pass over
+    /// the whole model, per epoch, on the trainer's critical path.
+    pub fn publish_model(&self, epoch: usize, model: Arc<M>)
+    where
+        M: Model,
+    {
+        let digest = if self.verifies {
+            snapshot_digest(model.as_ref())
+        } else {
+            0
+        };
+        self.publish(ModelSnapshot {
+            epoch,
+            model,
+            digest,
+        });
     }
 
     /// Closes the queue: consumers drain what is buffered, then see
@@ -685,6 +784,21 @@ mod tests {
     fn snapshot_queue_times_out_when_idle() {
         let q: SnapshotQueue<MfModel> = SnapshotQueue::new();
         assert!(q.pop_wait(Duration::from_millis(20)).is_err());
+    }
+
+    #[test]
+    fn publish_model_digests_only_on_a_verifying_queue() {
+        let m = Arc::new(trained_model(2, 4, 16, 50));
+        let plain: SnapshotQueue<MfModel> = SnapshotQueue::new();
+        let verified: SnapshotQueue<MfModel> = SnapshotQueue::verified();
+        assert!(!plain.verifies() && verified.verifies());
+        plain.publish_model(3, Arc::clone(&m));
+        verified.publish_model(3, Arc::clone(&m));
+        let pop = |q: &SnapshotQueue<MfModel>| q.pop_wait(Duration::ZERO).unwrap().unwrap();
+        let (p, v) = (pop(&plain), pop(&verified));
+        assert_eq!((p.epoch, p.digest), (3, 0));
+        assert_eq!((v.epoch, v.digest), (3, snapshot_digest(m.as_ref())));
+        assert!(Arc::ptr_eq(&v.model, &m));
     }
 
     #[test]

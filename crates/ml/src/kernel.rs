@@ -51,6 +51,24 @@
 //! testing; requesting an unavailable level aborts rather than silently
 //! degrading, so a CI matrix job can trust what it measured. Benches
 //! flip levels in-process via [`force_level`].
+//!
+//! # Element entry, sweep entry
+//!
+//! [`dot`], [`norm_sq`] and [`sgd_update`] dispatch **per call**: read
+//! the level, check the host can execute it, cross into the level's
+//! `#[target_feature]` frame (which the compiler cannot inline into a
+//! caller built without that feature), run one primitive. At k = 10
+//! that toll is several times the arithmetic. A loop that calls a
+//! primitive per element pays it per element; [`sweep`] pays it once:
+//! it resolves the level, enters one frame, and runs a whole
+//! caller-supplied loop ([`Sweep::run`]) inside it, handing the loop a
+//! zero-sized [`Lanes`] token whose `dot` / `norm_sq` / `sgd_update`
+//! inline into the frame. The loop is written once, generic over the
+//! token, and monomorphised per level — the SGD sweep, RMSE evaluation
+//! and loss in `mf`, the norm-cache rebuild and block scan in
+//! `rex_core::serve`. The element entries are sweeps of one primitive,
+//! so there is a single set of primitive bodies and a single dispatch,
+//! and every level returns the same bits through either entry.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -186,12 +204,88 @@ pub fn force_level(l: KernelLevel) {
     LEVEL.store(l.encode(), Ordering::Relaxed);
 }
 
+#[inline]
 fn check_available(l: KernelLevel) {
     assert!(
         l.is_available(),
         "kernel level {} unavailable on this host",
         l.name()
     );
+}
+
+// ---------------------------------------------------------------------
+// sweep entry
+// ---------------------------------------------------------------------
+
+/// The reducing and SGD primitives of one dispatch level, as methods on
+/// a zero-sized token. Holding a token is proof that this host executes
+/// the level — only [`sweep_with`] makes one, after checking — so the
+/// methods are safe. Every implementation is `#[inline(always)]`:
+/// called from [`Sweep::run`], the primitive compiles into the level's
+/// frame instead of being called across it.
+pub trait Lanes: Copy {
+    /// `a · b` in the canonical 8-lane tree. Panics on mismatched lengths.
+    fn dot(self, a: &[f32], b: &[f32]) -> f32;
+    /// `Σ a_i²` in f64, in the canonical 4-lane tree.
+    fn norm_sq(self, a: &[f32]) -> f64;
+    /// The coupled biased-MF factor update of [`sgd_update_scalar`].
+    /// Panics on mismatched lengths.
+    fn sgd_update(self, x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32);
+}
+
+/// A loop to run inside one level's frame: see [`sweep`].
+pub trait Sweep {
+    /// What the loop returns.
+    type Output;
+    /// The loop body, written once against any level's primitives. Mark
+    /// the implementation `#[inline(always)]`: that is what puts the loop
+    /// and the primitives it calls in one `#[target_feature]` frame.
+    fn run<L: Lanes>(self, lanes: L) -> Self::Output;
+}
+
+/// Runs `s` under the given dispatch level: one availability check, one
+/// frame, the whole loop inside it. Bit-identical across levels.
+///
+/// # Panics
+/// When `l` is unavailable on this host.
+#[inline]
+pub fn sweep_with<S: Sweep>(l: KernelLevel, s: S) -> S::Output {
+    check_available(l);
+    match l {
+        KernelLevel::Scalar => s.run(ScalarLanes),
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Sse2 => s.run(x86::Sse2Lanes),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: check_available verified the instruction set.
+        KernelLevel::Avx2 => unsafe { x86::sweep_avx2(s) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("SIMD level on non-x86_64"),
+    }
+}
+
+/// Runs `s` under the process dispatch level ([`level`]).
+#[inline]
+pub fn sweep<S: Sweep>(s: S) -> S::Output {
+    sweep_with(level(), s)
+}
+
+/// The scalar reference as a level token.
+#[derive(Clone, Copy)]
+struct ScalarLanes;
+
+impl Lanes for ScalarLanes {
+    #[inline(always)]
+    fn dot(self, a: &[f32], b: &[f32]) -> f32 {
+        dot_scalar(a, b)
+    }
+    #[inline(always)]
+    fn norm_sq(self, a: &[f32]) -> f64 {
+        norm_sq_scalar(a)
+    }
+    #[inline(always)]
+    fn sgd_update(self, x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
+        sgd_update_scalar(x, y, lr, err, reg);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -221,6 +315,7 @@ fn reduce8(acc: &[f32; F32_LANES]) -> f32 {
 /// chunk-major spelling gets silently vectorized to SSE at `opt-level
 /// ≥ 2`, which would both fake the scalar bench arm and let a codegen
 /// change alter which tree "scalar" means.
+#[inline]
 #[must_use]
 pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot over mismatched lengths");
@@ -248,24 +343,24 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     reduce8(&acc)
 }
 
+struct DotOnce<'a>(&'a [f32], &'a [f32]);
+
+impl Sweep for DotOnce<'_> {
+    type Output = f32;
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) -> f32 {
+        lanes.dot(self.0, self.1)
+    }
+}
+
 /// `a · b` under the given dispatch level. Bit-identical across levels.
 ///
 /// # Panics
 /// When the lengths differ or `l` is unavailable on this host.
+#[inline]
 #[must_use]
 pub fn dot_with(l: KernelLevel, a: &[f32], b: &[f32]) -> f32 {
-    check_available(l);
-    match l {
-        KernelLevel::Scalar => dot_scalar(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Sse2 => unsafe { x86::dot_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Avx2 => unsafe { x86::dot_avx2(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("SIMD level on non-x86_64"),
-    }
+    sweep_with(l, DotOnce(a, b))
 }
 
 /// `a · b` under the process dispatch level ([`level`]).
@@ -286,6 +381,7 @@ fn reduce4(acc: &[f64; F64_LANES]) -> f64 {
 }
 
 /// Scalar reference for [`norm_sq`]: the canonical lane-chunked tree.
+#[inline]
 #[must_use]
 pub fn norm_sq_scalar(a: &[f32]) -> f64 {
     let mut acc = [0.0f64; F64_LANES];
@@ -309,24 +405,24 @@ pub fn norm_sq_scalar(a: &[f32]) -> f64 {
     reduce4(&acc)
 }
 
+struct NormSqOnce<'a>(&'a [f32]);
+
+impl Sweep for NormSqOnce<'_> {
+    type Output = f64;
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) -> f64 {
+        lanes.norm_sq(self.0)
+    }
+}
+
 /// `Σ a_i²` in f64 under the given dispatch level.
 ///
 /// # Panics
 /// When `l` is unavailable on this host.
+#[inline]
 #[must_use]
 pub fn norm_sq_with(l: KernelLevel, a: &[f32]) -> f64 {
-    check_available(l);
-    match l {
-        KernelLevel::Scalar => norm_sq_scalar(a),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Sse2 => unsafe { x86::norm_sq_sse2(a) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Avx2 => unsafe { x86::norm_sq_avx2(a) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("SIMD level on non-x86_64"),
-    }
+    sweep_with(l, NormSqOnce(a))
 }
 
 /// `Σ a_i²` in f64 under the process dispatch level.
@@ -426,6 +522,7 @@ pub fn scale_add(acc: &mut [f64], w: f64, src: &[f32]) {
 /// ```
 ///
 /// (`y`'s update reads the *pre-update* `x`.) Purely vertical.
+#[inline]
 pub fn sgd_update_scalar(x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
     assert_eq!(x.len(), y.len(), "sgd_update over mismatched lengths");
     for (xd, yd) in x.iter_mut().zip(y.iter_mut()) {
@@ -436,23 +533,29 @@ pub fn sgd_update_scalar(x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f
     }
 }
 
+struct SgdUpdateOnce<'a> {
+    x: &'a mut [f32],
+    y: &'a mut [f32],
+    lr: f32,
+    err: f32,
+    reg: f32,
+}
+
+impl Sweep for SgdUpdateOnce<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) {
+        lanes.sgd_update(self.x, self.y, self.lr, self.err, self.reg);
+    }
+}
+
 /// Coupled SGD factor update under the given dispatch level.
 ///
 /// # Panics
 /// When the lengths differ or `l` is unavailable on this host.
+#[inline]
 pub fn sgd_update_with(l: KernelLevel, x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
-    check_available(l);
-    match l {
-        KernelLevel::Scalar => sgd_update_scalar(x, y, lr, err, reg),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Sse2 => unsafe { x86::sgd_update_sse2(x, y, lr, err, reg) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Avx2 => unsafe { x86::sgd_update_avx2(x, y, lr, err, reg) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("SIMD level on non-x86_64"),
-    }
+    sweep_with(l, SgdUpdateOnce { x, y, lr, err, reg });
 }
 
 /// Coupled SGD factor update under the process dispatch level.
@@ -470,133 +573,250 @@ mod x86 {
     //! `std::arch` implementations. All float math is `mul` + `add`
     //! (never FMA), so each lane is exactly the scalar reference's op
     //! sequence; reductions replay the canonical trees of the parent
-    //! module. Functions are `unsafe` because callers must guarantee
-    //! the instruction set (checked by the dispatch wrappers).
+    //! module.
+    //!
+    //! The [`Lanes`] primitives are safe `#[inline(always)]` methods on
+    //! the level tokens: SSE2 is x86_64 baseline, and an [`Avx2Lanes`]
+    //! is only ever made by [`sweep_avx2`], whose caller has checked
+    //! for AVX2. The `axpy` / `scale_add` functions are `unsafe`
+    //! because their callers must guarantee the instruction set (checked
+    //! by the dispatch wrappers).
 
-    use super::{F32_LANES, F64_LANES};
+    use super::{Lanes, Sweep, F32_LANES, F64_LANES};
     use std::arch::x86_64::*;
 
-    /// The canonical 8-lane reduction on a 256-bit accumulator:
-    /// `lo+hi` → `movhl` add → scalar shuffle add.
-    #[inline]
+    /// SSE2 as a level token: x86_64 baseline, nothing to prove.
+    #[derive(Clone, Copy)]
+    pub struct Sse2Lanes;
+
+    /// AVX2 as a level token: exists only inside [`sweep_avx2`].
+    #[derive(Clone, Copy)]
+    pub struct Avx2Lanes(());
+
+    /// The AVX2 frame: `s`'s loop and the [`Avx2Lanes`] primitives it
+    /// calls inline into this one `#[target_feature]` function.
+    ///
+    /// # Safety
+    /// The host must support AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn reduce8_avx2(acc: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps(acc, 1);
-        reduce4_sse2(_mm_add_ps(lo, hi))
+    pub unsafe fn sweep_avx2<S: Sweep>(s: S) -> S::Output {
+        s.run(Avx2Lanes(()))
     }
+
+    /// Lane masks for ragged tails: the 8 (or 4) lanes starting at
+    /// index `8 - t` are `t` all-ones lanes followed by zero lanes.
+    static TAIL_MASK: [i32; 2 * F32_LANES] =
+        [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
     /// `(s0+s2) + (s1+s3)` on a 128-bit register.
-    #[inline]
-    unsafe fn reduce4_sse2(s: __m128) -> f32 {
-        let t = _mm_add_ps(s, _mm_movehl_ps(s, s)); // [s0+s2, s1+s3, ..]
-        let r = _mm_add_ss(t, _mm_shuffle_ps(t, t, 0b01));
-        _mm_cvtss_f32(r)
+    #[inline(always)]
+    fn reduce4_ps(s: __m128) -> f32 {
+        // SAFETY: SSE register arithmetic only; SSE2 is x86_64 baseline.
+        unsafe {
+            let t = _mm_add_ps(s, _mm_movehl_ps(s, s)); // [s0+s2, s1+s3, ..]
+            let r = _mm_add_ss(t, _mm_shuffle_ps(t, t, 0b01));
+            _mm_cvtss_f32(r)
+        }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot over mismatched lengths");
-        let chunks = a.len() / F32_LANES;
-        let mut acc = _mm256_setzero_ps();
-        for c in 0..chunks {
-            let va = _mm256_loadu_ps(a.as_ptr().add(c * F32_LANES));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(c * F32_LANES));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-        }
-        let tail = a.len() - chunks * F32_LANES;
-        if tail > 0 {
-            let mut pa = [0.0f32; F32_LANES];
-            let mut pb = [0.0f32; F32_LANES];
-            pa[..tail].copy_from_slice(&a[chunks * F32_LANES..]);
-            pb[..tail].copy_from_slice(&b[chunks * F32_LANES..]);
-            let va = _mm256_loadu_ps(pa.as_ptr());
-            let vb = _mm256_loadu_ps(pb.as_ptr());
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-        }
-        reduce8_avx2(acc)
+    /// `s0 + s1` on a 128-bit f64 register.
+    #[inline(always)]
+    fn reduce2_pd(s: __m128d) -> f64 {
+        // SAFETY: SSE2 register arithmetic only; x86_64 baseline.
+        unsafe { _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s))) }
     }
 
-    pub unsafe fn dot_sse2(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot over mismatched lengths");
-        // Two 4-wide accumulators emulate the 8-lane canonical tree:
-        // `lo` holds lanes 0–3, `hi` lanes 4–7.
-        let chunks = a.len() / F32_LANES;
-        let mut lo = _mm_setzero_ps();
-        let mut hi = _mm_setzero_ps();
-        for c in 0..chunks {
-            let base = c * F32_LANES;
-            let va0 = _mm_loadu_ps(a.as_ptr().add(base));
-            let vb0 = _mm_loadu_ps(b.as_ptr().add(base));
-            let va1 = _mm_loadu_ps(a.as_ptr().add(base + 4));
-            let vb1 = _mm_loadu_ps(b.as_ptr().add(base + 4));
-            lo = _mm_add_ps(lo, _mm_mul_ps(va0, vb0));
-            hi = _mm_add_ps(hi, _mm_mul_ps(va1, vb1));
+    impl Lanes for Avx2Lanes {
+        #[inline(always)]
+        fn dot(self, a: &[f32], b: &[f32]) -> f32 {
+            assert_eq!(a.len(), b.len(), "dot over mismatched lengths");
+            let chunks = a.len() / F32_LANES;
+            let tail = a.len() - chunks * F32_LANES;
+            // SAFETY: the token proves AVX2. Chunk `c` loads elements
+            // `8c..8c+8` with `8c+8 <= 8·chunks <= len` of both slices.
+            // With `1 <= tail <= 7` the mask load reads 8 lanes of the
+            // 16-lane table from index `8 - tail` in `1..=7`, and the
+            // masked loads touch only the first `tail` lanes past
+            // `8·chunks` — exactly the slices' remaining elements; masked
+            // -off lanes are not accessed and read as +0.0, the zero
+            // -padded chunk the scalar tree specifies.
+            unsafe {
+                let mut acc = _mm256_setzero_ps();
+                for c in 0..chunks {
+                    let va = _mm256_loadu_ps(a.as_ptr().add(c * F32_LANES));
+                    let vb = _mm256_loadu_ps(b.as_ptr().add(c * F32_LANES));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
+                }
+                if tail > 0 {
+                    let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(F32_LANES - tail).cast());
+                    let va = _mm256_maskload_ps(a.as_ptr().add(chunks * F32_LANES), mask);
+                    let vb = _mm256_maskload_ps(b.as_ptr().add(chunks * F32_LANES), mask);
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
+                }
+                // The canonical 8-lane reduction: `lo+hi` → `movhl` add
+                // → scalar shuffle add.
+                let lo = _mm256_castps256_ps128(acc);
+                let hi = _mm256_extractf128_ps(acc, 1);
+                reduce4_ps(_mm_add_ps(lo, hi))
+            }
         }
-        let tail = a.len() - chunks * F32_LANES;
-        if tail > 0 {
-            let mut pa = [0.0f32; F32_LANES];
-            let mut pb = [0.0f32; F32_LANES];
-            pa[..tail].copy_from_slice(&a[chunks * F32_LANES..]);
-            pb[..tail].copy_from_slice(&b[chunks * F32_LANES..]);
-            let va0 = _mm_loadu_ps(pa.as_ptr());
-            let vb0 = _mm_loadu_ps(pb.as_ptr());
-            let va1 = _mm_loadu_ps(pa.as_ptr().add(4));
-            let vb1 = _mm_loadu_ps(pb.as_ptr().add(4));
-            lo = _mm_add_ps(lo, _mm_mul_ps(va0, vb0));
-            hi = _mm_add_ps(hi, _mm_mul_ps(va1, vb1));
+
+        #[inline(always)]
+        fn norm_sq(self, a: &[f32]) -> f64 {
+            let chunks = a.len() / F64_LANES;
+            let tail = a.len() - chunks * F64_LANES;
+            // SAFETY: the token proves AVX2 (and so AVX's 128-bit
+            // `maskload`). Chunk `c` loads elements `4c..4c+4` with
+            // `4c+4 <= 4·chunks <= len`. With `1 <= tail <= 3` the mask
+            // load reads 4 lanes of the table from index `8 - tail` in
+            // `5..=7`, and the masked load touches only the `tail`
+            // elements left past `4·chunks`; masked-off lanes read +0.0.
+            unsafe {
+                let mut acc = _mm256_setzero_pd();
+                for c in 0..chunks {
+                    let v = _mm256_cvtps_pd(_mm_loadu_ps(a.as_ptr().add(c * F64_LANES)));
+                    acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
+                }
+                if tail > 0 {
+                    let mask = _mm_loadu_si128(TAIL_MASK.as_ptr().add(F32_LANES - tail).cast());
+                    let p = _mm_maskload_ps(a.as_ptr().add(chunks * F64_LANES), mask);
+                    let v = _mm256_cvtps_pd(p);
+                    acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
+                }
+                // (s0+s2) + (s1+s3): lo128 + hi128, then lane0 + lane1.
+                let lo = _mm256_castpd256_pd128(acc);
+                let hi = _mm256_extractf128_pd(acc, 1);
+                reduce2_pd(_mm_add_pd(lo, hi))
+            }
         }
-        reduce4_sse2(_mm_add_ps(lo, hi))
+
+        #[inline(always)]
+        fn sgd_update(self, x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
+            assert_eq!(x.len(), y.len(), "sgd_update over mismatched lengths");
+            let chunks = x.len() / 8;
+            // SAFETY: the token proves AVX2; chunk `c` loads and stores
+            // elements `8c..8c+8` with `8c+8 <= 8·chunks <= len` of both
+            // slices, which are distinct `&mut` borrows.
+            unsafe {
+                let vlr = _mm256_set1_ps(lr);
+                let verr = _mm256_set1_ps(err);
+                let vreg = _mm256_set1_ps(reg);
+                for c in 0..chunks {
+                    let vx = _mm256_loadu_ps(x.as_ptr().add(c * 8));
+                    let vy = _mm256_loadu_ps(y.as_ptr().add(c * 8));
+                    let gx = _mm256_sub_ps(_mm256_mul_ps(verr, vy), _mm256_mul_ps(vreg, vx));
+                    let gy = _mm256_sub_ps(_mm256_mul_ps(verr, vx), _mm256_mul_ps(vreg, vy));
+                    _mm256_storeu_ps(
+                        x.as_mut_ptr().add(c * 8),
+                        _mm256_add_ps(vx, _mm256_mul_ps(vlr, gx)),
+                    );
+                    _mm256_storeu_ps(
+                        y.as_mut_ptr().add(c * 8),
+                        _mm256_add_ps(vy, _mm256_mul_ps(vlr, gy)),
+                    );
+                }
+            }
+            super::sgd_update_scalar(&mut x[chunks * 8..], &mut y[chunks * 8..], lr, err, reg);
+        }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn norm_sq_avx2(a: &[f32]) -> f64 {
-        let chunks = a.len() / F64_LANES;
-        let mut acc = _mm256_setzero_pd();
-        for c in 0..chunks {
-            let v = _mm256_cvtps_pd(_mm_loadu_ps(a.as_ptr().add(c * F64_LANES)));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
+    impl Lanes for Sse2Lanes {
+        #[inline(always)]
+        fn dot(self, a: &[f32], b: &[f32]) -> f32 {
+            assert_eq!(a.len(), b.len(), "dot over mismatched lengths");
+            // Two 4-wide accumulators emulate the 8-lane canonical tree:
+            // `lo` holds lanes 0–3, `hi` lanes 4–7.
+            let chunks = a.len() / F32_LANES;
+            let tail = a.len() - chunks * F32_LANES;
+            // SAFETY: SSE2 is x86_64 baseline. Chunk `c` loads elements
+            // `8c..8c+8` with `8c+8 <= 8·chunks <= len` of both slices;
+            // the tail is copied into zero-padded 8-element arrays and
+            // loaded from those.
+            unsafe {
+                let mut lo = _mm_setzero_ps();
+                let mut hi = _mm_setzero_ps();
+                for c in 0..chunks {
+                    let base = c * F32_LANES;
+                    let va0 = _mm_loadu_ps(a.as_ptr().add(base));
+                    let vb0 = _mm_loadu_ps(b.as_ptr().add(base));
+                    let va1 = _mm_loadu_ps(a.as_ptr().add(base + 4));
+                    let vb1 = _mm_loadu_ps(b.as_ptr().add(base + 4));
+                    lo = _mm_add_ps(lo, _mm_mul_ps(va0, vb0));
+                    hi = _mm_add_ps(hi, _mm_mul_ps(va1, vb1));
+                }
+                if tail > 0 {
+                    let mut pa = [0.0f32; F32_LANES];
+                    let mut pb = [0.0f32; F32_LANES];
+                    pa[..tail].copy_from_slice(&a[chunks * F32_LANES..]);
+                    pb[..tail].copy_from_slice(&b[chunks * F32_LANES..]);
+                    let va0 = _mm_loadu_ps(pa.as_ptr());
+                    let vb0 = _mm_loadu_ps(pb.as_ptr());
+                    let va1 = _mm_loadu_ps(pa.as_ptr().add(4));
+                    let vb1 = _mm_loadu_ps(pb.as_ptr().add(4));
+                    lo = _mm_add_ps(lo, _mm_mul_ps(va0, vb0));
+                    hi = _mm_add_ps(hi, _mm_mul_ps(va1, vb1));
+                }
+                reduce4_ps(_mm_add_ps(lo, hi))
+            }
         }
-        let tail = a.len() - chunks * F64_LANES;
-        if tail > 0 {
-            let mut p = [0.0f32; F64_LANES];
-            p[..tail].copy_from_slice(&a[chunks * F64_LANES..]);
-            let v = _mm256_cvtps_pd(_mm_loadu_ps(p.as_ptr()));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-        }
-        // (s0+s2) + (s1+s3): lo128 + hi128, then lane0 + lane1.
-        let lo = _mm256_castpd256_pd128(acc);
-        let hi = _mm256_extractf128_pd(acc, 1);
-        let s = _mm_add_pd(lo, hi);
-        let r = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-        _mm_cvtsd_f64(r)
-    }
 
-    pub unsafe fn norm_sq_sse2(a: &[f32]) -> f64 {
-        // `lo` holds f64 lanes 0–1, `hi` lanes 2–3 of the canonical tree.
-        let chunks = a.len() / F64_LANES;
-        let mut lo = _mm_setzero_pd();
-        let mut hi = _mm_setzero_pd();
-        for c in 0..chunks {
-            let f = _mm_loadu_ps(a.as_ptr().add(c * F64_LANES));
-            let v0 = _mm_cvtps_pd(f);
-            let v1 = _mm_cvtps_pd(_mm_movehl_ps(f, f));
-            lo = _mm_add_pd(lo, _mm_mul_pd(v0, v0));
-            hi = _mm_add_pd(hi, _mm_mul_pd(v1, v1));
+        #[inline(always)]
+        fn norm_sq(self, a: &[f32]) -> f64 {
+            // `lo` holds f64 lanes 0–1, `hi` lanes 2–3 of the canonical tree.
+            let chunks = a.len() / F64_LANES;
+            let tail = a.len() - chunks * F64_LANES;
+            // SAFETY: SSE2 is x86_64 baseline. Chunk `c` loads elements
+            // `4c..4c+4` with `4c+4 <= 4·chunks <= len`; the tail is
+            // copied into a zero-padded 4-element array and loaded from it.
+            unsafe {
+                let mut lo = _mm_setzero_pd();
+                let mut hi = _mm_setzero_pd();
+                let mut square_in = |f: __m128| {
+                    let v0 = _mm_cvtps_pd(f);
+                    let v1 = _mm_cvtps_pd(_mm_movehl_ps(f, f));
+                    lo = _mm_add_pd(lo, _mm_mul_pd(v0, v0));
+                    hi = _mm_add_pd(hi, _mm_mul_pd(v1, v1));
+                };
+                for c in 0..chunks {
+                    square_in(_mm_loadu_ps(a.as_ptr().add(c * F64_LANES)));
+                }
+                if tail > 0 {
+                    let mut p = [0.0f32; F64_LANES];
+                    p[..tail].copy_from_slice(&a[chunks * F64_LANES..]);
+                    square_in(_mm_loadu_ps(p.as_ptr()));
+                }
+                reduce2_pd(_mm_add_pd(lo, hi)) // [s0+s2, s1+s3]
+            }
         }
-        let tail = a.len() - chunks * F64_LANES;
-        if tail > 0 {
-            let mut p = [0.0f32; F64_LANES];
-            p[..tail].copy_from_slice(&a[chunks * F64_LANES..]);
-            let f = _mm_loadu_ps(p.as_ptr());
-            let v0 = _mm_cvtps_pd(f);
-            let v1 = _mm_cvtps_pd(_mm_movehl_ps(f, f));
-            lo = _mm_add_pd(lo, _mm_mul_pd(v0, v0));
-            hi = _mm_add_pd(hi, _mm_mul_pd(v1, v1));
+
+        #[inline(always)]
+        fn sgd_update(self, x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
+            assert_eq!(x.len(), y.len(), "sgd_update over mismatched lengths");
+            let chunks = x.len() / 4;
+            // SAFETY: SSE2 is x86_64 baseline; chunk `c` loads and stores
+            // elements `4c..4c+4` with `4c+4 <= 4·chunks <= len` of both
+            // slices, which are distinct `&mut` borrows.
+            unsafe {
+                let vlr = _mm_set1_ps(lr);
+                let verr = _mm_set1_ps(err);
+                let vreg = _mm_set1_ps(reg);
+                for c in 0..chunks {
+                    let vx = _mm_loadu_ps(x.as_ptr().add(c * 4));
+                    let vy = _mm_loadu_ps(y.as_ptr().add(c * 4));
+                    let gx = _mm_sub_ps(_mm_mul_ps(verr, vy), _mm_mul_ps(vreg, vx));
+                    let gy = _mm_sub_ps(_mm_mul_ps(verr, vx), _mm_mul_ps(vreg, vy));
+                    _mm_storeu_ps(
+                        x.as_mut_ptr().add(c * 4),
+                        _mm_add_ps(vx, _mm_mul_ps(vlr, gx)),
+                    );
+                    _mm_storeu_ps(
+                        y.as_mut_ptr().add(c * 4),
+                        _mm_add_ps(vy, _mm_mul_ps(vlr, gy)),
+                    );
+                }
+            }
+            super::sgd_update_scalar(&mut x[chunks * 4..], &mut y[chunks * 4..], lr, err, reg);
         }
-        let s = _mm_add_pd(lo, hi); // [s0+s2, s1+s3]
-        let r = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-        _mm_cvtsd_f64(r)
     }
 
     #[target_feature(enable = "avx2")]
@@ -673,63 +893,6 @@ mod x86 {
         }
         for j in chunks * 4..src.len() {
             acc[j] += w * f64::from(src[j]);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sgd_update_avx2(x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
-        assert_eq!(x.len(), y.len(), "sgd_update over mismatched lengths");
-        let vlr = _mm256_set1_ps(lr);
-        let verr = _mm256_set1_ps(err);
-        let vreg = _mm256_set1_ps(reg);
-        let chunks = x.len() / 8;
-        for c in 0..chunks {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-            let vy = _mm256_loadu_ps(y.as_ptr().add(c * 8));
-            let gx = _mm256_sub_ps(_mm256_mul_ps(verr, vy), _mm256_mul_ps(vreg, vx));
-            let gy = _mm256_sub_ps(_mm256_mul_ps(verr, vx), _mm256_mul_ps(vreg, vy));
-            _mm256_storeu_ps(
-                x.as_mut_ptr().add(c * 8),
-                _mm256_add_ps(vx, _mm256_mul_ps(vlr, gx)),
-            );
-            _mm256_storeu_ps(
-                y.as_mut_ptr().add(c * 8),
-                _mm256_add_ps(vy, _mm256_mul_ps(vlr, gy)),
-            );
-        }
-        for j in chunks * 8..x.len() {
-            let x0 = x[j];
-            let y0 = y[j];
-            x[j] = x0 + lr * (err * y0 - reg * x0);
-            y[j] = y0 + lr * (err * x0 - reg * y0);
-        }
-    }
-
-    pub unsafe fn sgd_update_sse2(x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
-        assert_eq!(x.len(), y.len(), "sgd_update over mismatched lengths");
-        let vlr = _mm_set1_ps(lr);
-        let verr = _mm_set1_ps(err);
-        let vreg = _mm_set1_ps(reg);
-        let chunks = x.len() / 4;
-        for c in 0..chunks {
-            let vx = _mm_loadu_ps(x.as_ptr().add(c * 4));
-            let vy = _mm_loadu_ps(y.as_ptr().add(c * 4));
-            let gx = _mm_sub_ps(_mm_mul_ps(verr, vy), _mm_mul_ps(vreg, vx));
-            let gy = _mm_sub_ps(_mm_mul_ps(verr, vx), _mm_mul_ps(vreg, vy));
-            _mm_storeu_ps(
-                x.as_mut_ptr().add(c * 4),
-                _mm_add_ps(vx, _mm_mul_ps(vlr, gx)),
-            );
-            _mm_storeu_ps(
-                y.as_mut_ptr().add(c * 4),
-                _mm_add_ps(vy, _mm_mul_ps(vlr, gy)),
-            );
-        }
-        for j in chunks * 4..x.len() {
-            let x0 = x[j];
-            let y0 = y[j];
-            x[j] = x0 + lr * (err * y0 - reg * x0);
-            y[j] = y0 + lr * (err * x0 - reg * y0);
         }
     }
 }

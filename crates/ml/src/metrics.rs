@@ -10,14 +10,7 @@ pub fn rmse<M: Model>(model: &M, test: &[Rating]) -> Option<f64> {
     if test.is_empty() {
         return None;
     }
-    let sse: f64 = test
-        .iter()
-        .map(|r| {
-            let err = f64::from(model.predict(r.user, r.item)) - f64::from(r.value);
-            err * err
-        })
-        .sum();
-    Some((sse / test.len() as f64).sqrt())
+    Some((model.squared_error(test) / test.len() as f64).sqrt())
 }
 
 /// Mean absolute error of `model` over `test`; `None` for an empty set.

@@ -6,7 +6,7 @@
 //! k = 10, η = 0.005, λ = 0.1 (§IV-A3a).
 
 use crate::bytesio::{self, ByteSink, Fnv1a64, Reader};
-use crate::kernel;
+use crate::kernel::{self, Lanes, Sweep};
 use crate::model::{Model, ModelCodecError};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -17,7 +17,7 @@ const MAGIC: u32 = 0x4d46_3031; // "MF01"
 const MAGIC_DELTA: u32 = 0x4d46_4431; // "MFD1"
 
 /// Process-wide stamp source for [`MfModel::factor_version`]. Every
-/// mutation takes a fresh stamp, so two models carry the same version
+/// mutating call takes a fresh stamp, so two models carry the same version
 /// only when one is an unmutated clone of the other — which makes the
 /// version a sound cache key for derived read-side data (item norms in
 /// `rex_core::serve`) across *any* set of models in the process.
@@ -117,13 +117,20 @@ impl MfModel {
     }
 
     /// The model's current factor version: a process-unique stamp that
-    /// changes on every mutation (SGD step, merge, mean update, codec
-    /// reconstruction). Read-side consumers key caches of derived data
-    /// (e.g. per-item factor norms) on it: an unchanged version
-    /// guarantees bit-identical parameters, so the cache is exact, and
-    /// any row delta — however small — invalidates it. Cloning preserves
-    /// the version (a clone *is* bit-identical until mutated). The stamp
-    /// is in-memory only: it never reaches the wire or the digests.
+    /// changes on every mutating call (SGD step, training sweep, merge,
+    /// mean update, codec reconstruction). Read-side consumers key caches
+    /// of derived data (e.g. per-item factor norms) on it: an unchanged
+    /// version guarantees bit-identical parameters, so the cache is exact,
+    /// and any row delta — however small — invalidates it. Cloning
+    /// preserves the version (a clone *is* bit-identical until mutated).
+    /// The stamp is in-memory only: it never reaches the wire or the
+    /// digests.
+    ///
+    /// One stamp per *call*, not per step: `train_steps` /
+    /// `train_steps_batched` take theirs after the whole sweep (the stamp
+    /// source is one process-wide atomic, and a `&mut` borrow means nobody
+    /// can read the version mid-sweep), and a call that mutates nothing —
+    /// training on empty data — takes none.
     #[must_use]
     pub fn factor_version(&self) -> u64 {
         self.version
@@ -204,49 +211,53 @@ impl MfModel {
 
     /// One SGD step on a single rating.
     pub fn sgd_step(&mut self, r: &Rating) {
-        let (u, i) = (r.user as usize, r.item as usize);
-        let k = self.hp.k;
-        let lr = self.hp.learning_rate;
-        let reg = self.hp.lambda;
+        self.train_on(std::slice::from_ref(r), std::iter::once(0));
+    }
 
-        let xu = &self.x[u * k..(u + 1) * k];
-        let yi = &self.y[i * k..(i + 1) * k];
-        let dot = kernel::dot(xu, yi);
-        let pred = self.global_mean + self.b[u] + self.c[i] + dot;
-        let err = r.value - pred;
-
-        self.b[u] += lr * (err - reg * self.b[u]);
-        self.c[i] += lr * (err - reg * self.c[i]);
-        kernel::sgd_update(
-            &mut self.x[u * k..(u + 1) * k],
-            &mut self.y[i * k..(i + 1) * k],
-            lr,
-            err,
-            reg,
-        );
-        self.user_seen[u] = true;
-        self.item_seen[i] = true;
+    /// Runs one SGD step per pick (an index into `data`), in pick order,
+    /// as one kernel sweep, then takes the call's factor stamp.
+    fn train_on(&mut self, data: &[Rating], picks: impl Iterator<Item = usize>) {
+        kernel::sweep(TrainSweep {
+            model: self,
+            data,
+            picks,
+        });
         self.touch();
+    }
+
+    /// [`Model::predict`] with the dot product supplied by the caller:
+    /// the element entry passes [`kernel::dot`], a sweep its level's.
+    #[inline(always)]
+    fn predict_by(&self, user: u32, item: u32, dot: impl FnOnce(&[f32], &[f32]) -> f32) -> f32 {
+        let (u, i) = (user as usize, item as usize);
+        let mut pred = self.global_mean;
+        let user_ok = self.user_seen.get(u).copied().unwrap_or(false);
+        let item_ok = self.item_seen.get(i).copied().unwrap_or(false);
+        if user_ok {
+            pred += self.b[u];
+        }
+        if item_ok {
+            pred += self.c[i];
+        }
+        if user_ok && item_ok {
+            let k = self.hp.k;
+            pred += dot(&self.x[u * k..(u + 1) * k], &self.y[i * k..(i + 1) * k]);
+        }
+        pred.clamp(0.5, 5.0)
     }
 
     /// Training loss (MSE + L2 terms) over `data`, for tests/diagnostics.
     ///
-    /// The per-rating prediction runs through [`kernel::dot`] — the
-    /// *same* kernel `sgd_step` trains with — so reported loss can
-    /// never diverge bitwise from the predictions training saw.
+    /// The per-rating prediction runs on the *same* kernel `sgd_step`
+    /// trains with, so reported loss can never diverge bitwise from the
+    /// predictions training saw.
     #[must_use]
     pub fn loss(&self, data: &[Rating]) -> f64 {
-        let k = self.hp.k;
-        let mse: f64 = data
-            .iter()
-            .map(|r| {
-                let (u, i) = (r.user as usize, r.item as usize);
-                let dot = kernel::dot(&self.x[u * k..(u + 1) * k], &self.y[i * k..(i + 1) * k]);
-                let e = f64::from(r.value - (self.global_mean + self.b[u] + self.c[i] + dot));
-                e * e
-            })
-            .sum::<f64>()
-            * 0.5;
+        let mse = kernel::sweep(ResidualSweep {
+            model: self,
+            data,
+            residual: Residual::Train,
+        }) * 0.5;
         let l2x: f64 = self.x.iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
         let l2y: f64 = self.y.iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
         mse + 0.5 * f64::from(self.hp.lambda) * (l2x + l2y)
@@ -368,6 +379,86 @@ impl MfModel {
     }
 }
 
+/// The training sweep: one un-stamped SGD step per pick, in pick order.
+struct TrainSweep<'a, I> {
+    model: &'a mut MfModel,
+    data: &'a [Rating],
+    picks: I,
+}
+
+impl<I: Iterator<Item = usize>> Sweep for TrainSweep<'_, I> {
+    type Output = ();
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) {
+        let m = self.model;
+        let k = m.hp.k;
+        let lr = m.hp.learning_rate;
+        let reg = m.hp.lambda;
+        let mean = m.global_mean;
+        // Borrowed once, as slices: the loop keeps six base pointers in
+        // registers instead of re-reading six `Vec` headers per step.
+        let (x, y, b, c) = (&mut m.x[..], &mut m.y[..], &mut m.b[..], &mut m.c[..]);
+        let (user_seen, item_seen) = (&mut m.user_seen[..], &mut m.item_seen[..]);
+        for idx in self.picks {
+            let r = &self.data[idx];
+            let (u, i) = (r.user as usize, r.item as usize);
+            let xu = &mut x[u * k..(u + 1) * k];
+            let yi = &mut y[i * k..(i + 1) * k];
+            let pred = mean + b[u] + c[i] + lanes.dot(xu, yi);
+            let err = r.value - pred;
+
+            b[u] += lr * (err - reg * b[u]);
+            c[i] += lr * (err - reg * c[i]);
+            lanes.sgd_update(xu, yi, lr, err, reg);
+            user_seen[u] = true;
+            item_seen[i] = true;
+        }
+    }
+}
+
+/// Which per-rating residual a [`ResidualSweep`] squares.
+#[derive(Clone, Copy)]
+enum Residual {
+    /// What [`Model::predict`] misses by: seen masks, clamp, f64
+    /// difference.
+    Predict,
+    /// What SGD descends: every term, no clamp, f32 difference.
+    Train,
+}
+
+/// The evaluation sweep: the in-order f64 sum of squared residuals
+/// over `data`.
+struct ResidualSweep<'a> {
+    model: &'a MfModel,
+    data: &'a [Rating],
+    residual: Residual,
+}
+
+impl Sweep for ResidualSweep<'_> {
+    type Output = f64;
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) -> f64 {
+        let m = self.model;
+        let k = m.hp.k;
+        let mut sum = 0.0f64;
+        for r in self.data {
+            let e = match self.residual {
+                Residual::Predict => {
+                    let pred = m.predict_by(r.user, r.item, |x, y| lanes.dot(x, y));
+                    f64::from(pred) - f64::from(r.value)
+                }
+                Residual::Train => {
+                    let (u, i) = (r.user as usize, r.item as usize);
+                    let dot = lanes.dot(&m.x[u * k..(u + 1) * k], &m.y[i * k..(i + 1) * k]);
+                    f64::from(r.value - (m.global_mean + m.b[u] + m.c[i] + dot))
+                }
+            };
+            sum += e * e;
+        }
+        sum
+    }
+}
+
 /// Merges one embedding table + bias vector in place without per-row
 /// allocations (this is the hot path of model-sharing simulations: ~10 k
 /// rows × ~30 contributors per node per epoch).
@@ -424,10 +515,7 @@ impl Model for MfModel {
         if data.is_empty() {
             return;
         }
-        for _ in 0..steps {
-            let idx = rng.gen_range(0..data.len());
-            self.sgd_step(&data[idx]);
-        }
+        self.train_on(data, (0..steps).map(|_| rng.gen_range(0..data.len())));
     }
 
     fn train_steps_batched(&mut self, data: &[Rating], steps: usize, rng: &mut StdRng) {
@@ -442,27 +530,19 @@ impl Model for MfModel {
             .map(|_| rng.gen_range(0..data.len()) as u32)
             .collect();
         picks.sort_by_key(|&idx| data[idx as usize].user);
-        for idx in picks {
-            self.sgd_step(&data[idx as usize]);
-        }
+        self.train_on(data, picks.into_iter().map(|idx| idx as usize));
     }
 
     fn predict(&self, user: u32, item: u32) -> f32 {
-        let (u, i) = (user as usize, item as usize);
-        let mut pred = self.global_mean;
-        let user_ok = self.user_seen.get(u).copied().unwrap_or(false);
-        let item_ok = self.item_seen.get(i).copied().unwrap_or(false);
-        if user_ok {
-            pred += self.b[u];
-        }
-        if item_ok {
-            pred += self.c[i];
-        }
-        if user_ok && item_ok {
-            let k = self.hp.k;
-            pred += kernel::dot(&self.x[u * k..(u + 1) * k], &self.y[i * k..(i + 1) * k]);
-        }
-        pred.clamp(0.5, 5.0)
+        self.predict_by(user, item, kernel::dot)
+    }
+
+    fn squared_error(&self, test: &[Rating]) -> f64 {
+        kernel::sweep(ResidualSweep {
+            model: self,
+            data: test,
+            residual: Residual::Predict,
+        })
     }
 
     fn merge(&mut self, contributions: &[(f64, &Self)], self_weight: f64) {

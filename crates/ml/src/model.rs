@@ -72,6 +72,20 @@ pub trait Model: Clone + Send + Sync + 'static {
     /// items this model has never seen.
     fn predict(&self, user: u32, item: u32) -> f32;
 
+    /// `Σ (predict(r.user, r.item) − r.value)²` over `test`, each term
+    /// squared in f64 and added in slice order — the sum
+    /// [`crate::metrics::rmse`] takes the root mean of. Overrides keep
+    /// those semantics to the bit and only evaluate faster (MF runs the
+    /// whole slice as one kernel sweep).
+    fn squared_error(&self, test: &[Rating]) -> f64 {
+        let mut sum = 0.0f64;
+        for r in test {
+            let err = f64::from(self.predict(r.user, r.item)) - f64::from(r.value);
+            sum += err * err;
+        }
+        sum
+    }
+
     /// Merges neighbour `contributions` (weight, model) with `self_weight`
     /// for the local parameters. Weights must sum to 1 across
     /// `self_weight + Σ contributions`. Rows (user/item embeddings) that a

@@ -136,9 +136,10 @@ pub struct ServeConfig {
     /// Exclude each query user's already-rated items (per-shard
     /// candidate pruning from the node's *initial* local store).
     pub exclude_rated: bool,
-    /// Recompute each snapshot's wire-bytes digest on the serve thread
-    /// and fail the run on mismatch (torn-read detector; costs one
-    /// serialization per epoch).
+    /// Digest each snapshot's wire bytes at publish, recompute the
+    /// digest on the serve thread and fail the run on mismatch
+    /// (torn-read detector; costs two passes over the model per epoch,
+    /// one on each side — with this off, neither side hashes).
     pub verify_snapshots: bool,
 }
 

@@ -396,7 +396,11 @@ impl ServeSession {
     /// during the run, which would make exclusions depend on delivery
     /// order and break the cross-shape digest contract.
     fn start(cfg: &ServeConfig, node: &Node<MfModel>, num_users: u32) -> ServeSession {
-        let queue = Arc::new(SnapshotQueue::new());
+        let queue = Arc::new(if cfg.verify_snapshots {
+            SnapshotQueue::verified()
+        } else {
+            SnapshotQueue::new()
+        });
         let exclusions: Vec<Vec<u32>> = if cfg.exclude_rated {
             (0..num_users)
                 .map(|u| node.store().rated_items(u))
@@ -441,7 +445,7 @@ fn serve_loop(
         .pop_wait(SERVE_POP_TIMEOUT)
         .map_err(|e| format!("node {id}: {e}"))?
     {
-        if cfg.verify_snapshots {
+        if queue.verifies() {
             let recomputed = snapshot_digest(snap.model.as_ref());
             if recomputed != snap.digest {
                 return Err(format!(
@@ -774,6 +778,33 @@ mod tests {
             steps_per_epoch: 60,
             ..ClusterConfig::default()
         }
+    }
+
+    #[test]
+    fn serve_loop_rejects_a_tampered_snapshot_on_a_verifying_queue() {
+        use rex_core::serve::ModelSnapshot;
+        let cfg = ServeConfig {
+            queries_per_epoch: 2,
+            ..ServeConfig::default()
+        };
+        let model = Arc::new(MfModel::new(4, 16, MfHyperParams::default(), 3.5, 1));
+        let tampered = |queue: &SnapshotQueue<MfModel>| {
+            queue.publish_model(0, Arc::clone(&model));
+            queue.publish(ModelSnapshot {
+                epoch: 1,
+                model: Arc::clone(&model),
+                digest: snapshot_digest(model.as_ref()) ^ 1,
+            });
+            queue.close();
+        };
+        let verified = SnapshotQueue::verified();
+        tampered(&verified);
+        let err = serve_loop(&cfg, 0, 4, &[], &verified).unwrap_err();
+        assert!(err.contains("digest mismatch at epoch 1"), "{err}");
+        // A queue nobody verifies carries the digest unread.
+        let plain = SnapshotQueue::new();
+        tampered(&plain);
+        assert_eq!(serve_loop(&cfg, 0, 4, &[], &plain).unwrap().queries, 4);
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! payload). Comparisons therefore canonicalize NaNs to one quiet-NaN
 //! pattern and compare everything else bit-for-bit.
 //!
+//! The sweep arm holds the kernel's second entry to the same contract:
+//! a whole loop run inside one level's frame (`MfModel::train_steps`,
+//! `Model::squared_error`, `Scorer::top_k`) lands on the bits the
+//! per-element entry produces, on every level. Those tests pin the
+//! process level, one at a time, behind [`forced_levels`]' lock.
+//!
 //! The SHA-256 arm holds the two block functions (scalar reference, SHA
 //! extensions) to the same digests: published vectors, random lengths
 //! split at random `update` boundaries, and HMAC on top. On a host
@@ -21,10 +27,17 @@
 //! that arm says so and proves only the reference.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rex_repro::core::serve::{naive_top_k, Scorer, TopKQuery};
 use rex_repro::crypto::chacha20;
 use rex_repro::crypto::simd as crypto_simd;
 use rex_repro::crypto::{HmacSha256, Sha256};
-use rex_repro::ml::kernel;
+use rex_repro::data::{Rating, SyntheticConfig};
+use rex_repro::ml::dnn::DnnHyperParams;
+use rex_repro::ml::kernel::{self, KernelLevel};
+use rex_repro::ml::{rmse, DnnModel, MfHyperParams, MfModel, Model};
+use std::sync::{Mutex, MutexGuard};
 
 const CANON_QNAN32: u32 = 0x7fc0_0000;
 const CANON_QNAN64: u64 = 0x7ff8_0000_0000_0000;
@@ -103,6 +116,30 @@ proptest! {
                 canon64(got), canon64(reference),
                 "norm_sq {} vs scalar at len {}", l.name(), a.len()
             );
+        }
+    }
+
+    /// The embedding width the paper trains at (k = 10: one chunk plus a
+    /// 2-element tail) and every width below one chunk, where the whole
+    /// vector is tail.
+    #[test]
+    fn ragged_tails_at_k10_and_below_one_chunk(
+        a in proptest::collection::vec(arb_f32(), 10..11),
+        b in proptest::collection::vec(arb_f32(), 10..11),
+    ) {
+        for k in (1..=7).chain([10]) {
+            // Own allocations of exactly k, taken from the far end.
+            let (a, b) = (a[10 - k..].to_vec(), b[10 - k..].to_vec());
+            for l in kernel::available_levels() {
+                prop_assert_eq!(
+                    canon32(kernel::dot_with(l, &a, &b)), canon32(kernel::dot_scalar(&a, &b)),
+                    "dot {} at k = {}", l.name(), k
+                );
+                prop_assert_eq!(
+                    canon64(kernel::norm_sq_with(l, &a)), canon64(kernel::norm_sq_scalar(&a)),
+                    "norm_sq {} at k = {}", l.name(), k
+                );
+            }
         }
     }
 
@@ -346,4 +383,189 @@ fn hmac_rfc_4231_cases_hold_on_every_block_function() {
         }
     }
     crypto_simd::force_level(pinned);
+}
+
+// ---------------------------------------------------------------------
+// Sweep entry == element entry
+// ---------------------------------------------------------------------
+
+/// Serialises the tests that pin the process kernel level, so each one
+/// really runs under the level it names; restores the entry level on drop.
+struct ForcedLevels {
+    entry: KernelLevel,
+    _lock: MutexGuard<'static, ()>,
+}
+
+fn forced_levels() -> ForcedLevels {
+    static LOCK: Mutex<()> = Mutex::new(());
+    ForcedLevels {
+        _lock: LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
+        entry: kernel::level(),
+    }
+}
+
+impl Drop for ForcedLevels {
+    fn drop(&mut self) {
+        kernel::force_level(self.entry);
+    }
+}
+
+fn tiny_ratings() -> Vec<Rating> {
+    SyntheticConfig {
+        num_users: 20,
+        num_items: 50,
+        num_ratings: 600,
+        seed: 3,
+        ..SyntheticConfig::default()
+    }
+    .generate()
+    .ratings
+}
+
+fn fresh_model() -> MfModel {
+    MfModel::new(20, 50, MfHyperParams::default(), 3.5, 1)
+}
+
+#[test]
+fn train_sweeps_equal_the_per_element_step_loop_on_every_level() {
+    let _pin = forced_levels();
+    let data = tiny_ratings();
+    const STEPS: usize = 1_500;
+
+    // The per-element references, on the scalar reference kernels.
+    kernel::force_level(KernelLevel::Scalar);
+    let mut seq = fresh_model();
+    let mut seq_rng = StdRng::seed_from_u64(7);
+    for _ in 0..STEPS {
+        let idx = seq_rng.gen_range(0..data.len());
+        seq.sgd_step(&data[idx]);
+    }
+    let mut bat = fresh_model();
+    let mut bat_rng = StdRng::seed_from_u64(7);
+    let mut picks: Vec<usize> = (0..STEPS)
+        .map(|_| bat_rng.gen_range(0..data.len()))
+        .collect();
+    picks.sort_by_key(|&idx| data[idx].user);
+    for idx in picks {
+        bat.sgd_step(&data[idx]);
+    }
+
+    for l in kernel::available_levels() {
+        kernel::force_level(l);
+        let mut m = fresh_model();
+        let mut rng = StdRng::seed_from_u64(7);
+        m.train_steps(&data, STEPS, &mut rng);
+        // The wire bytes hold all six tables (x, y, b, c, both masks).
+        assert_eq!(m.to_bytes(), seq.to_bytes(), "train_steps on {}", l.name());
+        assert_eq!(rng, seq_rng, "train_steps RNG on {}", l.name());
+
+        let mut m = fresh_model();
+        let mut rng = StdRng::seed_from_u64(7);
+        m.train_steps_batched(&data, STEPS, &mut rng);
+        assert_eq!(m.to_bytes(), bat.to_bytes(), "batched on {}", l.name());
+        assert_eq!(rng, bat_rng, "batched RNG on {}", l.name());
+    }
+}
+
+/// `Σ (predict − value)²` one `predict` call at a time: what
+/// `squared_error` must equal, whatever a model overrides it with.
+fn predict_fold<M: Model>(model: &M, test: &[Rating]) -> f64 {
+    let mut sum = 0.0f64;
+    for r in test {
+        let err = f64::from(model.predict(r.user, r.item)) - f64::from(r.value);
+        sum += err * err;
+    }
+    sum
+}
+
+#[test]
+fn squared_error_equals_the_predict_fold_on_every_level() {
+    let _pin = forced_levels();
+    let data = tiny_ratings();
+    // Trained on users < 12 and items < 30 only: the rest stay unseen.
+    let part: Vec<Rating> = data
+        .iter()
+        .filter(|r| r.user < 12 && r.item < 30)
+        .copied()
+        .collect();
+    let mut trained = fresh_model();
+    trained.train_steps(&part, 4_000, &mut StdRng::seed_from_u64(5));
+    // A mean far outside the rating scale: every prediction clamps.
+    let mut clamped = trained.clone();
+    clamped.set_global_mean(40.0);
+    // Every seen/unseen pairing, plus ids outside the model's universe.
+    let mut test = data.clone();
+    for (user, item) in [(20, 3), (3, 50), (20, 50), (u32::MAX, u32::MAX)] {
+        test.push(Rating {
+            user,
+            item,
+            value: 2.5,
+        });
+    }
+    assert!(trained.has_user(part[0].user) && trained.has_item(part[0].item));
+    assert!(!trained.has_user(19) && !trained.has_item(49));
+
+    kernel::force_level(KernelLevel::Scalar);
+    let want: Vec<u64> = [&trained, &clamped]
+        .iter()
+        .map(|m| predict_fold(*m, &test).to_bits())
+        .collect();
+    for l in kernel::available_levels() {
+        kernel::force_level(l);
+        for (m, want) in [&trained, &clamped].iter().zip(&want) {
+            assert_eq!(m.squared_error(&test).to_bits(), *want, "{}", l.name());
+            assert_eq!(
+                rmse(*m, &test).map(f64::to_bits),
+                Some((f64::from_bits(*want) / test.len() as f64).sqrt().to_bits()),
+                "rmse on {}",
+                l.name()
+            );
+            assert_eq!(m.squared_error(&[]).to_bits(), 0.0f64.to_bits());
+        }
+    }
+}
+
+#[test]
+fn scorer_equals_the_brute_force_oracle_on_every_level() {
+    let _pin = forced_levels();
+    let data = tiny_ratings();
+    let mut model = fresh_model();
+    model.train_steps(&data[..400], 3_000, &mut StdRng::seed_from_u64(9));
+    kernel::force_level(KernelLevel::Scalar);
+    let exclude = [0u32, 7, 13, 49];
+    let queries: Vec<(TopKQuery, Vec<_>)> = (0..21u32)
+        .flat_map(|user| [1usize, 10, 50].map(|k| TopKQuery { user, k }))
+        .map(|q| (q, naive_top_k(&model, q.user, q.k, &exclude)))
+        .collect();
+    for l in kernel::available_levels() {
+        kernel::force_level(l);
+        // Small blocks, so the bound check prunes and is seen not to.
+        let mut scorer = Scorer::new(8);
+        for (q, want) in &queries {
+            assert_eq!(
+                &scorer.top_k(&model, q, &exclude),
+                want,
+                "{q:?} on {}",
+                l.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn dnn_takes_the_default_squared_error() {
+    let data = tiny_ratings();
+    let hp = DnnHyperParams {
+        k: 4,
+        hidden: vec![8, 6],
+        ..DnnHyperParams::default()
+    };
+    let mut dnn = DnnModel::new(20, 50, hp, 3.5, 2);
+    dnn.train_steps(&data, 40, &mut StdRng::seed_from_u64(1));
+    let want = predict_fold(&dnn, &data);
+    assert_eq!(dnn.squared_error(&data).to_bits(), want.to_bits());
+    assert_eq!(
+        rmse(&dnn, &data).map(f64::to_bits),
+        Some((want / data.len() as f64).sqrt().to_bits())
+    );
 }
