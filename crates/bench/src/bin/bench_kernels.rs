@@ -6,9 +6,11 @@
 //! arms behind the per-epoch model commitment: hash throughput on the
 //! scalar and SHA-extension block functions over a model-sized buffer,
 //! and one commitment of the paper-shaped 424 KiB model the old way
-//! (`to_bytes` + `advance`) against the streamed `advance_with` — and
-//! the sweep arms: 20 k SGD steps and a 20 k-rating RMSE evaluation on
-//! that model, dispatched per element against dispatched once per sweep.
+//! (`to_bytes` + `advance`) against the streamed `advance_with`, and one
+//! chain link after a 300-step sweep in its full form against the row
+//! form that hashes only the rows the sweep wrote — and the sweep arms:
+//! 20 k SGD steps and a 20 k-rating RMSE evaluation on that model,
+//! dispatched per element against dispatched once per sweep.
 //! Writes `results/BENCH_kernels.json`.
 //!
 //! The summary keys are machine-speed-independent *ratios* of the
@@ -23,14 +25,18 @@
 //! * `sha256_speedup` — SHA-256 MiB/s, SHA extensions / scalar (1.00
 //!   on a host without them: both sides are the scalar path);
 //! * `sweep_speedup` — an epoch's compute (the train arm plus the RMSE
-//!   arm) at the best level, per-element dispatch / one sweep.
+//!   arm) at the best level, per-element dispatch / one sweep;
+//! * `commit_speedup` — one chain link after a raw-sharing epoch's 300
+//!   SGD steps on the process's SHA path, full form / row form (the
+//!   acceptance floor is 5x).
 //!
 //! `--check-baseline <path>` compares this run's `dot32_speedup`,
-//! `sha256_speedup` and `sweep_speedup` against a committed baseline
-//! JSON and exits non-zero when any regressed by more than 25%. On a
-//! host without AVX2 (or, for the SHA ratio, without the SHA extensions)
-//! that gate is skipped with a notice — the committed baseline was
-//! measured on a runner that has them and the ratio is not comparable.
+//! `sha256_speedup`, `sweep_speedup` and `commit_speedup` against a
+//! committed baseline JSON and exits non-zero when any regressed by more
+//! than 25%. On a host without AVX2 (or, for the two SHA ratios, without
+//! the SHA extensions) that gate is skipped with a notice — the
+//! committed baseline was measured on a runner that has them and the
+//! ratio is not comparable.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +45,8 @@ use rex_core::commitment::CommitmentChain;
 use rex_core::serve::{QueryStream, Scorer};
 use rex_crypto::simd::{self, SimdLevel};
 use rex_crypto::{chacha20, Sha256};
-use rex_data::{SyntheticConfig, TrainTestSplit};
+use rex_data::{Dataset, SyntheticConfig, TrainTestSplit};
+use rex_ml::bytesio::ByteCount;
 use rex_ml::kernel::{self, KernelLevel};
 use rex_ml::{MfHyperParams, MfModel, Model};
 use std::hint::black_box;
@@ -205,15 +212,37 @@ fn chacha_arms(levels: &[SimdLevel], buf_kib: usize) -> Vec<E2eRow> {
         .collect()
 }
 
+/// The paper-shaped synthetic dataset (610 users × 9000 items, 100 k
+/// ratings) the SHA and sweep arms train on.
+fn paper_dataset() -> Dataset {
+    SyntheticConfig {
+        num_users: 610,
+        num_items: 9_000,
+        num_ratings: 100_000,
+        seed: 42,
+        ..SyntheticConfig::default()
+    }
+    .generate()
+}
+
 /// SHA-256 arms, on the paper-shaped model (610 users × 9000 items,
 /// k = 10: 424 KiB on the wire, what every node commits to every
 /// epoch). `sha256_stream`: MiB/s over that model's wire bytes on the
 /// scalar block function and, where this host has them, on
 /// the SHA extensions. `commitment_424k`: one chain link over that model
 /// on the process's block function, serialise-then-hash against
-/// streamed. Windows interleave the two sides of each ratio.
+/// streamed. `commitment_rowlog`: one chain link after [`LINK_STEPS`] SGD
+/// steps on one of two shards' ratings (the `rex-raw` node shape), per
+/// SHA path — the full form (`write_bytes`, what every link hashed
+/// before the write log) against the row form (`write_changes`: the
+/// rows the sweep wrote). Windows interleave the two sides of each ratio.
 fn sha_arms(best: SimdLevel, reps: usize) -> Vec<E2eRow> {
-    let model = MfModel::new(610, 9_000, MfHyperParams::default(), 3.5, 9);
+    let ds = paper_dataset();
+    let shard: Vec<_> = ds.ratings.into_iter().filter(|r| r.user < 305).collect();
+    let mut rng = StdRng::seed_from_u64(0xC0117);
+    let mut model = MfModel::new(610, 9_000, MfHyperParams::default(), 3.5, 9);
+    // A model's first record is the full form; the arm times later ones.
+    model.write_changes(&mut ByteCount::default());
     let bytes = model.to_bytes();
     let mib = bytes.len() as f64 / (1024.0 * 1024.0);
     let mut paths = vec![("scalar", SimdLevel::Scalar)];
@@ -221,8 +250,11 @@ fn sha_arms(best: SimdLevel, reps: usize) -> Vec<E2eRow> {
         paths.push(("sha_ni", best));
     }
     let mut stream = vec![f64::INFINITY; paths.len()];
+    // Per SHA path: [full form, row form], seconds per link.
+    let mut rowlog = vec![[f64::INFINITY; 2]; paths.len()];
     let mut chain = CommitmentChain::new(42, 0);
     let mut commit = [f64::INFINITY; 2];
+    let process_level = simd::level();
     for _ in 0..MICRO_WINDOW_REPS {
         for (slot, &(_, level)) in paths.iter().enumerate() {
             let start = Instant::now();
@@ -232,7 +264,28 @@ fn sha_arms(best: SimdLevel, reps: usize) -> Vec<E2eRow> {
                 black_box(h.finalize());
             }
             stream[slot] = stream[slot].min(start.elapsed().as_secs_f64() / reps as f64);
+
+            // The chain hashes on the process's path: pin it per side.
+            simd::force_level(level);
+            let mut window = [0.0f64; 2];
+            for epoch in 0..reps {
+                model.train_steps(&shard, LINK_STEPS, &mut rng);
+                let start = Instant::now();
+                black_box(chain.advance_with(epoch, |link| black_box(&model).write_bytes(link)));
+                window[0] += start.elapsed().as_secs_f64();
+                let mut link_rows = None;
+                let start = Instant::now();
+                black_box(chain.advance_with(epoch, |link| {
+                    link_rows = model.write_changes(link);
+                }));
+                window[1] += start.elapsed().as_secs_f64();
+                assert!(link_rows.is_some(), "a 300-step link took the full form");
+            }
+            for (best, total) in rowlog[slot].iter_mut().zip(window) {
+                *best = best.min(total / reps as f64);
+            }
         }
+        simd::force_level(process_level);
         let start = Instant::now();
         for epoch in 0..reps {
             black_box(chain.advance(epoch, &black_box(&model).to_bytes()));
@@ -264,8 +317,24 @@ fn sha_arms(best: SimdLevel, reps: usize) -> Vec<E2eRow> {
             unit: "us",
         });
     }
+    for (&(name, _), forms) in paths.iter().zip(rowlog) {
+        for (entry, secs) in ["full", "rows"].into_iter().zip(forms) {
+            rows.push(E2eRow {
+                arm: "commitment_rowlog",
+                level: name,
+                entry,
+                value: secs * 1e6,
+                unit: "us",
+            });
+        }
+    }
     rows
 }
+
+/// SGD steps between the links of the `commitment_rowlog` arm: one
+/// raw-sharing epoch's worth (`steps_per_epoch` of `rex-raw` and
+/// `sim-fleet`).
+const LINK_STEPS: usize = 300;
 
 /// Steps per training window and ratings per evaluation window of the
 /// sweep arms: one `serve-live` epoch's worth of each.
@@ -279,14 +348,7 @@ const SWEEP_OPS: usize = 20_000;
 /// `squared_error` call. Both sides draw the same indices and compute
 /// the same bits. ns per step / per rating, windows interleaved.
 fn sweep_arms(levels: &[KernelLevel], reps: usize) -> Vec<E2eRow> {
-    let ds = SyntheticConfig {
-        num_users: 610,
-        num_items: 9_000,
-        num_ratings: 100_000,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
+    let ds = paper_dataset();
     let split = TrainTestSplit::standard(&ds, 7);
     let (train, test) = (&split.train, &split.test[..SWEEP_OPS]);
     let mut model = MfModel::new(610, 9_000, MfHyperParams::default(), 3.5, 9);
@@ -433,6 +495,7 @@ fn render_json(
     chacha_speedup: f64,
     sha256_speedup: f64,
     sweep_speedup: f64,
+    commit_speedup: f64,
 ) -> String {
     // Hand-rolled JSON: fixed schema, no strings that need escaping.
     let mut out = String::from("{\n");
@@ -470,7 +533,8 @@ fn render_json(
     out.push_str(&format!(
         "  ],\n  \"summary\": {{\"dot32_speedup\": {dot32:.2}, \"epoch_speedup\": {epoch:.2}, \
          \"serve_p99_speedup\": {serve:.2}, \"chacha_speedup\": {chacha_speedup:.2}, \
-         \"sha256_speedup\": {sha256_speedup:.2}, \"sweep_speedup\": {sweep_speedup:.2}}}\n}}\n"
+         \"sha256_speedup\": {sha256_speedup:.2}, \"sweep_speedup\": {sweep_speedup:.2}, \
+         \"commit_speedup\": {commit_speedup:.2}}}\n}}\n"
     ));
     out
 }
@@ -544,8 +608,16 @@ fn main() {
     let serve = e2e_val("serve_p99_top10", "scalar") / e2e_val("serve_p99_top10", best.name());
     let chacha_speedup =
         e2e_val("chacha20_stream", best.name()) / e2e_val("chacha20_stream", "scalar");
-    let sha256_speedup = e2e_val("sha256_stream", if sha_ni { "sha_ni" } else { "scalar" })
-        / e2e_val("sha256_stream", "scalar");
+    let sha_path = if sha_ni { "sha_ni" } else { "scalar" };
+    let sha256_speedup = e2e_val("sha256_stream", sha_path) / e2e_val("sha256_stream", "scalar");
+    let link_us = |entry: &str| {
+        crypto
+            .iter()
+            .find(|r| r.arm == "commitment_rowlog" && r.level == sha_path && r.entry == entry)
+            .expect("both link forms measured")
+            .value
+    };
+    let commit_speedup = link_us("full") / link_us("rows");
     let epoch_ns = |entry: &str| -> f64 {
         e2e.iter()
             .filter(|r| r.arm.starts_with("sweep_") && r.level == best.name() && r.entry == entry)
@@ -557,10 +629,13 @@ fn main() {
         "summary: dot32 {dot32:.2}x, epoch {epoch:.2}x, serve p99 {serve:.2}x, \
          chacha {chacha_speedup:.2}x (scalar over {}), sha256 {sha256_speedup:.2}x \
          (scalar over sha_ni), sweep {sweep_speedup:.2}x (per-element over one sweep), \
-         commitment {:.0} -> {:.0} us",
+         commitment {:.0} -> {:.0} us, link after 300 steps {:.1} -> {:.1} us \
+         ({commit_speedup:.2}x, full form over row form)",
         best.name(),
         e2e_val("commitment_424k", "to_bytes+advance"),
         e2e_val("commitment_424k", "advance_with"),
+        link_us("full"),
+        link_us("rows"),
     );
 
     // Read the baseline *before* saving: the committed baseline is
@@ -570,7 +645,13 @@ fn main() {
             eprintln!("could not read baseline {path}: {e}");
             std::process::exit(1);
         });
-        ["dot32_speedup", "sha256_speedup", "sweep_speedup"].map(|name| {
+        [
+            "dot32_speedup",
+            "sha256_speedup",
+            "sweep_speedup",
+            "commit_speedup",
+        ]
+        .map(|name| {
             parse_baseline_speedup(&text, name).unwrap_or_else(|| {
                 eprintln!("baseline {path} has no {name} summary");
                 std::process::exit(1);
@@ -590,6 +671,7 @@ fn main() {
         chacha_speedup,
         sha256_speedup,
         sweep_speedup,
+        commit_speedup,
     );
     match output::save("BENCH_kernels.json", &json) {
         Ok(path) => println!("[saved] {}", path.display()),
@@ -599,9 +681,10 @@ fn main() {
         }
     }
 
-    if let Some([dot32_baseline, sha256_baseline, sweep_baseline]) = baseline {
+    if let Some([dot32_baseline, sha256_baseline, sweep_baseline, commit_baseline]) = baseline {
         let no_avx2 =
             (best != KernelLevel::Avx2).then(|| format!("best level here is {}", best.name()));
+        let no_sha_ni = (!sha_ni).then(|| "this host lacks the SHA extensions".to_string());
         let gates = [
             ("dot32_speedup", dot32, dot32_baseline, no_avx2.clone()),
             ("sweep_speedup", sweep_speedup, sweep_baseline, no_avx2),
@@ -609,8 +692,9 @@ fn main() {
                 "sha256_speedup",
                 sha256_speedup,
                 sha256_baseline,
-                (!sha_ni).then(|| "this host lacks the SHA extensions".to_string()),
+                no_sha_ni.clone(),
             ),
+            ("commit_speedup", commit_speedup, commit_baseline, no_sha_ni),
         ];
         let mut regressed = false;
         for (name, got, baseline, skip) in gates {

@@ -10,11 +10,28 @@
 //! Each node keeps a [`CommitmentChain`]:
 //!
 //! * **digest chaining** — `d_e = SHA-256("rex-commit-link-v1" ‖ d_{e-1}
-//!   ‖ e_le ‖ model_bytes)`, seeded with a domain-separated genesis
-//!   digest derived from `(protocol seed, node id)`. Chaining makes each
-//!   epoch's commitment bind the *entire* history: a node cannot
-//!   retroactively swap an early epoch without every later digest
-//!   changing.
+//!   ‖ e_le ‖ record_e)`, seeded with a domain-separated genesis
+//!   digest derived from `(protocol seed, node id)`. `record_e` is the
+//!   model's *change record* since the previous link
+//!   ([`Model::write_changes`](rex_ml::Model::write_changes)), in one of
+//!   two self-describing forms: the **full form** — the model's wire
+//!   bytes, magic `MF01` — on a chain's first link, after an epoch that
+//!   merged or decoded a model, and when over a quarter of the rows were
+//!   written; otherwise the **row form** — magic `MFD1`, dimensions, the
+//!   global mean, then per table the ascending ids, seen flags and
+//!   bias + embedding of every row written since `d_{e-1}` — which is
+//!   what lets a raw-sharing epoch commit to the ~5 % of the model it
+//!   touched instead of rehashing all of it. Chaining makes each epoch's
+//!   commitment bind the *entire* history: a node cannot retroactively
+//!   swap an early epoch without every later digest changing.
+//! * **binding, by induction** — the first link fixes the whole model;
+//!   link `e` fixes `d_{e-1}` (hence, inductively, the model at `e-1`)
+//!   plus the new value of every row written since, and an unwritten row
+//!   kept its old value; so `d_e` determines the model at `e`. Checking
+//!   one link in isolation therefore takes the model at `e-1` as well as
+//!   the record (`MfModel::apply_changes` replays a record onto it); the
+//!   one verifier here, `rex-node --challenge`, replays the run from the
+//!   seeds and holds every earlier model anyway.
 //! * **identity binding** — `t_e = HMAC-SHA-256(k_node, d_e ‖ e_le)`
 //!   where `k_node` is derived from the same `(seed, id)` pair. In the
 //!   simulated-SGX trust model every party can re-derive `k_node` (all
@@ -109,7 +126,9 @@ fn hex_val(c: u8) -> Result<u8, String> {
 
 /// The per-node commitment chain. Deterministic in `(seed, id)`: a
 /// challenger reconstructs the same chain by replaying the node's epochs
-/// and advancing a fresh chain with the replayed model bytes.
+/// and advancing a fresh chain with the replayed model's change records.
+/// The chain hashes whatever payload a link is given; which form a
+/// record takes is the model's business.
 #[derive(Clone)]
 pub struct CommitmentChain {
     /// HMAC state already keyed with the node's derived key; every tag
@@ -128,7 +147,7 @@ impl std::fmt::Debug for CommitmentChain {
 }
 
 /// The hash state of one chain link while the model is written into it:
-/// a [`ByteSink`], so `Model::write_bytes` streams the model's slabs
+/// a [`ByteSink`], so `Model::write_changes` (or `write_bytes`) streams
 /// straight into the link digest.
 pub struct LinkHasher(Sha256);
 
@@ -154,17 +173,18 @@ impl CommitmentChain {
         )
     }
 
-    /// Advances the chain over epoch `epoch`'s serialized post-epoch
-    /// model and returns the signed commitment.
+    /// Advances the chain over epoch `epoch`'s serialized payload (a
+    /// post-epoch model, or its change record) and returns the signed
+    /// commitment.
     pub fn advance(&mut self, epoch: usize, model_bytes: &[u8]) -> EpochCommitment {
         self.advance_with(epoch, |link| link.put(model_bytes))
     }
 
-    /// [`CommitmentChain::advance`] without the serialized model in
-    /// hand: `write_model` streams the post-epoch model's wire bytes into
-    /// the link hash (`|link| model.write_bytes(link)`), so committing
-    /// allocates and copies nothing. Same digests as hashing
-    /// `model.to_bytes()`.
+    /// [`CommitmentChain::advance`] without the serialized payload in
+    /// hand: `write_model` streams it into the link hash — the node
+    /// passes `|link| model.write_changes(link)` — so committing
+    /// allocates nothing. Same digests as [`CommitmentChain::advance`]
+    /// over the collected bytes.
     pub fn advance_with(
         &mut self,
         epoch: usize,
@@ -310,6 +330,46 @@ mod tests {
             assert!(verify_tag(42, 3, epoch, &a));
         }
         assert_eq!(streamed.head(), serialized.head());
+    }
+
+    #[test]
+    fn a_link_checks_against_the_previous_model_and_its_record() {
+        use rand::SeedableRng;
+        use rex_data::Rating;
+        use rex_ml::{MfHyperParams, MfModel, Model};
+        let data: Vec<Rating> = (0..60u32)
+            .map(|i| Rating {
+                user: i % 7,
+                item: (i * 5) % 13,
+                value: 1.0 + (i % 9) as f32 * 0.5,
+            })
+            .collect();
+        // 207 rows, of which the data reaches 20: a training epoch's link
+        // takes the row form, the first link and the merge epoch the full.
+        let mut model = MfModel::new(7, 200, MfHyperParams::default(), 3.0, 5);
+        let other = MfModel::new(7, 200, MfHyperParams::default(), 3.0, 6);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut chain = CommitmentChain::new(42, 3);
+        // The checker holds what the induction gives it: the chain head
+        // and the model as of the previous link.
+        let mut checker_chain = chain.clone();
+        let mut checker_model = model.clone();
+        let mut forms = Vec::new();
+        for epoch in 0..6 {
+            model.train_steps(&data, 25, &mut rng);
+            if epoch == 3 {
+                model.merge(&[(0.5, &other)], 0.5);
+            }
+            let mut record = Vec::new();
+            model.clone().write_changes(&mut record);
+            let mut rows = None;
+            let c = chain.advance_with(epoch, |link| rows = model.write_changes(link));
+            forms.push(rows.is_some());
+            assert_eq!(checker_chain.advance(epoch, &record), c, "epoch {epoch}");
+            checker_model.apply_changes(&record).unwrap();
+            assert_eq!(checker_model.to_bytes(), model.to_bytes(), "epoch {epoch}");
+        }
+        assert_eq!(forms, [false, true, true, false, true, true]);
     }
 
     #[test]

@@ -1,7 +1,13 @@
 //! A REX node: the trusted protocol of paper Algorithm 2 plus the SGX
 //! runtime interactions of Algorithm 1.
 //!
-//! One [`Node::epoch`] call performs merge→train→share→test exactly once.
+//! One [`Node::epoch`] call performs merge→train→share→test exactly once,
+//! then **commits**: it advances the node's [`CommitmentChain`] by one
+//! link over the model's change record — what the epoch wrote, read from
+//! the model's own write log, or the whole model when that is most of it
+//! (see [`crate::commitment`]) — and reports which form the link took in
+//! [`EpochReport::link_rows`]. The log is cleared only there, so a round
+//! the node sits out neither adds a link nor drops a write.
 //! The two round loops (`engine`'s fabric loop through `pool`, and
 //! `round`) own scheduling: they deliver each node's inbox, forward its
 //! outgoing messages, and assemble the global trace.
@@ -54,6 +60,12 @@ pub struct EpochReport {
     /// digest over its epoch history plus the identity-binding HMAC tag
     /// (see [`crate::commitment`]).
     pub commitment: EpochCommitment,
+    /// How many model rows this epoch's chain link hashed — the rows
+    /// written since the previous link — or `None` when the link took the
+    /// full form and hashed the whole model (a chain's first link, an
+    /// epoch that merged models, one that wrote over a quarter of the
+    /// rows, and every link of a model without a write log).
+    pub link_rows: Option<usize>,
 }
 
 /// The decode/encode reference of the sparse model-delta codec: a
@@ -83,7 +95,7 @@ pub struct Node<M: Model> {
     /// paths bit-for-bit — the `users_per_node = 1` determinism anchor.
     shard: Option<UserBlock>,
     /// Chained model-digest commitment state, advanced once per executed
-    /// epoch over the serialized post-epoch model.
+    /// epoch over the model's change record.
     chain: CommitmentChain,
     /// Epochs this node has executed (the chain's link counter — counts
     /// *executed* epochs, so a late joiner's chain starts at its first
@@ -189,7 +201,9 @@ impl<M: Model> NodeBuilder<M> {
 
 impl<M: Model> Node<M> {
     /// Starts building a node from the two mandatory pieces: its id and
-    /// its initial model. Everything else is a named setter.
+    /// its initial model — a new or decoded one (or a clone of one) that
+    /// no change record has been taken from, so that the chain's first
+    /// link commits to all of it. Everything else is a named setter.
     #[must_use]
     pub fn builder(id: usize, model: M) -> NodeBuilder<M> {
         NodeBuilder {
@@ -634,15 +648,21 @@ impl<M: Model> Node<M> {
             .unwrap_or(0);
 
         // ---- commit ----------------------------------------------------
-        // Chain the post-epoch model into the node's commitment history
-        // and sign it. Model bytes are bit-identical across backends, so
-        // the commitment is too; the challenger re-derives this exact
-        // chain by replay. Outside the staged timing: auditing overhead
-        // is not part of the paper's epoch cost model. The model's slabs
-        // are hashed where they lie: no serialized copy is made.
-        let commitment = self
-            .chain
-            .advance_with(self.epochs_run, |link| self.model.write_bytes(link));
+        // Chain what this epoch wrote into the node's commitment history
+        // and sign it: the model's change record since the previous link
+        // (the whole model on the first link and after a merge), hashed
+        // as it is produced. Models are bit-identical across backends, so
+        // the record and the commitment are too; the challenger
+        // re-derives this exact chain by replay. Outside the staged
+        // timing: auditing overhead is not part of the paper's epoch cost
+        // model.
+        let mut link_rows = None;
+        let commitment = self.chain.advance_with(self.epochs_run, |link| {
+            link_rows = self.model.write_changes(link);
+        });
+        // The builder's model has never been recorded from, so the first
+        // link fixes every row — the base case the later links rest on.
+        debug_assert!(self.epochs_run > 0 || link_rows.is_none());
         self.epochs_run += 1;
 
         (
@@ -656,6 +676,7 @@ impl<M: Model> Node<M> {
                 bytes_out,
                 bytes_in,
                 commitment,
+                link_rows,
             },
         )
     }
@@ -683,6 +704,17 @@ mod tests {
     use rex_ml::{MfHyperParams, MfModel};
 
     fn mk_node(id: usize, neighbors: Vec<usize>, cfg: ProtocolConfig) -> Node<MfModel> {
+        mk_node_over(20, id, neighbors, cfg)
+    }
+
+    /// [`mk_node`] with a model over `items` items: the data stays within
+    /// the first 20, so a wide model's epochs write few of its rows.
+    fn mk_node_over(
+        items: u32,
+        id: usize,
+        neighbors: Vec<usize>,
+        cfg: ProtocolConfig,
+    ) -> Node<MfModel> {
         let ds = SyntheticConfig {
             num_users: 4,
             num_items: 20,
@@ -692,7 +724,7 @@ mod tests {
         }
         .generate();
         let by_user = ds.by_user();
-        let model = MfModel::new(4, 20, MfHyperParams::default(), 3.5, 42);
+        let model = MfModel::new(4, items, MfHyperParams::default(), 3.5, 42);
         Node::builder(id, model)
             .neighbors(neighbors)
             .train(by_user[id].clone())
@@ -792,6 +824,142 @@ mod tests {
         let moved =
             (b.model().predict(0, 0) - pred_before).abs() > 1e-9 || b.local_rmse() != rmse_before;
         assert!(moved);
+    }
+
+    fn deliver(from: usize, out: Vec<(usize, Vec<u8>)>) -> Vec<Envelope> {
+        out.into_iter()
+            .map(|(_, bytes)| Envelope { from, bytes })
+            .collect()
+    }
+
+    /// How many rows of `after` differ from `before`, read off the row
+    /// counts of the sparse delta between them.
+    fn rows_changed(before: &MfModel, after: &MfModel) -> usize {
+        let delta = after
+            .delta_bytes(before, before.ref_fingerprint(), 1.0)
+            .expect("any density encodes at 1.0");
+        // Header, fingerprint and mean; then per table: count, ids,
+        // packed seen flags, bias + embedding per row.
+        let mut r = rex_ml::bytesio::Reader::new(&delta[16 + 8 + 4..]);
+        let users = r.u32().unwrap() as usize;
+        let k = before.hyper_params().k;
+        r.bytes(users * 4 + users.div_ceil(8) + users * 4 * (1 + k))
+            .unwrap();
+        users + r.u32().unwrap() as usize
+    }
+
+    #[test]
+    fn raw_sharing_links_carry_only_the_rows_an_epoch_wrote() {
+        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let mut a = mk_node_over(400, 0, vec![1], c);
+        let mut b = mk_node_over(400, 1, vec![0], c);
+        // A chain's first link fixes the whole model.
+        let (mut out_a, report) = a.epoch(Vec::new());
+        assert_eq!(report.link_rows, None);
+        assert_eq!(b.epoch(Vec::new()).1.link_rows, None);
+        for epoch in 1..6 {
+            let before = b.model().clone();
+            let (_, report) = b.epoch(deliver(0, out_a));
+            let rows = report
+                .link_rows
+                .expect("a raw-sharing epoch past the first");
+            assert!(rows <= 2 * c.steps_per_epoch, "epoch {epoch}: {rows} rows");
+            assert!(rows >= rows_changed(&before, b.model()), "epoch {epoch}");
+            (out_a, _) = a.epoch(Vec::new());
+        }
+        // The same epochs on the 24-row model write past a quarter of it.
+        let mut small = mk_node(0, vec![1], c);
+        small.epoch(Vec::new());
+        assert_eq!(small.epoch(Vec::new()).1.link_rows, None);
+    }
+
+    #[test]
+    fn an_epoch_that_merges_models_commits_the_full_model() {
+        let c = cfg(SharingMode::Model, GossipAlgorithm::DPsgd);
+        let mut a = mk_node_over(400, 0, vec![1], c);
+        let mut b = mk_node_over(400, 1, vec![0], c);
+        let (out_a, report) = a.epoch(Vec::new());
+        assert_eq!(report.link_rows, None, "first link");
+        let (out_b, report) = b.epoch(deliver(0, out_a));
+        assert_eq!(report.link_rows, None, "first link");
+        for _ in 0..2 {
+            // With a model to merge the link is full; without one the
+            // epoch only trained, and its link carries rows.
+            let (_, report) = a.epoch(deliver(1, out_b.clone()));
+            assert_eq!(report.link_rows, None);
+            let (_, report) = a.epoch(Vec::new());
+            assert!(report.link_rows.is_some());
+        }
+    }
+
+    #[test]
+    fn a_round_sat_out_neither_advances_the_chain_nor_loses_a_write() {
+        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let mut steady = mk_node_over(400, 0, vec![1], c);
+        let mut crashed = mk_node_over(400, 0, vec![1], c);
+        // A write no link has carried yet when the node goes down, on
+        // rows no epoch trains.
+        let stray = Rating {
+            user: 3,
+            item: 399,
+            value: 1.0,
+        };
+        for node in [&mut steady, &mut crashed] {
+            node.epoch(Vec::new());
+            node.epoch(Vec::new());
+            node.model.sgd_step(&stray);
+        }
+        // The crash window: round 2's inbox is dropped and `epoch` is not
+        // called, so the chain still stands at two links.
+        let head = crashed.chain.head();
+        assert_eq!((head, crashed.epochs_run), (steady.chain.head(), 2));
+        // Round 3 is the crashed node's third link — the one the steady
+        // node made a round earlier, the stray rows included.
+        let before = crashed.model().clone();
+        let (_, back) = crashed.epoch(Vec::new());
+        assert_eq!(back.commitment, steady.epoch(Vec::new()).1.commitment);
+        assert_eq!(
+            back.link_rows,
+            Some(rows_changed(&before, crashed.model()) + 2)
+        );
+        assert_ne!(crashed.chain.head(), head);
+    }
+
+    #[test]
+    fn one_divergent_step_stays_in_every_later_commitment() {
+        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let mut a = mk_node_over(400, 0, vec![1], c);
+        let mut b = mk_node_over(400, 0, vec![1], c);
+        const DIVERGES_AT: usize = 2;
+        for epoch in 0..=DIVERGES_AT + 5 {
+            if epoch == DIVERGES_AT {
+                // One SGD step apart, on rows no epoch of either trains.
+                b.model.sgd_step(&Rating {
+                    user: 3,
+                    item: 399,
+                    value: 1.0,
+                });
+            }
+            let (out_a, report_a) = a.epoch(Vec::new());
+            let (out_b, report_b) = b.epoch(Vec::new());
+            assert_eq!(out_a, out_b, "the nodes share the same points");
+            assert_eq!(report_a.link_rows.is_some(), epoch > 0, "epoch {epoch}");
+            match epoch.cmp(&DIVERGES_AT) {
+                std::cmp::Ordering::Less => assert_eq!(report_a.commitment, report_b.commitment),
+                std::cmp::Ordering::Equal => {
+                    assert_eq!(report_b.link_rows, report_a.link_rows.map(|n| n + 2));
+                }
+                // The later links hash the same rows with the same
+                // contents: only the chained digest keeps them apart.
+                std::cmp::Ordering::Greater => assert_eq!(report_a.link_rows, report_b.link_rows),
+            }
+            if epoch >= DIVERGES_AT {
+                assert_ne!(
+                    report_a.commitment.digest, report_b.commitment.digest,
+                    "epoch {epoch}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -125,6 +125,51 @@ impl ByteSink for ByteCount {
     }
 }
 
+/// Gathers small `put`s on the stack and hands the sink kilobyte runs:
+/// what a scattered encoding (a few dozen bytes per table row) goes
+/// through, so a hash sink compresses many blocks per call and a `Vec`
+/// grows once per run instead of once per field. Flushes on drop.
+pub struct Chunked<'a, S: ByteSink> {
+    sink: &'a mut S,
+    buf: [u8; 2048],
+    len: usize,
+}
+
+impl<'a, S: ByteSink> Chunked<'a, S> {
+    /// An empty chunk in front of `sink`.
+    pub fn new(sink: &'a mut S) -> Self {
+        Chunked {
+            sink,
+            buf: [0; 2048],
+            len: 0,
+        }
+    }
+
+    fn flush(&mut self) {
+        self.sink.put(&self.buf[..self.len]);
+        self.len = 0;
+    }
+}
+
+impl<S: ByteSink> ByteSink for Chunked<'_, S> {
+    fn put(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > self.buf.len() {
+            self.flush();
+            if bytes.len() >= self.buf.len() {
+                return self.sink.put(bytes);
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+}
+
+impl<S: ByteSink> Drop for Chunked<'_, S> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 /// Appends a u8.
 pub fn put_u8(buf: &mut impl ByteSink, v: u8) {
     buf.put(&[v]);
@@ -166,13 +211,6 @@ pub fn put_f32_slice(buf: &mut impl ByteSink, vs: &[f32]) {
         buf.put(bytes);
     }
     #[cfg(not(target_endian = "little"))]
-    for v in vs {
-        buf.put(&v.to_le_bytes());
-    }
-}
-
-/// Appends a slice of u32 values.
-pub fn put_u32_slice(buf: &mut impl ByteSink, vs: &[u32]) {
     for v in vs {
         buf.put(&v.to_le_bytes());
     }
@@ -245,6 +283,23 @@ pub fn put_bool_slice(buf: &mut impl ByteSink, vs: &[bool]) {
                 .fold(0, |acc, (i, &on)| acc | (u8::from(on) << i));
         }
         buf.put(&packed[..group.len().div_ceil(8)]);
+    }
+}
+
+/// [`put_bool_slice`]'s packing for flags that are not contiguous in
+/// memory, a byte per `put` (callers batch through [`Chunked`]).
+pub fn put_bools(buf: &mut impl ByteSink, bits: impl Iterator<Item = bool>) {
+    let (mut byte, mut filled) = (0u8, 0);
+    for on in bits {
+        byte |= u8::from(on) << filled;
+        filled += 1;
+        if filled == 8 {
+            put_u8(buf, byte);
+            (byte, filled) = (0, 0);
+        }
+    }
+    if filled > 0 {
+        put_u8(buf, byte);
     }
 }
 
@@ -338,10 +393,35 @@ mod tests {
     }
 
     #[test]
+    fn chunked_and_iterator_encoders_change_no_bytes() {
+        // Puts of every size around the chunk, ending on and off its edge.
+        let data: Vec<u8> = (0..9_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        for piece in [1usize, 3, 44, 2047, 2048, 2049, 5000] {
+            let mut got = Vec::new();
+            {
+                let mut chunk = Chunked::new(&mut got);
+                for part in data.chunks(piece) {
+                    chunk.put(part);
+                }
+            }
+            assert_eq!(got, data, "pieces of {piece}");
+        }
+        for n in [0usize, 1, 7, 8, 9, 64, 100] {
+            let bools: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            put_bool_slice(&mut want, &bools);
+            put_bools(&mut got, bools.iter().copied());
+            assert_eq!(got, want, "n = {n}");
+        }
+    }
+
+    #[test]
     fn u32_slice_roundtrip() {
         let vs: Vec<u32> = (0..57).map(|i| i * 0x0101_0101).collect();
         let mut buf = Vec::new();
-        put_u32_slice(&mut buf, &vs);
+        for &v in &vs {
+            put_u32(&mut buf, v);
+        }
         assert_eq!(buf.len(), 57 * 4);
         assert_eq!(Reader::new(&buf).u32_vec(57).unwrap(), vs);
     }

@@ -111,6 +111,19 @@ pub trait Model: Clone + Send + Sync + 'static {
     /// produced, without materialising the model.
     fn write_bytes(&self, sink: &mut impl ByteSink);
 
+    /// Streams a **change record** into `sink` — everything written to
+    /// this model since the previous record, enough to rebuild the model
+    /// from its state at that record — and starts the next one. This is
+    /// what one commitment link hashes. Returns how many rows the record
+    /// carries, or `None` for the full form: exactly the
+    /// [`Model::write_bytes`] stream, which is all the default (and any
+    /// model that keeps no write log) ever emits. A model's first record
+    /// is the full form, and a clone carries its source's log.
+    fn write_changes(&mut self, sink: &mut impl ByteSink) -> Option<usize> {
+        self.write_bytes(sink);
+        None
+    }
+
     /// Serializes for the wire: [`Model::write_bytes`] into a `Vec`.
     fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.wire_size());

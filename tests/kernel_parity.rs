@@ -20,6 +20,11 @@
 //! per-element entry produces, on every level. Those tests pin the
 //! process level, one at a time, behind [`forced_levels`]' lock.
 //!
+//! The change-record arm holds the model's write log — kept inside that
+//! sweep — to the property the chained commitment rests on: under every
+//! level, whatever mix of training, merging and decoding ran, each
+//! record rebuilds the model from its state at the record before.
+//!
 //! The SHA-256 arm holds the two block functions (scalar reference, SHA
 //! extensions) to the same digests: published vectors, random lengths
 //! split at random `update` boundaries, and HMAC on top. On a host
@@ -34,6 +39,7 @@ use rex_repro::crypto::chacha20;
 use rex_repro::crypto::simd as crypto_simd;
 use rex_repro::crypto::{HmacSha256, Sha256};
 use rex_repro::data::{Rating, SyntheticConfig};
+use rex_repro::ml::bytesio::Reader;
 use rex_repro::ml::dnn::DnnHyperParams;
 use rex_repro::ml::kernel::{self, KernelLevel};
 use rex_repro::ml::{rmse, DnnModel, MfHyperParams, MfModel, Model};
@@ -548,6 +554,135 @@ fn scorer_equals_the_brute_force_oracle_on_every_level() {
                 "{q:?} on {}",
                 l.name()
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Change records bind the model
+// ---------------------------------------------------------------------
+
+/// The (user, item) rows whose embedding, bias or seen flag differ
+/// between two models, compared bit for bit.
+fn changed_rows(a: &MfModel, b: &MfModel) -> (Vec<u32>, Vec<u32>) {
+    let k = a.hyper_params().k;
+    let users = (0..a.num_users())
+        .filter(|&u| {
+            bits32(a.user_factors(u)) != bits32(b.user_factors(u))
+                || a.user_bias(u).to_bits() != b.user_bias(u).to_bits()
+                || a.has_user(u) != b.has_user(u)
+        })
+        .collect();
+    let items = (0..a.num_items())
+        .filter(|&i| {
+            let (row, at) = (i as usize * k..(i as usize + 1) * k, i as usize);
+            bits32(&a.item_factors()[row.clone()]) != bits32(&b.item_factors()[row])
+                || a.item_biases()[at].to_bits() != b.item_biases()[at].to_bits()
+                || a.has_item(i) != b.has_item(i)
+        })
+        .collect();
+    (users, items)
+}
+
+/// The (user, item) row ids a row-form change record carries; `None`
+/// for the full form.
+fn record_rows(record: &[u8]) -> Option<(Vec<u32>, Vec<u32>)> {
+    let mut r = Reader::new(record);
+    if r.u32().unwrap() != u32::from_be_bytes(*b"MFD1") {
+        return None;
+    }
+    let (_users, _items, k) = (r.u32().unwrap(), r.u32().unwrap(), r.u32().unwrap());
+    let _mean = r.f32().unwrap();
+    let mut section = || {
+        let count = r.u32().unwrap() as usize;
+        let ids = r.u32_vec(count).unwrap();
+        // Seen flags, then bias + embedding per row.
+        r.bytes(count.div_ceil(8) + count * 4 * (1 + k as usize))
+            .unwrap();
+        ids
+    };
+    Some((section(), section()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Over any interleaving of every path that writes a model, under
+    /// every level: (i) each change record, decoded onto a copy of the
+    /// model as of the previous record, reproduces the model bit for
+    /// bit; (ii) the rows it logs cover a brute-force diff against that
+    /// copy; (iii) a record taken right after it is the empty row form;
+    /// (iv) a clone carries its source's log.
+    #[test]
+    fn change_records_rebuild_the_model_on_every_level(
+        ops in proptest::collection::vec((0u8..10, any::<u64>()), 1..40),
+    ) {
+        let _pin = forced_levels();
+        let data = tiny_ratings();
+        let init = fresh_model();
+        let fingerprint = init.ref_fingerprint();
+        let alien = |seed: u64| {
+            let mut m = fresh_model();
+            m.train_steps(&data, 300, &mut StdRng::seed_from_u64(seed));
+            m
+        };
+        let aliens = [alien(21), alien(22)];
+        // A trailing record, so every write lands in one.
+        let ops = ops.iter().copied().chain([(9, 0)]);
+        for l in kernel::available_levels() {
+            kernel::force_level(l);
+            let mut model = init.clone();
+            let mut previous = init.clone();
+            for (op, p) in ops.clone() {
+                let pick = p as usize;
+                let alien = &aliens[pick % 2];
+                let mut rng = StdRng::seed_from_u64(p);
+                match op {
+                    0 | 1 => model.sgd_step(&data[pick % data.len()]),
+                    2 => model.train_steps(&data, 1 + pick % 12, &mut rng),
+                    3 => model.train_steps_batched(&data, 1 + pick % 12, &mut rng),
+                    4 => model.merge(&[(0.25, alien)], 0.75),
+                    5 => model.set_global_mean(1.0 + (pick % 40) as f32 / 10.0),
+                    6 => model = MfModel::from_bytes(&alien.to_bytes()).unwrap(),
+                    7 => {
+                        let delta = alien.delta_bytes(&init, fingerprint, 1.0).unwrap();
+                        model = MfModel::apply_delta(&init, fingerprint, &delta).unwrap();
+                    }
+                    _ => {
+                        let mut twin = model.clone();
+                        let (mut record, mut twin_record) = (Vec::new(), Vec::new());
+                        let rows = model.write_changes(&mut record);
+                        prop_assert_eq!(twin.write_changes(&mut twin_record), rows);
+                        prop_assert_eq!(&twin_record, &record, "clone's record on {}", l.name());
+
+                        match record_rows(&record) {
+                            Some((users, items)) => {
+                                prop_assert_eq!(rows, Some(users.len() + items.len()));
+                                let (changed_users, changed_items) = changed_rows(&previous, &model);
+                                prop_assert!(
+                                    changed_users.iter().all(|u| users.contains(u))
+                                        && changed_items.iter().all(|i| items.contains(i)),
+                                    "{}: changed {:?} / {:?} but logged {:?} / {:?}",
+                                    l.name(), changed_users, changed_items, users, items
+                                );
+                            }
+                            None => {
+                                prop_assert_eq!(rows, None);
+                                prop_assert_eq!(&record, &model.to_bytes());
+                            }
+                        }
+                        previous.apply_changes(&record).unwrap();
+                        prop_assert_eq!(previous.to_bytes(), model.to_bytes(), "on {}", l.name());
+
+                        let mut empty = Vec::new();
+                        prop_assert_eq!(model.write_changes(&mut empty), Some(0));
+                        // Header and mean, then two zero row counts.
+                        prop_assert_eq!(empty.len(), 16 + 4 + 2 * 4);
+                        previous.apply_changes(&empty).unwrap();
+                        prop_assert_eq!(previous.to_bytes(), model.to_bytes());
+                    }
+                }
+            }
         }
     }
 }
