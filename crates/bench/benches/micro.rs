@@ -68,9 +68,9 @@ fn bench_attestation(c: &mut Criterion) {
 }
 
 fn bench_kernels(c: &mut Criterion) {
-    // The SIMD kernel layer, per dispatch level: the MF hot-path float
-    // primitives at the paper's embedding scale and the 4/8-block-wide
-    // ChaCha20 keystream behind share sealing.
+    // The kernel layer, per dispatch level (scalar, AVX2): the MF
+    // hot-path dot product at the paper's embedding scale and the
+    // 8-block-wide ChaCha20 keystream behind share sealing.
     use rex_crypto::chacha20;
     use rex_ml::kernel;
 
@@ -86,24 +86,15 @@ fn bench_kernels(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group("kernel/axpy_k32");
-    for level in kernel::available_levels() {
-        group.bench_function(level.name(), |bch| {
-            let mut y = b_vec.clone();
-            bch.iter(|| kernel::axpy_with(level, 0.37, &a, &mut y));
-        });
-    }
-    group.finish();
-
-    // 4 blocks = 256 bytes: the smallest batch the SSE2 wide kernel
-    // runs whole, so every level prices the same work.
-    let mut group = c.benchmark_group("kernel/chacha20_4block");
-    group.throughput(Throughput::Bytes(4 * chacha20::BLOCK_LEN as u64));
+    // One 8-block batch = 512 bytes: the smallest buffer the wide
+    // kernel runs whole, so both levels price the same work.
+    let mut group = c.benchmark_group("kernel/chacha20_8block");
+    group.throughput(Throughput::Bytes(chacha20::WIDE_LEN as u64));
     for level in rex_crypto::simd::available_levels() {
         group.bench_function(level.name(), |bch| {
             let key = [7u8; 32];
             let nonce = [9u8; 12];
-            let mut buf = vec![0u8; 4 * chacha20::BLOCK_LEN];
+            let mut buf = vec![0u8; chacha20::WIDE_LEN];
             bch.iter(|| chacha20::xor_stream_with(level, &key, 1, &nonce, &mut buf));
         });
     }

@@ -1,8 +1,9 @@
 //! Kernel-layer benchmark with machine-readable output: per-primitive
-//! throughput of the `rex_ml::kernel` / ChaCha20 SIMD kernels at the
-//! embedding dimensions the paper sweeps (k = 16/32/128), plus two
-//! end-to-end arms — MF epoch time and serve-path p99 — each measured
-//! under every dispatch level this host can execute, and the SHA-256
+//! throughput of the levelled `rex_ml::kernel` primitives (`dot`,
+//! `norm_sq`, `sgd_update`) and the ChaCha20 keystream at the embedding
+//! dimensions the paper sweeps (k = 16/32/128), plus two end-to-end arms
+//! — MF epoch time and serve-path p99 — each measured under both
+//! dispatch levels (scalar, AVX2) where the host has them, and the SHA-256
 //! arms behind the per-epoch model commitment: hash throughput on the
 //! scalar and SHA-extension block functions over a model-sized buffer,
 //! and one commitment of the paper-shaped 424 KiB model the old way
@@ -14,7 +15,7 @@
 //! Writes `results/BENCH_kernels.json`.
 //!
 //! The summary keys are machine-speed-independent *ratios* of the
-//! scalar reference over the best SIMD level:
+//! scalar reference over the best level (AVX2 where detected):
 //!
 //! * `dot32_speedup` — the headline: scalar ns/op over best-SIMD ns/op
 //!   for [`kernel::dot`] at k = 32 (the acceptance floor is 2x on an
@@ -32,15 +33,15 @@
 //!
 //! `--check-baseline <path>` compares this run's `dot32_speedup`,
 //! `sha256_speedup`, `sweep_speedup` and `commit_speedup` against a
-//! committed baseline JSON and exits non-zero when any regressed by more
-//! than 25%. On a host without AVX2 (or, for the two SHA ratios, without
+//! committed baseline JSON (`rex_bench::baseline`) and exits non-zero
+//! when any regressed by more than 25%. On a host without AVX2 (or, for the two SHA ratios, without
 //! the SHA extensions) that gate is skipped with a notice — the
 //! committed baseline was measured on a runner that has them and the
 //! ratio is not comparable.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rex_bench::{output, BenchArgs};
+use rex_bench::{baseline, output, BenchArgs};
 use rex_core::commitment::CommitmentChain;
 use rex_core::serve::{QueryStream, Scorer};
 use rex_crypto::simd::{self, SimdLevel};
@@ -52,9 +53,6 @@ use rex_ml::{MfHyperParams, MfModel, Model};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Fail `--check-baseline` when a gated ratio regresses by more than
-/// this factor over the committed run.
-const BASELINE_TOLERANCE: f64 = 1.25;
 /// Embedding dimensions for the micro arms (the paper's Fig 3 sweeps
 /// k = 10–50; 128 probes the wide-vector regime).
 const DIMS: [usize; 3] = [16, 32, 128];
@@ -120,7 +118,7 @@ fn time_levels<F: FnMut(KernelLevel)>(levels: &[KernelLevel], iters: usize, mut 
     best
 }
 
-/// Micro arms: every primitive at every `k`, per dispatch level.
+/// Micro arms: every levelled primitive at every `k`, per dispatch level.
 fn micro_arms(levels: &[KernelLevel], iters: usize) -> Vec<MicroRow> {
     let mut rows = Vec::new();
     let push = |rows: &mut Vec<MicroRow>, primitive, k, per_level: Vec<f64>| {
@@ -154,16 +152,6 @@ fn micro_arms(levels: &[KernelLevel], iters: usize) -> Vec<MicroRow> {
             black_box(kernel::norm_sq_with(l, &a[row..row + k]));
         });
         push(&mut rows, "norm_sq", k, per_level);
-
-        let mut y = b.clone();
-        let mut i = 0usize;
-        let per_level = time_levels(levels, iters, |l| {
-            let row = (i % POOL) * k;
-            i += 1;
-            kernel::axpy_with(l, 0.37, &a[row..row + k], &mut y[row..row + k]);
-        });
-        black_box(&y);
-        push(&mut rows, "axpy", k, per_level);
 
         let mut x = a.clone();
         let mut y = b.clone();
@@ -473,15 +461,6 @@ fn e2e_arms(levels: &[KernelLevel], steps: usize, queries: usize) -> Vec<E2eRow>
     rows
 }
 
-/// Extracts `"<name>": <number>` from a baseline JSON's summary without
-/// a JSON parser (fixed schema, written by this binary).
-fn parse_baseline_speedup(text: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\":");
-    let rest = &text[text.find(&key)? + key.len()..];
-    let end = rest.find(['}', ',', '\n'])?;
-    rest[..end].trim().parse().ok()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     mode: &str,
@@ -641,22 +620,15 @@ fn main() {
     // Read the baseline *before* saving: the committed baseline is
     // usually the same results/ file this run is about to overwrite.
     let baseline = args.check_baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        [
-            "dot32_speedup",
-            "sha256_speedup",
-            "sweep_speedup",
-            "commit_speedup",
-        ]
-        .map(|name| {
-            parse_baseline_speedup(&text, name).unwrap_or_else(|| {
-                eprintln!("baseline {path} has no {name} summary");
-                std::process::exit(1);
-            })
-        })
+        baseline::read(
+            path,
+            [
+                "dot32_speedup",
+                "sha256_speedup",
+                "sweep_speedup",
+                "commit_speedup",
+            ],
+        )
     });
 
     let json = render_json(
@@ -697,7 +669,7 @@ fn main() {
             ("commit_speedup", commit_speedup, commit_baseline, no_sha_ni),
         ];
         let mut regressed = false;
-        for (name, got, baseline, skip) in gates {
+        for (name, got, committed, skip) in gates {
             if let Some(why) = skip {
                 println!(
                     "baseline check SKIPPED for {name}: {why} but the committed baseline \
@@ -705,19 +677,7 @@ fn main() {
                 );
                 continue;
             }
-            let floor = baseline / BASELINE_TOLERANCE;
-            if got < floor {
-                eprintln!(
-                    "REGRESSION: {name} = {got:.2} below {floor:.2} \
-                     (baseline {baseline:.2} / {BASELINE_TOLERANCE})"
-                );
-                regressed = true;
-            } else {
-                println!(
-                    "baseline check: {name} {got:.2} within {floor:.2} \
-                     (baseline {baseline:.2} / {BASELINE_TOLERANCE})"
-                );
-            }
+            regressed |= !baseline::holds_floor(name, got, committed);
         }
         if regressed {
             std::process::exit(1);

@@ -26,7 +26,7 @@
 //! sequential driver; the committed numbers record whatever the build
 //! host honestly measured.
 
-use rex_bench::{output, BenchArgs};
+use rex_bench::{baseline, output, BenchArgs};
 use rex_core::builder::{build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
 use rex_core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
@@ -263,19 +263,6 @@ fn run_shard_arm(
     }
 }
 
-/// Extracts `"shard_ram_per_user_64x1024_raw": <number>` from a baseline
-/// JSON without a JSON parser (fixed schema, written by this binary).
-fn parse_baseline_ram_per_user(text: &str) -> Option<f64> {
-    let key = "\"shard_ram_per_user_64x1024_raw\":";
-    let rest = &text[text.find(key)? + key.len()..];
-    let end = rest.find(['}', ',', '\n'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// CI gate: the quick sharded arm's RAM-per-user may grow at most 25%
-/// over the committed baseline.
-const RAM_BASELINE_TOLERANCE: f64 = 1.25;
-
 fn main() {
     let args = BenchArgs::parse();
     let mode = if args.full { "full" } else { "quick" };
@@ -421,16 +408,10 @@ fn main() {
 
     // Read the baseline *before* saving: the committed baseline is
     // usually the same results/ file this run is about to overwrite.
-    let baseline = args.check_baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        parse_baseline_ram_per_user(&text).unwrap_or_else(|| {
-            eprintln!("baseline {path} has no shard_ram_per_user_64x1024_raw summary");
-            std::process::exit(1);
-        })
-    });
+    let baseline = args
+        .check_baseline
+        .as_ref()
+        .map(|path| baseline::read(path, ["shard_ram_per_user_64x1024_raw"]));
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -502,18 +483,12 @@ fn main() {
         }
     }
 
-    if let Some(baseline) = baseline {
-        let ceiling = baseline * RAM_BASELINE_TOLERANCE;
-        if quick_ram_per_user > ceiling {
-            eprintln!(
-                "REGRESSION: shard_ram_per_user_64x1024_raw = {quick_ram_per_user:.1} exceeds \
-                 {ceiling:.1} (baseline {baseline:.1} x {RAM_BASELINE_TOLERANCE})"
-            );
+    // CI gate: the quick sharded arm's RAM-per-user against the
+    // committed baseline.
+    if let Some([committed]) = baseline {
+        let name = "shard_ram_per_user_64x1024_raw";
+        if !baseline::holds_ceiling(name, quick_ram_per_user, committed) {
             std::process::exit(1);
         }
-        println!(
-            "baseline check: {quick_ram_per_user:.1} B/user within {ceiling:.1} \
-             (baseline {baseline:.1} x {RAM_BASELINE_TOLERANCE})"
-        );
     }
 }

@@ -26,7 +26,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rex_bench::{output, BenchArgs};
+use rex_bench::{baseline, output, BenchArgs};
 use rex_core::builder::{build_mf_nodes, NodeSeeds};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
 use rex_core::engine::{Driver, Engine, EngineConfig, TimeAxis};
@@ -39,9 +39,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Fail `--check-baseline` when `p99_ratio_concurrent` regresses by
-/// more than this factor over the committed run.
-const BASELINE_TOLERANCE: f64 = 1.25;
 /// The paper's recommendation-list length.
 const TOP_K: usize = 10;
 /// Steps per trainer round between snapshot publications.
@@ -188,15 +185,6 @@ fn serve_window(
     }
 }
 
-/// Extracts `"p99_ratio_concurrent": <number>` from a baseline JSON
-/// without a JSON parser (fixed schema, written by this binary).
-fn parse_baseline_ratio(text: &str) -> Option<f64> {
-    let key = "\"p99_ratio_concurrent\":";
-    let rest = &text[text.find(key)? + key.len()..];
-    let end = rest.find(['}', ',', '\n'])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn render_json(rows: &[Row], ratio: f64, mode: &str) -> String {
     // Hand-rolled JSON: fixed schema, no strings that need escaping.
     let mut out = String::from("{\n");
@@ -282,16 +270,10 @@ fn main() {
 
     // Read the baseline *before* saving: the committed baseline is
     // usually the same results/ file this run is about to overwrite.
-    let baseline = args.check_baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        parse_baseline_ratio(&text).unwrap_or_else(|| {
-            eprintln!("baseline {path} has no p99_ratio_concurrent summary");
-            std::process::exit(1);
-        })
-    });
+    let baseline = args
+        .check_baseline
+        .as_ref()
+        .map(|path| baseline::read(path, ["p99_ratio_concurrent"]));
 
     let json = render_json(&rows, p99_ratio_concurrent, mode);
     match output::save("BENCH_serve.json", &json) {
@@ -302,18 +284,10 @@ fn main() {
         }
     }
 
-    if let Some(baseline) = baseline {
-        let ceiling = baseline * BASELINE_TOLERANCE;
-        if p99_ratio_concurrent > ceiling {
-            eprintln!(
-                "REGRESSION: p99_ratio_concurrent = {p99_ratio_concurrent:.2} exceeds \
-                 {ceiling:.2} (baseline {baseline:.2} x {BASELINE_TOLERANCE})"
-            );
+    if let Some([committed]) = baseline {
+        let name = "p99_ratio_concurrent";
+        if !baseline::holds_ceiling(name, p99_ratio_concurrent, committed) {
             std::process::exit(1);
         }
-        println!(
-            "baseline check: {p99_ratio_concurrent:.2} within {ceiling:.2} \
-             (baseline {baseline:.2} x {BASELINE_TOLERANCE})"
-        );
     }
 }

@@ -25,7 +25,7 @@
 //! committed baseline JSON and exits non-zero when it regressed more
 //! than 25%.
 
-use rex_bench::{output, BenchArgs};
+use rex_bench::{baseline, output, BenchArgs};
 use rex_net::channel::ChannelTransport;
 use rex_net::codec::encode_plain;
 use rex_net::fault::{FaultPlan, FaultyTransport, LinkFaults};
@@ -37,9 +37,6 @@ use std::time::Instant;
 
 const PAYLOAD_SIZES: [usize; 4] = [256, 4_096, 65_536, 262_144];
 const STAR_FAN_INS: [usize; 3] = [64, 256, 512];
-/// Fail `--check-baseline` when `tcp_mem_ratio_256` regresses by more
-/// than this factor over the committed run.
-const BASELINE_TOLERANCE: f64 = 1.25;
 
 struct Row {
     backend: &'static str,
@@ -176,15 +173,6 @@ fn bench_conn_scale(window_ms: u64) -> Vec<ScaleRow> {
         .collect()
 }
 
-/// Extracts `"tcp_mem_ratio_256": <number>` from a baseline JSON without
-/// a JSON parser (fixed schema, written by this binary).
-fn parse_baseline_ratio(text: &str) -> Option<f64> {
-    let key = "\"tcp_mem_ratio_256\":";
-    let rest = &text[text.find(key)? + key.len()..];
-    let end = rest.find(['}', ',', '\n'])?;
-    rest[..end].trim().parse().ok()
-}
-
 fn json_escape_free(
     rows: &[Row],
     fault_rows: &[FaultRow],
@@ -317,16 +305,10 @@ fn main() {
 
     // Read the baseline *before* saving: the committed baseline is
     // usually the same results/ file this run is about to overwrite.
-    let baseline = args.check_baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        parse_baseline_ratio(&text).unwrap_or_else(|| {
-            eprintln!("baseline {path} has no tcp_mem_ratio_256 summary");
-            std::process::exit(1);
-        })
-    });
+    let baseline = args
+        .check_baseline
+        .as_ref()
+        .map(|path| baseline::read(path, ["tcp_mem_ratio_256"]));
 
     let json = json_escape_free(&rows, &fault_rows, &scale_rows, tcp_mem_ratio_256, mode);
     match output::save("BENCH_transport.json", &json) {
@@ -337,18 +319,10 @@ fn main() {
         }
     }
 
-    if let Some(baseline) = baseline {
-        let ceiling = baseline * BASELINE_TOLERANCE;
-        if tcp_mem_ratio_256 > ceiling {
-            eprintln!(
-                "REGRESSION: tcp_mem_ratio_256 = {tcp_mem_ratio_256:.2} exceeds \
-                 {ceiling:.2} (baseline {baseline:.2} x {BASELINE_TOLERANCE})"
-            );
+    if let Some([committed]) = baseline {
+        let name = "tcp_mem_ratio_256";
+        if !baseline::holds_ceiling(name, tcp_mem_ratio_256, committed) {
             std::process::exit(1);
         }
-        println!(
-            "baseline check: {tcp_mem_ratio_256:.2} within {ceiling:.2} \
-             (baseline {baseline:.2} x {BASELINE_TOLERANCE})"
-        );
     }
 }

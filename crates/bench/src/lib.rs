@@ -13,6 +13,7 @@
 //!   (their D-PSGD/ER simulation took 5 h).
 
 pub mod args;
+pub mod baseline;
 pub mod dnn_experiments;
 pub mod mf_experiments;
 pub mod output;

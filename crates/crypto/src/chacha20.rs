@@ -1,12 +1,14 @@
 //! The ChaCha20 stream cipher (RFC 8439 §2.3–2.4).
 //!
-//! The keystream generator is a **multi-block kernel**: on x86_64 the
-//! 20-round permutation runs 4 blocks wide (SSE2, one block per 32-bit
-//! lane) or 8 blocks wide (AVX2), dispatched at runtime by
-//! [`crate::simd::level`] and overridable with `REX_KERNEL`. ChaCha20
-//! is pure integer arithmetic, so every path produces bit-identical
-//! keystream by construction; the RFC vectors and the kernel-parity
-//! suite pin it anyway.
+//! The keystream generator has two paths: the scalar block function,
+//! and on x86_64 with AVX2 a **multi-block kernel** that runs the
+//! 20-round permutation 8 blocks wide (one block per 32-bit lane),
+//! dispatched at runtime by [`crate::simd::level`] and overridable with
+//! `REX_KERNEL`. What the 8-wide batch leaves (under 512 bytes, at most
+//! 7 blocks) goes through the scalar block loop. ChaCha20 is pure
+//! integer arithmetic, so both paths produce bit-identical keystream by
+//! construction; the RFC vectors and the kernel-parity suite pin it
+//! anyway.
 
 use crate::simd::{self, SimdLevel};
 
@@ -16,8 +18,10 @@ pub const KEY_LEN: usize = 32;
 pub const NONCE_LEN: usize = 12;
 /// Keystream block size in bytes.
 pub const BLOCK_LEN: usize = 64;
-/// Widest batch any kernel generates per call (AVX2: 8 blocks).
-pub const MAX_WIDE_BLOCKS: usize = 8;
+/// Blocks per batch of the wide kernel (AVX2: one per 32-bit lane).
+pub const WIDE_BLOCKS: usize = 8;
+/// Bytes per batch of the wide kernel.
+pub const WIDE_LEN: usize = WIDE_BLOCKS * BLOCK_LEN;
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -49,7 +53,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 }
 
 /// Computes one 64-byte keystream block for (`key`, `counter`, `nonce`)
-/// — the scalar reference every wide kernel must match bit-for-bit.
+/// — the scalar reference the wide kernel must match bit-for-bit.
 #[must_use]
 pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
     let state = init_state(key, counter, nonce);
@@ -76,108 +80,42 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
     out
 }
 
-/// The x86_64 multi-block keystream kernels. One 32-bit lane per block:
+/// The x86_64 multi-block keystream kernel. One 32-bit lane per block:
 /// all 16 state words live in vector registers, the counter word holds
-/// lanes `counter + {0..width-1}`, and the 20 rounds run on every block
-/// at once. Rotations are `slli | srli` pairs; everything is wrapping
+/// lanes `counter + {0..7}`, and the 20 rounds run on every block at
+/// once. Rotations are `slli | srli` pairs; everything is wrapping
 /// integer arithmetic, so the output is bit-identical to [`block`].
 #[cfg(target_arch = "x86_64")]
 mod wide {
-    use super::BLOCK_LEN;
-    #[cfg(target_arch = "x86_64")]
+    use super::{BLOCK_LEN, WIDE_BLOCKS, WIDE_LEN};
     use std::arch::x86_64::*;
 
-    macro_rules! rotl128 {
-        ($v:expr, $n:literal) => {
-            _mm_or_si128(_mm_slli_epi32($v, $n), _mm_srli_epi32($v, 32 - $n))
-        };
-    }
-    macro_rules! qr128 {
-        ($v:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
-            $v[$a] = _mm_add_epi32($v[$a], $v[$b]);
-            $v[$d] = rotl128!(_mm_xor_si128($v[$d], $v[$a]), 16);
-            $v[$c] = _mm_add_epi32($v[$c], $v[$d]);
-            $v[$b] = rotl128!(_mm_xor_si128($v[$b], $v[$c]), 12);
-            $v[$a] = _mm_add_epi32($v[$a], $v[$b]);
-            $v[$d] = rotl128!(_mm_xor_si128($v[$d], $v[$a]), 8);
-            $v[$c] = _mm_add_epi32($v[$c], $v[$d]);
-            $v[$b] = rotl128!(_mm_xor_si128($v[$b], $v[$c]), 7);
-        };
-    }
-    macro_rules! rotl256 {
+    macro_rules! rotl {
         ($v:expr, $n:literal) => {
             _mm256_or_si256(_mm256_slli_epi32($v, $n), _mm256_srli_epi32($v, 32 - $n))
         };
     }
-    macro_rules! qr256 {
+    macro_rules! quarter_round {
         ($v:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
             $v[$a] = _mm256_add_epi32($v[$a], $v[$b]);
-            $v[$d] = rotl256!(_mm256_xor_si256($v[$d], $v[$a]), 16);
+            $v[$d] = rotl!(_mm256_xor_si256($v[$d], $v[$a]), 16);
             $v[$c] = _mm256_add_epi32($v[$c], $v[$d]);
-            $v[$b] = rotl256!(_mm256_xor_si256($v[$b], $v[$c]), 12);
+            $v[$b] = rotl!(_mm256_xor_si256($v[$b], $v[$c]), 12);
             $v[$a] = _mm256_add_epi32($v[$a], $v[$b]);
-            $v[$d] = rotl256!(_mm256_xor_si256($v[$d], $v[$a]), 8);
+            $v[$d] = rotl!(_mm256_xor_si256($v[$d], $v[$a]), 8);
             $v[$c] = _mm256_add_epi32($v[$c], $v[$d]);
-            $v[$b] = rotl256!(_mm256_xor_si256($v[$b], $v[$c]), 7);
+            $v[$b] = rotl!(_mm256_xor_si256($v[$b], $v[$c]), 7);
         };
-    }
-
-    macro_rules! double_round {
-        ($qr:ident, $v:ident) => {
-            // Column rounds.
-            $qr!($v, 0, 4, 8, 12);
-            $qr!($v, 1, 5, 9, 13);
-            $qr!($v, 2, 6, 10, 14);
-            $qr!($v, 3, 7, 11, 15);
-            // Diagonal rounds.
-            $qr!($v, 0, 5, 10, 15);
-            $qr!($v, 1, 6, 11, 12);
-            $qr!($v, 2, 7, 8, 13);
-            $qr!($v, 3, 4, 9, 14);
-        };
-    }
-
-    /// Writes 4 keystream blocks (counters `state[12] + {0,1,2,3}`) into
-    /// `out[..256]`.
-    ///
-    /// # Safety
-    /// The CPU must support SSE2 (baseline on x86_64). `out` shorter
-    /// than four blocks panics on the slice index, never writes out of
-    /// bounds.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn blocks4_sse2(state: &[u32; 16], out: &mut [u8]) {
-        debug_assert!(out.len() >= 4 * BLOCK_LEN);
-        let mut v = [_mm_setzero_si128(); 16];
-        for (vi, &w) in v.iter_mut().zip(state.iter()) {
-            *vi = _mm_set1_epi32(w as i32);
-        }
-        v[12] = _mm_add_epi32(v[12], _mm_set_epi32(3, 2, 1, 0));
-        let init = v;
-        for _ in 0..10 {
-            double_round!(qr128, v);
-        }
-        let mut lanes = [0u32; 4];
-        for (i, (&w, &s)) in v.iter().zip(init.iter()).enumerate() {
-            let sum = _mm_add_epi32(w, s);
-            // SAFETY: `lanes` is four u32s = the 16 bytes one unaligned
-            // `storeu` writes.
-            unsafe { _mm_storeu_si128(lanes.as_mut_ptr().cast::<__m128i>(), sum) };
-            for (b, &lane) in lanes.iter().enumerate() {
-                out[b * BLOCK_LEN + i * 4..b * BLOCK_LEN + i * 4 + 4]
-                    .copy_from_slice(&lane.to_le_bytes());
-            }
-        }
     }
 
     /// Writes 8 keystream blocks (counters `state[12] + {0..7}`) into
-    /// `out[..512]`.
+    /// `out`.
     ///
     /// # Safety
-    /// The CPU must support AVX2. `out` shorter than eight blocks panics
-    /// on the slice index, never writes out of bounds.
+    /// The CPU must support AVX2. Nothing else: every memory access is
+    /// a checked slice index or the one store into the local `lanes`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn blocks8_avx2(state: &[u32; 16], out: &mut [u8]) {
-        debug_assert!(out.len() >= 8 * BLOCK_LEN);
+    pub unsafe fn blocks8_avx2(state: &[u32; 16], out: &mut [u8; WIDE_LEN]) {
         let mut v = [_mm256_setzero_si256(); 16];
         for (vi, &w) in v.iter_mut().zip(state.iter()) {
             *vi = _mm256_set1_epi32(w as i32);
@@ -185,9 +123,18 @@ mod wide {
         v[12] = _mm256_add_epi32(v[12], _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0));
         let init = v;
         for _ in 0..10 {
-            double_round!(qr256, v);
+            // Column rounds.
+            quarter_round!(v, 0, 4, 8, 12);
+            quarter_round!(v, 1, 5, 9, 13);
+            quarter_round!(v, 2, 6, 10, 14);
+            quarter_round!(v, 3, 7, 11, 15);
+            // Diagonal rounds.
+            quarter_round!(v, 0, 5, 10, 15);
+            quarter_round!(v, 1, 6, 11, 12);
+            quarter_round!(v, 2, 7, 8, 13);
+            quarter_round!(v, 3, 4, 9, 14);
         }
-        let mut lanes = [0u32; 8];
+        let mut lanes = [0u32; WIDE_BLOCKS];
         for (i, (&w, &s)) in v.iter().zip(init.iter()).enumerate() {
             let sum = _mm256_add_epi32(w, s);
             // SAFETY: `lanes` is eight u32s = the 32 bytes one unaligned
@@ -232,41 +179,24 @@ pub fn xor_stream_with(
     let mut counter = initial_counter;
     let mut off = 0usize;
 
-    // Widths cascade: AVX2 drains 8-block batches, then (AVX2 implies
-    // SSE2) a 4-block batch picks up a medium remainder, and the scalar
-    // loop below finishes whatever is left. Every path emits the same
-    // RFC keystream, so the split points are invisible in the output.
+    // AVX2 drains whole 8-block batches; the scalar loop below finishes
+    // what is left (all of it at `Scalar`). Both emit the same RFC
+    // keystream, so the split point is invisible in the output.
     #[cfg(target_arch = "x86_64")]
-    {
-        let mut ks = [0u8; MAX_WIDE_BLOCKS * BLOCK_LEN];
-        let mut run_batches = |width: usize, off: &mut usize, counter: &mut u32| {
-            let batch = width * BLOCK_LEN;
-            while data.len() - *off >= batch {
-                let state = init_state(key, *counter, nonce);
-                // SAFETY: `level.is_available()` was asserted on entry —
-                // for AVX2 that is `is_x86_feature_detected!("avx2")`,
-                // the same resolution `simd::level` (and the SHA-256
-                // dispatch) rests on; the 8-wide arm only runs at
-                // `Avx2`, and AVX2 implies the 4-wide arm's SSE2. `ks`
-                // holds `width` whole blocks.
-                unsafe {
-                    match width {
-                        8 => wide::blocks8_avx2(&state, &mut ks),
-                        _ => wide::blocks4_sse2(&state, &mut ks[..batch]),
-                    }
-                }
-                for (byte, k) in data[*off..*off + batch].iter_mut().zip(ks[..batch].iter()) {
-                    *byte ^= k;
-                }
-                *counter = counter.wrapping_add(width as u32);
-                *off += batch;
+    if level == SimdLevel::Avx2 {
+        let mut ks = [0u8; WIDE_LEN];
+        while data.len() - off >= WIDE_LEN {
+            let state = init_state(key, counter, nonce);
+            // SAFETY: `level.is_available()` was asserted on entry, and
+            // for `Avx2` that is `is_x86_feature_detected!("avx2")` — the
+            // one feature `blocks8_avx2` is compiled with, and its only
+            // requirement.
+            unsafe { wide::blocks8_avx2(&state, &mut ks) };
+            for (byte, k) in data[off..off + WIDE_LEN].iter_mut().zip(ks.iter()) {
+                *byte ^= k;
             }
-        };
-        if level == SimdLevel::Avx2 {
-            run_batches(8, &mut off, &mut counter);
-        }
-        if level != SimdLevel::Scalar {
-            run_batches(4, &mut off, &mut counter);
+            counter = counter.wrapping_add(WIDE_BLOCKS as u32);
+            off += WIDE_LEN;
         }
     }
 

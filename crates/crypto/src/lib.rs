@@ -21,6 +21,10 @@
 //! best-effort constant-time tag/point comparisons ([`ct`]); it substitutes
 //! for SGX SSL inside a *simulated* enclave, not a production one.
 
+// Every `unsafe` block states the invariant it rests on; a block without
+// a `// SAFETY:` comment does not build under clippy.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod aead;
 pub mod chacha20;
 pub mod ct;

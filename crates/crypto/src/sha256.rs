@@ -7,7 +7,8 @@
 //! Two block functions produce the same digests: the scalar reference
 //! and, on CPUs with the SHA extensions, a `sha256rnds2` / `sha256msg1`
 //! / `sha256msg2` one. Which runs is resolved once per process in
-//! [`crate::simd`]; `REX_KERNEL=scalar` pins the reference.
+//! [`crate::simd`]: the extensions whenever the CPU has them, unless
+//! `REX_KERNEL=scalar` pins the reference.
 
 use crate::simd::{self, SimdLevel};
 
@@ -167,10 +168,11 @@ impl Sha256 {
             // which answer true only after `is_x86_feature_detected!`
             // saw `sha`, `ssse3` and `sse4.1` on this CPU (SSE2 is
             // baseline on x86_64) — every feature the function is
-            // compiled with. `blocks` is a whole number of 64-byte
-            // blocks (asserted above in debug builds; the callee walks
-            // it with `chunks_exact`, so a ragged tail would be skipped,
-            // never over-read).
+            // compiled with, whatever level was detected or pinned.
+            // `blocks` is a whole number of 64-byte blocks (asserted
+            // above in debug builds; the callee walks it with
+            // `chunks_exact`, so a ragged tail would be skipped, never
+            // over-read).
             unsafe { compress_blocks_sha_ni(&mut self.state, blocks) };
             return;
         }
@@ -228,7 +230,9 @@ fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
 /// every block of `blocks` and are written back to `state` once.
 ///
 /// # Safety
-/// The CPU must support `sha`, `ssse3` and `sse4.1`.
+/// The CPU must support `sha`, `ssse3` and `sse4.1` (SSE2 is x86_64
+/// baseline). Nothing is asked of `blocks`: it is walked with
+/// `chunks_exact`, so a ragged tail is skipped, never over-read.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 unsafe fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {

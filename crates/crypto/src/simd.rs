@@ -1,20 +1,23 @@
-//! Runtime SIMD dispatch for the crypto kernels.
+//! Runtime dispatch for the crypto kernels.
 //!
 //! Mirrors `rex_ml::kernel`'s dispatch contract (the crypto crate stays
-//! dependency-free, so the ~50 lines are deliberately duplicated): the
-//! widest available x86_64 instruction set is detected once per process
-//! via `is_x86_feature_detected!`, and the `REX_KERNEL` environment
-//! variable (`scalar` | `sse2` | `avx2`) pins the level for testing.
-//! Requesting an unavailable level aborts rather than silently
-//! degrading. Unlike the float kernels, every ChaCha20 path is integer
-//! arithmetic, so bit-exactness across levels is structural — the
-//! parity suite pins it anyway.
+//! dependency-free, so the ~50 lines are deliberately duplicated): two
+//! levels, the scalar reference and AVX2, resolved once per process via
+//! `is_x86_feature_detected!`, and the `REX_KERNEL` environment variable
+//! (`scalar` | `avx2`) pins the level for testing. Requesting an
+//! unavailable level aborts rather than silently degrading. Unlike the
+//! float kernels, every ChaCha20 path is integer arithmetic, so
+//! bit-exactness across levels is structural — the parity suite pins it
+//! anyway.
 //!
-//! SHA-256 rides the same resolution and adds no level of its own: the
-//! SHA-extension block function ([`sha_ni`]) runs whenever the CPU
-//! reports `sha` + `ssse3` + `sse4.1` and the level is not
-//! [`SimdLevel::Scalar`], so `REX_KERNEL=scalar` pins the scalar
-//! reference for both ciphers and hashes.
+//! SHA-256 rides the same resolution and adds no level of its own, but
+//! it does not *need* a vector level either: the SHA-extension block
+//! function ([`sha_ni`]) runs whenever the CPU reports `sha` + `ssse3` +
+//! `sse4.1`, unless the process was **pinned** to [`SimdLevel::Scalar`]
+//! (`REX_KERNEL=scalar` or [`force_level`]). A CPU with the extensions
+//! and no AVX2 detects `Scalar` and still hashes on them; only the pin
+//! asks for the reference, so `REX_KERNEL=scalar` proves the scalar
+//! reference for both cipher and hash.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -23,8 +26,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum SimdLevel {
     /// Portable scalar reference.
     Scalar,
-    /// 4-blocks-wide 128-bit x86_64 path (baseline on x86_64).
-    Sse2,
     /// 8-blocks-wide 256-bit x86_64 path (runtime-detected).
     Avx2,
 }
@@ -35,7 +36,6 @@ impl SimdLevel {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "scalar" => Some(SimdLevel::Scalar),
-            "sse2" => Some(SimdLevel::Sse2),
             "avx2" => Some(SimdLevel::Avx2),
             _ => None,
         }
@@ -46,7 +46,6 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -57,27 +56,23 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => true,
-            #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            SimdLevel::Avx2 => false,
         }
     }
 
     fn encode(self) -> u8 {
         match self {
             SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 2,
-            SimdLevel::Avx2 => 3,
+            SimdLevel::Avx2 => 2,
         }
     }
 
     fn decode(v: u8) -> Option<Self> {
         match v {
             1 => Some(SimdLevel::Scalar),
-            2 => Some(SimdLevel::Sse2),
-            3 => Some(SimdLevel::Avx2),
+            2 => Some(SimdLevel::Avx2),
             _ => None,
         }
     }
@@ -86,7 +81,7 @@ impl SimdLevel {
 /// Every level this host can execute, narrowest first.
 #[must_use]
 pub fn available_levels() -> Vec<SimdLevel> {
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|l| l.is_available())
         .collect()
@@ -99,28 +94,40 @@ static LEVEL: AtomicU8 = AtomicU8::new(0);
 /// Set in [`LEVEL`] when SHA-256 runs on the SHA extensions.
 const SHA_NI_BIT: u8 = 0x80;
 
-/// Whether a process pinned at `level` hashes SHA-256 with the SHA
-/// extensions: the CPU must report `sha`, `ssse3` and `sse4.1`, and the
-/// level must not be the scalar pin.
-#[must_use]
-pub fn sha_ni_with(level: SimdLevel) -> bool {
+/// Whether this CPU reports every feature the SHA-extension block
+/// function is compiled with.
+fn cpu_has_sha_ni() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        level != SimdLevel::Scalar
-            && is_x86_feature_detected!("sha")
+        is_x86_feature_detected!("sha")
             && is_x86_feature_detected!("ssse3")
             && is_x86_feature_detected!("sse4.1")
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = level;
-        false
-    }
+    false
 }
 
-fn store_level(level: SimdLevel) -> u8 {
-    let sha = if sha_ni_with(level) { SHA_NI_BIT } else { 0 };
-    let resolved = level.encode() | sha;
+/// The one rule for which SHA-256 block function a process runs: the
+/// SHA extensions when the CPU has them, unless the process was
+/// *pinned* to the scalar level. A `Scalar` that was merely detected
+/// (no AVX2) leaves them on — they are 128-bit instructions that ride
+/// on no vector level.
+fn sha_ni_rule(level: SimdLevel, pinned: bool, cpu_has_it: bool) -> bool {
+    cpu_has_it && !(pinned && level == SimdLevel::Scalar)
+}
+
+/// Whether a process *pinned* at `level` hashes SHA-256 with the SHA
+/// extensions: the CPU must report `sha`, `ssse3` and `sse4.1`, and the
+/// pin must not be the scalar one. (An unpinned process asks only the
+/// CPU: see [`sha_ni`].)
+#[must_use]
+pub fn sha_ni_with(level: SimdLevel) -> bool {
+    sha_ni_rule(level, true, cpu_has_sha_ni())
+}
+
+fn store_level(level: SimdLevel, pinned: bool) -> u8 {
+    let sha_ni = sha_ni_rule(level, pinned, cpu_has_sha_ni());
+    let resolved = level.encode() | if sha_ni { SHA_NI_BIT } else { 0 };
     LEVEL.store(resolved, Ordering::Relaxed);
     resolved
 }
@@ -135,32 +142,29 @@ fn resolved() -> u8 {
 }
 
 fn detect() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            SimdLevel::Avx2
-        } else {
-            SimdLevel::Sse2
-        }
+    if SimdLevel::Avx2.is_available() {
+        SimdLevel::Avx2
+    } else {
+        SimdLevel::Scalar
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    SimdLevel::Scalar
+}
+
+/// The level a `REX_KERNEL=v` pin names; aborts on a value that is not
+/// a level or that this host cannot execute.
+fn pinned_level(v: &str) -> SimdLevel {
+    let l = SimdLevel::parse(v).unwrap_or_else(|| panic!("REX_KERNEL={v}: expected scalar|avx2"));
+    assert!(
+        l.is_available(),
+        "REX_KERNEL={v} requested but this host cannot execute it"
+    );
+    l
 }
 
 fn init_level() -> u8 {
-    let level = match std::env::var("REX_KERNEL") {
-        Ok(v) => {
-            let l = SimdLevel::parse(&v)
-                .unwrap_or_else(|| panic!("REX_KERNEL={v}: expected scalar|sse2|avx2"));
-            assert!(
-                l.is_available(),
-                "REX_KERNEL={v} requested but this host cannot execute it"
-            );
-            l
-        }
-        Err(_) => detect(),
-    };
-    store_level(level)
+    match std::env::var("REX_KERNEL") {
+        Ok(v) => store_level(pinned_level(&v), true),
+        Err(_) => store_level(detect(), false),
+    }
 }
 
 /// The process-wide dispatch level: `REX_KERNEL` if set, else the
@@ -171,22 +175,23 @@ pub fn level() -> SimdLevel {
     SimdLevel::decode(resolved() & !SHA_NI_BIT).expect("resolved level code")
 }
 
-/// Whether this process hashes SHA-256 with the SHA extensions
-/// ([`sha_ni_with`] of the process-wide [`level`]). Resolved with the
-/// level, then cached.
+/// Whether this process hashes SHA-256 with the SHA extensions: the CPU
+/// has them and the process was not pinned to [`SimdLevel::Scalar`].
+/// Resolved with the level, then cached.
 #[inline]
 #[must_use]
 pub fn sha_ni() -> bool {
     resolved() & SHA_NI_BIT != 0
 }
 
-/// Pins the dispatch level in-process (bench/test hook).
+/// Pins the dispatch level in-process (bench/test hook), and the SHA-256
+/// block function with it ([`sha_ni_with`]).
 ///
 /// # Panics
 /// When this host cannot execute `l`.
 pub fn force_level(l: SimdLevel) {
     assert!(l.is_available(), "simd level {} unavailable", l.name());
-    store_level(l);
+    store_level(l, true);
 }
 
 #[cfg(test)]
@@ -196,8 +201,9 @@ mod tests {
     #[test]
     fn parse_and_availability() {
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Scalar));
-        assert_eq!(SimdLevel::parse("sse2"), Some(SimdLevel::Sse2));
         assert_eq!(SimdLevel::parse("avx2"), Some(SimdLevel::Avx2));
+        // The level this crate used to have between the two.
+        assert_eq!(SimdLevel::parse("sse2"), None);
         assert_eq!(SimdLevel::parse("avx512"), None);
         let levels = available_levels();
         assert!(levels.contains(&SimdLevel::Scalar));
@@ -209,13 +215,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "REX_KERNEL=sse2: expected scalar|avx2")]
+    fn the_deleted_level_is_refused_as_a_pin() {
+        pinned_level("sse2");
+    }
+
+    /// The extensions belong to the CPU, not to a vector level: only a
+    /// scalar *pin* turns them off, and a `Scalar` that was detected
+    /// (a CPU with SHA-NI and no AVX2) keeps them.
+    #[test]
     fn sha_ni_follows_the_level_and_the_scalar_pin_disables_it() {
-        assert!(!sha_ni_with(SimdLevel::Scalar));
-        assert_eq!(sha_ni(), sha_ni_with(level()));
-        for l in available_levels() {
-            if l != SimdLevel::Scalar {
-                assert_eq!(sha_ni_with(l), sha_ni_with(SimdLevel::Sse2));
-            }
+        for cpu in [false, true] {
+            assert!(!sha_ni_rule(SimdLevel::Scalar, true, cpu));
+            assert_eq!(sha_ni_rule(SimdLevel::Scalar, false, cpu), cpu);
+            assert_eq!(sha_ni_rule(SimdLevel::Avx2, true, cpu), cpu);
+            assert_eq!(sha_ni_rule(SimdLevel::Avx2, false, cpu), cpu);
         }
+        assert!(!sha_ni_with(SimdLevel::Scalar));
+        assert_eq!(sha_ni_with(SimdLevel::Avx2), cpu_has_sha_ni());
+        // This process: pinned by `REX_KERNEL` or not at all (no unit
+        // test of this crate calls `force_level`).
+        let pinned = std::env::var_os("REX_KERNEL").is_some();
+        assert_eq!(sha_ni(), sha_ni_rule(level(), pinned, cpu_has_sha_ni()));
     }
 }

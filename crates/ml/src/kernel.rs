@@ -1,17 +1,18 @@
-//! Bit-exact SIMD kernels for the f32/f64 vector hot paths.
+//! Bit-exact kernels for the f32/f64 vector hot paths.
 //!
 //! Every dense inner loop of the MF pipeline — the SGD predict/update
 //! sweep, the weighted model merge, and the serve path's dot products
-//! and norms — funnels through the primitives in this module. Each
-//! primitive ships a **scalar reference** implementation and x86_64
-//! SIMD implementations (SSE2 and AVX2 via `std::arch`), selected once
-//! per process by [`level`].
+//! and norms — funnels through the primitives in this module. There are
+//! **two levels**: a portable scalar reference and one x86_64 vector
+//! level (AVX2 via `std::arch`), selected once per process by [`level`].
+//! Only the primitives where a hand-written body measurably beats the
+//! compiler carry one: [`dot`], [`norm_sq`] and [`sgd_update`].
 //!
 //! # The bit-exactness contract
 //!
 //! The scalar reference computes in the *same fixed lane-chunked
-//! accumulation tree* as the widest SIMD path, so every dispatch level
-//! returns **bit-identical** results on identical inputs — including
+//! accumulation tree* as the AVX2 path, so both levels return
+//! **bit-identical** results on identical inputs — including
 //! subnormals, signed zeros, and infinities. The single carve-out is
 //! NaN *payloads*: whether a result is NaN is identical on every level
 //! (the trees match, and IEEE-754 NaN creation/propagation is exact),
@@ -27,30 +28,37 @@
 //!   order; a ragged tail is zero-padded to a full chunk) and combines
 //!   them in the canonical order `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`
 //!   — exactly the `vextractf128`/`movhlps`/`shufps` reduction the AVX2
-//!   path performs. The SSE2 path emulates the 8-lane chunking with two
-//!   4-wide registers.
+//!   path performs.
 //! * [`norm_sq`] accumulates `f64` squares into [`F64_LANES`] = 4
 //!   partial sums combined as `(s0+s2) + (s1+s3)`.
-//! * [`axpy`], [`scale_add`], and [`sgd_update`] are purely vertical
-//!   (no cross-element reduction), so every vector width reproduces the
-//!   scalar op-for-op: IEEE-754 `mul`/`add` are exactly rounded, and no
-//!   path ever contracts them into an FMA.
+//! * [`sgd_update`] is purely vertical (no cross-element reduction), so
+//!   the vector width reproduces the scalar op-for-op: IEEE-754
+//!   `mul`/`add` are exactly rounded, and no path ever contracts them
+//!   into an FMA.
+//! * [`axpy`] and [`scale_add`] are purely vertical too, and for them
+//!   that is the whole story: they are plain `#[inline]` loops with no
+//!   level at all. The compiler vectorises them at whatever width the
+//!   caller's frame allows, every width gives the same bits, and a
+//!   hand-written body measured flat against the loop at every k — so
+//!   there is nothing to dispatch and nothing to compare.
 //!
 //! The contract is enforced by the `kernel_parity` proptest suite
 //! (`tests/kernel_parity.rs`): random lengths including ragged tails,
 //! random bit patterns (subnormals, ±0, ±inf, NaN payloads),
 //! `scalar(x) == simd(x)` bit-for-bit — modulo the NaN-payload
-//! carve-out above — for every primitive at every available level.
+//! carve-out above — for every levelled primitive at every available
+//! level.
 //!
 //! # Dispatch
 //!
-//! [`level`] picks the widest available implementation at first use
-//! (`is_x86_feature_detected!("avx2")`, falling back to SSE2 — always
-//! present on x86_64 — then scalar elsewhere). The `REX_KERNEL`
-//! environment variable (`scalar` | `sse2` | `avx2`) pins the level for
-//! testing; requesting an unavailable level aborts rather than silently
-//! degrading, so a CI matrix job can trust what it measured. Benches
-//! flip levels in-process via [`force_level`].
+//! [`level`] resolves at first use: AVX2 when
+//! `is_x86_feature_detected!("avx2")` says so, the scalar reference
+//! otherwise (pre-AVX2 x86_64 and every other architecture). The
+//! `REX_KERNEL` environment variable (`scalar` | `avx2`) pins the level
+//! for testing; requesting an unavailable level aborts rather than
+//! silently degrading, so a CI matrix job can trust what it measured.
+//! Benches flip levels in-process via [`force_level`]. [`sweep_with`]
+//! is the one place the level is matched on.
 //!
 //! # Element entry, sweep entry
 //!
@@ -82,8 +90,6 @@ pub const F64_LANES: usize = 4;
 pub enum KernelLevel {
     /// Portable scalar reference (the canonical accumulation tree).
     Scalar,
-    /// 128-bit `std::arch` x86_64 path (baseline on x86_64).
-    Sse2,
     /// 256-bit `std::arch` x86_64 path (runtime-detected).
     Avx2,
 }
@@ -94,7 +100,6 @@ impl KernelLevel {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "scalar" => Some(KernelLevel::Scalar),
-            "sse2" => Some(KernelLevel::Sse2),
             "avx2" => Some(KernelLevel::Avx2),
             _ => None,
         }
@@ -105,7 +110,6 @@ impl KernelLevel {
     pub fn name(self) -> &'static str {
         match self {
             KernelLevel::Scalar => "scalar",
-            KernelLevel::Sse2 => "sse2",
             KernelLevel::Avx2 => "avx2",
         }
     }
@@ -116,27 +120,23 @@ impl KernelLevel {
         match self {
             KernelLevel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            KernelLevel::Sse2 => true,
-            #[cfg(target_arch = "x86_64")]
             KernelLevel::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            KernelLevel::Avx2 => false,
         }
     }
 
     fn encode(self) -> u8 {
         match self {
             KernelLevel::Scalar => 1,
-            KernelLevel::Sse2 => 2,
-            KernelLevel::Avx2 => 3,
+            KernelLevel::Avx2 => 2,
         }
     }
 
     fn decode(v: u8) -> Option<Self> {
         match v {
             1 => Some(KernelLevel::Scalar),
-            2 => Some(KernelLevel::Sse2),
-            3 => Some(KernelLevel::Avx2),
+            2 => Some(KernelLevel::Avx2),
             _ => None,
         }
     }
@@ -145,7 +145,7 @@ impl KernelLevel {
 /// Every level this host can execute, narrowest first.
 #[must_use]
 pub fn available_levels() -> Vec<KernelLevel> {
-    [KernelLevel::Scalar, KernelLevel::Sse2, KernelLevel::Avx2]
+    [KernelLevel::Scalar, KernelLevel::Avx2]
         .into_iter()
         .filter(|l| l.is_available())
         .collect()
@@ -154,29 +154,27 @@ pub fn available_levels() -> Vec<KernelLevel> {
 static LEVEL: AtomicU8 = AtomicU8::new(0);
 
 fn detect() -> KernelLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            KernelLevel::Avx2
-        } else {
-            KernelLevel::Sse2
-        }
+    if KernelLevel::Avx2.is_available() {
+        KernelLevel::Avx2
+    } else {
+        KernelLevel::Scalar
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    KernelLevel::Scalar
+}
+
+/// The level a `REX_KERNEL=v` pin names; aborts on a value that is not
+/// a level or that this host cannot execute.
+fn pinned_level(v: &str) -> KernelLevel {
+    let l = KernelLevel::parse(v).unwrap_or_else(|| panic!("REX_KERNEL={v}: expected scalar|avx2"));
+    assert!(
+        l.is_available(),
+        "REX_KERNEL={v} requested but this host cannot execute it"
+    );
+    l
 }
 
 fn init_level() -> KernelLevel {
     let level = match std::env::var("REX_KERNEL") {
-        Ok(v) => {
-            let l = KernelLevel::parse(&v)
-                .unwrap_or_else(|| panic!("REX_KERNEL={v}: expected scalar|sse2|avx2"));
-            assert!(
-                l.is_available(),
-                "REX_KERNEL={v} requested but this host cannot execute it"
-            );
-            l
-        }
+        Ok(v) => pinned_level(&v),
         Err(_) => detect(),
     };
     LEVEL.store(level.encode(), Ordering::Relaxed);
@@ -254,12 +252,12 @@ pub fn sweep_with<S: Sweep>(l: KernelLevel, s: S) -> S::Output {
     match l {
         KernelLevel::Scalar => s.run(ScalarLanes),
         #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => s.run(x86::Sse2Lanes),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
+        // SAFETY: `check_available` just asserted
+        // `is_x86_feature_detected!("avx2")`, the one feature
+        // `sweep_avx2` is compiled with.
         KernelLevel::Avx2 => unsafe { x86::sweep_avx2(s) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("SIMD level on non-x86_64"),
+        KernelLevel::Avx2 => unreachable!("check_available refuses AVX2 off x86_64"),
     }
 }
 
@@ -433,80 +431,34 @@ pub fn norm_sq(a: &[f32]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// axpy
+// axpy, scale_add (purely vertical: plain loops, no level)
 // ---------------------------------------------------------------------
 
-/// Scalar reference for [`axpy`]: `y[i] += alpha * x[i]`, purely
-/// vertical, so any vector width is bit-identical by construction.
-pub fn axpy_scalar(alpha: f32, x: &[f32], y: &mut [f32]) {
+/// `y[i] += alpha * x[i]`. Purely vertical, so the compiler may
+/// vectorise it at any width and the bits do not change; there is no
+/// per-level body.
+///
+/// # Panics
+/// When the lengths differ.
+#[inline]
+pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy over mismatched lengths");
     for (yj, xj) in y.iter_mut().zip(x) {
         *yj += alpha * *xj;
     }
 }
 
-/// `y += alpha · x` under the given dispatch level.
+/// `acc[i] += w * f64(src[i])` — the weighted row accumulate of the
+/// model merge. Purely vertical, like [`axpy`].
 ///
 /// # Panics
-/// When the lengths differ or `l` is unavailable on this host.
-pub fn axpy_with(l: KernelLevel, alpha: f32, x: &[f32], y: &mut [f32]) {
-    check_available(l);
-    match l {
-        KernelLevel::Scalar => axpy_scalar(alpha, x, y),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Sse2 => unsafe { x86::axpy_sse2(alpha, x, y) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Avx2 => unsafe { x86::axpy_avx2(alpha, x, y) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("SIMD level on non-x86_64"),
-    }
-}
-
-/// `y += alpha · x` under the process dispatch level.
+/// When the lengths differ.
 #[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    axpy_with(level(), alpha, x, y)
-}
-
-// ---------------------------------------------------------------------
-// scale_add (weighted accumulate for merge)
-// ---------------------------------------------------------------------
-
-/// Scalar reference for [`scale_add`]: `acc[i] += w * f64(src[i])`,
-/// purely vertical.
-pub fn scale_add_scalar(acc: &mut [f64], w: f64, src: &[f32]) {
+pub fn scale_add(acc: &mut [f64], w: f64, src: &[f32]) {
     assert_eq!(acc.len(), src.len(), "scale_add over mismatched lengths");
     for (a, s) in acc.iter_mut().zip(src) {
         *a += w * f64::from(*s);
     }
-}
-
-/// `acc += w · f64(src)` under the given dispatch level — the weighted
-/// row accumulate of the model merge.
-///
-/// # Panics
-/// When the lengths differ or `l` is unavailable on this host.
-pub fn scale_add_with(l: KernelLevel, acc: &mut [f64], w: f64, src: &[f32]) {
-    check_available(l);
-    match l {
-        KernelLevel::Scalar => scale_add_scalar(acc, w, src),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Sse2 => unsafe { x86::scale_add_sse2(acc, w, src) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_available verified the instruction set.
-        KernelLevel::Avx2 => unsafe { x86::scale_add_avx2(acc, w, src) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("SIMD level on non-x86_64"),
-    }
-}
-
-/// `acc += w · f64(src)` under the process dispatch level.
-#[inline]
-pub fn scale_add(acc: &mut [f64], w: f64, src: &[f32]) {
-    scale_add_with(level(), acc, w, src)
 }
 
 // ---------------------------------------------------------------------
@@ -576,18 +528,19 @@ mod x86 {
     //! module.
     //!
     //! The [`Lanes`] primitives are safe `#[inline(always)]` methods on
-    //! the level tokens: SSE2 is x86_64 baseline, and an [`Avx2Lanes`]
-    //! is only ever made by [`sweep_avx2`], whose caller has checked
-    //! for AVX2. The `axpy` / `scale_add` functions are `unsafe`
-    //! because their callers must guarantee the instruction set (checked
-    //! by the dispatch wrappers).
+    //! the level token: an [`Avx2Lanes`] is only ever made by
+    //! [`sweep_avx2`], whose caller has checked for AVX2. Its private
+    //! field is what keeps that true — nothing outside this module can
+    //! spell one.
+    //!
+    //! `sgd_update` stays hand-written although it is as vertical as
+    //! `axpy`: a plain loop inlined into the AVX2 frame read the
+    //! `serve-live` benchmark's `epoch_p05_ms` 1.06 → 1.13 ms and won 1
+    //! of 6 alternated pairs (0.98 → 1.13, 0 of 5, in the sizing run
+    //! before it), where the same pairing without that edit read level.
 
     use super::{Lanes, Sweep, F32_LANES, F64_LANES};
     use std::arch::x86_64::*;
-
-    /// SSE2 as a level token: x86_64 baseline, nothing to prove.
-    #[derive(Clone, Copy)]
-    pub struct Sse2Lanes;
 
     /// AVX2 as a level token: exists only inside [`sweep_avx2`].
     #[derive(Clone, Copy)]
@@ -597,7 +550,10 @@ mod x86 {
     /// calls inline into this one `#[target_feature]` function.
     ///
     /// # Safety
-    /// The host must support AVX2.
+    /// The host must support AVX2 (`is_x86_feature_detected!("avx2")`):
+    /// the function is compiled with that feature, and the token it
+    /// hands `s` is what lets the [`Avx2Lanes`] methods issue AVX/AVX2
+    /// instructions without checking again.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sweep_avx2<S: Sweep>(s: S) -> S::Output {
         s.run(Avx2Lanes(()))
@@ -611,7 +567,9 @@ mod x86 {
     /// `(s0+s2) + (s1+s3)` on a 128-bit register.
     #[inline(always)]
     fn reduce4_ps(s: __m128) -> f32 {
-        // SAFETY: SSE register arithmetic only; SSE2 is x86_64 baseline.
+        // SAFETY: register-to-register SSE arithmetic, no memory access;
+        // SSE/SSE2 are part of the x86_64 baseline this module is
+        // compiled for, so there is nothing to detect.
         unsafe {
             let t = _mm_add_ps(s, _mm_movehl_ps(s, s)); // [s0+s2, s1+s3, ..]
             let r = _mm_add_ss(t, _mm_shuffle_ps(t, t, 0b01));
@@ -622,7 +580,8 @@ mod x86 {
     /// `s0 + s1` on a 128-bit f64 register.
     #[inline(always)]
     fn reduce2_pd(s: __m128d) -> f64 {
-        // SAFETY: SSE2 register arithmetic only; x86_64 baseline.
+        // SAFETY: as `reduce4_ps` — SSE2 register arithmetic, no memory
+        // access, x86_64 baseline.
         unsafe { _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s))) }
     }
 
@@ -719,182 +678,6 @@ mod x86 {
             super::sgd_update_scalar(&mut x[chunks * 8..], &mut y[chunks * 8..], lr, err, reg);
         }
     }
-
-    impl Lanes for Sse2Lanes {
-        #[inline(always)]
-        fn dot(self, a: &[f32], b: &[f32]) -> f32 {
-            assert_eq!(a.len(), b.len(), "dot over mismatched lengths");
-            // Two 4-wide accumulators emulate the 8-lane canonical tree:
-            // `lo` holds lanes 0–3, `hi` lanes 4–7.
-            let chunks = a.len() / F32_LANES;
-            let tail = a.len() - chunks * F32_LANES;
-            // SAFETY: SSE2 is x86_64 baseline. Chunk `c` loads elements
-            // `8c..8c+8` with `8c+8 <= 8·chunks <= len` of both slices;
-            // the tail is copied into zero-padded 8-element arrays and
-            // loaded from those.
-            unsafe {
-                let mut lo = _mm_setzero_ps();
-                let mut hi = _mm_setzero_ps();
-                for c in 0..chunks {
-                    let base = c * F32_LANES;
-                    let va0 = _mm_loadu_ps(a.as_ptr().add(base));
-                    let vb0 = _mm_loadu_ps(b.as_ptr().add(base));
-                    let va1 = _mm_loadu_ps(a.as_ptr().add(base + 4));
-                    let vb1 = _mm_loadu_ps(b.as_ptr().add(base + 4));
-                    lo = _mm_add_ps(lo, _mm_mul_ps(va0, vb0));
-                    hi = _mm_add_ps(hi, _mm_mul_ps(va1, vb1));
-                }
-                if tail > 0 {
-                    let mut pa = [0.0f32; F32_LANES];
-                    let mut pb = [0.0f32; F32_LANES];
-                    pa[..tail].copy_from_slice(&a[chunks * F32_LANES..]);
-                    pb[..tail].copy_from_slice(&b[chunks * F32_LANES..]);
-                    let va0 = _mm_loadu_ps(pa.as_ptr());
-                    let vb0 = _mm_loadu_ps(pb.as_ptr());
-                    let va1 = _mm_loadu_ps(pa.as_ptr().add(4));
-                    let vb1 = _mm_loadu_ps(pb.as_ptr().add(4));
-                    lo = _mm_add_ps(lo, _mm_mul_ps(va0, vb0));
-                    hi = _mm_add_ps(hi, _mm_mul_ps(va1, vb1));
-                }
-                reduce4_ps(_mm_add_ps(lo, hi))
-            }
-        }
-
-        #[inline(always)]
-        fn norm_sq(self, a: &[f32]) -> f64 {
-            // `lo` holds f64 lanes 0–1, `hi` lanes 2–3 of the canonical tree.
-            let chunks = a.len() / F64_LANES;
-            let tail = a.len() - chunks * F64_LANES;
-            // SAFETY: SSE2 is x86_64 baseline. Chunk `c` loads elements
-            // `4c..4c+4` with `4c+4 <= 4·chunks <= len`; the tail is
-            // copied into a zero-padded 4-element array and loaded from it.
-            unsafe {
-                let mut lo = _mm_setzero_pd();
-                let mut hi = _mm_setzero_pd();
-                let mut square_in = |f: __m128| {
-                    let v0 = _mm_cvtps_pd(f);
-                    let v1 = _mm_cvtps_pd(_mm_movehl_ps(f, f));
-                    lo = _mm_add_pd(lo, _mm_mul_pd(v0, v0));
-                    hi = _mm_add_pd(hi, _mm_mul_pd(v1, v1));
-                };
-                for c in 0..chunks {
-                    square_in(_mm_loadu_ps(a.as_ptr().add(c * F64_LANES)));
-                }
-                if tail > 0 {
-                    let mut p = [0.0f32; F64_LANES];
-                    p[..tail].copy_from_slice(&a[chunks * F64_LANES..]);
-                    square_in(_mm_loadu_ps(p.as_ptr()));
-                }
-                reduce2_pd(_mm_add_pd(lo, hi)) // [s0+s2, s1+s3]
-            }
-        }
-
-        #[inline(always)]
-        fn sgd_update(self, x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
-            assert_eq!(x.len(), y.len(), "sgd_update over mismatched lengths");
-            let chunks = x.len() / 4;
-            // SAFETY: SSE2 is x86_64 baseline; chunk `c` loads and stores
-            // elements `4c..4c+4` with `4c+4 <= 4·chunks <= len` of both
-            // slices, which are distinct `&mut` borrows.
-            unsafe {
-                let vlr = _mm_set1_ps(lr);
-                let verr = _mm_set1_ps(err);
-                let vreg = _mm_set1_ps(reg);
-                for c in 0..chunks {
-                    let vx = _mm_loadu_ps(x.as_ptr().add(c * 4));
-                    let vy = _mm_loadu_ps(y.as_ptr().add(c * 4));
-                    let gx = _mm_sub_ps(_mm_mul_ps(verr, vy), _mm_mul_ps(vreg, vx));
-                    let gy = _mm_sub_ps(_mm_mul_ps(verr, vx), _mm_mul_ps(vreg, vy));
-                    _mm_storeu_ps(
-                        x.as_mut_ptr().add(c * 4),
-                        _mm_add_ps(vx, _mm_mul_ps(vlr, gx)),
-                    );
-                    _mm_storeu_ps(
-                        y.as_mut_ptr().add(c * 4),
-                        _mm_add_ps(vy, _mm_mul_ps(vlr, gy)),
-                    );
-                }
-            }
-            super::sgd_update_scalar(&mut x[chunks * 4..], &mut y[chunks * 4..], lr, err, reg);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "axpy over mismatched lengths");
-        let va = _mm256_set1_ps(alpha);
-        let chunks = x.len() / 8;
-        for c in 0..chunks {
-            let vx = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-            let vy = _mm256_loadu_ps(y.as_ptr().add(c * 8));
-            _mm256_storeu_ps(
-                y.as_mut_ptr().add(c * 8),
-                _mm256_add_ps(vy, _mm256_mul_ps(va, vx)),
-            );
-        }
-        for j in chunks * 8..x.len() {
-            y[j] += alpha * x[j];
-        }
-    }
-
-    pub unsafe fn axpy_sse2(alpha: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "axpy over mismatched lengths");
-        let va = _mm_set1_ps(alpha);
-        let chunks = x.len() / 4;
-        for c in 0..chunks {
-            let vx = _mm_loadu_ps(x.as_ptr().add(c * 4));
-            let vy = _mm_loadu_ps(y.as_ptr().add(c * 4));
-            _mm_storeu_ps(
-                y.as_mut_ptr().add(c * 4),
-                _mm_add_ps(vy, _mm_mul_ps(va, vx)),
-            );
-        }
-        for j in chunks * 4..x.len() {
-            y[j] += alpha * x[j];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_add_avx2(acc: &mut [f64], w: f64, src: &[f32]) {
-        assert_eq!(acc.len(), src.len(), "scale_add over mismatched lengths");
-        let vw = _mm256_set1_pd(w);
-        let chunks = src.len() / 4;
-        for c in 0..chunks {
-            let vs = _mm256_cvtps_pd(_mm_loadu_ps(src.as_ptr().add(c * 4)));
-            let va = _mm256_loadu_pd(acc.as_ptr().add(c * 4));
-            _mm256_storeu_pd(
-                acc.as_mut_ptr().add(c * 4),
-                _mm256_add_pd(va, _mm256_mul_pd(vw, vs)),
-            );
-        }
-        for j in chunks * 4..src.len() {
-            acc[j] += w * f64::from(src[j]);
-        }
-    }
-
-    pub unsafe fn scale_add_sse2(acc: &mut [f64], w: f64, src: &[f32]) {
-        assert_eq!(acc.len(), src.len(), "scale_add over mismatched lengths");
-        let vw = _mm_set1_pd(w);
-        let chunks = src.len() / 4;
-        for c in 0..chunks {
-            let f = _mm_loadu_ps(src.as_ptr().add(c * 4));
-            let s0 = _mm_cvtps_pd(f);
-            let s1 = _mm_cvtps_pd(_mm_movehl_ps(f, f));
-            let a0 = _mm_loadu_pd(acc.as_ptr().add(c * 4));
-            let a1 = _mm_loadu_pd(acc.as_ptr().add(c * 4 + 2));
-            _mm_storeu_pd(
-                acc.as_mut_ptr().add(c * 4),
-                _mm_add_pd(a0, _mm_mul_pd(vw, s0)),
-            );
-            _mm_storeu_pd(
-                acc.as_mut_ptr().add(c * 4 + 2),
-                _mm_add_pd(a1, _mm_mul_pd(vw, s1)),
-            );
-        }
-        for j in chunks * 4..src.len() {
-            acc[j] += w * f64::from(src[j]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -938,26 +721,6 @@ mod tests {
                     norm_sq_with(l, &a).to_bits(),
                     norm_sq_scalar(&a).to_bits(),
                     "norm_sq {} len {len}",
-                    l.name()
-                );
-                let mut y_ref = b.clone();
-                let mut y_got = b.clone();
-                axpy_scalar(0.37, &a, &mut y_ref);
-                axpy_with(l, 0.37, &a, &mut y_got);
-                assert_eq!(
-                    y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    y_got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "axpy {} len {len}",
-                    l.name()
-                );
-                let mut acc_ref = vec![0.25f64; len];
-                let mut acc_got = acc_ref.clone();
-                scale_add_scalar(&mut acc_ref, 0.6, &a);
-                scale_add_with(l, &mut acc_got, 0.6, &a);
-                assert_eq!(
-                    acc_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    acc_got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "scale_add {} len {len}",
                     l.name()
                 );
                 let (mut xr, mut yr) = (a.clone(), b.clone());
@@ -1025,8 +788,9 @@ mod tests {
     #[test]
     fn level_parsing_and_availability() {
         assert_eq!(KernelLevel::parse("scalar"), Some(KernelLevel::Scalar));
-        assert_eq!(KernelLevel::parse("sse2"), Some(KernelLevel::Sse2));
         assert_eq!(KernelLevel::parse("avx2"), Some(KernelLevel::Avx2));
+        // The level this crate used to have between the two.
+        assert_eq!(KernelLevel::parse("sse2"), None);
         assert_eq!(KernelLevel::parse("neon"), None);
         assert!(KernelLevel::Scalar.is_available());
         let levels = available_levels();
@@ -1037,5 +801,11 @@ mod tests {
         }
         // The process level is always executable.
         assert!(level().is_available());
+    }
+
+    #[test]
+    #[should_panic(expected = "REX_KERNEL=sse2: expected scalar|avx2")]
+    fn the_deleted_level_is_refused_as_a_pin() {
+        pinned_level("sse2");
     }
 }

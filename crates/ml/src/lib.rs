@@ -13,6 +13,10 @@
 //! missing-embedding handling (paper §III-C2), and byte serialization for
 //! network-volume accounting.
 
+// Every `unsafe` block states the invariant it rests on; a block without
+// a `// SAFETY:` comment does not build under clippy.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod bytesio;
 pub mod dnn;
 pub mod kernel;

@@ -14,7 +14,9 @@
 //! [`ClusterConfig::faults`] for the key syntax). Every process parses
 //! the same plan, so a multi-process cluster replays the same fault
 //! schedule the in-process backends do. [`ClusterConfig::to_toml`]
-//! round-trips through [`ClusterConfig::parse`].
+//! round-trips through [`ClusterConfig::parse`]. A key the parser does
+//! not know — at the top level or inside a section — is an error naming
+//! it, never a silent default.
 
 use rex_core::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
 use rex_core::membership::MembershipPlan;
@@ -350,10 +352,15 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
+/// The file's `key = value` pairs, each with the line it sits on. The
+/// `get_*` helpers *take* what they read, so whatever is left once
+/// every section has been assembled is a key nothing knows.
+type KeyMap = HashMap<String, (usize, Value)>;
+
 /// Parses the flat `key = value` map. `[section]` headers prefix the
 /// following keys with `section.`; the set of section names seen is
 /// returned alongside (a section can be present yet empty).
-fn parse_map(text: &str) -> Result<(HashMap<String, Value>, Vec<String>), String> {
+fn parse_map(text: &str) -> Result<(KeyMap, Vec<String>), String> {
     let mut map = HashMap::new();
     let mut sections = Vec::new();
     let mut prefix = String::new();
@@ -384,54 +391,67 @@ fn parse_map(text: &str) -> Result<(HashMap<String, Value>, Vec<String>), String
             .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
         let key = format!("{prefix}{}", key.trim());
         let value = parse_value(value).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if map.insert(key.clone(), value).is_some() {
+        if map.insert(key.clone(), (lineno + 1, value)).is_some() {
             return Err(format!("line {}: duplicate key {key}", lineno + 1));
         }
     }
     Ok((map, sections))
 }
 
-fn get_int<T: TryFrom<u64>>(
-    map: &HashMap<String, Value>,
-    key: &str,
-    default: u64,
-) -> Result<T, String> {
-    let raw = match map.get(key) {
-        Some(Value::Int(v)) => *v,
+/// Removes and returns `key`'s value.
+fn take(map: &mut KeyMap, key: &str) -> Option<Value> {
+    map.remove(key).map(|(_, value)| value)
+}
+
+/// The error for the first (by line) key no parser took: a misspelt key
+/// must not run the default in its place.
+fn reject_unknown_keys(map: &KeyMap) -> Result<(), String> {
+    let Some((key, (line, _))) = map.iter().min_by_key(|(_, (line, _))| *line) else {
+        return Ok(());
+    };
+    Err(match key.split_once('.') {
+        Some((section, key)) => format!("line {line}: unknown key {key} in [{section}]"),
+        None => format!("line {line}: unknown top-level key {key}"),
+    })
+}
+
+fn get_int<T: TryFrom<u64>>(map: &mut KeyMap, key: &str, default: u64) -> Result<T, String> {
+    let raw = match take(map, key) {
+        Some(Value::Int(v)) => v,
         Some(other) => return Err(format!("{key}: expected integer, got {other:?}")),
         None => default,
     };
     T::try_from(raw).map_err(|_| format!("{key}: {raw} out of range"))
 }
 
-fn get_bool(map: &HashMap<String, Value>, key: &str, default: bool) -> Result<bool, String> {
-    match map.get(key) {
-        Some(Value::Bool(v)) => Ok(*v),
+fn get_bool(map: &mut KeyMap, key: &str, default: bool) -> Result<bool, String> {
+    match take(map, key) {
+        Some(Value::Bool(v)) => Ok(v),
         Some(other) => Err(format!("{key}: expected bool, got {other:?}")),
         None => Ok(default),
     }
 }
 
-fn get_str(map: &HashMap<String, Value>, key: &str, default: &str) -> Result<String, String> {
-    match map.get(key) {
-        Some(Value::Str(v)) => Ok(v.clone()),
+fn get_str(map: &mut KeyMap, key: &str, default: &str) -> Result<String, String> {
+    match take(map, key) {
+        Some(Value::Str(v)) => Ok(v),
         Some(other) => Err(format!("{key}: expected string, got {other:?}")),
         None => Ok(default.to_string()),
     }
 }
 
-fn get_float(map: &HashMap<String, Value>, key: &str, default: f64) -> Result<f64, String> {
-    match map.get(key) {
-        Some(Value::Float(v)) => Ok(*v),
-        Some(Value::Int(v)) => Ok(*v as f64),
+fn get_float(map: &mut KeyMap, key: &str, default: f64) -> Result<f64, String> {
+    match take(map, key) {
+        Some(Value::Float(v)) => Ok(v),
+        Some(Value::Int(v)) => Ok(v as f64),
         Some(other) => Err(format!("{key}: expected number, got {other:?}")),
         None => Ok(default),
     }
 }
 
-fn get_list(map: &HashMap<String, Value>, key: &str) -> Result<Vec<String>, String> {
-    match map.get(key) {
-        Some(Value::List(items)) => Ok(items.clone()),
+fn get_list(map: &mut KeyMap, key: &str) -> Result<Vec<String>, String> {
+    match take(map, key) {
+        Some(Value::List(items)) => Ok(items),
         Some(other) => Err(format!("{key}: expected string array, got {other:?}")),
         None => Ok(Vec::new()),
     }
@@ -522,7 +542,7 @@ fn parse_leave(raw: &str) -> Result<(usize, usize), String> {
 }
 
 /// Assembles the `[membership]` section into a [`MembershipPlan`].
-fn parse_membership(map: &HashMap<String, Value>) -> Result<MembershipPlan, String> {
+fn parse_membership(map: &mut KeyMap) -> Result<MembershipPlan, String> {
     let mut plan = MembershipPlan {
         seed: get_int(map, "membership.seed", 0)?,
         bootstrap_points: get_int(map, "membership.bootstrap_points", 0)?,
@@ -569,14 +589,14 @@ fn membership_to_toml(plan: &MembershipPlan) -> String {
 /// must be at least 1, and must tile the dataset exactly
 /// (`users_per_node x num_nodes == num_users`).
 fn parse_sharding(
-    map: &HashMap<String, Value>,
+    map: &mut KeyMap,
     num_nodes: usize,
     num_users: u32,
 ) -> Result<ShardingConfig, String> {
-    let users_per_node: u32 = match map.get("sharding.users_per_node") {
-        Some(_) => get_int(map, "sharding.users_per_node", 0)?,
-        None => return Err("sharding.users_per_node: required".to_string()),
-    };
+    if !map.contains_key("sharding.users_per_node") {
+        return Err("sharding.users_per_node: required".to_string());
+    }
+    let users_per_node: u32 = get_int(map, "sharding.users_per_node", 0)?;
     if users_per_node == 0 {
         return Err("sharding.users_per_node: must be at least 1".to_string());
     }
@@ -624,7 +644,7 @@ fn sharding_to_toml(cfg: &ShardingConfig) -> String {
 }
 
 /// Assembles the `[audit]` section into an [`AuditConfig`].
-fn parse_audit(map: &HashMap<String, Value>) -> Result<AuditConfig, String> {
+fn parse_audit(map: &mut KeyMap) -> Result<AuditConfig, String> {
     let d = AuditConfig::default();
     Ok(AuditConfig {
         broadcast: get_bool(map, "audit.broadcast", d.broadcast)?,
@@ -642,7 +662,7 @@ fn audit_to_toml(cfg: &AuditConfig) -> String {
 }
 
 /// Assembles the `[serve]` section into a [`ServeConfig`].
-fn parse_serve(map: &HashMap<String, Value>) -> Result<ServeConfig, String> {
+fn parse_serve(map: &mut KeyMap) -> Result<ServeConfig, String> {
     let d = ServeConfig::default();
     let cfg = ServeConfig {
         queries_per_epoch: get_int(map, "serve.queries_per_epoch", d.queries_per_epoch as u64)?,
@@ -671,7 +691,7 @@ fn serve_to_toml(cfg: &ServeConfig) -> String {
 }
 
 /// Assembles the `[faults]` section into a [`FaultPlan`].
-fn parse_faults(map: &HashMap<String, Value>) -> Result<FaultPlan, String> {
+fn parse_faults(map: &mut KeyMap) -> Result<FaultPlan, String> {
     Ok(FaultPlan {
         seed: get_int(map, "faults.seed", 0)?,
         link: LinkFaults {
@@ -740,10 +760,11 @@ fn faults_to_toml(plan: &FaultPlan) -> String {
 impl ClusterConfig {
     /// Parses a config file's contents.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let (map, sections) = parse_map(text)?;
+        let (mut map, sections) = parse_map(text)?;
+        let map = &mut map;
         let d = ClusterConfig::default();
-        let nodes = match map.get("nodes") {
-            Some(Value::List(addrs)) => addrs.clone(),
+        let nodes = match take(map, "nodes") {
+            Some(Value::List(addrs)) => addrs,
             Some(other) => return Err(format!("nodes: expected address array, got {other:?}")),
             None => return Err("nodes: required".to_string()),
         };
@@ -751,17 +772,17 @@ impl ClusterConfig {
             return Err("nodes: at least one address".to_string());
         }
         let num_nodes = nodes.len();
-        let sharing = match get_str(&map, "sharing", "raw")?.as_str() {
+        let sharing = match get_str(map, "sharing", "raw")?.as_str() {
             "raw" | "rex" => SharingMode::RawData,
             "model" | "ms" => SharingMode::Model,
             other => return Err(format!("sharing: unknown mode {other}")),
         };
-        let algorithm = match get_str(&map, "algorithm", "dpsgd")?.as_str() {
+        let algorithm = match get_str(map, "algorithm", "dpsgd")?.as_str() {
             "dpsgd" => GossipAlgorithm::DPsgd,
             "rmw" => GossipAlgorithm::Rmw,
             other => return Err(format!("algorithm: unknown algorithm {other}")),
         };
-        let topology = match get_str(&map, "topology", "full")?.as_str() {
+        let topology = match get_str(map, "topology", "full")?.as_str() {
             "full" => TopologySpec::FullyConnected,
             "smallworld" => TopologySpec::SmallWorld,
             "er" => TopologySpec::ErdosRenyi,
@@ -772,17 +793,17 @@ impl ClusterConfig {
             WireCodec::Sparse { max_density } => max_density,
             WireCodec::Dense => unreachable!(),
         };
-        let max_density = get_float(&map, "sparse_max_density", default_density)?;
+        let max_density = get_float(map, "sparse_max_density", default_density)?;
         if !(0.0..=1.0).contains(&max_density) {
             return Err(format!("sparse_max_density: {max_density} outside [0, 1]"));
         }
-        let codec = match get_str(&map, "codec", "dense")?.as_str() {
+        let codec = match get_str(map, "codec", "dense")?.as_str() {
             "dense" => WireCodec::Dense,
             "sparse" => WireCodec::Sparse { max_density },
             other => return Err(format!("codec: unknown codec {other}")),
         };
         let faults = if sections.iter().any(|s| s == "faults") {
-            let plan = parse_faults(&map)?;
+            let plan = parse_faults(map)?;
             // Reject bad rates / out-of-range node ids here, through
             // the parser's Result path — a malformed [faults] section
             // must not become a panic inside the deployed binary.
@@ -791,7 +812,7 @@ impl ClusterConfig {
         } else {
             None
         };
-        let driver = match get_str(&map, "driver", "lockstep")?.as_str() {
+        let driver = match get_str(map, "driver", "lockstep")?.as_str() {
             "lockstep" => {
                 if map.contains_key("staleness_k") {
                     return Err(
@@ -801,7 +822,7 @@ impl ClusterConfig {
                 NodeDriver::Lockstep
             }
             "bounded-async" => NodeDriver::BoundedAsync {
-                k: get_int(&map, "staleness_k", 1)?,
+                k: get_int(map, "staleness_k", 1)?,
             },
             other => return Err(format!("driver: unknown driver {other}")),
         };
@@ -822,7 +843,7 @@ impl ClusterConfig {
             }
         }
         let membership = if sections.iter().any(|s| s == "membership") {
-            let plan = parse_membership(&map)?;
+            let plan = parse_membership(map)?;
             // Reject bad schedules (out-of-range ids, epoch-0 joins,
             // self-sponsors…) through the parser's Result path — a
             // malformed [membership] section must not become a panic
@@ -847,55 +868,57 @@ impl ClusterConfig {
         } else {
             None
         };
-        let num_users: u32 = get_int(&map, "num_users", u64::from(d.num_users))?;
+        let num_users: u32 = get_int(map, "num_users", u64::from(d.num_users))?;
         let sharding = if sections.iter().any(|s| s == "sharding") {
             // Validated through the parser's Result path — a [sharding]
             // section that does not tile the dataset must not become a
             // partitioning panic inside the deployed binary.
-            Some(parse_sharding(&map, num_nodes, num_users)?)
+            Some(parse_sharding(map, num_nodes, num_users)?)
         } else {
             None
         };
         let audit = if sections.iter().any(|s| s == "audit") {
-            Some(parse_audit(&map)?)
+            Some(parse_audit(map)?)
         } else {
             None
         };
         let serve = if sections.iter().any(|s| s == "serve") {
-            Some(parse_serve(&map)?)
+            Some(parse_serve(map)?)
         } else {
             None
         };
-        Ok(ClusterConfig {
+        let config = ClusterConfig {
             nodes,
-            epochs: get_int(&map, "epochs", d.epochs as u64)?,
+            epochs: get_int(map, "epochs", d.epochs as u64)?,
             sharing,
             algorithm,
             topology,
-            topology_seed: get_int(&map, "topology_seed", d.topology_seed)?,
+            topology_seed: get_int(map, "topology_seed", d.topology_seed)?,
             num_users,
-            num_items: get_int(&map, "num_items", u64::from(d.num_items))?,
-            num_ratings: get_int(&map, "num_ratings", d.num_ratings as u64)?,
-            data_seed: get_int(&map, "data_seed", d.data_seed)?,
-            split_seed: get_int(&map, "split_seed", d.split_seed)?,
-            protocol_seed: get_int(&map, "protocol_seed", d.protocol_seed)?,
-            points_per_epoch: get_int(&map, "points_per_epoch", d.points_per_epoch as u64)?,
-            steps_per_epoch: get_int(&map, "steps_per_epoch", d.steps_per_epoch as u64)?,
+            num_items: get_int(map, "num_items", u64::from(d.num_items))?,
+            num_ratings: get_int(map, "num_ratings", d.num_ratings as u64)?,
+            data_seed: get_int(map, "data_seed", d.data_seed)?,
+            split_seed: get_int(map, "split_seed", d.split_seed)?,
+            protocol_seed: get_int(map, "protocol_seed", d.protocol_seed)?,
+            points_per_epoch: get_int(map, "points_per_epoch", d.points_per_epoch as u64)?,
+            steps_per_epoch: get_int(map, "steps_per_epoch", d.steps_per_epoch as u64)?,
             codec,
-            sgx: get_bool(&map, "sgx", d.sgx)?,
+            sgx: get_bool(map, "sgx", d.sgx)?,
             processes_per_platform: get_int(
-                &map,
+                map,
                 "processes_per_platform",
                 d.processes_per_platform as u64,
             )?,
-            infra_seed: get_int(&map, "infra_seed", d.infra_seed)?,
+            infra_seed: get_int(map, "infra_seed", d.infra_seed)?,
             faults,
             membership,
             sharding,
             audit,
             serve,
             driver,
-        })
+        };
+        reject_unknown_keys(map)?;
+        Ok(config)
     }
 
     /// Serializes to the TOML subset [`ClusterConfig::parse`] reads.
@@ -1479,5 +1502,72 @@ mod tests {
         );
         let bad_addr = ClusterConfig::parse("nodes = [\"not-an-addr\"]").unwrap();
         assert!(bad_addr.addrs().is_err());
+    }
+
+    #[test]
+    fn a_misspelt_key_is_an_error_naming_it_not_a_default() {
+        let base = "nodes = [\"127.0.0.1:1\", \"127.0.0.1:2\"]\nnum_users = 24\n";
+        let err = ClusterConfig::parse(&format!("{base}epoch = 10\n")).unwrap_err();
+        assert_eq!(err, "line 3: unknown top-level key epoch");
+        // One slip per section, each beside a key the section does know.
+        for (section, known, slip) in [
+            ("faults", "drop = 0.1", "dely = 0.2"),
+            ("membership", "seed = 3", "join = [\"1@2\"]"),
+            (
+                "sharding",
+                "users_per_node = 12",
+                "shard_stratgy = \"contiguous\"",
+            ),
+            ("audit", "verify = true", "brodcast = true"),
+            ("serve", "top_k = 5", "top_kk = 5"),
+        ] {
+            let good = format!("{base}[{section}]\n{known}\n");
+            assert!(ClusterConfig::parse(&good).is_ok(), "{good}");
+            let err = ClusterConfig::parse(&format!("{good}{slip}\n")).unwrap_err();
+            let key = slip.split(' ').next().unwrap();
+            assert_eq!(err, format!("line 5: unknown key {key} in [{section}]"));
+        }
+        // The earliest unknown line is the one reported.
+        let err = ClusterConfig::parse(&format!("{base}zeta = 1\nalpha = 2\n")).unwrap_err();
+        assert_eq!(err, "line 3: unknown top-level key zeta");
+    }
+
+    #[test]
+    fn every_key_to_toml_emits_is_known_to_parse() {
+        let everything = ClusterConfig {
+            num_users: 24,
+            codec: WireCodec::Sparse { max_density: 0.25 },
+            faults: Some(FaultPlan {
+                seed: 5,
+                link_overrides: vec![(0, 1, LinkFaults::default())],
+                partitions: vec![PartitionSpec {
+                    start: 1,
+                    end: 2,
+                    group: vec![0],
+                }],
+                crashes: vec![CrashSpec {
+                    node: 1,
+                    crash_epoch: 2,
+                    rejoin_epoch: Some(4),
+                }],
+                ..FaultPlan::default()
+            }),
+            membership: Some(MembershipPlan::default().with_leave(1, 3)),
+            sharding: Some(ShardingConfig {
+                users_per_node: 12,
+                strategy: ShardStrategy::Contiguous,
+            }),
+            audit: Some(AuditConfig::default()),
+            serve: Some(ServeConfig::default()),
+            ..sample()
+        };
+        assert_eq!(ClusterConfig::parse(&everything.to_toml()), Ok(everything));
+        // The one key the lockstep form does not emit.
+        let bounded = ClusterConfig {
+            algorithm: GossipAlgorithm::DPsgd,
+            driver: NodeDriver::BoundedAsync { k: 2 },
+            ..sample()
+        };
+        assert_eq!(ClusterConfig::parse(&bounded.to_toml()), Ok(bounded));
     }
 }

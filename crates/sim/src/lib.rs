@@ -6,8 +6,6 @@
 //! * [`clock`] — virtual time in nanoseconds (the x-axis of Figs 1, 3, 4,
 //!   6c/d, 7c/d is *simulated elapsed time*: measured compute + modelled
 //!   network/SGX charges);
-//! * [`event`] — a deterministic discrete-event queue (used by the
-//!   asynchronous RMW schedule);
 //! * [`stage`] — the merge/train/share/test stage taxonomy of Algorithm 2
 //!   and per-stage time accounting (Figs 5a, 6a, 7a);
 //! * [`stopwatch`] — wall-clock measurement of real compute;
@@ -16,14 +14,12 @@
 //! * [`report`] — CSV/markdown emission matching the paper's tables.
 
 pub mod clock;
-pub mod event;
 pub mod report;
 pub mod stage;
 pub mod stopwatch;
 pub mod trace;
 
 pub use clock::VirtualClock;
-pub use event::EventQueue;
 pub use stage::{Stage, StageTimes};
 pub use stopwatch::Stopwatch;
 pub use trace::{EpochRecord, ExperimentTrace};
