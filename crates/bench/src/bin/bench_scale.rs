@@ -3,7 +3,11 @@
 //! mem-backend fleet, the sparse wire codec against the dense baseline
 //! on the Table-IV synthetic workload, and the **user-sharded** fleet
 //! arms (each node hosts a contiguous block of virtual users, up to the
-//! 1M-user configuration) with RAM-per-user and epoch-time curves.
+//! 1M-user configuration) with RAM-per-user and epoch-time curves, and
+//! the **paper-shaped raw fleet** (§IV-A: 610 one-user nodes over
+//! 9 000 items and 100 k ratings) with the mean node-epoch split by
+//! stage — where a cold node-epoch goes, from the stage times
+//! `Node::epoch` itself reports.
 //! Writes `results/BENCH_scale.json` — the artifact CI uploads to track
 //! the scaling trajectory.
 //!
@@ -18,8 +22,12 @@
 //!
 //! `--check-baseline PATH` reads a previously committed
 //! `BENCH_scale.json` *before* overwriting it and exits non-zero if the
-//! quick sharded arm's RAM-per-user grew more than 25% — the CI
-//! regression gate on per-user memory.
+//! quick sharded arm's RAM-per-user, or the quick fleet arm's merge share
+//! of the node-epoch, grew more than 25% — the CI regression gates on
+//! per-user memory and on the duplicate check. Both are
+//! machine-independent (a byte count; a ratio inside one run), and every
+//! mode runs the quick-shaped arm of each, so a quick run compares like
+//! with like against a committed full-mode file.
 //!
 //! Scheduler speedup is bounded by the host's cores (`host_cpus` in the
 //! JSON): on a single-core container the pool can only tie the
@@ -35,6 +43,7 @@ use rex_core::Node;
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
 use rex_net::mem::MemNetwork;
+use rex_sim::stage::{Stage, StageTimes, STAGES};
 use rex_topology::TopologySpec;
 use std::time::Instant;
 
@@ -263,6 +272,90 @@ fn run_shard_arm(
     }
 }
 
+/// One paper-shaped fleet arm: where the mean node-epoch goes, by the
+/// stage times every [`rex_core::node::EpochReport`] carries.
+struct FleetEpochRow {
+    shape: &'static str,
+    epochs: usize,
+    /// Mean stage times over every node-epoch of the run.
+    mean: StageTimes,
+    final_rmse_bits: u64,
+}
+
+impl FleetEpochRow {
+    fn node_epoch_us(&self) -> f64 {
+        self.mean.total() as f64 / 1e3
+    }
+
+    /// The merge stage's share of the staged node-epoch: on a raw fleet,
+    /// decode + the store's duplicate check.
+    fn merge_share(&self) -> f64 {
+        self.mean.get(Stage::Merge) as f64 / self.mean.total() as f64
+    }
+
+    /// `label(stage, µs)` over the stages in pipeline order.
+    fn stages(&self, label: impl Fn(&str, f64) -> String) -> Vec<String> {
+        STAGES
+            .iter()
+            .map(|&stage| label(stage.label(), self.mean.get(stage) as f64 / 1e3))
+            .collect()
+    }
+}
+
+const FLEET_NODES: usize = 610;
+const FLEET_ITEMS: u32 = 9_000;
+const FLEET_RATINGS: usize = 100_000;
+const FLEET_WORKERS: usize = 2;
+
+/// The paper's headline scenario (§IV-A) on the repo benchmark's
+/// `sim-fleet` settings: one user per node, small world, D-PSGD raw
+/// sharing of 300 points, 300 SGD steps. 610 models of 424 KB are
+/// ~260 MB, so each node's tables, key set and ratings are out of cache
+/// by the time its turn comes round again — the cold node-epoch.
+fn run_fleet_epoch(shape: &'static str, epochs: usize) -> FleetEpochRow {
+    let ds = SyntheticConfig {
+        num_users: FLEET_NODES as u32,
+        num_items: FLEET_ITEMS,
+        num_ratings: FLEET_RATINGS,
+        seed: 42,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let split = TrainTestSplit::standard(&ds, 7);
+    let part = Partition::one_user_per_node(&split);
+    let graph = TopologySpec::SmallWorld.build(FLEET_NODES, 5);
+    let mut nodes = build_mf_nodes(
+        &part,
+        &graph,
+        ds.num_users,
+        ds.num_items,
+        MfHyperParams::default(),
+        ProtocolConfig {
+            sharing: SharingMode::RawData,
+            algorithm: GossipAlgorithm::DPsgd,
+            points_per_epoch: 300,
+            steps_per_epoch: 300,
+            seed: 17,
+            ..ProtocolConfig::default()
+        },
+        NodeSeeds::default(),
+    );
+    let driver = Driver::WorkSteal {
+        workers: FLEET_WORKERS,
+    };
+    let result = Engine::<MfModel, MemNetwork>::new(
+        MemNetwork::new(FLEET_NODES),
+        engine_config(epochs, driver),
+    )
+    .run("fleet-epoch", &mut nodes);
+    FleetEpochRow {
+        shape,
+        epochs,
+        mean: result.trace.mean_stage_times(),
+        final_rmse_bits: result.trace.final_rmse().unwrap_or(f64::NAN).to_bits(),
+    }
+}
+
 fn main() {
     let args = BenchArgs::parse();
     let mode = if args.full { "full" } else { "quick" };
@@ -276,6 +369,43 @@ fn main() {
     // so run order does not bias the comparison.
     let _ = run_driver(64, 1, Driver::Lockstep);
     let _ = run_driver(64, 1, Driver::WorkSteal { workers: 0 });
+
+    // Paper-shaped fleet: the node-epoch by stage. Every mode runs the
+    // quick shape (what the merge-share gate compares); full mode adds
+    // the repo benchmark's nominal length, where the stores have grown.
+    // First of all arms, so that every mode measures the quick shape in
+    // the same process state: run right after the 1M-user sharded arms
+    // had returned their gigabytes, its merge stage (the one that
+    // allocates) read 74-78 µs in epochs 2-3 where the same epochs of
+    // the arm after it read 49.
+    let fleet_arms: &[(&str, usize)] = if args.full {
+        &[("quick", 10), ("full", 30)]
+    } else {
+        &[("quick", 10)]
+    };
+    let mut fleet_rows = Vec::new();
+    for &(shape, fleet_epochs) in fleet_arms {
+        eprintln!(
+            "[bench_scale] fleet arm ({shape}): {FLEET_NODES} nodes x {fleet_epochs} epochs..."
+        );
+        fleet_rows.push(run_fleet_epoch(shape, fleet_epochs));
+    }
+    println!(
+        "fleet node-epoch ({FLEET_NODES} x {FLEET_ITEMS} x {FLEET_RATINGS}, raw, \
+         {FLEET_WORKERS} workers), mean us by stage:"
+    );
+    for r in &fleet_rows {
+        let stages = r.stages(|stage, us| format!("{stage} {us:.1}"));
+        println!(
+            "  {:<5} ({:>2} epochs): {} = {:.1} us, merge share {:.3}",
+            r.shape,
+            r.epochs,
+            stages.join(" + "),
+            r.node_epoch_us(),
+            r.merge_share()
+        );
+    }
+    let quick_merge_share = fleet_rows[0].merge_share();
 
     eprintln!("[bench_scale] {nodes} nodes x {epochs} epochs, sequential driver...");
     let (seq_secs, seq) = run_driver(nodes, epochs, Driver::Lockstep);
@@ -408,10 +538,12 @@ fn main() {
 
     // Read the baseline *before* saving: the committed baseline is
     // usually the same results/ file this run is about to overwrite.
-    let baseline = args
-        .check_baseline
-        .as_ref()
-        .map(|path| baseline::read(path, ["shard_ram_per_user_64x1024_raw"]));
+    let baseline = args.check_baseline.as_ref().map(|path| {
+        baseline::read(
+            path,
+            ["shard_ram_per_user_64x1024_raw", "fleet_merge_share_quick"],
+        )
+    });
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -470,8 +602,27 @@ fn main() {
          \"ratio\": {wire_ratio:.4}}},\n",
         wire_small.bytes_per_node_per_epoch, wire_large.bytes_per_node_per_epoch
     ));
+    json.push_str("  \"fleet_epoch\": [\n");
+    for (i, r) in fleet_rows.iter().enumerate() {
+        let stages = r.stages(|stage, us| format!("\"{stage}_us\": {us:.1}"));
+        json.push_str(&format!(
+            "    {{\"shape\": \"{}\", \"nodes\": {FLEET_NODES}, \"items\": {FLEET_ITEMS}, \
+             \"ratings\": {FLEET_RATINGS}, \"epochs\": {}, \"workers\": {FLEET_WORKERS}, {}, \
+             \"node_epoch_us\": {:.1}, \"merge_share\": {:.4}, \
+             \"final_rmse_bits\": \"{:#018x}\"}}{}\n",
+            r.shape,
+            r.epochs,
+            stages.join(", "),
+            r.node_epoch_us(),
+            r.merge_share(),
+            r.final_rmse_bits,
+            if i + 1 < fleet_rows.len() { "," } else { "" },
+        ));
+    }
+    json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"summary\": {{\"shard_ram_per_user_64x1024_raw\": {quick_ram_per_user:.1}}}\n"
+        "  \"summary\": {{\"shard_ram_per_user_64x1024_raw\": {quick_ram_per_user:.1}, \
+         \"fleet_merge_share_quick\": {quick_merge_share:.4}}}\n"
     ));
     json.push_str("}\n");
 
@@ -483,11 +634,14 @@ fn main() {
         }
     }
 
-    // CI gate: the quick sharded arm's RAM-per-user against the
-    // committed baseline.
-    if let Some([committed]) = baseline {
-        let name = "shard_ram_per_user_64x1024_raw";
-        if !baseline::holds_ceiling(name, quick_ram_per_user, committed) {
+    // CI gates: the quick sharded arm's RAM-per-user and the quick fleet
+    // arm's merge share against the committed baseline.
+    if let Some([ram, merge_share]) = baseline {
+        let ram_ok =
+            baseline::holds_ceiling("shard_ram_per_user_64x1024_raw", quick_ram_per_user, ram);
+        let merge_ok =
+            baseline::holds_ceiling("fleet_merge_share_quick", quick_merge_share, merge_share);
+        if !(ram_ok && merge_ok) {
             std::process::exit(1);
         }
     }

@@ -450,7 +450,12 @@ impl<M: Model> Node<M> {
                 continue;
             };
             match plain {
-                Plain::RawData { ratings, degree: _ } | Plain::RawPacked { ratings, degree: _ } => {
+                Plain::RawData { mut ratings, .. } | Plain::RawPacked { mut ratings, .. } => {
+                    // A parsable share can still carry a cell outside the
+                    // model's shape or a non-finite value; training would
+                    // index the tables with it. Dropped like any other
+                    // undecodable input (an honest share loses nothing).
+                    ratings.retain(|r| self.model.covers(r.user, r.item) && r.value.is_finite());
                     new_points += self.store.append_batch(&ratings);
                 }
                 Plain::Model { bytes, degree } => {
@@ -596,10 +601,10 @@ impl<M: Model> Node<M> {
                 }
             }
         };
-        let inner = encode_plain(&plain);
+        let mut inner = encode_plain(&plain);
         let mut outgoing = Vec::with_capacity(recipients.len());
         let mut bytes_out = 0u64;
-        for &dest in &recipients {
+        for (nth, &dest) in recipients.iter().enumerate() {
             let payload = match self.tee.as_mut() {
                 Some(tee) => {
                     let session = tee
@@ -608,6 +613,8 @@ impl<M: Model> Node<M> {
                         .unwrap_or_else(|| panic!("node {}: no session with {}", self.id, dest));
                     Payload::Sealed(session.seal(&Self::aad(self.id, dest), &inner))
                 }
+                // The last recipient takes the encoding itself.
+                None if nth + 1 == recipients.len() => Payload::Clear(std::mem::take(&mut inner)),
                 None => Payload::Clear(inner.clone()),
             };
             let bytes = encode_payload(&payload);
@@ -804,6 +811,66 @@ mod tests {
         let (_, report) = b.epoch(inbox);
         assert!(report.new_points > 0);
         assert_eq!(b.store().len(), before + report.new_points);
+    }
+
+    /// Node 1 of the 4 x 20 fleet with no ratings of its own: everything
+    /// it trains on came off the wire.
+    fn mk_empty_node(cfg: ProtocolConfig) -> Node<MfModel> {
+        let model = MfModel::new(4, 20, MfHyperParams::default(), 3.5, 42);
+        Node::builder(1, model)
+            .neighbors(vec![0])
+            .protocol(cfg)
+            .build()
+    }
+
+    #[test]
+    fn a_share_outside_the_models_shape_is_dropped_not_trained_on() {
+        let r = |user, item, value| Rating { user, item, value };
+        let kept = r(3, 19, 4.5);
+        let shares = [
+            Plain::RawData {
+                ratings: vec![
+                    r(4, 0, 3.0),
+                    r(0, 20, 3.0),
+                    r(u32::MAX, u32::MAX, 3.0),
+                    r(0, 0, f32::NAN),
+                    r(1, 1, f32::INFINITY),
+                    kept,
+                ],
+                degree: 1,
+            },
+            Plain::RawPacked {
+                ratings: vec![r(4, 0, 3.0), r(0, 20, 3.0), kept],
+                degree: 1,
+            },
+        ];
+        for share in shares {
+            let mut node = mk_empty_node(cfg(SharingMode::RawData, GossipAlgorithm::DPsgd));
+            let bytes = encode_payload(&Payload::Clear(encode_plain(&share)));
+            // Merge, then 50 SGD steps over the store: with the strays in
+            // it, the trainer indexes the 4 x 20 tables with them.
+            let (_, report) = node.epoch(vec![Envelope { from: 0, bytes }]);
+            assert_eq!(report.new_points, 1, "{share:?}");
+            assert_eq!(node.store().ratings(), [kept]);
+            assert!(node.model().predict(3, 19).is_finite());
+        }
+    }
+
+    #[test]
+    fn an_honest_share_loses_nothing_to_the_shape_filter() {
+        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let mut a = mk_node(0, vec![1], c);
+        let mut b = mk_empty_node(c);
+        let (out_a, _) = a.epoch(Vec::new());
+        let Ok(Payload::Clear(frame)) = decode_payload(&out_a[0].1) else {
+            panic!("native share is a clear payload");
+        };
+        let Ok(Plain::RawData { ratings, .. }) = decode_plain(&frame) else {
+            panic!("dense raw share");
+        };
+        let (_, report) = b.epoch(deliver(0, out_a));
+        assert_eq!(report.new_points, ratings.len());
+        assert_eq!(b.store().ratings(), ratings);
     }
 
     #[test]

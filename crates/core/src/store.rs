@@ -18,11 +18,84 @@
 //! depends on the index. Blocks of width ≤ 1 skip the index entirely:
 //! a `users_per_node = 1` deployment is *representationally* identical
 //! to the legacy per-user store, byte accounting included.
+//!
+//! # The duplicate check's hash
+//!
+//! The key set is a std `HashSet<(u32, u32)>` hashed through
+//! `CellHash`: the cell packed into one `u64`, one multiply by a
+//! per-store odd key, one xor-shift fold (the product's high half onto
+//! its low half, because the table takes its bucket from the low bits and
+//! its control byte from the top seven, and a multiply alone leaves the
+//! low bits a function of the item's low bits). A merge on a raw-sharing
+//! node is ~1 750 probes into memory the rest of the fleet has evicted;
+//! std's SipHash spends a ~100-instruction dependent chain on each 8-byte
+//! key, which keeps the out-of-order window from holding more than two or
+//! three probes, so their cache misses queue. At three instructions per
+//! key the window holds many probes and the misses overlap.
+//!
+//! This is **not** a cryptographic hash, and it replaces SipHash rather
+//! than sitting beside it. Keys arrive from attested peers of the same
+//! fleet, but the multiplier is still secret per store (drawn from
+//! `RandomState`'s process randomness when the store is made), so a peer
+//! that wanted to aim collisions at a node would have to guess a 63-bit
+//! key it can never observe: the set is only ever inserted into and
+//! reserved, never iterated, so neither the key nor the table order
+//! reaches a dedup verdict, the arrival-order vector, [`RawDataStore::sample`],
+//! [`RawDataStore::memory_bytes`] (which models a 24 B entry, as before)
+//! or any fixture byte.
 
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rex_data::{Rating, UserBlock};
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
+use std::hash::{BuildHasher, Hasher};
+
+/// The key set's `BuildHasher`: a per-store odd multiplier (see the
+/// module docs, "The duplicate check's hash").
+#[derive(Debug, Clone)]
+struct CellHash(u64);
+
+impl Default for CellHash {
+    fn default() -> Self {
+        CellHash(RandomState::new().hash_one(0u8) | 1)
+    }
+}
+
+impl BuildHasher for CellHash {
+    type Hasher = CellHasher;
+
+    fn build_hasher(&self) -> CellHasher {
+        CellHasher {
+            key: self.0,
+            cell: 0,
+        }
+    }
+}
+
+/// Hashes exactly what `(u32, u32)::hash` feeds it: two `write_u32`
+/// calls, user then item.
+struct CellHasher {
+    key: u64,
+    cell: u64,
+}
+
+impl Hasher for CellHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the key set hashes (u32, u32) cells only");
+    }
+
+    #[inline]
+    fn write_u32(&mut self, half: u32) {
+        self.cell = (self.cell << 32) | u64::from(half);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let product = self.cell.wrapping_mul(self.key);
+        product ^ (product >> 32)
+    }
+}
 
 /// Row index over a sharded store (built only for blocks wider than one
 /// user — see the module docs for the width-1 determinism contract).
@@ -49,7 +122,7 @@ impl ShardIndex {
 #[derive(Debug, Clone, Default)]
 pub struct RawDataStore {
     ratings: Vec<Rating>,
-    keys: HashSet<(u32, u32)>,
+    keys: HashSet<(u32, u32), CellHash>,
     shard: Option<ShardIndex>,
 }
 
@@ -333,6 +406,164 @@ mod tests {
         s.append_batch(&[r(0, 2, 2.0), r(1, 0, 3.0), r(0, 9, 4.0)]);
         let row0: Vec<u32> = s.row_ratings(0).unwrap().iter().map(|x| x.item).collect();
         assert_eq!(row0, vec![5, 2, 9]);
+    }
+
+    /// A store whose duplicate check hashes under `key`, sharded by
+    /// `block` if given — what [`RawDataStore::with_shard`] builds, with
+    /// the one thing it draws at random pinned.
+    fn keyed_store(key: u64, block: Option<UserBlock>) -> RawDataStore {
+        let mut store = match block {
+            Some(block) => RawDataStore::with_shard(block, Vec::new()),
+            None => RawDataStore::new(),
+        };
+        store.keys = HashSet::with_hasher(CellHash(key | 1));
+        store
+    }
+
+    /// Batches over a universe small enough that most draws repeat a
+    /// cell (within a batch, across batches, under a different value),
+    /// with the coordinate type's extremes in it.
+    fn random_batches(rng: &mut StdRng) -> Vec<Vec<Rating>> {
+        use rand::Rng;
+        const USERS: [u32; 9] = [0, 1, 2, 3, 4, 5, 6, 7, u32::MAX];
+        const ITEMS: [u32; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, u32::MAX - 1, u32::MAX];
+        (0..rng.gen_range(1..8))
+            .map(|_| {
+                (0..rng.gen_range(0..40))
+                    .map(|_| Rating {
+                        user: USERS[rng.gen_range(0..USERS.len())],
+                        item: ITEMS[rng.gen_range(0..ITEMS.len())],
+                        value: rng.gen_range(1..11) as f32 * 0.5,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn store_follows_a_btreeset_reference_over_random_batches() {
+        use std::collections::BTreeSet;
+        for case in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let block = (case % 2 == 1).then_some(UserBlock { start: 2, end: 6 });
+            let batches = random_batches(&mut rng);
+            // The first batch enters through the constructor.
+            let mut store = match block {
+                Some(block) => RawDataStore::with_shard(block, batches[0].clone()),
+                None => RawDataStore::with_initial(batches[0].clone()),
+            };
+            let mut cells = BTreeSet::new();
+            let mut arrived: Vec<Rating> = Vec::new();
+            for (nth, batch) in batches.iter().enumerate() {
+                let fresh: Vec<Rating> = batch
+                    .iter()
+                    .filter(|r| cells.insert(r.key()))
+                    .copied()
+                    .collect();
+                if nth > 0 {
+                    assert_eq!(store.append_batch(batch), fresh.len(), "case {case}");
+                }
+                arrived.extend(fresh);
+                assert_eq!(store.len(), arrived.len(), "case {case}");
+            }
+            assert_eq!(store.ratings(), arrived, "case {case}: arrival order");
+            let hosted = |r: &&Rating| block.is_some_and(|b| b.contains(r.user));
+            assert_eq!(
+                store.alien_len(),
+                block.map_or(0, |_| arrived.iter().filter(|r| !hosted(r)).count())
+            );
+            for user in [0, 2, 5, 6, u32::MAX] {
+                let row: Option<Vec<Rating>> = block
+                    .filter(|b| b.contains(user))
+                    .map(|_| arrived.iter().filter(|r| r.user == user).copied().collect());
+                assert_eq!(store.row_ratings(user), row, "case {case}: user {user}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_hash_key_is_unobservable() {
+        // Identity multiplier, a fixed odd constant, and whatever this
+        // process draws: same batches in, same everything out.
+        for block in [None, Some(UserBlock { start: 2, end: 6 })] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let batches = random_batches(&mut rng);
+            let mut stores = [
+                keyed_store(1, block),
+                keyed_store(0x9e37_79b9_7f4a_7c15, block),
+                keyed_store(CellHash::default().0, block),
+            ];
+            for store in &mut stores {
+                for batch in &batches {
+                    store.append_batch(batch);
+                }
+            }
+            let [first, rest @ ..] = &stores;
+            for other in rest {
+                assert_eq!(other.ratings(), first.ratings());
+                assert_eq!(other.memory_bytes(), first.memory_bytes());
+                for user in [0, 3, 7, u32::MAX] {
+                    assert_eq!(other.rated_items(user), first.rated_items(user));
+                }
+                let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+                for k in [1, 5, first.len() / 2, first.len(), first.len() + 3] {
+                    assert_eq!(other.sample(k, &mut a), first.sample(k, &mut b));
+                }
+            }
+        }
+    }
+
+    /// What std's table reads of a hash: the bucket from the low bits,
+    /// the control byte from the top seven. On the structured cell sets a
+    /// fleet produces — coordinates far below 2^32, so all the entropy
+    /// sits in two narrow bit ranges of the packed cell — both must come
+    /// out spread like a random function's, or probes walk long chains.
+    #[test]
+    fn structured_cells_spread_over_buckets_and_control_bytes() {
+        const CELLS: u64 = 100_000;
+        type Cell = fn(u64) -> (u32, u32);
+        let grids: [(&str, Cell); 4] = [
+            // The first 100 k cells of the 610 x 9 000 matrix, row-major.
+            ("dense rows", |n| ((n / 9_000) as u32, (n % 9_000) as u32)),
+            // Every 54th cell: all 610 users, a stride through the items.
+            ("strided", |n| {
+                ((n * 54 / 9_000) as u32, (n * 54 % 9_000) as u32)
+            }),
+            ("diagonal", |n| (n as u32, n as u32)),
+            ("one user", |n| (0, n as u32)),
+        ];
+        // Buckets of the table that holds CELLS keys at 7/8 load.
+        let buckets = (CELLS * 8 / 7).next_power_of_two();
+        let random_fill = buckets as f64 * (1.0 - (-(CELLS as f64) / buckets as f64).exp());
+        for key in [
+            0x9e37_79b9_7f4a_7c15u64,
+            0xbf58_476d_1ce4_e5b9,
+            0x94d0_49bb_1331_11eb,
+            0x2545_f491_4f6c_dd1d,
+        ] {
+            let hash = CellHash(key | 1);
+            for (name, cell) in grids {
+                let mut bucket_used = vec![false; buckets as usize];
+                let mut control = [0u32; 128];
+                for n in 0..CELLS {
+                    let h = hash.hash_one(cell(n));
+                    bucket_used[(h & (buckets - 1)) as usize] = true;
+                    control[(h >> 57) as usize] += 1;
+                }
+                let used = bucket_used.iter().filter(|&&b| b).count() as f64;
+                assert!(
+                    used >= 0.9 * random_fill,
+                    "{name}, key {key:#x}: {used} buckets used, a random function fills \
+                     {random_fill:.0}"
+                );
+                let even = CELLS as f64 / 128.0;
+                let (min, max) = (control.iter().min().unwrap(), control.iter().max().unwrap());
+                assert!(
+                    f64::from(*min) >= 0.75 * even && f64::from(*max) <= 1.25 * even,
+                    "{name}, key {key:#x}: control bytes hold {min}..{max} cells, even is {even:.0}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -333,6 +333,10 @@ impl Model for DnnModel {
         }
     }
 
+    fn covers(&self, user: u32, item: u32) -> bool {
+        user < self.num_users && item < self.num_items
+    }
+
     fn predict(&self, user: u32, item: u32) -> f32 {
         let user_ok = self.user_seen.get(user as usize).copied().unwrap_or(false);
         let item_ok = self.item_seen.get(item as usize).copied().unwrap_or(false);

@@ -536,42 +536,110 @@ impl MfModel {
     }
 }
 
+/// How many picks the training sweep draws, and reads ahead, at a time.
+/// Sixteen picks touch ~130 cache lines, well past what a core keeps in
+/// flight at once; on 610 cold models a block of 8 measured slower
+/// (36-37 µs per 300-step sweep against 30-33) and 32 no faster.
+const LOOKAHEAD: usize = 16;
+
 /// The training sweep: one un-stamped SGD step per pick, in pick order.
+///
+/// A step's operands — the rating, two embedding rows, two biases, two
+/// seen flags — sit at addresses the pick decides, and on a fleet node
+/// none of them is in cache: run pick by pick, each step waits out its
+/// own misses before the next pick is even drawn. So the picks are drawn
+/// [`LOOKAHEAD`] at a time into a stack array, and before one block is
+/// stepped through the next block's operands are **read once**
+/// ([`TrainSweep::read_ahead`]): independent loads the core overlaps,
+/// which leave the lines in cache for the steps that follow.
+///
+/// Bit-identical to the plain lazy loop by construction. The iterator is
+/// drained in the same order and to the same end, so a caller's RNG is
+/// left in the same state; the steps run in pick order on the same
+/// kernels; and the read-ahead only reads — its sum goes to
+/// `std::hint::black_box` and nowhere else.
 struct TrainSweep<'a, I> {
     model: &'a mut MfModel,
     data: &'a [Rating],
     picks: I,
 }
 
+impl<I: Iterator<Item = usize>> TrainSweep<'_, I> {
+    /// Draws the next block of picks; how many there were.
+    #[inline(always)]
+    fn draw(picks: &mut I, block: &mut [usize; LOOKAHEAD]) -> usize {
+        let mut len = 0;
+        for (slot, idx) in block.iter_mut().zip(picks) {
+            *slot = idx;
+            len += 1;
+        }
+        len
+    }
+
+    /// Reads every line the steps for `block` will: the rating, both ends
+    /// of its `x` and `y` rows (a k = 10 row spans at most two lines),
+    /// the biases and the seen flags.
+    #[inline(always)]
+    fn read_ahead(model: &MfModel, data: &[Rating], block: &[usize]) {
+        let k = model.hp.k;
+        let ends = |row: &[f32]| {
+            row.first().map_or(0, |v| v.to_bits()) ^ row.last().map_or(0, |v| v.to_bits())
+        };
+        let mut lines = 0u32;
+        for &idx in block {
+            let r = &data[idx];
+            let (u, i) = (r.user as usize, r.item as usize);
+            lines ^= r.value.to_bits()
+                ^ ends(&model.x[u * k..(u + 1) * k])
+                ^ ends(&model.y[i * k..(i + 1) * k])
+                ^ model.b[u].to_bits()
+                ^ model.c[i].to_bits()
+                ^ u32::from(model.user_seen[u])
+                ^ u32::from(model.item_seen[i]);
+        }
+        std::hint::black_box(lines);
+    }
+}
+
 impl<I: Iterator<Item = usize>> Sweep for TrainSweep<'_, I> {
     type Output = ();
     #[inline(always)]
     fn run<L: Lanes>(self, lanes: L) {
-        let m = self.model;
+        let (m, data, mut picks) = (self.model, self.data, self.picks);
         let k = m.hp.k;
         let lr = m.hp.learning_rate;
         let reg = m.hp.lambda;
         let mean = m.global_mean;
-        // Borrowed once, as slices: the loop keeps eight base pointers in
-        // registers instead of re-reading eight `Vec` headers per step.
-        let (x, y, b, c) = (&mut m.x[..], &mut m.y[..], &mut m.b[..], &mut m.c[..]);
-        let (user_seen, item_seen) = (&mut m.user_seen[..], &mut m.item_seen[..]);
-        let (users_written, items_written) = (&mut m.log.users.0[..], &mut m.log.items.0[..]);
-        for idx in self.picks {
-            let r = &self.data[idx];
-            let (u, i) = (r.user as usize, r.item as usize);
-            let xu = &mut x[u * k..(u + 1) * k];
-            let yi = &mut y[i * k..(i + 1) * k];
-            let pred = mean + b[u] + c[i] + lanes.dot(xu, yi);
-            let err = r.value - pred;
+        let mut block = [0usize; LOOKAHEAD];
+        let mut len = Self::draw(&mut picks, &mut block);
+        Self::read_ahead(m, data, &block[..len]);
+        while len > 0 {
+            let mut next = [0usize; LOOKAHEAD];
+            let next_len = Self::draw(&mut picks, &mut next);
+            Self::read_ahead(m, data, &next[..next_len]);
+            // Borrowed once per block, as slices: the loop keeps eight
+            // base pointers in registers instead of re-reading eight
+            // `Vec` headers per step.
+            let (x, y, b, c) = (&mut m.x[..], &mut m.y[..], &mut m.b[..], &mut m.c[..]);
+            let (user_seen, item_seen) = (&mut m.user_seen[..], &mut m.item_seen[..]);
+            let (users_written, items_written) = (&mut m.log.users.0[..], &mut m.log.items.0[..]);
+            for &idx in &block[..len] {
+                let r = &data[idx];
+                let (u, i) = (r.user as usize, r.item as usize);
+                let xu = &mut x[u * k..(u + 1) * k];
+                let yi = &mut y[i * k..(i + 1) * k];
+                let pred = mean + b[u] + c[i] + lanes.dot(xu, yi);
+                let err = r.value - pred;
 
-            b[u] += lr * (err - reg * b[u]);
-            c[i] += lr * (err - reg * c[i]);
-            lanes.sgd_update(xu, yi, lr, err, reg);
-            user_seen[u] = true;
-            item_seen[i] = true;
-            RowBits::set(users_written, u);
-            RowBits::set(items_written, i);
+                b[u] += lr * (err - reg * b[u]);
+                c[i] += lr * (err - reg * c[i]);
+                lanes.sgd_update(xu, yi, lr, err, reg);
+                user_seen[u] = true;
+                item_seen[i] = true;
+                RowBits::set(users_written, u);
+                RowBits::set(items_written, i);
+            }
+            (block, len) = (next, next_len);
         }
     }
 }
@@ -691,6 +759,10 @@ impl Model for MfModel {
             .collect();
         picks.sort_by_key(|&idx| data[idx as usize].user);
         self.train_on(data, picks.into_iter().map(|idx| idx as usize));
+    }
+
+    fn covers(&self, user: u32, item: u32) -> bool {
+        user < self.num_users && item < self.num_items
     }
 
     fn predict(&self, user: u32, item: u32) -> f32 {

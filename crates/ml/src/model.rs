@@ -67,6 +67,13 @@ pub trait Model: Clone + Send + Sync + 'static {
         self.train_steps(data, steps, rng);
     }
 
+    /// Whether `(user, item)` is a cell of this model's shape — a rating
+    /// there can be trained on. Ratings come off the wire with whatever
+    /// coordinates the sender wrote; the protocol layer keeps only those
+    /// its model covers, because [`Model::train_steps`] indexes its tables
+    /// with them unchecked by anything but the slice bounds (a panic).
+    fn covers(&self, user: u32, item: u32) -> bool;
+
     /// Predicts the rating of `user` for `item`, clamped to the valid
     /// rating range. Falls back to bias terms / global mean for users or
     /// items this model has never seen.

@@ -76,30 +76,40 @@ fn read_quote(r: &mut Reader<'_>) -> Result<Quote, CodecError> {
     })
 }
 
-/// Encodes an outer payload.
+/// A quote's encoded length: measurement, user data, platform id,
+/// signature.
+const QUOTE_LEN: usize = 32 + USER_DATA_LEN + 8 + 32;
+
+/// Encodes an outer payload, into a buffer allocated once at the exact
+/// encoded length.
 #[must_use]
 pub fn encode_payload(p: &Payload) -> Vec<u8> {
-    let mut buf = Vec::new();
     match p {
-        Payload::Attestation(AttestationMsg::Hello { quote }) => {
-            bytesio::put_u8(&mut buf, TAG_ATTEST_HELLO);
+        Payload::Attestation(msg) => {
+            let (tag, quote) = match msg {
+                AttestationMsg::Hello { quote } => (TAG_ATTEST_HELLO, quote),
+                AttestationMsg::Reply { quote } => (TAG_ATTEST_REPLY, quote),
+            };
+            let mut buf = Vec::with_capacity(1 + QUOTE_LEN);
+            bytesio::put_u8(&mut buf, tag);
             put_quote(&mut buf, quote);
+            buf
         }
-        Payload::Attestation(AttestationMsg::Reply { quote }) => {
-            bytesio::put_u8(&mut buf, TAG_ATTEST_REPLY);
-            put_quote(&mut buf, quote);
-        }
-        Payload::Sealed(frame) => {
-            bytesio::put_u8(&mut buf, TAG_SEALED);
-            bytesio::put_u32(&mut buf, frame.len() as u32);
-            buf.extend_from_slice(frame);
-        }
-        Payload::Clear(frame) => {
-            bytesio::put_u8(&mut buf, TAG_CLEAR);
-            bytesio::put_u32(&mut buf, frame.len() as u32);
-            buf.extend_from_slice(frame);
-        }
+        Payload::Sealed(frame) => tagged_frame(TAG_SEALED, None, frame),
+        Payload::Clear(frame) => tagged_frame(TAG_CLEAR, None, frame),
     }
+}
+
+/// `tag`, the inner codec's `degree` word if any, then `bytes` behind
+/// their `u32` length.
+fn tagged_frame(tag: u8, degree: Option<u32>, bytes: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 + degree.map_or(0, |_| 4) + 4 + bytes.len());
+    bytesio::put_u8(&mut buf, tag);
+    if let Some(degree) = degree {
+        bytesio::put_u32(&mut buf, degree);
+    }
+    bytesio::put_u32(&mut buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
     buf
 }
 
@@ -137,12 +147,13 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Payload, CodecError> {
     Ok(out)
 }
 
-/// Encodes an inner payload (what gets sealed).
+/// Encodes an inner payload (what gets sealed), into a buffer allocated
+/// once at the exact encoded length.
 #[must_use]
 pub fn encode_plain(p: &Plain) -> Vec<u8> {
-    let mut buf = Vec::new();
     match p {
         Plain::RawData { ratings, degree } => {
+            let mut buf = Vec::with_capacity(1 + 4 + 4 + ratings.len() * Rating::WIRE_SIZE);
             bytesio::put_u8(&mut buf, TAG_RAW_DATA);
             bytesio::put_u32(&mut buf, *degree);
             bytesio::put_u32(&mut buf, ratings.len() as u32);
@@ -151,30 +162,26 @@ pub fn encode_plain(p: &Plain) -> Vec<u8> {
                 bytesio::put_u32(&mut buf, r.item);
                 bytesio::put_f32(&mut buf, r.value);
             }
+            buf
         }
-        Plain::Model { bytes, degree } => {
-            bytesio::put_u8(&mut buf, TAG_MODEL);
-            bytesio::put_u32(&mut buf, *degree);
-            bytesio::put_u32(&mut buf, bytes.len() as u32);
-            buf.extend_from_slice(bytes);
-        }
+        Plain::Model { bytes, degree } => tagged_frame(TAG_MODEL, Some(*degree), bytes),
         Plain::RawPacked { ratings, degree } => {
+            // The packed batch delimits itself: no length word.
+            let packed = crate::compress::compress_batch(ratings);
+            let mut buf = Vec::with_capacity(1 + 4 + packed.len());
             bytesio::put_u8(&mut buf, TAG_RAW_PACKED);
             bytesio::put_u32(&mut buf, *degree);
-            buf.extend_from_slice(&crate::compress::compress_batch(ratings));
+            buf.extend_from_slice(&packed);
+            buf
         }
-        Plain::ModelDelta { bytes, degree } => {
-            bytesio::put_u8(&mut buf, TAG_MODEL_DELTA);
-            bytesio::put_u32(&mut buf, *degree);
-            bytesio::put_u32(&mut buf, bytes.len() as u32);
-            buf.extend_from_slice(bytes);
-        }
+        Plain::ModelDelta { bytes, degree } => tagged_frame(TAG_MODEL_DELTA, Some(*degree), bytes),
         Plain::Empty { degree } => {
+            let mut buf = Vec::with_capacity(1 + 4);
             bytesio::put_u8(&mut buf, TAG_EMPTY);
             bytesio::put_u32(&mut buf, *degree);
+            buf
         }
     }
-    buf
 }
 
 /// Decodes an inner payload.
@@ -398,6 +405,45 @@ mod tests {
             .collect();
         let bytes = encode_plain(&Plain::RawData { ratings, degree: 6 });
         assert_eq!(bytes.len(), 1 + 4 + 4 + 300 * Rating::WIRE_SIZE);
+    }
+
+    #[test]
+    fn encoders_allocate_the_exact_encoded_length() {
+        let ratings = vec![
+            Rating {
+                user: 3,
+                item: 4,
+                value: 2.5,
+            };
+            300
+        ];
+        for plain in [
+            Plain::RawData {
+                ratings: ratings.clone(),
+                degree: 6,
+            },
+            Plain::RawPacked { ratings, degree: 6 },
+            Plain::Model {
+                bytes: vec![7; 4_321],
+                degree: 30,
+            },
+            Plain::ModelDelta {
+                bytes: vec![5; 97],
+                degree: 2,
+            },
+            Plain::Empty { degree: 1 },
+        ] {
+            let inner = encode_plain(&plain);
+            assert_eq!(inner.capacity(), inner.len(), "{plain:?}");
+            for payload in [Payload::Clear(inner.clone()), Payload::Sealed(inner)] {
+                let outer = encode_payload(&payload);
+                assert_eq!(outer.capacity(), outer.len());
+            }
+        }
+        let hello = encode_payload(&Payload::Attestation(AttestationMsg::Hello {
+            quote: sample_quote(),
+        }));
+        assert_eq!(hello.capacity(), hello.len());
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! The sweep arm holds the kernel's second entry to the same contract:
 //! a whole loop run inside one level's frame (`MfModel::train_steps`,
 //! `Model::squared_error`, `Scorer::top_k`) lands on the bits the
-//! per-element entry produces, on every level. Those tests pin the
-//! process level, one at a time, behind [`forced_levels`]' lock.
+//! per-element entry produces, on every level — and the training sweep's
+//! block draw and read-ahead leave it the plain pick-by-pick loop's bits.
+//! Those tests pin the process level, one at a time, behind
+//! [`forced_levels`]' lock.
 //!
 //! The change-record arm holds the model's write log — kept inside that
 //! sweep — to the property the chained commitment rests on: under every
@@ -392,29 +394,42 @@ fn fresh_model() -> MfModel {
     MfModel::new(20, 50, MfHyperParams::default(), 3.5, 1)
 }
 
-#[test]
-fn train_sweeps_equal_the_per_element_step_loop_on_every_level() {
-    let _pin = forced_levels();
-    let data = tiny_ratings();
-    const STEPS: usize = 1_500;
-
-    // The per-element references, on the scalar reference kernels.
+/// What `train_steps` and `train_steps_batched` must equal, as the plain
+/// loops they replaced: draw one pick, take one `sgd_step` — and, for the
+/// batched path, draw them all, stable-sort by user, then step — from RNG
+/// seed 7 on the scalar reference kernels. Each model with its RNG as
+/// the loop left it.
+fn plain_step_loops(
+    fresh: impl Fn() -> MfModel,
+    data: &[Rating],
+    steps: usize,
+) -> [(MfModel, StdRng); 2] {
     kernel::force_level(KernelLevel::Scalar);
-    let mut seq = fresh_model();
+    let mut seq = fresh();
     let mut seq_rng = StdRng::seed_from_u64(7);
-    for _ in 0..STEPS {
+    for _ in 0..steps {
         let idx = seq_rng.gen_range(0..data.len());
         seq.sgd_step(&data[idx]);
     }
-    let mut bat = fresh_model();
+    let mut bat = fresh();
     let mut bat_rng = StdRng::seed_from_u64(7);
-    let mut picks: Vec<usize> = (0..STEPS)
+    let mut picks: Vec<usize> = (0..steps)
         .map(|_| bat_rng.gen_range(0..data.len()))
         .collect();
     picks.sort_by_key(|&idx| data[idx].user);
     for idx in picks {
         bat.sgd_step(&data[idx]);
     }
+    [(seq, seq_rng), (bat, bat_rng)]
+}
+
+#[test]
+fn train_sweeps_equal_the_per_element_step_loop_on_every_level() {
+    let _pin = forced_levels();
+    let data = tiny_ratings();
+    const STEPS: usize = 1_500;
+
+    let [(seq, seq_rng), (bat, bat_rng)] = plain_step_loops(fresh_model, &data, STEPS);
 
     for l in kernel::available_levels() {
         kernel::force_level(l);
@@ -430,6 +445,67 @@ fn train_sweeps_equal_the_per_element_step_loop_on_every_level() {
         m.train_steps_batched(&data, STEPS, &mut rng);
         assert_eq!(m.to_bytes(), bat.to_bytes(), "batched on {}", l.name());
         assert_eq!(rng, bat_rng, "batched RNG on {}", l.name());
+    }
+}
+
+/// The training sweep draws its picks a block at a time and reads the
+/// next block's operands ahead (`rex_ml::mf`, `LOOKAHEAD` picks): the
+/// plain loop it replaced — draw one pick, take one step — lives on here
+/// as the reference. Factors, biases and seen masks (the wire bytes), the
+/// write log (the change record, row form throughout: the model is wide
+/// enough that 1 000 steps log under a quarter of its rows) and the
+/// caller's RNG must come out the same to the bit, at block boundaries
+/// and on data shorter than a block, on every level.
+#[test]
+fn look_ahead_sweeps_equal_the_plain_pick_by_pick_loop_on_every_level() {
+    /// `rex_ml::mf`'s block length.
+    const W: usize = 16;
+    const USERS: u32 = 1_000;
+    const ITEMS: u32 = 8_000;
+    let _pin = forced_levels();
+    let fresh = || {
+        let mut m = MfModel::new(USERS, ITEMS, MfHyperParams::default(), 3.5, 1);
+        // A new model's first record is the full form; take it, so the
+        // next one shows the log.
+        m.write_changes(&mut Vec::new());
+        m
+    };
+    let mut data_rng = StdRng::seed_from_u64(23);
+    let pool: Vec<Rating> = (0..10_000)
+        .map(|_| Rating {
+            user: data_rng.gen_range(0..USERS),
+            item: data_rng.gen_range(0..ITEMS),
+            value: data_rng.gen_range(1..11) as f32 * 0.5,
+        })
+        .collect();
+
+    for len in [1, 7, 10_000] {
+        let data = &pool[..len];
+        for steps in [0, 1, W - 1, W, W + 1, 300, 1_000] {
+            let want = plain_step_loops(fresh, data, steps).map(|(mut m, mut rng)| {
+                let mut record = Vec::new();
+                let rows = m.write_changes(&mut record);
+                assert!(rows.is_some(), "row form, so the record shows the log");
+                (m.to_bytes(), rows, record, rng.gen::<u64>())
+            });
+
+            for l in kernel::available_levels() {
+                kernel::force_level(l);
+                type Train = fn(&mut MfModel, &[Rating], usize, &mut StdRng);
+                let sweeps: [Train; 2] = [MfModel::train_steps, MfModel::train_steps_batched];
+                for (sweep, (bytes, rows, record, next)) in sweeps.into_iter().zip(&want) {
+                    let at = format!("{steps} steps over {len} ratings on {}", l.name());
+                    let mut m = fresh();
+                    let mut rng = StdRng::seed_from_u64(7);
+                    sweep(&mut m, data, steps, &mut rng);
+                    assert_eq!(&m.to_bytes(), bytes, "tables, {at}");
+                    let mut got = Vec::new();
+                    assert_eq!(m.write_changes(&mut got), *rows, "logged rows, {at}");
+                    assert_eq!(&got, record, "change record, {at}");
+                    assert_eq!(rng.gen::<u64>(), *next, "next RNG draw, {at}");
+                }
+            }
+        }
     }
 }
 
