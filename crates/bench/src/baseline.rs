@@ -1,7 +1,6 @@
-//! The `--check-baseline` gate shared by `bench_kernels`, `bench_scale`,
-//! `bench_serve` and `bench_transport`: read named summary numbers out of
-//! a committed `results/BENCH_*.json`, compare this run's against them,
-//! and say so in one wording.
+//! The `--check-baseline` comparisons behind [`crate::harness::finish`]:
+//! read named summary numbers out of a committed `results/BENCH_*.json`,
+//! compare this run's against them, and say so in one wording.
 //!
 //! The gated numbers are machine-speed-independent (ratios, bytes per
 //! user), so one tolerance serves every bin.
@@ -18,24 +17,6 @@ pub fn field(text: &str, name: &str) -> Option<f64> {
     let rest = &text[text.find(&key)? + key.len()..];
     let end = rest.find(['}', ',', '\n'])?;
     rest[..end].trim().parse().ok()
-}
-
-/// Reads the committed values of `names` from the baseline at `path`,
-/// exiting with status 1 when the file or one of the fields is missing.
-/// Call it *before* saving this run's JSON: the committed baseline is
-/// usually the same `results/` file the run is about to overwrite.
-#[must_use]
-pub fn read<const N: usize>(path: &str, names: [&str; N]) -> [f64; N] {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("could not read baseline {path}: {e}");
-        std::process::exit(1);
-    });
-    names.map(|name| {
-        field(&text, name).unwrap_or_else(|| {
-            eprintln!("baseline {path} has no {name} summary");
-            std::process::exit(1);
-        })
-    })
 }
 
 /// Gate for a speed-up: `measured` may not fall below

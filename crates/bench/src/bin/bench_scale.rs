@@ -7,9 +7,13 @@
 //! the **paper-shaped raw fleet** (§IV-A: 610 one-user nodes over
 //! 9 000 items and 100 k ratings) with the mean node-epoch split by
 //! stage — where a cold node-epoch goes, from the stage times
-//! `Node::epoch` itself reports.
-//! Writes `results/BENCH_scale.json` — the artifact CI uploads to track
-//! the scaling trajectory.
+//! `Node::epoch` itself reports — and **bounded-async vs lockstep**:
+//! time-to-target RMSE of `round::run_node_loop_async` against
+//! `round::run_node_loop` on an 8-node loopback TCP cluster, every node
+//! even and with one node stalled at every epoch start.
+//! Writes (and prints) `results/BENCH_scale.json` — the artifact CI
+//! uploads to track the scaling trajectory. Timed comparisons take
+//! their windows in rotation ([`rex_bench::harness`]).
 //!
 //! Quick mode (default, the CI scale-smoke job): 512 nodes, 5 epochs,
 //! and one 64-shard × 1024-users-per-node arm per sharing mode.
@@ -23,9 +27,11 @@
 //! `--check-baseline PATH` reads a previously committed
 //! `BENCH_scale.json` *before* overwriting it and exits non-zero if the
 //! quick sharded arm's RAM-per-user, or the quick fleet arm's merge share
-//! of the node-epoch, grew more than 25% — the CI regression gates on
-//! per-user memory and on the duplicate check. Both are
-//! machine-independent (a byte count; a ratio inside one run), and every
+//! of the node-epoch, grew more than 25%, or bounded-async's
+//! time-to-target speedup under the straggler fell more than 25% — the
+//! CI regression gates on per-user memory, on the duplicate check and on
+//! the one execution mode without barriers. All three are
+//! machine-independent (a byte count; ratios inside one run), and every
 //! mode runs the quick-shaped arm of each, so a quick run compares like
 //! with like against a committed full-mode file.
 //!
@@ -34,22 +40,74 @@
 //! sequential driver; the committed numbers record whatever the build
 //! host honestly measured.
 
-use rex_bench::{baseline, output, BenchArgs};
+use rex_bench::harness::{self, Arm, Gate, Report, Row};
+use rex_bench::BenchArgs;
 use rex_core::builder::{build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
 use rex_core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 use rex_core::membership::MembershipPlan;
+use rex_core::round::{self, RoundContext};
+use rex_core::setup::establish_tee;
 use rex_core::Node;
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
 use rex_net::mem::MemNetwork;
-use rex_sim::stage::{Stage, StageTimes, STAGES};
+use rex_net::tcp::TcpTransport;
+use rex_net::{
+    DeliveryStats, Endpoint, Envelope, PeerCommitment, TrafficStats, Transport, TransportError,
+};
+use rex_sim::stage::{Stage, STAGES};
+use rex_tee::SgxCostModel;
 use rex_topology::TopologySpec;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+const FLEET_NODES: usize = 610;
+const FLEET_ITEMS: u32 = 9_000;
+const FLEET_RATINGS: usize = 100_000;
+const FLEET_WORKERS: usize = 2;
+
+const ASYNC_NODES: usize = 8;
+/// Neighbour shares a bounded-async node waits for before it trains.
+const ASYNC_K: usize = 2;
+/// The mean local RMSE over the cluster both drivers race to.
+const ASYNC_TARGET_RMSE: f64 = 0.575;
+/// Epoch budget: lockstep reaches the target near epoch 895, and
+/// bounded-async within a few epochs of that.
+const ASYNC_EPOCHS: usize = 1_100;
+/// The straggler's stall at every epoch start: about one lockstep
+/// epoch's compute on the paper shape, so the slow node runs at half
+/// speed.
+const STRAGGLER_DELAY: Duration = Duration::from_millis(2);
+
+fn sharing_name(sharing: SharingMode) -> &'static str {
+    match sharing {
+        SharingMode::RawData => "raw",
+        SharingMode::Model => "model",
+    }
+}
+
+/// A run's final RMSE bits, as the JSON writes them.
+fn rmse_bits(result: &EngineResult) -> String {
+    let rmse = result.trace.final_rmse().unwrap_or(f64::NAN);
+    format!("{:#018x}", rmse.to_bits())
+}
+
+/// The protocol every fleet here runs: D-PSGD, `points` shared and
+/// `steps` SGD steps per epoch.
+fn dpsgd(sharing: SharingMode, points: usize, steps: usize) -> ProtocolConfig {
+    ProtocolConfig {
+        sharing,
+        algorithm: GossipAlgorithm::DPsgd,
+        points_per_epoch: points,
+        steps_per_epoch: steps,
+        seed: 17,
+        ..ProtocolConfig::default()
+    }
+}
 
 /// Builds the scheduler benchmark's fleet: `n` nodes over a small world,
 /// two users per node (the chaos suite's shape, scaled up).
-fn scale_fleet(n: usize, sharing: SharingMode) -> Vec<Node<MfModel>> {
+fn scale_fleet(n: usize) -> Vec<Node<MfModel>> {
     let ds = SyntheticConfig {
         num_users: (2 * n) as u32,
         num_items: 160,
@@ -59,22 +117,13 @@ fn scale_fleet(n: usize, sharing: SharingMode) -> Vec<Node<MfModel>> {
     }
     .generate();
     let split = TrainTestSplit::standard(&ds, 7);
-    let part = Partition::multi_user(&split, n);
-    let graph = TopologySpec::SmallWorld.build(n, 5);
     build_mf_nodes(
-        &part,
-        &graph,
+        &Partition::multi_user(&split, n),
+        &TopologySpec::SmallWorld.build(n, 5),
         ds.num_users,
         ds.num_items,
         MfHyperParams::default(),
-        ProtocolConfig {
-            sharing,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: 40,
-            steps_per_epoch: 100,
-            seed: 17,
-            ..ProtocolConfig::default()
-        },
+        dpsgd(SharingMode::RawData, 40, 100),
         NodeSeeds::default(),
     )
 }
@@ -92,25 +141,71 @@ fn engine_config(epochs: usize, driver: Driver) -> EngineConfig {
     }
 }
 
-fn run_driver(n: usize, epochs: usize, driver: Driver) -> (f64, EngineResult) {
-    let mut nodes = scale_fleet(n, SharingMode::RawData);
-    let start = Instant::now();
-    let result =
-        Engine::<MfModel, MemNetwork>::new(MemNetwork::new(n), engine_config(epochs, driver))
-            .run("scale", &mut nodes);
-    (start.elapsed().as_secs_f64(), result)
+/// Runs `nodes` through `epochs` over an in-memory fabric.
+fn run_mem(nodes: &mut Vec<Node<MfModel>>, cfg: EngineConfig) -> EngineResult {
+    Engine::<MfModel, MemNetwork>::new(MemNetwork::new(nodes.len()), cfg).run("scale", nodes)
+}
+
+/// The inline driver against the work-stealing pool on [`scale_fleet`]:
+/// `reps` rotated windows per driver (each on a fresh fleet, built
+/// untimed), keeping each driver's fastest. Asserts that every run of
+/// either driver ends on the same final-RMSE bits.
+fn race(
+    label: &str,
+    n: usize,
+    reps: usize,
+    cfg: impl Fn(Driver) -> EngineConfig,
+) -> [(f64, EngineResult); 2] {
+    let cfg = &cfg;
+    let mut arms: Vec<Arm<'_, (f64, EngineResult)>> =
+        [Driver::Lockstep, Driver::WorkSteal { workers: 0 }]
+            .into_iter()
+            .map(|driver| {
+                Box::new(move || {
+                    let mut nodes = scale_fleet(n);
+                    let start = Instant::now();
+                    let result = run_mem(&mut nodes, cfg(driver));
+                    (start.elapsed().as_secs_f64(), result)
+                }) as Arm<'_, _>
+            })
+            .collect();
+    let windows = harness::rotate(label, reps, &mut arms);
+    let bits: Vec<String> = windows
+        .iter()
+        .flatten()
+        .map(|(_, r)| rmse_bits(r))
+        .collect();
+    assert!(
+        bits.iter().all(|b| *b == bits[0]),
+        "{label}: the work-stealing pool diverged from the sequential driver"
+    );
+    let mut best = harness::keep_best(windows, |w| w.0).into_iter();
+    [best.next().unwrap(), best.next().unwrap()]
+}
+
+/// The join-wave plan: a quarter of the ids are not founders but join
+/// in waves (spread over the run's early epochs, sponsor-bootstrapped),
+/// and one founder leaves gracefully near the end — the
+/// dynamic-membership stress shape.
+fn join_wave(n: usize, epochs: usize) -> MembershipPlan {
+    assert!(epochs >= 3, "join wave needs at least 3 epochs");
+    let joiners = (n / 4).max(1);
+    let mut plan = MembershipPlan {
+        seed: 0x7A7E,
+        bootstrap_points: 40,
+        ..MembershipPlan::default()
+    };
+    for i in 0..joiners {
+        // Joins land on epochs 1..=epochs-2.
+        plan = plan.with_join(n - joiners + i, 1 + (i % (epochs - 2)), None);
+    }
+    plan.with_leave(0, epochs - 1)
 }
 
 /// One codec-comparison arm on the Table-IV quick workload (200 users ×
 /// 3000 items over 8 fully connected nodes — `SgxScale::fig6_quick`).
-struct CodecRow {
-    sharing: &'static str,
-    codec: &'static str,
-    bytes_per_node_per_epoch: f64,
-    final_rmse_bits: u64,
-}
-
-fn run_codec_arm(sharing: SharingMode, codec: WireCodec, epochs: usize) -> CodecRow {
+/// Returns bytes per node per epoch and the final-RMSE bits.
+fn run_codec_arm(sharing: SharingMode, codec: WireCodec, epochs: usize) -> (f64, String) {
     let ds = SyntheticConfig {
         num_users: 200,
         num_items: 3_000,
@@ -120,11 +215,9 @@ fn run_codec_arm(sharing: SharingMode, codec: WireCodec, epochs: usize) -> Codec
     }
     .generate();
     let split = TrainTestSplit::standard(&ds, 2);
-    let part = Partition::multi_user(&split, 8);
-    let graph = TopologySpec::FullyConnected.build(8, 0);
     let mut nodes = build_mf_nodes(
-        &part,
-        &graph,
+        &Partition::multi_user(&split, 8),
+        &TopologySpec::FullyConnected.build(8, 0),
         ds.num_users,
         ds.num_items,
         MfHyperParams::default(),
@@ -135,83 +228,27 @@ fn run_codec_arm(sharing: SharingMode, codec: WireCodec, epochs: usize) -> Codec
         },
         NodeSeeds::default(),
     );
-    let result = Engine::<MfModel, MemNetwork>::new(
-        MemNetwork::new(8),
+    let result = run_mem(
+        &mut nodes,
         engine_config(epochs, Driver::WorkSteal { workers: 0 }),
-    )
-    .run("codec", &mut nodes);
-    CodecRow {
-        sharing: match sharing {
-            SharingMode::RawData => "raw",
-            SharingMode::Model => "model",
-        },
-        codec: if codec.is_sparse() { "sparse" } else { "dense" },
-        bytes_per_node_per_epoch: result.trace.total_bytes_per_node() / epochs as f64,
-        final_rmse_bits: result.trace.final_rmse().unwrap_or(f64::NAN).to_bits(),
-    }
-}
-
-/// The join-wave arm: a quarter of the ids are not founders but join in
-/// waves (spread over the run's early epochs, sponsor-bootstrapped),
-/// and one founder leaves gracefully near the end — the
-/// dynamic-membership stress shape. Run under both lockstep and the
-/// work-stealing pool so the artifact doubles as a view-transition
-/// equivalence proof at scale.
-fn run_join_wave(n: usize, epochs: usize) -> (f64, f64, usize, EngineResult) {
-    assert!(epochs >= 3, "join wave needs at least 3 epochs");
-    let joiners = (n / 4).max(1);
-    let wave_epochs = epochs - 2; // joins land on 1..=epochs-2
-    let mut plan = MembershipPlan {
-        seed: 0x7A7E,
-        bootstrap_points: 40,
-        ..MembershipPlan::default()
-    };
-    for i in 0..joiners {
-        plan = plan.with_join(n - joiners + i, 1 + (i % wave_epochs), None);
-    }
-    plan = plan.with_leave(0, epochs - 1);
-
-    let run = |driver| {
-        let mut nodes = scale_fleet(n, SharingMode::RawData);
-        let mut cfg = engine_config(epochs, driver);
-        cfg.membership = Some(plan.clone());
-        let start = Instant::now();
-        let result = Engine::<MfModel, MemNetwork>::new(MemNetwork::new(n), cfg)
-            .run("join-wave", &mut nodes);
-        (start.elapsed().as_secs_f64(), result)
-    };
-    let (seq_secs, seq) = run(Driver::Lockstep);
-    let (pool_secs, pool) = run(Driver::WorkSteal { workers: 0 });
-    assert_eq!(
-        seq.trace.final_rmse().map(f64::to_bits),
-        pool.trace.final_rmse().map(f64::to_bits),
-        "join-wave run diverged between lockstep and the work-stealing pool"
     );
-    (seq_secs, pool_secs, joiners, pool)
+    (
+        result.trace.total_bytes_per_node() / epochs as f64,
+        rmse_bits(&result),
+    )
 }
 
 /// One user-sharded fleet arm: `shards` enclave nodes, each hosting a
 /// contiguous block of `users_per_node` virtual users behind a single
 /// wire endpoint (aggregate-then-share: one message per shard per
-/// neighbor, never one per user).
-struct ShardRow {
-    shards: usize,
-    users_per_node: u32,
-    users: u64,
-    sharing: &'static str,
-    epochs: usize,
-    epoch_secs: f64,
-    ram_per_user: f64,
-    bytes_per_node_per_epoch: f64,
-    final_rmse_bits: u64,
-}
-
+/// neighbor, never one per user). Returns the row, its RAM per user and
+/// its bytes per node per epoch.
 fn run_shard_arm(
     shards: usize,
     users_per_node: u32,
     sharing: SharingMode,
     epochs: usize,
-) -> ShardRow {
+) -> (Row, f64, f64) {
     let num_users = shards as u32 * users_per_node;
     let ds = SyntheticConfig {
         num_users,
@@ -223,7 +260,6 @@ fn run_shard_arm(
     .generate();
     let split = TrainTestSplit::standard(&ds, 7);
     let (part, blocks) = Partition::user_blocks(&split, shards);
-    let graph = TopologySpec::SmallWorld.build(shards, 5);
     // Model sharing at these scales only makes sense over the sparse
     // delta codec (a dense 1M-row embedding table per message would
     // swamp the fabric); raw sharing keeps the dense rating encoding.
@@ -234,85 +270,37 @@ fn run_shard_arm(
     let mut nodes = build_mf_nodes_sharded(
         &part,
         &blocks,
-        &graph,
+        &TopologySpec::SmallWorld.build(shards, 5),
         ds.num_users,
         ds.num_items,
         MfHyperParams::default(),
         ProtocolConfig {
-            sharing,
             codec,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: 40,
-            steps_per_epoch: 100,
-            seed: 17,
+            ..dpsgd(sharing, 40, 100)
         },
         NodeSeeds::default(),
     );
     let start = Instant::now();
-    let result = Engine::<MfModel, MemNetwork>::new(
-        MemNetwork::new(shards),
-        engine_config(epochs, Driver::Lockstep),
-    )
-    .run("shard", &mut nodes);
+    let result = run_mem(&mut nodes, engine_config(epochs, Driver::Lockstep));
     let secs = start.elapsed().as_secs_f64();
     let last = result.trace.records.last().expect("shard arm ran epochs");
-    ShardRow {
-        shards,
-        users_per_node,
-        users: u64::from(num_users),
-        sharing: match sharing {
-            SharingMode::RawData => "raw",
-            SharingMode::Model => "model",
-        },
-        epochs,
-        epoch_secs: secs / epochs as f64,
-        ram_per_user: last.ram_bytes / f64::from(users_per_node),
-        bytes_per_node_per_epoch: result.trace.total_bytes_per_node() / epochs as f64,
-        final_rmse_bits: result.trace.final_rmse().unwrap_or(f64::NAN).to_bits(),
-    }
+    let ram_per_user = last.ram_bytes / f64::from(users_per_node);
+    let bytes = result.trace.total_bytes_per_node() / epochs as f64;
+    let row = Row::new()
+        .int("shards", shards)
+        .int("users_per_node", users_per_node)
+        .int("users", num_users)
+        .str("sharing", sharing_name(sharing))
+        .int("epochs", epochs)
+        .num("ram_per_user_bytes", ram_per_user, 1)
+        .num("epoch_secs", secs / epochs as f64, 4)
+        .num("bytes_per_node_per_epoch", bytes, 1)
+        .str("final_rmse_bits", &rmse_bits(&result));
+    (row, ram_per_user, bytes)
 }
 
-/// One paper-shaped fleet arm: where the mean node-epoch goes, by the
-/// stage times every [`rex_core::node::EpochReport`] carries.
-struct FleetEpochRow {
-    shape: &'static str,
-    epochs: usize,
-    /// Mean stage times over every node-epoch of the run.
-    mean: StageTimes,
-    final_rmse_bits: u64,
-}
-
-impl FleetEpochRow {
-    fn node_epoch_us(&self) -> f64 {
-        self.mean.total() as f64 / 1e3
-    }
-
-    /// The merge stage's share of the staged node-epoch: on a raw fleet,
-    /// decode + the store's duplicate check.
-    fn merge_share(&self) -> f64 {
-        self.mean.get(Stage::Merge) as f64 / self.mean.total() as f64
-    }
-
-    /// `label(stage, µs)` over the stages in pipeline order.
-    fn stages(&self, label: impl Fn(&str, f64) -> String) -> Vec<String> {
-        STAGES
-            .iter()
-            .map(|&stage| label(stage.label(), self.mean.get(stage) as f64 / 1e3))
-            .collect()
-    }
-}
-
-const FLEET_NODES: usize = 610;
-const FLEET_ITEMS: u32 = 9_000;
-const FLEET_RATINGS: usize = 100_000;
-const FLEET_WORKERS: usize = 2;
-
-/// The paper's headline scenario (§IV-A) on the repo benchmark's
-/// `sim-fleet` settings: one user per node, small world, D-PSGD raw
-/// sharing of 300 points, 300 SGD steps. 610 models of 424 KB are
-/// ~260 MB, so each node's tables, key set and ratings are out of cache
-/// by the time its turn comes round again — the cold node-epoch.
-fn run_fleet_epoch(shape: &'static str, epochs: usize) -> FleetEpochRow {
+/// The paper's data (610 users × 9 000 items, 100 k ratings), split.
+fn paper_split() -> TrainTestSplit {
     let ds = SyntheticConfig {
         num_users: FLEET_NODES as u32,
         num_items: FLEET_ITEMS,
@@ -321,39 +309,183 @@ fn run_fleet_epoch(shape: &'static str, epochs: usize) -> FleetEpochRow {
         ..SyntheticConfig::default()
     }
     .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let part = Partition::one_user_per_node(&split);
-    let graph = TopologySpec::SmallWorld.build(FLEET_NODES, 5);
+    TrainTestSplit::standard(&ds, 7)
+}
+
+/// The paper's headline scenario (§IV-A) on the repo benchmark's
+/// `sim-fleet` settings: one user per node, small world, D-PSGD raw
+/// sharing of 300 points, 300 SGD steps. 610 models of 424 KB are
+/// ~260 MB, so each node's tables, key set and ratings are out of cache
+/// by the time its turn comes round again — the cold node-epoch.
+/// Returns the row — mean µs per node-epoch by stage, from the stage
+/// times every [`rex_core::node::EpochReport`] carries — and the merge
+/// stage's share of the node-epoch (on a raw fleet, decode + the store's
+/// duplicate check).
+fn run_fleet_epoch(split: &TrainTestSplit, shape: &str, epochs: usize) -> (Row, f64) {
     let mut nodes = build_mf_nodes(
-        &part,
-        &graph,
-        ds.num_users,
-        ds.num_items,
+        &Partition::one_user_per_node(split),
+        &TopologySpec::SmallWorld.build(FLEET_NODES, 5),
+        FLEET_NODES as u32,
+        FLEET_ITEMS,
         MfHyperParams::default(),
-        ProtocolConfig {
-            sharing: SharingMode::RawData,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: 300,
-            steps_per_epoch: 300,
-            seed: 17,
-            ..ProtocolConfig::default()
-        },
+        dpsgd(SharingMode::RawData, 300, 300),
         NodeSeeds::default(),
     );
     let driver = Driver::WorkSteal {
         workers: FLEET_WORKERS,
     };
-    let result = Engine::<MfModel, MemNetwork>::new(
-        MemNetwork::new(FLEET_NODES),
-        engine_config(epochs, driver),
-    )
-    .run("fleet-epoch", &mut nodes);
-    FleetEpochRow {
-        shape,
-        epochs,
-        mean: result.trace.mean_stage_times(),
-        final_rmse_bits: result.trace.final_rmse().unwrap_or(f64::NAN).to_bits(),
+    let result = run_mem(&mut nodes, engine_config(epochs, driver));
+    let mean = result.trace.mean_stage_times();
+    let merge_share = mean.get(Stage::Merge) as f64 / mean.total() as f64;
+    let row = Row::new()
+        .str("shape", shape)
+        .int("nodes", FLEET_NODES)
+        .int("items", FLEET_ITEMS)
+        .int("ratings", FLEET_RATINGS)
+        .int("epochs", epochs)
+        .int("workers", FLEET_WORKERS);
+    let row = STAGES
+        .iter()
+        .fold(row, |row, &stage| {
+            row.num(
+                &format!("{}_us", stage.label()),
+                mean.get(stage) as f64 / 1e3,
+                1,
+            )
+        })
+        .num("node_epoch_us", mean.total() as f64 / 1e3, 1)
+        .num("merge_share", merge_share, 4)
+        .str("final_rmse_bits", &rmse_bits(&result));
+    (row, merge_share)
+}
+
+/// An endpoint that sleeps `delay` at every epoch start: a node slowed
+/// by a fixed per-epoch cost (a loaded host, a slow enclave), with
+/// every other call forwarded unchanged.
+struct Straggler<E> {
+    inner: E,
+    delay: Duration,
+}
+
+impl<E: Endpoint> Endpoint for Straggler<E> {
+    fn id(&self) -> usize {
+        self.inner.id()
     }
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes()
+    }
+    fn send(&mut self, to: usize, bytes: Vec<u8>) {
+        self.inner.send(to, bytes);
+    }
+    fn recv(&mut self) -> Vec<Envelope> {
+        self.inner.recv()
+    }
+    fn recv_wait(&mut self, timeout: Duration) -> Vec<Envelope> {
+        self.inner.recv_wait(timeout)
+    }
+    fn flush_sends(&mut self) -> Result<(), TransportError> {
+        self.inner.flush_sends()
+    }
+    fn try_sync(&mut self) -> Result<(), TransportError> {
+        self.inner.try_sync()
+    }
+    fn try_drain_barrier(&mut self) -> Result<(), TransportError> {
+        self.inner.try_drain_barrier()
+    }
+    fn epoch_begin(&mut self, epoch: usize) {
+        std::thread::sleep(self.delay);
+        self.inner.epoch_begin(epoch);
+    }
+    fn send_commitment(&mut self, epoch: u64, digest: [u8; 32], tag: [u8; 32]) {
+        self.inner.send_commitment(epoch, digest, tag);
+    }
+    fn take_commitments(&mut self) -> Vec<PeerCommitment> {
+        self.inner.take_commitments()
+    }
+    fn take_delivery(&mut self) -> DeliveryStats {
+        self.inner.take_delivery()
+    }
+    fn stats(&self) -> TrafficStats {
+        self.inner.stats()
+    }
+}
+
+/// One bounded-async vs lockstep run: [`ASYNC_NODES`] SGX nodes over the
+/// paper's data, raw sharing, D-PSGD over a small world, one thread per
+/// node on a loopback TCP fabric, the last node stalled by `delay` per
+/// epoch. Returns the seconds until every node has reported an epoch
+/// whose mean RMSE over the nodes is at most [`ASYNC_TARGET_RMSE`], and
+/// that epoch.
+fn run_async_arm(split: &TrainTestSplit, bounded: bool, delay: Duration) -> (f64, usize) {
+    let mut nodes = build_mf_nodes(
+        &Partition::multi_user(split, ASYNC_NODES),
+        &TopologySpec::SmallWorld.build(ASYNC_NODES, 5),
+        FLEET_NODES as u32,
+        FLEET_ITEMS,
+        MfHyperParams::default(),
+        dpsgd(SharingMode::RawData, 300, 300),
+        NodeSeeds::default(),
+    );
+    let mut setup = MemNetwork::new(ASYNC_NODES);
+    establish_tee(&mut nodes, &mut setup, SgxCostModel::default(), 1, 0xE0);
+    let endpoints = TcpTransport::loopback(ASYNC_NODES)
+        .expect("loopback fabric")
+        .into_endpoints()
+        .expect("tcp splits into endpoints");
+    let start = Instant::now();
+    // Per node: (seconds since start, local RMSE) at each epoch.
+    let reports: Vec<Vec<(f64, f64)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = nodes
+            .into_iter()
+            .zip(endpoints)
+            .map(|(mut node, inner)| {
+                let slow = node.id() == ASYNC_NODES - 1;
+                let delay = if slow { delay } else { Duration::ZERO };
+                scope.spawn(move || {
+                    let mut endpoint = Straggler { inner, delay };
+                    let mut reports = Vec::with_capacity(ASYNC_EPOCHS);
+                    let on_epoch = |event: round::EpochEvent| {
+                        let rmse = event.report.and_then(|r| r.rmse).unwrap_or(f64::NAN);
+                        reports.push((start.elapsed().as_secs_f64(), rmse));
+                    };
+                    let (node, ep) = (&mut node, &mut endpoint);
+                    if bounded {
+                        round::run_node_loop_async(
+                            node,
+                            ep,
+                            ASYNC_EPOCHS,
+                            ASYNC_K,
+                            None,
+                            None,
+                            on_epoch,
+                        )
+                    } else {
+                        let ctx = RoundContext {
+                            faults: None,
+                            view: None,
+                            tee: None,
+                            audit: None,
+                            serve: None,
+                        };
+                        round::run_node_loop(node, ep, 0..ASYNC_EPOCHS, ctx, on_epoch)
+                    }
+                    .expect("node loop failed");
+                    reports
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("node thread panicked"))
+            .collect()
+    });
+    (0..ASYNC_EPOCHS)
+        .find_map(|epoch| {
+            let mean = reports.iter().map(|r| r[epoch].1).sum::<f64>() / ASYNC_NODES as f64;
+            let at = reports.iter().map(|r| r[epoch].0).fold(0.0, f64::max);
+            (mean <= ASYNC_TARGET_RMSE).then_some((at, epoch))
+        })
+        .expect("the cluster never reached the target RMSE: raise ASYNC_EPOCHS")
 }
 
 fn main() {
@@ -364,11 +496,10 @@ fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-
-    // Warm both drivers (allocator, page cache) before timing anything,
-    // so run order does not bias the comparison.
-    let _ = run_driver(64, 1, Driver::Lockstep);
-    let _ = run_driver(64, 1, Driver::WorkSteal { workers: 0 });
+    // Rotated windows per timed comparison: each arm runs first equally
+    // often.
+    let reps = if args.full { 4 } else { 2 };
+    let split = paper_split();
 
     // Paper-shaped fleet: the node-epoch by stage. Every mode runs the
     // quick shape (what the merge-share gate compares); full mode adds
@@ -383,99 +514,110 @@ fn main() {
     } else {
         &[("quick", 10)]
     };
-    let mut fleet_rows = Vec::new();
-    for &(shape, fleet_epochs) in fleet_arms {
-        eprintln!(
-            "[bench_scale] fleet arm ({shape}): {FLEET_NODES} nodes x {fleet_epochs} epochs..."
-        );
-        fleet_rows.push(run_fleet_epoch(shape, fleet_epochs));
-    }
-    println!(
-        "fleet node-epoch ({FLEET_NODES} x {FLEET_ITEMS} x {FLEET_RATINGS}, raw, \
-         {FLEET_WORKERS} workers), mean us by stage:"
-    );
-    for r in &fleet_rows {
-        let stages = r.stages(|stage, us| format!("{stage} {us:.1}"));
-        println!(
-            "  {:<5} ({:>2} epochs): {} = {:.1} us, merge share {:.3}",
-            r.shape,
-            r.epochs,
-            stages.join(" + "),
-            r.node_epoch_us(),
-            r.merge_share()
-        );
-    }
-    let quick_merge_share = fleet_rows[0].merge_share();
+    let (fleet_rows, merge_shares): (Vec<Row>, Vec<f64>) = fleet_arms
+        .iter()
+        .map(|&(shape, fleet_epochs)| {
+            eprintln!(
+                "[bench_scale] fleet arm ({shape}): {FLEET_NODES} nodes x {fleet_epochs} epochs"
+            );
+            run_fleet_epoch(&split, shape, fleet_epochs)
+        })
+        .unzip();
 
-    eprintln!("[bench_scale] {nodes} nodes x {epochs} epochs, sequential driver...");
-    let (seq_secs, seq) = run_driver(nodes, epochs, Driver::Lockstep);
-    eprintln!("[bench_scale] work-stealing pool ({host_cpus} workers)...");
-    let (pool_secs, pool) = run_driver(nodes, epochs, Driver::WorkSteal { workers: 0 });
+    // Bounded-async vs lockstep to the same target RMSE, even and with
+    // the straggler: every mode runs the one shape the gate compares.
+    let async_arms = [
+        (false, Duration::ZERO),
+        (true, Duration::ZERO),
+        (false, STRAGGLER_DELAY),
+        (true, STRAGGLER_DELAY),
+    ];
+    let mut arms: Vec<Arm<'_, (f64, usize)>> = async_arms
+        .iter()
+        .map(|&(bounded, delay)| {
+            let split = &split;
+            Box::new(move || run_async_arm(split, bounded, delay)) as Arm<'_, _>
+        })
+        .collect();
+    let async_best =
+        harness::keep_best(harness::rotate("async vs lockstep", reps, &mut arms), |w| {
+            w.0
+        });
+    drop(arms);
+    let async_rows: Vec<Row> = async_arms
+        .iter()
+        .zip(&async_best)
+        .map(|(&(bounded, delay), &(secs, epoch))| {
+            let driver = if bounded {
+                format!("bounded_async_k{ASYNC_K}")
+            } else {
+                "lockstep".to_string()
+            };
+            Row::new()
+                .str("driver", &driver)
+                .int("nodes", ASYNC_NODES)
+                .num("straggler_delay_ms", delay.as_secs_f64() * 1e3, 1)
+                .num("target_rmse", ASYNC_TARGET_RMSE, 3)
+                .int("target_epoch", epoch)
+                .num("time_to_target_s", secs, 3)
+        })
+        .collect();
+    let async_speedup_straggler = async_best[2].0 / async_best[3].0;
 
-    let seq_rmse = seq.trace.final_rmse().expect("sequential run has epochs");
-    let pool_rmse = pool.trace.final_rmse().expect("pool run has epochs");
-    assert_eq!(
-        seq_rmse.to_bits(),
-        pool_rmse.to_bits(),
-        "work-stealing scheduler diverged from the sequential driver"
-    );
-    let speedup = seq_secs / pool_secs;
-    println!(
-        "scheduler ({nodes} nodes x {epochs} epochs, {host_cpus} cores): \
-         sequential {seq_secs:.2}s, work-steal {pool_secs:.2}s, speedup {speedup:.2}x, \
-         final rmse {seq_rmse:.4} (bit-identical)"
-    );
+    eprintln!("[bench_scale] scheduler: {nodes} nodes x {epochs} epochs");
+    let [(seq_secs, seq), (pool_secs, _)] = race("scheduler", nodes, reps, |driver| {
+        engine_config(epochs, driver)
+    });
 
     let codec_epochs = if args.full { 10 } else { 5 };
     let mut codec_rows = Vec::new();
+    let mut codec_runs = Vec::new();
     for sharing in [SharingMode::RawData, SharingMode::Model] {
         for codec in [WireCodec::Dense, WireCodec::sparse()] {
-            eprintln!("[bench_scale] codec arm: {:?} / {:?}...", sharing, codec);
-            codec_rows.push(run_codec_arm(sharing, codec, codec_epochs));
+            let (bytes, bits) = run_codec_arm(sharing, codec, codec_epochs);
+            codec_rows.push(
+                Row::new()
+                    .str("sharing", sharing_name(sharing))
+                    .str("codec", if codec.is_sparse() { "sparse" } else { "dense" })
+                    .int("epochs", codec_epochs)
+                    .num("bytes_per_node_per_epoch", bytes, 1)
+                    .str("final_rmse_bits", &bits),
+            );
+            codec_runs.push((bytes, bits));
         }
-    }
-    println!("codec (table4 workload, 8 nodes x {codec_epochs} epochs):");
-    for r in &codec_rows {
-        println!(
-            "  {:<6} {:<6}: {:>10.0} B/node/epoch",
-            r.sharing, r.codec, r.bytes_per_node_per_epoch
-        );
     }
     // The artifact's second claim: sparse moves fewer bytes in both
     // sharing modes, and sparse model sharing learns identically.
-    for pair in codec_rows.chunks(2) {
-        assert!(
-            pair[1].bytes_per_node_per_epoch < pair[0].bytes_per_node_per_epoch,
-            "{}: sparse did not reduce bytes",
-            pair[0].sharing
-        );
+    for pair in codec_runs.chunks(2) {
+        assert!(pair[1].0 < pair[0].0, "sparse did not reduce bytes");
     }
     assert_eq!(
-        codec_rows[2].final_rmse_bits, codec_rows[3].final_rmse_bits,
+        codec_runs[2].1, codec_runs[3].1,
         "sparse model sharing changed the learning trajectory"
     );
 
-    // Join-wave arm: dynamic membership at the same fleet scale.
-    eprintln!("[bench_scale] join-wave arm ({nodes} ids, both drivers)...");
-    let (wave_seq_secs, wave_pool_secs, wave_joiners, wave) = run_join_wave(nodes, epochs.max(3));
-    let wave_first_live = wave.trace.records.first().map_or(0, |r| r.live_nodes);
-    let wave_last_live = wave.trace.records.last().map_or(0, |r| r.live_nodes);
-    println!(
-        "join wave ({nodes} ids, {wave_joiners} joiners, 1 leave): live {wave_first_live} -> \
-         {wave_last_live}, sequential {wave_seq_secs:.2}s, work-steal {wave_pool_secs:.2}s, \
-         bit-identical across drivers"
-    );
-    assert_eq!(wave_first_live, nodes - wave_joiners);
-    assert_eq!(
-        wave_last_live,
-        nodes - 1,
-        "everyone joined, one founder left"
-    );
+    // Join-wave arm: dynamic membership at the same fleet scale, under
+    // both drivers, so the artifact doubles as a view-transition
+    // equivalence proof at scale.
+    eprintln!("[bench_scale] join-wave arm: {nodes} ids");
+    let wave_epochs = epochs.max(3);
+    let plan = join_wave(nodes, wave_epochs);
+    let joiners = plan.joins.len();
+    let [(wave_seq_secs, _), (wave_pool_secs, wave)] =
+        race("join wave", nodes, reps, |driver| EngineConfig {
+            membership: Some(plan.clone()),
+            ..engine_config(wave_epochs, driver)
+        });
+    let live_first = wave.trace.records.first().map_or(0, |r| r.live_nodes);
+    let live_last = wave.trace.records.last().map_or(0, |r| r.live_nodes);
+    assert_eq!(live_first, nodes - joiners);
+    assert_eq!(live_last, nodes - 1, "everyone joined, one founder left");
 
     // User-sharded arms: RAM-per-user and epoch-time curves. Quick mode
     // runs the CI smoke shape (64 shards x 1024 users, both sharing
     // modes); full mode extends the raw curve through 262k users and the
     // 1M-user configuration, and gives model sharing a second point.
+    // The first arm is the 64x1024 raw one the RAM gate compares.
     let shard_arms: &[(usize, u32, SharingMode)] = if args.full {
         &[
             (64, 1024, SharingMode::RawData),
@@ -491,158 +633,82 @@ fn main() {
             (64, 1024, SharingMode::Model),
         ]
     };
-    let mut shard_rows = Vec::new();
-    for &(shards, upn, sharing) in shard_arms {
-        eprintln!(
-            "[bench_scale] sharded arm: {shards} shards x {upn} users ({:?})...",
-            sharing
-        );
-        shard_rows.push(run_shard_arm(shards, upn, sharing, epochs));
-    }
-    println!("user sharding ({epochs} epochs per arm):");
-    for r in &shard_rows {
-        println!(
-            "  {:>3} shards x {:>6} users ({:<5}): {:>8.1} B/user RAM, {:>7.3} s/epoch, \
-             {:>10.0} B/node/epoch",
-            r.shards,
-            r.users_per_node,
-            r.sharing,
-            r.ram_per_user,
-            r.epoch_secs,
-            r.bytes_per_node_per_epoch
-        );
-    }
+    let (shard_rows, shard_ram): (Vec<Row>, Vec<f64>) = shard_arms
+        .iter()
+        .map(|&(shards, upn, sharing)| {
+            eprintln!("[bench_scale] sharded arm: {shards} shards x {upn} users ({sharing:?})");
+            let (row, ram, _) = run_shard_arm(shards, upn, sharing, epochs);
+            (row, ram)
+        })
+        .unzip();
 
     // Wire-traffic claim: bytes per node per epoch track the shard
     // count (a shard sends one aggregate message per neighbor), not the
     // user count — quadrupling users per shard must not move traffic by
     // more than encoding slack.
-    let wire_small = run_shard_arm(32, 256, SharingMode::RawData, epochs);
-    let wire_large = run_shard_arm(32, 1024, SharingMode::RawData, epochs);
-    let wire_ratio = wire_large.bytes_per_node_per_epoch / wire_small.bytes_per_node_per_epoch;
-    println!(
-        "wire scaling (32 shards, raw): {:>8.0} B/node/epoch at 256 u/shard, {:>8.0} at 1024 \
-         u/shard (ratio {wire_ratio:.3})",
-        wire_small.bytes_per_node_per_epoch, wire_large.bytes_per_node_per_epoch
-    );
+    let (_, _, wire_small) = run_shard_arm(32, 256, SharingMode::RawData, epochs);
+    let (_, _, wire_large) = run_shard_arm(32, 1024, SharingMode::RawData, epochs);
+    let wire_ratio = wire_large / wire_small;
     assert!(
         wire_ratio < 1.10,
         "wire traffic scaled with user count (ratio {wire_ratio:.3}), not shard count"
     );
 
-    let quick_ram_per_user = shard_rows
-        .iter()
-        .find(|r| r.shards == 64 && r.users_per_node == 1024 && r.sharing == "raw")
-        .expect("every mode runs the 64x1024 raw arm")
-        .ram_per_user;
-
-    // Read the baseline *before* saving: the committed baseline is
-    // usually the same results/ file this run is about to overwrite.
-    let baseline = args.check_baseline.as_ref().map(|path| {
-        baseline::read(
-            path,
-            ["shard_ram_per_user_64x1024_raw", "fleet_merge_share_quick"],
+    let json = Report::new("scale", mode)
+        .fields(Row::new().int("host_cpus", host_cpus))
+        .object(
+            "scheduler",
+            &Row::new()
+                .int("nodes", nodes)
+                .int("epochs", epochs)
+                .int("workers", host_cpus)
+                .num("sequential_secs", seq_secs, 3)
+                .num("work_steal_secs", pool_secs, 3)
+                .num("speedup", seq_secs / pool_secs, 3)
+                .int("final_rmse_bits_equal", true)
+                .str("final_rmse_bits", &rmse_bits(&seq)),
         )
-    });
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"scale\",\n  \"mode\": \"{mode}\",\n  \"host_cpus\": {host_cpus},\n"
-    ));
-    json.push_str(&format!(
-        "  \"scheduler\": {{\"nodes\": {nodes}, \"epochs\": {epochs}, \"workers\": {host_cpus}, \
-         \"sequential_secs\": {seq_secs:.3}, \"work_steal_secs\": {pool_secs:.3}, \
-         \"speedup\": {speedup:.3}, \"final_rmse_bits_equal\": true, \
-         \"final_rmse_bits\": \"{:#018x}\"}},\n",
-        seq_rmse.to_bits()
-    ));
-    json.push_str("  \"codec\": [\n");
-    for (i, r) in codec_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"sharing\": \"{}\", \"codec\": \"{}\", \"epochs\": {codec_epochs}, \
-             \"bytes_per_node_per_epoch\": {:.1}, \"final_rmse_bits\": \"{:#018x}\"}}{}\n",
-            r.sharing,
-            r.codec,
-            r.bytes_per_node_per_epoch,
-            r.final_rmse_bits,
-            if i + 1 < codec_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"membership\": {{\"nodes\": {nodes}, \"epochs\": {}, \"joiners\": {wave_joiners}, \
-         \"leaves\": 1, \"live_first\": {wave_first_live}, \"live_last\": {wave_last_live}, \
-         \"sequential_secs\": {wave_seq_secs:.3}, \"work_steal_secs\": {wave_pool_secs:.3}, \
-         \"final_rmse_bits_equal\": true, \"final_rmse_bits\": \"{:#018x}\"}},\n",
-        epochs.max(3),
-        wave.trace.final_rmse().unwrap_or(f64::NAN).to_bits()
-    ));
-    json.push_str("  \"sharding\": [\n");
-    for (i, r) in shard_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"users_per_node\": {}, \"users\": {}, \"sharing\": \"{}\", \
-             \"epochs\": {}, \"ram_per_user_bytes\": {:.1}, \"epoch_secs\": {:.4}, \
-             \"bytes_per_node_per_epoch\": {:.1}, \"final_rmse_bits\": \"{:#018x}\"}}{}\n",
-            r.shards,
-            r.users_per_node,
-            r.users,
-            r.sharing,
-            r.epochs,
-            r.ram_per_user,
-            r.epoch_secs,
-            r.bytes_per_node_per_epoch,
-            r.final_rmse_bits,
-            if i + 1 < shard_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"wire_scaling\": {{\"shards\": 32, \"sharing\": \"raw\", \
-         \"bytes_per_node_per_epoch_256u\": {:.1}, \"bytes_per_node_per_epoch_1024u\": {:.1}, \
-         \"ratio\": {wire_ratio:.4}}},\n",
-        wire_small.bytes_per_node_per_epoch, wire_large.bytes_per_node_per_epoch
-    ));
-    json.push_str("  \"fleet_epoch\": [\n");
-    for (i, r) in fleet_rows.iter().enumerate() {
-        let stages = r.stages(|stage, us| format!("\"{stage}_us\": {us:.1}"));
-        json.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"nodes\": {FLEET_NODES}, \"items\": {FLEET_ITEMS}, \
-             \"ratings\": {FLEET_RATINGS}, \"epochs\": {}, \"workers\": {FLEET_WORKERS}, {}, \
-             \"node_epoch_us\": {:.1}, \"merge_share\": {:.4}, \
-             \"final_rmse_bits\": \"{:#018x}\"}}{}\n",
-            r.shape,
-            r.epochs,
-            stages.join(", "),
-            r.node_epoch_us(),
-            r.merge_share(),
-            r.final_rmse_bits,
-            if i + 1 < fleet_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"summary\": {{\"shard_ram_per_user_64x1024_raw\": {quick_ram_per_user:.1}, \
-         \"fleet_merge_share_quick\": {quick_merge_share:.4}}}\n"
-    ));
-    json.push_str("}\n");
-
-    match output::save("BENCH_scale.json", &json) {
-        Ok(path) => println!("[saved] {}", path.display()),
-        Err(e) => {
-            eprintln!("could not save BENCH_scale.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // CI gates: the quick sharded arm's RAM-per-user and the quick fleet
-    // arm's merge share against the committed baseline.
-    if let Some([ram, merge_share]) = baseline {
-        let ram_ok =
-            baseline::holds_ceiling("shard_ram_per_user_64x1024_raw", quick_ram_per_user, ram);
-        let merge_ok =
-            baseline::holds_ceiling("fleet_merge_share_quick", quick_merge_share, merge_share);
-        if !(ram_ok && merge_ok) {
-            std::process::exit(1);
-        }
-    }
+        .rows("codec", &codec_rows)
+        .object(
+            "membership",
+            &Row::new()
+                .int("nodes", nodes)
+                .int("epochs", wave_epochs)
+                .int("joiners", joiners)
+                .int("leaves", 1)
+                .int("live_first", live_first)
+                .int("live_last", live_last)
+                .num("sequential_secs", wave_seq_secs, 3)
+                .num("work_steal_secs", wave_pool_secs, 3)
+                .int("final_rmse_bits_equal", true)
+                .str("final_rmse_bits", &rmse_bits(&wave)),
+        )
+        .rows("sharding", &shard_rows)
+        .object(
+            "wire_scaling",
+            &Row::new()
+                .int("shards", 32)
+                .str("sharing", "raw")
+                .num("bytes_per_node_per_epoch_256u", wire_small, 1)
+                .num("bytes_per_node_per_epoch_1024u", wire_large, 1)
+                .num("ratio", wire_ratio, 4),
+        )
+        .rows("fleet_epoch", &fleet_rows)
+        .rows("async_vs_lockstep", &async_rows)
+        .render(
+            &Row::new()
+                .num("shard_ram_per_user_64x1024_raw", shard_ram[0], 1)
+                .num("fleet_merge_share_quick", merge_shares[0], 4)
+                .num("async_speedup_straggler", async_speedup_straggler, 2),
+        );
+    harness::finish(
+        &args,
+        "BENCH_scale.json",
+        &json,
+        &[
+            Gate::ceiling("shard_ram_per_user_64x1024_raw", shard_ram[0]),
+            Gate::ceiling("fleet_merge_share_quick", merge_shares[0]),
+            Gate::floor("async_speedup_straggler", async_speedup_straggler),
+        ],
+    );
 }

@@ -16,7 +16,9 @@
 //!   node-serving regime under live training.
 //!
 //! Reported per (arm, regime): queries answered, qps, and p50/p99
-//! latency. The summary key is `p99_ratio_concurrent` — the worst
+//! latency, from the best (lowest-p99) of [`WINDOW_REPS`] windows rotated
+//! across all four (arm, regime) pairs ([`rex_bench::harness`]). The
+//! summary key is `p99_ratio_concurrent` — the worst
 //! arm's p99 under training over its idle p99, a machine-speed-
 //! independent gauge of how much live training costs the tail.
 //!
@@ -26,7 +28,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rex_bench::{baseline, output, BenchArgs};
+use rex_bench::harness::{self, Arm, Gate, Report, Row};
+use rex_bench::BenchArgs;
 use rex_core::builder::{build_mf_nodes, NodeSeeds};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
 use rex_core::engine::{Driver, Engine, EngineConfig, TimeAxis};
@@ -43,26 +46,9 @@ use std::time::{Duration, Instant};
 const TOP_K: usize = 10;
 /// Steps per trainer round between snapshot publications.
 const TRAIN_ROUND_STEPS: usize = 50;
-/// Windows measured per (arm, regime); the best (lowest-p99) window is
-/// reported. Scheduling hiccups only ever inflate a tail, so taking the
-/// best window filters OS noise while a real serve-path regression —
-/// systematic, present in every window — still shows.
-const WINDOW_REPS: usize = 3;
-
-struct Arm {
-    name: &'static str,
-    sharing: SharingMode,
-}
-
-/// One measured regime of one arm.
-struct Row {
-    arm: &'static str,
-    training: bool,
-    queries: u64,
-    qps: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-}
+/// Windows measured per (arm, regime), one rotation over the four so
+/// each runs first once; the best (lowest-p99) window is reported.
+const WINDOW_REPS: usize = 4;
 
 /// Trains a small fleet under the given sharing mode and returns node
 /// 0's final model plus the training ratings (the trainer thread's
@@ -114,14 +100,9 @@ fn train_arm(sharing: SharingMode, epochs: usize) -> (MfModel, Vec<Rating>, u32)
     (nodes[0].model().clone(), train, ds.num_users)
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Measures one serving window: a seeded query stream against the model
 /// in `slot`, adopting whatever snapshot the trainer last published
-/// (idle runs never see a swap). Returns per-query latencies.
+/// (idle runs never see a swap). Returns the window's row and its p99.
 fn serve_window(
     arm: &'static str,
     training: bool,
@@ -129,7 +110,7 @@ fn serve_window(
     model: &MfModel,
     data: &[Rating],
     num_users: u32,
-) -> Row {
+) -> (Row, u64) {
     let slot = Arc::new(Mutex::new(Arc::new(model.clone())));
     let stop = Arc::new(AtomicBool::new(false));
     let trainer = training.then(|| {
@@ -175,39 +156,15 @@ fn serve_window(
     );
 
     latencies.sort_unstable();
-    Row {
-        arm,
-        training,
-        queries: latencies.len() as u64,
-        qps: latencies.len() as f64 / elapsed,
-        p50_ns: percentile(&latencies, 0.50),
-        p99_ns: percentile(&latencies, 0.99),
-    }
-}
-
-fn render_json(rows: &[Row], ratio: f64, mode: &str) -> String {
-    // Hand-rolled JSON: fixed schema, no strings that need escaping.
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"bench\": \"serve_topk\",\n  \"mode\": \"{mode}\",\n  \"top_k\": {TOP_K},\n"
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"training\": {}, \"queries\": {}, \"qps\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}}}{}\n",
-            r.arm,
-            r.training,
-            r.queries,
-            r.qps,
-            r.p50_ns,
-            r.p99_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"summary\": {{\"p99_ratio_concurrent\": {ratio:.2}}}\n}}\n"
-    ));
-    out
+    let p99 = harness::percentile(&latencies, 0.99);
+    let row = Row::new()
+        .str("arm", arm)
+        .int("training", training)
+        .int("queries", latencies.len())
+        .num("qps", latencies.len() as f64 / elapsed, 1)
+        .int("p50_ns", harness::percentile(&latencies, 0.50))
+        .int("p99_ns", p99);
+    (row, p99)
 }
 
 fn main() {
@@ -216,78 +173,43 @@ fn main() {
     let window = Duration::from_millis(if args.full { 2_000 } else { 800 });
     let epochs = args.epochs.unwrap_or(if args.full { 6 } else { 3 });
 
-    let arms = [
-        Arm {
-            name: "raw",
-            sharing: SharingMode::RawData,
-        },
-        Arm {
-            name: "model",
-            sharing: SharingMode::Model,
-        },
-    ];
-
-    let mut rows = Vec::new();
-    for arm in &arms {
-        eprintln!("[bench_serve] training {} arm ({epochs} epochs)", arm.name);
-        let (model, data, num_users) = train_arm(arm.sharing, epochs);
+    let arms = [("raw", SharingMode::RawData), ("model", SharingMode::Model)];
+    let trained: Vec<_> = arms
+        .iter()
+        .map(|&(name, sharing)| {
+            eprintln!("[bench_serve] training {name} arm ({epochs} epochs)");
+            (name, train_arm(sharing, epochs))
+        })
+        .collect();
+    // Rows in (arm, regime) order: raw idle, raw training, model idle,
+    // model training.
+    let mut windows: Vec<Arm<'_, (Row, u64)>> = Vec::new();
+    for (name, (model, data, num_users)) in &trained {
         for training in [false, true] {
-            let best = (0..WINDOW_REPS)
-                .map(|_| serve_window(arm.name, training, window, &model, &data, num_users))
-                .min_by_key(|r| r.p99_ns)
-                .expect("WINDOW_REPS > 0");
-            rows.push(best);
+            windows.push(Box::new(move || {
+                serve_window(name, training, window, model, data, *num_users)
+            }));
         }
     }
-
-    println!("top-{TOP_K} serving ({mode} mode, {window:?} windows):");
-    for r in &rows {
-        println!(
-            "  {:<6} {:<10} {:>9.0} qps  p50 {:>8} ns  p99 {:>8} ns  ({} queries)",
-            r.arm,
-            if r.training { "training" } else { "idle" },
-            r.qps,
-            r.p50_ns,
-            r.p99_ns,
-            r.queries
-        );
-    }
-
+    let windows = harness::rotate("serve windows", WINDOW_REPS, &mut windows);
+    let (rows, p99): (Vec<Row>, Vec<u64>) = harness::keep_best(windows, |w| w.1 as f64)
+        .into_iter()
+        .unzip();
     // Worst arm's p99 under concurrent training over its idle p99: how
     // much the live-training regime costs the latency tail, independent
     // of absolute machine speed.
-    let ratio_for = |arm: &str| {
-        let p99 = |training: bool| {
-            rows.iter()
-                .find(|r| r.arm == arm && r.training == training)
-                .expect("both regimes measured per arm")
-                .p99_ns as f64
-        };
-        p99(true) / p99(false).max(1.0)
-    };
-    let p99_ratio_concurrent = arms.iter().map(|a| ratio_for(a.name)).fold(0.0, f64::max);
-    println!("summary: worst concurrent/idle p99 ratio = {p99_ratio_concurrent:.2}");
-
-    // Read the baseline *before* saving: the committed baseline is
-    // usually the same results/ file this run is about to overwrite.
-    let baseline = args
-        .check_baseline
-        .as_ref()
-        .map(|path| baseline::read(path, ["p99_ratio_concurrent"]));
-
-    let json = render_json(&rows, p99_ratio_concurrent, mode);
-    match output::save("BENCH_serve.json", &json) {
-        Ok(path) => println!("[saved] {}", path.display()),
-        Err(e) => {
-            eprintln!("could not save BENCH_serve.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some([committed]) = baseline {
-        let name = "p99_ratio_concurrent";
-        if !baseline::holds_ceiling(name, p99_ratio_concurrent, committed) {
-            std::process::exit(1);
-        }
-    }
+    let p99_ratio_concurrent = p99
+        .chunks(2)
+        .map(|pair| pair[1] as f64 / pair[0].max(1) as f64)
+        .fold(0.0, f64::max);
+    let json = Report::new("serve_topk", mode)
+        .fields(Row::new().int("top_k", TOP_K))
+        .rows("results", &rows)
+        .render(&Row::new().num("p99_ratio_concurrent", p99_ratio_concurrent, 2));
+    harness::finish(
+        &args,
+        "BENCH_serve.json",
+        &json,
+        &[Gate::ceiling("p99_ratio_concurrent", p99_ratio_concurrent)],
+    );
 }

@@ -3,7 +3,8 @@
 //! Each `src/bin/figN.rs` / `src/bin/tableN.rs` binary is a thin CLI over
 //! the experiment functions here; `benches/figures.rs` chains the quick
 //! variants so `cargo bench` regenerates everything. README.md "Paper ↔
-//! code map" maps each paper artefact to its bench target.
+//! code map" maps each paper artefact to its bench target. The four
+//! `bench_*` bins measure through [`harness`].
 //!
 //! Two scales per experiment:
 //! * **quick** (default) — a reduced node count / epoch budget that runs in
@@ -15,6 +16,7 @@
 pub mod args;
 pub mod baseline;
 pub mod dnn_experiments;
+pub mod harness;
 pub mod mf_experiments;
 pub mod output;
 pub mod sgx_experiments;
