@@ -30,8 +30,9 @@
 //! of the node-epoch, grew more than 25%, or bounded-async's
 //! time-to-target speedup under the straggler fell more than 25% — the
 //! CI regression gates on per-user memory, on the duplicate check and on
-//! the one execution mode without barriers. All three are
-//! machine-independent (a byte count; ratios inside one run), and every
+//! the one execution mode without barriers. None compares absolute time
+//! across hosts (a byte count; ratios inside one run, the straggler's
+//! stall sized from the same run's even lockstep epoch), and every
 //! mode runs the quick-shaped arm of each, so a quick run compares like
 //! with like against a committed full-mode file.
 //!
@@ -53,9 +54,7 @@ use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
 use rex_net::mem::MemNetwork;
 use rex_net::tcp::TcpTransport;
-use rex_net::{
-    DeliveryStats, Endpoint, Envelope, PeerCommitment, TrafficStats, Transport, TransportError,
-};
+use rex_net::Transport;
 use rex_sim::stage::{Stage, STAGES};
 use rex_tee::SgxCostModel;
 use rex_topology::TopologySpec;
@@ -74,10 +73,6 @@ const ASYNC_TARGET_RMSE: f64 = 0.575;
 /// Epoch budget: lockstep reaches the target near epoch 895, and
 /// bounded-async within a few epochs of that.
 const ASYNC_EPOCHS: usize = 1_100;
-/// The straggler's stall at every epoch start: about one lockstep
-/// epoch's compute on the paper shape, so the slow node runs at half
-/// speed.
-const STRAGGLER_DELAY: Duration = Duration::from_millis(2);
 
 fn sharing_name(sharing: SharingMode) -> &'static str {
     match sharing {
@@ -359,57 +354,6 @@ fn run_fleet_epoch(split: &TrainTestSplit, shape: &str, epochs: usize) -> (Row, 
     (row, merge_share)
 }
 
-/// An endpoint that sleeps `delay` at every epoch start: a node slowed
-/// by a fixed per-epoch cost (a loaded host, a slow enclave), with
-/// every other call forwarded unchanged.
-struct Straggler<E> {
-    inner: E,
-    delay: Duration,
-}
-
-impl<E: Endpoint> Endpoint for Straggler<E> {
-    fn id(&self) -> usize {
-        self.inner.id()
-    }
-    fn num_nodes(&self) -> usize {
-        self.inner.num_nodes()
-    }
-    fn send(&mut self, to: usize, bytes: Vec<u8>) {
-        self.inner.send(to, bytes);
-    }
-    fn recv(&mut self) -> Vec<Envelope> {
-        self.inner.recv()
-    }
-    fn recv_wait(&mut self, timeout: Duration) -> Vec<Envelope> {
-        self.inner.recv_wait(timeout)
-    }
-    fn flush_sends(&mut self) -> Result<(), TransportError> {
-        self.inner.flush_sends()
-    }
-    fn try_sync(&mut self) -> Result<(), TransportError> {
-        self.inner.try_sync()
-    }
-    fn try_drain_barrier(&mut self) -> Result<(), TransportError> {
-        self.inner.try_drain_barrier()
-    }
-    fn epoch_begin(&mut self, epoch: usize) {
-        std::thread::sleep(self.delay);
-        self.inner.epoch_begin(epoch);
-    }
-    fn send_commitment(&mut self, epoch: u64, digest: [u8; 32], tag: [u8; 32]) {
-        self.inner.send_commitment(epoch, digest, tag);
-    }
-    fn take_commitments(&mut self) -> Vec<PeerCommitment> {
-        self.inner.take_commitments()
-    }
-    fn take_delivery(&mut self) -> DeliveryStats {
-        self.inner.take_delivery()
-    }
-    fn stats(&self) -> TrafficStats {
-        self.inner.stats()
-    }
-}
-
 /// One bounded-async vs lockstep run: [`ASYNC_NODES`] SGX nodes over the
 /// paper's data, raw sharing, D-PSGD over a small world, one thread per
 /// node on a loopback TCP fabric, the last node stalled by `delay` per
@@ -438,15 +382,16 @@ fn run_async_arm(split: &TrainTestSplit, bounded: bool, delay: Duration) -> (f64
         let handles: Vec<_> = nodes
             .into_iter()
             .zip(endpoints)
-            .map(|(mut node, inner)| {
+            .map(|(mut node, mut endpoint)| {
                 let slow = node.id() == ASYNC_NODES - 1;
                 let delay = if slow { delay } else { Duration::ZERO };
                 scope.spawn(move || {
-                    let mut endpoint = Straggler { inner, delay };
                     let mut reports = Vec::with_capacity(ASYNC_EPOCHS);
                     let on_epoch = |event: round::EpochEvent| {
                         let rmse = event.report.and_then(|r| r.rmse).unwrap_or(f64::NAN);
                         reports.push((start.elapsed().as_secs_f64(), rmse));
+                        // The straggler's stall, before its next epoch.
+                        std::thread::sleep(delay);
                     };
                     let (node, ep) = (&mut node, &mut endpoint);
                     if bounded {
@@ -488,6 +433,18 @@ fn run_async_arm(split: &TrainTestSplit, bounded: bool, delay: Duration) -> (f64
         .expect("the cluster never reached the target RMSE: raise ASYNC_EPOCHS")
 }
 
+/// Lockstep against bounded-async, `reps` rotated windows each, the last
+/// node stalled by `delay` per epoch: each driver's fastest
+/// `(seconds, epoch)` from [`run_async_arm`], lockstep first.
+fn race_async(split: &TrainTestSplit, reps: usize, delay: Duration) -> Vec<(f64, usize)> {
+    let mut arms: Vec<Arm<'_, (f64, usize)>> = [false, true]
+        .into_iter()
+        .map(|bounded| Box::new(move || run_async_arm(split, bounded, delay)) as Arm<'_, _>)
+        .collect();
+    let label = format!("async vs lockstep, {delay:?} stall");
+    harness::keep_best(harness::rotate(&label, reps, &mut arms), |w| w.0)
+}
+
 fn main() {
     let args = BenchArgs::parse();
     let mode = if args.full { "full" } else { "quick" };
@@ -524,39 +481,28 @@ fn main() {
         })
         .unzip();
 
-    // Bounded-async vs lockstep to the same target RMSE, even and with
-    // the straggler: every mode runs the one shape the gate compares.
-    let async_arms = [
-        (false, Duration::ZERO),
-        (true, Duration::ZERO),
-        (false, STRAGGLER_DELAY),
-        (true, STRAGGLER_DELAY),
-    ];
-    let mut arms: Vec<Arm<'_, (f64, usize)>> = async_arms
+    // Bounded-async vs lockstep to the same target RMSE, even and then
+    // with the straggler: every mode runs the one shape the gate
+    // compares. The straggler's stall is the even lockstep run's own mean
+    // epoch, so the slow node runs at about half speed on any host and
+    // the gated speedup does not drift with CPU speed.
+    let even = race_async(&split, reps, Duration::ZERO);
+    let delay = Duration::from_secs_f64(even[0].0 / (even[0].1 + 1) as f64);
+    let async_best = [even, race_async(&split, reps, delay)].concat();
+    let async_rows: Vec<Row> = async_best
         .iter()
-        .map(|&(bounded, delay)| {
-            let split = &split;
-            Box::new(move || run_async_arm(split, bounded, delay)) as Arm<'_, _>
-        })
-        .collect();
-    let async_best =
-        harness::keep_best(harness::rotate("async vs lockstep", reps, &mut arms), |w| {
-            w.0
-        });
-    drop(arms);
-    let async_rows: Vec<Row> = async_arms
-        .iter()
-        .zip(&async_best)
-        .map(|(&(bounded, delay), &(secs, epoch))| {
-            let driver = if bounded {
+        .enumerate()
+        .map(|(i, &(secs, epoch))| {
+            let driver = if i % 2 == 1 {
                 format!("bounded_async_k{ASYNC_K}")
             } else {
                 "lockstep".to_string()
             };
+            let stall = if i < 2 { Duration::ZERO } else { delay };
             Row::new()
                 .str("driver", &driver)
                 .int("nodes", ASYNC_NODES)
-                .num("straggler_delay_ms", delay.as_secs_f64() * 1e3, 1)
+                .num("straggler_delay_ms", stall.as_secs_f64() * 1e3, 2)
                 .num("target_rmse", ASYNC_TARGET_RMSE, 3)
                 .int("target_epoch", epoch)
                 .num("time_to_target_s", secs, 3)
