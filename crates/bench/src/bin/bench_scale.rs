@@ -34,7 +34,10 @@
 //! across hosts (a byte count; ratios inside one run, the straggler's
 //! stall sized from the same run's even lockstep epoch), and every
 //! mode runs the quick-shaped arm of each, so a quick run compares like
-//! with like against a committed full-mode file.
+//! with like against a committed full-mode file. Reported and never
+//! gated: each sharded and fleet row's `setup_secs` (dataset, split,
+//! partition and build: absolute time) and each fleet row's
+//! `row_union_share` (moves only when trajectories do).
 //!
 //! Scheduler speedup is bounded by the host's cores (`host_cpus` in the
 //! JSON): on a single-core container the pool can only tie the
@@ -245,6 +248,7 @@ fn run_shard_arm(
     epochs: usize,
 ) -> (Row, f64, f64) {
     let num_users = shards as u32 * users_per_node;
+    let setup = Instant::now();
     let ds = SyntheticConfig {
         num_users,
         num_items: 160,
@@ -275,6 +279,7 @@ fn run_shard_arm(
         },
         NodeSeeds::default(),
     );
+    let setup_secs = setup.elapsed().as_secs_f64();
     let start = Instant::now();
     let result = run_mem(&mut nodes, engine_config(epochs, Driver::Lockstep));
     let secs = start.elapsed().as_secs_f64();
@@ -287,6 +292,7 @@ fn run_shard_arm(
         .int("users", num_users)
         .str("sharing", sharing_name(sharing))
         .int("epochs", epochs)
+        .num("setup_secs", setup_secs, 3)
         .num("ram_per_user_bytes", ram_per_user, 1)
         .num("epoch_secs", secs / epochs as f64, 4)
         .num("bytes_per_node_per_epoch", bytes, 1)
@@ -307,6 +313,28 @@ fn paper_split() -> TrainTestSplit {
     TrainTestSplit::standard(&ds, 7)
 }
 
+/// The share of `model`'s rows (users and items) whose factors, bias or
+/// seen flag differ from `init`'s: what a fleet sharing one init with
+/// row-granular copy-on-write would still have to hold per node.
+fn row_union_share(model: &MfModel, init: &MfModel) -> f64 {
+    let users = (0..model.num_users())
+        .filter(|&u| {
+            model.user_factors(u) != init.user_factors(u)
+                || model.user_bias(u) != init.user_bias(u)
+                || model.has_user(u) != init.has_user(u)
+        })
+        .count();
+    let k = model.hyper_params().k;
+    let items = (0..model.num_items() as usize)
+        .filter(|&i| {
+            model.item_factors()[i * k..(i + 1) * k] != init.item_factors()[i * k..(i + 1) * k]
+                || model.item_biases()[i] != init.item_biases()[i]
+                || model.item_seen_mask()[i] != init.item_seen_mask()[i]
+        })
+        .count();
+    (users + items) as f64 / f64::from(model.num_users() + model.num_items())
+}
+
 /// The paper's headline scenario (§IV-A) on the repo benchmark's
 /// `sim-fleet` settings: one user per node, small world, D-PSGD raw
 /// sharing of 300 points, 300 SGD steps. 610 models of 424 KB are
@@ -315,8 +343,16 @@ fn paper_split() -> TrainTestSplit {
 /// Returns the row — mean µs per node-epoch by stage, from the stage
 /// times every [`rex_core::node::EpochReport`] carries — and the merge
 /// stage's share of the node-epoch (on a raw fleet, decode + the store's
-/// duplicate check).
-fn run_fleet_epoch(split: &TrainTestSplit, shape: &str, epochs: usize) -> (Row, f64) {
+/// duplicate check). The row also reports the set-up (`split_secs`, what
+/// [`paper_split`] took, plus partition and build) and, after the run,
+/// the mean [`row_union_share`] over the nodes.
+fn run_fleet_epoch(
+    split: &TrainTestSplit,
+    split_secs: f64,
+    shape: &str,
+    epochs: usize,
+) -> (Row, f64) {
+    let setup = Instant::now();
     let mut nodes = build_mf_nodes(
         &Partition::one_user_per_node(split),
         &TopologySpec::SmallWorld.build(FLEET_NODES, 5),
@@ -326,10 +362,23 @@ fn run_fleet_epoch(split: &TrainTestSplit, shape: &str, epochs: usize) -> (Row, 
         dpsgd(SharingMode::RawData, 300, 300),
         NodeSeeds::default(),
     );
+    let setup_secs = split_secs + setup.elapsed().as_secs_f64();
     let driver = Driver::WorkSteal {
         workers: FLEET_WORKERS,
     };
     let result = run_mem(&mut nodes, engine_config(epochs, driver));
+    let init = MfModel::new(
+        FLEET_NODES as u32,
+        FLEET_ITEMS,
+        MfHyperParams::default(),
+        3.5,
+        NodeSeeds::default().model_init,
+    );
+    let union = nodes
+        .iter()
+        .map(|n| row_union_share(n.model(), &init))
+        .sum::<f64>()
+        / nodes.len() as f64;
     let mean = result.trace.mean_stage_times();
     let merge_share = mean.get(Stage::Merge) as f64 / mean.total() as f64;
     let row = Row::new()
@@ -338,7 +387,8 @@ fn run_fleet_epoch(split: &TrainTestSplit, shape: &str, epochs: usize) -> (Row, 
         .int("items", FLEET_ITEMS)
         .int("ratings", FLEET_RATINGS)
         .int("epochs", epochs)
-        .int("workers", FLEET_WORKERS);
+        .int("workers", FLEET_WORKERS)
+        .num("setup_secs", setup_secs, 3);
     let row = STAGES
         .iter()
         .fold(row, |row, &stage| {
@@ -350,6 +400,7 @@ fn run_fleet_epoch(split: &TrainTestSplit, shape: &str, epochs: usize) -> (Row, 
         })
         .num("node_epoch_us", mean.total() as f64 / 1e3, 1)
         .num("merge_share", merge_share, 4)
+        .num("row_union_share", union, 4)
         .str("final_rmse_bits", &rmse_bits(&result));
     (row, merge_share)
 }
@@ -456,7 +507,9 @@ fn main() {
     // Rotated windows per timed comparison: each arm runs first equally
     // often.
     let reps = if args.full { 4 } else { 2 };
+    let start = Instant::now();
     let split = paper_split();
+    let split_secs = start.elapsed().as_secs_f64();
 
     // Paper-shaped fleet: the node-epoch by stage. Every mode runs the
     // quick shape (what the merge-share gate compares); full mode adds
@@ -477,7 +530,7 @@ fn main() {
             eprintln!(
                 "[bench_scale] fleet arm ({shape}): {FLEET_NODES} nodes x {fleet_epochs} epochs"
             );
-            run_fleet_epoch(&split, shape, fleet_epochs)
+            run_fleet_epoch(&split, split_secs, shape, fleet_epochs)
         })
         .unzip();
 

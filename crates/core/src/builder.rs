@@ -10,8 +10,8 @@ use rex_topology::Graph;
 /// Seed bundle so experiments can vary one randomness source at a time.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeSeeds {
-    /// Shared model-initialization seed (all nodes start from the same
-    /// parameters, standard in decentralized SGD).
+    /// Model-initialization seed: drawn once per build, cloned per node
+    /// (all nodes start from the same parameters, standard in decentralized SGD).
     pub model_init: u64,
 }
 
@@ -44,24 +44,8 @@ pub fn build_mf_nodes(
     cfg: ProtocolConfig,
     seeds: NodeSeeds,
 ) -> Vec<Node<MfModel>> {
-    assert_eq!(
-        partition.num_nodes(),
-        graph.len(),
-        "partition/topology node count mismatch"
-    );
-    (0..partition.num_nodes())
-        .map(|id| {
-            let train = partition.train[id].clone();
-            let mut model = MfModel::new(num_users, num_items, hp, 3.5, seeds.model_init);
-            model.set_global_mean(local_mean(&train));
-            Node::builder(id, model)
-                .neighbors(graph.neighbors(id).to_vec())
-                .train(train)
-                .test(partition.test[id].clone())
-                .protocol(cfg)
-                .build()
-        })
-        .collect()
+    let init = MfModel::new(num_users, num_items, hp, 3.5, seeds.model_init);
+    build_mf_fleet(partition, graph, None, init, cfg)
 }
 
 /// Builds one **user-sharded** MF node per partition slot: slot `id`
@@ -86,26 +70,40 @@ pub fn build_mf_nodes_sharded(
 ) -> Vec<Node<MfModel>> {
     assert_eq!(
         partition.num_nodes(),
-        graph.len(),
-        "partition/topology node count mismatch"
-    );
-    assert_eq!(
-        partition.num_nodes(),
         blocks.len(),
         "partition/block count mismatch"
     );
-    (0..partition.num_nodes())
-        .map(|id| {
+    let init = MfModel::new(num_users, num_items, hp, 3.5, seeds.model_init);
+    build_mf_fleet(partition, graph, Some(blocks), init, cfg)
+}
+
+/// The MF builders' one body: each node gets a clone of `init` (every
+/// byte and the fresh write log; the last node takes `init` itself) and
+/// its own local mean and factor stamp.
+fn build_mf_fleet(
+    partition: &Partition,
+    graph: &Graph,
+    blocks: Option<&[UserBlock]>,
+    init: MfModel,
+    cfg: ProtocolConfig,
+) -> Vec<Node<MfModel>> {
+    let n = partition.num_nodes();
+    assert_eq!(n, graph.len(), "partition/topology node count mismatch");
+    (0..n)
+        .zip(std::iter::repeat_n(init, n))
+        .map(|(id, mut model)| {
             let train = partition.train[id].clone();
-            let mut model = MfModel::new(num_users, num_items, hp, 3.5, seeds.model_init);
             model.set_global_mean(local_mean(&train));
-            Node::builder(id, model)
+            let node = Node::builder(id, model)
                 .neighbors(graph.neighbors(id).to_vec())
                 .train(train)
                 .test(partition.test[id].clone())
-                .protocol(cfg)
-                .shard(blocks[id])
-                .build()
+                .protocol(cfg);
+            match blocks {
+                Some(blocks) => node.shard(blocks[id]),
+                None => node,
+            }
+            .build()
         })
         .collect()
 }
@@ -279,6 +277,53 @@ mod tests {
             assert_eq!(s.model().to_bytes(), l.model().to_bytes());
             assert_eq!(s.store().ratings(), l.store().ratings());
             assert_eq!(s.store().memory_bytes(), l.store().memory_bytes());
+        }
+    }
+
+    #[test]
+    fn cloned_init_equals_a_per_node_draw() {
+        // Every node of either builder is byte-for-byte the model the
+        // builders drew per node before the init was drawn once, starts
+        // on a full-form change record, and carries its own stamp.
+        let ds = SyntheticConfig {
+            num_users: 20,
+            num_items: 100,
+            num_ratings: 800,
+            seed: 4,
+            ..SyntheticConfig::default()
+        }
+        .generate();
+        let split = TrainTestSplit::standard(&ds, 1);
+        let (hp, cfg, seeds) = (
+            MfHyperParams::default(),
+            ProtocolConfig::default(),
+            NodeSeeds { model_init: 77 },
+        );
+        let (nu, ni) = (ds.num_users, ds.num_items);
+        let mut fleets = Vec::new();
+        let part = Partition::multi_user(&split, 4);
+        let graph = TopologySpec::Ring.build(4, 0);
+        let nodes = build_mf_nodes(&part, &graph, nu, ni, hp, cfg, seeds);
+        fleets.push((part, nodes));
+        for shards in [5, 20] {
+            let (part, blocks) = Partition::user_blocks(&split, shards);
+            let graph = TopologySpec::Ring.build(shards, 0);
+            let nodes = build_mf_nodes_sharded(&part, &blocks, &graph, nu, ni, hp, cfg, seeds);
+            fleets.push((part, nodes));
+        }
+        for (part, nodes) in &fleets {
+            let mut stamps: Vec<u64> = nodes.iter().map(|n| n.model().factor_version()).collect();
+            stamps.sort_unstable();
+            stamps.dedup();
+            assert_eq!(stamps.len(), nodes.len(), "two nodes share a factor stamp");
+            for (id, n) in nodes.iter().enumerate() {
+                let mut drawn = MfModel::new(nu, ni, hp, 3.5, seeds.model_init);
+                drawn.set_global_mean(local_mean(&part.train[id]));
+                assert_eq!(n.model().to_bytes(), drawn.to_bytes(), "node {id}");
+                let mut record = Vec::new();
+                assert_eq!(n.model().clone().write_changes(&mut record), None);
+                assert_eq!(record, drawn.to_bytes());
+            }
         }
     }
 
