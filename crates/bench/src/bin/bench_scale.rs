@@ -26,13 +26,15 @@
 //!
 //! `--check-baseline PATH` reads a previously committed
 //! `BENCH_scale.json` *before* overwriting it and exits non-zero if the
-//! quick sharded arm's RAM-per-user, or the quick fleet arm's merge share
-//! of the node-epoch, grew more than 25%, or bounded-async's
+//! quick sharded arm's RAM-per-user, the quick fleet arm's merge share
+//! of the node-epoch, or the MB its models hold (shared init once, plus
+//! each node's own rows) grew more than 25%, or bounded-async's
 //! time-to-target speedup under the straggler fell more than 25% — the
-//! CI regression gates on per-user memory, on the duplicate check and on
-//! the one execution mode without barriers. None compares absolute time
-//! across hosts (a byte count; ratios inside one run, the straggler's
-//! stall sized from the same run's even lockstep epoch), and every
+//! CI regression gates on per-user memory, on the duplicate check, on
+//! copy-on-write sharing and on the one execution mode without barriers.
+//! None compares absolute time across hosts (byte counts; ratios inside
+//! one run, the straggler's stall sized from the same run's even
+//! lockstep epoch), and every
 //! mode runs the quick-shaped arm of each, so a quick run compares like
 //! with like against a committed full-mode file. Reported and never
 //! gated: each sharded and fleet row's `setup_secs` (dataset, split,
@@ -314,8 +316,8 @@ fn paper_split() -> TrainTestSplit {
 }
 
 /// The share of `model`'s rows (users and items) whose factors, bias or
-/// seen flag differ from `init`'s: what a fleet sharing one init with
-/// row-granular copy-on-write would still have to hold per node.
+/// seen flag differ from `init`'s: the least a node sharing the fleet's
+/// init row by row has to hold of its own (it holds every row it wrote).
 fn row_union_share(model: &MfModel, init: &MfModel) -> f64 {
     let users = (0..model.num_users())
         .filter(|&u| {
@@ -324,34 +326,33 @@ fn row_union_share(model: &MfModel, init: &MfModel) -> f64 {
                 || model.has_user(u) != init.has_user(u)
         })
         .count();
-    let k = model.hyper_params().k;
-    let items = (0..model.num_items() as usize)
-        .filter(|&i| {
-            model.item_factors()[i * k..(i + 1) * k] != init.item_factors()[i * k..(i + 1) * k]
-                || model.item_biases()[i] != init.item_biases()[i]
-                || model.item_seen_mask()[i] != init.item_seen_mask()[i]
-        })
+    let items = (0..model.num_items())
+        .filter(|&i| model.item_row(i) != init.item_row(i) || model.has_item(i) != init.has_item(i))
         .count();
     (users + items) as f64 / f64::from(model.num_users() + model.num_items())
 }
 
 /// The paper's headline scenario (§IV-A) on the repo benchmark's
 /// `sim-fleet` settings: one user per node, small world, D-PSGD raw
-/// sharing of 300 points, 300 SGD steps. 610 models of 424 KB are
-/// ~260 MB, so each node's tables, key set and ratings are out of cache
-/// by the time its turn comes round again — the cold node-epoch.
+/// sharing of 300 points, 300 SGD steps. 610 models share one 423 KB
+/// init and each holds the ~120 KB of rows it wrote, ~100 MB in all, so
+/// each node's rows, key set and ratings are out of cache by the time
+/// its turn comes round again — the cold node-epoch.
 /// Returns the row — mean µs per node-epoch by stage, from the stage
 /// times every [`rex_core::node::EpochReport`] carries — and the merge
 /// stage's share of the node-epoch (on a raw fleet, decode + the store's
 /// duplicate check). The row also reports the set-up (`split_secs`, what
 /// [`paper_split`] took, plus partition and build) and, after the run,
-/// the mean [`row_union_share`] over the nodes.
+/// the mean [`row_union_share`] over the nodes and the MB (MiB) the
+/// fleet's models hold: their shared init once, plus what each node holds
+/// of its own ([`MfModel::resident_bytes`]). Returns the merge share and
+/// that figure too.
 fn run_fleet_epoch(
     split: &TrainTestSplit,
     split_secs: f64,
     shape: &str,
     epochs: usize,
-) -> (Row, f64) {
+) -> (Row, f64, f64) {
     let setup = Instant::now();
     let mut nodes = build_mf_nodes(
         &Partition::one_user_per_node(split),
@@ -379,6 +380,14 @@ fn run_fleet_epoch(
         .map(|n| row_union_share(n.model(), &init))
         .sum::<f64>()
         / nodes.len() as f64;
+    // Every node's model is a clone of one init (`build_mf_nodes`), so
+    // the base is counted once.
+    let resident_bytes = nodes[0].model().base_bytes()
+        + nodes
+            .iter()
+            .map(|n| n.model().resident_bytes())
+            .sum::<usize>();
+    let resident_mb = resident_bytes as f64 / (1024.0 * 1024.0);
     let mean = result.trace.mean_stage_times();
     let merge_share = mean.get(Stage::Merge) as f64 / mean.total() as f64;
     let row = Row::new()
@@ -401,8 +410,9 @@ fn run_fleet_epoch(
         .num("node_epoch_us", mean.total() as f64 / 1e3, 1)
         .num("merge_share", merge_share, 4)
         .num("row_union_share", union, 4)
+        .num("model_resident_mb", resident_mb, 1)
         .str("final_rmse_bits", &rmse_bits(&result));
-    (row, merge_share)
+    (row, merge_share, resident_mb)
 }
 
 /// One bounded-async vs lockstep run: [`ASYNC_NODES`] SGX nodes over the
@@ -524,15 +534,17 @@ fn main() {
     } else {
         &[("quick", 10)]
     };
-    let (fleet_rows, merge_shares): (Vec<Row>, Vec<f64>) = fleet_arms
-        .iter()
-        .map(|&(shape, fleet_epochs)| {
-            eprintln!(
-                "[bench_scale] fleet arm ({shape}): {FLEET_NODES} nodes x {fleet_epochs} epochs"
-            );
-            run_fleet_epoch(&split, split_secs, shape, fleet_epochs)
-        })
-        .unzip();
+    let mut fleet_rows = Vec::new();
+    let mut merge_shares = Vec::new();
+    let mut resident_mbs = Vec::new();
+    for &(shape, fleet_epochs) in fleet_arms {
+        eprintln!("[bench_scale] fleet arm ({shape}): {FLEET_NODES} nodes x {fleet_epochs} epochs");
+        let (row, merge_share, resident_mb) =
+            run_fleet_epoch(&split, split_secs, shape, fleet_epochs);
+        fleet_rows.push(row);
+        merge_shares.push(merge_share);
+        resident_mbs.push(resident_mb);
+    }
 
     // Bounded-async vs lockstep to the same target RMSE, even and then
     // with the straggler: every mode runs the one shape the gate
@@ -698,6 +710,7 @@ fn main() {
             &Row::new()
                 .num("shard_ram_per_user_64x1024_raw", shard_ram[0], 1)
                 .num("fleet_merge_share_quick", merge_shares[0], 4)
+                .num("fleet_model_resident_mb_quick", resident_mbs[0], 1)
                 .num("async_speedup_straggler", async_speedup_straggler, 2),
         );
     harness::finish(
@@ -707,6 +720,7 @@ fn main() {
         &[
             Gate::ceiling("shard_ram_per_user_64x1024_raw", shard_ram[0]),
             Gate::ceiling("fleet_merge_share_quick", merge_shares[0]),
+            Gate::ceiling("fleet_model_resident_mb_quick", resident_mbs[0]),
             Gate::floor("async_speedup_straggler", async_speedup_straggler),
         ],
     );

@@ -1,6 +1,6 @@
 //! Constructs node fleets from a dataset partition and a topology.
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, SharingMode};
 use crate::node::Node;
 use rex_data::{Partition, Rating, UserBlock};
 use rex_ml::dnn::{DnnHyperParams, DnnModel};
@@ -79,7 +79,11 @@ pub fn build_mf_nodes_sharded(
 
 /// The MF builders' one body: each node gets a clone of `init` (every
 /// byte and the fresh write log; the last node takes `init` itself) and
-/// its own local mean and factor stamp.
+/// its own local mean and factor stamp. The clones share `init`'s rows
+/// until they write them, except under model sharing: there a node's
+/// first merge writes every row a neighbour has seen, so sharing would
+/// save nothing, and each node takes its rows at build
+/// ([`MfModel::own_all_rows`]) in row order.
 fn build_mf_fleet(
     partition: &Partition,
     graph: &Graph,
@@ -94,6 +98,9 @@ fn build_mf_fleet(
         .map(|(id, mut model)| {
             let train = partition.train[id].clone();
             model.set_global_mean(local_mean(&train));
+            if cfg.sharing == SharingMode::Model {
+                model.own_all_rows();
+            }
             let node = Node::builder(id, model)
                 .neighbors(graph.neighbors(id).to_vec())
                 .train(train)

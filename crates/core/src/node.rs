@@ -583,17 +583,15 @@ impl<M: Model> Node<M> {
                 degree,
             },
             (SharingMode::Model, WireCodec::Sparse { max_density }) => {
-                let ctx = self
-                    .sparse
-                    .as_ref()
-                    .expect("sparse codec configured without a reference snapshot");
-                match self
-                    .model
-                    .delta_bytes(&ctx.reference, ctx.fingerprint, max_density)
-                {
+                let delta = self.sparse.as_ref().and_then(|ctx| {
+                    self.model
+                        .delta_bytes(&ctx.reference, ctx.fingerprint, max_density)
+                });
+                match delta {
                     Some(bytes) => Plain::ModelDelta { bytes, degree },
-                    // Density crossed the threshold (or the model has no
-                    // sparse form): dense fallback, same as Dense mode.
+                    // No reference snapshot, density past the threshold,
+                    // or a model with no sparse form: dense fallback,
+                    // same as Dense mode.
                     None => Plain::Model {
                         bytes: self.model.to_bytes(),
                         degree,
@@ -607,10 +605,12 @@ impl<M: Model> Node<M> {
         for (nth, &dest) in recipients.iter().enumerate() {
             let payload = match self.tee.as_mut() {
                 Some(tee) => {
-                    let session = tee
-                        .sessions
-                        .get_mut(&dest)
-                        .unwrap_or_else(|| panic!("node {}: no session with {}", self.id, dest));
+                    // A recipient with no attested session gets nothing:
+                    // its share is dropped, as an inbound share that does
+                    // not open is, and never goes out in clear text.
+                    let Some(session) = tee.sessions.get_mut(&dest) else {
+                        continue;
+                    };
                     Payload::Sealed(session.seal(&Self::aad(self.id, dest), &inner))
                 }
                 // The last recipient takes the encoding itself.
@@ -1161,6 +1161,51 @@ mod tests {
         // assert the epoch completed and the node remains functional.
         assert!(report.rmse.is_some());
         assert_ne!(b.model().to_bytes(), before, "training still ran");
+    }
+
+    #[test]
+    fn sparse_codec_without_a_reference_sends_the_dense_model() {
+        let sparse_cfg = ProtocolConfig {
+            codec: WireCodec::sparse(),
+            ..cfg(SharingMode::Model, GossipAlgorithm::DPsgd)
+        };
+        let mut a = mk_node(0, vec![1], sparse_cfg);
+        a.sparse = None;
+        let (out, _) = a.epoch(Vec::new());
+        assert_eq!(out.len(), 1);
+        let Ok(Payload::Clear(frame)) = decode_payload(&out[0].1) else {
+            panic!("native node sends clear frames");
+        };
+        let Ok(Plain::Model { bytes, .. }) = decode_plain(&frame) else {
+            panic!("expected the dense model");
+        };
+        assert_eq!(bytes, a.model().to_bytes());
+    }
+
+    #[test]
+    fn a_recipient_without_a_session_gets_no_share() {
+        use rand::SeedableRng;
+        use rex_tee::dcap::DcapService;
+        use rex_tee::measurement::{Measurement, REX_ENCLAVE_V1};
+        use rex_tee::platform::SgxPlatform;
+        use rex_tee::SgxCostModel;
+        let mut n = mk_node(
+            0,
+            vec![1, 2],
+            cfg(SharingMode::RawData, GossipAlgorithm::DPsgd),
+        );
+        let dcap = DcapService::new();
+        let platform = SgxPlatform::provision(0, &dcap, &mut StdRng::seed_from_u64(0xAB));
+        n.install_enclave(platform.create_enclave(REX_ENCLAVE_V1, SgxCostModel::default()));
+        n.install_session(
+            2,
+            SecureSession::new([1; 32], [2; 32], true, Measurement::of_code(REX_ENCLAVE_V1)),
+        );
+        let (out, report) = n.epoch(Vec::new());
+        assert_eq!(out.len(), 1, "only the attested recipient is sent to");
+        assert_eq!(out[0].0, 2);
+        assert!(matches!(decode_payload(&out[0].1), Ok(Payload::Sealed(_))));
+        assert_eq!(report.bytes_out, out[0].1.len() as u64);
     }
 
     #[test]

@@ -92,22 +92,18 @@ pub fn score_one(model: &MfModel, user: u32, item: u32) -> f32 {
 /// entry passes [`kernel::dot`], the scan sweep its level's.
 #[inline(always)]
 fn score_by(model: &MfModel, user: u32, item: u32, dot: impl FnOnce(&[f32], &[f32]) -> f32) -> f32 {
-    let (u, i) = (user as usize, item as usize);
     let mut score = model.global_mean();
-    let user_ok = u < model.num_users() as usize && model.has_user(user);
-    let item_ok = i < model.num_items() as usize && model.has_item(item);
+    let user_ok = user < model.num_users() && model.has_user(user);
+    let item_ok = item < model.num_items() && model.has_item(item);
     if user_ok {
         score += model.user_bias(user);
     }
     if item_ok {
-        score += model.item_biases()[i];
-    }
-    if user_ok && item_ok {
-        let k = model.hyper_params().k;
-        score += dot(
-            model.user_factors(user),
-            &model.item_factors()[i * k..(i + 1) * k],
-        );
+        let (factors, bias) = model.item_row(item);
+        score += bias;
+        if user_ok {
+            score += dot(model.user_factors(user), factors);
+        }
     }
     score
 }
@@ -268,11 +264,7 @@ impl Sweep for StatsSweep<'_> {
     #[inline(always)]
     fn run<L: Lanes>(self, lanes: L) {
         let model = self.model;
-        let k = model.hyper_params().k;
         let n = model.num_items() as usize;
-        let y = model.item_factors();
-        let c = model.item_biases();
-        let seen = model.item_seen_mask();
         let mut lo = 0;
         while lo < n {
             let hi = (lo + self.block).min(n);
@@ -282,11 +274,12 @@ impl Sweep for StatsSweep<'_> {
                 any_seen: false,
                 any_unseen: false,
             };
-            for i in lo..hi {
-                if seen[i] {
+            for item in lo as u32..hi as u32 {
+                if model.has_item(item) {
                     s.any_seen = true;
-                    s.max_bias = s.max_bias.max(f64::from(c[i]));
-                    let norm = lanes.norm_sq(&y[i * k..(i + 1) * k]).sqrt();
+                    let (factors, bias) = model.item_row(item);
+                    s.max_bias = s.max_bias.max(f64::from(bias));
+                    let norm = lanes.norm_sq(factors).sqrt();
                     s.max_norm = s.max_norm.max(norm);
                 } else {
                     s.any_unseen = true;

@@ -216,6 +216,28 @@ pub fn put_f32_slice(buf: &mut impl ByteSink, vs: &[f32]) {
     }
 }
 
+/// Appends runs of f32 values that are not contiguous in memory — a
+/// table's rows, or one float of each — as one little-endian stream:
+/// the runs gather in a 2 KB stack slab that goes out as one
+/// [`put_f32_slice`], and a run as long as the slab goes out whole.
+pub fn put_f32_runs<'a>(buf: &mut impl ByteSink, runs: impl Iterator<Item = &'a [f32]>) {
+    let mut slab = [0.0f32; 512];
+    let mut len = 0;
+    for run in runs {
+        if len + run.len() > slab.len() {
+            put_f32_slice(buf, &slab[..len]);
+            len = 0;
+            if run.len() >= slab.len() {
+                put_f32_slice(buf, run);
+                continue;
+            }
+        }
+        slab[len..len + run.len()].copy_from_slice(run);
+        len += run.len();
+    }
+    put_f32_slice(buf, &slab[..len]);
+}
+
 /// FNV-1a 64-bit running hash — the cheap content fingerprint behind
 /// the sparse-delta reference guard and the serve-path digests. A
 /// [`ByteSink`], so a model streams into it.
@@ -405,6 +427,14 @@ mod tests {
                 }
             }
             assert_eq!(got, data, "pieces of {piece}");
+        }
+        let floats: Vec<f32> = (0..3_000u32).map(|i| i as f32 * 0.37 - 11.0).collect();
+        let mut want = Vec::new();
+        put_f32_slice(&mut want, &floats);
+        for piece in [1usize, 11, 511, 512, 513, 2_000] {
+            let mut got = Vec::new();
+            put_f32_runs(&mut got, floats.chunks(piece));
+            assert_eq!(got, want, "runs of {piece}");
         }
         for n in [0usize, 1, 7, 8, 9, 64, 100] {
             let bools: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i % 7 == 2).collect();

@@ -23,6 +23,7 @@ pub mod kernel;
 pub mod metrics;
 pub mod mf;
 pub mod model;
+mod rows;
 
 pub use dnn::{DnnHyperParams, DnnModel};
 pub use kernel::KernelLevel;

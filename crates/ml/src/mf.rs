@@ -8,6 +8,7 @@
 use crate::bytesio::{self, ByteSink, Chunked, Fnv1a64, Reader};
 use crate::kernel::{self, Lanes, Sweep};
 use crate::model::{Model, ModelCodecError};
+use crate::rows::RowStore;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rex_data::dist::normal;
@@ -126,26 +127,26 @@ impl Default for MfHyperParams {
 
 /// Biased MF model over a fixed user/item universe.
 ///
-/// Every node of a REX deployment instantiates the full embedding tables
-/// (as in the paper's implementation, where models are exchanged whole);
-/// the `user_seen`/`item_seen` masks track which rows carry information,
-/// which drives the partial-merge rule of §III-C2.
+/// Logically every node of a REX deployment holds the full embedding
+/// tables (as in the paper's implementation, where models are exchanged
+/// whole): that is what the codecs carry, what [`Model::memory_bytes`]
+/// reports to the EPC cost model, and what every accessor reads.
+/// Resident, a model holds only the rows it has written (all of them,
+/// once it has written most): the tables are copy-on-write row stores
+/// over one initialization that every clone shares
+/// ([`MfModel::resident_bytes`]). The per-row seen flags track
+/// which rows carry information, which drives the partial-merge rule of
+/// §III-C2.
 #[derive(Debug, Clone)]
 pub struct MfModel {
     hp: MfHyperParams,
     num_users: u32,
     num_items: u32,
     global_mean: f32,
-    /// User embeddings, row-major `num_users × k`.
-    x: Vec<f32>,
-    /// Item embeddings, row-major `num_items × k`.
-    y: Vec<f32>,
-    /// User biases.
-    b: Vec<f32>,
-    /// Item biases.
-    c: Vec<f32>,
-    user_seen: Vec<bool>,
-    item_seen: Vec<bool>,
+    /// User rows: the embedding `x_u`, then the bias `b_u`.
+    users: RowStore,
+    /// Item rows: the embedding `y_i`, then the bias `c_i`.
+    items: RowStore,
     /// In-memory mutation stamp (see [`MfModel::factor_version`]).
     /// Deliberately *not* serialized: wire bytes and fingerprints are
     /// unchanged by its existence.
@@ -171,23 +172,16 @@ impl MfModel {
         let mut rng = StdRng::seed_from_u64(seed);
         let nu = num_users as usize;
         let ni = num_items as usize;
-        let x = (0..nu * hp.k)
-            .map(|_| normal(&mut rng, 0.0, f64::from(hp.init_std)) as f32)
-            .collect();
-        let y = (0..ni * hp.k)
-            .map(|_| normal(&mut rng, 0.0, f64::from(hp.init_std)) as f32)
-            .collect();
+        let mut draw = || normal(&mut rng, 0.0, f64::from(hp.init_std)) as f32;
+        let users = RowStore::drawn(nu, hp.k, &mut draw);
+        let items = RowStore::drawn(ni, hp.k, &mut draw);
         MfModel {
             hp,
             num_users,
             num_items,
             global_mean,
-            x,
-            y,
-            b: vec![0.0; nu],
-            c: vec![0.0; ni],
-            user_seen: vec![false; nu],
-            item_seen: vec![false; ni],
+            users,
+            items,
             version: next_factor_stamp(),
             log: WriteLog::everything(nu, ni),
         }
@@ -230,10 +224,9 @@ impl MfModel {
     /// # Panics
     /// When `user` is outside the model's user universe.
     #[must_use]
+    #[inline]
     pub fn user_factors(&self, user: u32) -> &[f32] {
-        let k = self.hp.k;
-        let u = user as usize;
-        &self.x[u * k..(u + 1) * k]
+        self.users.row(user as usize).0
     }
 
     /// The user's bias `b_u`.
@@ -241,31 +234,71 @@ impl MfModel {
     /// # Panics
     /// When `user` is outside the model's user universe.
     #[must_use]
+    #[inline]
     pub fn user_bias(&self, user: u32) -> f32 {
-        self.b[user as usize]
+        self.users.row(user as usize).1
     }
 
-    /// The full item embedding table `Y`, row-major `num_items × k` —
-    /// the serve path's blocked scan iterates this contiguously.
+    /// The item's embedding row `y_i` (length `k`) and bias `c_i` — what
+    /// the serve path's blocked scan reads, row by row.
+    ///
+    /// # Panics
+    /// When `item` is outside the model's item universe.
     #[must_use]
-    pub fn item_factors(&self) -> &[f32] {
-        &self.y
+    #[inline]
+    pub fn item_row(&self, item: u32) -> (&[f32], f32) {
+        self.items.row(item as usize)
     }
 
-    /// The item bias vector `c`.
+    /// The full item embedding table `Y`, row-major `num_items × k`,
+    /// gathered into a new vector: the rows do not lie side by side.
+    /// Per-row readers take [`MfModel::item_row`].
     #[must_use]
-    pub fn item_biases(&self) -> &[f32] {
-        &self.c
+    pub fn item_factors(&self) -> Vec<f32> {
+        self.items
+            .runs()
+            .flat_map(|(factors, _)| factors)
+            .copied()
+            .collect()
     }
 
     /// The per-item seen mask (`item_seen[i]` ⇔ [`MfModel::has_item`]).
     #[must_use]
     pub fn item_seen_mask(&self) -> &[bool] {
-        &self.item_seen
+        &self.items.seen
+    }
+
+    /// Bytes this model holds of its own: the row slots, the rows it has
+    /// written, the seen flags and the write log. The initialization its
+    /// clones share is left out ([`MfModel::base_bytes`]; a caller
+    /// summing a fleet counts it once), and so is the fixed-size struct.
+    /// [`Model::memory_bytes`] stays the logical size.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.users.resident_bytes()
+            + self.items.resident_bytes()
+            + 8 * (self.log.users.0.len() + self.log.items.0.len())
+    }
+
+    /// Bytes of the shared initialization this model's unwritten rows
+    /// read from (zero for a decoded model, which owns every row).
+    #[must_use]
+    pub fn base_bytes(&self) -> usize {
+        self.users.base_bytes() + self.items.base_bytes()
     }
 
     fn touch(&mut self) {
         self.version = next_factor_stamp();
+    }
+
+    /// Makes every row this model's own, laid out in row order: a model
+    /// that will write nearly every row anyway (a model-sharing node's
+    /// first merge writes every row a neighbour has seen) takes them at
+    /// once, instead of a few at a time in the order it writes them.
+    /// Moves no value and leaves the factor version as it was.
+    pub fn own_all_rows(&mut self) {
+        self.users.own_all();
+        self.items.own_all();
     }
 
     /// Hyperparameters.
@@ -308,17 +341,18 @@ impl MfModel {
     fn predict_by(&self, user: u32, item: u32, dot: impl FnOnce(&[f32], &[f32]) -> f32) -> f32 {
         let (u, i) = (user as usize, item as usize);
         let mut pred = self.global_mean;
-        let user_ok = self.user_seen.get(u).copied().unwrap_or(false);
-        let item_ok = self.item_seen.get(i).copied().unwrap_or(false);
-        if user_ok {
-            pred += self.b[u];
+        let user_ok = self.users.seen.get(u).copied().unwrap_or(false);
+        let item_ok = self.items.seen.get(i).copied().unwrap_or(false);
+        let user_row = user_ok.then(|| self.users.row(u));
+        let item_row = item_ok.then(|| self.items.row(i));
+        if let Some((_, bias)) = user_row {
+            pred += bias;
         }
-        if item_ok {
-            pred += self.c[i];
+        if let Some((_, bias)) = item_row {
+            pred += bias;
         }
-        if user_ok && item_ok {
-            let k = self.hp.k;
-            pred += dot(&self.x[u * k..(u + 1) * k], &self.y[i * k..(i + 1) * k]);
+        if let (Some((x, _)), Some((y, _))) = (user_row, item_row) {
+            pred += dot(x, y);
         }
         pred.clamp(0.5, 5.0)
     }
@@ -335,56 +369,56 @@ impl MfModel {
             data,
             residual: Residual::Train,
         }) * 0.5;
-        let l2x: f64 = self.x.iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
-        let l2y: f64 = self.y.iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
-        mse + 0.5 * f64::from(self.hp.lambda) * (l2x + l2y)
+        let l2 = |table: &RowStore| -> f64 {
+            table
+                .runs()
+                .flat_map(|(factors, _)| factors)
+                .map(|v| f64::from(*v) * f64::from(*v))
+                .sum()
+        };
+        mse + 0.5 * f64::from(self.hp.lambda) * (l2(&self.users) + l2(&self.items))
     }
 
     /// Whether this model has trained on (or merged) data for `user`.
     #[must_use]
+    #[inline]
     pub fn has_user(&self, user: u32) -> bool {
-        self.user_seen[user as usize]
+        self.users.seen[user as usize]
     }
 
     /// Whether this model has trained on (or merged) data for `item`.
     #[must_use]
+    #[inline]
     pub fn has_item(&self, item: u32) -> bool {
-        self.item_seen[item as usize]
+        self.items.seen[item as usize]
     }
 
     /// Row indices of one table whose parameters differ from `reference`
-    /// (embedding row, bias, or seen flag — compared bit-for-bit via
-    /// `f32` equality, so reconstruction from the delta is exact).
-    #[allow(clippy::too_many_arguments)]
-    fn changed_rows(
-        rows: usize,
-        k: usize,
-        emb: &[f32],
-        bias: &[f32],
-        seen: &[bool],
-        ref_emb: &[f32],
-        ref_bias: &[f32],
-        ref_seen: &[bool],
-    ) -> Vec<u32> {
-        (0..rows)
+    /// (embedding row, bias, or seen flag — compared via `f32` equality).
+    fn changed_rows(table: &RowStore, reference: &RowStore) -> Vec<u32> {
+        (0..table.rows())
             .filter(|&row| {
-                bias[row] != ref_bias[row]
-                    || seen[row] != ref_seen[row]
-                    || emb[row * k..(row + 1) * k] != ref_emb[row * k..(row + 1) * k]
+                table.seen[row] != reference.seen[row] || table.row(row) != reference.row(row)
             })
             .map(|row| row as u32)
             .collect()
     }
 
-    /// The parameter tables and seen masks in wire order — everything
-    /// after the header, and all that [`Model::ref_fingerprint`] covers.
+    /// The parameter tables and seen masks in wire order — every user
+    /// bias, every item bias, the user embeddings, the item embeddings,
+    /// then the two masks: everything after the header, and all that
+    /// [`Model::ref_fingerprint`] covers. Gathered a run of side-by-side
+    /// rows at a time.
     fn write_tables(&self, sink: &mut impl ByteSink) {
-        bytesio::put_f32_slice(sink, &self.b);
-        bytesio::put_f32_slice(sink, &self.c);
-        bytesio::put_f32_slice(sink, &self.x);
-        bytesio::put_f32_slice(sink, &self.y);
-        bytesio::put_bool_slice(sink, &self.user_seen);
-        bytesio::put_bool_slice(sink, &self.item_seen);
+        let runs = || {
+            [&self.users, &self.items]
+                .into_iter()
+                .flat_map(RowStore::runs)
+        };
+        bytesio::put_f32_runs(sink, runs().map(|(_, biases)| biases));
+        bytesio::put_f32_runs(sink, runs().map(|(factors, _)| factors));
+        bytesio::put_bool_slice(sink, &self.users.seen);
+        bytesio::put_bool_slice(sink, &self.items.seen);
     }
 
     /// The first four words of every encoding: magic, dimensions, k.
@@ -402,33 +436,28 @@ impl MfModel {
     fn put_delta_section(
         sink: &mut impl ByteSink,
         rows: impl Iterator<Item = u32> + Clone,
-        k: usize,
-        emb: &[f32],
-        bias: &[f32],
-        seen: &[bool],
+        table: &RowStore,
     ) {
         let mut chunk = Chunked::new(sink);
         bytesio::put_u32(&mut chunk, rows.clone().count() as u32);
         for row in rows.clone() {
             bytesio::put_u32(&mut chunk, row);
         }
-        bytesio::put_bools(&mut chunk, rows.clone().map(|row| seen[row as usize]));
+        bytesio::put_bools(&mut chunk, rows.clone().map(|row| table.seen[row as usize]));
         for row in rows {
-            let row = row as usize;
-            bytesio::put_f32(&mut chunk, bias[row]);
-            bytesio::put_f32_slice(&mut chunk, &emb[row * k..(row + 1) * k]);
+            let (factors, bias) = table.row(row as usize);
+            bytesio::put_f32(&mut chunk, bias);
+            bytesio::put_f32_slice(&mut chunk, factors);
         }
     }
 
     fn read_delta_section(
         r: &mut Reader<'_>,
-        rows: usize,
         k: usize,
-        emb: &mut [f32],
-        bias: &mut [f32],
-        seen: &mut [bool],
+        table: &mut RowStore,
         written: &mut RowBits,
     ) -> Result<(), ModelCodecError> {
+        let rows = table.rows();
         let count = r.u32()? as usize;
         if count > rows {
             return Err(ModelCodecError::Malformed(format!(
@@ -447,10 +476,14 @@ impl MfModel {
         let flags = r.bool_vec(count)?;
         for (&row, &flag) in ids.iter().zip(&flags) {
             let row = row as usize;
-            bias[row] = r.f32()?;
-            let values = r.f32_vec(k)?;
-            emb[row * k..(row + 1) * k].copy_from_slice(&values);
-            seen[row] = flag;
+            let bias = r.f32()?;
+            let values = r.bytes(4 * k)?;
+            let (dst, dst_bias) = table.row_mut(row);
+            *dst_bias = bias;
+            for (d, v) in dst.iter_mut().zip(values.chunks_exact(4)) {
+                *d = f32::from_le_bytes([v[0], v[1], v[2], v[3]]);
+            }
+            table.seen[row] = flag;
             RowBits::set(&mut written.0, row);
         }
         Ok(())
@@ -460,24 +493,8 @@ impl MfModel {
     /// section, that end `r` (logging each row written) and re-stamps it.
     fn read_delta_sections(&mut self, r: &mut Reader<'_>) -> Result<(), ModelCodecError> {
         let k = self.hp.k;
-        Self::read_delta_section(
-            r,
-            self.num_users as usize,
-            k,
-            &mut self.x,
-            &mut self.b,
-            &mut self.user_seen,
-            &mut self.log.users,
-        )?;
-        Self::read_delta_section(
-            r,
-            self.num_items as usize,
-            k,
-            &mut self.y,
-            &mut self.c,
-            &mut self.item_seen,
-            &mut self.log.items,
-        )?;
+        Self::read_delta_section(r, k, &mut self.users, &mut self.log.users)?;
+        Self::read_delta_section(r, k, &mut self.items, &mut self.log.items)?;
         if r.remaining() != 0 {
             return Err(ModelCodecError::Malformed(format!(
                 "{} trailing bytes",
@@ -544,20 +561,24 @@ const LOOKAHEAD: usize = 16;
 
 /// The training sweep: one un-stamped SGD step per pick, in pick order.
 ///
-/// A step's operands — the rating, two embedding rows, two biases, two
-/// seen flags — sit at addresses the pick decides, and on a fleet node
-/// none of them is in cache: run pick by pick, each step waits out its
-/// own misses before the next pick is even drawn. So the picks are drawn
-/// [`LOOKAHEAD`] at a time into a stack array, and before one block is
-/// stepped through the next block's operands are **read once**
-/// ([`TrainSweep::read_ahead`]): independent loads the core overlaps,
-/// which leave the lines in cache for the steps that follow.
+/// A step's operands — the rating, two row slots, two rows (embedding
+/// and bias), two seen flags — sit at addresses the pick decides, and on
+/// a fleet node none of them is in cache: run pick by pick, each step
+/// waits out its own misses before the next pick is even drawn. So the
+/// picks are drawn [`LOOKAHEAD`] at a time into a stack array, and
+/// before one block is stepped through the next block's rows are
+/// **resolved and read once** ([`TrainSweep::read_ahead`]): each row the
+/// block will write is made the model's own (copied out of the shared
+/// base the first time), then its lines are read — independent loads
+/// the core overlaps, which leave the slots and rows in cache for the
+/// steps that follow.
 ///
 /// Bit-identical to the plain lazy loop by construction. The iterator is
 /// drained in the same order and to the same end, so a caller's RNG is
 /// left in the same state; the steps run in pick order on the same
-/// kernels; and the read-ahead only reads — its sum goes to
-/// `std::hint::black_box` and nowhere else.
+/// kernels; and the read-ahead writes no value — taking a row copies it
+/// unchanged, and the sum of what it reads goes to `std::hint::black_box`
+/// and nowhere else.
 struct TrainSweep<'a, I> {
     model: &'a mut MfModel,
     data: &'a [Rating],
@@ -576,26 +597,34 @@ impl<I: Iterator<Item = usize>> TrainSweep<'_, I> {
         len
     }
 
-    /// Reads every line the steps for `block` will: the rating, both ends
-    /// of its `x` and `y` rows (a k = 10 row spans at most two lines),
-    /// the biases and the seen flags.
+    /// Takes every row the steps for `block` will write, noting their
+    /// (user, item) slots in `slots`, then reads every line the steps
+    /// will: the rating, both ends of its user and item rows (a k = 10
+    /// row and its bias span at most two lines) and the seen flags.
     #[inline(always)]
-    fn read_ahead(model: &MfModel, data: &[Rating], block: &[usize]) {
-        let k = model.hp.k;
-        let ends = |row: &[f32]| {
-            row.first().map_or(0, |v| v.to_bits()) ^ row.last().map_or(0, |v| v.to_bits())
-        };
-        let mut lines = 0u32;
-        for &idx in block {
+    fn read_ahead(
+        model: &mut MfModel,
+        data: &[Rating],
+        block: &[usize],
+        slots: &mut [(usize, usize); LOOKAHEAD],
+    ) {
+        // The slots first, a short loop whose loads are all in flight at
+        // once; then the rows behind them, whose addresses they give.
+        for (&idx, slot) in block.iter().zip(slots.iter_mut()) {
             let r = &data[idx];
-            let (u, i) = (r.user as usize, r.item as usize);
+            *slot = (
+                model.users.own(r.user as usize),
+                model.items.own(r.item as usize),
+            );
+        }
+        let mut lines = 0u32;
+        for (&idx, &(su, si)) in block.iter().zip(slots.iter()) {
+            let r = &data[idx];
             lines ^= r.value.to_bits()
-                ^ ends(&model.x[u * k..(u + 1) * k])
-                ^ ends(&model.y[i * k..(i + 1) * k])
-                ^ model.b[u].to_bits()
-                ^ model.c[i].to_bits()
-                ^ u32::from(model.user_seen[u])
-                ^ u32::from(model.item_seen[i]);
+                ^ row_lines(model.users.slot(su))
+                ^ row_lines(model.items.slot(si))
+                ^ u32::from(model.users.seen[r.user as usize])
+                ^ u32::from(model.items.seen[r.item as usize]);
         }
         std::hint::black_box(lines);
     }
@@ -606,40 +635,39 @@ impl<I: Iterator<Item = usize>> Sweep for TrainSweep<'_, I> {
     #[inline(always)]
     fn run<L: Lanes>(self, lanes: L) {
         let (m, data, mut picks) = (self.model, self.data, self.picks);
-        let k = m.hp.k;
         let lr = m.hp.learning_rate;
         let reg = m.hp.lambda;
         let mean = m.global_mean;
         let mut block = [0usize; LOOKAHEAD];
+        let mut slots = [(0usize, 0usize); LOOKAHEAD];
         let mut len = Self::draw(&mut picks, &mut block);
-        Self::read_ahead(m, data, &block[..len]);
+        Self::read_ahead(m, data, &block[..len], &mut slots);
         while len > 0 {
             let mut next = [0usize; LOOKAHEAD];
+            let mut next_slots = [(0usize, 0usize); LOOKAHEAD];
             let next_len = Self::draw(&mut picks, &mut next);
-            Self::read_ahead(m, data, &next[..next_len]);
-            // Borrowed once per block, as slices: the loop keeps eight
-            // base pointers in registers instead of re-reading eight
-            // `Vec` headers per step.
-            let (x, y, b, c) = (&mut m.x[..], &mut m.y[..], &mut m.b[..], &mut m.c[..]);
-            let (user_seen, item_seen) = (&mut m.user_seen[..], &mut m.item_seen[..]);
+            // Slots are indices, so taking the next block's rows (which
+            // may grow the overlay) leaves this block's slots valid.
+            Self::read_ahead(m, data, &next[..next_len], &mut next_slots);
+            let (users, items) = (&mut m.users, &mut m.items);
             let (users_written, items_written) = (&mut m.log.users.0[..], &mut m.log.items.0[..]);
-            for &idx in &block[..len] {
+            for (&idx, &(su, si)) in block[..len].iter().zip(&slots[..len]) {
                 let r = &data[idx];
                 let (u, i) = (r.user as usize, r.item as usize);
-                let xu = &mut x[u * k..(u + 1) * k];
-                let yi = &mut y[i * k..(i + 1) * k];
-                let pred = mean + b[u] + c[i] + lanes.dot(xu, yi);
+                let (xu, bu) = users.slot_mut(su);
+                let (yi, ci) = items.slot_mut(si);
+                let pred = mean + *bu + *ci + lanes.dot(xu, yi);
                 let err = r.value - pred;
 
-                b[u] += lr * (err - reg * b[u]);
-                c[i] += lr * (err - reg * c[i]);
+                *bu += lr * (err - reg * *bu);
+                *ci += lr * (err - reg * *ci);
                 lanes.sgd_update(xu, yi, lr, err, reg);
-                user_seen[u] = true;
-                item_seen[i] = true;
+                users.seen[u] = true;
+                items.seen[i] = true;
                 RowBits::set(users_written, u);
                 RowBits::set(items_written, i);
             }
-            (block, len) = (next, next_len);
+            (block, slots, len) = (next, next_slots, next_len);
         }
     }
 }
@@ -652,6 +680,15 @@ enum Residual {
     Predict,
     /// What SGD descends: every term, no clamp, f32 difference.
     Train,
+}
+
+/// What a read-ahead reads of a row: both ends of its factors (a k = 10
+/// row spans at most two lines) and its bias.
+#[inline(always)]
+fn row_lines((factors, bias): (&[f32], f32)) -> u32 {
+    factors.first().map_or(0, |v| v.to_bits())
+        ^ factors.last().map_or(0, |v| v.to_bits())
+        ^ bias.to_bits()
 }
 
 /// The evaluation sweep: the in-order f64 sum of squared residuals
@@ -667,7 +704,6 @@ impl Sweep for ResidualSweep<'_> {
     #[inline(always)]
     fn run<L: Lanes>(self, lanes: L) -> f64 {
         let m = self.model;
-        let k = m.hp.k;
         let mut sum = 0.0f64;
         for r in self.data {
             let e = match self.residual {
@@ -676,9 +712,10 @@ impl Sweep for ResidualSweep<'_> {
                     f64::from(pred) - f64::from(r.value)
                 }
                 Residual::Train => {
-                    let (u, i) = (r.user as usize, r.item as usize);
-                    let dot = lanes.dot(&m.x[u * k..(u + 1) * k], &m.y[i * k..(i + 1) * k]);
-                    f64::from(r.value - (m.global_mean + m.b[u] + m.c[i] + dot))
+                    let (xu, bu) = m.users.row(r.user as usize);
+                    let (yi, ci) = m.items.row(r.item as usize);
+                    let dot = lanes.dot(xu, yi);
+                    f64::from(r.value - (m.global_mean + bu + ci + dot))
                 }
             };
             sum += e * e;
@@ -687,26 +724,20 @@ impl Sweep for ResidualSweep<'_> {
     }
 }
 
-/// Merges one embedding table + bias vector in place without per-row
-/// allocations (this is the hot path of model-sharing simulations: ~10 k
-/// rows × ~30 contributors per node per epoch).
-#[allow(clippy::too_many_arguments)]
+/// Merges one table (embedding rows and biases) in place without
+/// per-row allocations (this is the hot path of model-sharing
+/// simulations: ~10 k rows × ~30 contributors per node per epoch).
 fn merge_table(
-    k: usize,
-    rows: usize,
-    emb: &mut [f32],
-    bias: &mut [f32],
-    seen: &mut [bool],
+    table: &mut RowStore,
     self_weight: f64,
     contributions: &[(f64, &MfModel)],
-    select: impl Fn(&MfModel) -> (&[f32], &[f32], &[bool]),
+    select: impl Fn(&MfModel) -> &RowStore,
     scratch: &mut [f64],
 ) {
-    for row in 0..rows {
-        let mut total = if seen[row] { self_weight } else { 0.0 };
+    for row in 0..table.rows() {
+        let mut total = if table.seen[row] { self_weight } else { 0.0 };
         for (w, m) in contributions {
-            let (_, _, m_seen) = select(m);
-            if m_seen[row] {
+            if select(m).seen[row] {
                 total += w;
             }
         }
@@ -714,27 +745,29 @@ fn merge_table(
             continue; // nobody has information for this row: keep local init
         }
         let inv = 1.0 / total;
-        let base = row * k;
         scratch.iter_mut().for_each(|a| *a = 0.0);
         let mut bias_acc = 0.0f64;
-        if seen[row] {
+        if table.seen[row] {
             let w = self_weight * inv;
-            kernel::scale_add(scratch, w, &emb[base..base + k]);
-            bias_acc += w * f64::from(bias[row]);
+            let (factors, bias) = table.row(row);
+            kernel::scale_add(scratch, w, factors);
+            bias_acc += w * f64::from(bias);
         }
         for (wc, m) in contributions {
-            let (m_emb, m_bias, m_seen) = select(m);
-            if m_seen[row] {
+            let theirs = select(m);
+            if theirs.seen[row] {
                 let w = wc * inv;
-                kernel::scale_add(scratch, w, &m_emb[base..base + k]);
-                bias_acc += w * f64::from(m_bias[row]);
+                let (factors, bias) = theirs.row(row);
+                kernel::scale_add(scratch, w, factors);
+                bias_acc += w * f64::from(bias);
             }
         }
-        for d in 0..k {
-            emb[base + d] = scratch[d] as f32;
+        let (factors, bias) = table.row_mut(row);
+        for (dst, acc) in factors.iter_mut().zip(scratch.iter()) {
+            *dst = *acc as f32;
         }
-        bias[row] = bias_acc as f32;
-        seen[row] = true;
+        *bias = bias_acc as f32;
+        table.seen[row] = true;
     }
 }
 
@@ -796,26 +829,19 @@ impl Model for MfModel {
 
         let k = self.hp.k;
         let mut scratch = vec![0.0f64; k];
+        let (users, items) = (&mut self.users, &mut self.items);
         merge_table(
-            k,
-            self.num_users as usize,
-            &mut self.x,
-            &mut self.b,
-            &mut self.user_seen,
+            users,
             self_weight,
             contributions,
-            |m| (m.x.as_slice(), m.b.as_slice(), m.user_seen.as_slice()),
+            |m| &m.users,
             &mut scratch,
         );
         merge_table(
-            k,
-            self.num_items as usize,
-            &mut self.y,
-            &mut self.c,
-            &mut self.item_seen,
+            items,
             self_weight,
             contributions,
-            |m| (m.y.as_slice(), m.c.as_slice(), m.item_seen.as_slice()),
+            |m| &m.items,
             &mut scratch,
         );
         self.log.all = true;
@@ -823,7 +849,7 @@ impl Model for MfModel {
     }
 
     fn param_count(&self) -> usize {
-        self.x.len() + self.y.len() + self.b.len() + self.c.len()
+        (self.num_users as usize + self.num_items as usize) * (self.hp.k + 1)
     }
 
     fn wire_size(&self) -> usize {
@@ -848,14 +874,15 @@ impl Model for MfModel {
         let total = (self.num_users + self.num_items) as usize;
         let row_form = !self.log.all && logged * ROW_FORM_UP_TO_ONE_ROW_IN <= total;
         if row_form {
-            let k = self.hp.k;
             self.put_header(sink, MAGIC_DELTA);
             bytesio::put_f32(sink, self.global_mean);
-            let users = self.log.users.iter();
-            Self::put_delta_section(sink, users, k, &self.x, &self.b, &self.user_seen);
-            let items = self.log.items.iter();
-            Self::put_delta_section(sink, items, k, &self.y, &self.c, &self.item_seen);
+            Self::put_delta_section(sink, self.log.users.iter(), &self.users);
+            Self::put_delta_section(sink, self.log.items.iter(), &self.items);
         } else {
+            // The full form reads every row: in row order, that is one
+            // run per stretch of owned rows.
+            self.users.settle();
+            self.items.settle();
             self.write_bytes(sink);
         }
         self.log.all = false;
@@ -898,19 +925,19 @@ impl Model for MfModel {
             num_users,
             num_items,
             global_mean,
-            x,
-            y,
-            b,
-            c,
-            user_seen,
-            item_seen,
+            // A decoded model owns every row.
+            users: RowStore::owning(k, user_seen, x, b),
+            items: RowStore::owning(k, item_seen, y, c),
             version: next_factor_stamp(),
             log: WriteLog::everything(nu, ni),
         })
     }
 
+    /// The logical size — every parameter and seen flag, as a dense
+    /// enclave-resident model would hold them — whatever this process
+    /// shares between clones ([`MfModel::resident_bytes`]).
     fn memory_bytes(&self) -> usize {
-        self.param_count() * 4 + self.user_seen.len() + self.item_seen.len()
+        self.param_count() * 4 + (self.num_users + self.num_items) as usize
     }
 
     /// Fingerprint over the parameter tables and seen masks — the global
@@ -931,26 +958,8 @@ impl Model for MfModel {
     ) -> Option<Vec<u8>> {
         self.check_compatible(reference);
         let k = self.hp.k;
-        let users = Self::changed_rows(
-            self.num_users as usize,
-            k,
-            &self.x,
-            &self.b,
-            &self.user_seen,
-            &reference.x,
-            &reference.b,
-            &reference.user_seen,
-        );
-        let items = Self::changed_rows(
-            self.num_items as usize,
-            k,
-            &self.y,
-            &self.c,
-            &self.item_seen,
-            &reference.y,
-            &reference.c,
-            &reference.item_seen,
-        );
+        let users = Self::changed_rows(&self.users, &reference.users);
+        let items = Self::changed_rows(&self.items, &reference.items);
         let total_rows = (self.num_users + self.num_items) as usize;
         let density = (users.len() + items.len()) as f64 / total_rows.max(1) as f64;
         if density > max_density {
@@ -960,9 +969,8 @@ impl Model for MfModel {
         self.put_header(&mut buf, MAGIC_DELTA);
         bytesio::put_u64(&mut buf, ref_fingerprint);
         bytesio::put_f32(&mut buf, self.global_mean);
-        let (users, items) = (users.iter().copied(), items.iter().copied());
-        Self::put_delta_section(&mut buf, users, k, &self.x, &self.b, &self.user_seen);
-        Self::put_delta_section(&mut buf, items, k, &self.y, &self.c, &self.item_seen);
+        Self::put_delta_section(&mut buf, users.iter().copied(), &self.users);
+        Self::put_delta_section(&mut buf, items.iter().copied(), &self.items);
         Some(buf)
     }
 
@@ -1008,6 +1016,19 @@ mod tests {
     use crate::metrics::rmse;
     use rand::SeedableRng;
     use rex_data::SyntheticConfig;
+
+    /// The four parameter tables in wire order — `b`, `c`, `x`, `y` —
+    /// gathered dense.
+    fn dense(m: &MfModel) -> [Vec<f32>; 4] {
+        let biases = |t: &RowStore| (0..t.rows()).map(|r| t.row(r).1).collect();
+        let factors = |t: &RowStore| (0..t.rows()).flat_map(|r| t.row(r).0.to_vec()).collect();
+        [
+            biases(&m.users),
+            biases(&m.items),
+            factors(&m.users),
+            factors(&m.items),
+        ]
+    }
 
     fn tiny_data() -> Vec<Rating> {
         SyntheticConfig {
@@ -1153,11 +1174,12 @@ mod tests {
         let eps = 1e-3f32;
         let base_loss = m.loss(&[r]);
         let mut bumped = m.clone();
-        bumped.b[0] += eps;
+        *bumped.users.row_mut(0).1 += eps;
         let d_num = (bumped.loss(&[r]) - base_loss) / f64::from(eps);
         // Analytic: dJ/db_u = -(r - μ - b_u - c_i - x_u·y_i).
-        let dot: f32 = m.x.iter().zip(&m.y).map(|(a, b)| a * b).sum();
-        let err = f64::from(r.value - (m.global_mean + m.b[0] + m.c[0] + dot));
+        let (x, (y, c)) = (m.user_factors(0), m.item_row(0));
+        let dot: f32 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+        let err = f64::from(r.value - (m.global_mean + m.user_bias(0) + c + dot));
         assert!(
             (d_num + err).abs() < 1e-2,
             "numeric {d_num} vs analytic {}",
@@ -1197,10 +1219,8 @@ mod tests {
         assert_eq!(bytes.len(), m.wire_size());
         let back = MfModel::from_bytes(&bytes).unwrap();
         assert_eq!(back.param_count(), m.param_count());
-        assert_eq!(back.x, m.x);
-        assert_eq!(back.y, m.y);
-        assert_eq!(back.b, m.b);
-        assert_eq!(back.user_seen, m.user_seen);
+        assert_eq!(dense(&back), dense(&m));
+        assert_eq!(back.users.seen, m.users.seen);
         for (u, i) in [(0u32, 0u32), (3, 7), (19, 49)] {
             assert_eq!(back.predict(u, i), m.predict(u, i));
         }
@@ -1218,11 +1238,11 @@ mod tests {
             }
             buf.extend_from_slice(&m.global_mean.to_le_bytes());
         }
-        for table in [&m.b, &m.c, &m.x, &m.y] {
-            reference::put_f32_slice(&mut buf, table);
+        for table in dense(m) {
+            reference::put_f32_slice(&mut buf, &table);
         }
-        reference::put_bool_slice(&mut buf, &m.user_seen);
-        reference::put_bool_slice(&mut buf, &m.item_seen);
+        reference::put_bool_slice(&mut buf, &m.users.seen);
+        reference::put_bool_slice(&mut buf, &m.items.seen);
         buf
     }
 
@@ -1281,16 +1301,16 @@ mod tests {
             item: 1,
             value: 1.0,
         });
-        let b_bias_u1 = b.b[1];
-        let a_bias_u0 = a.b[0];
+        let b_bias_u1 = b.user_bias(1);
+        let a_bias_u0 = a.user_bias(0);
         a.merge(&[(0.5, &b)], 0.5);
         // Mean averaged.
         assert!((a.global_mean - 3.5).abs() < 1e-6);
         // Row seen only by b: copied from b (renormalized weight 1).
-        assert!((a.b[1] - b_bias_u1).abs() < 1e-6);
+        assert!((a.user_bias(1) - b_bias_u1).abs() < 1e-6);
         assert!(a.has_user(1));
         // Row seen only by a: kept.
-        assert!((a.b[0] - a_bias_u0).abs() < 1e-6);
+        assert!((a.user_bias(0) - a_bias_u0).abs() < 1e-6);
         assert!(a.has_user(0));
     }
 
@@ -1308,9 +1328,9 @@ mod tests {
             item: 0,
             value: 1.0,
         });
-        let expected = 0.25 * a.b[0] + 0.75 * b.b[0];
+        let expected = 0.25 * a.user_bias(0) + 0.75 * b.user_bias(0);
         a.merge(&[(0.75, &b)], 0.25);
-        assert!((a.b[0] - expected).abs() < 1e-6);
+        assert!((a.user_bias(0) - expected).abs() < 1e-6);
     }
 
     #[test]
@@ -1322,12 +1342,12 @@ mod tests {
             value: 5.0,
         });
         let fresh = MfModel::new(1, 1, MfHyperParams::default(), 3.0, 99);
-        let a_b0 = a.b[0];
-        let a_x: Vec<f32> = a.x.clone();
+        let a_b0 = a.user_bias(0);
+        let a_x = dense(&a)[2].clone();
         a.merge(&[(0.5, &fresh)], 0.5);
         // fresh never saw user 0 -> a's row must be untouched.
-        assert!((a.b[0] - a_b0).abs() < 1e-6);
-        assert_eq!(a.x, a_x);
+        assert!((a.user_bias(0) - a_b0).abs() < 1e-6);
+        assert_eq!(dense(&a)[2], a_x);
     }
 
     #[test]
@@ -1555,7 +1575,7 @@ mod tests {
         assert_eq!(m.num_items(), 50);
         let k = m.hyper_params().k;
         assert_eq!(m.item_factors().len(), 50 * k);
-        assert_eq!(m.item_biases().len(), 50);
+        assert_eq!(m.item_row(49).0.len(), k);
         assert_eq!(m.item_seen_mask().len(), 50);
         // Recomposing predict() from the accessors matches it bit-for-bit.
         for (u, i) in [(0u32, 0u32), (3, 7), (19, 49)] {
@@ -1564,7 +1584,7 @@ mod tests {
                 score += m.user_bias(u);
             }
             if m.has_item(i) {
-                score += m.item_biases()[i as usize];
+                score += m.item_row(i).1;
             }
             if m.has_user(u) && m.has_item(i) {
                 let yi = &m.item_factors()[i as usize * k..(i as usize + 1) * k];
@@ -1583,8 +1603,7 @@ mod tests {
     fn identical_inits_across_nodes() {
         let a = MfModel::new(4, 4, MfHyperParams::default(), 3.5, 42);
         let b = MfModel::new(4, 4, MfHyperParams::default(), 3.5, 42);
-        assert_eq!(a.x, b.x);
-        assert_eq!(a.y, b.y);
+        assert_eq!(dense(&a), dense(&b));
     }
 
     #[test]
@@ -1609,6 +1628,127 @@ mod tests {
         let d1 = sizes[1] - sizes[0];
         for w in sizes.windows(2) {
             assert_eq!(w[1] - w[0], d1, "non-linear growth: {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn a_clone_owns_no_row_until_a_step_takes_two() {
+        let init = MfModel::new(8, 8, MfHyperParams::default(), 3.5, 4);
+        let mut clone = init.clone();
+        assert!(clone.users.shares_base_with(&init.users));
+        assert!(clone.items.shares_base_with(&init.items));
+        assert_eq!(clone.users.owned() + clone.items.owned(), 0);
+        clone.sgd_step(&Rating {
+            user: 3,
+            item: 5,
+            value: 4.0,
+        });
+        assert_eq!((clone.users.owned(), clone.items.owned()), (1, 1));
+        assert_eq!(init.users.owned() + init.items.owned(), 0);
+        // The logical size is the dense model's, whatever is shared.
+        assert_eq!(clone.memory_bytes(), init.memory_bytes());
+        assert!(clone.resident_bytes() > init.resident_bytes());
+        assert_eq!(init.base_bytes(), (8 + 8) * (10 + 1) * 4);
+    }
+
+    /// Every cell of a 12 × 40 model, rated.
+    fn grid() -> Vec<Rating> {
+        (0..12u32)
+            .flat_map(|user| {
+                (0..40u32).map(move |item| Rating {
+                    user,
+                    item,
+                    value: 0.5 + ((user * 7 + item * 3) % 10) as f32 * 0.5,
+                })
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// A model that reads unwritten rows from the init its clones
+        /// share and one that owns every row from the start (the same
+        /// init, decoded) stay the same model under any sequence of
+        /// writes: equal wire bytes, change records and squared error,
+        /// bit for bit. And what is written through a clone reaches
+        /// neither its siblings nor the shared init.
+        #[test]
+        fn shared_and_owned_rows_make_the_same_model(
+            ops in proptest::collection::vec((0u8..7, proptest::arbitrary::any::<u64>()), 1..24)
+        ) {
+            use proptest::prop_assert_eq;
+            let init = MfModel::new(12, 40, MfHyperParams::default(), 3.5, 5);
+            let init_bytes = init.to_bytes();
+            let owning_init = MfModel::from_bytes(&init_bytes).unwrap();
+            prop_assert_eq!(owning_init.users.owned() + owning_init.items.owned(), 12 + 40);
+            let fp = init.ref_fingerprint();
+            let (mut shared, mut owning) = (init.clone(), owning_init.clone());
+            let data = grid();
+            let test: Vec<Rating> = data.iter().step_by(7).copied().collect();
+            for (op, seed) in ops {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let rating = data[rng.gen_range(0..data.len())];
+                match op {
+                    0 => {
+                        shared.sgd_step(&rating);
+                        owning.sgd_step(&rating);
+                    }
+                    1 => {
+                        let steps = rng.gen_range(1..200);
+                        shared.train_steps(&data, steps, &mut StdRng::seed_from_u64(seed));
+                        owning.train_steps(&data, steps, &mut StdRng::seed_from_u64(seed));
+                    }
+                    2 => {
+                        let mut peer = init.clone();
+                        peer.train_steps(&data, 60, &mut rng);
+                        let w = rng.gen_range(0.1..0.9);
+                        shared.merge(&[(1.0 - w, &peer)], w);
+                        owning.merge(&[(1.0 - w, &peer)], w);
+                    }
+                    3 => {
+                        let mut source = shared.clone();
+                        source.write_changes(&mut Vec::new());
+                        source.train_steps(&data, rng.gen_range(1..12), &mut rng);
+                        let mut record = Vec::new();
+                        source.write_changes(&mut record);
+                        shared.apply_changes(&record).unwrap();
+                        owning.apply_changes(&record).unwrap();
+                    }
+                    4 => {
+                        let delta = shared.delta_bytes(&init, fp, 1.0).unwrap();
+                        prop_assert_eq!(&delta, &owning.delta_bytes(&owning_init, fp, 1.0).unwrap());
+                        shared = MfModel::apply_delta(&init, fp, &delta).unwrap();
+                        owning = MfModel::apply_delta(&owning_init, fp, &delta).unwrap();
+                    }
+                    5 => {
+                        let mean = rng.gen_range(1.0..4.5);
+                        shared.set_global_mean(mean);
+                        owning.set_global_mean(mean);
+                    }
+                    _ => {
+                        let before = (shared.to_bytes(), owning.to_bytes());
+                        let (mut shared_twin, mut owning_twin) = (shared.clone(), owning.clone());
+                        shared_twin.sgd_step(&rating);
+                        owning_twin.sgd_step(&rating);
+                        prop_assert_eq!(shared_twin.to_bytes(), owning_twin.to_bytes());
+                        prop_assert_eq!((shared.to_bytes(), owning.to_bytes()), before);
+                    }
+                }
+                prop_assert_eq!(shared.to_bytes(), owning.to_bytes());
+                let (mut shared_record, mut owning_record) = (Vec::new(), Vec::new());
+                prop_assert_eq!(
+                    shared.write_changes(&mut shared_record),
+                    owning.write_changes(&mut owning_record)
+                );
+                prop_assert_eq!(shared_record, owning_record);
+                prop_assert_eq!(
+                    shared.squared_error(&test).to_bits(),
+                    owning.squared_error(&test).to_bits()
+                );
+            }
+            prop_assert_eq!(init.to_bytes(), init_bytes.clone());
+            prop_assert_eq!(owning_init.to_bytes(), init_bytes);
         }
     }
 }

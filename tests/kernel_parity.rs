@@ -601,7 +601,6 @@ fn scorer_equals_the_brute_force_oracle_on_every_level() {
 /// The (user, item) rows whose embedding, bias or seen flag differ
 /// between two models, compared bit for bit.
 fn changed_rows(a: &MfModel, b: &MfModel) -> (Vec<u32>, Vec<u32>) {
-    let k = a.hyper_params().k;
     let users = (0..a.num_users())
         .filter(|&u| {
             bits32(a.user_factors(u)) != bits32(b.user_factors(u))
@@ -611,9 +610,9 @@ fn changed_rows(a: &MfModel, b: &MfModel) -> (Vec<u32>, Vec<u32>) {
         .collect();
     let items = (0..a.num_items())
         .filter(|&i| {
-            let (row, at) = (i as usize * k..(i as usize + 1) * k, i as usize);
-            bits32(&a.item_factors()[row.clone()]) != bits32(&b.item_factors()[row])
-                || a.item_biases()[at].to_bits() != b.item_biases()[at].to_bits()
+            let ((ya, ca), (yb, cb)) = (a.item_row(i), b.item_row(i));
+            bits32(ya) != bits32(yb)
+                || ca.to_bits() != cb.to_bits()
                 || a.has_item(i) != b.has_item(i)
         })
         .collect();

@@ -186,8 +186,8 @@ fn exact_ties_from_duplicated_rows_resolve_deterministically() {
     let k = m.hyper_params().k;
     let mut y = m.item_factors()[..32 * k].to_vec();
     y.extend_from_slice(&m.item_factors()[..32 * k]);
-    let mut c = m.item_biases()[..32].to_vec();
-    c.extend_from_slice(&m.item_biases()[..32]);
+    let mut c: Vec<f32> = (0..32).map(|i| m.item_row(i).1).collect();
+    c.extend_from_within(..);
     let mut seen = m.item_seen_mask()[..32].to_vec();
     seen.extend_from_slice(&m.item_seen_mask()[..32]);
     // Same seeds + data + steps reproduce m bit-for-bit — the codec
