@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rex_data::dist::normal;
 use rex_data::Rating;
+use std::borrow::Cow;
 
 const MAGIC: u32 = 0x4d46_3031; // "MF01"
 const MAGIC_DELTA: u32 = 0x4d46_4431; // "MFD1"
@@ -250,16 +251,23 @@ impl MfModel {
         self.items.row(item as usize)
     }
 
-    /// The full item embedding table `Y`, row-major `num_items × k`,
-    /// gathered into a new vector: the rows do not lie side by side.
-    /// Per-row readers take [`MfModel::item_row`].
+    /// The full item embedding table `Y`, row-major `num_items × k`:
+    /// borrowed when the rows lie side by side in one run (a fresh
+    /// clone, a decoded model, one that owns every row), gathered into a
+    /// new vector otherwise. Per-row readers take [`MfModel::item_row`].
     #[must_use]
-    pub fn item_factors(&self) -> Vec<f32> {
-        self.items
-            .runs()
-            .flat_map(|(factors, _)| factors)
-            .copied()
-            .collect()
+    pub fn item_factors(&self) -> Cow<'_, [f32]> {
+        let mut runs = self.items.runs();
+        match (runs.next(), runs.next()) {
+            (Some((factors, _)), None) => Cow::Borrowed(factors),
+            _ => {
+                let mut table = Vec::with_capacity(self.items.rows() * self.hp.k);
+                for (factors, _) in self.items.runs() {
+                    table.extend_from_slice(factors);
+                }
+                Cow::Owned(table)
+            }
+        }
     }
 
     /// The per-item seen mask (`item_seen[i]` ⇔ [`MfModel::has_item`]).
@@ -879,10 +887,6 @@ impl Model for MfModel {
             Self::put_delta_section(sink, self.log.users.iter(), &self.users);
             Self::put_delta_section(sink, self.log.items.iter(), &self.items);
         } else {
-            // The full form reads every row: in row order, that is one
-            // run per stretch of owned rows.
-            self.users.settle();
-            self.items.settle();
             self.write_bytes(sink);
         }
         self.log.all = false;
@@ -1638,12 +1642,21 @@ mod tests {
         assert!(clone.users.shares_base_with(&init.users));
         assert!(clone.items.shares_base_with(&init.items));
         assert_eq!(clone.users.owned() + clone.items.owned(), 0);
+        assert!(matches!(clone.item_factors(), Cow::Borrowed(_)));
         clone.sgd_step(&Rating {
             user: 3,
             item: 5,
             value: 4.0,
         });
         assert_eq!((clone.users.owned(), clone.items.owned()), (1, 1));
+        // Item 5 now lies in the overlay, between base rows: gathered.
+        let gathered = clone.item_factors();
+        assert!(matches!(gathered, Cow::Owned(_)));
+        assert_eq!(&gathered[5 * 10..6 * 10], clone.item_row(5).0);
+        let mut owning = clone.clone();
+        owning.own_all_rows();
+        assert!(matches!(owning.item_factors(), Cow::Borrowed(_)));
+        assert_eq!(owning.item_factors(), gathered);
         assert_eq!(init.users.owned() + init.items.owned(), 0);
         // The logical size is the dense model's, whatever is shared.
         assert_eq!(clone.memory_bytes(), init.memory_bytes());

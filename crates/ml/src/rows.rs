@@ -16,9 +16,7 @@
 //! order they are first written, which is all a step that reaches a row
 //! by its slot needs. A pass over the whole table ([`RowStore::runs`])
 //! reads it in row order, as maximal runs of rows that lie side by
-//! side; [`RowStore::settle`] lays the overlay out in row order first,
-//! so that such a pass reads one run per stretch of owned rows, as from
-//! a dense table.
+//! side.
 
 use std::sync::Arc;
 
@@ -43,9 +41,6 @@ pub(crate) struct RowStore {
     factors: Vec<f32>,
     /// The owned rows' biases, one per slot.
     biases: Vec<f32>,
-    /// Slots `..ordered` hold rows in ascending row order; the rest
-    /// were taken since.
-    ordered: usize,
     /// Whether the row carries information (§III-C2's partial merge).
     pub(crate) seen: Vec<bool>,
 }
@@ -64,7 +59,6 @@ impl RowStore {
             slots: vec![IN_BASE; rows],
             factors: Vec::new(),
             biases: Vec::new(),
-            ordered: 0,
             seen: vec![false; rows],
         }
     }
@@ -80,7 +74,6 @@ impl RowStore {
             slots: (0..rows as u32).collect(),
             factors,
             biases,
-            ordered: rows,
             seen,
         }
     }
@@ -104,7 +97,7 @@ impl RowStore {
             slot => {
                 let (at, slot) = (slot as usize * self.k, slot as usize);
                 // SAFETY: every slot `slots` holds was handed out below
-                // `biases.len()` (`copy_out`, `lay_out`, `owning`), slots
+                // `biases.len()` (`copy_out`, `own_all`, `owning`), slots
                 // are never freed, and `factors` holds `k` floats per
                 // slot, so both ranges are in bounds. The lookup every
                 // whole-table sweep and prediction pays per row skips
@@ -198,52 +191,19 @@ impl RowStore {
         })
     }
 
-    /// Lays the overlay out in row order, if a row was taken since it
-    /// last was: one pass over the slots and one copy of the owned rows,
-    /// no more than the whole-table pass it prepares. A table that owns
-    /// at least half its rows takes the rest too, so that such a pass
-    /// reads it as one run rather than owned rows between base rows.
-    /// Moves no value; slots from [`RowStore::own`] go stale.
-    pub(crate) fn settle(&mut self) {
-        let owned = self.biases.len();
-        if owned != self.ordered {
-            self.lay_out(2 * owned >= self.rows());
-        }
-    }
-
-    /// Takes every row not yet taken, laid out in row order.
+    /// Takes every row, laid out in row order: the overlay is rebuilt
+    /// to hold the whole table, row `r` in slot `r`. Moves no value;
+    /// slots from [`RowStore::own`] go stale.
     pub(crate) fn own_all(&mut self) {
-        if self.ordered != self.rows() {
-            self.lay_out(true);
-        }
-    }
-
-    /// Rebuilds the overlay in row order: the owned rows, and with
-    /// `take_all` the base's rows too.
-    fn lay_out(&mut self, take_all: bool) {
-        let k = self.k;
-        let keep = if take_all {
-            self.rows()
-        } else {
-            self.biases.len()
-        };
-        let mut factors = Vec::with_capacity(keep.next_multiple_of(CHUNK_ROWS) * k);
-        let mut biases = Vec::with_capacity(keep.next_multiple_of(CHUNK_ROWS));
-        let (base_factors, base_biases) = self.base.split_at(self.slots.len() * k);
-        for (r, slot) in self.slots.iter_mut().enumerate() {
-            let (row, bias) = match *slot {
-                IN_BASE if !take_all => continue,
-                IN_BASE => (&base_factors[r * k..][..k], base_biases[r]),
-                old => (
-                    &self.factors[old as usize * k..][..k],
-                    self.biases[old as usize],
-                ),
-            };
-            *slot = biases.len() as u32;
+        let (k, rows) = (self.k, self.rows());
+        let mut factors = Vec::with_capacity(rows * k);
+        let mut biases = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let (row, bias) = self.row(r);
             factors.extend_from_slice(row);
             biases.push(bias);
         }
-        self.ordered = biases.len();
+        self.slots = (0..rows as u32).collect();
         (self.factors, self.biases) = (factors, biases);
     }
 
@@ -310,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn the_overlay_grows_a_chunk_at_a_time_and_settles_into_row_order() {
+    fn the_overlay_grows_a_chunk_at_a_time() {
         let mut s = store(CHUNK_ROWS * 2 + 5, 2);
         let chunk = CHUNK_ROWS * 3 * 4;
         let fixed = s.resident_bytes();
@@ -328,10 +288,8 @@ mod tests {
             before.1,
             (0..s.rows()).map(|r| r as f32).collect::<Vec<_>>()
         );
-        assert!(s.runs().count() > 1);
-        s.settle();
-        assert_eq!(s.runs().count(), 1);
-        assert_eq!(gathered(&s), before);
+        // Taken in reverse, the rows lie in descending slots: one run each.
+        assert_eq!(s.runs().count(), s.rows());
         for r in 0..s.rows() {
             assert_eq!(
                 s.row(r),
@@ -351,15 +309,9 @@ mod tests {
         let (factors, biases) = gathered(&s);
         assert_eq!(factors, (0..10).map(|v| v as f32).collect::<Vec<_>>());
         assert_eq!(biases, [0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
-        s.settle();
-        assert_eq!(s.runs().count(), 6);
-        assert_eq!(gathered(&s), (factors, biases.clone()));
-        // Taking a row after a settle starts a new unordered tail.
-        s.row_mut(0);
-        assert_eq!((s.ordered, s.owned()), (4, 5));
         s.own_all();
-        assert_eq!((s.ordered, s.owned(), s.runs().count()), (10, 10, 1));
-        assert_eq!(gathered(&s).1, biases);
+        assert_eq!((s.owned(), s.runs().count()), (10, 1));
+        assert_eq!(gathered(&s), (factors, biases));
     }
 
     #[test]
