@@ -1,7 +1,8 @@
 //! Kernel-layer benchmark with machine-readable output: per-primitive
 //! throughput of the levelled `rex_ml::kernel` primitives (`dot`,
-//! `norm_sq`, `sgd_update`) and the ChaCha20 keystream at the embedding
-//! dimensions the paper sweeps (k = 16/32/128), plus two end-to-end arms
+//! `norm_sq`, `sgd_update`) at the embedding dimensions the paper
+//! sweeps (k = 16/32/128), the ChaCha20 keystream, the Poly1305 MAC and
+//! one AEAD seal of the paper-shaped model, plus two end-to-end arms
 //! — MF epoch time and serve-path p99 — each measured under both
 //! dispatch levels (scalar, AVX2) where the host has them, and the SHA-256
 //! arms behind the per-epoch model commitment: hash throughput on the
@@ -28,6 +29,7 @@
 //! * `epoch_speedup` — `train_steps_batched` wall time, scalar / best;
 //! * `serve_p99_speedup` — top-k query p99, scalar / best;
 //! * `chacha_speedup` — keystream MiB/s, best / scalar;
+//! * `poly_speedup` — Poly1305 MiB/s, best / scalar;
 //! * `sha256_speedup` — SHA-256 MiB/s, SHA extensions / scalar (1.00
 //!   on a host without them: both sides are the scalar path);
 //! * `sweep_speedup` — an epoch's compute (the train arm plus the RMSE
@@ -37,12 +39,13 @@
 //!   acceptance floor is 5x).
 //!
 //! `--check-baseline <path>` compares this run's `dot32_speedup`,
-//! `sha256_speedup`, `sweep_speedup` and `commit_speedup` against a
-//! committed baseline JSON (`rex_bench::baseline`) and exits non-zero
-//! when any regressed by more than 25%. On a host without AVX2 (or, for
-//! the two SHA ratios, without the SHA extensions) that gate is skipped
-//! with a notice — the committed baseline was measured on a runner that
-//! has them and the ratio is not comparable.
+//! `poly_speedup`, `sha256_speedup`, `sweep_speedup` and
+//! `commit_speedup` against a committed baseline JSON
+//! (`rex_bench::baseline`) and exits non-zero when any regressed by
+//! more than 25%. On a host without AVX2 (or, for the two SHA ratios,
+//! without the SHA extensions) that gate is skipped with a notice — the
+//! committed baseline was measured on a runner that has them and the
+//! ratio is not comparable.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,8 +54,9 @@ use rex_bench::BenchArgs;
 use rex_core::commitment::CommitmentChain;
 use rex_core::serve::{QueryStream, Scorer};
 use rex_core::store::RawDataStore;
+use rex_crypto::poly1305::Poly1305;
 use rex_crypto::simd::{self, SimdLevel};
-use rex_crypto::{chacha20, Sha256, StaticSecret};
+use rex_crypto::{chacha20, ChaCha20Poly1305, Sha256, StaticSecret};
 use rex_data::{Dataset, Rating, SyntheticConfig, TrainTestSplit, UserBlock};
 use rex_ml::bytesio::ByteCount;
 use rex_ml::kernel::{self, KernelLevel};
@@ -188,6 +192,65 @@ fn chacha_arms(levels: &[SimdLevel], buf_kib: usize) -> (Vec<Row>, f64) {
         .iter()
         .zip(&mib_s)
         .map(|(l, &v)| e2e("chacha20_stream", l.name(), "", "mib_per_s", v))
+        .collect();
+    (rows, mib_s[mib_s.len() - 1] / mib_s[0])
+}
+
+/// Poly1305 arms, per crypto dispatch level: `poly1305_stream`, MiB/s
+/// of a MAC over a `buf_kib` buffer, and `aead_seal_424k`, µs per seal
+/// of the paper-shaped model's wire bytes (what the model-sharing
+/// baseline seals on every edge, every epoch) with the process pinned
+/// to that level, so keystream and MAC both run on it. Returns the rows
+/// and `poly_speedup`.
+fn poly_arms(levels: &[SimdLevel], buf_kib: usize, reps: usize) -> (Vec<Row>, f64) {
+    /// MACs per `poly1305_stream` window.
+    const PASSES: usize = 4;
+    let buf = vec![0xa5u8; buf_kib * 1024];
+    let model = paper_model().to_bytes();
+    let cipher = ChaCha20Poly1305::new(&[0x42; 32]);
+    let process_level = simd::level();
+    let mut arms: Vec<Arm<'_>> = Vec::new();
+    for &l in levels {
+        let buf = &buf;
+        arms.push(Box::new(move || {
+            harness::time_ns(|| {
+                for _ in 0..PASSES {
+                    let mut mac = Poly1305::new_with(l, &[0x42; 32]);
+                    mac.update(black_box(buf));
+                    black_box(mac.finalize());
+                }
+            }) / PASSES as f64
+        }));
+    }
+    for &l in levels {
+        let (model, cipher) = (&model, &cipher);
+        arms.push(Box::new(move || {
+            simd::force_level(l);
+            harness::time_ns(|| {
+                for _ in 0..reps {
+                    black_box(cipher.seal(&[0x17; 12], b"", black_box(model)));
+                }
+            }) / 1e3
+                / reps as f64
+        }));
+    }
+    let v = harness::best_of("poly1305 + aead seal", MICRO_WINDOW_REPS, &mut arms);
+    simd::force_level(process_level);
+    let (mac_ns, seal_us) = v.split_at(levels.len());
+    let mib_s: Vec<f64> = mac_ns
+        .iter()
+        .map(|ns| buf_kib as f64 / 1024.0 / (ns / 1e9))
+        .collect();
+    let rows = levels
+        .iter()
+        .zip(&mib_s)
+        .map(|(l, &v)| e2e("poly1305_stream", l.name(), "", "mib_per_s", v))
+        .chain(
+            levels
+                .iter()
+                .zip(seal_us)
+                .map(|(l, &v)| e2e("aead_seal_424k", l.name(), "", "us", v)),
+        )
         .collect();
     (rows, mib_s[mib_s.len() - 1] / mib_s[0])
 }
@@ -513,11 +576,18 @@ fn main() {
 
     let (micro, dot32) = micro_arms(&levels, iters);
     let (mut rows, chacha) = chacha_arms(&crypto_levels, buf_kib);
+    let (poly_rows, poly) = poly_arms(&crypto_levels, buf_kib, reps);
     let (sha_rows, sha256, commit) = sha_arms(crypto_best, reps);
     let (e2e_rows, epoch, serve) = e2e_arms(&levels, steps, queries);
     let (sweep_rows, sweep) = sweep_arms(&levels, if args.full { 16 } else { 8 });
     kernel::force_level(best);
-    rows.extend(sha_rows.into_iter().chain(e2e_rows).chain(sweep_rows));
+    rows.extend(
+        poly_rows
+            .into_iter()
+            .chain(sha_rows)
+            .chain(e2e_rows)
+            .chain(sweep_rows),
+    );
     rows.extend(ungated_arms(reps));
 
     let json = Report::new("kernels", mode)
@@ -530,6 +600,7 @@ fn main() {
                 .num("epoch_speedup", epoch, 2)
                 .num("serve_p99_speedup", serve, 2)
                 .num("chacha_speedup", chacha, 2)
+                .num("poly_speedup", poly, 2)
                 .num("sha256_speedup", sha256, 2)
                 .num("sweep_speedup", sweep, 2)
                 .num("commit_speedup", commit, 2),
@@ -548,6 +619,7 @@ fn main() {
         &json,
         &[
             Gate::floor("dot32_speedup", dot32).unless(no_avx2.clone()),
+            Gate::floor("poly_speedup", poly).unless(no_avx2.clone()),
             Gate::floor("sha256_speedup", sha256).unless(no_sha_ni.clone()),
             Gate::floor("sweep_speedup", sweep).unless(no_avx2),
             Gate::floor("commit_speedup", commit).unless(no_sha_ni),

@@ -5,10 +5,12 @@
 //! levels, the scalar reference and AVX2, resolved once per process via
 //! `is_x86_feature_detected!`, and the `REX_KERNEL` environment variable
 //! (`scalar` | `avx2`) pins the level for testing. Requesting an
-//! unavailable level aborts rather than silently degrading. Unlike the
-//! float kernels, every ChaCha20 path is integer arithmetic, so
-//! bit-exactness across levels is structural — the parity suite pins it
-//! anyway.
+//! unavailable level aborts rather than silently degrading. Two
+//! primitives have an AVX2 body: ChaCha20's 8-block keystream kernel
+//! and Poly1305's 4-lane MAC kernel (the scalar Poly1305 is a
+//! radix-2^44 reference). Unlike the float kernels, both are integer
+//! arithmetic, so bit-exactness across levels is structural — the
+//! parity suite pins it anyway.
 //!
 //! SHA-256 rides the same resolution and adds no level of its own, but
 //! it does not *need* a vector level either: the SHA-extension block

@@ -34,13 +34,21 @@
 //! split at random `update` boundaries, and HMAC on top. Where no level
 //! of this host hashes on the extensions, that arm says so and proves
 //! only the reference.
+//!
+//! The Poly1305 arm holds every level's MAC to the radix-2^44 scalar
+//! reference over random keys (all-ones r and s among them), random and
+//! all-0xFF data, and 1-3 random `update` splits, so each hand-off
+//! between the partial-block buffer, the 4-lane kernel and the scalar
+//! tail is crossed; and the AEAD built on it seals the same bytes on
+//! every level and opens what it sealed.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rex_repro::core::serve::{naive_top_k, Scorer, TopKQuery};
-use rex_repro::crypto::chacha20;
+use rex_repro::crypto::poly1305::Poly1305;
 use rex_repro::crypto::simd as crypto_simd;
+use rex_repro::crypto::{chacha20, ChaCha20Poly1305, CryptoError};
 use rex_repro::crypto::{HmacSha256, Sha256};
 use rex_repro::data::{Rating, SyntheticConfig};
 use rex_repro::ml::bytesio::Reader;
@@ -229,6 +237,54 @@ proptest! {
             .collect();
         prop_assert_eq!(Sha256::digest_parts(&parts), one_shot, "digest_parts at {:?}", &cuts);
     }
+
+    #[test]
+    fn poly1305_is_identical_across_levels_and_update_splits(
+        key in any::<[u8; 32]>(),
+        key_shape in 0u8..4,
+        seed in any::<u64>(),
+        fill in 0u8..3,
+        len in 0usize..8193,
+        cuts in proptest::collection::vec(0usize..8193, 1..4),
+    ) {
+        let mut key = key;
+        // 1: all-ones r, 2: all-ones s, 3: both.
+        if key_shape & 1 != 0 {
+            key[..16].fill(0xff);
+        }
+        if key_shape & 2 != 0 {
+            key[16..].fill(0xff);
+        }
+        // 0: random, 1: all 0xFF, 2: random with a 0xFF run.
+        let mut data = sha_message(seed, len);
+        match fill {
+            1 => data.fill(0xff),
+            2 => {
+                let from = (seed % (len as u64 + 1)) as usize;
+                let to = (from + len / 2).min(len);
+                data[from..to].fill(0xff);
+            }
+            _ => {}
+        }
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+        cuts.sort_unstable();
+        let mut reference = Poly1305::new_with(crypto_simd::SimdLevel::Scalar, &key);
+        reference.update(&data);
+        let reference = reference.finalize();
+        for l in crypto_simd::available_levels() {
+            let mut mac = Poly1305::new_with(l, &key);
+            let mut from = 0;
+            for &cut in cuts.iter().chain([&len]) {
+                mac.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(
+                mac.finalize(), reference,
+                "poly1305 {} len {} key shape {} fill {} split at {:?}",
+                l.name(), len, key_shape, fill, &cuts
+            );
+        }
+    }
 }
 
 /// Deterministic message bytes from splitmix64.
@@ -302,11 +358,20 @@ fn sha256_fips_180_4_vectors_hold_on_every_block_function() {
     }
 }
 
+/// Serialises the tests that pin the process crypto level (HMAC and the
+/// AEAD build their primitives through it), so each one really runs
+/// under the level it names. The other crypto tests pass their level
+/// explicitly.
+fn crypto_pin() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// HMAC builds its hashers through `Sha256::new`, so the two paths are
-/// reached by pinning the process level. This is the only test in the
-/// binary that moves it; the others pass their level explicitly.
+/// reached by pinning the process level.
 #[test]
 fn hmac_rfc_4231_cases_hold_on_every_block_function() {
+    let _pin = crypto_pin();
     note_sha_ni("hmac_rfc_4231_cases");
     let long_key = [0xaau8; 131];
     let cases: [(&[u8], &[u8], &str); 5] = [
@@ -348,6 +413,45 @@ fn hmac_rfc_4231_cases_hold_on_every_block_function() {
             keyed.update(head);
             keyed.update(tail);
             assert_eq!(hex(&keyed.finalize()), want, "{} split", l.name());
+        }
+    }
+    crypto_simd::force_level(pinned);
+}
+
+/// `seal` runs ChaCha20 and Poly1305 on the process level: every level
+/// seals the scalar reference's bytes (the wide MAC runs from 256 bytes,
+/// the wide keystream from 512), opens them, and rejects a flipped tag.
+#[test]
+fn aead_seal_is_identical_across_levels_and_open_round_trips() {
+    let _pin = crypto_pin();
+    let pinned = crypto_simd::level();
+    let cipher = ChaCha20Poly1305::new(&[0x5c; 32]);
+    let nonce = [0x3a; 12];
+    for (len, aad_len) in [
+        (0, 0),
+        (15, 3),
+        (255, 12),
+        (256, 0),
+        (1_029, 12),
+        (434_179, 7),
+    ] {
+        let plain = sha_message(len as u64, len);
+        let aad = sha_message(!(len as u64), aad_len);
+        crypto_simd::force_level(crypto_simd::SimdLevel::Scalar);
+        let reference = cipher.seal(&nonce, &aad, &plain);
+        for l in crypto_simd::available_levels() {
+            crypto_simd::force_level(l);
+            let sealed = cipher.seal(&nonce, &aad, &plain);
+            assert!(sealed == reference, "seal {} len {len}", l.name());
+            assert_eq!(cipher.open(&nonce, &aad, &sealed), Ok(plain.clone()));
+            let mut forged = sealed;
+            *forged.last_mut().unwrap() ^= 1;
+            assert_eq!(
+                cipher.open(&nonce, &aad, &forged),
+                Err(CryptoError::DecryptionFailed),
+                "open {} len {len} accepted a flipped tag",
+                l.name()
+            );
         }
     }
     crypto_simd::force_level(pinned);
