@@ -8,7 +8,8 @@
 use rex_bench::mf_experiments::{build_fleet, MfScale};
 use rex_bench::{output, BenchArgs};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, SharingMode};
-use rex_core::runner::{run, Backend, SimulationConfig};
+use rex_core::engine::{Engine, EngineConfig};
+use rex_net::mem::MemNetwork;
 use rex_topology::TopologySpec;
 
 fn main() {
@@ -24,11 +25,11 @@ fn main() {
         base.epochs
     );
 
-    let sim = Backend::Simulated(SimulationConfig {
+    let sim = EngineConfig {
         epochs: base.epochs,
         execution: ExecutionMode::Native,
-        ..Default::default()
-    });
+        ..EngineConfig::default()
+    };
 
     let mut traces = Vec::new();
     for points in [10usize, 50, 100, 300, 1000, 3000] {
@@ -41,7 +42,8 @@ fn main() {
             SharingMode::RawData,
             GossipAlgorithm::DPsgd,
         );
-        let trace = run(&sim, &format!("REX, {points} pts"), &mut nodes).trace;
+        let engine = Engine::new(MemNetwork::new(nodes.len()), sim.clone());
+        let trace = engine.run(&format!("REX, {points} pts"), &mut nodes).trace;
         traces.push(trace);
     }
 

@@ -8,7 +8,8 @@
 use rex_bench::mf_experiments::{build_fleet, MfScale};
 use rex_bench::{output, BenchArgs};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, SharingMode};
-use rex_core::runner::{run, Backend, SimulationConfig};
+use rex_core::engine::{Engine, EngineConfig};
+use rex_net::mem::MemNetwork;
 use rex_topology::TopologySpec;
 
 fn main() {
@@ -26,11 +27,11 @@ fn main() {
         scale.epochs
     );
 
-    let sim = Backend::Simulated(SimulationConfig {
+    let sim = EngineConfig {
         epochs: scale.epochs,
         execution: ExecutionMode::Native,
-        ..Default::default()
-    });
+        ..EngineConfig::default()
+    };
 
     let mut traces = Vec::new();
     for sharing in [SharingMode::Model, SharingMode::RawData] {
@@ -45,7 +46,8 @@ fn main() {
                 GossipAlgorithm::DPsgd,
             );
             let name = format!("{}, D-PSGD, SW, k={k}", sharing.label());
-            traces.push(run(&sim, &name, &mut nodes).trace);
+            let engine = Engine::new(MemNetwork::new(nodes.len()), sim.clone());
+            traces.push(engine.run(&name, &mut nodes).trace);
         }
     }
 

@@ -4,9 +4,10 @@
 use crate::args::BenchArgs;
 use rex_core::builder::{build_dnn_nodes, NodeSeeds};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_core::runner::{run, Backend, SimulationConfig};
+use rex_core::engine::{Engine, EngineConfig};
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::dnn::DnnHyperParams;
+use rex_net::mem::MemNetwork;
 use rex_sim::trace::ExperimentTrace;
 use rex_topology::TopologySpec;
 
@@ -98,16 +99,14 @@ pub fn run_dnn_arm(
         NodeSeeds::default(),
     );
     let name = format!("{}, D-PSGD, {}", sharing.label(), topology.label());
-    run(
-        &Backend::Simulated(SimulationConfig {
-            epochs: scale.epochs,
-            execution: ExecutionMode::Native,
-            ..Default::default()
-        }),
-        &name,
-        &mut nodes,
-    )
-    .trace
+    let cfg = EngineConfig {
+        epochs: scale.epochs,
+        execution: ExecutionMode::Native,
+        ..EngineConfig::default()
+    };
+    Engine::new(MemNetwork::new(nodes.len()), cfg)
+        .run(&name, &mut nodes)
+        .trace
 }
 
 /// Runs all four Fig 5 arms: {SW, ER} × {REX, MS}.

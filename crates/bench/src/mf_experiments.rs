@@ -4,10 +4,11 @@ use crate::args::BenchArgs;
 use rex_core::builder::{build_mf_nodes, NodeSeeds};
 use rex_core::centralized::run_baseline as run_centralized_baseline;
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_core::engine::{Engine, EngineConfig};
 use rex_core::node::Node;
-use rex_core::runner::{run, Backend, SimulationConfig};
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
+use rex_net::mem::MemNetwork;
 use rex_sim::trace::ExperimentTrace;
 use rex_topology::TopologySpec;
 
@@ -173,16 +174,22 @@ pub fn run_panel(
     topology: TopologySpec,
     execution: ExecutionMode,
 ) -> (ExperimentTrace, ExperimentTrace) {
-    let sim = Backend::Simulated(SimulationConfig {
-        epochs: scale.epochs,
-        execution,
-        ..Default::default()
-    });
-    let mut rex_nodes = build_fleet(scale, topology, SharingMode::RawData, algorithm);
-    let rex = run(&sim, &format!("REX, {label}"), &mut rex_nodes);
-    drop(rex_nodes);
-    let mut ms_nodes = build_fleet(scale, topology, SharingMode::Model, algorithm);
-    let ms = run(&sim, &format!("MS, {label}"), &mut ms_nodes);
+    let run = |name: String, mut nodes: Vec<Node<MfModel>>| {
+        let cfg = EngineConfig {
+            epochs: scale.epochs,
+            execution,
+            ..EngineConfig::default()
+        };
+        Engine::new(MemNetwork::new(nodes.len()), cfg).run(&name, &mut nodes)
+    };
+    let rex = run(
+        format!("REX, {label}"),
+        build_fleet(scale, topology, SharingMode::RawData, algorithm),
+    );
+    let ms = run(
+        format!("MS, {label}"),
+        build_fleet(scale, topology, SharingMode::Model, algorithm),
+    );
     (rex.trace, ms.trace)
 }
 

@@ -5,10 +5,10 @@
 use crate::args::BenchArgs;
 use rex_core::builder::{build_mf_nodes, NodeSeeds};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_core::engine::{Driver, Engine, EngineConfig, TimeAxis};
-use rex_core::runner::{run, Backend, ThreadedConfig, ThreadedResult};
+use rex_core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_ml::{MfHyperParams, MfModel};
+use rex_ml::MfHyperParams;
+use rex_net::channel::ChannelTransport;
 use rex_net::tcp::TcpTransport;
 use rex_tee::SgxCostModel;
 use rex_topology::TopologySpec;
@@ -159,7 +159,7 @@ impl ArmBackend {
 
 /// Runs one arm on the paper's 8-node fully connected deployment over
 /// the chosen transport backend.
-pub fn run_arm_on(scale: &SgxScale, arm: Arm, backend: ArmBackend) -> ThreadedResult {
+pub fn run_arm_on(scale: &SgxScale, arm: Arm, backend: ArmBackend) -> EngineResult {
     let dataset = SyntheticConfig {
         num_users: scale.num_users,
         num_items: scale.num_items,
@@ -171,7 +171,7 @@ pub fn run_arm_on(scale: &SgxScale, arm: Arm, backend: ArmBackend) -> ThreadedRe
     let split = TrainTestSplit::standard(&dataset, scale.seed ^ 0x6F1);
     let partition = Partition::multi_user(&split, 8);
     let graph = TopologySpec::FullyConnected.build(8, 0);
-    let nodes = build_mf_nodes(
+    let mut nodes = build_mf_nodes(
         &partition,
         &graph,
         dataset.num_users,
@@ -192,48 +192,35 @@ pub fn run_arm_on(scale: &SgxScale, arm: Arm, backend: ArmBackend) -> ThreadedRe
     } else {
         ExecutionMode::Native
     };
+    let cfg = EngineConfig {
+        epochs: scale.epochs,
+        execution,
+        time: TimeAxis::Wall,
+        driver: Driver::ThreadPerNode,
+        processes_per_platform: 2, // the paper packs 2 processes/machine
+        seed: scale.seed ^ 0x991,
+        ..EngineConfig::default()
+    };
+    let n = nodes.len();
     match backend {
         ArmBackend::Channel => {
-            let mut nodes = nodes;
-            run(
-                &Backend::Threaded(ThreadedConfig {
-                    epochs: scale.epochs,
-                    execution,
-                    processes_per_platform: 2, // the paper packs 2 processes/machine
-                    seed: scale.seed ^ 0x991,
-                }),
-                &arm.label(),
-                &mut nodes,
-            )
+            Engine::new(ChannelTransport::new(n), cfg).run(&arm.label(), &mut nodes)
         }
         ArmBackend::Tcp => {
-            let mut nodes = nodes;
-            Engine::<MfModel, TcpTransport>::new(
-                TcpTransport::loopback(nodes.len()).expect("loopback fabric"),
-                EngineConfig {
-                    epochs: scale.epochs,
-                    execution,
-                    time: TimeAxis::Wall,
-                    driver: Driver::ThreadPerNode,
-                    processes_per_platform: 2,
-                    seed: scale.seed ^ 0x991,
-                    faults: None,
-                    membership: None,
-                },
-            )
-            .run(&arm.label(), &mut nodes)
+            let tcp = TcpTransport::loopback(n).expect("loopback fabric");
+            Engine::new(tcp, cfg).run(&arm.label(), &mut nodes)
         }
     }
 }
 
 /// Runs one arm over the default channel backend.
-pub fn run_arm(scale: &SgxScale, arm: Arm) -> ThreadedResult {
+pub fn run_arm(scale: &SgxScale, arm: Arm) -> EngineResult {
     run_arm_on(scale, arm, ArmBackend::Channel)
 }
 
 /// Mean epoch duration (seconds) excluding setup.
 #[must_use]
-pub fn mean_epoch_secs(result: &ThreadedResult) -> f64 {
+pub fn mean_epoch_secs(result: &EngineResult) -> f64 {
     let Some(last) = result.trace.records.last() else {
         return 0.0;
     };
@@ -244,11 +231,7 @@ pub fn mean_epoch_secs(result: &ThreadedResult) -> f64 {
 /// One row of Table IV: `(setup label, RAM MiB, overhead %)` computed from
 /// an SGX arm and its native twin.
 #[must_use]
-pub fn overhead_row(
-    label: &str,
-    sgx: &ThreadedResult,
-    native: &ThreadedResult,
-) -> (String, f64, f64) {
+pub fn overhead_row(label: &str, sgx: &EngineResult, native: &EngineResult) -> (String, f64, f64) {
     let t_sgx = mean_epoch_secs(sgx);
     let t_native = mean_epoch_secs(native);
     let overhead_pct = if t_native > 0.0 {

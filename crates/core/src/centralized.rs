@@ -1,18 +1,20 @@
 //! Centralized baseline (the paper's dashed reference line in Figs 1, 2,
 //! 4): one model trained on the full dataset, no network.
 //!
-//! Since the runner unification this is [`Backend::Centralized`] with a
-//! one-node fleet: a single node with no neighbours, whose merge and share
-//! stages are no-ops (nothing arrives, nobody to send to), leaving exactly
-//! the paper's baseline loop — `steps_per_epoch` SGD steps then an RMSE
-//! measurement per epoch, on the simulated (measured-compute) time axis.
-//! [`run_baseline`] wraps that construction.
+//! This is the [`Engine`] on a one-node fleet: a single node with no
+//! neighbours, whose merge and share stages are no-ops (nothing arrives,
+//! nobody to send to), leaving exactly the paper's baseline loop —
+//! `steps_per_epoch` SGD steps then an RMSE measurement per epoch, inline
+//! ([`Driver::Lockstep`]) on the simulated (measured-compute) time axis
+//! over infinite links. [`run_baseline`] wraps that construction.
 
 use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
+use crate::engine::{Driver, Engine, EngineConfig, TimeAxis};
 use crate::node::Node;
-use crate::runner::{run, Backend};
 use rex_data::Rating;
 use rex_ml::Model;
+use rex_net::link::LinkModel;
+use rex_net::mem::MemNetwork;
 use rex_sim::trace::ExperimentTrace;
 
 /// Runs the centralized baseline for `epochs` epochs of `steps_per_epoch`
@@ -43,7 +45,14 @@ pub fn run_baseline<M: Model>(
         })
         .build();
     let mut nodes = vec![node];
-    let mut result = run(&Backend::Centralized { epochs, seed }, name, &mut nodes);
+    let cfg = EngineConfig {
+        epochs,
+        time: TimeAxis::Simulated(LinkModel::infinite()),
+        driver: Driver::Lockstep,
+        seed,
+        ..EngineConfig::default()
+    };
+    let mut result = Engine::new(MemNetwork::new(1), cfg).run(name, &mut nodes);
     *model = nodes.pop().expect("one node").into_model();
     // The baseline's RAM column means "the model" (the node-level figure
     // would also count the whole training set living in the single node's

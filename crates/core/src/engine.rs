@@ -18,9 +18,10 @@
 //! * the **centralized baseline** — a one-node fabric with no neighbours
 //!   (see [`crate::centralized`]).
 //!
-//! The unified entry point [`crate::runner::run`] (selecting a
-//! [`crate::runner::Backend`]) is a thin configuration shim over
-//! [`Engine::run`]; a further backend only implements the `rex-net`
+//! [`Engine::new`] over a transport plus an [`EngineConfig`] is the one
+//! entry point: the transport picks the deployment, the config its
+//! epochs, time axis and driver ([`EngineConfig::default`] is the
+//! simulator's). A further backend only implements the `rex-net`
 //! transport traits.
 //!
 //! # Two round loops
@@ -73,7 +74,6 @@ use crate::setup::{establish_tee_with_directory, overlay_of, prune_to_overlay, S
 use rex_ml::Model;
 use rex_net::fault::FaultPlan;
 use rex_net::link::LinkModel;
-use rex_net::mem::Envelope;
 use rex_net::stats::{DeliveryStats, TrafficStats};
 use rex_net::transport::{Clock, Endpoint, Transport, WallClock};
 use rex_sim::clock::VirtualClock;
@@ -119,27 +119,6 @@ pub enum Driver {
     WorkSteal {
         /// Worker threads; `0` means one per available CPU core.
         workers: usize,
-    },
-    /// **Bounded-staleness asynchronous rounds**: the epoch barrier
-    /// becomes optional — a node proceeds once shares from at least `k`
-    /// distinct neighbours have arrived for the epoch, and the remaining
-    /// neighbours' shares are applied **one epoch late**, merged under
-    /// the canonical-order rule (ascending sender id, per-sender FIFO,
-    /// stale before fresh). This is the speed-vs-fidelity axis the
-    /// deployed barrier-free `rex-node` loop runs on; in-process the
-    /// engine models it deterministically: which neighbours are "late"
-    /// at node `v` in epoch `e` is drawn from a seeded hash of
-    /// `(seed, e, sender, v)`, so a fixed `(seed, k)` yields a
-    /// bit-identical trajectory on any backend — and `k ≥ max degree`
-    /// degenerates to [`Driver::Lockstep`] exactly. Staleness is
-    /// bounded at one epoch: a share deferred once is delivered at the
-    /// next epoch unconditionally. Not composable with fault or
-    /// membership plans (those schedules are keyed to synchronized
-    /// round boundaries).
-    BoundedAsync {
-        /// Minimum distinct neighbour shares a node waits for per epoch.
-        /// `0` is legal (pure gossip: every share may arrive late).
-        k: usize,
     },
 }
 
@@ -263,12 +242,6 @@ impl<M: Model, T: Transport> Engine<M, T> {
             "Driver::ThreadPerNode does not support membership plans; \
              use Driver::Lockstep, Driver::WorkSteal, or the rex-node loop"
         );
-        assert!(
-            !(matches!(self.cfg.driver, Driver::BoundedAsync { .. })
-                && (self.cfg.faults.is_some() || self.cfg.membership.is_some())),
-            "Driver::BoundedAsync does not compose with fault or membership plans; \
-             their schedules are keyed to synchronized round boundaries"
-        );
 
         // Crash-aware setup: see `setup::prune_dead_nodes` — whole-run
         // dead nodes leave the overlay before TEE provisioning, so
@@ -319,9 +292,6 @@ impl<M: Model, T: Transport> Engine<M, T> {
             Driver::ThreadPerNode => return self.run_thread_per_node(name, nodes, setup_ns),
             Driver::Lockstep => 1,
             Driver::WorkSteal { workers } => workers,
-            // Bounded staleness is an arrival model in front of the same
-            // rounds, so any worker count sees the same deferred inboxes.
-            Driver::BoundedAsync { .. } => 0,
         };
         let workers = match workers {
             0 => std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
@@ -375,11 +345,6 @@ impl<M: Model, T: Transport> Engine<M, T> {
         };
         clock.advance(setup_ns);
         let mut trace = ExperimentTrace::new(name);
-        // Shares deferred by the bounded-staleness arrival model, per
-        // receiver; delivered unconditionally at the next epoch (max
-        // staleness one epoch). Whatever is left at run end is dropped,
-        // like any message in flight past the final round.
-        let mut deferred: Vec<Vec<Envelope>> = vec![Vec::new(); n];
 
         for epoch in 0..cfg.epochs {
             transport.epoch_begin(epoch);
@@ -404,15 +369,12 @@ impl<M: Model, T: Transport> Engine<M, T> {
             // drained and discarded — whatever was in flight to it is
             // lost, exactly as in the per-node loop.
             let mut live = Vec::with_capacity(n);
-            for (id, late) in deferred.iter_mut().enumerate() {
-                let mut inbox = transport.recv(id);
+            for id in 0..n {
+                let inbox = transport.recv(id);
                 if cfg.faults.as_ref().is_some_and(|p| p.is_down(id, epoch))
                     || view.as_ref().is_some_and(|v| !v.is_member(id))
                 {
                     continue;
-                }
-                if let Driver::BoundedAsync { k } = cfg.driver {
-                    apply_staleness(cfg.seed, epoch, id, k, &mut inbox, late);
                 }
                 pool.load(id, inbox);
                 live.push(id);
@@ -623,57 +585,6 @@ fn advance_epoch_clock(time: &TimeAxis, clock: &mut dyn Clock, reports: &[Option
     }
 }
 
-/// The [`Driver::BoundedAsync`] arrival model for one receiver's epoch:
-/// of the distinct senders with fresh shares in `inbox`, the `k` ranked
-/// first by the seeded hash `splitmix64(seed, epoch, sender, receiver)`
-/// arrive "in time"; every other sender's shares are deferred into
-/// `deferred`, which simultaneously releases the previous epoch's
-/// deferrals (bounded staleness: nothing is deferred twice). The
-/// resulting inbox is re-canonicalized — stale shares sort before fresh
-/// ones from the same sender, preserving per-sender FIFO across the
-/// epoch boundary.
-fn apply_staleness(
-    seed: u64,
-    epoch: usize,
-    receiver: usize,
-    k: usize,
-    inbox: &mut Vec<Envelope>,
-    deferred: &mut Vec<Envelope>,
-) {
-    let fresh = std::mem::take(inbox);
-    let mut senders: Vec<usize> = fresh.iter().map(|e| e.from).collect();
-    senders.sort_unstable();
-    senders.dedup();
-
-    let mut late: Vec<usize> = Vec::new();
-    if senders.len() > k {
-        // Deterministic arrival order: rank senders by a seeded hash,
-        // sender id breaking (astronomically unlikely) ties. The first
-        // k "arrived"; the rest are this epoch's stragglers.
-        let rank = |s: usize| {
-            rex_crypto::splitmix64(
-                seed ^ rex_crypto::splitmix64((epoch as u64) << 32 | receiver as u64)
-                    ^ rex_crypto::splitmix64(0x5741_u64 << 48 | s as u64),
-            )
-        };
-        senders.sort_by_key(|&s| (rank(s), s));
-        late = senders.split_off(k);
-        late.sort_unstable();
-    }
-
-    // Last epoch's stragglers deliver now, ahead of the fresh shares so
-    // the stable canonical sort keeps per-sender FIFO.
-    *inbox = std::mem::take(deferred);
-    for env in fresh {
-        if late.binary_search(&env.from).is_ok() {
-            deferred.push(env);
-        } else {
-            inbox.push(env);
-        }
-    }
-    rex_net::transport::canonicalize(inbox);
-}
-
 /// Folds one epoch's per-node reports into the trace record: fleet means
 /// over the **live** nodes, in node order — the folds are order-stable so
 /// runs are reproducible. Crash-stopped nodes (`None`) contribute nothing
@@ -728,5 +639,242 @@ fn aggregate_epoch(
         live_nodes: live.len(),
         delivery,
         commitment_root,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::{build_mf_nodes, NodeSeeds};
+    use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
+    use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
+    use rex_ml::{MfHyperParams, MfModel};
+    use rex_net::channel::ChannelTransport;
+    use rex_net::mem::MemNetwork;
+    use rex_tee::SgxCostModel;
+    use rex_topology::TopologySpec;
+
+    fn fleet(sharing: SharingMode, algorithm: GossipAlgorithm) -> Vec<Node<MfModel>> {
+        fleet_on(TopologySpec::Ring, sharing, algorithm)
+    }
+
+    /// The paper's §IV-C shape: 8 fully connected nodes, one thread each.
+    fn threaded_fleet(sharing: SharingMode) -> Vec<Node<MfModel>> {
+        fleet_on(
+            TopologySpec::FullyConnected,
+            sharing,
+            GossipAlgorithm::DPsgd,
+        )
+    }
+
+    fn fleet_on(
+        topology: TopologySpec,
+        sharing: SharingMode,
+        algorithm: GossipAlgorithm,
+    ) -> Vec<Node<MfModel>> {
+        let ds = SyntheticConfig {
+            num_users: 24,
+            num_items: 120,
+            num_ratings: 1_600,
+            seed: 5,
+            ..SyntheticConfig::default()
+        }
+        .generate();
+        let split = TrainTestSplit::standard(&ds, 2);
+        let part = Partition::multi_user(&split, 8);
+        let graph = topology.build(8, 3);
+        build_mf_nodes(
+            &part,
+            &graph,
+            ds.num_users,
+            ds.num_items,
+            MfHyperParams::default(),
+            ProtocolConfig {
+                sharing,
+                algorithm,
+                points_per_epoch: 40,
+                steps_per_epoch: 150,
+                seed: 11,
+                ..ProtocolConfig::default()
+            },
+            NodeSeeds::default(),
+        )
+    }
+
+    fn quick_sim(epochs: usize, execution: ExecutionMode) -> EngineConfig {
+        EngineConfig {
+            epochs,
+            execution,
+            ..EngineConfig::default()
+        }
+    }
+
+    /// The paper's §IV-C deployment shape: real threads, wall-clock time,
+    /// two processes per SGX platform.
+    fn threaded(epochs: usize, execution: ExecutionMode) -> EngineConfig {
+        EngineConfig {
+            epochs,
+            execution,
+            time: TimeAxis::Wall,
+            driver: Driver::ThreadPerNode,
+            processes_per_platform: 2,
+            seed: 99,
+            ..EngineConfig::default()
+        }
+    }
+
+    /// Runs `nodes` on a transport fitted to the driver: channels for
+    /// one thread per node, the in-memory fabric otherwise.
+    fn run(cfg: EngineConfig, name: &str, nodes: &mut Vec<Node<MfModel>>) -> EngineResult {
+        let n = nodes.len();
+        match cfg.driver {
+            Driver::ThreadPerNode => Engine::new(ChannelTransport::new(n), cfg).run(name, nodes),
+            _ => Engine::new(MemNetwork::new(n), cfg).run(name, nodes),
+        }
+    }
+
+    #[test]
+    fn rex_converges_on_ring() {
+        let mut nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let result = run(quick_sim(25, ExecutionMode::Native), "REX", &mut nodes);
+        let first = result.trace.records.first().unwrap().rmse;
+        let last = result.trace.final_rmse().unwrap();
+        assert!(last < first - 0.02, "no convergence: {first} -> {last}");
+        assert_eq!(result.trace.records.len(), 25);
+        assert_eq!(result.setup_ns, 0);
+    }
+
+    #[test]
+    fn ms_converges_too() {
+        let mut nodes = fleet(SharingMode::Model, GossipAlgorithm::DPsgd);
+        let result = run(quick_sim(25, ExecutionMode::Native), "MS", &mut nodes);
+        let first = result.trace.records.first().unwrap().rmse;
+        let last = result.trace.final_rmse().unwrap();
+        assert!(last < first - 0.02, "no convergence: {first} -> {last}");
+    }
+
+    #[test]
+    fn rex_moves_far_fewer_bytes_than_ms() {
+        let mut rex_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let mut ms_nodes = fleet(SharingMode::Model, GossipAlgorithm::DPsgd);
+        let rex = run(quick_sim(10, ExecutionMode::Native), "REX", &mut rex_nodes);
+        let ms = run(quick_sim(10, ExecutionMode::Native), "MS", &mut ms_nodes);
+        let rex_bytes = rex.trace.total_bytes_per_node();
+        let ms_bytes = ms.trace.total_bytes_per_node();
+        // At this miniature scale (24 users x 120 items) the model is only
+        // ~6.5 KiB, so the gap is ~13x; at paper scale it is ~100x
+        // (asserted by the integration tests on the full shape).
+        assert!(
+            ms_bytes > 10.0 * rex_bytes,
+            "expected order-of-magnitude gap: MS={ms_bytes} REX={rex_bytes}"
+        );
+    }
+
+    #[test]
+    fn sgx_mode_attests_and_charges() {
+        let mut nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let result = run(
+            quick_sim(5, ExecutionMode::Sgx(SgxCostModel::default())),
+            "REX/SGX",
+            &mut nodes,
+        );
+        assert!(result.setup_ns > 0, "attestation setup must cost time");
+        // Every epoch charges transitions.
+        for r in &result.trace.records {
+            assert!(r.sgx_overhead_ns > 0, "epoch {} charged nothing", r.epoch);
+        }
+        // And still converges.
+        let first = result.trace.records.first().unwrap().rmse;
+        let last = result.trace.final_rmse().unwrap();
+        assert!(last < first);
+    }
+
+    #[test]
+    fn sgx_and_native_reach_same_quality() {
+        // SGX must not change learning semantics, only time.
+        let mut native_nodes = fleet(SharingMode::RawData, GossipAlgorithm::Rmw);
+        let mut sgx_nodes = fleet(SharingMode::RawData, GossipAlgorithm::Rmw);
+        let native = run(quick_sim(12, ExecutionMode::Native), "n", &mut native_nodes);
+        let sgx = run(
+            quick_sim(12, ExecutionMode::Sgx(SgxCostModel::default())),
+            "s",
+            &mut sgx_nodes,
+        );
+        let n_rmse = native.trace.final_rmse().unwrap();
+        let s_rmse = sgx.trace.final_rmse().unwrap();
+        assert!(
+            (n_rmse - s_rmse).abs() < 1e-9,
+            "semantics changed: native {n_rmse} vs sgx {s_rmse}"
+        );
+        // But SGX epochs are charged the modelled enclave costs, native
+        // ones nothing (wall clock would say the same only on a quiet host).
+        assert!(sgx.trace.records.iter().all(|r| r.sgx_overhead_ns > 0));
+        assert!(native.trace.records.iter().all(|r| r.sgx_overhead_ns == 0));
+    }
+
+    #[test]
+    fn rmw_uses_less_bandwidth_than_dpsgd() {
+        let mut rmw = fleet(SharingMode::Model, GossipAlgorithm::Rmw);
+        let mut dpsgd = fleet(SharingMode::Model, GossipAlgorithm::DPsgd);
+        let r = run(quick_sim(6, ExecutionMode::Native), "rmw", &mut rmw);
+        let d = run(quick_sim(6, ExecutionMode::Native), "dpsgd", &mut dpsgd);
+        assert!(d.trace.total_bytes_per_node() > r.trace.total_bytes_per_node());
+    }
+
+    #[test]
+    fn eight_node_native_run() {
+        let mut nodes = threaded_fleet(SharingMode::RawData);
+        let result = run(threaded(10, ExecutionMode::Native), "native", &mut nodes);
+        assert_eq!(result.trace.records.len(), 10);
+        let first = result.trace.records.first().unwrap().rmse;
+        let last = result.trace.final_rmse().unwrap();
+        assert!(last < first, "{first} -> {last}");
+        // Fully connected 8 nodes: everyone talked to everyone.
+        for s in &result.final_stats {
+            assert!(s.msgs_out >= 7 * 9); // 7 peers x >=9 sharing epochs
+        }
+        assert_eq!(result.setup_ns, 0);
+    }
+
+    #[test]
+    fn eight_node_sgx_run_attests_and_charges() {
+        let mut nodes = threaded_fleet(SharingMode::RawData);
+        let result = run(
+            threaded(6, ExecutionMode::Sgx(SgxCostModel::default())),
+            "sgx",
+            &mut nodes,
+        );
+        assert!(result.setup_ns > 0);
+        for r in &result.trace.records {
+            assert!(r.sgx_overhead_ns > 0);
+        }
+        // Time axis is monotone.
+        for w in result.trace.records.windows(2) {
+            assert!(w[1].time_ns >= w[0].time_ns);
+        }
+    }
+
+    #[test]
+    fn ms_heavier_than_rex_on_wire() {
+        let mut rex_nodes = threaded_fleet(SharingMode::RawData);
+        let mut ms_nodes = threaded_fleet(SharingMode::Model);
+        let quick = threaded(5, ExecutionMode::Native);
+        let rex = run(quick.clone(), "rex", &mut rex_nodes);
+        let ms = run(quick, "ms", &mut ms_nodes);
+        assert!(ms.trace.total_bytes_per_node() > 10.0 * rex.trace.total_bytes_per_node());
+    }
+
+    /// A node whose epoch panics mid-run must fail a thread-per-node run,
+    /// naming the node — not strand its peers on the round barrier. Node
+    /// 2 holds a model of alien dimensions, so merging the first model a
+    /// peer shares with it panics inside its epoch 1.
+    #[test]
+    #[should_panic(expected = "node 2 epoch panicked")]
+    fn dead_node_fails_a_thread_per_node_run_instead_of_hanging_it() {
+        let mut nodes = threaded_fleet(SharingMode::Model);
+        // Isolated, so nobody ever receives the alien model in turn.
+        let alien = MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1);
+        nodes[2] = Node::builder(2, alien).build();
+        run(threaded(4, ExecutionMode::Native), "dies", &mut nodes);
     }
 }

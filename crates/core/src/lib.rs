@@ -54,14 +54,16 @@
 //!   while training continues;
 //! * [`setup`] — the one TEE provisioning + pairwise-attestation path,
 //!   plus the [`setup::TeeDirectory`] late joins attest against;
-//! * [`runner::run`] — the single entry point over every deployment
-//!   style, selected by [`runner::Backend`]: `Simulated` (`MemNetwork`
-//!   fabric, fabric rounds on the pool, simulated time — the
-//!   discrete-event simulator at any node count), `Threaded`
-//!   (`ChannelTransport` fabric, one OS thread per node running the
-//!   per-node loop, wall-clock time — the paper's 8-node deployment) or
-//!   `Centralized` (the engine's degenerate no-fabric deployment behind
-//!   [`centralized::run_baseline`], the baseline curve).
+//! * [`centralized`] — the engine's degenerate no-fabric deployment
+//!   behind [`centralized::run_baseline`], the baseline curve.
+//!
+//! [`engine::Engine::new`] is the single entry point: the transport picks
+//! the deployment and [`engine::EngineConfig`] the rest. A `MemNetwork`
+//! under the default config (fabric rounds on the pool, simulated time)
+//! is the discrete-event simulator at any node count; a
+//! `ChannelTransport` under [`engine::Driver::ThreadPerNode`] and
+//! [`engine::TimeAxis::Wall`] runs one OS thread per node on the per-node
+//! loop, the paper's 8-node deployment.
 //!
 //! # User shards
 //!
@@ -88,7 +90,6 @@ pub mod membership;
 pub mod node;
 pub mod pool;
 pub mod round;
-pub mod runner;
 pub mod serve;
 pub mod setup;
 pub mod store;
@@ -100,7 +101,6 @@ pub use config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, Wi
 pub use engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 pub use membership::{JoinSpec, LeaveSpec, MembershipPlan, MembershipView, ViewTransition};
 pub use node::{Node, NodeBuilder};
-pub use runner::{run, Backend, SimulationConfig, ThreadedConfig};
 pub use serve::{
     naive_top_k, score_one, snapshot_digest, ModelSnapshot, QueryStream, ScoredItem, Scorer,
     SnapshotQueue, TopKQuery,

@@ -1,6 +1,5 @@
 //! The work-stealing worker pool: the one executor behind the engine's
-//! fabric round loop ([`Driver::Lockstep`], [`Driver::WorkSteal`],
-//! [`Driver::BoundedAsync`]).
+//! fabric round loop ([`Driver::Lockstep`], [`Driver::WorkSteal`]).
 //!
 //! Re-spawning threads and re-partitioning the fleet into fixed chunks
 //! every epoch is fine at 8 nodes, wasteful at 1024, and unbalanced
@@ -36,7 +35,6 @@
 //!
 //! [`Driver::WorkSteal`]: crate::engine::Driver::WorkSteal
 //! [`Driver::Lockstep`]: crate::engine::Driver::Lockstep
-//! [`Driver::BoundedAsync`]: crate::engine::Driver::BoundedAsync
 
 use crate::node::{EpochReport, Node};
 use rex_ml::Model;

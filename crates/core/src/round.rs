@@ -419,9 +419,7 @@ pub const ASYNC_EPOCH_TIMEOUT: Duration = Duration::from_secs(120);
 /// repo, trajectories (and serve digests) here are *not*
 /// bit-reproducible across runs on real sockets — arrival timing decides
 /// how many consumable shares (beyond the `k` floor, up to the cap) each
-/// epoch merges. [`Driver::BoundedAsync`](crate::engine::Driver) is the
-/// deterministic twin: a seeded arrival model with the same staleness
-/// rule, for studying the trade reproducibly.
+/// epoch merges.
 ///
 /// # Errors
 /// When an epoch's share floor does not arrive within

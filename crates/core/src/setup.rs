@@ -1,7 +1,7 @@
 //! The single TEE provisioning + attestation path shared by every
 //! deployment backend.
 //!
-//! Before the seed refactor, the simulator and the threaded runner each
+//! Before the seed refactor, the simulator and the threaded deployment each
 //! carried their own `establish_tee` with diverging details (platform
 //! packing, byte accounting). This module is now the only place that
 //! provisions SGX platforms, installs enclaves, and runs the pairwise

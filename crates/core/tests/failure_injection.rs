@@ -6,26 +6,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rex_core::builder::{build_mf_nodes, NodeSeeds};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_core::runner::{run, Backend, SimulationConfig};
+use rex_core::engine::{Engine, EngineConfig};
 use rex_core::Node;
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
-use rex_net::mem::Envelope;
+use rex_net::mem::{Envelope, MemNetwork};
 use rex_tee::SgxCostModel;
 use rex_topology::TopologySpec;
 
 /// Attests the pair without running any protocol epochs (so both ends'
 /// session counters start aligned at zero).
 fn attest_only(nodes: &mut Vec<Node<MfModel>>) {
-    let result = run(
-        &Backend::Simulated(SimulationConfig {
-            epochs: 0,
-            execution: ExecutionMode::Sgx(SgxCostModel::default()),
-            ..Default::default()
-        }),
-        "setup",
-        nodes,
-    );
+    let cfg = EngineConfig {
+        epochs: 0,
+        execution: ExecutionMode::Sgx(SgxCostModel::default()),
+        ..EngineConfig::default()
+    };
+    let result = Engine::new(MemNetwork::new(nodes.len()), cfg).run("setup", nodes);
     assert!(result.setup_ns > 0);
 }
 

@@ -23,7 +23,7 @@ pub mod rating;
 pub mod split;
 pub mod synthetic;
 
-pub use partition::{Partition, ShardStrategy, UserBlock};
+pub use partition::{Partition, UserBlock};
 pub use presets::DatasetSpec;
 pub use rating::{Dataset, Rating};
 pub use split::TrainTestSplit;

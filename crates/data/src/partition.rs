@@ -42,20 +42,6 @@ impl UserBlock {
     }
 }
 
-/// How a sharded deployment groups users into per-node shards
-/// (`shard_strategy` in the `[sharding]` TOML section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// Contiguous equal row blocks: node `n` hosts users
-    /// `[n·w, (n+1)·w)`. Enables the row-block batched training path.
-    /// The default.
-    Contiguous,
-    /// Round-robin (the legacy multi-user layout): user `u` lives on node
-    /// `u mod n`. Cohorts are strided, so nodes get no contiguous block
-    /// and train through the per-user path.
-    RoundRobin,
-}
-
 /// A mapping of users onto nodes, plus the per-node train/test data derived
 /// from a [`TrainTestSplit`].
 #[derive(Debug, Clone)]

@@ -1,5 +1,6 @@
-//! Crossbeam-channel transport for the real-thread runner (the 8-node SGX
-//! deployment of Figs 6–7 runs each node on its own OS thread).
+//! Crossbeam-channel transport for the engine's real-thread deployment
+//! (the 8-node SGX deployment of Figs 6–7 runs each node on its own OS
+//! thread).
 //!
 //! [`ChannelTransport`] implements [`Transport`] over a fully connected
 //! set of unbounded channels. It supports both drive modes of the engine:

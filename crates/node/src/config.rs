@@ -20,7 +20,6 @@
 
 use rex_core::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
 use rex_core::membership::MembershipPlan;
-use rex_data::ShardStrategy;
 use rex_net::fault::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec};
 use rex_topology::TopologySpec;
 use std::collections::HashMap;
@@ -54,12 +53,10 @@ pub enum NodeDriver {
 /// [sharding]
 /// users_per_node = 1024          # required; >= 1, and
 ///                                # users_per_node x nodes == num_users
-/// shard_strategy = "contiguous"  # the only deployable strategy
 /// ```
 ///
-/// `shard_strategy = "round-robin"` is rejected at parse time: striped
-/// shards have no strided row index, so the builder would silently fall
-/// back to the legacy grouping and ignore `users_per_node`.
+/// Node `i` hosts the contiguous user rows
+/// `[i * users_per_node, (i + 1) * users_per_node)`.
 ///
 /// `users_per_node = 1` is the determinism escape hatch: width-1 shards
 /// normalize away at node construction, so the fleet is bit-identical to
@@ -68,8 +65,6 @@ pub enum NodeDriver {
 pub struct ShardingConfig {
     /// Virtual users hosted per node (the user-row block width).
     pub users_per_node: u32,
-    /// How user rows group into per-node shards.
-    pub strategy: ShardStrategy,
 }
 
 /// Verifiable-epochs wire audit, from the optional `[audit]` section.
@@ -118,7 +113,7 @@ impl Default for AuditConfig {
 /// [serve]
 /// queries_per_epoch = 32   # top-k queries answered per snapshot
 /// top_k = 10               # result-set size
-/// seed = 0x5E37            # query-stream seed (node i uses seed + i)
+/// seed = 24119             # query-stream seed (node i uses seed + i)
 /// exclude_rated = true     # prune items the user already rated
 /// verify_snapshots = false # recompute + check each snapshot digest
 /// ```
@@ -607,40 +602,13 @@ fn parse_sharding(
              users, but num_users = {num_users} (shards must tile the dataset exactly)"
         ));
     }
-    let strategy = match get_str(map, "sharding.shard_strategy", "contiguous")?.as_str() {
-        "contiguous" => ShardStrategy::Contiguous,
-        // Striped shards have no strided row index: the node builder
-        // would quietly ignore users_per_node and build the legacy
-        // grouping. Refuse here instead of deploying something other
-        // than what the operator asked for.
-        "round-robin" => {
-            return Err(
-                "sharding.shard_strategy: \"round-robin\" is not deployable — striped \
-                 shards have no row index, so the builder would silently fall back to \
-                 the legacy per-user grouping and ignore users_per_node; use \
-                 \"contiguous\", or drop the [sharding] section for the legacy grouping"
-                    .to_string(),
-            )
-        }
-        other => return Err(format!("sharding.shard_strategy: unknown strategy {other}")),
-    };
-    Ok(ShardingConfig {
-        users_per_node,
-        strategy,
-    })
+    Ok(ShardingConfig { users_per_node })
 }
 
 /// Serializes a [`ShardingConfig`] as the `[sharding]` section
 /// [`parse_sharding`] reads back.
 fn sharding_to_toml(cfg: &ShardingConfig) -> String {
-    let strategy = match cfg.strategy {
-        ShardStrategy::Contiguous => "contiguous",
-        ShardStrategy::RoundRobin => "round-robin",
-    };
-    format!(
-        "\n[sharding]\nusers_per_node = {}\nshard_strategy = \"{strategy}\"\n",
-        cfg.users_per_node,
-    )
+    format!("\n[sharding]\nusers_per_node = {}\n", cfg.users_per_node)
 }
 
 /// Assembles the `[audit]` section into an [`AuditConfig`].
@@ -1308,10 +1276,7 @@ mod tests {
     fn sharding_section_roundtrips() {
         let cfg = ClusterConfig {
             num_users: 24, // 2 nodes x 12 users/node (sample() has 2 nodes)
-            sharding: Some(ShardingConfig {
-                users_per_node: 12,
-                strategy: ShardStrategy::Contiguous,
-            }),
+            sharding: Some(ShardingConfig { users_per_node: 12 }),
             ..sample()
         };
         let text = cfg.to_toml();
@@ -1322,31 +1287,6 @@ mod tests {
         // No section at all means None: the legacy grouping.
         let cfg = ClusterConfig::parse("nodes = [\"127.0.0.1:1\"]\n").unwrap();
         assert_eq!(cfg.sharding, None);
-    }
-
-    #[test]
-    fn round_robin_sharding_is_rejected_not_silently_ignored() {
-        // The pinned contract: "round-robin" has no strided row index,
-        // so the config layer refuses it with a clear error instead of
-        // letting the builder quietly ignore users_per_node.
-        let err = ClusterConfig::parse(
-            "nodes = [\"127.0.0.1:1\", \"127.0.0.1:2\"]\n\
-             [sharding]\nusers_per_node = 12\nshard_strategy = \"round-robin\"\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("round-robin"), "got: {err}");
-        assert!(err.contains("contiguous"), "error must name the fix: {err}");
-        // A programmatically built round-robin config serializes but no
-        // longer survives the roundtrip — it is not a deployable state.
-        let cfg = ClusterConfig {
-            num_users: 24,
-            sharding: Some(ShardingConfig {
-                users_per_node: 12,
-                strategy: ShardStrategy::RoundRobin,
-            }),
-            ..sample()
-        };
-        assert!(ClusterConfig::parse(&cfg.to_toml()).is_err());
     }
 
     #[test]
@@ -1457,13 +1397,7 @@ mod tests {
              [sharding]\nusers_per_node = 4\n",
         )
         .unwrap();
-        assert_eq!(
-            cfg.sharding,
-            Some(ShardingConfig {
-                users_per_node: 4,
-                strategy: ShardStrategy::Contiguous,
-            })
-        );
+        assert_eq!(cfg.sharding, Some(ShardingConfig { users_per_node: 4 }));
     }
 
     #[test]
@@ -1471,14 +1405,15 @@ mod tests {
         // 2 nodes x num_users = 24 (the default).
         let base = "nodes = [\"127.0.0.1:1\", \"127.0.0.1:2\"]\n[sharding]\n";
         for bad in [
-            "",                                                 // users_per_node missing
-            "users_per_node = 0\n",                             // zero
-            "users_per_node = 1000000\n",                       // huge: does not tile
-            "users_per_node = 7\n",                             // 7 x 2 != 24
-            "users_per_node = -3\n",                            // negative
-            "users_per_node = \"lots\"\n",                      // wrong type
-            "users_per_node = 12\nshard_strategy = \"hash\"\n", // unknown strategy
-            "users_per_node = 12\nshard_strategy = 7\n",        // wrong type
+            "",                                                        // users_per_node missing
+            "users_per_node = 0\n",                                    // zero
+            "users_per_node = 1000000\n",                              // huge: does not tile
+            "users_per_node = 7\n",                                    // 7 x 2 != 24
+            "users_per_node = -3\n",                                   // negative
+            "users_per_node = \"lots\"\n",                             // wrong type
+            "users_per_node = 12\nshard_strategy = \"hash\"\n",        // retired key
+            "users_per_node = 12\nshard_strategy = 7\n",               // retired key
+            "users_per_node = 12\nshard_strategy = \"round-robin\"\n", // retired key
         ] {
             assert!(
                 ClusterConfig::parse(&format!("{base}{bad}")).is_err(),
@@ -1553,10 +1488,7 @@ mod tests {
                 ..FaultPlan::default()
             }),
             membership: Some(MembershipPlan::default().with_leave(1, 3)),
-            sharding: Some(ShardingConfig {
-                users_per_node: 12,
-                strategy: ShardStrategy::Contiguous,
-            }),
+            sharding: Some(ShardingConfig { users_per_node: 12 }),
             audit: Some(AuditConfig::default()),
             serve: Some(ServeConfig::default()),
             ..sample()
@@ -1569,5 +1501,37 @@ mod tests {
             ..sample()
         };
         assert_eq!(ClusterConfig::parse(&bounded.to_toml()), Ok(bounded));
+    }
+
+    /// Every `toml` example in this file's doc comments parses, under an
+    /// 8-node `nodes` line and `num_users = 8192`.
+    #[test]
+    fn doc_examples_parse() {
+        let fence = "```";
+        let mut blocks: Vec<String> = Vec::new();
+        let mut open: Option<String> = None;
+        for line in include_str!("config.rs").lines() {
+            let Some(doc) = line.trim_start().strip_prefix("///") else {
+                continue;
+            };
+            let doc = doc.strip_prefix(' ').unwrap_or(doc);
+            match open.as_mut() {
+                None if doc == format!("{fence}toml") => open = Some(String::new()),
+                Some(_) if doc == fence => blocks.extend(open.take()),
+                Some(block) => {
+                    block.push_str(doc);
+                    block.push('\n');
+                }
+                None => {}
+            }
+        }
+        assert_eq!(blocks.len(), 5, "doc examples found: {blocks:?}");
+        let nodes: Vec<String> = (1..=8).map(|i| format!("\"127.0.0.1:{i}\"")).collect();
+        let head = format!("nodes = [{}]\nnum_users = 8192\n", nodes.join(", "));
+        for block in &blocks {
+            if let Err(e) = ClusterConfig::parse(&format!("{head}{block}")) {
+                panic!("doc example does not parse ({e}):\n{block}");
+            }
+        }
     }
 }

@@ -39,7 +39,7 @@ use rex_core::serve::{
 };
 use rex_core::setup::{establish_tee_with_directory, overlay_of, prune_to_overlay, TeeDirectory};
 use rex_core::Node;
-use rex_data::{Partition, ShardStrategy, SyntheticConfig, TrainTestSplit};
+use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
 use rex_net::fault::{FaultPlan, FaultyEndpoint};
 use rex_net::mem::MemNetwork;
@@ -92,12 +92,6 @@ pub fn build_fleet_and_view(cfg: &ClusterConfig) -> (Vec<Node<MfModel>>, Option<
 /// derives its own [`MembershipView`] from
 /// [`rex_core::engine::EngineConfig::membership`] and must see the
 /// latent edges to strip them itself.
-///
-/// # Panics
-/// On a round-robin [`ShardingConfig`]: striped shards have no strided
-/// row index, and [`ClusterConfig::parse`] rejects the combination — a
-/// programmatically built one must fail loudly too, not silently build
-/// the legacy grouping it used to.
 #[must_use]
 pub fn build_fleet(cfg: &ClusterConfig) -> Vec<Node<MfModel>> {
     let n = cfg.num_nodes();
@@ -117,10 +111,7 @@ pub fn build_fleet(cfg: &ClusterConfig) -> Vec<Node<MfModel>> {
         // train path. Width-1 blocks normalize away inside the node
         // builder, keeping users_per_node = 1 bit-identical to the
         // legacy per-user fleet.
-        Some(ShardingConfig {
-            strategy: ShardStrategy::Contiguous,
-            ..
-        }) => {
+        Some(_) => {
             let (partition, blocks) = Partition::user_blocks(&split, n);
             build_mf_nodes_sharded(
                 &partition,
@@ -133,17 +124,6 @@ pub fn build_fleet(cfg: &ClusterConfig) -> Vec<Node<MfModel>> {
                 NodeSeeds::default(),
             )
         }
-        // Round-robin striping has no strided row index: the old code
-        // silently built the legacy grouping here, ignoring
-        // users_per_node. The config layer rejects the combination;
-        // refuse programmatic construction just as loudly.
-        Some(ShardingConfig {
-            strategy: ShardStrategy::RoundRobin,
-            ..
-        }) => panic!(
-            "round-robin sharding is not buildable (no strided row index); \
-             use Contiguous, or no [sharding] for the legacy grouping"
-        ),
         None => {
             let partition = Partition::multi_user(&split, n);
             build_mf_nodes(
@@ -869,7 +849,6 @@ mod tests {
         let cfg = ClusterConfig {
             sharding: Some(ShardingConfig {
                 users_per_node: 4, // 4 nodes x 4 users = 16 = num_users
-                strategy: ShardStrategy::Contiguous,
             }),
             ..tiny_cfg(4)
         };
@@ -884,31 +863,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "round-robin sharding is not buildable")]
-    fn round_robin_sharding_panics_instead_of_silently_degrading() {
-        // The config layer rejects round-robin at parse time; a
-        // programmatically built config must fail just as loudly
-        // instead of building the legacy grouping and ignoring
-        // users_per_node, as it silently did before.
-        let _ = build_fleet(&ClusterConfig {
-            sharding: Some(ShardingConfig {
-                users_per_node: 4,
-                strategy: ShardStrategy::RoundRobin,
-            }),
-            ..tiny_cfg(4)
-        });
-    }
-
-    #[test]
     fn width_one_sharded_fleet_is_bit_identical_to_legacy() {
         // The determinism contract end-to-end through the config layer:
         // users_per_node = 1 (16 nodes hosting 16 users) must build the
         // exact fleet the unsharded config builds.
         let sharded = build_fleet(&ClusterConfig {
-            sharding: Some(ShardingConfig {
-                users_per_node: 1,
-                strategy: ShardStrategy::Contiguous,
-            }),
+            sharding: Some(ShardingConfig { users_per_node: 1 }),
             ..tiny_cfg(16)
         });
         let legacy = build_fleet(&tiny_cfg(16));

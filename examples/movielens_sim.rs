@@ -9,9 +9,10 @@
 
 use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
 use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_repro::core::runner::{run, Backend, SimulationConfig};
+use rex_repro::core::engine::{Engine, EngineConfig};
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::MfHyperParams;
+use rex_repro::net::mem::MemNetwork;
 use rex_repro::tee::SgxCostModel;
 use rex_repro::topology::TopologySpec;
 
@@ -79,12 +80,12 @@ fn main() {
     } else {
         ExecutionMode::Native
     };
-    let result = run(
-        &Backend::Simulated(SimulationConfig {
-            epochs,
-            execution,
-            ..Default::default()
-        }),
+    let cfg = EngineConfig {
+        epochs,
+        execution,
+        ..EngineConfig::default()
+    };
+    let result = Engine::new(MemNetwork::new(fleet.len()), cfg).run(
         &format!(
             "{}, {}, {}",
             sharing.label(),

@@ -8,9 +8,10 @@
 use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
 use rex_repro::core::centralized::run_baseline;
 use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_repro::core::runner::{run, Backend, SimulationConfig};
+use rex_repro::core::engine::{Engine, EngineConfig};
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::net::mem::MemNetwork;
 use rex_repro::topology::TopologySpec;
 
 fn main() {
@@ -38,11 +39,11 @@ fn main() {
     let graph = TopologySpec::SmallWorld.build(16, 3);
 
     // 3. Run REX (raw-data sharing) and the model-sharing baseline.
-    let sim = Backend::Simulated(SimulationConfig {
+    let sim = EngineConfig {
         epochs: 60,
         execution: ExecutionMode::Native,
-        ..Default::default()
-    });
+        ..EngineConfig::default()
+    };
     let mut results = Vec::new();
     for sharing in [SharingMode::RawData, SharingMode::Model] {
         let mut nodes = build_mf_nodes(
@@ -61,7 +62,8 @@ fn main() {
             },
             NodeSeeds::default(),
         );
-        let result = run(&sim, sharing.label(), &mut nodes);
+        let engine = Engine::new(MemNetwork::new(nodes.len()), sim.clone());
+        let result = engine.run(sharing.label(), &mut nodes);
         results.push(result.trace);
     }
 

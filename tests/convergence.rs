@@ -4,9 +4,10 @@
 use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
 use rex_repro::core::centralized::run_baseline;
 use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_repro::core::runner::{run, Backend, SimulationConfig};
+use rex_repro::core::engine::{Engine, EngineConfig, EngineResult};
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::net::mem::MemNetwork;
 use rex_repro::sim::ExperimentTrace;
 use rex_repro::topology::TopologySpec;
 
@@ -48,12 +49,14 @@ fn fleet(
     )
 }
 
-fn sim(epochs: usize) -> Backend {
-    Backend::Simulated(SimulationConfig {
+/// Runs `nodes` natively for `epochs` on the simulated fabric.
+fn run(epochs: usize, name: &str, nodes: &mut Vec<rex_repro::core::Node<MfModel>>) -> EngineResult {
+    let cfg = EngineConfig {
         epochs,
         execution: ExecutionMode::Native,
-        ..Default::default()
-    })
+        ..EngineConfig::default()
+    };
+    Engine::new(MemNetwork::new(nodes.len()), cfg).run(name, nodes)
 }
 
 #[test]
@@ -69,8 +72,8 @@ fn rex_and_ms_converge_to_similar_quality() {
         GossipAlgorithm::DPsgd,
         TopologySpec::SmallWorld,
     );
-    let rex = run(&sim(60), "REX", &mut rex_nodes).trace;
-    let ms = run(&sim(60), "MS", &mut ms_nodes).trace;
+    let rex = run(60, "REX", &mut rex_nodes).trace;
+    let ms = run(60, "MS", &mut ms_nodes).trace;
 
     // The synthetic data's mean-only baseline is already strong (~0.61
     // RMSE), so convergence deltas are small in absolute terms; what
@@ -113,8 +116,8 @@ fn rex_beats_ms_in_time_and_bytes_on_every_topology_algorithm_combo() {
         for algorithm in [GossipAlgorithm::Rmw, GossipAlgorithm::DPsgd] {
             let mut rex_nodes = fleet(SharingMode::RawData, algorithm, topology);
             let mut ms_nodes = fleet(SharingMode::Model, algorithm, topology);
-            let rex = run(&sim(15), "REX", &mut rex_nodes).trace;
-            let ms = run(&sim(15), "MS", &mut ms_nodes).trace;
+            let rex = run(15, "REX", &mut rex_nodes).trace;
+            let ms = run(15, "MS", &mut ms_nodes).trace;
             assert!(
                 ms.total_bytes_per_node() > 5.0 * rex.total_bytes_per_node(),
                 "{topology:?}/{algorithm:?}: byte gap missing"
@@ -159,7 +162,7 @@ fn centralized_baseline_is_fastest_to_quality() {
         GossipAlgorithm::DPsgd,
         TopologySpec::SmallWorld,
     );
-    let rex = run(&sim(40), "REX", &mut rex_nodes).trace;
+    let rex = run(40, "REX", &mut rex_nodes).trace;
     assert!(
         central.final_rmse().unwrap() <= rex.final_rmse().unwrap() + 0.05,
         "centralized should reach at least comparable quality"
@@ -175,7 +178,7 @@ fn raw_data_dissemination_fills_stores() {
         TopologySpec::SmallWorld,
     );
     let initial: Vec<usize> = nodes.iter().map(|n| n.store().len()).collect();
-    let _ = run(&sim(20), "REX", &mut nodes);
+    let _ = run(20, "REX", &mut nodes);
     for (node, init) in nodes.iter().zip(initial) {
         assert!(
             node.store().len() > 2 * init,
@@ -199,7 +202,7 @@ fn rmw_cheaper_than_dpsgd_on_the_wire() {
         GossipAlgorithm::DPsgd,
         TopologySpec::ErdosRenyi,
     );
-    let r = run(&sim(10), "rmw", &mut rmw).trace;
-    let d = run(&sim(10), "dpsgd", &mut dpsgd).trace;
+    let r = run(10, "rmw", &mut rmw).trace;
+    let d = run(10, "dpsgd", &mut dpsgd).trace;
     assert!(d.total_bytes_per_node() > 1.5 * r.total_bytes_per_node());
 }

@@ -4,13 +4,14 @@
 
 use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
 use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_repro::core::runner::{run, Backend, SimulationConfig};
+use rex_repro::core::engine::{Engine, EngineConfig, EngineResult};
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::MfHyperParams;
+use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::net::mem::MemNetwork;
 use rex_repro::tee::SgxCostModel;
 use rex_repro::topology::TopologySpec;
 
-fn fleet(sharing: SharingMode) -> Vec<rex_repro::core::Node<rex_repro::ml::MfModel>> {
+fn fleet(sharing: SharingMode) -> Vec<rex_repro::core::Node<MfModel>> {
     let ds = SyntheticConfig {
         num_users: 32,
         num_items: 600,
@@ -40,17 +41,19 @@ fn fleet(sharing: SharingMode) -> Vec<rex_repro::core::Node<rex_repro::ml::MfMod
     )
 }
 
-fn charged_overhead(sharing: SharingMode, cost: SgxCostModel) -> u64 {
+/// Runs a fresh `sharing` fleet for `epochs` on the simulated fabric.
+fn run(sharing: SharingMode, epochs: usize, execution: ExecutionMode) -> EngineResult {
     let mut nodes = fleet(sharing);
-    let result = run(
-        &Backend::Simulated(SimulationConfig {
-            epochs: 10,
-            execution: ExecutionMode::Sgx(cost),
-            ..Default::default()
-        }),
-        "sgx",
-        &mut nodes,
-    );
+    let cfg = EngineConfig {
+        epochs,
+        execution,
+        ..EngineConfig::default()
+    };
+    Engine::new(MemNetwork::new(nodes.len()), cfg).run("sgx", &mut nodes)
+}
+
+fn charged_overhead(sharing: SharingMode, cost: SgxCostModel) -> u64 {
+    let result = run(sharing, 10, ExecutionMode::Sgx(cost));
     result.trace.mean_sgx_overhead_ns()
 }
 
@@ -81,23 +84,12 @@ fn epc_overcommit_amplifies_overhead() {
 
 #[test]
 fn sgx_does_not_change_model_quality() {
-    let run = |execution| {
-        let mut nodes = fleet(SharingMode::RawData);
-        run(
-            &Backend::Simulated(SimulationConfig {
-                epochs: 12,
-                execution,
-                ..Default::default()
-            }),
-            "q",
-            &mut nodes,
-        )
-        .trace
-        .final_rmse()
-        .unwrap()
+    let final_rmse = |execution| {
+        let result = run(SharingMode::RawData, 12, execution);
+        result.trace.final_rmse().unwrap()
     };
-    let native = run(ExecutionMode::Native);
-    let sgx = run(ExecutionMode::Sgx(SgxCostModel::default()));
+    let native = final_rmse(ExecutionMode::Native);
+    let sgx = final_rmse(ExecutionMode::Sgx(SgxCostModel::default()));
     assert!(
         (native - sgx).abs() < 1e-9,
         "SGX must only cost time, not accuracy: {native} vs {sgx}"
