@@ -3,8 +3,9 @@
 //! `norm_sq`, `sgd_update`) at the embedding dimensions the paper
 //! sweeps (k = 16/32/128), the ChaCha20 keystream, the Poly1305 MAC and
 //! one AEAD seal of the paper-shaped model, plus two end-to-end arms
-//! — MF epoch time and serve-path p99 — each measured under both
-//! dispatch levels (scalar, AVX2) where the host has them, and the SHA-256
+//! — MF epoch time and serve-path p99 — each measured under every
+//! dispatch level (scalar, AVX2, and for the crypto arms AVX-512) the
+//! host has, and the SHA-256
 //! arms behind the per-epoch model commitment: hash throughput on the
 //! scalar and SHA-extension block functions over a model-sized buffer,
 //! and one commitment of the paper-shaped 424 KiB model the old way
@@ -29,6 +30,9 @@
 //! * `epoch_speedup` — `train_steps_batched` wall time, scalar / best;
 //! * `serve_p99_speedup` — top-k query p99, scalar / best;
 //! * `chacha_speedup` — keystream MiB/s, best / scalar;
+//! * `chacha_wide_speedup` — keystream MiB/s, the 16-wide AVX-512 body
+//!   over the 8-wide AVX2 one (1.00 on a host without AVX-512F: there is
+//!   no 16-wide row);
 //! * `poly_speedup` — Poly1305 MiB/s, best / scalar;
 //! * `sha256_speedup` — SHA-256 MiB/s, SHA extensions / scalar (1.00
 //!   on a host without them: both sides are the scalar path);
@@ -39,13 +43,14 @@
 //!   acceptance floor is 5x).
 //!
 //! `--check-baseline <path>` compares this run's `dot32_speedup`,
-//! `poly_speedup`, `sha256_speedup`, `sweep_speedup` and
-//! `commit_speedup` against a committed baseline JSON
-//! (`rex_bench::baseline`) and exits non-zero when any regressed by
-//! more than 25%. On a host without AVX2 (or, for the two SHA ratios,
-//! without the SHA extensions) that gate is skipped with a notice — the
-//! committed baseline was measured on a runner that has them and the
-//! ratio is not comparable.
+//! `poly_speedup`, `chacha_wide_speedup`, `sha256_speedup`,
+//! `sweep_speedup` and `commit_speedup` against a committed baseline
+//! JSON (`rex_bench::baseline`) and exits non-zero when any regressed by
+//! more than 25%. On a host without AVX2 (for `chacha_wide_speedup`,
+//! without AVX-512F; for the two SHA ratios, without the SHA
+//! extensions) that gate is skipped with a notice — the committed
+//! baseline was measured on a runner that has them and the ratio is not
+//! comparable.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,8 +175,8 @@ fn micro_arms(levels: &[KernelLevel], iters: usize) -> (Vec<Row>, f64) {
 }
 
 /// ChaCha20 keystream throughput (MiB/s) per crypto dispatch level.
-/// Returns the rows and `chacha_speedup`.
-fn chacha_arms(levels: &[SimdLevel], buf_kib: usize) -> (Vec<Row>, f64) {
+/// Returns the rows, `chacha_speedup` and `chacha_wide_speedup`.
+fn chacha_arms(levels: &[SimdLevel], buf_kib: usize) -> (Vec<Row>, f64, f64) {
     let mut arms: Vec<Arm<'_>> = levels
         .iter()
         .map(|&l| {
@@ -193,7 +198,12 @@ fn chacha_arms(levels: &[SimdLevel], buf_kib: usize) -> (Vec<Row>, f64) {
         .zip(&mib_s)
         .map(|(l, &v)| e2e("chacha20_stream", l.name(), "", "mib_per_s", v))
         .collect();
-    (rows, mib_s[mib_s.len() - 1] / mib_s[0])
+    let at = |level| levels.iter().position(|&l| l == level).map(|i| mib_s[i]);
+    let wide = match (at(SimdLevel::Avx2), at(SimdLevel::Avx512)) {
+        (Some(avx2), Some(avx512)) => avx512 / avx2,
+        _ => 1.0,
+    };
+    (rows, mib_s[mib_s.len() - 1] / mib_s[0], wide)
 }
 
 /// Poly1305 arms, per crypto dispatch level: `poly1305_stream`, MiB/s
@@ -569,13 +579,14 @@ fn main() {
     let crypto_best = *crypto_levels.last().expect("scalar is always available");
     let sha_ni = simd::sha_ni_with(crypto_best);
     eprintln!(
-        "[bench_kernels] levels: {:?}, best: {}, sha_ni: {sha_ni}",
+        "[bench_kernels] levels: {:?}, best: {}, crypto best: {}, sha_ni: {sha_ni}",
         levels.iter().map(|l| l.name()).collect::<Vec<_>>(),
-        best.name()
+        best.name(),
+        crypto_best.name()
     );
 
     let (micro, dot32) = micro_arms(&levels, iters);
-    let (mut rows, chacha) = chacha_arms(&crypto_levels, buf_kib);
+    let (mut rows, chacha, chacha_wide) = chacha_arms(&crypto_levels, buf_kib);
     let (poly_rows, poly) = poly_arms(&crypto_levels, buf_kib, reps);
     let (sha_rows, sha256, commit) = sha_arms(crypto_best, reps);
     let (e2e_rows, epoch, serve) = e2e_arms(&levels, steps, queries);
@@ -600,6 +611,7 @@ fn main() {
                 .num("epoch_speedup", epoch, 2)
                 .num("serve_p99_speedup", serve, 2)
                 .num("chacha_speedup", chacha, 2)
+                .num("chacha_wide_speedup", chacha_wide, 2)
                 .num("poly_speedup", poly, 2)
                 .num("sha256_speedup", sha256, 2)
                 .num("sweep_speedup", sweep, 2)
@@ -611,6 +623,12 @@ fn main() {
             best.name()
         )
     });
+    let no_avx512 = (crypto_best != SimdLevel::Avx512).then(|| {
+        format!(
+            "best crypto level here is {}, not the baseline's avx512",
+            crypto_best.name()
+        )
+    });
     let no_sha_ni =
         (!sha_ni).then(|| "this host lacks the SHA extensions the baseline had".to_string());
     harness::finish(
@@ -620,6 +638,7 @@ fn main() {
         &[
             Gate::floor("dot32_speedup", dot32).unless(no_avx2.clone()),
             Gate::floor("poly_speedup", poly).unless(no_avx2.clone()),
+            Gate::floor("chacha_wide_speedup", chacha_wide).unless(no_avx512),
             Gate::floor("sha256_speedup", sha256).unless(no_sha_ni.clone()),
             Gate::floor("sweep_speedup", sweep).unless(no_avx2),
             Gate::floor("commit_speedup", commit).unless(no_sha_ni),

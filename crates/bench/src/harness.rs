@@ -313,7 +313,8 @@ mod tests {
     const GATED: [(&str, &str); 4] = [
         (
             "BENCH_kernels.json",
-            "dot32_speedup sha256_speedup sweep_speedup commit_speedup",
+            "dot32_speedup poly_speedup chacha_wide_speedup sha256_speedup sweep_speedup \
+             commit_speedup",
         ),
         (
             "BENCH_scale.json",

@@ -287,11 +287,12 @@ impl<M: Model> Node<M> {
     /// draw is part of the deterministic trajectory, like any epoch
     /// sample.
     ///
-    /// # Panics
-    /// In SGX mode, if no session with `peer` is installed (install the
-    /// late-attested session before bootstrapping — a protocol bug
-    /// otherwise).
-    pub fn bootstrap_for(&mut self, peer: usize, points: usize) -> Vec<u8> {
+    /// Returns `None` in SGX mode when no session with `peer` is
+    /// installed: the bootstrap is dropped, as an epoch share to a
+    /// recipient without a session is, and never goes out in clear
+    /// text. The sample is drawn either way, so the trajectory does not
+    /// depend on it.
+    pub fn bootstrap_for(&mut self, peer: usize, points: usize) -> Option<Vec<u8>> {
         let ratings = self.store.sample(points, &mut self.rng);
         let degree = self.degree();
         let plain = match self.cfg.codec {
@@ -301,14 +302,12 @@ impl<M: Model> Node<M> {
         let inner = encode_plain(&plain);
         let payload = match self.tee.as_mut() {
             Some(tee) => {
-                let session = tee.sessions.get_mut(&peer).unwrap_or_else(|| {
-                    panic!("node {}: bootstrap for unattested peer {peer}", self.id)
-                });
+                let session = tee.sessions.get_mut(&peer)?;
                 Payload::Sealed(session.seal(&Self::aad(self.id, peer), &inner))
             }
             None => Payload::Clear(inner),
         };
-        encode_payload(&payload)
+        Some(encode_payload(&payload))
     }
 
     /// The local model (read access).
@@ -1069,7 +1068,7 @@ mod tests {
         let mut sponsor = mk_node(0, vec![1], c);
         let mut joiner = mk_node(1, vec![0], c);
         let before = joiner.store().len();
-        let bytes = sponsor.bootstrap_for(1, 12);
+        let bytes = sponsor.bootstrap_for(1, 12).expect("native mode sends");
         let (_, report) = joiner.epoch(vec![Envelope { from: 0, bytes }]);
         assert!(report.new_points > 0, "bootstrap merged into the store");
         assert_eq!(joiner.store().len(), before + report.new_points);
@@ -1206,6 +1205,32 @@ mod tests {
         assert_eq!(out[0].0, 2);
         assert!(matches!(decode_payload(&out[0].1), Ok(Payload::Sealed(_))));
         assert_eq!(report.bytes_out, out[0].1.len() as u64);
+    }
+
+    #[test]
+    fn a_bootstrap_for_a_peer_without_a_session_sends_nothing() {
+        use rand::SeedableRng;
+        use rex_tee::dcap::DcapService;
+        use rex_tee::measurement::{Measurement, REX_ENCLAVE_V1};
+        use rex_tee::platform::SgxPlatform;
+        use rex_tee::SgxCostModel;
+        let mut n = mk_node(
+            0,
+            vec![1, 2],
+            cfg(SharingMode::RawData, GossipAlgorithm::DPsgd),
+        );
+        let dcap = DcapService::new();
+        let platform = SgxPlatform::provision(0, &dcap, &mut StdRng::seed_from_u64(0xAB));
+        n.install_enclave(platform.create_enclave(REX_ENCLAVE_V1, SgxCostModel::default()));
+        n.install_session(
+            2,
+            SecureSession::new([1; 32], [2; 32], true, Measurement::of_code(REX_ENCLAVE_V1)),
+        );
+        assert_eq!(n.bootstrap_for(1, 12), None, "no session with 1: dropped");
+        let sealed = n
+            .bootstrap_for(2, 12)
+            .expect("the attested peer is sent to");
+        assert!(matches!(decode_payload(&sealed), Ok(Payload::Sealed(_))));
     }
 
     #[test]

@@ -207,7 +207,9 @@ pub(crate) fn apply_transition<M: Model>(
     }
     for &(s, j) in &t.bootstraps {
         if s == id && bootstrap_points > 0 && !faults.is_some_and(|p| p.is_down(s, t.epoch)) {
-            send(j, node.bootstrap_for(j, bootstrap_points));
+            if let Some(bytes) = node.bootstrap_for(j, bootstrap_points) {
+                send(j, bytes);
+            }
         }
     }
     Ok(())

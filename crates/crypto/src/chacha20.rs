@@ -1,14 +1,26 @@
 //! The ChaCha20 stream cipher (RFC 8439 §2.3–2.4).
 //!
-//! The keystream generator has two paths: the scalar block function,
-//! and on x86_64 with AVX2 a **multi-block kernel** that runs the
-//! 20-round permutation 8 blocks wide (one block per 32-bit lane),
-//! dispatched at runtime by [`crate::simd::level`] and overridable with
-//! `REX_KERNEL`. What the 8-wide batch leaves (under 512 bytes, at most
-//! 7 blocks) goes through the scalar block loop. ChaCha20 is pure
-//! integer arithmetic, so both paths produce bit-identical keystream by
-//! construction; the RFC vectors and the kernel-parity suite pin it
-//! anyway.
+//! The keystream generator has three paths, one per
+//! [`crate::simd::SimdLevel`], dispatched at runtime by
+//! [`crate::simd::level`]:
+//!
+//! * the scalar block function, the reference;
+//! * on x86_64 with AVX2, a **multi-block kernel** that runs the
+//!   20-round permutation 8 blocks wide (one block per 32-bit lane);
+//! * on x86_64 with AVX-512F (and AVX2), the same permutation 16 blocks
+//!   wide on `zmm` registers with native `vprold` rotates, transposed in
+//!   registers and XORed straight into the data.
+//!
+//! Each level drains what it can and hands the rest down: a 16-wide
+//! run leaves under 1 KiB, of which the 8-wide body takes a 512-byte
+//! batch when there is one, and the scalar block loop finishes the last
+//! blocks. So `Avx512` runs the AVX2 body too, and on an AVX2-only host
+//! the 8-wide body is the whole path. `REX_KERNEL=avx2` pins the 8-wide
+//! body; no `REX_KERNEL` value names the 16-wide one, because `rex-ml`
+//! parses the same variable and knows no such level (see
+//! [`crate::simd`]). ChaCha20 is pure integer arithmetic, so every path
+//! produces bit-identical keystream by construction; the RFC vectors
+//! and the kernel-parity suite pin it anyway.
 
 use crate::simd::{self, SimdLevel};
 
@@ -22,6 +34,11 @@ pub const BLOCK_LEN: usize = 64;
 pub const WIDE_BLOCKS: usize = 8;
 /// Bytes per batch of the wide kernel.
 pub const WIDE_LEN: usize = WIDE_BLOCKS * BLOCK_LEN;
+/// Blocks per batch of the 16-wide kernel (AVX-512: one per 32-bit
+/// lane of a `zmm` register).
+pub const WIDE16_BLOCKS: usize = 16;
+/// Bytes per batch of the 16-wide kernel.
+pub const WIDE16_LEN: usize = WIDE16_BLOCKS * BLOCK_LEN;
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -80,14 +97,14 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
     out
 }
 
-/// The x86_64 multi-block keystream kernel. One 32-bit lane per block:
-/// all 16 state words live in vector registers, the counter word holds
-/// lanes `counter + {0..7}`, and the 20 rounds run on every block at
-/// once. Rotations are `slli | srli` pairs; everything is wrapping
-/// integer arithmetic, so the output is bit-identical to [`block`].
+/// The x86_64 multi-block keystream kernels. One 32-bit lane per
+/// block: all 16 state words live in vector registers, the counter word
+/// holds lanes `counter + {0..N-1}`, and the 20 rounds run on every
+/// block at once. Everything is wrapping integer arithmetic, so the
+/// output is bit-identical to [`block`].
 #[cfg(target_arch = "x86_64")]
 mod wide {
-    use super::{BLOCK_LEN, WIDE_BLOCKS, WIDE_LEN};
+    use super::{BLOCK_LEN, WIDE16_LEN, WIDE_BLOCKS, WIDE_LEN};
     use std::arch::x86_64::*;
 
     macro_rules! rotl {
@@ -95,6 +112,7 @@ mod wide {
             _mm256_or_si256(_mm256_slli_epi32($v, $n), _mm256_srli_epi32($v, 32 - $n))
         };
     }
+    /// A quarter round on 8 blocks; rotations are `slli | srli` pairs.
     macro_rules! quarter_round {
         ($v:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
             $v[$a] = _mm256_add_epi32($v[$a], $v[$b]);
@@ -105,6 +123,36 @@ mod wide {
             $v[$d] = rotl!(_mm256_xor_si256($v[$d], $v[$a]), 8);
             $v[$c] = _mm256_add_epi32($v[$c], $v[$d]);
             $v[$b] = rotl!(_mm256_xor_si256($v[$b], $v[$c]), 7);
+        };
+    }
+    /// A quarter round on 16 blocks; rotations are one `vprold` each.
+    macro_rules! quarter_round16 {
+        ($v:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
+            $v[$a] = _mm512_add_epi32($v[$a], $v[$b]);
+            $v[$d] = _mm512_rol_epi32(_mm512_xor_si512($v[$d], $v[$a]), 16);
+            $v[$c] = _mm512_add_epi32($v[$c], $v[$d]);
+            $v[$b] = _mm512_rol_epi32(_mm512_xor_si512($v[$b], $v[$c]), 12);
+            $v[$a] = _mm512_add_epi32($v[$a], $v[$b]);
+            $v[$d] = _mm512_rol_epi32(_mm512_xor_si512($v[$d], $v[$a]), 8);
+            $v[$c] = _mm512_add_epi32($v[$c], $v[$d]);
+            $v[$b] = _mm512_rol_epi32(_mm512_xor_si512($v[$b], $v[$c]), 7);
+        };
+    }
+    /// The 20 rounds, as ten column + diagonal double rounds of `$qr`.
+    macro_rules! rounds {
+        ($v:ident, $qr:ident) => {
+            for _ in 0..10 {
+                // Column rounds.
+                $qr!($v, 0, 4, 8, 12);
+                $qr!($v, 1, 5, 9, 13);
+                $qr!($v, 2, 6, 10, 14);
+                $qr!($v, 3, 7, 11, 15);
+                // Diagonal rounds.
+                $qr!($v, 0, 5, 10, 15);
+                $qr!($v, 1, 6, 11, 12);
+                $qr!($v, 2, 7, 8, 13);
+                $qr!($v, 3, 4, 9, 14);
+            }
         };
     }
 
@@ -122,18 +170,7 @@ mod wide {
         }
         v[12] = _mm256_add_epi32(v[12], _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0));
         let init = v;
-        for _ in 0..10 {
-            // Column rounds.
-            quarter_round!(v, 0, 4, 8, 12);
-            quarter_round!(v, 1, 5, 9, 13);
-            quarter_round!(v, 2, 6, 10, 14);
-            quarter_round!(v, 3, 7, 11, 15);
-            // Diagonal rounds.
-            quarter_round!(v, 0, 5, 10, 15);
-            quarter_round!(v, 1, 6, 11, 12);
-            quarter_round!(v, 2, 7, 8, 13);
-            quarter_round!(v, 3, 4, 9, 14);
-        }
+        rounds!(v, quarter_round);
         let mut lanes = [0u32; WIDE_BLOCKS];
         for (i, (&w, &s)) in v.iter().zip(init.iter()).enumerate() {
             let sum = _mm256_add_epi32(w, s);
@@ -143,6 +180,70 @@ mod wide {
             for (b, &lane) in lanes.iter().enumerate() {
                 out[b * BLOCK_LEN + i * 4..b * BLOCK_LEN + i * 4 + 4]
                     .copy_from_slice(&lane.to_le_bytes());
+            }
+        }
+    }
+
+    /// XORs 16 keystream blocks (counters `state[12] + {0..15}`) into
+    /// `data`, block `j` into bytes `64j..64j + 64`.
+    ///
+    /// After the rounds, register `i` holds word `i` of every block; a
+    /// block's 64 bytes are one register across all 16 words. The
+    /// transpose takes three steps, all in registers. 32- and 64-bit
+    /// interleaves of each four-register group `4g..4g+3` give `t[4g +
+    /// m]`, whose 128-bit lane `k` is words `4g..4g+3` of block `4k +
+    /// m`. Then a 4×4 transpose of 128-bit lanes across `t[m]`,
+    /// `t[4 + m]`, `t[8 + m]` and `t[12 + m]` puts block `4k + m` in one
+    /// register, which is XORed into its row of `data` and stored.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. Nothing else: each load and store
+    /// moves one 64-byte block of `data` through a pointer taken from a
+    /// checked 64-byte slice of it.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn xor16_avx512(state: &[u32; 16], data: &mut [u8; WIDE16_LEN]) {
+        let mut v = [_mm512_setzero_si512(); 16];
+        for (vi, &w) in v.iter_mut().zip(state.iter()) {
+            *vi = _mm512_set1_epi32(w as i32);
+        }
+        let lane_offsets = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        v[12] = _mm512_add_epi32(v[12], lane_offsets);
+        let init = v;
+        rounds!(v, quarter_round16);
+        for (w, &s) in v.iter_mut().zip(init.iter()) {
+            *w = _mm512_add_epi32(*w, s);
+        }
+
+        let mut t = [_mm512_setzero_si512(); 16];
+        for g in 0..4 {
+            let (a, b, c, d) = (v[4 * g], v[4 * g + 1], v[4 * g + 2], v[4 * g + 3]);
+            let (ab_lo, ab_hi) = (_mm512_unpacklo_epi32(a, b), _mm512_unpackhi_epi32(a, b));
+            let (cd_lo, cd_hi) = (_mm512_unpacklo_epi32(c, d), _mm512_unpackhi_epi32(c, d));
+            t[4 * g] = _mm512_unpacklo_epi64(ab_lo, cd_lo);
+            t[4 * g + 1] = _mm512_unpackhi_epi64(ab_lo, cd_lo);
+            t[4 * g + 2] = _mm512_unpacklo_epi64(ab_hi, cd_hi);
+            t[4 * g + 3] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
+        }
+        for m in 0..4 {
+            // Lanes 0-1 and 2-3 of each pair of groups, then every
+            // other lane of those: one block per register.
+            let lo01 = _mm512_shuffle_i32x4(t[m], t[4 + m], 0x44);
+            let hi01 = _mm512_shuffle_i32x4(t[m], t[4 + m], 0xee);
+            let lo23 = _mm512_shuffle_i32x4(t[8 + m], t[12 + m], 0x44);
+            let hi23 = _mm512_shuffle_i32x4(t[8 + m], t[12 + m], 0xee);
+            let blocks = [
+                _mm512_shuffle_i32x4(lo01, lo23, 0x88),
+                _mm512_shuffle_i32x4(lo01, lo23, 0xdd),
+                _mm512_shuffle_i32x4(hi01, hi23, 0x88),
+                _mm512_shuffle_i32x4(hi01, hi23, 0xdd),
+            ];
+            for (k, ks) in blocks.into_iter().enumerate() {
+                let j = 4 * k + m;
+                let row = &mut data[j * BLOCK_LEN..(j + 1) * BLOCK_LEN];
+                let p = row.as_mut_ptr().cast::<__m512i>();
+                // SAFETY: `row` is 64 bytes of `data`, exactly what one
+                // unaligned `loadu` reads and one `storeu` writes.
+                unsafe { _mm512_storeu_si512(p, _mm512_xor_si512(_mm512_loadu_si512(p), ks)) };
             }
         }
     }
@@ -179,18 +280,36 @@ pub fn xor_stream_with(
     let mut counter = initial_counter;
     let mut off = 0usize;
 
-    // AVX2 drains whole 8-block batches; the scalar loop below finishes
-    // what is left (all of it at `Scalar`). Both emit the same RFC
-    // keystream, so the split point is invisible in the output.
+    // AVX-512 drains whole 16-block batches, AVX2 (at both vector
+    // levels) whole 8-block batches of the rest, and the scalar loop
+    // below finishes what is left (all of it at `Scalar`). Every path
+    // emits the same RFC keystream, so the split points are invisible
+    // in the output.
     #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2 {
+    if level == SimdLevel::Avx512 {
+        while data.len() - off >= WIDE16_LEN {
+            let state = init_state(key, counter, nonce);
+            let batch: &mut [u8; WIDE16_LEN] = (&mut data[off..off + WIDE16_LEN])
+                .try_into()
+                .expect("a batch is WIDE16_LEN bytes");
+            // SAFETY: `level.is_available()` was asserted on entry, and
+            // for `Avx512` that includes `is_x86_feature_detected!
+            // ("avx512f")` — the one feature `xor16_avx512` is compiled
+            // with, and its only requirement.
+            unsafe { wide::xor16_avx512(&state, batch) };
+            counter = counter.wrapping_add(WIDE16_BLOCKS as u32);
+            off += WIDE16_LEN;
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    if level >= SimdLevel::Avx2 {
         let mut ks = [0u8; WIDE_LEN];
         while data.len() - off >= WIDE_LEN {
             let state = init_state(key, counter, nonce);
             // SAFETY: `level.is_available()` was asserted on entry, and
-            // for `Avx2` that is `is_x86_feature_detected!("avx2")` — the
-            // one feature `blocks8_avx2` is compiled with, and its only
-            // requirement.
+            // for `Avx2` and `Avx512` that includes
+            // `is_x86_feature_detected!("avx2")` — the one feature
+            // `blocks8_avx2` is compiled with, and its only requirement.
             unsafe { wide::blocks8_avx2(&state, &mut ks) };
             for (byte, k) in data[off..off + WIDE_LEN].iter_mut().zip(ks.iter()) {
                 *byte ^= k;
@@ -271,14 +390,19 @@ only one tip for the future, sunscreen would be it."
     }
 
     // Every available kernel produces byte-identical streams, including
-    // ragged lengths that exercise wide batches + scalar remainders and
-    // counters that wrap through u32::MAX mid-batch.
+    // ragged lengths that exercise 16-wide batches, 8-wide batches and
+    // scalar remainders in every combination, and counters that wrap
+    // through u32::MAX mid-batch (`u32::MAX - 14` inside one 16-block
+    // batch).
     #[test]
     fn all_levels_agree_on_every_length() {
         let key = [0xa5u8; 32];
         let nonce = [0x5au8; 12];
-        let lens = [0usize, 1, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1000];
-        for &counter in &[0u32, 1, u32::MAX - 2] {
+        let lens = [
+            0usize, 1, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1000, 1023, 1024, 1025, 1535,
+            1536, 2047, 3072,
+        ];
+        for &counter in &[0u32, 1, u32::MAX - 2, u32::MAX - 14] {
             for &len in &lens {
                 let mut reference: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
                 let plain = reference.clone();
@@ -292,6 +416,25 @@ only one tip for the future, sunscreen would be it."
                         "level {} len {len} ctr {counter}",
                         l.name()
                     );
+                }
+            }
+        }
+    }
+
+    // One 16-wide batch, lane by lane: block `j` of a 1 KiB stream is
+    // `block(key, c + j)`, on every level, including a batch whose
+    // counter lanes wrap through u32::MAX.
+    #[test]
+    fn a_kib_of_stream_is_sixteen_consecutive_blocks() {
+        let key: [u8; 32] = std::array::from_fn(|i| (i * 7 + 3) as u8);
+        let nonce: [u8; 12] = std::array::from_fn(|i| (i * 13 + 1) as u8);
+        for &c in &[0u32, 7, u32::MAX - 9] {
+            for l in simd::available_levels() {
+                let mut data = vec![0u8; WIDE16_LEN];
+                xor_stream_with(l, &key, c, &nonce, &mut data);
+                for (j, got) in data.chunks_exact(BLOCK_LEN).enumerate() {
+                    let want = block(&key, c.wrapping_add(j as u32), &nonce);
+                    assert_eq!(got, &want, "level {} ctr {c} block {j}", l.name());
                 }
             }
         }

@@ -13,7 +13,8 @@
 //! handshakes, raw-data shares) never pay for it.
 //!
 //! Which path runs is [`crate::simd::level`], read when the MAC is built
-//! (`REX_KERNEL=scalar` pins the reference). Both paths compute the same
+//! (`REX_KERNEL=scalar` pins the reference). The AVX-512 level keeps the
+//! 4-lane AVX2 kernel: it widens only the keystream. Both paths compute the same
 //! polynomial mod 2^130 − 5 in exact integer arithmetic, so tags are
 //! identical by construction; the RFC 8439 vectors below and the
 //! kernel-parity suite pin it anyway.
@@ -366,17 +367,18 @@ impl Poly1305 {
             self.buf_len = 0;
         }
 
-        // AVX2 takes whole 4-block steps of a long run; the scalar loop
-        // finishes the run (all of it at `Scalar`).
+        // AVX2 (at both vector levels) takes whole 4-block steps of a
+        // long run; the scalar loop finishes the run (all of it at
+        // `Scalar`).
         #[cfg(target_arch = "x86_64")]
-        if self.level == SimdLevel::Avx2 && data.len() >= WIDE_MIN {
+        if self.level >= SimdLevel::Avx2 && data.len() >= WIDE_MIN {
             let (run, rest) = data.split_at(data.len() - data.len() % WIDE_LEN);
             let r = self.r;
             let powers = self.powers.get_or_insert_with(|| powers(r));
             // SAFETY: `new_with` asserted `level.is_available()`, and for
-            // `Avx2` that is `is_x86_feature_detected!("avx2")` — the one
-            // feature `blocks4_avx2` is compiled with, and its only
-            // requirement.
+            // `Avx2` and `Avx512` that includes
+            // `is_x86_feature_detected!("avx2")` — the one feature
+            // `blocks4_avx2` is compiled with, and its only requirement.
             unsafe { wide::blocks4_avx2(&mut self.h, powers, run) };
             data = rest;
         }

@@ -1,16 +1,32 @@
 //! Runtime dispatch for the crypto kernels.
 //!
 //! Mirrors `rex_ml::kernel`'s dispatch contract (the crypto crate stays
-//! dependency-free, so the ~50 lines are deliberately duplicated): two
-//! levels, the scalar reference and AVX2, resolved once per process via
-//! `is_x86_feature_detected!`, and the `REX_KERNEL` environment variable
-//! (`scalar` | `avx2`) pins the level for testing. Requesting an
-//! unavailable level aborts rather than silently degrading. Two
-//! primitives have an AVX2 body: ChaCha20's 8-block keystream kernel
-//! and Poly1305's 4-lane MAC kernel (the scalar Poly1305 is a
-//! radix-2^44 reference). Unlike the float kernels, both are integer
-//! arithmetic, so bit-exactness across levels is structural — the
-//! parity suite pins it anyway.
+//! dependency-free, so the ~50 lines are deliberately duplicated): the
+//! level is resolved once per process via `is_x86_feature_detected!`,
+//! and requesting an unavailable level aborts rather than silently
+//! degrading. Three levels, each a superset of the one before:
+//!
+//! * [`SimdLevel::Scalar`] — the portable reference;
+//! * [`SimdLevel::Avx2`] — ChaCha20's 8-block keystream kernel and
+//!   Poly1305's 4-lane MAC kernel (the scalar Poly1305 is a radix-2^44
+//!   reference);
+//! * [`SimdLevel::Avx512`] — ChaCha20 16 blocks wide on `zmm`
+//!   registers, with everything else of [`SimdLevel::Avx2`]: the 8-wide
+//!   body finishes a 16-wide run's tail, and Poly1305 keeps its 4-lane
+//!   kernel. It is available only where AVX2 is too, so `Avx512 ⊃
+//!   AVX2` holds on every host that detects it.
+//!
+//! The variants are ordered narrowest first, so `level >= Avx2` asks
+//! "does this level run the AVX2 bodies". Unlike the float kernels,
+//! every primitive is integer arithmetic, so bit-exactness across
+//! levels is structural — the parity suite pins it anyway.
+//!
+//! The `REX_KERNEL` environment variable (`scalar` | `avx2`) pins the
+//! level for testing; `avx2` pins the 8-wide keystream. It cannot name
+//! `Avx512`: `rex-ml` reads the same variable for its float kernels,
+//! which have no such level and abort on a value they do not know. The
+//! widest level is reached by detection, or by [`force_level`] and the
+//! `*_with` entries in tests and benches.
 //!
 //! SHA-256 rides the same resolution and adds no level of its own, but
 //! it does not *need* a vector level either: the SHA-extension block
@@ -23,13 +39,17 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// A crypto-kernel dispatch level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A crypto-kernel dispatch level, ordered narrowest first: each level
+/// runs every body of the levels below it that it has no wider one for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar reference.
     Scalar,
     /// 8-blocks-wide 256-bit x86_64 path (runtime-detected).
     Avx2,
+    /// 16-blocks-wide 512-bit x86_64 keystream over the AVX2 bodies
+    /// (runtime-detected; no `REX_KERNEL` value names it).
+    Avx512,
 }
 
 impl SimdLevel {
@@ -43,12 +63,14 @@ impl SimdLevel {
         }
     }
 
-    /// The level's `REX_KERNEL` spelling.
+    /// The level's name: its `REX_KERNEL` spelling, except `avx512`,
+    /// which [`SimdLevel::parse`] refuses (see the module doc).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 
@@ -59,8 +81,14 @@ impl SimdLevel {
             SimdLevel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => is_x86_feature_detected!("avx2"),
+            // The features the 16-wide body is compiled with, and the
+            // AVX2 its tail and the MAC run on.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2")
+            }
             #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2 => false,
+            SimdLevel::Avx2 | SimdLevel::Avx512 => false,
         }
     }
 
@@ -68,6 +96,7 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => 1,
             SimdLevel::Avx2 => 2,
+            SimdLevel::Avx512 => 3,
         }
     }
 
@@ -75,6 +104,7 @@ impl SimdLevel {
         match v {
             1 => Some(SimdLevel::Scalar),
             2 => Some(SimdLevel::Avx2),
+            3 => Some(SimdLevel::Avx512),
             _ => None,
         }
     }
@@ -83,7 +113,7 @@ impl SimdLevel {
 /// Every level this host can execute, narrowest first.
 #[must_use]
 pub fn available_levels() -> Vec<SimdLevel> {
-    [SimdLevel::Scalar, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
         .into_iter()
         .filter(|l| l.is_available())
         .collect()
@@ -144,11 +174,9 @@ fn resolved() -> u8 {
 }
 
 fn detect() -> SimdLevel {
-    if SimdLevel::Avx2.is_available() {
-        SimdLevel::Avx2
-    } else {
-        SimdLevel::Scalar
-    }
+    *available_levels()
+        .last()
+        .expect("scalar is always available")
 }
 
 /// The level a `REX_KERNEL=v` pin names; aborts on a value that is not
@@ -170,7 +198,7 @@ fn init_level() -> u8 {
 }
 
 /// The process-wide dispatch level: `REX_KERNEL` if set, else the
-/// widest detected instruction set. Resolved once, then cached.
+/// widest level this host can execute. Resolved once, then cached.
 #[inline]
 #[must_use]
 pub fn level() -> SimdLevel {
@@ -206,12 +234,20 @@ mod tests {
         assert_eq!(SimdLevel::parse("avx2"), Some(SimdLevel::Avx2));
         // The level this crate used to have between the two.
         assert_eq!(SimdLevel::parse("sse2"), None);
+        // The widest level has a name but no pin (see the module doc).
         assert_eq!(SimdLevel::parse("avx512"), None);
+        assert_eq!(SimdLevel::Avx512.name(), "avx512");
         let levels = available_levels();
         assert!(levels.contains(&SimdLevel::Scalar));
+        assert!(levels.windows(2).all(|w| w[0] < w[1]), "narrowest first");
         for l in levels {
             assert!(l.is_available());
-            assert_eq!(SimdLevel::parse(l.name()), Some(l));
+            let pin = (l != SimdLevel::Avx512).then_some(l);
+            assert_eq!(SimdLevel::parse(l.name()), pin);
+        }
+        // Every host that detects the widest level runs the AVX2 bodies.
+        if SimdLevel::Avx512.is_available() {
+            assert!(SimdLevel::Avx2.is_available());
         }
         assert!(level().is_available());
     }
@@ -230,11 +266,14 @@ mod tests {
         for cpu in [false, true] {
             assert!(!sha_ni_rule(SimdLevel::Scalar, true, cpu));
             assert_eq!(sha_ni_rule(SimdLevel::Scalar, false, cpu), cpu);
-            assert_eq!(sha_ni_rule(SimdLevel::Avx2, true, cpu), cpu);
-            assert_eq!(sha_ni_rule(SimdLevel::Avx2, false, cpu), cpu);
+            for vector in [SimdLevel::Avx2, SimdLevel::Avx512] {
+                assert_eq!(sha_ni_rule(vector, true, cpu), cpu);
+                assert_eq!(sha_ni_rule(vector, false, cpu), cpu);
+            }
         }
         assert!(!sha_ni_with(SimdLevel::Scalar));
         assert_eq!(sha_ni_with(SimdLevel::Avx2), cpu_has_sha_ni());
+        assert_eq!(sha_ni_with(SimdLevel::Avx512), cpu_has_sha_ni());
         // This process: pinned by `REX_KERNEL` or not at all (no unit
         // test of this crate calls `force_level`).
         let pinned = std::env::var_os("REX_KERNEL").is_some();

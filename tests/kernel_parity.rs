@@ -35,6 +35,12 @@
 //! of this host hashes on the extensions, that arm says so and proves
 //! only the reference.
 //!
+//! The ChaCha20 arm holds every crypto level's keystream — the scalar
+//! reference, the 8-wide AVX2 body and, where AVX-512F is detected, the
+//! 16-wide body with the 8-wide one on its tail — to the reference over
+//! random keys, nonces, counters (wrapping ones among them) and lengths
+//! up to four 16-block batches and a ragged tail.
+//!
 //! The Poly1305 arm holds every level's MAC to the radix-2^44 scalar
 //! reference over random keys (all-ones r and s among them), random and
 //! all-0xFF data, and 1-3 random `update` splits, so each hand-off
@@ -182,7 +188,7 @@ proptest! {
         key_seed in any::<u64>(),
         nonce_seed in any::<u64>(),
         counter in any::<u32>(),
-        len in 0usize..1200,
+        len in 0usize..4200,
     ) {
         let mut key = [0u8; 32];
         for (i, b) in key.iter_mut().enumerate() {
@@ -420,7 +426,8 @@ fn hmac_rfc_4231_cases_hold_on_every_block_function() {
 
 /// `seal` runs ChaCha20 and Poly1305 on the process level: every level
 /// seals the scalar reference's bytes (the wide MAC runs from 256 bytes,
-/// the wide keystream from 512), opens them, and rejects a flipped tag.
+/// the 8-wide keystream from 512 and the 16-wide one from 1 KiB), opens
+/// them, and rejects a flipped tag.
 #[test]
 fn aead_seal_is_identical_across_levels_and_open_round_trips() {
     let _pin = crypto_pin();
