@@ -22,10 +22,23 @@
 //! single poller thread, so CI tracks the reactor's per-connection cost
 //! at the fan-ins the paper's 610-node deployments imply.
 //!
+//! A fourth section, `round_overlap`, prices the per-node round loop's
+//! split-phase barriers: two loopback endpoints on their own threads run
+//! rounds of a fixed front and back spin around a 3.6 KB share (one
+//! `rex-raw` epoch's share), once **lockstep** — whole barriers, both
+//! spins before the send — and once **split** — each spin in the gap
+//! between a barrier's arrive and its wait, as
+//! `rex_core::round::run_node_loop` runs them. The spins are short, so
+//! the barriers' wire latency is a large share of a lockstep round. What
+//! the split can hide depends on a free core: a peer's token is read by
+//! the endpoint's poller thread, which competes with both spinning node
+//! threads on a two-core host.
+//!
 //! `--check-baseline <path>` compares this run's `tcp_mem_ratio_256`
 //! (TCP roundtrip cost over the in-memory backend's, 256 B payload —
-//! a machine-speed-independent gauge of wire-path overhead) against a
-//! committed baseline JSON and exits non-zero when it regressed more
+//! a machine-speed-independent gauge of wire-path overhead) and its
+//! `split_round_speedup` (lockstep ns per round over split) against a
+//! committed baseline JSON and exits non-zero when either regressed more
 //! than 25%.
 
 use rex_bench::harness::{self, Arm, Gate, Report, Row};
@@ -35,8 +48,9 @@ use rex_net::codec::encode_plain;
 use rex_net::fault::{FaultPlan, FaultyTransport, LinkFaults};
 use rex_net::mem::MemNetwork;
 use rex_net::message::Plain;
-use rex_net::tcp::TcpTransport;
-use rex_net::transport::Transport;
+use rex_net::tcp::{TcpEndpoint, TcpTransport};
+use rex_net::transport::{BarrierKind, Endpoint, Transport};
+use std::time::{Duration, Instant};
 
 const PAYLOAD_SIZES: [usize; 4] = [256, 4_096, 65_536, 262_144];
 const STAR_FAN_INS: [usize; 3] = [64, 256, 512];
@@ -44,6 +58,15 @@ const DROP_RATES: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
 /// Rotated windows per arm: every arm of a three-arm section runs first
 /// once.
 const WINDOW_REPS: usize = 3;
+
+/// The `round_overlap` rounds: compute before the share (merge, train,
+/// share) and after it (test, commit), and the share's size (300 raw
+/// points of 12 B). On a two-core host, 100 µs / 150 µs spins (nearer a
+/// `rex-raw` epoch's) read a `split_round_speedup` of 0.71-1.09 over
+/// three quick runs: the gain drowned in the noise.
+const FRONT: Duration = Duration::from_micros(20);
+const BACK: Duration = Duration::from_micros(40);
+const SHARE_BYTES: usize = 3_600;
 
 /// One fault-sweep window: ns per cycle, messages delivered, dropped.
 type FaultWindow = (f64, u64, u64);
@@ -82,6 +105,65 @@ fn roundtrip_arm<'a>(
     };
     let iters = iters_for(window_ms, &mut op);
     (iters, per_call(iters, op))
+}
+
+/// Busy-waits `d`: compute that holds the core, as an epoch does.
+fn spin(d: Duration) {
+    let start = Instant::now();
+    while start.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+/// One node's `rounds` rounds of the per-node loop against its one peer:
+/// recv, the drain barrier, the [`FRONT`] spin, the share, the round
+/// barrier, the [`BACK`] spin. `split` puts each spin between its
+/// barrier's arrive and wait; otherwise the barriers are whole and both
+/// spins run before the send.
+fn overlap_rounds(ep: &mut TcpEndpoint, rounds: u64, split: bool) {
+    let peer = 1 - ep.id();
+    let barrier = |ep: &mut TcpEndpoint, kind, work: Option<Duration>| {
+        ep.arrive(kind);
+        if let Some(d) = work {
+            spin(d);
+        }
+        ep.wait(kind).expect("loopback barrier");
+    };
+    for _ in 0..rounds {
+        // After a completed round barrier every round's share is in.
+        assert!(
+            Endpoint::recv(ep).len() <= 1,
+            "a round's share arrived late"
+        );
+        if split {
+            barrier(ep, BarrierKind::Drain, Some(FRONT));
+            Endpoint::send(ep, peer, vec![0xA5; SHARE_BYTES]);
+            barrier(ep, BarrierKind::Round, Some(BACK));
+        } else {
+            barrier(ep, BarrierKind::Drain, None);
+            spin(FRONT + BACK);
+            Endpoint::send(ep, peer, vec![0xA5; SHARE_BYTES]);
+            barrier(ep, BarrierKind::Round, None);
+        }
+    }
+}
+
+/// A `round_overlap` arm: its own loopback pair, `rounds` rounds per
+/// window with one thread per node; reports ns per round.
+fn overlap_arm(rounds: u64, split: bool) -> Arm<'static> {
+    let mut endpoints = TcpTransport::loopback(2)
+        .expect("loopback fabric")
+        .into_endpoints()
+        .expect("tcp splits into endpoints");
+    Box::new(move || {
+        harness::time_ns(|| {
+            std::thread::scope(|scope| {
+                for ep in &mut endpoints {
+                    scope.spawn(move || overlap_rounds(ep, rounds, split));
+                }
+            });
+        }) / rounds as f64
+    })
 }
 
 fn main() {
@@ -214,15 +296,48 @@ fn main() {
         })
         .collect();
 
+    // Split-phase rounds against lockstep ones, same work, same share.
+    let rounds = window_ms * 4;
+    let arms_named = ["lockstep", "split"];
+    let mut arms: Vec<Arm<'_>> = arms_named
+        .iter()
+        .map(|&arm| overlap_arm(rounds, arm == "split"))
+        .collect();
+    let ns = harness::best_of("round overlap", WINDOW_REPS, &mut arms);
+    drop(arms);
+    let overlap_rows: Vec<Row> = arms_named
+        .into_iter()
+        .zip(&ns)
+        .map(|(arm, ns)| {
+            Row::new()
+                .str("backend", "tcp")
+                .str("barriers", arm)
+                .int("front_us", FRONT.as_micros())
+                .int("back_us", BACK.as_micros())
+                .int("share_bytes", SHARE_BYTES)
+                .int("rounds", rounds)
+                .num("ns_per_round", *ns, 1)
+        })
+        .collect();
+    let split_round_speedup = ns[0] / ns[1];
+
     let json = Report::new("transport_roundtrip", mode)
         .rows("results", &rows)
         .rows("fault_sweep", &fault_rows)
         .rows("conn_scale", &scale_rows)
-        .render(&Row::new().num("tcp_mem_ratio_256", tcp_mem_ratio_256, 2));
+        .rows("round_overlap", &overlap_rows)
+        .render(
+            &Row::new()
+                .num("tcp_mem_ratio_256", tcp_mem_ratio_256, 2)
+                .num("split_round_speedup", split_round_speedup, 3),
+        );
     harness::finish(
         &args,
         "BENCH_transport.json",
         &json,
-        &[Gate::ceiling("tcp_mem_ratio_256", tcp_mem_ratio_256)],
+        &[
+            Gate::ceiling("tcp_mem_ratio_256", tcp_mem_ratio_256),
+            Gate::floor("split_round_speedup", split_round_speedup),
+        ],
     );
 }

@@ -7,7 +7,10 @@
 //! the model's own write log, or the whole model when that is most of it
 //! (see [`crate::commitment`]) — and reports which form the link took in
 //! [`EpochReport::link_rows`]. The log is cleared only there, so a round
-//! the node sits out neither adds a link nor drops a write.
+//! the node sits out neither adds a link nor drops a write. The epoch
+//! comes in two halves the per-node round loop calls apart:
+//! [`Node::epoch_front`] (merge→train→share) and [`Node::epoch_back`]
+//! (test→commit), with the shares sent between them.
 //! The two round loops (`engine`'s fabric loop through `pool`, and
 //! `round`) own scheduling: they deliver each node's inbox, forward its
 //! outgoing messages, and assemble the global trace.
@@ -66,6 +69,21 @@ pub struct EpochReport {
     /// epoch that merged models, one that wrote over a quarter of the
     /// rows, and every link of a model without a write log).
     pub link_rows: Option<usize>,
+}
+
+/// An epoch between its two halves: what [`Node::epoch_front`] measured
+/// and counted that [`Node::epoch_back`] needs to finish the
+/// [`EpochReport`]. A front must be finished by exactly one back before
+/// the node's next epoch: until then the epoch is neither tested nor
+/// committed.
+#[derive(Debug)]
+#[must_use = "an epoch's front is finished only by `Node::epoch_back`"]
+pub struct PendingEpoch {
+    stage_times: StageTimes,
+    new_points: usize,
+    bytes_in: u64,
+    bytes_out: u64,
+    merge_buffer_bytes: u64,
 }
 
 /// The decode/encode reference of the sparse model-delta codec: a
@@ -398,14 +416,10 @@ impl<M: Model> Node<M> {
     fn open_envelope(&mut self, env: &Envelope) -> Option<Plain> {
         let payload = decode_payload(&env.bytes).ok()?;
         match payload {
-            Payload::Clear(frame) => {
-                assert!(
-                    self.tee.is_none(),
-                    "node {}: plaintext payload in SGX mode",
-                    self.id
-                );
-                decode_plain(&frame).ok()
-            }
+            // An SGX node takes sealed shares only: clear text from any
+            // peer is dropped like any other unauthenticated input.
+            Payload::Clear(frame) if self.tee.is_none() => decode_plain(&frame).ok(),
+            Payload::Clear(_) => None,
             Payload::Sealed(frame) => {
                 let tee = self.tee.as_mut()?;
                 let session = tee.sessions.get_mut(&env.from)?;
@@ -417,10 +431,23 @@ impl<M: Model> Node<M> {
         }
     }
 
-    /// Runs one merge→train→share→test epoch (Algorithm 2, rex_protocol).
+    /// Runs one merge→train→share→test epoch (Algorithm 2, rex_protocol)
+    /// and commits it: [`Node::epoch_front`] then [`Node::epoch_back`].
     ///
     /// `inbox` holds everything received since the previous epoch. Returns
     /// the encoded outgoing messages (destination, bytes) and the report.
+    pub fn epoch(&mut self, inbox: Vec<Envelope>) -> (Vec<(usize, Vec<u8>)>, EpochReport) {
+        let (outgoing, pending) = self.epoch_front(inbox);
+        (outgoing, self.epoch_back(pending))
+    }
+
+    /// The front of an epoch — merge → train → share: everything the
+    /// outgoing shares depend on. Returns them, with the epoch's
+    /// [`PendingEpoch`] for [`Node::epoch_back`] to finish. The per-node
+    /// round loop sends the shares between the two, so the test and the
+    /// commit overlap the round barrier instead of delaying it. Nothing
+    /// the back does feeds the shares: it reads the model, draws no
+    /// randomness, and only clears the model's write log.
     ///
     /// Sharded nodes **aggregate-then-share**: the share stage samples
     /// (or serializes a delta of) the *whole shard* — one wire message
@@ -428,7 +455,7 @@ impl<M: Model> Node<M> {
     /// or one model delta covering the shard's contiguous user rows — so
     /// wire traffic scales with the number of shards, not the number of
     /// virtual users behind them.
-    pub fn epoch(&mut self, inbox: Vec<Envelope>) -> (Vec<(usize, Vec<u8>)>, EpochReport) {
+    pub fn epoch_front(&mut self, inbox: Vec<Envelope>) -> (Vec<(usize, Vec<u8>)>, PendingEpoch) {
         let mut stage_times = StageTimes::new();
         let mut charges_ns = 0u64;
         let bytes_in: u64 = inbox.iter().map(|e| e.bytes.len() as u64).sum();
@@ -458,9 +485,13 @@ impl<M: Model> Node<M> {
                     new_points += self.store.append_batch(&ratings);
                 }
                 Plain::Model { bytes, degree } => {
+                    // A model parses with whatever shape its sender
+                    // wrote; one not of ours is dropped, not merged.
                     if let Ok(m) = M::from_bytes(&bytes) {
-                        merge_buffer_bytes += m.memory_bytes() as u64;
-                        alien_models.push((degree, m));
+                        if m.same_shape(&self.model) {
+                            merge_buffer_bytes += m.memory_bytes() as u64;
+                            alien_models.push((degree, m));
+                        }
                     }
                 }
                 Plain::ModelDelta { bytes, degree } => {
@@ -634,17 +665,39 @@ impl<M: Model> Node<M> {
             Stage::Share,
             share_compute + self.take_charges(&mut charges_ns),
         );
+        (
+            outgoing,
+            PendingEpoch {
+                stage_times,
+                new_points,
+                bytes_in,
+                bytes_out,
+                merge_buffer_bytes,
+            },
+        )
+    }
+
+    /// The back of an epoch — test → commit: scores the model the front
+    /// left on the local test set, advances the commitment chain by one
+    /// link, and returns the epoch's report.
+    pub fn epoch_back(&mut self, pending: PendingEpoch) -> EpochReport {
+        let PendingEpoch {
+            mut stage_times,
+            new_points,
+            bytes_in,
+            bytes_out,
+            merge_buffer_bytes,
+        } = pending;
 
         // ---- test ------------------------------------------------------
+        let sw = Stopwatch::start();
         let rmse_value = rmse(&self.model, &self.test_data);
-        let test_compute = sw.lap();
-        if let Some(tee) = self.tee.as_mut() {
-            charges_ns += tee.enclave.charge_compute(test_compute);
-        }
-        stage_times.add(
-            Stage::Test,
-            test_compute + self.take_charges(&mut charges_ns),
-        );
+        let test_compute = sw.elapsed_ns();
+        let charges_ns = self
+            .tee
+            .as_mut()
+            .map_or(0, |tee| tee.enclave.charge_compute(test_compute));
+        stage_times.add(Stage::Test, test_compute + charges_ns);
 
         let ram_bytes = self.resident_bytes(bytes_in + bytes_out, merge_buffer_bytes);
         let sgx_overhead_ns = self
@@ -671,20 +724,17 @@ impl<M: Model> Node<M> {
         debug_assert!(self.epochs_run > 0 || link_rows.is_none());
         self.epochs_run += 1;
 
-        (
-            outgoing,
-            EpochReport {
-                stage_times,
-                sgx_overhead_ns,
-                ram_bytes,
-                rmse: rmse_value,
-                new_points,
-                bytes_out,
-                bytes_in,
-                commitment,
-                link_rows,
-            },
-        )
+        EpochReport {
+            stage_times,
+            sgx_overhead_ns,
+            ram_bytes,
+            rmse: rmse_value,
+            new_points,
+            bytes_out,
+            bytes_in,
+            commitment,
+            link_rows,
+        }
     }
 
     /// Moves accumulated charge-ns into the caller (attributing modeled SGX
@@ -766,6 +816,24 @@ mod tests {
         assert!(report.stage_times.get(Stage::Train) > 0);
         assert_eq!(report.sgx_overhead_ns, 0); // native
         assert!(report.bytes_out > 0);
+    }
+
+    #[test]
+    fn an_epoch_split_at_its_shares_is_the_epoch() {
+        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let (mut whole, mut split) = (mk_node(0, vec![1], c), mk_node(0, vec![1], c));
+        let mut peer = mk_node(1, vec![0], c);
+        for _ in 0..3 {
+            let (shares, _) = peer.epoch(Vec::new());
+            let (out, report) = whole.epoch(deliver(1, shares.clone()));
+            let (split_out, pending) = split.epoch_front(deliver(1, shares));
+            assert_eq!(split_out, out);
+            let split_report = split.epoch_back(pending);
+            assert_eq!(split_report.commitment, report.commitment);
+            assert_eq!(split_report.rmse, report.rmse);
+            assert_eq!(split_report.new_points, report.new_points);
+        }
+        assert_eq!(split.model().to_bytes(), whole.model().to_bytes());
     }
 
     #[test]
@@ -870,6 +938,39 @@ mod tests {
         let (_, report) = b.epoch(deliver(0, out_a));
         assert_eq!(report.new_points, ratings.len());
         assert_eq!(b.store().ratings(), ratings);
+    }
+
+    #[test]
+    fn a_model_outside_the_models_shape_is_dropped_not_merged() {
+        let c = cfg(SharingMode::Model, GossipAlgorithm::DPsgd);
+        let (honest, _) = mk_node(0, vec![1], c).epoch(Vec::new());
+        let hp = MfHyperParams::default();
+        let strays = [
+            MfModel::new(5, 20, hp, 3.5, 42),
+            MfModel::new(4, 21, hp, 3.5, 42),
+            MfModel::new(4, 20, MfHyperParams { k: 3, ..hp }, 3.5, 42),
+        ];
+        let mut inbox: Vec<Envelope> = strays
+            .iter()
+            .map(|m| {
+                let plain = Plain::Model {
+                    bytes: m.to_bytes(),
+                    degree: 1,
+                };
+                Envelope {
+                    from: 0,
+                    bytes: encode_payload(&Payload::Clear(encode_plain(&plain))),
+                }
+            })
+            .collect();
+        inbox.extend(deliver(0, honest.clone()));
+        // Every stray parses; merged, it trips the shape assertion.
+        let mut node = mk_empty_node(c);
+        node.epoch(inbox);
+        // What is left is exactly the honest model's merge.
+        let mut reference = mk_empty_node(c);
+        reference.epoch(deliver(0, honest));
+        assert_eq!(node.model().to_bytes(), reference.model().to_bytes());
     }
 
     #[test]
@@ -1181,25 +1282,45 @@ mod tests {
         assert_eq!(bytes, a.model().to_bytes());
     }
 
-    #[test]
-    fn a_recipient_without_a_session_gets_no_share() {
+    /// Puts `n` in an enclave with one attested session, with `peer`.
+    fn install_test_enclave(n: &mut Node<MfModel>, peer: usize) {
         use rand::SeedableRng;
         use rex_tee::dcap::DcapService;
         use rex_tee::measurement::{Measurement, REX_ENCLAVE_V1};
         use rex_tee::platform::SgxPlatform;
         use rex_tee::SgxCostModel;
+        let dcap = DcapService::new();
+        let platform = SgxPlatform::provision(0, &dcap, &mut StdRng::seed_from_u64(0xAB));
+        n.install_enclave(platform.create_enclave(REX_ENCLAVE_V1, SgxCostModel::default()));
+        n.install_session(
+            peer,
+            SecureSession::new([1; 32], [2; 32], true, Measurement::of_code(REX_ENCLAVE_V1)),
+        );
+    }
+
+    #[test]
+    fn a_clear_share_to_an_sgx_node_is_dropped_not_fatal() {
+        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let (clear, _) = mk_node(0, vec![1], c).epoch(Vec::new());
+        let mut n = mk_empty_node(c);
+        install_test_enclave(&mut n, 0);
+        // A clear share from the very peer it holds a session with: one
+        // frame must not crash the enclave, nor reach its store.
+        let (out, report) = n.epoch(deliver(0, clear));
+        assert_eq!(report.new_points, 0);
+        assert!(n.store().is_empty());
+        assert_eq!(out.len(), 1, "the epoch runs on and shares as usual");
+        assert!(matches!(decode_payload(&out[0].1), Ok(Payload::Sealed(_))));
+    }
+
+    #[test]
+    fn a_recipient_without_a_session_gets_no_share() {
         let mut n = mk_node(
             0,
             vec![1, 2],
             cfg(SharingMode::RawData, GossipAlgorithm::DPsgd),
         );
-        let dcap = DcapService::new();
-        let platform = SgxPlatform::provision(0, &dcap, &mut StdRng::seed_from_u64(0xAB));
-        n.install_enclave(platform.create_enclave(REX_ENCLAVE_V1, SgxCostModel::default()));
-        n.install_session(
-            2,
-            SecureSession::new([1; 32], [2; 32], true, Measurement::of_code(REX_ENCLAVE_V1)),
-        );
+        install_test_enclave(&mut n, 2);
         let (out, report) = n.epoch(Vec::new());
         assert_eq!(out.len(), 1, "only the attested recipient is sent to");
         assert_eq!(out[0].0, 2);
@@ -1209,23 +1330,12 @@ mod tests {
 
     #[test]
     fn a_bootstrap_for_a_peer_without_a_session_sends_nothing() {
-        use rand::SeedableRng;
-        use rex_tee::dcap::DcapService;
-        use rex_tee::measurement::{Measurement, REX_ENCLAVE_V1};
-        use rex_tee::platform::SgxPlatform;
-        use rex_tee::SgxCostModel;
         let mut n = mk_node(
             0,
             vec![1, 2],
             cfg(SharingMode::RawData, GossipAlgorithm::DPsgd),
         );
-        let dcap = DcapService::new();
-        let platform = SgxPlatform::provision(0, &dcap, &mut StdRng::seed_from_u64(0xAB));
-        n.install_enclave(platform.create_enclave(REX_ENCLAVE_V1, SgxCostModel::default()));
-        n.install_session(
-            2,
-            SecureSession::new([1; 32], [2; 32], true, Measurement::of_code(REX_ENCLAVE_V1)),
-        );
+        install_test_enclave(&mut n, 2);
         assert_eq!(n.bootstrap_for(1, 12), None, "no session with 1: dropped");
         let sealed = n
             .bootstrap_for(2, 12)

@@ -294,6 +294,19 @@ mod tests {
     use rex_ml::{MfHyperParams, MfModel};
     use rex_topology::TopologySpec;
 
+    /// Node `id` holding a local rating outside its model's shape: the
+    /// first SGD step of its first epoch indexes the tables with it and
+    /// panics.
+    fn stray_rating_node(id: usize) -> Node<MfModel> {
+        let model = MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1);
+        let stray = rex_data::Rating {
+            user: 99,
+            item: 99,
+            value: 3.0,
+        };
+        Node::builder(id, model).train(vec![stray]).build()
+    }
+
     fn tiny_fleet(n: usize) -> Vec<Node<MfModel>> {
         let ds = SyntheticConfig {
             num_users: (2 * n) as u32,
@@ -357,31 +370,16 @@ mod tests {
     #[test]
     fn worker_panic_is_reraised_by_the_driver_not_deadlocked() {
         let n = 4;
-        // Feed node 2 an inbox that makes MfModel::merge panic: a
-        // validly encoded model with incompatible dimensions.
-        use rex_ml::Model;
-        let alien = MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1).to_bytes();
-        let bytes = rex_net::codec::encode_payload(&rex_net::message::Payload::Clear(
-            rex_net::codec::encode_plain(&rex_net::message::Plain::Model {
-                bytes: alien,
-                degree: 1,
-            }),
-        ));
         for workers in [1, 2] {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                WorkStealPool::run(tiny_fleet(n), workers, |pool| {
-                    pool.load(
-                        2,
-                        vec![rex_net::mem::Envelope {
-                            from: 1,
-                            bytes: bytes.clone(),
-                        }],
-                    );
+                let mut fleet = tiny_fleet(n);
+                fleet[2] = stray_rating_node(2);
+                WorkStealPool::run(fleet, workers, |pool| {
                     let live: Vec<usize> = (0..n).collect();
                     pool.run_phase(&live);
                 });
             }))
-            .expect_err("incompatible merge must fail the run");
+            .expect_err("a panicking epoch must fail the run");
             let msg = panic_message(caught.as_ref());
             assert!(
                 msg.contains("node 2 epoch panicked"),

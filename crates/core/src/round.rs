@@ -2,24 +2,41 @@
 //!
 //! This is the loop a deployed `rex-node` process runs over its
 //! `TcpEndpoint`, the loop every thread of the in-process cluster runs,
-//! and the body of [`Driver::ThreadPerNode`](crate::engine::Driver): per
-//! epoch — membership view transition (when the epoch opens one), drain,
-//! round barrier, [`Node::epoch`], send, round barrier, audit drain,
-//! snapshot publish. Its single-owner counterpart over a whole
-//! `Transport` is `Engine::run_rounds`; the two are held bit-identical by
-//! the golden suites, and both apply a view change through the one
-//! `apply_transition` here.
+//! and the body of [`Driver::ThreadPerNode`](crate::engine::Driver). Per
+//! epoch: membership view transition (when the epoch opens one), recv,
+//! then two **split-phase** barriers with the node's compute in their
+//! gaps —
+//!
+//! ```text
+//! recv → arrive(drain) → front → wait(drain) → send
+//!      → arrive(round) → back  → wait(round) → audit drain, publish
+//! ```
+//!
+//! The front ([`Node::epoch_front`]: merge → train → share) reads only
+//! the inbox already drained, and the back ([`Node::epoch_back`]: test →
+//! commit) reads only the node's own model, so neither needs the barrier
+//! it overlaps: a wait costs only what is left of it once the compute is
+//! done. Sends still happen only after the drain wait, so no epoch-`e`
+//! share can land in a slow peer's epoch-`e` inbox. Under a broadcasting
+//! audit the back runs before the round arrive instead, so the
+//! commitment frame travels ahead of the token. Its single-owner
+//! counterpart over a whole `Transport` is `Engine::run_rounds`, which
+//! calls [`Node::epoch`] (front then back); the two are held
+//! bit-identical by the golden suites, and both apply a view change
+//! through the one `apply_transition` here.
 //!
 //! [`run_node_loop_async`] is the bounded-staleness sibling: no barriers,
-//! real arrival timing. It shares the loop's tail — execute → send →
-//! commit, then audit drain → publish → report — and nothing else.
+//! real arrival timing, and the epoch unsplit: front → send → back, then
+//! audit drain → publish → report. It shares those helpers and nothing
+//! else.
 //!
 //! A new barrier or queue counter belongs here (and a new stage span in
-//! [`Node::epoch`]); no other file runs a node's epoch.
+//! [`Node::epoch_front`] or [`Node::epoch_back`]); no other file runs a
+//! node's epoch.
 
 use crate::commitment::{EpochCommitment, TagVerifier};
 use crate::membership::{MembershipView, ViewTransition};
-use crate::node::{EpochReport, Node};
+use crate::node::{EpochReport, Node, PendingEpoch};
 use crate::serve::SnapshotQueue;
 use crate::setup::TeeDirectory;
 use rex_ml::Model;
@@ -28,7 +45,7 @@ use rex_net::fault::FaultPlan;
 use rex_net::mem::Envelope;
 use rex_net::message::Payload;
 use rex_net::stats::DeliveryStats;
-use rex_net::transport::{Endpoint, TransportError};
+use rex_net::transport::{BarrierKind, Endpoint, TransportError};
 use rex_tee::attestation::AttestationMsg;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -215,24 +232,27 @@ pub(crate) fn apply_transition<M: Model>(
     Ok(())
 }
 
-/// The front half of the tail both loops share — execute → send →
-/// commit: runs the node's epoch on `inbox`, hands its shares to the
-/// endpoint and, under a broadcasting audit, its signed commitment. The
+/// Hands an epoch's shares to the endpoint.
+fn send_shares<E: Endpoint>(endpoint: &mut E, outgoing: Vec<(usize, Vec<u8>)>) {
+    for (dest, bytes) in outgoing {
+        endpoint.send(dest, bytes);
+    }
+}
+
+/// Finishes an epoch whose shares are sent: runs its back and, under a
+/// broadcasting audit, hands the endpoint its signed commitment. The
 /// commitment is keyed by the node's `chain_index` (its executed-epoch
 /// count, which is what the HMAC tag binds) and rides the control plane
 /// behind the shares; per-link FIFO lands it before the peers' round
 /// barrier completes.
-fn execute<M: Model, E: Endpoint>(
+fn finish<M: Model, E: Endpoint>(
     node: &mut Node<M>,
     endpoint: &mut E,
-    inbox: Vec<Envelope>,
+    pending: PendingEpoch,
     chain_index: u64,
     audit: Option<WireAudit>,
 ) -> EpochReport {
-    let (outgoing, report) = node.epoch(inbox);
-    for (dest, bytes) in outgoing {
-        endpoint.send(dest, bytes);
-    }
+    let report = node.epoch_back(pending);
     if audit.is_some_and(|a| a.broadcast) {
         endpoint.send_commitment(chain_index, report.commitment.digest, report.commitment.tag);
     }
@@ -256,7 +276,7 @@ impl AuditDrain {
     }
 }
 
-/// The back half, once the epoch's sends are on their way (barrier or
+/// The loop's tail, once the epoch's sends are on their way (barrier or
 /// flush): drain the peers' commitments — HMAC-checking each against the
 /// sender's derived key when the audit verifies; a bad tag means a forged
 /// frame or diverged key material and stops the run — publish the
@@ -327,8 +347,8 @@ pub fn run_node_loop<M: Model, E: Endpoint>(
     let barrier_err = |what: &'static str, epoch: usize| {
         move |e: TransportError| format!("node {id}: {what} at epoch {epoch}: {e}")
     };
-    // Mirrors the node's internal chain index: `Node::epoch` is called
-    // exactly once per executed epoch.
+    // Mirrors the node's internal chain index: `Node::epoch_back` is
+    // called exactly once per executed epoch.
     let mut executed: u64 = 0;
     let mut drain = AuditDrain::new(ctx.audit);
     for epoch in epochs {
@@ -365,19 +385,34 @@ pub fn run_node_loop<M: Model, E: Endpoint>(
         let inbox = endpoint.recv();
         let runs = member && !ctx.faults.is_some_and(|p| p.is_down(id, epoch));
         // Everyone drains before anyone sends, so a fast peer's epoch-e
-        // message cannot land in a slow node's epoch-e inbox. Barrier
-        // only: fault wrappers release held messages at the post-send
-        // barrier, where the fabric loop's `flush` releases them.
+        // message cannot land in a slow node's epoch-e inbox. The front
+        // reads only the inbox drained above, so it runs in the drain
+        // barrier's gap. A node sitting the round out discards its inbox.
+        endpoint.arrive(BarrierKind::Drain);
+        let front = runs.then(|| node.epoch_front(inbox));
         endpoint
-            .try_drain_barrier()
+            .wait(BarrierKind::Drain)
             .map_err(barrier_err("drain barrier", epoch))?;
-        // A node sitting the round out discards its inbox.
-        let report = runs.then(|| execute(node, endpoint, inbox, executed, ctx.audit));
-        executed += u64::from(runs);
+        let mut pending = front.map(|(outgoing, pending)| {
+            send_shares(endpoint, outgoing);
+            pending
+        });
+        // A broadcast commitment must travel ahead of the round token, so
+        // under a broadcasting audit the back cannot wait for the gap.
+        let mut report = None;
+        if ctx.audit.is_some_and(|a| a.broadcast) {
+            report = pending
+                .take()
+                .map(|p| finish(node, endpoint, p, executed, ctx.audit));
+        }
         // All of this epoch's sends are delivered before anyone drains
-        // the next inbox.
+        // the next inbox. The back reads only the node's own model, so
+        // it runs in the round barrier's gap.
+        endpoint.arrive(BarrierKind::Round);
+        let report = report.or_else(|| pending.map(|p| node.epoch_back(p)));
+        executed += u64::from(runs);
         endpoint
-            .try_sync()
+            .wait(BarrierKind::Round)
             .map_err(barrier_err("round barrier", epoch))?;
         let serve = ctx.serve.filter(|_| member);
         conclude(
@@ -488,7 +523,9 @@ pub fn run_node_loop_async<M: Model, E: Endpoint>(
                 inbox.push(Envelope { from: s, bytes });
             }
         }
-        let report = execute(node, endpoint, inbox, epoch as u64, audit);
+        let (outgoing, pending) = node.epoch_front(inbox);
+        send_shares(endpoint, outgoing);
+        let report = finish(node, endpoint, pending, epoch as u64, audit);
         // Push the staged frames onto the wire without waiting for
         // anyone: flush is the only synchronous part of the round.
         endpoint

@@ -39,7 +39,7 @@
 //! top-k item; pruning only ever skips work, never changes answers.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use rex_ml::bytesio::{ByteSink, Fnv1a64};
@@ -524,6 +524,14 @@ impl<M> SnapshotQueue<M> {
         }
     }
 
+    /// The queue state, recovered when a thread panicked holding the
+    /// lock: every critical section is one push, pop or flag write, so
+    /// an abandoned guard still leaves a consistent queue, and a client
+    /// thread's panic must not take the trainer down with it.
+    fn state(&self) -> MutexGuard<'_, QueueState<M>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether snapshots on this queue carry a digest the consumer must
     /// recompute and compare. The one posture both ends read.
     #[must_use]
@@ -534,7 +542,7 @@ impl<M> SnapshotQueue<M> {
     /// Publishes a snapshot. Publishing to a closed queue is a no-op
     /// (the consumer has already detached).
     pub fn publish(&self, snap: ModelSnapshot<M>) {
-        let mut state = self.inner.lock().expect("snapshot queue poisoned");
+        let mut state = self.state();
         if !state.closed {
             state.queue.push_back(snap);
             self.cv.notify_one();
@@ -564,7 +572,7 @@ impl<M> SnapshotQueue<M> {
     /// Closes the queue: consumers drain what is buffered, then see
     /// end-of-stream. Idempotent.
     pub fn close(&self) {
-        let mut state = self.inner.lock().expect("snapshot queue poisoned");
+        let mut state = self.state();
         state.closed = true;
         self.cv.notify_all();
     }
@@ -576,7 +584,7 @@ impl<M> SnapshotQueue<M> {
     /// * `Err(_)` — nothing arrived within `timeout` (the queue stays
     ///   usable; callers treat this as a stuck-trainer diagnostic).
     pub fn pop_wait(&self, timeout: Duration) -> Result<Option<ModelSnapshot<M>>, String> {
-        let mut state = self.inner.lock().expect("snapshot queue poisoned");
+        let mut state = self.state();
         loop {
             if let Some(snap) = state.queue.pop_front() {
                 return Ok(Some(snap));
@@ -587,7 +595,7 @@ impl<M> SnapshotQueue<M> {
             let (next, res) = self
                 .cv
                 .wait_timeout(state, timeout)
-                .expect("snapshot queue poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             state = next;
             if res.timed_out() && state.queue.is_empty() && !state.closed {
                 return Err(format!(
@@ -600,11 +608,7 @@ impl<M> SnapshotQueue<M> {
     /// Snapshots currently buffered (unconsumed).
     #[must_use]
     pub fn backlog(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("snapshot queue poisoned")
-            .queue
-            .len()
+        self.state().queue.len()
     }
 }
 
@@ -771,6 +775,33 @@ mod tests {
             digest: 9,
         });
         assert!(q.pop_wait(Duration::from_millis(10)).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_lock_poisoned_by_a_panicked_thread_does_not_stop_the_queue() {
+        let q: SnapshotQueue<MfModel> = SnapshotQueue::new();
+        let m = Arc::new(trained_model(1, 4, 16, 50));
+        q.publish_model(0, Arc::clone(&m));
+        std::thread::scope(|scope| {
+            let panicked = scope.spawn(|| {
+                let _guard = q.inner.lock().unwrap();
+                panic!("client thread dies holding the queue lock");
+            });
+            assert!(panicked.join().is_err());
+        });
+        assert!(q.inner.is_poisoned());
+        q.publish_model(1, Arc::clone(&m));
+        assert_eq!(q.backlog(), 2);
+        let epoch =
+            |q: &SnapshotQueue<MfModel>| q.pop_wait(Duration::ZERO).unwrap().map(|s| s.epoch);
+        assert_eq!(epoch(&q), Some(0));
+        assert_eq!(epoch(&q), Some(1));
+        assert!(
+            q.pop_wait(Duration::from_millis(10)).is_err(),
+            "empty, still open"
+        );
+        q.close();
+        assert_eq!(epoch(&q), None);
     }
 
     #[test]

@@ -305,13 +305,7 @@ impl DnnModel {
     }
 
     fn check_compatible(&self, other: &Self) {
-        assert!(
-            self.num_users == other.num_users
-                && self.num_items == other.num_items
-                && self.hp.k == other.hp.k
-                && self.hp.hidden == other.hp.hidden,
-            "merging incompatible DNN models"
-        );
+        assert!(self.same_shape(other), "merging incompatible DNN models");
     }
 }
 
@@ -335,6 +329,13 @@ impl Model for DnnModel {
 
     fn covers(&self, user: u32, item: u32) -> bool {
         user < self.num_users && item < self.num_items
+    }
+
+    fn same_shape(&self, other: &Self) -> bool {
+        self.num_users == other.num_users
+            && self.num_items == other.num_items
+            && self.hp.k == other.hp.k
+            && self.hp.hidden == other.hp.hidden
     }
 
     fn predict(&self, user: u32, item: u32) -> f32 {

@@ -547,9 +547,7 @@ impl MfModel {
 
     fn check_compatible(&self, other: &Self) {
         assert!(
-            self.num_users == other.num_users
-                && self.num_items == other.num_items
-                && self.hp.k == other.hp.k,
+            self.same_shape(other),
             "merging incompatible MF models ({}x{} k={} vs {}x{} k={})",
             self.num_users,
             self.num_items,
@@ -804,6 +802,12 @@ impl Model for MfModel {
 
     fn covers(&self, user: u32, item: u32) -> bool {
         user < self.num_users && item < self.num_items
+    }
+
+    fn same_shape(&self, other: &Self) -> bool {
+        self.num_users == other.num_users
+            && self.num_items == other.num_items
+            && self.hp.k == other.hp.k
     }
 
     fn predict(&self, user: u32, item: u32) -> f32 {

@@ -74,6 +74,13 @@ pub trait Model: Clone + Send + Sync + 'static {
     /// with them unchecked by anything but the slice bounds (a panic).
     fn covers(&self, user: u32, item: u32) -> bool;
 
+    /// Whether `other` has this model's shape — dimensions and every
+    /// hyper-parameter that sizes a table — so [`Model::merge`] can take
+    /// it as a contribution. A model decoded off the wire has whatever
+    /// shape the sender wrote; the protocol layer merges only those of
+    /// its own shape, because `merge` asserts it.
+    fn same_shape(&self, other: &Self) -> bool;
+
     /// Predicts the rating of `user` for `item`, clamped to the valid
     /// rating range. Falls back to bias terms / global mean for users or
     /// items this model has never seen.

@@ -11,7 +11,7 @@
 
 use crate::mem::Envelope;
 use crate::stats::TrafficStats;
-use crate::transport::{canonicalize, Endpoint, Transport, TransportError};
+use crate::transport::{canonicalize, BarrierKind, Endpoint, Transport, TransportError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -189,9 +189,10 @@ impl Endpoint for ChannelEndpoint {
         inbox
     }
 
-    fn try_sync(&mut self) -> Result<(), TransportError> {
-        // Channel sends are visible as soon as they return, so the
-        // rendezvous alone makes every pre-barrier send receivable.
+    fn wait(&mut self, _kind: BarrierKind) -> Result<(), TransportError> {
+        // Channel sends are visible as soon as they return, so arriving
+        // is a no-op and the rendezvous alone makes every pre-arrival
+        // send receivable.
         self.barrier.wait(self.senders.len())
     }
 

@@ -56,7 +56,7 @@
 
 use crate::mem::Envelope;
 use crate::stats::{DeliveryStats, TrafficStats};
-use crate::transport::{Endpoint, Transport};
+use crate::transport::{BarrierKind, Endpoint, Transport};
 use rex_crypto::splitmix64;
 
 /// Per-link fault rates, each a probability in `[0, 1]`.
@@ -458,8 +458,9 @@ impl Injector {
     }
 
     /// Releases held messages at a round boundary (wrapper `flush` /
-    /// `try_sync`, *before* the inner barrier): all reordered messages of
-    /// this round, plus delayed messages whose release round arrived.
+    /// round-barrier `arrive`, *before* the inner token): all reordered
+    /// messages of this round, plus delayed messages whose release round
+    /// arrived.
     fn release(&mut self, forward: &mut impl FnMut(usize, usize, Vec<u8>)) {
         let Some(epoch) = self.epoch else { return };
         for held in self.reordered.drain(..) {
@@ -646,12 +647,21 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         self.inner.recv()
     }
 
-    fn try_sync(&mut self) -> Result<(), crate::transport::TransportError> {
-        // The release point: held messages go out before the inner
-        // barrier, exactly where the fabric wrapper's `flush` releases.
-        let inner = &mut self.inner;
-        self.inj.release(&mut |_, t, b| inner.send(t, b));
-        self.inner.try_sync()
+    fn arrive(&mut self, kind: BarrierKind) {
+        // The release point is the round barrier's arrive: held messages
+        // go out ahead of the inner token, exactly where the fabric
+        // wrapper's `flush` releases. The drain barrier releases nothing:
+        // releasing there would both reorder held messages ahead of the
+        // epoch's normal sends and race slow peers' current-epoch drain.
+        if kind == BarrierKind::Round {
+            let inner = &mut self.inner;
+            self.inj.release(&mut |_, t, b| inner.send(t, b));
+        }
+        self.inner.arrive(kind);
+    }
+
+    fn wait(&mut self, kind: BarrierKind) -> Result<(), crate::transport::TransportError> {
+        self.inner.wait(kind)
     }
 
     fn view_sync(
@@ -674,16 +684,6 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
 
     fn join_evidence(&mut self, peer: usize) -> Option<Vec<u8>> {
         self.inner.join_evidence(peer)
-    }
-
-    fn try_drain_barrier(&mut self) -> Result<(), crate::transport::TransportError> {
-        // Barrier only — no release. The per-node loop runs a round
-        // barrier *before* sending too; releasing held messages there
-        // would both reorder them ahead of the epoch's normal sends and
-        // race slow peers' current-epoch drain. Held messages go out
-        // exclusively at the post-send `try_sync`, exactly where the
-        // fabric loop releases them.
-        self.inner.try_sync()
     }
 
     fn epoch_begin(&mut self, epoch: usize) {

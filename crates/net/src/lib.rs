@@ -55,4 +55,6 @@ pub use mem::{Envelope, MemNetwork};
 pub use message::{Payload, Plain};
 pub use stats::{DeliveryStats, TrafficStats};
 pub use tcp::TcpTransport;
-pub use transport::{Clock, Endpoint, PeerCommitment, Transport, TransportError, WallClock};
+pub use transport::{
+    BarrierKind, Clock, Endpoint, PeerCommitment, Transport, TransportError, WallClock,
+};

@@ -67,7 +67,9 @@ use crate::frame::{encode_frame_into, read_frame, write_frame, Frame, FrameError
 use crate::mem::Envelope;
 use crate::reactor::{Reactor, ReactorSink};
 use crate::stats::TrafficStats;
-use crate::transport::{canonicalize, Endpoint, PeerCommitment, Transport, TransportError};
+use crate::transport::{
+    canonicalize, BarrierKind, Endpoint, PeerCommitment, Transport, TransportError,
+};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -1082,8 +1084,11 @@ impl Endpoint for TcpEndpoint {
         }
     }
 
-    fn try_sync(&mut self) -> Result<(), TransportError> {
+    fn arrive(&mut self, _kind: BarrierKind) {
         self.sync_begin();
+    }
+
+    fn wait(&mut self, _kind: BarrierKind) -> Result<(), TransportError> {
         self.sync_wait()
     }
 
@@ -1420,6 +1425,12 @@ mod tests {
     use super::*;
     use crate::frame::encode_frame;
 
+    /// The round loop's drain barrier, with nothing in its gap.
+    fn drain_barrier(ep: &mut TcpEndpoint) {
+        ep.arrive(BarrierKind::Drain);
+        ep.wait(BarrierKind::Drain).unwrap();
+    }
+
     #[test]
     fn loopback_delivery_canonical_order_and_stats() {
         let mut net = TcpTransport::loopback(3).unwrap();
@@ -1558,7 +1569,7 @@ mod tests {
                         .unwrap();
                 // Epoch 0: one round between the founders only.
                 assert!(Endpoint::recv(&mut ep).is_empty());
-                ep.try_drain_barrier().unwrap();
+                drain_barrier(&mut ep);
                 Endpoint::send(&mut ep, 1 - id, vec![id as u8]);
                 ep.try_sync().unwrap();
 
@@ -1569,7 +1580,7 @@ mod tests {
                 assert!(ep.join_evidence(2).is_none(), "evidence drains");
                 ep.try_sync().unwrap();
                 assert_eq!(Endpoint::recv(&mut ep).len(), 1, "epoch-0 round");
-                ep.try_drain_barrier().unwrap();
+                drain_barrier(&mut ep);
                 Endpoint::send(&mut ep, 2, vec![10 + id as u8]);
                 ep.try_sync().unwrap();
 
@@ -1583,7 +1594,7 @@ mod tests {
                 let from_joiner = Endpoint::recv(&mut ep);
                 assert_eq!(from_joiner.len(), 1);
                 assert_eq!(from_joiner[0].from, 2);
-                ep.try_drain_barrier().unwrap();
+                drain_barrier(&mut ep);
                 Endpoint::send(&mut ep, 2, vec![99]);
                 ep.try_sync().unwrap();
                 ep.stats()
@@ -1608,7 +1619,7 @@ mod tests {
                 // Epoch 1, from the view barrier onward.
                 ep.try_sync().unwrap();
                 assert!(Endpoint::recv(&mut ep).is_empty());
-                ep.try_drain_barrier().unwrap();
+                drain_barrier(&mut ep);
                 Endpoint::send(&mut ep, 0, vec![42]);
                 Endpoint::send(&mut ep, 1, vec![42]);
                 ep.try_sync().unwrap();
@@ -1619,7 +1630,7 @@ mod tests {
                 let inbox = Endpoint::recv(&mut ep);
                 let got: Vec<(usize, u8)> = inbox.iter().map(|e| (e.from, e.bytes[0])).collect();
                 assert_eq!(got, vec![(0, 10), (1, 11)]);
-                ep.try_drain_barrier().unwrap();
+                drain_barrier(&mut ep);
                 ep.try_sync().unwrap();
 
                 // Epoch 3 drain: node 1's epoch-2 message.

@@ -191,6 +191,20 @@ pub trait Transport {
     fn into_endpoints(self) -> Option<Vec<Self::Endpoint>>;
 }
 
+/// Which of the per-node round loop's two barriers an
+/// [`Endpoint::arrive`] / [`Endpoint::wait`] pair is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BarrierKind {
+    /// Between draining and sending: once it completes, every endpoint
+    /// has drained the epoch's inbox, so no epoch-`e` send can land in a
+    /// slow peer's epoch-`e` inbox. Barrier only — nothing held is
+    /// released here.
+    Drain,
+    /// After sending: once it completes, every message of the round is
+    /// in its destination mailbox. The fault wrappers' release point.
+    Round,
+}
+
 /// One node's handle onto a [`Transport`] fabric, movable to that node's
 /// thread. Same delivery contract as the fabric view.
 pub trait Endpoint: Send {
@@ -228,24 +242,37 @@ pub trait Endpoint: Send {
         Ok(())
     }
 
-    /// Round barrier: returns once every endpoint of the fabric has
-    /// entered its own `try_sync` of this round **and** every message any
-    /// of them sent before doing so sits in its destination mailbox, so
-    /// the next `recv` is complete and deterministic. Channels rendezvous
-    /// in memory; TCP exchanges barrier tokens behind the staged frames.
-    /// A dead peer, a protocol violation or a timed-out round surfaces as
-    /// a [`TransportError`] — never as a hang — and the caller decides
-    /// whether that panics (the engine) or exits cleanly (`rex-node`).
-    fn try_sync(&mut self) -> Result<(), TransportError>;
+    /// Phase one of a barrier: records that this endpoint reached it and
+    /// returns without waiting for anyone. Every message this endpoint
+    /// sent before `arrive` is covered by the barrier; the caller may
+    /// compute between `arrive` and [`Endpoint::wait`], but sends nothing
+    /// there (what it sends in the gap may land on either side). TCP
+    /// stages the barrier token behind the data frames and pushes both
+    /// out here; fabrics whose rendezvous is all in `wait` (channels)
+    /// keep the default no-op. Layers that act at a barrier's position
+    /// act here: the fault wrappers release held messages at the
+    /// [`BarrierKind::Round`] arrive, ahead of the inner token.
+    fn arrive(&mut self, kind: BarrierKind) {
+        let _ = kind;
+    }
 
-    /// Pre-send round barrier, for the position *between draining and
-    /// sending* in the per-node loop. The same barrier as
-    /// [`Endpoint::try_sync`] on plain endpoints; layers with
-    /// send-position-dependent behaviour (the fault wrappers, which
-    /// release held messages only at the post-send barrier) override it
-    /// to a barrier-only operation.
-    fn try_drain_barrier(&mut self) -> Result<(), TransportError> {
-        self.try_sync()
+    /// Phase two of a barrier: returns once every endpoint of the fabric
+    /// has arrived at this barrier **and** every message any of them
+    /// sent before arriving sits in its destination mailbox, so the next
+    /// `recv` is complete and deterministic. Pairs with exactly one
+    /// [`Endpoint::arrive`] of the same kind. Channels rendezvous in
+    /// memory; TCP waits for every peer's token. A dead peer, a protocol
+    /// violation or a timed-out round surfaces as a [`TransportError`] —
+    /// never as a hang — and the caller decides whether that panics (the
+    /// engine) or exits cleanly (`rex-node`).
+    fn wait(&mut self, kind: BarrierKind) -> Result<(), TransportError>;
+
+    /// A whole round barrier with no work in its gap:
+    /// [`Endpoint::arrive`] then [`Endpoint::wait`], both
+    /// [`BarrierKind::Round`].
+    fn try_sync(&mut self) -> Result<(), TransportError> {
+        self.arrive(BarrierKind::Round);
+        self.wait(BarrierKind::Round)
     }
 
     /// Membership view-synchronization hook, called by the deployed
@@ -331,7 +358,7 @@ impl Endpoint for NeverEndpoint {
     fn recv(&mut self) -> Vec<Envelope> {
         match *self {}
     }
-    fn try_sync(&mut self) -> Result<(), TransportError> {
+    fn wait(&mut self, _kind: BarrierKind) -> Result<(), TransportError> {
         match *self {}
     }
     fn stats(&self) -> TrafficStats {
@@ -420,36 +447,74 @@ mod tests {
         assert_eq!(order, vec![(0, 2), (1, 4), (2, 1), (2, 3)]);
     }
 
-    /// The [`Endpoint`] barrier contract, on three threads. Node 0 is late
-    /// (the sleep makes a barrier that does not wait fail, it is not what
-    /// makes a correct one pass): its message, sent before its own
-    /// barrier, must be in node 1's `recv` after node 1's barrier.
-    /// `holds` says the fabric holds every message until its release
-    /// point: then the drain barrier must deliver nothing and the round
-    /// barrier everything.
+    /// A whole barrier of `kind`, with nothing in its gap.
+    fn barrier<E: Endpoint>(ep: &mut E, kind: BarrierKind) {
+        ep.arrive(kind);
+        ep.wait(kind).unwrap();
+    }
+
+    /// The [`Endpoint`] barrier contract, on three threads, in two parts.
+    ///
+    /// Whole barriers: node 0 is late (the sleep makes a barrier that
+    /// does not wait fail, it is not what makes a correct one pass): its
+    /// message, sent before its own barrier, must be in node 1's `recv`
+    /// after node 1's barrier. `holds` says the fabric holds every
+    /// message until its release point: then the drain barrier must
+    /// deliver nothing and the round barrier everything.
+    ///
+    /// Split barriers: two rounds of the per-node loop's shape — recv →
+    /// arrive(drain) → wait(drain) → send to both peers → arrive(round)
+    /// → wait(round) — with node 0 working between its drain arrive and
+    /// wait (a fast peer's message of the round lands meanwhile and must
+    /// wait for the next `recv`), and node 2 working between its round
+    /// arrive and wait (what it sent before arriving must reach peers
+    /// that are already past their wait). Each round's `recv` must hold
+    /// exactly the previous round's messages.
     fn barrier_contract<E: Endpoint + 'static>(endpoints: Vec<E>, holds: bool) {
         assert_eq!(endpoints.len(), 3);
+        let work = || std::thread::sleep(std::time::Duration::from_millis(40));
         let handles: Vec<_> = endpoints
             .into_iter()
             .map(|mut ep| {
                 std::thread::spawn(move || {
+                    let id = ep.id();
                     ep.epoch_begin(0);
-                    if ep.id() == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(40));
+                    if id == 0 {
+                        work();
                         ep.send(1, vec![7]);
                     }
-                    ep.try_drain_barrier().unwrap();
+                    barrier(&mut ep, BarrierKind::Drain);
                     let after_drain = ep.recv();
                     // Everyone has looked before anyone's round barrier
                     // releases what it holds.
-                    ep.try_drain_barrier().unwrap();
+                    barrier(&mut ep, BarrierKind::Drain);
                     ep.try_sync().unwrap();
-                    (ep.id(), after_drain, ep.recv())
+                    let after_sync = ep.recv();
+                    let mut rounds = Vec::new();
+                    for round in 1..=2u8 {
+                        ep.epoch_begin(usize::from(round));
+                        rounds.push(ep.recv());
+                        ep.arrive(BarrierKind::Drain);
+                        if id == 0 {
+                            work();
+                        }
+                        ep.wait(BarrierKind::Drain).unwrap();
+                        for to in (0..3).filter(|&to| to != id) {
+                            ep.send(to, vec![round, id as u8]);
+                        }
+                        ep.arrive(BarrierKind::Round);
+                        if id == 2 {
+                            work();
+                        }
+                        ep.wait(BarrierKind::Round).unwrap();
+                    }
+                    rounds.push(ep.recv());
+                    (id, after_drain, after_sync, rounds)
                 })
             })
             .collect();
         for handle in handles {
-            let (id, after_drain, after_sync) = handle.join().unwrap();
+            let (id, after_drain, after_sync, rounds) = handle.join().unwrap();
             let bytes = |inbox: &[Envelope]| -> Vec<(usize, Vec<u8>)> {
                 inbox.iter().map(|e| (e.from, e.bytes.clone())).collect()
             };
@@ -460,6 +525,16 @@ mod tests {
             };
             assert_eq!(bytes(&after_drain), want_drain, "node {id} after drain");
             assert_eq!(bytes(&after_sync), want_sync, "node {id} after sync");
+            assert_eq!(rounds.len(), 3);
+            assert!(rounds[0].is_empty(), "node {id} before the split rounds");
+            for round in 1..=2u8 {
+                let want: Vec<(usize, Vec<u8>)> = (0..3usize)
+                    .filter(|&from| from != id)
+                    .map(|from| (from, vec![round, from as u8]))
+                    .collect();
+                let got = bytes(&rounds[usize::from(round)]);
+                assert_eq!(got, want, "node {id} after split round {round}");
+            }
         }
     }
 
@@ -487,7 +562,8 @@ mod tests {
                 ..LinkFaults::default()
             },
         );
-        barrier_contract(faulty(ChannelTransport::new(3), held), true);
+        barrier_contract(faulty(ChannelTransport::new(3), held.clone()), true);
+        barrier_contract(faulty(tcp(), held), true);
     }
 
     #[test]

@@ -1294,4 +1294,90 @@ mod tests {
             assert_eq!(summary, reference[summary.id]);
         }
     }
+
+    /// The deployed loop over real sockets in the shape the repo
+    /// benchmark's `rex-raw` workload runs (2 nodes, dense raw shares,
+    /// SGX): every node-epoch costs exactly two write syscalls — the
+    /// drain barrier's token, then the shares with the round token
+    /// behind them — and the per-epoch outcomes are the engine's.
+    #[test]
+    fn two_node_tcp_loop_writes_twice_per_epoch_and_matches_the_engine() {
+        use rex_core::commitment::aggregate_root;
+        use rex_core::config::ExecutionMode;
+        use rex_core::engine::{Driver, Engine, EngineConfig, TimeAxis};
+        let cfg = ClusterConfig {
+            sgx: true,
+            epochs: 12,
+            ..tiny_cfg(2)
+        };
+        let mut fleet = build_fleet(&cfg);
+        let (_, dir) = replay_setup(&cfg, &mut fleet);
+        let endpoints = TcpTransport::loopback(2).unwrap().into_endpoints().unwrap();
+        let runs: Vec<(Vec<EpochOutcome>, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = fleet
+                .into_iter()
+                .zip(endpoints)
+                .map(|(mut node, mut endpoint)| {
+                    let (cfg, dir) = (&cfg, dir.as_ref());
+                    scope.spawn(move || {
+                        let trace = run_node_loop(
+                            &mut node,
+                            &mut endpoint,
+                            cfg.epochs,
+                            0,
+                            None,
+                            None,
+                            dir,
+                            None,
+                            None,
+                            |_, _| {},
+                        )
+                        .unwrap();
+                        (trace, endpoint.write_syscalls())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (id, (_, writes)) in runs.iter().enumerate() {
+            assert_eq!(*writes, 2 * cfg.epochs as u64, "node {id}");
+        }
+
+        let mut nodes = build_fleet(&cfg);
+        let result = Engine::<MfModel, MemNetwork>::new(
+            MemNetwork::new(2),
+            EngineConfig {
+                epochs: cfg.epochs,
+                execution: ExecutionMode::Sgx(SgxCostModel::default()),
+                time: TimeAxis::Wall,
+                driver: Driver::Lockstep,
+                processes_per_platform: cfg.processes_per_platform,
+                seed: cfg.infra_seed,
+                faults: None,
+                membership: None,
+            },
+        )
+        .run("tcp-loop-reference", &mut nodes);
+        assert_eq!(result.trace.records.len(), cfg.epochs);
+        for (epoch, record) in result.trace.records.iter().enumerate() {
+            let outcomes: Vec<EpochOutcome> = runs.iter().map(|(t, _)| t[epoch]).collect();
+            // The engine's fold: node order, live nodes only.
+            let rmses: Vec<f64> = outcomes
+                .iter()
+                .filter_map(|o| o.rmse_bits.map(f64::from_bits))
+                .collect();
+            let mean = rmses.iter().sum::<f64>() / rmses.len() as f64;
+            assert_eq!(mean.to_bits(), record.rmse.to_bits(), "epoch {epoch}");
+            let commitments: Vec<(usize, EpochCommitment)> = outcomes
+                .iter()
+                .enumerate()
+                .map(|(id, o)| (id, o.commitment.expect("every epoch executes")))
+                .collect();
+            assert_eq!(
+                aggregate_root(&commitments),
+                record.commitment_root,
+                "epoch {epoch}"
+            );
+        }
+    }
 }
