@@ -7,7 +7,7 @@ pub struct BenchArgs {
     /// Run the paper-scale configuration instead of the quick one.
     pub full: bool,
     /// Run real-thread arms over the TCP loopback transport instead of
-    /// in-process channels (where the binary supports it).
+    /// the split in-memory fabric (where the binary supports it).
     pub tcp: bool,
     /// Override the epoch budget.
     pub epochs: Option<usize>,

@@ -157,18 +157,20 @@ fn race(
     cfg: impl Fn(Driver) -> EngineConfig,
 ) -> [(f64, EngineResult); 2] {
     let cfg = &cfg;
-    let mut arms: Vec<Arm<'_, (f64, EngineResult)>> =
-        [Driver::Lockstep, Driver::WorkSteal { workers: 0 }]
-            .into_iter()
-            .map(|driver| {
-                Box::new(move || {
-                    let mut nodes = scale_fleet(n);
-                    let start = Instant::now();
-                    let result = run_mem(&mut nodes, cfg(driver));
-                    (start.elapsed().as_secs_f64(), result)
-                }) as Arm<'_, _>
-            })
-            .collect();
+    let mut arms: Vec<Arm<'_, (f64, EngineResult)>> = [
+        Driver::WorkSteal { workers: 1 },
+        Driver::WorkSteal { workers: 0 },
+    ]
+    .into_iter()
+    .map(|driver| {
+        Box::new(move || {
+            let mut nodes = scale_fleet(n);
+            let start = Instant::now();
+            let result = run_mem(&mut nodes, cfg(driver));
+            (start.elapsed().as_secs_f64(), result)
+        }) as Arm<'_, _>
+    })
+    .collect();
     let windows = harness::rotate(label, reps, &mut arms);
     let bits: Vec<String> = windows
         .iter()
@@ -283,7 +285,10 @@ fn run_shard_arm(
     );
     let setup_secs = setup.elapsed().as_secs_f64();
     let start = Instant::now();
-    let result = run_mem(&mut nodes, engine_config(epochs, Driver::Lockstep));
+    let result = run_mem(
+        &mut nodes,
+        engine_config(epochs, Driver::WorkSteal { workers: 1 }),
+    );
     let secs = start.elapsed().as_secs_f64();
     let last = result.trace.records.last().expect("shard arm ran epochs");
     let ram_per_user = last.ram_bytes / f64::from(users_per_node);
@@ -435,8 +440,7 @@ fn run_async_arm(split: &TrainTestSplit, bounded: bool, delay: Duration) -> (f64
     establish_tee(&mut nodes, &mut setup, SgxCostModel::default(), 1, 0xE0);
     let endpoints = TcpTransport::loopback(ASYNC_NODES)
         .expect("loopback fabric")
-        .into_endpoints()
-        .expect("tcp splits into endpoints");
+        .into_endpoints();
     let start = Instant::now();
     // Per node: (seconds since start, local RMSE) at each epoch.
     let reports: Vec<Vec<(f64, f64)>> = std::thread::scope(|scope| {

@@ -88,7 +88,7 @@ fn train_arm(sharing: SharingMode, epochs: usize) -> (MfModel, Vec<Rating>, u32)
             epochs,
             execution: ExecutionMode::Native,
             time: TimeAxis::Simulated(Default::default()),
-            driver: Driver::Lockstep,
+            driver: Driver::WorkSteal { workers: 1 },
             processes_per_platform: 1,
             seed: 0xE0,
             faults: None,

@@ -1,6 +1,7 @@
 //! Transport microbenchmark with machine-readable output: times a
 //! guaranteed-delivered roundtrip (encode → send → flush → recv)
-//! through every `Transport` backend and writes
+//! through every `Transport` backend — the in-memory one both unsplit
+//! (`mem`) and split into its channel endpoints (`channel`) — and writes
 //! `results/BENCH_transport.json` — the artifact CI uploads on every run
 //! to track the perf trajectory of the wire path.
 //!
@@ -43,10 +44,9 @@
 
 use rex_bench::harness::{self, Arm, Gate, Report, Row};
 use rex_bench::BenchArgs;
-use rex_net::channel::ChannelTransport;
 use rex_net::codec::encode_plain;
 use rex_net::fault::{FaultPlan, FaultyTransport, LinkFaults};
-use rex_net::mem::MemNetwork;
+use rex_net::mem::{Envelope, MemNetwork};
 use rex_net::message::Plain;
 use rex_net::tcp::{TcpEndpoint, TcpTransport};
 use rex_net::transport::{BarrierKind, Endpoint, Transport};
@@ -89,22 +89,31 @@ fn per_call<'a>(iters: u64, mut op: impl FnMut() + 'a) -> Arm<'a> {
     })
 }
 
-/// A roundtrip arm over `net`, with its sized iteration count.
+/// A roundtrip arm, with its sized iteration count: `roundtrip` sends
+/// one encoded `plain` from node 0 and returns what node 1 drained.
 fn roundtrip_arm<'a>(
     window_ms: u64,
     plain: &'a Plain,
-    mut net: impl Transport + 'a,
-    flush: bool,
+    mut roundtrip: impl FnMut(Vec<u8>) -> Vec<Envelope> + 'a,
 ) -> (u64, Arm<'a>) {
     let mut op = move || {
-        net.send(0, 1, encode_plain(plain));
-        if flush {
-            net.flush();
-        }
-        assert!(!net.recv(1).is_empty(), "roundtrip lost the message");
+        let inbox = roundtrip(encode_plain(plain));
+        assert!(!inbox.is_empty(), "roundtrip lost the message");
     };
     let iters = iters_for(window_ms, &mut op);
     (iters, per_call(iters, op))
+}
+
+/// A roundtrip through the fabric view of `net`: send, `flush` when
+/// `flush`, recv.
+fn fabric_roundtrip(mut net: impl Transport, flush: bool) -> impl FnMut(Vec<u8>) -> Vec<Envelope> {
+    move |bytes| {
+        net.send(0, 1, bytes);
+        if flush {
+            net.flush();
+        }
+        net.recv(1)
+    }
 }
 
 /// Busy-waits `d`: compute that holds the core, as an epoch does.
@@ -153,8 +162,7 @@ fn overlap_rounds(ep: &mut TcpEndpoint, rounds: u64, split: bool) {
 fn overlap_arm(rounds: u64, split: bool) -> Arm<'static> {
     let mut endpoints = TcpTransport::loopback(2)
         .expect("loopback fabric")
-        .into_endpoints()
-        .expect("tcp splits into endpoints");
+        .into_endpoints();
     Box::new(move || {
         harness::time_ns(|| {
             std::thread::scope(|scope| {
@@ -180,10 +188,19 @@ fn main() {
         };
         let encoded_bytes = encode_plain(&plain).len();
         let tcp = TcpTransport::loopback(2).expect("loopback fabric");
+        // The split in-memory pair, both endpoints on this thread.
+        let mut channel = MemNetwork::new(2).into_endpoints();
         let (iters, mut arms): (Vec<u64>, Vec<Arm<'_>>) = [
-            roundtrip_arm(window_ms, &plain, MemNetwork::new(2), false),
-            roundtrip_arm(window_ms, &plain, ChannelTransport::new(2), false),
-            roundtrip_arm(window_ms, &plain, tcp, true),
+            roundtrip_arm(
+                window_ms,
+                &plain,
+                fabric_roundtrip(MemNetwork::new(2), false),
+            ),
+            roundtrip_arm(window_ms, &plain, move |bytes| {
+                channel[0].send(1, bytes);
+                channel[1].recv()
+            }),
+            roundtrip_arm(window_ms, &plain, fabric_roundtrip(tcp, true)),
         ]
         .into_iter()
         .unzip();

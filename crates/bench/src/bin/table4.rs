@@ -56,7 +56,7 @@ fn main() {
     println!(
         "Table IV: SGX overhead vs native{}. Small scale: {}u; large: {}u (EPC {})\n",
         match backend {
-            ArmBackend::Channel => "",
+            ArmBackend::Mem => "",
             ArmBackend::Tcp => ", over TCP loopback sockets",
         },
         small.num_users,

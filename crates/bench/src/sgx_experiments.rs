@@ -8,7 +8,7 @@ use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMo
 use rex_core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::MfHyperParams;
-use rex_net::channel::ChannelTransport;
+use rex_net::mem::MemNetwork;
 use rex_net::tcp::TcpTransport;
 use rex_tee::SgxCostModel;
 use rex_topology::TopologySpec;
@@ -136,9 +136,10 @@ pub fn all_arms() -> Vec<Arm> {
 /// Transport the real-thread arms run over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArmBackend {
-    /// In-process crossbeam channels (default).
+    /// The in-memory fabric, split into one channel endpoint per node
+    /// thread (default).
     #[default]
-    Channel,
+    Mem,
     /// Real TCP sockets over loopback — the same run with every frame
     /// crossing the kernel's network stack. Results are bit-identical;
     /// only wall-clock timings differ.
@@ -152,7 +153,7 @@ impl ArmBackend {
         if args.tcp {
             ArmBackend::Tcp
         } else {
-            ArmBackend::Channel
+            ArmBackend::Mem
         }
     }
 }
@@ -203,9 +204,7 @@ pub fn run_arm_on(scale: &SgxScale, arm: Arm, backend: ArmBackend) -> EngineResu
     };
     let n = nodes.len();
     match backend {
-        ArmBackend::Channel => {
-            Engine::new(ChannelTransport::new(n), cfg).run(&arm.label(), &mut nodes)
-        }
+        ArmBackend::Mem => Engine::new(MemNetwork::new(n), cfg).run(&arm.label(), &mut nodes),
         ArmBackend::Tcp => {
             let tcp = TcpTransport::loopback(n).expect("loopback fabric");
             Engine::new(tcp, cfg).run(&arm.label(), &mut nodes)
@@ -213,9 +212,9 @@ pub fn run_arm_on(scale: &SgxScale, arm: Arm, backend: ArmBackend) -> EngineResu
     }
 }
 
-/// Runs one arm over the default channel backend.
+/// Runs one arm over the default in-memory backend.
 pub fn run_arm(scale: &SgxScale, arm: Arm) -> EngineResult {
-    run_arm_on(scale, arm, ArmBackend::Channel)
+    run_arm_on(scale, arm, ArmBackend::Mem)
 }
 
 /// Mean epoch duration (seconds) excluding setup.
@@ -306,13 +305,13 @@ mod tests {
             sharing: SharingMode::RawData,
             sgx: false,
         };
-        let channel = run_arm_on(&scale, arm, ArmBackend::Channel);
+        let mem = run_arm_on(&scale, arm, ArmBackend::Mem);
         let tcp = run_arm_on(&scale, arm, ArmBackend::Tcp);
         // Same learning and wire traffic; only the time axis may differ.
-        for (c, t) in channel.trace.records.iter().zip(&tcp.trace.records) {
-            assert_eq!(c.rmse.to_bits(), t.rmse.to_bits());
-            assert_eq!(c.bytes_per_node.to_bits(), t.bytes_per_node.to_bits());
+        for (m, t) in mem.trace.records.iter().zip(&tcp.trace.records) {
+            assert_eq!(m.rmse.to_bits(), t.rmse.to_bits());
+            assert_eq!(m.bytes_per_node.to_bits(), t.bytes_per_node.to_bits());
         }
-        assert_eq!(channel.final_stats, tcp.final_stats);
+        assert_eq!(mem.final_stats, tcp.final_stats);
     }
 }

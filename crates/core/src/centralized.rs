@@ -5,8 +5,8 @@
 //! neighbours, whose merge and share stages are no-ops (nothing arrives,
 //! nobody to send to), leaving exactly the paper's baseline loop —
 //! `steps_per_epoch` SGD steps then an RMSE measurement per epoch, inline
-//! ([`Driver::Lockstep`]) on the simulated (measured-compute) time axis
-//! over infinite links. [`run_baseline`] wraps that construction.
+//! (a one-worker [`Driver::WorkSteal`]) on the simulated
+//! (measured-compute) time axis over infinite links. [`run_baseline`] wraps that construction.
 
 use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
 use crate::engine::{Driver, Engine, EngineConfig, TimeAxis};
@@ -48,7 +48,7 @@ pub fn run_baseline<M: Model>(
     let cfg = EngineConfig {
         epochs,
         time: TimeAxis::Simulated(LinkModel::infinite()),
-        driver: Driver::Lockstep,
+        driver: Driver::WorkSteal { workers: 1 },
         seed,
         ..EngineConfig::default()
     };

@@ -41,10 +41,10 @@
 //!   identity that produced it, so a frame cannot be replayed as another
 //!   node's.
 //!
-//! Because model trajectories are bit-identical across
-//! mem/channel/tcp × lockstep/work-steal (the cross-backend oracle), the
-//! chained digests are too — the challenger can audit any backend's run
-//! by replaying on any other backend.
+//! Because model trajectories are bit-identical across mem/tcp × every
+//! driver (the cross-backend oracle), the chained digests are too — the
+//! challenger can audit any backend's run by replaying on any other
+//! backend.
 
 use rex_crypto::ct::ct_eq;
 use rex_crypto::{HmacSha256, Sha256};

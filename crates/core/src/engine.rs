@@ -8,8 +8,8 @@
 //!
 //! * the **discrete-event simulator** — [`MemNetwork`](rex_net::MemNetwork)
 //!   fabric, [`Driver::WorkSteal`], [`TimeAxis::Simulated`];
-//! * the **real-thread deployment** —
-//!   [`ChannelTransport`](rex_net::ChannelTransport),
+//! * the **real-thread deployment** — the same `MemNetwork`, split
+//!   into one channel endpoint per node thread by
 //!   [`Driver::ThreadPerNode`], [`TimeAxis::Wall`];
 //! * the **real-socket deployment** —
 //!   [`TcpTransport`](rex_net::TcpTransport), any driver: frames cross
@@ -48,7 +48,7 @@
 //! live topology rewiring — before any inbox of the epoch is drained.
 //! Non-members sit rounds out exactly like crash-stopped nodes;
 //! `tests/membership.rs` and the `golden_membership` fixture hold the
-//! transitions bit-identical across every fabric-loop driver × backend
+//! transitions bit-identical across every worker count × backend
 //! combination.
 //!
 //! # Resilience
@@ -98,26 +98,23 @@ pub enum TimeAxis {
 /// How node epochs are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// The fabric loop with every node epoch run on the driver thread,
-    /// in node order (the pool with one worker, which spawns nothing).
-    /// Works with any [`Transport`].
-    Lockstep,
     /// One OS thread per node over split endpoints, each running the
     /// per-node loop ([`crate::round::run_node_loop`]) against the
-    /// fabric's own round barrier — the paper's deployment shape.
-    /// Requires a transport whose [`Transport::into_endpoints`] returns
-    /// `Some`.
+    /// fabric's own round barrier — the paper's deployment shape. Works
+    /// with any [`Transport`]: every fabric splits.
     ThreadPerNode,
     /// The fabric loop executed by a **fixed work-stealing worker pool**
     /// ([`crate::pool`]): workers stay alive across epochs and steal node
     /// epochs from each other's deques, so skewed per-node costs (growing
     /// stores, crashed nodes) do not stall a whole chunk. Scales the
-    /// fabric view to 1000+ nodes in-process; results are bit-identical
-    /// to [`Driver::Lockstep`] (outputs are keyed by node id and sends
-    /// are applied in canonical node order after each phase). Works with
-    /// any [`Transport`] and either time axis.
+    /// fabric view to 1000+ nodes in-process; every worker count is
+    /// bit-identical to one worker, which spawns nothing and runs every
+    /// node epoch on the driver thread in node order (outputs are keyed
+    /// by node id and sends are applied in canonical node order after
+    /// each phase). Works with any [`Transport`] and either time axis.
     WorkSteal {
-        /// Worker threads; `0` means one per available CPU core.
+        /// Worker threads; `0` means one per available CPU core, `1` runs
+        /// inline on the driver thread.
         workers: usize,
     },
 }
@@ -153,8 +150,8 @@ pub struct EngineConfig {
     /// a [`MembershipView`] at every round boundary and applies its
     /// transitions before any inbox of the epoch is drained, so a
     /// sponsor's bootstrap lands in the joiner's first inbox. Supported
-    /// by [`Driver::Lockstep`] and [`Driver::WorkSteal`] (the per-node
-    /// loop applies the same transitions over its own endpoint under
+    /// by [`Driver::WorkSteal`] at any worker count (the per-node loop
+    /// applies the same transitions over its own endpoint under
     /// `rex-node`); [`Driver::ThreadPerNode`] rejects a non-`None` plan.
     pub membership: Option<MembershipPlan>,
 }
@@ -216,8 +213,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
     ///
     /// # Panics
     /// If `nodes` is empty, its length disagrees with the transport,
-    /// [`Driver::ThreadPerNode`] is requested on a transport that cannot
-    /// split into endpoints, [`Driver::ThreadPerNode`] is combined with
+    /// [`Driver::ThreadPerNode`] is combined with
     /// [`TimeAxis::Simulated`] (thread-per-node epochs are timestamped
     /// with real elapsed time, so a simulated axis cannot be honoured)
     /// or with a membership plan, a membership plan fails validation, or
@@ -240,7 +236,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
         assert!(
             !(matches!(self.cfg.driver, Driver::ThreadPerNode) && self.cfg.membership.is_some()),
             "Driver::ThreadPerNode does not support membership plans; \
-             use Driver::Lockstep, Driver::WorkSteal, or the rex-node loop"
+             use Driver::WorkSteal or the rex-node loop"
         );
 
         // Crash-aware setup: see `setup::prune_dead_nodes` — whole-run
@@ -290,12 +286,10 @@ impl<M: Model, T: Transport> Engine<M, T> {
         // The fabric loop's worker count: `0` is one per available core.
         let workers = match self.cfg.driver {
             Driver::ThreadPerNode => return self.run_thread_per_node(name, nodes, setup_ns),
-            Driver::Lockstep => 1,
+            Driver::WorkSteal { workers: 0 } => {
+                std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+            }
             Driver::WorkSteal { workers } => workers,
-        };
-        let workers = match workers {
-            0 => std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
-            w => w,
         }
         .min(nodes.len());
 
@@ -463,10 +457,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
         setup_ns: u64,
     ) -> EngineResult {
         let epochs = self.cfg.epochs;
-        let endpoints = self
-            .transport
-            .into_endpoints()
-            .expect("transport cannot split into per-node endpoints; use Driver::Lockstep");
+        let endpoints = self.transport.into_endpoints();
         assert_eq!(
             endpoints.len(),
             nodes.len(),
@@ -649,7 +640,6 @@ mod tests {
     use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
     use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
     use rex_ml::{MfHyperParams, MfModel};
-    use rex_net::channel::ChannelTransport;
     use rex_net::mem::MemNetwork;
     use rex_tee::SgxCostModel;
     use rex_topology::TopologySpec;
@@ -723,14 +713,9 @@ mod tests {
         }
     }
 
-    /// Runs `nodes` on a transport fitted to the driver: channels for
-    /// one thread per node, the in-memory fabric otherwise.
+    /// Runs `nodes` on the in-memory fabric under `cfg`'s driver.
     fn run(cfg: EngineConfig, name: &str, nodes: &mut Vec<Node<MfModel>>) -> EngineResult {
-        let n = nodes.len();
-        match cfg.driver {
-            Driver::ThreadPerNode => Engine::new(ChannelTransport::new(n), cfg).run(name, nodes),
-            _ => Engine::new(MemNetwork::new(n), cfg).run(name, nodes),
-        }
+        Engine::new(MemNetwork::new(nodes.len()), cfg).run(name, nodes)
     }
 
     #[test]

@@ -36,9 +36,9 @@
 //!   what [`engine::Driver::ThreadPerNode`] spawns per node, and the one
 //!   place a membership view transition is applied to a node;
 //! * [`pool`] — the fixed work-stealing worker pool, the fabric loop's
-//!   only executor: inline on the driver thread with one worker
-//!   ([`engine::Driver::Lockstep`]), on persistent workers otherwise
-//!   ([`engine::Driver::WorkSteal`]), bit-identical either way;
+//!   only executor ([`engine::Driver::WorkSteal`]): inline on the driver
+//!   thread with one worker, on persistent workers otherwise,
+//!   bit-identical either way;
 //! * [`membership`] — epoch-scoped views of the live fleet: online
 //!   joins with late attestation and sponsored raw-share bootstraps,
 //!   graceful leaves with live topology rewiring, all part of the
@@ -60,10 +60,11 @@
 //! [`engine::Engine::new`] is the single entry point: the transport picks
 //! the deployment and [`engine::EngineConfig`] the rest. A `MemNetwork`
 //! under the default config (fabric rounds on the pool, simulated time)
-//! is the discrete-event simulator at any node count; a
-//! `ChannelTransport` under [`engine::Driver::ThreadPerNode`] and
-//! [`engine::TimeAxis::Wall`] runs one OS thread per node on the per-node
-//! loop, the paper's 8-node deployment.
+//! is the discrete-event simulator at any node count; the same
+//! `MemNetwork` under [`engine::Driver::ThreadPerNode`] and
+//! [`engine::TimeAxis::Wall`] splits into one endpoint per node and runs
+//! one OS thread per node on the per-node loop, the paper's 8-node
+//! deployment.
 //!
 //! # User shards
 //!

@@ -1,5 +1,5 @@
 //! The work-stealing worker pool: the one executor behind the engine's
-//! fabric round loop ([`Driver::Lockstep`], [`Driver::WorkSteal`]).
+//! fabric round loop ([`Driver::WorkSteal`]).
 //!
 //! Re-spawning threads and re-partitioning the fleet into fixed chunks
 //! every epoch is fine at 8 nodes, wasteful at 1024, and unbalanced
@@ -9,7 +9,7 @@
 //! per-worker deques with work stealing, so a worker that finishes its
 //! share early drains its neighbours' backlogs instead of idling at the
 //! barrier. With **one worker** it spawns nothing: the phase runs inline
-//! on the driver thread, in node order — that is [`Driver::Lockstep`].
+//! on the driver thread, in node order.
 //!
 //! # Determinism
 //! Scheduling order is *not* deterministic — which worker runs which node
@@ -34,7 +34,6 @@
 //! environment has no registry access, so no external executor crates.
 //!
 //! [`Driver::WorkSteal`]: crate::engine::Driver::WorkSteal
-//! [`Driver::Lockstep`]: crate::engine::Driver::Lockstep
 
 use crate::node::{EpochReport, Node};
 use rex_ml::Model;

@@ -1,17 +1,15 @@
-//! Crossbeam-channel transport for the engine's real-thread deployment
-//! (the 8-node SGX deployment of Figs 6–7 runs each node on its own OS
-//! thread).
+//! The channel endpoints an in-memory fabric splits into for the
+//! engine's real-thread deployment (the 8-node SGX deployment of Figs
+//! 6–7 runs each node on its own OS thread).
 //!
-//! [`ChannelTransport`] implements [`Transport`] over a fully connected
-//! set of unbounded channels. It supports both drive modes of the engine:
-//! single-owner lockstep (fabric-level send/recv, used during TEE setup
-//! and by the equivalence tests) and thread-per-node
-//! ([`Transport::into_endpoints`] hands each [`ChannelEndpoint`] to its
-//! node's thread).
+//! A split [`crate::mem::MemNetwork`] hands each node a
+//! [`ChannelEndpoint`]: a fully connected set of unbounded channels,
+//! shared atomic counters, and one round barrier that fails — instead
+//! of hanging — once a peer's endpoint is dropped.
 
 use crate::mem::Envelope;
 use crate::stats::TrafficStats;
-use crate::transport::{canonicalize, BarrierKind, Endpoint, Transport, TransportError};
+use crate::transport::{canonicalize, BarrierKind, Endpoint, TransportError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -36,6 +34,14 @@ impl AtomicStats {
     pub fn record_recv(&self, bytes: u64) {
         self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
         self.msgs_in.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Overwrites the counters with `stats`.
+    fn store(&self, stats: TrafficStats) {
+        self.bytes_out.store(stats.bytes_out, Ordering::Relaxed);
+        self.bytes_in.store(stats.bytes_in, Ordering::Relaxed);
+        self.msgs_out.store(stats.msgs_out, Ordering::Relaxed);
+        self.msgs_in.store(stats.msgs_in, Ordering::Relaxed);
     }
 
     /// Snapshot into a plain [`TrafficStats`].
@@ -136,22 +142,31 @@ impl ChannelEndpoint {
     pub fn send(&self, to: usize, bytes: Vec<u8>) {
         assert_ne!(to, self.id, "self-send");
         let size = bytes.len() as u64;
-        let sender = self.senders[to]
-            .as_ref()
-            .expect("destination is this endpoint");
         self.stats[self.id].record_send(size);
         self.stats[to].record_recv(size);
-        // Receiver dropped = peer finished; losing the message is fine for
-        // the epoch-bounded experiments.
-        let _ = sender.send(Envelope {
-            from: self.id,
-            bytes,
-        });
+        self.forward(
+            to,
+            Envelope {
+                from: self.id,
+                bytes,
+            },
+        );
     }
 
-    /// Blocks until one message arrives.
-    pub fn recv(&self) -> Option<Envelope> {
-        self.receiver.recv().ok()
+    /// Puts `env` in node `to`'s channel without counting it: the send
+    /// path once it has counted, and a splitting fabric moving what it
+    /// already counted.
+    pub(crate) fn forward(&self, to: usize, env: Envelope) {
+        if let Some(sender) = &self.senders[to] {
+            // Receiver dropped = peer finished; losing the message is
+            // fine for the epoch-bounded experiments.
+            let _ = sender.send(env);
+        }
+    }
+
+    /// Carries a splitting fabric's counters for this node over.
+    pub(crate) fn carry_stats(&self, stats: TrafficStats) {
+        self.stats[self.id].store(stats);
     }
 
     /// Drains everything currently queued without blocking.
@@ -201,64 +216,9 @@ impl Endpoint for ChannelEndpoint {
     }
 }
 
-/// A fully connected channel fabric over `n` nodes.
-///
-/// Owns every [`ChannelEndpoint`] until [`Transport::into_endpoints`]
-/// splits it for a thread-per-node run; until then the fabric view routes
-/// through the owned endpoints, so TEE setup traffic is accounted exactly
-/// like protocol traffic.
-pub struct ChannelTransport {
-    endpoints: Vec<ChannelEndpoint>,
-}
-
-impl ChannelTransport {
-    /// Builds the fabric over `n` nodes.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        ChannelTransport {
-            endpoints: channel_network(n),
-        }
-    }
-}
-
-impl Transport for ChannelTransport {
-    type Endpoint = ChannelEndpoint;
-
-    fn num_nodes(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    fn send(&mut self, from: usize, to: usize, bytes: Vec<u8>) {
-        self.endpoints[from].send(to, bytes);
-    }
-
-    fn recv(&mut self, node: usize) -> Vec<Envelope> {
-        let mut inbox = self.endpoints[node].try_drain();
-        canonicalize(&mut inbox);
-        inbox
-    }
-
-    fn flush(&mut self) {
-        // Channel sends are visible to the receiver as soon as they return.
-    }
-
-    fn stats(&self, node: usize) -> TrafficStats {
-        self.endpoints[node].stats()
-    }
-
-    fn all_stats(&self) -> Vec<TrafficStats> {
-        self.endpoints.iter().map(ChannelEndpoint::stats).collect()
-    }
-
-    fn into_endpoints(self) -> Option<Vec<ChannelEndpoint>> {
-        Some(self.endpoints)
-    }
-}
-
 /// Builds a fully connected channel network over `n` nodes; returns one
 /// endpoint per node (move each into its thread).
-#[must_use]
-pub fn channel_network(n: usize) -> Vec<ChannelEndpoint> {
+pub(crate) fn channel_network(n: usize) -> Vec<ChannelEndpoint> {
     let stats: Vec<Arc<AtomicStats>> = (0..n).map(|_| Arc::new(AtomicStats::default())).collect();
     let barrier = Arc::new(RoundBarrier::default());
     let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(n);
@@ -292,17 +252,23 @@ mod tests {
     #[test]
     fn cross_thread_delivery() {
         let mut eps = channel_network(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
         let handle = std::thread::spawn(move || {
-            let env = b.recv().unwrap();
-            assert_eq!(env.from, 0);
+            b.try_sync().unwrap();
+            let inbox = b.try_drain();
+            assert_eq!(inbox.len(), 1);
+            assert_eq!(inbox[0].from, 0);
             b.send(0, vec![9, 9]);
+            b.try_sync().unwrap();
             b.stats()
         });
         a.send(1, vec![1, 2, 3]);
-        let reply = a.recv().unwrap();
-        assert_eq!(reply.bytes, vec![9, 9]);
+        a.try_sync().unwrap();
+        a.try_sync().unwrap();
+        let reply = a.try_drain();
+        assert_eq!(reply.len(), 1);
+        assert_eq!(reply[0].bytes, vec![9, 9]);
         let b_stats = handle.join().unwrap();
         assert_eq!(b_stats.bytes_in, 3);
         assert_eq!(b_stats.bytes_out, 2);

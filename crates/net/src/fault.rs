@@ -10,7 +10,7 @@
 //!   asymmetric links), flash [`PartitionSpec`]s, and per-node
 //!   crash-stop/rejoin [`CrashSpec`]s;
 //! * [`FaultyTransport`] / [`FaultyEndpoint`] — wrappers that compose
-//!   over *any* backend (mem, channel, TCP) and apply the plan's link
+//!   over *any* backend (mem, TCP) and apply the plan's link
 //!   faults at send time, counting every decision in
 //!   [`DeliveryStats`].
 //!
@@ -23,7 +23,7 @@
 //! * lockstep and thread-per-node drivers agree (each directed link's
 //!   messages are emitted by exactly one node in deterministic order,
 //!   so the per-link counters agree no matter how threads interleave);
-//! * all three backends agree — the wrapper sits above the backend's
+//! * both backends agree — the wrapper sits above the backend's
 //!   delivery machinery and below the engine's canonical ordering.
 //!
 //! # Division of labor with the engine
@@ -479,9 +479,9 @@ impl Injector {
     }
 }
 
-/// Fault-injecting fabric wrapper: `FaultyTransport<MemNetwork>`,
-/// `FaultyTransport<ChannelTransport>`, `FaultyTransport<TcpTransport>`
-/// all run the same plan reproducibly. See the module docs.
+/// Fault-injecting fabric wrapper: `FaultyTransport<MemNetwork>` and
+/// `FaultyTransport<TcpTransport>`, split or not, run the same plan
+/// reproducibly. See the module docs.
 pub struct FaultyTransport<T: Transport> {
     inner: T,
     inj: Injector,
@@ -566,7 +566,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.all_stats()
     }
 
-    fn into_endpoints(self) -> Option<Vec<FaultyEndpoint<T::Endpoint>>> {
+    fn into_endpoints(self) -> Vec<FaultyEndpoint<T::Endpoint>> {
         let n = self.inner.num_nodes();
         let plan = self.inj.plan;
         let epoch = self.inj.epoch;
@@ -574,24 +574,22 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             self.inj.delayed.is_empty() && self.inj.reordered.is_empty(),
             "splitting a fabric with in-flight held messages"
         );
-        let endpoints = self.inner.into_endpoints()?;
+        let endpoints = self.inner.into_endpoints();
         debug_assert_eq!(endpoints.len(), n);
-        Some(
-            endpoints
-                .into_iter()
-                .enumerate()
-                .map(|(id, inner)| {
-                    let mut inj = Injector::new(plan.clone(), n);
-                    inj.epoch = epoch;
-                    // Carry this node's outgoing per-link counters over so
-                    // a mid-run split (not something the engine does, but
-                    // legal) keeps the hash streams aligned.
-                    inj.counters
-                        .copy_from_slice(&self.inj.counters[id * n..(id + 1) * n]);
-                    FaultyEndpoint { inner, inj }
-                })
-                .collect(),
-        )
+        endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(id, inner)| {
+                let mut inj = Injector::new(plan.clone(), n);
+                inj.epoch = epoch;
+                // Carry this node's outgoing per-link counters over so a
+                // mid-run split (not something the engine does, but legal)
+                // keeps the hash streams aligned.
+                inj.counters
+                    .copy_from_slice(&self.inj.counters[id * n..(id + 1) * n]);
+                FaultyEndpoint { inner, inj }
+            })
+            .collect()
     }
 }
 
@@ -905,9 +903,8 @@ mod tests {
         fabric.flush();
         let fabric_got: Vec<u8> = fabric.recv(1).iter().map(|e| e.bytes[0]).collect();
 
-        // Endpoint-level decisions over a channel backend.
-        let eps = crate::channel::channel_network(2);
-        let mut eps = eps.into_iter();
+        // Endpoint-level decisions over the split in-memory fabric.
+        let mut eps = MemNetwork::new(2).into_endpoints().into_iter();
         let mut a = FaultyEndpoint::new(eps.next().unwrap(), plan);
         let mut b = eps.next().unwrap();
         a.epoch_begin(0);

@@ -12,10 +12,11 @@
 //! * [`transport`] — the backend seam: the [`Transport`]/[`Endpoint`]
 //!   fabric abstraction and the [`Clock`] time hook that the generic
 //!   engine in `rex-core` is written against;
-//! * [`mem`] — [`MemNetwork`], the single-owner instrumented mailbox
-//!   backend for the discrete-event simulator;
-//! * [`channel`] — [`ChannelTransport`], the crossbeam-channel backend for
-//!   the real-thread deployment;
+//! * [`mem`] — [`MemNetwork`], the in-memory backend: single-owner
+//!   instrumented mailboxes for the discrete-event simulator, split into
+//!   per-node endpoints for the real-thread deployment;
+//! * [`channel`] — [`channel::ChannelEndpoint`], the crossbeam-channel
+//!   endpoint a split [`MemNetwork`] hands each node thread;
 //! * [`fault`] — [`FaultPlan`] and the [`FaultyTransport`] /
 //!   [`fault::FaultyEndpoint`] wrappers: deterministic, seeded
 //!   drop/delay/duplicate/reorder, partition and crash schedules
@@ -28,10 +29,11 @@
 //! * [`link`] — a latency/bandwidth model that converts bytes to
 //!   simulated transfer time.
 //!
-//! All three [`Transport`] backends run the protocol bit-identically (the
-//! cross-backend equivalence tests hold them to it); a further backend
-//! only has to implement [`Transport`] + [`Endpoint`] here — the protocol
-//! engine and every experiment binary are generic over it.
+//! Both [`Transport`] backends run the protocol bit-identically, split
+//! or not (the cross-backend equivalence tests hold them to it); a
+//! further backend only has to implement [`Transport`] + [`Endpoint`]
+//! here — the protocol engine and every experiment binary are generic
+//! over it.
 
 pub mod channel;
 pub mod codec;
@@ -46,7 +48,6 @@ pub mod stats;
 pub mod tcp;
 pub mod transport;
 
-pub use channel::ChannelTransport;
 pub use codec::CodecError;
 pub use fault::{CrashSpec, FaultPlan, FaultyTransport, LinkFaults, PartitionSpec};
 pub use frame::{Frame, FrameError};

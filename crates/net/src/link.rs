@@ -43,21 +43,6 @@ impl LinkModel {
         };
         self.latency_ns + serialization
     }
-
-    /// Simulated time for `n` messages of `bytes` each sent back-to-back on
-    /// one link (serialization adds up; latency pipelines and is paid once).
-    #[must_use]
-    pub fn burst_ns(&self, n: u64, bytes: u64) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        let serialization = if self.bandwidth_bytes_per_sec.is_finite() {
-            (n as f64 * bytes as f64 / self.bandwidth_bytes_per_sec * 1e9) as u64
-        } else {
-            0
-        };
-        self.latency_ns + serialization
-    }
 }
 
 #[cfg(test)]
@@ -82,16 +67,5 @@ mod tests {
     fn infinite_link_is_free() {
         let link = LinkModel::infinite();
         assert_eq!(link.transfer_ns(u64::MAX / 2), 0);
-        assert_eq!(link.burst_ns(100, 1 << 30), 0);
-    }
-
-    #[test]
-    fn burst_pays_latency_once() {
-        let link = LinkModel::default();
-        let one = link.transfer_ns(1_000);
-        let burst = link.burst_ns(10, 1_000);
-        assert!(burst < 10 * one);
-        assert!(burst > link.transfer_ns(10_000) - link.latency_ns);
-        assert_eq!(link.burst_ns(0, 1_000), 0);
     }
 }

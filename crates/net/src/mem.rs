@@ -1,14 +1,19 @@
-//! Single-threaded instrumented mailbox network for the discrete-event
-//! simulator: reliable, ordered, with exact byte accounting.
+//! The in-memory fabric: reliable, ordered, with exact byte accounting.
 //!
-//! [`MemNetwork`] implements [`Transport`] as a single-owner fabric: the
-//! lockstep engine drains inboxes, runs the epoch, and applies sends in
-//! deterministic node order. It cannot be split into per-node endpoints
-//! ([`Transport::into_endpoints`] returns `None`) — real-thread runs use
-//! [`crate::channel::ChannelTransport`] instead.
+//! [`MemNetwork`] implements [`Transport`] in two shapes. Unsplit, it is
+//! a single-owner mailbox network — plain `VecDeque`s and counters — that
+//! the engine's fabric loop drains, runs and feeds in deterministic node
+//! order (the simulator, the centralized baseline, TEE setup).
+//! [`Transport::into_endpoints`] splits it into the channel endpoints of
+//! [`crate::channel`], one per node thread: every queued envelope moves
+//! into its destination's channel and every node's counters carry over,
+//! so a split mid-run (after TEE setup) loses and recounts nothing. The
+//! channels are built at split time and only then: a fabric that never
+//! splits (the 610-node simulator fleet) holds no `n × n` sender handles.
 
+use crate::channel::{channel_network, ChannelEndpoint};
 use crate::stats::TrafficStats;
-use crate::transport::{canonicalize, NeverEndpoint, Transport};
+use crate::transport::{canonicalize, Transport};
 use std::collections::VecDeque;
 
 /// A delivered message.
@@ -63,17 +68,6 @@ impl MemNetwork {
         size
     }
 
-    /// Removes and returns every message queued for `node`.
-    pub fn drain_inbox(&mut self, node: usize) -> Vec<Envelope> {
-        self.inboxes[node].drain(..).collect()
-    }
-
-    /// Number of messages waiting for `node`.
-    #[must_use]
-    pub fn inbox_len(&self, node: usize) -> usize {
-        self.inboxes[node].len()
-    }
-
     /// Cumulative stats of `node`.
     #[must_use]
     pub fn stats(&self, node: usize) -> &TrafficStats {
@@ -85,16 +79,10 @@ impl MemNetwork {
     pub fn all_stats(&self) -> Vec<TrafficStats> {
         self.stats.clone()
     }
-
-    /// Total bytes moved across the whole network.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.stats.iter().map(|s| s.bytes_out).sum()
-    }
 }
 
 impl Transport for MemNetwork {
-    type Endpoint = NeverEndpoint;
+    type Endpoint = ChannelEndpoint;
 
     fn num_nodes(&self) -> usize {
         self.len()
@@ -105,7 +93,7 @@ impl Transport for MemNetwork {
     }
 
     fn recv(&mut self, node: usize) -> Vec<Envelope> {
-        let mut inbox = self.drain_inbox(node);
+        let mut inbox: Vec<Envelope> = self.inboxes[node].drain(..).collect();
         canonicalize(&mut inbox);
         inbox
     }
@@ -122,28 +110,39 @@ impl Transport for MemNetwork {
         MemNetwork::all_stats(self)
     }
 
-    fn into_endpoints(self) -> Option<Vec<NeverEndpoint>> {
-        None
+    fn into_endpoints(self) -> Vec<ChannelEndpoint> {
+        let endpoints = channel_network(self.len());
+        for (to, inbox) in self.inboxes.into_iter().enumerate() {
+            for env in inbox {
+                endpoints[env.from].forward(to, env);
+            }
+        }
+        for (endpoint, stats) in endpoints.iter().zip(self.stats) {
+            endpoint.carry_stats(stats);
+        }
+        endpoints
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Endpoint;
+
+    /// `(sender, bytes)` of an inbox, for comparisons.
+    fn contents(inbox: &[Envelope]) -> Vec<(usize, Vec<u8>)> {
+        inbox.iter().map(|e| (e.from, e.bytes.clone())).collect()
+    }
 
     #[test]
     fn send_and_drain_ordered() {
         let mut net = MemNetwork::new(3);
-        net.send(0, 2, vec![1]);
         net.send(1, 2, vec![2, 2]);
+        net.send(0, 2, vec![1]);
         net.send(0, 2, vec![3, 3, 3]);
-        assert_eq!(net.inbox_len(2), 3);
-        let msgs = net.drain_inbox(2);
-        assert_eq!(msgs.len(), 3);
-        assert_eq!(msgs[0].from, 0);
-        assert_eq!(msgs[0].bytes, vec![1]);
-        assert_eq!(msgs[2].bytes, vec![3, 3, 3]);
-        assert_eq!(net.inbox_len(2), 0);
+        let want = vec![(0, vec![1]), (0, vec![3, 3, 3]), (1, vec![2, 2])];
+        assert_eq!(contents(&Transport::recv(&mut net, 2)), want);
+        assert!(Transport::recv(&mut net, 2).is_empty());
     }
 
     #[test]
@@ -153,7 +152,31 @@ mod tests {
         assert_eq!(net.stats(0).bytes_out, 100);
         assert_eq!(net.stats(0).bytes_in, 0);
         assert_eq!(net.stats(1).bytes_in, 100);
-        assert_eq!(net.total_bytes(), 100);
+    }
+
+    /// A split right after setup traffic behaves as if the endpoints had
+    /// carried that traffic: queued messages arrive in canonical order
+    /// and the counters are neither lost nor counted twice.
+    #[test]
+    fn split_moves_queued_messages_and_counters() {
+        let mut net = MemNetwork::new(3);
+        net.send(2, 0, vec![5]);
+        net.send(1, 0, vec![4, 4]);
+        net.send(2, 0, vec![6]);
+        net.send(0, 1, vec![7; 3]);
+        let before = net.all_stats();
+        let mut eps = net.into_endpoints();
+        assert_eq!(eps.len(), 3);
+        let after: Vec<TrafficStats> = eps.iter().map(Endpoint::stats).collect();
+        assert_eq!(after, before);
+        let want = vec![(1, vec![4, 4]), (2, vec![5]), (2, vec![6])];
+        assert_eq!(contents(&eps[0].recv()), want);
+        assert_eq!(contents(&eps[1].recv()), vec![(0, vec![7; 3])]);
+        assert!(eps[2].recv().is_empty());
+        // Traffic after the split counts on top of the carried counters.
+        Endpoint::send(&mut eps[1], 2, vec![0; 10]);
+        assert_eq!(Endpoint::stats(&eps[1]).bytes_out, before[1].bytes_out + 10);
+        assert_eq!(Endpoint::stats(&eps[2]).msgs_in, 1);
     }
 
     #[test]

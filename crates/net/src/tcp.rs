@@ -9,8 +9,7 @@
 //!   live in one process, fully connected over `127.0.0.1` sockets. This
 //!   is what the cross-backend equivalence tests and the benches drive:
 //!   every frame crosses the kernel's TCP stack, yet runs stay
-//!   bit-identical with [`crate::mem::MemNetwork`] and
-//!   [`crate::channel::ChannelTransport`].
+//!   bit-identical with [`crate::mem::MemNetwork`], split or not.
 //! * **Distributed endpoint** ([`TcpEndpoint::connect`]) — one endpoint
 //!   per OS process, bootstrapped from a node-id → socket-address map.
 //!   The `rex-node` binary builds exactly this and runs one engine node
@@ -1415,8 +1414,8 @@ impl Transport for TcpTransport {
         self.endpoints.iter().map(TcpEndpoint::stats).collect()
     }
 
-    fn into_endpoints(self) -> Option<Vec<TcpEndpoint>> {
-        Some(self.endpoints)
+    fn into_endpoints(self) -> Vec<TcpEndpoint> {
+        self.endpoints
     }
 }
 
@@ -1474,7 +1473,7 @@ mod tests {
     #[test]
     fn endpoint_sync_guarantees_delivery() {
         let net = TcpTransport::loopback(2).unwrap();
-        let mut eps = net.into_endpoints().unwrap();
+        let mut eps = net.into_endpoints();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let handle = std::thread::spawn(move || {
@@ -1544,7 +1543,7 @@ mod tests {
     #[should_panic(expected = "self-send")]
     fn self_send_panics() {
         let net = TcpTransport::loopback(2).unwrap();
-        let mut eps = net.into_endpoints().unwrap();
+        let mut eps = net.into_endpoints();
         let mut a = eps.remove(0);
         Endpoint::send(&mut a, 0, vec![1]);
     }
@@ -1655,7 +1654,7 @@ mod tests {
     #[test]
     fn commitments_travel_control_plane_and_drain() {
         let net = TcpTransport::loopback(3).unwrap();
-        let mut eps = net.into_endpoints().unwrap();
+        let mut eps = net.into_endpoints();
         let mut c = eps.pop().unwrap();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
@@ -1696,7 +1695,7 @@ mod tests {
     #[test]
     fn barrier_surfaces_peer_death_as_transport_error() {
         let net = TcpTransport::loopback(2).unwrap();
-        let mut eps = net.into_endpoints().unwrap();
+        let mut eps = net.into_endpoints();
         let b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         drop(b); // peer vanishes without serving the barrier
@@ -1954,7 +1953,7 @@ mod tests {
     #[test]
     fn recv_wait_blocks_until_delivery() {
         let net = TcpTransport::loopback(2).unwrap();
-        let mut eps = net.into_endpoints().unwrap();
+        let mut eps = net.into_endpoints();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
 

@@ -6,19 +6,19 @@
 //! engine drive all of them:
 //!
 //! * [`Transport`] — the *fabric* view: a connected set of `n` mailboxes
-//!   addressed by node id, with exact per-node [`TrafficStats`]. Lockstep
-//!   drivers (the simulator) talk to the fabric directly.
+//!   addressed by node id, with exact per-node [`TrafficStats`]. The
+//!   engine's fabric loop (the simulator) talks to the fabric directly.
 //! * [`Endpoint`] — the *per-node* view: a handle that can be moved onto a
-//!   node's own OS thread. Fabrics that support real concurrency split
-//!   into endpoints via [`Transport::into_endpoints`].
+//!   node's own OS thread. Every fabric splits into endpoints via
+//!   [`Transport::into_endpoints`].
 //! * [`Clock`] — the time hook: simulated runs advance a virtual counter,
 //!   deployed runs read the wall clock; the engine records epoch
 //!   timestamps through this one interface either way.
 //!
 //! Implementations come in two layers. The *backends*:
 //! [`crate::mem::MemNetwork`] (single-owner instrumented mailboxes for
-//! the simulator), [`crate::channel::ChannelTransport`] (crossbeam-style
-//! channels for the thread-per-node deployment), and
+//! the simulator, split into the channel endpoints of [`crate::channel`]
+//! for the thread-per-node deployment) and
 //! [`crate::tcp::TcpTransport`] (real TCP sockets with length-prefixed
 //! framing — see [`crate::frame`] — used both in-process over loopback
 //! and by the `rex-node` multi-process deployment). On top of them sit
@@ -186,9 +186,10 @@ pub trait Transport {
     fn all_stats(&self) -> Vec<TrafficStats>;
 
     /// Splits the fabric into one endpoint per node, each safe to move to
-    /// its own thread. Returns `None` for fabrics that only support
-    /// single-owner (lockstep) driving.
-    fn into_endpoints(self) -> Option<Vec<Self::Endpoint>>;
+    /// its own thread. What the fabric view sent and counted before the
+    /// split (TEE setup) carries over: queued messages stay deliverable
+    /// and each endpoint's [`Endpoint::stats`] continues its node's.
+    fn into_endpoints(self) -> Vec<Self::Endpoint>;
 }
 
 /// Which of the per-node round loop's two barriers an
@@ -284,7 +285,7 @@ pub trait Endpoint: Send {
     /// `Welcome` with the current barrier generation) and **retires**
     /// departed peers from its barrier set. In-memory endpoints, whose
     /// fabric has no per-connection state, keep the default no-op; the
-    /// engine's lockstep drivers perform the equivalent transition
+    /// engine's fabric loop performs the equivalent transition
     /// centrally.
     fn view_sync(
         &mut self,
@@ -338,32 +339,6 @@ pub trait Endpoint: Send {
 /// per-sender FIFO (stable sort).
 pub fn canonicalize(inbox: &mut [Envelope]) {
     inbox.sort_by_key(|env| env.from);
-}
-
-/// Endpoint type for fabrics that cannot be split across threads
-/// (uninhabited — no value of this type ever exists).
-#[derive(Debug)]
-pub enum NeverEndpoint {}
-
-impl Endpoint for NeverEndpoint {
-    fn id(&self) -> usize {
-        match *self {}
-    }
-    fn num_nodes(&self) -> usize {
-        match *self {}
-    }
-    fn send(&mut self, _to: usize, _bytes: Vec<u8>) {
-        match *self {}
-    }
-    fn recv(&mut self) -> Vec<Envelope> {
-        match *self {}
-    }
-    fn wait(&mut self, _kind: BarrierKind) -> Result<(), TransportError> {
-        match *self {}
-    }
-    fn stats(&self) -> TrafficStats {
-        match *self {}
-    }
 }
 
 /// The engine's time hook: one interface over simulated and wall-clock
@@ -540,19 +515,17 @@ mod tests {
 
     #[test]
     fn barrier_contract_holds_on_every_splittable_fabric() {
-        use crate::channel::ChannelTransport;
         use crate::fault::{FaultPlan, FaultyTransport, LinkFaults};
+        use crate::mem::MemNetwork;
         use crate::tcp::TcpTransport;
         fn faulty<T: Transport>(inner: T, plan: FaultPlan) -> Vec<impl Endpoint + 'static> {
-            FaultyTransport::new(inner, plan).into_endpoints().unwrap()
+            FaultyTransport::new(inner, plan).into_endpoints()
         }
+        let mem = || MemNetwork::new(3);
         let tcp = || TcpTransport::loopback(3).unwrap();
-        barrier_contract(ChannelTransport::new(3).into_endpoints().unwrap(), false);
-        barrier_contract(tcp().into_endpoints().unwrap(), false);
-        barrier_contract(
-            faulty(ChannelTransport::new(3), FaultPlan::default()),
-            false,
-        );
+        barrier_contract(mem().into_endpoints(), false);
+        barrier_contract(tcp().into_endpoints(), false);
+        barrier_contract(faulty(mem(), FaultPlan::default()), false);
         barrier_contract(faulty(tcp(), FaultPlan::default()), false);
         // Every message reordered = held until the round barrier.
         let held = FaultPlan::uniform(
@@ -562,7 +535,7 @@ mod tests {
                 ..LinkFaults::default()
             },
         );
-        barrier_contract(faulty(ChannelTransport::new(3), held.clone()), true);
+        barrier_contract(faulty(mem(), held.clone()), true);
         barrier_contract(faulty(tcp(), held), true);
     }
 

@@ -712,9 +712,7 @@ pub fn run_cluster_in_process(cfg: &ClusterConfig) -> Result<Vec<NodeSummary>, S
     let (mut fleet, view) = build_fleet_and_view(cfg);
     let (setup_stats, dir) = replay_setup(cfg, &mut fleet);
     let fabric = TcpTransport::loopback(n).map_err(|e| format!("loopback fabric: {e}"))?;
-    let endpoints = fabric
-        .into_endpoints()
-        .ok_or_else(|| "tcp fabric did not split into endpoints".to_string())?;
+    let endpoints = fabric.into_endpoints();
 
     let dir = dir.as_ref();
     std::thread::scope(|scope| {
@@ -1213,7 +1211,7 @@ mod tests {
                 epochs: cfg.epochs,
                 execution: ExecutionMode::Native,
                 time: TimeAxis::Wall,
-                driver: Driver::Lockstep,
+                driver: Driver::WorkSteal { workers: 1 },
                 processes_per_platform: cfg.processes_per_platform,
                 seed: cfg.infra_seed,
                 faults: Some(plan),
@@ -1312,7 +1310,7 @@ mod tests {
         };
         let mut fleet = build_fleet(&cfg);
         let (_, dir) = replay_setup(&cfg, &mut fleet);
-        let endpoints = TcpTransport::loopback(2).unwrap().into_endpoints().unwrap();
+        let endpoints = TcpTransport::loopback(2).unwrap().into_endpoints();
         let runs: Vec<(Vec<EpochOutcome>, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = fleet
                 .into_iter()
@@ -1350,7 +1348,7 @@ mod tests {
                 epochs: cfg.epochs,
                 execution: ExecutionMode::Sgx(SgxCostModel::default()),
                 time: TimeAxis::Wall,
-                driver: Driver::Lockstep,
+                driver: Driver::WorkSteal { workers: 1 },
                 processes_per_platform: cfg.processes_per_platform,
                 seed: cfg.infra_seed,
                 faults: None,

@@ -10,8 +10,8 @@
 //! * the same plan replays **bit-for-bit** across reruns (per-epoch
 //!   delivered/dropped counts included), because every per-message fate
 //!   is a pure hash of `(seed, link, message index)`;
-//! * all three backends (mem/channel/TCP) under the same plan stay
-//!   **bit-identical** — the fault layer composes above the backends
+//! * both backends (mem/TCP), split into node threads or not, under the
+//!   same plan stay **bit-identical** — the fault layer composes above the backends
 //!   and below the engine's canonical ordering;
 //! * raw-data sharing keeps converging under heavy degradation: the
 //!   envelopes asserted here are the suite's regression contract.
@@ -28,7 +28,7 @@ use rex_repro::core::Node;
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
 use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
-use rex_repro::net::{ChannelTransport, MemNetwork, TcpTransport, Transport};
+use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::tee::SgxCostModel;
 use rex_repro::topology::{alive_connected, repair_after_crashes, TopologySpec};
 
@@ -83,8 +83,8 @@ fn cfg(
     }
 }
 
-/// Runs a fleet over the fault-wrapped mem fabric (lockstep, simulated
-/// time).
+/// Runs a fleet over the fault-wrapped mem fabric (fabric loop,
+/// simulated time).
 fn run_mem(
     nodes: &mut Vec<Node<MfModel>>,
     epochs: usize,
@@ -104,16 +104,16 @@ fn run_mem(
     .run("mem", nodes)
 }
 
-/// Runs a fleet over the fault-wrapped channel fabric, one OS thread per
-/// node.
-fn run_channel(
+/// Runs a fleet over the fault-wrapped mem fabric split into one OS
+/// thread per node.
+fn run_threads(
     nodes: &mut Vec<Node<MfModel>>,
     epochs: usize,
     execution: ExecutionMode,
     plan: &FaultPlan,
 ) -> EngineResult {
-    Engine::<MfModel, FaultyTransport<ChannelTransport>>::new(
-        FaultyTransport::new(ChannelTransport::new(nodes.len()), plan.clone()),
+    Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+        FaultyTransport::new(MemNetwork::new(nodes.len()), plan.clone()),
         cfg(
             epochs,
             execution,
@@ -122,11 +122,11 @@ fn run_channel(
             plan,
         ),
     )
-    .run("channel", nodes)
+    .run("threads", nodes)
 }
 
-/// Runs a fleet over fault-wrapped real loopback TCP sockets (lockstep
-/// fabric view: every frame still crosses the kernel).
+/// Runs a fleet over fault-wrapped real loopback TCP sockets (inline
+/// fabric loop: every frame still crosses the kernel).
 fn run_tcp(
     nodes: &mut Vec<Node<MfModel>>,
     epochs: usize,
@@ -138,7 +138,13 @@ fn run_tcp(
             TcpTransport::loopback(nodes.len()).expect("loopback fabric"),
             plan.clone(),
         ),
-        cfg(epochs, execution, TimeAxis::Wall, Driver::Lockstep, plan),
+        cfg(
+            epochs,
+            execution,
+            TimeAxis::Wall,
+            Driver::WorkSteal { workers: 1 },
+            plan,
+        ),
     )
     .run("tcp", nodes)
 }
@@ -200,9 +206,9 @@ fn headline_loss_and_crashes_converge_on_all_backends() {
         &plan,
     );
 
-    let mut chan_nodes = fleet(HEADLINE_NODES, 40);
-    let chan = run_channel(
-        &mut chan_nodes,
+    let mut split_nodes = fleet(HEADLINE_NODES, 40);
+    let split = run_threads(
+        &mut split_nodes,
         HEADLINE_EPOCHS,
         ExecutionMode::Native,
         &plan,
@@ -216,8 +222,8 @@ fn headline_loss_and_crashes_converge_on_all_backends() {
         &plan,
     );
 
-    // Degradation is bit-identical across all three backends.
-    assert_same_degradation(&mem, &chan);
+    // Degradation is bit-identical across backends and drivers.
+    assert_same_degradation(&mem, &split);
     assert_same_degradation(&mem, &tcp);
 
     // Liveness accounting follows the crash schedule.
@@ -500,8 +506,8 @@ fn deployed_cluster_replays_delay_plan_bit_identically_with_engine() {
     let summaries = run_cluster_in_process(&cfg).expect("in-process cluster");
 
     let mut nodes = build_fleet(&cfg);
-    let result = Engine::<MfModel, FaultyTransport<ChannelTransport>>::new(
-        FaultyTransport::new(ChannelTransport::new(cfg.num_nodes()), plan.clone()),
+    let result = Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+        FaultyTransport::new(MemNetwork::new(cfg.num_nodes()), plan.clone()),
         EngineConfig {
             epochs: cfg.epochs,
             execution: ExecutionMode::Native,
@@ -538,7 +544,7 @@ fn deployed_cluster_replays_delay_plan_bit_identically_with_engine() {
 /// node order, so it is the single value an external auditor checks per
 /// epoch. This scenario runs a join/join/leave schedule under 10% packet
 /// loss and asserts the per-epoch roots are (a) bit-identical across
-/// mem/channel/TCP backends and reruns, (b) never zero — a membership
+/// mem/TCP backends, worker counts and reruns, (b) never zero — a membership
 /// transition must not produce an epoch with no attested commitments —
 /// and (c) pairwise distinct across epochs, because models keep moving
 /// and the root binds their exact wire bytes.
@@ -591,17 +597,10 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
         &faults,
         &membership,
     );
-    let chan = run_churn(
-        ChannelTransport::new(NODES),
-        TimeAxis::Wall,
-        Driver::WorkSteal { workers: 3 },
-        &faults,
-        &membership,
-    );
     let tcp = run_churn(
         TcpTransport::loopback(NODES).expect("loopback fabric"),
         TimeAxis::Wall,
-        Driver::Lockstep,
+        Driver::WorkSteal { workers: 1 },
         &faults,
         &membership,
     );
@@ -616,7 +615,6 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
     // (a) One auditable root stream, regardless of fabric or scheduler.
     let reference = roots(&mem);
     assert_eq!(reference.len(), EPOCHS);
-    assert_eq!(reference, roots(&chan), "channel roots diverged");
     assert_eq!(reference, roots(&tcp), "tcp roots diverged");
     assert_eq!(reference, roots(&rerun), "rerun roots diverged");
 

@@ -3,9 +3,9 @@
 //!
 //! The same fixed-seed fleet must produce *identical* per-node RMSE
 //! trajectories and byte counts whether it runs through the discrete-event
-//! [`MemNetwork`] fabric (lockstep driver, simulated time), the
-//! [`ChannelTransport`] fabric (one real OS thread per node, wall-clock
-//! time), or the [`TcpTransport`] fabric (real loopback sockets with
+//! [`MemNetwork`] fabric (the inline fabric loop, simulated time), the
+//! same fabric split into one real OS thread per node (wall-clock time),
+//! or the [`TcpTransport`] fabric (real loopback sockets with
 //! length-prefixed framing, either driver). Only the time axis may
 //! differ. This holds because the engine hands every node its inbox in
 //! canonical order (ascending sender id, per-sender FIFO) regardless of
@@ -19,7 +19,7 @@ use rex_repro::core::Node;
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
 use rex_repro::net::fault::{FaultPlan, FaultyTransport};
-use rex_repro::net::{ChannelTransport, MemNetwork, TcpTransport, Transport};
+use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::tee::SgxCostModel;
 use rex_repro::topology::TopologySpec;
 
@@ -69,8 +69,8 @@ fn engine_config(execution: ExecutionMode, time: TimeAxis, driver: Driver) -> En
 }
 
 /// Runs one fleet through the simulator fabric, another identical fleet
-/// through the channel fabric with real threads, and returns both results
-/// plus the final node states.
+/// through the same fabric split across real threads, and returns both
+/// results plus the final node states.
 #[allow(clippy::type_complexity)]
 fn run_both(
     execution: ExecutionMode,
@@ -84,14 +84,14 @@ fn run_both(
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep,
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("sim", &mut sim_nodes);
 
     let mut threaded_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-    let threaded = Engine::<MfModel, ChannelTransport>::new(
-        ChannelTransport::new(threaded_nodes.len()),
+    let threaded = Engine::<MfModel, MemNetwork>::new(
+        MemNetwork::new(threaded_nodes.len()),
         engine_config(execution, TimeAxis::Wall, Driver::ThreadPerNode),
     )
     .run("threads", &mut threaded_nodes);
@@ -156,8 +156,8 @@ fn assert_equivalent(
     }
 }
 
-/// Runs the reference fleet over the mem fabric (lockstep, simulated
-/// time) and an identical fleet over real TCP loopback sockets with the
+/// Runs the reference fleet over the mem fabric (inline fabric loop,
+/// simulated time) and an identical fleet over real TCP loopback sockets with the
 /// given driver.
 #[allow(clippy::type_complexity)]
 fn run_mem_vs_tcp(
@@ -173,7 +173,7 @@ fn run_mem_vs_tcp(
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep,
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("sim", &mut sim_nodes);
@@ -204,7 +204,7 @@ fn reference_run(execution: ExecutionMode) -> (EngineResult, Vec<Node<MfModel>>)
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep,
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("reference", &mut nodes);
@@ -221,19 +221,19 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep,
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("faulty-mem", &mut mem_nodes);
     assert_equivalent(&reference, &(mem, mem_nodes));
 
-    let mut chan_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-    let chan = Engine::<MfModel, FaultyTransport<ChannelTransport>>::new(
-        identity_wrapped(ChannelTransport::new(chan_nodes.len())),
+    let mut split_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
+    let split = Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+        identity_wrapped(MemNetwork::new(split_nodes.len())),
         engine_config(ExecutionMode::Native, TimeAxis::Wall, Driver::ThreadPerNode),
     )
-    .run("faulty-chan", &mut chan_nodes);
-    assert_equivalent(&reference, &(chan, chan_nodes));
+    .run("faulty-mem-split", &mut split_nodes);
+    assert_equivalent(&reference, &(split, split_nodes));
 
     let mut tcp_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
     let tcp = Engine::<MfModel, FaultyTransport<TcpTransport>>::new(
@@ -258,7 +258,7 @@ fn empty_fault_plan_is_identity_on_every_backend_sgx() {
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep,
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("faulty-mem-sgx", &mut mem_nodes);
@@ -374,7 +374,7 @@ fn run_headline(execution: ExecutionMode, driver: Driver) -> (EngineResult, Vec<
 
 #[test]
 fn work_steal_matches_sequential_under_chaos_headline_native() {
-    let seq = run_headline(ExecutionMode::Native, Driver::Lockstep);
+    let seq = run_headline(ExecutionMode::Native, Driver::WorkSteal { workers: 1 });
     let pool = run_headline(ExecutionMode::Native, Driver::WorkSteal { workers: 4 });
     assert_equivalent(&seq, &pool);
     // Fault accounting is part of the contract: liveness and the
@@ -400,7 +400,7 @@ fn work_steal_matches_sequential_under_chaos_headline_native() {
 #[test]
 fn work_steal_matches_sequential_under_chaos_headline_sgx() {
     let execution = ExecutionMode::Sgx(SgxCostModel::default());
-    let seq = run_headline(execution, Driver::Lockstep);
+    let seq = run_headline(execution, Driver::WorkSteal { workers: 1 });
     let pool = run_headline(execution, Driver::WorkSteal { workers: 4 });
     assert_equivalent(&seq, &pool);
     for (a, b) in seq.0.trace.records.iter().zip(&pool.0.trace.records) {
@@ -461,15 +461,15 @@ fn per_user_fleet(sharded: bool) -> Vec<Node<MfModel>> {
 
 #[test]
 fn width_one_sharded_fleet_matches_legacy_per_user_run_everywhere() {
-    // The pre-PR trajectory: the legacy per-user fleet on the reference
-    // backend (mem fabric, sequential lockstep, simulated time).
+    // The pre-sharding trajectory: the legacy per-user fleet on the
+    // reference backend (mem fabric, inline fabric loop, simulated time).
     let mut legacy_nodes = per_user_fleet(false);
     let legacy = Engine::<MfModel, MemNetwork>::new(
         MemNetwork::new(legacy_nodes.len()),
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep,
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("legacy", &mut legacy_nodes);
@@ -477,7 +477,10 @@ fn width_one_sharded_fleet_matches_legacy_per_user_run_everywhere() {
 
     // The users_per_node = 1 sharded fleet must reproduce it bit-for-bit
     // on every fabric and driver.
-    let drivers = [Driver::Lockstep, Driver::WorkSteal { workers: 4 }];
+    let drivers = [
+        Driver::WorkSteal { workers: 1 },
+        Driver::WorkSteal { workers: 4 },
+    ];
     for driver in drivers {
         let mut nodes = per_user_fleet(true);
         let result = Engine::<MfModel, MemNetwork>::new(
@@ -489,15 +492,6 @@ fn width_one_sharded_fleet_matches_legacy_per_user_run_everywhere() {
             ),
         )
         .run("sharded-mem", &mut nodes);
-        assert_equivalent(&reference, &(result, nodes));
-    }
-    for driver in drivers {
-        let mut nodes = per_user_fleet(true);
-        let result = Engine::<MfModel, ChannelTransport>::new(
-            ChannelTransport::new(nodes.len()),
-            engine_config(ExecutionMode::Native, TimeAxis::Wall, driver),
-        )
-        .run("sharded-chan", &mut nodes);
         assert_equivalent(&reference, &(result, nodes));
     }
     for driver in drivers {
@@ -550,31 +544,6 @@ fn sgx_runs_agree_across_backends() {
 }
 
 #[test]
-fn lockstep_channel_matches_mem_fabric() {
-    // The channel fabric driven in lockstep (no threads at all) must also
-    // match: transports are interchangeable under one driver too.
-    let mut mem_nodes = fleet(SharingMode::Model, GossipAlgorithm::Rmw);
-    let mem = Engine::<MfModel, MemNetwork>::new(
-        MemNetwork::new(mem_nodes.len()),
-        engine_config(
-            ExecutionMode::Native,
-            TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep,
-        ),
-    )
-    .run("mem", &mut mem_nodes);
-
-    let mut chan_nodes = fleet(SharingMode::Model, GossipAlgorithm::Rmw);
-    let chan = Engine::<MfModel, ChannelTransport>::new(
-        ChannelTransport::new(chan_nodes.len()),
-        engine_config(ExecutionMode::Native, TimeAxis::Wall, Driver::Lockstep),
-    )
-    .run("chan", &mut chan_nodes);
-
-    assert_equivalent(&(mem, mem_nodes), &(chan, chan_nodes));
-}
-
-#[test]
 fn tcp_loopback_threaded_matches_mem_fabric() {
     // Real sockets, one OS thread per node: the loopback stand-in for the
     // paper's distributed testbed must match the simulator bit-for-bit.
@@ -587,8 +556,9 @@ fn tcp_loopback_threaded_matches_mem_fabric() {
 
 #[test]
 fn tcp_loopback_lockstep_matches_mem_fabric() {
-    // The same sockets driven in lockstep (fabric view, no node threads).
-    let (sim, tcp) = run_mem_vs_tcp(ExecutionMode::Native, Driver::Lockstep);
+    // The same sockets driven by the inline fabric loop (fabric view, no
+    // node threads).
+    let (sim, tcp) = run_mem_vs_tcp(ExecutionMode::Native, Driver::WorkSteal { workers: 1 });
     assert_equivalent(&sim, &tcp);
 }
 

@@ -57,8 +57,8 @@ fn run_once(driver: Driver, seed: u64) -> Vec<(f64, f64)> {
 
 #[test]
 fn identical_seeds_identical_trajectories() {
-    let a = run_once(Driver::Lockstep, 99);
-    let b = run_once(Driver::Lockstep, 99);
+    let a = run_once(Driver::WorkSteal { workers: 1 }, 99);
+    let b = run_once(Driver::WorkSteal { workers: 1 }, 99);
     assert_eq!(a, b);
 }
 
@@ -66,14 +66,14 @@ fn identical_seeds_identical_trajectories() {
 fn parallel_execution_preserves_trajectory() {
     // Worker scheduling must not affect results: per-node RNGs,
     // deterministic message ordering.
-    let seq = run_once(Driver::Lockstep, 7);
+    let seq = run_once(Driver::WorkSteal { workers: 1 }, 7);
     let par = run_once(Driver::WorkSteal { workers: 3 }, 7);
     assert_eq!(seq, par);
 }
 
 #[test]
 fn different_seeds_differ() {
-    let a = run_once(Driver::Lockstep, 1);
-    let b = run_once(Driver::Lockstep, 2);
+    let a = run_once(Driver::WorkSteal { workers: 1 }, 1);
+    let b = run_once(Driver::WorkSteal { workers: 1 }, 2);
     assert_ne!(a, b);
 }

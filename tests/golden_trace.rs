@@ -39,12 +39,12 @@
 //! trace — the serving contract under the same regression net as the
 //! learning trajectory.
 //!
-//! Every run — mem fabric under the inline lockstep driver and the
-//! work-stealing pool (four workers, and one per core); channel fabric
-//! under thread-per-node, lockstep and work-stealing; TCP loopback under
-//! lockstep and work-stealing — must reproduce the fixture exactly,
-//! native mode. A mismatch means a scheduler or transport change
-//! altered the learning trajectory or the byte accounting.
+//! Every run — the mem fabric and TCP loopback, each under the fabric
+//! loop on one worker (inline; mem/work-steal-1 is the generator) and on
+//! several, and each split into one thread per node (scenarios without a
+//! membership plan) — must reproduce the fixture exactly, native mode. A
+//! mismatch means a scheduler or transport change altered the learning
+//! trajectory or the byte accounting.
 //!
 //! # Regenerating
 //! After an *intentional* trajectory change (new protocol semantics, new
@@ -68,7 +68,7 @@ use rex_repro::core::Node;
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
 use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
-use rex_repro::net::{ChannelTransport, MemNetwork, TcpTransport, Transport};
+use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::topology::TopologySpec;
 use std::path::PathBuf;
 
@@ -346,11 +346,15 @@ fn golden_traces_hold_on_every_driver_and_backend() {
         let n = s.nodes;
         let sim_time = || TimeAxis::Simulated(Default::default());
 
-        // Reference: mem fabric, sequential lockstep — the generator.
-        let (reference, reference_nodes) =
-            run_combo(&s, MemNetwork::new(n), sim_time(), Driver::Lockstep);
+        // Reference: mem fabric, one inline worker — the generator.
+        let (reference, reference_nodes) = run_combo(
+            &s,
+            MemNetwork::new(n),
+            sim_time(),
+            Driver::WorkSteal { workers: 1 },
+        );
         let fixture = load_fixture(s.name, &render(&reference));
-        assert_matches_fixture(s.name, "mem/lockstep", &fixture, &reference);
+        assert_matches_fixture(s.name, "mem/work-steal-1", &fixture, &reference);
         let serve_ref = render_serve(&s, &reference_nodes);
         if s.pins_serve {
             serve_reference.push_str(&serve_ref);
@@ -359,19 +363,11 @@ fn golden_traces_hold_on_every_driver_and_backend() {
         // The same scenario through every other driver × backend. The
         // thread-per-node driver rejects membership plans (the per-node
         // loop under churn is pinned by `tests/tcp_cluster.rs`), so
-        // churn scenarios skip that one combination.
+        // churn scenarios skip those combinations.
+        let tcp = || TcpTransport::loopback(n).expect("loopback fabric");
         let mut combos: Vec<(&str, ComboRun)> = vec![
             (
-                "mem/work-steal-per-core",
-                run_combo(
-                    &s,
-                    MemNetwork::new(n),
-                    sim_time(),
-                    Driver::WorkSteal { workers: 0 },
-                ),
-            ),
-            (
-                "mem/work-steal",
+                "mem/work-steal-4",
                 run_combo(
                     &s,
                     MemNetwork::new(n),
@@ -379,56 +375,32 @@ fn golden_traces_hold_on_every_driver_and_backend() {
                     Driver::WorkSteal { workers: 4 },
                 ),
             ),
+            (
+                "tcp/work-steal-1",
+                run_combo(&s, tcp(), TimeAxis::Wall, Driver::WorkSteal { workers: 1 }),
+            ),
+            (
+                "tcp/work-steal-2",
+                run_combo(&s, tcp(), TimeAxis::Wall, Driver::WorkSteal { workers: 2 }),
+            ),
         ];
         if s.membership.is_none() {
-            combos.push((
-                "channel/thread-per-node",
-                run_combo(
-                    &s,
-                    ChannelTransport::new(n),
-                    TimeAxis::Wall,
-                    Driver::ThreadPerNode,
+            combos.extend([
+                (
+                    "mem/thread-per-node",
+                    run_combo(
+                        &s,
+                        MemNetwork::new(n),
+                        TimeAxis::Wall,
+                        Driver::ThreadPerNode,
+                    ),
                 ),
-            ));
+                (
+                    "tcp/thread-per-node",
+                    run_combo(&s, tcp(), TimeAxis::Wall, Driver::ThreadPerNode),
+                ),
+            ]);
         }
-        combos.extend([
-            (
-                "channel/work-steal",
-                run_combo(
-                    &s,
-                    ChannelTransport::new(n),
-                    TimeAxis::Wall,
-                    Driver::WorkSteal { workers: 3 },
-                ),
-            ),
-            (
-                "channel/lockstep",
-                run_combo(
-                    &s,
-                    ChannelTransport::new(n),
-                    TimeAxis::Wall,
-                    Driver::Lockstep,
-                ),
-            ),
-            (
-                "tcp/lockstep",
-                run_combo(
-                    &s,
-                    TcpTransport::loopback(n).expect("loopback fabric"),
-                    TimeAxis::Wall,
-                    Driver::Lockstep,
-                ),
-            ),
-            (
-                "tcp/work-steal",
-                run_combo(
-                    &s,
-                    TcpTransport::loopback(n).expect("loopback fabric"),
-                    TimeAxis::Wall,
-                    Driver::WorkSteal { workers: 2 },
-                ),
-            ),
-        ]);
         for (combo, (result, nodes)) in &combos {
             assert_matches_fixture(s.name, combo, &fixture, result);
             // The serve replay — final models through the pruned scorer
@@ -436,7 +408,7 @@ fn golden_traces_hold_on_every_driver_and_backend() {
             assert_eq!(
                 render_serve(&s, nodes),
                 serve_ref,
-                "scenario {}: {combo} serve replay diverged from mem/lockstep",
+                "scenario {}: {combo} serve replay diverged from mem/work-steal-1",
                 s.name
             );
         }

@@ -1,8 +1,8 @@
 //! Dynamic-membership acceptance suite: epoch-scoped views, online
 //! joins with attested state bootstrap, and graceful leaves with live
-//! topology rewiring — held bit-identical across **every lockstep-shaped
-//! driver × backend** combination, native and SGX, with and without
-//! fault plans.
+//! topology rewiring — held bit-identical across **every fabric-loop
+//! worker count × backend** combination, native and SGX, with and
+//! without fault plans.
 //!
 //! The deployed equivalent (a fifth OS process dialing a running
 //! 4-process TCP cluster) lives in `tests/tcp_cluster.rs`; the pinned
@@ -16,7 +16,7 @@ use rex_repro::core::Node;
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
 use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
-use rex_repro::net::{ChannelTransport, MemNetwork, TcpTransport, Transport};
+use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::tee::SgxCostModel;
 use rex_repro::topology::TopologySpec;
 
@@ -141,7 +141,7 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
     let sim = || TimeAxis::Simulated(Default::default());
     let (reference, _) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep,
+        Driver::WorkSteal { workers: 1 },
         sim(),
         ExecutionMode::Native,
         None,
@@ -171,32 +171,10 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             .0,
         ),
         (
-            "channel/lockstep",
-            run_churn(
-                ChannelTransport::new(N),
-                Driver::Lockstep,
-                TimeAxis::Wall,
-                ExecutionMode::Native,
-                None,
-            )
-            .0,
-        ),
-        (
-            "channel/work-steal",
-            run_churn(
-                ChannelTransport::new(N),
-                Driver::WorkSteal { workers: 3 },
-                TimeAxis::Wall,
-                ExecutionMode::Native,
-                None,
-            )
-            .0,
-        ),
-        (
-            "tcp/lockstep",
+            "tcp/work-steal-1",
             run_churn(
                 TcpTransport::loopback(N).expect("loopback fabric"),
-                Driver::Lockstep,
+                Driver::WorkSteal { workers: 1 },
                 TimeAxis::Wall,
                 ExecutionMode::Native,
                 None,
@@ -224,7 +202,7 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
 fn joiner_converges_and_leaver_detaches() {
     let (result, nodes) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep,
+        Driver::WorkSteal { workers: 1 },
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         None,
@@ -285,7 +263,7 @@ fn bootstrap_grows_joiner_store_before_first_epoch() {
     let run = |points: usize| {
         let mut nodes = fleet(SharingMode::RawData);
         let mut cfg = config(
-            Driver::Lockstep,
+            Driver::WorkSteal { workers: 1 },
             TimeAxis::Simulated(Default::default()),
             ExecutionMode::Native,
             None,
@@ -316,7 +294,7 @@ fn sgx_churn_installs_late_sessions_and_stays_bit_identical() {
     let sgx = ExecutionMode::Sgx(SgxCostModel::default());
     let (mem_result, nodes) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep,
+        Driver::WorkSteal { workers: 1 },
         TimeAxis::Simulated(Default::default()),
         sgx,
         None,
@@ -330,32 +308,32 @@ fn sgx_churn_installs_late_sessions_and_stays_bit_identical() {
             );
         }
     }
-    // SGX churn replays bit-identically on another backend + driver.
-    let (channel_result, _) = run_churn(
-        ChannelTransport::new(N),
+    // SGX churn replays bit-identically on another driver.
+    let (pool_result, _) = run_churn(
+        MemNetwork::new(N),
         Driver::WorkSteal { workers: 3 },
         TimeAxis::Wall,
         sgx,
         None,
     );
-    assert_eq!(signature(&mem_result), signature(&channel_result));
+    assert_eq!(signature(&mem_result), signature(&pool_result));
 }
 
 #[test]
 fn membership_composes_with_fault_plans() {
     // A lossy fabric plus a crash window over the sponsor's join epoch:
-    // the schedule still replays bit-for-bit across backends, and the
+    // the schedule still replays bit-for-bit across drivers, and the
     // delivery counters show real loss.
     let faults = FaultPlan::uniform(0xFA01, LinkFaults::drop_rate(0.15)).with_crash(3, 1, Some(4));
     let (a, _) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep,
+        Driver::WorkSteal { workers: 1 },
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         Some(faults.clone()),
     );
     let (b, _) = run_churn(
-        ChannelTransport::new(N),
+        MemNetwork::new(N),
         Driver::WorkSteal { workers: 2 },
         TimeAxis::Wall,
         ExecutionMode::Native,
@@ -381,7 +359,7 @@ fn dropped_bootstrap_is_deterministic_not_fatal() {
     .with_join(6, 2, Some(0));
     let faults = FaultPlan::default().with_link(0, 6, LinkFaults::drop_rate(1.0));
     let mut cfg = config(
-        Driver::Lockstep,
+        Driver::WorkSteal { workers: 1 },
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         Some(faults.clone()),

@@ -10,7 +10,7 @@
 use rex_repro::core::config::ExecutionMode;
 use rex_repro::core::engine::{Driver, Engine, EngineConfig, TimeAxis};
 use rex_repro::ml::MfModel;
-use rex_repro::net::ChannelTransport;
+use rex_repro::net::MemNetwork;
 use rex_repro::node::launcher::{find_node_binary, launch_cluster, scratch_dir};
 use rex_repro::node::{build_fleet, run_cluster_in_process, ClusterConfig, NodeSummary};
 use rex_repro::tee::SgxCostModel;
@@ -60,15 +60,15 @@ fn processes_match_in_process_cluster_bit_for_bit() {
 #[test]
 fn processes_match_engine_results() {
     // Tie the deployed loop back to the Engine itself: same fleet through
-    // the channel-transport thread-per-node driver.
+    // the thread-per-node driver over the split in-memory fabric.
     let cfg = tiny_cfg(4, false);
     let Some(deployed) = launch(&cfg, "engine-cmp") else {
         return;
     };
 
     let mut nodes = build_fleet(&cfg);
-    let result = Engine::<MfModel, ChannelTransport>::new(
-        ChannelTransport::new(nodes.len()),
+    let result = Engine::<MfModel, MemNetwork>::new(
+        MemNetwork::new(nodes.len()),
         EngineConfig {
             epochs: cfg.epochs,
             execution: ExecutionMode::Native,
@@ -142,7 +142,6 @@ fn fifth_process_joins_running_cluster_bit_for_bit() {
     // raw-share bootstrap from its sponsor. The whole run must
     // reproduce the in-process cluster *and* the engine bit-for-bit.
     use rex_repro::core::membership::MembershipPlan;
-    use rex_repro::net::MemNetwork;
 
     let mut cfg = tiny_cfg(5, false);
     cfg.epochs = 5;
@@ -168,8 +167,9 @@ fn fifth_process_joins_running_cluster_bit_for_bit() {
     assert!(joiner.stats.msgs_in > 0, "joiner converged into the gossip");
     assert!(deployed[1].rmse_trace_bits[4].is_none(), "leaver departed");
 
-    // And the engine agrees: same fleet, same schedule, lockstep over
-    // the mem fabric — per-node final models, stores, and traffic.
+    // And the engine agrees: same fleet, same schedule, the inline
+    // fabric loop over the mem fabric — per-node final models, stores,
+    // and traffic.
     let mut nodes = rex_repro::node::build_fleet(&cfg);
     let result = Engine::<MfModel, MemNetwork>::new(
         MemNetwork::new(nodes.len()),
@@ -177,7 +177,7 @@ fn fifth_process_joins_running_cluster_bit_for_bit() {
             epochs: cfg.epochs,
             execution: ExecutionMode::Native,
             time: TimeAxis::Wall,
-            driver: Driver::Lockstep,
+            driver: Driver::WorkSteal { workers: 1 },
             processes_per_platform: cfg.processes_per_platform,
             seed: cfg.infra_seed,
             faults: None,
@@ -215,8 +215,8 @@ fn sgx_processes_reproduce_attested_run() {
     assert_eq!(deployed, reference);
 
     let mut nodes = build_fleet(&cfg);
-    let result = Engine::<MfModel, ChannelTransport>::new(
-        ChannelTransport::new(nodes.len()),
+    let result = Engine::<MfModel, MemNetwork>::new(
+        MemNetwork::new(nodes.len()),
         EngineConfig {
             epochs: cfg.epochs,
             execution: ExecutionMode::Sgx(SgxCostModel::default()),
