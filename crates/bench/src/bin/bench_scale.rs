@@ -142,7 +142,7 @@ fn engine_config(epochs: usize, driver: Driver) -> EngineConfig {
 }
 
 /// Runs `nodes` through `epochs` over an in-memory fabric.
-fn run_mem(nodes: &mut Vec<Node<MfModel>>, cfg: EngineConfig) -> EngineResult {
+fn run_mem(nodes: &mut [Node<MfModel>], cfg: EngineConfig) -> EngineResult {
     Engine::<MfModel, MemNetwork>::new(MemNetwork::new(nodes.len()), cfg).run("scale", nodes)
 }
 

@@ -24,13 +24,15 @@
 //! simulator's). A further backend only implements the `rex-net`
 //! transport traits.
 //!
-//! # Two round loops
-//! `Engine::run_rounds` is the **fabric loop**: one owner over the whole
-//! [`Transport`], node epochs executed by [`crate::pool`].
-//! [`Driver::ThreadPerNode`] instead spawns the **per-node loop**
+//! # One round, its drivers
+//! A node's epoch is sequenced in one place, the [`NodeRound`] state
+//! machine of [`crate::round`]; the engine only schedules it.
+//! `Engine::run_rounds` is the **fabric scheduler**: one owner over the
+//! whole [`Transport`] steps every node's machine, with the node compute
+//! in one phase of [`crate::pool`] per epoch. [`Driver::ThreadPerNode`]
+//! instead spawns the **endpoint driver**
 //! ([`crate::round::run_node_loop`], one thread over one [`Endpoint`])
-//! once per node and folds what it reports. Nothing else runs a round —
-//! see the crate docs.
+//! once per node and folds what it reports.
 //!
 //! # Determinism
 //! Inboxes are handed to nodes in canonical order (ascending sender id,
@@ -62,20 +64,20 @@
 //! delivered/dropped/late/duplicated counts
 //! ([`EpochRecord::delivery`], filled in when the transport is wrapped
 //! in [`rex_net::fault::FaultyTransport`] with the same plan). Both
-//! loops replay a plan bit-for-bit; `tests/chaos.rs` holds them to it.
+//! drivers replay a plan bit-for-bit; `tests/chaos.rs` holds them to it.
 
 use crate::config::ExecutionMode;
 use crate::membership::{MembershipPlan, MembershipView, ViewTransition};
 use crate::node::{EpochReport, Node};
-use crate::pool::{panic_message, WorkStealPool};
-use crate::round::{self, EpochEvent, RoundContext};
+use crate::pool::{panic_message, step, Parked, WorkStealPool};
+use crate::round::{self, EpochEvent, Input, NodeRound, RoundContext};
 use crate::setup::TeeDirectory;
 use crate::setup::{establish_tee_with_directory, overlay_of, prune_to_overlay, SetupReport};
 use rex_ml::Model;
 use rex_net::fault::FaultPlan;
 use rex_net::link::LinkModel;
 use rex_net::stats::{DeliveryStats, TrafficStats};
-use rex_net::transport::{Clock, Endpoint, Transport, WallClock};
+use rex_net::transport::{BarrierKind, Clock, Endpoint, Transport, WallClock};
 use rex_sim::clock::VirtualClock;
 use rex_sim::stage::StageTimes;
 use rex_sim::trace::{EpochRecord, ExperimentTrace};
@@ -99,19 +101,20 @@ pub enum TimeAxis {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
     /// One OS thread per node over split endpoints, each running the
-    /// per-node loop ([`crate::round::run_node_loop`]) against the
+    /// endpoint driver ([`crate::round::run_node_loop`]) against the
     /// fabric's own round barrier — the paper's deployment shape. Works
     /// with any [`Transport`]: every fabric splits.
     ThreadPerNode,
-    /// The fabric loop executed by a **fixed work-stealing worker pool**
-    /// ([`crate::pool`]): workers stay alive across epochs and steal node
-    /// epochs from each other's deques, so skewed per-node costs (growing
-    /// stores, crashed nodes) do not stall a whole chunk. Scales the
-    /// fabric view to 1000+ nodes in-process; every worker count is
-    /// bit-identical to one worker, which spawns nothing and runs every
-    /// node epoch on the driver thread in node order (outputs are keyed
-    /// by node id and sends are applied in canonical node order after
-    /// each phase). Works with any [`Transport`] and either time axis.
+    /// The fabric scheduler executed by a **fixed work-stealing worker
+    /// pool** ([`crate::pool`]): workers stay alive across epochs and
+    /// steal node machines from each other's deques, so skewed per-node
+    /// costs (growing stores, crashed nodes) do not stall a whole chunk.
+    /// Scales the fabric view to 1000+ nodes in-process; every worker
+    /// count is bit-identical to one worker, which spawns nothing and
+    /// steps every machine on the driver thread in node order (outputs
+    /// are keyed by node id and sends are applied in canonical node order
+    /// after each phase). Works with any [`Transport`] and either time
+    /// axis.
     WorkSteal {
         /// Worker threads; `0` means one per available CPU core, `1` runs
         /// inline on the driver thread.
@@ -150,7 +153,7 @@ pub struct EngineConfig {
     /// a [`MembershipView`] at every round boundary and applies its
     /// transitions before any inbox of the epoch is drained, so a
     /// sponsor's bootstrap lands in the joiner's first inbox. Supported
-    /// by [`Driver::WorkSteal`] at any worker count (the per-node loop
+    /// by [`Driver::WorkSteal`] at any worker count (the endpoint driver
     /// applies the same transitions over its own endpoint under
     /// `rex-node`); [`Driver::ThreadPerNode`] rejects a non-`None` plan.
     pub membership: Option<MembershipPlan>,
@@ -182,10 +185,10 @@ pub struct EngineResult {
     pub final_stats: Vec<TrafficStats>,
 }
 
-/// What one node's thread hands back to the engine: the (trained) node,
-/// every epoch it served with the wall timestamp of its completion, and
-/// its traffic counters.
-type NodeRun<M> = (Node<M>, Vec<(u64, EpochEvent)>, TrafficStats);
+/// What one node's thread hands back to the engine: every epoch it
+/// served with the wall timestamp of its completion, and its traffic
+/// counters.
+type NodeRun = (Vec<(u64, EpochEvent)>, TrafficStats);
 
 /// The transport-generic protocol engine. See the module docs.
 pub struct Engine<M: Model, T: Transport> {
@@ -219,7 +222,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
     /// or with a membership plan, a membership plan fails validation, or
     /// a node fails mid-run — its epoch panics or its endpoint loses a
     /// peer — in which case the failure is re-raised naming the node.
-    pub fn run(mut self, name: &str, nodes: &mut Vec<Node<M>>) -> EngineResult {
+    pub fn run(mut self, name: &str, nodes: &mut [Node<M>]) -> EngineResult {
         assert!(!nodes.is_empty(), "engine needs at least one node");
         assert_eq!(
             self.transport.num_nodes(),
@@ -283,7 +286,8 @@ impl<M: Model, T: Transport> Engine<M, T> {
             TimeAxis::Wall => setup.wall_ns(),
         };
 
-        // The fabric loop's worker count: `0` is one per available core.
+        // The fabric scheduler's worker count: `0` is one per available
+        // core.
         let workers = match self.cfg.driver {
             Driver::ThreadPerNode => return self.run_thread_per_node(name, nodes, setup_ns),
             Driver::WorkSteal { workers: 0 } => {
@@ -293,7 +297,13 @@ impl<M: Model, T: Transport> Engine<M, T> {
         }
         .min(nodes.len());
 
-        let (fleet, trace) = WorkStealPool::run(std::mem::take(nodes), workers, |pool| {
+        let faults = self.cfg.faults.as_ref();
+        let points = view.as_ref().map_or(0, |v| v.plan().bootstrap_points);
+        let rounds = nodes
+            .iter_mut()
+            .map(|node| NodeRound::new(node, faults, tee.as_ref(), None, points))
+            .collect();
+        let trace = WorkStealPool::run(rounds, workers, |pool| {
             Self::run_rounds(
                 &self.cfg,
                 &mut self.transport,
@@ -304,7 +314,6 @@ impl<M: Model, T: Transport> Engine<M, T> {
                 tee.as_ref(),
             )
         });
-        *nodes = fleet;
         EngineResult {
             trace,
             setup_ns,
@@ -312,23 +321,27 @@ impl<M: Model, T: Transport> Engine<M, T> {
         }
     }
 
-    /// The fabric round loop: per epoch — `epoch_begin`, **membership
-    /// view transition** (rewire the overlay, late-attest materializing
-    /// edges, send sponsor bootstraps, flush so they land in this epoch's
-    /// inboxes), crash + membership mask, drain every mailbox (a down or
-    /// non-member node's inbox is drained and discarded), run every live
-    /// node's epoch as one pool phase, apply sends in deterministic node
-    /// order, `flush`, drain delivery counters, advance the clock, record
-    /// the trace. The pool only decides on which thread an epoch runs —
-    /// inputs are staged before the phase and outputs read back by node
-    /// id after it — which is what makes every worker count bit-identical
-    /// *by construction*.
+    /// The fabric scheduler: steps every node's [`NodeRound`] over the
+    /// whole transport, one epoch at a time. Per epoch — `epoch_begin`;
+    /// under a **membership view change**, the fabric-level view sync and
+    /// the SGX evidence routing; every machine opened and stepped on this
+    /// thread up to its recv (a view change first takes each through its
+    /// bootstraps to the view barrier, which a `flush` releases, so they
+    /// land before any inbox is drained); every mailbox drained into the
+    /// pool; one pool phase, stepping each machine through the front, its
+    /// buffered sends and the back to its round wait; the sends applied in
+    /// node order; `flush`, which releases the round barrier; then the
+    /// machines' reports advance the clock and fill the trace. The pool
+    /// only decides on which thread a machine is stepped — inputs are
+    /// staged before the phase and outputs read back by node id after it —
+    /// which is what makes every worker count bit-identical *by
+    /// construction*.
     fn run_rounds(
         cfg: &EngineConfig,
         transport: &mut T,
         name: &str,
         setup_ns: u64,
-        pool: &WorkStealPool<M>,
+        pool: &WorkStealPool<'_, M>,
         mut view: Option<MembershipView>,
         tee: Option<&TeeDirectory>,
     ) -> ExperimentTrace {
@@ -339,123 +352,81 @@ impl<M: Model, T: Transport> Engine<M, T> {
         };
         clock.advance(setup_ns);
         let mut trace = ExperimentTrace::new(name);
+        // The machines stepped: every node until its own leave.
+        let mut live: Vec<usize> = (0..n).collect();
 
         for epoch in 0..cfg.epochs {
             transport.epoch_begin(epoch);
-
-            if let Some(v) = view.as_mut() {
-                if let Some(t) = v.advance(epoch) {
-                    // Fabric-level view sync first: layers with
-                    // in-flight state react to the change (the fault
-                    // wrapper purges a leaver's held messages before
-                    // any release point could target it).
-                    transport.view_sync(epoch, &t.joined, &t.left);
-                    let points = v.plan().bootstrap_points;
-                    Self::transition_fleet(&t, pool, transport, cfg.faults.as_ref(), tee, points);
-                    // The view barrier: bootstraps are delivered before
-                    // any inbox of this epoch is drained.
-                    transport.flush();
+            let transition = view.as_mut().and_then(|v| v.advance(epoch));
+            let mut evidence = Vec::new();
+            if let Some(t) = &transition {
+                // Fabric-level view sync first: layers with in-flight
+                // state react to the change (the fault wrapper purges a
+                // leaver's held messages before any release point could
+                // target it).
+                transport.view_sync(epoch, &t.joined, &t.left);
+                if let Some(dir) = tee {
+                    evidence = route_evidence(t, pool, dir);
                 }
             }
-
-            // A node sits the epoch out when crash-stopped *or* outside
-            // the current membership view; either way its mailbox is
-            // drained and discarded — whatever was in flight to it is
-            // lost, exactly as in the per-node loop.
-            let mut live = Vec::with_capacity(n);
-            for id in 0..n {
-                let inbox = transport.recv(id);
-                if cfg.faults.as_ref().is_some_and(|p| p.is_down(id, epoch))
-                    || view.as_ref().is_some_and(|v| !v.is_member(id))
-                {
-                    continue;
+            live.retain(|&id| {
+                let open = Input::Open {
+                    epoch,
+                    transition: transition.as_ref(),
+                    member: view.as_ref().is_none_or(|v| v.is_member(id)),
+                };
+                let presented = evidence.get_mut(id).map(std::mem::take);
+                let send = |to, bytes| transport.send(id, to, bytes);
+                let parked = pool.with_round(id, |r| step(r, open, presented, send));
+                !matches!(parked, Parked::Left)
+            });
+            if transition.is_some() {
+                // The view barrier: bootstraps are delivered before any
+                // inbox of this epoch is drained.
+                transport.flush();
+                for &id in &live {
+                    let released = Input::Released(BarrierKind::Round);
+                    let send = |to, bytes| transport.send(id, to, bytes);
+                    pool.with_round(id, |r| step(r, released, None, send));
                 }
-                pool.load(id, inbox);
-                live.push(id);
+            }
+            // Every inbox is drained before the phase; a machine sitting
+            // the epoch out discards its own.
+            for &id in &live {
+                pool.load(id, transport.recv(id));
             }
 
             pool.run_phase(&live);
 
             // Apply sends in deterministic node order, then make them
             // visible for the next round.
-            let mut reports = Vec::with_capacity(n);
-            for from in 0..n {
-                reports.push(pool.take_output(from).map(|(outgoing, report)| {
-                    for (dest, bytes) in outgoing {
-                        transport.send(from, dest, bytes);
-                    }
-                    report
-                }));
+            for &id in &live {
+                for (dest, bytes) in pool.take_outbox(id) {
+                    transport.send(id, dest, bytes);
+                }
             }
             transport.flush();
             let delivery = transport.take_delivery();
 
+            let mut reports = vec![None; n];
+            for &id in &live {
+                let released = Input::Released(BarrierKind::Round);
+                let send = |to, bytes| transport.send(id, to, bytes);
+                if let Parked::Report(report) =
+                    pool.with_round(id, |r| step(r, released, None, send))
+                {
+                    reports[id] = report;
+                }
+            }
             advance_epoch_clock(&cfg.time, clock.as_mut(), &reports);
             trace.push(aggregate_epoch(epoch, clock.now_ns(), &reports, delivery));
         }
         trace
     }
 
-    /// Applies one membership view transition to the whole fleet: every
-    /// node gets its own slice through [`round::apply_transition`], with
-    /// `transport.send` carrying the sponsor bootstraps. In SGX mode each
-    /// joiner first produces the evidence its `Join` frame would carry,
-    /// and the member that checks it is its first new neighbour (or, for
-    /// a momentarily isolated joiner, the joiner's own enclave — same
-    /// measurement).
-    fn transition_fleet(
-        t: &ViewTransition,
-        pool: &WorkStealPool<M>,
-        transport: &mut T,
-        faults: Option<&FaultPlan>,
-        tee: Option<&TeeDirectory>,
-        bootstrap_points: usize,
-    ) {
-        let failed = |e: String| -> ! { panic!("view transition at epoch {}: {e}", t.epoch) };
-        let mut evidence: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); pool.len()];
-        if let Some(dir) = tee {
-            for &j in &t.joined {
-                let bytes = pool
-                    .with_node(j, |node| round::encode_evidence(dir, node, t.epoch))
-                    .unwrap_or_else(|e| failed(e));
-                let checker = t
-                    .added_edges
-                    .iter()
-                    .find_map(|&(a, b)| match (a == j, b == j) {
-                        (true, _) => Some(b),
-                        (_, true) => Some(a),
-                        _ => None,
-                    })
-                    .unwrap_or(j);
-                evidence[checker].push((j, bytes));
-            }
-        }
-        for (id, presented) in evidence.iter().enumerate() {
-            pool.with_node(id, |node| {
-                round::apply_transition(
-                    node,
-                    t,
-                    presented,
-                    bootstrap_points,
-                    faults,
-                    tee,
-                    |to, b| {
-                        transport.send(id, to, b);
-                    },
-                )
-            })
-            .unwrap_or_else(|e| failed(e));
-        }
-    }
-
     /// One OS thread per node over split endpoints, each running the
-    /// per-node loop; the engine only folds what the loops report.
-    fn run_thread_per_node(
-        self,
-        name: &str,
-        nodes: &mut Vec<Node<M>>,
-        setup_ns: u64,
-    ) -> EngineResult {
+    /// endpoint driver; the engine only folds what the drivers report.
+    fn run_thread_per_node(self, name: &str, nodes: &mut [Node<M>], setup_ns: u64) -> EngineResult {
         let epochs = self.cfg.epochs;
         let endpoints = self.transport.into_endpoints();
         assert_eq!(
@@ -466,12 +437,12 @@ impl<M: Model, T: Transport> Engine<M, T> {
 
         let faults = self.cfg.faults.as_ref();
         let start = Instant::now();
-        let outcomes: Vec<std::thread::Result<Result<NodeRun<M>, String>>> =
+        let outcomes: Vec<std::thread::Result<Result<NodeRun, String>>> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = std::mem::take(nodes)
-                    .into_iter()
+                let handles: Vec<_> = nodes
+                    .iter_mut()
                     .zip(endpoints)
-                    .map(|(mut node, mut endpoint)| {
+                    .map(|(node, mut endpoint)| {
                         scope.spawn(move || {
                             let mut served = Vec::with_capacity(epochs);
                             let ctx = RoundContext {
@@ -481,10 +452,10 @@ impl<M: Model, T: Transport> Engine<M, T> {
                                 audit: None,
                                 serve: None,
                             };
-                            round::run_node_loop(&mut node, &mut endpoint, 0..epochs, ctx, |ev| {
+                            round::run_node_loop(node, &mut endpoint, 0..epochs, ctx, |ev| {
                                 served.push((start.elapsed().as_nanos() as u64, ev));
                             })?;
-                            Ok((node, served, endpoint.stats()))
+                            Ok((served, endpoint.stats()))
                         })
                     })
                     .collect();
@@ -495,7 +466,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
         // A node that died took its endpoint with it, which fails every
         // peer's barrier: the panic, the cause, goes ahead of the errors
         // it caused.
-        let mut joined: Vec<NodeRun<M>> = Vec::with_capacity(outcomes.len());
+        let mut joined: Vec<NodeRun> = Vec::with_capacity(outcomes.len());
         let mut failures = Vec::new();
         for (id, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
@@ -510,10 +481,10 @@ impl<M: Model, T: Transport> Engine<M, T> {
         if let Some(first) = failures.first() {
             panic!("{first}");
         }
-        let final_stats: Vec<TrafficStats> = joined.iter().map(|(_, _, s)| *s).collect();
+        let final_stats: Vec<TrafficStats> = joined.iter().map(|(_, s)| *s).collect();
 
         // Real elapsed time plus the modelled charges, which stack up
-        // epoch by epoch exactly as on the fabric loop's wall axis.
+        // epoch by epoch exactly as on the fabric scheduler's wall axis.
         let mut trace = ExperimentTrace::new(name);
         let mut charges = VirtualClock::new();
         for epoch in 0..epochs {
@@ -521,7 +492,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
             let mut delivery = DeliveryStats::default();
             let reports: Vec<Option<EpochReport>> = joined
                 .iter()
-                .map(|(_, served, _)| {
+                .map(|(served, _)| {
                     let (t, event) = served[epoch];
                     end_ns = end_ns.max(t);
                     delivery.absorb(&event.delivery);
@@ -533,15 +504,43 @@ impl<M: Model, T: Transport> Engine<M, T> {
             trace.push(aggregate_epoch(epoch, time_ns, &reports, delivery));
         }
 
-        // Hand the (trained) fleet back to the caller.
-        *nodes = joined.into_iter().map(|(node, _, _)| node).collect();
-
         EngineResult {
             trace,
             setup_ns,
             final_stats,
         }
     }
+}
+
+/// The SGX evidence of a view change, per checking node: each joiner
+/// produces the quote its `Join` frame would carry, and the member that
+/// checks it is its first new neighbour (or, for a momentarily isolated
+/// joiner, the joiner's own enclave — same measurement).
+///
+/// # Panics
+/// When a joiner cannot produce its evidence.
+fn route_evidence<M: Model>(
+    t: &ViewTransition,
+    pool: &WorkStealPool<'_, M>,
+    dir: &TeeDirectory,
+) -> Vec<Vec<(usize, Vec<u8>)>> {
+    let mut evidence = vec![Vec::new(); pool.len()];
+    for &j in &t.joined {
+        let bytes = pool
+            .with_round(j, |r| round::encode_evidence(dir, r.node_mut(), t.epoch))
+            .unwrap_or_else(|e| panic!("view transition at epoch {}: {e}", t.epoch));
+        let checker = t
+            .added_edges
+            .iter()
+            .find_map(|&(a, b)| match (a == j, b == j) {
+                (true, _) => Some(b),
+                (_, true) => Some(a),
+                _ => None,
+            })
+            .unwrap_or(j);
+        evidence[checker].push((j, bytes));
+    }
+    evidence
 }
 
 /// Advances the epoch clock by the configured time model: on a simulated
@@ -580,7 +579,8 @@ fn advance_epoch_clock(time: &TimeAxis, clock: &mut dyn Clock, reports: &[Option
 /// over the **live** nodes, in node order — the folds are order-stable so
 /// runs are reproducible. Crash-stopped nodes (`None`) contribute nothing
 /// but are counted out of `live_nodes`.
-fn aggregate_epoch(
+#[must_use]
+pub fn aggregate_epoch(
     epoch: usize,
     time_ns: u64,
     reports: &[Option<EpochReport>],
@@ -714,7 +714,7 @@ mod tests {
     }
 
     /// Runs `nodes` on the in-memory fabric under `cfg`'s driver.
-    fn run(cfg: EngineConfig, name: &str, nodes: &mut Vec<Node<MfModel>>) -> EngineResult {
+    fn run(cfg: EngineConfig, name: &str, nodes: &mut [Node<MfModel>]) -> EngineResult {
         Engine::new(MemNetwork::new(nodes.len()), cfg).run(name, nodes)
     }
 

@@ -22,21 +22,24 @@
 //! travel AEAD-sealed, and the runtime charges transition/paging costs that
 //! surface in the experiment traces.
 //!
-//! # Architecture: one engine, two round loops, many backends
+//! # Architecture: one engine, one round, many backends
 //!
 //! All deployments run through a single transport-generic
-//! [`engine::Engine`], and the round itself is written twice — once per
-//! ownership shape — and nowhere else:
+//! [`engine::Engine`], and a node's epoch is sequenced once, by the
+//! [`round::NodeRound`] state machine; every deployment is a driver that
+//! supplies its I/O and releases its barriers:
 //!
-//! * [`engine`] — the shared pipeline: TEE setup, the **fabric round
-//!   loop** (one owner over a whole `rex_net::Transport`), and trace
-//!   aggregation;
-//! * [`round`] — the **per-node round loop** (one thread over one
-//!   `rex_net::transport::Endpoint`): what a `rex-node` process runs,
-//!   what [`engine::Driver::ThreadPerNode`] spawns per node, and the one
+//! * [`round`] — the machine, and the **endpoint driver** that maps its
+//!   actions onto one `rex_net::transport::Endpoint` (what a `rex-node`
+//!   process runs, what [`engine::Driver::ThreadPerNode`] spawns per
+//!   node), with the bounded-async inbox policy beside it; also the one
 //!   place a membership view transition is applied to a node;
-//! * [`pool`] — the fixed work-stealing worker pool, the fabric loop's
-//!   only executor ([`engine::Driver::WorkSteal`]): inline on the driver
+//! * [`engine`] — the shared pipeline: TEE setup, the **fabric
+//!   scheduler** (one owner over a whole `rex_net::Transport` stepping
+//!   every node's machine), and trace aggregation;
+//! * [`pool`] — the fixed work-stealing worker pool, the fabric
+//!   scheduler's only executor ([`engine::Driver::WorkSteal`]): it steps
+//!   the machines through one phase per epoch, inline on the driver
 //!   thread with one worker, on persistent workers otherwise,
 //!   bit-identical either way;
 //! * [`membership`] — epoch-scoped views of the live fleet: online
@@ -63,7 +66,7 @@
 //! is the discrete-event simulator at any node count; the same
 //! `MemNetwork` under [`engine::Driver::ThreadPerNode`] and
 //! [`engine::TimeAxis::Wall`] splits into one endpoint per node and runs
-//! one OS thread per node on the per-node loop, the paper's 8-node
+//! one OS thread per node on the endpoint driver, the paper's 8-node
 //! deployment.
 //!
 //! # User shards

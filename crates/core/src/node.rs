@@ -8,12 +8,13 @@
 //! (see [`crate::commitment`]) — and reports which form the link took in
 //! [`EpochReport::link_rows`]. The log is cleared only there, so a round
 //! the node sits out neither adds a link nor drops a write. The epoch
-//! comes in two halves the per-node round loop calls apart:
-//! [`Node::epoch_front`] (merge→train→share) and [`Node::epoch_back`]
-//! (test→commit), with the shares sent between them.
-//! The two round loops (`engine`'s fabric loop through `pool`, and
-//! `round`) own scheduling: they deliver each node's inbox, forward its
-//! outgoing messages, and assemble the global trace.
+//! comes in two halves that [`crate::round::NodeRound`], the one
+//! sequencer of a node's epoch, calls apart: [`Node::epoch_front`]
+//! (merge→train→share) and [`Node::epoch_back`] (test→commit), with the
+//! shares sent between them. Its drivers (the engine's fabric scheduler
+//! through `pool`, and the endpoint drivers of `round`) own scheduling:
+//! they deliver each node's inbox, forward its outgoing messages, and
+//! assemble the global trace.
 
 use crate::commitment::{CommitmentChain, EpochCommitment};
 use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
@@ -432,7 +433,9 @@ impl<M: Model> Node<M> {
     }
 
     /// Runs one merge→train→share→test epoch (Algorithm 2, rex_protocol)
-    /// and commits it: [`Node::epoch_front`] then [`Node::epoch_back`].
+    /// and commits it: [`Node::epoch_front`] then [`Node::epoch_back`],
+    /// outside any round — the entry a caller that is its own network
+    /// uses (the repo benchmark's per-layer epoch probe, unit tests).
     ///
     /// `inbox` holds everything received since the previous epoch. Returns
     /// the encoded outgoing messages (destination, bytes) and the report.
@@ -443,8 +446,8 @@ impl<M: Model> Node<M> {
 
     /// The front of an epoch — merge → train → share: everything the
     /// outgoing shares depend on. Returns them, with the epoch's
-    /// [`PendingEpoch`] for [`Node::epoch_back`] to finish. The per-node
-    /// round loop sends the shares between the two, so the test and the
+    /// [`PendingEpoch`] for [`Node::epoch_back`] to finish. The round
+    /// sends the shares between the two, so the test and the
     /// commit overlap the round barrier instead of delaying it. Nothing
     /// the back does feeds the shares: it reads the model, draws no
     /// randomness, and only clears the model's write log.

@@ -1,38 +1,51 @@
-//! The per-node round loop: one node, one [`Endpoint`], one thread.
+//! The per-node round, written once: [`NodeRound`], a sans-IO state
+//! machine that sequences one node's epoch (Algorithm 2 between two
+//! exchanges), and the endpoint drivers that schedule it.
 //!
-//! This is the loop a deployed `rex-node` process runs over its
-//! `TcpEndpoint`, the loop every thread of the in-process cluster runs,
-//! and the body of [`Driver::ThreadPerNode`](crate::engine::Driver). Per
-//! epoch: membership view transition (when the epoch opens one), recv,
-//! then two **split-phase** barriers with the node's compute in their
-//! gaps —
+//! The machine holds no endpoint, clock, thread or membership view (the
+//! view stays with the driver: one per fabric, one per endpoint). It is
+//! stepped with an [`Input`], hands its driver the step's non-blocking
+//! [`Effect`]s in order, and returns the [`Action`] it waits on. Per
+//! epoch:
 //!
 //! ```text
-//! recv → arrive(drain) → front → wait(drain) → send
-//!      → arrive(round) → back  → wait(round) → audit drain, publish
+//! open → [view sync → bootstraps → arrive(round) → wait(round)]
+//!      → recv → arrive(drain) → front → wait(drain) → send
+//!      → arrive(round) → back  → wait(round) → audit drain, publish, report
 //! ```
 //!
-//! The front ([`Node::epoch_front`]: merge → train → share) reads only
-//! the inbox already drained, and the back ([`Node::epoch_back`]: test →
-//! commit) reads only the node's own model, so neither needs the barrier
-//! it overlaps: a wait costs only what is left of it once the compute is
-//! done. Sends still happen only after the drain wait, so no epoch-`e`
-//! share can land in a slow peer's epoch-`e` inbox. Under a broadcasting
-//! audit the back runs before the round arrive instead, so the
-//! commitment frame travels ahead of the token. Its single-owner
-//! counterpart over a whole `Transport` is `Engine::run_rounds`, which
-//! calls [`Node::epoch`] (front then back); the two are held
-//! bit-identical by the golden suites, and both apply a view change
-//! through the one `apply_transition` here.
+//! The bracket runs only when the epoch opens a membership view change:
+//! sponsor bootstraps land before any inbox of the epoch is drained. The
+//! front ([`Node::epoch_front`]: merge → train → share) reads only the
+//! inbox already drained and the back ([`Node::epoch_back`]: test →
+//! commit) only the node's own model, so each runs in the gap of a
+//! barrier it does not need. Sends come only after the drain wait, so no
+//! epoch-`e` share can land in a slow peer's epoch-`e` inbox. Under a
+//! broadcasting audit the back runs before the round arrive, so the
+//! commitment frame travels ahead of the token. A node that is down or
+//! outside the view discards its inbox, serves the barriers and runs
+//! nothing.
 //!
-//! [`run_node_loop_async`] is the bounded-staleness sibling: no barriers,
-//! real arrival timing, and the epoch unsplit: front → send → back, then
-//! audit drain → publish → report. It shares those helpers and nothing
-//! else.
-//!
-//! A new barrier or queue counter belongs here (and a new stage span in
-//! [`Node::epoch_front`] or [`Node::epoch_back`]); no other file runs a
-//! node's epoch.
+//! Three drivers schedule the machine: [`run_node_loop`] over one
+//! [`Endpoint`] (a `rex-node` process, a thread of the in-process
+//! cluster, [`Driver::ThreadPerNode`](crate::engine::Driver)),
+//! [`run_node_loop_async`] under the bounded-staleness inbox policy, and
+//! the engine's fabric scheduler over a whole transport (see
+//! [`crate::engine`]). A new barrier or queue counter belongs here (and a
+//! new stage span in [`Node::epoch_front`] or [`Node::epoch_back`]); no
+//! other file runs a node's epoch.
+
+// Every deployed process runs this module: it fails with an error its
+// caller can report, never with a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::commitment::{EpochCommitment, TagVerifier};
 use crate::membership::{MembershipView, ViewTransition};
@@ -45,7 +58,7 @@ use rex_net::fault::FaultPlan;
 use rex_net::mem::Envelope;
 use rex_net::message::Payload;
 use rex_net::stats::DeliveryStats;
-use rex_net::transport::{BarrierKind, Endpoint, TransportError};
+use rex_net::transport::{BarrierKind, Endpoint, PeerCommitment, TransportError};
 use rex_tee::attestation::AttestationMsg;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -176,13 +189,11 @@ fn verify_evidence<M: Model>(
 /// (sessions go with them, Metropolis–Hastings degrees renormalize), add
 /// the edges it gains with late-attested sessions, and — when this node
 /// sponsors a joiner and is not crash-stopped this epoch — hand the
-/// raw-share state bootstrap to `send`. The per-node loop passes its
-/// endpoint's evidence and `send`; the fabric loop walks the fleet with
-/// `transport.send`.
+/// raw-share state bootstrap to `send`.
 ///
 /// # Errors
 /// When evidence fails admission or an SGX node lacks its enclave.
-pub(crate) fn apply_transition<M: Model>(
+fn apply_transition<M: Model>(
     node: &mut Node<M>,
     t: &ViewTransition,
     evidence: &[(usize, Vec<u8>)],
@@ -232,99 +243,296 @@ pub(crate) fn apply_transition<M: Model>(
     Ok(())
 }
 
-/// Hands an epoch's shares to the endpoint.
-fn send_shares<E: Endpoint>(endpoint: &mut E, outgoing: Vec<(usize, Vec<u8>)>) {
-    for (dest, bytes) in outgoing {
-        endpoint.send(dest, bytes);
-    }
+/// What a driver feeds [`NodeRound::step`]: the answer to the
+/// [`Action`] the machine waits on.
+#[derive(Debug)]
+pub enum Input<'t> {
+    /// Epoch `epoch` opens (answers [`Action::Report`]): the view change
+    /// it opens, if any, and whether the node is in the view after it.
+    Open {
+        epoch: usize,
+        transition: Option<&'t ViewTransition>,
+        member: bool,
+    },
+    /// The `(joiner, evidence)` pairs presented to this node.
+    Synced(Vec<(usize, Vec<u8>)>),
+    /// The epoch's inbox, in canonical order.
+    Inbox(Vec<Envelope>),
+    /// The barrier completed.
+    Released(BarrierKind),
+    /// The peer commitments received since the last drain.
+    Commitments(Vec<PeerCommitment>),
 }
 
-/// Finishes an epoch whose shares are sent: runs its back and, under a
-/// broadcasting audit, hands the endpoint its signed commitment. The
-/// commitment is keyed by the node's `chain_index` (its executed-epoch
-/// count, which is what the HMAC tag binds) and rides the control plane
-/// behind the shares; per-link FIFO lands it before the peers' round
-/// barrier completes.
-fn finish<M: Model, E: Endpoint>(
-    node: &mut Node<M>,
-    endpoint: &mut E,
-    pending: PendingEpoch,
-    chain_index: u64,
-    audit: Option<WireAudit>,
-) -> EpochReport {
-    let report = node.epoch_back(pending);
-    if audit.is_some_and(|a| a.broadcast) {
-        endpoint.send_commitment(chain_index, report.commitment.digest, report.commitment.tag);
-    }
-    report
+/// What a [`NodeRound`] waits on: the driver carries it out and answers
+/// with the matching [`Input`].
+pub enum Action<'r> {
+    /// Bring the fabric's view up to this transition (admit the joiners,
+    /// retire the leavers); answer [`Input::Synced`].
+    ViewSync(&'r ViewTransition),
+    /// Drain the inbox; answer [`Input::Inbox`].
+    Recv,
+    /// Block until the barrier completes; answer [`Input::Released`].
+    Wait(BarrierKind),
+    /// Drain the peers' commitments; answer [`Input::Commitments`].
+    TakeCommitments,
+    /// The epoch is over (`report` is `None` when the node sat it out);
+    /// open the next with [`Input::Open`].
+    Report {
+        epoch: usize,
+        report: Option<EpochReport>,
+    },
+    /// The epoch opens this node's own leave: stop, before any of its
+    /// barriers. Its peers retire it at the same schedule point.
+    Leave,
 }
 
-/// A loop's audit posture with the run's verification keys: each peer's
-/// key is derived the first time that peer's commitment is checked, once
-/// per run.
-struct AuditDrain {
-    posture: WireAudit,
-    keys: TagVerifier,
+/// What a [`NodeRound`] hands its driver's sink during a step, in order,
+/// without waiting for an answer.
+pub enum Effect<'r, M> {
+    /// Send `bytes` to the node.
+    Send(usize, Vec<u8>),
+    /// Broadcast the node's signed commitment under chain `index` (its
+    /// executed-epoch count, which the HMAC tag binds).
+    SendCommitment {
+        index: u64,
+        commitment: EpochCommitment,
+    },
+    /// Announce arrival at a barrier.
+    Arrive(BarrierKind),
+    /// Publish `model` as member epoch `epoch`'s immutable snapshot (a
+    /// driver without a serve queue ignores it).
+    Publish { epoch: usize, model: &'r M },
 }
 
-impl AuditDrain {
-    fn new(audit: Option<WireAudit>) -> Option<AuditDrain> {
-        audit.map(|posture| AuditDrain {
-            posture,
-            keys: TagVerifier::new(posture.seed),
-        })
-    }
+/// Where a [`NodeRound`] stands: what its next input answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum At {
+    Closed,
+    Syncing,
+    Receiving,
+    /// On the view barrier (a round barrier).
+    Viewing,
+    Waiting(BarrierKind),
+    Auditing,
+    Left,
 }
 
-/// The loop's tail, once the epoch's sends are on their way (barrier or
-/// flush): drain the peers' commitments — HMAC-checking each against the
-/// sender's derived key when the audit verifies; a bad tag means a forged
-/// frame or diverged key material and stops the run — publish the
-/// post-epoch model as an immutable snapshot (the clone is what makes
-/// mid-epoch tearing structurally impossible for the serve thread), and
-/// report the epoch.
-fn conclude<M: Model, E: Endpoint>(
-    node: &Node<M>,
-    endpoint: &mut E,
+/// One node's round as a sans-IO state machine: it holds the node and the
+/// per-run round state (the executed-epoch chain index, the audit drain
+/// with its [`TagVerifier`]) and borrows the fault plan and the TEE
+/// directory. See the module docs for the epoch it sequences.
+pub struct NodeRound<'a, M: Model> {
+    node: &'a mut Node<M>,
+    faults: Option<&'a FaultPlan>,
+    tee: Option<&'a TeeDirectory>,
+    bootstrap_points: usize,
+    /// The audit posture with the run's verification keys (each peer's
+    /// key is derived once, the first time its commitment is checked).
+    audit: Option<(WireAudit, TagVerifier)>,
+    /// Epochs executed this run: mirrors the node's chain index, since
+    /// [`Node::epoch_back`] runs exactly once per executed epoch.
+    executed: u64,
+    at: At,
     epoch: usize,
+    member: bool,
+    transition: Option<ViewTransition>,
+    outgoing: Vec<(usize, Vec<u8>)>,
+    pending: Option<PendingEpoch>,
     report: Option<EpochReport>,
-    audit: Option<&mut AuditDrain>,
-    serve: Option<&SnapshotQueue<M>>,
-    on_epoch: &mut impl FnMut(EpochEvent),
-) -> Result<(), String> {
-    if let Some(audit) = audit {
-        for pc in endpoint.take_commitments() {
-            let commitment = EpochCommitment {
-                digest: pc.digest,
-                tag: pc.tag,
-            };
-            if audit.posture.verify && !audit.keys.verify(pc.from, pc.epoch as usize, &commitment) {
-                return Err(format!(
-                    "node {}: commitment from node {} at epoch {} failed HMAC \
-                     verification — replay it with `rex-node --challenge {}`",
-                    node.id(),
-                    pc.from,
-                    pc.epoch,
-                    pc.from
-                ));
-            }
+}
+
+impl<'a, M: Model> NodeRound<'a, M> {
+    /// A round for `node`, before its first epoch. `bootstrap_points` is
+    /// the membership plan's bootstrap size (`0` without a plan).
+    #[must_use]
+    pub fn new(
+        node: &'a mut Node<M>,
+        faults: Option<&'a FaultPlan>,
+        tee: Option<&'a TeeDirectory>,
+        audit: Option<WireAudit>,
+        bootstrap_points: usize,
+    ) -> Self {
+        let audit = audit.map(|a| (a, TagVerifier::new(a.seed)));
+        NodeRound {
+            node,
+            faults,
+            tee,
+            bootstrap_points,
+            audit,
+            executed: 0,
+            at: At::Closed,
+            epoch: 0,
+            member: true,
+            transition: None,
+            outgoing: Vec::new(),
+            pending: None,
+            report: None,
         }
     }
-    if let Some(queue) = serve {
-        queue.publish_model(epoch, Arc::new(node.model().clone()));
+
+    /// The node, mutably (a driver encodes a joiner's evidence with it).
+    pub(crate) fn node_mut(&mut self) -> &mut Node<M> {
+        self.node
     }
-    on_epoch(EpochEvent {
-        epoch,
-        report,
-        delivery: endpoint.take_delivery(),
-    });
-    Ok(())
+
+    /// Feeds the machine the answer to what it waited on, hands `sink` the
+    /// step's effects in order, and returns what it waits on next. The
+    /// node's compute runs inside the step, after the arrive it overlaps:
+    /// the front in the step that takes the inbox, the back in the step
+    /// that takes the drain's release.
+    ///
+    /// # Errors
+    /// When the input does not answer what the machine waited on, SGX
+    /// admission fails, or a peer's commitment fails HMAC verification — a
+    /// bad tag means a forged frame or diverged key material and stops
+    /// the run.
+    pub fn step(
+        &mut self,
+        input: Input<'_>,
+        mut sink: impl FnMut(Effect<'_, M>),
+    ) -> Result<Action<'_>, String> {
+        let id = self.node.id();
+        Ok(match (self.at, input) {
+            (
+                At::Closed,
+                Input::Open {
+                    epoch,
+                    transition,
+                    member,
+                },
+            ) => {
+                self.epoch = epoch;
+                self.member = member;
+                match transition {
+                    Some(t) if t.left.contains(&id) => {
+                        // A graceful leaver detaches from the overlay.
+                        apply_transition(self.node, t, &[], 0, None, None, |_, _| {})?;
+                        self.at = At::Left;
+                        Action::Leave
+                    }
+                    Some(t) => {
+                        self.at = At::Syncing;
+                        Action::ViewSync(self.transition.insert(t.clone()))
+                    }
+                    None => self.recv(),
+                }
+            }
+            (At::Syncing, Input::Synced(evidence)) => {
+                let t = self.transition.take().unwrap_or_default();
+                let (points, faults, tee) = (self.bootstrap_points, self.faults, self.tee);
+                let send = |to, bytes| sink(Effect::Send(to, bytes));
+                apply_transition(self.node, &t, &evidence, points, faults, tee, send)?;
+                sink(Effect::Arrive(BarrierKind::Round));
+                self.at = At::Viewing;
+                Action::Wait(BarrierKind::Round)
+            }
+            (At::Viewing, Input::Released(BarrierKind::Round)) => self.recv(),
+            (At::Receiving, Input::Inbox(inbox)) => {
+                let runs = self.member && !self.faults.is_some_and(|p| p.is_down(id, self.epoch));
+                sink(Effect::Arrive(BarrierKind::Drain));
+                // A node sitting the round out discards its inbox.
+                if runs {
+                    let (outgoing, pending) = self.node.epoch_front(inbox);
+                    self.outgoing = outgoing;
+                    self.pending = Some(pending);
+                }
+                self.wait(BarrierKind::Drain)
+            }
+            (At::Waiting(BarrierKind::Drain), Input::Released(BarrierKind::Drain)) => {
+                for (to, bytes) in self.outgoing.drain(..) {
+                    sink(Effect::Send(to, bytes));
+                }
+                // A broadcast commitment travels ahead of the round
+                // token, so under a broadcasting audit the back cannot
+                // wait for the gap.
+                let broadcast = self.audit.as_ref().is_some_and(|(a, _)| a.broadcast);
+                if let Some(pending) = self.pending.take_if(|_| broadcast) {
+                    let index = self.executed;
+                    let commitment = self.back(pending).commitment;
+                    sink(Effect::SendCommitment { index, commitment });
+                }
+                sink(Effect::Arrive(BarrierKind::Round));
+                if let Some(pending) = self.pending.take() {
+                    self.back(pending);
+                }
+                self.wait(BarrierKind::Round)
+            }
+            (At::Waiting(BarrierKind::Round), Input::Released(BarrierKind::Round)) => {
+                if self.audit.is_some() {
+                    self.at = At::Auditing;
+                    Action::TakeCommitments
+                } else {
+                    self.conclude(sink)
+                }
+            }
+            (At::Auditing, Input::Commitments(received)) => {
+                if let Some((_, keys)) = self.audit.as_mut().filter(|(a, _)| a.verify) {
+                    for pc in received {
+                        let commitment = EpochCommitment {
+                            digest: pc.digest,
+                            tag: pc.tag,
+                        };
+                        if !keys.verify(pc.from, pc.epoch as usize, &commitment) {
+                            return Err(format!(
+                                "node {id}: commitment from node {} at epoch {} failed HMAC \
+                                 verification — replay it with `rex-node --challenge {}`",
+                                pc.from, pc.epoch, pc.from
+                            ));
+                        }
+                    }
+                }
+                self.conclude(sink)
+            }
+            (at, _) => {
+                return Err(format!(
+                    "node {id}: round input out of order at {at:?} in epoch {}",
+                    self.epoch
+                ))
+            }
+        })
+    }
+
+    fn recv(&mut self) -> Action<'static> {
+        self.at = At::Receiving;
+        Action::Recv
+    }
+
+    fn wait(&mut self, kind: BarrierKind) -> Action<'static> {
+        self.at = At::Waiting(kind);
+        Action::Wait(kind)
+    }
+
+    /// Runs the back of an executed epoch; advances the chain index.
+    fn back(&mut self, pending: PendingEpoch) -> EpochReport {
+        let report = self.node.epoch_back(pending);
+        self.executed += 1;
+        *self.report.insert(report)
+    }
+
+    /// Ends the epoch: a member publishes the post-epoch model (the clone
+    /// a driver publishes is what makes mid-epoch tearing structurally
+    /// impossible for a serve thread), then the epoch is reported.
+    fn conclude(&mut self, mut sink: impl FnMut(Effect<'_, M>)) -> Action<'static> {
+        if self.member {
+            sink(Effect::Publish {
+                epoch: self.epoch,
+                model: self.node.model(),
+            });
+        }
+        self.at = At::Closed;
+        Action::Report {
+            epoch: self.epoch,
+            report: self.report.take(),
+        }
+    }
 }
 
 /// Runs `node` through `epochs` over `endpoint`, calling `on_epoch` after
-/// every epoch it served. Stops early, before any of that epoch's
-/// barriers, at the epoch the node's **own leave** opens — its peers
-/// retire it at the same schedule point.
+/// every epoch it served: the [`NodeRound`] driver that maps each action
+/// onto the endpoint. Stops early, before any of that epoch's barriers,
+/// at the epoch the node's **own leave** opens — its peers retire it at
+/// the same schedule point.
 ///
 /// A node outside the current membership view (a pre-connected fabric's
 /// future joiner, or a node excluded as crash-dead) serves the round's
@@ -340,92 +548,10 @@ pub fn run_node_loop<M: Model, E: Endpoint>(
     node: &mut Node<M>,
     endpoint: &mut E,
     epochs: Range<usize>,
-    mut ctx: RoundContext<'_, M>,
-    mut on_epoch: impl FnMut(EpochEvent),
+    ctx: RoundContext<'_, M>,
+    on_epoch: impl FnMut(EpochEvent),
 ) -> Result<(), String> {
-    let id = node.id();
-    let barrier_err = |what: &'static str, epoch: usize| {
-        move |e: TransportError| format!("node {id}: {what} at epoch {epoch}: {e}")
-    };
-    // Mirrors the node's internal chain index: `Node::epoch_back` is
-    // called exactly once per executed epoch.
-    let mut executed: u64 = 0;
-    let mut drain = AuditDrain::new(ctx.audit);
-    for epoch in epochs {
-        endpoint.epoch_begin(epoch);
-        let mut member = true;
-        if let Some(v) = ctx.view.as_deref_mut() {
-            if let Some(t) = v.advance(epoch) {
-                if t.left.contains(&id) {
-                    break;
-                }
-                endpoint
-                    .view_sync(epoch, &t.joined, &t.left)
-                    .map_err(barrier_err("view sync", epoch))?;
-                // Evidence is present exactly when this endpoint admitted
-                // the joiner's connection (the distributed TCP path); on
-                // pre-connected fabrics there is nothing to check.
-                let evidence: Vec<(usize, Vec<u8>)> = t
-                    .joined
-                    .iter()
-                    .filter_map(|&j| Some((j, endpoint.join_evidence(j)?)))
-                    .collect();
-                let points = v.plan().bootstrap_points;
-                apply_transition(node, &t, &evidence, points, ctx.faults, ctx.tee, |to, b| {
-                    endpoint.send(to, b);
-                })?;
-                // The view barrier: sponsor bootstraps are delivered
-                // before any member drains the epoch's inbox.
-                endpoint
-                    .try_sync()
-                    .map_err(barrier_err("view barrier", epoch))?;
-            }
-            member = v.is_member(id);
-        }
-        let inbox = endpoint.recv();
-        let runs = member && !ctx.faults.is_some_and(|p| p.is_down(id, epoch));
-        // Everyone drains before anyone sends, so a fast peer's epoch-e
-        // message cannot land in a slow node's epoch-e inbox. The front
-        // reads only the inbox drained above, so it runs in the drain
-        // barrier's gap. A node sitting the round out discards its inbox.
-        endpoint.arrive(BarrierKind::Drain);
-        let front = runs.then(|| node.epoch_front(inbox));
-        endpoint
-            .wait(BarrierKind::Drain)
-            .map_err(barrier_err("drain barrier", epoch))?;
-        let mut pending = front.map(|(outgoing, pending)| {
-            send_shares(endpoint, outgoing);
-            pending
-        });
-        // A broadcast commitment must travel ahead of the round token, so
-        // under a broadcasting audit the back cannot wait for the gap.
-        let mut report = None;
-        if ctx.audit.is_some_and(|a| a.broadcast) {
-            report = pending
-                .take()
-                .map(|p| finish(node, endpoint, p, executed, ctx.audit));
-        }
-        // All of this epoch's sends are delivered before anyone drains
-        // the next inbox. The back reads only the node's own model, so
-        // it runs in the round barrier's gap.
-        endpoint.arrive(BarrierKind::Round);
-        let report = report.or_else(|| pending.map(|p| node.epoch_back(p)));
-        executed += u64::from(runs);
-        endpoint
-            .wait(BarrierKind::Round)
-            .map_err(barrier_err("round barrier", epoch))?;
-        let serve = ctx.serve.filter(|_| member);
-        conclude(
-            node,
-            endpoint,
-            epoch,
-            report,
-            drain.as_mut(),
-            serve,
-            &mut on_epoch,
-        )?;
-    }
-    Ok(())
+    drive(node, endpoint, epochs, ctx, None, on_epoch)
 }
 
 /// How long a bounded-async node waits for the `k` neighbour shares
@@ -443,7 +569,12 @@ pub const ASYNC_EPOCH_TIMEOUT: Duration = Duration::from_secs(120);
 /// shares per sender have ever been consumed (the *consumption cap*),
 /// so no node runs ahead of a neighbour by more than the in-flight
 /// window, and a `k ≥ degree` setting degenerates to lockstep's
-/// schedule without the barrier syscalls.
+/// schedule without the barrier syscalls. A frame from a connected peer
+/// that is not a neighbour is dropped on arrival.
+///
+/// The same [`NodeRound`] runs the epoch; this driver answers its
+/// arrives and waits locally and flushes the staged frames at the round
+/// wait, so the order is front → send → back → flush → publish.
 ///
 /// Liveness needs every neighbour to send every epoch, which is why the
 /// `rex-node` config layer pins this driver to `algorithm = "dpsgd"` and
@@ -471,75 +602,273 @@ pub fn run_node_loop_async<M: Model, E: Endpoint>(
     k: usize,
     audit: Option<WireAudit>,
     serve: Option<&SnapshotQueue<M>>,
-    mut on_epoch: impl FnMut(EpochEvent),
+    on_epoch: impl FnMut(EpochEvent),
 ) -> Result<(), String> {
-    let id = node.id();
-    let neighbors: Vec<usize> = node.neighbors().to_vec();
-    let width = neighbors.iter().copied().max().map_or(0, |m| m + 1);
-    // Per-sender arrival queues (wire order = that sender's epoch order,
-    // TCP is FIFO per link) and how many shares of each we consumed.
-    let mut pending: Vec<VecDeque<Vec<u8>>> = vec![VecDeque::new(); width];
-    let mut taken: Vec<usize> = vec![0; width];
-    let mut drain = AuditDrain::new(audit);
-    for epoch in 0..epochs {
-        endpoint.epoch_begin(epoch);
+    let mut paced = AsyncInbox {
+        k,
+        peers: node
+            .neighbors()
+            .iter()
+            .map(|&s| (s, VecDeque::new(), 0))
+            .collect(),
+    };
+    let ctx = RoundContext {
+        faults: None,
+        view: None,
+        tee: None,
+        audit,
+        serve,
+    };
+    drive(node, endpoint, 0..epochs, ctx, Some(&mut paced), on_epoch)
+}
+
+/// The bounded-async inbox policy: per-neighbour arrival queues (wire
+/// order = that sender's epoch order, TCP is FIFO per link) and how many
+/// shares of each were consumed.
+struct AsyncInbox {
+    k: usize,
+    /// `(sender, queued shares, shares consumed)`, in neighbour order.
+    peers: Vec<(usize, VecDeque<Vec<u8>>, usize)>,
+}
+
+impl AsyncInbox {
+    /// Queues what arrived. A frame from a peer that is not a neighbour
+    /// has no queue and is dropped: nothing would ever consume it.
+    fn queue(&mut self, arrived: Vec<Envelope>) {
+        for env in arrived {
+            if let Some((_, queue, _)) = self.peers.iter_mut().find(|(s, ..)| *s == env.from) {
+                queue.push_back(env.bytes);
+            }
+        }
+    }
+
+    /// Waits until shares from `min(k, degree)` neighbours are consumable
+    /// (none at epoch 0: nobody has sent yet), then takes every
+    /// consumable share in canonical order, capped so nothing from a
+    /// sender's epoch ≥ `epoch` slips in early.
+    fn gather<E: Endpoint>(
+        &mut self,
+        endpoint: &mut E,
+        epoch: usize,
+    ) -> Result<Vec<Envelope>, String> {
         let required = if epoch == 0 {
-            0 // Nobody has sent yet; lockstep's epoch-0 inbox is empty too.
+            0
         } else {
-            k.min(neighbors.len())
+            self.k.min(self.peers.len())
         };
         let deadline = Instant::now() + ASYNC_EPOCH_TIMEOUT;
         loop {
-            for env in endpoint.recv() {
-                pending[env.from].push_back(env.bytes);
-            }
-            let consumable = neighbors
+            self.queue(endpoint.recv());
+            let consumable = self
+                .peers
                 .iter()
-                .filter(|&&s| taken[s] < epoch && !pending[s].is_empty())
+                .filter(|(_, queue, taken)| *taken < epoch && !queue.is_empty())
                 .count();
             if consumable >= required {
                 break;
             }
             if Instant::now() >= deadline {
                 return Err(format!(
-                    "node {id}: epoch {epoch} stalled waiting for {required} \
-                     neighbour shares ({consumable} arrived)"
+                    "node {}: epoch {epoch} stalled waiting for {required} \
+                     neighbour shares ({consumable} arrived)",
+                    endpoint.id()
                 ));
             }
-            for env in endpoint.recv_wait(Duration::from_millis(100)) {
-                pending[env.from].push_back(env.bytes);
-            }
+            self.queue(endpoint.recv_wait(Duration::from_millis(100)));
         }
-        // Merge in canonical order, capped so nothing from a sender's
-        // epoch ≥ `epoch` slips in early (at most `epoch` shares of each
-        // sender are ever consumed before this node trains epoch `epoch`).
         let mut inbox = Vec::new();
-        for &s in &neighbors {
-            while taken[s] < epoch {
-                let Some(bytes) = pending[s].pop_front() else {
+        for (from, queue, taken) in &mut self.peers {
+            while *taken < epoch {
+                let Some(bytes) = queue.pop_front() else {
                     break;
                 };
-                taken[s] += 1;
-                inbox.push(Envelope { from: s, bytes });
+                *taken += 1;
+                inbox.push(Envelope { from: *from, bytes });
             }
         }
-        let (outgoing, pending) = node.epoch_front(inbox);
-        send_shares(endpoint, outgoing);
-        let report = finish(node, endpoint, pending, epoch as u64, audit);
-        // Push the staged frames onto the wire without waiting for
-        // anyone: flush is the only synchronous part of the round.
-        endpoint
-            .flush_sends()
-            .map_err(|e| format!("node {id}: flush at epoch {epoch}: {e}"))?;
-        conclude(
-            node,
-            endpoint,
+        Ok(inbox)
+    }
+}
+
+/// The endpoint driver both per-node loops share. Without `paced` every
+/// action maps onto the endpoint; with it, the bounded-async policy
+/// gathers the inbox, arrives are dropped, the drain wait is released at
+/// once and the round wait only flushes.
+fn drive<M: Model, E: Endpoint>(
+    node: &mut Node<M>,
+    endpoint: &mut E,
+    epochs: Range<usize>,
+    ctx: RoundContext<'_, M>,
+    mut paced: Option<&mut AsyncInbox>,
+    mut on_epoch: impl FnMut(EpochEvent),
+) -> Result<(), String> {
+    let RoundContext {
+        faults,
+        mut view,
+        tee,
+        audit,
+        serve,
+    } = ctx;
+    let id = node.id();
+    let points = view.as_deref().map_or(0, |v| v.plan().bootstrap_points);
+    let mut round = NodeRound::new(node, faults, tee, audit, points);
+    for epoch in epochs {
+        endpoint.epoch_begin(epoch);
+        let transition = view.as_deref_mut().and_then(|v| v.advance(epoch));
+        let member = view.as_deref().is_none_or(|v| v.is_member(id));
+        let failed =
+            |what: &str, e: TransportError| format!("node {id}: {what} at epoch {epoch}: {e}");
+        let mut input = Input::Open {
             epoch,
-            Some(report),
-            drain.as_mut(),
-            serve,
-            &mut on_epoch,
-        )?;
+            transition: transition.as_ref(),
+            member,
+        };
+        loop {
+            let action = round.step(input, |effect| match effect {
+                Effect::Send(to, bytes) => endpoint.send(to, bytes),
+                Effect::SendCommitment { index, commitment } => {
+                    endpoint.send_commitment(index, commitment.digest, commitment.tag);
+                }
+                Effect::Arrive(kind) => {
+                    if paced.is_none() {
+                        endpoint.arrive(kind);
+                    }
+                }
+                Effect::Publish { epoch, model } => {
+                    if let Some(queue) = serve {
+                        queue.publish_model(epoch, Arc::new(model.clone()));
+                    }
+                }
+            })?;
+            input = match action {
+                Action::ViewSync(t) => {
+                    endpoint
+                        .view_sync(epoch, &t.joined, &t.left)
+                        .map_err(|e| failed("view sync", e))?;
+                    // Evidence is present exactly when this endpoint
+                    // admitted the joiner's connection (the distributed
+                    // TCP path); on pre-connected fabrics there is
+                    // nothing to check.
+                    let evidence = t
+                        .joined
+                        .iter()
+                        .filter_map(|&j| Some((j, endpoint.join_evidence(j)?)))
+                        .collect();
+                    Input::Synced(evidence)
+                }
+                Action::Recv => Input::Inbox(match paced.as_deref_mut() {
+                    Some(policy) => policy.gather(endpoint, epoch)?,
+                    None => endpoint.recv(),
+                }),
+                Action::Wait(kind) => {
+                    // Bounded-async pushes the staged frames onto the wire
+                    // without waiting for anyone: flush is the only
+                    // synchronous part of its round.
+                    match (&paced, kind) {
+                        (None, _) => endpoint.wait(kind),
+                        (Some(_), BarrierKind::Round) => endpoint.flush_sends(),
+                        (Some(_), BarrierKind::Drain) => Ok(()),
+                    }
+                    .map_err(|e| failed(&format!("{kind:?} wait"), e))?;
+                    Input::Released(kind)
+                }
+                Action::TakeCommitments => Input::Commitments(endpoint.take_commitments()),
+                Action::Report { epoch, report } => {
+                    on_epoch(EpochEvent {
+                        epoch,
+                        report,
+                        delivery: endpoint.take_delivery(),
+                    });
+                    break;
+                }
+                Action::Leave => return Ok(()),
+            };
+        }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::{build_mf_nodes, NodeSeeds};
+    use crate::config::ProtocolConfig;
+    use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
+    use rex_ml::{MfHyperParams, MfModel};
+    use rex_net::mem::MemNetwork;
+    use rex_net::transport::Transport;
+    use rex_topology::TopologySpec;
+
+    fn ring(n: usize) -> Vec<Node<MfModel>> {
+        let ds = SyntheticConfig {
+            num_users: (2 * n) as u32,
+            num_items: 60,
+            num_ratings: 50 * n,
+            seed: 9,
+            ..SyntheticConfig::default()
+        }
+        .generate();
+        let split = TrainTestSplit::standard(&ds, 2);
+        let part = Partition::multi_user(&split, n);
+        build_mf_nodes(
+            &part,
+            &TopologySpec::Ring.build(n, 1),
+            ds.num_users,
+            ds.num_items,
+            MfHyperParams::default(),
+            ProtocolConfig {
+                points_per_epoch: 10,
+                steps_per_epoch: 30,
+                ..ProtocolConfig::default()
+            },
+            NodeSeeds::default(),
+        )
+    }
+
+    /// Per node, the per-epoch RMSE bits of a bounded-async run of a
+    /// 4-node ring (`k` = degree, so the schedule is lockstep's and the
+    /// run deterministic) on a fabric with a fifth endpoint, connected to
+    /// every node and neighbour of none, which first sends `stray`
+    /// frames to each of them.
+    fn async_ring_beside(stray: usize) -> Vec<Vec<Option<u64>>> {
+        let mut nodes = ring(4);
+        let mut endpoints = MemNetwork::new(5).into_endpoints();
+        let outsider = endpoints.pop().expect("five endpoints");
+        for to in 0..4 {
+            for i in 0..stray {
+                outsider.send(to, vec![i as u8; 24]);
+            }
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = nodes
+                .iter_mut()
+                .zip(endpoints)
+                .map(|(node, mut endpoint)| {
+                    scope.spawn(move || {
+                        let mut rmse = Vec::new();
+                        run_node_loop_async(node, &mut endpoint, 5, 2, None, None, |ev| {
+                            rmse.push(ev.outcome().rmse_bits);
+                        })
+                        .expect("bounded-async run");
+                        rmse
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("node thread"))
+                .collect()
+        })
+    }
+
+    /// A frame from a connected peer that is no neighbour (another
+    /// topology in its config, say) is dropped on arrival: it neither
+    /// panics the loop nor waits in a queue nothing drains, and the run
+    /// is the run without it.
+    #[test]
+    fn a_frame_from_a_non_neighbour_is_dropped_by_the_async_loop() {
+        let clean = async_ring_beside(0);
+        assert!(clean.iter().all(|epochs| epochs.len() == 5));
+        assert_eq!(async_ring_beside(3), clean);
+    }
 }

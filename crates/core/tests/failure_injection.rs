@@ -16,7 +16,7 @@ use rex_topology::TopologySpec;
 
 /// Attests the pair without running any protocol epochs (so both ends'
 /// session counters start aligned at zero).
-fn attest_only(nodes: &mut Vec<Node<MfModel>>) {
+fn attest_only(nodes: &mut [Node<MfModel>]) {
     let cfg = EngineConfig {
         epochs: 0,
         execution: ExecutionMode::Sgx(SgxCostModel::default()),

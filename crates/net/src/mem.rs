@@ -2,7 +2,7 @@
 //!
 //! [`MemNetwork`] implements [`Transport`] in two shapes. Unsplit, it is
 //! a single-owner mailbox network — plain `VecDeque`s and counters — that
-//! the engine's fabric loop drains, runs and feeds in deterministic node
+//! the engine's fabric scheduler drains, runs and feeds in deterministic node
 //! order (the simulator, the centralized baseline, TEE setup).
 //! [`Transport::into_endpoints`] splits it into the channel endpoints of
 //! [`crate::channel`], one per node thread: every queued envelope moves

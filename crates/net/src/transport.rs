@@ -7,7 +7,7 @@
 //!
 //! * [`Transport`] — the *fabric* view: a connected set of `n` mailboxes
 //!   addressed by node id, with exact per-node [`TrafficStats`]. The
-//!   engine's fabric loop (the simulator) talks to the fabric directly.
+//!   engine's fabric scheduler (the simulator) talks to the fabric directly.
 //! * [`Endpoint`] — the *per-node* view: a handle that can be moved onto a
 //!   node's own OS thread. Every fabric splits into endpoints via
 //!   [`Transport::into_endpoints`].
@@ -192,7 +192,7 @@ pub trait Transport {
     fn into_endpoints(self) -> Vec<Self::Endpoint>;
 }
 
-/// Which of the per-node round loop's two barriers an
+/// Which of a node round's two barriers an
 /// [`Endpoint::arrive`] / [`Endpoint::wait`] pair is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierKind {
@@ -285,7 +285,7 @@ pub trait Endpoint: Send {
     /// `Welcome` with the current barrier generation) and **retires**
     /// departed peers from its barrier set. In-memory endpoints, whose
     /// fabric has no per-connection state, keep the default no-op; the
-    /// engine's fabric loop performs the equivalent transition
+    /// engine's fabric scheduler performs the equivalent transition
     /// centrally.
     fn view_sync(
         &mut self,

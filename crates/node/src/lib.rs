@@ -6,8 +6,9 @@
 //! the fleet deterministically (same seeds → same dataset partition,
 //! topology, and initial models in every process), keeps the node whose
 //! id it was given, bootstraps a [`TcpEndpoint`] against its peers, and
-//! runs the per-node round loop ([`rex_core::round`]) over it — the same
-//! loop the engine's thread-per-node driver runs over channels.
+//! runs the node's round ([`rex_core::round`]) over it — the same
+//! endpoint driver the engine's thread-per-node driver runs over
+//! channels.
 //!
 //! Determinism carries across process boundaries: a multi-process cluster
 //! produces bit-identical per-node learning trajectories, byte counts and
@@ -448,7 +449,7 @@ fn serve_loop(
     Ok(ServeSummary { queries, digest })
 }
 
-/// The per-node round loop ([`rex_core::round::run_node_loop`]) under
+/// The endpoint driver of the round ([`rex_core::round::run_node_loop`]) under
 /// the positional signature deployed callers hold: runs epochs
 /// `start_epoch..epochs` and returns the per-epoch [`EpochOutcome`] trace
 /// over exactly that range, ending early at a graceful leave (default

@@ -83,10 +83,10 @@ fn cfg(
     }
 }
 
-/// Runs a fleet over the fault-wrapped mem fabric (fabric loop,
+/// Runs a fleet over the fault-wrapped mem fabric (fabric scheduler,
 /// simulated time).
 fn run_mem(
-    nodes: &mut Vec<Node<MfModel>>,
+    nodes: &mut [Node<MfModel>],
     epochs: usize,
     execution: ExecutionMode,
     plan: &FaultPlan,
@@ -107,7 +107,7 @@ fn run_mem(
 /// Runs a fleet over the fault-wrapped mem fabric split into one OS
 /// thread per node.
 fn run_threads(
-    nodes: &mut Vec<Node<MfModel>>,
+    nodes: &mut [Node<MfModel>],
     epochs: usize,
     execution: ExecutionMode,
     plan: &FaultPlan,
@@ -126,9 +126,9 @@ fn run_threads(
 }
 
 /// Runs a fleet over fault-wrapped real loopback TCP sockets (inline
-/// fabric loop: every frame still crosses the kernel).
+/// fabric scheduler: every frame still crosses the kernel).
 fn run_tcp(
-    nodes: &mut Vec<Node<MfModel>>,
+    nodes: &mut [Node<MfModel>],
     epochs: usize,
     execution: ExecutionMode,
     plan: &FaultPlan,

@@ -50,7 +50,7 @@ fn fleet(
 }
 
 /// Runs `nodes` natively for `epochs` on the simulated fabric.
-fn run(epochs: usize, name: &str, nodes: &mut Vec<rex_repro::core::Node<MfModel>>) -> EngineResult {
+fn run(epochs: usize, name: &str, nodes: &mut [rex_repro::core::Node<MfModel>]) -> EngineResult {
     let cfg = EngineConfig {
         epochs,
         execution: ExecutionMode::Native,

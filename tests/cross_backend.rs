@@ -3,7 +3,7 @@
 //!
 //! The same fixed-seed fleet must produce *identical* per-node RMSE
 //! trajectories and byte counts whether it runs through the discrete-event
-//! [`MemNetwork`] fabric (the inline fabric loop, simulated time), the
+//! [`MemNetwork`] fabric (the inline fabric scheduler, simulated time), the
 //! same fabric split into one real OS thread per node (wall-clock time),
 //! or the [`TcpTransport`] fabric (real loopback sockets with
 //! length-prefixed framing, either driver). Only the time axis may
@@ -156,7 +156,7 @@ fn assert_equivalent(
     }
 }
 
-/// Runs the reference fleet over the mem fabric (inline fabric loop,
+/// Runs the reference fleet over the mem fabric (inline fabric scheduler,
 /// simulated time) and an identical fleet over real TCP loopback sockets with the
 /// given driver.
 #[allow(clippy::type_complexity)]
@@ -462,7 +462,7 @@ fn per_user_fleet(sharded: bool) -> Vec<Node<MfModel>> {
 #[test]
 fn width_one_sharded_fleet_matches_legacy_per_user_run_everywhere() {
     // The pre-sharding trajectory: the legacy per-user fleet on the
-    // reference backend (mem fabric, inline fabric loop, simulated time).
+    // reference backend (mem fabric, inline fabric scheduler, simulated time).
     let mut legacy_nodes = per_user_fleet(false);
     let legacy = Engine::<MfModel, MemNetwork>::new(
         MemNetwork::new(legacy_nodes.len()),
@@ -556,7 +556,7 @@ fn tcp_loopback_threaded_matches_mem_fabric() {
 
 #[test]
 fn tcp_loopback_lockstep_matches_mem_fabric() {
-    // The same sockets driven by the inline fabric loop (fabric view, no
+    // The same sockets driven by the inline fabric scheduler (fabric view, no
     // node threads).
     let (sim, tcp) = run_mem_vs_tcp(ExecutionMode::Native, Driver::WorkSteal { workers: 1 });
     assert_equivalent(&sim, &tcp);

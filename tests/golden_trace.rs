@@ -61,14 +61,21 @@
 
 use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
 use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_repro::core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
-use rex_repro::core::membership::MembershipPlan;
+use rex_repro::core::engine::{
+    aggregate_epoch, Driver, Engine, EngineConfig, EngineResult, TimeAxis,
+};
+use rex_repro::core::membership::{MembershipPlan, MembershipView};
+use rex_repro::core::round::{Action, Effect, Input, NodeRound};
 use rex_repro::core::serve::{QueryStream, Scorer, TopKQuery};
+use rex_repro::core::setup::{overlay_of, prune_dead_nodes, prune_to_overlay};
 use rex_repro::core::Node;
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
 use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
+use rex_repro::net::stats::DeliveryStats;
+use rex_repro::net::transport::BarrierKind;
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
+use rex_repro::sim::trace::ExperimentTrace;
 use rex_repro::topology::TopologySpec;
 use std::path::PathBuf;
 
@@ -493,6 +500,208 @@ fn fixtures_are_committed_and_well_formed() {
             let (item, bits) = r.split_once(':').expect("item:bits pair");
             item.parse::<u32>().expect("item id");
             assert!(bits.starts_with("0x") && bits.len() == 10, "bad bits {r}");
+        }
+    }
+}
+
+/// What a machine's next step of the interleaving scheduler answers, or
+/// why it cannot step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    Open(usize),
+    Synced,
+    Recv,
+    Released(BarrierKind),
+    Commitments,
+    /// Waiting on a barrier it arrived at in the given generation.
+    Blocked(BarrierKind, u64),
+    Left,
+    Finished,
+}
+
+fn barrier_slot(kind: BarrierKind) -> usize {
+    match kind {
+        BarrierKind::Drain => 0,
+        BarrierKind::Round => 1,
+    }
+}
+
+/// The next draw of a splitmix64 stream: the schedule's only randomness.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A test-only scheduler of the round: the scenario's machines over
+/// `transport`'s single-owner view, one step at a time, the next machine
+/// chosen by `seed` among those that can step. Sends land at once; a
+/// barrier is released only when every machine still in the run has
+/// arrived at it, and a round barrier's release is the fabric's `flush`
+/// (the fault wrapper's release point). The fabric's epoch opens — its
+/// `epoch_begin` and view change — when the previous epoch's round
+/// barrier completes. Panics if the schedule deadlocks.
+fn interleaved_run<T: Transport>(s: &Scenario, mut transport: T, seed: u64) -> EngineResult {
+    let n = s.nodes;
+    let mut nodes = fleet(s);
+    if let Some(plan) = &s.faults {
+        prune_dead_nodes(&mut nodes, plan);
+    }
+    let mut view = s.membership.clone().map(|plan| {
+        let excluded = s
+            .faults
+            .as_ref()
+            .map(|p| p.dead_at_setup(n))
+            .unwrap_or_default();
+        let view = MembershipView::new(plan, &overlay_of(&nodes), &excluded);
+        prune_to_overlay(&mut nodes, view.overlay());
+        view
+    });
+    let points = view.as_ref().map_or(0, |v| v.plan().bootstrap_points);
+    let mut rounds: Vec<NodeRound<'_, MfModel>> = nodes
+        .iter_mut()
+        .map(|node| NodeRound::new(node, s.faults.as_ref(), None, None, points))
+        .collect();
+
+    let mut next = vec![Next::Open(0); n];
+    let mut arrived = [0usize; 2];
+    let mut completed = [0u64; 2];
+    let mut joined_at = vec![0u64; n];
+    let mut reports = vec![vec![None; n]; s.epochs];
+    let mut deliveries = vec![DeliveryStats::default(); s.epochs];
+    let mut epoch = 0;
+    transport.epoch_begin(0);
+    let mut transition = view.as_mut().and_then(|v| v.advance(0));
+    if let Some(t) = &transition {
+        transport.view_sync(0, &t.joined, &t.left);
+    }
+    let mut view_barrier = transition.is_some();
+    let mut rng = seed;
+    loop {
+        let runnable: Vec<usize> = (0..n)
+            .filter(|&i| !matches!(next[i], Next::Blocked(..) | Next::Left | Next::Finished))
+            .collect();
+        if runnable.is_empty() {
+            break;
+        }
+        let i = runnable[(splitmix(&mut rng) % runnable.len() as u64) as usize];
+        let input = match next[i] {
+            Next::Open(e) => Input::Open {
+                epoch: e,
+                transition: transition.as_ref(),
+                member: view.as_ref().is_none_or(|v| v.is_member(i)),
+            },
+            Next::Synced => Input::Synced(Vec::new()),
+            Next::Recv => Input::Inbox(transport.recv(i)),
+            Next::Released(kind) => Input::Released(kind),
+            Next::Commitments => Input::Commitments(Vec::new()),
+            stuck => unreachable!("{stuck:?} is not runnable"),
+        };
+        let sink = |effect: Effect<'_, MfModel>| match effect {
+            Effect::Send(to, bytes) => transport.send(i, to, bytes),
+            Effect::Arrive(kind) => {
+                joined_at[i] = completed[barrier_slot(kind)];
+                arrived[barrier_slot(kind)] += 1;
+            }
+            Effect::SendCommitment { .. } | Effect::Publish { .. } => {}
+        };
+        next[i] = match rounds[i]
+            .step(input, sink)
+            .expect("a machine stepped in order")
+        {
+            Action::ViewSync(_) => Next::Synced,
+            Action::Recv => Next::Recv,
+            Action::Wait(kind) => Next::Blocked(kind, joined_at[i]),
+            Action::TakeCommitments => Next::Commitments,
+            Action::Report { epoch, report } => {
+                reports[epoch][i] = report;
+                if epoch + 1 < s.epochs {
+                    Next::Open(epoch + 1)
+                } else {
+                    Next::Finished
+                }
+            }
+            Action::Leave => Next::Left,
+        };
+        let members = next.iter().filter(|m| **m != Next::Left).count();
+        for kind in [BarrierKind::Drain, BarrierKind::Round] {
+            let slot = barrier_slot(kind);
+            if arrived[slot] == 0 || arrived[slot] < members {
+                continue;
+            }
+            arrived[slot] = 0;
+            completed[slot] += 1;
+            if kind == BarrierKind::Round {
+                transport.flush();
+                deliveries[epoch].absorb(&transport.take_delivery());
+                if view_barrier {
+                    view_barrier = false;
+                } else {
+                    epoch += 1;
+                    if epoch < s.epochs {
+                        transport.epoch_begin(epoch);
+                        transition = view.as_mut().and_then(|v| v.advance(epoch));
+                        if let Some(t) = &transition {
+                            transport.view_sync(epoch, &t.joined, &t.left);
+                        }
+                        view_barrier = transition.is_some();
+                    }
+                }
+            }
+        }
+        for m in &mut next {
+            if let Next::Blocked(kind, generation) = *m {
+                if completed[barrier_slot(kind)] > generation {
+                    *m = Next::Released(kind);
+                }
+            }
+        }
+    }
+    assert!(
+        next.iter()
+            .all(|m| matches!(m, Next::Left | Next::Finished)),
+        "scenario {} seed {seed:#x}: the schedule deadlocked at {next:?}",
+        s.name
+    );
+    let mut trace = ExperimentTrace::new(s.name);
+    for (e, reports) in reports.iter().enumerate() {
+        trace.push(aggregate_epoch(e, 0, reports, deliveries[e]));
+    }
+    EngineResult {
+        trace,
+        setup_ns: 0,
+        final_stats: transport.all_stats(),
+    }
+}
+
+/// Deterministic simulation testing of the round: the golden scenarios'
+/// machines stepped in seed-chosen orders — arrives, waits, sends and
+/// recvs of different nodes interleaved every way the barriers allow —
+/// reproduce the pinned fixtures byte for byte, and every schedule
+/// terminates. The fault scenarios run over the fault wrapper, whose
+/// release point the scheduler drives at each round barrier.
+#[test]
+fn seeded_interleavings_of_the_round_reproduce_the_fixtures() {
+    const SEEDS: u64 = 300;
+    for s in scenarios().iter().filter(|s| s.name != "raw_wide") {
+        let fixture = std::fs::read_to_string(fixture_path(s.name)).expect("pinned fixture");
+        for seed in 0..SEEDS {
+            let result = match s.faults.clone() {
+                Some(plan) => interleaved_run(
+                    s,
+                    FaultyTransport::new(MemNetwork::new(s.nodes), plan),
+                    seed,
+                ),
+                None => interleaved_run(s, MemNetwork::new(s.nodes), seed),
+            };
+            assert_matches_fixture(
+                s.name,
+                &format!("interleaving seed {seed}"),
+                &fixture,
+                &result,
+            );
         }
     }
 }

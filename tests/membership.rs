@@ -365,7 +365,7 @@ fn dropped_bootstrap_is_deterministic_not_fatal() {
         Some(faults.clone()),
     );
     cfg.membership = Some(plan);
-    let run = |cfg: EngineConfig, nodes: &mut Vec<Node<MfModel>>| {
+    let run = |cfg: EngineConfig, nodes: &mut [Node<MfModel>]| {
         Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
             FaultyTransport::new(MemNetwork::new(N), faults.clone()),
             cfg,

@@ -168,7 +168,7 @@ fn fifth_process_joins_running_cluster_bit_for_bit() {
     assert!(deployed[1].rmse_trace_bits[4].is_none(), "leaver departed");
 
     // And the engine agrees: same fleet, same schedule, the inline
-    // fabric loop over the mem fabric — per-node final models, stores,
+    // fabric scheduler over the mem fabric — per-node final models, stores,
     // and traffic.
     let mut nodes = rex_repro::node::build_fleet(&cfg);
     let result = Engine::<MfModel, MemNetwork>::new(
