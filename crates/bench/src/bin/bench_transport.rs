@@ -225,7 +225,7 @@ fn main() {
         }
     }
 
-    // Drop-rate sweep over `FaultyTransport<TcpTransport>`: send → flush
+    // Drop-rate sweep over the faulty TCP loopback fabric: send → flush
     // (wire barrier) → recv cycles, counting what came out the far end.
     let fault_plain = Plain::Model {
         bytes: vec![0x5Au8; PAYLOAD_SIZES[0]],
@@ -238,7 +238,7 @@ fn main() {
             let mut net =
                 FaultyTransport::new(TcpTransport::loopback(2).expect("loopback fabric"), plan);
             net.epoch_begin(0);
-            let cycle = |net: &mut FaultyTransport<TcpTransport>| {
+            let cycle = |net: &mut FaultyTransport<TcpEndpoint>| {
                 net.send(0, 1, encode_plain(&fault_plain));
                 net.flush();
                 // Drain so the mailbox stays bounded; the realized

@@ -9,7 +9,7 @@
 //! * the **discrete-event simulator** — [`MemNetwork`](rex_net::MemNetwork)
 //!   fabric, [`Driver::WorkSteal`], [`TimeAxis::Simulated`];
 //! * the **real-thread deployment** — the same `MemNetwork`, split
-//!   into one channel endpoint per node thread by
+//!   into its in-memory endpoints, one per node thread, by
 //!   [`Driver::ThreadPerNode`], [`TimeAxis::Wall`];
 //! * the **real-socket deployment** —
 //!   [`TcpTransport`](rex_net::TcpTransport), any driver: frames cross
@@ -21,8 +21,8 @@
 //! [`Engine::new`] over a transport plus an [`EngineConfig`] is the one
 //! entry point: the transport picks the deployment, the config its
 //! epochs, time axis and driver ([`EngineConfig::default`] is the
-//! simulator's). A further backend only implements the `rex-net`
-//! transport traits.
+//! simulator's). A further backend only implements [`Endpoint`]: its
+//! fabric is a [`Fabric`](rex_net::Fabric) of them.
 //!
 //! # One round, its drivers
 //! A node's epoch is sequenced in one place, the [`NodeRound`] state
@@ -50,8 +50,7 @@
 //! live topology rewiring — before any inbox of the epoch is drained.
 //! Non-members sit rounds out exactly like crash-stopped nodes;
 //! `tests/membership.rs` and the `golden_membership` fixture hold the
-//! transitions bit-identical across every worker count × backend
-//! combination.
+//! transitions bit-identical across every driver × backend combination.
 //!
 //! # Resilience
 //! [`EngineConfig::faults`] attaches a seeded [`FaultPlan`]. The engine
@@ -152,10 +151,11 @@ pub struct EngineConfig {
     /// graceful leaves with live topology rewiring). The engine advances
     /// a [`MembershipView`] at every round boundary and applies its
     /// transitions before any inbox of the epoch is drained, so a
-    /// sponsor's bootstrap lands in the joiner's first inbox. Supported
-    /// by [`Driver::WorkSteal`] at any worker count (the endpoint driver
-    /// applies the same transitions over its own endpoint under
-    /// `rex-node`); [`Driver::ThreadPerNode`] rejects a non-`None` plan.
+    /// sponsor's bootstrap lands in the joiner's first inbox. Every
+    /// driver applies it: the fabric scheduler over the whole fabric,
+    /// and each thread of [`Driver::ThreadPerNode`] (like each
+    /// `rex-node` process) over its own endpoint with its own copy of
+    /// the view.
     pub membership: Option<MembershipPlan>,
 }
 
@@ -218,10 +218,10 @@ impl<M: Model, T: Transport> Engine<M, T> {
     /// If `nodes` is empty, its length disagrees with the transport,
     /// [`Driver::ThreadPerNode`] is combined with
     /// [`TimeAxis::Simulated`] (thread-per-node epochs are timestamped
-    /// with real elapsed time, so a simulated axis cannot be honoured)
-    /// or with a membership plan, a membership plan fails validation, or
-    /// a node fails mid-run — its epoch panics or its endpoint loses a
-    /// peer — in which case the failure is re-raised naming the node.
+    /// with real elapsed time, so a simulated axis cannot be honoured),
+    /// a membership plan fails validation, or a node fails mid-run — its
+    /// epoch panics or its endpoint loses a peer — in which case the
+    /// failure is re-raised naming the node.
     pub fn run(mut self, name: &str, nodes: &mut [Node<M>]) -> EngineResult {
         assert!(!nodes.is_empty(), "engine needs at least one node");
         assert_eq!(
@@ -235,11 +235,6 @@ impl<M: Model, T: Transport> Engine<M, T> {
                 (Driver::ThreadPerNode, TimeAxis::Simulated(_))
             ),
             "Driver::ThreadPerNode records wall-clock time; use TimeAxis::Wall"
-        );
-        assert!(
-            !(matches!(self.cfg.driver, Driver::ThreadPerNode) && self.cfg.membership.is_some()),
-            "Driver::ThreadPerNode does not support membership plans; \
-             use Driver::WorkSteal or the rex-node loop"
         );
 
         // Crash-aware setup: see `setup::prune_dead_nodes` — whole-run
@@ -289,7 +284,9 @@ impl<M: Model, T: Transport> Engine<M, T> {
         // The fabric scheduler's worker count: `0` is one per available
         // core.
         let workers = match self.cfg.driver {
-            Driver::ThreadPerNode => return self.run_thread_per_node(name, nodes, setup_ns),
+            Driver::ThreadPerNode => {
+                return self.run_thread_per_node(name, nodes, setup_ns, view, tee.as_ref())
+            }
             Driver::WorkSteal { workers: 0 } => {
                 std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
             }
@@ -425,8 +422,17 @@ impl<M: Model, T: Transport> Engine<M, T> {
     }
 
     /// One OS thread per node over split endpoints, each running the
-    /// endpoint driver; the engine only folds what the drivers report.
-    fn run_thread_per_node(self, name: &str, nodes: &mut [Node<M>], setup_ns: u64) -> EngineResult {
+    /// endpoint driver with its own copy of the membership view, as a
+    /// `rex-node` process does; the engine only folds what the drivers
+    /// report.
+    fn run_thread_per_node(
+        self,
+        name: &str,
+        nodes: &mut [Node<M>],
+        setup_ns: u64,
+        view: Option<MembershipView>,
+        tee: Option<&TeeDirectory>,
+    ) -> EngineResult {
         let epochs = self.cfg.epochs;
         let endpoints = self.transport.into_endpoints();
         assert_eq!(
@@ -443,12 +449,13 @@ impl<M: Model, T: Transport> Engine<M, T> {
                     .iter_mut()
                     .zip(endpoints)
                     .map(|(node, mut endpoint)| {
+                        let mut view = view.clone();
                         scope.spawn(move || {
                             let mut served = Vec::with_capacity(epochs);
                             let ctx = RoundContext {
                                 faults,
-                                view: None,
-                                tee: None,
+                                view: view.as_mut(),
+                                tee,
                                 audit: None,
                                 serve: None,
                             };
@@ -493,7 +500,8 @@ impl<M: Model, T: Transport> Engine<M, T> {
             let reports: Vec<Option<EpochReport>> = joined
                 .iter()
                 .map(|(served, _)| {
-                    let (t, event) = served[epoch];
+                    // A leaver serves no epoch from its leave on.
+                    let &(t, event) = served.get(epoch)?;
                     end_ns = end_ns.max(t);
                     delivery.absorb(&event.delivery);
                     event.report

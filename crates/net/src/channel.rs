@@ -1,197 +1,165 @@
-//! The channel endpoints an in-memory fabric splits into for the
-//! engine's real-thread deployment (the 8-node SGX deployment of Figs
-//! 6–7 runs each node on its own OS thread).
+//! The in-memory endpoint: one node's mailbox on a fabric that lives in
+//! one process (the simulator, and the 8-node SGX deployment of Figs 6–7
+//! with each node on its own OS thread).
 //!
-//! A split [`crate::mem::MemNetwork`] hands each node a
-//! [`ChannelEndpoint`]: a fully connected set of unbounded channels,
-//! shared atomic counters, and one round barrier that fails — instead
-//! of hanging — once a peer's endpoint is dropped.
+//! [`crate::mem::MemNetwork`] is the [`crate::transport::Fabric`] over
+//! these endpoints. The `n` endpoints of one fabric share one allocation
+//! — the `n` mailboxes and one barrier — so a fabric holds `n` handles,
+//! never `n × n` senders (the 610-node simulator fleet). A send lands in
+//! the destination's mailbox at once and is counted at both ends;
+//! [`Endpoint::recv`] drains the own mailbox and [`Endpoint::recv_wait`]
+//! blocks on it.
+//!
+//! The barrier is split like the round: [`Endpoint::arrive`] counts
+//! this endpoint in, and [`Endpoint::wait`] blocks until every endpoint
+//! still in the view has arrived. So one owner can drive all `n`
+//! endpoints (arrive on each, then wait on each) and `n` threads can
+//! each drive one. [`Endpoint::view_sync`] retires the nodes that left;
+//! the barrier fails — instead of hanging — once an endpoint is dropped
+//! that was never retired.
+
+// Every in-process deployment runs this module: it fails with an error
+// its caller can report, never with a panic (a self-send or an unknown
+// destination is a protocol bug, and asserted as one).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::mem::Envelope;
 use crate::stats::TrafficStats;
 use crate::transport::{canonicalize, BarrierKind, Endpoint, TransportError};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::cell::Cell;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-/// Shared atomic traffic counters for one node.
-#[derive(Debug, Default)]
-pub struct AtomicStats {
-    bytes_out: AtomicU64,
-    bytes_in: AtomicU64,
-    msgs_out: AtomicU64,
-    msgs_in: AtomicU64,
+/// Locks `m`. Every update here leaves its state valid, so a thread
+/// that panicked elsewhere must not poison the survivors' view of it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl AtomicStats {
-    /// Records an outgoing message of `bytes` payload bytes.
-    pub fn record_send(&self, bytes: u64) {
-        self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-        self.msgs_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an incoming message of `bytes` payload bytes.
-    pub fn record_recv(&self, bytes: u64) {
-        self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-        self.msgs_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Overwrites the counters with `stats`.
-    fn store(&self, stats: TrafficStats) {
-        self.bytes_out.store(stats.bytes_out, Ordering::Relaxed);
-        self.bytes_in.store(stats.bytes_in, Ordering::Relaxed);
-        self.msgs_out.store(stats.msgs_out, Ordering::Relaxed);
-        self.msgs_in.store(stats.msgs_in, Ordering::Relaxed);
-    }
-
-    /// Snapshot into a plain [`TrafficStats`].
-    #[must_use]
-    pub fn snapshot(&self) -> TrafficStats {
-        TrafficStats {
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            msgs_out: self.msgs_out.load(Ordering::Relaxed),
-            msgs_in: self.msgs_in.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The fabric's round barrier: a reusable rendezvous of all `n`
-/// endpoints that, unlike `std::sync::Barrier`, releases its waiters with
-/// an error once an endpoint has been dropped — a node thread that died
-/// mid-round fails the run instead of hanging it.
+/// One node's mailbox.
 #[derive(Debug, Default)]
-struct RoundBarrier {
-    state: Mutex<RoundState>,
-    cv: Condvar,
+struct Mailbox {
+    inbox: Mutex<Inbox>,
+    /// Signalled on a delivery while the owner blocks in `recv_wait`.
+    delivered: Condvar,
 }
 
 #[derive(Debug, Default)]
-struct RoundState {
+struct Inbox {
+    queue: Vec<Envelope>,
+    /// What was delivered here: the `_in` half of the node's counters.
+    received: TrafficStats,
+    /// The owner blocks in `recv_wait`: only then does a send pay for a
+    /// wake-up.
+    waiting: bool,
+}
+
+#[derive(Debug)]
+struct BarrierState {
+    /// Per node: left the view, so the barrier no longer waits for it.
+    retired: Vec<bool>,
+    /// Endpoints the barrier waits for: every one not retired.
+    members: usize,
     arrived: usize,
+    /// Barriers completed so far.
     generation: u64,
-    /// The first endpoint dropped, if any.
-    lost: Option<usize>,
+    /// Endpoints dropped while still in the view, in drop order: each
+    /// fails every barrier it misses.
+    lost: Vec<usize>,
 }
 
-impl RoundBarrier {
-    fn lock(&self) -> std::sync::MutexGuard<'_, RoundState> {
-        // Every update leaves the counters valid, so a waiter that
-        // panicked elsewhere must not poison the survivors' barrier.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait(&self, n: usize) -> Result<(), TransportError> {
-        let lost = |peer| TransportError::PeerLost {
-            peer,
-            detail: "endpoint dropped before the round barrier".to_string(),
-        };
-        let mut state = self.lock();
-        if let Some(peer) = state.lost {
-            return Err(lost(peer));
+impl BarrierState {
+    /// Completes the barrier once every member arrived; returns whether
+    /// it did.
+    fn try_complete(&mut self) -> bool {
+        if self.arrived == 0 || self.arrived < self.members {
+            return false;
         }
-        state.arrived += 1;
-        if state.arrived == n {
-            state.arrived = 0;
-            state.generation += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let generation = state.generation;
-        loop {
-            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-            // A completed round wins over a later drop: peers that leave
-            // right after the final barrier are not a failure.
-            if state.generation != generation {
-                return Ok(());
-            }
-            if let Some(peer) = state.lost {
-                return Err(lost(peer));
-            }
-        }
+        self.arrived = 0;
+        self.generation += 1;
+        true
     }
 }
 
-/// One node's endpoint: senders to every peer plus its own receiver.
+/// What the endpoints of one fabric share.
+#[derive(Debug)]
+struct Shared {
+    mailboxes: Vec<Arc<Mailbox>>,
+    barrier: Mutex<BarrierState>,
+    released: Condvar,
+}
+
+/// One node's in-memory endpoint. See the module docs.
+#[derive(Debug)]
 pub struct ChannelEndpoint {
     id: usize,
-    senders: Vec<Option<Sender<Envelope>>>,
-    receiver: Receiver<Envelope>,
-    stats: Vec<Arc<AtomicStats>>,
-    barrier: Arc<RoundBarrier>,
+    own: Arc<Mailbox>,
+    fabric: Arc<Shared>,
+    /// The barrier generation this endpoint last arrived in.
+    arrived_in: u64,
+    /// The `_out` half of the node's counters: only the owner sends.
+    sent: Cell<TrafficStats>,
 }
 
 impl Drop for ChannelEndpoint {
     fn drop(&mut self) {
-        self.barrier.lock().lost.get_or_insert(self.id);
-        self.barrier.cv.notify_all();
+        let mut state = lock(&self.fabric.barrier);
+        if state.retired.get(self.id) == Some(&false) {
+            state.lost.push(self.id);
+        }
+        drop(state);
+        self.fabric.released.notify_all();
     }
 }
 
 impl ChannelEndpoint {
-    /// This endpoint's node id.
-    #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Sends `bytes` to node `to`.
+    /// Sends `bytes` to node `to`: into its mailbox at once, counted at
+    /// both ends.
     ///
     /// # Panics
-    /// On self-send or unknown destination.
+    /// On self-send or unknown destination (protocol bugs).
     pub fn send(&self, to: usize, bytes: Vec<u8>) {
         assert_ne!(to, self.id, "self-send");
-        let size = bytes.len() as u64;
-        self.stats[self.id].record_send(size);
-        self.stats[to].record_recv(size);
-        self.forward(
-            to,
-            Envelope {
+        let dest = self.fabric.mailboxes.get(to);
+        assert!(dest.is_some(), "bad node id");
+        let mut sent = self.sent.get();
+        sent.record_send(bytes.len());
+        self.sent.set(sent);
+        if let Some(dest) = dest {
+            let mut inbox = lock(&dest.inbox);
+            inbox.received.record_recv(bytes.len());
+            inbox.queue.push(Envelope {
                 from: self.id,
                 bytes,
-            },
-        );
-    }
-
-    /// Puts `env` in node `to`'s channel without counting it: the send
-    /// path once it has counted, and a splitting fabric moving what it
-    /// already counted.
-    pub(crate) fn forward(&self, to: usize, env: Envelope) {
-        if let Some(sender) = &self.senders[to] {
-            // Receiver dropped = peer finished; losing the message is
-            // fine for the epoch-bounded experiments.
-            let _ = sender.send(env);
+            });
+            if inbox.waiting {
+                dest.delivered.notify_one();
+            }
         }
     }
 
-    /// Carries a splitting fabric's counters for this node over.
-    pub(crate) fn carry_stats(&self, stats: TrafficStats) {
-        self.stats[self.id].store(stats);
-    }
-
-    /// Drains everything currently queued without blocking.
+    /// Drains everything queued, in arrival order, without blocking. The
+    /// mailbox keeps its capacity for the next round.
     pub fn try_drain(&self) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        while let Ok(env) = self.receiver.try_recv() {
-            out.push(env);
-        }
-        out
-    }
-
-    /// Snapshot of this node's traffic stats.
-    #[must_use]
-    pub fn stats(&self) -> TrafficStats {
-        self.stats[self.id].snapshot()
+        lock(&self.own.inbox).queue.drain(..).collect()
     }
 }
 
 impl Endpoint for ChannelEndpoint {
     fn id(&self) -> usize {
-        ChannelEndpoint::id(self)
+        self.id
     }
 
     fn num_nodes(&self) -> usize {
-        self.senders.len()
+        self.fabric.mailboxes.len()
     }
 
     fn send(&mut self, to: usize, bytes: Vec<u8>) {
@@ -204,43 +172,120 @@ impl Endpoint for ChannelEndpoint {
         inbox
     }
 
+    fn recv_wait(&mut self, timeout: Duration) -> Vec<Envelope> {
+        let deadline = Instant::now() + timeout;
+        let mut inbox = lock(&self.own.inbox);
+        while inbox.queue.is_empty() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                break;
+            }
+            inbox.waiting = true;
+            inbox = self
+                .own
+                .delivered
+                .wait_timeout(inbox, remaining)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        inbox.waiting = false;
+        let mut got: Vec<Envelope> = inbox.queue.drain(..).collect();
+        drop(inbox);
+        canonicalize(&mut got);
+        got
+    }
+
+    fn arrive(&mut self, _kind: BarrierKind) {
+        // Sends are in their mailbox as soon as they return, so counting
+        // in is all an arrive has to do.
+        let mut state = lock(&self.fabric.barrier);
+        self.arrived_in = state.generation;
+        state.arrived += 1;
+        if state.try_complete() {
+            drop(state);
+            self.fabric.released.notify_all();
+        }
+    }
+
     fn wait(&mut self, _kind: BarrierKind) -> Result<(), TransportError> {
-        // Channel sends are visible as soon as they return, so arriving
-        // is a no-op and the rendezvous alone makes every pre-arrival
-        // send receivable.
-        self.barrier.wait(self.senders.len())
+        let mut state = lock(&self.fabric.barrier);
+        loop {
+            // A completed barrier wins over a later drop: peers that stop
+            // right after it are not a failure.
+            if state.generation != self.arrived_in {
+                return Ok(());
+            }
+            if let Some(&peer) = state.lost.first() {
+                return Err(TransportError::PeerLost {
+                    peer,
+                    detail: "endpoint dropped before the round barrier".to_string(),
+                });
+            }
+            state = self
+                .fabric
+                .released
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn view_sync(
+        &mut self,
+        _epoch: usize,
+        _joined: &[usize],
+        left: &[usize],
+    ) -> Result<(), TransportError> {
+        // Every endpoint in the view retires the same leavers before its
+        // next barrier; the first to do so does it for all.
+        let mut guard = lock(&self.fabric.barrier);
+        let state = &mut *guard;
+        for &node in left {
+            if let Some(retired @ false) = state.retired.get_mut(node) {
+                *retired = true;
+                state.members -= 1;
+            }
+        }
+        state.lost.retain(|peer| !left.contains(peer));
+        if state.try_complete() {
+            drop(guard);
+            self.fabric.released.notify_all();
+        }
+        Ok(())
     }
 
     fn stats(&self) -> TrafficStats {
-        ChannelEndpoint::stats(self)
+        let received = lock(&self.own.inbox).received;
+        TrafficStats {
+            bytes_in: received.bytes_in,
+            msgs_in: received.msgs_in,
+            ..self.sent.get()
+        }
     }
 }
 
-/// Builds a fully connected channel network over `n` nodes; returns one
-/// endpoint per node (move each into its thread).
+/// Builds the `n` endpoints of one in-memory fabric, in node order.
 pub(crate) fn channel_network(n: usize) -> Vec<ChannelEndpoint> {
-    let stats: Vec<Arc<AtomicStats>> = (0..n).map(|_| Arc::new(AtomicStats::default())).collect();
-    let barrier = Arc::new(RoundBarrier::default());
-    let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Receiver<Envelope>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    receivers
-        .into_iter()
+    let fabric = Arc::new(Shared {
+        mailboxes: (0..n).map(|_| Arc::new(Mailbox::default())).collect(),
+        barrier: Mutex::new(BarrierState {
+            retired: vec![false; n],
+            members: n,
+            arrived: 0,
+            generation: 0,
+            lost: Vec::new(),
+        }),
+        released: Condvar::new(),
+    });
+    fabric
+        .mailboxes
+        .iter()
         .enumerate()
-        .map(|(id, receiver)| ChannelEndpoint {
+        .map(|(id, own)| ChannelEndpoint {
             id,
-            senders: senders
-                .iter()
-                .enumerate()
-                .map(|(peer, tx)| if peer == id { None } else { Some(tx.clone()) })
-                .collect(),
-            receiver,
-            stats: stats.clone(),
-            barrier: Arc::clone(&barrier),
+            own: Arc::clone(own),
+            fabric: Arc::clone(&fabric),
+            arrived_in: 0,
+            sent: Cell::default(),
         })
         .collect()
 }
@@ -313,6 +358,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A node that leaves stops at an epoch boundary and drops its
+    /// endpoint, here before its peers retire it (the gate holds them
+    /// until the drop): the survivors' barriers go on without it.
+    #[test]
+    fn a_retired_endpoint_may_drop_without_failing_the_barrier() {
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(3));
+        let handles: Vec<_> = channel_network(3)
+            .into_iter()
+            .map(|mut ep| {
+                let gate = std::sync::Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    ep.try_sync().unwrap();
+                    if ep.id() == 2 {
+                        drop(ep);
+                        gate.wait();
+                        return Ok(());
+                    }
+                    gate.wait();
+                    ep.view_sync(1, &[], &[2])?;
+                    ep.try_sync()?;
+                    ep.try_sync()
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    /// The bounded-staleness loop's arrival hook: empty once its timeout
+    /// passes, and woken by a send from another thread.
+    #[test]
+    fn recv_wait_blocks_until_delivery() {
+        let mut eps = channel_network(2);
+        let mut b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+
+        let start = Instant::now();
+        assert!(b.recv_wait(Duration::from_millis(20)).is_empty());
+        assert!(start.elapsed() >= Duration::from_millis(20));
+
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            a.send(1, vec![7]);
+            a
+        });
+        let inbox = b.recv_wait(Duration::from_secs(10));
+        assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox[0].bytes, vec![7]);
+        drop(sender.join().unwrap());
     }
 
     #[test]

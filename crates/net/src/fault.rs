@@ -1,4 +1,4 @@
-//! Deterministic fault injection over any [`Transport`] backend.
+//! Deterministic fault injection over any [`Endpoint`] backend.
 //!
 //! The REX evaluation assumes a fully reliable fabric, but the paper's
 //! own premise — edge devices gossiping raw data — lives on networks
@@ -9,10 +9,10 @@
 //!   drop/delay/duplicate/reorder rates (with per-link overrides for
 //!   asymmetric links), flash [`PartitionSpec`]s, and per-node
 //!   crash-stop/rejoin [`CrashSpec`]s;
-//! * [`FaultyTransport`] / [`FaultyEndpoint`] — wrappers that compose
-//!   over *any* backend (mem, TCP) and apply the plan's link
-//!   faults at send time, counting every decision in
-//!   [`DeliveryStats`].
+//! * [`FaultyEndpoint`] — the wrapper that composes over *any* endpoint
+//!   (mem, TCP) and applies the plan's link faults at send time,
+//!   counting every decision in [`DeliveryStats`]; [`FaultyTransport`]
+//!   is the fabric of them.
 //!
 //! # Determinism
 //! Fault decisions never consult a stateful RNG shared across links.
@@ -20,9 +20,10 @@
 //! hash of `(plan seed, fault kind, from, to, k)`, so:
 //!
 //! * the same plan replays **bit-for-bit** across reruns;
-//! * lockstep and thread-per-node drivers agree (each directed link's
-//!   messages are emitted by exactly one node in deterministic order,
-//!   so the per-link counters agree no matter how threads interleave);
+//! * the fabric scheduler and thread-per-node drivers agree (each
+//!   directed link's messages are emitted by exactly one endpoint in
+//!   deterministic order, so the per-link counters agree no matter how
+//!   threads interleave);
 //! * both backends agree — the wrapper sits above the backend's
 //!   delivery machinery and below the engine's canonical ordering.
 //!
@@ -33,8 +34,7 @@
 //! [`FaultPlan`] — that way crash behaviour is identical whether or not
 //! a run is wrapped. Messages sent *while an epoch is not active*
 //! (TEE provisioning + attestation) always pass through unfaulted: the
-//! wrapper activates on the first [`Transport::epoch_begin`] /
-//! [`Endpoint::epoch_begin`] call.
+//! wrapper activates on its first [`Endpoint::epoch_begin`] call.
 //!
 //! # Byte accounting
 //! The wrapper sits *above* the backend's [`TrafficStats`], which
@@ -56,7 +56,7 @@
 
 use crate::mem::Envelope;
 use crate::stats::{DeliveryStats, TrafficStats};
-use crate::transport::{BarrierKind, Endpoint, Transport};
+use crate::transport::{BarrierKind, Endpoint, Fabric, PeerCommitment, Transport, TransportError};
 use rex_crypto::splitmix64;
 
 /// Per-link fault rates, each a probability in `[0, 1]`.
@@ -355,249 +355,53 @@ impl FaultPlan {
     }
 }
 
-/// A message the injector is holding back: released into the inner
-/// transport at the flush/sync of `release_epoch`.
+/// A message the wrapper is holding back: released into the inner
+/// endpoint at the round arrive of `release_epoch`.
 #[derive(Debug)]
 struct Held {
     release_epoch: usize,
-    from: usize,
     to: usize,
     bytes: Vec<u8>,
 }
 
-/// The fault decision core shared by both wrapper shapes. `counters`
-/// indexes directed links as `from * n + to` for the fabric wrapper and
-/// as `to` for a single endpoint (whose `from` is fixed).
-#[derive(Debug)]
-struct Injector {
-    plan: FaultPlan,
-    /// `Some(epoch)` once the protocol phase began; `None` during setup
-    /// (faults inactive).
-    epoch: Option<usize>,
-    counters: Vec<u64>,
-    /// Messages reordered to the back of the current round.
-    reordered: Vec<Held>,
-    /// Messages delayed into a later round.
-    delayed: Vec<Held>,
-    delivery: DeliveryStats,
-}
-
-impl Injector {
-    fn new(plan: FaultPlan, links: usize) -> Self {
-        Injector {
-            plan,
-            epoch: None,
-            counters: vec![0; links],
-            reordered: Vec::new(),
-            delayed: Vec::new(),
-            delivery: DeliveryStats::default(),
-        }
-    }
-
-    /// Routes one send: forwards into `forward` zero, one, or two times
-    /// now, or holds the message for a later release.
-    fn route(
-        &mut self,
-        slot: usize,
-        from: usize,
-        to: usize,
-        bytes: Vec<u8>,
-        forward: &mut impl FnMut(usize, usize, Vec<u8>),
-    ) {
-        let Some(epoch) = self.epoch else {
-            // Setup phase: attestation traffic is never faulted (and not
-            // counted — delivery stats describe protocol rounds).
-            forward(from, to, bytes);
-            return;
-        };
-        let index = self.counters[slot];
-        self.counters[slot] += 1;
-        match self.plan.fate(epoch, from, to, index) {
-            Fate::Deliver => {
-                self.delivery.delivered += 1;
-                forward(from, to, bytes);
-            }
-            Fate::Drop => self.delivery.dropped += 1,
-            Fate::Delay => {
-                self.delivery.late += 1;
-                self.delayed.push(Held {
-                    release_epoch: epoch + 1,
-                    from,
-                    to,
-                    bytes,
-                });
-            }
-            Fate::Duplicate => {
-                self.delivery.delivered += 2;
-                self.delivery.duplicated += 1;
-                forward(from, to, bytes.clone());
-                forward(from, to, bytes);
-            }
-            Fate::Reorder => {
-                self.delivery.delivered += 1;
-                self.reordered.push(Held {
-                    release_epoch: epoch,
-                    from,
-                    to,
-                    bytes,
-                });
-            }
-        }
-    }
-
-    /// Drops every held message addressed to or sent by `node` — the
-    /// membership-leave purge: a graceful leaver's in-flight delayed
-    /// messages die with it, identically in the engine's central
-    /// wrapper and in each deployed process's endpoint wrapper (where a
-    /// release after retirement would otherwise target a torn-down
-    /// connection). The messages were already counted `late` when they
-    /// were held; they are never counted `delivered`.
-    fn forget_node(&mut self, node: usize) {
-        self.delayed.retain(|h| h.from != node && h.to != node);
-        self.reordered.retain(|h| h.from != node && h.to != node);
-    }
-
-    /// Releases held messages at a round boundary (wrapper `flush` /
-    /// round-barrier `arrive`, *before* the inner token): all reordered
-    /// messages of this round, plus delayed messages whose release round
-    /// arrived.
-    fn release(&mut self, forward: &mut impl FnMut(usize, usize, Vec<u8>)) {
-        let Some(epoch) = self.epoch else { return };
-        for held in self.reordered.drain(..) {
-            forward(held.from, held.to, held.bytes);
-        }
-        let mut kept = Vec::new();
-        for held in self.delayed.drain(..) {
-            if held.release_epoch <= epoch {
-                self.delivery.delivered += 1;
-                forward(held.from, held.to, held.bytes);
-            } else {
-                kept.push(held);
-            }
-        }
-        self.delayed = kept;
-    }
-}
-
-/// Fault-injecting fabric wrapper: `FaultyTransport<MemNetwork>` and
-/// `FaultyTransport<TcpTransport>`, split or not, run the same plan
+/// The fault-injecting fabric: every endpoint of a fabric wrapped in a
+/// [`FaultyEndpoint`] under one plan. `FaultyTransport<ChannelEndpoint>`
+/// and `FaultyTransport<TcpEndpoint>`, split or not, run the same plan
 /// reproducibly. See the module docs.
-pub struct FaultyTransport<T: Transport> {
-    inner: T,
-    inj: Injector,
-}
+pub type FaultyTransport<E> = Fabric<FaultyEndpoint<E>>;
 
-impl<T: Transport> FaultyTransport<T> {
-    /// Wraps `inner` under `plan`.
+impl<E: Endpoint + 'static> FaultyTransport<E> {
+    /// Wraps every endpoint of `inner` under `plan`.
     ///
     /// # Panics
     /// If the plan fails [`FaultPlan::validate`] against the fabric
     /// size.
     #[must_use]
-    pub fn new(inner: T, plan: FaultPlan) -> Self {
-        let n = inner.num_nodes();
-        plan.validate(n);
-        FaultyTransport {
-            inner,
-            inj: Injector::new(plan, n * n),
-        }
-    }
-
-    /// The wrapped plan.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.inj.plan
-    }
-
-    /// Read access to the wrapped fabric.
-    #[must_use]
-    pub fn inner(&self) -> &T {
-        &self.inner
+    pub fn new<T: Transport<Endpoint = E>>(inner: T, plan: FaultPlan) -> Self {
+        let wrap = |e| FaultyEndpoint::new(e, plan.clone());
+        Fabric::from_endpoints(inner.into_endpoints().into_iter().map(wrap).collect())
     }
 }
 
-impl<T: Transport> Transport for FaultyTransport<T> {
-    type Endpoint = FaultyEndpoint<T::Endpoint>;
-
-    fn num_nodes(&self) -> usize {
-        self.inner.num_nodes()
-    }
-
-    fn send(&mut self, from: usize, to: usize, bytes: Vec<u8>) {
-        let n = self.inner.num_nodes();
-        let inner = &mut self.inner;
-        self.inj
-            .route(from * n + to, from, to, bytes, &mut |f, t, b| {
-                inner.send(f, t, b);
-            });
-    }
-
-    fn recv(&mut self, node: usize) -> Vec<Envelope> {
-        self.inner.recv(node)
-    }
-
-    fn flush(&mut self) {
-        let inner = &mut self.inner;
-        self.inj.release(&mut |f, t, b| inner.send(f, t, b));
-        self.inner.flush();
-    }
-
-    fn epoch_begin(&mut self, epoch: usize) {
-        self.inj.epoch = Some(epoch);
-        self.inner.epoch_begin(epoch);
-    }
-
-    fn view_sync(&mut self, epoch: usize, joined: &[usize], left: &[usize]) {
-        for &l in left {
-            self.inj.forget_node(l);
-        }
-        self.inner.view_sync(epoch, joined, left);
-    }
-
-    fn take_delivery(&mut self) -> DeliveryStats {
-        std::mem::take(&mut self.inj.delivery)
-    }
-
-    fn stats(&self, node: usize) -> TrafficStats {
-        self.inner.stats(node)
-    }
-
-    fn all_stats(&self) -> Vec<TrafficStats> {
-        self.inner.all_stats()
-    }
-
-    fn into_endpoints(self) -> Vec<FaultyEndpoint<T::Endpoint>> {
-        let n = self.inner.num_nodes();
-        let plan = self.inj.plan;
-        let epoch = self.inj.epoch;
-        debug_assert!(
-            self.inj.delayed.is_empty() && self.inj.reordered.is_empty(),
-            "splitting a fabric with in-flight held messages"
-        );
-        let endpoints = self.inner.into_endpoints();
-        debug_assert_eq!(endpoints.len(), n);
-        endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(id, inner)| {
-                let mut inj = Injector::new(plan.clone(), n);
-                inj.epoch = epoch;
-                // Carry this node's outgoing per-link counters over so a
-                // mid-run split (not something the engine does, but legal)
-                // keeps the hash streams aligned.
-                inj.counters
-                    .copy_from_slice(&self.inj.counters[id * n..(id + 1) * n]);
-                FaultyEndpoint { inner, inj }
-            })
-            .collect()
-    }
-}
-
-/// Fault-injecting per-node endpoint wrapper; decisions for a link
-/// `self → to` are identical to the fabric wrapper's.
+/// Fault-injecting endpoint wrapper: the one place a fault decision is
+/// made, whether one owner drives every endpoint of a fabric or each
+/// node (thread or `rex-node` process) drives its own. Decisions for a
+/// link `self → to` depend only on the plan and the link's message
+/// count, so every shape decides identically.
 pub struct FaultyEndpoint<E: Endpoint> {
     inner: E,
-    inj: Injector,
+    plan: FaultPlan,
+    /// `Some(epoch)` once the protocol phase began; `None` during setup
+    /// (faults inactive).
+    epoch: Option<usize>,
+    /// Messages sent so far on each link `self → to`: the next one's
+    /// hash index.
+    sent: Vec<u64>,
+    /// Messages reordered to the back of the current round.
+    reordered: Vec<Held>,
+    /// Messages delayed into a later round.
+    delayed: Vec<Held>,
+    delivery: DeliveryStats,
 }
 
 impl<E: Endpoint> FaultyEndpoint<E> {
@@ -612,15 +416,34 @@ impl<E: Endpoint> FaultyEndpoint<E> {
         let n = inner.num_nodes();
         plan.validate(n);
         FaultyEndpoint {
-            inj: Injector::new(plan, n),
             inner,
+            plan,
+            epoch: None,
+            sent: vec![0; n],
+            reordered: Vec::new(),
+            delayed: Vec::new(),
+            delivery: DeliveryStats::default(),
         }
     }
 
-    /// Read access to the wrapped endpoint.
-    #[must_use]
-    pub fn inner(&self) -> &E {
-        &self.inner
+    /// Releases held messages at a round boundary, *before* the inner
+    /// token: all reordered messages of this round, plus delayed
+    /// messages whose release round arrived.
+    fn release(&mut self) {
+        let Some(epoch) = self.epoch else { return };
+        for held in self.reordered.drain(..) {
+            self.inner.send(held.to, held.bytes);
+        }
+        let mut kept = Vec::new();
+        for held in self.delayed.drain(..) {
+            if held.release_epoch <= epoch {
+                self.delivery.delivered += 1;
+                self.inner.send(held.to, held.bytes);
+            } else {
+                kept.push(held);
+            }
+        }
+        self.delayed = kept;
     }
 }
 
@@ -634,11 +457,43 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
     }
 
     fn send(&mut self, to: usize, bytes: Vec<u8>) {
-        let from = self.inner.id();
-        let inner = &mut self.inner;
-        self.inj.route(to, from, to, bytes, &mut |_, t, b| {
-            inner.send(t, b);
-        });
+        let Some(epoch) = self.epoch else {
+            // Setup phase: attestation traffic is never faulted (and not
+            // counted — delivery stats describe protocol rounds).
+            self.inner.send(to, bytes);
+            return;
+        };
+        let index = self.sent[to];
+        self.sent[to] += 1;
+        match self.plan.fate(epoch, self.inner.id(), to, index) {
+            Fate::Deliver => {
+                self.delivery.delivered += 1;
+                self.inner.send(to, bytes);
+            }
+            Fate::Drop => self.delivery.dropped += 1,
+            Fate::Delay => {
+                self.delivery.late += 1;
+                self.delayed.push(Held {
+                    release_epoch: epoch + 1,
+                    to,
+                    bytes,
+                });
+            }
+            Fate::Duplicate => {
+                self.delivery.delivered += 2;
+                self.delivery.duplicated += 1;
+                self.inner.send(to, bytes.clone());
+                self.inner.send(to, bytes);
+            }
+            Fate::Reorder => {
+                self.delivery.delivered += 1;
+                self.reordered.push(Held {
+                    release_epoch: epoch,
+                    to,
+                    bytes,
+                });
+            }
+        }
     }
 
     fn recv(&mut self) -> Vec<Envelope> {
@@ -647,18 +502,17 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
 
     fn arrive(&mut self, kind: BarrierKind) {
         // The release point is the round barrier's arrive: held messages
-        // go out ahead of the inner token, exactly where the fabric
-        // wrapper's `flush` releases. The drain barrier releases nothing:
-        // releasing there would both reorder held messages ahead of the
-        // epoch's normal sends and race slow peers' current-epoch drain.
+        // go out ahead of the inner token. The drain barrier releases
+        // nothing: releasing there would both reorder held messages
+        // ahead of the epoch's normal sends and race slow peers'
+        // current-epoch drain.
         if kind == BarrierKind::Round {
-            let inner = &mut self.inner;
-            self.inj.release(&mut |_, t, b| inner.send(t, b));
+            self.release();
         }
         self.inner.arrive(kind);
     }
 
-    fn wait(&mut self, kind: BarrierKind) -> Result<(), crate::transport::TransportError> {
+    fn wait(&mut self, kind: BarrierKind) -> Result<(), TransportError> {
         self.inner.wait(kind)
     }
 
@@ -667,16 +521,18 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         epoch: usize,
         joined: &[usize],
         left: &[usize],
-    ) -> Result<(), crate::transport::TransportError> {
+    ) -> Result<(), TransportError> {
         // Membership is infrastructure, not protocol: admissions and
         // retirements pass through unfaulted (the *bootstrap payload*
-        // is a normal epoch send and very much faultable). A leaver's
-        // held (delayed) messages die with it — releasing them after
-        // retirement would target a torn-down connection, and the
-        // engine's central wrapper purges the same set.
-        for &l in left {
-            self.inj.forget_node(l);
-        }
+        // is a normal epoch send and very much faultable). Held
+        // messages to a leaver die with it — releasing them after
+        // retirement would target a torn-down connection — and so do
+        // all of a leaver's own. They were counted `late` when they were
+        // held and are never counted `delivered`.
+        let leaving = left.contains(&self.inner.id());
+        let keep = |h: &Held| !leaving && !left.contains(&h.to);
+        self.delayed.retain(keep);
+        self.reordered.retain(keep);
         self.inner.view_sync(epoch, joined, left)
     }
 
@@ -685,12 +541,12 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
     }
 
     fn epoch_begin(&mut self, epoch: usize) {
-        self.inj.epoch = Some(epoch);
+        self.epoch = Some(epoch);
         self.inner.epoch_begin(epoch);
     }
 
     fn take_delivery(&mut self) -> DeliveryStats {
-        std::mem::take(&mut self.inj.delivery)
+        std::mem::take(&mut self.delivery)
     }
 
     fn send_commitment(&mut self, epoch: u64, digest: [u8; 32], tag: [u8; 32]) {
@@ -700,7 +556,7 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         self.inner.send_commitment(epoch, digest, tag);
     }
 
-    fn take_commitments(&mut self) -> Vec<crate::transport::PeerCommitment> {
+    fn take_commitments(&mut self) -> Vec<PeerCommitment> {
         self.inner.take_commitments()
     }
 
@@ -894,7 +750,7 @@ mod tests {
     #[test]
     fn endpoint_and_fabric_wrappers_decide_identically() {
         let plan = FaultPlan::uniform(11, LinkFaults::drop_rate(0.5));
-        // Fabric-level decisions.
+        // The single-owner fabric view.
         let mut fabric = FaultyTransport::new(MemNetwork::new(2), plan.clone());
         fabric.epoch_begin(0);
         for i in 0..64u8 {
@@ -903,16 +759,19 @@ mod tests {
         fabric.flush();
         let fabric_got: Vec<u8> = fabric.recv(1).iter().map(|e| e.bytes[0]).collect();
 
-        // Endpoint-level decisions over the split in-memory fabric.
-        let mut eps = MemNetwork::new(2).into_endpoints().into_iter();
-        let mut a = FaultyEndpoint::new(eps.next().unwrap(), plan);
-        let mut b = eps.next().unwrap();
-        a.epoch_begin(0);
-        for i in 0..64u8 {
-            Endpoint::send(&mut a, 1, msg(i));
-        }
+        // The same faulty endpoints, split onto one thread each.
+        let mut eps = FaultyTransport::new(MemNetwork::new(2), plan).into_endpoints();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
         std::thread::scope(|scope| {
-            scope.spawn(|| b.try_sync().unwrap());
+            scope.spawn(|| {
+                b.epoch_begin(0);
+                b.try_sync().unwrap();
+            });
+            a.epoch_begin(0);
+            for i in 0..64u8 {
+                Endpoint::send(&mut a, 1, msg(i));
+            }
             a.try_sync().unwrap();
         });
         let ep_got: Vec<u8> = Endpoint::recv(&mut b).iter().map(|e| e.bytes[0]).collect();

@@ -9,31 +9,33 @@
 //!   and AEAD-sealed payloads (raw-rating batches or serialized models,
 //!   each tagged with the sender's degree for Metropolis–Hastings merging);
 //! * [`codec`] — a self-contained length-prefixed binary encoding;
-//! * [`transport`] — the backend seam: the [`Transport`]/[`Endpoint`]
-//!   fabric abstraction and the [`Clock`] time hook that the generic
-//!   engine in `rex-core` is written against;
-//! * [`mem`] — [`MemNetwork`], the in-memory backend: single-owner
-//!   instrumented mailboxes for the discrete-event simulator, split into
-//!   per-node endpoints for the real-thread deployment;
-//! * [`channel`] — [`channel::ChannelEndpoint`], the crossbeam-channel
-//!   endpoint a split [`MemNetwork`] hands each node thread;
-//! * [`fault`] — [`FaultPlan`] and the [`FaultyTransport`] /
-//!   [`fault::FaultyEndpoint`] wrappers: deterministic, seeded
+//! * [`transport`] — the backend seam: the [`Endpoint`] trait every
+//!   backend implements, [`Fabric`], the one [`Transport`] (`n`
+//!   endpoints driven by one owner), and the [`Clock`] time hook that
+//!   the generic engine in `rex-core` is written against;
+//! * [`channel`] — [`channel::ChannelEndpoint`], the in-memory endpoint:
+//!   a node's mailbox, counters and seat at a shared split barrier;
+//! * [`mem`] — [`MemNetwork`], the fabric of in-memory endpoints: the
+//!   discrete-event simulator drives it from one thread, the
+//!   real-thread deployment splits it into one endpoint per node;
+//! * [`fault`] — [`FaultPlan`], the [`fault::FaultyEndpoint`] wrapper
+//!   and [`FaultyTransport`], the fabric of them: deterministic, seeded
 //!   drop/delay/duplicate/reorder, partition and crash schedules
 //!   composing over any backend;
 //! * [`frame`] — the length-prefixed socket framing (hello/data/barrier);
-//! * [`tcp`] — [`TcpTransport`]/[`tcp::TcpEndpoint`], the real-socket
-//!   backend: loopback fabric in-process, or one endpoint per OS process
-//!   for the `rex-node` distributed deployment;
+//! * [`tcp`] — [`tcp::TcpEndpoint`], the real-socket backend, and
+//!   [`TcpTransport`], its loopback fabric in-process; one endpoint per
+//!   OS process for the `rex-node` distributed deployment;
 //! * [`stats`] — per-node traffic accounting;
 //! * [`link`] — a latency/bandwidth model that converts bytes to
 //!   simulated transfer time.
 //!
-//! Both [`Transport`] backends run the protocol bit-identically, split
-//! or not (the cross-backend equivalence tests hold them to it); a
-//! further backend only has to implement [`Transport`] + [`Endpoint`]
-//! here — the protocol engine and every experiment binary are generic
-//! over it.
+//! A fabric is its endpoints, so both backends run the protocol
+//! bit-identically whether one owner drives every endpoint or each node
+//! drives its own (the cross-backend equivalence tests hold them to
+//! it); a further backend only has to implement [`Endpoint`] here — the
+//! protocol engine and every experiment binary are generic over the
+//! [`Fabric`] of it.
 
 pub mod channel;
 pub mod codec;
@@ -57,5 +59,5 @@ pub use message::{Payload, Plain};
 pub use stats::{DeliveryStats, TrafficStats};
 pub use tcp::TcpTransport;
 pub use transport::{
-    BarrierKind, Clock, Endpoint, PeerCommitment, Transport, TransportError, WallClock,
+    BarrierKind, Clock, Endpoint, Fabric, PeerCommitment, Transport, TransportError, WallClock,
 };

@@ -1,20 +1,28 @@
 //! The in-memory fabric: reliable, ordered, with exact byte accounting.
 //!
-//! [`MemNetwork`] implements [`Transport`] in two shapes. Unsplit, it is
-//! a single-owner mailbox network — plain `VecDeque`s and counters — that
-//! the engine's fabric scheduler drains, runs and feeds in deterministic node
-//! order (the simulator, the centralized baseline, TEE setup).
-//! [`Transport::into_endpoints`] splits it into the channel endpoints of
-//! [`crate::channel`], one per node thread: every queued envelope moves
-//! into its destination's channel and every node's counters carry over,
-//! so a split mid-run (after TEE setup) loses and recounts nothing. The
-//! channels are built at split time and only then: a fabric that never
-//! splits (the 610-node simulator fleet) holds no `n × n` sender handles.
+//! [`MemNetwork`] is the [`Fabric`] over the in-memory endpoints of
+//! [`crate::channel`]. Unsplit, the engine's fabric scheduler drives all
+//! of them from one thread in deterministic node order (the simulator,
+//! the centralized baseline, TEE setup);
+//! [`Transport::into_endpoints`](crate::transport::Transport::into_endpoints)
+//! hands the same endpoints to one thread each. An endpoint *is* its
+//! node's mailbox, so a split mid-run (after TEE setup) moves, loses and
+//! recounts nothing.
+
+// Every in-process deployment runs this module: it fails with an error
+// its caller can report, never with a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::channel::{channel_network, ChannelEndpoint};
-use crate::stats::TrafficStats;
-use crate::transport::{canonicalize, Transport};
-use std::collections::VecDeque;
+use crate::transport::Fabric;
 
 /// A delivered message.
 #[derive(Debug, Clone)]
@@ -25,109 +33,22 @@ pub struct Envelope {
     pub bytes: Vec<u8>,
 }
 
-/// Mailbox network over `n` nodes.
-#[derive(Debug, Default)]
-pub struct MemNetwork {
-    inboxes: Vec<VecDeque<Envelope>>,
-    stats: Vec<TrafficStats>,
-}
+/// The in-memory fabric over `n` nodes.
+pub type MemNetwork = Fabric<ChannelEndpoint>;
 
 impl MemNetwork {
     /// Creates a network with `n` empty mailboxes.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        MemNetwork {
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
-            stats: vec![TrafficStats::new(); n],
-        }
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// Whether the network has no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inboxes.is_empty()
-    }
-
-    /// Sends `bytes` from `from` to `to`; returns the message size.
-    ///
-    /// # Panics
-    /// On out-of-range node ids or self-sends (protocol bugs).
-    pub fn send(&mut self, from: usize, to: usize, bytes: Vec<u8>) -> usize {
-        assert!(from < self.len() && to < self.len(), "bad node id");
-        assert_ne!(from, to, "self-send");
-        let size = bytes.len();
-        self.stats[from].record_send(size);
-        self.stats[to].record_recv(size);
-        self.inboxes[to].push_back(Envelope { from, bytes });
-        size
-    }
-
-    /// Cumulative stats of `node`.
-    #[must_use]
-    pub fn stats(&self, node: usize) -> &TrafficStats {
-        &self.stats[node]
-    }
-
-    /// Snapshot of all node stats.
-    #[must_use]
-    pub fn all_stats(&self) -> Vec<TrafficStats> {
-        self.stats.clone()
-    }
-}
-
-impl Transport for MemNetwork {
-    type Endpoint = ChannelEndpoint;
-
-    fn num_nodes(&self) -> usize {
-        self.len()
-    }
-
-    fn send(&mut self, from: usize, to: usize, bytes: Vec<u8>) {
-        MemNetwork::send(self, from, to, bytes);
-    }
-
-    fn recv(&mut self, node: usize) -> Vec<Envelope> {
-        let mut inbox: Vec<Envelope> = self.inboxes[node].drain(..).collect();
-        canonicalize(&mut inbox);
-        inbox
-    }
-
-    fn flush(&mut self) {
-        // Sends land in the destination mailbox immediately.
-    }
-
-    fn stats(&self, node: usize) -> TrafficStats {
-        *MemNetwork::stats(self, node)
-    }
-
-    fn all_stats(&self) -> Vec<TrafficStats> {
-        MemNetwork::all_stats(self)
-    }
-
-    fn into_endpoints(self) -> Vec<ChannelEndpoint> {
-        let endpoints = channel_network(self.len());
-        for (to, inbox) in self.inboxes.into_iter().enumerate() {
-            for env in inbox {
-                endpoints[env.from].forward(to, env);
-            }
-        }
-        for (endpoint, stats) in endpoints.iter().zip(self.stats) {
-            endpoint.carry_stats(stats);
-        }
-        endpoints
+        Fabric::from_endpoints(channel_network(n))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Endpoint;
+    use crate::stats::TrafficStats;
+    use crate::transport::{Endpoint, Transport};
 
     /// `(sender, bytes)` of an inbox, for comparisons.
     fn contents(inbox: &[Envelope]) -> Vec<(usize, Vec<u8>)> {

@@ -1,15 +1,16 @@
 //! Real-socket TCP transport: the deployment backend the paper's 8-node
 //! SGX testbed corresponds to.
 //!
-//! [`TcpTransport`] implements [`Transport`] over genuine TCP connections
+//! [`TcpEndpoint`] implements [`Endpoint`] over genuine TCP connections
 //! carrying the length-prefixed frames of [`crate::frame`]. It comes in
 //! two shapes:
 //!
-//! * **Loopback fabric** ([`TcpTransport::loopback`]) — all `n` endpoints
-//!   live in one process, fully connected over `127.0.0.1` sockets. This
-//!   is what the cross-backend equivalence tests and the benches drive:
-//!   every frame crosses the kernel's TCP stack, yet runs stay
-//!   bit-identical with [`crate::mem::MemNetwork`], split or not.
+//! * **Loopback fabric** ([`TcpTransport::loopback`], the [`Fabric`] of
+//!   `n` endpoints) — all of them live in one process, fully connected
+//!   over `127.0.0.1` sockets. This is what the cross-backend
+//!   equivalence tests and the benches drive: every frame crosses the
+//!   kernel's TCP stack, yet runs stay bit-identical with
+//!   [`crate::mem::MemNetwork`], split or not.
 //! * **Distributed endpoint** ([`TcpEndpoint::connect`]) — one endpoint
 //!   per OS process, bootstrapped from a node-id → socket-address map.
 //!   The `rex-node` binary builds exactly this and runs one engine node
@@ -48,7 +49,8 @@
 //! Because tokens follow data frames on the same FIFO connection, a
 //! completed sync guarantees the local mailbox holds every message any
 //! peer sent before *its* sync — the exact property the engine's round
-//! structure needs. The fabric-level [`Transport::flush`] runs the same
+//! structure needs. The fabric-level
+//! [`Transport::flush`](crate::transport::Transport::flush) runs the same
 //! two-phase barrier across all owned endpoints.
 //!
 //! # Byte accounting
@@ -61,13 +63,12 @@
 //! [`TcpEndpoint::wire_traffic`], and the number of `write` syscalls the
 //! coalescing path actually issued via [`TcpEndpoint::write_syscalls`].
 
-use crate::channel::AtomicStats;
 use crate::frame::{encode_frame_into, read_frame, write_frame, Frame, FrameError, HEADER_LEN};
 use crate::mem::Envelope;
 use crate::reactor::{Reactor, ReactorSink};
 use crate::stats::TrafficStats;
 use crate::transport::{
-    canonicalize, BarrierKind, Endpoint, PeerCommitment, Transport, TransportError,
+    canonicalize, BarrierKind, Endpoint, Fabric, PeerCommitment, TransportError,
 };
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -75,6 +76,40 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Shared atomic traffic counters for one node.
+#[derive(Debug, Default)]
+struct AtomicStats {
+    bytes_out: AtomicU64,
+    bytes_in: AtomicU64,
+    msgs_out: AtomicU64,
+    msgs_in: AtomicU64,
+}
+
+impl AtomicStats {
+    /// Records an outgoing message of `bytes` payload bytes.
+    fn record_send(&self, bytes: u64) {
+        self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
+        self.msgs_out.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records an incoming message of `bytes` payload bytes.
+    fn record_recv(&self, bytes: u64) {
+        self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+        self.msgs_in.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Snapshot into a plain [`TrafficStats`].
+    #[must_use]
+    fn snapshot(&self) -> TrafficStats {
+        TrafficStats {
+            bytes_out: self.bytes_out.load(Ordering::Relaxed),
+            bytes_in: self.bytes_in.load(Ordering::Relaxed),
+            msgs_out: self.msgs_out.load(Ordering::Relaxed),
+            msgs_in: self.msgs_in.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// Locks a mutex, recovering the guard from poisoning: the poller thread
 /// must never panic on a lock another thread poisoned while unwinding —
@@ -816,72 +851,6 @@ impl TcpEndpoint {
         true
     }
 
-    /// Phase one of the round barrier: announce this endpoint's new
-    /// generation to every peer, behind whatever data frames are staged
-    /// — on the common path the whole epoch (data + token) leaves in one
-    /// syscall per peer.
-    fn sync_begin(&mut self) {
-        self.generation += 1;
-        let token = Frame::Barrier {
-            from: self.id,
-            generation: self.generation,
-        };
-        for conn in self.conns.iter_mut().flatten() {
-            self.wire_bytes_out += (HEADER_LEN + 8) as u64;
-            conn.stage(&token);
-        }
-        self.flush_pass();
-    }
-
-    /// Phase two: wait until every peer's token of the current generation
-    /// arrived (hence, by FIFO, every message they sent before it),
-    /// keeping our own staged output draining meanwhile (a peer whose
-    /// socket was full at `sync_begin` still needs our token). Surfaces
-    /// a dead peer or a timed-out round as a [`TransportError`] — the
-    /// fleet can no longer produce a correct result, and the caller
-    /// decides whether that panics (the engine) or exits cleanly (the
-    /// deployed binary).
-    fn sync_wait(&mut self) -> Result<(), TransportError> {
-        let g = self.generation;
-        let deadline = Instant::now() + BARRIER_TIMEOUT;
-        loop {
-            let drained = self.flush_pass();
-            let state = lock(&self.shared.barriers);
-            if state.gens.iter().all(|&seen| seen >= g) {
-                return Ok(());
-            }
-            if let Some(peer) = state
-                .gens
-                .iter()
-                .zip(&state.closed)
-                .position(|(&seen, &closed)| closed && seen < g)
-            {
-                let detail = state.reasons[peer]
-                    .clone()
-                    .unwrap_or_else(|| format!("disconnected before barrier {g}"));
-                return Err(TransportError::PeerLost { peer, detail });
-            }
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            if timeout.is_zero() {
-                return Err(TransportError::Timeout {
-                    what: format!("node {}: barrier {g}", self.id),
-                });
-            }
-            // With output pending, wake quickly to keep draining; fully
-            // drained, only a peer's token (condvar) ends the wait.
-            let slice = if drained {
-                Duration::from_millis(100)
-            } else {
-                Duration::from_millis(1)
-            };
-            let _ = self
-                .shared
-                .barrier_cv
-                .wait_timeout(state, timeout.min(slice))
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     /// Admits the pending `Join` connections of `expected` (scheduled
     /// joiners of `epoch` that dialed this node), in arrival order:
     /// accept, validate the `Join` frame against the schedule, stash its
@@ -1008,11 +977,6 @@ impl TcpEndpoint {
         }
     }
 
-    /// Drains everything currently delivered, without blocking.
-    pub fn try_drain(&self) -> Vec<Envelope> {
-        std::mem::take(&mut *lock(&self.shared.queue))
-    }
-
     /// Snapshot of this node's traffic stats.
     #[must_use]
     pub fn stats(&self) -> TrafficStats {
@@ -1047,7 +1011,7 @@ impl Endpoint for TcpEndpoint {
     }
 
     fn recv(&mut self) -> Vec<Envelope> {
-        let mut inbox = self.try_drain();
+        let mut inbox = std::mem::take(&mut *lock(&self.shared.queue));
         canonicalize(&mut inbox);
         inbox
     }
@@ -1083,12 +1047,70 @@ impl Endpoint for TcpEndpoint {
         }
     }
 
+    /// Phase one of the round barrier: announce this endpoint's new
+    /// generation to every peer, behind whatever data frames are staged
+    /// — on the common path the whole epoch (data + token) leaves in one
+    /// syscall per peer.
     fn arrive(&mut self, _kind: BarrierKind) {
-        self.sync_begin();
+        self.generation += 1;
+        let token = Frame::Barrier {
+            from: self.id,
+            generation: self.generation,
+        };
+        for conn in self.conns.iter_mut().flatten() {
+            self.wire_bytes_out += (HEADER_LEN + 8) as u64;
+            conn.stage(&token);
+        }
+        self.flush_pass();
     }
 
+    /// Phase two: wait until every peer's token of the current generation
+    /// arrived (hence, by FIFO, every message they sent before it),
+    /// keeping our own staged output draining meanwhile (a peer whose
+    /// socket was full at `arrive` still needs our token). Surfaces
+    /// a dead peer or a timed-out round as a [`TransportError`] — the
+    /// fleet can no longer produce a correct result, and the caller
+    /// decides whether that panics (the engine) or exits cleanly (the
+    /// deployed binary).
     fn wait(&mut self, _kind: BarrierKind) -> Result<(), TransportError> {
-        self.sync_wait()
+        let g = self.generation;
+        let deadline = Instant::now() + BARRIER_TIMEOUT;
+        loop {
+            let drained = self.flush_pass();
+            let state = lock(&self.shared.barriers);
+            if state.gens.iter().all(|&seen| seen >= g) {
+                return Ok(());
+            }
+            if let Some(peer) = state
+                .gens
+                .iter()
+                .zip(&state.closed)
+                .position(|(&seen, &closed)| closed && seen < g)
+            {
+                let detail = state.reasons[peer]
+                    .clone()
+                    .unwrap_or_else(|| format!("disconnected before barrier {g}"));
+                return Err(TransportError::PeerLost { peer, detail });
+            }
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            if timeout.is_zero() {
+                return Err(TransportError::Timeout {
+                    what: format!("node {}: barrier {g}", self.id),
+                });
+            }
+            // With output pending, wake quickly to keep draining; fully
+            // drained, only a peer's token (condvar) ends the wait.
+            let slice = if drained {
+                Duration::from_millis(100)
+            } else {
+                Duration::from_millis(1)
+            };
+            let _ = self
+                .shared
+                .barrier_cv
+                .wait_timeout(state, timeout.min(slice))
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     fn view_sync(
@@ -1288,9 +1310,7 @@ pub fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
 
 /// A TCP fabric whose `n` endpoints all live in this process, wired over
 /// loopback sockets. See the module docs.
-pub struct TcpTransport {
-    endpoints: Vec<TcpEndpoint>,
-}
+pub type TcpTransport = Fabric<TcpEndpoint>;
 
 impl TcpTransport {
     /// Builds the fully connected fabric: binds `n` ephemeral loopback
@@ -1332,7 +1352,7 @@ impl TcpTransport {
             .enumerate()
             .map(|(id, writers)| TcpEndpoint::from_streams(id, writers, None))
             .collect::<io::Result<Vec<_>>>()?;
-        Ok(TcpTransport { endpoints })
+        Ok(Fabric::from_endpoints(endpoints))
     }
 
     /// Builds a **hub-star** fabric: endpoint 0 holds one connection to
@@ -1370,52 +1390,7 @@ impl TcpTransport {
         for (i, spoke_streams) in spokes.into_iter().enumerate() {
             endpoints.push(TcpEndpoint::from_streams(i + 1, spoke_streams, None)?);
         }
-        Ok(TcpTransport { endpoints })
-    }
-}
-
-impl Transport for TcpTransport {
-    type Endpoint = TcpEndpoint;
-
-    fn num_nodes(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    fn send(&mut self, from: usize, to: usize, bytes: Vec<u8>) {
-        self.endpoints[from].send(to, bytes);
-    }
-
-    fn recv(&mut self, node: usize) -> Vec<Envelope> {
-        let mut inbox = self.endpoints[node].try_drain();
-        canonicalize(&mut inbox);
-        inbox
-    }
-
-    fn flush(&mut self) {
-        // Two-phase across all owned endpoints: everyone announces the
-        // new generation, then everyone waits — a single-threaded caller
-        // must not wait on an endpoint before the others have sent their
-        // tokens.
-        for ep in &mut self.endpoints {
-            ep.sync_begin();
-        }
-        for ep in &mut self.endpoints {
-            let id = ep.id;
-            ep.sync_wait()
-                .unwrap_or_else(|e| panic!("node {id}: barrier failed: {e}"));
-        }
-    }
-
-    fn stats(&self, node: usize) -> TrafficStats {
-        self.endpoints[node].stats()
-    }
-
-    fn all_stats(&self) -> Vec<TrafficStats> {
-        self.endpoints.iter().map(TcpEndpoint::stats).collect()
-    }
-
-    fn into_endpoints(self) -> Vec<TcpEndpoint> {
-        self.endpoints
+        Ok(Fabric::from_endpoints(endpoints))
     }
 }
 
@@ -1423,6 +1398,7 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::frame::encode_frame;
+    use crate::transport::Transport;
 
     /// The round loop's drain barrier, with nothing in its gap.
     fn drain_barrier(ep: &mut TcpEndpoint) {

@@ -2,34 +2,31 @@
 //!
 //! The paper runs one protocol (Algorithm 2) over three deployments: a
 //! discrete-event simulator, a real-thread 8-node SGX testbed, and a
-//! centralized baseline. [`Transport`] is the seam that lets a single
-//! engine drive all of them:
+//! centralized baseline. A fabric is its endpoints:
 //!
-//! * [`Transport`] — the *fabric* view: a connected set of `n` mailboxes
-//!   addressed by node id, with exact per-node [`TrafficStats`]. The
-//!   engine's fabric scheduler (the simulator) talks to the fabric directly.
-//! * [`Endpoint`] — the *per-node* view: a handle that can be moved onto a
-//!   node's own OS thread. Every fabric splits into endpoints via
-//!   [`Transport::into_endpoints`].
+//! * [`Endpoint`] — one node's handle: send, drain, and a barrier split
+//!   into [`Endpoint::arrive`] and [`Endpoint::wait`]. It moves onto the
+//!   node's own OS thread (or process), and every backend implements it:
+//!   [`crate::channel::ChannelEndpoint`] (in-memory mailboxes),
+//!   [`crate::tcp::TcpEndpoint`] (real sockets with the framing of
+//!   [`crate::frame`]) and [`crate::fault::FaultyEndpoint`] (a seeded
+//!   fault schedule over either, which fills in the per-epoch delivery
+//!   counters of [`Endpoint::take_delivery`]).
+//! * [`Fabric`] — the one [`Transport`]: `n` endpoints in node order,
+//!   driven by one owner (the engine's fabric scheduler). Each fabric
+//!   call goes to the endpoints: `send(from, to)` is endpoint `from`'s
+//!   send, `flush` is an arrive on every endpoint and then a wait on
+//!   every endpoint. [`crate::mem::MemNetwork`],
+//!   [`crate::tcp::TcpTransport`] and [`crate::fault::FaultyTransport`]
+//!   name its shapes, and [`Transport::into_endpoints`] hands the same
+//!   endpoints to one thread each.
 //! * [`Clock`] — the time hook: simulated runs advance a virtual counter,
 //!   deployed runs read the wall clock; the engine records epoch
 //!   timestamps through this one interface either way.
 //!
-//! Implementations come in two layers. The *backends*:
-//! [`crate::mem::MemNetwork`] (single-owner instrumented mailboxes for
-//! the simulator, split into the channel endpoints of [`crate::channel`]
-//! for the thread-per-node deployment) and
-//! [`crate::tcp::TcpTransport`] (real TCP sockets with length-prefixed
-//! framing — see [`crate::frame`] — used both in-process over loopback
-//! and by the `rex-node` multi-process deployment). On top of them sit
-//! *wrappers* that compose over any backend:
-//! [`crate::fault::FaultyTransport`] / [`crate::fault::FaultyEndpoint`]
-//! inject a deterministic, seeded fault schedule (drop/delay/duplicate/
-//! reorder, partitions) and fill in the per-epoch delivery counters that
-//! the [`Transport::take_delivery`] / [`Endpoint::take_delivery`] hooks
-//! expose. The engine and every experiment binary are generic over these
-//! traits, so every backend — wrapped or not — runs the same protocol
-//! bit-identically.
+//! Since the single-owner view and the threads run the same endpoint
+//! code, every backend — wrapped or not, split or not — runs the same
+//! protocol bit-identically.
 
 use crate::mem::Envelope;
 use crate::stats::{DeliveryStats, TrafficStats};
@@ -126,17 +123,18 @@ pub struct PeerCommitment {
 }
 
 /// A message fabric connecting `n` nodes, viewed from a single owner.
+/// [`Fabric`] is its one implementation; the trait is the bound the
+/// engine and the experiment binaries are generic over.
 ///
 /// # Delivery contract
-/// * `send` enqueues immediately and is accounted in both ends'
-///   [`TrafficStats`] at send time.
+/// * `send` is accounted in the sender's [`TrafficStats`] at send time.
 /// * `recv` drains everything delivered to a node, in **canonical order**:
 ///   ascending sender id, FIFO within one sender (see [`canonicalize`]).
 ///   Canonical order is what makes runs bit-reproducible across backends —
 ///   the cross-backend equivalence test relies on it.
-/// * `flush` is the round barrier for fabrics that defer visibility; the
-///   engine calls it after applying an epoch's sends. Immediate fabrics
-///   implement it as a no-op.
+/// * `flush` is the round barrier: once it returns, every prior send is
+///   in its destination mailbox (and what a fault layer held for this
+///   round is released).
 pub trait Transport {
     /// Per-node handle type for thread-per-node drivers.
     type Endpoint: Endpoint + 'static;
@@ -154,30 +152,19 @@ pub trait Transport {
     fn flush(&mut self);
 
     /// Marks the start of protocol epoch `epoch`. The engine calls this
-    /// before draining any inbox of the epoch. Plain backends ignore it;
-    /// layers with epoch-dependent behaviour (the fault wrappers, which
-    /// key partitions and delayed-message release off the round number)
-    /// override it. Sends made before the first `epoch_begin` belong to
-    /// the setup phase.
-    fn epoch_begin(&mut self, _epoch: usize) {}
+    /// before draining any inbox of the epoch; sends made before the
+    /// first `epoch_begin` belong to the setup phase.
+    fn epoch_begin(&mut self, epoch: usize);
 
-    /// Fabric-level twin of [`Endpoint::view_sync`]: the engine calls
-    /// this when the membership view changes, before applying the
-    /// transition. Plain backends ignore it; layers holding in-flight
-    /// state (the fault wrappers, which purge a leaver's held delayed
-    /// messages) override it. Infallible — the single-owner fabrics
-    /// have no connection state that can fail here.
-    fn view_sync(&mut self, epoch: usize, joined: &[usize], left: &[usize]) {
-        let _ = (epoch, joined, left);
-    }
+    /// Brings every endpoint's view up to a membership change (see
+    /// [`Endpoint::view_sync`]), then stops driving the endpoints of the
+    /// nodes that `left`, as a leaving process stops. The engine calls
+    /// this before applying the transition.
+    fn view_sync(&mut self, epoch: usize, joined: &[usize], left: &[usize]);
 
     /// Drains the delivery counters accumulated since the last call
-    /// (delivered/dropped/late/duplicated message counts). Plain
-    /// backends deliver everything and report zeros; fault wrappers
-    /// account every routing decision here.
-    fn take_delivery(&mut self) -> DeliveryStats {
-        DeliveryStats::default()
-    }
+    /// (delivered/dropped/late/duplicated message counts).
+    fn take_delivery(&mut self) -> DeliveryStats;
 
     /// Cumulative traffic counters of `node`.
     fn stats(&self, node: usize) -> TrafficStats;
@@ -185,11 +172,106 @@ pub trait Transport {
     /// Snapshot of every node's traffic counters.
     fn all_stats(&self) -> Vec<TrafficStats>;
 
-    /// Splits the fabric into one endpoint per node, each safe to move to
-    /// its own thread. What the fabric view sent and counted before the
-    /// split (TEE setup) carries over: queued messages stay deliverable
-    /// and each endpoint's [`Endpoint::stats`] continues its node's.
+    /// Splits the fabric into its endpoints, in node order, each safe to
+    /// move to its own thread. What the fabric view sent and counted
+    /// before the split (TEE setup) stays with them.
     fn into_endpoints(self) -> Vec<Self::Endpoint>;
+}
+
+/// The one [`Transport`]: `n` endpoints in node order. See the module
+/// docs.
+pub struct Fabric<E> {
+    /// Crate-visible so backend tests can reach an endpoint's own
+    /// counters (wire bytes, syscalls).
+    pub(crate) endpoints: Vec<E>,
+    /// Nodes that left the membership view: their endpoints are no
+    /// longer driven.
+    left: Vec<bool>,
+}
+
+impl<E: Endpoint> Fabric<E> {
+    /// The fabric over `endpoints`, which must be in node order.
+    #[must_use]
+    pub fn from_endpoints(endpoints: Vec<E>) -> Self {
+        debug_assert!(endpoints.iter().enumerate().all(|(id, e)| e.id() == id));
+        let left = vec![false; endpoints.len()];
+        Fabric { endpoints, left }
+    }
+
+    /// The endpoints still driven, in node order.
+    fn driven(&mut self) -> impl Iterator<Item = &mut E> {
+        self.endpoints
+            .iter_mut()
+            .zip(&self.left)
+            .filter_map(|(ep, &left)| (!left).then_some(ep))
+    }
+}
+
+impl<E: Endpoint + 'static> Transport for Fabric<E> {
+    type Endpoint = E;
+
+    fn num_nodes(&self) -> usize {
+        self.endpoints.len()
+    }
+
+    fn send(&mut self, from: usize, to: usize, bytes: Vec<u8>) {
+        self.endpoints[from].send(to, bytes);
+    }
+
+    fn recv(&mut self, node: usize) -> Vec<Envelope> {
+        self.endpoints[node].recv()
+    }
+
+    fn flush(&mut self) {
+        // Everyone arrives before anyone waits: one thread drives every
+        // endpoint, so waiting on one before the others arrived would
+        // wait forever.
+        for ep in self.driven() {
+            ep.arrive(BarrierKind::Round);
+        }
+        for ep in self.driven() {
+            let id = ep.id();
+            ep.wait(BarrierKind::Round)
+                .unwrap_or_else(|e| panic!("node {id}: barrier failed: {e}"));
+        }
+    }
+
+    fn epoch_begin(&mut self, epoch: usize) {
+        for ep in self.driven() {
+            ep.epoch_begin(epoch);
+        }
+    }
+
+    fn view_sync(&mut self, epoch: usize, joined: &[usize], left: &[usize]) {
+        for ep in self.driven() {
+            let id = ep.id();
+            ep.view_sync(epoch, joined, left)
+                .unwrap_or_else(|e| panic!("node {id}: view sync failed: {e}"));
+        }
+        for &node in left {
+            self.left[node] = true;
+        }
+    }
+
+    fn take_delivery(&mut self) -> DeliveryStats {
+        let mut total = DeliveryStats::default();
+        for ep in self.driven() {
+            total.absorb(&ep.take_delivery());
+        }
+        total
+    }
+
+    fn stats(&self, node: usize) -> TrafficStats {
+        self.endpoints[node].stats()
+    }
+
+    fn all_stats(&self) -> Vec<TrafficStats> {
+        self.endpoints.iter().map(Endpoint::stats).collect()
+    }
+
+    fn into_endpoints(self) -> Vec<E> {
+        self.endpoints
+    }
 }
 
 /// Which of a node round's two barriers an
@@ -206,8 +288,8 @@ pub enum BarrierKind {
     Round,
 }
 
-/// One node's handle onto a [`Transport`] fabric, movable to that node's
-/// thread. Same delivery contract as the fabric view.
+/// One node's handle onto a fabric, movable to that node's thread (or
+/// process). Same delivery contract as the [`Transport`] view.
 pub trait Endpoint: Send {
     /// The owning node's id.
     fn id(&self) -> usize;
@@ -225,9 +307,8 @@ pub trait Endpoint: Send {
     /// Blocks until at least one message is deliverable (or `timeout`
     /// elapses), then drains like [`Endpoint::recv`]. The
     /// bounded-staleness node loop waits on this instead of a barrier —
-    /// it needs "some shares arrived", not "everything arrived".
-    /// Endpoints with synchronous delivery keep the default (an
-    /// immediate drain: everything sent is already visible).
+    /// it needs "some shares arrived", not "everything arrived". The
+    /// default drains at once, without waiting.
     fn recv_wait(&mut self, timeout: std::time::Duration) -> Vec<Envelope> {
         let _ = timeout;
         self.recv()
@@ -249,8 +330,8 @@ pub trait Endpoint: Send {
     /// compute between `arrive` and [`Endpoint::wait`], but sends nothing
     /// there (what it sends in the gap may land on either side). TCP
     /// stages the barrier token behind the data frames and pushes both
-    /// out here; fabrics whose rendezvous is all in `wait` (channels)
-    /// keep the default no-op. Layers that act at a barrier's position
+    /// out here; the in-memory endpoint counts itself in. Layers that act
+    /// at a barrier's position
     /// act here: the fault wrappers release held messages at the
     /// [`BarrierKind::Round`] arrive, ahead of the inner token.
     fn arrive(&mut self, kind: BarrierKind) {
@@ -283,10 +364,9 @@ pub trait Endpoint: Send {
     /// TCP endpoint **admits** pending `join` connections from new
     /// peers (accept, validate the `Join` control frame, reply
     /// `Welcome` with the current barrier generation) and **retires**
-    /// departed peers from its barrier set. In-memory endpoints, whose
-    /// fabric has no per-connection state, keep the default no-op; the
-    /// engine's fabric scheduler performs the equivalent transition
-    /// centrally.
+    /// departed peers from its barrier set; the in-memory endpoint
+    /// retires them from the shared barrier. [`Transport::view_sync`]
+    /// calls it on every endpoint the fabric still drives.
     fn view_sync(
         &mut self,
         epoch: usize,
@@ -537,6 +617,61 @@ mod tests {
         );
         barrier_contract(faulty(mem(), held.clone()), true);
         barrier_contract(faulty(tcp(), held), true);
+    }
+
+    /// The single-owner leg of the contract: one thread drives every
+    /// endpoint through [`Transport::send`], `flush` and `recv`, for two
+    /// rounds. After each `flush` every node's `recv` holds exactly the
+    /// round's messages; when the fabric `holds` every message, no
+    /// `recv` before the `flush` sees any of them.
+    fn fabric_contract<T: Transport>(mut fabric: T, holds: bool) {
+        assert_eq!(fabric.num_nodes(), 3);
+        for round in 0..2u8 {
+            fabric.epoch_begin(usize::from(round));
+            for from in 0..3 {
+                for to in (0..3).filter(|&to| to != from) {
+                    fabric.send(from, to, vec![round, from as u8]);
+                }
+            }
+            if holds {
+                for node in 0..3 {
+                    assert!(fabric.recv(node).is_empty(), "node {node} before flush");
+                }
+            }
+            fabric.flush();
+            for node in 0..3 {
+                let got: Vec<(usize, Vec<u8>)> = fabric
+                    .recv(node)
+                    .into_iter()
+                    .map(|e| (e.from, e.bytes))
+                    .collect();
+                let want: Vec<(usize, Vec<u8>)> = (0..3)
+                    .filter(|&from| from != node)
+                    .map(|from| (from, vec![round, from as u8]))
+                    .collect();
+                assert_eq!(got, want, "node {node} after round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn barrier_contract_holds_on_every_fabric_from_one_owner() {
+        use crate::fault::{FaultPlan, FaultyTransport, LinkFaults};
+        use crate::mem::MemNetwork;
+        use crate::tcp::TcpTransport;
+        let mem = || MemNetwork::new(3);
+        let tcp = || TcpTransport::loopback(3).unwrap();
+        let held = FaultPlan::uniform(
+            1,
+            LinkFaults {
+                reorder: 1.0,
+                ..LinkFaults::default()
+            },
+        );
+        fabric_contract(mem(), false);
+        fabric_contract(tcp(), false);
+        fabric_contract(FaultyTransport::new(mem(), held.clone()), true);
+        fabric_contract(FaultyTransport::new(tcp(), held), true);
     }
 
     #[test]

@@ -1206,7 +1206,7 @@ mod tests {
 
         let mut nodes = build_fleet(&cfg);
         let plan = cfg.faults.clone().unwrap();
-        let result = Engine::<MfModel, FaultyTransport<rex_net::mem::MemNetwork>>::new(
+        let result = Engine::<MfModel, _>::new(
             FaultyTransport::new(rex_net::mem::MemNetwork::new(4), plan.clone()),
             EngineConfig {
                 epochs: cfg.epochs,

@@ -91,7 +91,7 @@ fn run_mem(
     execution: ExecutionMode,
     plan: &FaultPlan,
 ) -> EngineResult {
-    Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+    Engine::<MfModel, _>::new(
         FaultyTransport::new(MemNetwork::new(nodes.len()), plan.clone()),
         cfg(
             epochs,
@@ -112,7 +112,7 @@ fn run_threads(
     execution: ExecutionMode,
     plan: &FaultPlan,
 ) -> EngineResult {
-    Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+    Engine::<MfModel, _>::new(
         FaultyTransport::new(MemNetwork::new(nodes.len()), plan.clone()),
         cfg(
             epochs,
@@ -133,7 +133,7 @@ fn run_tcp(
     execution: ExecutionMode,
     plan: &FaultPlan,
 ) -> EngineResult {
-    Engine::<MfModel, FaultyTransport<TcpTransport>>::new(
+    Engine::<MfModel, _>::new(
         FaultyTransport::new(
             TcpTransport::loopback(nodes.len()).expect("loopback fabric"),
             plan.clone(),
@@ -506,7 +506,7 @@ fn deployed_cluster_replays_delay_plan_bit_identically_with_engine() {
     let summaries = run_cluster_in_process(&cfg).expect("in-process cluster");
 
     let mut nodes = build_fleet(&cfg);
-    let result = Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+    let result = Engine::<MfModel, _>::new(
         FaultyTransport::new(MemNetwork::new(cfg.num_nodes()), plan.clone()),
         EngineConfig {
             epochs: cfg.epochs,
@@ -570,7 +570,7 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
         membership: &MembershipPlan,
     ) -> EngineResult {
         let mut nodes = fleet(8, 40);
-        Engine::<MfModel, FaultyTransport<T>>::new(
+        Engine::<MfModel, FaultyTransport<T::Endpoint>>::new(
             FaultyTransport::new(transport, faults.clone()),
             EngineConfig {
                 epochs: 8,

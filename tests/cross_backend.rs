@@ -191,7 +191,7 @@ fn run_mem_vs_tcp(
 /// Wraps any backend in the fault layer with an *empty* plan — the
 /// wrapper's identity oracle. A clean plan must change nothing: not one
 /// RMSE bit, not one payload byte.
-fn identity_wrapped<T: Transport>(inner: T) -> FaultyTransport<T> {
+fn identity_wrapped<T: Transport>(inner: T) -> FaultyTransport<T::Endpoint> {
     FaultyTransport::new(inner, FaultPlan::default())
 }
 
@@ -216,7 +216,7 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
     let reference = reference_run(ExecutionMode::Native);
 
     let mut mem_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-    let mem = Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+    let mem = Engine::<MfModel, _>::new(
         identity_wrapped(MemNetwork::new(mem_nodes.len())),
         engine_config(
             ExecutionMode::Native,
@@ -228,7 +228,7 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
     assert_equivalent(&reference, &(mem, mem_nodes));
 
     let mut split_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-    let split = Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+    let split = Engine::<MfModel, _>::new(
         identity_wrapped(MemNetwork::new(split_nodes.len())),
         engine_config(ExecutionMode::Native, TimeAxis::Wall, Driver::ThreadPerNode),
     )
@@ -236,7 +236,7 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
     assert_equivalent(&reference, &(split, split_nodes));
 
     let mut tcp_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-    let tcp = Engine::<MfModel, FaultyTransport<TcpTransport>>::new(
+    let tcp = Engine::<MfModel, _>::new(
         identity_wrapped(TcpTransport::loopback(tcp_nodes.len()).expect("loopback fabric")),
         engine_config(ExecutionMode::Native, TimeAxis::Wall, Driver::ThreadPerNode),
     )
@@ -253,7 +253,7 @@ fn empty_fault_plan_is_identity_on_every_backend_sgx() {
     let reference = reference_run(execution);
 
     let mut mem_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-    let mem = Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+    let mem = Engine::<MfModel, _>::new(
         identity_wrapped(MemNetwork::new(mem_nodes.len())),
         engine_config(
             execution,
@@ -265,7 +265,7 @@ fn empty_fault_plan_is_identity_on_every_backend_sgx() {
     assert_equivalent(&reference, &(mem, mem_nodes));
 
     let mut tcp_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
-    let tcp = Engine::<MfModel, FaultyTransport<TcpTransport>>::new(
+    let tcp = Engine::<MfModel, _>::new(
         identity_wrapped(TcpTransport::loopback(tcp_nodes.len()).expect("loopback fabric")),
         engine_config(execution, TimeAxis::Wall, Driver::ThreadPerNode),
     )
@@ -355,7 +355,7 @@ fn headline_plan() -> FaultPlan {
 fn run_headline(execution: ExecutionMode, driver: Driver) -> (EngineResult, Vec<Node<MfModel>>) {
     let plan = headline_plan();
     let mut nodes = headline_fleet();
-    let result = Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+    let result = Engine::<MfModel, _>::new(
         FaultyTransport::new(MemNetwork::new(nodes.len()), plan.clone()),
         EngineConfig {
             epochs: 10,

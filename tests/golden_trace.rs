@@ -10,8 +10,7 @@
 //!   uniform loss, two crash-stop nodes;
 //! * `membership` — the dynamic-membership churn scenario: 6 founders,
 //!   two online joins (epochs 2 and 4, with sponsor bootstraps) and one
-//!   graceful leave (epoch 6). Pinned without the thread-per-node
-//!   driver, which rejects membership plans;
+//!   graceful leave (epoch 6);
 //! * `raw_wide` — the `raw` fleet over 4 000 items instead of 160, with
 //!   node 3 down for epochs 3–4. An epoch here writes ~3 % of a model's
 //!   rows, so every commitment link after a chain's first takes the *row
@@ -41,8 +40,8 @@
 //!
 //! Every run — the mem fabric and TCP loopback, each under the fabric
 //! loop on one worker (inline; mem/work-steal-1 is the generator) and on
-//! several, and each split into one thread per node (scenarios without a
-//! membership plan) — must reproduce the fixture exactly, native mode. A
+//! several, and each split into one thread per node — must reproduce the
+//! fixture exactly, native mode. A
 //! mismatch means a scheduler or transport change altered the learning
 //! trajectory or the byte accounting.
 //!
@@ -215,7 +214,7 @@ type ComboRun = (EngineResult, Vec<Node<MfModel>>);
 fn run_combo<T: Transport>(s: &Scenario, transport: T, time: TimeAxis, driver: Driver) -> ComboRun {
     let mut nodes = fleet(s);
     let result = match s.faults.clone() {
-        Some(plan) => Engine::<MfModel, FaultyTransport<T>>::new(
+        Some(plan) => Engine::<MfModel, FaultyTransport<T::Endpoint>>::new(
             FaultyTransport::new(transport, plan),
             engine_config(s, time, driver),
         )
@@ -367,12 +366,9 @@ fn golden_traces_hold_on_every_driver_and_backend() {
             serve_reference.push_str(&serve_ref);
         }
 
-        // The same scenario through every other driver × backend. The
-        // thread-per-node driver rejects membership plans (the per-node
-        // loop under churn is pinned by `tests/tcp_cluster.rs`), so
-        // churn scenarios skip those combinations.
+        // The same scenario through every other driver × backend.
         let tcp = || TcpTransport::loopback(n).expect("loopback fabric");
-        let mut combos: Vec<(&str, ComboRun)> = vec![
+        let combos: Vec<(&str, ComboRun)> = vec![
             (
                 "mem/work-steal-4",
                 run_combo(
@@ -390,24 +386,20 @@ fn golden_traces_hold_on_every_driver_and_backend() {
                 "tcp/work-steal-2",
                 run_combo(&s, tcp(), TimeAxis::Wall, Driver::WorkSteal { workers: 2 }),
             ),
+            (
+                "mem/thread-per-node",
+                run_combo(
+                    &s,
+                    MemNetwork::new(n),
+                    TimeAxis::Wall,
+                    Driver::ThreadPerNode,
+                ),
+            ),
+            (
+                "tcp/thread-per-node",
+                run_combo(&s, tcp(), TimeAxis::Wall, Driver::ThreadPerNode),
+            ),
         ];
-        if s.membership.is_none() {
-            combos.extend([
-                (
-                    "mem/thread-per-node",
-                    run_combo(
-                        &s,
-                        MemNetwork::new(n),
-                        TimeAxis::Wall,
-                        Driver::ThreadPerNode,
-                    ),
-                ),
-                (
-                    "tcp/thread-per-node",
-                    run_combo(&s, tcp(), TimeAxis::Wall, Driver::ThreadPerNode),
-                ),
-            ]);
-        }
         for (combo, (result, nodes)) in &combos {
             assert_matches_fixture(s.name, combo, &fixture, result);
             // The serve replay — final models through the pruned scorer

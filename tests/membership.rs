@@ -1,8 +1,8 @@
 //! Dynamic-membership acceptance suite: epoch-scoped views, online
 //! joins with attested state bootstrap, and graceful leaves with live
-//! topology rewiring — held bit-identical across **every fabric-loop
-//! worker count × backend** combination, native and SGX, with and
-//! without fault plans.
+//! topology rewiring — held bit-identical across **every driver ×
+//! backend** combination (fabric-scheduler worker counts and one thread
+//! per node), native and SGX, with and without fault plans.
 //!
 //! The deployed equivalent (a fifth OS process dialing a running
 //! 4-process TCP cluster) lives in `tests/tcp_cluster.rs`; the pinned
@@ -97,10 +97,11 @@ fn run_churn<T: Transport>(
     let mut nodes = fleet(SharingMode::RawData);
     let cfg = config(driver, time, execution, faults.clone());
     let result = match faults {
-        Some(plan) => {
-            Engine::<MfModel, FaultyTransport<T>>::new(FaultyTransport::new(transport, plan), cfg)
-                .run("churn", &mut nodes)
-        }
+        Some(plan) => Engine::<MfModel, FaultyTransport<T::Endpoint>>::new(
+            FaultyTransport::new(transport, plan),
+            cfg,
+        )
+        .run("churn", &mut nodes),
         None => Engine::<MfModel, T>::new(transport, cfg).run("churn", &mut nodes),
     };
     (result, nodes)
@@ -186,6 +187,28 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             run_churn(
                 TcpTransport::loopback(N).expect("loopback fabric"),
                 Driver::WorkSteal { workers: 2 },
+                TimeAxis::Wall,
+                ExecutionMode::Native,
+                None,
+            )
+            .0,
+        ),
+        (
+            "mem/thread-per-node",
+            run_churn(
+                MemNetwork::new(N),
+                Driver::ThreadPerNode,
+                TimeAxis::Wall,
+                ExecutionMode::Native,
+                None,
+            )
+            .0,
+        ),
+        (
+            "tcp/thread-per-node",
+            run_churn(
+                TcpTransport::loopback(N).expect("loopback fabric"),
+                Driver::ThreadPerNode,
                 TimeAxis::Wall,
                 ExecutionMode::Native,
                 None,
@@ -300,23 +323,25 @@ fn sgx_churn_installs_late_sessions_and_stays_bit_identical() {
         None,
     );
     // Joiners hold attested sessions with every current neighbour.
-    for joiner in [6, 7] {
-        for &peer in nodes[joiner].neighbors() {
-            assert!(
-                nodes[joiner].has_session(peer),
-                "joiner {joiner} lacks a session with neighbour {peer}"
-            );
+    let assert_sessions = |nodes: &[Node<MfModel>], driver: Driver| {
+        for joiner in [6, 7] {
+            for &peer in nodes[joiner].neighbors() {
+                assert!(
+                    nodes[joiner].has_session(peer),
+                    "{driver:?}: joiner {joiner} lacks a session with neighbour {peer}"
+                );
+            }
         }
+    };
+    assert_sessions(&nodes, Driver::WorkSteal { workers: 1 });
+    // SGX churn replays bit-identically on every other driver: each
+    // node thread installs its late sessions from its own copy of the
+    // view and the TEE directory.
+    for driver in [Driver::WorkSteal { workers: 3 }, Driver::ThreadPerNode] {
+        let (result, nodes) = run_churn(MemNetwork::new(N), driver, TimeAxis::Wall, sgx, None);
+        assert_eq!(signature(&mem_result), signature(&result), "{driver:?}");
+        assert_sessions(&nodes, driver);
     }
-    // SGX churn replays bit-identically on another driver.
-    let (pool_result, _) = run_churn(
-        MemNetwork::new(N),
-        Driver::WorkSteal { workers: 3 },
-        TimeAxis::Wall,
-        sgx,
-        None,
-    );
-    assert_eq!(signature(&mem_result), signature(&pool_result));
 }
 
 #[test]
@@ -366,7 +391,7 @@ fn dropped_bootstrap_is_deterministic_not_fatal() {
     );
     cfg.membership = Some(plan);
     let run = |cfg: EngineConfig, nodes: &mut [Node<MfModel>]| {
-        Engine::<MfModel, FaultyTransport<MemNetwork>>::new(
+        Engine::<MfModel, _>::new(
             FaultyTransport::new(MemNetwork::new(N), faults.clone()),
             cfg,
         )
