@@ -16,7 +16,10 @@
 //! dispatched per element against dispatched once per sweep — and two
 //! ungated rows no other artifact carries: an X25519 Diffie-Hellman
 //! (the session setup behind every attested edge) and a 16 k-rating
-//! `append_batch` into a 256-user sharded store. Every arm owns its
+//! `append_batch` into a 256-user sharded store — and the merge arm: one
+//! model-sharing merge on an `ms-model`-shaped pair, decoding the peer
+//! (`from_bytes` + `merge`) against merging from a view of its wire
+//! bytes (`view` + `merge_views`). Every arm owns its
 //! state and takes its windows in rotation with the arms it is compared
 //! with ([`rex_bench::harness`]). Writes (and prints)
 //! `results/BENCH_kernels.json`.
@@ -40,11 +43,14 @@
 //!   arm) at the best level, per-element dispatch / one sweep;
 //! * `commit_speedup` — one chain link after a raw-sharing epoch's 300
 //!   SGD steps on the process's SHA path, full form / row form (the
-//!   acceptance floor is 5x).
+//!   acceptance floor is 5x);
+//! * `merge_view_speedup` — one model-sharing merge, `from_bytes` +
+//!   `merge` / `view` + `merge_views`: both sides timed in every window,
+//!   in alternating order, and the median of the windows' ratios kept.
 //!
 //! `--check-baseline <path>` compares this run's `dot32_speedup`,
 //! `poly_speedup`, `chacha_wide_speedup`, `sha256_speedup`,
-//! `sweep_speedup` and `commit_speedup` against a committed baseline
+//! `sweep_speedup`, `commit_speedup` and `merge_view_speedup` against a committed baseline
 //! JSON (`rex_bench::baseline`) and exits non-zero when any regressed by
 //! more than 25%. On a host without AVX2 (for `chacha_wide_speedup`,
 //! without AVX-512F; for the two SHA ratios, without the SHA
@@ -442,6 +448,112 @@ fn sweep_arms(levels: &[KernelLevel], reps: usize) -> (Vec<Row>, f64) {
     (rows, (best[0] + best[2]) / (best[1] + best[3]))
 }
 
+/// Merges per side per window of the `merge_view` arm.
+const MERGES_PER_WINDOW: usize = 8;
+/// `ms-model` epochs (300 steps on each side's users, then one merge
+/// each way) the `merge_view` pair runs before it is timed: far enough
+/// that the pair's seen rows, and so its row ranges, have settled.
+const PAIR_EPOCHS: usize = 200;
+
+/// The model-sharing merge on an `ms-model`-shaped pair: two
+/// paper-shaped models owning their rows in row order (as a
+/// model-sharing fleet builds them), each trained on its half of the
+/// users and merged with the other for [`PAIR_EPOCHS`] epochs — a 2-node
+/// D-PSGD run past its start. One side merges the peer's wire bytes
+/// the way the receive path did before views (`from_bytes`, then
+/// `merge`); the other through a view (`view`, then `merge_views`). Both
+/// sides time in every window, in alternating order, each on its own
+/// copy of the local model; µs per merge. Returns the rows and
+/// `merge_view_speedup`, the median over windows of the two sides'
+/// ratio.
+fn merge_view_arms(reps: usize) -> (Vec<Row>, f64) {
+    let ds = paper_dataset();
+    let half = |lo: u32, hi: u32| -> Vec<Rating> {
+        ds.ratings
+            .iter()
+            .filter(|r| (lo..hi).contains(&r.user))
+            .copied()
+            .collect()
+    };
+    let (ours, theirs) = (half(0, 305), half(305, 610));
+    let mut rng = StdRng::seed_from_u64(0x3E26E);
+    let [mut local, mut peer] = [paper_model(), paper_model()];
+    local.own_all_rows();
+    peer.own_all_rows();
+    for _ in 0..PAIR_EPOCHS {
+        local.train_steps(&ours, 300, &mut rng);
+        peer.train_steps(&theirs, 300, &mut rng);
+        let (local_bytes, peer_bytes) = (local.to_bytes(), peer.to_bytes());
+        local.merge_views(&[(0.5, &local.view(&peer_bytes).unwrap())], 0.5);
+        peer.merge_views(&[(0.5, &peer.view(&local_bytes).unwrap())], 0.5);
+    }
+    let bytes = peer.to_bytes();
+    let (mut decoded, mut viewed) = (local.clone(), local);
+    let mut window = 0;
+    let mut arm: Arm<'_, (f64, f64)> = Box::new(|| {
+        let mut decode = || {
+            harness::time_ns(|| {
+                for _ in 0..MERGES_PER_WINDOW {
+                    let alien = MfModel::from_bytes(black_box(&bytes)).unwrap();
+                    decoded.merge(&[(0.5, &alien)], 0.5);
+                }
+            })
+        };
+        let mut view = || {
+            harness::time_ns(|| {
+                for _ in 0..MERGES_PER_WINDOW {
+                    let alien = viewed.view(black_box(&bytes)).unwrap();
+                    viewed.merge_views(&[(0.5, &alien)], 0.5);
+                }
+            })
+        };
+        window += 1;
+        let (a, b) = if window % 2 == 0 {
+            let a = decode();
+            (a, view())
+        } else {
+            let b = view();
+            (decode(), b)
+        };
+        let per_merge = 1e3 * MERGES_PER_WINDOW as f64;
+        (a / per_merge, b / per_merge)
+    });
+    let windows = harness::rotate(
+        "merge: from_bytes + merge vs view",
+        reps,
+        std::slice::from_mut(&mut arm),
+    )
+    .pop()
+    .expect("one arm");
+    drop(arm);
+    assert_eq!(
+        decoded.to_bytes(),
+        viewed.to_bytes(),
+        "the two merges parted ways"
+    );
+    let best =
+        |side: fn(&(f64, f64)) -> f64| windows.iter().map(side).fold(f64::INFINITY, f64::min);
+    let mut ratios: Vec<f64> = windows.iter().map(|(a, b)| a / b).collect();
+    ratios.sort_by(f64::total_cmp);
+    let rows = vec![
+        e2e(
+            "merge_ms_model",
+            "from_bytes+merge",
+            "",
+            "us",
+            best(|w| w.0),
+        ),
+        e2e(
+            "merge_ms_model",
+            "view+merge_views",
+            "",
+            "us",
+            best(|w| w.1),
+        ),
+    ];
+    (rows, ratios[ratios.len() / 2])
+}
+
 /// End-to-end arms at k = 32: MF training wall time (ms) and serve-path
 /// p99 (ns), per kernel dispatch level (flipped in-process via
 /// `force_level`). Returns the rows, `epoch_speedup` and
@@ -591,13 +703,15 @@ fn main() {
     let (sha_rows, sha256, commit) = sha_arms(crypto_best, reps);
     let (e2e_rows, epoch, serve) = e2e_arms(&levels, steps, queries);
     let (sweep_rows, sweep) = sweep_arms(&levels, if args.full { 16 } else { 8 });
+    let (merge_rows, merge_view) = merge_view_arms(if args.full { 31 } else { 11 });
     kernel::force_level(best);
     rows.extend(
         poly_rows
             .into_iter()
             .chain(sha_rows)
             .chain(e2e_rows)
-            .chain(sweep_rows),
+            .chain(sweep_rows)
+            .chain(merge_rows),
     );
     rows.extend(ungated_arms(reps));
 
@@ -615,7 +729,8 @@ fn main() {
                 .num("poly_speedup", poly, 2)
                 .num("sha256_speedup", sha256, 2)
                 .num("sweep_speedup", sweep, 2)
-                .num("commit_speedup", commit, 2),
+                .num("commit_speedup", commit, 2)
+                .num("merge_view_speedup", merge_view, 2),
         );
     let no_avx2 = (best != KernelLevel::Avx2).then(|| {
         format!(
@@ -642,6 +757,7 @@ fn main() {
             Gate::floor("sha256_speedup", sha256).unless(no_sha_ni.clone()),
             Gate::floor("sweep_speedup", sweep).unless(no_avx2),
             Gate::floor("commit_speedup", commit).unless(no_sha_ni),
+            Gate::floor("merge_view_speedup", merge_view),
         ],
     );
 }

@@ -314,7 +314,7 @@ mod tests {
         (
             "BENCH_kernels.json",
             "dot32_speedup poly_speedup chacha_wide_speedup sha256_speedup sweep_speedup \
-             commit_speedup",
+             commit_speedup merge_view_speedup",
         ),
         (
             "BENCH_scale.json",

@@ -24,10 +24,13 @@ use rand::Rng;
 use rand::SeedableRng;
 use rex_data::{Rating, UserBlock};
 use rex_ml::metrics::rmse;
-use rex_ml::Model;
-use rex_net::codec::{decode_payload, decode_plain, encode_payload, encode_plain};
+use rex_ml::{Model, ModelView};
+use rex_net::codec::{
+    decode_payload_mut, decode_plain_ref, encode_model_share, encode_share, seal_slots, PayloadRef,
+    PlainRef,
+};
 use rex_net::mem::Envelope;
-use rex_net::message::{Payload, Plain};
+use rex_net::message::Plain;
 use rex_sim::stage::{Stage, StageTimes};
 use rex_sim::stopwatch::Stopwatch;
 use rex_tee::epc::Region;
@@ -318,15 +321,22 @@ impl<M: Model> Node<M> {
             WireCodec::Dense => Plain::RawData { ratings, degree },
             WireCodec::Sparse { .. } => Plain::RawPacked { ratings, degree },
         };
-        let inner = encode_plain(&plain);
-        let payload = match self.tee.as_mut() {
-            Some(tee) => {
-                let session = tee.sessions.get_mut(&peer)?;
-                Payload::Sealed(session.seal(&Self::aad(self.id, peer), &inner))
-            }
-            None => Payload::Clear(inner),
-        };
-        Some(encode_payload(&payload))
+        let share = encode_share(self.tee.is_some(), &plain);
+        self.seal_for(peer, share)
+    }
+
+    /// A share [`encode_share`] (or [`encode_model_share`]) wrote, ready
+    /// for `dest`: sealed in place under `dest`'s session in SGX mode,
+    /// as it is otherwise. `None` when an SGX node has no session with
+    /// `dest`: the share is dropped, as an inbound share that does not
+    /// open is, and never goes out in clear text.
+    fn seal_for(&mut self, dest: usize, mut share: Vec<u8>) -> Option<Vec<u8>> {
+        if let Some(tee) = self.tee.as_mut() {
+            let session = tee.sessions.get_mut(&dest)?;
+            let (plain, tag) = seal_slots(&mut share);
+            tag.copy_from_slice(&session.seal_in_place(&Self::aad(self.id, dest), plain));
+        }
+        Some(share)
     }
 
     /// The local model (read access).
@@ -411,24 +421,26 @@ impl<M: Model> Node<M> {
         aad
     }
 
-    /// Decodes (and in SGX mode decrypts) one received envelope into its
-    /// inner payload. Returns `None` for undecodable/unauthenticated input
-    /// (dropped, as a real node would).
-    fn open_envelope(&mut self, env: &Envelope) -> Option<Plain> {
-        let payload = decode_payload(&env.bytes).ok()?;
-        match payload {
+    /// Decodes (and in SGX mode decrypts, in place) one received envelope
+    /// into its inner payload, whose model bytes stay in the envelope.
+    /// Returns `None` for undecodable/unauthenticated input (dropped, as a
+    /// real node would).
+    fn open_envelope<'a>(&mut self, env: &'a mut Envelope) -> Option<PlainRef<'a>> {
+        let from = env.from;
+        match decode_payload_mut(&mut env.bytes).ok()? {
             // An SGX node takes sealed shares only: clear text from any
             // peer is dropped like any other unauthenticated input.
-            Payload::Clear(frame) if self.tee.is_none() => decode_plain(&frame).ok(),
-            Payload::Clear(_) => None,
-            Payload::Sealed(frame) => {
+            PayloadRef::Clear(frame) if self.tee.is_none() => decode_plain_ref(frame).ok(),
+            PayloadRef::Clear(_) => None,
+            PayloadRef::Sealed(frame) => {
                 let tee = self.tee.as_mut()?;
-                let session = tee.sessions.get_mut(&env.from)?;
-                let aad = Self::aad(env.from, self.id);
-                let plain = session.open(&aad, &frame).ok()?;
-                decode_plain(&plain).ok()
+                let session = tee.sessions.get_mut(&from)?;
+                let plain = session
+                    .open_in_place(&Self::aad(from, self.id), frame)
+                    .ok()?;
+                decode_plain_ref(plain).ok()
             }
-            Payload::Attestation(_) => None, // handshakes are driver-handled
+            PayloadRef::Attestation(_) => None, // handshakes are driver-handled
         }
     }
 
@@ -452,13 +464,30 @@ impl<M: Model> Node<M> {
     /// the back does feeds the shares: it reads the model, draws no
     /// randomness, and only clears the model's write log.
     ///
+    /// A dense model share is written once and read once. The **share**
+    /// stage serialises the model (`Model::write_bytes`) straight into
+    /// the payload it is sent in — payload and plain headers in front, the
+    /// tag slot behind — and seals it in place, copying it only for the
+    /// second and later recipients. The **merge** stage opens each sealed
+    /// frame in place, inside the envelope it arrived in, decodes the
+    /// plain through borrowed decoders, and keeps each model as a
+    /// validated view of those bytes (`Model::view`: header, shape and
+    /// exact length checked once; a share that fails is dropped), which
+    /// the merge reads the sender's rows from (`Model::merge_views`): no
+    /// decoded copy of a neighbour's model is built. The view reports the
+    /// model's logical `memory_bytes`, so the merge-buffer region and the
+    /// memory-access charges are what a decoded copy would have cost.
+    ///
     /// Sharded nodes **aggregate-then-share**: the share stage samples
     /// (or serializes a delta of) the *whole shard* — one wire message
     /// per recipient carries the sampled ratings of every hosted user,
     /// or one model delta covering the shard's contiguous user rows — so
     /// wire traffic scales with the number of shards, not the number of
     /// virtual users behind them.
-    pub fn epoch_front(&mut self, inbox: Vec<Envelope>) -> (Vec<(usize, Vec<u8>)>, PendingEpoch) {
+    pub fn epoch_front(
+        &mut self,
+        mut inbox: Vec<Envelope>,
+    ) -> (Vec<(usize, Vec<u8>)>, PendingEpoch) {
         let mut stage_times = StageTimes::new();
         let mut charges_ns = 0u64;
         let bytes_in: u64 = inbox.iter().map(|e| e.bytes.len() as u64).sum();
@@ -471,15 +500,15 @@ impl<M: Model> Node<M> {
                 charges_ns += tee.enclave.charge_ecall(env.bytes.len() as u64);
             }
         }
-        let mut alien_models: Vec<(u32, M)> = Vec::new();
+        let mut alien_models: Vec<(u32, ModelView<'_, M>)> = Vec::new();
         let mut new_points = 0usize;
         let mut merge_buffer_bytes = 0u64;
-        for env in &inbox {
+        for env in &mut inbox {
             let Some(plain) = self.open_envelope(env) else {
                 continue;
             };
             match plain {
-                Plain::RawData { mut ratings, .. } | Plain::RawPacked { mut ratings, .. } => {
+                PlainRef::RawData { mut ratings, .. } | PlainRef::RawPacked { mut ratings, .. } => {
                     // A parsable share can still carry a cell outside the
                     // model's shape or a non-finite value; training would
                     // index the tables with it. Dropped like any other
@@ -487,30 +516,28 @@ impl<M: Model> Node<M> {
                     ratings.retain(|r| self.model.covers(r.user, r.item) && r.value.is_finite());
                     new_points += self.store.append_batch(&ratings);
                 }
-                Plain::Model { bytes, degree } => {
-                    // A model parses with whatever shape its sender
-                    // wrote; one not of ours is dropped, not merged.
-                    if let Ok(m) = M::from_bytes(&bytes) {
-                        if m.same_shape(&self.model) {
-                            merge_buffer_bytes += m.memory_bytes() as u64;
-                            alien_models.push((degree, m));
-                        }
+                PlainRef::Model { bytes, degree } => {
+                    // A model comes with whatever shape its sender wrote;
+                    // one not of ours is dropped, not merged.
+                    if let Ok(view) = self.model.view(bytes) {
+                        merge_buffer_bytes += view.memory_bytes() as u64;
+                        alien_models.push((degree, view));
                     }
                 }
-                Plain::ModelDelta { bytes, degree } => {
+                PlainRef::ModelDelta { bytes, degree } => {
                     // Reconstruct the sender's full model against our
                     // shared reference; a node without one (codec
                     // mismatch across the fleet) or a fingerprint
                     // mismatch drops the message like any other
                     // undecodable input.
                     if let Some(ctx) = self.sparse.as_ref() {
-                        if let Ok(m) = M::apply_delta(&ctx.reference, ctx.fingerprint, &bytes) {
+                        if let Ok(m) = M::apply_delta(&ctx.reference, ctx.fingerprint, bytes) {
                             merge_buffer_bytes += m.memory_bytes() as u64;
-                            alien_models.push((degree, m));
+                            alien_models.push((degree, ModelView::decoded(m)));
                         }
                     }
                 }
-                Plain::Empty { .. } => {}
+                PlainRef::Empty { .. } => {}
             }
         }
         if !alien_models.is_empty() {
@@ -519,19 +546,19 @@ impl<M: Model> Node<M> {
                     // Gossip learning: average each received model into the
                     // local one, in arrival order (§III-C1).
                     for (_, alien) in &alien_models {
-                        self.model.merge(&[(0.5, alien)], 0.5);
+                        self.model.merge_views(&[(0.5, alien)], 0.5);
                     }
                 }
                 GossipAlgorithm::DPsgd => {
                     // Metropolis–Hastings weights from the senders' degrees
                     // (§III-C2).
                     let own = self.neighbors.len();
-                    let contributions: Vec<(f64, &M)> = alien_models
+                    let contributions: Vec<(f64, &ModelView<'_, M>)> = alien_models
                         .iter()
                         .map(|(deg, m)| (metropolis_hastings_weight(own, *deg as usize), m))
                         .collect();
                     let self_weight = 1.0 - contributions.iter().map(|(w, _)| *w).sum::<f64>();
-                    self.model.merge(&contributions, self_weight);
+                    self.model.merge_views(&contributions, self_weight);
                 }
             }
         }
@@ -545,6 +572,7 @@ impl<M: Model> Node<M> {
                 .charge_memory_access(self.model.memory_bytes() as u64 + merge_buffer_bytes);
         }
         drop(alien_models);
+        drop(inbox);
         stage_times.add(
             Stage::Merge,
             merge_compute + self.take_charges(&mut charges_ns),
@@ -603,54 +631,49 @@ impl<M: Model> Node<M> {
         };
         let degree = self.degree();
         let plain = match (self.cfg.sharing, self.cfg.codec) {
-            (SharingMode::RawData, WireCodec::Dense) => Plain::RawData {
+            (SharingMode::RawData, WireCodec::Dense) => Some(Plain::RawData {
                 ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
                 degree,
-            },
-            (SharingMode::RawData, WireCodec::Sparse { .. }) => Plain::RawPacked {
+            }),
+            (SharingMode::RawData, WireCodec::Sparse { .. }) => Some(Plain::RawPacked {
                 ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
                 degree,
-            },
-            (SharingMode::Model, WireCodec::Dense) => Plain::Model {
-                bytes: self.model.to_bytes(),
-                degree,
-            },
+            }),
+            // `None` is the dense model, serialised in place below.
+            (SharingMode::Model, WireCodec::Dense) => None,
+            // No reference snapshot, density past the threshold, or a
+            // model with no sparse form: the dense model, as in Dense
+            // mode.
             (SharingMode::Model, WireCodec::Sparse { max_density }) => {
-                let delta = self.sparse.as_ref().and_then(|ctx| {
+                self.sparse.as_ref().and_then(|ctx| {
                     self.model
                         .delta_bytes(&ctx.reference, ctx.fingerprint, max_density)
-                });
-                match delta {
-                    Some(bytes) => Plain::ModelDelta { bytes, degree },
-                    // No reference snapshot, density past the threshold,
-                    // or a model with no sparse form: dense fallback,
-                    // same as Dense mode.
-                    None => Plain::Model {
-                        bytes: self.model.to_bytes(),
-                        degree,
-                    },
-                }
+                        .map(|bytes| Plain::ModelDelta { bytes, degree })
+                })
             }
         };
-        let mut inner = encode_plain(&plain);
+        // The share is written once, where it is sent from: payload
+        // header, plain (a dense model serialised straight in), tag slot.
+        // Sealing is in place, so each recipient but the last seals a
+        // copy and the last seals the original.
+        let sealed = self.tee.is_some();
+        let mut share = match &plain {
+            Some(plain) => encode_share(sealed, plain),
+            None => encode_model_share(sealed, degree, self.model.wire_size(), |buf| {
+                self.model.write_bytes(buf);
+            }),
+        };
         let mut outgoing = Vec::with_capacity(recipients.len());
         let mut bytes_out = 0u64;
         for (nth, &dest) in recipients.iter().enumerate() {
-            let payload = match self.tee.as_mut() {
-                Some(tee) => {
-                    // A recipient with no attested session gets nothing:
-                    // its share is dropped, as an inbound share that does
-                    // not open is, and never goes out in clear text.
-                    let Some(session) = tee.sessions.get_mut(&dest) else {
-                        continue;
-                    };
-                    Payload::Sealed(session.seal(&Self::aad(self.id, dest), &inner))
-                }
-                // The last recipient takes the encoding itself.
-                None if nth + 1 == recipients.len() => Payload::Clear(std::mem::take(&mut inner)),
-                None => Payload::Clear(inner.clone()),
+            let copy = if nth + 1 == recipients.len() {
+                std::mem::take(&mut share)
+            } else {
+                share.clone()
             };
-            let bytes = encode_payload(&payload);
+            let Some(bytes) = self.seal_for(dest, copy) else {
+                continue;
+            };
             bytes_out += bytes.len() as u64;
             outgoing.push((dest, bytes));
         }
@@ -761,6 +784,8 @@ mod tests {
     use super::*;
     use rex_data::SyntheticConfig;
     use rex_ml::{MfHyperParams, MfModel};
+    use rex_net::codec::{decode_payload, decode_plain, encode_payload, encode_plain};
+    use rex_net::message::Payload;
 
     fn mk_node(id: usize, neighbors: Vec<usize>, cfg: ProtocolConfig) -> Node<MfModel> {
         mk_node_over(20, id, neighbors, cfg)

@@ -45,12 +45,25 @@ impl ChaCha20Poly1305 {
     fn compute_tag(poly_key: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let mut mac = Poly1305::new(poly_key);
         mac.update(aad);
-        mac.update(&zero_pad(aad.len()));
+        mac.update(zero_pad(aad.len()));
         mac.update(ciphertext);
-        mac.update(&zero_pad(ciphertext.len()));
+        mac.update(zero_pad(ciphertext.len()));
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(&(ciphertext.len() as u64).to_le_bytes());
         mac.finalize()
+    }
+
+    /// Encrypts `buf` in place with associated data `aad` and returns the
+    /// 16-byte tag. The one sealing body: [`Self::seal`] wraps it.
+    #[must_use]
+    pub fn seal_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut [u8],
+    ) -> [u8; TAG_LEN] {
+        chacha20::xor_stream(&self.key, 1, nonce, buf);
+        Self::compute_tag(&self.poly_key(nonce), aad, buf)
     }
 
     /// Encrypts `plaintext` with associated data `aad`; returns
@@ -59,10 +72,32 @@ impl ChaCha20Poly1305 {
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
-        chacha20::xor_stream(&self.key, 1, nonce, &mut out);
-        let tag = Self::compute_tag(&self.poly_key(nonce), aad, &out);
+        let tag = self.seal_in_place(nonce, aad, &mut out);
         out.extend_from_slice(&tag);
         out
+    }
+
+    /// Authenticates `sealed` (`ciphertext ‖ tag`) and decrypts its
+    /// ciphertext in place; returns the plaintext, the first
+    /// `sealed.len() - 16` bytes. Verification runs before decryption, so
+    /// a frame that fails it leaves `sealed` as it was. The one opening
+    /// body: [`Self::open`] wraps it.
+    pub fn open_in_place<'a>(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        sealed: &'a mut [u8],
+    ) -> Result<&'a mut [u8], CryptoError> {
+        if sealed.len() < TAG_LEN {
+            return Err(CryptoError::DecryptionFailed);
+        }
+        let (ciphertext, tag) = sealed.split_at_mut(sealed.len() - TAG_LEN);
+        let expected = Self::compute_tag(&self.poly_key(nonce), aad, ciphertext);
+        if !ct_eq(&expected, tag) {
+            return Err(CryptoError::DecryptionFailed);
+        }
+        chacha20::xor_stream(&self.key, 1, nonce, ciphertext);
+        Ok(ciphertext)
     }
 
     /// Decrypts `sealed` (`ciphertext ‖ tag`); returns the plaintext or an
@@ -73,16 +108,9 @@ impl ChaCha20Poly1305 {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        if sealed.len() < TAG_LEN {
-            return Err(CryptoError::DecryptionFailed);
-        }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let expected = Self::compute_tag(&self.poly_key(nonce), aad, ciphertext);
-        if !ct_eq(&expected, tag) {
-            return Err(CryptoError::DecryptionFailed);
-        }
-        let mut plain = ciphertext.to_vec();
-        chacha20::xor_stream(&self.key, 1, nonce, &mut plain);
+        let mut plain = sealed.to_vec();
+        let len = self.open_in_place(nonce, aad, &mut plain)?.len();
+        plain.truncate(len);
         Ok(plain)
     }
 
@@ -90,8 +118,10 @@ impl ChaCha20Poly1305 {
     pub const OVERHEAD: usize = TAG_LEN;
 }
 
-fn zero_pad(len: usize) -> Vec<u8> {
-    vec![0u8; (16 - (len % 16)) % 16]
+/// The zeros that pad `len` bytes to a whole Poly1305 block.
+fn zero_pad(len: usize) -> &'static [u8] {
+    const ZEROS: [u8; 16] = [0; 16];
+    &ZEROS[..(16 - (len % 16)) % 16]
 }
 
 /// A monotonically increasing 96-bit nonce generator for one session
@@ -189,6 +219,39 @@ only one tip for the future, sunscreen would be it.";
 
         let opened = cipher.open(&nonce, &aad, &sealed).unwrap();
         assert_eq!(opened, plaintext);
+
+        // The in-place forms: the same ciphertext and tag, and the
+        // plaintext back where it was.
+        let mut buf = plaintext.to_vec();
+        let tag = cipher.seal_in_place(&nonce, &aad, &mut buf);
+        assert_eq!(buf, expected_ct);
+        assert_eq!(&tag[..], &expected_tag[..]);
+        buf.extend_from_slice(&tag);
+        let opened = cipher.open_in_place(&nonce, &aad, &mut buf).unwrap();
+        assert_eq!(&opened[..], &plaintext[..]);
+    }
+
+    #[test]
+    fn a_rejected_open_in_place_leaves_the_buffer_as_it_was() {
+        let cipher = ChaCha20Poly1305::new(&[3u8; 32]);
+        let nonce = [5u8; 12];
+        let sealed = cipher.seal(&nonce, b"aad", b"a message of some length");
+        // A flipped bit in the ciphertext, in the tag, or in the AAD.
+        for (at, aad) in [(0, &b"aad"[..]), (sealed.len() - 1, b"aad"), (1, b"aaX")] {
+            let mut bad = sealed.clone();
+            if aad == b"aad" {
+                bad[at] ^= 0x01;
+            }
+            let before = bad.clone();
+            assert_eq!(
+                cipher.open_in_place(&nonce, aad, &mut bad),
+                Err(CryptoError::DecryptionFailed)
+            );
+            assert_eq!(bad, before, "a rejected frame was decrypted");
+        }
+        assert!(cipher
+            .open_in_place(&nonce, b"aad", &mut [0u8; 15])
+            .is_err());
     }
 
     #[test]

@@ -42,6 +42,16 @@
 //!   hand-written body measured flat against the loop at every k — so
 //!   there is nothing to dispatch and nothing to compare.
 //!
+//! * The model merge is **row ranges**: `mf` walks each table as
+//!   maximal ranges of rows with the same seen pattern and contiguous
+//!   storage, and `merge_range` merges a range's factors (then its
+//!   biases) as one flat run of elements, `acc = 0.0; acc += w·x; …;
+//!   acc as f32` per element in the per-row merge's order — vertical,
+//!   so bit-identical at every width. It has no per-level body; the
+//!   merge runs it inside [`sweep`]'s frame, which the compiler widens
+//!   to the level's vectors (about a fifth faster under AVX2 than the
+//!   baseline SSE2 frame on a 610 × 9 000, k = 10 pair).
+//!
 //! The contract is enforced by the `kernel_parity` proptest suite
 //! (`tests/kernel_parity.rs`): random lengths including ragged tails,
 //! random bit patterns (subnormals, ±0, ±inf, NaN payloads),
@@ -73,7 +83,7 @@
 //! zero-sized [`Lanes`] token whose `dot` / `norm_sq` / `sgd_update`
 //! inline into the frame. The loop is written once, generic over the
 //! token, and monomorphised per level — the SGD sweep, RMSE evaluation
-//! and loss in `mf`, the norm-cache rebuild and block scan in
+//! and loss and the model merge in `mf`, the norm-cache rebuild and block scan in
 //! `rex_core::serve`. The element entries are sweeps of one primitive,
 //! so there is a single set of primitive bodies and a single dispatch,
 //! and every level returns the same bits through either entry.
@@ -458,6 +468,80 @@ pub fn scale_add(acc: &mut [f64], w: f64, src: &[f32]) {
     assert_eq!(acc.len(), src.len(), "scale_add over mismatched lengths");
     for (a, s) in acc.iter_mut().zip(src) {
         *a += w * f64::from(*s);
+    }
+}
+
+/// One contributor's floats as a merge reads them: in memory, or as the
+/// little-endian bytes of the buffer they arrived in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Floats<'a> {
+    /// Floats in memory.
+    F32(&'a [f32]),
+    /// Floats as little-endian bytes, four per float, at any alignment.
+    Le(&'a [u8]),
+}
+
+/// Elements one [`merge_range`] block accumulates on the stack (2 KiB
+/// of `f64`, so every pass over a block stays in L1).
+const MERGE_BLOCK: usize = 256;
+
+/// The weighted merge of one range of elements, in place: element `i`
+/// becomes `(acc as f32)` where `acc = 0.0`, then `acc += own·dst[i]`
+/// when `own` is given, then `acc += w·f64(src[i])` per `(w, src)` in
+/// order — every add exactly rounded in `f64`, never an FMA. That is the
+/// per-row merge's op order element for element, so a row range merged
+/// at once is bit-identical to its rows merged one by one. Run a block
+/// at a time: each pass is one flat vertical loop the compiler
+/// vectorises at the frame's width, and no width changes the bits.
+///
+/// # Panics
+/// When a source is shorter than `dst`.
+#[inline(always)]
+pub(crate) fn merge_range(dst: &mut [f32], own: Option<f64>, srcs: &[(f64, Floats<'_>)]) {
+    if let (Some(w0), [(w1, src)]) = (own, srcs) {
+        // One contributor over a seen row range: one pass, no scratch.
+        let (w1, n) = (*w1, dst.len());
+        match *src {
+            Floats::F32(s) => {
+                for (d, s) in dst.iter_mut().zip(&s[..n]) {
+                    let mut a = 0.0f64;
+                    a += w0 * f64::from(*d);
+                    a += w1 * f64::from(*s);
+                    *d = a as f32;
+                }
+            }
+            Floats::Le(b) => {
+                for (d, s) in dst.iter_mut().zip(b[..4 * n].chunks_exact(4)) {
+                    let mut a = 0.0f64;
+                    a += w0 * f64::from(*d);
+                    a += w1 * f64::from(f32::from_le_bytes(s.try_into().expect("four bytes")));
+                    *d = a as f32;
+                }
+            }
+        }
+        return;
+    }
+    let mut acc = [0.0f64; MERGE_BLOCK];
+    for (block, out) in dst.chunks_mut(MERGE_BLOCK).enumerate() {
+        let (at, n) = (block * MERGE_BLOCK, out.len());
+        let acc = &mut acc[..n];
+        acc.fill(0.0);
+        if let Some(w) = own {
+            scale_add(acc, w, out);
+        }
+        for &(w, src) in srcs {
+            match src {
+                Floats::F32(s) => scale_add(acc, w, &s[at..at + n]),
+                Floats::Le(b) => {
+                    for (a, s) in acc.iter_mut().zip(b[4 * at..4 * (at + n)].chunks_exact(4)) {
+                        *a += w * f64::from(f32::from_le_bytes(s.try_into().expect("four bytes")));
+                    }
+                }
+            }
+        }
+        for (d, a) in out.iter_mut().zip(acc.iter()) {
+            *d = *a as f32;
+        }
     }
 }
 

@@ -29,4 +29,4 @@ pub use dnn::{DnnHyperParams, DnnModel};
 pub use kernel::KernelLevel;
 pub use metrics::{mae, rmse};
 pub use mf::{MfHyperParams, MfModel};
-pub use model::{Model, ModelCodecError};
+pub use model::{Model, ModelCodecError, ModelView};

@@ -4,6 +4,7 @@
 use crate::bytesio::{ByteCount, ByteSink, Fnv1a64};
 use rand::rngs::StdRng;
 use rex_data::Rating;
+use std::borrow::Cow;
 
 /// Error returned when deserializing a model from wire bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +29,75 @@ impl std::error::Error for ModelCodecError {}
 impl From<crate::bytesio::ShortBuffer> for ModelCodecError {
     fn from(e: crate::bytesio::ShortBuffer) -> Self {
         ModelCodecError::Malformed(e.to_string())
+    }
+}
+
+/// Another model as a merge reads it ([`Model::view`]): its wire bytes,
+/// validated once against the receiving model's shape, or a model
+/// already decoded. A view of wire bytes borrows them, so a receiver
+/// merges from the buffer a share arrived in.
+pub struct ModelView<'a, M> {
+    source: ViewSource<'a, M>,
+}
+
+pub(crate) enum ViewSource<'a, M> {
+    /// Wire bytes of a model of the receiver's shape, checked by the
+    /// receiver's [`Model::view`], and that model's logical size.
+    Wire {
+        bytes: &'a [u8],
+        memory_bytes: usize,
+    },
+    /// A decoded model.
+    Decoded(M),
+}
+
+impl<'a, M: Model> ModelView<'a, M> {
+    /// A view of a decoded model (one rebuilt from a sparse delta, or the
+    /// default [`Model::view`]'s).
+    #[must_use]
+    pub fn decoded(model: M) -> Self {
+        ModelView {
+            source: ViewSource::Decoded(model),
+        }
+    }
+
+    /// A view of wire bytes the model type has validated.
+    pub(crate) fn wire(bytes: &'a [u8], memory_bytes: usize) -> Self {
+        ModelView {
+            source: ViewSource::Wire {
+                bytes,
+                memory_bytes,
+            },
+        }
+    }
+
+    pub(crate) fn source(&self) -> &ViewSource<'a, M> {
+        &self.source
+    }
+
+    /// The viewed model's [`Model::memory_bytes`]: what a decoded copy
+    /// would hold, whether or not one was built.
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        match &self.source {
+            ViewSource::Wire { memory_bytes, .. } => *memory_bytes,
+            ViewSource::Decoded(m) => m.memory_bytes(),
+        }
+    }
+
+    /// The viewed model, decoded from its bytes when it is not already.
+    ///
+    /// # Panics
+    /// When the bytes of a wire view do not decode, which a view made by
+    /// its model type's [`Model::view`] rules out.
+    #[must_use]
+    pub(crate) fn to_model(&self) -> Cow<'_, M> {
+        match &self.source {
+            ViewSource::Wire { bytes, .. } => {
+                Cow::Owned(M::from_bytes(bytes).expect("a view's bytes were validated"))
+            }
+            ViewSource::Decoded(m) => Cow::Borrowed(m),
+        }
     }
 }
 
@@ -108,6 +178,35 @@ pub trait Model: Clone + Send + Sync + 'static {
     /// no embedding for a given user or item, we consider only those of its
     /// neighbors").
     fn merge(&mut self, contributions: &[(f64, &Self)], self_weight: f64);
+
+    /// Validates `bytes` as the wire encoding of a model this one can
+    /// merge — header, shape and exact length, checked once — and returns
+    /// the view [`Model::merge_views`] reads it through. Bytes that fail
+    /// any check are refused, as [`Model::from_bytes`] refuses them, or
+    /// as a model of another shape ([`Model::same_shape`]). The default
+    /// decodes the model ([`Model::from_bytes`]).
+    fn view<'a>(&self, bytes: &'a [u8]) -> Result<ModelView<'a, Self>, ModelCodecError> {
+        let model = Self::from_bytes(bytes)?;
+        if !self.same_shape(&model) {
+            return Err(ModelCodecError::Incompatible(
+                "a model of another shape".into(),
+            ));
+        }
+        Ok(ModelView::decoded(model))
+    }
+
+    /// [`Model::merge`] over views ([`Model::view`]): the same weights,
+    /// the same result bit for bit. The default decodes each view that
+    /// is not decoded already and calls [`Model::merge`].
+    fn merge_views(&mut self, contributions: &[(f64, &ModelView<'_, Self>)], self_weight: f64) {
+        let models: Vec<Cow<'_, Self>> = contributions.iter().map(|(_, v)| v.to_model()).collect();
+        let weighted: Vec<(f64, &Self)> = contributions
+            .iter()
+            .zip(&models)
+            .map(|((w, _), m)| (*w, m.as_ref()))
+            .collect();
+        self.merge(&weighted, self_weight);
+    }
 
     /// Total number of learnable parameters.
     fn param_count(&self) -> usize;

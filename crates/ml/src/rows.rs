@@ -162,30 +162,61 @@ impl RowStore {
         )
     }
 
+    /// How many rows from `row` on, up to `end`, lie side by side with
+    /// it — in the base, or in consecutive slots.
+    // Always inlined, like `run`: on a table whose rows lie in scattered
+    // slots `runs` yields a run per row, and a call per run made a
+    // trained 610 × 9 000 model's `to_bytes` 2.4x slower.
+    #[inline(always)]
+    pub(crate) fn run_len(&self, row: usize, end: usize) -> usize {
+        let first = self.slots[row];
+        self.slots[row + 1..end]
+            .iter()
+            .enumerate()
+            .take_while(|&(i, &slot)| match first {
+                IN_BASE => slot == IN_BASE,
+                _ => slot == first + 1 + i as u32,
+            })
+            .count()
+            + 1
+    }
+
+    /// The factors (`k` per row) and biases of the `len` rows from `row`
+    /// on, which lie side by side ([`RowStore::run_len`]).
+    #[inline(always)]
+    pub(crate) fn run(&self, row: usize, len: usize) -> (&[f32], &[f32]) {
+        let (factors, biases, at) = match self.slots[row] {
+            IN_BASE => (&self.base[..], self.base_biases(), row),
+            slot => (&self.factors[..], &self.biases[..], slot as usize),
+        };
+        (
+            &factors[at * self.k..][..len * self.k],
+            &biases[at..at + len],
+        )
+    }
+
+    /// [`RowStore::run`] for writing: the `len` rows from `row` on must
+    /// be owned, in consecutive slots.
+    pub(crate) fn run_mut(&mut self, row: usize, len: usize) -> (&mut [f32], &mut [f32]) {
+        let at = self.slots[row] as usize;
+        debug_assert!(self.slots[row] != IN_BASE && self.run_len(row, row + len) == len);
+        (
+            &mut self.factors[at * self.k..][..len * self.k],
+            &mut self.biases[at..at + len],
+        )
+    }
+
     /// Every row in row order, as maximal runs of consecutive rows that
     /// lie side by side — in the base, or in consecutive slots: each
     /// run's factors (`k` per row) and biases.
     pub(crate) fn runs(&self) -> impl Iterator<Item = (&[f32], &[f32])> + '_ {
         let mut start = 0;
         std::iter::from_fn(move || {
-            let first = *self.slots.get(start)?;
-            let len = self.slots[start + 1..]
-                .iter()
-                .enumerate()
-                .take_while(|&(i, &slot)| match first {
-                    IN_BASE => slot == IN_BASE,
-                    _ => slot == first + 1 + i as u32,
-                })
-                .count()
-                + 1;
-            let (factors, biases, at) = match first {
-                IN_BASE => (&self.base[..], self.base_biases(), start),
-                slot => (&self.factors[..], &self.biases[..], slot as usize),
-            };
-            let run = (
-                &factors[at * self.k..][..len * self.k],
-                &biases[at..at + len],
-            );
+            if start == self.rows() {
+                return None;
+            }
+            let len = self.run_len(start, self.rows());
+            let run = self.run(start, len);
             start += len;
             Some(run)
         })

@@ -6,11 +6,11 @@
 
 use crate::message::{Payload, Plain};
 use rex_data::Rating;
-use rex_ml::bytesio::{self, Reader, ShortBuffer};
+use rex_ml::bytesio::{self, ByteSink, Reader, ShortBuffer};
 use rex_tee::attestation::AttestationMsg;
 use rex_tee::quote::Quote;
 use rex_tee::report::USER_DATA_LEN;
-use rex_tee::Measurement;
+use rex_tee::{Measurement, SecureSession};
 
 /// Codec failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +80,17 @@ fn read_quote(r: &mut Reader<'_>) -> Result<Quote, CodecError> {
 /// signature.
 const QUOTE_LEN: usize = 32 + USER_DATA_LEN + 8 + 32;
 
+/// Bytes of a sealed or clear payload's header: its tag and frame
+/// length. The frame follows.
+const PAYLOAD_HEADER_LEN: usize = 1 + 4;
+
+/// Bytes of a model plain's header: its tag, the sender's degree and the
+/// model's length. The model bytes follow.
+const MODEL_HEADER_LEN: usize = 1 + 4 + 4;
+
+/// Bytes a sealed frame adds behind its plain: the AEAD tag.
+const TAG_LEN: usize = SecureSession::FRAME_OVERHEAD;
+
 /// Encodes an outer payload, into a buffer allocated once at the exact
 /// encoded length.
 #[must_use]
@@ -95,123 +106,326 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
             put_quote(&mut buf, quote);
             buf
         }
-        Payload::Sealed(frame) => tagged_frame(TAG_SEALED, None, frame),
-        Payload::Clear(frame) => tagged_frame(TAG_CLEAR, None, frame),
+        Payload::Sealed(frame) => framed(TAG_SEALED, frame.len(), 0, |buf| buf.put(frame)),
+        Payload::Clear(frame) => framed(TAG_CLEAR, frame.len(), 0, |buf| buf.put(frame)),
     }
 }
 
-/// `tag`, the inner codec's `degree` word if any, then `bytes` behind
-/// their `u32` length.
-fn tagged_frame(tag: u8, degree: Option<u32>, bytes: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 + degree.map_or(0, |_| 4) + 4 + bytes.len());
+/// A payload in one buffer allocated once at its exact length: `tag`,
+/// the frame length, the `len` bytes `write` appends, then `tail` zero
+/// bytes (a sealed frame's tag slot) inside the frame.
+fn framed(tag: u8, len: usize, tail: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(PAYLOAD_HEADER_LEN + len + tail);
     bytesio::put_u8(&mut buf, tag);
-    if let Some(degree) = degree {
-        bytesio::put_u32(&mut buf, degree);
-    }
-    bytesio::put_u32(&mut buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
+    bytesio::put_u32(&mut buf, (len + tail) as u32);
+    write(&mut buf);
+    debug_assert_eq!(
+        buf.len(),
+        PAYLOAD_HEADER_LEN + len,
+        "frame body of the wrong length"
+    );
+    buf.resize(buf.len() + tail, 0);
     buf
 }
 
-/// Decodes an outer payload.
-pub fn decode_payload(bytes: &[u8]) -> Result<Payload, CodecError> {
-    let mut r = Reader::new(bytes);
-    let tag = r.u8()?;
-    let out = match tag {
-        TAG_ATTEST_HELLO => Payload::Attestation(AttestationMsg::Hello {
-            quote: read_quote(&mut r)?,
-        }),
-        TAG_ATTEST_REPLY => Payload::Attestation(AttestationMsg::Reply {
-            quote: read_quote(&mut r)?,
-        }),
-        TAG_SEALED | TAG_CLEAR => {
-            let len = r.u32()?;
-            if len > MAX_LEN {
-                return Err(CodecError::Invalid(format!("frame length {len}")));
+/// A share's payload written where it will be sent from: the payload
+/// header, then `plain` encoded in place, then — when `sealed` — a zeroed
+/// tag slot that [`seal_slots`] hands the sealer with the plain. The
+/// buffer is allocated once at its exact length; a clear share is ready
+/// to send as it is.
+#[must_use]
+pub fn encode_share(sealed: bool, plain: &Plain) -> Vec<u8> {
+    let plain = Measured::new(plain);
+    share_with(sealed, plain.len, |buf| plain.write(buf))
+}
+
+/// [`encode_share`] of a [`Plain::Model`] whose `len` model bytes
+/// `write_model` appends in place, so the model is serialised straight
+/// into the payload: no model-sized buffer but the one sent.
+#[must_use]
+pub fn encode_model_share(
+    sealed: bool,
+    degree: u32,
+    len: usize,
+    write_model: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    share_with(sealed, MODEL_HEADER_LEN + len, |buf| {
+        put_length_prefixed(buf, TAG_MODEL, degree, len, write_model);
+    })
+}
+
+fn share_with(sealed: bool, len: usize, write_plain: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    match sealed {
+        true => framed(TAG_SEALED, len, TAG_LEN, write_plain),
+        false => framed(TAG_CLEAR, len, 0, write_plain),
+    }
+}
+
+/// The plain and the tag slot of a share [`encode_share`] (or
+/// [`encode_model_share`]) wrote sealed: seal the first in place and
+/// write the tag into the second.
+///
+/// # Panics
+/// When `payload` is shorter than a sealed payload's header and tag.
+pub fn seal_slots(payload: &mut [u8]) -> (&mut [u8], &mut [u8]) {
+    let frame = &mut payload[PAYLOAD_HEADER_LEN..];
+    let at = frame.len() - TAG_LEN;
+    frame.split_at_mut(at)
+}
+
+/// `tag`, `degree`, then the `len` bytes `write` appends behind their
+/// `u32` length: the model and model-delta plains' layout.
+fn put_length_prefixed(
+    buf: &mut Vec<u8>,
+    tag: u8,
+    degree: u32,
+    len: usize,
+    write: impl FnOnce(&mut Vec<u8>),
+) {
+    bytesio::put_u8(buf, tag);
+    bytesio::put_u32(buf, degree);
+    bytesio::put_u32(buf, len as u32);
+    write(buf);
+}
+
+/// A plain with its exact encoded length known before it is written
+/// (a packed batch is compressed up front to know it).
+struct Measured<'a> {
+    plain: &'a Plain,
+    packed: Vec<u8>,
+    len: usize,
+}
+
+impl<'a> Measured<'a> {
+    fn new(plain: &'a Plain) -> Self {
+        let packed = match plain {
+            Plain::RawPacked { ratings, .. } => crate::compress::compress_batch(ratings),
+            _ => Vec::new(),
+        };
+        let len = match plain {
+            Plain::RawData { ratings, .. } => 1 + 4 + 4 + ratings.len() * Rating::WIRE_SIZE,
+            Plain::Model { bytes, .. } | Plain::ModelDelta { bytes, .. } => {
+                MODEL_HEADER_LEN + bytes.len()
             }
-            let frame = r.bytes(len as usize)?.to_vec();
-            if tag == TAG_SEALED {
-                Payload::Sealed(frame)
-            } else {
-                Payload::Clear(frame)
+            Plain::RawPacked { .. } => 1 + 4 + packed.len(),
+            Plain::Empty { .. } => 1 + 4,
+        };
+        Measured { plain, packed, len }
+    }
+
+    /// Appends the plain's encoding: the one inner encoder.
+    fn write(&self, buf: &mut Vec<u8>) {
+        match self.plain {
+            Plain::RawData { ratings, degree } => {
+                bytesio::put_u8(buf, TAG_RAW_DATA);
+                bytesio::put_u32(buf, *degree);
+                bytesio::put_u32(buf, ratings.len() as u32);
+                for r in ratings {
+                    bytesio::put_u32(buf, r.user);
+                    bytesio::put_u32(buf, r.item);
+                    bytesio::put_f32(buf, r.value);
+                }
+            }
+            Plain::Model { bytes, degree } => {
+                put_length_prefixed(buf, TAG_MODEL, *degree, bytes.len(), |b| b.put(bytes));
+            }
+            Plain::RawPacked { degree, .. } => {
+                // The packed batch delimits itself: no length word.
+                bytesio::put_u8(buf, TAG_RAW_PACKED);
+                bytesio::put_u32(buf, *degree);
+                buf.put(&self.packed);
+            }
+            Plain::ModelDelta { bytes, degree } => {
+                put_length_prefixed(buf, TAG_MODEL_DELTA, *degree, bytes.len(), |b| b.put(bytes));
+            }
+            Plain::Empty { degree } => {
+                bytesio::put_u8(buf, TAG_EMPTY);
+                bytesio::put_u32(buf, *degree);
             }
         }
-        other => return Err(CodecError::Invalid(format!("unknown tag {other}"))),
-    };
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid(format!(
-            "{} trailing bytes",
-            r.remaining()
-        )));
     }
-    Ok(out)
 }
 
 /// Encodes an inner payload (what gets sealed), into a buffer allocated
 /// once at the exact encoded length.
 #[must_use]
 pub fn encode_plain(p: &Plain) -> Vec<u8> {
-    match p {
-        Plain::RawData { ratings, degree } => {
-            let mut buf = Vec::with_capacity(1 + 4 + 4 + ratings.len() * Rating::WIRE_SIZE);
-            bytesio::put_u8(&mut buf, TAG_RAW_DATA);
-            bytesio::put_u32(&mut buf, *degree);
-            bytesio::put_u32(&mut buf, ratings.len() as u32);
-            for r in ratings {
-                bytesio::put_u32(&mut buf, r.user);
-                bytesio::put_u32(&mut buf, r.item);
-                bytesio::put_f32(&mut buf, r.value);
-            }
-            buf
-        }
-        Plain::Model { bytes, degree } => tagged_frame(TAG_MODEL, Some(*degree), bytes),
-        Plain::RawPacked { ratings, degree } => {
-            // The packed batch delimits itself: no length word.
-            let packed = crate::compress::compress_batch(ratings);
-            let mut buf = Vec::with_capacity(1 + 4 + packed.len());
-            bytesio::put_u8(&mut buf, TAG_RAW_PACKED);
-            bytesio::put_u32(&mut buf, *degree);
-            buf.extend_from_slice(&packed);
-            buf
-        }
-        Plain::ModelDelta { bytes, degree } => tagged_frame(TAG_MODEL_DELTA, Some(*degree), bytes),
-        Plain::Empty { degree } => {
-            let mut buf = Vec::with_capacity(1 + 4);
-            bytesio::put_u8(&mut buf, TAG_EMPTY);
-            bytesio::put_u32(&mut buf, *degree);
-            buf
+    let plain = Measured::new(p);
+    let mut buf = Vec::with_capacity(plain.len);
+    plain.write(&mut buf);
+    buf
+}
+
+/// A decoded outer payload whose frame is a `B`: a slice of the bytes it
+/// was decoded from ([`decode_payload_ref`], [`decode_payload_mut`]), or
+/// where in them the frame lies.
+#[derive(Debug)]
+pub enum PayloadRef<B> {
+    /// Cleartext attestation handshake message.
+    Attestation(AttestationMsg),
+    /// An AEAD frame (ciphertext ‖ tag).
+    Sealed(B),
+    /// A plaintext payload.
+    Clear(B),
+}
+
+impl<B> PayloadRef<B> {
+    fn map<C>(self, f: impl FnOnce(B) -> C) -> PayloadRef<C> {
+        match self {
+            PayloadRef::Attestation(msg) => PayloadRef::Attestation(msg),
+            PayloadRef::Sealed(b) => PayloadRef::Sealed(f(b)),
+            PayloadRef::Clear(b) => PayloadRef::Clear(f(b)),
         }
     }
 }
 
-/// Decodes an inner payload.
-pub fn decode_plain(bytes: &[u8]) -> Result<Plain, CodecError> {
+/// Checks a length word against [`MAX_LEN`]: a hostile one is refused
+/// before anything of its size is touched.
+fn checked_len(len: u32, what: &str) -> Result<usize, CodecError> {
+    if len >= MAX_LEN {
+        return Err(CodecError::Invalid(format!("{what} {len}")));
+    }
+    Ok(len as usize)
+}
+
+fn no_trailing(r: &Reader<'_>) -> Result<(), CodecError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(CodecError::Invalid(format!("{n} trailing bytes"))),
+    }
+}
+
+/// Where an outer payload's frame lies in `bytes`: the one outer decoder.
+fn parse_payload(bytes: &[u8]) -> Result<PayloadRef<std::ops::Range<usize>>, CodecError> {
+    let mut r = Reader::new(bytes);
+    let tag = r.u8()?;
+    let out = match tag {
+        TAG_ATTEST_HELLO => PayloadRef::Attestation(AttestationMsg::Hello {
+            quote: read_quote(&mut r)?,
+        }),
+        TAG_ATTEST_REPLY => PayloadRef::Attestation(AttestationMsg::Reply {
+            quote: read_quote(&mut r)?,
+        }),
+        TAG_SEALED | TAG_CLEAR => {
+            let len = checked_len(r.u32()?, "frame length")?;
+            r.bytes(len)?;
+            let frame = PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len;
+            if tag == TAG_SEALED {
+                PayloadRef::Sealed(frame)
+            } else {
+                PayloadRef::Clear(frame)
+            }
+        }
+        other => return Err(CodecError::Invalid(format!("unknown tag {other}"))),
+    };
+    no_trailing(&r)?;
+    Ok(out)
+}
+
+/// Decodes an outer payload, borrowing its frame from `bytes`.
+pub fn decode_payload_ref(bytes: &[u8]) -> Result<PayloadRef<&[u8]>, CodecError> {
+    Ok(parse_payload(bytes)?.map(|frame| &bytes[frame]))
+}
+
+/// Decodes an outer payload, borrowing its frame mutably from `bytes`:
+/// what a receiver opens a sealed frame in place in.
+pub fn decode_payload_mut(bytes: &mut [u8]) -> Result<PayloadRef<&mut [u8]>, CodecError> {
+    Ok(parse_payload(bytes)?.map(|frame| &mut bytes[frame]))
+}
+
+/// Decodes an outer payload: [`decode_payload_ref`], frame copied out.
+pub fn decode_payload(bytes: &[u8]) -> Result<Payload, CodecError> {
+    Ok(match decode_payload_ref(bytes)? {
+        PayloadRef::Attestation(msg) => Payload::Attestation(msg),
+        PayloadRef::Sealed(frame) => Payload::Sealed(frame.to_vec()),
+        PayloadRef::Clear(frame) => Payload::Clear(frame.to_vec()),
+    })
+}
+
+/// A decoded inner payload whose model bytes stay in the buffer it was
+/// decoded from ([`decode_plain_ref`]); ratings are decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlainRef<'a> {
+    /// [`Plain::RawData`].
+    RawData {
+        /// The carried ratings.
+        ratings: Vec<Rating>,
+        /// Sender's degree in the topology.
+        degree: u32,
+    },
+    /// [`Plain::Model`], its bytes borrowed.
+    Model {
+        /// `Model::write_bytes` output.
+        bytes: &'a [u8],
+        /// Sender's degree in the topology.
+        degree: u32,
+    },
+    /// [`Plain::RawPacked`].
+    RawPacked {
+        /// The carried ratings.
+        ratings: Vec<Rating>,
+        /// Sender's degree in the topology.
+        degree: u32,
+    },
+    /// [`Plain::ModelDelta`], its bytes borrowed.
+    ModelDelta {
+        /// `Model::delta_bytes` output.
+        bytes: &'a [u8],
+        /// Sender's degree in the topology.
+        degree: u32,
+    },
+    /// [`Plain::Empty`].
+    Empty {
+        /// Sender's degree in the topology.
+        degree: u32,
+    },
+}
+
+impl PlainRef<'_> {
+    /// The owned [`Plain`], borrowed bytes copied out.
+    #[must_use]
+    pub fn into_owned(self) -> Plain {
+        match self {
+            PlainRef::RawData { ratings, degree } => Plain::RawData { ratings, degree },
+            PlainRef::Model { bytes, degree } => Plain::Model {
+                bytes: bytes.to_vec(),
+                degree,
+            },
+            PlainRef::RawPacked { ratings, degree } => Plain::RawPacked { ratings, degree },
+            PlainRef::ModelDelta { bytes, degree } => Plain::ModelDelta {
+                bytes: bytes.to_vec(),
+                degree,
+            },
+            PlainRef::Empty { degree } => Plain::Empty { degree },
+        }
+    }
+}
+
+/// Decodes an inner payload, borrowing model bytes from `bytes`: the one
+/// inner decoder.
+pub fn decode_plain_ref(bytes: &[u8]) -> Result<PlainRef<'_>, CodecError> {
     let mut r = Reader::new(bytes);
     let tag = r.u8()?;
     let degree = r.u32()?;
     let out = match tag {
         TAG_RAW_DATA => {
-            let n = r.u32()?;
-            if n > MAX_LEN {
-                return Err(CodecError::Invalid(format!("rating count {n}")));
-            }
-            let mut ratings = Vec::with_capacity(n as usize);
+            let n = checked_len(r.u32()?, "rating count")?;
+            // The triplets must be there before any is allocated for.
+            let mut triplets = Reader::new(r.bytes(n * Rating::WIRE_SIZE)?);
+            let mut ratings = Vec::with_capacity(n);
             for _ in 0..n {
                 ratings.push(Rating {
-                    user: r.u32()?,
-                    item: r.u32()?,
-                    value: r.f32()?,
+                    user: triplets.u32()?,
+                    item: triplets.u32()?,
+                    value: triplets.f32()?,
                 });
             }
-            Plain::RawData { ratings, degree }
+            PlainRef::RawData { ratings, degree }
         }
         TAG_MODEL => {
-            let len = r.u32()?;
-            if len > MAX_LEN {
-                return Err(CodecError::Invalid(format!("model length {len}")));
-            }
-            Plain::Model {
-                bytes: r.bytes(len as usize)?.to_vec(),
+            let len = checked_len(r.u32()?, "model length")?;
+            PlainRef::Model {
+                bytes: r.bytes(len)?,
                 degree,
             }
         }
@@ -221,28 +435,25 @@ pub fn decode_plain(bytes: &[u8]) -> Result<Plain, CodecError> {
             let n = r.remaining();
             let ratings = crate::compress::decompress_batch(r.bytes(n)?)
                 .map_err(|e| CodecError::Invalid(format!("packed batch: {e}")))?;
-            Plain::RawPacked { ratings, degree }
+            PlainRef::RawPacked { ratings, degree }
         }
         TAG_MODEL_DELTA => {
-            let len = r.u32()?;
-            if len > MAX_LEN {
-                return Err(CodecError::Invalid(format!("delta length {len}")));
-            }
-            Plain::ModelDelta {
-                bytes: r.bytes(len as usize)?.to_vec(),
+            let len = checked_len(r.u32()?, "delta length")?;
+            PlainRef::ModelDelta {
+                bytes: r.bytes(len)?,
                 degree,
             }
         }
-        TAG_EMPTY => Plain::Empty { degree },
+        TAG_EMPTY => PlainRef::Empty { degree },
         other => return Err(CodecError::Invalid(format!("unknown inner tag {other}"))),
     };
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid(format!(
-            "{} trailing bytes",
-            r.remaining()
-        )));
-    }
+    no_trailing(&r)?;
     Ok(out)
+}
+
+/// Decodes an inner payload: [`decode_plain_ref`], bytes copied out.
+pub fn decode_plain(bytes: &[u8]) -> Result<Plain, CodecError> {
+    decode_plain_ref(bytes).map(PlainRef::into_owned)
 }
 
 #[cfg(test)]
@@ -567,6 +778,143 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Both decoder forms of a payload, which must agree.
+    fn decode_payload_both(bytes: &[u8]) -> Result<Payload, CodecError> {
+        let owned = decode_payload(bytes);
+        let borrowed = decode_payload_ref(bytes).map(|p| p.map(<[u8]>::to_vec));
+        let mut copy = bytes.to_vec();
+        let in_place = decode_payload_mut(&mut copy).map(|p| p.map(|f| f.to_vec()));
+        assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"));
+        assert_eq!(format!("{owned:?}"), format!("{in_place:?}"));
+        owned
+    }
+
+    fn decode_plain_both(bytes: &[u8]) -> Result<Plain, CodecError> {
+        let owned = decode_plain(bytes);
+        assert_eq!(owned, decode_plain_ref(bytes).map(PlainRef::into_owned));
+        owned
+    }
+
+    #[test]
+    fn hostile_inputs_get_the_same_typed_error_from_every_decoder_form() {
+        fn short<T>(r: Result<T, CodecError>) -> bool {
+            matches!(r, Err(CodecError::Short(_)))
+        }
+        fn invalid<T>(r: Result<T, CodecError>) -> bool {
+            matches!(r, Err(CodecError::Invalid(_)))
+        }
+        let header = |tag: u8, len: u32| {
+            let mut buf = vec![tag];
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf
+        };
+        for tag in [TAG_SEALED, TAG_CLEAR] {
+            // A length past the end, trailing bytes, a length at or past
+            // the cap.
+            let mut past = header(tag, 8);
+            past.extend_from_slice(&[1; 7]);
+            assert!(short(decode_payload_both(&past)), "tag {tag}");
+            let mut trailing = header(tag, 2);
+            trailing.extend_from_slice(&[1; 3]);
+            assert!(invalid(decode_payload_both(&trailing)), "tag {tag}");
+            for len in [MAX_LEN, MAX_LEN + 1, u32::MAX] {
+                assert!(invalid(decode_payload_both(&header(tag, len))), "tag {tag}");
+            }
+            let mut exact = header(tag, 3);
+            exact.extend_from_slice(&[1; 3]);
+            assert!(decode_payload_both(&exact).is_ok());
+        }
+        let inner = |tag: u8, len: u32, body: usize| {
+            let mut buf = vec![tag];
+            buf.extend_from_slice(&7u32.to_le_bytes());
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.resize(buf.len() + body, 2);
+            buf
+        };
+        for (tag, unit) in [(TAG_MODEL, 1), (TAG_MODEL_DELTA, 1), (TAG_RAW_DATA, 12)] {
+            assert!(
+                short(decode_plain_both(&inner(tag, 4, 4 * unit - 1))),
+                "tag {tag}"
+            );
+            assert!(
+                invalid(decode_plain_both(&inner(tag, 4, 4 * unit + 1))),
+                "tag {tag}"
+            );
+            for len in [MAX_LEN, MAX_LEN + 1, u32::MAX] {
+                assert!(invalid(decode_plain_both(&inner(tag, len, 0))), "tag {tag}");
+            }
+            // A count just under the cap, with nothing behind it, is short
+            // and allocates nothing of its size.
+            assert!(
+                short(decode_plain_both(&inner(tag, MAX_LEN - 1, 0))),
+                "tag {tag}"
+            );
+            assert!(decode_plain_both(&inner(tag, 4, 4 * unit)).is_ok());
+        }
+        let mut trailing = encode_plain(&Plain::Empty { degree: 3 });
+        trailing.push(0);
+        assert!(invalid(decode_plain_both(&trailing)));
+    }
+
+    #[test]
+    fn a_share_written_in_place_is_the_payload_of_its_plain() {
+        let m = Measurement::of_code(b"share");
+        let session = || SecureSession::new([1; 32], [2; 32], true, m);
+        let plains = [
+            Plain::Model {
+                bytes: (0..=255).collect(),
+                degree: 4,
+            },
+            Plain::RawData {
+                ratings: vec![
+                    Rating {
+                        user: 1,
+                        item: 2,
+                        value: 3.5,
+                    };
+                    3
+                ],
+                degree: 2,
+            },
+            Plain::RawPacked {
+                ratings: vec![
+                    Rating {
+                        user: 5,
+                        item: 9,
+                        value: 1.0,
+                    };
+                    4
+                ],
+                degree: 2,
+            },
+            Plain::Empty { degree: 1 },
+        ];
+        for plain in &plains {
+            let clear = encode_share(false, plain);
+            assert_eq!(clear, encode_payload(&Payload::Clear(encode_plain(plain))));
+            assert_eq!(clear.capacity(), clear.len());
+
+            let mut sealed = encode_share(true, plain);
+            assert_eq!(sealed.capacity(), sealed.len());
+            let (body, tag) = seal_slots(&mut sealed);
+            tag.copy_from_slice(&session().seal_in_place(b"aad", body));
+            let want = session().seal(b"aad", &encode_plain(plain));
+            assert_eq!(sealed, encode_payload(&Payload::Sealed(want)));
+
+            let mut rx = SecureSession::new([2; 32], [1; 32], false, m);
+            let Ok(PayloadRef::Sealed(frame)) = decode_payload_mut(&mut sealed) else {
+                panic!("not a sealed payload");
+            };
+            let opened = rx.open_in_place(b"aad", frame).unwrap();
+            assert_eq!(&decode_plain_ref(opened).unwrap().into_owned(), plain);
+        }
+        let Plain::Model { bytes, degree } = &plains[0] else {
+            unreachable!()
+        };
+        let written = encode_model_share(true, *degree, bytes.len(), |buf| buf.put(bytes));
+        assert_eq!(written, encode_share(true, &plains[0]));
     }
 
     #[test]

@@ -500,6 +500,16 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         self.inner.recv()
     }
 
+    fn recv_wait(&mut self, timeout: std::time::Duration) -> Vec<Envelope> {
+        self.inner.recv_wait(timeout)
+    }
+
+    fn flush_sends(&mut self) -> Result<(), TransportError> {
+        // Pushes what the inner endpoint staged; held messages stay held
+        // until the round barrier's arrive releases them.
+        self.inner.flush_sends()
+    }
+
     fn arrive(&mut self, kind: BarrierKind) {
         // The release point is the round barrier's arrive: held messages
         // go out ahead of the inner token. The drain barrier releases
@@ -776,6 +786,47 @@ mod tests {
         });
         let ep_got: Vec<u8> = Endpoint::recv(&mut b).iter().map(|e| e.bytes[0]).collect();
         assert_eq!(fabric_got, ep_got);
+    }
+
+    #[test]
+    fn the_wrapper_pushes_staged_sends_and_waits_for_delivery() {
+        // TCP stages frames until `flush_sends`; the peer's `recv_wait`
+        // blocks on its reactor. Both reach the inner endpoint.
+        let mut eps = FaultyTransport::new(
+            crate::tcp::TcpTransport::loopback(2).unwrap(),
+            FaultPlan::default(),
+        )
+        .into_endpoints();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        a.epoch_begin(0);
+        b.epoch_begin(0);
+        Endpoint::send(&mut a, 1, msg(9));
+        a.flush_sends().unwrap();
+        let got = b.recv_wait(std::time::Duration::from_secs(2));
+        assert_eq!(got.len(), 1, "the staged frame never left the wrapper");
+        assert_eq!(got[0].bytes, msg(9));
+
+        // The wrapped in-memory endpoint blocks until its timeout...
+        let mut eps =
+            FaultyTransport::new(MemNetwork::new(2), FaultPlan::default()).into_endpoints();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        a.epoch_begin(0);
+        b.epoch_begin(0);
+        let start = std::time::Instant::now();
+        assert!(b.recv_wait(std::time::Duration::from_millis(20)).is_empty());
+        assert!(start.elapsed() >= std::time::Duration::from_millis(20));
+        // ...or until a send lands.
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            Endpoint::send(&mut a, 1, msg(4));
+            a.flush_sends().unwrap();
+            a
+        });
+        let got = b.recv_wait(std::time::Duration::from_secs(10));
+        assert_eq!(got.iter().map(|e| e.bytes[0]).collect::<Vec<_>>(), [4]);
+        sender.join().unwrap();
     }
 
     #[test]

@@ -60,22 +60,49 @@ impl SecureSession {
         self.peer_measurement
     }
 
-    /// Encrypts `plaintext` for the peer; `aad` binds protocol metadata.
-    pub fn seal(&mut self, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+    /// Encrypts `buf` for the peer in place and returns the tag that
+    /// follows it on the wire; `aad` binds protocol metadata.
+    #[must_use]
+    pub fn seal_in_place(&mut self, aad: &[u8], buf: &mut [u8]) -> [u8; Self::FRAME_OVERHEAD] {
         let nonce = self.send_seq.next();
-        self.bytes_sealed += plaintext.len() as u64;
-        self.send_cipher.seal(&nonce, aad, plaintext)
+        self.bytes_sealed += buf.len() as u64;
+        self.send_cipher.seal_in_place(&nonce, aad, buf)
     }
 
-    /// Decrypts a frame from the peer. Frames must arrive in order (the
-    /// simulated transports are reliable and ordered). The receive counter
-    /// only advances on successful authentication, so injected garbage or
-    /// tampered frames cannot desynchronize the session.
-    pub fn open(&mut self, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
+    /// Encrypts `plaintext` for the peer: [`Self::seal_in_place`] on a
+    /// copy, tag appended.
+    pub fn seal(&mut self, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + Self::FRAME_OVERHEAD);
+        out.extend_from_slice(plaintext);
+        let tag = self.seal_in_place(aad, &mut out);
+        out.extend_from_slice(&tag);
+        out
+    }
+
+    /// Authenticates a frame from the peer (`ciphertext ‖ tag`) and
+    /// decrypts it in place; returns the plaintext, a prefix of `sealed`.
+    /// Frames must arrive in order (the simulated transports are reliable
+    /// and ordered). The receive counter only advances on successful
+    /// authentication, and a frame that fails it is left as it was, so
+    /// injected garbage or tampered frames cannot desynchronize the
+    /// session.
+    pub fn open_in_place<'a>(
+        &mut self,
+        aad: &[u8],
+        sealed: &'a mut [u8],
+    ) -> Result<&'a mut [u8], CryptoError> {
         let nonce = self.recv_seq.peek();
-        let plain = self.recv_cipher.open(&nonce, aad, sealed)?;
+        let plain = self.recv_cipher.open_in_place(&nonce, aad, sealed)?;
         self.recv_seq.advance();
         self.bytes_opened += plain.len() as u64;
+        Ok(plain)
+    }
+
+    /// Decrypts a frame from the peer: [`Self::open_in_place`] on a copy.
+    pub fn open(&mut self, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let mut plain = sealed.to_vec();
+        let len = self.open_in_place(aad, &mut plain)?.len();
+        plain.truncate(len);
         Ok(plain)
     }
 
@@ -156,6 +183,40 @@ mod tests {
         // still open in order.
         assert_eq!(b.open(b"", &f1).unwrap(), b"one");
         assert_eq!(b.open(b"", &f2).unwrap(), b"two");
+    }
+
+    #[test]
+    fn a_tampered_frame_leaves_the_buffer_and_the_receive_counter() {
+        let (mut a, mut b) = pair();
+        let frame = a.seal(b"hdr", b"in place");
+        for (at, aad) in [(0, &b"hdr"[..]), (frame.len() - 1, b"hdr"), (0, b"hdX")] {
+            let mut bad = frame.clone();
+            if aad == b"hdr" {
+                bad[at] ^= 0x80;
+            }
+            let before = bad.clone();
+            assert!(b.open_in_place(aad, &mut bad).is_err());
+            assert_eq!(bad, before);
+            assert_eq!((b.recv_seq.issued(), b.bytes_opened()), (0, 0));
+        }
+        let mut good = frame;
+        assert_eq!(
+            &b.open_in_place(b"hdr", &mut good).unwrap()[..],
+            b"in place"
+        );
+        assert_eq!((b.recv_seq.issued(), b.bytes_opened()), (1, 8));
+    }
+
+    #[test]
+    fn in_place_and_owned_forms_make_the_same_frames() {
+        let (mut a, _) = pair();
+        let (mut a2, mut b2) = pair();
+        let owned = a.seal(b"x", b"same bytes");
+        let mut buf = b"same bytes".to_vec();
+        let tag = a2.seal_in_place(b"x", &mut buf);
+        buf.extend_from_slice(&tag);
+        assert_eq!(owned, buf);
+        assert_eq!(b2.open(b"x", &buf).unwrap(), b"same bytes");
     }
 
     #[test]

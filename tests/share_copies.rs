@@ -1,0 +1,144 @@
+//! Integration: a dense model share costs one model-sized buffer per
+//! recipient. The share is serialised straight into the buffer it is
+//! sealed and sent in, and a received share is opened and merged where
+//! it lands, so one SGX model-sharing epoch front allocates little more
+//! than the wire size of the model it sends. A counting global
+//! allocator (this test binary's own) holds that figure to a ceiling.
+
+use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
+use rex_repro::core::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::setup::establish_tee;
+use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
+use rex_repro::ml::{MfHyperParams, Model};
+use rex_repro::net::mem::MemNetwork;
+use rex_repro::net::transport::{Endpoint, Transport};
+use rex_repro::tee::SgxCostModel;
+use rex_repro::topology::TopologySpec;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the bytes the current thread allocates while counting is on:
+/// every allocation's size, and a reallocation's whole new size.
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: the allocator runs while thread-locals are torn down.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCATED.try_with(|n| n.set(n.get() + bytes as u64));
+        }
+    });
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// counting touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Bytes `op` allocated on this thread.
+fn allocated_by<T>(op: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCATED.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = op();
+    COUNTING.with(|on| on.set(false));
+    (out, ALLOCATED.with(Cell::get))
+}
+
+/// Ceiling on the bytes one epoch front allocates per recipient, in
+/// model wire sizes: the sent buffer is one, plus its headers and tag.
+const CEILING: f64 = 1.25;
+
+#[test]
+fn a_model_share_allocates_about_one_model_per_recipient() {
+    // The paper's 610 x 9 000 shape, two SGX nodes sharing models.
+    let ds = SyntheticConfig {
+        num_users: 610,
+        num_items: 9_000,
+        num_ratings: 20_000,
+        seed: 42,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let split = TrainTestSplit::standard(&ds, 1);
+    let partition = Partition::multi_user(&split, 2);
+    let graph = TopologySpec::FullyConnected.build(2, 0);
+    let mut nodes = build_mf_nodes(
+        &partition,
+        &graph,
+        ds.num_users,
+        ds.num_items,
+        MfHyperParams::default(),
+        ProtocolConfig {
+            sharing: SharingMode::Model,
+            algorithm: GossipAlgorithm::DPsgd,
+            steps_per_epoch: 300,
+            seed: 8,
+            ..ProtocolConfig::default()
+        },
+        NodeSeeds::default(),
+    );
+    establish_tee(
+        &mut nodes,
+        &mut MemNetwork::new(2),
+        SgxCostModel::default(),
+        1,
+        3,
+    );
+    let mut endpoints = MemNetwork::new(2).into_endpoints();
+
+    // Epoch 0 fills the inboxes; epoch 1's front opens, merges and shares.
+    let mut ratios = Vec::new();
+    for epoch in 0..2 {
+        let inboxes: Vec<_> = endpoints.iter_mut().map(|e| e.recv()).collect();
+        let mut sends = Vec::new();
+        for (node, inbox) in nodes.iter_mut().zip(inboxes) {
+            assert_eq!(inbox.len(), epoch, "node {}'s inbox", node.id());
+            let ((outgoing, pending), bytes) = allocated_by(|| node.epoch_front(inbox));
+            assert_eq!(outgoing.len(), 1);
+            if epoch == 1 {
+                let wire = node.model().wire_size() as f64;
+                ratios.push(bytes as f64 / outgoing.len() as f64 / wire);
+            }
+            sends.push((node.id(), outgoing));
+            assert!(node.epoch_back(pending).bytes_out > 0);
+        }
+        for (from, outgoing) in sends {
+            for (dest, share) in outgoing {
+                endpoints[from].send(dest, share);
+            }
+        }
+    }
+    eprintln!("bytes allocated per recipient, in model wire sizes: {ratios:.3?}");
+    for ratio in ratios {
+        assert!(
+            ratio <= CEILING,
+            "an epoch front allocated {ratio:.2} model wire sizes per recipient (ceiling {CEILING})"
+        );
+    }
+}
