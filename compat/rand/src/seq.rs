@@ -1,7 +1,6 @@
 //! Sequence utilities: in-place shuffling and distinct-index sampling.
 
 use crate::{Rng, RngCore};
-use std::collections::HashSet;
 
 /// Extension methods on slices (mirrors `rand::seq::SliceRandom`).
 pub trait SliceRandom {
@@ -81,7 +80,7 @@ pub mod index {
         }
         if amount * 4 <= length {
             // Sparse: rejection sampling, O(amount) memory.
-            let mut seen = HashSet::with_capacity(amount);
+            let mut seen = IndexSet::with_capacity(amount);
             let mut out = Vec::with_capacity(amount);
             while out.len() < amount {
                 let idx = rng.gen_range(0..length);
@@ -102,11 +101,114 @@ pub mod index {
         }
     }
 
+    /// A set of indices for the sparse path: open addressing over a
+    /// power-of-two table at least twice the sample, a multiplicative
+    /// (Fibonacci) hash and linear probing. Slots hold `index + 1`, so 0
+    /// marks an empty slot.
+    struct IndexSet {
+        slots: Vec<usize>,
+        shift: u32,
+    }
+
+    impl IndexSet {
+        fn with_capacity(amount: usize) -> IndexSet {
+            let size = (2 * amount).next_power_of_two().max(2);
+            IndexSet {
+                slots: vec![0; size],
+                shift: u64::BITS - size.trailing_zeros(),
+            }
+        }
+
+        /// Inserts `idx`; returns whether it was absent.
+        fn insert(&mut self, idx: usize) -> bool {
+            let mask = self.slots.len() - 1;
+            let mut slot =
+                ((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+            loop {
+                match self.slots[slot] {
+                    0 => {
+                        self.slots[slot] = idx + 1;
+                        return true;
+                    }
+                    held if held == idx + 1 => return false,
+                    _ => slot = (slot + 1) & mask,
+                }
+            }
+        }
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
         use crate::rngs::StdRng;
         use crate::SeedableRng;
+        use std::collections::HashSet;
+
+        /// `sample` as it stood with a SipHash set on the sparse path:
+        /// the reference the open-addressed set must reproduce.
+        fn reference_sample<R: RngCore + ?Sized>(
+            rng: &mut R,
+            length: usize,
+            amount: usize,
+        ) -> Vec<usize> {
+            assert!(amount <= length, "cannot sample {amount} of {length}");
+            if amount == 0 {
+                return Vec::new();
+            }
+            if amount * 4 <= length {
+                let mut seen = HashSet::with_capacity(amount);
+                let mut out = Vec::with_capacity(amount);
+                while out.len() < amount {
+                    let idx = rng.gen_range(0..length);
+                    if seen.insert(idx) {
+                        out.push(idx);
+                    }
+                }
+                out
+            } else {
+                let mut pool: Vec<usize> = (0..length).collect();
+                for i in 0..amount {
+                    let j = rng.gen_range(i..length);
+                    pool.swap(i, j);
+                }
+                pool.truncate(amount);
+                pool
+            }
+        }
+
+        #[test]
+        fn samples_equal_the_reference_on_both_paths() {
+            // Sparse (`amount * 4 < length`), the boundary (`== length`,
+            // still sparse), and partial Fisher–Yates (`>`), including
+            // samples dense enough that the sparse path collides often.
+            let shapes = [
+                (1, 1),
+                (4, 1),
+                (8, 2),
+                (9, 2),
+                (7, 2),
+                (100, 25),
+                (100, 26),
+                (100, 24),
+                (1_200, 300),
+                (1_199, 300),
+                (70_000, 300),
+                (1 << 20, 300),
+                (300, 300),
+                (50, 0),
+                (17, 16),
+            ];
+            for seed in 0..200u64 {
+                for (length, amount) in shapes {
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = a.clone();
+                    let got: Vec<usize> = sample(&mut a, length, amount).into_iter().collect();
+                    let want = reference_sample(&mut b, length, amount);
+                    assert_eq!(got, want, "seed {seed}, {amount} of {length}");
+                    assert_eq!(a, b, "seed {seed}: the draws consumed differ");
+                }
+            }
+        }
 
         #[test]
         fn samples_are_distinct_and_in_range() {

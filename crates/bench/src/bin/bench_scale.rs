@@ -10,7 +10,10 @@
 //! `Node::epoch` itself reports — and **bounded-async vs lockstep**:
 //! time-to-target RMSE of `round::run_node_loop_async` against
 //! `round::run_node_loop` on an 8-node loopback TCP cluster, every node
-//! even and with one node stalled at every epoch start.
+//! even and with one node stalled at every epoch start — and the paper
+//! shape's **cold set-up** by layer (generate, split, partition, build),
+//! with the generator timed against its pre-rewrite reference
+//! ([`rex_bench::reference`]) in every window.
 //! Writes (and prints) `results/BENCH_scale.json` — the artifact CI
 //! uploads to track the scaling trajectory. Timed comparisons take
 //! their windows in rotation ([`rex_bench::harness`]).
@@ -29,17 +32,21 @@
 //! quick sharded arm's RAM-per-user, the quick fleet arm's merge share
 //! of the node-epoch, or the MB its models hold (shared init once, plus
 //! each node's own rows) grew more than 25%, or bounded-async's
-//! time-to-target speedup under the straggler fell more than 25% — the
-//! CI regression gates on per-user memory, on the duplicate check, on
-//! copy-on-write sharing and on the one execution mode without barriers.
+//! time-to-target speedup under the straggler or the generator's speedup
+//! over its reference (`generate_speedup`) fell more than 25% — the CI
+//! regression gates on per-user memory, on the duplicate check, on
+//! copy-on-write sharing, on the one execution mode without barriers and
+//! on the cold set-up's largest layer.
 //! None compares absolute time across hosts (byte counts; ratios inside
 //! one run, the straggler's stall sized from the same run's even
 //! lockstep epoch), and every
 //! mode runs the quick-shaped arm of each, so a quick run compares like
-//! with like against a committed full-mode file. Reported and never
-//! gated: each sharded and fleet row's `setup_secs` (dataset, split,
-//! partition and build: absolute time) and each fleet row's
-//! `row_union_share` (moves only when trajectories do).
+//! with like against a committed full-mode file (the set-up block runs
+//! the same shape in both modes; full mode takes more windows). Reported
+//! and never gated: each sharded and fleet row's `setup_secs` and the
+//! set-up block's per-layer ms (dataset, split, partition and build:
+//! absolute time) and each fleet row's `row_union_share` (moves only when
+//! trajectories do).
 //!
 //! Scheduler speedup is bounded by the host's cores (`host_cpus` in the
 //! JSON): on a single-core container the pool can only tie the
@@ -47,6 +54,7 @@
 //! host honestly measured.
 
 use rex_bench::harness::{self, Arm, Gate, Report, Row};
+use rex_bench::reference::reference_generate;
 use rex_bench::BenchArgs;
 use rex_core::builder::{build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
@@ -63,6 +71,7 @@ use rex_net::Transport;
 use rex_sim::stage::{Stage, STAGES};
 use rex_tee::SgxCostModel;
 use rex_topology::TopologySpec;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const FLEET_NODES: usize = 610;
@@ -307,17 +316,92 @@ fn run_shard_arm(
     (row, ram_per_user, bytes)
 }
 
-/// The paper's data (610 users × 9 000 items, 100 k ratings), split.
-fn paper_split() -> TrainTestSplit {
-    let ds = SyntheticConfig {
+/// The paper's data: 610 users × 9 000 items, 100 k ratings.
+fn paper_config() -> SyntheticConfig {
+    SyntheticConfig {
         num_users: FLEET_NODES as u32,
         num_items: FLEET_ITEMS,
         num_ratings: FLEET_RATINGS,
         seed: 42,
         ..SyntheticConfig::default()
     }
-    .generate();
-    TrainTestSplit::standard(&ds, 7)
+}
+
+/// The paper's data, split.
+fn paper_split() -> TrainTestSplit {
+    TrainTestSplit::standard(&paper_config().generate(), 7)
+}
+
+/// The paper shape's cold set-up by layer: generate the dataset, split
+/// it, partition it one user per node, and build the 610-node raw fleet
+/// of [`run_fleet_epoch`] (topology included), ms each, best of `reps`
+/// windows. Every window also runs the reference generator
+/// ([`rex_bench::reference`], the generator before its rewrite) on the
+/// same config, before the new one in one window and after it in the
+/// next. Returns the row and `generate_speedup`, the median over windows
+/// of reference / new.
+fn setup_arms(reps: usize) -> (Row, f64) {
+    let cfg = paper_config();
+    assert!(
+        reference_generate(&cfg).ratings == cfg.generate().ratings,
+        "the generator parted ways with its reference"
+    );
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let reference = || {
+        let t = Instant::now();
+        black_box(reference_generate(&cfg));
+        ms(t)
+    };
+    let mut window = 0;
+    let mut arm: Arm<'_, [f64; 5]> = Box::new(|| {
+        window += 1;
+        let first = (window % 2 == 0).then(reference);
+        let t = Instant::now();
+        let ds = cfg.generate();
+        let generate = ms(t);
+        let before = first.unwrap_or_else(reference);
+        let t = Instant::now();
+        let split = TrainTestSplit::standard(&ds, 7);
+        let split_ms = ms(t);
+        let t = Instant::now();
+        let partition = Partition::one_user_per_node(&split);
+        let partition_ms = ms(t);
+        let t = Instant::now();
+        black_box(build_mf_nodes(
+            &partition,
+            &TopologySpec::SmallWorld.build(FLEET_NODES, 5),
+            FLEET_NODES as u32,
+            FLEET_ITEMS,
+            MfHyperParams::default(),
+            dpsgd(SharingMode::RawData, 300, 300),
+            NodeSeeds::default(),
+        ));
+        [before, generate, split_ms, partition_ms, ms(t)]
+    });
+    let windows = harness::rotate(
+        "setup: reference vs new generator, split, partition, build",
+        reps,
+        std::slice::from_mut(&mut arm),
+    )
+    .pop()
+    .expect("one arm");
+    let best = |i: usize| windows.iter().map(|w| w[i]).fold(f64::INFINITY, f64::min);
+    let mut ratios: Vec<f64> = windows.iter().map(|w| w[0] / w[1]).collect();
+    ratios.sort_by(f64::total_cmp);
+    let speedup = ratios[ratios.len() / 2];
+    let row = Row::new()
+        .int("nodes", FLEET_NODES)
+        .int("items", FLEET_ITEMS)
+        .int("ratings", FLEET_RATINGS)
+        .int("windows", reps)
+        .num("reference_generate_ms", best(0), 2)
+        .num("generate_ms", best(1), 2)
+        .num("split_ms", best(2), 2)
+        .num("partition_ms", best(3), 2)
+        .num("build_ms", best(4), 2)
+        .num("total_ms", (1..5).map(best).sum(), 2)
+        .num("generate_speedup", speedup, 2);
+    (row, speedup)
 }
 
 /// The share of `model`'s rows (users and items) whose factors, bias or
@@ -550,6 +634,9 @@ fn main() {
         resident_mbs.push(resident_mb);
     }
 
+    eprintln!("[bench_scale] set-up arm: {FLEET_NODES} nodes");
+    let (setup_row, generate_speedup) = setup_arms(if args.full { 21 } else { 11 });
+
     // Bounded-async vs lockstep to the same target RMSE, even and then
     // with the straggler: every mode runs the one shape the gate
     // compares. The straggler's stall is the even lockstep run's own mean
@@ -708,6 +795,7 @@ fn main() {
                 .num("bytes_per_node_per_epoch_1024u", wire_large, 1)
                 .num("ratio", wire_ratio, 4),
         )
+        .object("setup", &setup_row)
         .rows("fleet_epoch", &fleet_rows)
         .rows("async_vs_lockstep", &async_rows)
         .render(
@@ -715,7 +803,8 @@ fn main() {
                 .num("shard_ram_per_user_64x1024_raw", shard_ram[0], 1)
                 .num("fleet_merge_share_quick", merge_shares[0], 4)
                 .num("fleet_model_resident_mb_quick", resident_mbs[0], 1)
-                .num("async_speedup_straggler", async_speedup_straggler, 2),
+                .num("async_speedup_straggler", async_speedup_straggler, 2)
+                .num("generate_speedup", generate_speedup, 2),
         );
     harness::finish(
         &args,
@@ -726,6 +815,7 @@ fn main() {
             Gate::ceiling("fleet_merge_share_quick", merge_shares[0]),
             Gate::ceiling("fleet_model_resident_mb_quick", resident_mbs[0]),
             Gate::floor("async_speedup_straggler", async_speedup_straggler),
+            Gate::floor("generate_speedup", generate_speedup),
         ],
     );
 }

@@ -19,6 +19,7 @@ pub mod dnn_experiments;
 pub mod harness;
 pub mod mf_experiments;
 pub mod output;
+pub mod reference;
 pub mod sgx_experiments;
 
 pub use args::BenchArgs;

@@ -104,7 +104,7 @@ pub use commitment::{CommitmentChain, EpochCommitment};
 pub use config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
 pub use engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 pub use membership::{JoinSpec, LeaveSpec, MembershipPlan, MembershipView, ViewTransition};
-pub use node::{Node, NodeBuilder};
+pub use node::{NoEnclave, Node, NodeBuilder};
 pub use serve::{
     naive_top_k, score_one, snapshot_digest, ModelSnapshot, QueryStream, ScoredItem, Scorer,
     SnapshotQueue, TopKQuery,

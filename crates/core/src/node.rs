@@ -46,6 +46,26 @@ pub struct NodeTee {
     pub sessions: HashMap<usize, SecureSession>,
 }
 
+/// [`Node::install_session`] on a node without an enclave: a session
+/// lives inside the enclave, so a native node cannot hold one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoEnclave {
+    /// The node asked to hold the session.
+    pub node: usize,
+}
+
+impl std::fmt::Display for NoEnclave {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "node {}: a session needs an enclave, and none is installed",
+            self.node
+        )
+    }
+}
+
+impl std::error::Error for NoEnclave {}
+
 /// What one epoch produced, from the node's own perspective.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochReport {
@@ -73,6 +93,11 @@ pub struct EpochReport {
     /// epoch that merged models, one that wrote over a quarter of the
     /// rows, and every link of a model without a write log).
     pub link_rows: Option<usize>,
+    /// Wall time of the commit — hashing this epoch's chain link and
+    /// signing it — ns. Beside [`StageTimes::total`], not inside it: the
+    /// paper's epoch cost model has no audit stage, and the simulated
+    /// clock does not advance by it.
+    pub commit_ns: u64,
 }
 
 /// An epoch between its two halves: what [`Node::epoch_front`] measured
@@ -387,14 +412,17 @@ impl<M: Model> Node<M> {
 
     /// Installs an attested session with `peer`.
     ///
-    /// # Panics
-    /// If no enclave was installed first.
-    pub fn install_session(&mut self, peer: usize, session: SecureSession) {
-        self.tee
-            .as_mut()
-            .expect("install_enclave before install_session")
-            .sessions
-            .insert(peer, session);
+    /// # Errors
+    /// [`NoEnclave`] when no enclave was installed first; the node is
+    /// left as it was.
+    pub fn install_session(
+        &mut self,
+        peer: usize,
+        session: SecureSession,
+    ) -> Result<(), NoEnclave> {
+        let tee = self.tee.as_mut().ok_or(NoEnclave { node: self.id })?;
+        tee.sessions.insert(peer, session);
+        Ok(())
     }
 
     /// Access to the enclave, if any.
@@ -742,9 +770,11 @@ impl<M: Model> Node<M> {
         // timing: auditing overhead is not part of the paper's epoch cost
         // model.
         let mut link_rows = None;
+        let sw = Stopwatch::start();
         let commitment = self.chain.advance_with(self.epochs_run, |link| {
             link_rows = self.model.write_changes(link);
         });
+        let commit_ns = sw.elapsed_ns();
         // The builder's model has never been recorded from, so the first
         // link fixes every row — the base case the later links rest on.
         debug_assert!(self.epochs_run > 0 || link_rows.is_none());
@@ -760,6 +790,7 @@ impl<M: Model> Node<M> {
             bytes_in,
             commitment,
             link_rows,
+            commit_ns,
         }
     }
 
@@ -786,6 +817,7 @@ mod tests {
     use rex_ml::{MfHyperParams, MfModel};
     use rex_net::codec::{decode_payload, decode_plain, encode_payload, encode_plain};
     use rex_net::message::Payload;
+    use rex_sim::stage::STAGES;
 
     fn mk_node(id: usize, neighbors: Vec<usize>, cfg: ProtocolConfig) -> Node<MfModel> {
         mk_node_over(20, id, neighbors, cfg)
@@ -1069,6 +1101,21 @@ mod tests {
     }
 
     #[test]
+    fn the_commit_is_timed_beside_the_stages() {
+        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let mut a = mk_node_over(400, 0, vec![1], c);
+        let mut reports = vec![a.epoch(Vec::new()).1];
+        reports.push(a.epoch(Vec::new()).1);
+        assert_eq!(reports[0].link_rows, None, "a full-form first link");
+        assert!(reports[1].link_rows.is_some(), "a row-form second link");
+        for report in &reports {
+            assert!(report.commit_ns > 0);
+            let stages: u64 = STAGES.iter().map(|&s| report.stage_times.get(s)).sum();
+            assert_eq!(report.stage_times.total(), stages);
+        }
+    }
+
+    #[test]
     fn an_epoch_that_merges_models_commits_the_full_model() {
         let c = cfg(SharingMode::Model, GossipAlgorithm::DPsgd);
         let mut a = mk_node_over(400, 0, vec![1], c);
@@ -1323,7 +1370,22 @@ mod tests {
         n.install_session(
             peer,
             SecureSession::new([1; 32], [2; 32], true, Measurement::of_code(REX_ENCLAVE_V1)),
+        )
+        .expect("the enclave was installed above");
+    }
+
+    #[test]
+    fn a_session_on_a_native_node_is_an_error_not_a_panic() {
+        use rex_tee::measurement::{Measurement, REX_ENCLAVE_V1};
+        let mut n = mk_node(
+            3,
+            vec![1],
+            cfg(SharingMode::RawData, GossipAlgorithm::DPsgd),
         );
+        let session =
+            SecureSession::new([1; 32], [2; 32], true, Measurement::of_code(REX_ENCLAVE_V1));
+        assert_eq!(n.install_session(1, session), Err(NoEnclave { node: 3 }));
+        assert!(!n.is_sgx() && !n.has_session(1));
     }
 
     #[test]

@@ -230,7 +230,8 @@ fn apply_transition<M: Model>(
                 .ok_or_else(|| format!("node {id}: SGX rewire without an enclave"))?
                 .measurement();
             let (sa, sb) = rex_tee::join::late_session_pair(dir.seed, t.epoch, a, b, measurement);
-            node.install_session(peer, if a == id { sa } else { sb });
+            node.install_session(peer, if a == id { sa } else { sb })
+                .map_err(|e| e.to_string())?;
         }
     }
     for &(s, j) in &t.bootstraps {

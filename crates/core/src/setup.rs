@@ -247,8 +247,10 @@ pub fn establish_tee_with_directory<M: Model, T: Transport>(
             )
             .expect("honest peers attest");
 
-        nodes[a].install_session(b, session_a);
-        nodes[b].install_session(a, session_b);
+        // Both enclaves answered the handshake above, so both are
+        // installed.
+        nodes[a].install_session(b, session_a).expect("enclave");
+        nodes[b].install_session(a, session_b).expect("enclave");
     }
 
     // Drain the handshake traffic so epoch 0 starts with clean inboxes.

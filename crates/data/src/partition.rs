@@ -6,7 +6,7 @@
 //!   ("we partitioned the ratings of the 610 users through 50 nodes",
 //!   12–13 users per node for the DNN experiments).
 
-use crate::rating::Rating;
+use crate::rating::{Rating, UserGroups};
 use crate::split::TrainTestSplit;
 
 /// A contiguous half-open block of user rows `[start, end)` hosted by one
@@ -82,16 +82,18 @@ impl Partition {
         for u in 0..split.num_users {
             users[(u as usize) % num_nodes].push(u);
         }
-        let train_by_user = split.train_by_user();
-        let test_by_user = split.test_by_user();
-        let mut train = vec![Vec::new(); num_nodes];
-        let mut test = vec![Vec::new(); num_nodes];
-        for (node, cohort) in users.iter().enumerate() {
+        let train_groups = UserGroups::new(&split.train, split.num_users);
+        let test_groups = UserGroups::new(&split.test, split.num_users);
+        let gather = |groups: &UserGroups, cohort: &[u32]| {
+            let len = cohort.iter().map(|&u| groups.user(u).len()).sum();
+            let mut node = Vec::with_capacity(len);
             for &u in cohort {
-                train[node].extend_from_slice(&train_by_user[u as usize]);
-                test[node].extend_from_slice(&test_by_user[u as usize]);
+                node.extend_from_slice(groups.user(u));
             }
-        }
+            node
+        };
+        let train = users.iter().map(|c| gather(&train_groups, c)).collect();
+        let test = users.iter().map(|c| gather(&test_groups, c)).collect();
         Partition { users, train, test }
     }
 
@@ -120,22 +122,17 @@ impl Partition {
                 end: ((n + 1) * total / num_nodes) as u32,
             })
             .collect();
-        let train_by_user = split.train_by_user();
-        let test_by_user = split.test_by_user();
-        let mut users = Vec::with_capacity(num_nodes);
-        let mut train = Vec::with_capacity(num_nodes);
-        let mut test = Vec::with_capacity(num_nodes);
-        for block in &blocks {
-            users.push((block.start..block.end).collect::<Vec<u32>>());
-            let mut node_train = Vec::new();
-            let mut node_test = Vec::new();
-            for u in block.start..block.end {
-                node_train.extend_from_slice(&train_by_user[u as usize]);
-                node_test.extend_from_slice(&test_by_user[u as usize]);
-            }
-            train.push(node_train);
-            test.push(node_test);
-        }
+        let train_groups = UserGroups::new(&split.train, split.num_users);
+        let test_groups = UserGroups::new(&split.test, split.num_users);
+        let users = blocks.iter().map(|b| (b.start..b.end).collect()).collect();
+        let train = blocks
+            .iter()
+            .map(|b| train_groups.users(b.start..b.end).to_vec())
+            .collect();
+        let test = blocks
+            .iter()
+            .map(|b| test_groups.users(b.start..b.end).to_vec())
+            .collect();
         (Partition { users, train, test }, blocks)
     }
 
@@ -162,6 +159,7 @@ impl Partition {
 mod tests {
     use super::*;
     use crate::synthetic::SyntheticConfig;
+    use rand::SeedableRng;
 
     fn split() -> TrainTestSplit {
         let ds = SyntheticConfig {
@@ -260,6 +258,31 @@ mod tests {
         assert_eq!(sharded.users, legacy.users);
         assert_eq!(sharded.train, legacy.train);
         assert_eq!(sharded.test, legacy.test);
+    }
+
+    #[test]
+    fn partitions_equal_per_user_concatenation_in_any_input_order() {
+        // The partitions as written before grouping by counting: each
+        // node's data is its users' ratings, user by user, each user's in
+        // input order.
+        let mut s = split();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        rand::seq::SliceRandom::shuffle(&mut s.train[..], &mut rng);
+        rand::seq::SliceRandom::shuffle(&mut s.test[..], &mut rng);
+        let of = |ratings: &[Rating], cohort: &[u32]| -> Vec<Rating> {
+            cohort
+                .iter()
+                .flat_map(|&u| ratings.iter().filter(move |r| r.user == u).copied())
+                .collect()
+        };
+        let multi = Partition::multi_user(&s, 7);
+        let (blocks, _) = Partition::user_blocks(&s, 7);
+        for p in [multi, blocks] {
+            for (node, cohort) in p.users.iter().enumerate() {
+                assert_eq!(p.train[node], of(&s.train, cohort));
+                assert_eq!(p.test[node], of(&s.test, cohort));
+            }
+        }
     }
 
     #[test]

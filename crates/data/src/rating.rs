@@ -1,5 +1,7 @@
 //! Core rating types.
 
+use std::borrow::Cow;
+
 /// One user–item interaction: the raw data item REX gossips (paper §IV-B:
 /// "a triplet containing the user and item identifications, along with the
 /// rating").
@@ -76,14 +78,11 @@ impl Dataset {
         self.ratings.iter().map(|r| f64::from(r.value)).sum::<f64>() / self.ratings.len() as f64
     }
 
-    /// Ratings grouped by user: `result[u]` holds all ratings of user `u`.
+    /// Ratings grouped by user: `result[u]` holds all ratings of user `u`,
+    /// in dataset order.
     #[must_use]
     pub fn by_user(&self) -> Vec<Vec<Rating>> {
-        let mut out = vec![Vec::new(); self.num_users as usize];
-        for r in &self.ratings {
-            out[r.user as usize].push(*r);
-        }
-        out
+        UserGroups::new(&self.ratings, self.num_users).to_vecs()
     }
 
     /// Number of distinct items that received at least one rating.
@@ -98,6 +97,83 @@ impl Dataset {
             }
         }
         count
+    }
+}
+
+/// Ratings grouped by user in one flat table: a stable counting sort,
+/// so each user's ratings keep their input order (loader datasets arrive
+/// in any order). One pass counts; input already grouped by ascending
+/// user (what the generator and the split produce) is borrowed as it is,
+/// and any other is placed into one table allocated at its exact size.
+#[derive(Debug)]
+pub(crate) struct UserGroups<'a> {
+    ratings: Cow<'a, [Rating]>,
+    /// User `u`'s ratings are `ratings[starts[u]..starts[u + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl<'a> UserGroups<'a> {
+    /// Groups `ratings` over users `0..num_users`.
+    ///
+    /// # Panics
+    /// If a rating's user is not below `num_users`.
+    #[must_use]
+    pub(crate) fn new(ratings: &'a [Rating], num_users: u32) -> Self {
+        let mut starts = vec![0usize; num_users as usize + 1];
+        for r in ratings {
+            starts[r.user as usize + 1] += 1;
+        }
+        for u in 0..num_users as usize {
+            starts[u + 1] += starts[u];
+        }
+        if ratings.windows(2).all(|w| w[0].user <= w[1].user) {
+            return UserGroups {
+                ratings: Cow::Borrowed(ratings),
+                starts,
+            };
+        }
+        let mut next = starts.clone();
+        let blank = Rating {
+            user: 0,
+            item: 0,
+            value: 0.0,
+        };
+        let mut grouped = vec![blank; ratings.len()];
+        for r in ratings {
+            let slot = &mut next[r.user as usize];
+            grouped[*slot] = *r;
+            *slot += 1;
+        }
+        UserGroups {
+            ratings: Cow::Owned(grouped),
+            starts,
+        }
+    }
+
+    /// Number of users grouped over.
+    #[must_use]
+    pub(crate) fn num_users(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// User `user`'s ratings, in input order.
+    #[must_use]
+    pub(crate) fn user(&self, user: u32) -> &[Rating] {
+        self.users(user..user + 1)
+    }
+
+    /// The ratings of the contiguous users `users`, user by user.
+    #[must_use]
+    pub(crate) fn users(&self, users: std::ops::Range<u32>) -> &[Rating] {
+        &self.ratings[self.starts[users.start as usize]..self.starts[users.end as usize]]
+    }
+
+    /// One vector per user, each allocated at its exact length.
+    #[must_use]
+    pub(crate) fn to_vecs(&self) -> Vec<Vec<Rating>> {
+        (0..self.num_users() as u32)
+            .map(|u| self.user(u).to_vec())
+            .collect()
     }
 }
 
@@ -164,6 +240,31 @@ mod tests {
         let by_user = ds.by_user();
         assert_eq!(by_user[0].len(), 2);
         assert_eq!(by_user[1].len(), 1);
+    }
+
+    #[test]
+    fn grouping_keeps_each_users_input_order() {
+        // Users interleaved and out of order, as a loaded file may be.
+        let ratings: Vec<Rating> = [(2, 5), (0, 1), (2, 3), (1, 4), (0, 0), (2, 9), (0, 7)]
+            .iter()
+            .map(|&(user, item)| Rating {
+                user,
+                item,
+                value: 3.0,
+            })
+            .collect();
+        let mut naive = vec![Vec::new(); 4];
+        for r in &ratings {
+            naive[r.user as usize].push(*r);
+        }
+        let ds = Dataset::new(4, 10, ratings);
+        assert_eq!(ds.by_user(), naive);
+        // Already grouped input is borrowed, and groups the same.
+        let sorted: Vec<Rating> = naive.concat();
+        let groups = UserGroups::new(&sorted, 4);
+        assert!(matches!(groups.ratings, Cow::Borrowed(_)));
+        assert_eq!(groups.to_vecs(), naive);
+        assert_eq!(groups.users(0..2), &sorted[..4]);
     }
 
     #[test]

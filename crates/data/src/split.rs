@@ -4,7 +4,7 @@
 //! (one user per node, cohorts of users per node) owns both local training
 //! data and a local held-out test set (`local_test_data` in Algorithm 2).
 
-use crate::rating::{Dataset, Rating};
+use crate::rating::{Dataset, Rating, UserGroups};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -37,20 +37,27 @@ impl TrainTestSplit {
             "train fraction {train_fraction} outside (0, 1]"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for mut user_ratings in dataset.by_user() {
-            user_ratings.shuffle(&mut rng);
-            let n = user_ratings.len();
+        let groups = UserGroups::new(&dataset.ratings, dataset.num_users);
+        let n_train = |n: usize| {
             let n_train = ((n as f64) * train_fraction).round() as usize;
-            let n_train = n_train.clamp(usize::from(n > 0), n);
-            for (i, r) in user_ratings.into_iter().enumerate() {
-                if i < n_train {
-                    train.push(r);
-                } else {
-                    test.push(r);
-                }
-            }
+            n_train.clamp(usize::from(n > 0), n)
+        };
+        let train_len: usize = (0..dataset.num_users)
+            .map(|u| n_train(groups.user(u).len()))
+            .sum();
+        let mut train = Vec::with_capacity(train_len);
+        let mut test = Vec::with_capacity(dataset.ratings.len() - train_len);
+        // Each user's ratings are shuffled in one reused buffer: copying
+        // the whole grouped table to shuffle it in place costs a fresh
+        // table's page faults.
+        let mut user_ratings = Vec::new();
+        for u in 0..dataset.num_users {
+            user_ratings.clear();
+            user_ratings.extend_from_slice(groups.user(u));
+            user_ratings.shuffle(&mut rng);
+            let (head, tail) = user_ratings.split_at(n_train(user_ratings.len()));
+            train.extend_from_slice(head);
+            test.extend_from_slice(tail);
         }
         TrainTestSplit {
             train,
@@ -69,22 +76,14 @@ impl TrainTestSplit {
     /// Training ratings grouped by user.
     #[must_use]
     pub fn train_by_user(&self) -> Vec<Vec<Rating>> {
-        group_by_user(&self.train, self.num_users)
+        UserGroups::new(&self.train, self.num_users).to_vecs()
     }
 
     /// Test ratings grouped by user.
     #[must_use]
     pub fn test_by_user(&self) -> Vec<Vec<Rating>> {
-        group_by_user(&self.test, self.num_users)
+        UserGroups::new(&self.test, self.num_users).to_vecs()
     }
-}
-
-fn group_by_user(ratings: &[Rating], num_users: u32) -> Vec<Vec<Rating>> {
-    let mut out = vec![Vec::new(); num_users as usize];
-    for r in ratings {
-        out[r.user as usize].push(*r);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -154,6 +153,50 @@ mod tests {
         let ds = dataset();
         let split = TrainTestSplit::new(&ds, 1.0, 0);
         assert!(split.test.is_empty());
+    }
+
+    /// The split as it was written before grouping by counting: one
+    /// growing vector per user, each shuffled, then dealt out.
+    fn reference_split(
+        dataset: &Dataset,
+        train_fraction: f64,
+        seed: u64,
+    ) -> (Vec<Rating>, Vec<Rating>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut by_user = vec![Vec::new(); dataset.num_users as usize];
+        for r in &dataset.ratings {
+            by_user[r.user as usize].push(*r);
+        }
+        let (mut train, mut test) = (Vec::new(), Vec::new());
+        for mut user_ratings in by_user {
+            user_ratings.shuffle(&mut rng);
+            let n = user_ratings.len();
+            let n_train = ((n as f64) * train_fraction).round() as usize;
+            let n_train = n_train.clamp(usize::from(n > 0), n);
+            for (i, r) in user_ratings.into_iter().enumerate() {
+                if i < n_train {
+                    train.push(r);
+                } else {
+                    test.push(r);
+                }
+            }
+        }
+        (train, test)
+    }
+
+    #[test]
+    fn split_equals_the_reference_in_any_input_order() {
+        let ds = dataset();
+        let mut shuffled = ds.clone();
+        shuffled.ratings.shuffle(&mut StdRng::seed_from_u64(4));
+        for input in [&ds, &shuffled] {
+            for (fraction, seed) in [(0.7, 1), (0.5, 9), (1.0, 0)] {
+                let split = TrainTestSplit::new(input, fraction, seed);
+                let (train, test) = reference_split(input, fraction, seed);
+                assert_eq!(split.train, train);
+                assert_eq!(split.test, test);
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::dist::{log_normal, normal, Zipf};
 use crate::rating::{snap_to_grid, Dataset, Rating};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Parameters of the generator.
 #[derive(Debug, Clone)]
@@ -59,6 +58,25 @@ impl Default for SyntheticConfig {
 impl SyntheticConfig {
     /// Generates the dataset.
     ///
+    /// One `StdRng` seeded from [`SyntheticConfig::seed`] makes every
+    /// draw, in this order — the contract that pins the dataset for a
+    /// config:
+    /// 1. the ground-truth factors: `true_rank` normal draws per user, users
+    ///    in order, then the same per item;
+    /// 2. the biases: one normal draw per user, then one per item;
+    /// 3. the activity weights: one log-normal draw per user;
+    /// 4. the adjust loop: while the rounded per-user counts miss
+    ///    `num_ratings`, one `gen_range(0..num_users)` per iteration picks
+    ///    the user to move by one;
+    /// 5. per user, in order, until the user has its count: one item draw
+    ///    (a Zipf draw while the user's attempts are below 30 × its count,
+    ///    a uniform `gen_range(0..num_items)` after), then, when the cell
+    ///    is new to the user, one normal noise draw. A repeated cell draws
+    ///    no noise.
+    ///
+    /// Ratings come out grouped by user, users ascending, each user's in
+    /// draw order.
+    ///
     /// # Panics
     /// If the requested rating count exceeds the number of matrix cells.
     #[must_use]
@@ -72,22 +90,15 @@ impl SyntheticConfig {
             self.num_items
         );
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let rank = self.true_rank;
 
-        // Ground-truth latent model.
-        let factor_std = 1.0 / (self.true_rank as f64).sqrt();
-        let user_factors: Vec<Vec<f64>> = (0..self.num_users)
-            .map(|_| {
-                (0..self.true_rank)
-                    .map(|_| normal(&mut rng, 0.0, factor_std))
-                    .collect()
-            })
+        // Ground-truth latent model: row-major `rank`-strided tables.
+        let factor_std = 1.0 / (rank as f64).sqrt();
+        let user_factors: Vec<f64> = (0..self.num_users as usize * rank)
+            .map(|_| normal(&mut rng, 0.0, factor_std))
             .collect();
-        let item_factors: Vec<Vec<f64>> = (0..self.num_items)
-            .map(|_| {
-                (0..self.true_rank)
-                    .map(|_| normal(&mut rng, 0.0, factor_std))
-                    .collect()
-            })
+        let item_factors: Vec<f64> = (0..self.num_items as usize * rank)
+            .map(|_| normal(&mut rng, 0.0, factor_std))
             .collect();
         let user_bias: Vec<f64> = (0..self.num_users)
             .map(|_| normal(&mut rng, 0.0, self.bias_std))
@@ -108,31 +119,30 @@ impl SyntheticConfig {
             .map(|n| n.max(1).min(self.num_items as usize))
             .collect();
         // Adjust the total to match the target exactly.
-        loop {
-            let total: usize = per_user.iter().sum();
-            match total.cmp(&self.num_ratings) {
-                std::cmp::Ordering::Equal => break,
-                std::cmp::Ordering::Less => {
-                    let idx = rng.gen_range(0..per_user.len());
-                    if per_user[idx] < self.num_items as usize {
-                        per_user[idx] += 1;
-                    }
+        let mut total: usize = per_user.iter().sum();
+        while total != self.num_ratings {
+            let idx = rng.gen_range(0..per_user.len());
+            if total < self.num_ratings {
+                if per_user[idx] < self.num_items as usize {
+                    per_user[idx] += 1;
+                    total += 1;
                 }
-                std::cmp::Ordering::Greater => {
-                    let idx = rng.gen_range(0..per_user.len());
-                    if per_user[idx] > 1 {
-                        per_user[idx] -= 1;
-                    }
-                }
+            } else if per_user[idx] > 1 {
+                per_user[idx] -= 1;
+                total -= 1;
             }
         }
 
         let popularity = Zipf::new(self.num_items as usize, self.popularity_exponent);
         let mut ratings = Vec::with_capacity(self.num_ratings);
-        let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(self.num_ratings);
+        // `stamp[item] == user + 1` once `user` holds `item`: users are
+        // visited once each, in order, so a stamp from an earlier user
+        // never reads as taken.
+        let mut stamp = vec![0u32; self.num_items as usize];
 
         for user in 0..self.num_users {
-            let want = per_user[user as usize];
+            let u = user as usize;
+            let want = per_user[u];
             let mut have = 0;
             let mut attempts = 0usize;
             while have < want {
@@ -144,17 +154,19 @@ impl SyntheticConfig {
                     rng.gen_range(0..self.num_items)
                 };
                 attempts += 1;
-                if !seen.insert((user, item)) {
+                let i = item as usize;
+                if stamp[i] == user + 1 {
                     continue;
                 }
-                let dot: f64 = user_factors[user as usize]
+                stamp[i] = user + 1;
+                let dot: f64 = user_factors[u * rank..(u + 1) * rank]
                     .iter()
-                    .zip(&item_factors[item as usize])
+                    .zip(&item_factors[i * rank..(i + 1) * rank])
                     .map(|(a, b)| a * b)
                     .sum();
                 let raw = self.global_mean
-                    + user_bias[user as usize]
-                    + item_bias[item as usize]
+                    + user_bias[u]
+                    + item_bias[i]
                     + dot
                     + normal(&mut rng, 0.0, self.noise_std);
                 ratings.push(Rating {
@@ -173,6 +185,7 @@ impl SyntheticConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn small_config() -> SyntheticConfig {
         SyntheticConfig {

@@ -1091,7 +1091,7 @@ impl Model for MfModel {
         self.merge_from(&contributions, self_weight);
     }
 
-    /// Checks the bytes once ([`Wire::split`] against this model's
+    /// Checks the bytes once (`Wire::split_like` against this model's
     /// shape) and keeps them: the merge reads the rows where they lie.
     fn view<'a>(&self, bytes: &'a [u8]) -> Result<ModelView<'a, Self>, ModelCodecError> {
         Wire::split_like(bytes, self)?;

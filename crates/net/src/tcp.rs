@@ -152,14 +152,16 @@ impl Backoff {
         Backoff { wait: start, cap }
     }
 
-    /// Dial retries: 1ms → 20ms.
+    /// Dial retries: 50µs → 20ms. A peer's listener is usually up within
+    /// a few tens of µs of the first refusal, on loopback at least.
     fn dial() -> Backoff {
-        Backoff::new(Duration::from_millis(1), Duration::from_millis(20))
+        Backoff::new(Duration::from_micros(50), Duration::from_millis(20))
     }
 
-    /// Accept polls: 500µs → 5ms.
+    /// Accept polls: 20µs → 5ms. A local peer's dial usually lands within
+    /// the first few polls.
     fn accept() -> Backoff {
-        Backoff::new(Duration::from_micros(500), Duration::from_millis(5))
+        Backoff::new(Duration::from_micros(20), Duration::from_millis(5))
     }
 
     /// Output-drain waits while a peer's socket is full: 50µs → 2ms.
