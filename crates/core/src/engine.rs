@@ -24,30 +24,38 @@
 //! simulator's). A further backend only implements [`Endpoint`]: its
 //! fabric is a [`Fabric`](rex_net::Fabric) of them.
 //!
-//! # One round, its drivers
-//! A node's epoch is sequenced in one place, the [`NodeRound`] state
-//! machine of [`crate::round`]; the engine only schedules it.
-//! `Engine::run_rounds` is the **fabric scheduler**: one owner over the
-//! whole [`Transport`] steps every node's machine, with the node compute
-//! in one phase of [`crate::pool`] per epoch. [`Driver::ThreadPerNode`]
-//! instead spawns the **endpoint driver**
-//! ([`crate::round::run_node_loop`], one thread over one [`Endpoint`])
-//! once per node and folds what it reports.
+//! # One round, one driver, two schedulers
+//! A node's epoch is sequenced in one place, the
+//! [`NodeRound`](crate::round::NodeRound) state
+//! machine of [`crate::round`], and carried out on the node's
+//! [`Endpoint`] by one driver, `round::Drive`. [`Engine::run`] splits its
+//! fabric into endpoints after TEE setup and gives every node a drive
+//! with its own copy of the membership view, as a `rex-node` process
+//! has; the [`Driver`] only picks who schedules the steps.
+//! [`Driver::ThreadPerNode`] spawns one thread per node, which answers
+//! each barrier wait at once. [`Driver::WorkSteal`] runs them on the
+//! worker pool of [`crate::pool`], in phases that end at the epoch's
+//! barriers. Both fold the nodes' reports in one place: each is
+//! timestamped at its event, the simulated axis is computed from the
+//! reports alone, and an epoch is folded as soon as every node still
+//! running has reported it.
 //!
 //! # Determinism
 //! Inboxes are handed to nodes in canonical order (ascending sender id,
-//! per-sender FIFO — see [`rex_net::transport::canonicalize`]) and epoch
-//! results are folded in node order, so a fixed seed yields bit-identical
-//! learning trajectories and byte counts across *all* drivers and
-//! backends. `tests/cross_backend.rs` in the workspace root holds this as
-//! the refactor's correctness oracle.
+//! per-sender FIFO — see [`rex_net::transport::canonicalize`]), no node
+//! sends before every node has drained its epoch's inbox (the drain
+//! barrier), and epoch results are folded in node order, so a fixed seed
+//! yields bit-identical learning trajectories and byte counts across
+//! *all* drivers, worker counts and backends. `tests/cross_backend.rs`
+//! and `tests/golden_trace.rs` in the workspace root hold this.
 //!
 //! # Dynamic membership
 //! [`EngineConfig::membership`] attaches a seeded
-//! [`MembershipPlan`]: the engine advances a [`MembershipView`] at
-//! every round boundary and applies its transitions — joins with late
-//! attestation and sponsored raw-share bootstraps, graceful leaves with
-//! live topology rewiring — before any inbox of the epoch is drained.
+//! [`MembershipPlan`]: every node's drive advances its copy of the
+//! [`MembershipView`](crate::membership::MembershipView) at every round
+//! boundary and applies its transitions — joins with late attestation
+//! and sponsored raw-share bootstraps, graceful leaves with live
+//! topology rewiring — before any inbox of the epoch is drained.
 //! Non-members sit rounds out exactly like crash-stopped nodes;
 //! `tests/membership.rs` and the `golden_membership` fixture hold the
 //! transitions bit-identical across every driver × backend combination.
@@ -66,21 +74,22 @@
 //! drivers replay a plan bit-for-bit; `tests/chaos.rs` holds them to it.
 
 use crate::config::ExecutionMode;
-use crate::membership::{MembershipPlan, MembershipView, ViewTransition};
+use crate::membership::MembershipPlan;
 use crate::node::{EpochReport, Node};
-use crate::pool::{panic_message, step, Parked, WorkStealPool};
-use crate::round::{self, EpochEvent, Input, NodeRound, RoundContext};
-use crate::setup::TeeDirectory;
-use crate::setup::{establish_tee_with_directory, overlay_of, prune_to_overlay, SetupReport};
+use crate::pool::{self, panic_message};
+use crate::round::{Drive, EpochEvent, RoundContext};
+use crate::setup::{establish_tee_with_directory, founding_view, SetupReport};
 use rex_ml::Model;
 use rex_net::fault::FaultPlan;
 use rex_net::link::LinkModel;
 use rex_net::stats::{DeliveryStats, TrafficStats};
-use rex_net::transport::{BarrierKind, Clock, Endpoint, Transport, WallClock};
-use rex_sim::clock::VirtualClock;
+use rex_net::transport::{Endpoint, Transport};
 use rex_sim::stage::StageTimes;
 use rex_sim::trace::{EpochRecord, ExperimentTrace};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Which time axis the experiment trace records.
@@ -99,21 +108,19 @@ pub enum TimeAxis {
 /// How node epochs are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// One OS thread per node over split endpoints, each running the
-    /// endpoint driver ([`crate::round::run_node_loop`]) against the
-    /// fabric's own round barrier — the paper's deployment shape. Works
-    /// with any [`Transport`]: every fabric splits.
+    /// One OS thread per node, each running its endpoint driver to the
+    /// end against the fabric's own round barriers — the paper's
+    /// deployment shape. Works with any [`Transport`] and either time
+    /// axis: every fabric splits.
     ThreadPerNode,
-    /// The fabric scheduler executed by a **fixed work-stealing worker
-    /// pool** ([`crate::pool`]): workers stay alive across epochs and
-    /// steal node machines from each other's deques, so skewed per-node
-    /// costs (growing stores, crashed nodes) do not stall a whole chunk.
-    /// Scales the fabric view to 1000+ nodes in-process; every worker
-    /// count is bit-identical to one worker, which spawns nothing and
-    /// steps every machine on the driver thread in node order (outputs
-    /// are keyed by node id and sends are applied in canonical node order
-    /// after each phase). Works with any [`Transport`] and either time
-    /// axis.
+    /// The same endpoint drivers stepped by a **fixed work-stealing
+    /// worker pool** ([`crate::pool`]): workers stay alive across epochs
+    /// and steal nodes from each other's deques, so skewed per-node costs
+    /// (growing stores, crashed nodes) do not stall a whole chunk. Scales
+    /// to 1000+ nodes in-process; every worker count is bit-identical to
+    /// one worker, which spawns nothing and steps every node on the
+    /// driver thread in node order. Works with any [`Transport`] and
+    /// either time axis.
     WorkSteal {
         /// Worker threads; `0` means one per available CPU core, `1` runs
         /// inline on the driver thread.
@@ -148,14 +155,13 @@ pub struct EngineConfig {
     /// [`rex_net::fault::FaultyTransport`] carrying the same plan.
     pub faults: Option<FaultPlan>,
     /// Dynamic-membership schedule (joins with attested state bootstrap,
-    /// graceful leaves with live topology rewiring). The engine advances
-    /// a [`MembershipView`] at every round boundary and applies its
-    /// transitions before any inbox of the epoch is drained, so a
-    /// sponsor's bootstrap lands in the joiner's first inbox. Every
-    /// driver applies it: the fabric scheduler over the whole fabric,
-    /// and each thread of [`Driver::ThreadPerNode`] (like each
-    /// `rex-node` process) over its own endpoint with its own copy of
-    /// the view.
+    /// graceful leaves with live topology rewiring). Every node advances
+    /// its own copy of the
+    /// [`MembershipView`](crate::membership::MembershipView) at every
+    /// round boundary, under either driver, like each `rex-node` process,
+    /// and applies its transitions over its own endpoint before any inbox
+    /// of the epoch is drained, so a sponsor's bootstrap lands in the
+    /// joiner's first inbox.
     pub membership: Option<MembershipPlan>,
 }
 
@@ -185,11 +191,6 @@ pub struct EngineResult {
     pub final_stats: Vec<TrafficStats>,
 }
 
-/// What one node's thread hands back to the engine: every epoch it
-/// served with the wall timestamp of its completion, and its traffic
-/// counters.
-type NodeRun = (Vec<(u64, EpochEvent)>, TrafficStats);
-
 /// The transport-generic protocol engine. See the module docs.
 pub struct Engine<M: Model, T: Transport> {
     transport: T,
@@ -215,53 +216,33 @@ impl<M: Model, T: Transport> Engine<M, T> {
     /// ran them).
     ///
     /// # Panics
-    /// If `nodes` is empty, its length disagrees with the transport,
-    /// [`Driver::ThreadPerNode`] is combined with
-    /// [`TimeAxis::Simulated`] (thread-per-node epochs are timestamped
-    /// with real elapsed time, so a simulated axis cannot be honoured),
-    /// a membership plan fails validation, or a node fails mid-run — its
+    /// If `nodes` is empty, its length disagrees with the transport, a
+    /// membership plan fails validation, or a node fails mid-run — its
     /// epoch panics or its endpoint loses a peer — in which case the
     /// failure is re-raised naming the node.
     pub fn run(mut self, name: &str, nodes: &mut [Node<M>]) -> EngineResult {
         assert!(!nodes.is_empty(), "engine needs at least one node");
+        let n = nodes.len();
         assert_eq!(
             self.transport.num_nodes(),
-            nodes.len(),
+            n,
             "transport size disagrees with fleet size"
-        );
-        assert!(
-            !matches!(
-                (&self.cfg.driver, &self.cfg.time),
-                (Driver::ThreadPerNode, TimeAxis::Simulated(_))
-            ),
-            "Driver::ThreadPerNode records wall-clock time; use TimeAxis::Wall"
         );
 
         // Crash-aware setup: see `setup::prune_dead_nodes` — whole-run
         // dead nodes leave the overlay before TEE provisioning, so
         // attestation skips their edges and surviving Metropolis–
         // Hastings degrees renormalize.
-        if let Some(plan) = &self.cfg.faults {
-            plan.validate(nodes.len());
+        let faults = self.cfg.faults.as_ref();
+        if let Some(plan) = faults {
+            plan.validate(n);
             crate::setup::prune_dead_nodes(nodes, plan);
         }
-
-        // Membership-aware setup: the epoch-0 view is built over the
-        // (fault-pruned) full topology; edges touching future joiners
-        // stay latent, so TEE setup attests exactly the founding
-        // overlay. Fault-dead-at-setup nodes are excluded from
-        // membership outright — repair never bridges to them.
-        let view = self.cfg.membership.clone().map(|plan| {
-            let excluded = self
-                .cfg
-                .faults
-                .as_ref()
-                .map(|p| p.dead_at_setup(nodes.len()))
-                .unwrap_or_default();
-            let view = MembershipView::new(plan, &overlay_of(nodes), &excluded);
-            prune_to_overlay(nodes, view.overlay());
-            view
-        });
+        let view = self
+            .cfg
+            .membership
+            .clone()
+            .map(|plan| founding_view(nodes, plan, faults));
 
         let (setup, tee) = match self.cfg.execution {
             ExecutionMode::Native => (SetupReport::default(), None),
@@ -277,309 +258,250 @@ impl<M: Model, T: Transport> Engine<M, T> {
             }
         };
         let setup_ns = match &self.cfg.time {
-            TimeAxis::Simulated(link) => setup.simulated_ns(nodes.len(), link),
+            TimeAxis::Simulated(link) => setup.simulated_ns(n, link),
             TimeAxis::Wall => setup.wall_ns(),
         };
 
-        // The fabric scheduler's worker count: `0` is one per available
-        // core.
-        let workers = match self.cfg.driver {
-            Driver::ThreadPerNode => {
-                return self.run_thread_per_node(name, nodes, setup_ns, view, tee.as_ref())
-            }
-            Driver::WorkSteal { workers: 0 } => {
-                std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-            }
-            Driver::WorkSteal { workers } => workers,
-        }
-        .min(nodes.len());
-
-        let faults = self.cfg.faults.as_ref();
-        let points = view.as_ref().map_or(0, |v| v.plan().bootstrap_points);
-        let rounds = nodes
-            .iter_mut()
-            .map(|node| NodeRound::new(node, faults, tee.as_ref(), None, points))
-            .collect();
-        let trace = WorkStealPool::run(rounds, workers, |pool| {
-            Self::run_rounds(
-                &self.cfg,
-                &mut self.transport,
-                name,
-                setup_ns,
-                pool,
-                view,
-                tee.as_ref(),
-            )
-        });
-        EngineResult {
-            trace,
-            setup_ns,
-            final_stats: self.transport.all_stats(),
-        }
-    }
-
-    /// The fabric scheduler: steps every node's [`NodeRound`] over the
-    /// whole transport, one epoch at a time. Per epoch — `epoch_begin`;
-    /// under a **membership view change**, the fabric-level view sync and
-    /// the SGX evidence routing; every machine opened and stepped on this
-    /// thread up to its recv (a view change first takes each through its
-    /// bootstraps to the view barrier, which a `flush` releases, so they
-    /// land before any inbox is drained); every mailbox drained into the
-    /// pool; one pool phase, stepping each machine through the front, its
-    /// buffered sends and the back to its round wait; the sends applied in
-    /// node order; `flush`, which releases the round barrier; then the
-    /// machines' reports advance the clock and fill the trace. The pool
-    /// only decides on which thread a machine is stepped — inputs are
-    /// staged before the phase and outputs read back by node id after it —
-    /// which is what makes every worker count bit-identical *by
-    /// construction*.
-    fn run_rounds(
-        cfg: &EngineConfig,
-        transport: &mut T,
-        name: &str,
-        setup_ns: u64,
-        pool: &WorkStealPool<'_, M>,
-        mut view: Option<MembershipView>,
-        tee: Option<&TeeDirectory>,
-    ) -> ExperimentTrace {
-        let n = pool.len();
-        let mut clock: Box<dyn Clock> = match &cfg.time {
-            TimeAxis::Simulated(_) => Box::new(VirtualClock::new()),
-            TimeAxis::Wall => Box::new(WallClock::start()),
-        };
-        clock.advance(setup_ns);
-        let mut trace = ExperimentTrace::new(name);
-        // The machines stepped: every node until its own leave.
-        let mut live: Vec<usize> = (0..n).collect();
-
-        for epoch in 0..cfg.epochs {
-            transport.epoch_begin(epoch);
-            let transition = view.as_mut().and_then(|v| v.advance(epoch));
-            let mut evidence = Vec::new();
-            if let Some(t) = &transition {
-                // Fabric-level view sync first: layers with in-flight
-                // state react to the change (the fault wrapper purges a
-                // leaver's held messages before any release point could
-                // target it).
-                transport.view_sync(epoch, &t.joined, &t.left);
-                if let Some(dir) = tee {
-                    evidence = route_evidence(t, pool, dir);
-                }
-            }
-            live.retain(|&id| {
-                let open = Input::Open {
-                    epoch,
-                    transition: transition.as_ref(),
-                    member: view.as_ref().is_none_or(|v| v.is_member(id)),
-                };
-                let presented = evidence.get_mut(id).map(std::mem::take);
-                let send = |to, bytes| transport.send(id, to, bytes);
-                let parked = pool.with_round(id, |r| step(r, open, presented, send));
-                !matches!(parked, Parked::Left)
-            });
-            if transition.is_some() {
-                // The view barrier: bootstraps are delivered before any
-                // inbox of this epoch is drained.
-                transport.flush();
-                for &id in &live {
-                    let released = Input::Released(BarrierKind::Round);
-                    let send = |to, bytes| transport.send(id, to, bytes);
-                    pool.with_round(id, |r| step(r, released, None, send));
-                }
-            }
-            // Every inbox is drained before the phase; a machine sitting
-            // the epoch out discards its own.
-            for &id in &live {
-                pool.load(id, transport.recv(id));
-            }
-
-            pool.run_phase(&live);
-
-            // Apply sends in deterministic node order, then make them
-            // visible for the next round.
-            for &id in &live {
-                for (dest, bytes) in pool.take_outbox(id) {
-                    transport.send(id, dest, bytes);
-                }
-            }
-            transport.flush();
-            let delivery = transport.take_delivery();
-
-            let mut reports = vec![None; n];
-            for &id in &live {
-                let released = Input::Released(BarrierKind::Round);
-                let send = |to, bytes| transport.send(id, to, bytes);
-                if let Parked::Report(report) =
-                    pool.with_round(id, |r| step(r, released, None, send))
-                {
-                    reports[id] = report;
-                }
-            }
-            advance_epoch_clock(&cfg.time, clock.as_mut(), &reports);
-            trace.push(aggregate_epoch(epoch, clock.now_ns(), &reports, delivery));
-        }
-        trace
-    }
-
-    /// One OS thread per node over split endpoints, each running the
-    /// endpoint driver with its own copy of the membership view, as a
-    /// `rex-node` process does; the engine only folds what the drivers
-    /// report.
-    fn run_thread_per_node(
-        self,
-        name: &str,
-        nodes: &mut [Node<M>],
-        setup_ns: u64,
-        view: Option<MembershipView>,
-        tee: Option<&TeeDirectory>,
-    ) -> EngineResult {
-        let epochs = self.cfg.epochs;
+        // Every node runs the endpoint driver over its own endpoint with
+        // its own copy of the view, as a `rex-node` process does; the
+        // driver only picks who schedules the steps.
         let endpoints = self.transport.into_endpoints();
-        assert_eq!(
-            endpoints.len(),
-            nodes.len(),
-            "endpoint count disagrees with fleet"
-        );
-
-        let faults = self.cfg.faults.as_ref();
-        let start = Instant::now();
-        let outcomes: Vec<std::thread::Result<Result<NodeRun, String>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = nodes
-                    .iter_mut()
-                    .zip(endpoints)
-                    .map(|(node, mut endpoint)| {
-                        let mut view = view.clone();
-                        scope.spawn(move || {
-                            let mut served = Vec::with_capacity(epochs);
-                            let ctx = RoundContext {
-                                faults,
-                                view: view.as_mut(),
-                                tee,
-                                audit: None,
-                                serve: None,
-                            };
-                            round::run_node_loop(node, &mut endpoint, 0..epochs, ctx, |ev| {
-                                served.push((start.elapsed().as_nanos() as u64, ev));
-                            })?;
-                            Ok((served, endpoint.stats()))
-                        })
-                    })
-                    .collect();
-                // Threads were spawned in node order; join preserves it.
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-
-        // A node that died took its endpoint with it, which fails every
-        // peer's barrier: the panic, the cause, goes ahead of the errors
-        // it caused.
-        let mut joined: Vec<NodeRun> = Vec::with_capacity(outcomes.len());
-        let mut failures = Vec::new();
-        for (id, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(Ok(run)) => joined.push(run),
-                Ok(Err(e)) => failures.push(e),
-                Err(panic) => {
-                    let msg = panic_message(panic.as_ref());
-                    failures.insert(0, format!("node {id} epoch panicked: {msg}"));
-                }
+        assert_eq!(endpoints.len(), n, "endpoint count disagrees with fleet");
+        let epochs = self.cfg.epochs;
+        let mut views = vec![view; n];
+        let drives = nodes
+            .iter_mut()
+            .zip(&mut views)
+            .zip(endpoints)
+            .map(|((node, view), endpoint)| {
+                let ctx = RoundContext {
+                    faults,
+                    view: view.as_mut(),
+                    tee: tee.as_ref(),
+                    audit: None,
+                    serve: None,
+                };
+                (Drive::new(node, 0..epochs, ctx, None), endpoint)
+            })
+            .collect();
+        let fold = Fold::new(name, self.cfg.time.clone(), setup_ns, n, epochs);
+        let final_stats = match self.cfg.driver {
+            Driver::ThreadPerNode => run_threads(drives, &fold),
+            Driver::WorkSteal { workers } => {
+                // `0` is one worker per available core.
+                let workers = match workers {
+                    0 => std::thread::available_parallelism().map_or(4, NonZeroUsize::get),
+                    w => w,
+                };
+                pool::run(drives, workers.min(n), &fold)
             }
-        }
-        if let Some(first) = failures.first() {
-            panic!("{first}");
-        }
-        let final_stats: Vec<TrafficStats> = joined.iter().map(|(_, s)| *s).collect();
-
-        // Real elapsed time plus the modelled charges, which stack up
-        // epoch by epoch exactly as on the fabric scheduler's wall axis.
-        let mut trace = ExperimentTrace::new(name);
-        let mut charges = VirtualClock::new();
-        for epoch in 0..epochs {
-            let mut end_ns = 0u64;
-            let mut delivery = DeliveryStats::default();
-            let reports: Vec<Option<EpochReport>> = joined
-                .iter()
-                .map(|(served, _)| {
-                    // A leaver serves no epoch from its leave on.
-                    let &(t, event) = served.get(epoch)?;
-                    end_ns = end_ns.max(t);
-                    delivery.absorb(&event.delivery);
-                    event.report
-                })
-                .collect();
-            advance_epoch_clock(&TimeAxis::Wall, &mut charges, &reports);
-            let time_ns = setup_ns + end_ns + charges.now_ns();
-            trace.push(aggregate_epoch(epoch, time_ns, &reports, delivery));
-        }
-
+        };
         EngineResult {
-            trace,
+            trace: fold.finish(),
             setup_ns,
             final_stats,
         }
     }
 }
 
-/// The SGX evidence of a view change, per checking node: each joiner
-/// produces the quote its `Join` frame would carry, and the member that
-/// checks it is its first new neighbour (or, for a momentarily isolated
-/// joiner, the joiner's own enclave — same measurement).
+/// One OS thread per node, each running its drive to the end: the
+/// paper's deployment shape. Returns every endpoint's counters, in node
+/// order.
 ///
 /// # Panics
-/// When a joiner cannot produce its evidence.
-fn route_evidence<M: Model>(
-    t: &ViewTransition,
-    pool: &WorkStealPool<'_, M>,
-    dir: &TeeDirectory,
-) -> Vec<Vec<(usize, Vec<u8>)>> {
-    let mut evidence = vec![Vec::new(); pool.len()];
-    for &j in &t.joined {
-        let bytes = pool
-            .with_round(j, |r| round::encode_evidence(dir, r.node_mut(), t.epoch))
-            .unwrap_or_else(|e| panic!("view transition at epoch {}: {e}", t.epoch));
-        let checker = t
-            .added_edges
-            .iter()
-            .find_map(|&(a, b)| match (a == j, b == j) {
-                (true, _) => Some(b),
-                (_, true) => Some(a),
-                _ => None,
-            })
-            .unwrap_or(j);
-        evidence[checker].push((j, bytes));
+/// When a node fails, naming it: a node that died took its endpoint with
+/// it, which fails every peer's barrier, so a panic (the cause) goes
+/// ahead of the errors it caused.
+fn run_threads<M: Model, E: Endpoint>(
+    drives: Vec<(Drive<'_, M>, E)>,
+    fold: &Fold,
+) -> Vec<TrafficStats> {
+    let outcomes: Vec<std::thread::Result<Result<TrafficStats, String>>> =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = drives
+                .into_iter()
+                .map(|(drive, mut endpoint)| {
+                    scope.spawn(move || {
+                        let id = endpoint.id();
+                        drive.run(&mut endpoint, |event| fold.report(id, event))?;
+                        fold.done(id);
+                        Ok(endpoint.stats())
+                    })
+                })
+                .collect();
+            // Threads were spawned in node order; join preserves it.
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+    let mut stats = Vec::with_capacity(outcomes.len());
+    let mut failures = Vec::new();
+    for (id, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(Ok(s)) => stats.push(s),
+            Ok(Err(e)) => failures.push(e),
+            Err(panic) => {
+                let msg = panic_message(panic.as_ref());
+                failures.insert(0, format!("node {id} epoch panicked: {msg}"));
+            }
+        }
     }
-    evidence
+    if let Some(first) = failures.first() {
+        panic!("{first}");
+    }
+    stats
 }
 
-/// Advances the epoch clock by the configured time model: on a simulated
-/// axis, the slowest live node's compute plus its link-model transfer
-/// time (full-duplex: the max of its up/down volumes); on the wall axis,
-/// only the modelled hardware charge of the slowest node (real time
-/// elapses on its own — `WallClock` stacks the charges on top).
-fn advance_epoch_clock(time: &TimeAxis, clock: &mut dyn Clock, reports: &[Option<EpochReport>]) {
+/// The one fold of the nodes' epoch reports into the trace, whichever
+/// scheduler ran them. Each report is timestamped at its event, from
+/// whichever thread it comes; an epoch is folded as soon as every node
+/// still running has reported it, so nothing is held per node beyond the
+/// epochs still open (at most two under a barrier).
+pub(crate) struct Fold(Mutex<Folding>);
+
+struct Folding {
+    trace: ExperimentTrace,
+    time: TimeAxis,
+    setup_ns: u64,
+    epochs: usize,
+    start: Instant,
+    /// What the time model has charged so far: the whole simulated time,
+    /// or on the wall axis the modelled SGX charges stacked on it.
+    charged_ns: u64,
+    /// Per node, the next epoch it reports; `None` once it is done.
+    next: Vec<Option<usize>>,
+    /// The epochs from `trace.records.len()` on that some node reported.
+    open: VecDeque<OpenEpoch>,
+}
+
+/// One epoch's reports while some node has yet to report it.
+struct OpenEpoch {
+    reports: Vec<Option<EpochReport>>,
+    /// Nodes still running that have not reported it.
+    waiting: usize,
+    /// The latest report's timestamp, ns since the run started.
+    end_ns: u64,
+    delivery: DeliveryStats,
+}
+
+impl OpenEpoch {
+    fn new(nodes: usize, waiting: usize) -> Self {
+        OpenEpoch {
+            reports: vec![None; nodes],
+            waiting,
+            end_ns: 0,
+            delivery: DeliveryStats::default(),
+        }
+    }
+}
+
+impl Fold {
+    pub(crate) fn new(
+        name: &str,
+        time: TimeAxis,
+        setup_ns: u64,
+        nodes: usize,
+        epochs: usize,
+    ) -> Self {
+        Fold(Mutex::new(Folding {
+            trace: ExperimentTrace::new(name),
+            time,
+            setup_ns,
+            epochs,
+            start: Instant::now(),
+            charged_ns: 0,
+            next: vec![Some(0); nodes],
+            open: VecDeque::new(),
+        }))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Folding> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes node `id`'s report of an epoch.
+    pub(crate) fn report(&self, id: usize, event: EpochEvent) {
+        let mut f = self.lock();
+        let end_ns = f.start.elapsed().as_nanos() as u64;
+        let at = event.epoch - f.trace.records.len();
+        while f.open.len() <= at {
+            let open = OpenEpoch::new(f.next.len(), f.next.iter().flatten().count());
+            f.open.push_back(open);
+        }
+        f.next[id] = Some(event.epoch + 1);
+        let open = &mut f.open[at];
+        open.reports[id] = event.report;
+        open.waiting -= 1;
+        open.end_ns = open.end_ns.max(end_ns);
+        open.delivery.absorb(&event.delivery);
+        f.close_ready();
+    }
+
+    /// Node `id` reports no further epoch (it left, or ran its last).
+    pub(crate) fn done(&self, id: usize) {
+        let mut f = self.lock();
+        let first = f.trace.records.len();
+        if let Some(next) = f.next[id].take() {
+            for open in f.open.iter_mut().skip(next.saturating_sub(first)) {
+                open.waiting -= 1;
+            }
+        }
+        f.close_ready();
+    }
+
+    /// The trace, every epoch folded (an epoch nobody reported folds
+    /// empty).
+    pub(crate) fn finish(self) -> ExperimentTrace {
+        let mut f = self.0.into_inner().unwrap_or_else(PoisonError::into_inner);
+        while f.trace.records.len() < f.epochs {
+            f.fold(OpenEpoch::new(f.next.len(), 0));
+        }
+        f.trace
+    }
+}
+
+impl Folding {
+    fn close_ready(&mut self) {
+        while let Some(open) = self.open.pop_front_if(|open| open.waiting == 0) {
+            self.fold(open);
+        }
+    }
+
+    /// Pushes the next epoch's record. The simulated axis comes from the
+    /// reports alone; the wall axis is the last report's timestamp plus
+    /// the modelled charges.
+    fn fold(&mut self, open: OpenEpoch) {
+        self.charged_ns += epoch_charge(&self.time, &open.reports);
+        let elapsed_ns = match self.time {
+            TimeAxis::Simulated(_) => 0,
+            TimeAxis::Wall => open.end_ns,
+        };
+        let time_ns = self.setup_ns + elapsed_ns + self.charged_ns;
+        let epoch = self.trace.records.len();
+        let record = aggregate_epoch(epoch, time_ns, &open.reports, open.delivery);
+        self.trace.push(record);
+    }
+}
+
+/// What the time model charges for one epoch: on a simulated axis, the
+/// slowest live node's compute plus its link-model transfer time
+/// (full-duplex: the max of its up/down volumes); on the wall axis, only
+/// the modelled hardware charge of the slowest node (real time elapses on
+/// its own; the charges stack on top).
+fn epoch_charge(time: &TimeAxis, reports: &[Option<EpochReport>]) -> u64 {
+    let live = reports.iter().flatten();
     match time {
-        TimeAxis::Simulated(link) => {
-            let mut epoch_ns = 0u64;
-            for report in reports.iter().flatten() {
+        TimeAxis::Simulated(link) => live
+            .map(|report| {
                 let volume = report.bytes_out.max(report.bytes_in);
                 let net_ns = if volume > 0 {
                     link.transfer_ns(volume)
                 } else {
                     0
                 };
-                epoch_ns = epoch_ns.max(report.stage_times.total() + net_ns);
-            }
-            clock.advance(epoch_ns);
-        }
-        TimeAxis::Wall => {
-            let max_sgx = reports
-                .iter()
-                .flatten()
-                .map(|r| r.sgx_overhead_ns)
-                .max()
-                .unwrap_or(0);
-            clock.advance(max_sgx);
-        }
+                report.stage_times.total() + net_ns
+            })
+            .max()
+            .unwrap_or(0),
+        TimeAxis::Wall => live.map(|r| r.sgx_overhead_ns).max().unwrap_or(0),
     }
 }
 

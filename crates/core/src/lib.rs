@@ -26,22 +26,22 @@
 //!
 //! All deployments run through a single transport-generic
 //! [`engine::Engine`], and a node's epoch is sequenced once, by the
-//! [`round::NodeRound`] state machine; every deployment is a driver that
-//! supplies its I/O and releases its barriers:
+//! [`round::NodeRound`] state machine and carried out on the node's
+//! endpoint by one driver; every deployment only schedules that driver:
 //!
 //! * [`round`] — the machine, and the **endpoint driver** that maps its
 //!   actions onto one `rex_net::transport::Endpoint` (what a `rex-node`
-//!   process runs, what [`engine::Driver::ThreadPerNode`] spawns per
-//!   node), with the bounded-async inbox policy beside it; also the one
-//!   place a membership view transition is applied to a node;
-//! * [`engine`] — the shared pipeline: TEE setup, the **fabric
-//!   scheduler** (one owner over a whole `rex_net::Transport` stepping
-//!   every node's machine), and trace aggregation;
-//! * [`pool`] — the fixed work-stealing worker pool, the fabric
-//!   scheduler's only executor ([`engine::Driver::WorkSteal`]): it steps
-//!   the machines through one phase per epoch, inline on the driver
-//!   thread with one worker, on persistent workers otherwise,
-//!   bit-identical either way;
+//!   process runs, what both [`engine::Driver`]s run per node), with the
+//!   bounded-async inbox policy beside it; also the one place a
+//!   membership view transition is applied to a node;
+//! * [`engine`] — the shared pipeline: TEE setup, the split of the
+//!   fabric into endpoints, and the one fold of the nodes' reports into
+//!   the trace;
+//! * [`pool`] — the fixed work-stealing worker pool
+//!   ([`engine::Driver::WorkSteal`]): it steps every node's driver in
+//!   phases that end at the epoch's barriers and answers the waits
+//!   between them, inline on the driver thread with one worker, on
+//!   persistent workers otherwise, bit-identical either way;
 //! * [`membership`] — epoch-scoped views of the live fleet: online
 //!   joins with late attestation and sponsored raw-share bootstraps,
 //!   graceful leaves with live topology rewiring, all part of the
@@ -62,7 +62,7 @@
 //!
 //! [`engine::Engine::new`] is the single entry point: the transport picks
 //! the deployment and [`engine::EngineConfig`] the rest. A `MemNetwork`
-//! under the default config (fabric rounds on the pool, simulated time)
+//! under the default config (the worker pool, simulated time)
 //! is the discrete-event simulator at any node count; the same
 //! `MemNetwork` under [`engine::Driver::ThreadPerNode`] and
 //! [`engine::TimeAxis::Wall`] splits into one endpoint per node and runs

@@ -11,10 +11,9 @@
 //! comes in two halves that [`crate::round::NodeRound`], the one
 //! sequencer of a node's epoch, calls apart: [`Node::epoch_front`]
 //! (merge→train→share) and [`Node::epoch_back`] (test→commit), with the
-//! shares sent between them. Its drivers (the engine's fabric scheduler
-//! through `pool`, and the endpoint drivers of `round`) own scheduling:
-//! they deliver each node's inbox, forward its outgoing messages, and
-//! assemble the global trace.
+//! shares sent between them. The endpoint driver of `round` (on a thread
+//! or on the engine's `pool`) delivers each node's inbox and forwards
+//! its outgoing messages; the engine assembles the global trace.
 
 use crate::commitment::{CommitmentChain, EpochCommitment};
 use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};

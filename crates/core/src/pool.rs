@@ -1,32 +1,40 @@
-//! The work-stealing worker pool: the one executor behind the engine's
-//! fabric scheduler ([`Driver::WorkSteal`]).
+//! The work-stealing worker pool: the scheduler of
+//! [`Driver::WorkSteal`].
 //!
-//! The pool holds one [`NodeRound`] per node and steps them, one **phase**
-//! per epoch: each machine from its staged inbox through the front, the
-//! buffered sends and the back to its round wait. Re-spawning threads
-//! and re-partitioning the fleet into fixed chunks every epoch is fine
-//! at 8 nodes, wasteful at 1024, and unbalanced whenever node costs are
-//! skewed (stores grow at different rates, crashed nodes cost nothing).
-//! This pool keeps a **fixed set of workers alive for the whole run** and
-//! hands them machines through per-worker deques with work stealing, so
-//! a worker that finishes its share early drains its neighbours'
-//! backlogs instead of idling at the barrier. With **one worker** it
-//! spawns nothing: the phase runs inline on the driver thread, in node
-//! order.
+//! The pool holds every node's endpoint driver (`round::Drive`) with its
+//! endpoint and steps them in **phases**: a phase steps each node
+//! (`Drive::step`) until it waits on a barrier it arrived at, ends an
+//! epoch, or ends. An epoch is one phase up to the drain wait
+//! (open, recv, front), one up to the round wait (sends, back) and a
+//! short one that reports it; an epoch that opens a membership change
+//! starts with one more, up to its view barrier. Between phases the
+//! driver thread answers every node's wait (`Drive::wait`). Every
+//! endpoint has arrived by then, so no wait can stall on a peer: the
+//! order the single-owner `Fabric::flush` uses.
+//!
+//! Re-spawning threads and re-partitioning the fleet into fixed chunks
+//! every phase is fine at 8 nodes, wasteful at 1024, and unbalanced
+//! whenever node costs are skewed (stores grow at different rates,
+//! crashed nodes cost nothing). This pool keeps a **fixed set of workers
+//! alive for the whole run** and hands them nodes through per-worker
+//! deques with work stealing, so a worker that finishes its share early
+//! drains its neighbours' backlogs instead of idling at the barrier. With
+//! **one worker** it spawns nothing: every phase runs inline on the
+//! driver thread, in node order.
 //!
 //! # Determinism
 //! Scheduling order is *not* deterministic — which worker steps which
-//! machine, and when, depends on timing. Results still are, bit-for-bit,
-//! because the phase structure makes execution order unobservable:
+//! node, and when, depends on timing, and so does the order in which
+//! sends land in a mailbox. Results still are, bit-for-bit:
 //!
-//! * the machines within one phase are **mutually independent** — each
-//!   [`Node`](crate::Node) owns its RNG, store and model, and its inbox
-//!   was fully drained before the phase started;
-//! * every claimed index is stepped by exactly one worker, and its sends
-//!   land in that node's slot (keyed by node id, not by completion
-//!   order);
-//! * the driver applies the buffered sends **after the phase barrier, in
-//!   canonical node order**, whatever the worker count.
+//! * every inbox is drained in **canonical order** (ascending sender id,
+//!   per-sender FIFO: [`rex_net::transport::canonicalize`]), and each
+//!   node sends in its own order, so the arrival order is unobservable;
+//! * the **drain barrier** separates an epoch's recvs from its sends: no
+//!   node sends before every node has drained, so no share of epoch `e`
+//!   reaches an inbox of epoch `e`, whatever the worker count;
+//! * each [`Node`](crate::Node) owns its RNG, store and model, and the
+//!   engine folds the reports by node id.
 //!
 //! `tests/cross_backend.rs` and `tests/golden_trace.rs` hold every worker
 //! count bit-identical to the inline one across backends, native and
@@ -38,29 +46,42 @@
 //!
 //! [`Driver::WorkSteal`]: crate::engine::Driver::WorkSteal
 
-use crate::node::EpochReport;
-use crate::round::{Action, Effect, Input, NodeRound};
+// The engine's simulator runs this module: a node's failure comes back
+// to the driver thread as a message naming the node, never as a stray
+// panic or an out-of-bounds index on a worker.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
+use crate::engine::Fold;
+use crate::round::Drive;
 use rex_ml::Model;
-use rex_net::mem::Envelope;
-use rex_net::transport::BarrierKind;
+use rex_net::stats::TrafficStats;
+use rex_net::transport::Endpoint;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-/// One node's work cell: its round machine (held by the pool for the
-/// whole run), the epoch's staged inbox, and the sends of the last phase,
-/// buffered for the driver to apply in node order. Workers lock exactly
-/// the cells they claimed, so cross-slot contention is zero.
-struct Slot<'a, M: Model> {
-    round: NodeRound<'a, M>,
-    inbox: Vec<Envelope>,
-    outbox: Vec<(usize, Vec<u8>)>,
+/// One node's work cell: its drive, its endpoint, and whether the drive
+/// goes on. Workers lock exactly the cells they claimed, so cross-slot
+/// contention is zero.
+struct Slot<'a, M: Model, E> {
+    drive: Drive<'a, M>,
+    endpoint: E,
+    running: bool,
 }
 
-/// Fixed-size work-stealing pool over a fleet's round machines. See
-/// module docs.
-pub(crate) struct WorkStealPool<'a, M: Model> {
-    slots: Vec<Mutex<Slot<'a, M>>>,
+/// Fixed-size work-stealing pool over a fleet's drives. See module docs.
+struct WorkStealPool<'f, 'a, M: Model, E> {
+    slots: Vec<Mutex<Slot<'a, M, E>>>,
+    /// Where every node's epoch reports go.
+    fold: &'f Fold,
     /// Per-worker deques of node indices; owners pop the front, thieves
     /// steal from the back.
     queues: Vec<Mutex<VecDeque<usize>>>,
@@ -69,61 +90,80 @@ pub(crate) struct WorkStealPool<'a, M: Model> {
     /// Phase-end barrier (workers + the driver thread).
     done: Barrier,
     stop: AtomicBool,
-    /// First failure inside a phase (a panic in a node's compute, or a
-    /// machine stepped out of order), as a message for the driver to
+    /// First failure inside a phase (a panic in a node's compute, or an
+    /// error its drive returned), as a message for the driver thread to
     /// re-raise — a raw unwind on a worker would strand the phase
     /// barriers and deadlock the run instead of failing it.
     failed: Mutex<Option<String>>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A worker panic propagates through the scope join; recovering the
     // guard here keeps the unwind path from double-panicking.
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl<'a, M: Model> WorkStealPool<'a, M> {
-    /// Runs `body` against a pool that holds `rounds` for its duration —
-    /// `workers` (≥ 1) threads parked between phases, none at all for one
-    /// worker — and returns `body`'s result. The workers are released on
-    /// every exit path, including an unwind out of `body` (a transport
-    /// failure, a re-raised phase failure), so the scope join can never
-    /// deadlock.
-    pub(crate) fn run<R>(
-        rounds: Vec<NodeRound<'a, M>>,
-        workers: usize,
-        body: impl FnOnce(&Self) -> R,
-    ) -> R {
-        assert!(workers >= 1, "pool needs at least one worker");
-        let pool = WorkStealPool {
-            slots: rounds
-                .into_iter()
-                .map(|round| {
-                    Mutex::new(Slot {
-                        round,
-                        inbox: Vec::new(),
-                        outbox: Vec::new(),
-                    })
+/// Runs every drive to its end over its endpoint on `workers` (≥ 1)
+/// threads — none at all for one worker — and hands every epoch report
+/// to `fold`. Returns each endpoint's final counters, in node order.
+///
+/// # Panics
+/// Re-raises, on the calling thread and naming the node, the first
+/// failure of a node: a panic in its compute, or its drive's error. The
+/// workers are released on every exit path, so the run never hangs.
+pub(crate) fn run<M: Model, E: Endpoint>(
+    drives: Vec<(Drive<'_, M>, E)>,
+    workers: usize,
+    fold: &Fold,
+) -> Vec<TrafficStats> {
+    let workers = workers.max(1);
+    let pool = WorkStealPool {
+        slots: drives
+            .into_iter()
+            .map(|(drive, endpoint)| {
+                Mutex::new(Slot {
+                    drive,
+                    endpoint,
+                    running: true,
                 })
-                .collect(),
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            start: Barrier::new(workers + 1),
-            done: Barrier::new(workers + 1),
-            stop: AtomicBool::new(false),
-            failed: Mutex::new(None),
-        };
-        std::thread::scope(|scope| {
-            if !pool.inline() {
-                for w in 0..workers {
-                    let pool = &pool;
-                    scope.spawn(move || pool.worker_loop(w));
-                }
+            })
+            .collect(),
+        fold,
+        queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+        start: Barrier::new(workers + 1),
+        done: Barrier::new(workers + 1),
+        stop: AtomicBool::new(false),
+        failed: Mutex::new(None),
+    };
+    std::thread::scope(|scope| {
+        if !pool.inline() {
+            for w in 0..workers {
+                let pool = &pool;
+                scope.spawn(move || pool.worker_loop(w));
             }
-            let _guard = ShutdownGuard(&pool);
-            body(&pool)
+        }
+        let _guard = ShutdownGuard(&pool);
+        pool.schedule();
+    });
+    pool.slots
+        .into_iter()
+        .map(|slot| {
+            let slot = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            slot.endpoint.stats()
         })
-    }
+        .collect()
+}
 
+/// Re-raises a node's failure on the driver thread.
+#[allow(
+    clippy::panic,
+    reason = "the pool's one re-raise: a node's failure ends the run on the calling thread"
+)]
+fn raise(failure: &str) -> ! {
+    panic!("{failure}")
+}
+
+impl<'a, M: Model, E: Endpoint> WorkStealPool<'_, 'a, M, E> {
     /// Number of workers.
     fn workers(&self) -> usize {
         self.queues.len()
@@ -134,30 +174,37 @@ impl<'a, M: Model> WorkStealPool<'a, M> {
         self.workers() == 1
     }
 
-    /// Number of nodes.
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
+    /// Node `id`'s cell (driver thread between phases, or the worker that
+    /// claimed it).
+    fn slot(&self, id: usize) -> Option<MutexGuard<'_, Slot<'a, M, E>>> {
+        self.slots.get(id).map(lock)
     }
 
-    /// Stages node `id`'s inbox for the next phase (driver thread, between
-    /// phases).
-    pub(crate) fn load(&self, id: usize, inbox: Vec<Envelope>) {
-        lock(&self.slots[id]).inbox = inbox;
+    /// Phases until every node is done; between two, the waits.
+    fn schedule(&self) {
+        let mut live: Vec<usize> = (0..self.slots.len()).collect();
+        while !live.is_empty() {
+            self.run_phase(&live);
+            live.retain(|&id| self.slot(id).is_some_and(|slot| slot.running));
+            for &id in &live {
+                if let Some(mut guard) = self.slot(id) {
+                    let slot = &mut *guard;
+                    if let Err(failure) = slot.drive.wait(&mut slot.endpoint) {
+                        raise(&failure);
+                    }
+                }
+            }
+        }
     }
 
     /// Distributes the given node indices over the worker deques in
     /// contiguous runs (locality for the common uncontended case) and
     /// runs one phase to completion: every index claimed exactly once,
-    /// every claimed machine stepped from its recv to its round wait
-    /// before this returns.
-    ///
-    /// # Panics
-    /// Re-raises, on the calling thread and naming the node, a panic a
-    /// node's compute raised during the phase.
-    pub(crate) fn run_phase(&self, ids: &[usize]) {
+    /// every claimed node stepped once, before this returns.
+    fn run_phase(&self, ids: &[usize]) {
         let per_worker = ids.len().div_ceil(self.workers()).max(1);
-        for (w, chunk) in ids.chunks(per_worker).enumerate() {
-            lock(&self.queues[w]).extend(chunk.iter().copied());
+        for (queue, chunk) in self.queues.iter().zip(ids.chunks(per_worker)) {
+            lock(queue).extend(chunk.iter().copied());
         }
         if self.inline() {
             self.drain(0);
@@ -165,20 +212,9 @@ impl<'a, M: Model> WorkStealPool<'a, M> {
             self.start.wait();
             self.done.wait();
         }
-        if let Some(msg) = lock(&self.failed).take() {
-            panic!("{msg}");
+        if let Some(failure) = lock(&self.failed).take() {
+            raise(&failure);
         }
-    }
-
-    /// Takes node `id`'s sends of the last phase.
-    pub(crate) fn take_outbox(&self, id: usize) -> Vec<(usize, Vec<u8>)> {
-        std::mem::take(&mut lock(&self.slots[id]).outbox)
-    }
-
-    /// Runs `f` on node `id`'s machine (driver thread, between phases —
-    /// no worker holds a slot then).
-    pub(crate) fn with_round<R>(&self, id: usize, f: impl FnOnce(&mut NodeRound<'a, M>) -> R) -> R {
-        f(&mut lock(&self.slots[id]).round)
     }
 
     /// Releases the workers out of their run loop. Idempotent, and safe
@@ -204,30 +240,23 @@ impl<'a, M: Model> WorkStealPool<'a, M> {
             self.drain(w);
             // All deques are empty. In-flight claims belong to the
             // workers that made them, each of which finishes its claimed
-            // epoch before reaching this barrier — so the phase is
+            // step before reaching this barrier — so the phase is
             // complete when the barrier releases.
             self.done.wait();
         }
     }
 
-    /// Claims and steps machines until no work is left. A panic inside a
-    /// node's compute is caught (the worker must survive to serve the
-    /// phase barriers, or the whole run deadlocks), recorded for
-    /// [`Self::run_phase`] to re-raise, and aborts this phase's remaining
-    /// queue.
+    /// Claims and steps nodes until no work is left. A failure — a panic
+    /// inside a node's compute (caught: the worker must survive to serve
+    /// the phase barriers, or the whole run deadlocks) or an error its
+    /// drive returned — is recorded for [`Self::run_phase`] to re-raise,
+    /// and aborts this phase's remaining queue.
     fn drain(&self, w: usize) {
         while let Some(id) = self.claim(w) {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut slot = lock(&self.slots[id]);
-                let Slot {
-                    round,
-                    inbox,
-                    outbox,
-                } = &mut *slot;
-                phase(round, std::mem::take(inbox), outbox)
-            }));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.step(id)));
             let failure = match outcome {
-                Ok(()) => continue,
+                Ok(Ok(())) => continue,
+                Ok(Err(failure)) => failure,
                 Err(payload) => format!(
                     "node {id} epoch panicked: {}",
                     panic_message(payload.as_ref())
@@ -243,84 +272,30 @@ impl<'a, M: Model> WorkStealPool<'a, M> {
         }
     }
 
+    /// Steps node `id` once; its reports go to the fold.
+    fn step(&self, id: usize) -> Result<(), String> {
+        let Some(mut guard) = self.slot(id) else {
+            return Ok(());
+        };
+        let slot = &mut *guard;
+        let report = &mut |event| self.fold.report(id, event);
+        slot.running = slot.drive.step(&mut slot.endpoint, report)?;
+        if !slot.running {
+            self.fold.done(id);
+        }
+        Ok(())
+    }
+
     /// Claims the next node index: own deque front first, then steal from
     /// the other workers' backs.
     fn claim(&self, w: usize) -> Option<usize> {
-        if let Some(id) = lock(&self.queues[w]).pop_front() {
+        if let Some(id) = self.queues.get(w).and_then(|q| lock(q).pop_front()) {
             return Some(id);
         }
-        for offset in 1..self.workers() {
+        (1..self.workers()).find_map(|offset| {
             let victim = (w + offset) % self.workers();
-            if let Some(id) = lock(&self.queues[victim]).pop_back() {
-                return Some(id);
-            }
-        }
-        None
-    }
-}
-
-/// One machine's share of a pool phase: it takes its staged inbox and
-/// runs the front, then the back. The drain wait between them is released
-/// at once — every inbox was drained before the phase, and the sends are
-/// buffered in `outbox` and applied in node order after it — so no share
-/// can reach an inbox of the same epoch.
-fn phase<M: Model>(
-    round: &mut NodeRound<'_, M>,
-    inbox: Vec<Envelope>,
-    outbox: &mut Vec<(usize, Vec<u8>)>,
-) {
-    let mut buffer = |to, bytes| outbox.push((to, bytes));
-    if let Parked::Barrier = step(round, Input::Inbox(inbox), None, &mut buffer) {
-        step(
-            round,
-            Input::Released(BarrierKind::Drain),
-            None,
-            &mut buffer,
-        );
-    }
-}
-
-/// Where the fabric scheduler parks a machine: at a point only the
-/// scheduler can answer.
-pub(crate) enum Parked {
-    /// At its recv: the scheduler drains its mailbox into the next phase.
-    Recv,
-    /// Waiting on a barrier.
-    Barrier,
-    /// The epoch is over.
-    Report(Option<EpochReport>),
-    /// The node left the view: it is stepped no more.
-    Left,
-}
-
-/// The fabric scheduler's map of a machine's actions: steps it from
-/// `input` until it parks, its sends handed to `send`. `evidence` answers
-/// a view sync (the fabric synced its view once, for every node). The
-/// in-memory fabrics have no commitment wire and no serve queue, so a
-/// commitment drain finds nothing and the other effects are dropped.
-///
-/// # Panics
-/// When the machine fails — SGX admission, or a step out of order.
-pub(crate) fn step<M: Model>(
-    round: &mut NodeRound<'_, M>,
-    mut input: Input<'_>,
-    mut evidence: Option<Vec<(usize, Vec<u8>)>>,
-    mut send: impl FnMut(usize, Vec<u8>),
-) -> Parked {
-    loop {
-        let sink = |effect: Effect<'_, M>| {
-            if let Effect::Send(to, bytes) = effect {
-                send(to, bytes);
-            }
-        };
-        input = match round.step(input, sink).unwrap_or_else(|e| panic!("{e}")) {
-            Action::ViewSync(_) => Input::Synced(evidence.take().unwrap_or_default()),
-            Action::Recv => return Parked::Recv,
-            Action::Wait(_) => return Parked::Barrier,
-            Action::TakeCommitments => Input::Commitments(Vec::new()),
-            Action::Report { report, .. } => return Parked::Report(report),
-            Action::Leave => return Parked::Left,
-        };
+            self.queues.get(victim).and_then(|q| lock(q).pop_back())
+        })
     }
 }
 
@@ -335,13 +310,13 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Shuts the pool down when dropped — including during a driver-thread
-/// unwind (a transport failure, a re-raised worker panic), which would
-/// otherwise leave the workers parked at the start barrier and turn the
-/// scope join into a deadlock. [`WorkStealPool::shutdown`] is idempotent,
-/// so the normal exit path needs no special casing.
-struct ShutdownGuard<'p, 'a, M: Model>(&'p WorkStealPool<'a, M>);
+/// unwind (a re-raised failure), which would otherwise leave the workers
+/// parked at the start barrier and turn the scope join into a deadlock.
+/// [`WorkStealPool::shutdown`] is idempotent, so the normal exit path
+/// needs no special casing.
+struct ShutdownGuard<'p, 'f, 'a, M: Model, E: Endpoint>(&'p WorkStealPool<'f, 'a, M, E>);
 
-impl<M: Model> Drop for ShutdownGuard<'_, '_, M> {
+impl<M: Model, E: Endpoint> Drop for ShutdownGuard<'_, '_, '_, M, E> {
     fn drop(&mut self) {
         self.0.shutdown();
     }
@@ -352,9 +327,16 @@ mod tests {
     use super::*;
     use crate::builder::{build_mf_nodes, NodeSeeds};
     use crate::config::ProtocolConfig;
+    use crate::engine::TimeAxis;
+    use crate::membership::MembershipPlan;
     use crate::node::Node;
+    use crate::round::RoundContext;
+    use crate::setup::founding_view;
     use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
     use rex_ml::{MfHyperParams, MfModel};
+    use rex_net::mem::MemNetwork;
+    use rex_net::transport::Transport;
+    use rex_sim::trace::ExperimentTrace;
     use rex_topology::TopologySpec;
 
     /// Node `id` holding a local rating outside its model's shape: the
@@ -397,73 +379,74 @@ mod tests {
         )
     }
 
-    fn rounds(fleet: &mut [Node<MfModel>]) -> Vec<NodeRound<'_, MfModel>> {
-        fleet
+    /// Runs `fleet` for `epochs` on the pool over an in-memory fabric's
+    /// endpoints, under `plan` when given.
+    fn run_pool(
+        fleet: &mut [Node<MfModel>],
+        epochs: usize,
+        workers: usize,
+        plan: Option<MembershipPlan>,
+    ) -> (ExperimentTrace, Vec<TrafficStats>) {
+        let n = fleet.len();
+        let mut views = vec![plan.map(|plan| founding_view(fleet, plan, None)); n];
+        let fold = Fold::new("pool", TimeAxis::Wall, 0, n, epochs);
+        let drives = fleet
             .iter_mut()
-            .map(|node| NodeRound::new(node, None, None, None, 0))
-            .collect()
-    }
-
-    /// Opens epoch 0 on every machine, leaving each at its recv — where a
-    /// phase picks it up with the staged (here empty) inbox.
-    fn open_all(pool: &WorkStealPool<'_, MfModel>) {
-        for id in 0..pool.len() {
-            pool.with_round(id, |round| {
-                let open = Input::Open {
-                    epoch: 0,
-                    transition: None,
-                    member: true,
+            .zip(&mut views)
+            .zip(MemNetwork::new(n).into_endpoints())
+            .map(|((node, view), endpoint)| {
+                let ctx = RoundContext {
+                    faults: None,
+                    view: view.as_mut(),
+                    tee: None,
+                    audit: None,
+                    serve: None,
                 };
-                assert!(matches!(round.step(open, |_| {}), Ok(Action::Recv)));
-            });
-        }
+                (Drive::new(node, 0..epochs, ctx, None), endpoint)
+            })
+            .collect();
+        let stats = run(drives, workers, &fold);
+        (fold.finish(), stats)
     }
 
-    /// Releases machine `id`'s round barrier and returns the report it
-    /// closes the epoch with.
-    fn close(pool: &WorkStealPool<'_, MfModel>, id: usize) -> Option<EpochReport> {
-        pool.with_round(id, |round| {
-            match round.step(Input::Released(BarrierKind::Round), |_| {}) {
-                Ok(Action::Report { report, .. }) => report,
-                _ => panic!("node {id}: no report after the round barrier"),
-            }
-        })
+    /// What must not depend on the worker count: per epoch, the RMSE and
+    /// byte bits, liveness and the commitment root; and the final counters.
+    fn outputs(run: &(ExperimentTrace, Vec<TrafficStats>)) -> (Vec<String>, Vec<TrafficStats>) {
+        let records = run
+            .0
+            .records
+            .iter()
+            .map(|r| {
+                format!(
+                    "{} {:x} {:x} {} {:?}",
+                    r.epoch,
+                    r.rmse.to_bits(),
+                    r.bytes_per_node.to_bits(),
+                    r.live_nodes,
+                    r.commitment_root
+                )
+            })
+            .collect();
+        (records, run.1.clone())
     }
 
-    /// One phase over every machine, any worker count (one = inline),
-    /// must produce exactly the per-node outputs a plain loop of
-    /// `Node::epoch` produces.
+    /// Any worker count must produce exactly the outputs of one worker,
+    /// which steps every node in node order on the driver thread.
     #[test]
     fn phase_outputs_match_sequential_for_any_worker_count() {
         let n = 7;
-        let mut reference = tiny_fleet(n);
-        let expected: Vec<_> = reference
-            .iter_mut()
-            .map(|node| node.epoch(Vec::new()))
-            .collect();
-
-        for workers in [1, 2, 3, 8] {
-            let mut fleet = tiny_fleet(n);
-            WorkStealPool::run(rounds(&mut fleet), workers, |pool| {
-                open_all(pool);
-                let live: Vec<usize> = (0..n).collect();
-                pool.run_phase(&live);
-                for (id, want) in expected.iter().enumerate() {
-                    let out = pool.take_outbox(id);
-                    assert_eq!(&out, &want.0, "workers={workers} node={id}");
-                    let report = close(pool, id).expect("live node has a report");
-                    assert_eq!(
-                        report.rmse.map(f64::to_bits),
-                        want.1.rmse.map(f64::to_bits),
-                        "workers={workers} node={id}"
-                    );
-                }
-            });
+        let sequential = outputs(&run_pool(&mut tiny_fleet(n), 4, 1, None));
+        assert_eq!(sequential.0.len(), 4);
+        assert!(sequential.1.iter().all(|s| s.msgs_out > 0));
+        for workers in [2, 3, 8] {
+            let got = outputs(&run_pool(&mut tiny_fleet(n), 4, workers, None));
+            assert_eq!(got, sequential, "workers={workers}");
         }
     }
 
     /// A panic inside a node's compute must surface on the driver thread
-    /// as a panic — never as a barrier deadlock — inline or on workers.
+    /// as a panic naming the node — never as a barrier deadlock — inline
+    /// or on workers.
     #[test]
     fn worker_panic_is_reraised_by_the_driver_not_deadlocked() {
         let n = 4;
@@ -471,11 +454,7 @@ mod tests {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut fleet = tiny_fleet(n);
                 fleet[2] = stray_rating_node(2);
-                WorkStealPool::run(rounds(&mut fleet), workers, |pool| {
-                    open_all(pool);
-                    let live: Vec<usize> = (0..n).collect();
-                    pool.run_phase(&live);
-                });
+                run_pool(&mut fleet, 3, workers, None);
             }))
             .expect_err("a panicking epoch must fail the run");
             let msg = panic_message(caught.as_ref());
@@ -486,21 +465,20 @@ mod tests {
         }
     }
 
-    /// Machines left out of a phase send nothing, and the fleet the
-    /// machines held stays in node order.
+    /// A node that left is stepped no more: it reports no epoch from its
+    /// leave on and sends nothing after it (its counters are those of a
+    /// run that ended there), and the fleet stays in node order.
     #[test]
     fn skipped_nodes_have_no_output_and_fleet_returns_in_order() {
         let n = 5;
+        let plan = MembershipPlan::default().with_leave(1, 2);
         let mut fleet = tiny_fleet(n);
-        WorkStealPool::run(rounds(&mut fleet), 2, |pool| {
-            open_all(pool);
-            pool.run_phase(&[0, 2, 4]);
-            assert!(!pool.take_outbox(0).is_empty());
-            assert!(pool.take_outbox(1).is_empty());
-            assert!(pool.take_outbox(3).is_empty());
-            assert!(!pool.take_outbox(4).is_empty());
-        });
-        assert_eq!(fleet.len(), n);
+        let (trace, stats) = run_pool(&mut fleet, 4, 2, Some(plan));
+        let live: Vec<usize> = trace.records.iter().map(|r| r.live_nodes).collect();
+        assert_eq!(live, [n, n, n - 1, n - 1]);
+        let (_, until_leave) = run_pool(&mut tiny_fleet(n), 2, 2, None);
+        assert_eq!(stats[1], until_leave[1]);
+        assert!(stats[0].msgs_out > until_leave[0].msgs_out);
         for (i, node) in fleet.iter().enumerate() {
             assert_eq!(node.id(), i);
         }

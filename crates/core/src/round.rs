@@ -26,14 +26,18 @@
 //! outside the view discards its inbox, serves the barriers and runs
 //! nothing.
 //!
-//! Three drivers schedule the machine: [`run_node_loop`] over one
-//! [`Endpoint`] (a `rex-node` process, a thread of the in-process
-//! cluster, [`Driver::ThreadPerNode`](crate::engine::Driver)),
-//! [`run_node_loop_async`] under the bounded-staleness inbox policy, and
-//! the engine's fabric scheduler over a whole transport (see
-//! [`crate::engine`]). A new barrier or queue counter belongs here (and a
-//! new stage span in [`Node::epoch_front`] or [`Node::epoch_back`]); no
-//! other file runs a node's epoch.
+//! One driver carries the machine out on a node's [`Endpoint`]: `Drive`,
+//! a resumable step that stops where the machine waits on a barrier it
+//! arrived at. Two schedulers run it: a thread that answers each wait at
+//! once ([`run_node_loop`]: a `rex-node` process, a thread of the
+//! in-process cluster, [`Driver::ThreadPerNode`](crate::engine::Driver))
+//! and the engine's worker pool, which steps every node up to the same
+//! barrier and then answers the waits ([`crate::pool`]).
+//! [`run_node_loop_async`] runs the same driver under the
+//! bounded-staleness inbox policy. A new barrier or queue counter belongs
+//! here (and a new stage span in [`Node::epoch_front`] or
+//! [`Node::epoch_back`]); no other file runs a node's epoch, and no other
+//! file maps an [`Action`] onto I/O.
 
 // Every deployed process runs this module: it fails with an error its
 // caller can report, never with a panic.
@@ -58,7 +62,7 @@ use rex_net::fault::FaultPlan;
 use rex_net::mem::Envelope;
 use rex_net::message::Payload;
 use rex_net::stats::DeliveryStats;
-use rex_net::transport::{BarrierKind, Endpoint, PeerCommitment, TransportError};
+use rex_net::transport::{BarrierKind, Endpoint, PeerCommitment};
 use rex_tee::attestation::AttestationMsg;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -372,11 +376,6 @@ impl<'a, M: Model> NodeRound<'a, M> {
         }
     }
 
-    /// The node, mutably (a driver encodes a joiner's evidence with it).
-    pub(crate) fn node_mut(&mut self) -> &mut Node<M> {
-        self.node
-    }
-
     /// Feeds the machine the answer to what it waited on, hands `sink` the
     /// step's effects in order, and returns what it waits on next. The
     /// node's compute runs inside the step, after the arrive it overlaps:
@@ -541,7 +540,8 @@ impl<'a, M: Model> NodeRound<'a, M> {
 /// still drains its peers' commitments so the buffer stays bounded.
 ///
 /// # Errors
-/// When the transport surfaces a peer failure ([`TransportError`]), SGX
+/// When the transport surfaces a peer failure
+/// ([`TransportError`](rex_net::transport::TransportError)), SGX
 /// admission fails, or a peer's commitment fails HMAC verification — so
 /// a deployed binary exits cleanly and an in-process driver can name the
 /// node that failed.
@@ -552,7 +552,7 @@ pub fn run_node_loop<M: Model, E: Endpoint>(
     ctx: RoundContext<'_, M>,
     on_epoch: impl FnMut(EpochEvent),
 ) -> Result<(), String> {
-    drive(node, endpoint, epochs, ctx, None, on_epoch)
+    Drive::new(node, epochs, ctx, None).run(endpoint, on_epoch)
 }
 
 /// How long a bounded-async node waits for the `k` neighbour shares
@@ -605,7 +605,7 @@ pub fn run_node_loop_async<M: Model, E: Endpoint>(
     serve: Option<&SnapshotQueue<M>>,
     on_epoch: impl FnMut(EpochEvent),
 ) -> Result<(), String> {
-    let mut paced = AsyncInbox {
+    let paced = AsyncInbox {
         k,
         peers: node
             .neighbors()
@@ -620,13 +620,13 @@ pub fn run_node_loop_async<M: Model, E: Endpoint>(
         audit,
         serve,
     };
-    drive(node, endpoint, 0..epochs, ctx, Some(&mut paced), on_epoch)
+    Drive::new(node, 0..epochs, ctx, Some(paced)).run(endpoint, on_epoch)
 }
 
 /// The bounded-async inbox policy: per-neighbour arrival queues (wire
 /// order = that sender's epoch order, TCP is FIFO per link) and how many
 /// shares of each were consumed.
-struct AsyncInbox {
+pub(crate) struct AsyncInbox {
     k: usize,
     /// `(sender, queued shares, shares consumed)`, in neighbour order.
     peers: Vec<(usize, VecDeque<Vec<u8>>, usize)>,
@@ -691,47 +691,91 @@ impl AsyncInbox {
     }
 }
 
-/// The endpoint driver both per-node loops share. Without `paced` every
-/// action maps onto the endpoint; with it, the bounded-async policy
-/// gathers the inbox, arrives are dropped, the drain wait is released at
-/// once and the round wait only flushes.
-fn drive<M: Model, E: Endpoint>(
-    node: &mut Node<M>,
-    endpoint: &mut E,
+/// The endpoint driver: a node's [`NodeRound`] with every effect and
+/// action carried out on the node's endpoint, as a resumable step.
+/// [`Drive::step`] runs the machine until it has arrived at a barrier and
+/// waits on it, ends an epoch, or ends; whoever scheduled the step
+/// answers the wait with [`Drive::wait`]. A thread answers at once
+/// ([`Drive::run`]); the engine's pool ([`crate::pool`]) steps every node
+/// up to the same barrier and answers each wait from its driver thread,
+/// once every endpoint has arrived.
+///
+/// Without `paced` every action maps onto the endpoint; with it, the
+/// bounded-async policy gathers the inbox, arrives are dropped, the
+/// drain wait is released at once and the round wait only flushes.
+pub(crate) struct Drive<'a, M: Model> {
+    round: NodeRound<'a, M>,
+    view: Option<&'a mut MembershipView>,
+    serve: Option<&'a SnapshotQueue<M>>,
+    paced: Option<AsyncInbox>,
+    /// The epochs not yet opened.
     epochs: Range<usize>,
-    ctx: RoundContext<'_, M>,
-    mut paced: Option<&mut AsyncInbox>,
-    mut on_epoch: impl FnMut(EpochEvent),
-) -> Result<(), String> {
-    let RoundContext {
-        faults,
-        mut view,
-        tee,
-        audit,
-        serve,
-    } = ctx;
-    let id = node.id();
-    let points = view.as_deref().map_or(0, |v| v.plan().bootstrap_points);
-    let mut round = NodeRound::new(node, faults, tee, audit, points);
-    for epoch in epochs {
-        endpoint.epoch_begin(epoch);
-        let transition = view.as_deref_mut().and_then(|v| v.advance(epoch));
-        let member = view.as_deref().is_none_or(|v| v.is_member(id));
-        let failed =
-            |what: &str, e: TransportError| format!("node {id}: {what} at epoch {epoch}: {e}");
-        let mut input = Input::Open {
-            epoch,
-            transition: transition.as_ref(),
-            member,
+    epoch: usize,
+    /// The barrier the machine waits on; `None` between epochs.
+    waits: Option<BarrierKind>,
+}
+
+impl<'a, M: Model> Drive<'a, M> {
+    /// The drive of `node` through `epochs`.
+    pub(crate) fn new(
+        node: &'a mut Node<M>,
+        epochs: Range<usize>,
+        ctx: RoundContext<'a, M>,
+        paced: Option<AsyncInbox>,
+    ) -> Self {
+        let points = ctx.view.as_deref().map_or(0, |v| v.plan().bootstrap_points);
+        Drive {
+            round: NodeRound::new(node, ctx.faults, ctx.tee, ctx.audit, points),
+            view: ctx.view,
+            serve: ctx.serve,
+            paced,
+            epoch: epochs.start,
+            epochs,
+            waits: None,
+        }
+    }
+
+    /// Steps the machine on `endpoint` until it waits on a barrier it
+    /// arrived at or ends an epoch, handing the epoch to `on_epoch`; call
+    /// [`Drive::wait`] before stepping again. Returns whether the drive
+    /// goes on: `false` once its last epoch ended or the node left.
+    ///
+    /// # Errors
+    /// When the transport surfaces a peer failure, SGX admission fails,
+    /// or a peer's commitment fails HMAC verification.
+    pub(crate) fn step<E: Endpoint>(
+        &mut self,
+        endpoint: &mut E,
+        on_epoch: &mut impl FnMut(EpochEvent),
+    ) -> Result<bool, String> {
+        let id = endpoint.id();
+        let transition;
+        let mut input = match self.waits.take() {
+            Some(kind) => Input::Released(kind),
+            None => {
+                let Some(epoch) = self.epochs.next() else {
+                    return Ok(false);
+                };
+                self.epoch = epoch;
+                endpoint.epoch_begin(epoch);
+                transition = self.view.as_deref_mut().and_then(|v| v.advance(epoch));
+                Input::Open {
+                    epoch,
+                    transition: transition.as_ref(),
+                    member: self.view.as_deref().is_none_or(|v| v.is_member(id)),
+                }
+            }
         };
+        let epoch = self.epoch;
         loop {
-            let action = round.step(input, |effect| match effect {
+            let (paced, serve) = (self.paced.is_some(), self.serve);
+            let action = self.round.step(input, |effect| match effect {
                 Effect::Send(to, bytes) => endpoint.send(to, bytes),
                 Effect::SendCommitment { index, commitment } => {
                     endpoint.send_commitment(index, commitment.digest, commitment.tag);
                 }
                 Effect::Arrive(kind) => {
-                    if paced.is_none() {
+                    if !paced {
                         endpoint.arrive(kind);
                     }
                 }
@@ -745,7 +789,7 @@ fn drive<M: Model, E: Endpoint>(
                 Action::ViewSync(t) => {
                     endpoint
                         .view_sync(epoch, &t.joined, &t.left)
-                        .map_err(|e| failed("view sync", e))?;
+                        .map_err(|e| format!("node {id}: view sync at epoch {epoch}: {e}"))?;
                     // Evidence is present exactly when this endpoint
                     // admitted the joiner's connection (the distributed
                     // TCP path); on pre-connected fabrics there is
@@ -757,21 +801,13 @@ fn drive<M: Model, E: Endpoint>(
                         .collect();
                     Input::Synced(evidence)
                 }
-                Action::Recv => Input::Inbox(match paced.as_deref_mut() {
+                Action::Recv => Input::Inbox(match self.paced.as_mut() {
                     Some(policy) => policy.gather(endpoint, epoch)?,
                     None => endpoint.recv(),
                 }),
                 Action::Wait(kind) => {
-                    // Bounded-async pushes the staged frames onto the wire
-                    // without waiting for anyone: flush is the only
-                    // synchronous part of its round.
-                    match (&paced, kind) {
-                        (None, _) => endpoint.wait(kind),
-                        (Some(_), BarrierKind::Round) => endpoint.flush_sends(),
-                        (Some(_), BarrierKind::Drain) => Ok(()),
-                    }
-                    .map_err(|e| failed(&format!("{kind:?} wait"), e))?;
-                    Input::Released(kind)
+                    self.waits = Some(kind);
+                    return Ok(true);
                 }
                 Action::TakeCommitments => Input::Commitments(endpoint.take_commitments()),
                 Action::Report { epoch, report } => {
@@ -780,13 +816,51 @@ fn drive<M: Model, E: Endpoint>(
                         report,
                         delivery: endpoint.take_delivery(),
                     });
-                    break;
+                    return Ok(!self.epochs.is_empty());
                 }
-                Action::Leave => return Ok(()),
+                Action::Leave => {
+                    self.epochs.start = self.epochs.end;
+                    return Ok(false);
+                }
             };
         }
     }
-    Ok(())
+
+    /// Blocks on the barrier the last step stopped at, if it stopped at
+    /// one. Bounded-async pushes the staged frames onto the wire without
+    /// waiting for anyone: flush is the only synchronous part of its
+    /// round.
+    ///
+    /// # Errors
+    /// When the transport surfaces a peer failure.
+    pub(crate) fn wait<E: Endpoint>(&self, endpoint: &mut E) -> Result<(), String> {
+        let Some(kind) = self.waits else {
+            return Ok(());
+        };
+        let (id, epoch) = (endpoint.id(), self.epoch);
+        match (&self.paced, kind) {
+            (None, _) => endpoint.wait(kind),
+            (Some(_), BarrierKind::Round) => endpoint.flush_sends(),
+            (Some(_), BarrierKind::Drain) => Ok(()),
+        }
+        .map_err(|e| format!("node {id}: {kind:?} wait at epoch {epoch}: {e}"))
+    }
+
+    /// Runs the drive to its end on this thread, answering every wait at
+    /// once.
+    ///
+    /// # Errors
+    /// As [`Drive::step`] and [`Drive::wait`].
+    pub(crate) fn run<E: Endpoint>(
+        mut self,
+        endpoint: &mut E,
+        mut on_epoch: impl FnMut(EpochEvent),
+    ) -> Result<(), String> {
+        while self.step(endpoint, &mut on_epoch)? {
+            self.wait(endpoint)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -860,6 +934,35 @@ mod tests {
                 .map(|h| h.join().expect("node thread"))
                 .collect()
         })
+    }
+
+    /// A member's admission check on the evidence an SGX joiner presents
+    /// (the quote its `Join` frame carries on the TCP `--join` path):
+    /// accepted for the joiner and epoch it was made for, refused with an
+    /// error naming the joiner for any other, or for a payload that is no
+    /// attestation.
+    #[test]
+    fn a_member_admits_a_joiner_only_on_its_own_evidence() {
+        let mut nodes = ring(4);
+        let (_, dir) = crate::setup::establish_tee_with_directory(
+            &mut nodes,
+            &mut MemNetwork::new(4),
+            rex_tee::SgxCostModel::default(),
+            1,
+            0xE0,
+        );
+        let evidence = encode_evidence(&dir, &mut nodes[3], 2).expect("joiner evidence");
+        let member = &mut nodes[0];
+        assert_eq!(verify_evidence(&dir, member, 3, 2, &evidence), Ok(()));
+        let clear = encode_payload(&Payload::Clear(vec![1, 2, 3]));
+        for (joiner, epoch, bytes) in [(3, 5, &evidence), (2, 2, &evidence), (3, 2, &clear)] {
+            let refused = verify_evidence(&dir, member, joiner, epoch, bytes)
+                .expect_err("foreign evidence must be refused");
+            assert!(
+                refused.contains(&format!("joiner {joiner}")),
+                "joiner {joiner}, epoch {epoch}: {refused}"
+            );
+        }
     }
 
     /// A frame from a connected peer that is no neighbour (another

@@ -9,6 +9,7 @@
 //! over [`Transport`], so handshake bytes are accounted by whichever
 //! backend carries them.
 
+use crate::membership::{MembershipPlan, MembershipView};
 use crate::node::Node;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,10 +101,29 @@ pub fn prune_to_overlay<M: Model>(nodes: &mut [Node<M>], overlay: &rex_topology:
     }
 }
 
+/// The founding membership view of a fleet under `plan`, applied to it:
+/// nodes `faults` keeps dead at setup are excluded from membership
+/// outright (repair never bridges to them), the epoch-0 view is built
+/// over the fleet's current overlay, and every neighbour list is pruned
+/// to it, so edges touching future joiners stay latent and TEE setup
+/// attests exactly the founding overlay. The engine and every deployed
+/// `rex-node` process build their view here.
+pub fn founding_view<M: Model>(
+    nodes: &mut [Node<M>],
+    plan: MembershipPlan,
+    faults: Option<&FaultPlan>,
+) -> MembershipView {
+    let excluded = faults
+        .map(|p| p.dead_at_setup(nodes.len()))
+        .unwrap_or_default();
+    let view = MembershipView::new(plan, &overlay_of(nodes), &excluded);
+    prune_to_overlay(nodes, view.overlay());
+    view
+}
+
 /// Rebuilds the overlay graph a fleet's neighbour lists currently
-/// describe (used to seed a
-/// [`MembershipView`](crate::membership::MembershipView) after the
-/// fault-plan pruning already ran).
+/// describe (used to seed a [`MembershipView`] after the fault-plan
+/// pruning already ran).
 #[must_use]
 pub fn overlay_of<M: Model>(nodes: &[Node<M>]) -> rex_topology::Graph {
     let mut g = rex_topology::Graph::empty(nodes.len());

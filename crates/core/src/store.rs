@@ -136,9 +136,7 @@ impl RawDataStore {
     /// Store seeded with the node's initial local data.
     #[must_use]
     pub fn with_initial(initial: Vec<Rating>) -> Self {
-        let mut store = Self::new();
-        store.append_batch(&initial);
-        store
+        Self::seeded(initial, None)
     }
 
     /// Sharded store keyed by a contiguous user-row block, seeded with
@@ -147,16 +145,30 @@ impl RawDataStore {
     /// [`RawDataStore::with_initial`]'s, memory accounting included.
     #[must_use]
     pub fn with_shard(block: UserBlock, initial: Vec<Rating>) -> Self {
-        let mut store = Self::new();
-        if block.width() > 1 {
-            store.shard = Some(ShardIndex {
-                block,
-                rows: vec![Vec::new(); block.width() as usize],
-                alien: Vec::new(),
-            });
+        let shard = (block.width() > 1).then(|| ShardIndex {
+            block,
+            rows: vec![Vec::new(); block.width() as usize],
+            alien: Vec::new(),
+        });
+        Self::seeded(initial, shard)
+    }
+
+    /// The store [`RawDataStore::append_batch`] builds from `initial` on
+    /// an empty one, deduplicated in the vector it is given instead of
+    /// copied out of it.
+    fn seeded(mut ratings: Vec<Rating>, mut shard: Option<ShardIndex>) -> Self {
+        let mut keys = HashSet::with_capacity_and_hasher(ratings.len(), CellHash::default());
+        ratings.retain(|r| keys.insert(r.key()));
+        if let Some(shard) = shard.as_mut() {
+            for (i, r) in ratings.iter().enumerate() {
+                shard.note(i as u32, r.user);
+            }
         }
-        store.append_batch(&initial);
-        store
+        RawDataStore {
+            ratings,
+            keys,
+            shard,
+        }
     }
 
     /// The user-row block this store is sharded by, if any (width > 1).
@@ -406,6 +418,41 @@ mod tests {
         s.append_batch(&[r(0, 2, 2.0), r(1, 0, 3.0), r(0, 9, 4.0)]);
         let row0: Vec<u32> = s.row_ratings(0).unwrap().iter().map(|x| x.item).collect();
         assert_eq!(row0, vec![5, 2, 9]);
+    }
+
+    /// The constructors deduplicate the vector they are given in place;
+    /// the store must be the one `append_batch` builds from it on an
+    /// empty store: ratings in order, key set, row index and memory.
+    #[test]
+    fn seeding_in_place_matches_appending_to_an_empty_store() {
+        let initial = vec![
+            r(2, 1, 1.0),
+            r(3, 4, 2.0),
+            r(2, 1, 5.0), // duplicate cell, later value
+            r(9, 0, 3.0), // outside the block below
+            r(3, 4, 2.0), // exact duplicate
+            r(2, 7, 4.0),
+        ];
+        let block = UserBlock { start: 2, end: 4 };
+        for shard in [None, Some(block)] {
+            let (seeded, mut appended) = match shard {
+                Some(block) => (
+                    RawDataStore::with_shard(block, initial.clone()),
+                    RawDataStore::with_shard(block, Vec::new()),
+                ),
+                None => (
+                    RawDataStore::with_initial(initial.clone()),
+                    RawDataStore::new(),
+                ),
+            };
+            assert_eq!(appended.append_batch(&initial), 4);
+            assert_eq!(seeded.ratings(), appended.ratings(), "{shard:?}");
+            assert_eq!(seeded.keys, appended.keys, "{shard:?}");
+            let index =
+                |s: &RawDataStore| s.shard.as_ref().map(|i| (i.rows.clone(), i.alien.clone()));
+            assert_eq!(index(&seeded), index(&appended), "{shard:?}");
+            assert_eq!(seeded.memory_bytes(), appended.memory_bytes(), "{shard:?}");
+        }
     }
 
     /// A store whose duplicate check hashes under `key`, sharded by

@@ -20,7 +20,7 @@
 //! hash of `(plan seed, fault kind, from, to, k)`, so:
 //!
 //! * the same plan replays **bit-for-bit** across reruns;
-//! * the fabric scheduler and thread-per-node drivers agree (each
+//! * the worker pool and thread-per-node schedulers agree (each
 //!   directed link's messages are emitted by exactly one endpoint in
 //!   deterministic order, so the per-link counters agree no matter how
 //!   threads interleave);

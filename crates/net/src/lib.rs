@@ -11,8 +11,8 @@
 //! * [`codec`] — a self-contained length-prefixed binary encoding;
 //! * [`transport`] — the backend seam: the [`Endpoint`] trait every
 //!   backend implements, [`Fabric`], the one [`Transport`] (`n`
-//!   endpoints driven by one owner), and the [`Clock`] time hook that
-//!   the generic engine in `rex-core` is written against;
+//!   endpoints driven by one owner), which the generic engine in
+//!   `rex-core` is written against;
 //! * [`channel`] — [`channel::ChannelEndpoint`], the in-memory endpoint:
 //!   a node's mailbox, counters and seat at a shared split barrier;
 //! * [`mem`] — [`MemNetwork`], the fabric of in-memory endpoints: the
@@ -58,6 +58,4 @@ pub use mem::{Envelope, MemNetwork};
 pub use message::{Payload, Plain};
 pub use stats::{DeliveryStats, TrafficStats};
 pub use tcp::TcpTransport;
-pub use transport::{
-    BarrierKind, Clock, Endpoint, Fabric, PeerCommitment, Transport, TransportError, WallClock,
-};
+pub use transport::{BarrierKind, Endpoint, Fabric, PeerCommitment, Transport, TransportError};

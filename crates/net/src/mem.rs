@@ -1,9 +1,8 @@
 //! The in-memory fabric: reliable, ordered, with exact byte accounting.
 //!
 //! [`MemNetwork`] is the [`Fabric`] over the in-memory endpoints of
-//! [`crate::channel`]. Unsplit, the engine's fabric scheduler drives all
-//! of them from one thread in deterministic node order (the simulator,
-//! the centralized baseline, TEE setup);
+//! [`crate::channel`]. Unsplit, one owner drives all of them from one
+//! thread in deterministic node order (TEE setup);
 //! [`Transport::into_endpoints`](crate::transport::Transport::into_endpoints)
 //! hands the same endpoints to one thread each. An endpoint *is* its
 //! node's mailbox, so a split mid-run (after TEE setup) moves, loses and

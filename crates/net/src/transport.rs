@@ -13,16 +13,13 @@
 //!   fault schedule over either, which fills in the per-epoch delivery
 //!   counters of [`Endpoint::take_delivery`]).
 //! * [`Fabric`] — the one [`Transport`]: `n` endpoints in node order,
-//!   driven by one owner (the engine's fabric scheduler). Each fabric
+//!   driven by one owner (TEE setup, single-owner tests). Each fabric
 //!   call goes to the endpoints: `send(from, to)` is endpoint `from`'s
 //!   send, `flush` is an arrive on every endpoint and then a wait on
 //!   every endpoint. [`crate::mem::MemNetwork`],
 //!   [`crate::tcp::TcpTransport`] and [`crate::fault::FaultyTransport`]
 //!   name its shapes, and [`Transport::into_endpoints`] hands the same
 //!   endpoints to one thread each.
-//! * [`Clock`] — the time hook: simulated runs advance a virtual counter,
-//!   deployed runs read the wall clock; the engine records epoch
-//!   timestamps through this one interface either way.
 //!
 //! Since the single-owner view and the threads run the same endpoint
 //! code, every backend — wrapped or not, split or not — runs the same
@@ -30,7 +27,6 @@
 
 use crate::mem::Envelope;
 use crate::stats::{DeliveryStats, TrafficStats};
-use std::time::Instant;
 
 /// A transport-level failure surfaced to the caller instead of
 /// panicking the process: the deployed `rex-node` loop turns these into
@@ -421,58 +417,6 @@ pub fn canonicalize(inbox: &mut [Envelope]) {
     inbox.sort_by_key(|env| env.from);
 }
 
-/// The engine's time hook: one interface over simulated and wall-clock
-/// time.
-///
-/// * Simulated axes (`rex_sim::VirtualClock`) start at zero and move only
-///   through [`Clock::advance`] — the modelled compute/network/SGX
-///   charges.
-/// * [`WallClock`] reads real elapsed time; `advance` adds modelled
-///   charges (e.g. SGX hardware effects the host CPU does not exhibit) on
-///   top of the measured axis.
-pub trait Clock {
-    /// Current time on this axis, ns.
-    fn now_ns(&self) -> u64;
-
-    /// Adds `delta_ns` of modelled time.
-    fn advance(&mut self, delta_ns: u64);
-}
-
-/// Wall-clock time plus modelled extra charges.
-#[derive(Debug, Clone)]
-pub struct WallClock {
-    origin: Instant,
-    extra_ns: u64,
-}
-
-impl WallClock {
-    /// Starts the clock at now.
-    #[must_use]
-    pub fn start() -> Self {
-        WallClock {
-            origin: Instant::now(),
-            extra_ns: 0,
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-impl Clock for WallClock {
-    fn now_ns(&self) -> u64 {
-        let elapsed = self.origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        elapsed.saturating_add(self.extra_ns)
-    }
-
-    fn advance(&mut self, delta_ns: u64) {
-        self.extra_ns = self.extra_ns.saturating_add(delta_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,13 +616,5 @@ mod tests {
         fabric_contract(tcp(), false);
         fabric_contract(FaultyTransport::new(mem(), held.clone()), true);
         fabric_contract(FaultyTransport::new(tcp(), held), true);
-    }
-
-    #[test]
-    fn wall_clock_adds_modelled_charges() {
-        let mut clock = WallClock::start();
-        let before = clock.now_ns();
-        clock.advance(5_000_000_000);
-        assert!(clock.now_ns() >= before + 5_000_000_000);
     }
 }

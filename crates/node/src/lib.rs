@@ -38,7 +38,7 @@ use rex_core::round::{self, EpochEvent, RoundContext};
 use rex_core::serve::{
     fold_topk, snapshot_digest, QueryStream, Scorer, SnapshotQueue, SERVE_DIGEST_SEED,
 };
-use rex_core::setup::{establish_tee_with_directory, overlay_of, prune_to_overlay, TeeDirectory};
+use rex_core::setup::{establish_tee_with_directory, founding_view, TeeDirectory};
 use rex_core::Node;
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
@@ -72,18 +72,11 @@ pub const JOIN_TIMEOUT: Duration = Duration::from_secs(120);
 /// degrees agree across all processes.
 #[must_use]
 pub fn build_fleet_and_view(cfg: &ClusterConfig) -> (Vec<Node<MfModel>>, Option<MembershipView>) {
-    let n = cfg.num_nodes();
     let mut fleet = build_fleet(cfg);
-    let view = cfg.membership.clone().map(|plan| {
-        let excluded = cfg
-            .faults
-            .as_ref()
-            .map(|p| p.dead_at_setup(n))
-            .unwrap_or_default();
-        let view = MembershipView::new(plan, &overlay_of(&fleet), &excluded);
-        prune_to_overlay(&mut fleet, view.overlay());
-        view
-    });
+    let view = cfg
+        .membership
+        .clone()
+        .map(|plan| founding_view(&mut fleet, plan, cfg.faults.as_ref()));
     (fleet, view)
 }
 

@@ -39,18 +39,6 @@ impl VirtualClock {
     }
 }
 
-/// The simulated arm of the engine's time hook: time moves only through
-/// modelled charges (compute, network, SGX), never by itself.
-impl rex_net::transport::Clock for VirtualClock {
-    fn now_ns(&self) -> u64 {
-        VirtualClock::now_ns(self)
-    }
-
-    fn advance(&mut self, delta_ns: u64) {
-        VirtualClock::advance(self, delta_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,6 +71,7 @@ use rex_repro::core::Node;
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
 use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
+use rex_repro::net::link::LinkModel;
 use rex_repro::net::stats::DeliveryStats;
 use rex_repro::net::transport::BarrierKind;
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
@@ -438,6 +439,52 @@ fn the_wide_scenario_commits_in_the_row_form() {
         rows[1..].iter().all(|r| r.is_some_and(|n| n <= 200)),
         "{rows:?}"
     );
+}
+
+/// The simulated axis is computed from the nodes' reports alone, so
+/// both drivers keep it: the same setup charge, and per epoch the same
+/// link-model charge on top of the slowest node's measured compute. The
+/// compute is measured, so it differs run to run; a one-hour link
+/// latency puts each epoch's charge far above it, and the hours read off
+/// `time_ns` must match epoch for epoch.
+#[test]
+fn both_drivers_keep_the_simulated_axis() {
+    const HOUR_NS: u64 = 3_600_000_000_000;
+    let s = scenarios()
+        .into_iter()
+        .find(|s| s.name == "raw")
+        .expect("the raw scenario");
+    let link = LinkModel {
+        latency_ns: HOUR_NS,
+        bandwidth_bytes_per_sec: f64::INFINITY,
+    };
+    let run = |driver| {
+        run_combo(
+            &s,
+            MemNetwork::new(s.nodes),
+            TimeAxis::Simulated(link),
+            driver,
+        )
+        .0
+    };
+    let pool = run(Driver::WorkSteal { workers: 2 });
+    let threads = run(Driver::ThreadPerNode);
+    assert_eq!(pool.setup_ns, threads.setup_ns);
+    for result in [&pool, &threads] {
+        let hours: Vec<u64> = result
+            .trace
+            .records
+            .iter()
+            .map(|r| (r.time_ns - result.setup_ns) / HOUR_NS)
+            .collect();
+        assert_eq!(hours, (1..=s.epochs as u64).collect::<Vec<_>>());
+        let compute = result
+            .trace
+            .records
+            .iter()
+            .map(|r| (r.time_ns - result.setup_ns) % HOUR_NS);
+        assert!(compute.clone().zip(compute.skip(1)).all(|(a, b)| a < b));
+    }
 }
 
 #[test]
