@@ -432,16 +432,17 @@ fn row_union_share(model: &MfModel, init: &MfModel) -> f64 {
 /// stage's share of the node-epoch (on a raw fleet, decode + the store's
 /// duplicate check). The row also reports the set-up (`split_secs`, what
 /// [`paper_split`] took, plus partition and build) and, after the run,
-/// the mean [`row_union_share`] over the nodes and the MB (MiB) the
-/// fleet's models hold: their shared init once, plus what each node holds
-/// of its own ([`MfModel::resident_bytes`]). Returns the merge share and
-/// that figure too.
+/// the mean [`row_union_share`] over the nodes, the MB (MiB) the fleet's
+/// models hold (their shared init once, plus what each node holds of its
+/// own, [`MfModel::resident_bytes`]) and the MB its raw-data stores hold
+/// (ratings, key sets and indexes, `RawDataStore::resident_bytes`).
+/// Returns the merge share and those two figures too.
 fn run_fleet_epoch(
     split: &TrainTestSplit,
     split_secs: f64,
     shape: &str,
     epochs: usize,
-) -> (Row, f64, f64) {
+) -> (Row, f64, f64, f64) {
     let setup = Instant::now();
     let mut nodes = build_mf_nodes(
         &Partition::one_user_per_node(split),
@@ -477,6 +478,8 @@ fn run_fleet_epoch(
             .map(|n| n.model().resident_bytes())
             .sum::<usize>();
     let resident_mb = resident_bytes as f64 / (1024.0 * 1024.0);
+    let store_bytes: usize = nodes.iter().map(|n| n.store().resident_bytes()).sum();
+    let store_mb = store_bytes as f64 / (1024.0 * 1024.0);
     let mean = result.trace.mean_stage_times();
     let merge_share = mean.get(Stage::Merge) as f64 / mean.total() as f64;
     let row = Row::new()
@@ -500,8 +503,9 @@ fn run_fleet_epoch(
         .num("merge_share", merge_share, 4)
         .num("row_union_share", union, 4)
         .num("model_resident_mb", resident_mb, 1)
+        .num("store_resident_mb", store_mb, 1)
         .str("final_rmse_bits", &rmse_bits(&result));
-    (row, merge_share, resident_mb)
+    (row, merge_share, resident_mb, store_mb)
 }
 
 /// One bounded-async vs lockstep run: [`ASYNC_NODES`] SGX nodes over the
@@ -625,13 +629,15 @@ fn main() {
     let mut fleet_rows = Vec::new();
     let mut merge_shares = Vec::new();
     let mut resident_mbs = Vec::new();
+    let mut store_mbs = Vec::new();
     for &(shape, fleet_epochs) in fleet_arms {
         eprintln!("[bench_scale] fleet arm ({shape}): {FLEET_NODES} nodes x {fleet_epochs} epochs");
-        let (row, merge_share, resident_mb) =
+        let (row, merge_share, resident_mb, store_mb) =
             run_fleet_epoch(&split, split_secs, shape, fleet_epochs);
         fleet_rows.push(row);
         merge_shares.push(merge_share);
         resident_mbs.push(resident_mb);
+        store_mbs.push(store_mb);
     }
 
     eprintln!("[bench_scale] set-up arm: {FLEET_NODES} nodes");
@@ -803,6 +809,7 @@ fn main() {
                 .num("shard_ram_per_user_64x1024_raw", shard_ram[0], 1)
                 .num("fleet_merge_share_quick", merge_shares[0], 4)
                 .num("fleet_model_resident_mb_quick", resident_mbs[0], 1)
+                .num("fleet_store_resident_mb_quick", store_mbs[0], 1)
                 .num("async_speedup_straggler", async_speedup_straggler, 2)
                 .num("generate_speedup", generate_speedup, 2),
         );
@@ -814,6 +821,7 @@ fn main() {
             Gate::ceiling("shard_ram_per_user_64x1024_raw", shard_ram[0]),
             Gate::ceiling("fleet_merge_share_quick", merge_shares[0]),
             Gate::ceiling("fleet_model_resident_mb_quick", resident_mbs[0]),
+            Gate::ceiling("fleet_store_resident_mb_quick", store_mbs[0]),
             Gate::floor("async_speedup_straggler", async_speedup_straggler),
             Gate::floor("generate_speedup", generate_speedup),
         ],

@@ -781,19 +781,15 @@ mod tests {
 
     /// A node whose epoch panics mid-run must fail a thread-per-node run,
     /// naming the node — not strand its peers on the round barrier. Node
-    /// 2 trains on a rating outside its model's shape, so its epoch 0
-    /// panics; it is isolated, so nobody ever addresses it.
+    /// 2's epoch 0 panics (planted: its store refuses the rating outside
+    /// its model's shape that once made training panic); it is isolated,
+    /// so nobody ever addresses it.
     #[test]
     #[should_panic(expected = "node 2 epoch panicked")]
     fn dead_node_fails_a_thread_per_node_run_instead_of_hanging_it() {
         let mut nodes = threaded_fleet(SharingMode::Model);
         let model = MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1);
-        let stray = rex_data::Rating {
-            user: 99,
-            item: 99,
-            value: 3.0,
-        };
-        nodes[2] = Node::builder(2, model).train(vec![stray]).build();
+        nodes[2] = Node::builder(2, model).panic_at(0).build();
         run(threaded(4, ExecutionMode::Native), "dies", &mut nodes);
     }
 }

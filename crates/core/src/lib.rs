@@ -77,7 +77,7 @@
 //! thousands to millions of *virtual users* across ordinary node counts.
 //! Construction goes through [`node::NodeBuilder::shard`] (or
 //! [`builder::build_mf_nodes_sharded`]); the store grows a row index
-//! ([`store::RawDataStore::with_shard`]), training switches to the
+//! ([`store::RawDataStore::for_space`]), training switches to the
 //! row-block-batched [`rex_ml::Model::train_steps_batched`], EPC
 //! accounting reports the index as its own `rex_tee` region, and the
 //! share stage aggregates the whole shard into one wire message per

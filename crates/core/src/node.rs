@@ -147,6 +147,10 @@ pub struct Node<M: Model> {
     /// *executed* epochs, so a late joiner's chain starts at its first
     /// member epoch, identically on every backend).
     epochs_run: usize,
+    /// Test builds: the epoch whose front panics, standing in for a bug
+    /// in a node's compute that its driver must report.
+    #[cfg(test)]
+    panic_at: Option<usize>,
 }
 
 /// Assembles a [`Node`]: the builder carries everything
@@ -172,9 +176,18 @@ pub struct NodeBuilder<M: Model> {
     test: Vec<Rating>,
     cfg: ProtocolConfig,
     shard: Option<UserBlock>,
+    #[cfg(test)]
+    panic_at: Option<usize>,
 }
 
 impl<M: Model> NodeBuilder<M> {
+    /// Test builds: the node's front panics in `epoch`.
+    #[cfg(test)]
+    pub(crate) fn panic_at(mut self, epoch: usize) -> Self {
+        self.panic_at = Some(epoch);
+        self
+    }
+
     /// Neighbour list in the gossip topology (default: isolated).
     #[must_use]
     pub fn neighbors(mut self, neighbors: Vec<usize>) -> Self {
@@ -224,10 +237,7 @@ impl<M: Model> NodeBuilder<M> {
             fingerprint: self.model.ref_fingerprint(),
             reference: self.model.clone(),
         });
-        let store = match shard {
-            Some(block) => RawDataStore::with_shard(block, self.train),
-            None => RawDataStore::with_initial(self.train),
-        };
+        let store = RawDataStore::for_space(self.model.cells(), shard, self.train);
         Node {
             chain: CommitmentChain::new(self.cfg.seed, self.id),
             id: self.id,
@@ -241,6 +251,8 @@ impl<M: Model> NodeBuilder<M> {
             sparse,
             shard,
             epochs_run: 0,
+            #[cfg(test)]
+            panic_at: self.panic_at,
         }
     }
 }
@@ -260,6 +272,8 @@ impl<M: Model> Node<M> {
             test: Vec::new(),
             cfg: ProtocolConfig::default(),
             shard: None,
+            #[cfg(test)]
+            panic_at: None,
         }
     }
 
@@ -357,7 +371,7 @@ impl<M: Model> Node<M> {
     fn seal_for(&mut self, dest: usize, mut share: Vec<u8>) -> Option<Vec<u8>> {
         if let Some(tee) = self.tee.as_mut() {
             let session = tee.sessions.get_mut(&dest)?;
-            let (plain, tag) = seal_slots(&mut share);
+            let (plain, tag) = seal_slots(&mut share)?;
             tag.copy_from_slice(&session.seal_in_place(&Self::aad(self.id, dest), plain));
         }
         Some(share)
@@ -503,7 +517,10 @@ impl<M: Model> Node<M> {
     /// the merge reads the sender's rows from (`Model::merge_views`): no
     /// decoded copy of a neighbour's model is built. The view reports the
     /// model's logical `memory_bytes`, so the merge-buffer region and the
-    /// memory-access charges are what a decoded copy would have cost.
+    /// memory-access charges are what a decoded copy would have cost. A
+    /// raw share's triplets are read out of the frame as the store takes
+    /// them (`RawDataStore::append_share`): no decoded copy of those
+    /// either.
     ///
     /// Sharded nodes **aggregate-then-share**: the share stage samples
     /// (or serializes a delta of) the *whole shard* — one wire message
@@ -515,6 +532,12 @@ impl<M: Model> Node<M> {
         &mut self,
         mut inbox: Vec<Envelope>,
     ) -> (Vec<(usize, Vec<u8>)>, PendingEpoch) {
+        #[cfg(test)]
+        assert!(
+            self.panic_at != Some(self.epochs_run),
+            "a planted panic in epoch {}",
+            self.epochs_run
+        );
         let mut stage_times = StageTimes::new();
         let mut charges_ns = 0u64;
         let bytes_in: u64 = inbox.iter().map(|e| e.bytes.len() as u64).sum();
@@ -535,13 +558,13 @@ impl<M: Model> Node<M> {
                 continue;
             };
             match plain {
-                PlainRef::RawData { mut ratings, .. } | PlainRef::RawPacked { mut ratings, .. } => {
-                    // A parsable share can still carry a cell outside the
-                    // model's shape or a non-finite value; training would
-                    // index the tables with it. Dropped like any other
-                    // undecodable input (an honest share loses nothing).
-                    ratings.retain(|r| self.model.covers(r.user, r.item) && r.value.is_finite());
-                    new_points += self.store.append_batch(&ratings);
+                // The store, built for the model's cell space, drops a
+                // cell outside it or a non-finite value on intake.
+                PlainRef::RawData { triplets, .. } => {
+                    new_points += self.store.append_share(triplets.iter());
+                }
+                PlainRef::RawPacked { ratings, .. } => {
+                    new_points += self.store.append_share(ratings.into_iter());
                 }
                 PlainRef::Model { bytes, degree } => {
                     // A model comes with whatever shape its sender wrote;

@@ -339,17 +339,11 @@ mod tests {
     use rex_sim::trace::ExperimentTrace;
     use rex_topology::TopologySpec;
 
-    /// Node `id` holding a local rating outside its model's shape: the
-    /// first SGD step of its first epoch indexes the tables with it and
-    /// panics.
-    fn stray_rating_node(id: usize) -> Node<MfModel> {
+    /// Node `id`, whose epoch 0 panics (planted: its store refuses the
+    /// rating outside its model's shape that once made training panic).
+    fn panicking_node(id: usize) -> Node<MfModel> {
         let model = MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1);
-        let stray = rex_data::Rating {
-            user: 99,
-            item: 99,
-            value: 3.0,
-        };
-        Node::builder(id, model).train(vec![stray]).build()
+        Node::builder(id, model).panic_at(0).build()
     }
 
     fn tiny_fleet(n: usize) -> Vec<Node<MfModel>> {
@@ -453,7 +447,7 @@ mod tests {
         for workers in [1, 2] {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut fleet = tiny_fleet(n);
-                fleet[2] = stray_rating_node(2);
+                fleet[2] = panicking_node(2);
                 run_pool(&mut fleet, 3, workers, None);
             }))
             .expect_err("a panicking epoch must fail the run");

@@ -19,19 +19,38 @@
 //! a `users_per_node = 1` deployment is *representationally* identical
 //! to the legacy per-user store, byte accounting included.
 //!
+//! # Cell keys
+//!
+//! The duplicate check keeps one key per stored cell, and on a fleet the
+//! key sets are most of what the stores hold beside their ratings. A
+//! store built for a model's cell space ([`RawDataStore::for_space`],
+//! what a node builds from `Model::cells`) refuses every rating outside
+//! `users × items` and keys the rest by the packed cell
+//! `user · items + item`. Inside the space that map is one-to-one (it is
+//! the cell's row-major index, below `users · items`), so when the space
+//! holds at most 2^32 cells every key fits a `u32` and no two cells
+//! share one: the paper's 610 × 9 000 space needs 23 bits. A larger
+//! space, or a store built without one ([`RawDataStore::new`],
+//! [`RawDataStore::with_initial`], [`RawDataStore::with_shard`]: tests,
+//! tools and probes that hold whatever they are given), keys
+//! `user << 32 | item` in a `u64`, which is one-to-one on every cell.
+//! Which form a store takes changes only its key set's size: the
+//! verdicts, the arrival-order vector, [`RawDataStore::sample`] and
+//! [`RawDataStore::memory_bytes`] are the same for every form.
+//!
 //! # The duplicate check's hash
 //!
-//! The key set is a std `HashSet<(u32, u32)>` hashed through
-//! `CellHash`: the cell packed into one `u64`, one multiply by a
-//! per-store odd key, one xor-shift fold (the product's high half onto
-//! its low half, because the table takes its bucket from the low bits and
-//! its control byte from the top seven, and a multiply alone leaves the
-//! low bits a function of the item's low bits). A merge on a raw-sharing
-//! node is ~1 750 probes into memory the rest of the fleet has evicted;
-//! std's SipHash spends a ~100-instruction dependent chain on each 8-byte
-//! key, which keeps the out-of-order window from holding more than two or
-//! three probes, so their cache misses queue. At three instructions per
-//! key the window holds many probes and the misses overlap.
+//! The key set is a std `HashSet` of packed cells hashed through
+//! `CellHash`: the one packed integer, one multiply by a per-store odd
+//! key, one xor-shift fold (the product's high half onto its low half,
+//! because the table takes its bucket from the low bits and its control
+//! byte from the top seven, and a multiply alone leaves the low bits a
+//! function of the cell's low bits). A merge on a raw-sharing node is
+//! ~1 750 probes into memory the rest of the fleet has evicted; std's
+//! SipHash spends a ~100-instruction dependent chain on each key, which
+//! keeps the out-of-order window from holding more than two or three
+//! probes, so their cache misses queue. At three instructions per key
+//! the window holds many probes and the misses overlap.
 //!
 //! This is **not** a cryptographic hash, and it replaces SipHash rather
 //! than sitting beside it. Keys arrive from attested peers of the same
@@ -44,12 +63,25 @@
 //! [`RawDataStore::memory_bytes`] (which models a 24 B entry, as before)
 //! or any fixture byte.
 
+// Every deployed node merges foreign triplets here: a hostile share is
+// dropped by the intake filter, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rex_data::{Rating, UserBlock};
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hasher};
+use std::mem::size_of;
 
 /// The key set's `BuildHasher`: a per-store odd multiplier (see the
 /// module docs, "The duplicate check's hash").
@@ -73,8 +105,8 @@ impl BuildHasher for CellHash {
     }
 }
 
-/// Hashes exactly what `(u32, u32)::hash` feeds it: two `write_u32`
-/// calls, user then item.
+/// Hashes one packed cell: what `u32::hash` (one `write_u32`) or
+/// `u64::hash` (one `write_u64`) feeds it.
 struct CellHasher {
     key: u64,
     cell: u64,
@@ -82,7 +114,7 @@ struct CellHasher {
 
 impl Hasher for CellHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("the key set hashes (u32, u32) cells only");
+        unreachable!("the key set hashes packed cells only");
     }
 
     #[inline]
@@ -91,10 +123,107 @@ impl Hasher for CellHasher {
     }
 
     #[inline]
+    fn write_u64(&mut self, cell: u64) {
+        self.cell = cell;
+    }
+
+    #[inline]
     fn finish(&self) -> u64 {
         let product = self.cell.wrapping_mul(self.key);
         product ^ (product >> 32)
     }
+}
+
+/// The duplicate check's key set, in the form the store's cell space
+/// allows (see the module docs, "Cell keys").
+#[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
+enum CellKeys {
+    /// A space of at most 2^32 cells, each keyed `user · items + item`.
+    Packed {
+        users: u32,
+        items: u32,
+        set: HashSet<u32, CellHash>,
+    },
+    /// A larger space (cells outside it refused) or none, each cell keyed
+    /// `user << 32 | item`.
+    Wide {
+        space: Option<(u32, u32)>,
+        set: HashSet<u64, CellHash>,
+    },
+}
+
+impl Default for CellKeys {
+    fn default() -> Self {
+        CellKeys::new(None, 0, CellHash::default())
+    }
+}
+
+impl CellKeys {
+    /// An empty key set for `space` (`(users, items)`), with room for
+    /// `capacity` keys.
+    fn new(space: Option<(u32, u32)>, capacity: usize, hash: CellHash) -> Self {
+        match space {
+            Some((users, items)) if u64::from(users) * u64::from(items) <= 1 << 32 => {
+                CellKeys::Packed {
+                    users,
+                    items,
+                    set: HashSet::with_capacity_and_hasher(capacity, hash),
+                }
+            }
+            space => CellKeys::Wide {
+                space,
+                set: HashSet::with_capacity_and_hasher(capacity, hash),
+            },
+        }
+    }
+
+    /// The dedup verdict: whether `r`'s cell is inside the space and not
+    /// yet stored. A cell outside the space is never keyed.
+    #[inline]
+    fn insert(&mut self, r: &Rating) -> bool {
+        match self {
+            CellKeys::Packed { users, items, set } => {
+                // Inside the space the packed cell is below
+                // `users · items` ≤ 2^32: the arithmetic never wraps.
+                r.user < *users
+                    && r.item < *items
+                    && set.insert(r.user.wrapping_mul(*items).wrapping_add(r.item))
+            }
+            CellKeys::Wide { space, set } => {
+                space.is_none_or(|(users, items)| r.user < users && r.item < items)
+                    && set.insert((u64::from(r.user) << 32) | u64::from(r.item))
+            }
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            CellKeys::Packed { set, .. } => set.reserve(additional),
+            CellKeys::Wide { set, .. } => set.reserve(additional),
+        }
+    }
+
+    /// The heap the set holds: its buckets and their control bytes.
+    fn resident_bytes(&self) -> usize {
+        match self {
+            CellKeys::Packed { set, .. } => table_bytes(set),
+            CellKeys::Wide { set, .. } => table_bytes(set),
+        }
+    }
+}
+
+/// The heap of a std hash table of `K` as it lays one out: its bucket
+/// count from its capacity (a power of two, at most 7/8 full from 8
+/// buckets on, one bucket short below), one `K` and one control byte per
+/// bucket, plus one 16-byte control group.
+fn table_bytes<K>(set: &HashSet<K, CellHash>) -> usize {
+    let buckets = match set.capacity() {
+        0 => return 0,
+        capacity @ 1..=7 => capacity + 1,
+        capacity => capacity / 7 * 8,
+    };
+    buckets * (size_of::<K>() + 1) + 16
 }
 
 /// Row index over a sharded store (built only for blocks wider than one
@@ -110,11 +239,28 @@ struct ShardIndex {
 }
 
 impl ShardIndex {
+    /// The index for `block`, when it is wider than one user.
+    fn for_block(block: UserBlock) -> Option<Self> {
+        (block.width() > 1).then(|| ShardIndex {
+            block,
+            rows: vec![Vec::new(); block.width() as usize],
+            alien: Vec::new(),
+        })
+    }
+
     fn note(&mut self, rating_idx: u32, user: u32) {
-        match self.block.local_row(user) {
-            Some(row) => self.rows[row as usize].push(rating_idx),
+        let row = self.block.local_row(user);
+        match row.and_then(|row| self.rows.get_mut(row as usize)) {
+            Some(row) => row.push(rating_idx),
             None => self.alien.push(rating_idx),
         }
+    }
+
+    /// The row lists and the overflow list, with their headers.
+    fn resident_bytes(&self) -> usize {
+        let row_heap: usize = self.rows.iter().map(Vec::capacity).sum();
+        self.rows.capacity() * size_of::<Vec<u32>>()
+            + (row_heap + self.alien.capacity()) * size_of::<u32>()
     }
 }
 
@@ -122,43 +268,55 @@ impl ShardIndex {
 #[derive(Debug, Clone, Default)]
 pub struct RawDataStore {
     ratings: Vec<Rating>,
-    keys: HashSet<(u32, u32), CellHash>,
+    keys: CellKeys,
     shard: Option<ShardIndex>,
 }
 
 impl RawDataStore {
-    /// Empty store.
+    /// Empty store, built without a cell space.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Store seeded with the node's initial local data.
+    /// Store seeded with the node's initial local data, built without a
+    /// cell space: it keeps any cell it is given.
     #[must_use]
     pub fn with_initial(initial: Vec<Rating>) -> Self {
-        Self::seeded(initial, None)
+        Self::seeded(initial, None, None)
     }
 
     /// Sharded store keyed by a contiguous user-row block, seeded with
-    /// the shard's initial data. Blocks of width ≤ 1 build no index —
-    /// the resulting store is indistinguishable from
-    /// [`RawDataStore::with_initial`]'s, memory accounting included.
+    /// the shard's initial data, built without a cell space. Blocks of
+    /// width ≤ 1 build no index — the resulting store is
+    /// indistinguishable from [`RawDataStore::with_initial`]'s, memory
+    /// accounting included.
     #[must_use]
     pub fn with_shard(block: UserBlock, initial: Vec<Rating>) -> Self {
-        let shard = (block.width() > 1).then(|| ShardIndex {
-            block,
-            rows: vec![Vec::new(); block.width() as usize],
-            alien: Vec::new(),
-        });
-        Self::seeded(initial, shard)
+        Self::seeded(initial, None, ShardIndex::for_block(block))
+    }
+
+    /// Store for a model's cell space `(users, items)` (`Model::cells`),
+    /// sharded by `block` if one is given (as [`RawDataStore::with_shard`]
+    /// builds it), seeded with `initial`. It refuses every rating outside
+    /// the space, `initial`'s included, and keys the rest in 32 bits when
+    /// the space holds at most 2^32 cells (see the module docs, "Cell
+    /// keys").
+    #[must_use]
+    pub fn for_space(space: (u32, u32), block: Option<UserBlock>, initial: Vec<Rating>) -> Self {
+        Self::seeded(initial, Some(space), block.and_then(ShardIndex::for_block))
     }
 
     /// The store [`RawDataStore::append_batch`] builds from `initial` on
     /// an empty one, deduplicated in the vector it is given instead of
     /// copied out of it.
-    fn seeded(mut ratings: Vec<Rating>, mut shard: Option<ShardIndex>) -> Self {
-        let mut keys = HashSet::with_capacity_and_hasher(ratings.len(), CellHash::default());
-        ratings.retain(|r| keys.insert(r.key()));
+    fn seeded(
+        mut ratings: Vec<Rating>,
+        space: Option<(u32, u32)>,
+        mut shard: Option<ShardIndex>,
+    ) -> Self {
+        let mut keys = CellKeys::new(space, ratings.len(), CellHash::default());
+        ratings.retain(|r| keys.insert(r));
         if let Some(shard) = shard.as_mut() {
             for (i, r) in ratings.iter().enumerate() {
                 shard.note(i as u32, r.user);
@@ -177,19 +335,36 @@ impl RawDataStore {
         self.shard.as_ref().map(|s| s.block)
     }
 
-    /// Appends non-duplicate items; returns how many were new.
+    /// Appends non-duplicate items inside the store's space; returns how
+    /// many were new.
     pub fn append_batch(&mut self, batch: &[Rating]) -> usize {
+        self.append(batch.len(), batch.iter().copied())
+    }
+
+    /// Appends a gossiped share's ratings through the merge's intake
+    /// filter — a cell inside the store's space and a finite value — and
+    /// the duplicate check; returns how many were new. A parsable share
+    /// can still carry either kind of rating, and training would index
+    /// the model's tables with the first and poison them with the
+    /// second: both are dropped like any other undecodable input (an
+    /// honest share loses nothing).
+    pub fn append_share(&mut self, share: impl ExactSizeIterator<Item = Rating>) -> usize {
+        self.append(share.len(), share.filter(|r| r.value.is_finite()))
+    }
+
+    /// Appends `batch`, of at most `len` ratings.
+    fn append(&mut self, len: usize, batch: impl Iterator<Item = Rating>) -> usize {
         // Reserve up front: this is the gossip hot path, and growth-by-
         // doubling mid-batch re-hashes the whole key set.
-        self.ratings.reserve(batch.len());
-        self.keys.reserve(batch.len());
+        self.ratings.reserve(len);
+        self.keys.reserve(len);
         let mut added = 0;
         for r in batch {
-            if self.keys.insert(r.key()) {
+            if self.keys.insert(&r) {
                 if let Some(shard) = self.shard.as_mut() {
                     shard.note(self.ratings.len() as u32, r.user);
                 }
-                self.ratings.push(*r);
+                self.ratings.push(r);
                 added += 1;
             }
         }
@@ -207,11 +382,10 @@ impl RawDataStore {
     #[must_use]
     pub fn row_ratings(&self, user: u32) -> Option<Vec<Rating>> {
         let shard = self.shard.as_ref()?;
-        let row = shard.block.local_row(user)?;
+        let row = shard.rows.get(shard.block.local_row(user)? as usize)?;
         Some(
-            shard.rows[row as usize]
-                .iter()
-                .map(|&i| self.ratings[i as usize])
+            row.iter()
+                .filter_map(|&i| self.ratings.get(i as usize).copied())
                 .collect(),
         )
     }
@@ -257,7 +431,7 @@ impl RawDataStore {
         }
         index_sample(rng, self.ratings.len(), k)
             .into_iter()
-            .map(|i| self.ratings[i])
+            .filter_map(|i| self.ratings.get(i).copied())
             .collect()
     }
 
@@ -299,9 +473,22 @@ impl RawDataStore {
 
     /// Resident bytes: triplets plus the dedup index (12 B payload + ~24 B
     /// hash-set entry per item), plus the shard row index when sharded.
+    /// This is the modelled figure the enclave's EPC charges read; it
+    /// does not depend on the key form (see
+    /// [`RawDataStore::resident_bytes`] for the heap the store holds).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.ratings.len() * (Rating::WIRE_SIZE + 24) + self.index_bytes()
+    }
+
+    /// The heap the store holds: the rating vector's capacity, the key
+    /// set's buckets and the shard index's lists. What a process hosting
+    /// the store pays, beside the modelled [`RawDataStore::memory_bytes`].
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.ratings.capacity() * size_of::<Rating>()
+            + self.keys.resident_bytes()
+            + self.shard.as_ref().map_or(0, ShardIndex::resident_bytes)
     }
 }
 
@@ -420,9 +607,41 @@ mod tests {
         assert_eq!(row0, vec![5, 2, 9]);
     }
 
+    /// The four key forms a store can take: built without a space, for a
+    /// space of 32-bit keys (the paper's), for one of exactly 2^32 cells
+    /// (whose last cell packs to `u32::MAX`), and for one of 2^32 + 1
+    /// (= 641 × 6 700 417) cells, which must take 64-bit keys. With
+    /// whether the form packs its keys in 32 bits.
+    const SPACES: [(Option<(u32, u32)>, bool); 4] = [
+        (None, false),
+        (Some((610, 9_000)), true),
+        (Some((1 << 16, 1 << 16)), true),
+        (Some((641, 6_700_417)), false),
+    ];
+
+    /// The store a constructor builds for `space` and `block` from
+    /// `initial`: [`RawDataStore::for_space`] with a space, the
+    /// space-less constructors without.
+    fn store_for(
+        space: Option<(u32, u32)>,
+        block: Option<UserBlock>,
+        initial: Vec<Rating>,
+    ) -> RawDataStore {
+        match (space, block) {
+            (Some(space), block) => RawDataStore::for_space(space, block, initial),
+            (None, Some(block)) => RawDataStore::with_shard(block, initial),
+            (None, None) => RawDataStore::with_initial(initial),
+        }
+    }
+
+    fn packs(store: &RawDataStore) -> bool {
+        matches!(store.keys, CellKeys::Packed { .. })
+    }
+
     /// The constructors deduplicate the vector they are given in place;
     /// the store must be the one `append_batch` builds from it on an
-    /// empty store: ratings in order, key set, row index and memory.
+    /// empty store: ratings in order, key set, row index and memory. In
+    /// every key form, and equal to the space-less store's.
     #[test]
     fn seeding_in_place_matches_appending_to_an_empty_store() {
         let initial = vec![
@@ -434,52 +653,114 @@ mod tests {
             r(2, 7, 4.0),
         ];
         let block = UserBlock { start: 2, end: 4 };
-        for shard in [None, Some(block)] {
-            let (seeded, mut appended) = match shard {
-                Some(block) => (
-                    RawDataStore::with_shard(block, initial.clone()),
-                    RawDataStore::with_shard(block, Vec::new()),
-                ),
-                None => (
-                    RawDataStore::with_initial(initial.clone()),
-                    RawDataStore::new(),
-                ),
-            };
-            assert_eq!(appended.append_batch(&initial), 4);
-            assert_eq!(seeded.ratings(), appended.ratings(), "{shard:?}");
-            assert_eq!(seeded.keys, appended.keys, "{shard:?}");
-            let index =
-                |s: &RawDataStore| s.shard.as_ref().map(|i| (i.rows.clone(), i.alien.clone()));
-            assert_eq!(index(&seeded), index(&appended), "{shard:?}");
-            assert_eq!(seeded.memory_bytes(), appended.memory_bytes(), "{shard:?}");
+        for (space, packed) in SPACES {
+            for shard in [None, Some(block)] {
+                let seeded = store_for(space, shard, initial.clone());
+                let mut appended = store_for(space, shard, Vec::new());
+                let reference = store_for(None, shard, initial.clone());
+                assert_eq!(packs(&seeded), packed, "{space:?}");
+                assert_eq!(appended.append_batch(&initial), 4);
+                assert_eq!(seeded.ratings(), appended.ratings(), "{space:?} {shard:?}");
+                assert_eq!(seeded.keys, appended.keys, "{space:?} {shard:?}");
+                let index =
+                    |s: &RawDataStore| s.shard.as_ref().map(|i| (i.rows.clone(), i.alien.clone()));
+                assert_eq!(index(&seeded), index(&appended), "{space:?} {shard:?}");
+                assert_eq!(seeded.memory_bytes(), appended.memory_bytes());
+                assert_eq!(seeded.ratings(), reference.ratings(), "{space:?} {shard:?}");
+                assert_eq!(index(&seeded), index(&reference), "{space:?} {shard:?}");
+                assert_eq!(seeded.memory_bytes(), reference.memory_bytes());
+            }
         }
     }
 
-    /// A store whose duplicate check hashes under `key`, sharded by
-    /// `block` if given — what [`RawDataStore::with_shard`] builds, with
-    /// the one thing it draws at random pinned.
-    fn keyed_store(key: u64, block: Option<UserBlock>) -> RawDataStore {
-        let mut store = match block {
-            Some(block) => RawDataStore::with_shard(block, Vec::new()),
-            None => RawDataStore::new(),
-        };
-        store.keys = HashSet::with_hasher(CellHash(key | 1));
+    /// `(0, items)` packs to the key `(1, 0)` does in a space `items`
+    /// wide: a store built for the space refuses the first, which is
+    /// outside it, so the two never meet in its key set.
+    #[test]
+    fn a_cell_outside_the_space_is_refused_not_keyed() {
+        for (users, items) in [(610, 9_000), (1 << 16, 1 << 16), (641, 6_700_417)] {
+            let (outside, inside) = (r(0, items, 4.0), r(1, 0, 3.0));
+            let mut spaceless = RawDataStore::new();
+            assert_eq!(spaceless.append_batch(&[outside, inside]), 2);
+            let mut spaced = RawDataStore::for_space((users, items), None, Vec::new());
+            assert_eq!(spaced.append_batch(&[outside, inside]), 1, "{items}");
+            assert_eq!(spaced.ratings(), [inside]);
+            assert_eq!(
+                spaced.memory_bytes(),
+                RawDataStore::with_initial(vec![inside]).memory_bytes()
+            );
+            // In either order, through every entry.
+            let seeded = RawDataStore::for_space((users, items), None, vec![inside, outside]);
+            assert_eq!(seeded.ratings(), [inside]);
+            let mut share = RawDataStore::for_space((users, items), None, Vec::new());
+            assert_eq!(
+                share.append_share([outside, inside, outside].into_iter()),
+                1
+            );
+            assert_eq!(share.len(), 1);
+            // The user coordinate is bounded too.
+            assert_eq!(share.append_batch(&[r(users, 0, 1.0)]), 0);
+        }
+    }
+
+    #[test]
+    fn the_intake_drops_non_finite_values_and_keeps_the_rest_in_order() {
+        let share = [
+            r(1, 1, f32::NAN),
+            r(1, 2, 2.0),
+            r(1, 1, 3.0), // the NaN before did not claim the cell
+            r(2, 2, f32::INFINITY),
+            r(2, 3, f32::NEG_INFINITY),
+            r(1, 2, 4.0), // duplicate
+        ];
+        for (space, _) in SPACES {
+            let mut store = store_for(space, None, Vec::new());
+            assert_eq!(store.append_share(share.into_iter()), 2, "{space:?}");
+            assert_eq!(store.ratings(), [r(1, 2, 2.0), r(1, 1, 3.0)]);
+        }
+    }
+
+    #[test]
+    fn resident_bytes_count_the_heap_and_packed_keys_take_less_of_it() {
+        let cells: Vec<Rating> = (0..10_000).map(|n| r(n % 610, n / 610, 1.0)).collect();
+        let wide = RawDataStore::with_initial(cells.clone());
+        let packed = RawDataStore::for_space((610, 9_000), None, cells);
+        assert!(packs(&packed) && !packs(&wide));
+        assert_eq!(wide.memory_bytes(), packed.memory_bytes());
+        for store in [&wide, &packed] {
+            // At least the ratings and one key per stored cell.
+            assert!(store.resident_bytes() >= store.len() * (12 + 4));
+        }
+        assert!(packed.resident_bytes() < wide.resident_bytes());
+        assert_eq!(RawDataStore::new().resident_bytes(), 0);
+        let sharded = RawDataStore::with_shard(UserBlock { start: 0, end: 4 }, vec![r(1, 1, 1.0)]);
+        assert!(sharded.resident_bytes() >= 4 * size_of::<Vec<u32>>() + 12 + 4 + 4);
+    }
+
+    /// A store for `space` whose duplicate check hashes under `key`,
+    /// sharded by `block` if given — what the constructors build, with
+    /// the one thing they draw at random pinned.
+    fn keyed_store(key: u64, space: Option<(u32, u32)>, block: Option<UserBlock>) -> RawDataStore {
+        let mut store = store_for(space, block, Vec::new());
+        store.keys = CellKeys::new(space, 0, CellHash(key | 1));
         store
     }
 
     /// Batches over a universe small enough that most draws repeat a
     /// cell (within a batch, across batches, under a different value),
-    /// with the coordinate type's extremes in it.
-    fn random_batches(rng: &mut StdRng) -> Vec<Vec<Rating>> {
+    /// with the corner cells of `space` in it — the coordinate type's
+    /// extremes when there is none.
+    fn random_batches(rng: &mut StdRng, space: Option<(u32, u32)>) -> Vec<Vec<Rating>> {
         use rand::Rng;
-        const USERS: [u32; 9] = [0, 1, 2, 3, 4, 5, 6, 7, u32::MAX];
-        const ITEMS: [u32; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, u32::MAX - 1, u32::MAX];
+        let (last_user, last_item) = space.map_or((u32::MAX, u32::MAX), |(u, i)| (u - 1, i - 1));
+        let users = [0, 1, 2, 3, 4, 5, 6, 7, last_user];
+        let items = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, last_item - 1, last_item];
         (0..rng.gen_range(1..8))
             .map(|_| {
                 (0..rng.gen_range(0..40))
                     .map(|_| Rating {
-                        user: USERS[rng.gen_range(0..USERS.len())],
-                        item: ITEMS[rng.gen_range(0..ITEMS.len())],
+                        user: users[rng.gen_range(0..users.len())],
+                        item: items[rng.gen_range(0..items.len())],
                         value: rng.gen_range(1..11) as f32 * 0.5,
                     })
                     .collect()
@@ -490,40 +771,50 @@ mod tests {
     #[test]
     fn store_follows_a_btreeset_reference_over_random_batches() {
         use std::collections::BTreeSet;
-        for case in 0..300u64 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let block = (case % 2 == 1).then_some(UserBlock { start: 2, end: 6 });
-            let batches = random_batches(&mut rng);
-            // The first batch enters through the constructor.
-            let mut store = match block {
-                Some(block) => RawDataStore::with_shard(block, batches[0].clone()),
-                None => RawDataStore::with_initial(batches[0].clone()),
-            };
-            let mut cells = BTreeSet::new();
-            let mut arrived: Vec<Rating> = Vec::new();
-            for (nth, batch) in batches.iter().enumerate() {
-                let fresh: Vec<Rating> = batch
-                    .iter()
-                    .filter(|r| cells.insert(r.key()))
-                    .copied()
-                    .collect();
-                if nth > 0 {
-                    assert_eq!(store.append_batch(batch), fresh.len(), "case {case}");
+        for (space, packed) in SPACES {
+            for case in 0..300u64 {
+                let mut rng = StdRng::seed_from_u64(case);
+                let block = (case % 2 == 1).then_some(UserBlock { start: 2, end: 6 });
+                let batches = random_batches(&mut rng, space);
+                // The first batch enters through the constructor; the
+                // space-less store beside it takes the same batches.
+                let mut store = store_for(space, block, batches[0].clone());
+                let mut reference = store_for(None, block, batches[0].clone());
+                assert_eq!(packs(&store), packed);
+                let mut cells = BTreeSet::new();
+                let mut arrived: Vec<Rating> = Vec::new();
+                for (nth, batch) in batches.iter().enumerate() {
+                    let fresh: Vec<Rating> = batch
+                        .iter()
+                        .filter(|r| cells.insert(r.key()))
+                        .copied()
+                        .collect();
+                    if nth > 0 {
+                        assert_eq!(store.append_batch(batch), fresh.len(), "case {case}");
+                        reference.append_batch(batch);
+                    }
+                    arrived.extend(fresh);
+                    assert_eq!(store.len(), arrived.len(), "case {case}");
                 }
-                arrived.extend(fresh);
-                assert_eq!(store.len(), arrived.len(), "case {case}");
-            }
-            assert_eq!(store.ratings(), arrived, "case {case}: arrival order");
-            let hosted = |r: &&Rating| block.is_some_and(|b| b.contains(r.user));
-            assert_eq!(
-                store.alien_len(),
-                block.map_or(0, |_| arrived.iter().filter(|r| !hosted(r)).count())
-            );
-            for user in [0, 2, 5, 6, u32::MAX] {
-                let row: Option<Vec<Rating>> = block
-                    .filter(|b| b.contains(user))
-                    .map(|_| arrived.iter().filter(|r| r.user == user).copied().collect());
-                assert_eq!(store.row_ratings(user), row, "case {case}: user {user}");
+                assert_eq!(store.ratings(), arrived, "case {case}: arrival order");
+                assert_eq!(store.ratings(), reference.ratings(), "case {case}");
+                assert_eq!(store.len(), reference.len());
+                assert_eq!(store.memory_bytes(), reference.memory_bytes());
+                let (mut a, mut b) = (StdRng::seed_from_u64(case), StdRng::seed_from_u64(case));
+                for k in [1, 5, store.len() / 2, store.len() + 3] {
+                    assert_eq!(store.sample(k, &mut a), reference.sample(k, &mut b));
+                }
+                let hosted = |r: &&Rating| block.is_some_and(|b| b.contains(r.user));
+                assert_eq!(
+                    store.alien_len(),
+                    block.map_or(0, |_| arrived.iter().filter(|r| !hosted(r)).count())
+                );
+                for user in [0, 2, 5, 6, u32::MAX] {
+                    let row: Option<Vec<Rating>> = block
+                        .filter(|b| b.contains(user))
+                        .map(|_| arrived.iter().filter(|r| r.user == user).copied().collect());
+                    assert_eq!(store.row_ratings(user), row, "case {case}: user {user}");
+                }
             }
         }
     }
@@ -531,14 +822,18 @@ mod tests {
     #[test]
     fn the_hash_key_is_unobservable() {
         // Identity multiplier, a fixed odd constant, and whatever this
-        // process draws: same batches in, same everything out.
-        for block in [None, Some(UserBlock { start: 2, end: 6 })] {
+        // process draws: same batches in, same everything out, in every
+        // key form.
+        for ((space, _), block) in SPACES
+            .into_iter()
+            .flat_map(|s| [(s, None), (s, Some(UserBlock { start: 2, end: 6 }))])
+        {
             let mut rng = StdRng::seed_from_u64(11);
-            let batches = random_batches(&mut rng);
+            let batches = random_batches(&mut rng, space);
             let mut stores = [
-                keyed_store(1, block),
-                keyed_store(0x9e37_79b9_7f4a_7c15, block),
-                keyed_store(CellHash::default().0, block),
+                keyed_store(1, space, block),
+                keyed_store(0x9e37_79b9_7f4a_7c15, space, block),
+                keyed_store(CellHash::default().0, space, block),
             ];
             for store in &mut stores {
                 for batch in &batches {
@@ -588,12 +883,28 @@ mod tests {
             0x94d0_49bb_1331_11eb,
             0x2545_f491_4f6c_dd1d,
         ] {
-            let hash = CellHash(key | 1);
-            for (name, cell) in grids {
+            let hash = &CellHash(key | 1);
+            // Each grid as both key forms hash it: packed `user · 9 000 +
+            // item` in a `u32`, and `user << 32 | item` in a `u64`.
+            let forms = grids.into_iter().flat_map(|(name, cell)| {
+                let packed = move |n| {
+                    let (user, item) = cell(n);
+                    hash.hash_one(user * 9_000 + item)
+                };
+                let wide = move |n| {
+                    let (user, item) = cell(n);
+                    hash.hash_one((u64::from(user) << 32) | u64::from(item))
+                };
+                [
+                    (name, Box::new(packed) as Box<dyn Fn(u64) -> u64>),
+                    (name, Box::new(wide)),
+                ]
+            });
+            for (name, hash_of) in forms {
                 let mut bucket_used = vec![false; buckets as usize];
                 let mut control = [0u32; 128];
                 for n in 0..CELLS {
-                    let h = hash.hash_one(cell(n));
+                    let h = hash_of(n);
                     bucket_used[(h & (buckets - 1)) as usize] = true;
                     control[(h >> 57) as usize] += 1;
                 }

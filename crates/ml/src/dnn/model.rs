@@ -327,8 +327,8 @@ impl Model for DnnModel {
         }
     }
 
-    fn covers(&self, user: u32, item: u32) -> bool {
-        user < self.num_users && item < self.num_items
+    fn cells(&self) -> (u32, u32) {
+        (self.num_users, self.num_items)
     }
 
     fn same_shape(&self, other: &Self) -> bool {

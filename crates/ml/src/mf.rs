@@ -1058,8 +1058,8 @@ impl Model for MfModel {
         self.train_on(data, picks.into_iter().map(|idx| idx as usize));
     }
 
-    fn covers(&self, user: u32, item: u32) -> bool {
-        user < self.num_users && item < self.num_items
+    fn cells(&self) -> (u32, u32) {
+        (self.num_users, self.num_items)
     }
 
     fn same_shape(&self, other: &Self) -> bool {

@@ -137,12 +137,21 @@ pub trait Model: Clone + Send + Sync + 'static {
         self.train_steps(data, steps, rng);
     }
 
+    /// The model's cell space, `(users, items)`: the rating matrix its
+    /// tables are sized for. The protocol layer builds its store for this
+    /// space, so the store keys each cell compactly and refuses any
+    /// outside it (see [`Model::covers`]).
+    fn cells(&self) -> (u32, u32);
+
     /// Whether `(user, item)` is a cell of this model's shape — a rating
     /// there can be trained on. Ratings come off the wire with whatever
     /// coordinates the sender wrote; the protocol layer keeps only those
     /// its model covers, because [`Model::train_steps`] indexes its tables
     /// with them unchecked by anything but the slice bounds (a panic).
-    fn covers(&self, user: u32, item: u32) -> bool;
+    fn covers(&self, user: u32, item: u32) -> bool {
+        let (users, items) = self.cells();
+        user < users && item < items
+    }
 
     /// Whether `other` has this model's shape — dimensions and every
     /// hyper-parameter that sizes a table — so [`Model::merge`] can take

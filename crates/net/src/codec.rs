@@ -4,6 +4,18 @@
 //! with a JSON library for attestation and raw buffers elsewhere; a binary
 //! codec keeps our byte accounting honest and dependency-free).
 
+// Every deployed process decodes foreign bytes here: a hostile frame
+// fails with a `CodecError`, never with a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::message::{Payload, Plain};
 use rex_data::Rating;
 use rex_ml::bytesio::{self, ByteSink, Reader, ShortBuffer};
@@ -163,14 +175,12 @@ fn share_with(sealed: bool, len: usize, write_plain: impl FnOnce(&mut Vec<u8>)) 
 
 /// The plain and the tag slot of a share [`encode_share`] (or
 /// [`encode_model_share`]) wrote sealed: seal the first in place and
-/// write the tag into the second.
-///
-/// # Panics
-/// When `payload` is shorter than a sealed payload's header and tag.
-pub fn seal_slots(payload: &mut [u8]) -> (&mut [u8], &mut [u8]) {
-    let frame = &mut payload[PAYLOAD_HEADER_LEN..];
-    let at = frame.len() - TAG_LEN;
-    frame.split_at_mut(at)
+/// write the tag into the second. `None` when `payload` is shorter than
+/// a sealed payload's header and tag.
+pub fn seal_slots(payload: &mut [u8]) -> Option<(&mut [u8], &mut [u8])> {
+    let frame = payload.get_mut(PAYLOAD_HEADER_LEN..)?;
+    let at = frame.len().checked_sub(TAG_LEN)?;
+    frame.split_at_mut_checked(at)
 }
 
 /// `tag`, `degree`, then the `len` bytes `write` appends behind their
@@ -270,12 +280,15 @@ pub enum PayloadRef<B> {
 }
 
 impl<B> PayloadRef<B> {
-    fn map<C>(self, f: impl FnOnce(B) -> C) -> PayloadRef<C> {
-        match self {
+    /// The payload with its frame replaced by `f`'s, or a short-buffer
+    /// error where `f` finds none.
+    fn try_map<C>(self, f: impl FnOnce(B) -> Option<C>) -> Result<PayloadRef<C>, CodecError> {
+        let frame = |b| f(b).ok_or_else(|| CodecError::Short("frame past the end".into()));
+        Ok(match self {
             PayloadRef::Attestation(msg) => PayloadRef::Attestation(msg),
-            PayloadRef::Sealed(b) => PayloadRef::Sealed(f(b)),
-            PayloadRef::Clear(b) => PayloadRef::Clear(f(b)),
-        }
+            PayloadRef::Sealed(b) => PayloadRef::Sealed(frame(b)?),
+            PayloadRef::Clear(b) => PayloadRef::Clear(frame(b)?),
+        })
     }
 }
 
@@ -324,13 +337,13 @@ fn parse_payload(bytes: &[u8]) -> Result<PayloadRef<std::ops::Range<usize>>, Cod
 
 /// Decodes an outer payload, borrowing its frame from `bytes`.
 pub fn decode_payload_ref(bytes: &[u8]) -> Result<PayloadRef<&[u8]>, CodecError> {
-    Ok(parse_payload(bytes)?.map(|frame| &bytes[frame]))
+    parse_payload(bytes)?.try_map(|frame| bytes.get(frame))
 }
 
 /// Decodes an outer payload, borrowing its frame mutably from `bytes`:
 /// what a receiver opens a sealed frame in place in.
 pub fn decode_payload_mut(bytes: &mut [u8]) -> Result<PayloadRef<&mut [u8]>, CodecError> {
-    Ok(parse_payload(bytes)?.map(|frame| &mut bytes[frame]))
+    parse_payload(bytes)?.try_map(|frame| bytes.get_mut(frame))
 }
 
 /// Decodes an outer payload: [`decode_payload_ref`], frame copied out.
@@ -342,14 +355,42 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Payload, CodecError> {
     })
 }
 
-/// A decoded inner payload whose model bytes stay in the buffer it was
-/// decoded from ([`decode_plain_ref`]); ratings are decoded.
+/// The triplets of a raw share, borrowed from the buffer they arrived
+/// in: [`Rating::WIRE_SIZE`] bytes each (user, item, value, each
+/// little-endian), their count checked against the bytes once, when the
+/// share was decoded ([`decode_plain_ref`]). A receiver reads each
+/// [`Rating`] out of the frame as it stores it: no decoded copy of the
+/// share is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Triplets<'a>(&'a [[u8; Rating::WIRE_SIZE]]);
+
+impl<'a> Triplets<'a> {
+    /// The ratings, in wire order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Rating> + 'a {
+        self.0.iter().map(|t| triplet(*t))
+    }
+}
+
+/// One triplet's wire bytes as the [`Rating`] [`Measured::write`] wrote.
+#[inline]
+fn triplet(bytes: [u8; Rating::WIRE_SIZE]) -> Rating {
+    let [u0, u1, u2, u3, i0, i1, i2, i3, v0, v1, v2, v3] = bytes;
+    Rating {
+        user: u32::from_le_bytes([u0, u1, u2, u3]),
+        item: u32::from_le_bytes([i0, i1, i2, i3]),
+        value: f32::from_le_bytes([v0, v1, v2, v3]),
+    }
+}
+
+/// A decoded inner payload whose bytes stay in the buffer it was decoded
+/// from ([`decode_plain_ref`]): a raw share's triplets and a model's
+/// bytes are borrowed; only a packed batch is decompressed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlainRef<'a> {
-    /// [`Plain::RawData`].
+    /// [`Plain::RawData`], its triplets borrowed.
     RawData {
         /// The carried ratings.
-        ratings: Vec<Rating>,
+        triplets: Triplets<'a>,
         /// Sender's degree in the topology.
         degree: u32,
     },
@@ -386,7 +427,10 @@ impl PlainRef<'_> {
     #[must_use]
     pub fn into_owned(self) -> Plain {
         match self {
-            PlainRef::RawData { ratings, degree } => Plain::RawData { ratings, degree },
+            PlainRef::RawData { triplets, degree } => Plain::RawData {
+                ratings: triplets.iter().collect(),
+                degree,
+            },
             PlainRef::Model { bytes, degree } => Plain::Model {
                 bytes: bytes.to_vec(),
                 degree,
@@ -410,17 +454,13 @@ pub fn decode_plain_ref(bytes: &[u8]) -> Result<PlainRef<'_>, CodecError> {
     let out = match tag {
         TAG_RAW_DATA => {
             let n = checked_len(r.u32()?, "rating count")?;
-            // The triplets must be there before any is allocated for.
-            let mut triplets = Reader::new(r.bytes(n * Rating::WIRE_SIZE)?);
-            let mut ratings = Vec::with_capacity(n);
-            for _ in 0..n {
-                ratings.push(Rating {
-                    user: triplets.u32()?,
-                    item: triplets.u32()?,
-                    value: triplets.f32()?,
-                });
+            // The reader hands out exactly `n` whole triplets or none,
+            // so the remainder of the split is empty.
+            let (triplets, _) = r.bytes(n * Rating::WIRE_SIZE)?.as_chunks();
+            PlainRef::RawData {
+                triplets: Triplets(triplets),
+                degree,
             }
-            PlainRef::RawData { ratings, degree }
         }
         TAG_MODEL => {
             let len = checked_len(r.u32()?, "model length")?;
@@ -783,9 +823,9 @@ mod tests {
     /// Both decoder forms of a payload, which must agree.
     fn decode_payload_both(bytes: &[u8]) -> Result<Payload, CodecError> {
         let owned = decode_payload(bytes);
-        let borrowed = decode_payload_ref(bytes).map(|p| p.map(<[u8]>::to_vec));
+        let borrowed = decode_payload_ref(bytes).and_then(|p| p.try_map(|f| Some(f.to_vec())));
         let mut copy = bytes.to_vec();
-        let in_place = decode_payload_mut(&mut copy).map(|p| p.map(|f| f.to_vec()));
+        let in_place = decode_payload_mut(&mut copy).and_then(|p| p.try_map(|f| Some(f.to_vec())));
         assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"));
         assert_eq!(format!("{owned:?}"), format!("{in_place:?}"));
         owned
@@ -898,7 +938,7 @@ mod tests {
 
             let mut sealed = encode_share(true, plain);
             assert_eq!(sealed.capacity(), sealed.len());
-            let (body, tag) = seal_slots(&mut sealed);
+            let (body, tag) = seal_slots(&mut sealed).unwrap();
             tag.copy_from_slice(&session().seal_in_place(b"aad", body));
             let want = session().seal(b"aad", &encode_plain(plain));
             assert_eq!(sealed, encode_payload(&Payload::Sealed(want)));
@@ -915,6 +955,144 @@ mod tests {
         };
         let written = encode_model_share(true, *degree, bytes.len(), |buf| buf.put(bytes));
         assert_eq!(written, encode_share(true, &plains[0]));
+    }
+
+    /// The per-field decode the raw share had before its triplets were
+    /// borrowed: the reference the view must equal, value bits included.
+    fn reader_loop(bytes: &[u8]) -> Result<(Vec<Rating>, u32), CodecError> {
+        let mut r = Reader::new(bytes);
+        assert_eq!(r.u8()?, TAG_RAW_DATA);
+        let degree = r.u32()?;
+        let n = checked_len(r.u32()?, "rating count")?;
+        let mut triplets = Reader::new(r.bytes(n * Rating::WIRE_SIZE)?);
+        let mut ratings = Vec::with_capacity(n);
+        for _ in 0..n {
+            ratings.push(Rating {
+                user: triplets.u32()?,
+                item: triplets.u32()?,
+                value: triplets.f32()?,
+            });
+        }
+        no_trailing(&r)?;
+        Ok((ratings, degree))
+    }
+
+    fn bits(ratings: impl IntoIterator<Item = Rating>) -> Vec<(u32, u32, u32)> {
+        ratings
+            .into_iter()
+            .map(|r| (r.user, r.item, r.value.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn the_borrowed_triplets_are_what_the_reader_loop_decodes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ODD: [f32; 6] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ];
+        for case in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = match case {
+                0 => 0,
+                1 => 600,
+                _ => rng.gen_range(0..=600),
+            };
+            let ratings: Vec<Rating> = (0..n)
+                .map(|_| Rating {
+                    user: rng.gen(),
+                    item: if rng.gen_bool(0.5) {
+                        rng.gen_range(0..9_000)
+                    } else {
+                        rng.gen()
+                    },
+                    value: match rng.gen_range(0..4) {
+                        0 => ODD[rng.gen_range(0..ODD.len())],
+                        1 => f32::from_bits(rng.gen()),
+                        _ => rng.gen_range(1..11) as f32 * 0.5,
+                    },
+                })
+                .collect();
+            let degree = rng.gen();
+            let bytes = encode_plain(&Plain::RawData {
+                ratings: ratings.clone(),
+                degree,
+            });
+            let (want, want_degree) = reader_loop(&bytes).unwrap();
+            assert_eq!(bits(want.iter().copied()), bits(ratings), "case {case}");
+            let Ok(PlainRef::RawData { triplets, degree }) = decode_plain_ref(&bytes) else {
+                panic!("case {case}: not a raw share");
+            };
+            assert_eq!((triplets.iter().len(), degree), (want.len(), want_degree));
+            assert_eq!(
+                bits(triplets.iter()),
+                bits(want.iter().copied()),
+                "case {case}"
+            );
+            let Ok(Plain::RawData { ratings: owned, .. }) = decode_plain(&bytes) else {
+                panic!("case {case}: not a raw share");
+            };
+            assert_eq!(bits(owned), bits(want), "case {case}");
+        }
+    }
+
+    #[test]
+    fn hostile_raw_frames_get_typed_errors_from_the_view() {
+        let frame = |count: u32, body: usize| {
+            let mut buf = vec![TAG_RAW_DATA];
+            buf.extend_from_slice(&3u32.to_le_bytes());
+            buf.extend_from_slice(&count.to_le_bytes());
+            buf.resize(buf.len() + body, 0x7f);
+            buf
+        };
+        let cases = [
+            // A count larger than the bytes behind it.
+            (frame(5, 4 * 12), "count past the bytes"),
+            (frame(MAX_LEN - 1, 12), "count near the cap"),
+            // The last triplet one byte short.
+            (frame(4, 4 * 12 - 1), "11-byte last triplet"),
+            (frame(1, 11), "11-byte only triplet"),
+        ];
+        for (bytes, what) in &cases {
+            assert!(
+                matches!(decode_plain_both(bytes), Err(CodecError::Short(_))),
+                "{what}"
+            );
+            assert_eq!(
+                format!("{:?}", reader_loop(bytes)),
+                format!("{:?}", decode_plain_ref(bytes)),
+                "{what}"
+            );
+        }
+        for (bytes, what) in [
+            (frame(MAX_LEN, 0), "count at the cap"),
+            (frame(MAX_LEN, 12), "count at the cap, bytes behind"),
+            (frame(u32::MAX, 0), "count at u32::MAX"),
+            (frame(2, 2 * 12 + 1), "a trailing byte"),
+        ] {
+            assert!(
+                matches!(decode_plain_both(&bytes), Err(CodecError::Invalid(_))),
+                "{what}"
+            );
+        }
+        assert!(decode_plain_both(&frame(4, 4 * 12)).is_ok());
+    }
+
+    #[test]
+    fn seal_slots_refuses_a_payload_too_short_for_a_tag() {
+        let mut sealed = encode_share(true, &Plain::Empty { degree: 1 });
+        assert!(seal_slots(&mut sealed).is_some());
+        for len in 0..PAYLOAD_HEADER_LEN + TAG_LEN {
+            assert!(seal_slots(&mut vec![0; len]).is_none(), "{len} bytes");
+        }
+        let mut bare = vec![0; PAYLOAD_HEADER_LEN + TAG_LEN];
+        let (plain, tag) = seal_slots(&mut bare).unwrap();
+        assert_eq!((plain.len(), tag.len()), (0, TAG_LEN));
     }
 
     #[test]

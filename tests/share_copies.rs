@@ -142,3 +142,41 @@ fn a_model_share_allocates_about_one_model_per_recipient() {
         );
     }
 }
+
+/// A raw share is read where it lands: decoding its plain borrows the
+/// triplets and allocates nothing, and a hostile count is refused with
+/// no allocation of its size (an error message's few bytes at most).
+#[test]
+fn a_raw_share_is_read_in_place_and_a_hostile_count_allocates_nothing() {
+    use rex_repro::data::Rating;
+    use rex_repro::net::codec::{decode_plain_ref, encode_plain, PlainRef};
+    use rex_repro::net::message::Plain;
+    let ratings: Vec<Rating> = (0..300)
+        .map(|n| Rating {
+            user: n % 610,
+            item: n * 29 % 9_000,
+            value: 3.5,
+        })
+        .collect();
+    let bytes = encode_plain(&Plain::RawData {
+        ratings: ratings.clone(),
+        degree: 5,
+    });
+    let (plain, allocated) = allocated_by(|| decode_plain_ref(&bytes));
+    assert_eq!(allocated, 0, "decoding a raw share allocated");
+    let Ok(PlainRef::RawData { triplets, .. }) = plain else {
+        panic!("not a raw share");
+    };
+    assert!(triplets.iter().eq(ratings));
+
+    for count in [u32::MAX, 16 * 1024 * 1024, 16 * 1024 * 1024 - 1, 301] {
+        let mut hostile = bytes.clone();
+        hostile[5..9].copy_from_slice(&count.to_le_bytes());
+        let (plain, allocated) = allocated_by(|| decode_plain_ref(&hostile).is_err());
+        assert!(plain, "count {count} accepted");
+        assert!(
+            allocated < 256,
+            "count {count}: {allocated} bytes allocated"
+        );
+    }
+}
