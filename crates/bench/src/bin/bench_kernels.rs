@@ -19,7 +19,9 @@
 //! `append_batch` into a 256-user sharded store — and the merge arm: one
 //! model-sharing merge on an `ms-model`-shaped pair, decoding the peer
 //! (`from_bytes` + `merge`) against merging from a view of its wire
-//! bytes (`view` + `merge_views`). Every arm owns its
+//! bytes (`view` + `merge_views`) — and the layout arm: the full-form
+//! chain link of a `serve-live`-shaped trainer whose table lies in
+//! first-write order against one that owns it in row order. Every arm owns its
 //! state and takes its windows in rotation with the arms it is compared
 //! with ([`rex_bench::harness`]). Writes (and prints)
 //! `results/BENCH_kernels.json`.
@@ -46,11 +48,16 @@
 //!   acceptance floor is 5x);
 //! * `merge_view_speedup` — one model-sharing merge, `from_bytes` +
 //!   `merge` / `view` + `merge_views`: both sides timed in every window,
-//!   in alternating order, and the median of the windows' ratios kept.
+//!   in alternating order, and the median of the windows' ratios kept;
+//! * `row_order_commit_speedup` — one full-form chain link of a
+//!   `serve-live`-shaped model after one epoch, its table in first-write
+//!   order / in row order (owned at build): both sides in every window,
+//!   alternating, the median ratio kept.
 //!
 //! `--check-baseline <path>` compares this run's `dot32_speedup`,
 //! `poly_speedup`, `chacha_wide_speedup`, `sha256_speedup`,
-//! `sweep_speedup`, `commit_speedup` and `merge_view_speedup` against a committed baseline
+//! `sweep_speedup`, `commit_speedup`, `merge_view_speedup` and
+//! `row_order_commit_speedup` against a committed baseline
 //! JSON (`rex_bench::baseline`) and exits non-zero when any regressed by
 //! more than 25%. On a host without AVX2 (for `chacha_wide_speedup`,
 //! without AVX-512F; for the two SHA ratios, without the SHA
@@ -448,6 +455,99 @@ fn sweep_arms(levels: &[KernelLevel], reps: usize) -> (Vec<Row>, f64) {
     (rows, (best[0] + best[2]) / (best[1] + best[3]))
 }
 
+/// Full-form links per side per window of the `row_order_commit` arm.
+const LINKS_PER_WINDOW: usize = 8;
+
+/// The full-form commitment link of a `serve-live`-shaped trainer, in
+/// the two layouts its table can have: two paper-shaped models trained
+/// from the shared init through one `serve-live` epoch (20 000 steps on
+/// all 610 users' ratings, the same draws on both), one copy-on-write
+/// (its written rows in first-write order, so a whole-table pass gathers
+/// a run per written row) and one that owned every row in row order
+/// before training, as the builder's ownership rule has it. Both sides
+/// hash `write_bytes` — what a full-form link hashes — on the process's
+/// SHA path, in every window, in alternating order; µs per link. Returns
+/// the rows and `row_order_commit_speedup`, the median over windows of
+/// the two sides' ratio.
+fn row_order_commit_arms(reps: usize) -> (Vec<Row>, f64) {
+    let ds = paper_dataset();
+    let (mut scattered, mut ordered) = (paper_model(), paper_model());
+    ordered.own_all_rows();
+    for model in [&mut scattered, &mut ordered] {
+        model.train_steps(&ds.ratings, SWEEP_OPS, &mut StdRng::seed_from_u64(0x5E7E));
+    }
+    assert_eq!(
+        scattered.to_bytes(),
+        ordered.to_bytes(),
+        "the layouts parted ways"
+    );
+    let [mut first_write, mut row_order] =
+        [CommitmentChain::new(42, 0), CommitmentChain::new(42, 0)];
+    // µs per full-form link of `model`.
+    let link = |chain: &mut CommitmentChain, model: &MfModel| {
+        harness::time_ns(|| {
+            for epoch in 0..LINKS_PER_WINDOW {
+                black_box(chain.advance_with(epoch, |link| black_box(model).write_bytes(link)));
+            }
+        }) / 1e3
+            / LINKS_PER_WINDOW as f64
+    };
+    let (first_write_us, row_order_us, ratio) = paired_windows(
+        "full-form link: first-write vs row order",
+        reps,
+        || link(&mut first_write, &scattered),
+        || link(&mut row_order, &ordered),
+    );
+    let rows = vec![
+        e2e(
+            "commitment_serve_live",
+            "first_write_order",
+            "full",
+            "us",
+            first_write_us,
+        ),
+        e2e(
+            "commitment_serve_live",
+            "row_order",
+            "full",
+            "us",
+            row_order_us,
+        ),
+    ];
+    (rows, ratio)
+}
+
+/// Times the two sides of one comparison in every one of `reps` windows,
+/// in alternating order (`a` first in every other window), on one
+/// rotated arm ([`harness::rotate`]). Returns each side's best window
+/// and the median over windows of `a`'s time over `b`'s.
+fn paired_windows(
+    label: &str,
+    reps: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (f64, f64, f64) {
+    let mut window = 0;
+    let mut arm: Arm<'_, (f64, f64)> = Box::new(|| {
+        window += 1;
+        if window % 2 == 0 {
+            let first = a();
+            (first, b())
+        } else {
+            let second = b();
+            (a(), second)
+        }
+    });
+    let windows = harness::rotate(label, reps, std::slice::from_mut(&mut arm))
+        .pop()
+        .expect("one arm");
+    let best =
+        |side: fn(&(f64, f64)) -> f64| windows.iter().map(side).fold(f64::INFINITY, f64::min);
+    let mut ratios: Vec<f64> = windows.iter().map(|(a, b)| a / b).collect();
+    ratios.sort_by(f64::total_cmp);
+    (best(|w| w.0), best(|w| w.1), ratios[ratios.len() / 2])
+}
+
 /// Merges per side per window of the `merge_view` arm.
 const MERGES_PER_WINDOW: usize = 8;
 /// `ms-model` epochs (300 steps on each side's users, then one merge
@@ -489,69 +589,37 @@ fn merge_view_arms(reps: usize) -> (Vec<Row>, f64) {
     }
     let bytes = peer.to_bytes();
     let (mut decoded, mut viewed) = (local.clone(), local);
-    let mut window = 0;
-    let mut arm: Arm<'_, (f64, f64)> = Box::new(|| {
-        let mut decode = || {
+    let per_merge = 1e3 * MERGES_PER_WINDOW as f64;
+    let (decode_us, view_us, ratio) = paired_windows(
+        "merge: from_bytes + merge vs view",
+        reps,
+        || {
             harness::time_ns(|| {
                 for _ in 0..MERGES_PER_WINDOW {
                     let alien = MfModel::from_bytes(black_box(&bytes)).unwrap();
                     decoded.merge(&[(0.5, &alien)], 0.5);
                 }
-            })
-        };
-        let mut view = || {
+            }) / per_merge
+        },
+        || {
             harness::time_ns(|| {
                 for _ in 0..MERGES_PER_WINDOW {
                     let alien = viewed.view(black_box(&bytes)).unwrap();
                     viewed.merge_views(&[(0.5, &alien)], 0.5);
                 }
-            })
-        };
-        window += 1;
-        let (a, b) = if window % 2 == 0 {
-            let a = decode();
-            (a, view())
-        } else {
-            let b = view();
-            (decode(), b)
-        };
-        let per_merge = 1e3 * MERGES_PER_WINDOW as f64;
-        (a / per_merge, b / per_merge)
-    });
-    let windows = harness::rotate(
-        "merge: from_bytes + merge vs view",
-        reps,
-        std::slice::from_mut(&mut arm),
-    )
-    .pop()
-    .expect("one arm");
-    drop(arm);
+            }) / per_merge
+        },
+    );
     assert_eq!(
         decoded.to_bytes(),
         viewed.to_bytes(),
         "the two merges parted ways"
     );
-    let best =
-        |side: fn(&(f64, f64)) -> f64| windows.iter().map(side).fold(f64::INFINITY, f64::min);
-    let mut ratios: Vec<f64> = windows.iter().map(|(a, b)| a / b).collect();
-    ratios.sort_by(f64::total_cmp);
     let rows = vec![
-        e2e(
-            "merge_ms_model",
-            "from_bytes+merge",
-            "",
-            "us",
-            best(|w| w.0),
-        ),
-        e2e(
-            "merge_ms_model",
-            "view+merge_views",
-            "",
-            "us",
-            best(|w| w.1),
-        ),
+        e2e("merge_ms_model", "from_bytes+merge", "", "us", decode_us),
+        e2e("merge_ms_model", "view+merge_views", "", "us", view_us),
     ];
-    (rows, ratios[ratios.len() / 2])
+    (rows, ratio)
 }
 
 /// End-to-end arms at k = 32: MF training wall time (ms) and serve-path
@@ -704,6 +772,7 @@ fn main() {
     let (e2e_rows, epoch, serve) = e2e_arms(&levels, steps, queries);
     let (sweep_rows, sweep) = sweep_arms(&levels, if args.full { 16 } else { 8 });
     let (merge_rows, merge_view) = merge_view_arms(if args.full { 31 } else { 11 });
+    let (order_rows, row_order_commit) = row_order_commit_arms(if args.full { 31 } else { 11 });
     kernel::force_level(best);
     rows.extend(
         poly_rows
@@ -711,7 +780,8 @@ fn main() {
             .chain(sha_rows)
             .chain(e2e_rows)
             .chain(sweep_rows)
-            .chain(merge_rows),
+            .chain(merge_rows)
+            .chain(order_rows),
     );
     rows.extend(ungated_arms(reps));
 
@@ -730,7 +800,8 @@ fn main() {
                 .num("sha256_speedup", sha256, 2)
                 .num("sweep_speedup", sweep, 2)
                 .num("commit_speedup", commit, 2)
-                .num("merge_view_speedup", merge_view, 2),
+                .num("merge_view_speedup", merge_view, 2)
+                .num("row_order_commit_speedup", row_order_commit, 2),
         );
     let no_avx2 = (best != KernelLevel::Avx2).then(|| {
         format!(
@@ -758,6 +829,7 @@ fn main() {
             Gate::floor("sweep_speedup", sweep).unless(no_avx2),
             Gate::floor("commit_speedup", commit).unless(no_sha_ni),
             Gate::floor("merge_view_speedup", merge_view),
+            Gate::floor("row_order_commit_speedup", row_order_commit),
         ],
     );
 }

@@ -147,6 +147,7 @@ fn engine_config(epochs: usize, driver: Driver) -> EngineConfig {
         seed: 0xE0,
         faults: None,
         membership: None,
+        trace_out: None,
     }
 }
 

@@ -93,6 +93,7 @@ fn train_arm(sharing: SharingMode, epochs: usize) -> (MfModel, Vec<Rating>, u32)
             seed: 0xE0,
             faults: None,
             membership: None,
+            trace_out: None,
         },
     )
     .run("serve-train", &mut nodes);

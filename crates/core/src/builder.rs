@@ -80,10 +80,18 @@ pub fn build_mf_nodes_sharded(
 /// The MF builders' one body: each node gets a clone of `init` (every
 /// byte and the fresh write log; the last node takes `init` itself) and
 /// its own local mean and factor stamp. The clones share `init`'s rows
-/// until they write them, except under model sharing: there a node's
-/// first merge writes every row a neighbour has seen, so sharing would
-/// save nothing, and each node takes its rows at build
-/// ([`MfModel::own_all_rows`]) in row order.
+/// until they write them, except where a node will write most of its
+/// table anyway. That is the one ownership rule: a node takes every row
+/// at build, in row order ([`MfModel::own_all_rows`]), under model
+/// sharing (its first merge writes every row a neighbour has seen) or
+/// when its training ratings reach at least one row in four
+/// ([`MfModel::ratings_reach_full_form`]). Past that share its
+/// commitment links take the full form, which reads the whole table
+/// every epoch: in row order that is one run per table, in first-write
+/// order one per written row. The rule counts nothing on a node with
+/// fewer ratings than an eighth of the rows, so the paper's one-user
+/// nodes (about 1.4 % of the rows reached) keep copy-on-write for free.
+/// An owning node holds no share of `init`: the last owner frees it.
 fn build_mf_fleet(
     partition: &Partition,
     graph: &Graph,
@@ -98,7 +106,7 @@ fn build_mf_fleet(
         .map(|(id, mut model)| {
             let train = partition.train[id].clone();
             model.set_global_mean(local_mean(&train));
-            if cfg.sharing == SharingMode::Model {
+            if cfg.sharing == SharingMode::Model || model.ratings_reach_full_form(&train) {
                 model.own_all_rows();
             }
             let node = Node::builder(id, model)
@@ -331,6 +339,75 @@ mod tests {
                 assert_eq!(n.model().clone().write_changes(&mut record), None);
                 assert_eq!(record, drawn.to_bytes());
             }
+        }
+    }
+
+    /// One node over a 10 × 91 model (101 rows) whose user 0 rated items
+    /// `0..items`: it reaches `1 + items` rows.
+    fn one_rater(items: u32, sharing: SharingMode) -> Node<MfModel> {
+        let rated: Vec<Rating> = (0..items)
+            .map(|item| Rating {
+                user: 0,
+                item,
+                value: 4.0,
+            })
+            .collect();
+        let part = Partition {
+            users: vec![vec![0]],
+            train: vec![rated],
+            test: vec![Vec::new()],
+        };
+        let cfg = ProtocolConfig {
+            sharing,
+            ..ProtocolConfig::default()
+        };
+        let graph = TopologySpec::FullyConnected.build(1, 0);
+        let hp = MfHyperParams::default();
+        build_mf_nodes(&part, &graph, 10, 91, hp, cfg, NodeSeeds::default())
+            .pop()
+            .expect("one node")
+    }
+
+    #[test]
+    fn a_node_whose_ratings_reach_a_quarter_of_its_rows_owns_them_at_build() {
+        // ⌈101 / 4⌉ = 26 rows reached owns every row, 25 does not; an
+        // owning model holds no share of the init.
+        let owning = one_rater(25, SharingMode::RawData);
+        let sharing = one_rater(24, SharingMode::RawData);
+        assert_eq!(owning.model().base_bytes(), 0);
+        assert_eq!(sharing.model().base_bytes(), (10 + 91) * (10 + 1) * 4);
+        assert!(owning.model().resident_bytes() > sharing.model().resident_bytes());
+        // Model sharing owns whatever its ratings reach.
+        assert_eq!(one_rater(1, SharingMode::Model).model().base_bytes(), 0);
+        // The layout moves no value: both are the init at mean 4.0.
+        assert_eq!(owning.model().to_bytes(), sharing.model().to_bytes());
+    }
+
+    #[test]
+    fn the_papers_one_user_fleet_owns_no_row_at_build() {
+        let ds = SyntheticConfig {
+            num_users: 610,
+            num_items: 9_000,
+            num_ratings: 100_000,
+            seed: 42,
+            ..SyntheticConfig::default()
+        }
+        .generate();
+        let split = TrainTestSplit::standard(&ds, 7);
+        let nodes = build_mf_nodes(
+            &Partition::one_user_per_node(&split),
+            &TopologySpec::SmallWorld.build(610, 5),
+            ds.num_users,
+            ds.num_items,
+            MfHyperParams::default(),
+            ProtocolConfig::default(),
+            NodeSeeds::default(),
+        );
+        let init = MfModel::new(610, 9_000, MfHyperParams::default(), 3.5, 1);
+        // A fresh model owns nothing; its sizes depend only on its shape.
+        for n in &nodes {
+            assert_eq!(n.model().base_bytes(), init.base_bytes(), "node {}", n.id());
+            assert_eq!(n.model().resident_bytes(), init.resident_bytes());
         }
     }
 

@@ -79,6 +79,7 @@ use crate::node::{EpochReport, Node};
 use crate::pool::{self, panic_message};
 use crate::round::{Drive, EpochEvent, RoundContext};
 use crate::setup::{establish_tee_with_directory, founding_view, SetupReport};
+use crate::trace_out::TraceOut;
 use rex_ml::Model;
 use rex_net::fault::FaultPlan;
 use rex_net::link::LinkModel;
@@ -89,6 +90,7 @@ use rex_sim::trace::{EpochRecord, ExperimentTrace};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -163,6 +165,10 @@ pub struct EngineConfig {
     /// of the epoch is drained, so a sponsor's bootstrap lands in the
     /// joiner's first inbox.
     pub membership: Option<MembershipPlan>,
+    /// Where to write one JSON line per executed node-epoch
+    /// ([`crate::trace_out`]): an epoch's lines, in node order, when the
+    /// fold closes that epoch. `None` writes nothing.
+    pub trace_out: Option<PathBuf>,
 }
 
 impl Default for EngineConfig {
@@ -176,6 +182,7 @@ impl Default for EngineConfig {
             seed: 0x1234,
             faults: None,
             membership: None,
+            trace_out: None,
         }
     }
 }
@@ -217,9 +224,10 @@ impl<M: Model, T: Transport> Engine<M, T> {
     ///
     /// # Panics
     /// If `nodes` is empty, its length disagrees with the transport, a
-    /// membership plan fails validation, or a node fails mid-run — its
+    /// membership plan fails validation, a node fails mid-run — its
     /// epoch panics or its endpoint loses a peer — in which case the
-    /// failure is re-raised naming the node.
+    /// failure is re-raised naming the node, or the
+    /// [`EngineConfig::trace_out`] file cannot be created or written.
     pub fn run(mut self, name: &str, nodes: &mut [Node<M>]) -> EngineResult {
         assert!(!nodes.is_empty(), "engine needs at least one node");
         let n = nodes.len();
@@ -284,7 +292,10 @@ impl<M: Model, T: Transport> Engine<M, T> {
                 (Drive::new(node, 0..epochs, ctx, None), endpoint)
             })
             .collect();
-        let fold = Fold::new(name, self.cfg.time.clone(), setup_ns, n, epochs);
+        let trace_out = self.cfg.trace_out.as_deref().map(|path| {
+            TraceOut::create(path).unwrap_or_else(|e| panic!("trace-out {}: {e}", path.display()))
+        });
+        let fold = Fold::new(name, self.cfg.time.clone(), setup_ns, n, epochs, trace_out);
         let final_stats = match self.cfg.driver {
             Driver::ThreadPerNode => run_threads(drives, &fold),
             Driver::WorkSteal { workers } => {
@@ -370,6 +381,10 @@ struct Folding {
     next: Vec<Option<usize>>,
     /// The epochs from `trace.records.len()` on that some node reported.
     open: VecDeque<OpenEpoch>,
+    /// Where each folded epoch's reports are written, and the first
+    /// error writing them (after which nothing more is written).
+    trace_out: Option<TraceOut>,
+    trace_err: Option<std::io::Error>,
 }
 
 /// One epoch's reports while some node has yet to report it.
@@ -400,6 +415,7 @@ impl Fold {
         setup_ns: u64,
         nodes: usize,
         epochs: usize,
+        trace_out: Option<TraceOut>,
     ) -> Self {
         Fold(Mutex::new(Folding {
             trace: ExperimentTrace::new(name),
@@ -410,6 +426,8 @@ impl Fold {
             charged_ns: 0,
             next: vec![Some(0); nodes],
             open: VecDeque::new(),
+            trace_out,
+            trace_err: None,
         }))
     }
 
@@ -449,10 +467,19 @@ impl Fold {
 
     /// The trace, every epoch folded (an epoch nobody reported folds
     /// empty).
+    ///
+    /// # Panics
+    /// When writing the epoch records failed.
     pub(crate) fn finish(self) -> ExperimentTrace {
         let mut f = self.0.into_inner().unwrap_or_else(PoisonError::into_inner);
         while f.trace.records.len() < f.epochs {
             f.fold(OpenEpoch::new(f.next.len(), 0));
+        }
+        if let Some(out) = f.trace_out.take() {
+            f.trace_err = f.trace_err.take().or(out.flush().err());
+        }
+        if let Some(e) = f.trace_err {
+            panic!("trace-out: {e}");
         }
         f.trace
     }
@@ -476,6 +503,18 @@ impl Folding {
         };
         let time_ns = self.setup_ns + elapsed_ns + self.charged_ns;
         let epoch = self.trace.records.len();
+        if let Some(out) = &self.trace_out {
+            let written = open
+                .reports
+                .iter()
+                .enumerate()
+                .filter_map(|(id, report)| report.as_ref().map(|r| (id, r)))
+                .try_for_each(|(id, report)| out.write(id, epoch, report));
+            if let Err(e) = written {
+                self.trace_err = Some(e);
+                self.trace_out = None;
+            }
+        }
         let record = aggregate_epoch(epoch, time_ns, &open.reports, open.delivery);
         self.trace.push(record);
     }

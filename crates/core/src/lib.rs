@@ -97,6 +97,7 @@ pub mod round;
 pub mod serve;
 pub mod setup;
 pub mod store;
+pub mod trace_out;
 
 pub use builder::{build_dnn_nodes, build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
 pub use centralized::run_baseline;

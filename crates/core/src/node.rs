@@ -705,9 +705,12 @@ impl<M: Model> Node<M> {
         // The share is written once, where it is sent from: payload
         // header, plain (a dense model serialised straight in), tag slot.
         // Sealing is in place, so each recipient but the last seals a
-        // copy and the last seals the original.
+        // copy and the last seals the original. A share nobody receives
+        // is not written at all; its sample was still drawn above, since
+        // the RNG stream is the node's trajectory.
         let sealed = self.tee.is_some();
         let mut share = match &plain {
+            _ if recipients.is_empty() => Vec::new(),
             Some(plain) => encode_share(sealed, plain),
             None => encode_model_share(sealed, degree, self.model.wire_size(), |buf| {
                 self.model.write_bytes(buf);
@@ -916,6 +919,25 @@ mod tests {
             assert_eq!(split_report.new_points, report.new_points);
         }
         assert_eq!(split.model().to_bytes(), whole.model().to_bytes());
+    }
+
+    #[test]
+    fn a_share_nobody_receives_is_drawn_but_not_sent() {
+        // D-PSGD draws nothing to pick its recipients, so a node with no
+        // neighbour and its twin with one consume the same RNG stream.
+        for sharing in [SharingMode::RawData, SharingMode::Model] {
+            let c = cfg(sharing, GossipAlgorithm::DPsgd);
+            let (mut alone, mut wired) = (mk_node(0, Vec::new(), c), mk_node(0, vec![1], c));
+            for _ in 0..5 {
+                let (silent, quiet) = alone.epoch(Vec::new());
+                let (sent, report) = wired.epoch(Vec::new());
+                assert!(silent.is_empty() && quiet.bytes_out == 0);
+                assert_eq!((sent.len(), report.bytes_out > 0), (1, true));
+                assert_eq!(quiet.rmse.map(f64::to_bits), report.rmse.map(f64::to_bits));
+                assert_eq!(quiet.commitment, report.commitment);
+            }
+            assert_eq!(alone.model().to_bytes(), wired.model().to_bytes());
+        }
     }
 
     #[test]

@@ -383,7 +383,7 @@ mod tests {
     ) -> (ExperimentTrace, Vec<TrafficStats>) {
         let n = fleet.len();
         let mut views = vec![plan.map(|plan| founding_view(fleet, plan, None)); n];
-        let fold = Fold::new("pool", TimeAxis::Wall, 0, n, epochs);
+        let fold = Fold::new("pool", TimeAxis::Wall, 0, n, epochs, None);
         let drives = fleet
             .iter_mut()
             .zip(&mut views)

@@ -37,6 +37,11 @@ fn next_factor_stamp() -> u64 {
 /// running workload (README, "What a commitment costs"), so the row
 /// form stops where it is still ~2.4× cheaper. A raw-sharing epoch logs
 /// 3–5 % of the rows.
+///
+/// The same share decides a table's layout ([`MfModel::ratings_reach_full_form`]):
+/// a model whose training ratings reach one row in this many commits in
+/// the full form once trained, so it takes every row at build, in row
+/// order, and each whole-table pass reads one run per table.
 const ROW_FORM_UP_TO_ONE_ROW_IN: usize = 4;
 
 /// One bit per row of a table, in ascending row order.
@@ -289,7 +294,8 @@ impl MfModel {
     }
 
     /// Bytes of the shared initialization this model's unwritten rows
-    /// read from (zero for a decoded model, which owns every row).
+    /// read from (zero for a model that owns every row: a decoded one,
+    /// or one after [`MfModel::own_all_rows`]).
     #[must_use]
     pub fn base_bytes(&self) -> usize {
         self.users.base_bytes() + self.items.base_bytes()
@@ -299,14 +305,43 @@ impl MfModel {
         self.version = next_factor_stamp();
     }
 
-    /// Makes every row this model's own, laid out in row order: a model
-    /// that will write nearly every row anyway (a model-sharing node's
-    /// first merge writes every row a neighbour has seen) takes them at
+    /// Makes every row this model's own, laid out in row order, and lets
+    /// go of the shared initialization ([`MfModel::base_bytes`] reads 0
+    /// after): a model that will write most of its rows anyway (a
+    /// model-sharing node's first merge writes every row a neighbour has
+    /// seen; see [`MfModel::ratings_reach_full_form`]) takes them at
     /// once, instead of a few at a time in the order it writes them.
     /// Moves no value and leaves the factor version as it was.
     pub fn own_all_rows(&mut self) {
         self.users.own_all();
         self.items.own_all();
+    }
+
+    /// Whether training on `ratings` reaches at least one of this
+    /// model's rows (users and items together) in four: the share past
+    /// which its change records take the full form, so that every
+    /// commitment link reads the whole table anyway. Such a model should own its rows in row
+    /// order ([`MfModel::own_all_rows`]), or each full-form pass gathers
+    /// one run per row it wrote. A rating reaches two rows, so fewer
+    /// than one rating per eight rows answers `false` before any row is
+    /// counted. Ratings outside the model's cells reach nothing.
+    #[must_use]
+    pub fn ratings_reach_full_form(&self, ratings: &[Rating]) -> bool {
+        let rows = (self.num_users + self.num_items) as usize;
+        if 2 * ratings.len() * ROW_FORM_UP_TO_ONE_ROW_IN < rows {
+            return false;
+        }
+        let (mut users, mut items) = (
+            RowBits::new(self.num_users as usize),
+            RowBits::new(self.num_items as usize),
+        );
+        for r in ratings {
+            if r.user < self.num_users && r.item < self.num_items {
+                RowBits::set(&mut users.0, r.user as usize);
+                RowBits::set(&mut items.0, r.item as usize);
+            }
+        }
+        (users.count() + items.count()) * ROW_FORM_UP_TO_ONE_ROW_IN >= rows
     }
 
     /// Hyperparameters.

@@ -17,6 +17,20 @@
 //! by its slot needs. A pass over the whole table ([`RowStore::runs`])
 //! reads it in row order, as maximal runs of rows that lie side by
 //! side.
+//!
+//! A model that will write most of its table anyway takes every row at
+//! build instead, in row order ([`RowStore::own_all`]), and lets go of
+//! the base. The fleet builder's one rule for which model does
+//! (`rex_core`'s `build_mf_fleet`) is model sharing (its first merge
+//! writes every row a neighbour has seen), or training ratings that reach
+//! at least one row in four ([`crate::MfModel::ratings_reach_full_form`]).
+//! That share is where the model's change
+//! records switch to the full form, so from its first epochs on every
+//! commitment link reads the whole table: kept in first-write order, each
+//! such pass would gather one run per written row (~9 500 on a
+//! 610 × 9 000 model trained on all its users), against one per table in
+//! row order. Below it, as on a one-user node (about 1.4 % of the rows
+//! reached), the table stays copy-on-write.
 
 use std::sync::Arc;
 
@@ -223,8 +237,10 @@ impl RowStore {
     }
 
     /// Takes every row, laid out in row order: the overlay is rebuilt
-    /// to hold the whole table, row `r` in slot `r`. Moves no value;
-    /// slots from [`RowStore::own`] go stale.
+    /// to hold the whole table, row `r` in slot `r`, and the shared base
+    /// is let go, since no row reads from it any more (the last table to
+    /// let go frees it). Moves no value; slots from [`RowStore::own`] go
+    /// stale.
     pub(crate) fn own_all(&mut self) {
         let (k, rows) = (self.k, self.rows());
         let mut factors = Vec::with_capacity(rows * k);
@@ -236,6 +252,7 @@ impl RowStore {
         }
         self.slots = (0..rows as u32).collect();
         (self.factors, self.biases) = (factors, biases);
+        self.base = Arc::from([]);
     }
 
     /// Bytes this table holds of its own: slots, overlay (slack
@@ -343,6 +360,28 @@ mod tests {
         s.own_all();
         assert_eq!((s.owned(), s.runs().count()), (10, 1));
         assert_eq!(gathered(&s), (factors, biases));
+    }
+
+    #[test]
+    fn a_table_that_owns_every_row_lets_go_of_the_base() {
+        let mut s = store(10, 2);
+        for r in [7, 1, 4] {
+            *s.row_mut(r).1 = r as f32;
+        }
+        let sibling = s.clone();
+        assert!(s.shares_base_with(&sibling));
+        let rows: Vec<(Vec<f32>, f32)> =
+            (0..10).map(|r| (s.row(r).0.to_vec(), s.row(r).1)).collect();
+        let before = gathered(&s);
+        s.own_all();
+        assert!(!s.shares_base_with(&sibling));
+        assert_eq!((s.base_bytes(), sibling.base_bytes()), (0, 10 * 3 * 4));
+        for (r, (factors, bias)) in rows.iter().enumerate() {
+            assert_eq!(s.row(r), (&factors[..], *bias));
+        }
+        assert_eq!(s.runs().count(), 1);
+        assert_eq!(gathered(&s), before);
+        assert_eq!(gathered(&sibling), before);
     }
 
     #[test]

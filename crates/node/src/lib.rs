@@ -39,6 +39,7 @@ use rex_core::serve::{
     fold_topk, snapshot_digest, QueryStream, Scorer, SnapshotQueue, SERVE_DIGEST_SEED,
 };
 use rex_core::setup::{establish_tee_with_directory, founding_view, TeeDirectory};
+use rex_core::trace_out::TraceOut;
 use rex_core::Node;
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
@@ -489,10 +490,12 @@ pub fn run_node_loop<E: Endpoint>(
 /// evidence in SGX mode) and blocks until the shared schedule admits it
 /// — then run the epoch loop and summarize. The returned summary's RMSE
 /// trace spans all `epochs`: `None` before a join, after a leave, and
-/// during crash windows.
+/// during crash windows. With `trace`, every epoch the node executes is
+/// written to it as one JSON line ([`rex_core::trace_out`]).
 pub fn run_node(
     cfg: &ClusterConfig,
     id: usize,
+    trace: Option<&TraceOut>,
     progress: impl FnMut(usize, Option<f64>),
 ) -> Result<NodeSummary, String> {
     let n = cfg.num_nodes();
@@ -583,6 +586,7 @@ pub fn run_node(
         start_epoch,
         view.as_mut(),
         tee,
+        trace,
         progress,
     )?;
     summary.stats = add_stats(summary.stats, setup_stats[id]);
@@ -600,8 +604,10 @@ fn join_epoch_of(cfg: &ClusterConfig, id: usize) -> Option<usize> {
 /// the endpoint under the config's fault plan, run the serve session
 /// around the round loop the config's driver names, and summarize over
 /// the run's full span (`None` entries before `start_epoch` and after a
-/// graceful leave). The summary's traffic is the endpoint's own; callers
-/// add the replayed handshake's.
+/// graceful leave), writing each executed epoch to `trace` when given.
+/// The summary's traffic is the endpoint's own; callers add the replayed
+/// handshake's.
+#[allow(clippy::too_many_arguments)]
 fn drive_node(
     cfg: &ClusterConfig,
     mut node: Node<MfModel>,
@@ -609,6 +615,7 @@ fn drive_node(
     start_epoch: usize,
     view: Option<&mut MembershipView>,
     tee: Option<&TeeDirectory>,
+    trace: Option<&TraceOut>,
     mut progress: impl FnMut(usize, Option<f64>),
 ) -> Result<NodeSummary, String> {
     // The serve thread starts before the loop (exclusions freeze from
@@ -626,9 +633,16 @@ fn drive_node(
         audit: wire_audit(cfg),
         serve: session.as_ref().map(|s| &*s.queue),
     };
-    let mut trace = vec![EpochOutcome::default(); start_epoch];
+    let mut outcomes = vec![EpochOutcome::default(); start_epoch];
+    let id = node.id();
+    let mut trace_err = None;
     let on_epoch = |event: EpochEvent| {
-        trace.push(event.outcome());
+        outcomes.push(event.outcome());
+        if let (Some(out), Some(report)) = (trace, &event.report) {
+            if trace_err.is_none() {
+                trace_err = out.write(id, event.epoch, report).err();
+            }
+        }
         progress(event.epoch, event.report.and_then(|r| r.rmse));
     };
     // Under a fault plan the endpoint is wrapped exactly like the
@@ -650,16 +664,19 @@ fn drive_node(
         Err(_) => None,
     };
     let stats = looped?;
+    if let Some(e) = trace_err.or(trace.and_then(|out| out.flush().err())) {
+        return Err(format!("node {id}: writing the trace: {e}"));
+    }
 
-    trace.resize(cfg.epochs, EpochOutcome::default());
+    outcomes.resize(cfg.epochs, EpochOutcome::default());
     Ok(NodeSummary {
-        id: node.id(),
+        id,
         epochs: cfg.epochs,
         final_rmse_bits: node.local_rmse().map(f64::to_bits),
-        rmse_trace_bits: trace.iter().map(|o| o.rmse_bits).collect(),
+        rmse_trace_bits: outcomes.iter().map(|o| o.rmse_bits).collect(),
         stats,
         store_len: node.store().len(),
-        commitments: trace.iter().map(|o| o.commitment).collect(),
+        commitments: outcomes.iter().map(|o| o.commitment).collect(),
         serve,
     })
 }
@@ -702,6 +719,19 @@ fn run_loop<E: Endpoint>(
 /// (protocol-identical to the multi-process cluster, where the joiner's
 /// process dials in late).
 pub fn run_cluster_in_process(cfg: &ClusterConfig) -> Result<Vec<NodeSummary>, String> {
+    run_cluster_traced(cfg, None)
+}
+
+/// [`run_cluster_in_process`], every node writing each epoch it executes
+/// to `trace` (one shared file: lines of one epoch land in the order the
+/// threads finish it).
+///
+/// # Errors
+/// As [`run_cluster_in_process`], and when writing the trace fails.
+pub fn run_cluster_traced(
+    cfg: &ClusterConfig,
+    trace: Option<&TraceOut>,
+) -> Result<Vec<NodeSummary>, String> {
     let n = cfg.num_nodes();
     let (mut fleet, view) = build_fleet_and_view(cfg);
     let (setup_stats, dir) = replay_setup(cfg, &mut fleet);
@@ -716,7 +746,7 @@ pub fn run_cluster_in_process(cfg: &ClusterConfig) -> Result<Vec<NodeSummary>, S
             .map(|(node, endpoint)| {
                 let mut view = view.clone();
                 scope.spawn(move || {
-                    drive_node(cfg, node, endpoint, 0, view.as_mut(), dir, |_, _| {})
+                    drive_node(cfg, node, endpoint, 0, view.as_mut(), dir, trace, |_, _| {})
                 })
             })
             .collect();
@@ -936,7 +966,7 @@ mod tests {
         let handles: Vec<_> = (0..3)
             .map(|id| {
                 let cfg = cfg.clone();
-                std::thread::spawn(move || run_node(&cfg, id, |_, _| {}).unwrap())
+                std::thread::spawn(move || run_node(&cfg, id, None, |_, _| {}).unwrap())
             })
             .collect();
         for handle in handles {
@@ -1034,7 +1064,7 @@ mod tests {
         let handles: Vec<_> = (0..3)
             .map(|id| {
                 let cfg = cfg.clone();
-                std::thread::spawn(move || run_node(&cfg, id, |_, _| {}).unwrap())
+                std::thread::spawn(move || run_node(&cfg, id, None, |_, _| {}).unwrap())
             })
             .collect();
         for handle in handles {
@@ -1072,7 +1102,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|id| {
                 let cfg = cfg.clone();
-                std::thread::spawn(move || run_node(&cfg, id, |_, _| {}).unwrap())
+                std::thread::spawn(move || run_node(&cfg, id, None, |_, _| {}).unwrap())
             })
             .collect();
         for handle in handles {
@@ -1155,7 +1185,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|id| {
                 let cfg = cfg.clone();
-                std::thread::spawn(move || run_node(&cfg, id, |_, _| {}).unwrap())
+                std::thread::spawn(move || run_node(&cfg, id, None, |_, _| {}).unwrap())
             })
             .collect();
         for handle in handles {
@@ -1210,6 +1240,7 @@ mod tests {
                 seed: cfg.infra_seed,
                 faults: Some(plan),
                 membership: cfg.membership.clone(),
+                trace_out: None,
             },
         )
         .run("delayed-churn", &mut nodes);
@@ -1256,7 +1287,7 @@ mod tests {
         let handles: Vec<_> = (0..5)
             .map(|id| {
                 let cfg = cfg.clone();
-                std::thread::spawn(move || run_node(&cfg, id, |_, _| {}).unwrap())
+                std::thread::spawn(move || run_node(&cfg, id, None, |_, _| {}).unwrap())
             })
             .collect();
         for handle in handles {
@@ -1278,7 +1309,7 @@ mod tests {
         let handles: Vec<_> = (0..3)
             .map(|id| {
                 let cfg = cfg.clone();
-                std::thread::spawn(move || run_node(&cfg, id, |_, _| {}).unwrap())
+                std::thread::spawn(move || run_node(&cfg, id, None, |_, _| {}).unwrap())
             })
             .collect();
         for handle in handles {
@@ -1347,6 +1378,7 @@ mod tests {
                 seed: cfg.infra_seed,
                 faults: None,
                 membership: None,
+                trace_out: None,
             },
         )
         .run("tcp-loop-reference", &mut nodes);

@@ -2,13 +2,17 @@
 //!
 //! ```text
 //! rex-node --config cluster.toml --id 3 [--join] [--out node3.summary] [--epochs N] [--quiet]
+//!          [--trace-out node3.jsonl]
 //! ```
 //!
 //! Every process of a cluster reads the same config file (see
 //! [`rex_node::ClusterConfig`] for the format) and is told which node id
 //! it is. The process rebuilds the fleet deterministically, connects to
 //! its peers over TCP, runs the epoch loop, prints per-epoch progress to
-//! stderr, and writes a machine-readable summary to `--out`.
+//! stderr, and writes a machine-readable summary to `--out`. With
+//! `--trace-out` it also writes one JSON line per epoch it executes (stage
+//! times, commit time, link rows, traffic, RMSE bits and commitment
+//! digest; see `rex_core::trace_out`).
 //!
 //! `--join` asserts that the config's `[membership]` section schedules
 //! this node as an **online joiner**: the process dials the running
@@ -24,6 +28,7 @@
 //! the suspect scheduled out. Exit status: 0 when the recorded chain is
 //! honest, 1 when it diverges.
 
+use rex_core::trace_out::TraceOut;
 use rex_node::{challenge_node, run_node, ChallengeVerdict, ClusterConfig, NodeSummary};
 use std::path::PathBuf;
 
@@ -36,6 +41,7 @@ struct Args {
     quiet: bool,
     challenge: Option<usize>,
     summary: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
 }
 
 fn usage(err: &str) -> ! {
@@ -44,6 +50,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: rex-node --config <cluster.toml> --id <node-id> [--join] [--out <path>] [--epochs N] [--quiet]\n\
+         \x20                [--trace-out <path.jsonl>]\n\
          \x20      rex-node --config <cluster.toml> --challenge <node-id> --summary <recorded.summary>"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
@@ -58,6 +65,7 @@ fn parse_args() -> Args {
     let mut quiet = false;
     let mut challenge = None;
     let mut summary = None;
+    let mut trace_out = None;
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -87,6 +95,13 @@ fn parse_args() -> Args {
                 );
             }
             "--summary" => summary = iter.next().map(PathBuf::from),
+            "--trace-out" => {
+                trace_out = Some(
+                    iter.next()
+                        .map(PathBuf::from)
+                        .unwrap_or_else(|| usage("--trace-out needs a path")),
+                );
+            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag {other}")),
         }
@@ -103,6 +118,7 @@ fn parse_args() -> Args {
         quiet,
         challenge,
         summary,
+        trace_out,
     }
 }
 
@@ -194,8 +210,14 @@ fn main() {
             if cfg.sgx { ", SGX" } else { "" },
         );
     }
+    let trace = args.trace_out.as_deref().map(|path| {
+        TraceOut::create(path).unwrap_or_else(|e| {
+            eprintln!("[rex-node {id}] creating {}: {e}", path.display());
+            std::process::exit(1);
+        })
+    });
     let quiet = args.quiet;
-    let summary = run_node(&cfg, id, |epoch, rmse| {
+    let summary = run_node(&cfg, id, trace.as_ref(), |epoch, rmse| {
         if !quiet {
             match rmse {
                 Some(r) => eprintln!("[rex-node {id}] epoch {epoch}: rmse {r:.4}"),

@@ -80,6 +80,7 @@ fn cfg(
         seed: 0xE0,
         faults: Some(plan.clone()),
         membership: None,
+        trace_out: None,
     }
 }
 
@@ -517,6 +518,7 @@ fn deployed_cluster_replays_delay_plan_bit_identically_with_engine() {
             seed: cfg.infra_seed,
             faults: Some(plan),
             membership: None,
+            trace_out: None,
         },
     )
     .run("engine-reference", &mut nodes);
@@ -581,6 +583,7 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
                 seed: 0xE0,
                 faults: Some(faults.clone()),
                 membership: Some(membership.clone()),
+                trace_out: None,
             },
         )
         .run("audit-churn", &mut nodes)

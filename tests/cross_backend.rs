@@ -65,6 +65,7 @@ fn engine_config(execution: ExecutionMode, time: TimeAxis, driver: Driver) -> En
         seed: 0xE0,
         faults: None,
         membership: None,
+        trace_out: None,
     }
 }
 
@@ -366,6 +367,7 @@ fn run_headline(execution: ExecutionMode, driver: Driver) -> (EngineResult, Vec<
             seed: 0xE0,
             faults: Some(plan),
             membership: None,
+            trace_out: None,
         },
     )
     .run("headline", &mut nodes);

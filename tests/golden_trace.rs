@@ -20,6 +20,17 @@
 //!   were. The crash window pins a chain that resumes with its
 //!   executed-epoch index. Not replayed into the serve fixture.
 //!
+//! The same quarter decides each model's layout at build
+//! (`rex_core::builder`'s one ownership rule): a node takes all its rows
+//! in row order at build when it shares models (every node of `model`)
+//! or its training ratings reach a quarter of its rows. In `raw`,
+//! `chaos_headline` and `membership` two users' ratings over 160 items
+//! reach that on most nodes (six of `raw`'s eight) and not on the rest,
+//! so those fixtures run both layouts side by side; `raw_wide`'s nodes
+//! (4 016 rows) all keep copy-on-write tables over the shared init. The
+//! layout moves no value: every fixture holds as it was pinned before
+//! the rule.
+//!
 //! Each fixture records, per epoch, the fleet-mean RMSE and byte counts
 //! (as IEEE-754 bit patterns — *bit*-identical, not approximately equal),
 //! liveness, the delivery counters, and the verifiable-epochs
@@ -67,6 +78,7 @@ use rex_repro::core::membership::{MembershipPlan, MembershipView};
 use rex_repro::core::round::{Action, Effect, Input, NodeRound};
 use rex_repro::core::serve::{QueryStream, Scorer, TopKQuery};
 use rex_repro::core::setup::{overlay_of, prune_dead_nodes, prune_to_overlay};
+use rex_repro::core::trace_out::TraceOut;
 use rex_repro::core::Node;
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
@@ -75,6 +87,7 @@ use rex_repro::net::link::LinkModel;
 use rex_repro::net::stats::DeliveryStats;
 use rex_repro::net::transport::BarrierKind;
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
+use rex_repro::node::{run_cluster_traced, ClusterConfig};
 use rex_repro::sim::trace::ExperimentTrace;
 use rex_repro::topology::TopologySpec;
 use std::path::PathBuf;
@@ -203,6 +216,7 @@ fn engine_config(s: &Scenario, time: TimeAxis, driver: Driver) -> EngineConfig {
         seed: 0xE0,
         faults: s.faults.clone(),
         membership: s.membership.clone(),
+        trace_out: None,
     }
 }
 
@@ -420,6 +434,104 @@ fn golden_traces_hold_on_every_driver_and_backend() {
         serve_reference, pinned,
         "serve replay diverged from the pinned golden_serve.txt fixture"
     );
+}
+
+/// Which nodes own their rows at build, as the module doc says: an
+/// owning model holds no share of the init.
+#[test]
+fn the_scenarios_own_their_rows_at_build_as_documented() {
+    for s in scenarios() {
+        let owning = fleet(&s)
+            .iter()
+            .filter(|n| n.model().base_bytes() == 0)
+            .count();
+        match s.name {
+            "model" => assert_eq!(owning, s.nodes),
+            "raw" => assert_eq!(owning, 6),
+            "raw_wide" => assert_eq!(owning, 0),
+            name => assert!(0 < owning && owning < s.nodes, "{name}: {owning}"),
+        }
+    }
+}
+
+/// `--trace-out` records, but for their times, are the same whether the
+/// golden `raw` scenario runs through the engine or through `rex_node`'s
+/// in-process cluster (the deployed node loop, one thread per node over
+/// loopback TCP): every node-epoch once, with the same link rows, new
+/// points, byte counts, RMSE bits and commitment digest.
+#[test]
+fn trace_out_records_agree_between_the_engine_and_the_node_cluster() {
+    let s = scenarios()
+        .into_iter()
+        .find(|s| s.name == "raw")
+        .expect("the raw scenario");
+    let dir = std::env::temp_dir().join(format!("rex-trace-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (engine_path, cluster_path) = (dir.join("engine.jsonl"), dir.join("cluster.jsonl"));
+
+    let mut nodes = fleet(&s);
+    Engine::<MfModel, MemNetwork>::new(
+        MemNetwork::new(s.nodes),
+        EngineConfig {
+            trace_out: Some(engine_path.clone()),
+            ..engine_config(&s, TimeAxis::Wall, Driver::WorkSteal { workers: 2 })
+        },
+    )
+    .run(s.name, &mut nodes);
+
+    let cfg = ClusterConfig {
+        nodes: (0..s.nodes)
+            .map(|i| format!("127.0.0.1:{}", 7400 + i))
+            .collect(),
+        epochs: s.epochs,
+        sharing: s.sharing,
+        algorithm: GossipAlgorithm::DPsgd,
+        topology: TopologySpec::SmallWorld,
+        topology_seed: 5,
+        num_users: 2 * s.nodes as u32,
+        num_items: s.items,
+        num_ratings: 125 * s.nodes,
+        data_seed: 42,
+        split_seed: 7,
+        protocol_seed: 17,
+        points_per_epoch: 40,
+        steps_per_epoch: 100,
+        ..ClusterConfig::default()
+    };
+    let trace = TraceOut::create(&cluster_path).expect("cluster trace file");
+    run_cluster_traced(&cfg, Some(&trace)).expect("in-process cluster");
+    drop(trace);
+
+    // (epoch, node, the line without its `_ns` fields).
+    let seeded = |path: &PathBuf| -> Vec<(usize, usize, String)> {
+        let text = std::fs::read_to_string(path).expect("trace file");
+        text.lines()
+            .map(|line| {
+                let field = |key: &str| -> usize {
+                    let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+                    line[at..]
+                        .split([',', '}'])
+                        .next()
+                        .unwrap()
+                        .parse()
+                        .unwrap()
+                };
+                let kept: Vec<&str> = line.split(',').filter(|f| !f.contains("_ns\":")).collect();
+                (field("epoch"), field("node"), kept.join(","))
+            })
+            .collect()
+    };
+    let engine = seeded(&engine_path);
+    let mut cluster = seeded(&cluster_path);
+    let _ = std::fs::remove_dir_all(&dir);
+    // The engine writes an epoch's lines in node order as it folds it.
+    let order: Vec<(usize, usize)> = engine.iter().map(|(e, n, _)| (*e, *n)).collect();
+    let expected: Vec<(usize, usize)> = (0..s.epochs)
+        .flat_map(|e| (0..s.nodes).map(move |n| (e, n)))
+        .collect();
+    assert_eq!(order, expected);
+    cluster.sort();
+    assert_eq!(cluster, engine);
 }
 
 /// `raw_wide` is there to pin the commitment's row form, so it must take

@@ -833,6 +833,75 @@ proptest! {
     }
 }
 
+/// The builder's ownership rule moves no value: a `serve-live`-shaped
+/// node (all 610 users of the paper's 610 × 9 000 data on one node,
+/// 20 000 steps an epoch) owns its rows at build, in row order, and its
+/// model and a copy-on-write twin that never owns agree over 20 epochs on
+/// every level: the same change record each epoch (the bytes its
+/// commitment link hashes), the same RMSE bits, the same wire bytes.
+#[test]
+fn a_model_owned_at_build_records_what_its_copy_on_write_twin_does_on_every_level() {
+    use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
+    use rex_repro::core::ProtocolConfig;
+    use rex_repro::data::{Partition, TrainTestSplit};
+    use rex_repro::topology::TopologySpec;
+    let _pin = forced_levels();
+    let ds = SyntheticConfig {
+        num_users: 610,
+        num_items: 9_000,
+        num_ratings: 100_000,
+        seed: 42,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let part = Partition::multi_user(&TrainTestSplit::standard(&ds, 7), 1);
+    let hp = MfHyperParams::default();
+    let built = build_mf_nodes(
+        &part,
+        &TopologySpec::FullyConnected.build(1, 0),
+        ds.num_users,
+        ds.num_items,
+        hp,
+        ProtocolConfig::default(),
+        NodeSeeds::default(),
+    );
+    let owned = built[0].model();
+    assert_eq!(owned.base_bytes(), 0, "the serve-live shape owns at build");
+    let mut twin = MfModel::new(610, 9_000, hp, 3.5, NodeSeeds::default().model_init);
+    twin.set_global_mean(owned.global_mean());
+    assert!(twin.base_bytes() > 0);
+    let (train, test) = (&part.train[0], &part.test[0]);
+    for l in kernel::available_levels() {
+        kernel::force_level(l);
+        let (mut a, mut b) = (owned.clone(), twin.clone());
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(0x5E7E), StdRng::seed_from_u64(0x5E7E));
+        for epoch in 0..20 {
+            a.train_steps(train, 20_000, &mut rng_a);
+            b.train_steps(train, 20_000, &mut rng_b);
+            let (mut link_a, mut link_b) = (Vec::new(), Vec::new());
+            let rows = a.write_changes(&mut link_a);
+            assert_eq!(
+                rows,
+                b.write_changes(&mut link_b),
+                "epoch {epoch} on {}",
+                l.name()
+            );
+            assert!(
+                link_a == link_b,
+                "epoch {epoch} on {}: links differ",
+                l.name()
+            );
+            assert_eq!(
+                rmse(&a, test).map(f64::to_bits),
+                rmse(&b, test).map(f64::to_bits),
+                "epoch {epoch} on {}",
+                l.name()
+            );
+        }
+        assert_eq!(a.to_bytes(), b.to_bytes(), "on {}", l.name());
+    }
+}
+
 #[test]
 fn dnn_takes_the_default_squared_error() {
     let data = tiny_ratings();

@@ -82,6 +82,7 @@ fn config(
         seed: 0xE0,
         faults,
         membership: Some(churn_plan()),
+        trace_out: None,
     }
 }
 

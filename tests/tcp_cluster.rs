@@ -78,6 +78,7 @@ fn processes_match_engine_results() {
             seed: cfg.infra_seed,
             faults: None,
             membership: None,
+            trace_out: None,
         },
     )
     .run("reference", &mut nodes);
@@ -182,6 +183,7 @@ fn fifth_process_joins_running_cluster_bit_for_bit() {
             seed: cfg.infra_seed,
             faults: None,
             membership: cfg.membership.clone(),
+            trace_out: None,
         },
     )
     .run("join-reference", &mut nodes);
@@ -226,6 +228,7 @@ fn sgx_processes_reproduce_attested_run() {
             seed: cfg.infra_seed,
             faults: None,
             membership: None,
+            trace_out: None,
         },
     )
     .run("sgx-reference", &mut nodes);
