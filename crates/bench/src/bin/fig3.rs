@@ -36,11 +36,9 @@ fn main() {
     let mut traces = Vec::new();
     for sharing in [SharingMode::Model, SharingMode::RawData] {
         for k in [10usize, 20, 30, 40, 50] {
-            let mut k_scale = scale.clone();
-            k_scale.k = k;
             eprintln!("[fig3] {} k={k}", sharing.label());
             let mut nodes = build_fleet(
-                &k_scale,
+                &scale.with_k(k),
                 TopologySpec::SmallWorld,
                 sharing,
                 GossipAlgorithm::DPsgd,

@@ -93,6 +93,12 @@ impl MfScale {
         }
     }
 
+    /// The same scale at embedding size `k` (Fig 3's sweep).
+    #[must_use]
+    pub fn with_k(&self, k: usize) -> Self {
+        MfScale { k, ..self.clone() }
+    }
+
     /// Node count implied by this scale.
     #[must_use]
     pub fn node_count(&self) -> usize {
