@@ -16,7 +16,7 @@ fn main() {
 
     println!(
         "EPC budget sweep ({} users, {} ratings, 8 nodes, D-PSGD)\n",
-        base.num_users, base.num_ratings
+        base.scenario.dataset.num_users, base.scenario.dataset.num_ratings
     );
 
     // Native reference times.

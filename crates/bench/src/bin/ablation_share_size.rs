@@ -21,8 +21,7 @@ fn main() {
     };
     println!(
         "Ablation: points shared per epoch (D-PSGD, SW, {} nodes, {} epochs)\n",
-        base.node_count(),
-        base.epochs
+        base.scenario.nodes, base.epochs
     );
 
     let sim = EngineConfig {
@@ -34,7 +33,7 @@ fn main() {
     let mut traces = Vec::new();
     for points in [10usize, 50, 100, 300, 1000, 3000] {
         let mut scale = base.clone();
-        scale.points_per_epoch = points;
+        scale.scenario.protocol.points_per_epoch = points;
         eprintln!("[ablation] points/epoch = {points}");
         let mut nodes = build_fleet(
             &scale,

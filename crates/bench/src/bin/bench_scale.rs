@@ -56,15 +56,15 @@
 use rex_bench::harness::{self, Arm, Gate, Report, Row};
 use rex_bench::reference::reference_generate;
 use rex_bench::BenchArgs;
-use rex_core::builder::{build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
-use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
+use rex_core::builder::{build_mf_nodes, Scenario};
+use rex_core::config::{ExecutionMode, ProtocolConfig, SharingMode, WireCodec};
 use rex_core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 use rex_core::membership::MembershipPlan;
 use rex_core::round::{self, RoundContext};
 use rex_core::setup::establish_tee;
 use rex_core::Node;
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_ml::{MfHyperParams, MfModel};
+use rex_ml::MfModel;
 use rex_net::mem::MemNetwork;
 use rex_net::tcp::TcpTransport;
 use rex_net::Transport;
@@ -101,42 +101,6 @@ fn rmse_bits(result: &EngineResult) -> String {
     format!("{:#018x}", rmse.to_bits())
 }
 
-/// The protocol every fleet here runs: D-PSGD, `points` shared and
-/// `steps` SGD steps per epoch.
-fn dpsgd(sharing: SharingMode, points: usize, steps: usize) -> ProtocolConfig {
-    ProtocolConfig {
-        sharing,
-        algorithm: GossipAlgorithm::DPsgd,
-        points_per_epoch: points,
-        steps_per_epoch: steps,
-        seed: 17,
-        ..ProtocolConfig::default()
-    }
-}
-
-/// Builds the scheduler benchmark's fleet: `n` nodes over a small world,
-/// two users per node (the chaos suite's shape, scaled up).
-fn scale_fleet(n: usize) -> Vec<Node<MfModel>> {
-    let ds = SyntheticConfig {
-        num_users: (2 * n) as u32,
-        num_items: 160,
-        num_ratings: 125 * n,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    build_mf_nodes(
-        &Partition::multi_user(&split, n),
-        &TopologySpec::SmallWorld.build(n, 5),
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        dpsgd(SharingMode::RawData, 40, 100),
-        NodeSeeds::default(),
-    )
-}
-
 fn engine_config(epochs: usize, driver: Driver) -> EngineConfig {
     EngineConfig {
         epochs,
@@ -156,7 +120,8 @@ fn run_mem(nodes: &mut [Node<MfModel>], cfg: EngineConfig) -> EngineResult {
     Engine::<MfModel, MemNetwork>::new(MemNetwork::new(nodes.len()), cfg).run("scale", nodes)
 }
 
-/// The inline driver against the work-stealing pool on [`scale_fleet`]:
+/// The inline driver against the work-stealing pool on `n` nodes of two
+/// users each on a small world (the chaos suite's shape, scaled up):
 /// `reps` rotated windows per driver (each on a fresh fleet, built
 /// untimed), keeping each driver's fastest. Asserts that every run of
 /// either driver ends on the same final-RMSE bits.
@@ -174,7 +139,7 @@ fn race(
     .into_iter()
     .map(|driver| {
         Box::new(move || {
-            let mut nodes = scale_fleet(n);
+            let mut nodes = Scenario::two_users_per_node(n).build_fleet();
             let start = Instant::now();
             let result = run_mem(&mut nodes, cfg(driver));
             (start.elapsed().as_secs_f64(), result)
@@ -218,28 +183,23 @@ fn join_wave(n: usize, epochs: usize) -> MembershipPlan {
 /// 3000 items over 8 fully connected nodes — `SgxScale::fig6_quick`).
 /// Returns bytes per node per epoch and the final-RMSE bits.
 fn run_codec_arm(sharing: SharingMode, codec: WireCodec, epochs: usize) -> (f64, String) {
-    let ds = SyntheticConfig {
-        num_users: 200,
-        num_items: 3_000,
-        num_ratings: 33_000,
-        seed: 0xBE7C,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 2);
-    let mut nodes = build_mf_nodes(
-        &Partition::multi_user(&split, 8),
-        &TopologySpec::FullyConnected.build(8, 0),
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
+    let mut nodes = Scenario {
+        dataset: SyntheticConfig {
+            num_users: 200,
+            num_items: 3_000,
+            num_ratings: 33_000,
+            seed: 0xBE7C,
+            ..SyntheticConfig::default()
+        },
+        split_seed: 2,
+        protocol: ProtocolConfig {
             sharing,
             codec,
             ..ProtocolConfig::default()
         },
-        NodeSeeds::default(),
-    );
+        ..Scenario::default()
+    }
+    .build_fleet();
     let result = run_mem(
         &mut nodes,
         engine_config(epochs, Driver::WorkSteal { workers: 0 }),
@@ -263,16 +223,6 @@ fn run_shard_arm(
 ) -> (Row, f64, f64) {
     let num_users = shards as u32 * users_per_node;
     let setup = Instant::now();
-    let ds = SyntheticConfig {
-        num_users,
-        num_items: 160,
-        num_ratings: 5 * num_users as usize,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let (part, blocks) = Partition::user_blocks(&split, shards);
     // Model sharing at these scales only makes sense over the sparse
     // delta codec (a dense 1M-row embedding table per message would
     // swamp the fabric); raw sharing keeps the dense rating encoding.
@@ -280,19 +230,13 @@ fn run_shard_arm(
         SharingMode::RawData => WireCodec::Dense,
         SharingMode::Model => WireCodec::sparse(),
     };
-    let mut nodes = build_mf_nodes_sharded(
-        &part,
-        &blocks,
-        &TopologySpec::SmallWorld.build(shards, 5),
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            codec,
-            ..dpsgd(sharing, 40, 100)
-        },
-        NodeSeeds::default(),
-    );
+    // The scheduler fleet's shape, `users_per_node` users a shard.
+    let mut s = Scenario::two_users_per_node(shards);
+    s.dataset.num_users = num_users;
+    s.dataset.num_ratings = 5 * num_users as usize;
+    s.sharded = true;
+    (s.protocol.sharing, s.protocol.codec) = (sharing, codec);
+    let mut nodes = s.build_fleet();
     let setup_secs = setup.elapsed().as_secs_f64();
     let start = Instant::now();
     let result = run_mem(
@@ -317,40 +261,49 @@ fn run_shard_arm(
     (row, ram_per_user, bytes)
 }
 
-/// The paper's data: 610 users × 9 000 items, 100 k ratings.
-fn paper_config() -> SyntheticConfig {
-    SyntheticConfig {
-        num_users: FLEET_NODES as u32,
-        num_items: FLEET_ITEMS,
-        num_ratings: FLEET_RATINGS,
-        seed: 42,
-        ..SyntheticConfig::default()
+/// The paper's data (610 users × 9 000 items, 100 k ratings) on `nodes`
+/// nodes of a small world, D-PSGD raw sharing of 300 points and 300 SGD
+/// steps per epoch: the repo benchmark's `sim-fleet` settings.
+fn paper_scenario(nodes: usize) -> Scenario {
+    let d = Scenario::default();
+    Scenario {
+        dataset: SyntheticConfig {
+            num_users: FLEET_NODES as u32,
+            num_items: FLEET_ITEMS,
+            num_ratings: FLEET_RATINGS,
+            ..d.dataset
+        },
+        nodes,
+        topology: TopologySpec::SmallWorld,
+        protocol: ProtocolConfig {
+            points_per_epoch: 300,
+            steps_per_epoch: 300,
+            ..d.protocol
+        },
+        ..d
     }
 }
 
-/// The paper's data, split.
-fn paper_split() -> TrainTestSplit {
-    TrainTestSplit::standard(&paper_config().generate(), 7)
-}
-
-/// The paper shape's cold set-up by layer: generate the dataset, split
-/// it, partition it one user per node, and build the 610-node raw fleet
-/// of [`run_fleet_epoch`] (topology included), ms each, best of `reps`
+/// The paper shape's cold set-up by layer: [`Scenario::build_fleet`]'s
+/// steps written out, each timed: generate the dataset, split it,
+/// partition it one user per node, and build the 610-node raw fleet of
+/// [`run_fleet_epoch`] (topology included), ms each, best of `reps`
 /// windows. Every window also runs the reference generator
 /// ([`rex_bench::reference`], the generator before its rewrite) on the
 /// same config, before the new one in one window and after it in the
 /// next. Returns the row and `generate_speedup`, the median over windows
 /// of reference / new.
 fn setup_arms(reps: usize) -> (Row, f64) {
-    let cfg = paper_config();
+    let s = paper_scenario(FLEET_NODES);
+    let cfg = &s.dataset;
     assert!(
-        reference_generate(&cfg).ratings == cfg.generate().ratings,
+        reference_generate(cfg).ratings == cfg.generate().ratings,
         "the generator parted ways with its reference"
     );
     let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
     let reference = || {
         let t = Instant::now();
-        black_box(reference_generate(&cfg));
+        black_box(reference_generate(cfg));
         ms(t)
     };
     let mut window = 0;
@@ -362,21 +315,15 @@ fn setup_arms(reps: usize) -> (Row, f64) {
         let generate = ms(t);
         let before = first.unwrap_or_else(reference);
         let t = Instant::now();
-        let split = TrainTestSplit::standard(&ds, 7);
+        let split = TrainTestSplit::standard(&ds, s.split_seed);
         let split_ms = ms(t);
         let t = Instant::now();
-        let partition = Partition::one_user_per_node(&split);
+        let partition = Partition::multi_user(&split, s.nodes);
         let partition_ms = ms(t);
         let t = Instant::now();
-        black_box(build_mf_nodes(
-            &partition,
-            &TopologySpec::SmallWorld.build(FLEET_NODES, 5),
-            FLEET_NODES as u32,
-            FLEET_ITEMS,
-            MfHyperParams::default(),
-            dpsgd(SharingMode::RawData, 300, 300),
-            NodeSeeds::default(),
-        ));
+        let graph = s.topology.build(s.nodes, s.topology_seed);
+        let init = MfModel::new(cfg.num_users, cfg.num_items, s.hp, 3.5, s.model_seed);
+        black_box(build_mf_nodes(&partition, &[], &graph, init, s.protocol));
         [before, generate, split_ms, partition_ms, ms(t)]
     });
     let windows = harness::rotate(
@@ -431,47 +378,29 @@ fn row_union_share(model: &MfModel, init: &MfModel) -> f64 {
 /// Returns the row — mean µs per node-epoch by stage, from the stage
 /// times every [`rex_core::node::EpochReport`] carries — and the merge
 /// stage's share of the node-epoch (on a raw fleet, decode + the store's
-/// duplicate check). The row also reports the set-up (`split_secs`, what
-/// [`paper_split`] took, plus partition and build) and, after the run,
+/// duplicate check). The row also reports the set-up (the whole
+/// [`Scenario::build_fleet`]) and, after the run,
 /// the mean [`row_union_share`] over the nodes, the MB (MiB) the fleet's
 /// models hold (their shared init once, plus what each node holds of its
 /// own, [`MfModel::resident_bytes`]) and the MB its raw-data stores hold
 /// (ratings, key sets and indexes, `RawDataStore::resident_bytes`).
 /// Returns the merge share and those two figures too.
-fn run_fleet_epoch(
-    split: &TrainTestSplit,
-    split_secs: f64,
-    shape: &str,
-    epochs: usize,
-) -> (Row, f64, f64, f64) {
+fn run_fleet_epoch(shape: &str, epochs: usize) -> (Row, f64, f64, f64) {
+    let s = paper_scenario(FLEET_NODES);
     let setup = Instant::now();
-    let mut nodes = build_mf_nodes(
-        &Partition::one_user_per_node(split),
-        &TopologySpec::SmallWorld.build(FLEET_NODES, 5),
-        FLEET_NODES as u32,
-        FLEET_ITEMS,
-        MfHyperParams::default(),
-        dpsgd(SharingMode::RawData, 300, 300),
-        NodeSeeds::default(),
-    );
-    let setup_secs = split_secs + setup.elapsed().as_secs_f64();
+    let mut nodes = s.build_fleet();
+    let setup_secs = setup.elapsed().as_secs_f64();
     let driver = Driver::WorkSteal {
         workers: FLEET_WORKERS,
     };
     let result = run_mem(&mut nodes, engine_config(epochs, driver));
-    let init = MfModel::new(
-        FLEET_NODES as u32,
-        FLEET_ITEMS,
-        MfHyperParams::default(),
-        3.5,
-        NodeSeeds::default().model_init,
-    );
+    let init = MfModel::new(FLEET_NODES as u32, FLEET_ITEMS, s.hp, 3.5, s.model_seed);
     let union = nodes
         .iter()
         .map(|n| row_union_share(n.model(), &init))
         .sum::<f64>()
         / nodes.len() as f64;
-    // Every node's model is a clone of one init (`build_mf_nodes`), so
+    // Every node's model is a clone of one init (`build_fleet`), so
     // the base is counted once.
     let resident_bytes = nodes[0].model().base_bytes()
         + nodes
@@ -515,16 +444,8 @@ fn run_fleet_epoch(
 /// epoch. Returns the seconds until every node has reported an epoch
 /// whose mean RMSE over the nodes is at most [`ASYNC_TARGET_RMSE`], and
 /// that epoch.
-fn run_async_arm(split: &TrainTestSplit, bounded: bool, delay: Duration) -> (f64, usize) {
-    let mut nodes = build_mf_nodes(
-        &Partition::multi_user(split, ASYNC_NODES),
-        &TopologySpec::SmallWorld.build(ASYNC_NODES, 5),
-        FLEET_NODES as u32,
-        FLEET_ITEMS,
-        MfHyperParams::default(),
-        dpsgd(SharingMode::RawData, 300, 300),
-        NodeSeeds::default(),
-    );
+fn run_async_arm(bounded: bool, delay: Duration) -> (f64, usize) {
+    let mut nodes = paper_scenario(ASYNC_NODES).build_fleet();
     let mut setup = MemNetwork::new(ASYNC_NODES);
     establish_tee(&mut nodes, &mut setup, SgxCostModel::default(), 1, 0xE0);
     let endpoints = TcpTransport::loopback(ASYNC_NODES)
@@ -590,10 +511,10 @@ fn run_async_arm(split: &TrainTestSplit, bounded: bool, delay: Duration) -> (f64
 /// Lockstep against bounded-async, `reps` rotated windows each, the last
 /// node stalled by `delay` per epoch: each driver's fastest
 /// `(seconds, epoch)` from [`run_async_arm`], lockstep first.
-fn race_async(split: &TrainTestSplit, reps: usize, delay: Duration) -> Vec<(f64, usize)> {
+fn race_async(reps: usize, delay: Duration) -> Vec<(f64, usize)> {
     let mut arms: Vec<Arm<'_, (f64, usize)>> = [false, true]
         .into_iter()
-        .map(|bounded| Box::new(move || run_async_arm(split, bounded, delay)) as Arm<'_, _>)
+        .map(|bounded| Box::new(move || run_async_arm(bounded, delay)) as Arm<'_, _>)
         .collect();
     let label = format!("async vs lockstep, {delay:?} stall");
     harness::keep_best(harness::rotate(&label, reps, &mut arms), |w| w.0)
@@ -610,9 +531,6 @@ fn main() {
     // Rotated windows per timed comparison: each arm runs first equally
     // often.
     let reps = if args.full { 4 } else { 2 };
-    let start = Instant::now();
-    let split = paper_split();
-    let split_secs = start.elapsed().as_secs_f64();
 
     // Paper-shaped fleet: the node-epoch by stage. Every mode runs the
     // quick shape (what the merge-share gate compares); full mode adds
@@ -633,8 +551,7 @@ fn main() {
     let mut store_mbs = Vec::new();
     for &(shape, fleet_epochs) in fleet_arms {
         eprintln!("[bench_scale] fleet arm ({shape}): {FLEET_NODES} nodes x {fleet_epochs} epochs");
-        let (row, merge_share, resident_mb, store_mb) =
-            run_fleet_epoch(&split, split_secs, shape, fleet_epochs);
+        let (row, merge_share, resident_mb, store_mb) = run_fleet_epoch(shape, fleet_epochs);
         fleet_rows.push(row);
         merge_shares.push(merge_share);
         resident_mbs.push(resident_mb);
@@ -649,9 +566,9 @@ fn main() {
     // compares. The straggler's stall is the even lockstep run's own mean
     // epoch, so the slow node runs at about half speed on any host and
     // the gated speedup does not drift with CPU speed.
-    let even = race_async(&split, reps, Duration::ZERO);
+    let even = race_async(reps, Duration::ZERO);
     let delay = Duration::from_secs_f64(even[0].0 / (even[0].1 + 1) as f64);
-    let async_best = [even, race_async(&split, reps, delay)].concat();
+    let async_best = [even, race_async(reps, delay)].concat();
     let async_rows: Vec<Row> = async_best
         .iter()
         .enumerate()

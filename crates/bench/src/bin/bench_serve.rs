@@ -30,14 +30,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rex_bench::harness::{self, Arm, Gate, Report, Row};
 use rex_bench::BenchArgs;
-use rex_core::builder::{build_mf_nodes, NodeSeeds};
-use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_core::builder::Scenario;
+use rex_core::config::{ExecutionMode, SharingMode};
 use rex_core::engine::{Driver, Engine, EngineConfig, TimeAxis};
 use rex_core::serve::{QueryStream, Scorer};
-use rex_data::{Partition, Rating, SyntheticConfig, TrainTestSplit};
-use rex_ml::{MfHyperParams, MfModel, Model};
+use rex_data::{Rating, TrainTestSplit};
+use rex_ml::{MfModel, Model};
 use rex_net::mem::MemNetwork;
-use rex_topology::TopologySpec;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,36 +53,15 @@ const WINDOW_REPS: usize = 4;
 /// 0's final model plus the training ratings (the trainer thread's
 /// fuel) and the user-universe size for the query stream.
 fn train_arm(sharing: SharingMode, epochs: usize) -> (MfModel, Vec<Rating>, u32) {
-    let n = 8;
-    let ds = SyntheticConfig {
-        num_users: 64,
-        num_items: 1024,
-        num_ratings: 6_000,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let part = Partition::multi_user(&split, n);
-    let graph = TopologySpec::SmallWorld.build(n, 5);
-    let mut nodes = build_mf_nodes(
-        &part,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: 40,
-            steps_per_epoch: 100,
-            seed: 17,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    );
+    // The test suites' small-world fleet, eight users a node.
+    let mut scenario = Scenario::two_users_per_node(8);
+    scenario.dataset.num_users = 64;
+    scenario.dataset.num_items = 1024;
+    scenario.dataset.num_ratings = 6_000;
+    scenario.protocol.sharing = sharing;
+    let mut nodes = scenario.build_fleet();
     Engine::<MfModel, MemNetwork>::new(
-        MemNetwork::new(n),
+        MemNetwork::new(nodes.len()),
         EngineConfig {
             epochs,
             execution: ExecutionMode::Native,
@@ -97,8 +75,8 @@ fn train_arm(sharing: SharingMode, epochs: usize) -> (MfModel, Vec<Rating>, u32)
         },
     )
     .run("serve-train", &mut nodes);
-    let train = split.train;
-    (nodes[0].model().clone(), train, ds.num_users)
+    let train = TrainTestSplit::standard(&scenario.dataset.generate(), scenario.split_seed).train;
+    (nodes[0].model().clone(), train, scenario.dataset.num_users)
 }
 
 /// Measures one serving window: a seeded query stream against the model

@@ -17,9 +17,7 @@ fn main() {
     };
     println!(
         "Fig 1: one node per user — MF. {} nodes, {} epochs, k={}",
-        scale.node_count(),
-        scale.epochs,
-        scale.k
+        scale.scenario.nodes, scale.epochs, scale.scenario.hp.k
     );
 
     let mut traces = Vec::new();

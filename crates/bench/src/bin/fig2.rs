@@ -17,8 +17,7 @@ fn main() {
     scale.epochs = args.epochs.unwrap_or(scale.epochs.min(100));
     println!(
         "Fig 2: data volume + RMSE vs epochs. {} nodes, {} epochs",
-        scale.node_count(),
-        scale.epochs
+        scale.scenario.nodes, scale.epochs
     );
 
     let mut traces = Vec::new();

@@ -23,8 +23,7 @@ fn main() {
     scale.epochs = args.epochs.unwrap_or(if args.full { 400 } else { 60 });
     println!(
         "Fig 3: embedding-size sweep, D-PSGD, SW. {} nodes, {} epochs",
-        scale.node_count(),
-        scale.epochs
+        scale.scenario.nodes, scale.epochs
     );
 
     let sim = EngineConfig {

@@ -15,9 +15,7 @@ fn main() {
     };
     println!(
         "Fig 4: multiple users per node — MF. {} users on {} nodes, {} epochs",
-        scale.num_users,
-        scale.node_count(),
-        scale.epochs
+        scale.scenario.dataset.num_users, scale.scenario.nodes, scale.epochs
     );
 
     let mut traces = Vec::new();

@@ -15,7 +15,7 @@ fn main() {
     };
     println!(
         "Fig 6: SGX vs native (low memory). {} users, {} ratings, 8 nodes, {} epochs",
-        scale.num_users, scale.num_ratings, scale.epochs
+        scale.scenario.dataset.num_users, scale.scenario.dataset.num_ratings, scale.epochs
     );
 
     let mut results = Vec::new();

@@ -16,8 +16,8 @@ fn main() {
     };
     println!(
         "Fig 7: SGX vs native beyond EPC. {} users, {} ratings, EPC budget {}",
-        scale.num_users,
-        scale.num_ratings,
+        scale.scenario.dataset.num_users,
+        scale.scenario.dataset.num_ratings,
         output::human_bytes(scale.epc_limit_bytes as f64)
     );
 

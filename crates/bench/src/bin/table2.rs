@@ -15,8 +15,7 @@ fn main() {
     };
     println!(
         "Table II: one node per user ({} nodes, {} epochs)\n",
-        scale.node_count(),
-        scale.epochs
+        scale.scenario.nodes, scale.epochs
     );
 
     let mut rows = Vec::new();

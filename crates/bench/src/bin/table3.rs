@@ -15,9 +15,7 @@ fn main() {
     };
     println!(
         "Table III: multiple users per node ({} users on {} nodes, {} epochs)\n",
-        scale.num_users,
-        scale.node_count(),
-        scale.epochs
+        scale.scenario.dataset.num_users, scale.scenario.nodes, scale.epochs
     );
 
     let mut panels = Vec::new();

@@ -59,13 +59,14 @@ fn main() {
             ArmBackend::Mem => "",
             ArmBackend::Tcp => ", over TCP loopback sockets",
         },
-        small.num_users,
-        large.num_users,
+        small.scenario.dataset.num_users,
+        large.scenario.dataset.num_users,
         output::human_bytes(large.epc_limit_bytes as f64)
     );
 
-    let mut rows = run_scale(&small, &format!("{}u", small.num_users), backend);
-    rows.extend(run_scale(&large, &format!("{}u", large.num_users), backend));
+    let tag = |scale: &SgxScale| format!("{}u", scale.scenario.dataset.num_users);
+    let mut rows = run_scale(&small, &tag(&small), backend);
+    rows.extend(run_scale(&large, &tag(&large), backend));
 
     let md = overhead_table_markdown(&rows);
     println!("{md}");

@@ -2,7 +2,7 @@
 //! D-PSGD, small-world and Erdős–Rényi).
 
 use crate::args::BenchArgs;
-use rex_core::builder::{build_dnn_nodes, NodeSeeds};
+use rex_core::builder::{build_dnn_nodes, Scenario};
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
 use rex_core::engine::{Engine, EngineConfig};
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
@@ -96,7 +96,7 @@ pub fn run_dnn_arm(
             seed: scale.seed ^ 0x0883,
             ..ProtocolConfig::default()
         },
-        NodeSeeds::default(),
+        Scenario::default().model_seed,
     );
     let name = format!("{}, D-PSGD, {}", sharing.label(), topology.label());
     let cfg = EngineConfig {

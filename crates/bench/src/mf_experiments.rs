@@ -1,38 +1,50 @@
 //! Matrix-factorization experiment harness (Figs 1–4, Tables II–III).
 
 use crate::args::BenchArgs;
-use rex_core::builder::{build_mf_nodes, NodeSeeds};
+use rex_core::builder::Scenario;
 use rex_core::centralized::run_baseline as run_centralized_baseline;
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
 use rex_core::engine::{Engine, EngineConfig};
 use rex_core::node::Node;
-use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_ml::{MfHyperParams, MfModel};
+use rex_data::{SyntheticConfig, TrainTestSplit};
+use rex_ml::MfModel;
 use rex_net::mem::MemNetwork;
 use rex_sim::trace::ExperimentTrace;
 use rex_topology::TopologySpec;
 
-/// Scale of an MF experiment.
+/// Scale of an MF experiment: the fleet recipe and an epoch budget.
 #[derive(Debug, Clone)]
 pub struct MfScale {
-    /// Users in the synthetic dataset.
-    pub num_users: u32,
-    /// Items.
-    pub num_items: u32,
-    /// Total ratings.
-    pub num_ratings: usize,
-    /// `None` = one node per user (§IV-B-a); `Some(n)` = cohorts (§IV-B-b).
-    pub multi_node: Option<usize>,
+    /// The fleet. Its topology, sharing mode and algorithm are set per
+    /// arm by [`build_fleet`].
+    pub scenario: Scenario,
     /// Epoch budget.
     pub epochs: usize,
-    /// Raw points shared per epoch (paper: 300).
-    pub points_per_epoch: usize,
-    /// SGD steps per epoch (fixed, §III-E).
-    pub steps_per_epoch: usize,
-    /// Embedding dimension (paper: 10).
-    pub k: usize,
-    /// Base seed.
-    pub seed: u64,
+}
+
+/// One node per user over `num_users × num_items` synthetic ratings,
+/// every seed derived from `seed`: the data seed is `seed` itself, and
+/// the split, overlay and protocol seeds are `seed` XOR a constant each,
+/// so the arms of one figure share a fleet. The paper's protocol: 300
+/// points shared and 300 SGD steps per epoch, k = 10.
+fn one_user_per_node(num_users: u32, num_items: u32, num_ratings: usize, seed: u64) -> Scenario {
+    Scenario {
+        dataset: SyntheticConfig {
+            num_users,
+            num_items,
+            num_ratings,
+            seed,
+            ..SyntheticConfig::default()
+        },
+        split_seed: seed ^ 0x5917,
+        nodes: num_users as usize,
+        topology_seed: seed ^ 0x7090,
+        protocol: ProtocolConfig {
+            seed: seed ^ 0x0DE5,
+            ..ProtocolConfig::default()
+        },
+        ..Scenario::default()
+    }
 }
 
 impl MfScale {
@@ -40,17 +52,11 @@ impl MfScale {
     /// MovieLens-latest, sized for single-core CI machines.
     #[must_use]
     pub fn one_user_quick(args: &BenchArgs) -> Self {
-        let users = args.nodes.unwrap_or(64) as u32;
+        let users = args.nodes.unwrap_or(64);
         MfScale {
-            num_users: users,
-            num_items: 2_000,
-            num_ratings: (users as usize) * 164, // ML-latest's ratings/user
-            multi_node: None,
+            // ML-latest's ratings per user.
+            scenario: one_user_per_node(users as u32, 2_000, users * 164, args.seed),
             epochs: args.epochs.unwrap_or(100),
-            points_per_epoch: 300,
-            steps_per_epoch: 300,
-            k: 10,
-            seed: args.seed,
         }
     }
 
@@ -58,68 +64,38 @@ impl MfScale {
     #[must_use]
     pub fn one_user_full(args: &BenchArgs) -> Self {
         MfScale {
-            num_users: 610,
-            num_items: 9_000,
-            num_ratings: 100_000,
-            multi_node: None,
+            scenario: one_user_per_node(610, 9_000, 100_000, args.seed),
             epochs: args.epochs.unwrap_or(400),
-            points_per_epoch: 300,
-            steps_per_epoch: 300,
-            k: 10,
-            seed: args.seed,
         }
     }
 
     /// Quick multi-user scale (fig4): users spread over 24 nodes.
     #[must_use]
     pub fn multi_user_quick(args: &BenchArgs) -> Self {
-        MfScale {
-            multi_node: Some(args.nodes.unwrap_or(24)),
-            epochs: args.epochs.unwrap_or(80),
-            ..Self::one_user_quick(&BenchArgs {
-                nodes: None,
-                ..args.clone()
-            })
-        }
+        let mut scale = Self::one_user_quick(&BenchArgs {
+            nodes: None,
+            ..args.clone()
+        });
+        scale.scenario.nodes = args.nodes.unwrap_or(24);
+        scale.epochs = args.epochs.unwrap_or(80);
+        scale
     }
 
     /// Paper multi-user scale: 610 users over 50 nodes.
     #[must_use]
     pub fn multi_user_full(args: &BenchArgs) -> Self {
-        MfScale {
-            multi_node: Some(args.nodes.unwrap_or(50)),
-            epochs: args.epochs.unwrap_or(200),
-            ..Self::one_user_full(args)
-        }
+        let mut scale = Self::one_user_full(args);
+        scale.scenario.nodes = args.nodes.unwrap_or(50);
+        scale.epochs = args.epochs.unwrap_or(200);
+        scale
     }
 
     /// The same scale at embedding size `k` (Fig 3's sweep).
     #[must_use]
     pub fn with_k(&self, k: usize) -> Self {
-        MfScale { k, ..self.clone() }
-    }
-
-    /// Node count implied by this scale.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.multi_node.unwrap_or(self.num_users as usize)
-    }
-
-    fn dataset_config(&self) -> SyntheticConfig {
-        SyntheticConfig {
-            num_users: self.num_users,
-            num_items: self.num_items,
-            num_ratings: self.num_ratings,
-            seed: self.seed,
-            ..SyntheticConfig::default()
-        }
-    }
-
-    fn hyper_params(&self) -> MfHyperParams {
-        MfHyperParams {
-            k: self.k,
-            ..MfHyperParams::default()
-        }
+        let mut scale = self.clone();
+        scale.scenario.hp.k = k;
+        scale
     }
 }
 
@@ -147,29 +123,11 @@ pub fn build_fleet(
     sharing: SharingMode,
     algorithm: GossipAlgorithm,
 ) -> Vec<Node<MfModel>> {
-    let dataset = scale.dataset_config().generate();
-    let split = TrainTestSplit::standard(&dataset, scale.seed ^ 0x5917);
-    let partition = match scale.multi_node {
-        None => Partition::one_user_per_node(&split),
-        Some(n) => Partition::multi_user(&split, n),
-    };
-    let graph = topology.build(partition.num_nodes(), scale.seed ^ 0x7090);
-    build_mf_nodes(
-        &partition,
-        &graph,
-        dataset.num_users,
-        dataset.num_items,
-        scale.hyper_params(),
-        ProtocolConfig {
-            sharing,
-            algorithm,
-            points_per_epoch: scale.points_per_epoch,
-            steps_per_epoch: scale.steps_per_epoch,
-            seed: scale.seed ^ 0x0DE5,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    )
+    let mut scenario = scale.scenario.clone();
+    scenario.topology = topology;
+    scenario.protocol.sharing = sharing;
+    scenario.protocol.algorithm = algorithm;
+    scenario.build_fleet()
 }
 
 /// Runs one panel (REX + MS arms) and returns `(rex, ms)` traces.
@@ -201,14 +159,15 @@ pub fn run_panel(
 
 /// Runs the centralized baseline at this scale.
 pub fn run_baseline(scale: &MfScale) -> ExperimentTrace {
-    let dataset = scale.dataset_config().generate();
-    let split = TrainTestSplit::standard(&dataset, scale.seed ^ 0x5917);
+    let s = &scale.scenario;
+    let dataset = s.dataset.generate();
+    let split = TrainTestSplit::standard(&dataset, s.split_seed);
     let mut model = MfModel::new(
         dataset.num_users,
         dataset.num_items,
-        scale.hyper_params(),
+        s.hp,
         dataset.mean_rating() as f32,
-        NodeSeeds::default().model_init,
+        s.model_seed,
     );
     run_centralized_baseline(
         "Centralized",
@@ -217,7 +176,7 @@ pub fn run_baseline(scale: &MfScale) -> ExperimentTrace {
         &split.test,
         split.train.len(),
         scale.epochs.min(60),
-        scale.seed ^ 0xCE47,
+        s.dataset.seed ^ 0xCE47,
     )
 }
 
@@ -226,16 +185,13 @@ mod tests {
     use super::*;
 
     fn tiny_scale() -> MfScale {
+        let mut scenario = one_user_per_node(16, 100, 1_200, 1);
+        scenario.hp.k = 5;
+        scenario.protocol.points_per_epoch = 50;
+        scenario.protocol.steps_per_epoch = 100;
         MfScale {
-            num_users: 16,
-            num_items: 100,
-            num_ratings: 1_200,
-            multi_node: None,
+            scenario,
             epochs: 6,
-            points_per_epoch: 50,
-            steps_per_epoch: 100,
-            k: 5,
-            seed: 1,
         }
     }
 
@@ -275,11 +231,13 @@ mod tests {
         };
         let s = MfScale::one_user_quick(&args);
         assert_eq!(s.epochs, 33);
-        assert_eq!(s.num_users, 64);
-        assert_eq!(s.node_count(), 64);
+        assert_eq!(s.scenario.dataset.num_users, 64);
+        assert_eq!(s.scenario.nodes, 64);
         let m = MfScale::multi_user_quick(&args);
-        assert_eq!(m.node_count(), 64);
-        let f = MfScale::one_user_full(&BenchArgs::default());
+        assert_eq!(m.scenario.nodes, 64);
+        let f = MfScale::one_user_full(&BenchArgs::default())
+            .scenario
+            .dataset;
         assert_eq!(
             (f.num_users, f.num_items, f.num_ratings),
             (610, 9_000, 100_000)

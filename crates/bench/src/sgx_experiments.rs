@@ -3,25 +3,21 @@
 //! {Native, SGX} × {DS/REX, MS}.
 
 use crate::args::BenchArgs;
-use rex_core::builder::{build_mf_nodes, NodeSeeds};
+use rex_core::builder::Scenario;
 use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
 use rex_core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
-use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_ml::MfHyperParams;
+use rex_data::SyntheticConfig;
 use rex_net::mem::MemNetwork;
 use rex_net::tcp::TcpTransport;
 use rex_tee::SgxCostModel;
-use rex_topology::TopologySpec;
 
-/// Scale of an SGX experiment.
+/// Scale of an SGX experiment: the fleet recipe, an epoch budget and
+/// the enclaves' EPC.
 #[derive(Debug, Clone)]
 pub struct SgxScale {
-    /// Users in the dataset.
-    pub num_users: u32,
-    /// Items.
-    pub num_items: u32,
-    /// Ratings.
-    pub num_ratings: usize,
+    /// The fleet. Its sharing mode and algorithm are set per arm by
+    /// [`run_arm_on`].
+    pub scenario: Scenario,
     /// Epoch budget.
     pub epochs: usize,
     /// Usable EPC bytes for the SGX arms. The paper's machines expose
@@ -29,8 +25,29 @@ pub struct SgxScale {
     /// (f32, lean buffers), so the beyond-EPC experiment (fig7) scales the
     /// budget to reproduce the same overcommit *ratio* (EXPERIMENTS.md).
     pub epc_limit_bytes: u64,
-    /// Base seed.
-    pub seed: u64,
+}
+
+/// The paper's testbed: `num_users × num_items` synthetic ratings over 8
+/// fully connected nodes (the default overlay), 300 points shared and
+/// 300 SGD steps per epoch. The data seed is `seed`; the split and
+/// protocol seeds are `seed` XOR a constant each.
+fn testbed(num_users: u32, num_items: u32, num_ratings: usize, seed: u64) -> Scenario {
+    Scenario {
+        dataset: SyntheticConfig {
+            num_users,
+            num_items,
+            num_ratings,
+            seed,
+            ..SyntheticConfig::default()
+        },
+        split_seed: seed ^ 0x6F1,
+        nodes: 8,
+        protocol: ProtocolConfig {
+            seed: seed ^ 0x3A1,
+            ..ProtocolConfig::default()
+        },
+        ..Scenario::default()
+    }
 }
 
 impl SgxScale {
@@ -38,12 +55,9 @@ impl SgxScale {
     #[must_use]
     pub fn fig6_quick(args: &BenchArgs) -> Self {
         SgxScale {
-            num_users: 200,
-            num_items: 3_000,
-            num_ratings: 33_000,
+            scenario: testbed(200, 3_000, 33_000, args.seed),
             epochs: args.epochs.unwrap_or(25),
             epc_limit_bytes: SgxCostModel::default().epc_limit_bytes,
-            seed: args.seed,
         }
     }
 
@@ -51,12 +65,9 @@ impl SgxScale {
     #[must_use]
     pub fn fig6_full(args: &BenchArgs) -> Self {
         SgxScale {
-            num_users: 610,
-            num_items: 9_000,
-            num_ratings: 100_000,
+            scenario: testbed(610, 9_000, 100_000, args.seed),
             epochs: args.epochs.unwrap_or(120),
             epc_limit_bytes: SgxCostModel::default().epc_limit_bytes,
-            seed: args.seed,
         }
     }
 
@@ -66,12 +77,9 @@ impl SgxScale {
     #[must_use]
     pub fn fig7_quick(args: &BenchArgs) -> Self {
         SgxScale {
-            num_users: 1_000,
-            num_items: 6_000,
-            num_ratings: 150_000,
+            scenario: testbed(1_000, 6_000, 150_000, args.seed),
             epochs: args.epochs.unwrap_or(15),
             epc_limit_bytes: 3 * 1024 * 1024,
-            seed: args.seed,
         }
     }
 
@@ -79,12 +87,9 @@ impl SgxScale {
     #[must_use]
     pub fn fig7_full(args: &BenchArgs) -> Self {
         SgxScale {
-            num_users: 15_000,
-            num_items: 28_830,
-            num_ratings: 2_249_739,
+            scenario: testbed(15_000, 28_830, 2_249_739, args.seed),
             epochs: args.epochs.unwrap_or(60),
             epc_limit_bytes: 24 * 1024 * 1024,
-            seed: args.seed,
         }
     }
 }
@@ -161,33 +166,10 @@ impl ArmBackend {
 /// Runs one arm on the paper's 8-node fully connected deployment over
 /// the chosen transport backend.
 pub fn run_arm_on(scale: &SgxScale, arm: Arm, backend: ArmBackend) -> EngineResult {
-    let dataset = SyntheticConfig {
-        num_users: scale.num_users,
-        num_items: scale.num_items,
-        num_ratings: scale.num_ratings,
-        seed: scale.seed,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&dataset, scale.seed ^ 0x6F1);
-    let partition = Partition::multi_user(&split, 8);
-    let graph = TopologySpec::FullyConnected.build(8, 0);
-    let mut nodes = build_mf_nodes(
-        &partition,
-        &graph,
-        dataset.num_users,
-        dataset.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing: arm.sharing,
-            algorithm: arm.algorithm,
-            points_per_epoch: 300,
-            steps_per_epoch: 300,
-            seed: scale.seed ^ 0x3A1,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    );
+    let mut scenario = scale.scenario.clone();
+    scenario.protocol.sharing = arm.sharing;
+    scenario.protocol.algorithm = arm.algorithm;
+    let mut nodes = scenario.build_fleet();
     let execution = if arm.sgx {
         ExecutionMode::Sgx(SgxCostModel::default().with_epc_limit(scale.epc_limit_bytes))
     } else {
@@ -199,7 +181,7 @@ pub fn run_arm_on(scale: &SgxScale, arm: Arm, backend: ArmBackend) -> EngineResu
         time: TimeAxis::Wall,
         driver: Driver::ThreadPerNode,
         processes_per_platform: 2, // the paper packs 2 processes/machine
-        seed: scale.seed ^ 0x991,
+        seed: scale.scenario.dataset.seed ^ 0x991,
         ..EngineConfig::default()
     };
     let n = nodes.len();
@@ -258,12 +240,9 @@ mod tests {
     #[test]
     fn tiny_arm_runs_native_and_sgx() {
         let scale = SgxScale {
-            num_users: 24,
-            num_items: 150,
-            num_ratings: 1_600,
+            scenario: testbed(24, 150, 1_600, 2),
             epochs: 4,
             epc_limit_bytes: SgxCostModel::default().epc_limit_bytes,
-            seed: 2,
         };
         let native = run_arm(
             &scale,
@@ -293,12 +272,9 @@ mod tests {
     #[test]
     fn tcp_backend_arm_matches_channel_backend() {
         let scale = SgxScale {
-            num_users: 24,
-            num_items: 150,
-            num_ratings: 1_600,
+            scenario: testbed(24, 150, 1_600, 3),
             epochs: 3,
             epc_limit_bytes: SgxCostModel::default().epc_limit_bytes,
-            seed: 3,
         };
         let arm = Arm {
             algorithm: GossipAlgorithm::DPsgd,

@@ -1,25 +1,146 @@
-//! Constructs node fleets from a dataset partition and a topology.
+//! The paper's one experiment recipe (§IV), and the node fleets it builds.
+//!
+//! Every MF run — one node per user, multi-user cohorts, the 8-node SGX
+//! testbed, a `rex-node` cluster — is a [`Scenario`], and
+//! [`Scenario::build_fleet`] builds its fleet in these steps, in this
+//! order, each drawn from its own seed so one source of randomness can
+//! vary alone:
+//!
+//! 1. dataset ← data seed (`dataset.seed`): synthetic ratings
+//!    ([`SyntheticConfig::generate`]);
+//! 2. split ← split seed: 70/30 per user ([`TrainTestSplit::standard`]);
+//! 3. partition: round-robin cohorts ([`Partition::multi_user`]), or
+//!    contiguous user blocks when sharded ([`Partition::user_blocks`]);
+//!    `nodes == num_users` is one node per user either way;
+//! 4. overlay ← topology seed ([`TopologySpec::build`]);
+//! 5. one initial model ← model seed, cloned per node (every node starts
+//!    from the same parameters, standard in decentralized SGD), each
+//!    with its own local mean;
+//! 6. node RNG ← protocol seed + node id ([`ProtocolConfig::seed`]).
+//!
+//! The dataset and split are dropped once the partition is cut.
+
+// Every `rex-node` process builds its fleet here at start-up.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use crate::config::{ProtocolConfig, SharingMode};
 use crate::node::Node;
-use rex_data::{Partition, Rating, UserBlock};
+use rex_data::{Partition, Rating, SyntheticConfig, TrainTestSplit, UserBlock};
 use rex_ml::dnn::{DnnHyperParams, DnnModel};
 use rex_ml::{MfHyperParams, MfModel};
-use rex_topology::Graph;
+use rex_topology::{Graph, TopologySpec};
 
-/// Seed bundle so experiments can vary one randomness source at a time.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeSeeds {
-    /// Model-initialization seed: drawn once per build, cloned per node
-    /// (all nodes start from the same parameters, standard in decentralized SGD).
-    pub model_init: u64,
+/// The inputs of one run of the recipe (see the module doc). Its
+/// [`Default`] is the default `rex-node` cluster's (`ClusterConfig`
+/// reads its defaults from here) at 8 nodes; callers state only what
+/// differs.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// The synthetic ratings; `dataset.seed` is the data seed.
+    pub dataset: SyntheticConfig,
+    /// Train/test split seed.
+    pub split_seed: u64,
+    /// Nodes in the fleet (`dataset.num_users` is one node per user).
+    pub nodes: usize,
+    /// Contiguous user blocks behind sharded stores, instead of
+    /// round-robin cohorts.
+    pub sharded: bool,
+    /// The overlay.
+    pub topology: TopologySpec,
+    /// Overlay seed.
+    pub topology_seed: u64,
+    /// Model hyperparameters.
+    pub hp: MfHyperParams,
+    /// Every node's protocol; `protocol.seed` is the protocol seed.
+    pub protocol: ProtocolConfig,
+    /// Seed of the one initial model every node clones.
+    pub model_seed: u64,
 }
 
-impl Default for NodeSeeds {
+impl Default for Scenario {
     fn default() -> Self {
-        NodeSeeds {
-            model_init: 0xC0FFEE,
+        Scenario {
+            dataset: SyntheticConfig {
+                num_users: 24,
+                num_items: 160,
+                num_ratings: 2_000,
+                seed: 42,
+                ..SyntheticConfig::default()
+            },
+            split_seed: 7,
+            nodes: 8,
+            sharded: false,
+            topology: TopologySpec::FullyConnected,
+            topology_seed: 5,
+            hp: MfHyperParams::default(),
+            protocol: ProtocolConfig {
+                points_per_epoch: 40,
+                steps_per_epoch: 120,
+                seed: 17,
+                ..ProtocolConfig::default()
+            },
+            model_seed: 0xC0FFEE,
         }
+    }
+}
+
+impl Scenario {
+    /// `nodes` cohorts of two users each (125 ratings a node over 160
+    /// items) on a small world, D-PSGD raw sharing of 40 points and 100
+    /// SGD steps: the small shape the golden, chaos and membership
+    /// suites run.
+    #[must_use]
+    pub fn two_users_per_node(nodes: usize) -> Self {
+        let base = Scenario::default();
+        Scenario {
+            dataset: SyntheticConfig {
+                num_users: 2 * nodes as u32,
+                num_ratings: 125 * nodes,
+                ..base.dataset
+            },
+            nodes,
+            topology: TopologySpec::SmallWorld,
+            protocol: ProtocolConfig {
+                steps_per_epoch: 100,
+                ..base.protocol
+            },
+            ..base
+        }
+    }
+
+    /// Builds the fleet: the recipe's steps in the module doc's order.
+    ///
+    /// # Panics
+    /// If `nodes` is zero or exceeds the dataset's users, or the dataset
+    /// cannot hold its ratings.
+    #[must_use]
+    pub fn build_fleet(&self) -> Vec<Node<MfModel>> {
+        let (partition, blocks) = {
+            let dataset = self.dataset.generate();
+            let split = TrainTestSplit::standard(&dataset, self.split_seed);
+            if self.sharded {
+                Partition::user_blocks(&split, self.nodes)
+            } else {
+                (Partition::multi_user(&split, self.nodes), Vec::new())
+            }
+        };
+        let graph = self.topology.build(self.nodes, self.topology_seed);
+        let init = MfModel::new(
+            self.dataset.num_users,
+            self.dataset.num_items,
+            self.hp,
+            3.5,
+            self.model_seed,
+        );
+        build_mf_nodes(&partition, &blocks, &graph, init, self.protocol)
     }
 }
 
@@ -30,92 +151,65 @@ fn local_mean(ratings: &[Rating]) -> f32 {
     ratings.iter().map(|r| r.value).sum::<f32>() / ratings.len() as f32
 }
 
-/// Builds one MF node per partition slot, wired to `graph`.
+/// Builds one MF node per partition slot, wired to `graph`:
+/// [`Scenario::build_fleet`]'s last step, public for callers that time
+/// the recipe's steps one by one. Each node gets a clone of `init` (every
+/// byte and the fresh write log; the last node takes `init` itself), its
+/// own local mean and factor stamp, a copy of its slot's data (on the
+/// 610-node paper fleet, taking the partition's vectors instead made the
+/// build about twice as slow), and its user block when `blocks` has one
+/// per node (width-1 blocks normalize away, so a
+/// one-user-per-node sharded fleet is the per-user fleet). The clones
+/// share `init`'s rows until they write them, except where a node will
+/// write most of its table anyway. That is the one ownership rule: a
+/// node takes every row at build, in row order
+/// ([`MfModel::own_all_rows`]), under model sharing (its first merge
+/// writes every row a neighbour has seen) or when its training ratings
+/// reach at least one row in four ([`MfModel::ratings_reach_full_form`]).
+/// Past that share its commitment links take the full form, which reads
+/// the whole table every epoch: in row order that is one run per table,
+/// in first-write order one per written row. The rule counts nothing on
+/// a node with fewer ratings than an eighth of the rows, so the paper's
+/// one-user nodes (about 1.4 % of the rows reached) keep copy-on-write
+/// for free. An owning node holds no share of `init`: the last owner
+/// frees it.
 ///
 /// # Panics
-/// If the partition and graph disagree on node count.
+/// If the partition, the graph and a non-empty `blocks` disagree on
+/// node count.
 #[must_use]
 pub fn build_mf_nodes(
     partition: &Partition,
-    graph: &Graph,
-    num_users: u32,
-    num_items: u32,
-    hp: MfHyperParams,
-    cfg: ProtocolConfig,
-    seeds: NodeSeeds,
-) -> Vec<Node<MfModel>> {
-    let init = MfModel::new(num_users, num_items, hp, 3.5, seeds.model_init);
-    build_mf_fleet(partition, graph, None, init, cfg)
-}
-
-/// Builds one **user-sharded** MF node per partition slot: slot `id`
-/// hosts the contiguous user-row block `blocks[id]` (see
-/// [`Partition::user_blocks`]). Width-1 blocks degrade to the exact
-/// legacy per-user node — a `users_per_node = 1` sharded fleet is
-/// bit-identical to [`build_mf_nodes`] over a per-user partition.
-///
-/// # Panics
-/// If the partition, block list and graph disagree on node count.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn build_mf_nodes_sharded(
-    partition: &Partition,
     blocks: &[UserBlock],
     graph: &Graph,
-    num_users: u32,
-    num_items: u32,
-    hp: MfHyperParams,
-    cfg: ProtocolConfig,
-    seeds: NodeSeeds,
-) -> Vec<Node<MfModel>> {
-    assert_eq!(
-        partition.num_nodes(),
-        blocks.len(),
-        "partition/block count mismatch"
-    );
-    let init = MfModel::new(num_users, num_items, hp, 3.5, seeds.model_init);
-    build_mf_fleet(partition, graph, Some(blocks), init, cfg)
-}
-
-/// The MF builders' one body: each node gets a clone of `init` (every
-/// byte and the fresh write log; the last node takes `init` itself) and
-/// its own local mean and factor stamp. The clones share `init`'s rows
-/// until they write them, except where a node will write most of its
-/// table anyway. That is the one ownership rule: a node takes every row
-/// at build, in row order ([`MfModel::own_all_rows`]), under model
-/// sharing (its first merge writes every row a neighbour has seen) or
-/// when its training ratings reach at least one row in four
-/// ([`MfModel::ratings_reach_full_form`]). Past that share its
-/// commitment links take the full form, which reads the whole table
-/// every epoch: in row order that is one run per table, in first-write
-/// order one per written row. The rule counts nothing on a node with
-/// fewer ratings than an eighth of the rows, so the paper's one-user
-/// nodes (about 1.4 % of the rows reached) keep copy-on-write for free.
-/// An owning node holds no share of `init`: the last owner frees it.
-fn build_mf_fleet(
-    partition: &Partition,
-    graph: &Graph,
-    blocks: Option<&[UserBlock]>,
     init: MfModel,
     cfg: ProtocolConfig,
 ) -> Vec<Node<MfModel>> {
     let n = partition.num_nodes();
     assert_eq!(n, graph.len(), "partition/topology node count mismatch");
-    (0..n)
+    assert!(
+        blocks.is_empty() || blocks.len() == n,
+        "partition/block count mismatch"
+    );
+    let mut blocks = blocks.iter();
+    partition
+        .train
+        .iter()
+        .zip(&partition.test)
         .zip(std::iter::repeat_n(init, n))
-        .map(|(id, mut model)| {
-            let train = partition.train[id].clone();
-            model.set_global_mean(local_mean(&train));
-            if cfg.sharing == SharingMode::Model || model.ratings_reach_full_form(&train) {
+        .enumerate()
+        .map(|(id, ((train, test), mut model))| {
+            model.set_global_mean(local_mean(train));
+            if cfg.sharing == SharingMode::Model || model.ratings_reach_full_form(train) {
                 model.own_all_rows();
             }
             let node = Node::builder(id, model)
                 .neighbors(graph.neighbors(id).to_vec())
-                .train(train)
-                .test(partition.test[id].clone())
+                .train(train.clone())
+                .test(test.clone())
                 .protocol(cfg);
-            match blocks {
-                Some(blocks) => node.shard(blocks[id]),
+            match blocks.next() {
+                Some(&block) => node.shard(block),
                 None => node,
             }
             .build()
@@ -135,22 +229,25 @@ pub fn build_dnn_nodes(
     num_items: u32,
     hp: DnnHyperParams,
     cfg: ProtocolConfig,
-    seeds: NodeSeeds,
+    model_seed: u64,
 ) -> Vec<Node<DnnModel>> {
     assert_eq!(
         partition.num_nodes(),
         graph.len(),
         "partition/topology node count mismatch"
     );
-    (0..partition.num_nodes())
-        .map(|id| {
-            let train = partition.train[id].clone();
-            let mean = local_mean(&train);
-            let model = DnnModel::new(num_users, num_items, hp.clone(), mean, seeds.model_init);
+    partition
+        .train
+        .iter()
+        .zip(&partition.test)
+        .enumerate()
+        .map(|(id, (train, test))| {
+            let mean = local_mean(train);
+            let model = DnnModel::new(num_users, num_items, hp.clone(), mean, model_seed);
             Node::builder(id, model)
                 .neighbors(graph.neighbors(id).to_vec())
-                .train(train)
-                .test(partition.test[id].clone())
+                .train(train.clone())
+                .test(test.clone())
                 .protocol(cfg)
                 .build()
         })
@@ -158,42 +255,61 @@ pub fn build_dnn_nodes(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rex_data::{SyntheticConfig, TrainTestSplit};
     use rex_ml::Model;
-    use rex_topology::TopologySpec;
 
-    fn partition(nodes: usize) -> (Partition, u32, u32) {
-        let ds = SyntheticConfig {
-            num_users: 20,
-            num_items: 100,
-            num_ratings: 800,
-            seed: 4,
-            ..SyntheticConfig::default()
+    /// `n` nodes of two users each (60 items) on a ring, 10 points and
+    /// 30 SGD steps an epoch: the round and pool unit tests' fleet.
+    pub(crate) fn ring(n: usize) -> Vec<Node<MfModel>> {
+        Scenario {
+            dataset: SyntheticConfig {
+                num_users: 2 * n as u32,
+                num_items: 60,
+                num_ratings: 50 * n,
+                seed: 9,
+                ..SyntheticConfig::default()
+            },
+            split_seed: 2,
+            nodes: n,
+            topology: TopologySpec::Ring,
+            topology_seed: 1,
+            protocol: ProtocolConfig {
+                points_per_epoch: 10,
+                steps_per_epoch: 30,
+                ..ProtocolConfig::default()
+            },
+            ..Scenario::default()
         }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 1);
-        (
-            Partition::multi_user(&split, nodes),
-            ds.num_users,
-            ds.num_items,
-        )
+        .build_fleet()
+    }
+
+    /// 20 users over 100 items on `nodes` nodes of a ring.
+    fn small(nodes: usize) -> Scenario {
+        Scenario {
+            dataset: SyntheticConfig {
+                num_users: 20,
+                num_items: 100,
+                num_ratings: 800,
+                seed: 4,
+                ..SyntheticConfig::default()
+            },
+            split_seed: 1,
+            nodes,
+            topology: TopologySpec::Ring,
+            topology_seed: 0,
+            ..Scenario::default()
+        }
+    }
+
+    fn split(s: &Scenario) -> TrainTestSplit {
+        TrainTestSplit::standard(&s.dataset.generate(), s.split_seed)
     }
 
     #[test]
     fn builds_wired_mf_fleet() {
-        let (part, nu, ni) = partition(10);
+        let nodes = small(10).build_fleet();
         let graph = TopologySpec::Ring.build(10, 0);
-        let nodes = build_mf_nodes(
-            &part,
-            &graph,
-            nu,
-            ni,
-            MfHyperParams::default(),
-            ProtocolConfig::default(),
-            NodeSeeds::default(),
-        );
         assert_eq!(nodes.len(), 10);
         for (i, n) in nodes.iter().enumerate() {
             assert_eq!(n.id(), i);
@@ -204,18 +320,9 @@ mod tests {
 
     #[test]
     fn global_mean_is_local() {
-        let (part, nu, ni) = partition(4);
-        let graph = TopologySpec::FullyConnected.build(4, 0);
-        let nodes = build_mf_nodes(
-            &part,
-            &graph,
-            nu,
-            ni,
-            MfHyperParams::default(),
-            ProtocolConfig::default(),
-            NodeSeeds::default(),
-        );
-        for (id, n) in nodes.iter().enumerate() {
+        let s = small(4);
+        let part = Partition::multi_user(&split(&s), 4);
+        for (id, n) in s.build_fleet().iter().enumerate() {
             let expected = local_mean(&part.train[id]);
             assert!((n.model().global_mean() - expected).abs() < 1e-6);
         }
@@ -223,27 +330,12 @@ mod tests {
 
     #[test]
     fn sharded_fleet_hosts_user_blocks() {
-        let ds = SyntheticConfig {
-            num_users: 20,
-            num_items: 100,
-            num_ratings: 800,
-            seed: 4,
-            ..SyntheticConfig::default()
-        }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 1);
-        let (part, blocks) = Partition::user_blocks(&split, 5);
-        let graph = TopologySpec::Ring.build(5, 0);
-        let nodes = build_mf_nodes_sharded(
-            &part,
-            &blocks,
-            &graph,
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            ProtocolConfig::default(),
-            NodeSeeds::default(),
-        );
+        let s = Scenario {
+            sharded: true,
+            ..small(5)
+        };
+        let (_, blocks) = Partition::user_blocks(&split(&s), 5);
+        let nodes = s.build_fleet();
         assert_eq!(nodes.len(), 5);
         for (id, n) in nodes.iter().enumerate() {
             assert_eq!(n.shard_block(), Some(blocks[id]));
@@ -255,38 +347,13 @@ mod tests {
     fn width_one_sharded_fleet_matches_legacy_builder() {
         // The users_per_node = 1 contract at the builder level: sharded
         // construction over width-1 blocks yields byte-identical nodes.
-        let ds = SyntheticConfig {
-            num_users: 20,
-            num_items: 100,
-            num_ratings: 800,
-            seed: 4,
-            ..SyntheticConfig::default()
+        let sharded = Scenario {
+            sharded: true,
+            ..small(20)
         }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 1);
-        let (sharded_part, blocks) = Partition::user_blocks(&split, 20);
-        let legacy_part = Partition::one_user_per_node(&split);
-        let graph = TopologySpec::Ring.build(20, 0);
-        let sharded = build_mf_nodes_sharded(
-            &sharded_part,
-            &blocks,
-            &graph,
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            ProtocolConfig::default(),
-            NodeSeeds::default(),
-        );
-        let legacy = build_mf_nodes(
-            &legacy_part,
-            &graph,
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            ProtocolConfig::default(),
-            NodeSeeds::default(),
-        );
-        for (s, l) in sharded.iter().zip(&legacy) {
+        .build_fleet();
+        let per_user = small(20).build_fleet();
+        for (s, l) in sharded.iter().zip(&per_user) {
             assert_eq!(s.shard_block(), None, "width-1 shard must normalize away");
             assert_eq!(s.users_hosted(), 1);
             assert_eq!(s.model().to_bytes(), l.model().to_bytes());
@@ -297,42 +364,27 @@ mod tests {
 
     #[test]
     fn cloned_init_equals_a_per_node_draw() {
-        // Every node of either builder is byte-for-byte the model the
-        // builders drew per node before the init was drawn once, starts
-        // on a full-form change record, and carries its own stamp.
-        let ds = SyntheticConfig {
-            num_users: 20,
-            num_items: 100,
-            num_ratings: 800,
-            seed: 4,
-            ..SyntheticConfig::default()
-        }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 1);
-        let (hp, cfg, seeds) = (
-            MfHyperParams::default(),
-            ProtocolConfig::default(),
-            NodeSeeds { model_init: 77 },
-        );
-        let (nu, ni) = (ds.num_users, ds.num_items);
-        let mut fleets = Vec::new();
-        let part = Partition::multi_user(&split, 4);
-        let graph = TopologySpec::Ring.build(4, 0);
-        let nodes = build_mf_nodes(&part, &graph, nu, ni, hp, cfg, seeds);
-        fleets.push((part, nodes));
-        for shards in [5, 20] {
-            let (part, blocks) = Partition::user_blocks(&split, shards);
-            let graph = TopologySpec::Ring.build(shards, 0);
-            let nodes = build_mf_nodes_sharded(&part, &blocks, &graph, nu, ni, hp, cfg, seeds);
-            fleets.push((part, nodes));
-        }
-        for (part, nodes) in &fleets {
-            let mut stamps: Vec<u64> = nodes.iter().map(|n| n.model().factor_version()).collect();
+        // Every node of either partition shape is byte-for-byte the model
+        // the builders drew per node before the init was drawn once,
+        // starts on a full-form change record, and carries its own stamp.
+        for (nodes, sharded) in [(4, false), (5, true), (20, true)] {
+            let s = Scenario {
+                sharded,
+                model_seed: 77,
+                ..small(nodes)
+            };
+            let part = if sharded {
+                Partition::user_blocks(&split(&s), nodes).0
+            } else {
+                Partition::multi_user(&split(&s), nodes)
+            };
+            let fleet = s.build_fleet();
+            let mut stamps: Vec<u64> = fleet.iter().map(|n| n.model().factor_version()).collect();
             stamps.sort_unstable();
             stamps.dedup();
-            assert_eq!(stamps.len(), nodes.len(), "two nodes share a factor stamp");
-            for (id, n) in nodes.iter().enumerate() {
-                let mut drawn = MfModel::new(nu, ni, hp, 3.5, seeds.model_init);
+            assert_eq!(stamps.len(), fleet.len(), "two nodes share a factor stamp");
+            for (id, n) in fleet.iter().enumerate() {
+                let mut drawn = MfModel::new(20, 100, s.hp, 3.5, 77);
                 drawn.set_global_mean(local_mean(&part.train[id]));
                 assert_eq!(n.model().to_bytes(), drawn.to_bytes(), "node {id}");
                 let mut record = Vec::new();
@@ -362,8 +414,8 @@ mod tests {
             ..ProtocolConfig::default()
         };
         let graph = TopologySpec::FullyConnected.build(1, 0);
-        let hp = MfHyperParams::default();
-        build_mf_nodes(&part, &graph, 10, 91, hp, cfg, NodeSeeds::default())
+        let init = MfModel::new(10, 91, MfHyperParams::default(), 3.5, 1);
+        build_mf_nodes(&part, &[], &graph, init, cfg)
             .pop()
             .expect("one node")
     }
@@ -385,24 +437,19 @@ mod tests {
 
     #[test]
     fn the_papers_one_user_fleet_owns_no_row_at_build() {
-        let ds = SyntheticConfig {
-            num_users: 610,
-            num_items: 9_000,
-            num_ratings: 100_000,
-            seed: 42,
-            ..SyntheticConfig::default()
+        let nodes = Scenario {
+            dataset: SyntheticConfig {
+                num_users: 610,
+                num_items: 9_000,
+                num_ratings: 100_000,
+                seed: 42,
+                ..SyntheticConfig::default()
+            },
+            nodes: 610,
+            topology: TopologySpec::SmallWorld,
+            ..Scenario::default()
         }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 7);
-        let nodes = build_mf_nodes(
-            &Partition::one_user_per_node(&split),
-            &TopologySpec::SmallWorld.build(610, 5),
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            ProtocolConfig::default(),
-            NodeSeeds::default(),
-        );
+        .build_fleet();
         let init = MfModel::new(610, 9_000, MfHyperParams::default(), 3.5, 1);
         // A fresh model owns nothing; its sizes depend only on its shape.
         for n in &nodes {
@@ -414,16 +461,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "mismatch")]
     fn rejects_mismatched_sizes() {
-        let (part, nu, ni) = partition(4);
+        let s = small(4);
+        let part = Partition::multi_user(&split(&s), 4);
         let graph = TopologySpec::Ring.build(5, 0);
-        let _ = build_mf_nodes(
-            &part,
-            &graph,
-            nu,
-            ni,
-            MfHyperParams::default(),
-            ProtocolConfig::default(),
-            NodeSeeds::default(),
-        );
+        let init = MfModel::new(20, 100, s.hp, 3.5, s.model_seed);
+        let _ = build_mf_nodes(&part, &[], &graph, init, s.protocol);
     }
 }

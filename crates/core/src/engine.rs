@@ -605,9 +605,9 @@ pub fn aggregate_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_mf_nodes, NodeSeeds};
-    use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
-    use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
+    use crate::builder::Scenario;
+    use crate::config::{GossipAlgorithm, SharingMode};
+    use rex_data::SyntheticConfig;
     use rex_ml::{MfHyperParams, MfModel};
     use rex_net::mem::MemNetwork;
     use rex_tee::SgxCostModel;
@@ -631,33 +631,23 @@ mod tests {
         sharing: SharingMode,
         algorithm: GossipAlgorithm,
     ) -> Vec<Node<MfModel>> {
-        let ds = SyntheticConfig {
-            num_users: 24,
-            num_items: 120,
-            num_ratings: 1_600,
-            seed: 5,
-            ..SyntheticConfig::default()
-        }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 2);
-        let part = Partition::multi_user(&split, 8);
-        let graph = topology.build(8, 3);
-        build_mf_nodes(
-            &part,
-            &graph,
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            ProtocolConfig {
-                sharing,
-                algorithm,
-                points_per_epoch: 40,
-                steps_per_epoch: 150,
-                seed: 11,
-                ..ProtocolConfig::default()
+        let mut s = Scenario {
+            dataset: SyntheticConfig {
+                num_users: 24,
+                num_items: 120,
+                num_ratings: 1_600,
+                seed: 5,
+                ..SyntheticConfig::default()
             },
-            NodeSeeds::default(),
-        )
+            split_seed: 2,
+            topology,
+            topology_seed: 3,
+            ..Scenario::default()
+        };
+        (s.protocol.sharing, s.protocol.algorithm) = (sharing, algorithm);
+        s.protocol.steps_per_epoch = 150;
+        s.protocol.seed = 11;
+        s.build_fleet()
     }
 
     fn quick_sim(epochs: usize, execution: ExecutionMode) -> EngineConfig {

@@ -75,8 +75,8 @@
 //! ([`rex_data::UserBlock`], cut by [`rex_data::Partition::user_blocks`])
 //! instead of a single user — pushing one in-process fleet to hundreds of
 //! thousands to millions of *virtual users* across ordinary node counts.
-//! Construction goes through [`node::NodeBuilder::shard`] (or
-//! [`builder::build_mf_nodes_sharded`]); the store grows a row index
+//! Construction goes through [`node::NodeBuilder::shard`] (a sharded
+//! [`builder::Scenario`] cuts the blocks); the store grows a row index
 //! ([`store::RawDataStore::for_space`]), training switches to the
 //! row-block-batched [`rex_ml::Model::train_steps_batched`], EPC
 //! accounting reports the index as its own `rex_tee` region, and the
@@ -99,7 +99,7 @@ pub mod setup;
 pub mod store;
 pub mod trace_out;
 
-pub use builder::{build_dnn_nodes, build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
+pub use builder::{build_dnn_nodes, build_mf_nodes, Scenario};
 pub use centralized::run_baseline;
 pub use commitment::{CommitmentChain, EpochCommitment};
 pub use config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};

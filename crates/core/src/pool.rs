@@ -325,52 +325,22 @@ impl<M: Model, E: Endpoint> Drop for ShutdownGuard<'_, '_, '_, M, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_mf_nodes, NodeSeeds};
-    use crate::config::ProtocolConfig;
+    use crate::builder::tests::ring;
     use crate::engine::TimeAxis;
     use crate::membership::MembershipPlan;
     use crate::node::Node;
     use crate::round::RoundContext;
     use crate::setup::founding_view;
-    use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
     use rex_ml::{MfHyperParams, MfModel};
     use rex_net::mem::MemNetwork;
     use rex_net::transport::Transport;
     use rex_sim::trace::ExperimentTrace;
-    use rex_topology::TopologySpec;
 
     /// Node `id`, whose epoch 0 panics (planted: its store refuses the
     /// rating outside its model's shape that once made training panic).
     fn panicking_node(id: usize) -> Node<MfModel> {
         let model = MfModel::new(3, 3, MfHyperParams::default(), 3.0, 1);
         Node::builder(id, model).panic_at(0).build()
-    }
-
-    fn tiny_fleet(n: usize) -> Vec<Node<MfModel>> {
-        let ds = SyntheticConfig {
-            num_users: (2 * n) as u32,
-            num_items: 60,
-            num_ratings: 50 * n,
-            seed: 9,
-            ..SyntheticConfig::default()
-        }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 2);
-        let part = Partition::multi_user(&split, n);
-        let graph = TopologySpec::Ring.build(n, 1);
-        build_mf_nodes(
-            &part,
-            &graph,
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            ProtocolConfig {
-                points_per_epoch: 10,
-                steps_per_epoch: 30,
-                ..ProtocolConfig::default()
-            },
-            NodeSeeds::default(),
-        )
     }
 
     /// Runs `fleet` for `epochs` on the pool over an in-memory fabric's
@@ -429,11 +399,11 @@ mod tests {
     #[test]
     fn phase_outputs_match_sequential_for_any_worker_count() {
         let n = 7;
-        let sequential = outputs(&run_pool(&mut tiny_fleet(n), 4, 1, None));
+        let sequential = outputs(&run_pool(&mut ring(n), 4, 1, None));
         assert_eq!(sequential.0.len(), 4);
         assert!(sequential.1.iter().all(|s| s.msgs_out > 0));
         for workers in [2, 3, 8] {
-            let got = outputs(&run_pool(&mut tiny_fleet(n), 4, workers, None));
+            let got = outputs(&run_pool(&mut ring(n), 4, workers, None));
             assert_eq!(got, sequential, "workers={workers}");
         }
     }
@@ -446,7 +416,7 @@ mod tests {
         let n = 4;
         for workers in [1, 2] {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut fleet = tiny_fleet(n);
+                let mut fleet = ring(n);
                 fleet[2] = panicking_node(2);
                 run_pool(&mut fleet, 3, workers, None);
             }))
@@ -466,11 +436,11 @@ mod tests {
     fn skipped_nodes_have_no_output_and_fleet_returns_in_order() {
         let n = 5;
         let plan = MembershipPlan::default().with_leave(1, 2);
-        let mut fleet = tiny_fleet(n);
+        let mut fleet = ring(n);
         let (trace, stats) = run_pool(&mut fleet, 4, 2, Some(plan));
         let live: Vec<usize> = trace.records.iter().map(|r| r.live_nodes).collect();
         assert_eq!(live, [n, n, n - 1, n - 1]);
-        let (_, until_leave) = run_pool(&mut tiny_fleet(n), 2, 2, None);
+        let (_, until_leave) = run_pool(&mut ring(n), 2, 2, None);
         assert_eq!(stats[1], until_leave[1]);
         assert!(stats[0].msgs_out > until_leave[0].msgs_out);
         for (i, node) in fleet.iter().enumerate() {

@@ -866,39 +866,9 @@ impl<'a, M: Model> Drive<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_mf_nodes, NodeSeeds};
-    use crate::config::ProtocolConfig;
-    use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
-    use rex_ml::{MfHyperParams, MfModel};
+    use crate::builder::tests::ring;
     use rex_net::mem::MemNetwork;
     use rex_net::transport::Transport;
-    use rex_topology::TopologySpec;
-
-    fn ring(n: usize) -> Vec<Node<MfModel>> {
-        let ds = SyntheticConfig {
-            num_users: (2 * n) as u32,
-            num_items: 60,
-            num_ratings: 50 * n,
-            seed: 9,
-            ..SyntheticConfig::default()
-        }
-        .generate();
-        let split = TrainTestSplit::standard(&ds, 2);
-        let part = Partition::multi_user(&split, n);
-        build_mf_nodes(
-            &part,
-            &TopologySpec::Ring.build(n, 1),
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            ProtocolConfig {
-                points_per_epoch: 10,
-                steps_per_epoch: 30,
-                ..ProtocolConfig::default()
-            },
-            NodeSeeds::default(),
-        )
-    }
 
     /// Per node, the per-epoch RMSE bits of a bounded-async run of a
     /// 4-node ring (`k` = degree, so the schedule is lockstep's and the

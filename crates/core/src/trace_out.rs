@@ -16,6 +16,17 @@
 //! {"node":0,"epoch":3,"merge_ns":..,"train_ns":..,"share_ns":..,"test_ns":..,"commit_ns":..,"link_rows":null,"new_points":40,"bytes_in":..,"bytes_out":..,"rmse_bits":"3fe1..","digest":"9c0e.."}
 //! ```
 
+// Every `rex-node --trace-out` process writes through this module.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::node::EpochReport;
 use rex_sim::stage::STAGES;
 use std::fmt::Write as _;

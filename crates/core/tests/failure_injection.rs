@@ -4,15 +4,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rex_core::builder::{build_mf_nodes, NodeSeeds};
-use rex_core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_core::builder::Scenario;
+use rex_core::config::{ExecutionMode, ProtocolConfig};
 use rex_core::engine::{Engine, EngineConfig};
 use rex_core::Node;
-use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_ml::{MfHyperParams, MfModel};
+use rex_data::SyntheticConfig;
+use rex_ml::MfModel;
 use rex_net::mem::{Envelope, MemNetwork};
 use rex_tee::SgxCostModel;
-use rex_topology::TopologySpec;
 
 /// Attests the pair without running any protocol epochs (so both ends'
 /// session counters start aligned at zero).
@@ -27,33 +26,24 @@ fn attest_only(nodes: &mut [Node<MfModel>]) {
 }
 
 fn sgx_pair() -> Vec<Node<MfModel>> {
-    let ds = SyntheticConfig {
-        num_users: 8,
-        num_items: 60,
-        num_ratings: 400,
-        seed: 31,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 1);
-    let partition = Partition::multi_user(&split, 2);
-    let graph = TopologySpec::FullyConnected.build(2, 0);
-    build_mf_nodes(
-        &partition,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing: SharingMode::RawData,
-            algorithm: GossipAlgorithm::DPsgd,
+    Scenario {
+        dataset: SyntheticConfig {
+            num_users: 8,
+            num_items: 60,
+            num_ratings: 400,
+            seed: 31,
+            ..SyntheticConfig::default()
+        },
+        split_seed: 1,
+        nodes: 2,
+        protocol: ProtocolConfig {
             points_per_epoch: 30,
             steps_per_epoch: 60,
-            seed: 17,
-            ..ProtocolConfig::default()
+            ..Scenario::default().protocol
         },
-        NodeSeeds::default(),
-    )
+        ..Scenario::default()
+    }
+    .build_fleet()
 }
 
 /// Runs an SGX fleet to establish sessions, then injects corrupted frames.

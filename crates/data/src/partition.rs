@@ -55,18 +55,10 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// One node per user: node `u` hosts exactly user `u`.
-    #[must_use]
-    pub fn one_user_per_node(split: &TrainTestSplit) -> Self {
-        let train = split.train_by_user();
-        let test = split.test_by_user();
-        let users = (0..split.num_users).map(|u| vec![u]).collect();
-        Partition { users, train, test }
-    }
-
     /// Distributes all users round-robin over `num_nodes` nodes, so cohort
     /// sizes differ by at most one (the paper's 610-users/50-nodes setup
-    /// yields 12 or 13 users per node).
+    /// yields 12 or 13 users per node). `num_nodes == num_users` is one
+    /// node per user: node `u` hosts exactly user `u`.
     ///
     /// # Panics
     /// If `num_nodes` is zero or exceeds the number of users.
@@ -101,8 +93,8 @@ impl Partition {
     /// **contiguous row blocks** whose widths differ by at most one
     /// (node `n` hosts `[⌊n·U/N⌋, ⌊(n+1)·U/N⌋)`), and returns the
     /// partition together with the per-node [`UserBlock`]s. With
-    /// `num_nodes == num_users` every block has width 1 and the per-node
-    /// data is exactly [`Partition::one_user_per_node`]'s — the
+    /// `num_nodes == num_users` every block has width 1 and the partition
+    /// is exactly [`Partition::multi_user`]'s one node per user — the
     /// determinism anchor for `users_per_node = 1` deployments.
     ///
     /// # Panics
@@ -176,7 +168,7 @@ mod tests {
     #[test]
     fn one_user_per_node_shape() {
         let s = split();
-        let p = Partition::one_user_per_node(&s);
+        let p = Partition::multi_user(&s, 61);
         assert_eq!(p.num_nodes(), 61);
         for (n, cohort) in p.users.iter().enumerate() {
             assert_eq!(cohort, &vec![n as u32]);
@@ -253,7 +245,7 @@ mod tests {
         // at width 1 is exactly the per-user partition.
         let s = split();
         let (sharded, blocks) = Partition::user_blocks(&s, 61);
-        let legacy = Partition::one_user_per_node(&s);
+        let legacy = Partition::multi_user(&s, 61);
         assert!(blocks.iter().all(|b| b.width() == 1));
         assert_eq!(sharded.users, legacy.users);
         assert_eq!(sharded.train, legacy.train);

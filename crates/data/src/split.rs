@@ -72,23 +72,12 @@ impl TrainTestSplit {
     pub fn standard(dataset: &Dataset, seed: u64) -> Self {
         Self::new(dataset, 0.7, seed)
     }
-
-    /// Training ratings grouped by user.
-    #[must_use]
-    pub fn train_by_user(&self) -> Vec<Vec<Rating>> {
-        UserGroups::new(&self.train, self.num_users).to_vecs()
-    }
-
-    /// Test ratings grouped by user.
-    #[must_use]
-    pub fn test_by_user(&self) -> Vec<Vec<Rating>> {
-        UserGroups::new(&self.test, self.num_users).to_vecs()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::Partition;
     use crate::synthetic::SyntheticConfig;
 
     fn dataset() -> Dataset {
@@ -121,12 +110,11 @@ mod tests {
     fn per_user_split() {
         let ds = dataset();
         let split = TrainTestSplit::standard(&ds, 1);
-        let train_by_user = split.train_by_user();
+        let by_user = Partition::multi_user(&split, ds.num_users as usize);
         // Every user keeps training data.
-        assert!(train_by_user.iter().all(|v| !v.is_empty()));
+        assert!(by_user.train.iter().all(|v| !v.is_empty()));
         // Users with several ratings also get test data (most of them).
-        let test_by_user = split.test_by_user();
-        let with_test = test_by_user.iter().filter(|v| !v.is_empty()).count();
+        let with_test = by_user.test.iter().filter(|v| !v.is_empty()).count();
         assert!(with_test as f64 > 0.8 * f64::from(ds.num_users));
     }
 

@@ -21,7 +21,7 @@
 //! A model that will write most of its table anyway takes every row at
 //! build instead, in row order ([`RowStore::own_all`]), and lets go of
 //! the base. The fleet builder's one rule for which model does
-//! (`rex_core`'s `build_mf_fleet`) is model sharing (its first merge
+//! (`rex_core`'s `build_mf_nodes`) is model sharing (its first merge
 //! writes every row a neighbour has seen), or training ratings that reach
 //! at least one row in four ([`crate::MfModel::ratings_reach_full_form`]).
 //! That share is where the model's change

@@ -5,7 +5,9 @@
 //! the fleet deterministically — and every process reads the *same* file.
 //! Determinism is the point: each process derives the full fleet (data
 //! partition, topology, seeds) locally and keeps only its own node, so no
-//! coordinator has to ship state around.
+//! coordinator has to ship state around. The fleet is the recipe
+//! [`rex_core::builder`] writes out once (each step and the seed that
+//! feeds it); [`ClusterConfig::scenario`] is this file's part of it.
 //!
 //! The format is a TOML subset parsed without external crates: `#`
 //! comments, `key = value` lines — with integer, float, boolean,
@@ -18,8 +20,10 @@
 //! not know — at the top level or inside a section — is an error naming
 //! it, never a silent default.
 
+use rex_core::builder::Scenario;
 use rex_core::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
 use rex_core::membership::MembershipPlan;
+use rex_data::SyntheticConfig;
 use rex_net::fault::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec};
 use rex_topology::TopologySpec;
 use std::collections::HashMap;
@@ -251,22 +255,24 @@ pub struct ClusterConfig {
 
 impl Default for ClusterConfig {
     fn default() -> Self {
+        // The fleet's fields take the one recipe's defaults.
+        let s = Scenario::default();
         ClusterConfig {
             nodes: Vec::new(),
             epochs: 10,
-            sharing: SharingMode::RawData,
-            algorithm: GossipAlgorithm::DPsgd,
-            topology: TopologySpec::FullyConnected,
-            topology_seed: 5,
-            num_users: 24,
-            num_items: 160,
-            num_ratings: 2_000,
-            data_seed: 42,
-            split_seed: 7,
-            protocol_seed: 17,
-            points_per_epoch: 40,
-            steps_per_epoch: 120,
-            codec: WireCodec::Dense,
+            sharing: s.protocol.sharing,
+            algorithm: s.protocol.algorithm,
+            topology: s.topology,
+            topology_seed: s.topology_seed,
+            num_users: s.dataset.num_users,
+            num_items: s.dataset.num_items,
+            num_ratings: s.dataset.num_ratings,
+            data_seed: s.dataset.seed,
+            split_seed: s.split_seed,
+            protocol_seed: s.protocol.seed,
+            points_per_epoch: s.protocol.points_per_epoch,
+            steps_per_epoch: s.protocol.steps_per_epoch,
+            codec: s.protocol.codec,
             sgx: false,
             processes_per_platform: 1,
             infra_seed: 0xE0,
@@ -994,6 +1000,30 @@ impl ClusterConfig {
             steps_per_epoch: self.steps_per_epoch,
             seed: self.protocol_seed,
             codec: self.codec,
+        }
+    }
+
+    /// The fleet this config describes, as the one recipe's inputs:
+    /// round-robin cohorts, or contiguous user blocks under a
+    /// `[sharding]` section, with the default model and model seed.
+    #[must_use]
+    pub fn scenario(&self) -> Scenario {
+        let d = Scenario::default();
+        Scenario {
+            dataset: SyntheticConfig {
+                num_users: self.num_users,
+                num_items: self.num_items,
+                num_ratings: self.num_ratings,
+                seed: self.data_seed,
+                ..d.dataset
+            },
+            split_seed: self.split_seed,
+            nodes: self.num_nodes(),
+            sharded: self.sharding.is_some(),
+            topology: self.topology,
+            topology_seed: self.topology_seed,
+            protocol: self.protocol(),
+            ..d
         }
     }
 }

@@ -31,7 +31,6 @@ pub use config::{AuditConfig, ClusterConfig, NodeDriver, ServeConfig, ShardingCo
 
 pub use rex_core::round::{EpochOutcome, WireAudit, ASYNC_EPOCH_TIMEOUT};
 
-use rex_core::builder::{build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
 use rex_core::commitment::EpochCommitment;
 use rex_core::membership::MembershipView;
 use rex_core::round::{self, EpochEvent, RoundContext};
@@ -41,8 +40,7 @@ use rex_core::serve::{
 use rex_core::setup::{establish_tee_with_directory, founding_view, TeeDirectory};
 use rex_core::trace_out::TraceOut;
 use rex_core::Node;
-use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_ml::{MfHyperParams, MfModel};
+use rex_ml::MfModel;
 use rex_net::fault::{FaultPlan, FaultyEndpoint};
 use rex_net::mem::MemNetwork;
 use rex_net::stats::TrafficStats;
@@ -82,58 +80,18 @@ pub fn build_fleet_and_view(cfg: &ClusterConfig) -> (Vec<Node<MfModel>>, Option<
 }
 
 /// [`build_fleet_and_view`] **without** the membership pruning: the
-/// full (fault-pruned) fleet over the complete topology. This is what
+/// full (fault-pruned) fleet over the complete topology, built by
+/// [`ClusterConfig::scenario`]'s recipe ([`rex_core::builder`] lists its
+/// steps and seeds). This is what
 /// engine-level callers want — [`rex_core::engine::Engine::run`]
 /// derives its own [`MembershipView`] from
 /// [`rex_core::engine::EngineConfig::membership`] and must see the
 /// latent edges to strip them itself.
 #[must_use]
 pub fn build_fleet(cfg: &ClusterConfig) -> Vec<Node<MfModel>> {
-    let n = cfg.num_nodes();
-    let dataset = SyntheticConfig {
-        num_users: cfg.num_users,
-        num_items: cfg.num_items,
-        num_ratings: cfg.num_ratings,
-        seed: cfg.data_seed,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&dataset, cfg.split_seed);
-    let graph = cfg.topology.build(n, cfg.topology_seed);
-    let mut fleet = match cfg.sharding {
-        // Contiguous user-row blocks: node `i` hosts users
-        // [i*upn, (i+1)*upn) behind a sharded store and the batched
-        // train path. Width-1 blocks normalize away inside the node
-        // builder, keeping users_per_node = 1 bit-identical to the
-        // legacy per-user fleet.
-        Some(_) => {
-            let (partition, blocks) = Partition::user_blocks(&split, n);
-            build_mf_nodes_sharded(
-                &partition,
-                &blocks,
-                &graph,
-                dataset.num_users,
-                dataset.num_items,
-                MfHyperParams::default(),
-                cfg.protocol(),
-                NodeSeeds::default(),
-            )
-        }
-        None => {
-            let partition = Partition::multi_user(&split, n);
-            build_mf_nodes(
-                &partition,
-                &graph,
-                dataset.num_users,
-                dataset.num_items,
-                MfHyperParams::default(),
-                cfg.protocol(),
-                NodeSeeds::default(),
-            )
-        }
-    };
+    let mut fleet = cfg.scenario().build_fleet();
     if let Some(plan) = &cfg.faults {
-        plan.validate(n);
+        plan.validate(cfg.num_nodes());
         // The same crash-aware pre-setup step the engine runs — shared
         // so cluster-vs-engine bit-identity cannot drift.
         rex_core::setup::prune_dead_nodes(&mut fleet, plan);
@@ -767,6 +725,7 @@ pub fn run_cluster_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rex_ml::MfHyperParams;
     use rex_net::tcp::reserve_loopback_addrs;
 
     fn tiny_cfg(n: usize) -> ClusterConfig {

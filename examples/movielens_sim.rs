@@ -7,11 +7,10 @@
 //! e.g. cargo run --release --example movielens_sim -- rex dpsgd sw 64 80
 //! ```
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
+use rex_repro::core::builder::Scenario;
 use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
 use rex_repro::core::engine::{Engine, EngineConfig};
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::MfHyperParams;
+use rex_repro::data::SyntheticConfig;
 use rex_repro::net::mem::MemNetwork;
 use rex_repro::tee::SgxCostModel;
 use rex_repro::topology::TopologySpec;
@@ -46,34 +45,28 @@ fn main() {
         if sgx { "SGX" } else { "native" }
     );
 
-    let dataset = SyntheticConfig {
-        num_users: nodes as u32,
-        num_items: (nodes * 30) as u32,
-        num_ratings: nodes * 164,
-        seed: 11,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&dataset, 1);
-    let partition = Partition::one_user_per_node(&split);
-    let graph = topology.build(nodes, 5);
-
-    let mut fleet = build_mf_nodes(
-        &partition,
-        &graph,
-        dataset.num_users,
-        dataset.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
+    // One node per user; 30 items and, as in MovieLens-latest, 164
+    // ratings per user.
+    let mut fleet = Scenario {
+        dataset: SyntheticConfig {
+            num_users: nodes as u32,
+            num_items: (nodes * 30) as u32,
+            num_ratings: nodes * 164,
+            seed: 11,
+            ..SyntheticConfig::default()
+        },
+        split_seed: 1,
+        nodes,
+        topology,
+        protocol: ProtocolConfig {
             sharing,
             algorithm,
-            points_per_epoch: 300,
-            steps_per_epoch: 300,
             seed: 3,
             ..ProtocolConfig::default()
         },
-        NodeSeeds::default(),
-    );
+        ..Scenario::default()
+    }
+    .build_fleet();
 
     let execution = if sgx {
         ExecutionMode::Sgx(SgxCostModel::default())

@@ -5,26 +5,38 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
+use rex_repro::core::builder::Scenario;
 use rex_repro::core::centralized::run_baseline;
-use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::config::{ExecutionMode, ProtocolConfig, SharingMode};
 use rex_repro::core::engine::{Engine, EngineConfig};
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::data::{SyntheticConfig, TrainTestSplit};
+use rex_repro::ml::MfModel;
 use rex_repro::net::mem::MemNetwork;
 use rex_repro::topology::TopologySpec;
 
 fn main() {
-    // 1. A MovieLens-like dataset: 16 users, 400 items, dense enough to
-    //    learn from.
-    let dataset = SyntheticConfig {
-        num_users: 16,
-        num_items: 400,
-        num_ratings: 2_600,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
+    // 1. A MovieLens-like dataset (16 users, 400 items, dense enough to
+    //    learn from), split 70/30, one node per user on a small world.
+    let scenario = Scenario {
+        dataset: SyntheticConfig {
+            num_users: 16,
+            num_items: 400,
+            num_ratings: 2_600,
+            seed: 42,
+            ..SyntheticConfig::default()
+        },
+        nodes: 16,
+        topology: TopologySpec::SmallWorld,
+        topology_seed: 3,
+        protocol: ProtocolConfig {
+            points_per_epoch: 50,
+            steps_per_epoch: 200,
+            seed: 1,
+            ..ProtocolConfig::default()
+        },
+        ..Scenario::default()
+    };
+    let dataset = scenario.dataset.generate();
     println!(
         "dataset: {} users x {} items, {} ratings (density {:.2}%)",
         dataset.num_users,
@@ -33,12 +45,7 @@ fn main() {
         dataset.density() * 100.0
     );
 
-    // 2. 70/30 split, one node per user, small-world gossip graph.
-    let split = TrainTestSplit::standard(&dataset, 7);
-    let partition = Partition::one_user_per_node(&split);
-    let graph = TopologySpec::SmallWorld.build(16, 3);
-
-    // 3. Run REX (raw-data sharing) and the model-sharing baseline.
+    // 2. Run REX (raw-data sharing) and the model-sharing baseline.
     let sim = EngineConfig {
         epochs: 60,
         execution: ExecutionMode::Native,
@@ -46,34 +53,22 @@ fn main() {
     };
     let mut results = Vec::new();
     for sharing in [SharingMode::RawData, SharingMode::Model] {
-        let mut nodes = build_mf_nodes(
-            &partition,
-            &graph,
-            dataset.num_users,
-            dataset.num_items,
-            MfHyperParams::default(),
-            ProtocolConfig {
-                sharing,
-                algorithm: GossipAlgorithm::DPsgd,
-                points_per_epoch: 50,
-                steps_per_epoch: 200,
-                seed: 1,
-                ..ProtocolConfig::default()
-            },
-            NodeSeeds::default(),
-        );
+        let mut fleet = scenario.clone();
+        fleet.protocol.sharing = sharing;
+        let mut nodes = fleet.build_fleet();
         let engine = Engine::new(MemNetwork::new(nodes.len()), sim.clone());
         let result = engine.run(sharing.label(), &mut nodes);
         results.push(result.trace);
     }
 
-    // 4. Centralized reference.
+    // 3. Centralized reference on the same split.
+    let split = TrainTestSplit::standard(&dataset, scenario.split_seed);
     let mut central = MfModel::new(
         dataset.num_users,
         dataset.num_items,
-        MfHyperParams::default(),
+        scenario.hp,
         dataset.mean_rating() as f32,
-        NodeSeeds::default().model_init,
+        scenario.model_seed,
     );
     let central_trace = run_baseline(
         "Centralized",
@@ -86,7 +81,7 @@ fn main() {
     );
     results.push(central_trace);
 
-    // 5. Compare.
+    // 4. Compare.
     println!(
         "\n{:<14} {:>10} {:>14} {:>14}",
         "scheme", "final RMSE", "sim time", "bytes/node"

@@ -20,13 +20,13 @@
 //! delays store growth, and D-PSGD's Metropolis–Hastings merge
 //! renormalizes the self-weight over whatever actually arrived.
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
-use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::builder::Scenario;
+use rex_repro::core::config::ExecutionMode;
 use rex_repro::core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 use rex_repro::core::membership::MembershipPlan;
 use rex_repro::core::Node;
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::data::SyntheticConfig;
+use rex_repro::ml::MfModel;
 use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::tee::SgxCostModel;
@@ -35,33 +35,9 @@ use rex_repro::topology::{alive_connected, repair_after_crashes, TopologySpec};
 /// Builds an `n`-node REX fleet (raw-data sharing, D-PSGD) over a
 /// small-world overlay, scaled so every node holds a couple of users.
 fn fleet(n: usize, epoch_points: usize) -> Vec<Node<MfModel>> {
-    let ds = SyntheticConfig {
-        num_users: (2 * n) as u32,
-        num_items: 160,
-        num_ratings: 125 * n,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let part = Partition::multi_user(&split, n);
-    let graph = TopologySpec::SmallWorld.build(n, 5);
-    build_mf_nodes(
-        &part,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing: SharingMode::RawData,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: epoch_points,
-            steps_per_epoch: 100,
-            seed: 17,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    )
+    let mut s = Scenario::two_users_per_node(n);
+    s.protocol.points_per_epoch = epoch_points;
+    s.build_fleet()
 }
 
 fn cfg(
@@ -387,33 +363,22 @@ fn asymmetric_lossy_link_starves_one_direction_exactly() {
     // every epoch: 12 messages per epoch, of which exactly one dies.
     let epochs = 8;
     let plan = FaultPlan::default().with_link(0, 1, LinkFaults::drop_rate(1.0));
-    let ds = SyntheticConfig {
-        num_users: 12,
-        num_items: 100,
-        num_ratings: 600,
-        seed: 2,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 3);
-    let part = Partition::multi_user(&split, 4);
-    let graph = TopologySpec::FullyConnected.build(4, 0);
-    let mut nodes = build_mf_nodes(
-        &part,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing: SharingMode::RawData,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: 20,
-            steps_per_epoch: 60,
-            seed: 3,
-            ..ProtocolConfig::default()
+    let mut s = Scenario {
+        dataset: SyntheticConfig {
+            num_users: 12,
+            num_items: 100,
+            num_ratings: 600,
+            seed: 2,
+            ..SyntheticConfig::default()
         },
-        NodeSeeds::default(),
-    );
+        split_seed: 3,
+        nodes: 4,
+        ..Scenario::default()
+    };
+    s.protocol.points_per_epoch = 20;
+    s.protocol.steps_per_epoch = 60;
+    s.protocol.seed = 3;
+    let mut nodes = s.build_fleet();
     let result = run_mem(&mut nodes, epochs, ExecutionMode::Native, &plan);
 
     for r in &result.trace.records {

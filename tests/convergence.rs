@@ -1,25 +1,38 @@
 //! Cross-crate integration: full REX deployments must converge, and the
 //! paper's headline orderings must hold end to end.
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
+use rex_repro::core::builder::Scenario;
 use rex_repro::core::centralized::run_baseline;
 use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
 use rex_repro::core::engine::{Engine, EngineConfig, EngineResult};
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
+use rex_repro::data::{SyntheticConfig, TrainTestSplit};
 use rex_repro::ml::{MfHyperParams, MfModel};
 use rex_repro::net::mem::MemNetwork;
 use rex_repro::sim::ExperimentTrace;
 use rex_repro::topology::TopologySpec;
 
-fn dataset() -> rex_repro::data::Dataset {
-    SyntheticConfig {
-        num_users: 32,
-        num_items: 400,
-        num_ratings: 4_800,
-        seed: 77,
-        ..SyntheticConfig::default()
+/// 32 users, one node each; the topology, sharing mode and algorithm
+/// are set per run by [`fleet`].
+fn scenario() -> Scenario {
+    Scenario {
+        dataset: SyntheticConfig {
+            num_users: 32,
+            num_items: 400,
+            num_ratings: 4_800,
+            seed: 77,
+            ..SyntheticConfig::default()
+        },
+        split_seed: 3,
+        nodes: 32,
+        topology_seed: 9,
+        protocol: ProtocolConfig {
+            points_per_epoch: 100,
+            steps_per_epoch: 200,
+            seed: 5,
+            ..ProtocolConfig::default()
+        },
+        ..Scenario::default()
     }
-    .generate()
 }
 
 fn fleet(
@@ -27,26 +40,11 @@ fn fleet(
     algorithm: GossipAlgorithm,
     topology: TopologySpec,
 ) -> Vec<rex_repro::core::Node<MfModel>> {
-    let ds = dataset();
-    let split = TrainTestSplit::standard(&ds, 3);
-    let partition = Partition::one_user_per_node(&split);
-    let graph = topology.build(32, 9);
-    build_mf_nodes(
-        &partition,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing,
-            algorithm,
-            points_per_epoch: 100,
-            steps_per_epoch: 200,
-            seed: 5,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    )
+    let mut s = scenario();
+    s.topology = topology;
+    s.protocol.sharing = sharing;
+    s.protocol.algorithm = algorithm;
+    s.build_fleet()
 }
 
 /// Runs `nodes` natively for `epochs` on the simulated fabric.
@@ -139,8 +137,9 @@ fn rex_beats_ms_in_time_and_bytes_on_every_topology_algorithm_combo() {
 #[test]
 fn centralized_baseline_is_fastest_to_quality() {
     // Paper: "the centralized baselines remains fastest as expected".
-    let ds = dataset();
-    let split = TrainTestSplit::standard(&ds, 3);
+    let s = scenario();
+    let ds = s.dataset.generate();
+    let split = TrainTestSplit::standard(&ds, s.split_seed);
     let mut model = MfModel::new(
         ds.num_users,
         ds.num_items,

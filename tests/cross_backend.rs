@@ -12,12 +12,11 @@
 //! physical arrival order, and because the TCP backend's wire barrier
 //! makes message visibility deterministic despite real propagation delay.
 
-use rex_repro::core::builder::{build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
-use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::builder::Scenario;
+use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, SharingMode};
 use rex_repro::core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 use rex_repro::core::Node;
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::ml::MfModel;
 use rex_repro::net::fault::{FaultPlan, FaultyTransport};
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::tee::SgxCostModel;
@@ -25,34 +24,15 @@ use rex_repro::topology::TopologySpec;
 
 const EPOCHS: usize = 10;
 
+/// The default cluster's fleet (8 nodes of 3 users) on a small world.
 fn fleet(sharing: SharingMode, algorithm: GossipAlgorithm) -> Vec<Node<MfModel>> {
-    let ds = SyntheticConfig {
-        num_users: 24,
-        num_items: 160,
-        num_ratings: 2_000,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let part = Partition::multi_user(&split, 8);
-    let graph = TopologySpec::SmallWorld.build(8, 5);
-    build_mf_nodes(
-        &part,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing,
-            algorithm,
-            points_per_epoch: 40,
-            steps_per_epoch: 120,
-            seed: 17,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    )
+    let mut s = Scenario {
+        topology: TopologySpec::SmallWorld,
+        ..Scenario::default()
+    };
+    s.protocol.sharing = sharing;
+    s.protocol.algorithm = algorithm;
+    s.build_fleet()
 }
 
 fn engine_config(execution: ExecutionMode, time: TimeAxis, driver: Driver) -> EngineConfig {
@@ -316,34 +296,7 @@ fn work_steal_scheduler_is_bit_identical_to_sequential_sgx() {
 /// crash-stop nodes) — the scheduler-equivalence oracle runs it through
 /// both drivers over the fault-wrapped mem fabric.
 fn headline_fleet() -> Vec<Node<MfModel>> {
-    let n = 32;
-    let ds = SyntheticConfig {
-        num_users: (2 * n) as u32,
-        num_items: 160,
-        num_ratings: 125 * n,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let part = Partition::multi_user(&split, n);
-    let graph = TopologySpec::SmallWorld.build(n, 5);
-    build_mf_nodes(
-        &part,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing: SharingMode::RawData,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: 40,
-            steps_per_epoch: 100,
-            seed: 17,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    )
+    Scenario::two_users_per_node(32).build_fleet()
 }
 
 fn headline_plan() -> FaultPlan {
@@ -417,48 +370,13 @@ fn work_steal_matches_sequential_under_chaos_headline_sgx() {
 /// construction path. The two must be indistinguishable — this is the
 /// sharding determinism contract (`users_per_node = 1` stays bit-exact).
 fn per_user_fleet(sharded: bool) -> Vec<Node<MfModel>> {
-    let ds = SyntheticConfig {
-        num_users: 24,
-        num_items: 160,
-        num_ratings: 2_000,
-        seed: 42,
-        ..SyntheticConfig::default()
+    Scenario {
+        nodes: 24,
+        sharded,
+        topology: TopologySpec::SmallWorld,
+        ..Scenario::default()
     }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let graph = TopologySpec::SmallWorld.build(24, 5);
-    let cfg = ProtocolConfig {
-        sharing: SharingMode::RawData,
-        algorithm: GossipAlgorithm::DPsgd,
-        points_per_epoch: 40,
-        steps_per_epoch: 120,
-        seed: 17,
-        ..ProtocolConfig::default()
-    };
-    if sharded {
-        let (part, blocks) = Partition::user_blocks(&split, 24);
-        build_mf_nodes_sharded(
-            &part,
-            &blocks,
-            &graph,
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            cfg,
-            NodeSeeds::default(),
-        )
-    } else {
-        let part = Partition::one_user_per_node(&split);
-        build_mf_nodes(
-            &part,
-            &graph,
-            ds.num_users,
-            ds.num_items,
-            MfHyperParams::default(),
-            cfg,
-            NodeSeeds::default(),
-        )
-    }
+    .build_fleet()
 }
 
 #[test]

@@ -1,42 +1,37 @@
 //! Integration: fixed seeds must yield bit-identical learning trajectories
 //! (the basis for every comparison in the bench harness).
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
-use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::builder::Scenario;
+use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig};
 use rex_repro::core::engine::{Driver, Engine, EngineConfig};
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::data::SyntheticConfig;
+use rex_repro::ml::MfModel;
 use rex_repro::net::mem::MemNetwork;
 use rex_repro::topology::TopologySpec;
 
 fn run_once(driver: Driver, seed: u64) -> Vec<(f64, f64)> {
-    let ds = SyntheticConfig {
-        num_users: 24,
-        num_items: 300,
-        num_ratings: 3_000,
-        seed,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, seed);
-    let partition = Partition::one_user_per_node(&split);
-    let graph = TopologySpec::SmallWorld.build(24, seed);
-    let mut nodes = build_mf_nodes(
-        &partition,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing: SharingMode::RawData,
+    let mut nodes = Scenario {
+        dataset: SyntheticConfig {
+            num_users: 24,
+            num_items: 300,
+            num_ratings: 3_000,
+            seed,
+            ..SyntheticConfig::default()
+        },
+        split_seed: seed,
+        nodes: 24,
+        topology: TopologySpec::SmallWorld,
+        topology_seed: seed,
+        protocol: ProtocolConfig {
             algorithm: GossipAlgorithm::Rmw,
             points_per_epoch: 60,
             steps_per_epoch: 120,
             seed,
             ..ProtocolConfig::default()
         },
-        NodeSeeds::default(),
-    );
+        ..Scenario::default()
+    }
+    .build_fleet();
     let trace = Engine::<MfModel, MemNetwork>::new(
         MemNetwork::new(nodes.len()),
         EngineConfig {

@@ -69,8 +69,8 @@
 //! files, so a regen run cannot silently pin a divergent suite. Review
 //! the fixture diff like code: it *is* the experiment's contract.
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
-use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::builder::Scenario;
+use rex_repro::core::config::{ExecutionMode, SharingMode};
 use rex_repro::core::engine::{
     aggregate_epoch, Driver, Engine, EngineConfig, EngineResult, TimeAxis,
 };
@@ -80,8 +80,7 @@ use rex_repro::core::serve::{QueryStream, Scorer, TopKQuery};
 use rex_repro::core::setup::{overlay_of, prune_dead_nodes, prune_to_overlay};
 use rex_repro::core::trace_out::TraceOut;
 use rex_repro::core::Node;
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::ml::MfModel;
 use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
 use rex_repro::net::link::LinkModel;
 use rex_repro::net::stats::DeliveryStats;
@@ -89,16 +88,13 @@ use rex_repro::net::transport::BarrierKind;
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::node::{run_cluster_traced, ClusterConfig};
 use rex_repro::sim::trace::ExperimentTrace;
-use rex_repro::topology::TopologySpec;
 use std::path::PathBuf;
 
-/// One pinned scenario.
-struct Scenario {
+/// One pinned scenario: a fleet of two users a node (see
+/// [`Scenario::two_users_per_node`]) and how it runs.
+struct Golden {
     name: &'static str,
-    nodes: usize,
-    /// Item universe of the dataset and of every model.
-    items: u32,
-    sharing: SharingMode,
+    fleet: Scenario,
     epochs: usize,
     faults: Option<FaultPlan>,
     membership: Option<MembershipPlan>,
@@ -107,49 +103,32 @@ struct Scenario {
     pins_serve: bool,
 }
 
-fn scenarios() -> Vec<Scenario> {
+fn scenarios() -> Vec<Golden> {
+    let raw = Scenario::two_users_per_node(8);
+    let mut model = raw.clone();
+    model.protocol.sharing = SharingMode::Model;
+    let mut wide = raw.clone();
+    wide.dataset.num_items = 4_000;
+    let pinned = |name, fleet, epochs| Golden {
+        name,
+        fleet,
+        epochs,
+        faults: None,
+        membership: None,
+        pins_serve: true,
+    };
     vec![
-        Scenario {
-            name: "raw",
-            nodes: 8,
-            items: 160,
-            sharing: SharingMode::RawData,
-            epochs: 8,
-            faults: None,
-            membership: None,
-            pins_serve: true,
-        },
-        Scenario {
-            name: "model",
-            nodes: 8,
-            items: 160,
-            sharing: SharingMode::Model,
-            epochs: 6,
-            faults: None,
-            membership: None,
-            pins_serve: true,
-        },
-        Scenario {
-            name: "chaos_headline",
-            nodes: 32,
-            items: 160,
-            sharing: SharingMode::RawData,
-            epochs: 10,
+        pinned("raw", raw.clone(), 8),
+        pinned("model", model, 6),
+        Golden {
             faults: Some(
                 FaultPlan::uniform(0xC4A05, LinkFaults::drop_rate(0.10))
                     .with_crash(5, 3, None)
                     .with_crash(17, 5, None),
             ),
-            membership: None,
-            pins_serve: true,
+            ..pinned("chaos_headline", Scenario::two_users_per_node(32), 10)
         },
-        Scenario {
-            name: "membership",
-            nodes: 8,
-            items: 160,
-            sharing: SharingMode::RawData,
-            epochs: 8,
-            faults: None,
+        Golden {
             membership: Some(
                 MembershipPlan {
                     seed: 0x11,
@@ -160,53 +139,17 @@ fn scenarios() -> Vec<Scenario> {
                 .with_join(7, 4, Some(1))
                 .with_leave(2, 6),
             ),
-            pins_serve: true,
+            ..pinned("membership", raw, 8)
         },
-        Scenario {
-            name: "raw_wide",
-            nodes: 8,
-            items: 4_000,
-            sharing: SharingMode::RawData,
-            epochs: 8,
+        Golden {
             faults: Some(FaultPlan::default().with_crash(3, 3, Some(5))),
-            membership: None,
             pins_serve: false,
+            ..pinned("raw_wide", wide, 8)
         },
     ]
 }
 
-fn fleet(s: &Scenario) -> Vec<Node<MfModel>> {
-    let n = s.nodes;
-    let ds = SyntheticConfig {
-        num_users: (2 * n) as u32,
-        num_items: s.items,
-        num_ratings: 125 * n,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let part = Partition::multi_user(&split, n);
-    let graph = TopologySpec::SmallWorld.build(n, 5);
-    build_mf_nodes(
-        &part,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing: s.sharing,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: 40,
-            steps_per_epoch: 100,
-            seed: 17,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    )
-}
-
-fn engine_config(s: &Scenario, time: TimeAxis, driver: Driver) -> EngineConfig {
+fn engine_config(s: &Golden, time: TimeAxis, driver: Driver) -> EngineConfig {
     EngineConfig {
         epochs: s.epochs,
         execution: ExecutionMode::Native,
@@ -226,8 +169,8 @@ type ComboRun = (EngineResult, Vec<Node<MfModel>>);
 
 /// Runs a scenario over one backend/driver combination, wrapping the
 /// fabric in the fault layer when the scenario carries a plan.
-fn run_combo<T: Transport>(s: &Scenario, transport: T, time: TimeAxis, driver: Driver) -> ComboRun {
-    let mut nodes = fleet(s);
+fn run_combo<T: Transport>(s: &Golden, transport: T, time: TimeAxis, driver: Driver) -> ComboRun {
+    let mut nodes = s.fleet.build_fleet();
     let result = match s.faults.clone() {
         Some(plan) => Engine::<MfModel, FaultyTransport<T::Endpoint>>::new(
             FaultyTransport::new(transport, plan),
@@ -291,8 +234,8 @@ const SERVE_SEED: u64 = 0x5E37; // matches `ServeConfig::default().seed`
 ///
 /// Score bits are the unclamped f32 predictions — the fixture pins the
 /// exact arithmetic, not just the ranking.
-fn render_serve(s: &Scenario, nodes: &[Node<MfModel>]) -> String {
-    let num_users = (2 * s.nodes) as u32;
+fn render_serve(s: &Golden, nodes: &[Node<MfModel>]) -> String {
+    let num_users = s.fleet.dataset.num_users;
     let mut out = String::new();
     for node in nodes {
         let id = node.id();
@@ -364,7 +307,7 @@ fn golden_traces_hold_on_every_driver_and_backend() {
          # serve,scenario,node,user,k,item:score_bits;...\n";
     let mut serve_reference = String::from(serve_header);
     for s in scenarios() {
-        let n = s.nodes;
+        let n = s.fleet.nodes;
         let sim_time = || TimeAxis::Simulated(Default::default());
 
         // Reference: mem fabric, one inline worker — the generator.
@@ -441,15 +384,17 @@ fn golden_traces_hold_on_every_driver_and_backend() {
 #[test]
 fn the_scenarios_own_their_rows_at_build_as_documented() {
     for s in scenarios() {
-        let owning = fleet(&s)
+        let owning = s
+            .fleet
+            .build_fleet()
             .iter()
             .filter(|n| n.model().base_bytes() == 0)
             .count();
         match s.name {
-            "model" => assert_eq!(owning, s.nodes),
+            "model" => assert_eq!(owning, s.fleet.nodes),
             "raw" => assert_eq!(owning, 6),
             "raw_wide" => assert_eq!(owning, 0),
-            name => assert!(0 < owning && owning < s.nodes, "{name}: {owning}"),
+            name => assert!(0 < owning && owning < s.fleet.nodes, "{name}: {owning}"),
         }
     }
 }
@@ -469,9 +414,9 @@ fn trace_out_records_agree_between_the_engine_and_the_node_cluster() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let (engine_path, cluster_path) = (dir.join("engine.jsonl"), dir.join("cluster.jsonl"));
 
-    let mut nodes = fleet(&s);
+    let mut nodes = s.fleet.build_fleet();
     Engine::<MfModel, MemNetwork>::new(
-        MemNetwork::new(s.nodes),
+        MemNetwork::new(s.fleet.nodes),
         EngineConfig {
             trace_out: Some(engine_path.clone()),
             ..engine_config(&s, TimeAxis::Wall, Driver::WorkSteal { workers: 2 })
@@ -479,23 +424,24 @@ fn trace_out_records_agree_between_the_engine_and_the_node_cluster() {
     )
     .run(s.name, &mut nodes);
 
+    let f = &s.fleet;
     let cfg = ClusterConfig {
-        nodes: (0..s.nodes)
+        nodes: (0..f.nodes)
             .map(|i| format!("127.0.0.1:{}", 7400 + i))
             .collect(),
         epochs: s.epochs,
-        sharing: s.sharing,
-        algorithm: GossipAlgorithm::DPsgd,
-        topology: TopologySpec::SmallWorld,
-        topology_seed: 5,
-        num_users: 2 * s.nodes as u32,
-        num_items: s.items,
-        num_ratings: 125 * s.nodes,
-        data_seed: 42,
-        split_seed: 7,
-        protocol_seed: 17,
-        points_per_epoch: 40,
-        steps_per_epoch: 100,
+        sharing: f.protocol.sharing,
+        algorithm: f.protocol.algorithm,
+        topology: f.topology,
+        topology_seed: f.topology_seed,
+        num_users: f.dataset.num_users,
+        num_items: f.dataset.num_items,
+        num_ratings: f.dataset.num_ratings,
+        data_seed: f.dataset.seed,
+        split_seed: f.split_seed,
+        protocol_seed: f.protocol.seed,
+        points_per_epoch: f.protocol.points_per_epoch,
+        steps_per_epoch: f.protocol.steps_per_epoch,
         ..ClusterConfig::default()
     };
     let trace = TraceOut::create(&cluster_path).expect("cluster trace file");
@@ -527,7 +473,7 @@ fn trace_out_records_agree_between_the_engine_and_the_node_cluster() {
     // The engine writes an epoch's lines in node order as it folds it.
     let order: Vec<(usize, usize)> = engine.iter().map(|(e, n, _)| (*e, *n)).collect();
     let expected: Vec<(usize, usize)> = (0..s.epochs)
-        .flat_map(|e| (0..s.nodes).map(move |n| (e, n)))
+        .flat_map(|e| (0..s.fleet.nodes).map(move |n| (e, n)))
         .collect();
     assert_eq!(order, expected);
     cluster.sort();
@@ -544,7 +490,7 @@ fn the_wide_scenario_commits_in_the_row_form() {
         .into_iter()
         .find(|s| s.name == "raw_wide")
         .expect("the wide scenario");
-    let node = &mut fleet(&s)[0];
+    let node = &mut s.fleet.build_fleet()[0];
     let rows: Vec<Option<usize>> = (0..3).map(|_| node.epoch(Vec::new()).1.link_rows).collect();
     assert_eq!(rows[0], None);
     assert!(
@@ -573,7 +519,7 @@ fn both_drivers_keep_the_simulated_axis() {
     let run = |driver| {
         run_combo(
             &s,
-            MemNetwork::new(s.nodes),
+            MemNetwork::new(s.fleet.nodes),
             TimeAxis::Simulated(link),
             driver,
         )
@@ -611,7 +557,7 @@ fn fixtures_are_committed_and_well_formed() {
         let epoch_lines = text.lines().filter(|l| l.starts_with("epoch,")).count();
         let stats_lines = text.lines().filter(|l| l.starts_with("stats,")).count();
         assert_eq!(epoch_lines, s.epochs, "{}: epoch line count", s.name);
-        assert_eq!(stats_lines, s.nodes, "{}: stats line count", s.name);
+        assert_eq!(stats_lines, s.fleet.nodes, "{}: stats line count", s.name);
         for line in text.lines().filter(|l| l.starts_with("epoch,")) {
             let fields: Vec<&str> = line.split(',').collect();
             assert_eq!(fields.len(), 10, "{}: malformed line {line}", s.name);
@@ -635,7 +581,7 @@ fn fixtures_are_committed_and_well_formed() {
     let expected: usize = scenarios()
         .iter()
         .filter(|s| s.pins_serve)
-        .map(|s| s.nodes * SERVE_QUERIES)
+        .map(|s| s.fleet.nodes * SERVE_QUERIES)
         .sum();
     let serve_lines: Vec<&str> = serve_text
         .lines()
@@ -694,9 +640,9 @@ fn splitmix(state: &mut u64) -> u64 {
 /// (the fault wrapper's release point). The fabric's epoch opens — its
 /// `epoch_begin` and view change — when the previous epoch's round
 /// barrier completes. Panics if the schedule deadlocks.
-fn interleaved_run<T: Transport>(s: &Scenario, mut transport: T, seed: u64) -> EngineResult {
-    let n = s.nodes;
-    let mut nodes = fleet(s);
+fn interleaved_run<T: Transport>(s: &Golden, mut transport: T, seed: u64) -> EngineResult {
+    let n = s.fleet.nodes;
+    let mut nodes = s.fleet.build_fleet();
     if let Some(plan) = &s.faults {
         prune_dead_nodes(&mut nodes, plan);
     }
@@ -842,10 +788,10 @@ fn seeded_interleavings_of_the_round_reproduce_the_fixtures() {
             let result = match s.faults.clone() {
                 Some(plan) => interleaved_run(
                     s,
-                    FaultyTransport::new(MemNetwork::new(s.nodes), plan),
+                    FaultyTransport::new(MemNetwork::new(s.fleet.nodes), plan),
                     seed,
                 ),
-                None => interleaved_run(s, MemNetwork::new(s.nodes), seed),
+                None => interleaved_run(s, MemNetwork::new(s.fleet.nodes), seed),
             };
             assert_matches_fixture(
                 s.name,

@@ -841,36 +841,26 @@ proptest! {
 /// commitment link hashes), the same RMSE bits, the same wire bytes.
 #[test]
 fn a_model_owned_at_build_records_what_its_copy_on_write_twin_does_on_every_level() {
-    use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
-    use rex_repro::core::ProtocolConfig;
-    use rex_repro::data::{Partition, TrainTestSplit};
-    use rex_repro::topology::TopologySpec;
+    use rex_repro::core::builder::Scenario;
     let _pin = forced_levels();
-    let ds = SyntheticConfig {
-        num_users: 610,
-        num_items: 9_000,
-        num_ratings: 100_000,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let part = Partition::multi_user(&TrainTestSplit::standard(&ds, 7), 1);
-    let hp = MfHyperParams::default();
-    let built = build_mf_nodes(
-        &part,
-        &TopologySpec::FullyConnected.build(1, 0),
-        ds.num_users,
-        ds.num_items,
-        hp,
-        ProtocolConfig::default(),
-        NodeSeeds::default(),
-    );
+    let s = Scenario {
+        dataset: SyntheticConfig {
+            num_users: 610,
+            num_items: 9_000,
+            num_ratings: 100_000,
+            seed: 42,
+            ..SyntheticConfig::default()
+        },
+        nodes: 1,
+        ..Scenario::default()
+    };
+    let built = s.build_fleet();
     let owned = built[0].model();
     assert_eq!(owned.base_bytes(), 0, "the serve-live shape owns at build");
-    let mut twin = MfModel::new(610, 9_000, hp, 3.5, NodeSeeds::default().model_init);
+    let mut twin = MfModel::new(610, 9_000, s.hp, 3.5, s.model_seed);
     twin.set_global_mean(owned.global_mean());
     assert!(twin.base_bytes() > 0);
-    let (train, test) = (&part.train[0], &part.test[0]);
+    let (train, test) = (built[0].store().ratings(), built[0].test_data());
     for l in kernel::available_levels() {
         kernel::force_level(l);
         let (mut a, mut b) = (owned.clone(), twin.clone());

@@ -8,17 +8,15 @@
 //! 4-process TCP cluster) lives in `tests/tcp_cluster.rs`; the pinned
 //! trace lives in `tests/golden_trace.rs` (`golden_membership`).
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
-use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::builder::Scenario;
+use rex_repro::core::config::{ExecutionMode, SharingMode};
 use rex_repro::core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 use rex_repro::core::membership::MembershipPlan;
 use rex_repro::core::Node;
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::ml::MfModel;
 use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::tee::SgxCostModel;
-use rex_repro::topology::TopologySpec;
 
 const N: usize = 8;
 const EPOCHS: usize = 8;
@@ -38,33 +36,9 @@ fn churn_plan() -> MembershipPlan {
 }
 
 fn fleet(sharing: SharingMode) -> Vec<Node<MfModel>> {
-    let ds = SyntheticConfig {
-        num_users: (2 * N) as u32,
-        num_items: 160,
-        num_ratings: 125 * N,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 7);
-    let part = Partition::multi_user(&split, N);
-    let graph = TopologySpec::SmallWorld.build(N, 5);
-    build_mf_nodes(
-        &part,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
-            sharing,
-            algorithm: GossipAlgorithm::DPsgd,
-            points_per_epoch: 40,
-            steps_per_epoch: 100,
-            seed: 17,
-            ..ProtocolConfig::default()
-        },
-        NodeSeeds::default(),
-    )
+    let mut s = Scenario::two_users_per_node(N);
+    s.protocol.sharing = sharing;
+    s.build_fleet()
 }
 
 fn config(

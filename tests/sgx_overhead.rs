@@ -2,43 +2,34 @@
 //! ordering — model sharing pays far more for the enclave than REX, and
 //! overcommitting the EPC amplifies the penalty.
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
-use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::builder::Scenario;
+use rex_repro::core::config::{ExecutionMode, ProtocolConfig, SharingMode};
 use rex_repro::core::engine::{Engine, EngineConfig, EngineResult};
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::data::SyntheticConfig;
+use rex_repro::ml::MfModel;
 use rex_repro::net::mem::MemNetwork;
 use rex_repro::tee::SgxCostModel;
-use rex_repro::topology::TopologySpec;
 
 fn fleet(sharing: SharingMode) -> Vec<rex_repro::core::Node<MfModel>> {
-    let ds = SyntheticConfig {
-        num_users: 32,
-        num_items: 600,
-        num_ratings: 5_000,
-        seed: 13,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 1);
-    let partition = Partition::multi_user(&split, 8);
-    let graph = TopologySpec::FullyConnected.build(8, 0);
-    build_mf_nodes(
-        &partition,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
+    Scenario {
+        dataset: SyntheticConfig {
+            num_users: 32,
+            num_items: 600,
+            num_ratings: 5_000,
+            seed: 13,
+            ..SyntheticConfig::default()
+        },
+        split_seed: 1,
+        protocol: ProtocolConfig {
             sharing,
-            algorithm: GossipAlgorithm::DPsgd,
             points_per_epoch: 100,
             steps_per_epoch: 150,
             seed: 8,
             ..ProtocolConfig::default()
         },
-        NodeSeeds::default(),
-    )
+        ..Scenario::default()
+    }
+    .build_fleet()
 }
 
 /// Runs a fresh `sharing` fleet for `epochs` on the simulated fabric.

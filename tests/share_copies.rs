@@ -5,15 +5,14 @@
 //! than the wire size of the model it sends. A counting global
 //! allocator (this test binary's own) holds that figure to a ceiling.
 
-use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
-use rex_repro::core::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::builder::Scenario;
+use rex_repro::core::config::{ProtocolConfig, SharingMode};
 use rex_repro::core::setup::establish_tee;
-use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::{MfHyperParams, Model};
+use rex_repro::data::SyntheticConfig;
+use rex_repro::ml::Model;
 use rex_repro::net::mem::MemNetwork;
 use rex_repro::net::transport::{Endpoint, Transport};
 use rex_repro::tee::SgxCostModel;
-use rex_repro::topology::TopologySpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -77,32 +76,24 @@ const CEILING: f64 = 1.25;
 #[test]
 fn a_model_share_allocates_about_one_model_per_recipient() {
     // The paper's 610 x 9 000 shape, two SGX nodes sharing models.
-    let ds = SyntheticConfig {
-        num_users: 610,
-        num_items: 9_000,
-        num_ratings: 20_000,
-        seed: 42,
-        ..SyntheticConfig::default()
-    }
-    .generate();
-    let split = TrainTestSplit::standard(&ds, 1);
-    let partition = Partition::multi_user(&split, 2);
-    let graph = TopologySpec::FullyConnected.build(2, 0);
-    let mut nodes = build_mf_nodes(
-        &partition,
-        &graph,
-        ds.num_users,
-        ds.num_items,
-        MfHyperParams::default(),
-        ProtocolConfig {
+    let mut nodes = Scenario {
+        dataset: SyntheticConfig {
+            num_users: 610,
+            num_items: 9_000,
+            num_ratings: 20_000,
+            seed: 42,
+            ..SyntheticConfig::default()
+        },
+        split_seed: 1,
+        nodes: 2,
+        protocol: ProtocolConfig {
             sharing: SharingMode::Model,
-            algorithm: GossipAlgorithm::DPsgd,
-            steps_per_epoch: 300,
             seed: 8,
             ..ProtocolConfig::default()
         },
-        NodeSeeds::default(),
-    );
+        ..Scenario::default()
+    }
+    .build_fleet();
     establish_tee(
         &mut nodes,
         &mut MemNetwork::new(2),
