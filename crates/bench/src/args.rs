@@ -37,11 +37,13 @@ impl BenchArgs {
     /// Parses `std::env::args()`; exits with usage on unknown flags.
     #[must_use]
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::try_from_args(std::env::args().skip(1))
+            .unwrap_or_else(|err| exit_with_usage("<bench>", &err))
     }
 
-    /// Parses from an iterator (testable).
-    pub fn from_args<I: IntoIterator<Item = String>>(iter: I) -> Self {
+    /// Parses from an iterator. `Err` carries what was wrong, or is
+    /// empty when `--help` asked for the usage.
+    pub fn try_from_args<I: IntoIterator<Item = String>>(iter: I) -> Result<Self, String> {
         let mut out = BenchArgs::default();
         let mut iter = iter.into_iter();
         while let Some(arg) = iter.next() {
@@ -51,48 +53,37 @@ impl BenchArgs {
                 // spell the mode they mean.
                 "--quick" => out.full = false,
                 "--tcp" => out.tcp = true,
-                "--epochs" => {
-                    out.epochs = Some(
-                        iter.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--epochs needs a number")),
-                    );
-                }
-                "--nodes" => {
-                    out.nodes = Some(
-                        iter.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--nodes needs a number")),
-                    );
-                }
-                "--seed" => {
-                    out.seed = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs a number"));
-                }
+                "--epochs" => out.epochs = Some(number(iter.next(), "--epochs")?),
+                "--nodes" => out.nodes = Some(number(iter.next(), "--nodes")?),
+                "--seed" => out.seed = number(iter.next(), "--seed")?,
                 "--check-baseline" => {
-                    out.check_baseline = Some(
-                        iter.next()
-                            .unwrap_or_else(|| usage("--check-baseline needs a path")),
-                    );
+                    out.check_baseline = Some(iter.next().ok_or("--check-baseline needs a path")?);
                 }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag {other}")),
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        out
+        Ok(out)
     }
 }
 
-fn usage(err: &str) -> ! {
+fn number<T: std::str::FromStr>(value: Option<String>, flag: &str) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs a number"))
+}
+
+/// The flags every bench binary takes, for usage lines.
+const FLAGS: &str =
+    "[--full | --quick] [--tcp] [--epochs N] [--nodes N] [--seed N] [--check-baseline PATH]";
+
+/// Prints `err` (unless empty) and the usage line `usage: <synopsis>
+/// FLAGS`, then exits: 0 for an empty `err` (`--help`), 2 otherwise.
+pub fn exit_with_usage(synopsis: &str, err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!(
-        "usage: <bench> [--full | --quick] [--tcp] [--epochs N] [--nodes N] [--seed N] \
-         [--check-baseline PATH]"
-    );
+    eprintln!("usage: {synopsis} {FLAGS}");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
@@ -101,7 +92,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> BenchArgs {
-        BenchArgs::from_args(args.iter().map(|s| s.to_string()))
+        BenchArgs::try_from_args(args.iter().map(|s| s.to_string())).expect("valid flags")
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Shared harness for regenerating every table and figure of the paper.
 //!
-//! Each `src/bin/figN.rs` / `src/bin/tableN.rs` binary is a thin CLI over
-//! the experiment functions here; `benches/figures.rs` chains the quick
-//! variants so `cargo bench` regenerates everything. README.md "Paper ↔
-//! code map" maps each paper artefact to its bench target. The four
-//! `bench_*` bins measure through [`harness`].
+//! The `repro` binary (`src/bin/repro.rs`) is the one entry point for the
+//! figures, tables and ablations: each is a view of runs made here, and
+//! README.md "Paper ↔ code map" maps each paper artefact to its
+//! experiment name. The four `bench_*` bins measure through [`harness`].
 //!
 //! Two scales per experiment:
 //! * **quick** (default) — a reduced node count / epoch budget that runs in

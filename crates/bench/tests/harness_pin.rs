@@ -138,3 +138,21 @@ fn sgx_arm_is_pinned_native_and_sgx() {
         assert_pinned(&run_arm(&scale, arm).trace, pin);
     }
 }
+
+#[test]
+fn a_longer_run_begins_with_the_shorter_run() {
+    // Fig 2 reads the first epochs of Fig 1's runs instead of its own.
+    let (rmw, er) = (GossipAlgorithm::Rmw, TopologySpec::ErdosRenyi);
+    let first_three = |epochs| {
+        let scale = MfScale::one_user_quick(&args(Some(8), epochs));
+        let (rex, ms) = run_panel(&scale, "RMW, ER", rmw, er, ExecutionMode::Native);
+        let bits = |t: &ExperimentTrace| -> Vec<(u64, u64)> {
+            let records = t.records[..3].iter();
+            records
+                .map(|r| (r.rmse.to_bits(), r.bytes_per_node.to_bits()))
+                .collect()
+        };
+        (bits(&rex), bits(&ms))
+    };
+    assert_eq!(first_three(5), first_three(3));
+}
