@@ -228,7 +228,7 @@ fn run_shard_arm(
     // swamp the fabric); raw sharing keeps the dense rating encoding.
     let codec = match sharing {
         SharingMode::RawData => WireCodec::Dense,
-        SharingMode::Model => WireCodec::sparse(),
+        SharingMode::Model => WireCodec::Sparse,
     };
     // The scheduler fleet's shape, `users_per_node` users a shard.
     let mut s = Scenario::two_users_per_node(shards);
@@ -599,7 +599,7 @@ fn main() {
     let mut codec_rows = Vec::new();
     let mut codec_runs = Vec::new();
     for sharing in [SharingMode::RawData, SharingMode::Model] {
-        for codec in [WireCodec::Dense, WireCodec::sparse()] {
+        for codec in [WireCodec::Dense, WireCodec::Sparse] {
             let (bytes, bits) = run_codec_arm(sharing, codec, codec_epochs);
             codec_rows.push(
                 Row::new()

@@ -45,11 +45,11 @@
 use rex_bench::harness::{self, Arm, Gate, Report, Row};
 use rex_bench::BenchArgs;
 use rex_net::codec::encode_plain;
-use rex_net::fault::{FaultPlan, FaultyTransport, LinkFaults};
+use rex_net::fault::{FaultPlan, FaultyEndpoint, LinkFaults};
 use rex_net::mem::{Envelope, MemNetwork};
 use rex_net::message::Plain;
 use rex_net::tcp::{TcpEndpoint, TcpTransport};
-use rex_net::transport::{BarrierKind, Endpoint, Transport};
+use rex_net::transport::{BarrierKind, Endpoint, Fabric, Transport};
 use std::time::{Duration, Instant};
 
 const PAYLOAD_SIZES: [usize; 4] = [256, 4_096, 65_536, 262_144];
@@ -235,10 +235,12 @@ fn main() {
         .into_iter()
         .map(|drop_rate| {
             let plan = FaultPlan::uniform(0xBE9C, LinkFaults::drop_rate(drop_rate));
+            let tcp = TcpTransport::loopback(2).expect("loopback fabric");
+            let wrap = |e| FaultyEndpoint::new(e, plan.clone());
             let mut net =
-                FaultyTransport::new(TcpTransport::loopback(2).expect("loopback fabric"), plan);
+                Fabric::from_endpoints(tcp.into_endpoints().into_iter().map(wrap).collect());
             net.epoch_begin(0);
-            let cycle = |net: &mut FaultyTransport<TcpEndpoint>| {
+            let cycle = |net: &mut Fabric<FaultyEndpoint<TcpEndpoint>>| {
                 net.send(0, 1, encode_plain(&fault_plain));
                 net.flush();
                 // Drain so the mailbox stays bounded; the realized

@@ -29,7 +29,7 @@ use rex_sim::report::{
 };
 use rex_sim::trace::ExperimentTrace;
 use rex_tee::SgxCostModel;
-use rex_topology::TopologySpec;
+use rex_topology::{TopologySpec, SMALL_WORLD_K};
 use std::cell::OnceCell;
 
 type Experiment = (&'static str, fn(&Runs));
@@ -69,6 +69,12 @@ fn main() {
         named.push(name);
     }
     let args = BenchArgs::try_from_args(argv).unwrap_or_else(|err| usage(&err));
+    // Every experiment that reads `--nodes` builds a small world over them.
+    if let Some(n) = args.nodes.filter(|&n| n <= SMALL_WORLD_K) {
+        usage(&format!(
+            "--nodes {n}: a small world needs more than {SMALL_WORLD_K}"
+        ));
+    }
     let wanted: Vec<Experiment> = EXPERIMENTS
         .into_iter()
         .filter(|(name, _)| named.iter().any(|n| n == name || n == "all"))
@@ -148,12 +154,7 @@ impl Runs {
     fn sgx(&self, beyond_epc: bool) -> &SgxArms {
         self.sgx[usize::from(beyond_epc)].get_or_init(|| {
             let args = &self.args;
-            let scale = match (args.full, beyond_epc) {
-                (false, false) => SgxScale::fig6_quick(args),
-                (true, false) => SgxScale::fig6_full(args),
-                (false, true) => SgxScale::fig7_quick(args),
-                (true, true) => SgxScale::fig7_full(args),
-            };
+            let scale = sgx_scale(args, beyond_epc);
             let users = scale.scenario.dataset.num_users;
             let backend = ArmBackend::from_args(args);
             let arms = all_arms()
@@ -208,6 +209,17 @@ impl Panels {
         let (users, nodes, k) = (s.dataset.num_users, s.nodes, s.hp.k);
         let title = TITLES[self.family];
         format!("{name}: {title}. {users} users on {nodes} nodes, {epochs} epochs, k={k}")
+    }
+}
+
+/// The SGX arms' scale: Fig 6's, or Fig 7's beyond the EPC; quick, or
+/// the paper's under `--full`.
+fn sgx_scale(args: &BenchArgs, beyond_epc: bool) -> SgxScale {
+    match (args.full, beyond_epc) {
+        (false, false) => SgxScale::fig6_quick(args),
+        (true, false) => SgxScale::fig6_full(args),
+        (false, true) => SgxScale::fig7_quick(args),
+        (true, true) => SgxScale::fig7_full(args),
     }
 }
 
@@ -425,11 +437,7 @@ fn ablation_duplicates(_: &Runs) {
 /// Table IV's beyond-EPC rows. MS, whose resident set holds neighbour
 /// models and buffers, should blow up first as the budget shrinks.
 fn ablation_epc(runs: &Runs) {
-    let args = &runs.args;
-    let base = SgxScale {
-        epochs: args.epochs.unwrap_or(12),
-        ..SgxScale::fig7_quick(args)
-    };
+    let base = epc_sweep_base(&runs.args);
     let d = &base.scenario.dataset;
     let (users, ratings) = (d.num_users, d.num_ratings);
     println!("ablation_epc: EPC budget sweep ({users} users, {ratings} ratings, D-PSGD)\n");
@@ -464,6 +472,15 @@ fn ablation_epc(runs: &Runs) {
     }
 }
 
+/// The EPC sweep's workload: Fig 7's scale, for 12 epochs unless
+/// `--epochs` says otherwise.
+fn epc_sweep_base(args: &BenchArgs) -> SgxScale {
+    SgxScale {
+        epochs: args.epochs.unwrap_or(12),
+        ..sgx_scale(args, true)
+    }
+}
+
 /// Ablation (paper §III-E): "Sharing data brings the question of how much
 /// to share in every epoch. We treat this as another hyperparameter."
 /// Sweeps the raw points shared per epoch: accuracy saturates while bytes
@@ -484,4 +501,37 @@ fn ablation_share_size(runs: &Runs) {
         traces.push(engine.run(&format!("REX, {points} pts"), &mut nodes).trace);
     }
     series("ablation_share_size", &traces);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--full` sweeps Fig 7's full shape, as `repro fig7 --full` runs it.
+    #[test]
+    fn the_epc_sweep_takes_fig7s_scale_for_the_mode_asked() {
+        let shape = |s: &SgxScale| {
+            let d = &s.scenario.dataset;
+            (d.num_users, d.num_items, d.num_ratings, s.scenario.nodes)
+        };
+        for full in [false, true] {
+            let args = BenchArgs {
+                full,
+                ..BenchArgs::default()
+            };
+            let base = epc_sweep_base(&args);
+            let fig7 = if full {
+                SgxScale::fig7_full(&args)
+            } else {
+                SgxScale::fig7_quick(&args)
+            };
+            assert_eq!(shape(&base), shape(&fig7), "full = {full}");
+            assert_eq!(base.epochs, 12);
+        }
+        let args = BenchArgs {
+            epochs: Some(3),
+            ..BenchArgs::default()
+        };
+        assert_eq!(epc_sweep_base(&args).epochs, 3);
+    }
 }

@@ -4,7 +4,14 @@ use std::process::Command;
 
 #[test]
 fn bad_invocations_print_usage_and_exit_2_without_running() {
-    for argv in [&["fig9"][..], &["fig1", "--bogus"], &[], &["fig1", "fig9"]] {
+    for argv in [
+        &["fig9"][..],
+        &["fig1", "--bogus"],
+        &[],
+        &["fig1", "fig9"],
+        // A small world needs more than six nodes.
+        &["fig1", "--nodes", "6"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(argv)
             .output()

@@ -70,7 +70,7 @@ impl ExecutionMode {
 /// raw batches are delta/nibble-packed (`rex_net::compress`), models go
 /// out as **sparse deltas** — only the rows that changed since the
 /// fleet's shared initialization, falling back to the dense form once
-/// the changed-row density crosses `max_density`. Model deltas
+/// the changed-row density crosses [`SPARSE_MAX_DENSITY`]. Model deltas
 /// reconstruct bit-exactly, so sparse model sharing follows the *same*
 /// learning trajectory as dense mode with fewer wire bytes; sparse raw
 /// batches canonicalize order (batches are sets), which resamples the
@@ -78,30 +78,25 @@ impl ExecutionMode {
 ///
 /// The whole fleet must agree on the codec (receivers of a sparse
 /// payload need the shared reference model to decode deltas against).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireCodec {
     /// Full payloads, byte-for-byte as the paper accounts them.
     Dense,
     /// Compact payloads: packed raw batches + sparse model deltas.
-    Sparse {
-        /// Changed-row density above which model deltas fall back to the
-        /// dense encoding (a delta row costs slightly more than a dense
-        /// row, so past ~0.9 the delta stops paying for itself).
-        max_density: f64,
-    },
+    Sparse,
 }
 
-impl WireCodec {
-    /// The sparse codec with its default fallback threshold.
-    #[must_use]
-    pub fn sparse() -> Self {
-        WireCodec::Sparse { max_density: 0.9 }
-    }
+/// Changed-row density above which a sparse model delta falls back to
+/// the dense encoding: a delta row costs slightly more than a dense row
+/// (it carries its index), so past ~0.9 the delta stops paying for
+/// itself.
+pub const SPARSE_MAX_DENSITY: f64 = 0.9;
 
-    /// Whether this is a sparse codec.
+impl WireCodec {
+    /// Whether this is the sparse codec.
     #[must_use]
     pub fn is_sparse(&self) -> bool {
-        matches!(self, WireCodec::Sparse { .. })
+        *self == WireCodec::Sparse
     }
 }
 
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn codec_flags_and_default() {
         assert!(!WireCodec::Dense.is_sparse());
-        assert!(WireCodec::sparse().is_sparse());
+        assert!(WireCodec::Sparse.is_sparse());
         assert_eq!(ProtocolConfig::default().codec, WireCodec::Dense);
     }
 }

@@ -61,17 +61,18 @@
 //! transitions bit-identical across every driver × backend combination.
 //!
 //! # Resilience
-//! [`EngineConfig::faults`] attaches a seeded [`FaultPlan`]. The engine
-//! owns the plan's
-//! *crash-stop* semantics: a down node runs no epoch, sends nothing, and
-//! discards its mailbox; nodes dead for the whole run are pruned from
-//! every neighbour list before TEE setup (crash-aware attestation,
-//! renormalized Metropolis–Hastings degrees). Per-epoch records carry
-//! liveness ([`EpochRecord::live_nodes`]) and the fabric's
-//! delivered/dropped/late/duplicated counts
-//! ([`EpochRecord::delivery`], filled in when the transport is wrapped
-//! in [`rex_net::fault::FaultyTransport`] with the same plan). Both
-//! drivers replay a plan bit-for-bit; `tests/chaos.rs` holds them to it.
+//! [`EngineConfig::faults`] attaches a seeded [`FaultPlan`], given once.
+//! The engine owns the plan's *crash-stop* semantics: a down node runs
+//! no epoch, sends nothing, and discards its mailbox; nodes dead for the
+//! whole run are pruned from every neighbour list before TEE setup
+//! (crash-aware attestation, renormalized Metropolis–Hastings degrees).
+//! After setup it wraps every node's endpoint in a [`FaultyEndpoint`]
+//! under the same plan, as a `rex-node` process does, which applies the
+//! *link* faults. Per-epoch records carry liveness
+//! ([`EpochRecord::live_nodes`]) and the fabric's
+//! delivered/dropped/late/duplicated counts ([`EpochRecord::delivery`]).
+//! Both drivers replay a plan bit-for-bit; `tests/chaos.rs` holds them
+//! to it.
 
 use crate::config::ExecutionMode;
 use crate::membership::MembershipPlan;
@@ -81,7 +82,7 @@ use crate::round::{Drive, EpochEvent, RoundContext};
 use crate::setup::{establish_tee_with_directory, founding_view, SetupReport};
 use crate::trace_out::TraceOut;
 use rex_ml::Model;
-use rex_net::fault::FaultPlan;
+use rex_net::fault::{FaultPlan, FaultyEndpoint};
 use rex_net::link::LinkModel;
 use rex_net::stats::{DeliveryStats, TrafficStats};
 use rex_net::transport::{Endpoint, Transport};
@@ -151,10 +152,10 @@ pub struct EngineConfig {
     /// sends nothing, and discards whatever landed in its mailbox; nodes
     /// dead for the whole run are pruned from every neighbour list before
     /// TEE setup, so attestation is crash-aware and Metropolis–Hastings
-    /// weights renormalize over surviving degrees). *Link* faults
-    /// (drop/delay/duplicate/reorder, partitions) only take effect when
-    /// the transport is wrapped in
-    /// [`rex_net::fault::FaultyTransport`] carrying the same plan.
+    /// weights renormalize over surviving degrees). After setup every
+    /// endpoint is wrapped in a [`FaultyEndpoint`] under the plan, which
+    /// applies its *link* faults (drop/delay/duplicate/reorder,
+    /// partitions); the transport is passed in plain.
     pub faults: Option<FaultPlan>,
     /// Dynamic-membership schedule (joins with attested state bootstrap,
     /// graceful leaves with live topology rewiring). Every node advances
@@ -280,8 +281,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
         let drives = nodes
             .iter_mut()
             .zip(&mut views)
-            .zip(endpoints)
-            .map(|((node, view), endpoint)| {
+            .map(|(node, view)| {
                 let ctx = RoundContext {
                     faults,
                     view: view.as_mut(),
@@ -289,28 +289,50 @@ impl<M: Model, T: Transport> Engine<M, T> {
                     audit: None,
                     serve: None,
                 };
-                (Drive::new(node, 0..epochs, ctx, None), endpoint)
+                Drive::new(node, 0..epochs, ctx, None)
             })
             .collect();
         let trace_out = self.cfg.trace_out.as_deref().map(|path| {
             TraceOut::create(path).unwrap_or_else(|e| panic!("trace-out {}: {e}", path.display()))
         });
         let fold = Fold::new(name, self.cfg.time.clone(), setup_ns, n, epochs, trace_out);
-        let final_stats = match self.cfg.driver {
-            Driver::ThreadPerNode => run_threads(drives, &fold),
-            Driver::WorkSteal { workers } => {
-                // `0` is one worker per available core.
-                let workers = match workers {
-                    0 => std::thread::available_parallelism().map_or(4, NonZeroUsize::get),
-                    w => w,
-                };
-                pool::run(drives, workers.min(n), &fold)
+        // The plan's link faults act on each endpoint from here on, as in
+        // a `rex-node` process: set-up traffic never reaches a fault.
+        let driver = self.cfg.driver;
+        let final_stats = match faults {
+            Some(plan) => {
+                let wrap = |endpoint| FaultyEndpoint::new(endpoint, plan.clone());
+                schedule(driver, drives, endpoints.into_iter().map(wrap), &fold)
             }
+            None => schedule(driver, drives, endpoints, &fold),
         };
         EngineResult {
             trace: fold.finish(),
             setup_ns,
             final_stats,
+        }
+    }
+}
+
+/// Pairs each drive with its endpoint and runs them under `driver`.
+/// Returns every endpoint's counters, in node order.
+fn schedule<M: Model, E: Endpoint>(
+    driver: Driver,
+    drives: Vec<Drive<'_, M>>,
+    endpoints: impl IntoIterator<Item = E>,
+    fold: &Fold,
+) -> Vec<TrafficStats> {
+    let n = drives.len();
+    let drives = drives.into_iter().zip(endpoints).collect();
+    match driver {
+        Driver::ThreadPerNode => run_threads(drives, fold),
+        Driver::WorkSteal { workers } => {
+            // `0` is one worker per available core.
+            let workers = match workers {
+                0 => std::thread::available_parallelism().map_or(4, NonZeroUsize::get),
+                w => w,
+            };
+            pool::run(drives, workers.min(n), fold)
         }
     }
 }
@@ -609,6 +631,7 @@ mod tests {
     use crate::config::{GossipAlgorithm, SharingMode};
     use rex_data::SyntheticConfig;
     use rex_ml::{MfHyperParams, MfModel};
+    use rex_net::fault::LinkFaults;
     use rex_net::mem::MemNetwork;
     use rex_tee::SgxCostModel;
     use rex_topology::TopologySpec;
@@ -806,6 +829,21 @@ mod tests {
         let rex = run(quick.clone(), "rex", &mut rex_nodes);
         let ms = run(quick, "ms", &mut ms_nodes);
         assert!(ms.trace.total_bytes_per_node() > 10.0 * rex.trace.total_bytes_per_node());
+    }
+
+    /// The plan in the config is the whole plan: over a plain fabric it
+    /// drops messages, not only crashes nodes.
+    #[test]
+    fn a_fault_plan_in_the_engine_config_alone_drops_messages() {
+        let mut nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
+        let cfg = EngineConfig {
+            faults: Some(FaultPlan::uniform(7, LinkFaults::drop_rate(0.5))),
+            ..quick_sim(4, ExecutionMode::Native)
+        };
+        let result = run(cfg, "lossy", &mut nodes);
+        let delivery = result.trace.total_delivery();
+        assert!(delivery.dropped > 0, "nothing dropped: {delivery:?}");
+        assert!(delivery.delivered > 0, "everything dropped: {delivery:?}");
     }
 
     /// A node whose epoch panics mid-run must fail a thread-per-node run,

@@ -16,7 +16,7 @@
 //! its outgoing messages; the engine assembles the global trace.
 
 use crate::commitment::{CommitmentChain, EpochCommitment};
-use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
+use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec, SPARSE_MAX_DENSITY};
 use crate::store::RawDataStore;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -357,7 +357,7 @@ impl<M: Model> Node<M> {
         let degree = self.degree();
         let plain = match self.cfg.codec {
             WireCodec::Dense => Plain::RawData { ratings, degree },
-            WireCodec::Sparse { .. } => Plain::RawPacked { ratings, degree },
+            WireCodec::Sparse => Plain::RawPacked { ratings, degree },
         };
         let share = encode_share(self.tee.is_some(), &plain);
         self.seal_for(peer, share)
@@ -685,7 +685,7 @@ impl<M: Model> Node<M> {
                 ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
                 degree,
             }),
-            (SharingMode::RawData, WireCodec::Sparse { .. }) => Some(Plain::RawPacked {
+            (SharingMode::RawData, WireCodec::Sparse) => Some(Plain::RawPacked {
                 ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
                 degree,
             }),
@@ -694,13 +694,11 @@ impl<M: Model> Node<M> {
             // No reference snapshot, density past the threshold, or a
             // model with no sparse form: the dense model, as in Dense
             // mode.
-            (SharingMode::Model, WireCodec::Sparse { max_density }) => {
-                self.sparse.as_ref().and_then(|ctx| {
-                    self.model
-                        .delta_bytes(&ctx.reference, ctx.fingerprint, max_density)
-                        .map(|bytes| Plain::ModelDelta { bytes, degree })
-                })
-            }
+            (SharingMode::Model, WireCodec::Sparse) => self.sparse.as_ref().and_then(|ctx| {
+                self.model
+                    .delta_bytes(&ctx.reference, ctx.fingerprint, SPARSE_MAX_DENSITY)
+                    .map(|bytes| Plain::ModelDelta { bytes, degree })
+            }),
         };
         // The share is written once, where it is sent from: payload
         // header, plain (a dense model serialised straight in), tag slot.
@@ -1299,7 +1297,7 @@ mod tests {
     fn sparse_raw_mode_shrinks_share_bytes_and_still_grows_stores() {
         let dense_cfg = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
         let sparse_cfg = ProtocolConfig {
-            codec: WireCodec::sparse(),
+            codec: WireCodec::Sparse,
             ..dense_cfg
         };
         let mut dense_a = mk_node(0, vec![1], dense_cfg);
@@ -1331,7 +1329,7 @@ mod tests {
         // bytes differ.
         let dense_cfg = cfg(SharingMode::Model, GossipAlgorithm::DPsgd);
         let sparse_cfg = ProtocolConfig {
-            codec: WireCodec::sparse(),
+            codec: WireCodec::Sparse,
             ..dense_cfg
         };
         let run_pair = |c: ProtocolConfig| {
@@ -1362,7 +1360,7 @@ mod tests {
         // other undecodable message.
         let sparse_cfg = cfg(SharingMode::Model, GossipAlgorithm::DPsgd);
         let sparse_cfg = ProtocolConfig {
-            codec: WireCodec::sparse(),
+            codec: WireCodec::Sparse,
             ..sparse_cfg
         };
         let mut a = mk_node(0, vec![1], sparse_cfg);
@@ -1385,7 +1383,7 @@ mod tests {
     #[test]
     fn sparse_codec_without_a_reference_sends_the_dense_model() {
         let sparse_cfg = ProtocolConfig {
-            codec: WireCodec::sparse(),
+            codec: WireCodec::Sparse,
             ..cfg(SharingMode::Model, GossipAlgorithm::DPsgd)
         };
         let mut a = mk_node(0, vec![1], sparse_cfg);

@@ -20,9 +20,9 @@
 //! inbox already drained and the back ([`Node::epoch_back`]: test →
 //! commit) only the node's own model, so each runs in the gap of a
 //! barrier it does not need. Sends come only after the drain wait, so no
-//! epoch-`e` share can land in a slow peer's epoch-`e` inbox. Under a
-//! broadcasting audit the back runs before the round arrive, so the
-//! commitment frame travels ahead of the token. A node that is down or
+//! epoch-`e` share can land in a slow peer's epoch-`e` inbox. Under an
+//! audit the back runs before the round arrive, so the commitment frame
+//! travels ahead of the token. A node that is down or
 //! outside the view discards its inbox, serves the barriers and runs
 //! nothing.
 //!
@@ -104,15 +104,12 @@ impl EpochEvent {
     }
 }
 
-/// Wire-audit posture of a per-node loop: whether to ship and whether to
-/// check commitments, plus the protocol seed the commitment keys derive
-/// from ([`crate::commitment::derive_key`]).
+/// The wire audit of a per-node loop: a node under audit ships its
+/// signed commitments to its connected peers and HMAC-verifies every
+/// commitment it receives, with keys derived from the protocol seed
+/// ([`crate::commitment::derive_key`]).
 #[derive(Debug, Clone, Copy)]
 pub struct WireAudit {
-    /// Ship this node's signed commitments to its connected peers.
-    pub broadcast: bool,
-    /// HMAC-verify every commitment received from a peer.
-    pub verify: bool,
     /// The cluster's shared protocol seed.
     pub seed: u64,
 }
@@ -129,7 +126,7 @@ pub struct RoundContext<'a, M> {
     pub view: Option<&'a mut MembershipView>,
     /// The SGX directory late joins attest against.
     pub tee: Option<&'a TeeDirectory>,
-    /// Commitment broadcast / verification posture.
+    /// The wire audit: ship and verify commitments (`None`: neither).
     pub audit: Option<WireAudit>,
     /// Where every **member** epoch publishes an immutable post-epoch
     /// model snapshot — crash-window epochs included (the model is
@@ -332,9 +329,9 @@ pub struct NodeRound<'a, M: Model> {
     faults: Option<&'a FaultPlan>,
     tee: Option<&'a TeeDirectory>,
     bootstrap_points: usize,
-    /// The audit posture with the run's verification keys (each peer's
-    /// key is derived once, the first time its commitment is checked).
-    audit: Option<(WireAudit, TagVerifier)>,
+    /// Under an audit, the run's verification keys (each peer's key is
+    /// derived once, the first time its commitment is checked).
+    audit: Option<TagVerifier>,
     /// Epochs executed this run: mirrors the node's chain index, since
     /// [`Node::epoch_back`] runs exactly once per executed epoch.
     executed: u64,
@@ -358,7 +355,7 @@ impl<'a, M: Model> NodeRound<'a, M> {
         audit: Option<WireAudit>,
         bootstrap_points: usize,
     ) -> Self {
-        let audit = audit.map(|a| (a, TagVerifier::new(a.seed)));
+        let audit = audit.map(|a| TagVerifier::new(a.seed));
         NodeRound {
             node,
             faults,
@@ -443,11 +440,10 @@ impl<'a, M: Model> NodeRound<'a, M> {
                 for (to, bytes) in self.outgoing.drain(..) {
                     sink(Effect::Send(to, bytes));
                 }
-                // A broadcast commitment travels ahead of the round
-                // token, so under a broadcasting audit the back cannot
-                // wait for the gap.
-                let broadcast = self.audit.as_ref().is_some_and(|(a, _)| a.broadcast);
-                if let Some(pending) = self.pending.take_if(|_| broadcast) {
+                // A shipped commitment travels ahead of the round token,
+                // so under an audit the back cannot wait for the gap.
+                let audited = self.audit.is_some();
+                if let Some(pending) = self.pending.take_if(|_| audited) {
                     let index = self.executed;
                     let commitment = self.back(pending).commitment;
                     sink(Effect::SendCommitment { index, commitment });
@@ -467,7 +463,7 @@ impl<'a, M: Model> NodeRound<'a, M> {
                 }
             }
             (At::Auditing, Input::Commitments(received)) => {
-                if let Some((_, keys)) = self.audit.as_mut().filter(|(a, _)| a.verify) {
+                if let Some(keys) = self.audit.as_mut() {
                     for pc in received {
                         let commitment = EpochCommitment {
                             digest: pc.digest,

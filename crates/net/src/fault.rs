@@ -11,8 +11,10 @@
 //!   crash-stop/rejoin [`CrashSpec`]s;
 //! * [`FaultyEndpoint`] — the wrapper that composes over *any* endpoint
 //!   (mem, TCP) and applies the plan's link faults at send time,
-//!   counting every decision in [`DeliveryStats`]; [`FaultyTransport`]
-//!   is the fabric of them.
+//!   counting every decision in [`DeliveryStats`]. The engine and each
+//!   `rex-node` process wrap every endpoint under the run's one plan; a
+//!   single-owner test builds a [`Fabric`](crate::transport::Fabric) of
+//!   them with `Fabric::from_endpoints`.
 //!
 //! # Determinism
 //! Fault decisions never consult a stateful RNG shared across links.
@@ -56,7 +58,7 @@
 
 use crate::mem::Envelope;
 use crate::stats::{DeliveryStats, TrafficStats};
-use crate::transport::{BarrierKind, Endpoint, Fabric, PeerCommitment, Transport, TransportError};
+use crate::transport::{BarrierKind, Endpoint, PeerCommitment, TransportError};
 use rex_crypto::splitmix64;
 
 /// Per-link fault rates, each a probability in `[0, 1]`.
@@ -364,25 +366,6 @@ struct Held {
     bytes: Vec<u8>,
 }
 
-/// The fault-injecting fabric: every endpoint of a fabric wrapped in a
-/// [`FaultyEndpoint`] under one plan. `FaultyTransport<ChannelEndpoint>`
-/// and `FaultyTransport<TcpEndpoint>`, split or not, run the same plan
-/// reproducibly. See the module docs.
-pub type FaultyTransport<E> = Fabric<FaultyEndpoint<E>>;
-
-impl<E: Endpoint + 'static> FaultyTransport<E> {
-    /// Wraps every endpoint of `inner` under `plan`.
-    ///
-    /// # Panics
-    /// If the plan fails [`FaultPlan::validate`] against the fabric
-    /// size.
-    #[must_use]
-    pub fn new<T: Transport<Endpoint = E>>(inner: T, plan: FaultPlan) -> Self {
-        let wrap = |e| FaultyEndpoint::new(e, plan.clone());
-        Fabric::from_endpoints(inner.into_endpoints().into_iter().map(wrap).collect())
-    }
-}
-
 /// Fault-injecting endpoint wrapper: the one place a fault decision is
 /// made, whether one owner drives every endpoint of a fabric or each
 /// node (thread or `rex-node` process) drives its own. Decisions for a
@@ -576,9 +559,20 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::mem::MemNetwork;
+    use crate::transport::{Fabric, Transport};
+
+    /// The single-owner fabric of `inner`'s endpoints, each wrapped under
+    /// `plan`.
+    pub(crate) fn faulty<T: Transport>(
+        inner: T,
+        plan: &FaultPlan,
+    ) -> Fabric<FaultyEndpoint<T::Endpoint>> {
+        let wrap = |e| FaultyEndpoint::new(e, plan.clone());
+        Fabric::from_endpoints(inner.into_endpoints().into_iter().map(wrap).collect())
+    }
 
     fn msg(b: u8) -> Vec<u8> {
         vec![b]
@@ -586,7 +580,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_transparent() {
-        let mut net = FaultyTransport::new(MemNetwork::new(3), FaultPlan::default());
+        let mut net = faulty(MemNetwork::new(3), &FaultPlan::default());
         net.epoch_begin(0);
         net.send(0, 1, msg(1));
         net.send(2, 1, msg(2));
@@ -606,7 +600,7 @@ mod tests {
     #[test]
     fn setup_phase_traffic_is_never_faulted() {
         let plan = FaultPlan::uniform(1, LinkFaults::drop_rate(1.0));
-        let mut net = FaultyTransport::new(MemNetwork::new(2), plan);
+        let mut net = faulty(MemNetwork::new(2), &plan);
         // No epoch_begin yet: this is attestation-style setup traffic.
         net.send(0, 1, msg(9));
         net.flush();
@@ -623,7 +617,7 @@ mod tests {
     #[test]
     fn full_drop_loses_everything_and_counts_it() {
         let plan = FaultPlan::uniform(3, LinkFaults::drop_rate(1.0));
-        let mut net = FaultyTransport::new(MemNetwork::new(2), plan);
+        let mut net = faulty(MemNetwork::new(2), &plan);
         net.epoch_begin(0);
         for i in 0..10 {
             net.send(0, 1, msg(i));
@@ -639,7 +633,7 @@ mod tests {
     fn drop_rate_is_roughly_honoured_and_replays_bitwise() {
         let plan = FaultPlan::uniform(7, LinkFaults::drop_rate(0.3));
         let run = |plan: FaultPlan| {
-            let mut net = FaultyTransport::new(MemNetwork::new(2), plan);
+            let mut net = faulty(MemNetwork::new(2), &plan);
             net.epoch_begin(0);
             for i in 0..200u8 {
                 net.send(0, 1, msg(i));
@@ -671,7 +665,7 @@ mod tests {
                 ..LinkFaults::default()
             },
         );
-        let mut net = FaultyTransport::new(MemNetwork::new(2), plan);
+        let mut net = faulty(MemNetwork::new(2), &plan);
         net.epoch_begin(0);
         net.send(0, 1, msg(42));
         net.flush();
@@ -694,7 +688,7 @@ mod tests {
                 ..LinkFaults::default()
             },
         );
-        let mut net = FaultyTransport::new(MemNetwork::new(2), plan);
+        let mut net = faulty(MemNetwork::new(2), &plan);
         net.epoch_begin(0);
         net.send(0, 1, msg(5));
         net.flush();
@@ -713,7 +707,7 @@ mod tests {
                 ..LinkFaults::default()
             },
         );
-        let mut net = FaultyTransport::new(MemNetwork::new(3), plan);
+        let mut net = faulty(MemNetwork::new(3), &plan);
         net.epoch_begin(0);
         net.send(0, 1, msg(1)); // reordered to the back
         net.send(2, 1, msg(2)); // clean link, delivered in place
@@ -730,7 +724,7 @@ mod tests {
     #[test]
     fn partition_cuts_only_across_groups_and_heals() {
         let plan = FaultPlan::default().with_partition(1, 2, vec![0]);
-        let mut net = FaultyTransport::new(MemNetwork::new(3), plan);
+        let mut net = faulty(MemNetwork::new(3), &plan);
         net.epoch_begin(1); // partition active
         net.send(0, 1, msg(1)); // crosses the cut: dropped
         net.send(1, 2, msg(2)); // same side: delivered
@@ -748,7 +742,7 @@ mod tests {
     #[test]
     fn asymmetric_override_affects_one_direction() {
         let plan = FaultPlan::default().with_link(0, 1, LinkFaults::drop_rate(1.0));
-        let mut net = FaultyTransport::new(MemNetwork::new(2), plan);
+        let mut net = faulty(MemNetwork::new(2), &plan);
         net.epoch_begin(0);
         net.send(0, 1, msg(1));
         net.send(1, 0, msg(2));
@@ -761,7 +755,7 @@ mod tests {
     fn endpoint_and_fabric_wrappers_decide_identically() {
         let plan = FaultPlan::uniform(11, LinkFaults::drop_rate(0.5));
         // The single-owner fabric view.
-        let mut fabric = FaultyTransport::new(MemNetwork::new(2), plan.clone());
+        let mut fabric = faulty(MemNetwork::new(2), &plan);
         fabric.epoch_begin(0);
         for i in 0..64u8 {
             fabric.send(0, 1, msg(i));
@@ -770,7 +764,7 @@ mod tests {
         let fabric_got: Vec<u8> = fabric.recv(1).iter().map(|e| e.bytes[0]).collect();
 
         // The same faulty endpoints, split onto one thread each.
-        let mut eps = FaultyTransport::new(MemNetwork::new(2), plan).into_endpoints();
+        let mut eps = faulty(MemNetwork::new(2), &plan).into_endpoints();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         std::thread::scope(|scope| {
@@ -792,9 +786,9 @@ mod tests {
     fn the_wrapper_pushes_staged_sends_and_waits_for_delivery() {
         // TCP stages frames until `flush_sends`; the peer's `recv_wait`
         // blocks on its reactor. Both reach the inner endpoint.
-        let mut eps = FaultyTransport::new(
+        let mut eps = faulty(
             crate::tcp::TcpTransport::loopback(2).unwrap(),
-            FaultPlan::default(),
+            &FaultPlan::default(),
         )
         .into_endpoints();
         let mut b = eps.pop().unwrap();
@@ -808,8 +802,7 @@ mod tests {
         assert_eq!(got[0].bytes, msg(9));
 
         // The wrapped in-memory endpoint blocks until its timeout...
-        let mut eps =
-            FaultyTransport::new(MemNetwork::new(2), FaultPlan::default()).into_endpoints();
+        let mut eps = faulty(MemNetwork::new(2), &FaultPlan::default()).into_endpoints();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         a.epoch_begin(0);

@@ -18,10 +18,9 @@
 //! * [`mem`] — [`MemNetwork`], the fabric of in-memory endpoints: the
 //!   discrete-event simulator drives it from one thread, the
 //!   real-thread deployment splits it into one endpoint per node;
-//! * [`fault`] — [`FaultPlan`], the [`fault::FaultyEndpoint`] wrapper
-//!   and [`FaultyTransport`], the fabric of them: deterministic, seeded
-//!   drop/delay/duplicate/reorder, partition and crash schedules
-//!   composing over any backend;
+//! * [`fault`] — [`FaultPlan`] and the [`fault::FaultyEndpoint`]
+//!   wrapper: deterministic, seeded drop/delay/duplicate/reorder,
+//!   partition and crash schedules composing over any backend;
 //! * [`frame`] — the length-prefixed socket framing (hello/data/barrier);
 //! * [`tcp`] — [`tcp::TcpEndpoint`], the real-socket backend, and
 //!   [`TcpTransport`], its loopback fabric in-process; one endpoint per
@@ -51,7 +50,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use codec::CodecError;
-pub use fault::{CrashSpec, FaultPlan, FaultyTransport, LinkFaults, PartitionSpec};
+pub use fault::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec};
 pub use frame::{Frame, FrameError};
 pub use link::LinkModel;
 pub use mem::{Envelope, MemNetwork};

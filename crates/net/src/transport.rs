@@ -16,10 +16,10 @@
 //!   driven by one owner (TEE setup, single-owner tests). Each fabric
 //!   call goes to the endpoints: `send(from, to)` is endpoint `from`'s
 //!   send, `flush` is an arrive on every endpoint and then a wait on
-//!   every endpoint. [`crate::mem::MemNetwork`],
-//!   [`crate::tcp::TcpTransport`] and [`crate::fault::FaultyTransport`]
-//!   name its shapes, and [`Transport::into_endpoints`] hands the same
-//!   endpoints to one thread each.
+//!   every endpoint. [`crate::mem::MemNetwork`] and
+//!   [`crate::tcp::TcpTransport`] name its shapes, and
+//!   [`Transport::into_endpoints`] hands the same endpoints to one thread
+//!   each (the engine wraps them under its fault plan there).
 //!
 //! Since the single-owner view and the threads run the same endpoint
 //! code, every backend — wrapped or not, split or not — runs the same
@@ -539,18 +539,17 @@ mod tests {
 
     #[test]
     fn barrier_contract_holds_on_every_splittable_fabric() {
-        use crate::fault::{FaultPlan, FaultyTransport, LinkFaults};
+        use crate::fault::tests::faulty;
+        use crate::fault::{FaultPlan, LinkFaults};
         use crate::mem::MemNetwork;
         use crate::tcp::TcpTransport;
-        fn faulty<T: Transport>(inner: T, plan: FaultPlan) -> Vec<impl Endpoint + 'static> {
-            FaultyTransport::new(inner, plan).into_endpoints()
-        }
         let mem = || MemNetwork::new(3);
         let tcp = || TcpTransport::loopback(3).unwrap();
+        let clean = FaultPlan::default();
         barrier_contract(mem().into_endpoints(), false);
         barrier_contract(tcp().into_endpoints(), false);
-        barrier_contract(faulty(mem(), FaultPlan::default()), false);
-        barrier_contract(faulty(tcp(), FaultPlan::default()), false);
+        barrier_contract(faulty(mem(), &clean).into_endpoints(), false);
+        barrier_contract(faulty(tcp(), &clean).into_endpoints(), false);
         // Every message reordered = held until the round barrier.
         let held = FaultPlan::uniform(
             1,
@@ -559,8 +558,8 @@ mod tests {
                 ..LinkFaults::default()
             },
         );
-        barrier_contract(faulty(mem(), held.clone()), true);
-        barrier_contract(faulty(tcp(), held), true);
+        barrier_contract(faulty(mem(), &held).into_endpoints(), true);
+        barrier_contract(faulty(tcp(), &held).into_endpoints(), true);
     }
 
     /// The single-owner leg of the contract: one thread drives every
@@ -600,7 +599,8 @@ mod tests {
 
     #[test]
     fn barrier_contract_holds_on_every_fabric_from_one_owner() {
-        use crate::fault::{FaultPlan, FaultyTransport, LinkFaults};
+        use crate::fault::tests::faulty;
+        use crate::fault::{FaultPlan, LinkFaults};
         use crate::mem::MemNetwork;
         use crate::tcp::TcpTransport;
         let mem = || MemNetwork::new(3);
@@ -614,7 +614,7 @@ mod tests {
         );
         fabric_contract(mem(), false);
         fabric_contract(tcp(), false);
-        fabric_contract(FaultyTransport::new(mem(), held.clone()), true);
-        fabric_contract(FaultyTransport::new(tcp(), held), true);
+        fabric_contract(faulty(mem(), &held), true);
+        fabric_contract(faulty(tcp(), &held), true);
     }
 }

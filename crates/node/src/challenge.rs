@@ -184,7 +184,6 @@ pub fn challenge_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AuditConfig;
 
     fn cfg(n: usize) -> ClusterConfig {
         ClusterConfig {
@@ -195,7 +194,7 @@ mod tests {
             num_ratings: 1_000,
             points_per_epoch: 20,
             steps_per_epoch: 60,
-            audit: Some(AuditConfig::default()),
+            audit: true,
             ..ClusterConfig::default()
         }
     }

@@ -25,7 +25,7 @@ use rex_core::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
 use rex_core::membership::MembershipPlan;
 use rex_data::SyntheticConfig;
 use rex_net::fault::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec};
-use rex_topology::TopologySpec;
+use rex_topology::{TopologySpec, SMALL_WORLD_K};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
@@ -71,40 +71,6 @@ pub struct ShardingConfig {
     pub users_per_node: u32,
 }
 
-/// Verifiable-epochs wire audit, from the optional `[audit]` section.
-///
-/// When present, every node signs a chained SHA-256 digest of its
-/// post-epoch model each epoch (see [`rex_core::commitment`]) and ships
-/// it to its connected peers as a `Commitment` control frame:
-///
-/// ```toml
-/// [audit]
-/// broadcast = true  # ship this node's signed commitments (default)
-/// verify = true     # HMAC-check every commitment received (default)
-/// ```
-///
-/// Commitments ride the control plane: they never count toward protocol
-/// payload traffic, so enabling the section does not perturb the
-/// cross-backend byte-identity contract. A commitment whose tag fails
-/// verification aborts the run with an error naming the sender — the
-/// operator then replays it offline with `rex-node --challenge`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditConfig {
-    /// Ship this node's signed per-epoch commitments to its peers.
-    pub broadcast: bool,
-    /// HMAC-verify every commitment received from a peer.
-    pub verify: bool,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            broadcast: true,
-            verify: true,
-        }
-    }
-}
-
 /// Online serving, from the optional `[serve]` section.
 ///
 /// When present, every node runs a serve thread next to its training
@@ -118,9 +84,11 @@ impl Default for AuditConfig {
 /// queries_per_epoch = 32   # top-k queries answered per snapshot
 /// top_k = 10               # result-set size
 /// seed = 24119             # query-stream seed (node i uses seed + i)
-/// exclude_rated = true     # prune items the user already rated
 /// verify_snapshots = false # recompute + check each snapshot digest
 /// ```
+///
+/// Each query skips the items its user already rated in the node's
+/// initial local store.
 ///
 /// Serving is read-only and off the wire: enabling the section changes
 /// no protocol traffic and no training trajectory, and the serve digest
@@ -134,9 +102,6 @@ pub struct ServeConfig {
     pub top_k: usize,
     /// Query-stream seed; node `i` streams from `seed + i`.
     pub seed: u64,
-    /// Exclude each query user's already-rated items (per-shard
-    /// candidate pruning from the node's *initial* local store).
-    pub exclude_rated: bool,
     /// Digest each snapshot's wire bytes at publish, recompute the
     /// digest on the serve thread and fail the run on mismatch
     /// (torn-read detector; costs two passes over the model per epoch,
@@ -150,7 +115,6 @@ impl Default for ServeConfig {
             queries_per_epoch: 32,
             top_k: 10,
             seed: 0x5E37,
-            exclude_rated: true,
             verify_snapshots: false,
         }
     }
@@ -187,11 +151,9 @@ pub struct ClusterConfig {
     pub points_per_epoch: usize,
     /// SGD steps per epoch.
     pub steps_per_epoch: usize,
-    /// Wire codec (`codec = "dense" | "sparse"`, with the optional
-    /// `sparse_max_density` float controlling the model-delta dense
-    /// fallback). Every node of a cluster must configure the same codec:
-    /// sparse receivers decode model deltas against the fleet's shared
-    /// initial model.
+    /// Wire codec (`codec = "dense" | "sparse"`). Every node of a cluster
+    /// must configure the same codec: sparse receivers decode model
+    /// deltas against the fleet's shared initial model.
     pub codec: WireCodec,
     /// Run inside simulated SGX enclaves (attestation + sealing).
     pub sgx: bool,
@@ -235,10 +197,24 @@ pub struct ClusterConfig {
     /// (see [`ShardingConfig`]). `None` when the section is absent: the
     /// legacy multi-user grouping, exactly as before sharding existed.
     pub sharding: Option<ShardingConfig>,
-    /// Verifiable-epochs wire audit, from the optional `[audit]`
-    /// section (see [`AuditConfig`]). `None` when the section is
-    /// absent: no commitment traffic, the pre-audit wire behaviour.
-    pub audit: Option<AuditConfig>,
+    /// Verifiable-epochs wire audit: on when the file has an `[audit]`
+    /// section, which takes no keys:
+    ///
+    /// ```toml
+    /// [audit]
+    /// ```
+    ///
+    /// Every node then signs a chained SHA-256 digest of its post-epoch
+    /// model each epoch (see [`rex_core::commitment`]), ships it to its
+    /// connected peers as a `Commitment` control frame, and HMAC-checks
+    /// every commitment it receives. Commitments ride the control plane:
+    /// they never count toward protocol payload traffic, so the audit
+    /// does not perturb the cross-backend byte-identity contract. A
+    /// commitment whose tag fails verification aborts the run with an
+    /// error naming the sender — the operator then replays it offline
+    /// with `rex-node --challenge`. Off (no commitment traffic) without
+    /// the section.
+    pub audit: bool,
     /// Online serving, from the optional `[serve]` section (see
     /// [`ServeConfig`]). `None` when the section is absent: no serve
     /// thread, the training-only behaviour.
@@ -279,7 +255,7 @@ impl Default for ClusterConfig {
             faults: None,
             membership: None,
             sharding: None,
-            audit: None,
+            audit: false,
             serve: None,
             driver: NodeDriver::Lockstep,
         }
@@ -617,24 +593,6 @@ fn sharding_to_toml(cfg: &ShardingConfig) -> String {
     format!("\n[sharding]\nusers_per_node = {}\n", cfg.users_per_node)
 }
 
-/// Assembles the `[audit]` section into an [`AuditConfig`].
-fn parse_audit(map: &mut KeyMap) -> Result<AuditConfig, String> {
-    let d = AuditConfig::default();
-    Ok(AuditConfig {
-        broadcast: get_bool(map, "audit.broadcast", d.broadcast)?,
-        verify: get_bool(map, "audit.verify", d.verify)?,
-    })
-}
-
-/// Serializes an [`AuditConfig`] as the `[audit]` section
-/// [`parse_audit`] reads back.
-fn audit_to_toml(cfg: &AuditConfig) -> String {
-    format!(
-        "\n[audit]\nbroadcast = {}\nverify = {}\n",
-        cfg.broadcast, cfg.verify,
-    )
-}
-
 /// Assembles the `[serve]` section into a [`ServeConfig`].
 fn parse_serve(map: &mut KeyMap) -> Result<ServeConfig, String> {
     let d = ServeConfig::default();
@@ -642,7 +600,6 @@ fn parse_serve(map: &mut KeyMap) -> Result<ServeConfig, String> {
         queries_per_epoch: get_int(map, "serve.queries_per_epoch", d.queries_per_epoch as u64)?,
         top_k: get_int(map, "serve.top_k", d.top_k as u64)?,
         seed: get_int(map, "serve.seed", d.seed)?,
-        exclude_rated: get_bool(map, "serve.exclude_rated", d.exclude_rated)?,
         verify_snapshots: get_bool(map, "serve.verify_snapshots", d.verify_snapshots)?,
     };
     if cfg.queries_per_epoch == 0 {
@@ -658,9 +615,8 @@ fn parse_serve(map: &mut KeyMap) -> Result<ServeConfig, String> {
 /// [`parse_serve`] reads back.
 fn serve_to_toml(cfg: &ServeConfig) -> String {
     format!(
-        "\n[serve]\nqueries_per_epoch = {}\ntop_k = {}\nseed = {}\nexclude_rated = {}\n\
-         verify_snapshots = {}\n",
-        cfg.queries_per_epoch, cfg.top_k, cfg.seed, cfg.exclude_rated, cfg.verify_snapshots,
+        "\n[serve]\nqueries_per_epoch = {}\ntop_k = {}\nseed = {}\nverify_snapshots = {}\n",
+        cfg.queries_per_epoch, cfg.top_k, cfg.seed, cfg.verify_snapshots,
     )
 }
 
@@ -758,22 +714,19 @@ impl ClusterConfig {
         };
         let topology = match get_str(map, "topology", "full")?.as_str() {
             "full" => TopologySpec::FullyConnected,
+            "smallworld" if num_nodes <= SMALL_WORLD_K => {
+                return Err(format!(
+                    "topology: smallworld needs more than {SMALL_WORLD_K} nodes, got {num_nodes}"
+                ))
+            }
             "smallworld" => TopologySpec::SmallWorld,
             "er" => TopologySpec::ErdosRenyi,
             "ring" => TopologySpec::Ring,
             other => return Err(format!("topology: unknown topology {other}")),
         };
-        let default_density = match WireCodec::sparse() {
-            WireCodec::Sparse { max_density } => max_density,
-            WireCodec::Dense => unreachable!(),
-        };
-        let max_density = get_float(map, "sparse_max_density", default_density)?;
-        if !(0.0..=1.0).contains(&max_density) {
-            return Err(format!("sparse_max_density: {max_density} outside [0, 1]"));
-        }
         let codec = match get_str(map, "codec", "dense")?.as_str() {
             "dense" => WireCodec::Dense,
-            "sparse" => WireCodec::Sparse { max_density },
+            "sparse" => WireCodec::Sparse,
             other => return Err(format!("codec: unknown codec {other}")),
         };
         let faults = if sections.iter().any(|s| s == "faults") {
@@ -851,11 +804,7 @@ impl ClusterConfig {
         } else {
             None
         };
-        let audit = if sections.iter().any(|s| s == "audit") {
-            Some(parse_audit(map)?)
-        } else {
-            None
-        };
+        let audit = sections.iter().any(|s| s == "audit");
         let serve = if sections.iter().any(|s| s == "serve") {
             Some(parse_serve(map)?)
         } else {
@@ -924,13 +873,11 @@ impl ClusterConfig {
             .as_ref()
             .map(sharding_to_toml)
             .unwrap_or_default();
-        let audit = self.audit.as_ref().map(audit_to_toml).unwrap_or_default();
+        let audit = if self.audit { "\n[audit]\n" } else { "" };
         let serve = self.serve.as_ref().map(serve_to_toml).unwrap_or_default();
         let codec = match self.codec {
-            WireCodec::Dense => "codec = \"dense\"".to_string(),
-            WireCodec::Sparse { max_density } => {
-                format!("codec = \"sparse\"\nsparse_max_density = {max_density}")
-            }
+            WireCodec::Dense => "dense",
+            WireCodec::Sparse => "sparse",
         };
         let driver = match self.driver {
             NodeDriver::Lockstep => "driver = \"lockstep\"".to_string(),
@@ -954,7 +901,7 @@ impl ClusterConfig {
              protocol_seed = {}\n\
              points_per_epoch = {}\n\
              steps_per_epoch = {}\n\
-             {codec}\n\
+             codec = \"{codec}\"\n\
              sgx = {}\n\
              processes_per_platform = {}\n\
              infra_seed = {}\n\
@@ -1070,28 +1017,17 @@ mod tests {
         // Default: dense.
         let cfg = ClusterConfig::parse("nodes = [\"127.0.0.1:1\"]\n").unwrap();
         assert_eq!(cfg.codec, WireCodec::Dense);
-        // Sparse with the default threshold.
+        // Sparse, and protocol() carries it.
         let cfg = ClusterConfig::parse("nodes = [\"127.0.0.1:1\"]\ncodec = \"sparse\"\n").unwrap();
-        assert_eq!(cfg.codec, WireCodec::sparse());
-        // Sparse with an explicit threshold, and protocol() carries it.
-        let cfg = ClusterConfig::parse(
-            "nodes = [\"127.0.0.1:1\"]\ncodec = \"sparse\"\nsparse_max_density = 0.25\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.codec, WireCodec::Sparse { max_density: 0.25 });
+        assert_eq!(cfg.codec, WireCodec::Sparse);
         assert_eq!(cfg.protocol().codec, cfg.codec);
         // Both codecs survive the TOML roundtrip.
-        for codec in [WireCodec::Dense, WireCodec::Sparse { max_density: 0.25 }] {
+        for codec in [WireCodec::Dense, WireCodec::Sparse] {
             let cfg = ClusterConfig { codec, ..sample() };
             assert_eq!(ClusterConfig::parse(&cfg.to_toml()).unwrap(), cfg);
         }
         // Garbage refused.
-        for bad in [
-            "codec = \"zip\"\n",
-            "codec = 7\n",
-            "codec = \"sparse\"\nsparse_max_density = 1.5\n",
-            "codec = \"sparse\"\nsparse_max_density = -0.1\n",
-        ] {
+        for bad in ["codec = \"zip\"\n", "codec = 7\n"] {
             assert!(
                 ClusterConfig::parse(&format!("nodes = [\"127.0.0.1:1\"]\n{bad}")).is_err(),
                 "accepted {bad:?}"
@@ -1321,44 +1257,73 @@ mod tests {
 
     #[test]
     fn audit_section_parses_roundtrips_and_defaults() {
-        // No section at all means None: no commitment traffic.
+        // No section at all means no audit: no commitment traffic.
         let cfg = ClusterConfig::parse("nodes = [\"127.0.0.1:1\"]\n").unwrap();
-        assert_eq!(cfg.audit, None);
-        // An empty section enables the audit with both knobs on.
+        assert!(!cfg.audit);
+        // A bare section turns it on.
         let cfg = ClusterConfig::parse("nodes = [\"127.0.0.1:1\"]\n[audit]\n").unwrap();
-        assert_eq!(cfg.audit, Some(AuditConfig::default()));
-        assert!(cfg.audit.unwrap().broadcast && cfg.audit.unwrap().verify);
-        // Explicit knobs parse.
-        let cfg = ClusterConfig::parse(
-            "nodes = [\"127.0.0.1:1\"]\n[audit]\nbroadcast = true\nverify = false\n",
-        )
-        .unwrap();
-        assert_eq!(
-            cfg.audit,
-            Some(AuditConfig {
-                broadcast: true,
-                verify: false,
-            })
-        );
+        assert!(cfg.audit);
         // The section survives the TOML roundtrip.
         let cfg = ClusterConfig {
-            audit: Some(AuditConfig {
-                broadcast: false,
-                verify: true,
-            }),
+            audit: true,
             ..sample()
         };
         let text = cfg.to_toml();
         assert!(text.contains("[audit]"), "{text}");
         assert_eq!(ClusterConfig::parse(&text).unwrap(), cfg);
-        // Wrong types refused.
-        for bad in ["broadcast = 7\n", "verify = \"yes\"\n"] {
-            assert!(
-                ClusterConfig::parse(&format!("nodes = [\"127.0.0.1:1\"]\n[audit]\n{bad}"))
-                    .is_err(),
-                "accepted {bad:?}"
+    }
+
+    /// The settings that had one value in every run are constants now:
+    /// each old key is a key the parser does not know.
+    #[test]
+    fn removed_keys_are_refused_as_unknown() {
+        let base = "nodes = [\"127.0.0.1:1\"]\n";
+        for (text, err) in [
+            (
+                "[audit]\nbroadcast = true\n",
+                "line 3: unknown key broadcast in [audit]",
+            ),
+            (
+                "[audit]\nverify = false\n",
+                "line 3: unknown key verify in [audit]",
+            ),
+            (
+                "codec = \"sparse\"\nsparse_max_density = 0.25\n",
+                "line 3: unknown top-level key sparse_max_density",
+            ),
+            (
+                "[serve]\nexclude_rated = false\n",
+                "line 3: unknown key exclude_rated in [serve]",
+            ),
+        ] {
+            assert_eq!(
+                ClusterConfig::parse(&format!("{base}{text}")),
+                Err(err.to_string())
             );
         }
+    }
+
+    /// A small world links each node to its `SMALL_WORLD_K` nearest, so
+    /// it needs more nodes than that: fewer is a config error, not a
+    /// panic while the fleet is built.
+    #[test]
+    fn a_small_world_over_too_few_nodes_is_refused() {
+        let toml = |n: usize| {
+            let addrs: Vec<String> = (0..n).map(|i| format!("\"127.0.0.1:{}\"", i + 1)).collect();
+            format!(
+                "nodes = [{}]\ntopology = \"smallworld\"\n",
+                addrs.join(", ")
+            )
+        };
+        assert_eq!(
+            ClusterConfig::parse(&toml(SMALL_WORLD_K)),
+            Err(format!(
+                "topology: smallworld needs more than {SMALL_WORLD_K} nodes, got {SMALL_WORLD_K}"
+            ))
+        );
+        assert!(ClusterConfig::parse(&toml(1)).is_err());
+        let cfg = ClusterConfig::parse(&toml(SMALL_WORLD_K + 1)).unwrap();
+        assert_eq!(cfg.topology, TopologySpec::SmallWorld);
     }
 
     #[test]
@@ -1372,7 +1337,7 @@ mod tests {
         // Explicit knobs parse.
         let cfg = ClusterConfig::parse(
             "nodes = [\"127.0.0.1:1\"]\n[serve]\nqueries_per_epoch = 4\ntop_k = 3\n\
-             seed = 99\nexclude_rated = false\nverify_snapshots = true\n",
+             seed = 99\nverify_snapshots = true\n",
         )
         .unwrap();
         assert_eq!(
@@ -1381,7 +1346,6 @@ mod tests {
                 queries_per_epoch: 4,
                 top_k: 3,
                 seed: 99,
-                exclude_rated: false,
                 verify_snapshots: true,
             })
         );
@@ -1391,7 +1355,6 @@ mod tests {
                 queries_per_epoch: 7,
                 top_k: 2,
                 seed: 0xABC,
-                exclude_rated: true,
                 verify_snapshots: true,
             }),
             ..sample()
@@ -1410,7 +1373,6 @@ mod tests {
             "queries_per_epoch = -2\n",      // negative
             "top_k = \"ten\"\n",             // wrong type
             "seed = \"x\"\n",                // wrong type
-            "exclude_rated = 1\n",           // wrong type
             "verify_snapshots = \"true\"\n", // wrong type
         ] {
             assert!(
@@ -1474,7 +1436,8 @@ mod tests {
         let base = "nodes = [\"127.0.0.1:1\", \"127.0.0.1:2\"]\nnum_users = 24\n";
         let err = ClusterConfig::parse(&format!("{base}epoch = 10\n")).unwrap_err();
         assert_eq!(err, "line 3: unknown top-level key epoch");
-        // One slip per section, each beside a key the section does know.
+        // One slip per section, each beside a key the section does know
+        // (`[audit]` knows none).
         for (section, known, slip) in [
             ("faults", "drop = 0.1", "dely = 0.2"),
             ("membership", "seed = 3", "join = [\"1@2\"]"),
@@ -1483,7 +1446,7 @@ mod tests {
                 "users_per_node = 12",
                 "shard_stratgy = \"contiguous\"",
             ),
-            ("audit", "verify = true", "brodcast = true"),
+            ("audit", "", "brodcast = true"),
             ("serve", "top_k = 5", "top_kk = 5"),
         ] {
             let good = format!("{base}[{section}]\n{known}\n");
@@ -1501,7 +1464,7 @@ mod tests {
     fn every_key_to_toml_emits_is_known_to_parse() {
         let everything = ClusterConfig {
             num_users: 24,
-            codec: WireCodec::Sparse { max_density: 0.25 },
+            codec: WireCodec::Sparse,
             faults: Some(FaultPlan {
                 seed: 5,
                 link_overrides: vec![(0, 1, LinkFaults::default())],
@@ -1519,7 +1482,7 @@ mod tests {
             }),
             membership: Some(MembershipPlan::default().with_leave(1, 3)),
             sharding: Some(ShardingConfig { users_per_node: 12 }),
-            audit: Some(AuditConfig::default()),
+            audit: true,
             serve: Some(ServeConfig::default()),
             ..sample()
         };

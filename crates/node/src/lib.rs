@@ -27,7 +27,7 @@ pub mod config;
 pub mod launcher;
 
 pub use challenge::{challenge_node, ChallengeVerdict};
-pub use config::{AuditConfig, ClusterConfig, NodeDriver, ServeConfig, ShardingConfig};
+pub use config::{ClusterConfig, NodeDriver, ServeConfig, ShardingConfig};
 
 pub use rex_core::round::{EpochOutcome, WireAudit, ASYNC_EPOCH_TIMEOUT};
 
@@ -298,12 +298,10 @@ fn replay_setup(
     (mem.all_stats(), Some(dir))
 }
 
-/// The audit posture a config asks for (`None` when it has no `[audit]`
+/// The audit a config asks for (`None` when it has no `[audit]`
 /// section).
 fn wire_audit(cfg: &ClusterConfig) -> Option<WireAudit> {
-    cfg.audit.map(|a| WireAudit {
-        broadcast: a.broadcast,
-        verify: a.verify,
+    cfg.audit.then_some(WireAudit {
         seed: cfg.protocol_seed,
     })
 }
@@ -334,13 +332,9 @@ impl ServeSession {
         } else {
             SnapshotQueue::new()
         });
-        let exclusions: Vec<Vec<u32>> = if cfg.exclude_rated {
-            (0..num_users)
-                .map(|u| node.store().rated_items(u))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let exclusions: Vec<Vec<u32>> = (0..num_users)
+            .map(|u| node.store().rated_items(u))
+            .collect();
         let handle = std::thread::spawn({
             let queue = Arc::clone(&queue);
             let cfg = *cfg;
@@ -941,7 +935,7 @@ mod tests {
     fn audited_cluster_commits_every_epoch_and_verifies_on_the_wire() {
         use rex_core::commitment::verify_tag;
         let mut cfg = tiny_cfg(4);
-        cfg.audit = Some(AuditConfig::default());
+        cfg.audit = true;
         let summaries = run_cluster_in_process(&cfg).unwrap();
         for s in &summaries {
             assert_eq!(s.commitments.len(), cfg.epochs);
@@ -963,7 +957,7 @@ mod tests {
         let again = run_cluster_in_process(&cfg).unwrap();
         assert_eq!(summaries, again, "audited runs replay bit-for-bit");
         let mut silent = cfg.clone();
-        silent.audit = None;
+        silent.audit = false;
         let unaudited = run_cluster_in_process(&silent).unwrap();
         for (a, b) in summaries.iter().zip(&unaudited) {
             assert_eq!(a.rmse_trace_bits, b.rmse_trace_bits);
@@ -1163,7 +1157,7 @@ mod tests {
         use rex_core::config::ExecutionMode;
         use rex_core::engine::{Driver, Engine, EngineConfig, TimeAxis};
         use rex_core::membership::MembershipPlan;
-        use rex_net::fault::{FaultyTransport, LinkFaults};
+        use rex_net::fault::LinkFaults;
         let mut cfg = tiny_cfg(4);
         cfg.epochs = 5;
         cfg.faults = Some(FaultPlan::uniform(
@@ -1187,9 +1181,8 @@ mod tests {
         assert_eq!(a, b, "delayed churn must replay bit-for-bit");
 
         let mut nodes = build_fleet(&cfg);
-        let plan = cfg.faults.clone().unwrap();
         let result = Engine::<MfModel, _>::new(
-            FaultyTransport::new(rex_net::mem::MemNetwork::new(4), plan.clone()),
+            rex_net::mem::MemNetwork::new(4),
             EngineConfig {
                 epochs: cfg.epochs,
                 execution: ExecutionMode::Native,
@@ -1197,7 +1190,7 @@ mod tests {
                 driver: Driver::WorkSteal { workers: 1 },
                 processes_per_platform: cfg.processes_per_platform,
                 seed: cfg.infra_seed,
-                faults: Some(plan),
+                faults: cfg.faults.clone(),
                 membership: cfg.membership.clone(),
                 trace_out: None,
             },

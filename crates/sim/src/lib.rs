@@ -3,9 +3,6 @@
 //! The protocol logic lives in `rex-core`; this crate supplies the
 //! machinery every experiment shares:
 //!
-//! * [`clock`] — virtual time in nanoseconds (the x-axis of Figs 1, 3, 4,
-//!   6c/d, 7c/d is *simulated elapsed time*: measured compute + modelled
-//!   network/SGX charges);
 //! * [`stage`] — the merge/train/share/test stage taxonomy of Algorithm 2
 //!   and per-stage time accounting (Figs 5a, 6a, 7a);
 //! * [`stopwatch`] — wall-clock measurement of real compute;
@@ -13,13 +10,11 @@
 //!   (time-to-target-error drives Tables II/III);
 //! * [`report`] — CSV/markdown emission matching the paper's tables.
 
-pub mod clock;
 pub mod report;
 pub mod stage;
 pub mod stopwatch;
 pub mod trace;
 
-pub use clock::VirtualClock;
 pub use stage::{Stage, StageTimes};
 pub use stopwatch::Stopwatch;
 pub use trace::{EpochRecord, ExperimentTrace};

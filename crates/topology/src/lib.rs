@@ -21,6 +21,10 @@ pub use mh_weights::metropolis_hastings_weight;
 pub use repair::{alive_connected, repair_after_crashes, without_nodes};
 pub use small_world::small_world;
 
+/// Close connections per node in the paper's small world (§IV-A2a):
+/// [`TopologySpec::SmallWorld`] needs more nodes than this.
+pub const SMALL_WORLD_K: usize = 6;
+
 /// Named topology presets matching the paper's experimental setup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologySpec {
@@ -36,10 +40,13 @@ pub enum TopologySpec {
 
 impl TopologySpec {
     /// Builds the graph over `n` nodes with the given seed.
+    ///
+    /// # Panics
+    /// For a small world over `n <= SMALL_WORLD_K` nodes.
     #[must_use]
     pub fn build(self, n: usize, seed: u64) -> Graph {
         match self {
-            TopologySpec::SmallWorld => small_world(n, 6, 0.03, seed),
+            TopologySpec::SmallWorld => small_world(n, SMALL_WORLD_K, 0.03, seed),
             TopologySpec::ErdosRenyi => erdos_renyi(n, 0.05, seed),
             TopologySpec::FullyConnected => Graph::complete(n),
             TopologySpec::Ring => Graph::ring(n),

@@ -10,8 +10,7 @@ use rex_repro::core::commitment::verify_tag;
 use rex_repro::core::CommitmentChain;
 use rex_repro::node::launcher::{find_node_binary, launch_cluster, scratch_dir};
 use rex_repro::node::{
-    challenge_node, run_cluster_in_process, AuditConfig, ChallengeVerdict, ClusterConfig,
-    NodeSummary,
+    challenge_node, run_cluster_in_process, ChallengeVerdict, ClusterConfig, NodeSummary,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -26,7 +25,7 @@ fn tiny_cfg(n: usize) -> ClusterConfig {
         num_ratings: 1_000,
         points_per_epoch: 20,
         steps_per_epoch: 60,
-        audit: Some(AuditConfig::default()),
+        audit: true,
         ..ClusterConfig::default()
     }
 }

@@ -4,8 +4,8 @@
 //! The paper evaluates REX on a fully reliable fabric; these tests pin
 //! down how the protocol degrades when the fabric misbehaves — and that
 //! the degradation itself is *deterministic*. Every scenario drives the
-//! generic engine through [`FaultyTransport`] with a seeded
-//! [`FaultPlan`]:
+//! generic engine with a seeded [`FaultPlan`] in its config, which
+//! wraps every node's endpoint in the fault layer:
 //!
 //! * the same plan replays **bit-for-bit** across reruns (per-epoch
 //!   delivered/dropped counts included), because every per-message fate
@@ -27,7 +27,7 @@ use rex_repro::core::membership::MembershipPlan;
 use rex_repro::core::Node;
 use rex_repro::data::SyntheticConfig;
 use rex_repro::ml::MfModel;
-use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
+use rex_repro::net::fault::{FaultPlan, LinkFaults};
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::tee::SgxCostModel;
 use rex_repro::topology::{alive_connected, repair_after_crashes, TopologySpec};
@@ -69,7 +69,7 @@ fn run_mem(
     plan: &FaultPlan,
 ) -> EngineResult {
     Engine::<MfModel, _>::new(
-        FaultyTransport::new(MemNetwork::new(nodes.len()), plan.clone()),
+        MemNetwork::new(nodes.len()),
         cfg(
             epochs,
             execution,
@@ -90,7 +90,7 @@ fn run_threads(
     plan: &FaultPlan,
 ) -> EngineResult {
     Engine::<MfModel, _>::new(
-        FaultyTransport::new(MemNetwork::new(nodes.len()), plan.clone()),
+        MemNetwork::new(nodes.len()),
         cfg(
             epochs,
             execution,
@@ -111,10 +111,7 @@ fn run_tcp(
     plan: &FaultPlan,
 ) -> EngineResult {
     Engine::<MfModel, _>::new(
-        FaultyTransport::new(
-            TcpTransport::loopback(nodes.len()).expect("loopback fabric"),
-            plan.clone(),
-        ),
+        TcpTransport::loopback(nodes.len()).expect("loopback fabric"),
         cfg(
             epochs,
             execution,
@@ -473,7 +470,7 @@ fn deployed_cluster_replays_delay_plan_bit_identically_with_engine() {
 
     let mut nodes = build_fleet(&cfg);
     let result = Engine::<MfModel, _>::new(
-        FaultyTransport::new(MemNetwork::new(cfg.num_nodes()), plan.clone()),
+        MemNetwork::new(cfg.num_nodes()),
         EngineConfig {
             epochs: cfg.epochs,
             execution: ExecutionMode::Native,
@@ -537,8 +534,8 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
         membership: &MembershipPlan,
     ) -> EngineResult {
         let mut nodes = fleet(8, 40);
-        Engine::<MfModel, FaultyTransport<T::Endpoint>>::new(
-            FaultyTransport::new(transport, faults.clone()),
+        Engine::<MfModel, T>::new(
+            transport,
             EngineConfig {
                 epochs: 8,
                 execution: ExecutionMode::Native,

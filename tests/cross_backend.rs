@@ -17,8 +17,8 @@ use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, SharingMode};
 use rex_repro::core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 use rex_repro::core::Node;
 use rex_repro::ml::MfModel;
-use rex_repro::net::fault::{FaultPlan, FaultyTransport};
-use rex_repro::net::{MemNetwork, TcpTransport, Transport};
+use rex_repro::net::fault::FaultPlan;
+use rex_repro::net::{MemNetwork, TcpTransport};
 use rex_repro::tee::SgxCostModel;
 use rex_repro::topology::TopologySpec;
 
@@ -169,15 +169,19 @@ fn run_mem_vs_tcp(
     ((sim, sim_nodes), (tcp, tcp_nodes))
 }
 
-/// Wraps any backend in the fault layer with an *empty* plan — the
-/// wrapper's identity oracle. A clean plan must change nothing: not one
-/// RMSE bit, not one payload byte.
-fn identity_wrapped<T: Transport>(inner: T) -> FaultyTransport<T::Endpoint> {
-    FaultyTransport::new(inner, FaultPlan::default())
+/// [`engine_config`] under an *empty* fault plan, so the engine wraps
+/// every endpoint in the fault layer — the wrapper's identity oracle. A
+/// clean plan must change nothing: not one RMSE bit, not one payload
+/// byte.
+fn identity_config(execution: ExecutionMode, time: TimeAxis, driver: Driver) -> EngineConfig {
+    EngineConfig {
+        faults: Some(FaultPlan::default()),
+        ..engine_config(execution, time, driver)
+    }
 }
 
-/// Runs the reference fleet over the plain mem fabric and the same
-/// fleet over `identity_wrapped(backend)`; both must be equivalent.
+/// Runs the reference fleet over the plain mem fabric with no fault
+/// plan; the same fleet under `identity_config` must be equivalent.
 fn reference_run(execution: ExecutionMode) -> (EngineResult, Vec<Node<MfModel>>) {
     let mut nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
     let result = Engine::<MfModel, MemNetwork>::new(
@@ -198,8 +202,8 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
 
     let mut mem_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
     let mem = Engine::<MfModel, _>::new(
-        identity_wrapped(MemNetwork::new(mem_nodes.len())),
-        engine_config(
+        MemNetwork::new(mem_nodes.len()),
+        identity_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
             Driver::WorkSteal { workers: 1 },
@@ -210,16 +214,16 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
 
     let mut split_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
     let split = Engine::<MfModel, _>::new(
-        identity_wrapped(MemNetwork::new(split_nodes.len())),
-        engine_config(ExecutionMode::Native, TimeAxis::Wall, Driver::ThreadPerNode),
+        MemNetwork::new(split_nodes.len()),
+        identity_config(ExecutionMode::Native, TimeAxis::Wall, Driver::ThreadPerNode),
     )
     .run("faulty-mem-split", &mut split_nodes);
     assert_equivalent(&reference, &(split, split_nodes));
 
     let mut tcp_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
     let tcp = Engine::<MfModel, _>::new(
-        identity_wrapped(TcpTransport::loopback(tcp_nodes.len()).expect("loopback fabric")),
-        engine_config(ExecutionMode::Native, TimeAxis::Wall, Driver::ThreadPerNode),
+        TcpTransport::loopback(tcp_nodes.len()).expect("loopback fabric"),
+        identity_config(ExecutionMode::Native, TimeAxis::Wall, Driver::ThreadPerNode),
     )
     .run("faulty-tcp", &mut tcp_nodes);
     assert_equivalent(&reference, &(tcp, tcp_nodes));
@@ -227,16 +231,16 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
 
 #[test]
 fn empty_fault_plan_is_identity_on_every_backend_sgx() {
-    // SGX routes the attestation handshake through the (wrapped)
-    // transport too — the wrapper must pass setup traffic through
-    // untouched, native byte accounting included.
+    // SGX routes the attestation handshake through the transport
+    // before the engine wraps it: wrapping after setup must leave the
+    // handshake's bytes as they were, native byte accounting included.
     let execution = ExecutionMode::Sgx(SgxCostModel::default());
     let reference = reference_run(execution);
 
     let mut mem_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
     let mem = Engine::<MfModel, _>::new(
-        identity_wrapped(MemNetwork::new(mem_nodes.len())),
-        engine_config(
+        MemNetwork::new(mem_nodes.len()),
+        identity_config(
             execution,
             TimeAxis::Simulated(Default::default()),
             Driver::WorkSteal { workers: 1 },
@@ -247,8 +251,8 @@ fn empty_fault_plan_is_identity_on_every_backend_sgx() {
 
     let mut tcp_nodes = fleet(SharingMode::RawData, GossipAlgorithm::DPsgd);
     let tcp = Engine::<MfModel, _>::new(
-        identity_wrapped(TcpTransport::loopback(tcp_nodes.len()).expect("loopback fabric")),
-        engine_config(execution, TimeAxis::Wall, Driver::ThreadPerNode),
+        TcpTransport::loopback(tcp_nodes.len()).expect("loopback fabric"),
+        identity_config(execution, TimeAxis::Wall, Driver::ThreadPerNode),
     )
     .run("faulty-tcp-sgx", &mut tcp_nodes);
     assert_equivalent(&reference, &(tcp, tcp_nodes));
@@ -310,7 +314,7 @@ fn run_headline(execution: ExecutionMode, driver: Driver) -> (EngineResult, Vec<
     let plan = headline_plan();
     let mut nodes = headline_fleet();
     let result = Engine::<MfModel, _>::new(
-        FaultyTransport::new(MemNetwork::new(nodes.len()), plan.clone()),
+        MemNetwork::new(nodes.len()),
         EngineConfig {
             epochs: 10,
             execution,

@@ -81,11 +81,11 @@ use rex_repro::core::setup::{overlay_of, prune_dead_nodes, prune_to_overlay};
 use rex_repro::core::trace_out::TraceOut;
 use rex_repro::core::Node;
 use rex_repro::ml::MfModel;
-use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
+use rex_repro::net::fault::{FaultPlan, FaultyEndpoint, LinkFaults};
 use rex_repro::net::link::LinkModel;
 use rex_repro::net::stats::DeliveryStats;
 use rex_repro::net::transport::BarrierKind;
-use rex_repro::net::{MemNetwork, TcpTransport, Transport};
+use rex_repro::net::{Fabric, MemNetwork, TcpTransport, Transport};
 use rex_repro::node::{run_cluster_traced, ClusterConfig};
 use rex_repro::sim::trace::ExperimentTrace;
 use std::path::PathBuf;
@@ -167,19 +167,12 @@ fn engine_config(s: &Golden, time: TimeAxis, driver: Driver) -> EngineConfig {
 /// the serve fixture can replay queries against the final models.
 type ComboRun = (EngineResult, Vec<Node<MfModel>>);
 
-/// Runs a scenario over one backend/driver combination, wrapping the
-/// fabric in the fault layer when the scenario carries a plan.
+/// Runs a scenario over one backend/driver combination (the engine
+/// applies the scenario's fault plan itself).
 fn run_combo<T: Transport>(s: &Golden, transport: T, time: TimeAxis, driver: Driver) -> ComboRun {
     let mut nodes = s.fleet.build_fleet();
-    let result = match s.faults.clone() {
-        Some(plan) => Engine::<MfModel, FaultyTransport<T::Endpoint>>::new(
-            FaultyTransport::new(transport, plan),
-            engine_config(s, time, driver),
-        )
-        .run(s.name, &mut nodes),
-        None => Engine::<MfModel, T>::new(transport, engine_config(s, time, driver))
-            .run(s.name, &mut nodes),
-    };
+    let result = Engine::<MfModel, T>::new(transport, engine_config(s, time, driver))
+        .run(s.name, &mut nodes);
     (result, nodes)
 }
 
@@ -785,13 +778,14 @@ fn seeded_interleavings_of_the_round_reproduce_the_fixtures() {
     for s in scenarios().iter().filter(|s| s.name != "raw_wide") {
         let fixture = std::fs::read_to_string(fixture_path(s.name)).expect("pinned fixture");
         for seed in 0..SEEDS {
-            let result = match s.faults.clone() {
-                Some(plan) => interleaved_run(
-                    s,
-                    FaultyTransport::new(MemNetwork::new(s.fleet.nodes), plan),
-                    seed,
-                ),
-                None => interleaved_run(s, MemNetwork::new(s.fleet.nodes), seed),
+            let mem = MemNetwork::new(s.fleet.nodes);
+            let result = match &s.faults {
+                Some(plan) => {
+                    let wrap = |e| FaultyEndpoint::new(e, plan.clone());
+                    let endpoints = mem.into_endpoints().into_iter().map(wrap).collect();
+                    interleaved_run(s, Fabric::from_endpoints(endpoints), seed)
+                }
+                None => interleaved_run(s, mem, seed),
             };
             assert_matches_fixture(
                 s.name,

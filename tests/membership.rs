@@ -14,7 +14,7 @@ use rex_repro::core::engine::{Driver, Engine, EngineConfig, EngineResult, TimeAx
 use rex_repro::core::membership::MembershipPlan;
 use rex_repro::core::Node;
 use rex_repro::ml::MfModel;
-use rex_repro::net::fault::{FaultPlan, FaultyTransport, LinkFaults};
+use rex_repro::net::fault::{FaultPlan, LinkFaults};
 use rex_repro::net::{MemNetwork, TcpTransport, Transport};
 use rex_repro::tee::SgxCostModel;
 
@@ -70,15 +70,8 @@ fn run_churn<T: Transport>(
     faults: Option<FaultPlan>,
 ) -> (EngineResult, Vec<Node<MfModel>>) {
     let mut nodes = fleet(SharingMode::RawData);
-    let cfg = config(driver, time, execution, faults.clone());
-    let result = match faults {
-        Some(plan) => Engine::<MfModel, FaultyTransport<T::Endpoint>>::new(
-            FaultyTransport::new(transport, plan),
-            cfg,
-        )
-        .run("churn", &mut nodes),
-        None => Engine::<MfModel, T>::new(transport, cfg).run("churn", &mut nodes),
-    };
+    let cfg = config(driver, time, execution, faults);
+    let result = Engine::<MfModel, T>::new(transport, cfg).run("churn", &mut nodes);
     (result, nodes)
 }
 
@@ -366,11 +359,7 @@ fn dropped_bootstrap_is_deterministic_not_fatal() {
     );
     cfg.membership = Some(plan);
     let run = |cfg: EngineConfig, nodes: &mut [Node<MfModel>]| {
-        Engine::<MfModel, _>::new(
-            FaultyTransport::new(MemNetwork::new(N), faults.clone()),
-            cfg,
-        )
-        .run("dropped-bootstrap", nodes)
+        Engine::<MfModel, _>::new(MemNetwork::new(N), cfg).run("dropped-bootstrap", nodes)
     };
     let a = run(cfg.clone(), &mut nodes);
     let mut nodes_b = fleet(SharingMode::RawData);

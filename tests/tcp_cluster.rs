@@ -109,7 +109,7 @@ fn sparse_codec_cluster_learns_identically_with_fewer_bytes() {
     let mut dense = tiny_cfg(4, false);
     dense.sharing = SharingMode::Model;
     let mut sparse = dense.clone();
-    sparse.codec = WireCodec::sparse();
+    sparse.codec = WireCodec::Sparse;
     // Round-trip the sparse config through its TOML form first, so this
     // also covers the parser path the deployed binary takes.
     let sparse = ClusterConfig::parse(&sparse.to_toml()).expect("sparse config parses");
