@@ -13,7 +13,9 @@
 //! chain link after a 300-step sweep in its full form against the row
 //! form that hashes only the rows the sweep wrote — and the sweep arms:
 //! 20 k SGD steps and a 20 k-rating RMSE evaluation on that model,
-//! dispatched per element against dispatched once per sweep — and two
+//! dispatched per element against dispatched once per sweep, and a
+//! `rex-raw`-shaped node's test set scored one rating at a time against
+//! eight at a time — and two
 //! ungated rows no other artifact carries: an X25519 Diffie-Hellman
 //! (the session setup behind every attested edge) and a 16 k-rating
 //! `append_batch` into a 256-user sharded store — and the merge arm: one
@@ -40,9 +42,15 @@
 //!   no 16-wide row);
 //! * `poly_speedup` — Poly1305 MiB/s, best / scalar;
 //! * `sha256_speedup` — SHA-256 MiB/s, SHA extensions / scalar (1.00
-//!   on a host without them: both sides are the scalar path);
+//!   on a host without them: both sides are the scalar path): both
+//!   sides timed in every window, in alternating order, and the median
+//!   of the windows' ratios kept;
 //! * `sweep_speedup` — an epoch's compute (the train arm plus the RMSE
 //!   arm) at the best level, per-element dispatch / one sweep;
+//! * `rmse_lanes_speedup` — a trained `rex-raw`-shaped node's test set
+//!   at the best level, scored one rating at a time / eight at a time
+//!   (`Lanes::dot8`): both sides in every window, alternating, the
+//!   median ratio kept;
 //! * `commit_speedup` — one chain link after a raw-sharing epoch's 300
 //!   SGD steps on the process's SHA path, full form / row form (the
 //!   acceptance floor is 5x);
@@ -56,8 +64,9 @@
 //!
 //! `--check-baseline <path>` compares this run's `dot32_speedup`,
 //! `poly_speedup`, `chacha_wide_speedup`, `sha256_speedup`,
-//! `sweep_speedup`, `commit_speedup`, `merge_view_speedup` and
-//! `row_order_commit_speedup` against a committed baseline
+//! `sweep_speedup`, `rmse_lanes_speedup`, `commit_speedup`,
+//! `merge_view_speedup` and `row_order_commit_speedup` against a
+//! committed baseline
 //! JSON (`rex_bench::baseline`) and exits non-zero when any regressed by
 //! more than 25%. On a host without AVX2 (for `chacha_wide_speedup`,
 //! without AVX-512F; for the two SHA ratios, without the SHA
@@ -69,7 +78,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rex_bench::harness::{self, Arm, Gate, Report, Row};
 use rex_bench::BenchArgs;
+use rex_core::builder::Scenario;
 use rex_core::commitment::CommitmentChain;
+use rex_core::config::ProtocolConfig;
 use rex_core::serve::{QueryStream, Scorer};
 use rex_core::store::RawDataStore;
 use rex_crypto::poly1305::Poly1305;
@@ -77,7 +88,7 @@ use rex_crypto::simd::{self, SimdLevel};
 use rex_crypto::{chacha20, ChaCha20Poly1305, Sha256, StaticSecret};
 use rex_data::{Dataset, Rating, SyntheticConfig, TrainTestSplit, UserBlock};
 use rex_ml::bytesio::ByteCount;
-use rex_ml::kernel::{self, KernelLevel};
+use rex_ml::kernel::{self, KernelLevel, Lanes, Sweep};
 use rex_ml::{MfHyperParams, MfModel, Model};
 use std::hint::black_box;
 
@@ -299,16 +310,18 @@ fn paper_model() -> MfModel {
 /// SHA-256 arms, on the paper-shaped model (424 KiB on the wire, what
 /// every node commits to every epoch). `sha256_stream`: MiB/s over that
 /// model's wire bytes on the scalar block function and, where this host
-/// has them, on the SHA extensions. `commitment_424k`: one chain link
+/// has them, on the SHA extensions, both timed in each of `windows`
+/// windows ([`paired_windows`]). `commitment_424k`: one chain link
 /// over that model on the process's block function, serialise-then-hash
 /// against streamed. `commitment_rowlog`: one chain link after
 /// [`LINK_STEPS`] SGD steps on one of two shards' ratings (the `rex-raw`
 /// node shape), per SHA path — the full form (`write_bytes`, what every
 /// link hashed before the write log) against the row form
 /// (`write_changes`: the rows the sweep wrote). Each link arm trains its
-/// own model from the same seed. Returns the rows, `sha256_speedup` and
-/// `commit_speedup` (both on the best SHA path).
-fn sha_arms(best: SimdLevel, reps: usize) -> (Vec<Row>, f64, f64) {
+/// own model from the same seed. Returns the rows, `sha256_speedup` (the
+/// median over windows of scalar over the best block function) and
+/// `commit_speedup` (on the best SHA path).
+fn sha_arms(best: SimdLevel, reps: usize, windows: usize) -> (Vec<Row>, f64, f64) {
     type Link = fn(&mut CommitmentChain, usize, &mut MfModel);
     let full: Link = |chain, epoch, model| {
         black_box(chain.advance_with(epoch, |link| black_box(&*model).write_bytes(link)));
@@ -330,19 +343,23 @@ fn sha_arms(best: SimdLevel, reps: usize) -> (Vec<Row>, f64, f64) {
     }
     let process_level = simd::level();
     // µs per hash of the model bytes on `level`'s block function.
-    let stream_arm = |level: SimdLevel| -> Arm<'_> {
-        let bytes = &bytes;
-        Box::new(move || {
-            harness::time_ns(|| {
-                for _ in 0..reps {
-                    let mut h = Sha256::with_level(level);
-                    h.update(black_box(bytes));
-                    black_box(h.finalize());
-                }
-            }) / 1e3
-                / reps as f64
-        })
+    let stream = |level: SimdLevel| {
+        harness::time_ns(|| {
+            for _ in 0..reps {
+                let mut h = Sha256::with_level(level);
+                h.update(black_box(&bytes));
+                black_box(h.finalize());
+            }
+        }) / 1e3
+            / reps as f64
     };
+    let best_path = paths[paths.len() - 1].1;
+    let (scalar_us, best_us, sha256_speedup) = paired_windows(
+        "sha256 stream: scalar vs best block function",
+        windows,
+        || stream(SimdLevel::Scalar),
+        || stream(best_path),
+    );
     // µs per chain link on `level`'s SHA path, with `LINK_STEPS` of
     // (untimed) training before each link when `train`.
     let link_arm = |level: SimdLevel, train: bool, link: Link| -> Arm<'_> {
@@ -365,8 +382,7 @@ fn sha_arms(best: SimdLevel, reps: usize) -> (Vec<Row>, f64, f64) {
             ns / 1e3 / reps as f64
         })
     };
-    let mut arms: Vec<Arm<'_>> = paths.iter().map(|&(_, l)| stream_arm(l)).collect();
-    arms.push(link_arm(process_level, false, serialised));
+    let mut arms: Vec<Arm<'_>> = vec![link_arm(process_level, false, serialised)];
     arms.push(link_arm(process_level, false, full));
     for &(_, level) in &paths {
         arms.push(link_arm(level, true, full));
@@ -375,21 +391,20 @@ fn sha_arms(best: SimdLevel, reps: usize) -> (Vec<Row>, f64, f64) {
     let us = harness::best_of("sha256 + commitment", MICRO_WINDOW_REPS, &mut arms);
     simd::force_level(process_level);
 
-    let n = paths.len();
     let mib = bytes.len() as f64 / (1024.0 * 1024.0);
     let mut rows: Vec<Row> = paths
         .iter()
-        .zip(&us)
+        .zip([scalar_us, best_us])
         .map(|(&(name, _), us)| e2e("sha256_stream", name, "", "mib_per_s", mib / (us / 1e6)))
         .collect();
-    rows.push(e2e("commitment_424k", "to_bytes+advance", "", "us", us[n]));
-    rows.push(e2e("commitment_424k", "advance_with", "", "us", us[n + 1]));
-    for (&(name, _), forms) in paths.iter().zip(us[n + 2..].chunks(2)) {
+    rows.push(e2e("commitment_424k", "to_bytes+advance", "", "us", us[0]));
+    rows.push(e2e("commitment_424k", "advance_with", "", "us", us[1]));
+    for (&(name, _), forms) in paths.iter().zip(us[2..].chunks(2)) {
         rows.push(e2e("commitment_rowlog", name, "full", "us", forms[0]));
         rows.push(e2e("commitment_rowlog", name, "rows", "us", forms[1]));
     }
-    let (best_full, best_rows) = (us[3 * n], us[3 * n + 1]);
-    (rows, us[0] / us[n - 1], best_full / best_rows)
+    let (best_full, best_rows) = (us[us.len() - 2], us[us.len() - 1]);
+    (rows, sha256_speedup, best_full / best_rows)
 }
 
 /// Sweep arms, on the paper-shaped model under each dispatch level:
@@ -453,6 +468,103 @@ fn sweep_arms(levels: &[KernelLevel], reps: usize) -> (Vec<Row>, f64) {
         .collect();
     let best = &ns[ns.len() - 4..];
     (rows, (best[0] + best[2]) / (best[1] + best[3]))
+}
+
+/// Test-set evaluations per side per window of the `rmse_lanes` arm.
+const EVALS_PER_WINDOW: usize = 4;
+
+/// `Model::squared_error` of `MfModel` one rating at a time: one
+/// `predict` per rating ([`MfModel::predict_in`]) in one sweep frame,
+/// the reference side of the `rmse_lanes` arm, checked to the bit
+/// against the model's own.
+struct PerRating<'a>(&'a MfModel, &'a [Rating]);
+
+impl Sweep for PerRating<'_> {
+    type Output = f64;
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) -> f64 {
+        let PerRating(m, test) = self;
+        let mut sum = 0.0f64;
+        for r in test {
+            let e = f64::from(m.predict_in(lanes, r.user, r.item)) - f64::from(r.value);
+            sum += e * e;
+        }
+        sum
+    }
+}
+
+/// The test stage of a trained `rex-raw`-shaped node (node 0 of the
+/// paper-shaped data on two round-robin nodes, its model trained for
+/// 100 raw-sharing epochs' worth of steps on its store), scored one
+/// rating at a time ([`PerRating`]) and eight at a time
+/// (`squared_error`), both in every window, in alternating order, on
+/// `level`; ns per rating. Returns the rows and `rmse_lanes_speedup`,
+/// the median over windows of the two sides' ratio.
+fn rmse_lanes_arms(level: KernelLevel, reps: usize) -> (Vec<Row>, f64) {
+    let s = Scenario {
+        dataset: SyntheticConfig {
+            num_users: 610,
+            num_items: 9_000,
+            num_ratings: 100_000,
+            seed: 42,
+            ..SyntheticConfig::default()
+        },
+        nodes: 2,
+        protocol: ProtocolConfig::default(),
+        ..Scenario::default()
+    };
+    let fleet = s.build_fleet();
+    let node = &fleet[0];
+    let mut model = node.model().clone();
+    let steps = 100 * s.protocol.steps_per_epoch;
+    model.train_steps(
+        node.store().ratings(),
+        steps,
+        &mut StdRng::seed_from_u64(0x7E57),
+    );
+    let test = node.test_data();
+    kernel::force_level(level);
+    assert_eq!(
+        kernel::sweep(PerRating(&model, test)).to_bits(),
+        model.squared_error(test).to_bits(),
+        "the two test stages parted ways"
+    );
+    let per_rating = (EVALS_PER_WINDOW * test.len()) as f64;
+    let (one_ns, eight_ns, ratio) = paired_windows(
+        "test stage: one rating vs eight at a time",
+        reps,
+        || {
+            harness::time_ns(|| {
+                for _ in 0..EVALS_PER_WINDOW {
+                    black_box(kernel::sweep(PerRating(&model, black_box(test))));
+                }
+            }) / per_rating
+        },
+        || {
+            harness::time_ns(|| {
+                for _ in 0..EVALS_PER_WINDOW {
+                    black_box(model.squared_error(black_box(test)));
+                }
+            }) / per_rating
+        },
+    );
+    let rows = vec![
+        e2e(
+            "rmse_lanes_rex_raw",
+            level.name(),
+            "per_rating",
+            "ns_per_op",
+            one_ns,
+        ),
+        e2e(
+            "rmse_lanes_rex_raw",
+            level.name(),
+            "lanes8",
+            "ns_per_op",
+            eight_ns,
+        ),
+    ];
+    (rows, ratio)
 }
 
 /// Full-form links per side per window of the `row_order_commit` arm.
@@ -768,9 +880,10 @@ fn main() {
     let (micro, dot32) = micro_arms(&levels, iters);
     let (mut rows, chacha, chacha_wide) = chacha_arms(&crypto_levels, buf_kib);
     let (poly_rows, poly) = poly_arms(&crypto_levels, buf_kib, reps);
-    let (sha_rows, sha256, commit) = sha_arms(crypto_best, reps);
+    let (sha_rows, sha256, commit) = sha_arms(crypto_best, reps, if args.full { 31 } else { 11 });
     let (e2e_rows, epoch, serve) = e2e_arms(&levels, steps, queries);
     let (sweep_rows, sweep) = sweep_arms(&levels, if args.full { 16 } else { 8 });
+    let (lanes_rows, rmse_lanes) = rmse_lanes_arms(best, if args.full { 31 } else { 11 });
     let (merge_rows, merge_view) = merge_view_arms(if args.full { 31 } else { 11 });
     let (order_rows, row_order_commit) = row_order_commit_arms(if args.full { 31 } else { 11 });
     kernel::force_level(best);
@@ -780,6 +893,7 @@ fn main() {
             .chain(sha_rows)
             .chain(e2e_rows)
             .chain(sweep_rows)
+            .chain(lanes_rows)
             .chain(merge_rows)
             .chain(order_rows),
     );
@@ -799,6 +913,7 @@ fn main() {
                 .num("poly_speedup", poly, 2)
                 .num("sha256_speedup", sha256, 2)
                 .num("sweep_speedup", sweep, 2)
+                .num("rmse_lanes_speedup", rmse_lanes, 2)
                 .num("commit_speedup", commit, 2)
                 .num("merge_view_speedup", merge_view, 2)
                 .num("row_order_commit_speedup", row_order_commit, 2),
@@ -826,7 +941,8 @@ fn main() {
             Gate::floor("poly_speedup", poly).unless(no_avx2.clone()),
             Gate::floor("chacha_wide_speedup", chacha_wide).unless(no_avx512),
             Gate::floor("sha256_speedup", sha256).unless(no_sha_ni.clone()),
-            Gate::floor("sweep_speedup", sweep).unless(no_avx2),
+            Gate::floor("sweep_speedup", sweep).unless(no_avx2.clone()),
+            Gate::floor("rmse_lanes_speedup", rmse_lanes).unless(no_avx2),
             Gate::floor("commit_speedup", commit).unless(no_sha_ni),
             Gate::floor("merge_view_speedup", merge_view),
             Gate::floor("row_order_commit_speedup", row_order_commit),

@@ -681,6 +681,15 @@ impl<M: Model> Node<M> {
         };
         let degree = self.degree();
         let plain = match (self.cfg.sharing, self.cfg.codec) {
+            // A share nobody receives is not built. A raw share's sample
+            // is still drawn: the RNG stream is the node's trajectory.
+            _ if recipients.is_empty() => {
+                if self.cfg.sharing == SharingMode::RawData {
+                    self.store
+                        .skip_sample(self.cfg.points_per_epoch, &mut self.rng);
+                }
+                None
+            }
             (SharingMode::RawData, WireCodec::Dense) => Some(Plain::RawData {
                 ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
                 degree,
@@ -704,8 +713,7 @@ impl<M: Model> Node<M> {
         // header, plain (a dense model serialised straight in), tag slot.
         // Sealing is in place, so each recipient but the last seals a
         // copy and the last seals the original. A share nobody receives
-        // is not written at all; its sample was still drawn above, since
-        // the RNG stream is the node's trajectory.
+        // is not written at all.
         let sealed = self.tee.is_some();
         let mut share = match &plain {
             _ if recipients.is_empty() => Vec::new(),

@@ -76,7 +76,7 @@
 )]
 
 use rand::rngs::StdRng;
-use rand::seq::index::sample as index_sample;
+use rand::seq::index::{sample as index_sample, IndexVec};
 use rex_data::{Rating, UserBlock};
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
@@ -423,16 +423,27 @@ impl RawDataStore {
     /// holds fewer). Stateless across calls.
     #[must_use]
     pub fn sample(&self, k: usize, rng: &mut StdRng) -> Vec<Rating> {
-        if self.ratings.is_empty() {
-            return Vec::new();
+        match self.sample_indices(k, rng) {
+            Some(picks) => picks
+                .into_iter()
+                .filter_map(|i| self.ratings.get(i).copied())
+                .collect(),
+            None => self.ratings.clone(),
         }
-        if k >= self.ratings.len() {
-            return self.ratings.clone();
-        }
-        index_sample(rng, self.ratings.len(), k)
-            .into_iter()
-            .filter_map(|i| self.ratings.get(i).copied())
-            .collect()
+    }
+
+    /// Advances `rng` exactly as [`RawDataStore::sample`] would, without
+    /// gathering the points: the draw a share nobody receives still
+    /// makes, since the RNG stream is the node's trajectory.
+    pub fn skip_sample(&self, k: usize, rng: &mut StdRng) {
+        let _ = self.sample_indices(k, rng);
+    }
+
+    /// The indices [`RawDataStore::sample`] draws, or `None` when it
+    /// takes every point (`k` at least the store's size, or an empty
+    /// store) and draws nothing.
+    fn sample_indices(&self, k: usize, rng: &mut StdRng) -> Option<IndexVec> {
+        (k < self.ratings.len()).then(|| index_sample(rng, self.ratings.len(), k))
     }
 
     /// The distinct items `user` has rated in this store, sorted
@@ -495,7 +506,7 @@ impl RawDataStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn r(user: u32, item: u32, value: f32) -> Rating {
         Rating { user, item, value }
@@ -557,6 +568,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(s.sample(300, &mut rng).len(), 10);
         assert!(RawDataStore::new().sample(5, &mut rng).is_empty());
+    }
+
+    /// A skipped sample leaves the RNG where a built one does: over a
+    /// draw that samples, one that takes everything, and an empty store.
+    #[test]
+    fn a_skipped_sample_draws_what_a_built_one_does() {
+        let s = RawDataStore::with_initial((0..100).map(|i| r(i, i, 1.0)).collect());
+        let empty = RawDataStore::new();
+        for (store, k) in [(&s, 30), (&s, 100), (&s, 300), (&empty, 5)] {
+            let (mut built, mut skipped) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            let batch = store.sample(k, &mut built);
+            assert_eq!(batch.len(), k.min(store.len()));
+            store.skip_sample(k, &mut skipped);
+            assert_eq!(built.gen::<u64>(), skipped.gen::<u64>(), "k = {k}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! **two levels**: a portable scalar reference and one x86_64 vector
 //! level (AVX2 via `std::arch`), selected once per process by [`level`].
 //! Only the primitives where a hand-written body measurably beats the
-//! compiler carry one: [`dot`], [`norm_sq`] and [`sgd_update`].
+//! compiler carry one: [`dot`], [`norm_sq`], [`sgd_update`] and
+//! [`Lanes::dot8`], eight independent dots at once.
 //!
 //! # The bit-exactness contract
 //!
@@ -29,6 +30,16 @@
 //!   them in the canonical order `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`
 //!   — exactly the `vextractf128`/`movhlps`/`shufps` reduction the AVX2
 //!   path performs.
+//! * [`Lanes::dot8`] is eight [`dot`]s, lane `l` the dot of row pair
+//!   `l`, bit for bit: each row's eight partial sums build exactly as
+//!   one dot builds them (from +0.0, the tail zero-padded by the same
+//!   masked load), eight rows side by side, and one transposing
+//!   reduction runs the canonical tree on all eight at once. Eight rows
+//!   are eight independent add chains where one dot is one; the test
+//!   stage's residual sweep scores its ratings eight at a time with it.
+//!   An accumulator that starts at +0.0 never holds −0.0 (round to
+//!   nearest gives −0.0 only for two −0.0 operands), so a pad lane's
+//!   product changes no sum whatever the sign of its zero.
 //! * [`norm_sq`] accumulates `f64` squares into [`F64_LANES`] = 4
 //!   partial sums combined as `(s0+s2) + (s1+s3)`.
 //! * [`sgd_update`] is purely vertical (no cross-element reduction), so
@@ -80,8 +91,8 @@
 //! primitive per element pays it per element; [`sweep`] pays it once:
 //! it resolves the level, enters one frame, and runs a whole
 //! caller-supplied loop ([`Sweep::run`]) inside it, handing the loop a
-//! zero-sized [`Lanes`] token whose `dot` / `norm_sq` / `sgd_update`
-//! inline into the frame. The loop is written once, generic over the
+//! zero-sized [`Lanes`] token whose `dot` / `norm_sq` / `sgd_update` /
+//! `dot8` inline into the frame. The loop is written once, generic over the
 //! token, and monomorphised per level — the SGD sweep, RMSE evaluation
 //! and loss and the model merge in `mf`, the norm-cache rebuild and block scan in
 //! `rex_core::serve`. The element entries are sweeps of one primitive,
@@ -239,6 +250,9 @@ pub trait Lanes: Copy {
     /// The coupled biased-MF factor update of [`sgd_update_scalar`].
     /// Panics on mismatched lengths.
     fn sgd_update(self, x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32);
+    /// Eight independent dots: lane `l` is `self.dot(xs[l], ys[l])`, bit
+    /// for bit. Panics unless all sixteen slices have one length.
+    fn dot8(self, xs: [&[f32]; F32_LANES], ys: [&[f32]; F32_LANES]) -> [f32; F32_LANES];
 }
 
 /// A loop to run inside one level's frame: see [`sweep`].
@@ -293,6 +307,14 @@ impl Lanes for ScalarLanes {
     #[inline(always)]
     fn sgd_update(self, x: &mut [f32], y: &mut [f32], lr: f32, err: f32, reg: f32) {
         sgd_update_scalar(x, y, lr, err, reg);
+    }
+    #[inline(always)]
+    fn dot8(self, xs: [&[f32]; F32_LANES], ys: [&[f32]; F32_LANES]) -> [f32; F32_LANES] {
+        let k = xs[0].len();
+        std::array::from_fn(|l| {
+            assert_eq!(xs[l].len(), k, "dot8 over mismatched lengths");
+            dot_scalar(xs[l], ys[l])
+        })
     }
 }
 
@@ -376,6 +398,37 @@ pub fn dot_with(l: KernelLevel, a: &[f32], b: &[f32]) -> f32 {
 #[must_use]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dot_with(level(), a, b)
+}
+
+// ---------------------------------------------------------------------
+// dot8
+// ---------------------------------------------------------------------
+
+struct Dot8Once<'a>([&'a [f32]; F32_LANES], [&'a [f32]; F32_LANES]);
+
+impl Sweep for Dot8Once<'_> {
+    type Output = [f32; F32_LANES];
+    #[inline(always)]
+    fn run<L: Lanes>(self, lanes: L) -> [f32; F32_LANES] {
+        lanes.dot8(self.0, self.1)
+    }
+}
+
+/// Eight independent dots under the given dispatch level: lane `l` is
+/// `dot_scalar(xs[l], ys[l])` bit for bit (NaN payloads aside), on
+/// every level.
+///
+/// # Panics
+/// When the sixteen slices differ in length or `l` is unavailable on
+/// this host.
+#[inline]
+#[must_use]
+pub fn dot8_with(
+    l: KernelLevel,
+    xs: [&[f32]; F32_LANES],
+    ys: [&[f32]; F32_LANES],
+) -> [f32; F32_LANES] {
+    sweep_with(l, Dot8Once(xs, ys))
 }
 
 // ---------------------------------------------------------------------
@@ -661,6 +714,92 @@ mod x86 {
         }
     }
 
+    impl Avx2Lanes {
+        /// [`Lanes::dot8`] over `k = 8·chunks + tail` elements a row.
+        ///
+        /// # Panics
+        /// When a row does not hold `k` elements.
+        #[inline(always)]
+        fn dot8_rows(
+            self,
+            chunks: usize,
+            k: usize,
+            xs: &[&[f32]; F32_LANES],
+            ys: &[&[f32]; F32_LANES],
+        ) -> [f32; F32_LANES] {
+            let tail = k - chunks * F32_LANES;
+            let mut out = [0.0f32; F32_LANES];
+            // SAFETY: the token proves AVX2. The mask load reads 8 lanes
+            // of the 16-lane table from index `8 - tail` in `1..=8`. Each
+            // row pair was just checked to hold `k` elements, so chunk
+            // `c` loads elements `8c..8c+8 <= 8·chunks <= k` of both; with
+            // `1 <= tail <= 7` the masked loads touch only the `tail`
+            // elements left past `8·chunks`, and masked-off lanes read
+            // +0.0, the reference's zero pad. The store writes the 8
+            // floats of `out`.
+            unsafe {
+                let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(F32_LANES - tail).cast());
+                let mut acc = [_mm256_setzero_ps(); F32_LANES];
+                for (acc, (x, y)) in acc.iter_mut().zip(xs.iter().zip(ys)) {
+                    assert!(x.len() == k && y.len() == k, "dot8 over mismatched lengths");
+                    let (x, y) = (x.as_ptr(), y.as_ptr());
+                    for c in 0..chunks {
+                        let at = c * F32_LANES;
+                        let p =
+                            _mm256_mul_ps(_mm256_loadu_ps(x.add(at)), _mm256_loadu_ps(y.add(at)));
+                        *acc = _mm256_add_ps(*acc, p);
+                    }
+                    if tail > 0 {
+                        let at = chunks * F32_LANES;
+                        let p = _mm256_mul_ps(
+                            _mm256_maskload_ps(x.add(at), mask),
+                            _mm256_maskload_ps(y.add(at), mask),
+                        );
+                        *acc = _mm256_add_ps(*acc, p);
+                    }
+                }
+                _mm256_storeu_ps(out.as_mut_ptr(), self.reduce8_rows(&acc));
+            }
+            out
+        }
+
+        /// [`super::reduce8`] of eight rows at once: lane `l` of the result
+        /// is `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))` over the lanes `s` of
+        /// `acc[l]`, each add with the reference's operands in the
+        /// reference's order.
+        #[inline(always)]
+        fn reduce8_rows(self, acc: &[__m256; F32_LANES]) -> __m256 {
+            // SAFETY: the token proves AVX2 (so AVX); register-to-register
+            // arithmetic and shuffles, no memory access.
+            unsafe {
+                // `s_j + s_(j+4)` of rows `l` and `l + 4` in one register:
+                // row `l`'s four sums in the low half, row `l + 4`'s high.
+                let fold = |l: usize| {
+                    let (a, b) = (acc[l], acc[l + 4]);
+                    _mm256_add_ps(
+                        _mm256_permute2f128_ps(a, b, 0x20),
+                        _mm256_permute2f128_ps(a, b, 0x31),
+                    )
+                };
+                // `u0 + u2` and `u1 + u3` of two such registers `p`, `q`:
+                // per half, [p's two sums, q's two sums].
+                let pairs = |p, q| {
+                    _mm256_add_ps(
+                        _mm256_shuffle_ps(p, q, 0b01_00_01_00),
+                        _mm256_shuffle_ps(p, q, 0b11_10_11_10),
+                    )
+                };
+                let v0145 = pairs(fold(0), fold(1));
+                let v2367 = pairs(fold(2), fold(3));
+                // `v0 + v1`: rows 0-3 land in the low half, 4-7 in the high.
+                _mm256_add_ps(
+                    _mm256_shuffle_ps(v0145, v2367, 0b10_00_10_00),
+                    _mm256_shuffle_ps(v0145, v2367, 0b11_01_11_01),
+                )
+            }
+        }
+    }
+
     /// `s0 + s1` on a 128-bit f64 register.
     #[inline(always)]
     fn reduce2_pd(s: __m128d) -> f64 {
@@ -761,6 +900,28 @@ mod x86 {
             }
             super::sgd_update_scalar(&mut x[chunks * 8..], &mut y[chunks * 8..], lr, err, reg);
         }
+
+        /// Row `l`'s eight partial sums build in `acc[l]` exactly as
+        /// [`Lanes::dot`] builds them — vertical adds from +0.0, a
+        /// zero-padded tail, never an FMA — eight rows side by side, so
+        /// eight independent add chains where one dot has one; then
+        /// one transposing reduction takes all eight through the
+        /// canonical tree at once.
+        ///
+        /// Below three chunks (`k < 24`, the paper's k = 10 among them)
+        /// the rows are walked with the chunk count a constant, so no
+        /// row runs a chunk loop: on a `rex-raw` node's test set at
+        /// k = 10 the whole sweep read about 14 % slower with it.
+        #[inline(always)]
+        fn dot8(self, xs: [&[f32]; F32_LANES], ys: [&[f32]; F32_LANES]) -> [f32; F32_LANES] {
+            let k = xs[0].len();
+            match k / F32_LANES {
+                0 => self.dot8_rows(0, k, &xs, &ys),
+                1 => self.dot8_rows(1, k, &xs, &ys),
+                2 => self.dot8_rows(2, k, &xs, &ys),
+                chunks => self.dot8_rows(chunks, k, &xs, &ys),
+            }
+        }
     }
 }
 
@@ -823,6 +984,23 @@ mod tests {
                     "sgd_update y {} len {len}",
                     l.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn dot8_refuses_a_row_of_another_length_on_every_level() {
+        let (a, b) = (probe_vec(1, 10), probe_vec(2, 10));
+        for (lane, short_x) in [(0, true), (5, false), (7, true)] {
+            let (mut xs, mut ys): ([&[f32]; 8], [&[f32]; 8]) = ([&a; 8], [&b; 8]);
+            if short_x {
+                xs[lane] = &a[..9];
+            } else {
+                ys[lane] = &b[..9];
+            }
+            for l in available_levels() {
+                let refused = std::panic::catch_unwind(|| dot8_with(l, xs, ys)).is_err();
+                assert!(refused, "{} lane {lane}", l.name());
             }
         }
     }

@@ -23,6 +23,18 @@
 //! the socket reader/writer paths. Hostile or corrupt length fields are
 //! rejected before any allocation via [`MAX_BODY_LEN`].
 
+// Every deployed process frames foreign bytes here: a hostile frame
+// fails with a `FrameError`, never with a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::io::{self, Read, Write};
 
 /// Frame kind tags on the wire.
@@ -230,88 +242,64 @@ fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize, usize), FrameError> 
     Ok((kind, from, len as usize))
 }
 
+/// The error of a body whose length its kind does not allow.
+fn body_len_error(kind: u8, body: &[u8]) -> FrameError {
+    let name = match kind {
+        KIND_HELLO => "hello",
+        KIND_BARRIER => "barrier",
+        KIND_JOIN => "join",
+        KIND_WELCOME => "welcome",
+        _ => "commitment",
+    };
+    FrameError::Invalid(format!("{name} frame with {}-byte body", body.len()))
+}
+
+/// Takes the `N`-byte field at the front of `rest`, leaving the bytes
+/// after it; a body too short for it is malformed.
+fn field<const N: usize>(rest: &mut &[u8], kind: u8, body: &[u8]) -> Result<[u8; N], FrameError> {
+    let (head, tail) = rest
+        .split_first_chunk::<N>()
+        .ok_or_else(|| body_len_error(kind, body))?;
+    *rest = tail;
+    Ok(*head)
+}
+
 fn build_frame(kind: u8, from: usize, body: &[u8]) -> Result<Frame, FrameError> {
-    match kind {
-        KIND_HELLO => {
-            if !body.is_empty() {
-                return Err(FrameError::Invalid(format!(
-                    "hello frame with {}-byte body",
-                    body.len()
-                )));
-            }
-            Ok(Frame::Hello { from })
-        }
-        KIND_DATA => Ok(Frame::Data {
+    let mut rest = body;
+    let u64_field = |rest: &mut &[u8]| field(rest, kind, body).map(u64::from_le_bytes);
+    let frame = match kind {
+        KIND_HELLO => Frame::Hello { from },
+        KIND_DATA => Frame::Data {
             from,
-            payload: body.to_vec(),
-        }),
-        KIND_BARRIER => {
-            if body.len() != 8 {
-                return Err(FrameError::Invalid(format!(
-                    "barrier frame with {}-byte body",
-                    body.len()
-                )));
-            }
-            let mut g = [0u8; 8];
-            g.copy_from_slice(body);
-            Ok(Frame::Barrier {
-                from,
-                generation: u64::from_le_bytes(g),
-            })
-        }
-        KIND_JOIN => {
-            if body.len() < 8 {
-                return Err(FrameError::Invalid(format!(
-                    "join frame with {}-byte body",
-                    body.len()
-                )));
-            }
-            let mut e = [0u8; 8];
-            e.copy_from_slice(&body[..8]);
-            Ok(Frame::Join {
-                from,
-                epoch: u64::from_le_bytes(e),
-                evidence: body[8..].to_vec(),
-            })
-        }
-        KIND_WELCOME => {
-            if body.len() != 16 {
-                return Err(FrameError::Invalid(format!(
-                    "welcome frame with {}-byte body",
-                    body.len()
-                )));
-            }
-            let mut e = [0u8; 8];
-            e.copy_from_slice(&body[..8]);
-            let mut g = [0u8; 8];
-            g.copy_from_slice(&body[8..]);
-            Ok(Frame::Welcome {
-                from,
-                epoch: u64::from_le_bytes(e),
-                generation: u64::from_le_bytes(g),
-            })
-        }
-        KIND_COMMITMENT => {
-            if body.len() != COMMITMENT_BODY_LEN {
-                return Err(FrameError::Invalid(format!(
-                    "commitment frame with {}-byte body",
-                    body.len()
-                )));
-            }
-            let mut e = [0u8; 8];
-            e.copy_from_slice(&body[..8]);
-            let mut digest = [0u8; 32];
-            digest.copy_from_slice(&body[8..40]);
-            let mut tag = [0u8; 32];
-            tag.copy_from_slice(&body[40..]);
-            Ok(Frame::Commitment {
-                from,
-                epoch: u64::from_le_bytes(e),
-                digest,
-                tag,
-            })
-        }
-        other => Err(FrameError::Invalid(format!("unknown frame kind {other}"))),
+            payload: std::mem::take(&mut rest).to_vec(),
+        },
+        KIND_BARRIER => Frame::Barrier {
+            from,
+            generation: u64_field(&mut rest)?,
+        },
+        KIND_JOIN => Frame::Join {
+            from,
+            epoch: u64_field(&mut rest)?,
+            evidence: std::mem::take(&mut rest).to_vec(),
+        },
+        KIND_WELCOME => Frame::Welcome {
+            from,
+            epoch: u64_field(&mut rest)?,
+            generation: u64_field(&mut rest)?,
+        },
+        KIND_COMMITMENT => Frame::Commitment {
+            from,
+            epoch: u64_field(&mut rest)?,
+            digest: field(&mut rest, kind, body)?,
+            tag: field(&mut rest, kind, body)?,
+        },
+        other => return Err(FrameError::Invalid(format!("unknown frame kind {other}"))),
+    };
+    // A fixed-size body must end where its last field does.
+    if rest.is_empty() {
+        Ok(frame)
+    } else {
+        Err(body_len_error(kind, body))
     }
 }
 
@@ -319,23 +307,17 @@ fn build_frame(kind: u8, from: usize, body: &[u8]) -> Result<Frame, FrameError> 
 /// number of bytes consumed. Fails on truncation, unknown kinds, and
 /// hostile length fields — never panics.
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
-    if buf.len() < HEADER_LEN {
-        return Err(FrameError::Invalid(format!(
+    let (h, rest) = buf.split_first_chunk::<HEADER_LEN>().ok_or_else(|| {
+        FrameError::Invalid(format!(
             "truncated header: {} of {HEADER_LEN} bytes",
             buf.len()
-        )));
-    }
-    let mut h = [0u8; HEADER_LEN];
-    h.copy_from_slice(&buf[..HEADER_LEN]);
-    let (kind, from, len) = parse_header(&h)?;
-    let end = HEADER_LEN + len;
-    if buf.len() < end {
-        return Err(FrameError::Invalid(format!(
-            "truncated body: {} of {len} bytes",
-            buf.len() - HEADER_LEN
-        )));
-    }
-    Ok((build_frame(kind, from, &buf[HEADER_LEN..end])?, end))
+        ))
+    })?;
+    let (kind, from, len) = parse_header(h)?;
+    let body = rest.get(..len).ok_or_else(|| {
+        FrameError::Invalid(format!("truncated body: {} of {len} bytes", rest.len()))
+    })?;
+    Ok((build_frame(kind, from, body)?, HEADER_LEN + len))
 }
 
 /// Writes one frame to `w` (single `write_all`, so concurrent writers
@@ -359,8 +341,8 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameError> {
     let mut h = [0u8; HEADER_LEN];
     let mut filled = 0;
-    while filled < HEADER_LEN {
-        match r.read(&mut h[filled..]) {
+    while let Some(unfilled) = h.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(unfilled) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => {
                 return Err(FrameError::Invalid(format!(
@@ -422,17 +404,15 @@ impl FrameAssembler {
     /// field, malformed fixed-size body) — the stream is unrecoverable
     /// past that point and the connection should be torn down.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_LEN {
+        let avail = self.buf.get(self.pos..).unwrap_or_default();
+        let Some((h, rest)) = avail.split_first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        let mut h = [0u8; HEADER_LEN];
-        h.copy_from_slice(&avail[..HEADER_LEN]);
-        let (kind, from, len) = parse_header(&h)?;
-        if avail.len() < HEADER_LEN + len {
+        };
+        let (kind, from, len) = parse_header(h)?;
+        let Some(body) = rest.get(..len) else {
             return Ok(None);
-        }
-        let frame = build_frame(kind, from, &avail[HEADER_LEN..HEADER_LEN + len])?;
+        };
+        let frame = build_frame(kind, from, body)?;
         self.pos += HEADER_LEN + len;
         Ok(Some(frame))
     }

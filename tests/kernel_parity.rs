@@ -104,6 +104,19 @@ fn arb_f32() -> impl Strategy<Value = f32> {
     })
 }
 
+/// Finite f32s whose products and sums stay finite and keep their
+/// rounding bits: magnitudes 2^-12..2^12, with subnormals and signed
+/// zeros among them.
+fn arb_finite_f32() -> impl Strategy<Value = f32> {
+    (any::<u32>(), 0u8..16).prop_map(|(bits, class)| {
+        f32::from_bits(match class {
+            0 => bits & 0x807f_ffff,
+            1 => bits & 0x8000_0000,
+            _ => (bits & 0x807f_ffff) | ((115 + (bits >> 23) % 25) << 23),
+        })
+    })
+}
+
 fn arb_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(arb_f32(), 0..max_len)
 }
@@ -159,6 +172,43 @@ proptest! {
                     canon64(kernel::norm_sq_with(l, &a)), canon64(kernel::norm_sq_scalar(&a)),
                     "norm_sq {} at k = {}", l.name(), k
                 );
+            }
+        }
+    }
+
+    /// Eight independent dots: lane `l` of every level's `dot8` is the
+    /// scalar reference's dot of row pair `l`, at every k from one
+    /// element to five chunks and at 64 and 128. The rows are finite,
+    /// with subnormals and signed zeros among them, so sums at every k
+    /// keep rounding bits a wrong tree or an FMA would change; a few
+    /// NaNs and infinities land at drawn positions; and lane `zero`
+    /// multiplies -0.0 by +1.0 throughout, a lane whose sum is a zero
+    /// only an accumulator started at +0.0 gets the sign of.
+    #[test]
+    fn dot8_lanes_are_the_reference_dots_at_every_k(
+        rows in proptest::collection::vec(arb_finite_f32(), 2048..2049),
+        poison in proptest::collection::vec((any::<u32>(), 0u8..3), 0..4),
+        zero in 0usize..8,
+    ) {
+        let mut rows = rows;
+        for (at, which) in poison {
+            rows[at as usize % 2048] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][which as usize];
+        }
+        rows[128 * zero..128 * (zero + 1)].fill(-0.0);
+        rows[128 * (8 + zero)..128 * (9 + zero)].fill(1.0);
+        for k in (1..=40).chain([64, 128]) {
+            let row = |r: usize| &rows[128 * r..128 * r + k];
+            let xs: [&[f32]; 8] = std::array::from_fn(row);
+            let ys: [&[f32]; 8] = std::array::from_fn(|l| row(8 + l));
+            for l in kernel::available_levels() {
+                let got = kernel::dot8_with(l, xs, ys);
+                for lane in 0..8 {
+                    let want = kernel::dot_scalar(xs[lane], ys[lane]);
+                    prop_assert_eq!(
+                        canon32(got[lane]), canon32(want),
+                        "dot8 {} lane {} at k = {} ({} vs {})", l.name(), lane, k, got[lane], want
+                    );
+                }
             }
         }
     }
@@ -674,6 +724,82 @@ fn squared_error_equals_the_predict_fold_on_every_level() {
                 l.name()
             );
             assert_eq!(m.squared_error(&[]).to_bits(), 0.0f64.to_bits());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `squared_error` scores a test set eight ratings at a time; the
+    /// sum must stay the per-rating `predict` fold's to the bit, on every
+    /// level: over users and items the model has not seen, copy-on-write
+    /// and owned rows, test sets in any order or grouped by user (over
+    /// as few as one user, so whole batches share one), every length up
+    /// to five batches and a ragged tail, ids outside the model (which
+    /// send their batch down the one-at-a-time path) and means that
+    /// clamp every prediction from either side.
+    ///
+    /// Layout 0 trains users < 12 and items < 30 only, copy-on-write; the
+    /// rest stay unseen, with drawn factors and zero biases. Layout 1 is
+    /// that model owning every row. Layout 2 trains every row, then
+    /// decodes its bytes with the seen bits `keep` clears: unseen rows
+    /// with trained biases and factors, which only the seen masks hide.
+    #[test]
+    fn the_eight_lane_residual_sweep_equals_the_predict_fold(
+        picks in proptest::collection::vec((0u32..24, 0u32..56, 1u8..11), 0..41),
+        spread in 0usize..4,
+        grouped in any::<bool>(),
+        layout in 0u8..3,
+        keep in proptest::collection::vec(any::<u8>(), 10..11),
+        mean in 0u8..3,
+    ) {
+        let _pin = forced_levels();
+        let data = tiny_ratings();
+        let part: Vec<Rating> = data
+            .iter()
+            .filter(|r| layout == 2 || (r.user < 12 && r.item < 30))
+            .copied()
+            .collect();
+        let mut model = fresh_model();
+        model.train_steps(&part, 2_000, &mut StdRng::seed_from_u64(5));
+        match layout {
+            1 => model.own_all_rows(),
+            2 => {
+                // The wire ends in the seen bits: 3 bytes of users, 7 of items.
+                let mut bytes = model.to_bytes();
+                let at = bytes.len() - keep.len();
+                for (byte, keep) in bytes[at..].iter_mut().zip(&keep) {
+                    *byte &= keep;
+                }
+                model = MfModel::from_bytes(&bytes).unwrap();
+            }
+            _ => {}
+        }
+        model.set_global_mean([3.5, 40.0, -40.0][mean as usize]);
+        // Users 20.. and items 50.. are outside the 20 x 50 model; the
+        // last of each stands for the largest id there is.
+        let far = |id: u32, last: u32| if id == last { u32::MAX } else { id };
+        let users = [1, 3, 12, 24][spread];
+        let mut test: Vec<Rating> = picks
+            .iter()
+            .map(|&(user, item, half_stars)| Rating {
+                user: far(user % users, 23),
+                item: far(item, 55),
+                value: f32::from(half_stars) * 0.5,
+            })
+            .collect();
+        if grouped {
+            test.sort_by_key(|r| r.user);
+        }
+        kernel::force_level(KernelLevel::Scalar);
+        let want = predict_fold(&model, &test).to_bits();
+        for l in kernel::available_levels() {
+            kernel::force_level(l);
+            prop_assert_eq!(
+                model.squared_error(&test).to_bits(), want,
+                "{} over {} ratings (grouped {}, layout {})", l.name(), test.len(), grouped, layout
+            );
         }
     }
 }
