@@ -679,48 +679,47 @@ impl<M: Model> Node<M> {
             }
             GossipAlgorithm::DPsgd => self.neighbors.clone(),
         };
-        let degree = self.degree();
-        let plain = match (self.cfg.sharing, self.cfg.codec) {
-            // A share nobody receives is not built. A raw share's sample
-            // is still drawn: the RNG stream is the node's trajectory.
-            _ if recipients.is_empty() => {
-                if self.cfg.sharing == SharingMode::RawData {
-                    self.store
-                        .skip_sample(self.cfg.points_per_epoch, &mut self.rng);
-                }
-                None
-            }
-            (SharingMode::RawData, WireCodec::Dense) => Some(Plain::RawData {
-                ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
-                degree,
-            }),
-            (SharingMode::RawData, WireCodec::Sparse) => Some(Plain::RawPacked {
-                ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
-                degree,
-            }),
-            // `None` is the dense model, serialised in place below.
-            (SharingMode::Model, WireCodec::Dense) => None,
-            // No reference snapshot, density past the threshold, or a
-            // model with no sparse form: the dense model, as in Dense
-            // mode.
-            (SharingMode::Model, WireCodec::Sparse) => self.sparse.as_ref().and_then(|ctx| {
-                self.model
-                    .delta_bytes(&ctx.reference, ctx.fingerprint, SPARSE_MAX_DENSITY)
-                    .map(|bytes| Plain::ModelDelta { bytes, degree })
-            }),
-        };
         // The share is written once, where it is sent from: payload
         // header, plain (a dense model serialised straight in), tag slot.
         // Sealing is in place, so each recipient but the last seals a
         // copy and the last seals the original. A share nobody receives
-        // is not written at all.
-        let sealed = self.tee.is_some();
-        let mut share = match &plain {
-            _ if recipients.is_empty() => Vec::new(),
-            Some(plain) => encode_share(sealed, plain),
-            None => encode_model_share(sealed, degree, self.model.wire_size(), |buf| {
-                self.model.write_bytes(buf);
-            }),
+        // is not built at all, but a raw share's sample is still drawn:
+        // the RNG stream is the node's trajectory.
+        let mut share = if recipients.is_empty() {
+            if self.cfg.sharing == SharingMode::RawData {
+                self.store
+                    .skip_sample(self.cfg.points_per_epoch, &mut self.rng);
+            }
+            Vec::new()
+        } else {
+            let degree = self.degree();
+            let plain = match (self.cfg.sharing, self.cfg.codec) {
+                (SharingMode::RawData, WireCodec::Dense) => Some(Plain::RawData {
+                    ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
+                    degree,
+                }),
+                (SharingMode::RawData, WireCodec::Sparse) => Some(Plain::RawPacked {
+                    ratings: self.store.sample(self.cfg.points_per_epoch, &mut self.rng),
+                    degree,
+                }),
+                // `None` is the dense model, serialised in place below.
+                (SharingMode::Model, WireCodec::Dense) => None,
+                // No reference snapshot, density past the threshold, or a
+                // model with no sparse form: the dense model, as in Dense
+                // mode.
+                (SharingMode::Model, WireCodec::Sparse) => self.sparse.as_ref().and_then(|ctx| {
+                    self.model
+                        .delta_bytes(&ctx.reference, ctx.fingerprint, SPARSE_MAX_DENSITY)
+                        .map(|bytes| Plain::ModelDelta { bytes, degree })
+                }),
+            };
+            let sealed = self.tee.is_some();
+            match &plain {
+                Some(plain) => encode_share(sealed, plain),
+                None => encode_model_share(sealed, degree, self.model.wire_size(), |buf| {
+                    self.model.write_bytes(buf);
+                }),
+            }
         };
         let mut outgoing = Vec::with_capacity(recipients.len());
         let mut bytes_out = 0u64;

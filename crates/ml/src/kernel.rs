@@ -36,7 +36,9 @@
 //!   masked load), eight rows side by side, and one transposing
 //!   reduction runs the canonical tree on all eight at once. Eight rows
 //!   are eight independent add chains where one dot is one; the test
-//!   stage's residual sweep scores its ratings eight at a time with it.
+//!   stage's residual sweep scores its ratings eight at a time with it
+//!   on the AVX2 level ([`Lanes::BATCHES_DOTS`]; the scalar level's
+//!   `dot8` is eight `dot`s, so there the sweep stays per rating).
 //!   An accumulator that starts at +0.0 never holds −0.0 (round to
 //!   nearest gives −0.0 only for two −0.0 operands), so a pad lane's
 //!   product changes no sum whatever the sign of its zero.
@@ -253,6 +255,11 @@ pub trait Lanes: Copy {
     /// Eight independent dots: lane `l` is `self.dot(xs[l], ys[l])`, bit
     /// for bit. Panics unless all sixteen slices have one length.
     fn dot8(self, xs: [&[f32]; F32_LANES], ys: [&[f32]; F32_LANES]) -> [f32; F32_LANES];
+    /// Whether a loop that can take its dots one at a time should take
+    /// them eight at a time ([`Lanes::dot8`]) on this level. The scalar
+    /// level's `dot8` is eight `dot`s, so there a batch only adds the
+    /// dots a one-at-a-time loop skips (those of unseen pairs).
+    const BATCHES_DOTS: bool;
 }
 
 /// A loop to run inside one level's frame: see [`sweep`].
@@ -296,6 +303,7 @@ pub fn sweep<S: Sweep>(s: S) -> S::Output {
 struct ScalarLanes;
 
 impl Lanes for ScalarLanes {
+    const BATCHES_DOTS: bool = false;
     #[inline(always)]
     fn dot(self, a: &[f32], b: &[f32]) -> f32 {
         dot_scalar(a, b)
@@ -809,6 +817,7 @@ mod x86 {
     }
 
     impl Lanes for Avx2Lanes {
+        const BATCHES_DOTS: bool = true;
         #[inline(always)]
         fn dot(self, a: &[f32], b: &[f32]) -> f32 {
             assert_eq!(a.len(), b.len(), "dot over mismatched lengths");

@@ -780,9 +780,10 @@ fn row_lines((factors, bias): (&[f32], f32)) -> u32 {
 
 /// The evaluation sweep: the in-order f64 sum of squared residuals
 /// over `data`. [`Residual::Predict`] scores the ratings eight at a
-/// time ([`MfModel::predict8`]), one at a time only for a ragged tail
-/// and for a batch naming a row outside the model; the sum still takes
-/// one term per rating, in slice order.
+/// time ([`MfModel::predict8`]) on a level that [batches its
+/// dots](Lanes::BATCHES_DOTS), one at a time on the others, for a
+/// ragged tail and for a batch naming a row outside the model; the sum
+/// still takes one term per rating, in slice order.
 struct ResidualSweep<'a> {
     model: &'a MfModel,
     data: &'a [Rating],
@@ -801,7 +802,9 @@ impl Sweep for ResidualSweep<'_> {
                     let e = f64::from(pred) - f64::from(r.value);
                     sum += e * e;
                 };
-                for batch in self.data.chunks(8) {
+                // A batch of one is never eight: it takes the per-rating way.
+                let width = if L::BATCHES_DOTS { 8 } else { 1 };
+                for batch in self.data.chunks(width) {
                     let eight = <&[Rating; 8]>::try_from(batch).ok();
                     match eight.and_then(|batch| m.predict8(lanes, batch)) {
                         Some(preds) => preds.into_iter().zip(batch).for_each(|(p, r)| add(p, r)),

@@ -136,27 +136,11 @@ impl RowStore {
     /// Row `id` as a prediction reads it: its factors, its bias
     /// [`masked`] by its seen flag, and that flag as a mask (all ones
     /// when seen, zero when not). `None` when the table has no row `id`.
-    ///
-    /// A table without a base owns every row in row order, so its row
-    /// `r` is read at slot `r` without reading the slot: on a `rex-raw`
-    /// node's test set the eight-lane sweep read about 6 % faster so.
     #[inline(always)]
     pub(crate) fn masked_row(&self, id: u32) -> Option<(&[f32], f32, u32)> {
         let r = id as usize;
         let mask = u32::from(*self.seen.get(r)?).wrapping_neg();
-        let (factors, bias) = if self.base.is_empty() {
-            let bias = *self.biases.get(r)?;
-            let at = r * self.k;
-            // SAFETY: only `owning` and `own_all` leave a table without a
-            // base (`drawn` gives a row at least its bias in it), and both
-            // lay every row out in slot order, `k` factors per slot; no
-            // slot is `IN_BASE` after them, so `copy_out` never runs
-            // again. `r` indexes `biases`, one per slot, so the `k`
-            // factors from `r·k` are in bounds.
-            (unsafe { self.factors.get_unchecked(at..at + self.k) }, bias)
-        } else {
-            self.row(r)
-        };
+        let (factors, bias) = self.row(r);
         Some((factors, masked(bias, mask), mask))
     }
 
