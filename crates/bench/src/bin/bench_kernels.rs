@@ -33,7 +33,8 @@
 //!
 //! * `dot32_speedup` — the headline: scalar ns/op over best-SIMD ns/op
 //!   for [`kernel::dot`] at k = 32 (the acceptance floor is 2x on an
-//!   AVX2 host);
+//!   AVX2 host): both sides timed in every window, in alternating order,
+//!   and the median of the windows' ratios kept;
 //! * `epoch_speedup` — `train_steps_batched` wall time, scalar / best;
 //! * `serve_p99_speedup` — top-k query p99, scalar / best;
 //! * `chacha_speedup` — keystream MiB/s, best / scalar;
@@ -158,9 +159,9 @@ fn time_levels<R>(
 }
 
 /// Micro arms: every levelled primitive at every `k`, per dispatch
-/// level. Returns the rows and `dot32_speedup`.
-fn micro_arms(levels: &[KernelLevel], iters: usize) -> (Vec<Row>, f64) {
-    let (mut rows, mut dot32) = (Vec::new(), 0.0);
+/// level.
+fn micro_arms(levels: &[KernelLevel], iters: usize) -> Vec<Row> {
+    let mut rows = Vec::new();
     for k in DIMS {
         let cells = [
             (
@@ -181,9 +182,6 @@ fn micro_arms(levels: &[KernelLevel], iters: usize) -> (Vec<Row>, f64) {
             ),
         ];
         for (primitive, ns) in cells {
-            if (primitive, k) == ("dot", 32) {
-                dot32 = ns[0] / ns[ns.len() - 1];
-            }
             for (l, ns) in levels.iter().zip(ns) {
                 rows.push(
                     Row::new()
@@ -195,7 +193,33 @@ fn micro_arms(levels: &[KernelLevel], iters: usize) -> (Vec<Row>, f64) {
             }
         }
     }
-    (rows, dot32)
+    rows
+}
+
+/// `dot32_speedup`: [`kernel::dot`] at k = 32 on the scalar level and on
+/// `best`, both timed in each of `reps` windows ([`paired_windows`]);
+/// the median over windows of scalar ns/op over `best`'s.
+fn dot32_speedup(best: KernelLevel, iters: usize, reps: usize) -> f64 {
+    const K: usize = 32;
+    let mut rng = StdRng::seed_from_u64(0xD07 + K as u64);
+    let pool: Vec<f32> = (0..2 * POOL * K)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let (a, b) = pool.split_at(POOL * K);
+    let ns = |level: KernelLevel| {
+        harness::time_ns(|| {
+            for i in 0..iters {
+                let row = (i % POOL) * K;
+                black_box(kernel::dot_with(
+                    level,
+                    black_box(&a[row..row + K]),
+                    black_box(&b[row..row + K]),
+                ));
+            }
+        }) / iters as f64
+    };
+    let scalar = || ns(KernelLevel::Scalar);
+    paired_windows("dot k=32: scalar vs best level", reps, scalar, || ns(best)).2
 }
 
 /// ChaCha20 keystream throughput (MiB/s) per crypto dispatch level.
@@ -877,7 +901,8 @@ fn main() {
         crypto_best.name()
     );
 
-    let (micro, dot32) = micro_arms(&levels, iters);
+    let micro = micro_arms(&levels, iters);
+    let dot32 = dot32_speedup(best, iters, if args.full { 31 } else { 11 });
     let (mut rows, chacha, chacha_wide) = chacha_arms(&crypto_levels, buf_kib);
     let (poly_rows, poly) = poly_arms(&crypto_levels, buf_kib, reps);
     let (sha_rows, sha256, commit) = sha_arms(crypto_best, reps, if args.full { 31 } else { 11 });

@@ -11,17 +11,17 @@
 //!   equivalence tests and the benches drive: every frame crosses the
 //!   kernel's TCP stack, yet runs stay bit-identical with
 //!   [`crate::mem::MemNetwork`], split or not.
-//! * **Distributed endpoint** ([`TcpEndpoint::connect`]) — one endpoint
-//!   per OS process, bootstrapped from a node-id → socket-address map.
-//!   The `rex-node` binary builds exactly this and runs one engine node
-//!   per process.
+//! * **Distributed endpoint** ([`TcpEndpoint::connect_among`], and
+//!   [`TcpEndpoint::connect_as_joiner`] for a scheduled joiner) — one
+//!   endpoint per OS process, bootstrapped from a node-id →
+//!   socket-address map. The `rex-node` binary builds exactly this and
+//!   runs one engine node per process.
 //!
 //! # Event-driven connection manager
 //! Each endpoint runs **one** `Reactor` poller thread
 //! that owns the non-blocking read halves of all its connections and
 //! feeds decoded frames into the shared mailbox — thread cost is O(1) in
-//! the peer count (the old fabric spawned one blocked reader per
-//! connection). The write side stages frames into **per-peer output
+//! the peer count. The write side stages frames into **per-peer output
 //! buffers** (`OutBuf`): all frames destined to a peer between two
 //! flush points coalesce into a single `write` syscall, encoded in place
 //! via [`crate::frame::encode_frame_into`] with the buffer's capacity
@@ -31,15 +31,18 @@
 //! backpressure bound).
 //!
 //! # Bootstrap
-//! Node `i` listens on `addrs[i]`, dials every peer `j > i` (retrying
-//! with capped exponential backoff until the peer's listener is up), and
-//! accepts one connection from every peer `j < i`. The dialing side
-//! opens with a [`Frame::Hello`] so the accepting side learns which node
-//! the connection speaks for. Handshakes run on blocking sockets; a
-//! connection turns non-blocking when it is attached to the reactor.
-//! Frames of one connection are decoded in arrival order by a single
-//! poller, which preserves canonical delivery order (ascending sender
-//! id, per-sender FIFO).
+//! Every connection opens through one `dial` and one `accept` (the
+//! private `handshake` module), whichever path asks: the founders'
+//! mesh, a joiner, a mid-run admission, or the in-process fabrics. The
+//! dialing side retries with capped exponential backoff until the
+//! listener is up, and opens with a [`Frame::Hello`] (or a joiner's
+//! [`Frame::Join`], answered by a [`Frame::Welcome`]), so the accepting
+//! side learns which node the connection speaks for. In a mesh, node
+//! `i` dials every peer `j > i` and accepts every `j < i`. Handshakes
+//! run on blocking sockets; a connection turns non-blocking when it is
+//! attached to the reactor. Frames of one connection are decoded in
+//! arrival order by a single poller, which preserves canonical delivery
+//! order (ascending sender id, per-sender FIFO).
 //!
 //! # Delivery barrier
 //! TCP has real propagation delay, so "everything sent has arrived" must
@@ -56,26 +59,29 @@
 //! # Byte accounting
 //! [`TrafficStats`] record **payload bytes of data frames only**, at the
 //! frame layer: `bytes_out` when a data frame is staged, `bytes_in` when
-//! the poller delivers it. Hello/barrier/commitment control frames and the
-//! 9-byte frame headers are excluded, so counts are bit-identical with the
-//! in-memory backends; the physical wire volume (headers + control
-//! plane) is tracked separately and exposed via
+//! the poller delivers it. Handshake, barrier and commitment control
+//! frames and the 9-byte frame headers are excluded, so counts are
+//! bit-identical with the in-memory backends; the physical wire volume
+//! (headers + control plane, handshake included) is tracked separately
+//! and exposed via
 //! [`TcpEndpoint::wire_traffic`], and the number of `write` syscalls the
 //! coalescing path actually issued via [`TcpEndpoint::write_syscalls`].
 
-use crate::frame::{encode_frame_into, read_frame, write_frame, Frame, FrameError, HEADER_LEN};
+use crate::frame::{encode_frame_into, Frame, HEADER_LEN};
 use crate::mem::Envelope;
 use crate::reactor::{Reactor, ReactorSink};
 use crate::stats::TrafficStats;
 use crate::transport::{
     canonicalize, BarrierKind, Endpoint, Fabric, PeerCommitment, TransportError,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+mod handshake;
 
 /// Shared atomic traffic counters for one node.
 #[derive(Debug, Default)]
@@ -119,8 +125,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How long [`TcpEndpoint::connect`] keeps retrying peers that have not
-/// bound their listener yet.
+/// How long [`TcpEndpoint::connect_among`] keeps retrying peers that
+/// have not bound their listener yet.
 pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Upper bound on one barrier round; exceeding it means a peer died or
@@ -128,7 +134,7 @@ pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 const BARRIER_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Output staged past this size triggers an opportunistic non-blocking
-/// flush inside [`TcpEndpoint::send`] — large epochs stream out in
+/// flush inside [`Endpoint::send`] — large epochs stream out in
 /// ~256 KiB syscalls instead of accumulating without bound, while small
 /// epochs still coalesce into a single write at the barrier.
 const SOFT_FLUSH_BYTES: usize = 256 * 1024;
@@ -137,9 +143,7 @@ const SOFT_FLUSH_BYTES: usize = 256 * 1024;
 /// [`TcpEndpoint::set_outbound_cap`]).
 const DEFAULT_OUTBOUND_CAP: usize = 64 * 1024 * 1024;
 
-/// Capped exponential backoff for retry/poll loops — replaces the old
-/// fixed `thread::sleep` intervals, whose worst case added a hidden
-/// latency floor to every connect and accept path. The first pauses are
+/// Capped exponential backoff for retry/poll loops. The first pauses are
 /// short (a dial usually succeeds on the second attempt); only a peer
 /// that stays away drives the interval toward the cap.
 struct Backoff {
@@ -340,9 +344,8 @@ impl OutBuf {
 /// One live connection: the write half (non-blocking — it shares its
 /// file description with the read half the reactor owns) plus the staged
 /// output. A connection whose write failed is `dead`: staged and future
-/// output is discarded, mirroring the old fabric's ignored write errors
-/// (the peer finished and closed; losing the message is fine for the
-/// epoch-bounded experiments). Accounting still records the send — the
+/// output is discarded (the peer finished and closed; losing the
+/// message is fine for the epoch-bounded experiments). Accounting still records the send — the
 /// counters describe what this node *sent*, identically to a fabric
 /// whose peer is alive.
 #[derive(Debug)]
@@ -412,36 +415,23 @@ pub struct TcpEndpoint {
     /// Late-attestation evidence carried by admitted `Join` frames,
     /// keyed by joiner id, drained by [`Endpoint::join_evidence`].
     evidence: HashMap<usize, Vec<u8>>,
-    /// Join connections that dialed in **early** — a joiner process may
-    /// start (and dial) long before its scheduled epoch, even while the
-    /// founders are still bootstrapping their mesh. They wait here,
-    /// outside the barrier set, until [`TcpEndpoint::view_sync`] admits
-    /// them at the epoch the shared schedule names.
-    parked: Vec<(usize, u64, Vec<u8>, TcpStream)>,
+    /// Join connections that dialed in **early**, with their `Join`,
+    /// keyed by joiner id — a joiner process may start (and dial) long
+    /// before its scheduled epoch, even while the founders are still
+    /// bootstrapping their mesh. They wait here, outside the barrier
+    /// set, until [`Endpoint::view_sync`] admits them at the epoch the
+    /// shared schedule names.
+    parked: BTreeMap<usize, (TcpStream, Frame)>,
 }
 
 impl TcpEndpoint {
-    /// Assembles an endpoint from established peer connections, spawning
-    /// its poller thread. Peers without a connection are pre-satisfied
-    /// in the barrier state (outside the current view) until
-    /// [`TcpEndpoint::view_sync`] admits them.
-    fn from_streams(
-        id: usize,
-        writers: Vec<Option<TcpStream>>,
-        listener: Option<TcpListener>,
-    ) -> io::Result<Self> {
-        let n = writers.len();
+    /// An endpoint of node `id` among `n` nodes, with no connection yet:
+    /// every peer stays outside the barrier set until
+    /// [`TcpEndpoint::attach`] wires its connection in.
+    fn new(id: usize, n: usize) -> TcpEndpoint {
         let shared = Arc::new(Shared {
             barriers: Mutex::new(BarrierState {
-                gens: (0..n)
-                    .map(|p| {
-                        if p == id || writers[p].is_none() {
-                            u64::MAX
-                        } else {
-                            0
-                        }
-                    })
-                    .collect(),
+                gens: vec![u64::MAX; n],
                 closed: vec![false; n],
                 reasons: vec![None; n],
             }),
@@ -452,11 +442,11 @@ impl TcpEndpoint {
             shared: Arc::clone(&shared),
             stats: Arc::clone(&stats),
         }));
-        let mut endpoint = TcpEndpoint {
+        TcpEndpoint {
             id,
             n,
             conns: (0..n).map(|_| None).collect(),
-            listener,
+            listener: None,
             shared,
             stats,
             reactor,
@@ -465,304 +455,29 @@ impl TcpEndpoint {
             write_syscalls: 0,
             outbound_cap: DEFAULT_OUTBOUND_CAP,
             evidence: HashMap::new(),
-            parked: Vec::new(),
-        };
-        for (peer, stream) in writers.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
-            endpoint.attach(peer, stream)?;
+            parked: BTreeMap::new(),
         }
-        Ok(endpoint)
     }
 
-    /// Wires one established connection in: nodelay, read half to the
-    /// poller (which switches the shared file description non-blocking),
-    /// write half into the connection pool. The caller is responsible
-    /// for the barrier-state bookkeeping (bootstrap pre-sets it;
-    /// admission aligns it to the current generation).
-    fn attach(&mut self, peer: usize, stream: TcpStream) -> io::Result<()> {
-        stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        self.reactor.add(peer, read_half)?;
+    /// Wires one opened connection to `peer` in, at the current barrier
+    /// generation: read half to the poller (which switches the shared
+    /// file description non-blocking), write half into the connection
+    /// pool.
+    fn attach(&mut self, peer: usize, stream: TcpStream) -> Result<(), TransportError> {
+        {
+            let mut state = lock(&self.shared.barriers);
+            state.gens[peer] = self.generation;
+            state.closed[peer] = false;
+            state.reasons[peer] = None;
+        }
+        self.reactor.add(peer, stream.try_clone()?)?;
         self.conns[peer] = Some(Conn::new(stream));
         Ok(())
     }
 
-    /// Bootstraps the distributed endpoint for node `id`: binds
-    /// `addrs[id]`, dials every higher-id peer (retrying until `timeout`
-    /// while that peer starts up), accepts one connection from every
-    /// lower-id peer, and identifies each accepted connection by its
-    /// opening [`Frame::Hello`].
-    pub fn connect(id: usize, addrs: &[SocketAddr], timeout: Duration) -> io::Result<TcpEndpoint> {
-        let all: Vec<usize> = (0..addrs.len()).collect();
-        Self::connect_among(id, addrs, &all, timeout)
-    }
-
-    /// [`TcpEndpoint::connect`] over a **subset** of the id space: the
-    /// mesh spans only `peers` (which must contain `id`) — the founding
-    /// members of a dynamic-membership cluster. Ids outside `peers` stay
-    /// unconnected and outside the barrier set until
-    /// [`Endpoint::view_sync`] admits them at their scheduled join
-    /// epoch.
-    pub fn connect_among(
-        id: usize,
-        addrs: &[SocketAddr],
-        peers: &[usize],
-        timeout: Duration,
-    ) -> io::Result<TcpEndpoint> {
-        let n = addrs.len();
-        assert!(id < n, "node id {id} outside cluster of {n}");
-        assert!(peers.contains(&id), "node {id} outside its own mesh");
-        let deadline = Instant::now() + timeout;
-        // Retry AddrInUse within the deadline: ports reserved via
-        // [`reserve_loopback_addrs`] are released before this rebind, so
-        // another process can hold one transiently (e.g. parallel test
-        // suites reserving their own clusters).
-        let mut backoff = Backoff::dial();
-        let listener = loop {
-            match TcpListener::bind(addrs[id]) {
-                Ok(l) => break l,
-                Err(e) if e.kind() == io::ErrorKind::AddrInUse && Instant::now() < deadline => {
-                    backoff.pause();
-                }
-                Err(e) => return Err(e),
-            }
-        };
-
-        let mut writers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-
-        // Dial upward: peer listeners may not be up yet, so retry.
-        for &peer in peers.iter().filter(|&&p| p > id) {
-            let addr = &addrs[peer];
-            let mut backoff = Backoff::dial();
-            let stream = loop {
-                match TcpStream::connect(addr) {
-                    Ok(s) => break s,
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("node {id}: dialing peer {peer} at {addr}: {e}"),
-                            ));
-                        }
-                        backoff.pause();
-                    }
-                }
-            };
-            stream.set_nodelay(true)?;
-            write_frame(&mut &stream, &Frame::Hello { from: id })?;
-            writers[peer] = Some(stream);
-        }
-
-        // Accept downward: every lower-id mesh peer will dial us; their
-        // hello says who they are. A scheduled joiner's process may dial
-        // in at any point (it starts whenever it starts) — its opening
-        // `Join` frame identifies it, and the connection is parked until
-        // its epoch's admission instead of failing the bootstrap.
-        let expected_hellos = peers.iter().filter(|&&p| p < id).count();
-        let mut hellos = 0;
-        let mut parked: Vec<(usize, u64, Vec<u8>, TcpStream)> = Vec::new();
-        while hellos < expected_hellos {
-            listener.set_nonblocking(true)?;
-            let mut backoff = Backoff::accept();
-            let (stream, _) = loop {
-                match listener.accept() {
-                    Ok(conn) => break conn,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if Instant::now() >= deadline {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("node {id}: waiting for lower-id peers"),
-                            ));
-                        }
-                        backoff.pause();
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            stream.set_nonblocking(false)?;
-            match read_first_frame(&stream, deadline)? {
-                Frame::Hello { from: peer }
-                    if peer < n
-                        && writers[peer].is_none()
-                        && peer != id
-                        && peers.contains(&peer) =>
-                {
-                    writers[peer] = Some(stream);
-                    hellos += 1;
-                }
-                Frame::Join {
-                    from,
-                    epoch,
-                    evidence,
-                } if from < n
-                    && from != id
-                    && !peers.contains(&from)
-                    && parked.iter().all(|(p, ..)| *p != from) =>
-                {
-                    parked.push((from, epoch, evidence, stream));
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("node {id}: bogus bootstrap frame {other:?}"),
-                    ));
-                }
-            }
-        }
-
-        // Back to blocking: the retained listener serves mid-run join
-        // admissions, which manage their own deadlines.
-        listener.set_nonblocking(false)?;
-        let mut endpoint = Self::from_streams(id, writers, Some(listener))?;
-        endpoint.parked = parked;
-        Ok(endpoint)
-    }
-
-    /// Bootstraps the endpoint of a **scheduled joiner**: binds
-    /// `addrs[id]`, dials every node in `dial` (the members it joins,
-    /// plus any same-epoch joiner with a higher id), opening each
-    /// connection with a [`Frame::Join`] carrying `epoch` and the
-    /// late-attestation `evidence`; waits for every dialed peer's
-    /// [`Frame::Welcome`] (members send it when the shared schedule
-    /// reaches the join epoch, so this blocks until the running cluster
-    /// arrives there); then accepts one `Join` from every same-epoch
-    /// joiner in `accept_from` (lower ids dial higher ids) and welcomes
-    /// them at the learned generation.
-    ///
-    /// Returns the endpoint with its barrier generation aligned to the
-    /// running cluster's, ready to enter the join epoch's view barrier.
-    ///
-    /// # Errors
-    /// On socket failure, timeout, disagreeing welcome generations (the
-    /// cluster and this process follow different schedules), or a
-    /// protocol-violating peer.
-    pub fn connect_as_joiner(
-        id: usize,
-        addrs: &[SocketAddr],
-        epoch: usize,
-        dial: &[usize],
-        accept_from: &[usize],
-        evidence: Vec<u8>,
-        timeout: Duration,
-    ) -> Result<TcpEndpoint, TransportError> {
-        let n = addrs.len();
-        assert!(id < n, "node id {id} outside cluster of {n}");
-        let deadline = Instant::now() + timeout;
-        let listener = TcpListener::bind(addrs[id]).map_err(TransportError::from)?;
-
-        // Dial everyone first (connections complete via the peers'
-        // listener backlogs even before they admit), so no admission
-        // order can deadlock.
-        let mut writers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        for &peer in dial {
-            assert!(
-                peer < n && peer != id,
-                "joiner {id} dialing bogus peer {peer}"
-            );
-            let mut backoff = Backoff::dial();
-            let stream = loop {
-                match TcpStream::connect(addrs[peer]) {
-                    Ok(s) => break s,
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            return Err(TransportError::Timeout {
-                                what: format!("joiner {id}: dialing peer {peer}: {e}"),
-                            });
-                        }
-                        backoff.pause();
-                    }
-                }
-            };
-            stream.set_nodelay(true).map_err(TransportError::from)?;
-            write_frame(
-                &mut &stream,
-                &Frame::Join {
-                    from: id,
-                    epoch: epoch as u64,
-                    evidence: evidence.clone(),
-                },
-            )
-            .map_err(TransportError::from)?;
-            writers[peer] = Some(stream);
-        }
-
-        // Collect every dialed peer's welcome. They all arrive at the
-        // same schedule point, so the generations must agree.
-        let mut generation = None;
-        for &peer in dial {
-            let stream = writers[peer].as_ref().expect("dialed above");
-            let (w_epoch, w_gen) = read_welcome(stream, peer, deadline)?;
-            if w_epoch != epoch as u64 {
-                return Err(TransportError::Protocol {
-                    peer,
-                    detail: format!("welcomed epoch {w_epoch}, expected {epoch}"),
-                });
-            }
-            if *generation.get_or_insert(w_gen) != w_gen {
-                return Err(TransportError::Protocol {
-                    peer,
-                    detail: format!(
-                        "welcome generation {w_gen} disagrees with {}",
-                        generation.unwrap_or_default()
-                    ),
-                });
-            }
-        }
-        let generation = generation.unwrap_or(0);
-
-        // Same-epoch joiners with lower ids dial us; welcome them at the
-        // generation the members taught us. A *later* epoch's joiner may
-        // also dial in early (its process starts whenever it starts) —
-        // park that connection for its own admission, exactly like the
-        // founder bootstrap and `view_sync` admissions do.
-        let mut pending: Vec<usize> = accept_from.to_vec();
-        let mut parked: Vec<(usize, u64, Vec<u8>, TcpStream)> = Vec::new();
-        while !pending.is_empty() {
-            let (stream, remote) = accept_until(&listener, deadline, id)?;
-            let (peer, join_epoch, peer_evidence) = read_join(&stream, remote, deadline)?;
-            if pending.contains(&peer) && join_epoch == epoch as u64 {
-                pending.retain(|&p| p != peer);
-                write_frame(
-                    &mut &stream,
-                    &Frame::Welcome {
-                        from: id,
-                        epoch: epoch as u64,
-                        generation,
-                    },
-                )
-                .map_err(TransportError::from)?;
-                writers[peer] = Some(stream);
-            } else if peer < n
-                && peer != id
-                && join_epoch > epoch as u64
-                && writers[peer].is_none()
-                && parked.iter().all(|(p, ..)| *p != peer)
-            {
-                parked.push((peer, join_epoch, peer_evidence, stream));
-            } else {
-                return Err(TransportError::Protocol {
-                    peer,
-                    detail: format!("unexpected join for epoch {join_epoch} at joiner {id}"),
-                });
-            }
-        }
-
-        let mut endpoint =
-            Self::from_streams(id, writers, Some(listener)).map_err(TransportError::from)?;
-        endpoint.generation = generation;
-        endpoint.parked = parked;
-        Ok(endpoint)
-    }
-
-    /// This endpoint's node id.
-    #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Physical wire volume `(bytes_out, bytes_in)` including frame
-    /// headers and control frames — the framing overhead excluded from
-    /// [`TrafficStats`].
+    /// headers and control frames, the connection handshakes' too — the
+    /// framing overhead excluded from [`TrafficStats`].
     #[must_use]
     pub fn wire_traffic(&self) -> (u64, u64) {
         (
@@ -772,15 +487,15 @@ impl TcpEndpoint {
     }
 
     /// Number of `write` syscalls the coalescing output path issued so
-    /// far — the old fabric paid one per *frame*, this one pays one per
-    /// peer per flush interval (plus partial-write continuations).
+    /// far: one per peer per flush interval (plus partial-write
+    /// continuations). Handshakes write outside it.
     #[must_use]
     pub fn write_syscalls(&self) -> u64 {
         self.write_syscalls
     }
 
     /// Bounds staged output per peer (bytes). When a peer stops reading
-    /// and its staged output exceeds the cap, [`TcpEndpoint::send`]
+    /// and its staged output exceeds the cap, [`Endpoint::send`]
     /// blocks (with capped-backoff drain attempts) until the backlog
     /// shrinks — backpressure on the producer instead of unbounded
     /// memory. A peer that stays stalled past the barrier timeout is
@@ -790,6 +505,65 @@ impl TcpEndpoint {
         self.outbound_cap = bytes.max(1);
     }
 
+    /// One non-blocking drain pass over every connection's staged
+    /// output, round-robin; returns whether everything drained. A slow
+    /// peer leaves its remainder staged without stalling the pass.
+    fn flush_pass(&mut self) -> bool {
+        let mut drained = true;
+        for conn in self.conns.iter_mut().flatten() {
+            drained &= conn.try_flush(&mut self.write_syscalls);
+        }
+        drained
+    }
+
+    /// Drains all staged output, waiting (capped backoff) for full
+    /// sockets, bounded by `deadline`. Returns whether it fully drained.
+    fn drain_staged(&mut self, deadline: Instant) -> bool {
+        let mut backoff = Backoff::drain();
+        while !self.flush_pass() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            backoff.pause();
+        }
+        true
+    }
+
+    /// Retires a departed peer from the barrier set (its slot is
+    /// pre-satisfied forever) and tears down the connection. Graceful:
+    /// the leaver stopped participating at this exact schedule point, so
+    /// nothing is in flight; whatever output were still staged to it is
+    /// discarded with the connection.
+    fn retire(&mut self, peer: usize) {
+        lock(&self.shared.barriers).gens[peer] = u64::MAX;
+        if let Some(conn) = self.conns[peer].take() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+impl Drop for TcpEndpoint {
+    fn drop(&mut self) {
+        // Best-effort drain of staged output, then shutdown (not just
+        // drop) so both pollers — ours via the cloned read half, the
+        // peer's via FIN — wake up and exit. The reactor handle's own
+        // drop joins the poller thread.
+        self.drain_staged(Instant::now() + Duration::from_secs(5));
+        for conn in self.conns.iter().flatten() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+impl Endpoint for TcpEndpoint {
+    fn id(&self) -> usize {
+        self.id
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.n
+    }
+
     /// Stages one data frame to `to`, accounting payload bytes at the
     /// frame layer. The frame leaves with the peer's next coalesced
     /// flush (a barrier, [`Endpoint::flush_sends`], or the soft
@@ -797,7 +571,7 @@ impl TcpEndpoint {
     ///
     /// # Panics
     /// On self-send or unknown destination (protocol bugs).
-    pub fn send(&mut self, to: usize, bytes: Vec<u8>) {
+    fn send(&mut self, to: usize, bytes: Vec<u8>) {
         assert_ne!(to, self.id, "self-send");
         let conn = self.conns[to]
             .as_mut()
@@ -827,189 +601,6 @@ impl TcpEndpoint {
                 conn.try_flush(&mut self.write_syscalls);
             }
         }
-    }
-
-    /// One non-blocking drain pass over every connection's staged
-    /// output, round-robin; returns whether everything drained. A slow
-    /// peer leaves its remainder staged without stalling the pass.
-    fn flush_pass(&mut self) -> bool {
-        let mut drained = true;
-        for conn in self.conns.iter_mut().flatten() {
-            drained &= conn.try_flush(&mut self.write_syscalls);
-        }
-        drained
-    }
-
-    /// Drains all staged output, waiting (capped backoff) for full
-    /// sockets, bounded by `deadline`. Returns whether it fully drained.
-    fn drain_staged(&mut self, deadline: Instant) -> bool {
-        let mut backoff = Backoff::drain();
-        while !self.flush_pass() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            backoff.pause();
-        }
-        true
-    }
-
-    /// Admits the pending `Join` connections of `expected` (scheduled
-    /// joiners of `epoch` that dialed this node), in arrival order:
-    /// accept, validate the `Join` frame against the schedule, stash its
-    /// evidence, reply [`Frame::Welcome`] with the current barrier
-    /// generation, and wire the connection into the mailbox and barrier
-    /// set at that generation.
-    fn admit(&mut self, epoch: usize, expected: &[usize]) -> Result<(), TransportError> {
-        if expected.is_empty() {
-            return Ok(());
-        }
-        // Temporarily detach the listener so admissions can mutate the
-        // endpoint while accepting (restored below on every path).
-        let Some(listener) = self.listener.take() else {
-            return Err(TransportError::Io {
-                detail: format!(
-                    "node {}: no listener to admit joiners {expected:?}",
-                    self.id
-                ),
-            });
-        };
-        let result = self.admit_on(&listener, epoch, expected);
-        self.listener = Some(listener);
-        result
-    }
-
-    fn admit_on(
-        &mut self,
-        listener: &TcpListener,
-        epoch: usize,
-        expected: &[usize],
-    ) -> Result<(), TransportError> {
-        let deadline = Instant::now() + BARRIER_TIMEOUT;
-        let mut pending: Vec<usize> = expected.to_vec();
-
-        // Early dial-ins parked during bootstrap (or a previous
-        // admission) first; connections for later epochs stay parked.
-        for (peer, join_epoch, evidence, stream) in std::mem::take(&mut self.parked) {
-            if pending.contains(&peer) {
-                if join_epoch != epoch as u64 {
-                    return Err(TransportError::Protocol {
-                        peer,
-                        detail: format!("joined for epoch {join_epoch}, schedule says {epoch}"),
-                    });
-                }
-                pending.retain(|&p| p != peer);
-                self.welcome_and_attach(peer, epoch, evidence, stream)?;
-            } else {
-                self.parked.push((peer, join_epoch, evidence, stream));
-            }
-        }
-
-        while !pending.is_empty() {
-            let (stream, remote) = accept_until(listener, deadline, self.id)?;
-            let (peer, join_epoch, evidence) = read_join(&stream, remote, deadline)?;
-            if pending.contains(&peer) {
-                if join_epoch != epoch as u64 {
-                    return Err(TransportError::Protocol {
-                        peer,
-                        detail: format!("joined for epoch {join_epoch}, schedule says {epoch}"),
-                    });
-                }
-                pending.retain(|&p| p != peer);
-                self.welcome_and_attach(peer, epoch, evidence, stream)?;
-            } else if peer < self.n
-                && peer != self.id
-                && self.conns[peer].is_none()
-                && self.parked.iter().all(|(p, ..)| *p != peer)
-            {
-                // A later epoch's joiner dialing early: park it.
-                self.parked.push((peer, join_epoch, evidence, stream));
-            } else {
-                return Err(TransportError::Protocol {
-                    peer,
-                    detail: format!(
-                        "unexpected join at node {} (expected {expected:?} at epoch {epoch})",
-                        self.id
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Completes one admission: welcome the joiner at the current
-    /// generation (written while the handshake socket is still
-    /// blocking), stash its evidence, and wire the connection into the
-    /// mailbox and barrier set.
-    fn welcome_and_attach(
-        &mut self,
-        peer: usize,
-        epoch: usize,
-        evidence: Vec<u8>,
-        stream: TcpStream,
-    ) -> Result<(), TransportError> {
-        write_frame(
-            &mut &stream,
-            &Frame::Welcome {
-                from: self.id,
-                epoch: epoch as u64,
-                generation: self.generation,
-            },
-        )
-        .map_err(TransportError::from)?;
-        self.wire_bytes_out += (HEADER_LEN + 16) as u64;
-        self.evidence.insert(peer, evidence);
-        {
-            let mut state = lock(&self.shared.barriers);
-            state.gens[peer] = self.generation;
-            state.closed[peer] = false;
-            state.reasons[peer] = None;
-        }
-        self.attach(peer, stream).map_err(TransportError::from)
-    }
-
-    /// Retires a departed peer from the barrier set (its slot is
-    /// pre-satisfied forever) and tears down the connection. Graceful:
-    /// the leaver stopped participating at this exact schedule point, so
-    /// nothing is in flight; whatever output were still staged to it is
-    /// discarded with the connection.
-    fn retire(&mut self, peer: usize) {
-        lock(&self.shared.barriers).gens[peer] = u64::MAX;
-        if let Some(conn) = self.conns[peer].take() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Snapshot of this node's traffic stats.
-    #[must_use]
-    pub fn stats(&self) -> TrafficStats {
-        self.stats.snapshot()
-    }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        // Best-effort drain of staged output, then shutdown (not just
-        // drop) so both pollers — ours via the cloned read half, the
-        // peer's via FIN — wake up and exit. The reactor handle's own
-        // drop joins the poller thread.
-        self.drain_staged(Instant::now() + Duration::from_secs(5));
-        for conn in self.conns.iter().flatten() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-impl Endpoint for TcpEndpoint {
-    fn id(&self) -> usize {
-        TcpEndpoint::id(self)
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    fn send(&mut self, to: usize, bytes: Vec<u8>) {
-        TcpEndpoint::send(self, to, bytes);
     }
 
     fn recv(&mut self) -> Vec<Envelope> {
@@ -1135,7 +726,27 @@ impl Endpoint for TcpEndpoint {
             .copied()
             .filter(|&j| j != self.id && self.conns[j].is_none())
             .collect();
-        self.admit(epoch, &expected)
+        if expected.is_empty() {
+            return Ok(());
+        }
+        // The listener leaves the endpoint while it admits, and comes
+        // back on every path.
+        let Some(listener) = self.listener.take() else {
+            return Err(TransportError::Io {
+                detail: format!(
+                    "node {}: no listener to admit joiners {expected:?}",
+                    self.id
+                ),
+            });
+        };
+        let result = self.admit(
+            &listener,
+            epoch,
+            &expected,
+            Instant::now() + BARRIER_TIMEOUT,
+        );
+        self.listener = Some(listener);
+        result
     }
 
     fn join_evidence(&mut self, peer: usize) -> Option<Vec<u8>> {
@@ -1164,136 +775,7 @@ impl Endpoint for TcpEndpoint {
     }
 
     fn stats(&self) -> TrafficStats {
-        TcpEndpoint::stats(self)
-    }
-}
-
-/// Accepts one connection, bounded by `deadline`.
-fn accept_until(
-    listener: &TcpListener,
-    deadline: Instant,
-    id: usize,
-) -> Result<(TcpStream, SocketAddr), TransportError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(TransportError::from)?;
-    let mut backoff = Backoff::accept();
-    let conn = loop {
-        match listener.accept() {
-            Ok(conn) => break conn,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(TransportError::Timeout {
-                        what: format!("node {id}: accepting a join connection"),
-                    });
-                }
-                backoff.pause();
-            }
-            Err(e) => return Err(e.into()),
-        }
-    };
-    listener
-        .set_nonblocking(false)
-        .map_err(TransportError::from)?;
-    conn.0
-        .set_nonblocking(false)
-        .map_err(TransportError::from)?;
-    Ok(conn)
-}
-
-/// Reads the opening [`Frame::Join`] off a fresh connection, bounded by
-/// `deadline`. Returns `(joiner, epoch, evidence)`.
-fn read_join(
-    stream: &TcpStream,
-    remote: SocketAddr,
-    deadline: Instant,
-) -> Result<(usize, u64, Vec<u8>), TransportError> {
-    let budget = deadline.saturating_duration_since(Instant::now());
-    stream
-        .set_read_timeout(Some(budget.max(Duration::from_millis(10))))
-        .map_err(TransportError::from)?;
-    let result = match read_frame(&mut &*stream) {
-        Ok(Some(Frame::Join {
-            from,
-            epoch,
-            evidence,
-        })) => Ok((from, epoch, evidence)),
-        Ok(other) => Err(TransportError::Protocol {
-            peer: TransportError::UNIDENTIFIED_PEER,
-            detail: format!("dialer at {remote}: expected join, got {other:?}"),
-        }),
-        Err(FrameError::Io(e)) => Err(e.into()),
-        Err(e @ FrameError::Invalid(_)) => Err(TransportError::Protocol {
-            peer: TransportError::UNIDENTIFIED_PEER,
-            detail: format!("dialer at {remote}: {e}"),
-        }),
-    };
-    stream
-        .set_read_timeout(None)
-        .map_err(TransportError::from)?;
-    result
-}
-
-/// Reads the [`Frame::Welcome`] a dialed member replies with, bounded by
-/// `deadline`. Returns `(epoch, generation)`.
-fn read_welcome(
-    stream: &TcpStream,
-    peer: usize,
-    deadline: Instant,
-) -> Result<(u64, u64), TransportError> {
-    let budget = deadline.saturating_duration_since(Instant::now());
-    stream
-        .set_read_timeout(Some(budget.max(Duration::from_millis(10))))
-        .map_err(TransportError::from)?;
-    let result = match read_frame(&mut &*stream) {
-        Ok(Some(Frame::Welcome {
-            epoch, generation, ..
-        })) => Ok((epoch, generation)),
-        Ok(other) => Err(TransportError::Protocol {
-            peer,
-            detail: format!("expected welcome, got {other:?}"),
-        }),
-        Err(FrameError::Io(e)) => Err(e.into()),
-        Err(e @ FrameError::Invalid(_)) => Err(TransportError::Protocol {
-            peer,
-            detail: e.to_string(),
-        }),
-    };
-    stream
-        .set_read_timeout(None)
-        .map_err(TransportError::from)?;
-    result
-}
-
-/// Reads the first frame off a fresh connection, bounded by `deadline`
-/// (bootstrap hellos and early join dial-ins).
-fn read_first_frame(stream: &TcpStream, deadline: Instant) -> io::Result<Frame> {
-    let budget = deadline.saturating_duration_since(Instant::now());
-    stream.set_read_timeout(Some(budget.max(Duration::from_millis(10))))?;
-    let result = match read_frame(&mut &*stream) {
-        Ok(Some(frame)) => Ok(frame),
-        Ok(None) => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "eof before the bootstrap frame",
-        )),
-        Err(FrameError::Io(e)) => Err(e),
-        Err(e @ FrameError::Invalid(_)) => {
-            Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        }
-    };
-    stream.set_read_timeout(None)?;
-    result
-}
-
-/// Reads the bootstrap hello off a fresh connection, bounded by
-/// `deadline`.
-fn read_hello(stream: &TcpStream, deadline: Instant) -> io::Result<usize> {
-    match read_first_frame(stream, deadline)? {
-        Frame::Hello { from } => Ok(from),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected hello, got {other:?}"),
-        )),
+        self.stats.snapshot()
     }
 }
 
@@ -1314,92 +796,10 @@ pub fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
 /// loopback sockets. See the module docs.
 pub type TcpTransport = Fabric<TcpEndpoint>;
 
-impl TcpTransport {
-    /// Builds the fully connected fabric: binds `n` ephemeral loopback
-    /// listeners and connects every pair (`i` dials `j` for `i < j`,
-    /// with the same hello handshake the distributed bootstrap uses).
-    pub fn loopback(n: usize) -> io::Result<Self> {
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0"))
-            .collect::<io::Result<_>>()?;
-        let addrs: Vec<SocketAddr> = listeners
-            .iter()
-            .map(TcpListener::local_addr)
-            .collect::<io::Result<_>>()?;
-
-        let mut streams: Vec<Vec<Option<TcpStream>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let deadline = Instant::now() + DEFAULT_CONNECT_TIMEOUT;
-        // Both loop variables index the connection matrix symmetrically.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in (i + 1)..n {
-                // The listener backlog completes the handshake without an
-                // accept() call, so same-thread connect-then-accept is
-                // safe.
-                let dialed = TcpStream::connect(addrs[j])?;
-                dialed.set_nodelay(true)?;
-                write_frame(&mut &dialed, &Frame::Hello { from: i })?;
-                let (accepted, _) = listeners[j].accept()?;
-                accepted.set_nodelay(true)?;
-                let peer = read_hello(&accepted, deadline)?;
-                debug_assert_eq!(peer, i, "loopback hello mismatch");
-                streams[i][j] = Some(dialed);
-                streams[j][i] = Some(accepted);
-            }
-        }
-
-        let endpoints = streams
-            .into_iter()
-            .enumerate()
-            .map(|(id, writers)| TcpEndpoint::from_streams(id, writers, None))
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(Fabric::from_endpoints(endpoints))
-    }
-
-    /// Builds a **hub-star** fabric: endpoint 0 holds one connection to
-    /// every other endpoint, the spokes hold only their hub link (their
-    /// remaining peer slots stay outside the barrier set, like
-    /// not-yet-admitted joiners). This is the connection-*scale* shape —
-    /// one node with `n - 1` concurrent connections served by a single
-    /// poller thread — used by the scale tests and
-    /// `bench_transport`'s connection-scale arm; a full mesh of the same
-    /// size would need O(n²) sockets.
-    pub fn star(n: usize) -> io::Result<Self> {
-        assert!(n >= 1, "star fabric needs a hub");
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let hub_addr = listener.local_addr()?;
-
-        let mut hub_streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut spokes = Vec::with_capacity(n.saturating_sub(1));
-        let deadline = Instant::now() + DEFAULT_CONNECT_TIMEOUT;
-        for (i, hub_slot) in hub_streams.iter_mut().enumerate().skip(1) {
-            let dialed = TcpStream::connect(hub_addr)?;
-            dialed.set_nodelay(true)?;
-            write_frame(&mut &dialed, &Frame::Hello { from: i })?;
-            let (accepted, _) = listener.accept()?;
-            accepted.set_nodelay(true)?;
-            let peer = read_hello(&accepted, deadline)?;
-            debug_assert_eq!(peer, i, "star hello mismatch");
-            *hub_slot = Some(accepted);
-            let mut spoke_streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-            spoke_streams[0] = Some(dialed);
-            spokes.push(spoke_streams);
-        }
-
-        let mut endpoints = Vec::with_capacity(n);
-        endpoints.push(TcpEndpoint::from_streams(0, hub_streams, None)?);
-        for (i, spoke_streams) in spokes.into_iter().enumerate() {
-            endpoints.push(TcpEndpoint::from_streams(i + 1, spoke_streams, None)?);
-        }
-        Ok(Fabric::from_endpoints(endpoints))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode_frame;
+    use crate::frame::{encode_frame, read_frame, write_frame};
     use crate::transport::Transport;
 
     /// The round loop's drain barrier, with nothing in its gap.
@@ -1484,7 +884,9 @@ mod tests {
             .map(|id| {
                 let addrs = addrs.clone();
                 std::thread::spawn(move || {
-                    let mut ep = TcpEndpoint::connect(id, &addrs, Duration::from_secs(10)).unwrap();
+                    let mut ep =
+                        TcpEndpoint::connect_among(id, &addrs, &[0, 1, 2], Duration::from_secs(10))
+                            .unwrap();
                     // Everyone greets everyone, then proves the barrier
                     // delivered all greetings.
                     for peer in 0..3 {
@@ -1692,12 +1094,15 @@ mod tests {
         let victim = {
             let addrs = addrs.clone();
             std::thread::spawn(move || {
-                let mut ep = TcpEndpoint::connect(0, &addrs, Duration::from_secs(10)).unwrap();
+                let mut ep =
+                    TcpEndpoint::connect_among(0, &addrs, &[0, 1], Duration::from_secs(10))
+                        .unwrap();
                 ep.try_sync().expect_err("hostile peer must surface")
             })
         };
         let hostile = std::thread::spawn(move || {
-            let mut ep = TcpEndpoint::connect(1, &addrs, Duration::from_secs(10)).unwrap();
+            let mut ep =
+                TcpEndpoint::connect_among(1, &addrs, &[0, 1], Duration::from_secs(10)).unwrap();
             // Raw garbage straight onto the wire, then hang up. The
             // stream is non-blocking (reactor-attached); 41 bytes always
             // fit a fresh socket buffer.
@@ -1795,8 +1200,9 @@ mod tests {
         };
         let (hub_slow, slow_end) = raw_pair();
         let (hub_fast, fast_end) = raw_pair();
-        let mut hub =
-            TcpEndpoint::from_streams(0, vec![None, Some(hub_slow), Some(hub_fast)], None).unwrap();
+        let mut hub = TcpEndpoint::new(0, 3);
+        hub.attach(1, hub_slow).unwrap();
+        hub.attach(2, hub_fast).unwrap();
 
         // Far more than loopback's socket buffers hold: the tail stays
         // staged in the hub's per-peer buffer.
@@ -1852,7 +1258,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let dialed = TcpStream::connect(addr).unwrap();
         let (accepted, _) = listener.accept().unwrap();
-        let mut hub = TcpEndpoint::from_streams(0, vec![None, Some(accepted)], None).unwrap();
+        let mut hub = TcpEndpoint::new(0, 2);
+        hub.attach(1, accepted).unwrap();
         hub.set_outbound_cap(128 * 1024);
 
         // A reader that starts late: sends beyond the cap must block

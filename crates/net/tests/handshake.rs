@@ -8,8 +8,8 @@
 //! the call's deadline, with no panic and no hang.
 
 use rex_net::frame::{read_frame, write_frame, Frame};
-use rex_net::tcp::{reserve_loopback_addrs, TcpEndpoint};
-use rex_net::transport::{Endpoint, TransportError};
+use rex_net::tcp::{reserve_loopback_addrs, TcpEndpoint, TcpTransport};
+use rex_net::transport::{Endpoint, Transport, TransportError};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -351,4 +351,70 @@ fn joiner_dialing_before_the_mesh_is_parked_and_admitted_at_its_epoch() {
     for pipe in pipes {
         pipe.join().unwrap();
     }
+}
+
+#[test]
+fn bootstrap_refuses_a_bad_config() {
+    // Each of these panicked a deployed process once; each is now a
+    // typed error from the call, before any socket waits.
+    let addrs = reserve_loopback_addrs(3).unwrap();
+    let founder =
+        |id: usize, peers: &[usize]| TcpEndpoint::connect_among(id, &addrs, peers, DEADLINE).err();
+    let joiner = |id: usize, dial: &[usize], accept_from: &[usize]| {
+        TcpEndpoint::connect_as_joiner(id, &addrs, 1, dial, accept_from, Vec::new(), DEADLINE).err()
+    };
+    let cases = [
+        ("founder id outside the cluster", founder(3, &[0, 3])),
+        ("founder outside its own mesh", founder(0, &[1, 2])),
+        ("founder peer outside the cluster", founder(0, &[0, 5])),
+        ("joiner id outside the cluster", joiner(3, &[0], &[])),
+        ("joiner dialing itself", joiner(2, &[0, 2], &[])),
+        ("joiner dialing outside the cluster", joiner(2, &[7], &[])),
+        (
+            "joiner accepting from outside the cluster",
+            joiner(2, &[], &[9]),
+        ),
+    ];
+    for (what, err) in cases {
+        assert!(
+            matches!(err, Some(TransportError::Io { .. })),
+            "{what}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn handshake_frames_count_in_the_wire_volume_both_ways() {
+    let len = |frame: &Frame| rex_net::frame::encode_frame(frame).len() as u64;
+    // A loopback pair: node 0 dialed node 1 with its hello.
+    let hello = len(&Frame::Hello { from: 0 });
+    let pair = TcpTransport::loopback(2).unwrap().into_endpoints();
+    assert_eq!(pair[0].wire_traffic(), (hello, 0));
+    assert_eq!(pair[1].wire_traffic(), (0, hello));
+
+    // Joiner 2 admitted by founders 0 and 1: each founder reads its join
+    // and writes a welcome, the joiner the other way round.
+    let addrs = reserve_loopback_addrs(3).unwrap();
+    let founders = [0, 1].map(|id| {
+        let addrs = addrs.clone();
+        thread::spawn(move || {
+            let mut ep = TcpEndpoint::connect_among(id, &addrs, &[0, 1], DEADLINE).unwrap();
+            ep.view_sync(1, &[2], &[]).unwrap();
+            ep
+        })
+    });
+    let evidence = b"quote".to_vec();
+    let joiner =
+        TcpEndpoint::connect_as_joiner(2, &addrs, 1, &[0, 1], &[], evidence.clone(), DEADLINE)
+            .unwrap();
+    let [f0, f1] = founders.map(|f| f.join().unwrap());
+    let join = len(&Frame::Join {
+        from: 2,
+        epoch: 1,
+        evidence,
+    });
+    let welcome = len(&welcome(0, 1, 0));
+    assert_eq!(f0.wire_traffic(), (hello + welcome, join));
+    assert_eq!(f1.wire_traffic(), (welcome, hello + join));
+    assert_eq!(joiner.wire_traffic(), (2 * join, 2 * welcome));
 }
